@@ -89,6 +89,20 @@ every cross-task conflict (write-write or read-write on a declaration in
 ``SHARED`` / ``INPUT`` / ``OUTPUT`` storage) must be ordered, else a
 ``race.*`` finding is produced before codegen.
 
+**Pair sets as bitsets.**  Static MHP, the race check and the schedule
+validators never enumerate task pairs.  Reachability is one
+:class:`~repro.utils.graphs.Reachability` (a Python-int bitset of
+descendants and of ancestors per task, exact on cyclic graphs too), the
+HTG memoizes its own, and a per-task pair set is a mask expression over
+it: cross-core sharers minus ordered tasks intersected with the address
+overlaps of :func:`~repro.analysis.footprints.address_overlaps` (a
+sort-and-sweep per array) for static MHP, unordered partners intersected
+with per-name reader/writer masks for the race check.  Per-pair code runs
+only on the pairs that can yield a finding or a kept contender, and the
+counters are popcounts.  ``tests/test_pair_engine.py`` keeps the former
+pairwise loops as oracles and requires bit-identical relations, counters
+and finding order.
+
 Incremental re-analysis contract
 ================================
 
@@ -111,8 +125,8 @@ the per-region code fingerprints.  The rules:
   :data:`~repro.analysis.report.PROVENANCES`).
 * **Race pairs re-check only changed endpoints.**
   :func:`~repro.analysis.races.incremental_race_check` reuses the
-  transitive closure when the happens-before relation and task universe
-  are equal, and re-scans only pairs with a changed endpoint; clean-pair
+  happens-before reachability when the happens-before relation and task
+  universe are equal, and re-scans only pairs with a changed endpoint; clean-pair
   findings are replayed as ``reused``.  Any guard mismatch falls back to
   the full scan.
 * **Warm starts must be proved, not trusted.**  The system-level fixed
@@ -165,7 +179,13 @@ for serialization):
   sharer pair ordered (its own reachability search over the HTG edges) or
   address-disjoint (its own footprint walker and interval arithmetic);
   a fabricated disjointness claim or a dropped happens-before edge is a
-  ``certify.contention.unjustified-exclusion`` refutation.
+  ``certify.contention.unjustified-exclusion`` refutation.  To stay
+  independent of the producer it shares nothing with the pair engine
+  above: it keeps its own search for reachability masks and its own
+  sort-and-sweep for the pairs whose windows touch, and it refutes an
+  excluded pair exactly when that pair is unordered and touching (or has
+  no windows).  An access whose bounds truncate to an empty window counts
+  as a whole-array access.
 
 What the checkers do **not** prove: the ground-truth inputs they carry
 verbatim (per-block cycle costs, isolated WCETs, shared-access counts --

@@ -8,7 +8,11 @@ the checker re-derives, for **every** cross-core (task, sharer) pair the
 skeleton excludes, an independent proof that the exclusion was justified
 -- its own reachability search over the HTG edges and its own footprint
 walker with its own interval arithmetic, sharing no code with
-:mod:`repro.analysis.static_mhp` / :mod:`repro.analysis.footprints`.
+:mod:`repro.analysis.static_mhp` / :mod:`repro.analysis.footprints` or
+the :class:`~repro.utils.graphs.Reachability` engine they use.  Pairs are
+bitsets here too, but built by the checker's own search and its own
+sort-and-sweep over the windows, so only the excluded pairs that are
+unordered *and* touching are visited one by one.
 
 A pair the checker can prove neither ordered nor address-disjoint is a
 typed refutation (``certify.contention.unjustified-exclusion``); a
@@ -21,6 +25,7 @@ checker proves the skeleton consistent with the graph it is handed.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -175,6 +180,19 @@ def _loop_values(stmt, env: dict) -> "tuple[float, float] | None":
     return (lo, hi)
 
 
+def _window(lo: float, hi: float) -> tuple[float, float]:
+    """The truncated index window of an access with value bounds ``lo..hi``.
+
+    An access that runs has at least one index, so bounds that truncate to
+    an empty window (the ``%`` rule's ``bhi - 1`` with a modulus below one)
+    are not trusted: the window becomes the whole array.
+    """
+    lo, hi = _itrunc(lo), _itrunc(hi)
+    if lo > hi:
+        return _UNBOUNDED
+    return (lo, hi)
+
+
 # ---------------------------------------------------------------------- #
 # independent footprint derivation (deliberately NOT footprints.py)
 # ---------------------------------------------------------------------- #
@@ -198,7 +216,7 @@ def _collect_accesses(
         for node in expr.walk():
             if isinstance(node, ArrayRef) and node.array in shared:
                 lo, hi = _eval_bounds(node.indices[0], env)
-                acc.setdefault(node.array, []).append((_itrunc(lo), _itrunc(hi)))
+                acc.setdefault(node.array, []).append(_window(lo, hi))
 
     if isinstance(stmt, Assign):
         for expr in stmt.expressions():
@@ -206,9 +224,7 @@ def _collect_accesses(
         if isinstance(stmt.target, ArrayRef):
             if stmt.target.array in shared:
                 lo, hi = _eval_bounds(stmt.target.indices[0], env)
-                acc.setdefault(stmt.target.array, []).append(
-                    (_itrunc(lo), _itrunc(hi))
-                )
+                acc.setdefault(stmt.target.array, []).append(_window(lo, hi))
         else:
             env.pop(stmt.target.name, None)
         return
@@ -257,46 +273,112 @@ def _task_access_bounds(function, task, shared: set) -> dict:
     return acc
 
 
-def _bounds_disjoint(a: dict, b: dict) -> bool:
-    for name, windows_a in a.items():
-        windows_b = b.get(name)
-        if not windows_b:
-            continue
-        for alo, ahi in windows_a:
-            for blo, bhi in windows_b:
-                if alo <= bhi and blo <= ahi:
-                    return False
-    return True
+def _touching_tasks(windows: dict[str, dict]) -> dict[str, set[str]]:
+    """Per task, the other tasks whose windows touch its own on some array.
 
-
-def _reachable_pairs(htg, mapping: dict) -> set:
-    """Transitive dependence over mapped-task-induced edges, by plain BFS.
-
-    Restricting to mapped endpoints mirrors what the timeline builder
-    enforces: an edge touching an unmapped task constrains nothing.
+    ``windows`` maps task ids to :func:`_task_access_bounds` results.  One
+    sort-and-sweep per array over closed windows, so ``[0, 3]`` and
+    ``[3, 7]`` touch.  A window leaves the active heap once its upper end
+    falls below the current lower end, so every window still active
+    touches the current one (no window is inverted, see :func:`_window`).
     """
+    by_array: dict[str, list[tuple[float, float, str]]] = {}
+    for tid, per_array in windows.items():
+        for name, spans in per_array.items():
+            for lo, hi in spans:
+                by_array.setdefault(name, []).append((lo, hi, tid))
+    touching: dict[str, set[str]] = {tid: set() for tid in windows}
+    for spans in by_array.values():
+        spans.sort(key=lambda span: span[0])
+        active: list[tuple[float, str]] = []
+        for lo, hi, tid in spans:
+            while active and active[0][0] < lo:
+                heapq.heappop(active)
+            for _, other in active:
+                if other != tid:
+                    touching[tid].add(other)
+                    touching[other].add(tid)
+            heapq.heappush(active, (hi, tid))
+    return touching
+
+
+def _reach_masks(
+    adjacent: dict[str, list[str]], roots: list[str], bit: dict[str, int]
+) -> dict[str, int]:
+    """Per root, the mask of nodes reachable by one or more edges, by search.
+
+    A search that meets a node whose mask is already known takes that mask
+    instead of expanding it, so every mask is exact in any root order; with
+    successors searched first each root costs only its own edges.
+    """
+    reach: dict[str, int] = {}
+    for root in roots:
+        mask = 0
+        frontier = list(adjacent.get(root, ()))
+        while frontier:
+            node = frontier.pop()
+            if mask & bit[node]:
+                continue
+            mask |= bit[node]
+            known = reach.get(node)
+            if known is None:
+                frontier.extend(adjacent.get(node, ()))
+            else:
+                mask |= known
+        reach[root] = mask
+    return reach
+
+
+def _ordered_masks(htg, mapping: dict) -> tuple[dict[str, int], dict[str, int]]:
+    """Bit per mapped task, and per mapped task the tasks ordered with it.
+
+    Dependence runs over mapped-task-induced edges only, mirroring what the
+    timeline builder enforces: an edge touching an unmapped task constrains
+    nothing.
+    """
+    bit = {tid: 1 << i for i, tid in enumerate(mapping)}
     succs: dict[str, list[str]] = {}
+    preds: dict[str, list[str]] = {}
     for edge in htg.edges:
         if edge.src in mapping and edge.dst in mapping:
             succs.setdefault(edge.src, []).append(edge.dst)
-    pairs: set[tuple[str, str]] = set()
-    for root in mapping:
-        frontier = list(succs.get(root, ()))
-        seen = set()
-        while frontier:
-            node = frontier.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            pairs.add((root, node))
-            frontier.extend(succs.get(node, ()))
-    return pairs
+            preds.setdefault(edge.dst, []).append(edge.src)
+    # HTG task order is program order, so searching it backwards meets
+    # successors first (the masks are exact in any order)
+    roots = [tid for tid in htg.tasks if tid in mapping]
+    roots += [tid for tid in mapping if tid not in htg.tasks]
+    later = _reach_masks(succs, roots[::-1], bit)
+    earlier = _reach_masks(preds, roots, bit)
+    return bit, {tid: later[tid] | earlier[tid] for tid in mapping}
+
+
+def _mask(tids, bit: dict[str, int]) -> int:
+    out = 0
+    for tid in tids:
+        out |= bit[tid]
+    return out
+
+
+def _bit_positions(mask: int) -> list[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def check_contention_certificate(
     certificate: ContentionCertificate, htg, function
 ) -> AnalysisReport:
-    """Re-prove every excluded contender pair ordered or address-disjoint."""
+    """Re-prove every excluded contender pair ordered or address-disjoint.
+
+    Per task, the excluded cross-core sharers form one bitset.  Ordered
+    ones are justified by the checker's own reachability search.  Of the
+    rest, only those whose windows touch the task's own (found by the
+    checker's own sweep) or that have no windows at all can be refuted, so
+    only they are visited one by one.
+    """
     report = AnalysisReport("certify_contention")
     cert = certificate
 
@@ -328,47 +410,47 @@ def check_contention_certificate(
         )
         return report
 
-    ordered = _reachable_pairs(htg, cert.mapping)
+    bit, ordered_with = _ordered_masks(htg, cert.mapping)
     shared_names = _shared_array_names(function)
-    sharers = sorted(
-        tid for tid in cert.mapping if cert.shared.get(tid, 0) > 0
-    )
-    bounds: dict[str, dict] = {}
-
-    def bounds_of(tid: str) -> "dict | None":
-        if tid not in bounds:
-            try:
-                task = htg.task(tid)
-            except KeyError:
-                return None
-            bounds[tid] = _task_access_bounds(function, task, shared_names)
-        return bounds[tid]
+    windows = {
+        tid: _task_access_bounds(function, htg.task(tid), shared_names)
+        for tid in cert.mapping
+        if tid in htg.tasks
+    }
+    touching = _touching_tasks(windows)
+    # a mapped task missing from the HTG has no windows: nothing proves it
+    # disjoint from anyone
+    windowless = _mask((tid for tid in cert.mapping if tid not in windows), bit)
+    sharers = 0
+    sharers_on: dict = {}
+    for tid, core in cert.mapping.items():
+        if cert.shared.get(tid, 0) > 0:
+            sharers |= bit[tid]
+            sharers_on[core] = sharers_on.get(core, 0) | bit[tid]
+    names = list(cert.mapping)
 
     pairs_checked = exclusions = 0
     for tid in sorted(cert.mapping):
-        if tid not in htg.tasks:
+        if tid not in windows:
             fail(
                 "certify.contention.coverage",
                 f"mapped task {tid!r} is not in the HTG",
                 subject=tid,
             )
             continue
-        allowed_here = set(cert.allowed.get(tid, ()))
-        for other in sharers:
-            if other == tid or cert.mapping[other] == cert.mapping[tid]:
-                continue
-            pairs_checked += 1
-            if other in allowed_here:
-                continue
-            exclusions += 1
-            if (tid, other) in ordered or (other, tid) in ordered:
-                report.bump("exclusions_ordered")
-                continue
-            fa = bounds_of(tid)
-            fb = bounds_of(other)
-            if fa is not None and fb is not None and _bounds_disjoint(fa, fb):
-                report.bump("exclusions_disjoint")
-                continue
+        cross = sharers & ~sharers_on.get(cert.mapping[tid], 0)
+        excluded = cross & ~_mask(cert.allowed.get(tid, ()), bit)
+        unordered = excluded & ~ordered_with[tid]
+        refutable = unordered & (windowless | _mask(touching[tid], bit))
+        pairs_checked += cross.bit_count()
+        exclusions += excluded.bit_count()
+        n_ordered = excluded.bit_count() - unordered.bit_count()
+        if n_ordered:
+            report.bump("exclusions_ordered", n_ordered)
+        n_disjoint = unordered.bit_count() - refutable.bit_count()
+        if n_disjoint:
+            report.bump("exclusions_disjoint", n_disjoint)
+        for other in sorted(names[i] for i in _bit_positions(refutable)):
             fail(
                 "certify.contention.unjustified-exclusion",
                 f"the skeleton excludes sharer {other!r} from task {tid!r}'s "

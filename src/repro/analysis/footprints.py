@@ -21,7 +21,9 @@ Two consumers, two different questions:
   charges contention per access, not per conflict.  Shared scalars are
   ignored here: the system-level analysis only counts shared *array*
   accesses as interference-prone (see
-  :func:`repro.ir.analysis.shared_access_summary`).
+  :func:`repro.ir.analysis.shared_array_names`).
+  :func:`address_overlaps` answers the same question for every pair of a
+  task set at once, with one interval sweep per array.
 
 Soundness notes:
 
@@ -46,11 +48,13 @@ Soundness notes:
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import math
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
+from typing import Mapping
 
 from repro.analysis.value_range import INF, TOP, Env, ValueRange, eval_range
 from repro.htg.task import Task
@@ -282,6 +286,11 @@ def footprints_conflict_free(a: TaskFootprint, b: TaskFootprint) -> bool:
     return True
 
 
+def _array_accesses(fp: TaskFootprint) -> list[tuple[str, ValueRange]]:
+    """Every ``(array, index interval)`` access of ``fp``, reads and writes."""
+    return [*fp.array_reads.items(), *fp.array_writes.items()]
+
+
 def footprints_address_disjoint(a: TaskFootprint, b: TaskFootprint) -> bool:
     """Prove the two tasks touch no common shared-array element.
 
@@ -290,35 +299,39 @@ def footprints_address_disjoint(a: TaskFootprint, b: TaskFootprint) -> bool:
     contender sets.  Shared scalars are ignored (they generate no counted
     interference accesses).
     """
-    for name, ranges_a in _access_ranges(a).items():
-        ranges_b = _access_ranges_for(b, name)
-        if not ranges_b:
-            continue
-        for ra in ranges_a:
-            for rb in ranges_b:
-                if _overlap(ra, rb):
-                    return False
-    return True
+    return not any(
+        name_a == name_b and _overlap(ra, rb)
+        for name_a, ra in _array_accesses(a)
+        for name_b, rb in _array_accesses(b)
+    )
 
 
-def _access_ranges(fp: TaskFootprint) -> dict[str, list[ValueRange]]:
-    out: dict[str, list[ValueRange]] = {}
-    for name, rng in fp.array_reads.items():
-        out.setdefault(name, []).append(rng)
-    for name, rng in fp.array_writes.items():
-        out.setdefault(name, []).append(rng)
-    return out
+def address_overlaps(footprints: Mapping[str, TaskFootprint]) -> dict[str, set[str]]:
+    """Per task, the other tasks it may share a shared-array element with.
 
-
-def _access_ranges_for(fp: TaskFootprint, name: str) -> list[ValueRange]:
-    out = []
-    rng = fp.array_reads.get(name)
-    if rng is not None:
-        out.append(rng)
-    rng = fp.array_writes.get(name)
-    if rng is not None:
-        out.append(rng)
-    return out
+    ``b in result[a]`` exactly when ``footprints_address_disjoint`` fails for
+    the two footprints (``a != b``), but found by one sort-and-sweep per
+    array over the closed access intervals instead of a test per pair: the
+    cost is the sort plus the number of overlapping pairs reported.
+    """
+    by_array: dict[str, list[tuple[float, float, str]]] = {}
+    for tid, fp in footprints.items():
+        for name, rng in _array_accesses(fp):
+            by_array.setdefault(name, []).append((rng.lo, rng.hi, tid))
+    overlaps: dict[str, set[str]] = {tid: set() for tid in footprints}
+    for intervals in by_array.values():
+        intervals.sort(key=lambda iv: iv[0])
+        active: list[tuple[float, str]] = []  # min-heap on the upper end
+        for lo, hi, tid in intervals:
+            # closed intervals: one ending exactly at ``lo`` still overlaps
+            while active and active[0][0] < lo:
+                heapq.heappop(active)
+            for _, other in active:
+                if other != tid:
+                    overlaps[tid].add(other)
+                    overlaps[other].add(tid)
+            heapq.heappush(active, (hi, tid))
+    return overlaps
 
 
 def _digest(text: str) -> str:

@@ -7,7 +7,7 @@ the happens-before relation the generated parallel program enforces:
   the tasks on one core in order);
 * consecutive tasks on the same core (program order).
 
-The transitive closure of that relation must order every pair of tasks
+The reachability of that relation must order every pair of tasks
 that conflict on a *shared* variable (write-write or read-write on a
 ``SHARED`` / ``INPUT`` / ``OUTPUT`` declaration); an unordered conflicting
 pair mapped to different cores is reported as a race -- before any C code
@@ -26,17 +26,18 @@ Incremental re-checking
 -----------------------
 
 :func:`incremental_race_check` additionally returns a
-:class:`RaceCheckState` snapshot (happens-before relation, its transitive
-closure, the shared-name universe, and the findings).  On a later run over
-an *edited* model it accepts the previous state plus the set of tasks whose
-content fingerprints changed, and re-derives only what the edit can affect:
+:class:`RaceCheckState` snapshot (happens-before relation, its
+:class:`~repro.utils.graphs.Reachability`, the shared-name universe, and
+the findings).  On a later run over an *edited* model it accepts the
+previous state plus the set of tasks whose content fingerprints changed,
+and re-derives only what the edit can affect:
 
-* the closure is reused verbatim when the happens-before relation and task
-  universe are unchanged (the closure is a pure function of those inputs);
-* with the closure reused and an identical shared-name universe, the
+* the reachability is reused verbatim when the happens-before relation and
+  task universe are unchanged (it is a pure function of those inputs);
+* with the reachability reused and an identical shared-name universe, the
   verdict of a pair of *unchanged* tasks is a pure function of unchanged
-  inputs (their read/write sets, kinds and parents, and the closure), so
-  only pairs with at least one changed endpoint are re-scanned; previous
+  inputs (their read/write sets, kinds and parents, and the reachability),
+  so only pairs with at least one changed endpoint are re-scanned; previous
   findings for clean pairs are replayed with provenance ``reused``.
 
 Any mismatch in the guard inputs falls back to the full scan, so the
@@ -56,7 +57,7 @@ from repro.analysis.report import AnalysisReport, Finding
 from repro.htg.graph import HierarchicalTaskGraph
 from repro.htg.task import Task, TaskKind
 from repro.ir.program import Function, Storage
-from repro.utils.graphs import transitive_closure
+from repro.utils.graphs import Reachability
 
 #: Storage classes whose variables live in memory visible to every core.
 SHARED_STORAGE = (Storage.SHARED, Storage.INPUT, Storage.OUTPUT)
@@ -76,17 +77,17 @@ def _chunk_siblings(a: Task, b: Task) -> bool:
 class RaceCheckState:
     """Reusable snapshot of one race-check run.
 
-    The closure is by far the dominant cost of the check (networkx
-    transitive closure over every task); it depends only on
-    ``happens_before`` and the task universe, both recorded here so a
-    later run can prove reuse valid by equality.
+    The happens-before reachability depends only on ``happens_before`` and
+    the task universe, both recorded here so a later run can prove reuse
+    valid by equality; with it reused, a pair of unchanged tasks keeps its
+    verdict, which is what lets the changed-endpoint path replay findings.
     """
 
     #: HTG dependence edges plus per-core program-order pairs.
     happens_before: frozenset[tuple[str, str]]
-    #: Transitive closure of ``happens_before`` over ``graph_task_ids``.
-    ordered: frozenset[tuple[str, str]]
-    #: Every task in the HTG the closure was computed over.
+    #: Reachability of ``happens_before`` over ``graph_task_ids``.
+    reachability: Reachability[str]
+    #: Every task in the HTG the reachability was computed over.
     graph_task_ids: frozenset[str]
     #: The mapped tasks that were pair-scanned.
     scanned_task_ids: frozenset[str]
@@ -106,25 +107,24 @@ def _happens_before_pairs(
     return frozenset(pairs)
 
 
-def _scan_pair(
+def _bump_nonzero(report: AnalysisReport, counter: str, amount: int) -> None:
+    # pair counters appear in ``checked`` only once they count something
+    if amount:
+        report.bump(counter, amount)
+
+
+def _report_conflict(
     a: Task,
     b: Task,
-    ordered: frozenset[tuple[str, str]],
     shared_names: frozenset[str],
     mapping: dict[str, int],
     function: Function,
     report: AnalysisReport,
     footprint_of,
 ) -> None:
-    report.bump("pairs_checked")
-    if (a.task_id, b.task_id) in ordered or (b.task_id, a.task_id) in ordered:
-        report.bump("pairs_ordered")
-        return
+    """Verdict on one unordered pair that conflicts at name granularity."""
     write_write = a.writes & b.writes & shared_names
     write_read = (a.writes & b.reads | a.reads & b.writes) & shared_names
-    if not write_write and not write_read:
-        report.bump("pairs_disjoint")
-        return
     conflict = sorted(write_write | write_read)
     if _chunk_siblings(a, b):
         if footprints_conflict_free(footprint_of(a), footprint_of(b)):
@@ -173,8 +173,15 @@ def incremental_race_check(
 
     ``changed_tasks`` is the set of task ids whose *content* differs from
     the run that produced ``prev_state`` (new tasks included).  Pass
-    ``None`` to force a full scan even when the closure is reusable.
+    ``None`` to force a full scan even when the reachability is reusable.
     Replayed findings keep the core numbers of the run they came from.
+
+    Pairs are handled as bitsets: per task, the partners it must be checked
+    against are one mask, split into ordered, non-conflicting and
+    conflicting partners by the happens-before reachability and per-name
+    reader/writer masks.  Only the unordered conflicting pairs -- the ones
+    that yield a finding or need a footprint proof -- run per-pair code,
+    in the order a pairwise scan of the mapped tasks would visit them.
     """
     report = AnalysisReport("race_checker")
     shared_names = frozenset(
@@ -195,20 +202,52 @@ def incremental_race_check(
 
     graph_task_ids = frozenset(htg.tasks.keys())
     happens_before = _happens_before_pairs(htg, order)
-    reuse_closure = (
+    reuse_reachability = (
         prev_state is not None
         and happens_before == prev_state.happens_before
         and graph_task_ids == prev_state.graph_task_ids
     )
-    if reuse_closure:
+    if reuse_reachability:
         assert prev_state is not None
-        ordered = prev_state.ordered
+        reach = prev_state.reachability
         report.bump("closure_reused")
     else:
-        ordered = frozenset(transitive_closure(htg.tasks.keys(), happens_before))
+        reach = Reachability(htg.tasks.keys(), happens_before)
+
+    position = {t.task_id: i for i, t in enumerate(tasks)}
+    by_id = {t.task_id: t for t in tasks}
+    readers: dict[str, int] = {}
+    writers: dict[str, int] = {}
+    for t in tasks:
+        bit = 1 << reach.index[t.task_id]
+        for name in t.reads & shared_names:
+            readers[name] = readers.get(name, 0) | bit
+        for name in t.writes & shared_names:
+            writers[name] = writers.get(name, 0) | bit
+
+    def scan(a: Task, partners: int) -> None:
+        """Check ``a`` against every task in the ``partners`` mask."""
+        i = reach.index[a.task_id]
+        unordered = partners & ~(reach.descendants[i] | reach.ancestors[i])
+        conflicting = 0
+        for name in a.writes & shared_names:
+            conflicting |= writers.get(name, 0) | readers.get(name, 0)
+        for name in a.reads & shared_names:
+            conflicting |= writers.get(name, 0)
+        conflicting &= unordered
+        n_unordered = unordered.bit_count()
+        _bump_nonzero(report, "pairs_checked", partners.bit_count())
+        _bump_nonzero(report, "pairs_ordered", partners.bit_count() - n_unordered)
+        _bump_nonzero(report, "pairs_disjoint", n_unordered - conflicting.bit_count())
+        for b_id in sorted(reach.members(conflicting), key=position.__getitem__):
+            b = by_id[b_id]
+            first, second = (a, b) if position[a.task_id] < position[b_id] else (b, a)
+            _report_conflict(
+                first, second, shared_names, mapping, function, report, footprint_of
+            )
 
     skip_clean_pairs = (
-        reuse_closure
+        reuse_reachability
         and changed_tasks is not None
         and prev_state is not None
         and shared_names == prev_state.shared_names
@@ -217,23 +256,16 @@ def incremental_race_check(
     if skip_clean_pairs:
         assert prev_state is not None and changed_tasks is not None
         changed = {tid for tid in changed_tasks if tid in task_ids}
-        index = {t.task_id: i for i, t in enumerate(tasks)}
-        # Scan only pairs with >=1 changed endpoint; replay the rest.
+        # Scan only pairs with >=1 changed endpoint; replay the rest.  A
+        # pair of two changed tasks is scanned from its earlier endpoint.
+        everyone = reach.mask(task_ids)
+        changed_before = 0
         for a in tasks:
             if a.task_id not in changed:
                 continue
-            ia = index[a.task_id]
-            for b in tasks:
-                if b.task_id == a.task_id:
-                    continue
-                ib = index[b.task_id]
-                if b.task_id in changed and ib < ia:
-                    continue  # the (b, a) iteration covers this pair
-                first, second = (b, a) if ib < ia else (a, b)
-                _scan_pair(
-                    first, second, ordered, shared_names, mapping, function,
-                    report, footprint_of,
-                )
+            bit = 1 << reach.index[a.task_id]
+            scan(a, everyone & ~bit & ~changed_before)
+            changed_before |= bit
         total_pairs = len(tasks) * (len(tasks) - 1) // 2
         report.bump("pairs_reused", total_pairs - report.checked.get("pairs_checked", 0))
         for finding in prev_state.findings:
@@ -241,16 +273,17 @@ def incremental_race_check(
             if a_id not in changed and b_id not in changed:
                 report.add(replace(finding, provenance="reused"))
     else:
-        for i, a in enumerate(tasks):
-            for b in tasks[i + 1:]:
-                _scan_pair(
-                    a, b, ordered, shared_names, mapping, function,
-                    report, footprint_of,
-                )
+        later = 0
+        partners = [0] * len(tasks)
+        for i in range(len(tasks) - 1, -1, -1):
+            partners[i] = later
+            later |= 1 << reach.index[tasks[i].task_id]
+        for a, mask in zip(tasks, partners):
+            scan(a, mask)
 
     state = RaceCheckState(
         happens_before=happens_before,
-        ordered=ordered,
+        reachability=reach,
         graph_task_ids=graph_task_ids,
         scanned_task_ids=task_ids,
         shared_names=shared_names,

@@ -27,7 +27,7 @@ Soundness of the ordering argument requires that every dependence the
 closure uses is actually enforced by the timeline builder, which drops
 edges touching unmapped tasks; the relation therefore falls back to the
 closure of the mapped-task-induced subgraph whenever any edge endpoint is
-unmapped.
+unmapped (with its own :class:`~repro.utils.graphs.Reachability`).
 """
 
 from __future__ import annotations
@@ -37,12 +37,12 @@ from dataclasses import dataclass, field
 from repro.analysis.footprints import (
     FootprintStore,
     TaskFootprint,
+    address_overlaps,
     default_footprint_store,
-    footprints_address_disjoint,
 )
 from repro.htg.graph import HierarchicalTaskGraph
 from repro.ir.program import Function
-from repro.utils.graphs import transitive_closure
+from repro.utils.graphs import Reachability
 
 
 @dataclass(frozen=True)
@@ -72,19 +72,16 @@ class StaticMhpRelation:
         }
 
 
-def _ordered_pairs(
+def _enforced_reachability(
     htg: HierarchicalTaskGraph, mapping: dict[str, int]
-) -> "set[tuple[str, str]] | frozenset[tuple[str, str]]":
-    """Dependence closure restricted to orderings the timeline enforces."""
+) -> Reachability[str]:
+    """Dependence reachability restricted to orderings the timeline enforces."""
     if all(e.src in mapping and e.dst in mapping for e in htg.edges):
-        return htg.dependent_pairs()
-    mapped_edges = [
-        (e.src, e.dst) for e in htg.edges if e.src in mapping and e.dst in mapping
-    ]
-    return {
-        (str(u), str(v))
-        for (u, v) in transitive_closure(set(mapping), mapped_edges)
-    }
+        return htg.reachability()
+    return Reachability(
+        mapping,
+        [(e.src, e.dst) for e in htg.edges if e.src in mapping and e.dst in mapping],
+    )
 
 
 def compute_static_mhp(
@@ -101,6 +98,11 @@ def compute_static_mhp(
     shared-access count; the system-level analysis passes its code-level
     derivation instead so the two agree exactly.  ``use_footprints=False``
     restricts pruning to the (count-preserving) ordered pairs.
+
+    Each task's kept sharers are one mask expression over the reachability
+    bitsets -- cross-core sharers, minus ordered ones, intersected with the
+    address overlaps of :func:`address_overlaps` -- and every counter is a
+    popcount, so no code runs per candidate pair.
     """
     store = store if store is not None else default_footprint_store()
     leaf_ids = [t.task_id for t in htg.leaf_tasks() if t.task_id in mapping]
@@ -110,34 +112,36 @@ def compute_static_mhp(
             for t in htg.leaf_tasks()
             if t.task_id in mapping and t.total_shared_accesses > 0
         ]
-    ordered = _ordered_pairs(htg, mapping)
+    reach = _enforced_reachability(htg, mapping)
     footprints: dict[str, TaskFootprint] = {}
+    overlaps: dict[str, set[str]] = {}
     if use_footprints:
         for tid in leaf_ids:
             footprints[tid] = store.footprint(function, htg.task(tid))
+        overlaps = address_overlaps(footprints)
+
+    sharer_mask = 0
+    sharers_on: dict[int, int] = {}
+    for sid in sharers:
+        bit = 1 << reach.index[sid]
+        sharer_mask |= bit
+        sharers_on[mapping[sid]] = sharers_on.get(mapping[sid], 0) | bit
 
     allowed: dict[str, tuple[str, ...]] = {}
     candidate = same_core = pruned_ordered = pruned_disjoint = kept = 0
     for tid in leaf_ids:
-        keep: list[str] = []
-        for other in sorted(sharers):
-            if other == tid:
-                continue
-            candidate += 1
-            if mapping[other] == mapping[tid]:
-                same_core += 1
-                continue
-            if (tid, other) in ordered or (other, tid) in ordered:
-                pruned_ordered += 1
-                continue
-            if use_footprints and footprints_address_disjoint(
-                footprints[tid], footprints[other]
-            ):
-                pruned_disjoint += 1
-                continue
-            keep.append(other)
-        kept += len(keep)
-        allowed[tid] = tuple(keep)
+        i = reach.index[tid]
+        others = sharer_mask & ~(1 << i)
+        same = sharers_on.get(mapping[tid], 0) & ~(1 << i)
+        cross = others & ~same
+        unordered = cross & ~(reach.descendants[i] | reach.ancestors[i])
+        keep = unordered & reach.mask(overlaps[tid]) if use_footprints else unordered
+        candidate += others.bit_count()
+        same_core += same.bit_count()
+        pruned_ordered += cross.bit_count() - unordered.bit_count()
+        pruned_disjoint += unordered.bit_count() - keep.bit_count()
+        kept += keep.bit_count()
+        allowed[tid] = tuple(sorted(reach.members(keep)))
     return StaticMhpRelation(
         allowed=allowed,
         candidate_pairs=candidate,

@@ -1123,9 +1123,9 @@ class Pipeline:
             # reused tasks are copies of already-annotated tasks and the
             # platform signature is proven unchanged (psig_ok), so only the
             # re-extracted tasks need WCET annotation; when the edit kept
-            # the task/edge structure, the previous run's transitive-closure
-            # memo applies verbatim as well.
-            htg.adopt_dependent_pairs(prev.htg)
+            # the task/edge structure, the previous run's reachability memo
+            # applies verbatim as well.
+            htg.adopt_reachability(prev.htg)
             cost_model = HardwareCostModel(self.platform, self.platform.cores[0].core_id)
             self.wcet_cache.annotate_htg(
                 htg, model.entry, cost_model, only=set(inc["changed_task_ids"])

@@ -23,7 +23,7 @@ from typing import Any, Mapping, Sequence
 from repro.frontend.codegen import CompiledModel
 from repro.htg.graph import HierarchicalTaskGraph
 from repro.htg.task import Task, TaskKind
-from repro.ir.analysis import read_write_sets, shared_access_summary
+from repro.ir.analysis import access_summary, read_write_sets, shared_array_names
 from repro.ir.expressions import ArrayRef, Var
 from repro.ir.loops import loop_trip_count
 from repro.ir.program import Function, Storage
@@ -134,9 +134,16 @@ def _buffer_bytes(function: Function, names: set[str]) -> int:
     return total
 
 
-def _make_task(task_id: str, kind: TaskKind, stmts: IRBlock, origin: str, function: Function, parent: str | None = None) -> Task:
+def _make_task(
+    task_id: str,
+    kind: TaskKind,
+    stmts: IRBlock,
+    origin: str,
+    shared_arrays: frozenset[str],
+    parent: str | None = None,
+) -> Task:
     reads, writes = read_write_sets(stmts)
-    shared = shared_access_summary(function, stmts)
+    shared = access_summary(stmts).restricted(shared_arrays)
     shared_counts = dict(shared.reads)
     for name, count in shared.writes.items():
         shared_counts[name] = shared_counts.get(name, 0) + count
@@ -195,12 +202,19 @@ class ExtractionOptions:
 
 
 def _region_tasks(
-    region_name: str, region: IRBlock, function: Function, options: ExtractionOptions
+    region_name: str,
+    region: IRBlock,
+    shared_arrays: frozenset[str],
+    options: ExtractionOptions,
 ) -> list[Task]:
-    """The task decomposition of one code region at the requested granularity."""
+    """The task decomposition of one code region at the requested granularity.
+
+    ``shared_arrays`` is the function's :func:`shared_array_names`, computed
+    once per extraction rather than once per task.
+    """
     if options.granularity == "loop":
-        return _extract_region_fine(region_name, region, function, options)
-    return [_make_task(f"t_{region_name}", TaskKind.BLOCK, region, region_name, function)]
+        return _extract_region_fine(region_name, region, shared_arrays, options)
+    return [_make_task(f"t_{region_name}", TaskKind.BLOCK, region, region_name, shared_arrays)]
 
 
 def extract_htg(model: CompiledModel, options: ExtractionOptions | None = None) -> HierarchicalTaskGraph:
@@ -209,10 +223,11 @@ def extract_htg(model: CompiledModel, options: ExtractionOptions | None = None) 
     if options.granularity not in ("block", "loop"):
         raise ValueError(f"unknown granularity {options.granularity!r}")
     function = model.entry
+    shared_arrays = shared_array_names(function)
 
     tasks: list[Task] = []
     for region_name, region in model.block_regions:
-        tasks.extend(_region_tasks(region_name, region, function, options))
+        tasks.extend(_region_tasks(region_name, region, shared_arrays, options))
     return _assemble_htg(model.diagram_name, tasks, function)
 
 
@@ -245,6 +260,7 @@ def extract_htg_incremental(
     if options.granularity not in ("block", "loop"):
         raise ValueError(f"unknown granularity {options.granularity!r}")
     function = model.entry
+    shared_arrays = shared_array_names(function)
 
     tasks: list[Task] = []
     changed_task_ids: set[str] = set()
@@ -256,7 +272,7 @@ def extract_htg_incremental(
             tasks.extend(replace(task) for task in previous)
             regions_reused += 1
         else:
-            fresh = _region_tasks(region_name, region, function, options)
+            fresh = _region_tasks(region_name, region, shared_arrays, options)
             changed_task_ids.update(t.task_id for t in fresh)
             tasks.extend(fresh)
             regions_recomputed += 1
@@ -345,7 +361,10 @@ def _assemble_htg(
 
 
 def _extract_region_fine(
-    region_name: str, region: IRBlock, function: Function, options: ExtractionOptions
+    region_name: str,
+    region: IRBlock,
+    shared_arrays: frozenset[str],
+    options: ExtractionOptions,
 ) -> list[Task]:
     """Split a region into pre / loop-chunk / post tasks when profitable."""
     splittable_positions: list[int] = []
@@ -358,7 +377,7 @@ def _extract_region_fine(
             splittable_positions.append(pos)
 
     if not splittable_positions:
-        return [_make_task(f"t_{region_name}", TaskKind.BLOCK, region, region_name, function)]
+        return [_make_task(f"t_{region_name}", TaskKind.BLOCK, region, region_name, shared_arrays)]
 
     # Split around the first parallelizable top-level loop; statements before
     # and after it become pre/post tasks (themselves block tasks).
@@ -372,17 +391,17 @@ def _extract_region_fine(
     post_stmts = IRBlock(list(region.stmts[pos + 1:]))
     if pre_stmts.stmts:
         tasks.append(
-            _make_task(f"{parent_id}_pre", TaskKind.PRE, pre_stmts, region_name, function, parent=parent_id)
+            _make_task(f"{parent_id}_pre", TaskKind.PRE, pre_stmts, region_name, shared_arrays, parent=parent_id)
         )
     for idx, chunk_loop in enumerate(_split_loop(loop, options.loop_chunks)):
         chunk_block = IRBlock([chunk_loop])
         tasks.append(
             _make_task(
-                f"{parent_id}_c{idx}", TaskKind.LOOP_CHUNK, chunk_block, region_name, function, parent=parent_id
+                f"{parent_id}_c{idx}", TaskKind.LOOP_CHUNK, chunk_block, region_name, shared_arrays, parent=parent_id
             )
         )
     if post_stmts.stmts:
         tasks.append(
-            _make_task(f"{parent_id}_post", TaskKind.POST, post_stmts, region_name, function, parent=parent_id)
+            _make_task(f"{parent_id}_post", TaskKind.POST, post_stmts, region_name, shared_arrays, parent=parent_id)
         )
     return tasks

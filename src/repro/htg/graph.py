@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.htg.task import Task
-from repro.utils.graphs import is_acyclic, longest_path_length, topological_order, transitive_closure
+from repro.utils.graphs import Reachability, is_acyclic, longest_path_length, topological_order
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class HierarchicalTaskGraph:
     _succ_index: dict[str, list[str]] | None = field(
         default=None, init=False, repr=False, compare=False
     )
-    _dependent_pairs: set[tuple[str, str]] | None = field(
+    _reachability: Reachability[str] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -76,7 +76,7 @@ class HierarchicalTaskGraph:
         if self._pred_index is not None:
             self._pred_index.setdefault(task.task_id, [])
             self._succ_index.setdefault(task.task_id, [])
-        self._dependent_pairs = None
+        self._reachability = None
         return task
 
     def add_edge(self, src: str, dst: str, payload_bytes: int = 0, variables: tuple[str, ...] = ()) -> TaskEdge:
@@ -93,7 +93,7 @@ class HierarchicalTaskGraph:
         self._edge_index[(src, dst)] = edge
         self._pred_index.setdefault(dst, []).append(src)
         self._succ_index.setdefault(src, []).append(dst)
-        self._dependent_pairs = None
+        self._reachability = None
         return edge
 
     # ------------------------------------------------------------------ #
@@ -157,41 +157,43 @@ class HierarchicalTaskGraph:
         """Sum of all task WCETs (sequential execution upper bound)."""
         return sum(t.wcet for t in self.tasks.values())
 
-    def ancestors(self, task_id: str) -> set[str]:
-        closure = transitive_closure(self.tasks.keys(), self.edge_pairs())
-        return {str(u) for (u, v) in closure if v == task_id}
+    def reachability(self) -> Reachability[str]:
+        """The dependence closure as per-task bitsets (memoized).
+
+        Built once per graph (see :class:`~repro.utils.graphs.Reachability`);
+        invalidated by :meth:`add_task` / :meth:`add_edge` like the
+        adjacency indexes.  The schedule and parallel-program validators,
+        static MHP and the race checker's happens-before test all start
+        from it.
+        """
+        if self._reachability is None:
+            self._reachability = Reachability(self.tasks.keys(), self.edge_pairs())
+        return self._reachability
 
     def dependent_pairs(self) -> set[tuple[str, str]]:
         """All ordered pairs (u, v) where v transitively depends on u.
 
-        Memoized (the transitive closure is the most expensive query on the
-        graph; the schedule and parallel-program validators both need it);
-        invalidated by :meth:`add_task` / :meth:`add_edge` like the
-        adjacency indexes.  Treat the returned set as read-only.
+        A materialised view of :meth:`reachability`, built on each call;
+        pair-at-a-time callers should query the bitsets instead.
         """
-        if self._dependent_pairs is None:
-            self._dependent_pairs = {
-                (str(u), str(v))
-                for (u, v) in transitive_closure(self.tasks.keys(), self.edge_pairs())
-            }
-        return self._dependent_pairs
+        return self.reachability().pairs()
 
-    def adopt_dependent_pairs(self, other: "HierarchicalTaskGraph") -> bool:
-        """Share ``other``'s memoized transitive closure when it provably applies.
+    def adopt_reachability(self, other: "HierarchicalTaskGraph") -> bool:
+        """Share ``other``'s memoized reachability when it provably applies.
 
         Two graphs with the same task-id set and the same edge set have the
         same closure, so an incrementally re-extracted HTG can inherit the
-        previous run's memo instead of recomputing it (the closure is the
-        most expensive graph query).  Returns ``True`` when adopted; a
-        no-op when the graphs differ or ``other`` has no memo yet.
+        previous run's memo instead of recomputing it.  Returns ``True``
+        when adopted; a no-op when the graphs differ or ``other`` has no
+        memo yet.
         """
-        if other._dependent_pairs is None:
+        if other._reachability is None:
             return False
         if self.tasks.keys() != other.tasks.keys():
             return False
         if set(self.edge_pairs()) != set(other.edge_pairs()):
             return False
-        self._dependent_pairs = other._dependent_pairs
+        self._reachability = other._reachability
         return True
 
     def summary(self) -> str:

@@ -68,6 +68,13 @@ class AccessSummary:
     def touched_arrays(self) -> set[str]:
         return set(self.reads) | set(self.writes)
 
+    def restricted(self, names: "set[str] | frozenset[str]") -> "AccessSummary":
+        """The counts of the arrays in ``names`` only."""
+        return AccessSummary(
+            reads={k: v for k, v in self.reads.items() if k in names},
+            writes={k: v for k, v in self.writes.items() if k in names},
+        )
+
 
 def _expr_array_reads(expr: Expr) -> dict[str, int]:
     counts: dict[str, int] = {}
@@ -135,22 +142,17 @@ def read_write_sets(stmt: Stmt) -> tuple[set[str], set[str]]:
     return reads, writes
 
 
-def shared_access_summary(function: Function, stmt: Stmt) -> AccessSummary:
-    """Like :func:`access_summary` but restricted to shared-storage arrays.
+def shared_array_names(function: Function) -> frozenset[str]:
+    """Names of the arrays ``function`` declares in shared storage.
 
-    This is the quantity the system-level WCET analysis cares about: accesses
-    to core-private scratchpads or locals can never interfere with other
-    cores.
+    ``access_summary(stmt).restricted(shared_array_names(function))`` is the
+    quantity the system-level WCET analysis cares about: accesses to
+    core-private scratchpads or locals can never interfere with other cores.
     """
-    full = access_summary(stmt)
-    shared_names = {
+    return frozenset(
         d.name
         for d in function.all_decls()
         if d.is_array and d.storage in (Storage.SHARED, Storage.INPUT, Storage.OUTPUT)
-    }
-    return AccessSummary(
-        reads={k: v for k, v in full.reads.items() if k in shared_names},
-        writes={k: v for k, v in full.writes.items() if k in shared_names},
     )
 
 

@@ -91,15 +91,14 @@ class ParallelProgram:
             raise ValueError(
                 f"unpaired synchronisation flags: {sorted(signals ^ waits)}"
             )
-        dependent = htg.dependent_pairs()
+        reachability = htg.reachability()
         for cp in self.core_programs.values():
-            ids = cp.task_ids()
-            for i, a in enumerate(ids):
-                for b in ids[i + 1:]:
-                    if (b, a) in dependent:
-                        raise ValueError(
-                            f"core {cp.core_id}: task {a!r} ordered before its dependence {b!r}"
-                        )
+            violation = reachability.order_violation(cp.task_ids())
+            if violation is not None:
+                a, b = violation
+                raise ValueError(
+                    f"core {cp.core_id}: task {a!r} ordered before its dependence {b!r}"
+                )
 
 
 class MemoryMapError(ValueError):

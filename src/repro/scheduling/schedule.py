@@ -71,14 +71,14 @@ class Schedule:
         ordered = [tid for tids in self.order.values() for tid in tids]
         if sorted(ordered) != sorted(self.mapping):
             raise ScheduleError("core orders do not cover exactly the mapped tasks")
-        dependent = htg.dependent_pairs()
+        reachability = htg.reachability()
         for core, tids in self.order.items():
-            for i, a in enumerate(tids):
-                for b in tids[i + 1:]:
-                    if (b, a) in dependent:
-                        raise ScheduleError(
-                            f"core {core}: order places {a!r} before its dependency {b!r}"
-                        )
+            violation = reachability.order_violation(tids)
+            if violation is not None:
+                a, b = violation
+                raise ScheduleError(
+                    f"core {core}: order places {a!r} before its dependency {b!r}"
+                )
 
     def race_findings(self, htg: HierarchicalTaskGraph, function: Function):
         """Static race check of this schedule (see :mod:`repro.analysis.races`).

@@ -4,6 +4,7 @@ from repro.utils.rng import make_rng
 from repro.utils.tables import Table
 from repro.utils.intervals import Interval, intervals_overlap
 from repro.utils.graphs import (
+    Reachability,
     topological_order,
     longest_path_length,
     transitive_closure,
@@ -15,6 +16,7 @@ __all__ = [
     "Table",
     "Interval",
     "intervals_overlap",
+    "Reachability",
     "topological_order",
     "longest_path_length",
     "transitive_closure",

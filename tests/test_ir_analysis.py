@@ -15,7 +15,7 @@ from repro.ir.analysis import (
     array_footprints,
     operation_histogram,
     read_write_sets,
-    shared_access_summary,
+    shared_array_names,
 )
 from repro.ir.interpreter import InterpreterError, run_function
 from repro.ir.loops import LoopBoundError, all_loops, max_loop_depth
@@ -123,7 +123,7 @@ class TestAccessSummaries:
         with fb.loop("i", 0, 8) as i:
             fb.assign(fb.at(local, i), fb.at(shared, i))
         func = fb.build()
-        shared_only = shared_access_summary(func, func.body)
+        shared_only = access_summary(func.body).restricted(shared_array_names(func))
         assert "s" in shared_only.reads
         assert "l" not in shared_only.writes
 
