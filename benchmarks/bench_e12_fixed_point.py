@@ -1,17 +1,20 @@
-"""E12: system-level fixed-point iteration cost, scalar vs vectorised MHP.
+"""E12: system-level fixed-point iteration cost, per MHP backend.
 
 PR 1 left the system-level analysis with an O(tasks x sharers) Python double
 loop deriving the contender counts on *every* fixed-point iteration.  The
 vectorised engine sorts each core's sharer window endpoints once per
 iteration and answers all overlap queries with two ``numpy.searchsorted``
-passes, and the timeline builder now prices the constraint graph once
-instead of re-querying the per-edge latency closure per iteration.
+passes, the scalar backend became a per-core bisect over running maxima of
+the sharer window ends, and the timeline builder prices the constraint
+graph once instead of re-querying the per-edge latency per iteration.
 
 This experiment runs both MHP backends of :func:`system_level_wcet` on
 synthetic HTGs of ~200-1000 tasks and asserts they are *byte-identical* --
 same makespan, same task intervals, same effective WCETs, same contender
-counts, same iteration count -- while the vectorised backend is at least 5x
-faster at 1000 tasks.
+counts, same iteration count.  It then times one contender pass of each
+backend and of the original double loop (kept here as the baseline) on the
+converged task windows: all three must give the same counts, and at 1000
+tasks both backends must be at least 5x faster than the double loop.
 """
 
 import time
@@ -32,6 +35,7 @@ from repro.usecases.workloads import synthetic_compiled_model
 from repro.utils.tables import Table
 from repro.wcet import HardwareCostModel, annotate_htg_wcets, system_level_wcet
 from repro.wcet.cache import shared_cache
+from repro.wcet.system_level import mhp_contenders_scalar, mhp_contenders_vectorised
 
 #: (num_kernels, loop_chunks, dependency_probability, cores) -> ~tasks
 CONFIGS = [
@@ -40,7 +44,8 @@ CONFIGS = [
     (500, 1, 0.006, 8),   # ~500 tasks
     (1000, 1, 0.004, 8),  # ~1000 tasks (the acceptance configuration)
 ]
-#: acceptance: the vectorised pass must be >= 5x faster at this task count
+#: acceptance: both backends' passes must be >= 5x faster than the double
+#: loop at this task count
 TARGET_TASKS = 1000
 TARGET_SPEEDUP = 5.0
 
@@ -74,6 +79,20 @@ def _result_fingerprint(result):
     )
 
 
+def _double_loop(leaf_ids, sharers, mapping, intervals):
+    """The original contender pass: distinct other cores with an overlapping sharer."""
+    contenders = {}
+    for tid in leaf_ids:
+        other_cores = set()
+        for other in sharers:
+            if other == tid or mapping[other] == mapping[tid]:
+                continue
+            if intervals[tid].overlaps(intervals[other]):
+                other_cores.add(mapping[other])
+        contenders[tid] = len(other_cores)
+    return contenders
+
+
 def _time_backend(htg, function, platform, mapping, order, cache, backend, repeats=2):
     best = float("inf")
     result = None
@@ -87,6 +106,17 @@ def _time_backend(htg, function, platform, mapping, order, cache, backend, repea
         )
         best = min(best, time.perf_counter() - t0)
     return result, best
+
+
+def _time_pass(mhp_pass, args, repeats):
+    """Best-of-``repeats`` seconds of one contender pass, and its counts."""
+    best = float("inf")
+    counts = None
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        counts = mhp_pass(*args)
+        best = min(best, time.perf_counter() - t0)
+    return counts, best
 
 
 def _sweep():
@@ -106,7 +136,17 @@ def _sweep():
             htg, model.entry, platform, mapping, order, cache, "numpy"
         )
         assert _result_fingerprint(scalar) == _result_fingerprint(vector), (
-            f"vectorised MHP diverges from the double loop at {num_tasks} tasks"
+            f"vectorised MHP diverges from the scalar pass at {num_tasks} tasks"
+        )
+
+        leaf_ids = [t.task_id for t in htg.leaf_tasks()]
+        sharers = [tid for tid in leaf_ids if scalar.task_shared_accesses[tid] > 0]
+        args = (leaf_ids, sharers, mapping, scalar.task_intervals)
+        reference, loop_pass = _time_pass(_double_loop, args, repeats=3)
+        bisect_counts, bisect_pass = _time_pass(mhp_contenders_scalar, args, repeats=20)
+        vector_counts, vector_pass = _time_pass(mhp_contenders_vectorised, args, repeats=20)
+        assert bisect_counts == reference and vector_counts == reference, (
+            f"an MHP pass diverges from the double loop at {num_tasks} tasks"
         )
         rows.append(
             (
@@ -115,6 +155,9 @@ def _sweep():
                 scalar.iterations,
                 scalar_seconds,
                 vector_seconds,
+                loop_pass,
+                bisect_pass,
+                vector_pass,
                 scalar.makespan,
             )
         )
@@ -124,22 +167,46 @@ def _sweep():
 def test_e12_fixed_point_scaling(benchmark):
     rows = benchmark.pedantic(_sweep, rounds=1, iterations=1)
     table = Table(
-        ["tasks", "cores", "iterations", "scalar s", "vectorised s", "speedup", "WCET bound"],
-        title="E12 system-level fixed point (scalar vs vectorised MHP)",
+        [
+            "tasks",
+            "cores",
+            "iterations",
+            "scalar s",
+            "vectorised s",
+            "double loop ms/pass",
+            "scalar ms/pass",
+            "vectorised ms/pass",
+            "speedup",
+            "WCET bound",
+        ],
+        title="E12 system-level fixed point (scalar vs vectorised MHP, double-loop baseline)",
     )
     target_speedup = None
-    for num_tasks, cores, iters, scalar_s, vector_s, bound in rows:
-        speedup = scalar_s / vector_s if vector_s > 0 else float("inf")
+    for num_tasks, cores, iters, scalar_s, vector_s, loop_p, bisect_p, vector_p, bound in rows:
+        # the slower of the two backends against the double loop
+        slowest = max(bisect_p, vector_p)
+        speedup = loop_p / slowest if slowest > 0 else float("inf")
         if num_tasks >= TARGET_TASKS * 0.9:
             target_speedup = speedup
         table.add_row(
-            [num_tasks, cores, iters, f"{scalar_s:.3f}", f"{vector_s:.3f}", f"{speedup:.1f}x", bound]
+            [
+                num_tasks,
+                cores,
+                iters,
+                f"{scalar_s:.3f}",
+                f"{vector_s:.3f}",
+                f"{1e3 * loop_p:.2f}",
+                f"{1e3 * bisect_p:.3f}",
+                f"{1e3 * vector_p:.3f}",
+                f"{speedup:.1f}x",
+                bound,
+            ]
         )
     emit(table)
 
     assert target_speedup is not None, "no configuration reached the acceptance task count"
     assert target_speedup >= TARGET_SPEEDUP, (
-        f"only {target_speedup:.1f}x at ~{TARGET_TASKS} tasks"
+        f"only {target_speedup:.1f}x over the double loop at ~{TARGET_TASKS} tasks"
     )
 
 

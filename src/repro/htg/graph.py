@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.htg.task import Task
-from repro.utils.graphs import Reachability, is_acyclic, longest_path_length, topological_order
+from repro.utils.graphs import Reachability, longest_path_length, topological_order
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,9 @@ class HierarchicalTaskGraph:
     _reachability: Reachability[str] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    _topological_ids: list[str] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------ #
     def _ensure_indexes(self) -> None:
@@ -77,6 +80,7 @@ class HierarchicalTaskGraph:
             self._pred_index.setdefault(task.task_id, [])
             self._succ_index.setdefault(task.task_id, [])
         self._reachability = None
+        self._topological_ids = None
         return task
 
     def add_edge(self, src: str, dst: str, payload_bytes: int = 0, variables: tuple[str, ...] = ()) -> TaskEdge:
@@ -94,6 +98,7 @@ class HierarchicalTaskGraph:
         self._pred_index.setdefault(dst, []).append(src)
         self._succ_index.setdefault(src, []).append(dst)
         self._reachability = None
+        self._topological_ids = None
         return edge
 
     # ------------------------------------------------------------------ #
@@ -116,12 +121,26 @@ class HierarchicalTaskGraph:
         return self._edge_index.get((src, dst))
 
     def validate(self) -> None:
-        if not is_acyclic(self.edge_pairs(), self.tasks.keys()):
-            raise ValueError(f"HTG {self.name!r} contains a dependence cycle")
+        try:
+            self._topological_order()
+        except ValueError:
+            raise ValueError(f"HTG {self.name!r} contains a dependence cycle") from None
+
+    def _topological_order(self) -> list[str]:
+        if self._topological_ids is None:
+            self._topological_ids = [
+                str(tid) for tid in topological_order(self.tasks.keys(), self.edge_pairs())
+            ]
+        return self._topological_ids
 
     def topological_tasks(self) -> list[Task]:
-        order = topological_order(self.tasks.keys(), self.edge_pairs())
-        return [self.tasks[str(tid)] for tid in order]
+        """Tasks in lexicographic topological order.
+
+        The order is memoized per graph and invalidated by :meth:`add_task`
+        / :meth:`add_edge` like the adjacency indexes; schedulers ask for it
+        once per candidate mapping.  Raises ``ValueError`` on a cyclic graph.
+        """
+        return [self.tasks[tid] for tid in self._topological_order()]
 
     def leaf_tasks(self) -> list[Task]:
         """Schedulable tasks (everything except synthetic source/sink)."""

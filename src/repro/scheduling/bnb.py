@@ -18,8 +18,7 @@ from repro.ir.program import Function
 from repro.scheduling.registry import register_scheduler
 from repro.scheduling.schedule import Schedule, evaluate_mapping
 from repro.wcet.cache import WcetAnalysisCache, shared_cache
-from repro.wcet.code_level import analyze_task_wcet
-from repro.wcet.hardware_model import HardwareCostModel
+from repro.wcet.system_level import SystemDesign
 
 
 @dataclass
@@ -54,11 +53,10 @@ def branch_and_bound_schedule(
         core_ids = core_ids[:max_cores]
 
     cache = cache if cache is not None else shared_cache()
-    model = HardwareCostModel(platform, core_ids[0])
-    wcets = {
-        t.task_id: analyze_task_wcet(t, function, model, cache=cache).total
-        for t in leaf_tasks
-    }
+    # one design context for the whole search: the lower bound's WCETs and
+    # every evaluated leaf price the design point through it
+    design = SystemDesign(htg, function, platform, cache=cache)
+    wcets = {t.task_id: design.task_cost(t.task_id, core_ids[0])[0] for t in leaf_tasks}
     total_work = sum(wcets.values())
 
     stats = BnBStats()
@@ -82,7 +80,8 @@ def branch_and_bound_schedule(
         if index == len(order):
             stats.leaves_evaluated += 1
             schedule = evaluate_mapping(
-                htg, function, platform, mapping, scheduler="bnb", cache=cache
+                htg, function, platform, mapping, scheduler="bnb", cache=cache,
+                design=design,
             )
             if schedule.wcet_bound < best_bound:
                 best_bound = schedule.wcet_bound

@@ -45,6 +45,7 @@ from repro.scheduling.schedule import Schedule, evaluate_mapping
 from repro.wcet.cache import WcetAnalysisCache, shared_cache
 from repro.wcet.code_level import analyze_task_wcet
 from repro.wcet.hardware_model import HardwareCostModel
+from repro.wcet.system_level import SystemDesign
 
 
 @dataclass
@@ -121,8 +122,18 @@ class WcetAwareListScheduler:
         return ranks
 
     # ------------------------------------------------------------------ #
-    def schedule(self, htg: HierarchicalTaskGraph, function: Function) -> Schedule:
-        """Map and order the HTG, returning an analysed schedule."""
+    def schedule(
+        self,
+        htg: HierarchicalTaskGraph,
+        function: Function,
+        design: SystemDesign | None = None,
+    ) -> Schedule:
+        """Map and order the HTG, returning an analysed schedule.
+
+        ``design`` is forwarded to the final analysis, so a search seeded
+        by this schedule (the annealer, the genetic algorithm) prices its
+        design point once.
+        """
         core_ids = self._core_ids()
         ranks = self._upward_ranks(htg, function, core_ids)
         leaf_tasks = {t.task_id: t for t in htg.leaf_tasks()}
@@ -252,6 +263,7 @@ class WcetAwareListScheduler:
                 htg, function, self.platform, mapping, order,
                 scheduler="wcet_list" if not self.use_average_costs else "acet_list",
                 cache=self.cache,
+                design=design,
             )
         schedule.metadata["estimated_makespan"] = max(finish.values(), default=0.0)
         return schedule

@@ -18,6 +18,7 @@ from repro.scheduling.registry import register_scheduler
 from repro.scheduling.schedule import Schedule, evaluate_mapping
 from repro.utils.rng import make_rng
 from repro.wcet.cache import WcetAnalysisCache, shared_cache
+from repro.wcet.system_level import SystemDesign
 
 
 def _core_ids(platform: Platform, max_cores: int | None) -> list[int]:
@@ -40,15 +41,19 @@ def simulated_annealing_schedule(
     Starts from the WCET-aware list schedule and explores single-task moves;
     the acceptance temperature is expressed as a fraction of the current
     bound so the schedule scale does not need tuning.  All candidate
-    evaluations share one analysis cache, so only the first evaluation pays
-    the code-level analysis cost.
+    evaluations share one :class:`~repro.wcet.system_level.SystemDesign`:
+    each task's isolated WCET on a core, each edge's price between two cores
+    and the cost models are looked up once per search, the first time a
+    candidate needs them, and only the mapping-dependent part of the
+    analysis runs per candidate.
     """
     rng = make_rng(seed)
     cache = cache if cache is not None else shared_cache()
+    design = SystemDesign(htg, function, platform, cache=cache)
     core_ids = _core_ids(platform, max_cores)
     current = WcetAwareListScheduler(
         platform=platform, max_cores=max_cores, cache=cache
-    ).schedule(htg, function)
+    ).schedule(htg, function, design=design)
     best = current
     task_ids = [t.task_id for t in htg.leaf_tasks()]
     if len(core_ids) == 1 or len(task_ids) <= 1:
@@ -68,7 +73,7 @@ def simulated_annealing_schedule(
         candidate_mapping[tid] = new_core
         candidate = evaluate_mapping(
             htg, function, platform, candidate_mapping, scheduler="simulated_annealing",
-            cache=cache,
+            cache=cache, design=design,
         )
         delta = candidate.wcet_bound - current_bound
         accept = delta <= 0
@@ -98,14 +103,18 @@ def genetic_schedule(
     cache: WcetAnalysisCache | None = None,
 ) -> Schedule:
     """A small genetic algorithm over mappings (tournament selection,
-    single-point crossover, per-gene mutation)."""
+    single-point crossover, per-gene mutation).
+
+    Like the annealer, every fitness evaluation shares one
+    :class:`~repro.wcet.system_level.SystemDesign`."""
     rng = make_rng(seed)
     cache = cache if cache is not None else shared_cache()
+    design = SystemDesign(htg, function, platform, cache=cache)
     core_ids = _core_ids(platform, max_cores)
     task_ids = [t.task_id for t in htg.leaf_tasks()]
     seeded = WcetAwareListScheduler(
         platform=platform, max_cores=max_cores, cache=cache
-    ).schedule(htg, function)
+    ).schedule(htg, function, design=design)
     if len(core_ids) == 1 or len(task_ids) <= 1:
         seeded.scheduler = "genetic"
         return seeded
@@ -121,7 +130,8 @@ def genetic_schedule(
 
     def fitness(genome: list[int]) -> tuple[float, Schedule]:
         schedule = evaluate_mapping(
-            htg, function, platform, mapping_of(genome), scheduler="genetic", cache=cache
+            htg, function, platform, mapping_of(genome), scheduler="genetic", cache=cache,
+            design=design,
         )
         return schedule.wcet_bound, schedule
 

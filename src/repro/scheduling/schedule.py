@@ -9,7 +9,7 @@ from repro.htg.graph import HierarchicalTaskGraph
 from repro.ir.program import Function
 from repro.utils.intervals import Interval, total_busy_time
 from repro.wcet.cache import WcetAnalysisCache
-from repro.wcet.system_level import SystemWcetResult, system_level_wcet
+from repro.wcet.system_level import SystemDesign, SystemWcetResult, system_level_wcet
 
 
 class ScheduleError(ValueError):
@@ -170,6 +170,7 @@ def evaluate_mapping(
     warm_start=None,
     static_pruning: bool | None = None,
     vectorise_min_pairs: int | None = None,
+    design: SystemDesign | None = None,
 ) -> Schedule:
     """Run the system-level WCET analysis on a mapping and wrap it.
 
@@ -182,12 +183,16 @@ def evaluate_mapping(
     certificate-checked before reuse.  ``static_pruning`` and
     ``vectorise_min_pairs`` are forwarded too (``None`` = the ambient
     :func:`repro.wcet.system_level.mhp_options`, then the defaults).
+    ``design`` is forwarded as well: a search evaluating many mappings of
+    one design point passes one
+    :class:`~repro.wcet.system_level.SystemDesign` (built with the same
+    ``cache``) to every call.
     """
     order = order or default_core_order(htg, mapping)
     result = system_level_wcet(
         htg, function, platform, mapping, order, cache=cache, certify=certify,
         warm_start=warm_start, static_pruning=static_pruning,
-        vectorise_min_pairs=vectorise_min_pairs,
+        vectorise_min_pairs=vectorise_min_pairs, design=design,
     )
     return Schedule(
         htg_name=htg.name,

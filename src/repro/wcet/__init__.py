@@ -9,7 +9,7 @@
   may-happen-in-parallel analysis of the scheduled parallel program and the
   platform's interconnect cost model, iterated to a fixed point (vectorised
   via ``numpy.searchsorted`` on large graphs, bit-for-bit identical to the
-  scalar reference pass).
+  scalar bisect pass).
 * :mod:`repro.wcet.cache` memoizes code-level results so the schedulers, the
   system-level fixed point and the cross-layer feedback loop analyse each
   distinct (code region, core cost signature) pair exactly once --
@@ -78,6 +78,16 @@ signatures are the same memos); additionally:
   vectorised MHP passes are bit-for-bit identical, so their results are
   interchangeable.  Code that must *re-run* the fixed point (differential
   tests, backend timing) passes ``result_cache=False``.
+* Keys are derived through a
+  :class:`~repro.wcet.system_level.SystemDesign`, the mapping-invariant
+  context a scheduler search shares across its candidates
+  (``result_key(..., design=...)``; ``None`` builds a one-shot design).
+  The design derives the payload's mapping-invariant parts once and
+  prices edges for it; the payload and its encoding are as before, so
+  key bytes are unchanged and
+  :data:`~repro.wcet.cache.CACHE_SCHEMA_VERSION` was not bumped.  The
+  former ``models=`` / ``comm_delay=`` hand-off arguments of
+  ``result_key`` are gone.
 * The pipeline's per-stage artifact cache
   (:class:`repro.core.pipeline.StageArtifactCache`) follows the same rule:
   a stage may only be cached under a key that covers the *content* of every
@@ -185,6 +195,7 @@ from repro.wcet.cache import (
 from repro.wcet.code_level import analyze_function_wcet, analyze_task_wcet, annotate_htg_wcets
 from repro.wcet.ipet import ipet_wcet
 from repro.wcet.system_level import (
+    SystemDesign,
     SystemWcetResult,
     contention_oblivious_bound,
     system_level_wcet,
@@ -205,6 +216,7 @@ __all__ = [
     "analyze_task_wcet",
     "annotate_htg_wcets",
     "ipet_wcet",
+    "SystemDesign",
     "SystemWcetResult",
     "contention_oblivious_bound",
     "system_level_wcet",

@@ -164,7 +164,7 @@ from repro.wcet.hardware_model import HardwareCostModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.adl.architecture import Platform
-    from repro.wcet.system_level import SystemWcetResult
+    from repro.wcet.system_level import SystemDesign, SystemWcetResult
 
 #: Version of the on-disk entry format *and* of the cost-model semantics the
 #: cached numbers were produced under.  Bump it whenever the code-level
@@ -215,6 +215,19 @@ class CacheStats:
 
 def _digest(text: str) -> str:
     return hashlib.sha1(text.encode("utf-8")).hexdigest()
+
+
+@dataclass
+class _KeyParts:
+    """One design point's mapping-invariant result-key parts (see ``result_key``)."""
+
+    function: str
+    #: (task, region fingerprint), sorted by task
+    regions: list[tuple[str, str]]
+    #: every HTG edge as (src, dst), sorted
+    edges: list[tuple[str, str]]
+    #: core -> (core, cost-signature digest, shared-access penalty table)
+    models: dict[int, tuple] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------- #
@@ -934,64 +947,62 @@ class SystemResultCache(_ShardBackedTier):
         order: dict[int, list[str]],
         storage_override=None,
         max_iterations: int = 25,
-        models: dict[int, HardwareCostModel] | None = None,
-        comm_delay=None,
         static_pruning: bool = False,
+        design: "SystemDesign | None" = None,
     ) -> str:
         """The stable content key of one system-level analysis.
 
-        ``models`` may pass in the per-core :class:`HardwareCostModel`
-        objects the caller already built (so their cost signatures are
-        memoized once) and ``comm_delay`` the caller's
-        :func:`~repro.wcet.system_level.make_edge_latency` closure (so each
-        edge is priced once, not once for the key and once for the
-        analysis); both are constructed on the fly when absent.
+        The mapping-invariant parts -- the function fingerprint, each task's
+        region fingerprint, the sorted edge list and each core's cost
+        signature digest and shared-access penalty table -- are derived once
+        per design point and kept in ``design.key_parts``; a call adds what
+        its mapping picks, and edges are priced through the design.  Where
+        the parts come from never changes the payload, so keys stay
+        addressable across versions.  ``design`` is the
+        :class:`~repro.wcet.system_level.SystemDesign` of these inputs that
+        a scheduler search shares across its candidates; ``None`` builds a
+        one-shot design.
         """
-        storage_override = dict(storage_override or {})
-        fp = self._fingerprints
-        leaf_ids = [t.task_id for t in htg.leaf_tasks()]
-        used_cores = sorted({mapping[tid] for tid in leaf_ids if tid in mapping})
-        models = dict(models or {})
-        for core_id in used_cores:
-            if core_id not in models:
-                models[core_id] = HardwareCostModel(platform, core_id, storage_override)
-        num_cores = platform.num_cores
-        comm_contenders = max(0, num_cores - 1)
-        if comm_delay is None:
-            from repro.wcet.system_level import make_edge_latency
+        if design is None:
+            from repro.wcet.system_level import SystemDesign
 
-            comm_delay = make_edge_latency(htg, platform, mapping, comm_contenders)
-        tasks = [
-            (
-                tid,
-                fp.region_fingerprint(htg.task(tid).statements),
-                mapping.get(tid, -1),
+            design = SystemDesign(htg, function, platform, storage_override)
+        else:
+            design.check(htg, function, platform, storage_override)
+        fp = self._fingerprints
+        parts: _KeyParts | None = design.key_parts
+        if parts is None:
+            parts = design.key_parts = _KeyParts(
+                function=fp.function_fingerprint(function),
+                regions=[
+                    (tid, fp.region_fingerprint(htg.task(tid).statements))
+                    for tid in sorted(design.leaf_ids)
+                ],
+                edges=sorted(design.edges),
             )
-            for tid in sorted(leaf_ids)
-        ]
-        edges = sorted(
-            (
-                e.src,
-                e.dst,
-                0.0 if mapping[e.src] == mapping[e.dst] else comm_delay(e.src, e.dst),
-            )
-            for e in htg.edges
-            if e.src in mapping and e.dst in mapping
-        )
+        models = parts.models
+        cores = sorted({mapping[tid] for tid in design.leaf_ids if tid in mapping})
+        for core in cores:
+            if core not in models:
+                digest = fp.model_signature_digest(design.model(core))
+                models[core] = (core, digest, design.penalties(core))
         payload = {
-            "function": fp.function_fingerprint(function),
-            "tasks": tasks,
+            "function": parts.function,
+            "tasks": [(tid, region, mapping.get(tid, -1)) for tid, region in parts.regions],
             "order": sorted((core, list(tids)) for core, tids in order.items()),
-            "models": [
+            "models": [models[core] for core in cores],
+            "edges": [
                 (
-                    core_id,
-                    fp.model_signature_digest(models[core_id]),
-                    [models[core_id].shared_access_penalty(k) for k in range(num_cores)],
+                    src,
+                    dst,
+                    0.0
+                    if mapping[src] == mapping[dst]
+                    else design.edge_delay(src, dst, mapping[src], mapping[dst]),
                 )
-                for core_id in used_cores
+                for src, dst in parts.edges
+                if src in mapping and dst in mapping
             ],
-            "edges": edges,
-            "num_cores": num_cores,
+            "num_cores": design.num_cores,
             "max_iterations": max_iterations,
         }
         if static_pruning:

@@ -21,18 +21,46 @@ Given a mapping and per-core ordering of HTG tasks, this analysis
 The result's makespan is the guaranteed end-to-end WCET of the parallel
 program (paper Section II-D).
 
+Design context and per-mapping solve
+------------------------------------
+A scheduler search (annealer, genetic algorithm, branch and bound)
+analyses thousands of candidate mappings of one design point.  Most of
+what the analysis needs does not depend on the mapping, so it is split in
+two.  A :class:`SystemDesign` holds what depends only on the HTG, the
+function, the platform, the code-level cache and the storage override:
+one cost model and one shared-access penalty table per core, the isolated
+WCET and shared-access count of each (task, core), the priced delay of
+each (edge, source core, destination core), and the mapping-invariant
+parts of the result-cache key.  Its tables fill lazily, on first use, and
+the first lookup of a (task, core) goes through the code-level cache, so
+cache entries and misses are the same as without a design.  The
+per-mapping solve then covers only what a candidate changes: the core
+order, the edge delays its core pairs pick, the timeline, the MHP passes
+and the mapping part of the result key.  :func:`system_level_wcet` always
+analyses through a design; callers that evaluate many mappings build one
+per search and pass it as ``design=``, every other call gets a one-shot
+design.  A design is never kept past its search (nor on a cache or in a
+module global), so in-place IR edits, fingerprint invalidation and
+platform rebuilds between searches need no extra care.
+
 MHP implementation notes
 ------------------------
 The per-iteration contender derivation is the hot loop of the fixed point:
-naively it is a double loop over tasks x sharer tasks.  The vectorised
-backend computes the same counts per core with two ``numpy.searchsorted``
-passes over the sorted sharer window endpoints: for a query window
-``[s, e)``, the number of sharer windows on a core that overlap it is
-``#(starts < e) - #(ends <= s)`` -- exact for half-open windows because
-sharer windows are never empty (a task with shared accesses has a positive
-WCET).  Both backends use the same strict float comparisons and the
-effective-WCET arithmetic stays in scalar Python, so the vectorised pass is
-bit-for-bit identical to the double loop (the test suite asserts this).
+naively it is a double loop over tasks x sharer tasks.  The scalar pass
+sorts each core's sharer windows by start and keeps a running maximum of
+their ends: a window ``[s, e)`` meets the core iff the sharers starting
+before ``e`` reach past ``s``, i.e. ``run[bisect_left(starts, e) - 1] > s``
+-- the strict comparisons of :meth:`~repro.utils.intervals.Interval.overlaps`,
+so the counts equal the double loop's (kept in the tests as the oracle).
+The vectorised backend computes the same counts per core with two
+``numpy.searchsorted`` passes over the sorted sharer window endpoints: for
+a query window ``[s, e)``, the number of sharer windows on a core that
+overlap it is ``#(starts < e) - #(ends <= s)`` -- exact for half-open
+windows because sharer windows are never empty (a task with shared
+accesses has a positive WCET).  Both backends use the same strict float
+comparisons and the effective-WCET arithmetic stays in scalar Python, so
+the vectorised pass is bit-for-bit identical to the scalar one (the test
+suite asserts this).
 """
 
 from __future__ import annotations
@@ -40,10 +68,11 @@ from __future__ import annotations
 import operator
 import os
 import time
+from bisect import bisect_left
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro import obs
 from repro.adl.architecture import Platform
@@ -61,7 +90,7 @@ except ModuleNotFoundError:  # pragma: no cover - the container ships numpy
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.wcet.cache import SystemResultCache, WcetAnalysisCache
 
-#: Below this many (task, sharer) pairs the double loop beats the cost of
+#: Below this many (task, sharer) pairs the scalar pass beats the cost of
 #: building numpy arrays; both backends give identical results either way.
 #: Overridable per call (``vectorise_min_pairs``), ambiently
 #: (:func:`mhp_options`) or process-wide (``REPRO_MHP_VECTORISE_MIN_PAIRS``).
@@ -142,39 +171,114 @@ class SystemWcetError(RuntimeError):
     """Raised when the schedule handed to the analysis is inconsistent."""
 
 
-def make_edge_latency(
-    htg: HierarchicalTaskGraph,
-    platform: Platform,
-    mapping: dict[str, int],
-    contenders: int,
-) -> Callable[[str, str], float]:
-    """Memoized worst-case latency of one HTG edge between mapped tasks.
+class SystemDesign:
+    """Mapping-invariant context of one design point (see the module docstring).
 
-    Single source of truth for edge pricing in this module: a payload-free
-    edge costs nothing, every other edge costs the platform's worst-case
-    transfer latency between the two mapped cores with ``contenders``
-    competing cores.  Both :func:`system_level_wcet` and
-    :func:`contention_oblivious_bound` price edges through this helper, so
-    the two bounds cannot drift on payload or contender semantics.
+    Holds the inputs every candidate mapping of a scheduler search shares
+    -- HTG, function, platform, code-level cache and storage override --
+    and fills per-core, per-(task, core) and per-(edge, core pair) tables
+    from them on first use.  Build one per search and pass it as
+    ``design=`` to every :func:`system_level_wcet` (or
+    :func:`~repro.scheduling.schedule.evaluate_mapping`) call of that
+    search.  The tables assume none of the inputs is mutated while the
+    design is in use.
     """
-    table: dict[tuple[str, str], float] = {}
 
-    def comm_delay(src: str, dst: str) -> float:
-        key = (src, dst)
-        delay = table.get(key)
+    def __init__(
+        self,
+        htg: HierarchicalTaskGraph,
+        function: Function,
+        platform: Platform,
+        storage_override: "dict[str, Storage] | None" = None,
+        cache: "WcetAnalysisCache | None" = None,
+    ) -> None:
+        self.htg = htg
+        self.function = function
+        self.platform = platform
+        self.storage_override = dict(storage_override or {})
+        self.cache = cache
+        self.leaf_ids = [t.task_id for t in htg.leaf_tasks()]
+        self.num_cores = platform.num_cores
+        #: contending cores assumed for every cross-core transfer
+        self.comm_contenders = max(0, self.num_cores - 1)
+        #: every HTG edge as ``(src, dst)``, in graph order
+        self.edges = htg.edge_pairs()
+        self._models: dict[int, HardwareCostModel] = {}
+        self._penalties: dict[int, list[float]] = {}
+        self._task_costs: dict[tuple[str, int], tuple[float, int]] = {}
+        self._edge_delays: dict[tuple[str, str, int, int], float] = {}
+        #: the result key's mapping-invariant parts, filled and read by
+        #: :meth:`~repro.wcet.cache.SystemResultCache.result_key`
+        self.key_parts: Any = None
+
+    def check(
+        self,
+        htg: HierarchicalTaskGraph,
+        function: Function,
+        platform: Platform,
+        storage_override: "dict[str, Storage] | None",
+    ) -> None:
+        """Raise :class:`SystemWcetError` unless built for exactly these inputs."""
+        if (
+            htg is not self.htg
+            or function is not self.function
+            or platform is not self.platform
+            or dict(storage_override or {}) != self.storage_override
+        ):
+            raise SystemWcetError("design context was built for a different design point")
+
+    def model(self, core: int) -> HardwareCostModel:
+        """The one cost model of ``core`` (so identity-keyed memos hit)."""
+        model = self._models.get(core)
+        if model is None:
+            model = HardwareCostModel(self.platform, core, self.storage_override)
+            self._models[core] = model
+        return model
+
+    def penalties(self, core: int) -> list[float]:
+        """``shared_access_penalty(k)`` of ``core`` for every contender count k."""
+        table = self._penalties.get(core)
+        if table is None:
+            model = self.model(core)
+            table = [model.shared_access_penalty(k) for k in range(self.num_cores)]
+            self._penalties[core] = table
+        return table
+
+    def task_cost(self, tid: str, core: int) -> tuple[float, int]:
+        """(isolated WCET, worst-case shared accesses) of task ``tid`` on ``core``."""
+        key = (tid, core)
+        cost = self._task_costs.get(key)
+        if cost is None:
+            breakdown = analyze_task_wcet(
+                self.htg.task(tid), self.function, self.model(core), cache=self.cache
+            )
+            cost = (breakdown.total, breakdown.shared_accesses)
+            self._task_costs[key] = cost
+        return cost
+
+    def edge_delay(self, src: str, dst: str, src_core: int, dst_core: int) -> float:
+        """Worst-case latency of edge ``src -> dst`` between the two cores.
+
+        Single source of truth for edge pricing: a payload-free edge costs
+        nothing, every other edge costs the platform's worst-case transfer
+        latency with every other core contending.  The system-level
+        analysis, its result key and :func:`contention_oblivious_bound` all
+        price edges here, so they cannot drift on payload or contender
+        semantics.
+        """
+        key = (src, dst, src_core, dst_core)
+        delay = self._edge_delays.get(key)
         if delay is None:
-            edge = htg.edge(src, dst)
+            edge = self.htg.edge(src, dst)
             payload = edge.payload_bytes if edge is not None else 0
             if payload == 0:
                 delay = 0.0
             else:
-                delay = platform.communication_latency(
-                    payload, mapping[src], mapping[dst], contenders
+                delay = self.platform.communication_latency(
+                    payload, src_core, dst_core, self.comm_contenders
                 )
-            table[key] = delay
+            self._edge_delays[key] = delay
         return delay
-
-    return comm_delay
 
 
 class _TimelineBuilder:
@@ -186,17 +290,17 @@ class _TimelineBuilder:
     The computed start/finish times are a function of the predecessors alone,
     so they are independent of the processing order.
 
-    The constraint graph and the worst-case edge delays do not change across
-    fixed-point iterations (only the task durations do), so they are resolved
-    once at construction; :meth:`build` is then a pure max-plus pass.
+    The constraint graph, the worst-case edge delays and therefore the
+    processing order do not change across fixed-point iterations (only the
+    task durations do), so they are resolved once at construction;
+    :meth:`build` is then a pure max-plus pass over the fixed order.
     """
 
     def __init__(
         self,
-        htg: HierarchicalTaskGraph,
+        design: SystemDesign,
         mapping: dict[str, int],
         order: dict[int, list[str]],
-        comm_delay,
     ) -> None:
         position = {
             tid: (core, idx) for core, tids in order.items() for idx, tid in enumerate(tids)
@@ -204,60 +308,63 @@ class _TimelineBuilder:
         for tid in mapping:
             if tid not in position:
                 raise SystemWcetError(f"task {tid!r} is mapped but missing from the core order")
-        self._position = position
 
-        #: tid -> [(pred, delay)]: dependence constraints with their priced
-        #: cross-core delays (0.0 for same-core edges), fixed per analysis
-        self._pred_delays: dict[str, list[tuple[str, float]]] = {
+        # tid -> [(pred, delay)]: dependence constraints with their priced
+        # cross-core delays (0.0 for same-core edges)
+        edge_delay = design.edge_delay
+        predecessors = design.htg.predecessors
+        pred_delays: dict[str, list[tuple[str, float]]] = {
             tid: [
-                (p, comm_delay(p, tid) if mapping[p] != position[tid][0] else 0.0)
-                for p in htg.predecessors(tid)
+                (
+                    p,
+                    edge_delay(p, tid, mapping[p], mapping[tid])
+                    if mapping[p] != core
+                    else 0.0,
+                )
+                for p in predecessors(tid)
                 if p in position
             ]
-            for tid in position
+            for tid, (core, _) in position.items()
         }
-        indegree = {tid: len(ps) for tid, ps in self._pred_delays.items()}
+        indegree = {tid: len(ps) for tid, ps in pred_delays.items()}
         succs_of: dict[str, list[str]] = {tid: [] for tid in position}
-        for tid, ps in self._pred_delays.items():
+        for tid, ps in pred_delays.items():
             for p, _ in ps:
                 succs_of[p].append(tid)
-        #: core-order chaining: the previous task on the core is one more
-        #: constraint (delay-free, same core by construction)
-        self._core_prev: dict[str, str] = {}
+        # core-order chaining: the previous task on the core is one more
+        # constraint (delay-free, same core by construction)
+        core_prev: dict[str, str] = {}
         for tids in order.values():
             for prev, nxt in zip(tids, tids[1:]):
                 succs_of[prev].append(nxt)
                 indegree[nxt] += 1
-                self._core_prev[nxt] = prev
-        self._succs_of = succs_of
-        self._indegree = indegree
-        self._sources = [tid for tid in position if indegree[tid] == 0]
-
-    def build(self, effective_wcet: dict[str, float]) -> tuple[dict[str, Interval], float]:
-        finish: dict[str, float] = {}
-        start: dict[str, float] = {}
-        indegree = dict(self._indegree)
-        core_prev = self._core_prev
-        worklist = list(self._sources)
+                core_prev[nxt] = prev
+        #: (task, previous task on its core, [(pred, delay)]) in processing order
+        self._plan: list[tuple[str, str | None, list[tuple[str, float]]]] = []
+        worklist = [tid for tid in position if indegree[tid] == 0]
         while worklist:
             tid = worklist.pop()
-            prev = core_prev.get(tid)
-            ready = finish[prev] if prev is not None else 0.0
-            for p, delay in self._pred_delays[tid]:
-                ready_p = finish[p] + delay
-                if ready_p > ready:
-                    ready = ready_p
-            start[tid] = ready
-            finish[tid] = ready + effective_wcet[tid]
-            for nxt in self._succs_of[tid]:
+            self._plan.append((tid, core_prev.get(tid), pred_delays[tid]))
+            for nxt in succs_of[tid]:
                 indegree[nxt] -= 1
                 if indegree[nxt] == 0:
                     worklist.append(nxt)
-        if len(start) < len(self._position):
+        if len(self._plan) < len(position):
             raise SystemWcetError("cyclic wait between core order and dependences")
-        intervals = {tid: Interval(start[tid], finish[tid]) for tid in start}
-        makespan = max((iv.end for iv in intervals.values()), default=0.0)
-        return intervals, makespan
+
+    def build(self, effective_wcet: dict[str, float]) -> tuple[dict[str, Interval], float]:
+        finish: dict[str, float] = {}
+        intervals: dict[str, Interval] = {}
+        for tid, prev, preds in self._plan:
+            ready = finish[prev] if prev is not None else 0.0
+            for p, delay in preds:
+                ready_p = finish[p] + delay
+                if ready_p > ready:
+                    ready = ready_p
+            end = ready + effective_wcet[tid]
+            finish[tid] = end
+            intervals[tid] = Interval(ready, end)
+        return intervals, max(finish.values(), default=0.0)
 
 
 # ---------------------------------------------------------------------- #
@@ -269,16 +376,38 @@ def mhp_contenders_scalar(
     mapping: dict[str, int],
     intervals: dict[str, Interval],
 ) -> dict[str, int]:
-    """Reference double loop: distinct other cores with an overlapping sharer."""
+    """Per task, the number of other cores with a sharer window overlapping it.
+
+    Per core, the sharer windows sorted by start carry a running maximum of
+    their ends, so a window ``[s, e)`` meets the core iff
+    ``run[bisect_left(starts, e) - 1] > s`` (see the module docstring).
+    """
+    spans_of: dict[int, list[tuple[float, float]]] = {}
+    for sid in sharers:
+        window = intervals[sid]
+        spans_of.setdefault(mapping[sid], []).append((window.start, window.end))
+    per_core: list[tuple[int, list[float], list[float]]] = []
+    for core, spans in spans_of.items():
+        spans.sort()
+        run: list[float] = []
+        reach = float("-inf")
+        for _, end in spans:
+            if end > reach:
+                reach = end
+            run.append(reach)
+        per_core.append((core, [start for start, _ in spans], run))
     contenders: dict[str, int] = {}
     for tid in leaf_ids:
-        other_cores = set()
-        for other in sharers:
-            if other == tid or mapping[other] == mapping[tid]:
-                continue
-            if intervals[tid].overlaps(intervals[other]):
-                other_cores.add(mapping[other])
-        contenders[tid] = len(other_cores)
+        window = intervals[tid]
+        start, end = window.start, window.end
+        own = mapping[tid]
+        count = 0
+        for core, starts, run in per_core:
+            if core != own:
+                k = bisect_left(starts, end)
+                if k and run[k - 1] > start:
+                    count += 1
+        contenders[tid] = count
     return contenders
 
 
@@ -288,7 +417,7 @@ def mhp_contenders_vectorised(
     mapping: dict[str, int],
     intervals: dict[str, Interval],
 ) -> dict[str, int]:
-    """Vectorised contender pass, bit-for-bit equal to the double loop.
+    """Vectorised contender pass, bit-for-bit equal to the scalar pass.
 
     For each core hosting sharers, sort the sharer window starts and ends
     once, then answer "does any sharer window on this core overlap task t's
@@ -328,7 +457,7 @@ def mhp_contenders_vectorised(
             - _np.searchsorted(ends, query_starts, side="right")
         ) > 0
         # a task never contends with its own core (this also removes the
-        # task's own window from its count, exactly like the double loop)
+        # task's own window from its count, exactly like the scalar pass)
         counts += overlapping & (own_core != core)
     return {tid: int(counts[i]) for i, tid in enumerate(leaf_ids)}
 
@@ -640,8 +769,16 @@ def system_level_wcet(
     warm_start: "SystemWcetResult | None" = None,
     static_pruning: "bool | None" = None,
     vectorise_min_pairs: "int | None" = None,
+    design: "SystemDesign | None" = None,
 ) -> SystemWcetResult:
     """Contention-aware multi-core WCET of a mapped and ordered HTG.
+
+    ``design`` is the :class:`SystemDesign` of (``htg``, ``function``,
+    ``platform``, ``storage_override``, ``cache``), shared by every
+    candidate mapping of one scheduler search so each design point is
+    priced once; ``None`` builds a one-shot design.  A design built for
+    other inputs raises :class:`SystemWcetError`.  Results are identical
+    either way.
 
     ``mhp_backend`` selects the per-iteration MHP contender pass: ``"auto"``
     (vectorised when numpy is available and the graph is large enough),
@@ -701,22 +838,19 @@ def system_level_wcet(
     use_pruning = _resolve_static_pruning(static_pruning)
     min_pairs = _resolve_vectorise_min_pairs(vectorise_min_pairs)
 
-    storage_override = storage_override or {}
-    leaf_ids = [t.task_id for t in htg.leaf_tasks()]
+    if design is None:
+        design = SystemDesign(htg, function, platform, storage_override, cache)
+    else:
+        design.check(htg, function, platform, storage_override)
+        if design.cache is not cache:
+            raise SystemWcetError("design context was built for a different cache")
+    leaf_ids = design.leaf_ids
     missing = [tid for tid in leaf_ids if tid not in mapping]
     if missing:
         raise SystemWcetError(f"tasks without a mapping: {missing}")
-
-    models = {
-        core_id: HardwareCostModel(platform, core_id, storage_override)
-        for core_id in {mapping[tid] for tid in leaf_ids}
-    }
-    num_cores = platform.num_cores
-    comm_contenders = max(0, num_cores - 1)
-    # built before the memo lookup so the key derivation and the analysis
-    # share one memoized edge-pricing table (edges are priced lazily, so a
-    # warm hit pays nothing here)
-    comm_delay = make_edge_latency(htg, platform, mapping, comm_contenders)
+    # every used core's penalty table up front: an unknown core fails here,
+    # whatever the state of the result tier
+    penalty_of = {tid: design.penalties(mapping[tid]) for tid in leaf_ids}
 
     result_tier: "SystemResultCache | None"
     if result_cache is True or result_cache is None:
@@ -736,9 +870,8 @@ def system_level_wcet(
             order,
             storage_override=storage_override,
             max_iterations=max_iterations,
-            models=models,
-            comm_delay=comm_delay,
             static_pruning=use_pruning,
+            design=design,
         )
         memoized = result_tier.get(result_key)
         if obs.obs_enabled():
@@ -752,11 +885,7 @@ def system_level_wcet(
     base_wcet: dict[str, float] = {}
     shared_accesses: dict[str, int] = {}
     for tid in leaf_ids:
-        task = htg.task(tid)
-        model = models[mapping[tid]]
-        breakdown = analyze_task_wcet(task, function, model, cache=cache)
-        base_wcet[tid] = breakdown.total
-        shared_accesses[tid] = breakdown.shared_accesses
+        base_wcet[tid], shared_accesses[tid] = design.task_cost(tid, mapping[tid])
 
     # only tasks that actually touch shared resources can contend
     sharers = [tid for tid in leaf_ids if shared_accesses[tid] > 0]
@@ -792,7 +921,7 @@ def system_level_wcet(
             )
             obs.metrics().counter("mhp.pairs_candidate").inc(pairs_per_pass)
         mhp_pass = _pick_mhp_pass(mhp_backend, len(leaf_ids), len(sharers), min_pairs)
-    timeline = _TimelineBuilder(htg, mapping, order, comm_delay)
+    timeline = _TimelineBuilder(design, mapping, order)
 
     def iterate(effective: dict[str, float], contenders: dict[str, int]) -> tuple[
         dict[str, float],
@@ -821,8 +950,7 @@ def system_level_wcet(
                 new_contenders = mhp_pass(leaf_ids, sharers, mapping, intervals)
                 new_effective = {
                     tid: base_wcet[tid]
-                    + shared_accesses[tid]
-                    * models[mapping[tid]].shared_access_penalty(new_contenders[tid])
+                    + shared_accesses[tid] * penalty_of[tid][new_contenders[tid]]
                     for tid in leaf_ids
                 }
                 if obs_on or iterations == max_iterations:
@@ -888,9 +1016,9 @@ def system_level_wcet(
         )
 
     communication = sum(
-        comm_delay(e.src, e.dst)
-        for e in htg.edges
-        if e.src in mapping and e.dst in mapping and mapping[e.src] != mapping[e.dst]
+        design.edge_delay(src, dst, mapping[src], mapping[dst])
+        for src, dst in design.edges
+        if src in mapping and dst in mapping and mapping[src] != mapping[dst]
     )
 
     def build_result(
@@ -991,16 +1119,14 @@ def system_level_wcet(
         # proved upper bound on any derivable count, so the fall-back stays
         # sound and never looser than the unpruned all-cores one.
         if allowed is None:
-            contenders = {tid: comm_contenders for tid in leaf_ids}
+            contenders = {tid: design.comm_contenders for tid in leaf_ids}
         else:
             contenders = {
                 tid: len({mapping[s] for s in allowed.get(tid, ())})
                 for tid in leaf_ids
             }
         worst = {
-            tid: base_wcet[tid]
-            + shared_accesses[tid]
-            * models[mapping[tid]].shared_access_penalty(contenders[tid])
+            tid: base_wcet[tid] + shared_accesses[tid] * penalty_of[tid][contenders[tid]]
             for tid in leaf_ids
         }
         effective = {tid: max(effective[tid], worst[tid]) for tid in leaf_ids}
@@ -1037,23 +1163,12 @@ def contention_oblivious_bound(
     task is delayed by all other cores.  Experiment E3 compares this bound
     against the MHP-based system-level bound.
     """
-    leaf_ids = [t.task_id for t in htg.leaf_tasks()]
-    models = {
-        core_id: HardwareCostModel(platform, core_id)
-        for core_id in {mapping[tid] for tid in leaf_ids}
-    }
-    worst_contenders = max(0, platform.num_cores - 1)
+    design = SystemDesign(htg, function, platform, cache=cache)
+    worst_contenders = design.comm_contenders
     effective = {}
-    shared_accesses = {}
-    for tid in leaf_ids:
-        task = htg.task(tid)
-        model = models[mapping[tid]]
-        breakdown = analyze_task_wcet(task, function, model, cache=cache)
-        shared_accesses[tid] = breakdown.shared_accesses
-        effective[tid] = breakdown.total + breakdown.shared_accesses * model.shared_access_penalty(
-            worst_contenders
-        )
-
-    comm_delay = make_edge_latency(htg, platform, mapping, worst_contenders)
-    _, makespan = _TimelineBuilder(htg, mapping, order, comm_delay).build(effective)
+    for tid in design.leaf_ids:
+        core = mapping[tid]
+        base, shared = design.task_cost(tid, core)
+        effective[tid] = base + shared * design.penalties(core)[worst_contenders]
+    _, makespan = _TimelineBuilder(design, mapping, order).build(effective)
     return makespan
