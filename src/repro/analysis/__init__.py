@@ -113,10 +113,12 @@ HTG structure digest, the platform cost signature, the config digest) plus
 the per-region code fingerprints.  The rules:
 
 * **A frontier match proves reuse.**  A stage may be replayed from the
-  previous run exactly when its input frontier is byte-identical; an
-  unfingerprintable input (``None`` frontier) can never prove reuse and
-  forces a re-run.  The frontiers deliberately over-approximate, so the
-  engine errs only towards recomputing.
+  previous run exactly when its replay key -- the fingerprints of the input
+  frontier its :class:`~repro.core.pipeline.Stage` declares, plus the
+  identity of its implementation -- is byte-identical; an
+  unfingerprintable input (``None`` key) can never prove reuse and forces
+  a re-run.  The frontiers deliberately over-approximate, so the engine
+  errs only towards recomputing.
 * **Code-level facts key on the function fingerprint.**  The dataflow /
   lint / flow-facts analyses are pure functions of one IR function's
   content; :class:`~repro.analysis.incremental.IncrementalAnalysisStore`
@@ -129,13 +131,9 @@ the per-region code fingerprints.  The rules:
   universe are equal, and re-scans only pairs with a changed endpoint; clean-pair
   findings are replayed as ``reused``.  Any guard mismatch falls back to
   the full scan.
-* **Warm starts must be proved, not trusted.**  The system-level fixed
-  point may be seeded from a previous converged result
-  (:func:`repro.wcet.system_level.warm_start_hint`), but a warm-seeded
-  result is only returned after the independent
-  :class:`~repro.analysis.certify.FixedPointCertificate` checker accepts
-  it; a refutation or non-convergence silently falls back to the cold
-  iteration.  Soundness therefore never rests on the seed.
+* **The fixed point never starts warm.**  A schedule stage that runs
+  iterates the system-level fixed point from the cold state, so an
+  incremental run lands on exactly the fixed point a cold run finds.
 * **Bit-identity is the acceptance bar.**  ``Pipeline.run_incremental``
   must produce results bit-identical to a cold run of the edited model;
   the property tests drive random edit scripts

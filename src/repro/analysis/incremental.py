@@ -6,17 +6,17 @@ dependency graph**: which content-addressed artifacts every stage consumed
 (function/region fingerprints, the HTG structure digest, the platform cost
 signature, the config digest) and which facts it produced.  Given a second
 model, it computes a fingerprint diff and the minimal invalidation set by
-walking that graph -- a stage is dirty exactly when its *input frontier*
-(the digests of everything it consumes) changed.
+walking that graph -- a stage is dirty exactly when its *replay key* (its
+input frontier's digests plus the identity of its implementation) changed.
 
 The consumers are layered:
 
 * :meth:`repro.core.pipeline.PipelineResult.artifact_summary` serializes the
   graph of a finished run (via :func:`summarize_result`);
 * :meth:`repro.core.pipeline.Pipeline.run_incremental` replays stages whose
-  frontier is unchanged, re-extracts only changed HTG regions, re-checks only
-  race pairs with a changed endpoint, and warm-starts the interference fixed
-  point (certificate-checked, see :mod:`repro.wcet.system_level`);
+  replay key is unchanged; of the stages that run, HTG extraction
+  re-extracts only changed regions and the race check re-checks only pairs
+  with a changed endpoint;
 * :class:`IncrementalAnalysisStore` replays code-level
   :class:`~repro.analysis.report.AnalysisReport` findings for functions whose
   fingerprints are unchanged, with provenance marked ``reused``;
@@ -25,11 +25,17 @@ The consumers are layered:
 What dirties what (the dependency contract)
 -------------------------------------------
 
+Each :class:`~repro.core.pipeline.Stage` declares its frontier: the run
+fingerprints (:data:`repro.core.pipeline.FINGERPRINTS`) its outputs depend
+on.  Each :class:`~repro.core.pipeline.StageRecord` carries what its key
+covers, so the summary of a run with custom stages has their keys too.  The
+built-in stages declare:
+
 ================  ====================================================
 stage             input frontier (a change to any entry dirties it)
 ================  ====================================================
-``frontend``      diagram fingerprint
-``transforms``    diagram fingerprint, config digest
+``frontend``      diagram fingerprint, platform sig, config digest
+``transforms``    diagram fingerprint, platform sig, config digest
 ``htg``           function fingerprint, extraction knobs, platform sig
 ``schedule``      function fp, HTG digest, platform sig, config digest,
                   scheduler implementation identity
@@ -41,9 +47,12 @@ stage             input frontier (a change to any entry dirties it)
                   sig, config digest
 ================  ====================================================
 
-The frontiers deliberately over-approximate (the whole config digest stands
-in for the knobs a stage actually reads), so a frontier match *proves* the
-stage's inputs unchanged while a mismatch merely re-runs work.
+``frontend`` and ``transforms`` share one key: the passes transform the
+compiled model in place, so the previous run has no untransformed model to
+replay on its own.  The frontiers deliberately over-approximate (the whole
+config digest stands in for the knobs a stage actually reads), so a key
+match *proves* the stage's inputs unchanged while a mismatch merely re-runs
+work.
 """
 
 from __future__ import annotations
@@ -56,23 +65,12 @@ from typing import TYPE_CHECKING, Any, Iterable, Mapping
 from repro.analysis.report import AnalysisReport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.pipeline import PipelineResult
+    from repro.core.pipeline import PipelineResult, StageRecord
     from repro.model.diagram import Diagram
     from repro.wcet.cache import WcetAnalysisCache
 
 #: Version stamp of the :func:`summarize_result` dict layout.
-SUMMARY_VERSION = 1
-
-#: The stages the incremental engine knows the input frontiers of.
-TRACKED_STAGES = (
-    "frontend",
-    "transforms",
-    "htg",
-    "schedule",
-    "parallel",
-    "wcet",
-    "certify",
-)
+SUMMARY_VERSION = 2
 
 
 def _digest(payload: Any) -> str:
@@ -116,77 +114,27 @@ def diagram_fingerprint(diagram: "Diagram") -> str:
     return _digest(payload)
 
 
-def stage_input_frontiers(fingerprints: Mapping[str, Any]) -> dict[str, str | None]:
-    """The per-stage input-frontier keys of the dependency graph.
-
-    ``fingerprints`` carries the global content digests of one run (keys
-    ``diagram``, ``platform``, ``config``, ``function``, ``extraction``,
-    ``htg``, ``schedule``, ``scheduler``).  A frontier is ``None`` -- never
-    comparable, so the stage always re-runs -- when any of its components is
-    missing or unfingerprintable (e.g. a platform carrying callables).
-    """
-    fp = dict(fingerprints)
-
-    def key(stage: str, *parts: str) -> str | None:
-        values = [fp.get(part) for part in parts]
-        if any(v is None for v in values):
-            return None
-        return "|".join([stage, *[str(v) for v in values]])
-
-    return {
-        "frontend": key("frontend", "diagram"),
-        "transforms": key("transforms", "diagram", "config"),
-        "htg": key("htg", "function", "extraction", "platform"),
-        "schedule": key(
-            "schedule", "function", "htg", "platform", "config", "scheduler"
-        ),
-        "parallel": key(
-            "parallel", "function", "htg", "schedule", "platform", "config"
-        ),
-        "wcet": key("wcet", "function", "platform", "config", "schedule"),
-        "certify": key(
-            "certify", "function", "htg", "schedule", "platform", "config"
-        ),
-    }
-
-
 def summarize_result(
     result: "PipelineResult", cache: "WcetAnalysisCache | None" = None
 ) -> dict[str, Any]:
     """The analysis dependency graph of a finished run, as a JSON-able dict.
 
     Records the global content fingerprints, the per-region code
-    fingerprints, the per-stage input frontiers and what each stage
-    consumed/produced -- everything :func:`diff_summaries` and
-    :meth:`~repro.core.pipeline.Pipeline.run_incremental` need to decide
+    fingerprints, each stage's replay key (``frontiers``) and what each
+    stage declared/consumed/produced -- everything :func:`diff_summaries`
+    and :meth:`~repro.core.pipeline.Pipeline.run_incremental` need to decide
     what a second model invalidates.
     """
-    from repro.core.pipeline import (
-        _config_digest,
-        _htg_fingerprint_of,
-        _schedule_digest,
-        _scheduler_identity,
-    )
-    from repro.wcet.cache import platform_signature, shared_cache
+    from repro.core.pipeline import FINGERPRINTS, replay_key, run_fingerprint
+    from repro.wcet.cache import shared_cache
 
     cache = cache if cache is not None else shared_cache()
-    diagram = result.artifacts.get("diagram")
-    platform = result.artifacts.get("platform")
-    model = result.model
     regions = {
-        name: cache.region_fingerprint(block) for name, block in model.block_regions
+        name: cache.region_fingerprint(block)
+        for name, block in result.model.block_regions
     }
-    fingerprints: dict[str, Any] = {
-        "diagram": diagram_fingerprint(diagram) if diagram is not None else None,
-        "platform": platform_signature(platform) if platform is not None else None,
-        "config": _config_digest(result.config),
-        "function": cache.function_fingerprint(model.entry),
-        "extraction": _digest(
-            [result.config.granularity, result.config.loop_chunks]
-        ),
-        "htg": _htg_fingerprint_of(result.htg, cache),
-        "schedule": _schedule_digest(result.schedule),
-        "scheduler": _scheduler_identity(result.config.scheduler),
+    fingerprints = {
+        name: run_fingerprint(name, result.artifacts, cache) for name in FINGERPRINTS
     }
     stages = []
     for record in result.stage_records:
@@ -195,6 +143,7 @@ def summarize_result(
                 "name": record.name,
                 "seconds": record.seconds,
                 "produced": list(record.produced),
+                "frontier": list(record.frontier) if record.frontier is not None else None,
                 "info": {
                     k: v
                     for k, v in record.info.items()
@@ -208,7 +157,12 @@ def summarize_result(
         "platform_name": result.platform_name,
         "fingerprints": fingerprints,
         "regions": regions,
-        "frontiers": stage_input_frontiers(fingerprints),
+        "frontiers": {
+            record.name: replay_key(
+                record.frontier, record.implementation, fingerprints.get
+            )
+            for record in result.stage_records
+        },
         "stages": stages,
     }
 
@@ -223,7 +177,7 @@ class FingerprintDiff:
     added_regions: tuple[str, ...]
     removed_regions: tuple[str, ...]
     unchanged_regions: tuple[str, ...]
-    #: Stages whose input frontier changed (minimal invalidation set).
+    #: Stages whose replay key changed (minimal invalidation set).
     dirty_stages: tuple[str, ...]
     clean_stages: tuple[str, ...]
 
@@ -252,10 +206,10 @@ def diff_summaries(
 ) -> FingerprintDiff:
     """Fingerprint diff + minimal invalidation set between two summaries.
 
-    Walks the dependency graph: a stage lands in ``dirty_stages`` exactly
-    when its input frontier differs between the two runs (a ``None``
-    frontier on either side counts as different -- unfingerprintable inputs
-    can never prove reuse valid).
+    Walks the dependency graph: a stage of either run lands in
+    ``dirty_stages`` exactly when its replay key differs between the two
+    runs (a missing or ``None`` key on either side counts as different --
+    unfingerprintable inputs can never prove reuse valid).
     """
     old_fp = dict(old.get("fingerprints", {}))
     new_fp = dict(new.get("fingerprints", {}))
@@ -290,7 +244,7 @@ def diff_summaries(
     new_frontiers = dict(new.get("frontiers", {}))
     dirty = []
     clean = []
-    for stage in TRACKED_STAGES:
+    for stage in dict.fromkeys([*new_frontiers, *old_frontiers]):
         a, b = old_frontiers.get(stage), new_frontiers.get(stage)
         if a is None or b is None or a != b:
             dirty.append(stage)
@@ -373,10 +327,31 @@ class IncrementalReport:
     #: Race-check pair accounting (when the parallel stage ran).
     race_pairs_reused: int = 0
     race_pairs_checked: int = 0
-    #: ``warm_info`` of the system fixed point, when one ran warm.
-    warm_fixed_point: dict | None = None
-    #: Set when the engine bailed out to a plain cold run.
-    fallback_reason: str | None = None
+
+    @classmethod
+    def from_records(cls, records: "Iterable[StageRecord]") -> "IncrementalReport":
+        """The reuse accounting of one incremental run's stage records.
+
+        ``info["incremental"]`` is each stage's status.  The counts come
+        from the info keys the built-in stages record: ``regions_reused`` /
+        ``regions_recomputed`` (HTG extraction) and ``race_pairs_reused`` /
+        ``race_pairs_checked`` (the race check).  A replayed stage reused
+        all of its regions and checked no pairs.
+        """
+        report = cls()
+        for record in records:
+            info = record.info
+            status = report.stages[record.name] = info["incremental"]
+            reused = info.get("regions_reused", 0)
+            recomputed = info.get("regions_recomputed", 0)
+            if status == "reused":
+                report.regions_reused += reused + recomputed
+                continue
+            report.regions_reused += reused
+            report.regions_recomputed += recomputed
+            report.race_pairs_reused += info.get("race_pairs_reused", 0)
+            report.race_pairs_checked += info.get("race_pairs_checked", 0)
+        return report
 
     @property
     def stages_reused(self) -> int:
@@ -396,15 +371,11 @@ class IncrementalReport:
             "regions_recomputed": self.regions_recomputed,
             "race_pairs_reused": self.race_pairs_reused,
             "race_pairs_checked": self.race_pairs_checked,
-            "warm_fixed_point": self.warm_fixed_point,
-            "fallback_reason": self.fallback_reason,
         }
 
     def render(self) -> str:
         """Human-readable invalidation frontier for the ``diff`` CLI."""
         lines = []
-        if self.fallback_reason:
-            lines.append(f"fallback to cold run: {self.fallback_reason}")
         if self.diff is not None:
             d = self.diff
             lines.append(
@@ -416,16 +387,12 @@ class IncrementalReport:
             if d.removed_regions:
                 lines.append("removed functions: " + ", ".join(d.removed_regions))
             lines.append(f"unchanged functions: {len(d.unchanged_regions)}")
-        for stage in TRACKED_STAGES:
-            status = self.stages.get(stage)
-            if status is not None:
-                lines.append(f"stage {stage:<10} {status}")
+        for stage, status in self.stages.items():
+            lines.append(f"stage {stage:<10} {status}")
         lines.append(
             f"facts: {self.regions_reused} region(s) reused, "
             f"{self.regions_recomputed} recomputed; "
             f"race pairs {self.race_pairs_reused} reused, "
             f"{self.race_pairs_checked} rechecked"
         )
-        if self.warm_fixed_point is not None:
-            lines.append(f"fixed point: {self.warm_fixed_point}")
         return "\n".join(lines)

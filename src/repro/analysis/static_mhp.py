@@ -19,8 +19,7 @@ once, statically, before the iteration starts:
 
 The relation is *schedule-independent*: it uses only the dependence
 closure and the footprints, never the candidate timeline, so one relation
-serves every fixed-point iteration (and every warm restart) of a design
-point.  Same-core pairs are also excluded from the skeleton -- the MHP
+serves every fixed-point iteration of a design point.  Same-core pairs are also excluded from the skeleton -- the MHP
 passes skip them anyway, so the pruned pair list starts strictly smaller.
 
 Soundness of the ordering argument requires that every dependence the

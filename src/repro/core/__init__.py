@@ -16,14 +16,12 @@ from repro.core.pipeline import (
     PipelineError,
     PipelineResult,
     Stage,
-    StageArtifactCache,
     StageRecord,
     default_stages,
     run_pipeline,
-    shared_stage_cache,
 )
 from repro.core.sweep import SweepCase, SweepOutcome, SweepResult, sweep, sweep_grid
-from repro.core.toolchain import ArgoToolchain, ToolchainResult
+from repro.core.toolchain import ArgoToolchain
 from repro.core.feedback import CrossLayerFeedback, FeedbackHistoryEntry
 from repro.core.reporting import (
     bottleneck_report,
@@ -35,16 +33,13 @@ __all__ = [
     "ToolchainConfig",
     "ToolchainError",
     "ArgoToolchain",
-    "ToolchainResult",
     "Pipeline",
     "PipelineError",
     "PipelineResult",
     "Stage",
-    "StageArtifactCache",
     "StageRecord",
     "default_stages",
     "run_pipeline",
-    "shared_stage_cache",
     "SweepCase",
     "SweepOutcome",
     "SweepResult",

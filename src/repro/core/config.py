@@ -7,11 +7,6 @@ from dataclasses import dataclass
 
 VALID_GRANULARITIES = ("block", "loop")
 
-#: Kept for backwards compatibility; the authoritative list is the scheduler
-#: registry (:func:`repro.scheduling.registry.available_schedulers`), which
-#: also contains any third-party registrations.
-VALID_SCHEDULERS = ("wcet_list", "acet_list", "sequential", "simulated_annealing", "genetic", "bnb")
-
 
 @dataclass
 class ToolchainConfig:
@@ -49,14 +44,6 @@ class ToolchainConfig:
     #: before any code is generated.  On by default; the knob exists for
     #: experiments that intentionally build unsound schedules.
     race_check: bool = True
-    #: Opt into the pipeline's per-stage artifact cache: stages that declare
-    #: a content-addressed cache key (the built-in ``schedule`` and ``wcet``
-    #: stages do) reuse their artifacts across runs with identical inputs.
-    #: The flow is deterministic, so cached and recomputed runs are
-    #: bit-identical; the knob exists because caching whole schedules trades
-    #: memory for time, which is the driver's call (sweeps over repeated
-    #: design points want it, one-shot runs do not care).
-    stage_cache: bool = False
     #: Run the ``certify`` pipeline stage: after the flow finishes, the
     #: independent certificate checkers (:mod:`repro.analysis.certify`)
     #: re-validate the schedule, the IPET solution and the system-level
@@ -109,10 +96,6 @@ class ToolchainConfig:
             raise ValueError(
                 f"contention_weight must be a finite non-negative number, "
                 f"got {self.contention_weight!r}"
-            )
-        if not isinstance(self.stage_cache, bool):
-            raise ValueError(
-                f"stage_cache must be a bool, got {self.stage_cache!r}"
             )
         if not isinstance(self.race_check, bool):
             raise ValueError(

@@ -23,7 +23,8 @@ from typing import TYPE_CHECKING
 from repro.core.config import ToolchainConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.toolchain import ArgoToolchain, ToolchainResult
+    from repro.core.pipeline import PipelineResult
+    from repro.core.toolchain import ArgoToolchain
     from repro.model.diagram import Diagram
 
 
@@ -65,13 +66,13 @@ class CrossLayerFeedback:
             candidates.append(variant(granularity="block"))
         return candidates
 
-    def optimize(self, diagram: "Diagram") -> "ToolchainResult":
+    def optimize(self, diagram: "Diagram") -> "PipelineResult":
         """Run up to ``config.feedback_iterations`` rounds and return the best."""
         from repro.core.sweep import SweepCase, sweep
 
         base_config = self.toolchain.config
         iterations = base_config.feedback_iterations
-        best_result: "ToolchainResult | None" = None
+        best_result: "PipelineResult | None" = None
         best_config = dataclasses.replace(base_config, feedback_iterations=1)
 
         for iteration in range(1, iterations + 1):

@@ -22,13 +22,13 @@ Custom stages slot in through :meth:`Pipeline.with_stage` /
 ``schedule`` -- the dependency graph, not the insertion order, decides when
 it runs.
 
-Stages can opt into **per-stage artifact caching** by declaring a
-content-addressed ``cache_key`` (the built-in ``schedule`` and ``wcet``
-stages do): when a :class:`StageArtifactCache` is active -- passed
-explicitly, or process-wide via ``ToolchainConfig.stage_cache`` -- a stage
-whose key matches a previous run returns its cached artifacts instead of
-re-running, and the hit/miss deltas surface in
-``PipelineResult.cache_stats`` (``stage_hits`` / ``stage_misses``).
+Every stage declares its input **frontier**: the run fingerprints
+(:data:`FINGERPRINTS`) its outputs depend on.  :meth:`Pipeline.run` and
+:meth:`Pipeline.run_incremental` are one stage loop; given a previous run,
+a stage whose replay key (its frontier's fingerprints plus the identity of
+its implementation) equals the previous run's is replayed by reference
+instead of re-run, so a repeated or lightly edited design point re-does
+only the work its edit reaches.
 
 :class:`~repro.core.toolchain.ArgoToolchain` is a thin compatibility facade
 over this module, and :func:`repro.core.sweep.sweep` runs whole grids of
@@ -38,14 +38,12 @@ concurrently.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import hashlib
 import itertools
 import json
 import time
 import weakref
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
@@ -55,7 +53,7 @@ from repro.core.config import ToolchainConfig
 from repro.core.exceptions import ToolchainError
 from repro.frontend import CompiledModel, compile_diagram
 from repro.htg import HierarchicalTaskGraph, extract_htg
-from repro.htg.extraction import ExtractionOptions
+from repro.htg.extraction import ExtractionOptions, extract_htg_incremental
 from repro.ir.loops import describe_unbounded_loops
 from repro.model.diagram import Diagram
 from repro.parallel import ParallelProgram, build_parallel_program
@@ -74,8 +72,10 @@ class PipelineError(ToolchainError):
     """A malformed stage graph or a stage contract violation."""
 
 
-#: Artifacts available before any stage runs.
-INITIAL_ARTIFACTS = ("diagram", "platform", "config")
+#: Artifacts available before any stage runs.  ``scheduler`` is the
+#: scheduler registry entry ``config.scheduler`` names, resolved once when
+#: the run starts.
+INITIAL_ARTIFACTS = ("diagram", "platform", "config", "scheduler")
 
 
 @dataclass(frozen=True)
@@ -87,11 +87,11 @@ class Stage:
     diagnostic values can be recorded in ``context.info``; they end up in the
     stage's :class:`StageRecord`.
 
-    ``cache_key`` opts the stage into the per-stage artifact cache: called
-    with the context *before* ``run``, it must return a stable
-    content-addressed key covering **everything** the stage's outputs depend
-    on -- or ``None`` when the inputs cannot be fingerprinted, which skips
-    caching for that run.  Stages without a ``cache_key`` are never cached.
+    ``frontier`` names the run fingerprints (keys of :data:`FINGERPRINTS`)
+    that cover everything the stage's outputs depend on.  Given a previous
+    run, the stage is replayed from it when its replay key -- those
+    fingerprints plus the identity of ``run`` -- is unchanged.  ``None``
+    (the default) means the stage is never replayed.
     """
 
     name: str
@@ -99,64 +99,7 @@ class Stage:
     consumes: tuple[str, ...] = ()
     produces: tuple[str, ...] = ()
     description: str = ""
-    cache_key: Callable[["PipelineContext"], str | None] | None = None
-
-
-class StageArtifactCache:
-    """In-memory LRU of per-stage artifact bundles.
-
-    Keys are ``(stage name, content key)``; values are the stage's produced
-    artifacts plus its diagnostic info.  Entries are deep-copied on both
-    store and lookup so no run can mutate another run's artifacts through
-    the cache.  The cache is bounded (whole schedules are not small) and
-    in-process only -- cross-process reuse is what the disk-backed WCET /
-    system-result tiers are for.
-    """
-
-    def __init__(self, max_entries: int = 128) -> None:
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be at least 1, got {max_entries}")
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self._entries: "OrderedDict[tuple[str, str], tuple[dict, dict]]" = OrderedDict()
-
-    def lookup(self, stage: str, key: str) -> tuple[dict, dict] | None:
-        """Cached ``(artifacts, info)`` of one stage run, or ``None``."""
-        entry = self._entries.get((stage, key))
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end((stage, key))
-        self.hits += 1
-        artifacts, info = entry
-        return copy.deepcopy(artifacts), copy.deepcopy(info)
-
-    def store(self, stage: str, key: str, artifacts: Mapping[str, Any], info: Mapping[str, Any]) -> None:
-        self._entries[(stage, key)] = (
-            copy.deepcopy(dict(artifacts)),
-            copy.deepcopy(dict(info)),
-        )
-        self._entries.move_to_end((stage, key))
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-_shared_stage_cache: StageArtifactCache | None = None
-
-
-def shared_stage_cache() -> StageArtifactCache:
-    """The process-wide stage cache used when ``config.stage_cache`` is set."""
-    global _shared_stage_cache
-    if _shared_stage_cache is None:
-        _shared_stage_cache = StageArtifactCache()
-    return _shared_stage_cache
+    frontier: tuple[str, ...] | None = None
 
 
 @dataclass
@@ -167,6 +110,11 @@ class StageRecord:
     seconds: float
     produced: tuple[str, ...] = ()
     info: dict[str, Any] = field(default_factory=dict)
+    #: What the stage's replay key covers (see :func:`replay_key`): run
+    #: fingerprint names and an implementation identity, ``None`` when the
+    #: stage is never replayed.
+    frontier: tuple[str, ...] | None = None
+    implementation: str | None = None
 
 
 @dataclass
@@ -178,13 +126,14 @@ class PipelineContext:
     config: ToolchainConfig
     wcet_cache: WcetAnalysisCache
     artifacts: dict[str, Any] = field(default_factory=dict)
-    #: Per-stage scratch: diagnostic values for the current StageRecord.
+    #: Per-stage scratch: diagnostic values for the current StageRecord.  In
+    #: an incremental run, a stage that reused part of ``prev`` sets
+    #: ``info["incremental"] = "incremental"``.
     info: dict[str, Any] = field(default_factory=dict)
-    #: Incremental-run inputs (set by :meth:`Pipeline.run_incremental`): the
-    #: previous run's race-check state and the ids of tasks whose content
-    #: changed.  ``None`` means "no reuse" -- the cold-run default.
-    prev_race_state: Any = None
-    changed_task_ids: set[str] | None = None
+    #: The previous run of an incremental run (``None`` on a cold run).  A
+    #: stage that must run may still reuse parts of it.
+    prev: "PipelineResult | None" = None
+    _fingerprints: dict[str, str] = field(default_factory=dict, repr=False)
 
     def artifact(self, name: str) -> Any:
         try:
@@ -192,15 +141,37 @@ class PipelineContext:
         except KeyError:
             raise PipelineError(f"artifact {name!r} has not been produced yet") from None
 
+    def fingerprint(self, name: str) -> str | None:
+        """This run's fingerprint ``name``, memoized once its artifact exists."""
+        value = self._fingerprints.get(name)
+        if value is None:
+            value = run_fingerprint(name, self.artifacts, self.wcet_cache)
+            if value is not None:
+                self._fingerprints[name] = value
+        return value
+
+    def unchanged(self, *names: str) -> bool:
+        """Whether each named fingerprint equals the previous run's.
+
+        Always ``False`` on a cold run; an unfingerprintable value never
+        equals anything.
+        """
+        if self.prev is None:
+            return False
+        before = self.prev.artifact_summary(self.wcet_cache)["fingerprints"]
+        return all(
+            (value := self.fingerprint(name)) is not None and value == before.get(name)
+            for name in names
+        )
+
 
 @dataclass
 class PipelineResult:
     """Everything one pipeline run produced for a diagram/platform pair.
 
-    This is the result type ``ArgoToolchain.run`` returns (the legacy name
-    ``ToolchainResult`` is an alias).  The sequential single-core bound is a
-    proper constructor field (``sequential_bound``); ``sequential_wcet`` /
-    ``wcet_speedup`` / ``metadata_sequential`` remain as compatibility
+    This is the result type ``ArgoToolchain.run`` returns.  The sequential
+    single-core bound is a proper constructor field (``sequential_bound``);
+    ``sequential_wcet`` / ``wcet_speedup`` remain as compatibility
     properties.
     """
 
@@ -217,9 +188,8 @@ class PipelineResult:
     #: Every artifact of the run, including those of custom stages.
     artifacts: dict[str, Any] = field(default_factory=dict)
     #: Cache counter deltas of this run: code-level WCET lookups
-    #: (``hits`` / ``disk_hits`` / ``misses``) plus the per-stage artifact
-    #: cache (``stage_hits`` / ``stage_misses``, always present and zero
-    #: when stage caching is disabled or no stage opted in).
+    #: (``hits`` / ``disk_hits`` / ``misses``), plus ``stages_reused`` /
+    #: ``stages_recomputed`` for incremental runs.
     cache_stats: dict[str, int] = field(default_factory=dict)
     #: Observability snapshot of the run (see :meth:`telemetry`); ``None``
     #: when :mod:`repro.obs` was disabled while the run executed.
@@ -232,7 +202,7 @@ class PipelineResult:
         """The run's analysis dependency graph, as a JSON-able dict.
 
         Records the content fingerprints of everything each stage consumed
-        and the per-stage input frontiers (see
+        and the per-stage replay keys (see
         :func:`repro.analysis.incremental.summarize_result`).  Memoized:
         capture it soon after the run, while the fingerprinted objects are
         unmutated -- ``cache`` is only consulted on the first call.
@@ -269,15 +239,6 @@ class PipelineResult:
         if self.system_wcet <= 0:
             return 1.0
         return self.sequential_bound / self.system_wcet
-
-    #: Compatibility shim for the pre-pipeline field name.
-    @property
-    def metadata_sequential(self) -> float:
-        return self.sequential_bound
-
-    @metadata_sequential.setter
-    def metadata_sequential(self, value: float) -> None:
-        self.sequential_bound = value
 
     # ------------------------------------------------------------------ #
     def telemetry(self) -> dict[str, Any]:
@@ -331,6 +292,9 @@ def _transforms_stage(context: PipelineContext) -> dict[str, Any]:
     for pass_ in passes:
         manager.add(pass_)
     reports = manager.run(model.entry)
+    # the passes mutate the IR in place: per the WcetAnalysisCache contract,
+    # drop any fingerprints memoized for it
+    context.wcet_cache.invalidate_fingerprints(model.entry)
     context.info["passes"] = list(names)
     context.info["changed"] = sum(1 for r in reports if r.changed)
     # the IR object is transformed in place; re-expose it under a new name so
@@ -344,17 +308,45 @@ def _htg_stage(context: PipelineContext) -> dict[str, Any]:
         granularity=context.config.granularity,
         loop_chunks=context.config.loop_chunks,
     )
-    htg = extract_htg(model, options)
     cost_model = HardwareCostModel(context.platform, context.platform.cores[0].core_id)
-    context.wcet_cache.annotate_htg(htg, model.entry, cost_model)
+    prev = context.prev
+    if prev is not None and context.unchanged("platform", "extraction"):
+        # Regions whose code is unchanged keep the previous run's tasks,
+        # WCET annotations included (same platform), so only the
+        # re-extracted tasks are annotated.
+        prev_regions = prev.artifact_summary(context.wcet_cache)["regions"]
+        unchanged_regions = {
+            name
+            for name, block in model.block_regions
+            if prev_regions.get(name) == context.wcet_cache.region_fingerprint(block)
+        }
+        prev_tasks: dict[str, list] = {}
+        for task in prev.htg.tasks.values():
+            if task.origin:
+                prev_tasks.setdefault(task.origin, []).append(task)
+        htg, inc = extract_htg_incremental(model, options, prev_tasks, unchanged_regions)
+        # when the edit kept the task/edge structure, the previous run's
+        # reachability memo applies verbatim
+        htg.adopt_reachability(prev.htg)
+        context.wcet_cache.annotate_htg(
+            htg, model.entry, cost_model, only=inc["changed_task_ids"]
+        )
+        regions_reused = inc["regions_reused"]
+        context.info["incremental"] = "incremental"
+    else:
+        htg = extract_htg(model, options)
+        context.wcet_cache.annotate_htg(htg, model.entry, cost_model)
+        regions_reused = 0
     context.info["tasks"] = len(htg.leaf_tasks())
+    context.info["regions_reused"] = regions_reused
+    context.info["regions_recomputed"] = len(model.block_regions) - regions_reused
     return {"htg": htg}
 
 
 def _schedule_stage(context: PipelineContext) -> dict[str, Any]:
     model: CompiledModel = context.artifact("transformed_model")
     htg: HierarchicalTaskGraph = context.artifact("htg")
-    entry = get_scheduler(context.config.scheduler)
+    entry = context.artifact("scheduler")
     # Ambient MHP options: scheduler plugins keep their signature; every
     # system_level_wcet call under build() resolves these unless a caller
     # passed explicit values.
@@ -372,24 +364,52 @@ def _schedule_stage(context: PipelineContext) -> dict[str, Any]:
     return {"schedule": schedule}
 
 
+def _changed_tasks(htg: HierarchicalTaskGraph, prev_htg: HierarchicalTaskGraph) -> set[str]:
+    """Ids of tasks whose content may differ from ``prev_htg``'s.
+
+    Extraction hands an unchanged region's tasks over as copies sharing the
+    previous statements, so sharing them (with the same access sets) proves
+    a task unchanged; new tasks count as changed.
+    """
+    before = prev_htg.tasks
+    changed = set()
+    for tid, task in htg.tasks.items():
+        old = before.get(tid)
+        if (
+            old is None
+            or old.statements is not task.statements
+            or old.reads != task.reads
+            or old.writes != task.writes
+        ):
+            changed.add(tid)
+    return changed
+
+
 def _parallel_stage(context: PipelineContext) -> dict[str, Any]:
     model: CompiledModel = context.artifact("transformed_model")
+    htg: HierarchicalTaskGraph = context.artifact("htg")
+    schedule: Schedule = context.artifact("schedule")
     race_state = None
     if context.config.race_check:
         from repro.analysis.races import incremental_race_check
 
-        schedule = context.artifact("schedule")
+        prev_state = changed = None
+        if context.prev is not None:
+            # re-check only the pairs with a changed endpoint
+            prev_state = context.prev.artifacts.get("race_state")
+            changed = _changed_tasks(htg, context.prev.htg)
         race_report, race_state = incremental_race_check(
-            context.artifact("htg"),
+            htg,
             schedule.mapping,
             schedule.order,
             model.entry,
-            prev_state=context.prev_race_state,
-            changed_tasks=context.changed_task_ids,
+            prev_state=prev_state,
+            changed_tasks=changed,
         )
         context.info["race_pairs_checked"] = race_report.checked.get("pairs_checked", 0)
         if race_report.checked.get("pairs_reused"):
             context.info["race_pairs_reused"] = race_report.checked["pairs_reused"]
+            context.info["incremental"] = "incremental"
         if race_report.count("error"):
             # warnings (e.g. race.chunk-overlap-unproven) survive the gate
             raise PipelineError(
@@ -398,14 +418,12 @@ def _parallel_stage(context: PipelineContext) -> dict[str, Any]:
                     str(f) for f in race_report.findings if f.severity == "error"
                 )
             )
-    program = build_parallel_program(
-        context.artifact("htg"), model.entry, context.platform, context.artifact("schedule")
-    )
+    program = build_parallel_program(htg, model.entry, context.platform, schedule)
     context.info["sync_ops"] = program.num_sync_ops
     produced: dict[str, Any] = {"parallel_program": program}
     if race_state is not None:
         # extra (undeclared) artifact: the reusable race-check snapshot a
-        # later run_incremental seeds incremental_race_check from
+        # later run_incremental re-checks from
         produced["race_state"] = race_state
     return produced
 
@@ -455,7 +473,7 @@ def _wcet_stage(context: PipelineContext) -> dict[str, Any]:
 
 
 # ---------------------------------------------------------------------- #
-# content-addressed stage cache keys (see Stage.cache_key)
+# run fingerprints and replay keys (see Stage.frontier)
 # ---------------------------------------------------------------------- #
 def _config_digest(config: ToolchainConfig) -> str:
     knobs = dataclasses.asdict(config)
@@ -467,12 +485,8 @@ def _config_digest(config: ToolchainConfig) -> str:
     ).hexdigest()
 
 
-def _htg_fingerprint(context: PipelineContext, htg: HierarchicalTaskGraph) -> str:
-    """Structural fingerprint of an HTG: tasks by content, edges by payload."""
-    return _htg_fingerprint_of(htg, context.wcet_cache)
-
-
 def _htg_fingerprint_of(htg: HierarchicalTaskGraph, cache: WcetAnalysisCache) -> str:
+    """Structural fingerprint of an HTG: tasks by content, edges by payload."""
     tasks = sorted(
         (
             task.task_id,
@@ -487,58 +501,10 @@ def _htg_fingerprint_of(htg: HierarchicalTaskGraph, cache: WcetAnalysisCache) ->
     ).hexdigest()
 
 
-#: scheduler callable -> monotonic token: identifies the *implementation*
-#: without the id()-reuse hazard (a freed callable's address can be handed
-#: to its replacement; a weak key dies with the callable and the counter
-#: never repeats, so a re-registered scheduler always gets a fresh token)
-_scheduler_tokens: "weakref.WeakKeyDictionary[Callable, int]" = weakref.WeakKeyDictionary()
-_scheduler_token_counter = itertools.count()
-
-
-def _scheduler_identity(name: str) -> str | None:
-    """Process-local identity of the implementation behind a scheduler name.
-
-    ``config.scheduler`` is resolved through a registry that explicitly
-    supports re-registration (``replace=True``), so the name alone does not
-    pin what the schedule stage will run.  The stage cache is strictly
-    per-process, which makes a per-callable token a valid key component;
-    callables that cannot be weakly referenced return ``None`` (the stage
-    is then uncacheable rather than at risk of a stale hit).
-    """
-    build = get_scheduler(name).build
-    try:
-        token = _scheduler_tokens.get(build)
-        if token is None:
-            token = next(_scheduler_token_counter)
-            _scheduler_tokens[build] = token
-    except TypeError:
-        return None
-    return (
-        f"{getattr(build, '__module__', '')}."
-        f"{getattr(build, '__qualname__', '')}#{token}"
-    )
-
-
-def _schedule_stage_key(context: PipelineContext) -> str | None:
-    """Everything the schedule depends on: IR, HTG, platform content, config,
-    and the concrete scheduler implementation the registry resolves to."""
-    psig = platform_signature(context.platform)
-    if psig is None:
-        return None
-    scheduler_id = _scheduler_identity(context.config.scheduler)
-    if scheduler_id is None:
-        return None
-    model: CompiledModel = context.artifact("transformed_model")
-    return "|".join(
-        (
-            "schedule",
-            context.wcet_cache.function_fingerprint(model.entry),
-            _htg_fingerprint(context, context.artifact("htg")),
-            psig,
-            _config_digest(context.config),
-            scheduler_id,
-        )
-    )
+def _extraction_digest(config: ToolchainConfig) -> str:
+    return hashlib.sha1(
+        json.dumps([config.granularity, config.loop_chunks]).encode("utf-8")
+    ).hexdigest()
 
 
 def _schedule_digest(schedule: Schedule) -> str:
@@ -553,23 +519,116 @@ def _schedule_digest(schedule: Schedule) -> str:
     ).hexdigest()
 
 
-def _wcet_stage_key(context: PipelineContext) -> str | None:
-    """Everything the stage touches: the IR and platform determine the
-    produced bound, and the consumed schedule pins the diagnostics -- a
-    custom schedule stage must never replay another schedule's info."""
-    psig = platform_signature(context.platform)
-    if psig is None:
+#: callable -> monotonic token: identifies an *implementation* without the
+#: id()-reuse hazard (a freed callable's address can be handed to its
+#: replacement; a weak key dies with the callable and the counter never
+#: repeats, so a replacement always gets a fresh token)
+_implementation_tokens: "weakref.WeakKeyDictionary[Callable, int]" = weakref.WeakKeyDictionary()
+_implementation_token_counter = itertools.count()
+
+
+def _implementation_token(fn: Callable) -> str | None:
+    """Process-local identity of a callable, ``None`` when it cannot be
+    weakly referenced (whatever it keys is then never replayed)."""
+    try:
+        token = _implementation_tokens.get(fn)
+        if token is None:
+            token = next(_implementation_token_counter)
+            _implementation_tokens[fn] = token
+    except TypeError:
         return None
-    model: CompiledModel = context.artifact("transformed_model")
-    return "|".join(
-        (
-            "wcet",
-            context.wcet_cache.function_fingerprint(model.entry),
-            psig,
-            _config_digest(context.config),
-            _schedule_digest(context.artifact("schedule")),
+    return f"{getattr(fn, '__module__', '')}.{getattr(fn, '__qualname__', '')}#{token}"
+
+
+def _diagram_fingerprint(diagram: Diagram) -> str:
+    from repro.analysis.incremental import diagram_fingerprint
+
+    return diagram_fingerprint(diagram)
+
+
+#: The run fingerprints a stage frontier can name: the artifact each one
+#: digests, and how.  ``extraction`` digests the HTG extraction knobs of the
+#: config.  ``scheduler`` is the identity of the scheduler implementation
+#: the run resolved: the registry supports re-registration
+#: (``replace=True``), so the name alone does not pin what ran.
+FINGERPRINTS: dict[str, tuple[str, Callable[[Any, WcetAnalysisCache], str | None]]] = {
+    "diagram": ("diagram", lambda diagram, cache: _diagram_fingerprint(diagram)),
+    "platform": ("platform", lambda platform, cache: platform_signature(platform)),
+    "config": ("config", lambda config, cache: _config_digest(config)),
+    "extraction": ("config", lambda config, cache: _extraction_digest(config)),
+    "scheduler": ("scheduler", lambda entry, cache: _implementation_token(entry.build)),
+    "function": (
+        "transformed_model",
+        lambda model, cache: cache.function_fingerprint(model.entry),
+    ),
+    "htg": ("htg", _htg_fingerprint_of),
+    "schedule": ("schedule", lambda schedule, cache: _schedule_digest(schedule)),
+}
+
+
+def run_fingerprint(
+    name: str, artifacts: Mapping[str, Any], cache: WcetAnalysisCache
+) -> str | None:
+    """Fingerprint ``name`` of a run's artifacts; ``None`` while the artifact
+    is missing or when it cannot be fingerprinted."""
+    artifact_name, digest = FINGERPRINTS[name]
+    artifact = artifacts.get(artifact_name)
+    return None if artifact is None else digest(artifact, cache)
+
+
+def replay_key(
+    frontier: tuple[str, ...] | None,
+    implementation: str | None,
+    fingerprint: Callable[[str], str | None],
+) -> str | None:
+    """The key a stage replays under: its implementation identity plus its
+    frontier's fingerprints.  ``None`` -- equal to nothing -- when the stage
+    declares no frontier or any part is missing or unfingerprintable."""
+    if frontier is None or implementation is None:
+        return None
+    parts = [implementation]
+    for name in frontier:
+        value = fingerprint(name)
+        if value is None:
+            return None
+        parts.append(value)
+    return "|".join(parts)
+
+
+def _replay_groups(
+    stages: tuple[Stage, ...],
+) -> dict[str, tuple[tuple[str, ...] | None, str | None, tuple[str, ...]]]:
+    """Per stage: the frontier and implementation its replay key covers, and
+    the stages sharing that key.
+
+    Stages joined by an artifact no fingerprint digests (the front end's
+    untransformed ``model``) share one key, built from all their frontiers
+    and implementations, so they replay together or not at all: nothing
+    proves such an artifact unchanged, and the transformation passes mutate
+    the model in place, so the previous run holds no untransformed model to
+    hand a re-run consumer.
+    """
+    digested = {artifact for artifact, _ in FINGERPRINTS.values()}
+    producer = {artifact: stage.name for stage in stages for artifact in stage.produces}
+    joined = {stage.name: {stage.name} for stage in stages}
+    for stage in stages:
+        for artifact in stage.consumes:
+            if artifact in producer and artifact not in digested:
+                merged = joined[producer[artifact]] | joined[stage.name]
+                for name in merged:
+                    joined[name] = merged
+    groups = {}
+    for stage in stages:
+        members = [s for s in stages if s.name in joined[stage.name]]
+        frontiers = [s.frontier for s in members]
+        tokens = [_implementation_token(s.run) for s in members]
+        groups[stage.name] = (
+            None if None in frontiers
+            else tuple(dict.fromkeys(name for f in frontiers if f for name in f)),
+            None if None in tokens else "+".join(t for t in tokens if t),
+            tuple(s.name for s in members),
         )
-    )
+    return groups
 
 
 def default_stages() -> tuple[Stage, ...]:
@@ -581,6 +640,7 @@ def default_stages() -> tuple[Stage, ...]:
             consumes=("diagram",),
             produces=("model",),
             description="model-based specification -> IR entry function",
+            frontier=("diagram", "platform", "config"),
         ),
         Stage(
             name="transforms",
@@ -588,6 +648,8 @@ def default_stages() -> tuple[Stage, ...]:
             consumes=("model",),
             produces=("transformed_model", "pass_reports"),
             description="predictability-enhancing transformation passes",
+            # scratchpad allocation reads the platform's scratchpads
+            frontier=("diagram", "platform", "config"),
         ),
         Stage(
             name="htg",
@@ -595,14 +657,15 @@ def default_stages() -> tuple[Stage, ...]:
             consumes=("transformed_model",),
             produces=("htg",),
             description="hierarchical task graph extraction + WCET annotation",
+            frontier=("function", "extraction", "platform"),
         ),
         Stage(
             name="schedule",
             run=_schedule_stage,
-            consumes=("transformed_model", "htg"),
+            consumes=("transformed_model", "htg", "scheduler"),
             produces=("schedule",),
             description="WCET-aware mapping/scheduling (via the scheduler registry)",
-            cache_key=_schedule_stage_key,
+            frontier=("function", "htg", "platform", "config", "scheduler"),
         ),
         Stage(
             name="parallel",
@@ -610,6 +673,7 @@ def default_stages() -> tuple[Stage, ...]:
             consumes=("transformed_model", "htg", "schedule"),
             produces=("parallel_program",),
             description="explicit parallel program construction",
+            frontier=("function", "htg", "schedule", "platform", "config"),
         ),
         Stage(
             name="wcet",
@@ -617,7 +681,7 @@ def default_stages() -> tuple[Stage, ...]:
             consumes=("transformed_model", "schedule"),
             produces=("sequential_bound",),
             description="sequential reference bound (system bound lives on the schedule)",
-            cache_key=_wcet_stage_key,
+            frontier=("function", "platform", "config", "schedule"),
         ),
         Stage(
             name="certify",
@@ -625,6 +689,7 @@ def default_stages() -> tuple[Stage, ...]:
             consumes=("transformed_model", "htg", "schedule"),
             produces=("certificates",),
             description="independent certificate checkers (gated by config.certify)",
+            frontier=("function", "htg", "schedule", "platform", "config"),
         ),
     )
 
@@ -632,14 +697,22 @@ def default_stages() -> tuple[Stage, ...]:
 def _order_stages(stages: tuple[Stage, ...]) -> tuple[Stage, ...]:
     """Validate the artifact graph and return the stages in dependency order.
 
-    Checks: unique stage names, every artifact produced exactly once, every
-    consumed artifact available (initial or produced), and acyclicity.  The
-    topological order is stable with respect to the declaration order.
+    Checks: unique stage names, known frontier fingerprints, every artifact
+    produced exactly once, every consumed artifact available (initial or
+    produced), and acyclicity.  The topological order is stable with
+    respect to the declaration order.
     """
     names = [stage.name for stage in stages]
     if len(set(names)) != len(names):
         dupes = sorted({n for n in names if names.count(n) > 1})
         raise PipelineError(f"duplicate stage names: {', '.join(dupes)}")
+    for stage in stages:
+        unknown = sorted(set(stage.frontier or ()) - set(FINGERPRINTS))
+        if unknown:
+            raise PipelineError(
+                f"stage {stage.name!r} names unknown fingerprint(s) {', '.join(unknown)} "
+                f"in its frontier (known: {', '.join(FINGERPRINTS)})"
+            )
     producer: dict[str, Stage] = {}
     for stage in stages:
         for artifact in stage.produces:
@@ -686,7 +759,6 @@ class Pipeline:
         config: ToolchainConfig | None = None,
         wcet_cache: WcetAnalysisCache | None = None,
         stages: tuple[Stage, ...] | None = None,
-        stage_cache: StageArtifactCache | None = None,
     ) -> None:
         self.platform = platform
         self.config = config or ToolchainConfig()
@@ -695,13 +767,8 @@ class Pipeline:
         #: explorations).  Defaults to the process-wide shared cache, which
         #: is disk-backed when ``REPRO_WCET_CACHE_DIR`` is set.
         self.wcet_cache = wcet_cache if wcet_cache is not None else shared_cache()
-        #: Per-stage artifact cache; stages that declare a ``cache_key``
-        #: reuse their outputs through it.  ``None`` disables stage caching
-        #: unless ``config.stage_cache`` opts into the process-wide cache.
-        if stage_cache is None and self.config.stage_cache:
-            stage_cache = shared_stage_cache()
-        self.stage_cache = stage_cache
         self.stages = _order_stages(tuple(stages) if stages is not None else default_stages())
+        self._replay = _replay_groups(self.stages)
         report = platform.check_predictability()
         if not report.passed:
             raise ToolchainError(
@@ -715,11 +782,7 @@ class Pipeline:
     def with_stage(self, stage: Stage) -> "Pipeline":
         """A new pipeline with ``stage`` added (position decided by the graph)."""
         return Pipeline(
-            self.platform,
-            self.config,
-            self.wcet_cache,
-            stages=self.stages + (stage,),
-            stage_cache=self.stage_cache,
+            self.platform, self.config, self.wcet_cache, stages=self.stages + (stage,)
         )
 
     def replace_stage(self, name: str, stage: Stage) -> "Pipeline":
@@ -727,20 +790,14 @@ class Pipeline:
         if all(s.name != name for s in self.stages):
             raise PipelineError(f"no stage named {name!r} to replace")
         stages = tuple(stage if s.name == name else s for s in self.stages)
-        return Pipeline(
-            self.platform, self.config, self.wcet_cache, stages=stages,
-            stage_cache=self.stage_cache,
-        )
+        return Pipeline(self.platform, self.config, self.wcet_cache, stages=stages)
 
     def without_stage(self, name: str) -> "Pipeline":
         """A new pipeline with the stage called ``name`` removed."""
         if all(s.name != name for s in self.stages):
             raise PipelineError(f"no stage named {name!r} to remove")
         stages = tuple(s for s in self.stages if s.name != name)
-        return Pipeline(
-            self.platform, self.config, self.wcet_cache, stages=stages,
-            stage_cache=self.stage_cache,
-        )
+        return Pipeline(self.platform, self.config, self.wcet_cache, stages=stages)
 
     # ------------------------------------------------------------------ #
     # execution
@@ -751,13 +808,39 @@ class Pipeline:
         With ``config.trace`` set, observability (:mod:`repro.obs`) is
         enabled for the duration of the run and restored afterwards.
         """
+        return self._traced(diagram, None)
+
+    def run_incremental(self, prev: PipelineResult, diagram: Diagram) -> PipelineResult:
+        """Re-run the flow on an edited ``diagram``, reusing ``prev``.
+
+        The same stage loop as :meth:`run`: a stage whose replay key (see
+        :class:`Stage`) equals the one recorded in ``prev``'s
+        :meth:`PipelineResult.artifact_summary` is *replayed by reference*;
+        any other stage runs, seeing ``prev`` as ``context.prev``.  The
+        built-in stages that run reuse what is provably unchanged:
+
+        * HTG extraction rebuilds only regions whose code fingerprint
+          changed (tasks of clean regions are shallow-copied);
+        * the race check reuses the previous happens-before closure and
+          re-scans only pairs with a changed endpoint.
+
+        The result is bit-identical to a cold :meth:`run` on the same
+        diagram: every reuse is guarded by content fingerprints.  The
+        per-run reuse accounting lands in
+        ``result.artifacts["incremental_report"]`` (an
+        :class:`~repro.analysis.incremental.IncrementalReport`) and in
+        ``cache_stats["stages_reused"] / ["stages_recomputed"]``.
+        """
+        return self._traced(diagram, prev)
+
+    def _traced(self, diagram: Diagram, prev: PipelineResult | None) -> PipelineResult:
         previous = obs.set_enabled(obs.obs_enabled() or self.config.trace)
         try:
-            return self._run(diagram)
+            return self._run(diagram, prev)
         finally:
             obs.set_enabled(previous)
 
-    def _run(self, diagram: Diagram) -> PipelineResult:
+    def _run(self, diagram: Diagram, prev: PipelineResult | None) -> PipelineResult:
         context = PipelineContext(
             diagram=diagram,
             platform=self.platform,
@@ -767,7 +850,12 @@ class Pipeline:
                 "diagram": diagram,
                 "platform": self.platform,
                 "config": self.config,
+                "scheduler": get_scheduler(self.config.scheduler),
             },
+            prev=prev,
+        )
+        prev_keys = (
+            prev.artifact_summary(self.wcet_cache)["frontiers"] if prev is not None else {}
         )
         stats = self.wcet_cache.stats
         counters_before = (stats.hits, stats.disk_hits, stats.misses)
@@ -775,30 +863,33 @@ class Pipeline:
         run_started = time.perf_counter()
         metrics_before = obs.metrics_snapshot() if obs_on else None
         records: list[StageRecord] = []
-        stage_hits = 0
-        stage_misses = 0
+        decisions: dict[tuple[str, ...], bool] = {}
         for stage in self.stages:
-            context.info = {}
-            started = time.perf_counter()
-            produced: dict[str, Any] | None = None
-            cached_info: dict[str, Any] | None = None
-            cache_key: str | None = None
-            with obs.span(f"stage.{stage.name}") as stage_span:
-                if self.stage_cache is not None and stage.cache_key is not None:
-                    cache_key = stage.cache_key(context)
-                    if cache_key is not None:
-                        cached = self.stage_cache.lookup(stage.name, cache_key)
-                        if cached is not None:
-                            produced, cached_info = cached
-                            stage_hits += 1
-                        else:
-                            stage_misses += 1
-                from_cache = produced is not None
-                if produced is None:
+            frontier, implementation, members = self._replay[stage.name]
+            replay = decisions.get(members)
+            if replay is None:
+                # stages sharing a key replay together (see _replay_groups)
+                key = None
+                if prev is not None:
+                    key = replay_key(frontier, implementation, context.fingerprint)
+                replay = decisions[members] = key is not None and all(
+                    prev_keys.get(member) == key for member in members
+                )
+            if replay:
+                assert prev is not None
+                prev_record = prev.stage(stage.name)
+                produced = {name: prev.artifacts[name] for name in prev_record.produced}
+                info = dict(prev_record.info, incremental="reused")
+                seconds = 0.0
+            else:
+                context.info = {}
+                started = time.perf_counter()
+                with obs.span(f"stage.{stage.name}"):
                     produced = dict(stage.run(context) or {})
-                elif obs_on:
-                    stage_span.set(stage_cache="hit")
-            seconds = time.perf_counter() - started
+                seconds = time.perf_counter() - started
+                info = dict(context.info)
+                if prev is not None:
+                    info.setdefault("incremental", "recomputed")
             missing = [a for a in stage.produces if a not in produced]
             if missing:
                 raise PipelineError(
@@ -806,19 +897,14 @@ class Pipeline:
                     f"{', '.join(missing)}"
                 )
             context.artifacts.update(produced)
-            if from_cache:
-                info = dict(cached_info or {})
-                info["stage_cache"] = "hit"
-            else:
-                info = dict(context.info)
-                if cache_key is not None:
-                    self.stage_cache.store(stage.name, cache_key, produced, info)
             records.append(
                 StageRecord(
                     name=stage.name,
                     seconds=seconds,
                     produced=tuple(produced),
                     info=info,
+                    frontier=frontier,
+                    implementation=implementation,
                 )
             )
         cache_stats = {
@@ -829,14 +915,38 @@ class Pipeline:
                 (stats.hits, stats.disk_hits, stats.misses),
             )
         }
-        cache_stats["stage_hits"] = stage_hits
-        cache_stats["stage_misses"] = stage_misses
-        telemetry = self._capture_telemetry(
-            obs_on, run_started, metrics_before, diagram, cache_stats, len(records)
+        result = self._assemble_result(diagram, context, records, cache_stats)
+        if prev is not None:
+            from repro.analysis.incremental import IncrementalReport, diff_summaries
+
+            report = IncrementalReport.from_records(records)
+            report.diff = diff_summaries(
+                prev.artifact_summary(self.wcet_cache),
+                result.artifact_summary(self.wcet_cache),
+            )
+            result.artifacts["incremental_report"] = report
+            cache_stats["stages_reused"] = report.stages_reused
+            cache_stats["stages_recomputed"] = report.stages_recomputed
+            if obs_on:
+                registry = obs.metrics()
+                for name, value in (
+                    ("stages_reused", report.stages_reused),
+                    ("stages_recomputed", report.stages_recomputed),
+                    ("regions_reused", report.regions_reused),
+                    ("regions_recomputed", report.regions_recomputed),
+                    ("race_pairs_reused", report.race_pairs_reused),
+                ):
+                    registry.counter(f"incremental.{name}").inc(value)
+        result.telemetry_data = self._capture_telemetry(
+            obs_on,
+            run_started,
+            metrics_before,
+            diagram,
+            cache_stats,
+            len(records),
+            span_name="pipeline.run" if prev is None else "pipeline.run_incremental",
         )
-        return self._assemble_result(
-            diagram, context, records, cache_stats, telemetry=telemetry
-        )
+        return result
 
     def _capture_telemetry(
         self,
@@ -846,14 +956,14 @@ class Pipeline:
         diagram: Diagram,
         cache_stats: dict[str, int],
         num_stages: int,
-        span_name: str = "pipeline.run",
+        span_name: str,
     ) -> "dict[str, Any] | None":
         """Fold this run's cache deltas into the registry and carve out the
         per-run metrics snapshot (``None`` when observability is off)."""
         if not obs_on:
             return None
         registry = obs.metrics()
-        for key in ("hits", "disk_hits", "misses", "stage_hits", "stage_misses"):
+        for key in ("hits", "disk_hits", "misses"):
             delta = cache_stats.get(key, 0)
             if delta:
                 registry.counter(f"wcet_cache.{key}").inc(delta)
@@ -872,391 +982,12 @@ class Pipeline:
             "metrics": obs.snapshot_delta(metrics_before or {}, obs.metrics_snapshot()),
         }
 
-    def run_incremental(self, prev: PipelineResult, diagram: Diagram) -> PipelineResult:
-        """Re-run the flow on an edited ``diagram``, reusing ``prev``.
-
-        Walks the analysis dependency graph of ``prev`` (its
-        :meth:`PipelineResult.artifact_summary`): a stage whose complete
-        input frontier is unchanged is *replayed by reference* instead of
-        re-run, and the stages that must run do so incrementally --
-
-        * HTG extraction rebuilds only regions whose code fingerprint
-          changed (task decompositions of clean regions are shallow-copied);
-        * the race check reuses the previous happens-before closure and
-          re-scans only pairs with a changed endpoint;
-        * the schedule stage warm-starts the interference fixed point from
-          the previous converged state (certificate-checked before reuse,
-          see :mod:`repro.wcet.system_level`).
-
-        The result is bit-identical to a cold :meth:`run` on the same
-        diagram: every reuse is guarded by content fingerprints (replay is
-        only valid when it *proves* the inputs unchanged) or re-validated by
-        an independent checker (the warm fixed point).  The per-run reuse
-        accounting lands in ``result.artifacts["incremental_report"]`` (an
-        :class:`~repro.analysis.incremental.IncrementalReport`) and in
-        ``cache_stats["stages_reused"] / ["stages_recomputed"]``.
-
-        Falls back to a plain cold run (with ``fallback_reason`` set) when
-        the stage graph is customised -- the engine only knows the input
-        frontiers of the seven built-in stages.
-        """
-        previous = obs.set_enabled(obs.obs_enabled() or self.config.trace)
-        try:
-            return self._run_incremental(prev, diagram)
-        finally:
-            obs.set_enabled(previous)
-
-    def _run_incremental(self, prev: PipelineResult, diagram: Diagram) -> PipelineResult:
-        from repro.analysis.incremental import (
-            TRACKED_STAGES,
-            IncrementalReport,
-            _digest,
-            diagram_fingerprint,
-            diff_summaries,
-            stage_input_frontiers,
-        )
-        from repro.wcet.system_level import warm_start_hint
-
-        report = IncrementalReport()
-        obs_on = obs.obs_enabled()
-        run_started = time.perf_counter()
-        metrics_before = obs.metrics_snapshot() if obs_on else None
-        stage_names = tuple(stage.name for stage in self.stages)
-        if stage_names != TRACKED_STAGES:
-            report.fallback_reason = (
-                "custom stage graph: input frontiers unknown for "
-                + ", ".join(sorted(set(stage_names) ^ set(TRACKED_STAGES)))
-            )
-            result = self.run(diagram)
-            report.stages = {name: "recomputed" for name in stage_names}
-            result.cache_stats["stages_reused"] = 0
-            result.cache_stats["stages_recomputed"] = len(stage_names)
-            result.artifacts["incremental_report"] = report
-            return result
-
-        prev_summary = prev.artifact_summary(self.wcet_cache)
-        prev_fp = dict(prev_summary["fingerprints"])
-        prev_frontiers = dict(prev_summary["frontiers"])
-        new_fp: dict[str, Any] = {
-            "diagram": diagram_fingerprint(diagram),
-            "platform": platform_signature(self.platform),
-            "config": _config_digest(self.config),
-            "extraction": _digest([self.config.granularity, self.config.loop_chunks]),
-            "scheduler": _scheduler_identity(self.config.scheduler),
-        }
-
-        # ---- quick path: nothing changed -> zero stages re-run ---------- #
-        if (
-            new_fp["platform"] is not None
-            and new_fp["scheduler"] is not None
-            and new_fp["diagram"] == prev_fp.get("diagram")
-            and new_fp["platform"] == prev_fp.get("platform")
-            and new_fp["config"] == prev_fp.get("config")
-            and new_fp["scheduler"] == prev_fp.get("scheduler")
-        ):
-            report.diff = diff_summaries(prev_summary, prev_summary)
-            report.stages = {name: "reused" for name in stage_names}
-            report.regions_reused = len(prev_summary["regions"])
-            records = []
-            for stage in self.stages:
-                try:
-                    prev_record = prev.stage(stage.name)
-                    produced, info = prev_record.produced, dict(prev_record.info)
-                except KeyError:
-                    produced, info = stage.produces, {}
-                info["incremental"] = "reused"
-                records.append(
-                    StageRecord(name=stage.name, seconds=0.0, produced=produced, info=info)
-                )
-            artifacts = dict(prev.artifacts)
-            artifacts.update(
-                {"diagram": diagram, "platform": self.platform, "config": self.config}
-            )
-            artifacts["incremental_report"] = report
-            if obs_on:
-                obs.metrics().counter("incremental.stages_reused").inc(len(stage_names))
-            telemetry = self._capture_telemetry(
-                obs_on,
-                run_started,
-                metrics_before,
-                diagram,
-                {},
-                len(records),
-                span_name="pipeline.run_incremental",
-            )
-            return PipelineResult(
-                diagram_name=diagram.name,
-                platform_name=self.platform.name,
-                config=self.config,
-                model=prev.model,
-                htg=prev.htg,
-                schedule=prev.schedule,
-                parallel_program=prev.parallel_program,
-                sequential_bound=prev.sequential_bound,
-                pass_reports=list(prev.pass_reports),
-                stage_records=records,
-                artifacts=artifacts,
-                cache_stats={
-                    "hits": 0,
-                    "disk_hits": 0,
-                    "misses": 0,
-                    "stage_hits": 0,
-                    "stage_misses": 0,
-                    "stages_reused": len(stage_names),
-                    "stages_recomputed": 0,
-                },
-                telemetry_data=telemetry,
-                _summary=prev_summary,
-            )
-
-        # ---- dirty path: replay clean stages, re-run dirty ones --------- #
-        context = PipelineContext(
-            diagram=diagram,
-            platform=self.platform,
-            config=self.config,
-            wcet_cache=self.wcet_cache,
-            artifacts={
-                "diagram": diagram,
-                "platform": self.platform,
-                "config": self.config,
-            },
-        )
-        stats = self.wcet_cache.stats
-        counters_before = (stats.hits, stats.disk_hits, stats.misses)
-        records: list[StageRecord] = []
-        by_name = {stage.name: stage for stage in self.stages}
-
-        def execute(name: str, status: str = "recomputed") -> StageRecord:
-            stage = by_name[name]
-            context.info = {}
-            started = time.perf_counter()
-            with obs.span(f"stage.{name}", incremental=status):
-                produced = dict(stage.run(context) or {})
-            seconds = time.perf_counter() - started
-            missing = [a for a in stage.produces if a not in produced]
-            if missing:
-                raise PipelineError(
-                    f"stage {name!r} did not produce declared artifact(s): "
-                    f"{', '.join(missing)}"
-                )
-            context.artifacts.update(produced)
-            info = dict(context.info)
-            info["incremental"] = status
-            record = StageRecord(
-                name=name, seconds=seconds, produced=tuple(produced), info=info
-            )
-            records.append(record)
-            report.stages[name] = status
-            return record
-
-        def replay(name: str) -> None:
-            try:
-                prev_record = prev.stage(name)
-                artifact_names = prev_record.produced
-                info = dict(prev_record.info)
-            except KeyError:
-                artifact_names, info = by_name[name].produces, {}
-            produced = {
-                artifact: prev.artifacts[artifact]
-                for artifact in artifact_names
-                if artifact in prev.artifacts
-            }
-            context.artifacts.update(produced)
-            info["incremental"] = "reused"
-            records.append(
-                StageRecord(name=name, seconds=0.0, produced=tuple(produced), info=info)
-            )
-            report.stages[name] = "reused"
-
-        # frontend + transforms always re-run here: the transformation
-        # passes mutate the compiled model in place, so the previous run
-        # holds no pristine pre-transform model to replay from.
-        execute("frontend")
-        execute("transforms")
-        model: CompiledModel = context.artifact("transformed_model")
-        # the passes just mutated the freshly compiled IR in place; per the
-        # WcetAnalysisCache contract, drop any fingerprints memoized for it
-        # before fingerprinting the final content
-        self.wcet_cache.invalidate_fingerprints(model.entry)
-        new_fp["function"] = self.wcet_cache.function_fingerprint(model.entry)
-        new_regions = {
-            name: self.wcet_cache.region_fingerprint(block)
-            for name, block in model.block_regions
-        }
-        prev_regions = dict(prev_summary["regions"])
-        unchanged_regions = {
-            name for name, fp in new_regions.items() if prev_regions.get(name) == fp
-        }
-
-        # htg: replay / per-region incremental re-extraction / cold
-        changed_task_ids: set[str] | None
-        psig_ok = (
-            new_fp["platform"] is not None
-            and new_fp["platform"] == prev_fp.get("platform")
-        )
-        extraction_same = new_fp["extraction"] == prev_fp.get("extraction")
-        if (
-            psig_ok
-            and extraction_same
-            and prev_fp.get("function") is not None
-            and new_fp["function"] == prev_fp.get("function")
-        ):
-            replay("htg")
-            changed_task_ids = set()
-            report.regions_reused += len(new_regions)
-        elif psig_ok and extraction_same:
-            from repro.htg.extraction import extract_htg_incremental
-
-            context.info = {}
-            started = time.perf_counter()
-            options = ExtractionOptions(
-                granularity=self.config.granularity,
-                loop_chunks=self.config.loop_chunks,
-            )
-            prev_tasks: dict[str, list] = {}
-            for task in prev.htg.tasks.values():
-                if task.origin:
-                    prev_tasks.setdefault(task.origin, []).append(task)
-            htg, inc = extract_htg_incremental(
-                model, options, prev_tasks, unchanged_regions
-            )
-            # reused tasks are copies of already-annotated tasks and the
-            # platform signature is proven unchanged (psig_ok), so only the
-            # re-extracted tasks need WCET annotation; when the edit kept
-            # the task/edge structure, the previous run's reachability memo
-            # applies verbatim as well.
-            htg.adopt_reachability(prev.htg)
-            cost_model = HardwareCostModel(self.platform, self.platform.cores[0].core_id)
-            self.wcet_cache.annotate_htg(
-                htg, model.entry, cost_model, only=set(inc["changed_task_ids"])
-            )
-            context.artifacts["htg"] = htg
-            records.append(
-                StageRecord(
-                    name="htg",
-                    seconds=time.perf_counter() - started,
-                    produced=("htg",),
-                    info={
-                        "tasks": len(htg.leaf_tasks()),
-                        "regions_reused": inc["regions_reused"],
-                        "regions_recomputed": inc["regions_recomputed"],
-                        "incremental": "incremental",
-                    },
-                )
-            )
-            report.stages["htg"] = "incremental"
-            report.regions_reused += inc["regions_reused"]
-            report.regions_recomputed += inc["regions_recomputed"]
-            changed_task_ids = set(inc["changed_task_ids"])
-        else:
-            execute("htg")
-            changed_task_ids = None
-            report.regions_recomputed += len(new_regions)
-        new_fp["htg"] = _htg_fingerprint_of(context.artifact("htg"), self.wcet_cache)
-
-        # schedule: replay, or re-run warm-started from the previous result
-        schedule_frontier = stage_input_frontiers(new_fp)["schedule"]
-        if (
-            schedule_frontier is not None
-            and schedule_frontier == prev_frontiers.get("schedule")
-        ):
-            replay("schedule")
-        else:
-            with warm_start_hint(prev.schedule.result):
-                record = execute("schedule")
-            warm_info = getattr(
-                context.artifact("schedule").result, "warm_info", None
-            )
-            if warm_info is not None:
-                report.warm_fixed_point = warm_info
-                record.info["warm_started"] = bool(warm_info.get("warm_started"))
-        new_fp["schedule"] = _schedule_digest(context.artifact("schedule"))
-        frontiers = stage_input_frontiers(new_fp)
-
-        # parallel: replay, or re-check only race pairs with a changed endpoint
-        if (
-            frontiers["parallel"] is not None
-            and frontiers["parallel"] == prev_frontiers.get("parallel")
-        ):
-            replay("parallel")
-        else:
-            context.prev_race_state = prev.artifacts.get("race_state")
-            context.changed_task_ids = changed_task_ids
-            status = (
-                "incremental"
-                if context.prev_race_state is not None and changed_task_ids is not None
-                else "recomputed"
-            )
-            record = execute("parallel", status)
-            report.race_pairs_checked = record.info.get("race_pairs_checked", 0)
-            report.race_pairs_reused = record.info.get("race_pairs_reused", 0)
-
-        # wcet + certify: pure frontier comparisons
-        if (
-            frontiers["wcet"] is not None
-            and frontiers["wcet"] == prev_frontiers.get("wcet")
-        ):
-            replay("wcet")
-        else:
-            execute("wcet")
-        if (
-            frontiers["certify"] is not None
-            and frontiers["certify"] == prev_frontiers.get("certify")
-        ):
-            replay("certify")
-        else:
-            execute("certify")
-
-        cache_stats = {
-            key: after - before
-            for key, before, after in zip(
-                ("hits", "disk_hits", "misses"),
-                counters_before,
-                (stats.hits, stats.disk_hits, stats.misses),
-            )
-        }
-        cache_stats["stage_hits"] = 0
-        cache_stats["stage_misses"] = 0
-        cache_stats["stages_reused"] = report.stages_reused
-        cache_stats["stages_recomputed"] = report.stages_recomputed
-        if obs_on:
-            registry = obs.metrics()
-            registry.counter("incremental.stages_reused").inc(report.stages_reused)
-            registry.counter("incremental.stages_recomputed").inc(
-                report.stages_recomputed
-            )
-            registry.counter("incremental.regions_reused").inc(report.regions_reused)
-            registry.counter("incremental.regions_recomputed").inc(
-                report.regions_recomputed
-            )
-            registry.counter("incremental.race_pairs_reused").inc(
-                report.race_pairs_reused
-            )
-        telemetry = self._capture_telemetry(
-            obs_on,
-            run_started,
-            metrics_before,
-            diagram,
-            cache_stats,
-            len(records),
-            span_name="pipeline.run_incremental",
-        )
-        result = self._assemble_result(
-            diagram, context, records, cache_stats, telemetry=telemetry
-        )
-        report.diff = diff_summaries(
-            prev_summary, result.artifact_summary(self.wcet_cache)
-        )
-        result.artifacts["incremental_report"] = report
-        return result
-
     def _assemble_result(
         self,
         diagram: Diagram,
         context: PipelineContext,
         records: list[StageRecord],
         cache_stats: dict[str, int],
-        telemetry: "dict[str, Any] | None" = None,
     ) -> PipelineResult:
         artifacts = context.artifacts
 
@@ -1281,7 +1012,6 @@ class Pipeline:
             stage_records=records,
             artifacts=dict(artifacts),
             cache_stats=cache_stats,
-            telemetry_data=telemetry,
         )
 
     # ------------------------------------------------------------------ #
@@ -1307,15 +1037,12 @@ def run_pipeline(
     platform: Platform,
     config: ToolchainConfig | None = None,
     wcet_cache: WcetAnalysisCache | None = None,
-    stage_cache: StageArtifactCache | None = None,
 ) -> PipelineResult:
     """Run the complete flow, honouring ``config.feedback_iterations``.
 
     Mirrors ``ArgoToolchain.run``: with ``feedback_iterations > 1`` the
     cross-layer feedback loop explores neighbouring configurations (itself an
-    inline sweep) and returns the best result.  ``stage_cache`` opts the
-    single-shot path into per-stage artifact reuse (the feedback path
-    manages its own pipelines and only honours ``config.stage_cache``).
+    inline sweep) and returns the best result.
     """
     config = config or ToolchainConfig()
     if config.feedback_iterations > 1:
@@ -1325,4 +1052,4 @@ def run_pipeline(
         return CrossLayerFeedback(ArgoToolchain(platform, config, wcet_cache)).optimize(
             diagram
         )
-    return Pipeline(platform, config, wcet_cache, stage_cache=stage_cache).run(diagram)
+    return Pipeline(platform, config, wcet_cache).run(diagram)

@@ -7,7 +7,7 @@ parallelization".  These helpers render that information as plain text.
 
 from __future__ import annotations
 
-from repro.core.toolchain import ToolchainResult
+from repro.core.pipeline import PipelineResult
 from repro.htg.graph import HierarchicalTaskGraph
 from repro.scheduling.schedule import Schedule
 from repro.utils.tables import Table
@@ -62,7 +62,7 @@ def fixed_point_report(schedule: Schedule) -> str:
     return "\n".join(lines)
 
 
-def toolchain_summary(result: ToolchainResult) -> str:
+def toolchain_summary(result: PipelineResult) -> str:
     """End-to-end summary of one flow run (the Fig. 1 pipeline outcome)."""
     schedule = result.schedule
     lines = [

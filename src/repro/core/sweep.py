@@ -39,7 +39,7 @@ from typing import Any, Callable, Iterable, Sequence
 from repro import obs
 from repro.adl.architecture import Platform
 from repro.core.config import ToolchainConfig
-from repro.core.pipeline import PipelineResult, StageArtifactCache, run_pipeline
+from repro.core.pipeline import PipelineResult, run_pipeline
 from repro.model.diagram import Diagram
 from repro.utils.tables import Table
 from repro.wcet.cache import WcetAnalysisCache, shared_cache
@@ -225,10 +225,7 @@ def _describe_spec(spec: Any) -> str:
 
 
 def _execute_case(
-    index: int,
-    case: SweepCase,
-    cache: WcetAnalysisCache | None,
-    stage_cache: StageArtifactCache | None = None,
+    index: int, case: SweepCase, cache: WcetAnalysisCache | None
 ) -> SweepOutcome:
     outcome = SweepOutcome(
         index=index,
@@ -245,9 +242,7 @@ def _execute_case(
         with obs.span(
             "sweep.case", index=index, diagram=outcome.diagram_name, label=case.label
         ):
-            result = run_pipeline(
-                diagram, platform, case.config, wcet_cache=cache, stage_cache=stage_cache
-            )
+            result = run_pipeline(diagram, platform, case.config, wcet_cache=cache)
         outcome.system_wcet = result.system_wcet
         outcome.sequential_wcet = result.sequential_wcet
         outcome.wcet_speedup = result.wcet_speedup
@@ -280,26 +275,11 @@ def _worker_cache(cache_dir: str) -> WcetAnalysisCache:
     return cache
 
 
-#: One stage-artifact cache per worker process (stage artifacts are
-#: in-memory only; cross-process reuse goes through the disk-backed WCET /
-#: system-result tiers instead).
-_WORKER_STAGE_CACHE: StageArtifactCache | None = None
-
-
-def _worker_stage_cache() -> StageArtifactCache:
-    global _WORKER_STAGE_CACHE
-    if _WORKER_STAGE_CACHE is None:
-        _WORKER_STAGE_CACHE = StageArtifactCache()
-    return _WORKER_STAGE_CACHE
-
-
-def _worker_run_case(args: tuple[int, SweepCase, str | None, bool]) -> SweepOutcome:
+def _worker_run_case(args: tuple[int, SweepCase, str | None]) -> SweepOutcome:
     """Run one case in a worker process, flushing the shared disk cache."""
-    index, case, cache_dir, stage_cache = args
+    index, case, cache_dir = args
     cache = _worker_cache(cache_dir) if cache_dir else shared_cache()
-    outcome = _execute_case(
-        index, case, cache, _worker_stage_cache() if stage_cache else None
-    )
+    outcome = _execute_case(index, case, cache)
     # PipelineResult objects can be large and tracebacks do not pickle;
     # workers return tabular data only.
     outcome.result = None
@@ -321,7 +301,6 @@ def sweep(
     cache_dir: str | None = None,
     cache: WcetAnalysisCache | None = None,
     keep_results: bool = False,
-    stage_cache: bool = False,
 ) -> SweepResult:
     """Run every case (or the ``diagrams x platforms x configs`` grid).
 
@@ -331,9 +310,6 @@ def sweep(
     across processes; given together (in-process mode), the cache is
     attached to the directory via :meth:`~repro.wcet.cache.WcetAnalysisCache.load`,
     so warm entries are pulled in and the trailing flush actually persists.
-    ``stage_cache=True`` additionally shares one per-stage artifact cache
-    across the sweep's cases (per worker process in parallel mode), so
-    repeated identical (diagram, platform, config) cases skip whole stages.
 
     Argument validation is mode-based, not size-based: ``keep_results`` /
     ``cache`` are rejected for ``max_workers > 1`` even when the grid has a
@@ -374,10 +350,8 @@ def sweep(
             # (skipped when already attached -- re-merging every shard on
             # every sweep call would re-parse large directories for nothing)
             cache.load(cache_dir)
-        stage_cache_obj = StageArtifactCache() if stage_cache else None
         outcomes = [
-            _execute_case(index, case, cache, stage_cache_obj)
-            for index, case in enumerate(case_list)
+            _execute_case(index, case, cache) for index, case in enumerate(case_list)
         ]
         if cache_dir:
             cache.flush()
@@ -387,10 +361,7 @@ def sweep(
         effective_workers = 1
     else:
         effective_workers = min(max_workers, len(case_list))
-        jobs = [
-            (index, case, cache_dir, stage_cache)
-            for index, case in enumerate(case_list)
-        ]
+        jobs = [(index, case, cache_dir) for index, case in enumerate(case_list)]
         with ProcessPoolExecutor(max_workers=effective_workers) as pool:
             outcomes = list(pool.map(_worker_run_case, jobs))
         if obs.obs_enabled():

@@ -31,18 +31,15 @@ from repro.core.pipeline import (
     PipelineContext,
     PipelineError,
     PipelineResult,
-    StageArtifactCache,
 )
 from repro.frontend import CompiledModel
 from repro.htg import HierarchicalTaskGraph
 from repro.model.diagram import Diagram
+from repro.scheduling.registry import get_scheduler
 from repro.scheduling.schedule import Schedule
 from repro.sim import SimulationResult
 from repro.transforms.base import PassReport
 from repro.wcet.cache import WcetAnalysisCache, shared_cache
-
-#: Backwards-compatible name of the flow's result type.
-ToolchainResult = PipelineResult
 
 
 class ArgoToolchain:
@@ -60,7 +57,6 @@ class ArgoToolchain:
         platform: Platform,
         config: ToolchainConfig | None = None,
         wcet_cache: WcetAnalysisCache | None = None,
-        stage_cache: "StageArtifactCache | None" = None,
     ) -> None:
         self.platform = platform
         self.config = config or ToolchainConfig()
@@ -71,19 +67,19 @@ class ArgoToolchain:
         #: cache, which is disk-backed when ``REPRO_WCET_CACHE_DIR`` is set.
         self.wcet_cache = wcet_cache if wcet_cache is not None else shared_cache()
         #: The underlying stage graph; raises ToolchainError for platforms
-        #: violating the predictability guidelines.  ``stage_cache`` (or the
-        #: ``config.stage_cache`` knob) opts the chain into per-stage
-        #: artifact reuse across runs.
-        self.pipeline = Pipeline(
-            platform, self.config, self.wcet_cache, stage_cache=stage_cache
-        )
+        #: violating the predictability guidelines.
+        self.pipeline = Pipeline(platform, self.config, self.wcet_cache)
 
     # ------------------------------------------------------------------ #
     # piecewise drivers: each delegates to the pipeline's actual stage, so
     # the logic cannot drift from what Pipeline.run executes
     # ------------------------------------------------------------------ #
     def _stage_context(self, diagram: Diagram | None = None, **artifacts) -> PipelineContext:
-        artifacts.update(platform=self.platform, config=self.config)
+        artifacts.update(
+            platform=self.platform,
+            config=self.config,
+            scheduler=get_scheduler(self.config.scheduler),
+        )
         if diagram is not None:
             artifacts["diagram"] = diagram
         return PipelineContext(
@@ -120,7 +116,7 @@ class ArgoToolchain:
         return self._run_stage("schedule", context)["schedule"]
 
     # ------------------------------------------------------------------ #
-    def run(self, diagram: Diagram) -> ToolchainResult:
+    def run(self, diagram: Diagram) -> PipelineResult:
         """Run the complete flow on ``diagram``."""
         if self.config.feedback_iterations > 1:
             from repro.core.feedback import CrossLayerFeedback
@@ -128,13 +124,13 @@ class ArgoToolchain:
             return CrossLayerFeedback(self).optimize(diagram)
         return self.run_once(diagram)
 
-    def run_once(self, diagram: Diagram) -> ToolchainResult:
+    def run_once(self, diagram: Diagram) -> PipelineResult:
         """One pass through the stage graph with the current configuration."""
         return self.pipeline.run(diagram)
 
     # ------------------------------------------------------------------ #
     def simulate(
-        self, result: ToolchainResult, inputs: Mapping[str, Any] | None = None
+        self, result: PipelineResult, inputs: Mapping[str, Any] | None = None
     ) -> SimulationResult:
         """Execute the parallel program on the platform model.
 

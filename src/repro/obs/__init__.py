@@ -19,7 +19,8 @@ Observability contract
   ``fixed_point.runs`` / ``.iterations`` / ``.not_converged`` /
   ``.final_delta`` / ``mhp.pairs_candidate`` / ``.pairs_kept`` /
   ``.pairs_pruned`` / ``.pairs_tested``, ``system_cache.hits`` /
-  ``.misses``, ``wcet_cache.<delta>`` per pipeline run,
+  ``.misses``, ``wcet_cache.hits`` / ``.disk_hits`` / ``.misses`` per
+  pipeline run,
   ``cache.evicted_*``, ``ipet.solves`` / ``.vars`` / ``.constraints``,
   ``certify.<checker>.seconds`` / ``.ok`` / ``.findings``,
   ``scheduler.ready_set_max``, ``bnb.nodes`` / ``.leaves`` / ``.pruned``,

@@ -167,7 +167,6 @@ def evaluate_mapping(
     scheduler: str = "",
     cache: WcetAnalysisCache | None = None,
     certify: bool = False,
-    warm_start=None,
     static_pruning: bool | None = None,
     vectorise_min_pairs: int | None = None,
     design: SystemDesign | None = None,
@@ -176,12 +175,9 @@ def evaluate_mapping(
 
     ``certify`` is forwarded to :func:`system_level_wcet`: a memoized
     result replayed from the result cache is then re-validated by the
-    fixed-point certificate checker before being trusted.  ``warm_start``
-    (a previous :class:`SystemWcetResult`, or the ambient
-    :func:`repro.wcet.system_level.warm_start_hint`) seeds the interference
-    fixed point from the previous converged state; the warm result is
-    certificate-checked before reuse.  ``static_pruning`` and
-    ``vectorise_min_pairs`` are forwarded too (``None`` = the ambient
+    fixed-point certificate checker before being trusted.
+    ``static_pruning`` and ``vectorise_min_pairs`` are forwarded too
+    (``None`` = the ambient
     :func:`repro.wcet.system_level.mhp_options`, then the defaults).
     ``design`` is forwarded as well: a search evaluating many mappings of
     one design point passes one
@@ -191,8 +187,8 @@ def evaluate_mapping(
     order = order or default_core_order(htg, mapping)
     result = system_level_wcet(
         htg, function, platform, mapping, order, cache=cache, certify=certify,
-        warm_start=warm_start, static_pruning=static_pruning,
-        vectorise_min_pairs=vectorise_min_pairs, design=design,
+        static_pruning=static_pruning, vectorise_min_pairs=vectorise_min_pairs,
+        design=design,
     )
     return Schedule(
         htg_name=htg.name,

@@ -88,13 +88,11 @@ signatures are the same memos); additionally:
   :data:`~repro.wcet.cache.CACHE_SCHEMA_VERSION` was not bumped.  The
   former ``models=`` / ``comm_delay=`` hand-off arguments of
   ``result_key`` are gone.
-* The pipeline's per-stage artifact cache
-  (:class:`repro.core.pipeline.StageArtifactCache`) follows the same rule:
-  a stage may only be cached under a key that covers the *content* of every
-  input (IR fingerprints, HTG structure,
-  :func:`~repro.wcet.cache.platform_signature`, the full config); stages
-  whose inputs cannot be fingerprinted must return ``None`` and stay
-  uncached.
+* The pipeline's stage replay (:meth:`repro.core.pipeline.Pipeline.run_incremental`)
+  follows the same rule: a stage is only replayed under a key that covers
+  the *content* of every input (IR fingerprints, HTG structure,
+  :func:`~repro.wcet.cache.platform_signature`, the full config); a stage
+  whose inputs cannot be fingerprinted is never replayed.
 
 On-disk format and versioning
 -----------------------------
@@ -171,14 +169,6 @@ a refuted entry raises
 silently trusted.  Freshly computed results are not re-checked on this
 path -- the pipeline's ``certify`` stage (``ToolchainConfig.certify``)
 covers them.
-
-Warm-started fixed points follow the same discipline:
-:func:`~repro.wcet.system_level.warm_start_hint` (used by the incremental
-pipeline around the schedule stage) seeds the interference iteration from
-a previous converged result, and the warm-seeded outcome is returned only
-after the independent fixed-point checker accepts it -- otherwise the
-cold iteration runs.  Warm results are never stored in the result tier,
-which must only ever serve the cold answer.
 """
 
 from repro.wcet.hardware_model import HardwareCostModel
@@ -199,7 +189,6 @@ from repro.wcet.system_level import (
     SystemWcetResult,
     contention_oblivious_bound,
     system_level_wcet,
-    warm_start_hint,
 )
 
 __all__ = [
@@ -220,5 +209,4 @@ __all__ = [
     "SystemWcetResult",
     "contention_oblivious_bound",
     "system_level_wcet",
-    "warm_start_hint",
 ]

@@ -1024,7 +1024,7 @@ class SystemResultCache(_ShardBackedTier):
             "converged": bool(result.converged),
             # convergence evidence (optional key: pre-PR-10 records default
             # to 0.0 on replay; ``iteration_deltas`` is diagnostic-only and
-            # deliberately not serialized, like ``warm_info``)
+            # deliberately not serialized)
             "final_delta": getattr(result, "final_delta", 0.0),
             "interference": result.interference_cycles,
             "communication": result.communication_cycles,
@@ -1286,14 +1286,14 @@ def _describe_component(obj):
 def platform_signature(platform: "Platform") -> str | None:
     """Content digest of everything a platform contributes to flow results.
 
-    Used by the pipeline's per-stage artifact cache to key stage outputs by
-    platform *content* rather than object identity.  The digest covers the
-    full ADL description -- cores (processor timing models, scratchpads,
-    tiles), the shared memory, the interconnect and the optional NoC --
-    including the concrete type of every nested component.  Returns ``None``
-    when any component cannot be introspected (a custom non-dataclass
-    model), in which case callers must treat the platform as uncacheable
-    rather than risk a stale hit.
+    Used as the pipeline's ``platform`` run fingerprint, so stage replay is
+    keyed by platform *content* rather than object identity.  The digest
+    covers the full ADL description -- cores (processor timing models,
+    scratchpads, tiles), the shared memory, the interconnect and the
+    optional NoC -- including the concrete type of every nested component.
+    Returns ``None`` when any component cannot be introspected (a custom
+    non-dataclass model), in which case callers must treat the platform as
+    unfingerprintable rather than risk a stale replay.
     """
     try:
         payload = _describe_component(platform)

@@ -148,8 +148,8 @@ class SystemWcetResult:
     #: derivation to the claimed relation and (b) independently re-prove
     #: every excluded pair ordered or footprint-disjoint.
     mhp_allowed: dict[str, tuple[str, ...]] | None = None
-    #: Diagnostics of the warm-start path (``None`` for cold runs and
-    #: results replayed from the result tier; never serialized).
+    #: Always ``None``: the fixed point always starts cold.  Kept for
+    #: readers of older result fields; never serialized.
     warm_info: dict | None = None
     #: Convergence evidence backing the ``converged`` flag: the maximum
     #: absolute change of any task's effective WCET at the last completed
@@ -159,8 +159,8 @@ class SystemWcetResult:
     #: tier (older cache records default it to 0.0).
     final_delta: float = 0.0
     #: The full per-iteration max-delta curve, collected only while
-    #: observability (:mod:`repro.obs`) is enabled -- diagnostic like
-    #: ``warm_info``, never serialized.
+    #: observability (:mod:`repro.obs`) is enabled -- diagnostic, never
+    #: serialized.
     iteration_deltas: "tuple[float, ...] | None" = None
 
     def interval(self, task_id: str) -> Interval:
@@ -624,18 +624,11 @@ def _certify_replayed_result(
             )
 
 
-#: Ambient warm-start hint (see :func:`warm_start_hint`).  A plain module
-#: global: sweeps parallelise across *processes*, so per-thread state is
-#: not needed, and the hint must reach :func:`system_level_wcet` calls made
-#: deep inside scheduler implementations without threading a parameter
-#: through every ``build()`` signature.
-_WARM_HINT: "SystemWcetResult | None" = None
-
-#: Ambient MHP options (same module-global pattern and rationale as
-#: ``_WARM_HINT``): the pipeline's schedule stage sets them from
+#: Ambient MHP options: the pipeline's schedule stage sets them from
 #: ``ToolchainConfig`` so the ``system_level_wcet`` calls made deep inside
 #: scheduler implementations pick them up without a signature change on
-#: every scheduler plugin.
+#: every scheduler plugin.  A plain module global: sweeps parallelise
+#: across *processes*, so per-thread state is not needed.
 _MHP_OPTIONS: dict = {"static_pruning": None, "vectorise_min_pairs": None}
 
 
@@ -664,96 +657,6 @@ def mhp_options(
         _MHP_OPTIONS.update(previous)
 
 
-@contextmanager
-def warm_start_hint(result: "SystemWcetResult | None") -> Iterator[None]:
-    """Ambiently offer ``result`` as a warm start to nested fixed points.
-
-    Used by :meth:`repro.core.pipeline.Pipeline.run_incremental` around the
-    schedule stage: the scheduler's internal :func:`system_level_wcet` calls
-    pick the hint up via the ``warm_start`` default.  Safe for arbitrary
-    candidate mappings -- the dirty-core detection reduces the seed to the
-    cold one whenever the warm result's per-core task sets or WCETs do not
-    match, and every warm-seeded result is certificate-checked.
-    """
-    global _WARM_HINT
-    previous = _WARM_HINT
-    _WARM_HINT = result
-    try:
-        yield
-    finally:
-        _WARM_HINT = previous
-
-
-def _warm_seed(
-    warm: SystemWcetResult,
-    leaf_ids: list[str],
-    mapping: dict[str, int],
-    order: dict[int, list[str]],
-    base_wcet: dict[str, float],
-    shared_accesses: dict[str, int],
-) -> tuple[dict[str, float], dict[str, int], set[int]] | None:
-    """Seed state from a previous converged result, or ``None`` when useless.
-
-    A core is *dirty* when its mapped task set changed or any of its tasks'
-    code-level inputs (isolated WCET, shared-access count) differ from the
-    witnesses carried by the previous result; dirty-core tasks seed from the
-    cold state (base WCET, zero contenders), clean-core tasks from the
-    previous converged state.  Returns ``None`` when every core is dirty --
-    the seed would equal the cold one, so the caller should just run cold.
-    """
-    prev_core_tasks: dict[int, set[str]] = {}
-    for tid, core in warm.task_cores.items():
-        prev_core_tasks.setdefault(core, set()).add(tid)
-    dirty_cores: set[int] = set()
-    for core, tids in order.items():
-        if set(tids) != prev_core_tasks.get(core, set()):
-            dirty_cores.add(core)
-            continue
-        for tid in tids:
-            if (
-                warm.task_base_wcet.get(tid) != base_wcet[tid]
-                or warm.task_shared_accesses.get(tid) != shared_accesses[tid]
-                or tid not in warm.task_effective_wcet
-                or tid not in warm.task_contenders
-            ):
-                dirty_cores.add(core)
-                break
-    if dirty_cores >= set(order):
-        return None
-    effective = {
-        tid: base_wcet[tid]
-        if mapping[tid] in dirty_cores
-        else warm.task_effective_wcet[tid]
-        for tid in leaf_ids
-    }
-    contenders = {
-        tid: 0 if mapping[tid] in dirty_cores else warm.task_contenders[tid]
-        for tid in leaf_ids
-    }
-    return effective, contenders, dirty_cores
-
-
-def _warm_result_certified(
-    result: SystemWcetResult,
-    htg: HierarchicalTaskGraph,
-    platform: Platform,
-    order: dict[int, list[str]],
-) -> bool:
-    """One independent re-application of the interference equations.
-
-    The warm-started fixed point is only *reused* when the PR 7 certificate
-    checker accepts it, so reuse is proved sound rather than assumed.
-    """
-    from repro.analysis.certify import (
-        build_fixed_point_certificate,
-        check_fixed_point_certificate,
-    )
-
-    certificate = build_fixed_point_certificate(result, order, platform, htg)
-    report = check_fixed_point_certificate(certificate, htg, platform)
-    return report.count("error") == 0
-
-
 def system_level_wcet(
     htg: HierarchicalTaskGraph,
     function: Function,
@@ -766,7 +669,6 @@ def system_level_wcet(
     mhp_backend: str = "auto",
     result_cache: "SystemResultCache | None | bool" = None,
     certify: bool = False,
-    warm_start: "SystemWcetResult | None" = None,
     static_pruning: "bool | None" = None,
     vectorise_min_pairs: "int | None" = None,
     design: "SystemDesign | None" = None,
@@ -816,23 +718,11 @@ def system_level_wcet(
     silently trusted.  Freshly computed results are returned as-is (the
     pipeline's ``certify`` stage covers them).
 
-    ``warm_start`` (or an ambient :func:`warm_start_hint`) seeds the
-    interference fixed point from a previous converged result: tasks on
-    *clean* cores (same mapped task set, same code-level WCET witnesses)
-    start from their previous effective WCETs and contender counts, tasks
-    on dirty cores from the cold state.  Soundness does not rest on the
-    seed: the loop's convergence test re-applies the interference equations
-    from the *current* inputs, so a warm seed can only converge to a genuine
-    fixed point of the current system -- and the converged result is
-    additionally re-validated by the independent
-    :class:`~repro.analysis.certify.FixedPointCertificate` checker before it
-    is returned (refutation or non-convergence falls back to the cold
-    iteration).  Warm-seeded results are *not* stored in the result tier:
-    when the interference equations admit several fixed points a warm seed
-    may legitimately land on a different one than the cold seed, and the
-    content-addressed tier must only ever serve the cold answer.
+    The fixed point always starts cold (isolated WCETs, no contenders), so
+    every run lands on the same fixed point as any other run of the same
+    design point, memoized or not.
     """
-    # validate the backend up front: a warm result-cache hit returns early,
+    # validate the backend up front: a result-tier hit returns early,
     # and error behaviour must not depend on the cache state
     _validate_mhp_backend(mhp_backend)
     use_pruning = _resolve_static_pruning(static_pruning)
@@ -923,191 +813,70 @@ def system_level_wcet(
         mhp_pass = _pick_mhp_pass(mhp_backend, len(leaf_ids), len(sharers), min_pairs)
     timeline = _TimelineBuilder(design, mapping, order)
 
-    def iterate(effective: dict[str, float], contenders: dict[str, int]) -> tuple[
-        dict[str, float],
-        dict[str, int],
-        dict[str, Interval],
-        float,
-        int,
-        bool,
-        float,
-        "tuple[float, ...] | None",
-    ]:
-        intervals: dict[str, Interval] = {}
-        makespan = 0.0
-        converged = False
-        iterations = 0
-        final_delta = 0.0
-        obs_on = obs.obs_enabled()
-        deltas: list[float] = []
-        fp_span = obs.span(
-            "fixed_point", tasks=len(leaf_ids), sharers=len(sharers), pruned=use_pruning
-        )
-        with fp_span:
-            for iterations in range(1, max_iterations + 1):
-                iter_start = time.perf_counter() if obs_on else 0.0
-                intervals, makespan = timeline.build(effective)
-                new_contenders = mhp_pass(leaf_ids, sharers, mapping, intervals)
-                new_effective = {
-                    tid: base_wcet[tid]
-                    + shared_accesses[tid] * penalty_of[tid][new_contenders[tid]]
-                    for tid in leaf_ids
-                }
-                if obs_on or iterations == max_iterations:
-                    # the max-delta is evidence for the converged flag; off the
-                    # observed path it is only needed at the iteration cap
-                    if not leaf_ids:
-                        final_delta = 0.0
-                    elif iterations == 1:
-                        # the seed dict (warm start / base WCETs) has no
-                        # guaranteed key order, so go through the keys once
-                        final_delta = max(
-                            abs(new_effective[t] - effective[t]) for t in leaf_ids
-                        )
-                    else:
-                        # ``effective`` is last iteration's ``new_effective``:
-                        # identical insertion order, so the value views align
-                        # (C-level map, the per-iteration observed hot path)
-                        final_delta = max(
-                            map(
-                                abs,
-                                map(
-                                    operator.sub,
-                                    new_effective.values(),
-                                    effective.values(),
-                                ),
-                            )
-                        )
-                if obs_on:
-                    deltas.append(final_delta)
-                    obs.trace_complete(
-                        "fixed_point.iteration",
-                        iter_start,
-                        time.perf_counter() - iter_start,
-                        {"iteration": iterations, "max_delta": final_delta},
-                    )
-                    obs.trace_counter("fixed_point.max_delta", {"delta": final_delta})
-                if new_effective == effective and new_contenders == contenders:
-                    converged = True
-                    contenders = new_contenders
-                    final_delta = 0.0
-                    break
-                effective = new_effective
-                contenders = new_contenders
-            fp_span.set(iterations=iterations, converged=converged)
-        if obs_on:
-            registry = obs.metrics()
-            registry.counter("fixed_point.runs").inc()
-            registry.counter("fixed_point.iterations").inc(iterations)
-            if not converged:
-                registry.counter("fixed_point.not_converged").inc()
-            registry.histogram("fixed_point.final_delta").observe(final_delta)
-            if pairs_per_pass:
-                registry.counter("mhp.pairs_tested").inc(pairs_per_pass * iterations)
-        return (
-            effective,
-            contenders,
-            intervals,
-            makespan,
-            iterations,
-            converged,
-            final_delta,
-            tuple(deltas) if obs_on else None,
-        )
-
-    communication = sum(
-        design.edge_delay(src, dst, mapping[src], mapping[dst])
-        for src, dst in design.edges
-        if src in mapping and dst in mapping and mapping[src] != mapping[dst]
+    effective = dict(base_wcet)
+    contenders = {tid: 0 for tid in leaf_ids}
+    intervals: dict[str, Interval] = {}
+    makespan = 0.0
+    converged = False
+    iterations = 0
+    final_delta = 0.0
+    obs_on = obs.obs_enabled()
+    deltas: list[float] = []
+    fp_span = obs.span(
+        "fixed_point", tasks=len(leaf_ids), sharers=len(sharers), pruned=use_pruning
     )
-
-    def build_result(
-        effective: dict[str, float],
-        contenders: dict[str, int],
-        intervals: dict[str, Interval],
-        makespan: float,
-        iterations: int,
-        converged: bool,
-        warm_info: dict | None,
-        final_delta: float = 0.0,
-        iteration_deltas: "tuple[float, ...] | None" = None,
-    ) -> SystemWcetResult:
-        return SystemWcetResult(
-            makespan=makespan,
-            task_intervals=intervals,
-            task_cores=dict(mapping),
-            task_effective_wcet=effective,
-            task_contenders=contenders,
-            interference_cycles=sum(
-                effective[tid] - base_wcet[tid] for tid in leaf_ids
-            ),
-            communication_cycles=communication,
-            iterations=iterations,
-            converged=converged,
-            task_base_wcet=dict(base_wcet),
-            task_shared_accesses=dict(shared_accesses),
-            mhp_allowed=allowed,
-            warm_info=warm_info,
-            final_delta=final_delta,
-            iteration_deltas=iteration_deltas,
-        )
-
-    if warm_start is None:
-        warm_start = _WARM_HINT
-    warm_info: dict | None = None
-    if warm_start is not None:
-        seed = _warm_seed(
-            warm_start, leaf_ids, mapping, order, base_wcet, shared_accesses
-        )
-        if seed is None:
-            warm_info = {"warm_started": False, "fallback": "all_cores_dirty"}
-        else:
-            seed_effective, seed_contenders, dirty_cores = seed
-            (
-                effective,
-                contenders,
-                intervals,
-                makespan,
-                iterations,
-                converged,
-                final_delta,
-                iteration_deltas,
-            ) = iterate(seed_effective, seed_contenders)
-            if converged:
-                candidate = build_result(
-                    effective,
-                    contenders,
-                    intervals,
-                    makespan,
-                    iterations,
-                    True,
-                    warm_info={
-                        "warm_started": True,
-                        "dirty_cores": sorted(dirty_cores),
-                        "clean_cores": sorted(set(order) - dirty_cores),
-                        "iterations": iterations,
-                        "certified": True,
-                    },
-                    final_delta=final_delta,
-                    iteration_deltas=iteration_deltas,
+    with fp_span:
+        for iterations in range(1, max_iterations + 1):
+            iter_start = time.perf_counter() if obs_on else 0.0
+            intervals, makespan = timeline.build(effective)
+            new_contenders = mhp_pass(leaf_ids, sharers, mapping, intervals)
+            new_effective = {
+                tid: base_wcet[tid]
+                + shared_accesses[tid] * penalty_of[tid][new_contenders[tid]]
+                for tid in leaf_ids
+            }
+            if obs_on or iterations == max_iterations:
+                # the max-delta is evidence for the converged flag; off the
+                # observed path it is only needed at the iteration cap
+                if not leaf_ids:
+                    final_delta = 0.0
+                else:
+                    # ``effective`` and ``new_effective`` are both keyed in
+                    # ``leaf_ids`` order, so the value views align (C-level
+                    # map, the per-iteration observed hot path)
+                    final_delta = max(
+                        map(
+                            abs,
+                            map(operator.sub, new_effective.values(), effective.values()),
+                        )
+                    )
+            if obs_on:
+                deltas.append(final_delta)
+                obs.trace_complete(
+                    "fixed_point.iteration",
+                    iter_start,
+                    time.perf_counter() - iter_start,
+                    {"iteration": iterations, "max_delta": final_delta},
                 )
-                if _warm_result_certified(candidate, htg, platform, order):
-                    # deliberately NOT stored in the result tier (see docstring)
-                    return candidate
-                warm_info = {"warm_started": False, "fallback": "refuted"}
-            else:
-                warm_info = {"warm_started": False, "fallback": "not_converged"}
+                obs.trace_counter("fixed_point.max_delta", {"delta": final_delta})
+            if new_effective == effective and new_contenders == contenders:
+                converged = True
+                contenders = new_contenders
+                final_delta = 0.0
+                break
+            effective = new_effective
+            contenders = new_contenders
+        fp_span.set(iterations=iterations, converged=converged)
+    if obs_on:
+        registry = obs.metrics()
+        registry.counter("fixed_point.runs").inc()
+        registry.counter("fixed_point.iterations").inc(iterations)
+        if not converged:
+            registry.counter("fixed_point.not_converged").inc()
+        registry.histogram("fixed_point.final_delta").observe(final_delta)
+        if pairs_per_pass:
+            registry.counter("mhp.pairs_tested").inc(pairs_per_pass * iterations)
 
-    (
-        effective,
-        contenders,
-        intervals,
-        makespan,
-        iterations,
-        converged,
-        final_delta,
-        iteration_deltas,
-    ) = iterate(dict(base_wcet), {tid: 0 for tid in leaf_ids})
     if not converged:
         # Safety fall-back: assume every other core contends on every access.
         # The reported contender counts are re-derived from that assumption so
@@ -1132,16 +901,25 @@ def system_level_wcet(
         effective = {tid: max(effective[tid], worst[tid]) for tid in leaf_ids}
         intervals, makespan = timeline.build(effective)
 
-    result = build_result(
-        effective,
-        contenders,
-        intervals,
-        makespan,
-        iterations,
-        converged,
-        warm_info,
+    result = SystemWcetResult(
+        makespan=makespan,
+        task_intervals=intervals,
+        task_cores=dict(mapping),
+        task_effective_wcet=effective,
+        task_contenders=contenders,
+        interference_cycles=sum(effective[tid] - base_wcet[tid] for tid in leaf_ids),
+        communication_cycles=sum(
+            design.edge_delay(src, dst, mapping[src], mapping[dst])
+            for src, dst in design.edges
+            if src in mapping and dst in mapping and mapping[src] != mapping[dst]
+        ),
+        iterations=iterations,
+        converged=converged,
+        task_base_wcet=dict(base_wcet),
+        task_shared_accesses=dict(shared_accesses),
+        mhp_allowed=allowed,
         final_delta=final_delta,
-        iteration_deltas=iteration_deltas,
+        iteration_deltas=tuple(deltas) if obs_on else None,
     )
     if result_tier is not None and result_key is not None:
         result_tier.put(result_key, result)

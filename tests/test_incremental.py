@@ -1,10 +1,9 @@
-"""Tests for the incremental re-analysis engine (PR 8).
+"""Tests for the incremental re-analysis engine.
 
 The core property: for any seeded edit script,
 :meth:`Pipeline.run_incremental` must produce results bit-identical to a
-cold :meth:`Pipeline.run` on the edited model -- every reuse is either
-proved valid by a content fingerprint or re-validated by an independent
-certificate checker.
+cold :meth:`Pipeline.run` on the edited model -- every reuse is proved
+valid by a content fingerprint.
 """
 
 import pytest
@@ -15,11 +14,10 @@ from repro.analysis.incremental import (
     diagram_fingerprint,
     diff_summaries,
     mark_reused,
-    stage_input_frontiers,
 )
 from repro.analysis.report import AnalysisReport, Finding
 from repro.core.config import ToolchainConfig
-from repro.core.pipeline import Pipeline, Stage, default_stages
+from repro.core.pipeline import Pipeline, Stage, default_stages, replay_key
 from repro.scheduling.schedule import default_core_order
 from repro.usecases.workloads import (
     delete_block,
@@ -30,7 +28,6 @@ from repro.usecases.workloads import (
     tweak_platform_costs,
 )
 from repro.wcet.cache import WcetAnalysisCache
-from repro.wcet.system_level import system_level_wcet, warm_start_hint
 
 
 def _diagram(seed: int, **kwargs):
@@ -70,11 +67,21 @@ def test_diagram_fingerprint_is_content_addressed():
 
 
 def test_stage_frontiers_are_none_when_unfingerprintable():
-    frontiers = stage_input_frontiers({"diagram": "d", "config": "c"})
-    assert frontiers["frontend"] is not None
-    assert frontiers["transforms"] is not None
-    assert frontiers["htg"] is None  # function/extraction/platform missing
-    assert frontiers["schedule"] is None
+    fingerprints = {"diagram": "d", "platform": "p", "config": "c"}
+    keys = {
+        stage.name: replay_key(stage.frontier, "impl", fingerprints.get)
+        for stage in default_stages()
+    }
+    assert keys["frontend"] is not None
+    assert keys["transforms"] is not None
+    assert keys["htg"] is None  # function/extraction missing
+    assert keys["schedule"] is None
+    # an unfingerprintable platform, an undeclared frontier or an
+    # implementation without an identity never yields a key
+    unfingerprintable = {**fingerprints, "platform": None}
+    assert replay_key(("diagram", "platform"), "impl", unfingerprintable.get) is None
+    assert replay_key(None, "impl", fingerprints.get) is None
+    assert replay_key(("diagram",), None, fingerprints.get) is None
 
 
 def test_artifact_summary_structure():
@@ -117,7 +124,6 @@ def test_single_param_edit_is_incremental_and_bit_identical():
     edited_block = edit_block_param(edited, seed=1)
     result = pipe.run_incremental(base, edited)
     report = result.artifacts["incremental_report"]
-    assert report.fallback_reason is None
     assert report.stages["htg"] == "incremental"
     assert report.regions_recomputed == 1
     assert report.regions_reused == len(base.model.block_regions) - 1
@@ -158,7 +164,6 @@ def test_random_edit_scripts_match_cold(seed):
     edited = _diagram(seed=seed)
     random_edit_script(edited, num_edits=2, seed=seed + 1000)
     result = pipe.run_incremental(base, edited)
-    assert result.artifacts["incremental_report"].fallback_reason is None
     _assert_bit_identical(result, _pipeline().run(edited))
 
 
@@ -205,7 +210,140 @@ def test_everything_changed_recomputes_every_stage():
     _assert_bit_identical(result, cold)
 
 
-def test_custom_stage_graph_falls_back_to_cold():
+def test_custom_stage_with_frontier_replays():
+    calls = []
+
+    def audit(context):
+        calls.append(context.prev is not None)
+        return {"audit": len(context.artifact("htg").tasks)}
+
+    pipe = _pipeline().with_stage(
+        Stage(
+            name="audit",
+            run=audit,
+            consumes=("htg",),
+            produces=("audit",),
+            frontier=("htg",),
+        )
+    )
+    base = pipe.run(_diagram(seed=25))
+    # unchanged inputs: the custom stage replays like the built-in ones
+    same = pipe.run_incremental(base, _diagram(seed=25))
+    report = same.artifacts["incremental_report"]
+    assert report.stages["audit"] == "reused"
+    assert report.stages_recomputed == 0
+    assert same.artifacts["audit"] == base.artifacts["audit"]
+    assert "audit" in report.diff.clean_stages
+    assert "stage audit      reused" in report.render()
+    assert calls == [False]
+    # a structural edit changes the HTG: the custom stage re-runs
+    edited = _diagram(seed=25)
+    insert_gain_block(edited, seed=2)
+    result = pipe.run_incremental(same, edited)
+    assert result.artifacts["incremental_report"].stages["audit"] == "recomputed"
+    assert "audit" in result.artifacts["incremental_report"].diff.dirty_stages
+    assert calls == [False, True]
+    cold = _pipeline().with_stage(pipe.stages[-1]).run(edited)
+    assert result.artifacts["audit"] == cold.artifacts["audit"]
+    _assert_bit_identical(result, cold)
+
+
+def test_platform_change_dirties_the_transforms():
+    """Scratchpad allocation reads the platform's scratchpads and latencies,
+    so a platform-only change must re-run the transforms -- and the front
+    end, whose untransformed model the passes consume in place."""
+    from repro.usecases import build_egpws_diagram
+
+    cache = WcetAnalysisCache()
+    base = _pipeline(cache=cache).run(build_egpws_diagram())
+    slower = generic_predictable_multicore(cores=4, shared_latency=16)
+    result = _pipeline(slower, cache=cache).run_incremental(base, build_egpws_diagram())
+    report = result.artifacts["incremental_report"]
+    assert report.stages["frontend"] == report.stages["transforms"] == "recomputed"
+    assert {"frontend", "transforms"} <= set(report.diff.dirty_stages)
+    cold = _pipeline(generic_predictable_multicore(cores=4, shared_latency=16)).run(
+        build_egpws_diagram()
+    )
+
+    def allocation(run):
+        return [r.details for r in run.pass_reports if r.pass_name == "scratchpad_allocation"]
+
+    assert allocation(result) == allocation(cold) != allocation(base)
+    _assert_bit_identical(result, cold)
+
+
+def test_cold_run_computes_no_fingerprints(monkeypatch):
+    import repro.analysis.incremental as incremental
+    import repro.core.pipeline as pipeline_module
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a cold run must not fingerprint anything")
+
+    monkeypatch.setattr(pipeline_module, "run_fingerprint", forbidden)
+    monkeypatch.setattr(incremental, "summarize_result", forbidden)
+    monkeypatch.setattr(incremental, "diff_summaries", forbidden)
+    result = _pipeline().run(_diagram(seed=27))
+    assert "incremental_report" not in result.artifacts
+    assert "stages_reused" not in result.cache_stats
+
+
+def test_frontend_and_transforms_share_one_replay_key():
+    pipe = _pipeline()
+    summary = pipe.run(_diagram(seed=28)).artifact_summary(pipe.wcet_cache)
+    frontiers = summary["frontiers"]
+    assert frontiers["frontend"] is not None
+    assert frontiers["frontend"] == frontiers["transforms"]
+    assert len(set(frontiers.values())) == len(frontiers) - 1
+
+
+def _wrapped(pipe, name):
+    """``pipe`` with stage ``name`` running the same code under a new identity."""
+    import dataclasses
+
+    builtin = next(s for s in pipe.stages if s.name == name)
+    return pipe.replace_stage(
+        name, dataclasses.replace(builtin, run=lambda context: builtin.run(context))
+    )
+
+
+@pytest.mark.parametrize("replaced", ["frontend", "transforms"])
+def test_replacing_one_of_the_front_stages_reruns_both(replaced):
+    """The passes transform the front end's model in place: replaying either
+    stage alone would hand a re-run partner the previous run's (already
+    transformed) model."""
+    pipe = _pipeline()
+    base = pipe.run(_diagram(seed=29))
+    before = pipe.wcet_cache.function_fingerprint(base.model.entry)
+    result = _wrapped(pipe, replaced).run_incremental(base, _diagram(seed=29))
+    report = result.artifacts["incremental_report"]
+    assert report.stages["frontend"] == report.stages["transforms"] == "recomputed"
+    assert result.model is not base.model
+    pipe.wcet_cache.invalidate_fingerprints(base.model.entry)
+    assert pipe.wcet_cache.function_fingerprint(base.model.entry) == before
+    # the new model is content-identical, so the rest still replays
+    assert report.stages["schedule"] == "reused"
+    _assert_bit_identical(result, _pipeline().run(_diagram(seed=29)))
+
+
+def test_replayed_htg_counts_every_region_reused():
+    pipe = _pipeline()
+    base = pipe.run(_diagram(seed=31))
+    # another scheduler re-runs the front stages (the config changed), but
+    # the transformed code, hence the HTG, is unchanged
+    other = _pipeline(config=ToolchainConfig(scheduler="acet_list"), cache=pipe.wcet_cache)
+    result = other.run_incremental(base, _diagram(seed=31))
+    report = result.artifacts["incremental_report"]
+    assert report.stages["transforms"] == "recomputed"
+    assert report.stages["htg"] == "reused" and result.htg is base.htg
+    assert report.stages["schedule"] == "recomputed"
+    assert report.regions_reused == len(base.model.block_regions)
+    assert report.regions_recomputed == 0
+    _assert_bit_identical(
+        result, _pipeline(config=ToolchainConfig(scheduler="acet_list")).run(_diagram(seed=31))
+    )
+
+
+def test_stage_without_frontier_always_reruns():
     pipe = _pipeline().with_stage(
         Stage(
             name="audit",
@@ -214,12 +352,25 @@ def test_custom_stage_graph_falls_back_to_cold():
             produces=("audit",),
         )
     )
-    base = pipe.run(_diagram(seed=25))
-    result = pipe.run_incremental(base, _diagram(seed=25))
+    base = pipe.run(_diagram(seed=30))
+    result = pipe.run_incremental(base, _diagram(seed=30))
     report = result.artifacts["incremental_report"]
-    assert report.fallback_reason is not None
-    assert report.stages_reused == 0
-    assert "audit" in result.artifacts
+    assert report.stages["audit"] == "recomputed"
+    assert report.stages_reused == len(default_stages())
+    assert "audit" in report.diff.dirty_stages
+
+
+def test_unknown_frontier_fingerprint_rejected():
+    from repro.core.pipeline import PipelineError
+
+    stage = Stage(
+        name="audit",
+        run=lambda context: {"audit": 0},
+        produces=("audit",),
+        frontier=("diagram", "colour"),
+    )
+    with pytest.raises(PipelineError, match="colour"):
+        _pipeline().with_stage(stage)
 
 
 def test_chained_incremental_runs():
@@ -230,49 +381,6 @@ def test_chained_incremental_runs():
         random_edit_script(edited, num_edits=step + 1, seed=step)
         previous = pipe.run_incremental(previous, edited)
         _assert_bit_identical(previous, _pipeline().run(edited))
-
-
-# ---------------------------------------------------------------------- #
-# warm-started fixed points
-# ---------------------------------------------------------------------- #
-def test_warm_start_matches_cold_fixed_point():
-    from repro.frontend import compile_diagram
-    from repro.htg import extract_htg
-    from repro.wcet import HardwareCostModel
-
-    platform = generic_predictable_multicore(cores=4)
-    cache = WcetAnalysisCache()
-    model = compile_diagram(_diagram(seed=30))
-    htg = extract_htg(model)
-    cache.annotate_htg(htg, model.entry, HardwareCostModel(platform, 0))
-    leaf_ids = sorted(t.task_id for t in htg.leaf_tasks())
-    mapping = {tid: i % 4 for i, tid in enumerate(leaf_ids)}
-    order = default_core_order(htg, mapping)
-    cold = system_level_wcet(htg, model.entry, platform, mapping, order, cache=cache)
-    # a fresh cache avoids the result-tier memo (which would replay the cold
-    # result before the warm path is even considered)
-    warm = system_level_wcet(
-        htg, model.entry, platform, mapping, order,
-        cache=WcetAnalysisCache(), warm_start=cold,
-    )
-    assert warm.makespan == cold.makespan
-    assert warm.task_effective_wcet == cold.task_effective_wcet
-    assert warm.warm_info is not None and warm.warm_info["warm_started"]
-    assert warm.warm_info["certified"]
-    assert warm.warm_info["dirty_cores"] == []
-
-
-def test_warm_start_hint_is_ambient_and_restored():
-    from repro.wcet import system_level
-
-    assert system_level._WARM_HINT is None
-    sentinel = object()
-    with warm_start_hint(sentinel):
-        assert system_level._WARM_HINT is sentinel
-        with warm_start_hint(None):
-            assert system_level._WARM_HINT is None
-        assert system_level._WARM_HINT is sentinel
-    assert system_level._WARM_HINT is None
 
 
 # ---------------------------------------------------------------------- #

@@ -13,7 +13,6 @@ from repro.core import (
     Stage,
     SweepCase,
     ToolchainConfig,
-    ToolchainResult,
     sweep,
     sweep_grid,
 )
@@ -262,7 +261,6 @@ class TestToolchainShim:
         via_shim = ArgoToolchain(platform, config).run(build_polka_diagram(pixels=32))
         via_pipeline = Pipeline(platform, config).run(build_polka_diagram(pixels=32))
         assert isinstance(via_shim, PipelineResult)
-        assert ToolchainResult is PipelineResult
         assert via_shim.system_wcet == via_pipeline.system_wcet
         assert via_shim.sequential_wcet == via_pipeline.sequential_wcet
 
@@ -271,9 +269,6 @@ class TestToolchainShim:
             build_polka_diagram(pixels=32)
         )
         assert result.sequential_bound == result.sequential_wcet
-        assert result.metadata_sequential == result.sequential_bound
-        result.metadata_sequential = 123.0  # legacy writers keep working
-        assert result.sequential_bound == 123.0
 
     def test_scheduler_dispatch_goes_through_registry(self, platform, monkeypatch):
         """Deleting the registry entry must break dispatch (no if/elif left)."""

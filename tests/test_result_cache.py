@@ -1,13 +1,14 @@
-"""Tests for the system-level result tier, eviction and stage caching.
+"""Tests for the system-level result tier, eviction and stage replay.
 
-Three subsystems of the two-tier result cache land here:
+Three reuse mechanisms land here:
 
 * :class:`repro.wcet.cache.SystemResultCache` -- memoized system-level
   fixed-point results (in-memory, cross-instance and cross-process);
 * :meth:`repro.wcet.cache.WcetAnalysisCache.evict` -- the size/age-bounded
   eviction policy for shared cache directories;
-* :class:`repro.core.pipeline.StageArtifactCache` -- opt-in per-stage
-  artifact reuse with hit/miss deltas in ``PipelineResult.cache_stats``.
+* stage replay -- :meth:`repro.core.pipeline.Pipeline.run_incremental`
+  replays a stage's artifacts from a previous run when its replay key
+  proves the inputs unchanged.
 
 Everything here shares one correctness bar with the code-level tier: caches
 must be observationally invisible (bit-identical results, warm or cold).
@@ -21,7 +22,6 @@ import pytest
 from repro.adl.platforms import generic_predictable_multicore
 from repro.core import (
     Pipeline,
-    StageArtifactCache,
     SweepCase,
     ToolchainConfig,
     sweep,
@@ -413,88 +413,64 @@ class TestEviction:
 
 
 # ---------------------------------------------------------------------- #
-# per-stage artifact cache
+# per-stage artifact reuse: replay from a previous run
 # ---------------------------------------------------------------------- #
+def _reused(result) -> set[str]:
+    return {
+        name
+        for name, status in result.artifacts["incremental_report"].stages.items()
+        if status == "reused"
+    }
+
+
 class TestStageArtifactCache:
+    """A stage replays its previous artifacts only when its replay key --
+    its frontier's fingerprints plus its implementation -- is unchanged."""
+
     @pytest.fixture()
     def platform(self):
         return generic_predictable_multicore(cores=4)
 
     def test_identical_runs_hit_and_match(self, platform):
-        stage_cache = StageArtifactCache()
-        pipeline = Pipeline(platform, ToolchainConfig(**SMALL), stage_cache=stage_cache)
+        pipeline = Pipeline(platform, ToolchainConfig(**SMALL))
         first = pipeline.run(build_polka_diagram(pixels=32))
-        second = pipeline.run(build_polka_diagram(pixels=32))
-        assert first.cache_stats["stage_misses"] == 2  # schedule + wcet
-        assert first.cache_stats["stage_hits"] == 0
-        assert second.cache_stats["stage_hits"] == 2
-        assert second.cache_stats["stage_misses"] == 0
-        assert second.stage("schedule").info["stage_cache"] == "hit"
+        second = pipeline.run_incremental(first, build_polka_diagram(pixels=32))
+        assert _reused(second) == {s.name for s in pipeline.stages}
+        assert second.cache_stats["stages_recomputed"] == 0
+        assert second.stage("schedule").info["incremental"] == "reused"
         assert first.system_wcet == second.system_wcet
         assert first.sequential_wcet == second.sequential_wcet
         assert first.schedule.mapping == second.schedule.mapping
 
     def test_config_change_invalidates(self, platform):
-        stage_cache = StageArtifactCache()
-        Pipeline(platform, ToolchainConfig(**SMALL), stage_cache=stage_cache).run(
+        first = Pipeline(platform, ToolchainConfig(**SMALL)).run(
             build_polka_diagram(pixels=32)
         )
         changed = Pipeline(
-            platform,
-            ToolchainConfig(loop_chunks=2, scheduler="sequential"),
-            stage_cache=stage_cache,
-        ).run(build_polka_diagram(pixels=32))
-        assert changed.cache_stats["stage_hits"] == 0
-        assert changed.cache_stats["stage_misses"] == 2
+            platform, ToolchainConfig(loop_chunks=2, scheduler="sequential")
+        ).run_incremental(first, build_polka_diagram(pixels=32))
+        assert not {"frontend", "transforms", "schedule", "wcet"} & _reused(changed)
+        assert set(changed.schedule.mapping.values()) == {0}
 
     def test_platform_change_invalidates(self, platform):
-        stage_cache = StageArtifactCache()
-        Pipeline(platform, ToolchainConfig(**SMALL), stage_cache=stage_cache).run(
+        first = Pipeline(platform, ToolchainConfig(**SMALL)).run(
             build_polka_diagram(pixels=32)
         )
         other = generic_predictable_multicore(cores=4, shared_latency=16)
-        changed = Pipeline(
-            other, ToolchainConfig(**SMALL), stage_cache=stage_cache
-        ).run(build_polka_diagram(pixels=32))
-        assert changed.cache_stats["stage_hits"] == 0
+        changed = Pipeline(other, ToolchainConfig(**SMALL)).run_incremental(
+            first, build_polka_diagram(pixels=32)
+        )
+        assert _reused(changed) == set()
 
     def test_diagram_change_invalidates(self, platform):
-        stage_cache = StageArtifactCache()
-        Pipeline(platform, ToolchainConfig(**SMALL), stage_cache=stage_cache).run(
+        first = Pipeline(platform, ToolchainConfig(**SMALL)).run(
             build_polka_diagram(pixels=32)
         )
-        changed = Pipeline(
-            platform, ToolchainConfig(**SMALL), stage_cache=stage_cache
-        ).run(build_egpws_diagram())
-        assert changed.cache_stats["stage_hits"] == 0
-
-    def test_cached_schedule_is_a_private_copy(self, platform):
-        stage_cache = StageArtifactCache()
-        pipeline = Pipeline(platform, ToolchainConfig(**SMALL), stage_cache=stage_cache)
-        first = pipeline.run(build_polka_diagram(pixels=32))
-        first.schedule.mapping.clear()  # corrupting a result must not leak
-        second = pipeline.run(build_polka_diagram(pixels=32))
-        assert second.schedule.mapping
-
-    def test_disabled_by_default_and_config_knob_enables(self, platform):
-        result = Pipeline(platform, ToolchainConfig(**SMALL)).run(
-            build_polka_diagram(pixels=32)
+        changed = Pipeline(platform, ToolchainConfig(**SMALL)).run_incremental(
+            first, build_egpws_diagram()
         )
-        assert result.cache_stats["stage_hits"] == 0
-        assert result.cache_stats["stage_misses"] == 0
-        config = ToolchainConfig(loop_chunks=2, stage_cache=True)
-        a = Pipeline(platform, config).run(build_polka_diagram(pixels=32))
-        b = Pipeline(platform, config).run(build_polka_diagram(pixels=32))
-        assert b.cache_stats["stage_hits"] == 2
-        assert a.system_wcet == b.system_wcet
-
-    def test_cached_info_is_isolated_too(self):
-        cache = StageArtifactCache()
-        cache.store("s", "k", {"a": 1}, {"passes": ["x"]})
-        _, info = cache.lookup("s", "k")
-        info["passes"].append("y")  # corrupting returned info must not leak
-        _, again = cache.lookup("s", "k")
-        assert again["passes"] == ["x"]
+        assert _reused(changed) == set()
+        assert changed.diagram_name == "egpws"
 
     def test_platform_signature_distinguishes_component_subclasses(self):
         """A behaviour-overriding subclass with unchanged dataclass fields
@@ -520,18 +496,11 @@ class TestStageArtifactCache:
             generic_predictable_multicore(cores=2)
         )
 
-    def test_lru_bound(self):
-        cache = StageArtifactCache(max_entries=1)
-        cache.store("s", "k1", {"a": 1}, {})
-        cache.store("s", "k2", {"a": 2}, {})
-        assert len(cache) == 1
-        assert cache.lookup("s", "k1") is None
-        assert cache.lookup("s", "k2")[0] == {"a": 2}
-
     def test_wcet_stage_key_pins_the_consumed_schedule(self, platform):
-        """A custom schedule stage producing a different schedule must not
-        replay the default schedule's cached wcet-stage diagnostics."""
-        from repro.core import Stage
+        """A replaced schedule stage must run rather than replay the default
+        schedule, and the wcet stage consuming it must re-run too."""
+        import dataclasses as dc
+
         from repro.scheduling import evaluate_mapping
 
         def all_on_core0(context):
@@ -546,29 +515,23 @@ class TestStageArtifactCache:
             )
             return {"schedule": schedule}
 
-        stage_cache = StageArtifactCache()
-        default = Pipeline(
-            platform, ToolchainConfig(**SMALL), stage_cache=stage_cache
-        )
+        default = Pipeline(platform, ToolchainConfig(**SMALL))
         first = default.run(build_polka_diagram(pixels=32))
-        custom = default.replace_stage(
-            "schedule",
-            Stage(
-                name="schedule",
-                run=all_on_core0,
-                consumes=("transformed_model", "htg"),
-                produces=("schedule",),
-            ),
-        )
-        second = custom.run(build_polka_diagram(pixels=32))
-        assert second.system_wcet != first.system_wcet  # genuinely different
-        # the wcet stage must re-run (its consumed schedule changed), and
-        # its diagnostics must describe the *new* schedule
-        assert second.stage("wcet").info.get("stage_cache") != "hit"
+        builtin = next(s for s in default.stages if s.name == "schedule")
+        # same name, same frontier: only the implementation differs
+        custom = default.replace_stage("schedule", dc.replace(builtin, run=all_on_core0))
+        second = custom.run_incremental(first, build_polka_diagram(pixels=32))
+        cold = custom.run(build_polka_diagram(pixels=32))
+        assert set(second.schedule.mapping.values()) == {0}
+        assert second.system_wcet == cold.system_wcet != first.system_wcet
+        # the wcet stage re-ran (its consumed schedule changed), and its
+        # diagnostics describe the *new* schedule
+        assert second.stage("wcet").info["incremental"] != "reused"
         assert second.stage("wcet").info["system_wcet"] == second.system_wcet
+        assert _reused(second) == {"frontend", "transforms", "htg"}
 
     def test_reregistered_scheduler_invalidates_schedule_stage(self, platform):
-        """The registry supports replace=True; the cached schedule must be
+        """The registry supports replace=True; the replayed schedule must be
         keyed by the implementation behind the name, not the name alone."""
         from repro.scheduling import evaluate_mapping
         from repro.scheduling.registry import register_scheduler, unregister_scheduler
@@ -586,18 +549,15 @@ class TestStageArtifactCache:
 
         register_scheduler("swap_test")(fixed_core(0))
         try:
-            stage_cache = StageArtifactCache()
             config = ToolchainConfig(loop_chunks=2, scheduler="swap_test")
-            first = Pipeline(platform, config, stage_cache=stage_cache).run(
-                build_polka_diagram(pixels=32)
-            )
+            first = Pipeline(platform, config).run(build_polka_diagram(pixels=32))
             assert set(first.schedule.mapping.values()) == {0}
             register_scheduler("swap_test", replace=True)(fixed_core(1))
-            second = Pipeline(platform, config, stage_cache=stage_cache).run(
-                build_polka_diagram(pixels=32)
+            second = Pipeline(platform, config).run_incremental(
+                first, build_polka_diagram(pixels=32)
             )
             # the new implementation must actually run, not be replayed
-            assert second.stage("schedule").info.get("stage_cache") != "hit"
+            assert second.stage("schedule").info["incremental"] != "reused"
             assert set(second.schedule.mapping.values()) == {1}
 
             # the hard case: unregister first, so the old callable is freed
@@ -608,25 +568,13 @@ class TestStageArtifactCache:
             unregister_scheduler("swap_test")
             gc.collect()
             register_scheduler("swap_test")(fixed_core(2))
-            third = Pipeline(platform, config, stage_cache=stage_cache).run(
-                build_polka_diagram(pixels=32)
+            third = Pipeline(platform, config).run_incremental(
+                second, build_polka_diagram(pixels=32)
             )
-            assert third.stage("schedule").info.get("stage_cache") != "hit"
+            assert third.stage("schedule").info["incremental"] != "reused"
             assert set(third.schedule.mapping.values()) == {2}
         finally:
             unregister_scheduler("swap_test")
-
-    def test_sweep_stage_cache_dedupes_repeated_cases(self, platform):
-        case = SweepCase(
-            diagram=build_polka_diagram(pixels=32),
-            platform=platform,
-            config=ToolchainConfig(**SMALL),
-        )
-        result = sweep([case, case], stage_cache=True)
-        assert result.ok
-        assert result[0].cache_stats["stage_misses"] == 2
-        assert result[1].cache_stats["stage_hits"] == 2
-        assert result[0].system_wcet == result[1].system_wcet
 
     def test_uncacheable_platform_is_skipped_not_cached(self, platform):
         from repro.adl.interconnect import Interconnect
@@ -641,16 +589,12 @@ class TestStageArtifactCache:
         # platform_signature must refuse a fabric it cannot fingerprint
         custom.interconnect = CustomBus()
         assert platform_signature(custom) is None
-        stage_cache = StageArtifactCache()
-        a = Pipeline(custom, ToolchainConfig(**SMALL), stage_cache=stage_cache).run(
-            build_polka_diagram(pixels=32)
-        )
-        b = Pipeline(custom, ToolchainConfig(**SMALL), stage_cache=stage_cache).run(
-            build_polka_diagram(pixels=32)
-        )
-        # neither hits nor stale reuse: the stage simply is not cacheable
-        assert a.cache_stats["stage_hits"] == b.cache_stats["stage_hits"] == 0
-        assert len(stage_cache) == 0
+        pipeline = Pipeline(custom, ToolchainConfig(**SMALL))
+        a = pipeline.run(build_polka_diagram(pixels=32))
+        b = pipeline.run_incremental(a, build_polka_diagram(pixels=32))
+        # no stale reuse: every frontier names the platform, so no stage
+        # can prove its inputs unchanged
+        assert _reused(b) == set()
         assert a.system_wcet == b.system_wcet
 
 

@@ -12,7 +12,7 @@ invisible:
   replaced (copied below as :func:`double_loop_contenders`);
 * the annealer, the genetic algorithm and branch and bound return the same
   schedules whether their candidates share one design or each build a
-  fresh one, and so do warm starts and certified result-tier replays.
+  fresh one, and so do certified result-tier replays.
 
 The memoized HTG topological order that ``default_core_order`` reads per
 candidate is covered here too.
@@ -385,7 +385,7 @@ def test_shared_design_equals_fresh_designs(monkeypatch, scheduler, platform_nam
 
 
 # ---------------------------------------------------------------------- #
-# (d) warm starts and certified replays through a shared design
+# (d) certified replays through a shared design
 # ---------------------------------------------------------------------- #
 def _mapped(usecase="polka", cores=4):
     model, htg = usecase_htg(usecase)
@@ -393,34 +393,6 @@ def _mapped(usecase="polka", cores=4):
     leaf_ids = sorted(t.task_id for t in htg.leaf_tasks())
     mapping = {tid: i % cores for i, tid in enumerate(leaf_ids)}
     return model, htg, platform, mapping, default_core_order(htg, mapping)
-
-
-def test_warm_start_through_shared_design():
-    model, htg, platform, mapping, order = _mapped()
-    cold = system_level_wcet(htg, model.entry, platform, mapping, order, result_cache=False)
-    cache = WcetAnalysisCache()
-    design = SystemDesign(htg, model.entry, platform, cache=cache)
-    # a first candidate fills the design's tables
-    other = dict(mapping)
-    moved = next(iter(other))
-    other[moved] = (other[moved] + 1) % platform.num_cores
-    system_level_wcet(
-        htg, model.entry, platform, other, default_core_order(htg, other),
-        cache=cache, design=design, result_cache=False,
-    )
-    warm = system_level_wcet(
-        htg, model.entry, platform, mapping, order,
-        cache=cache, design=design, result_cache=False, warm_start=cold,
-    )
-    alone = system_level_wcet(
-        htg, model.entry, platform, mapping, order,
-        cache=WcetAnalysisCache(), result_cache=False, warm_start=cold,
-    )
-    assert warm.warm_info is not None and warm.warm_info["warm_started"]
-    assert warm.warm_info == alone.warm_info
-    assert warm.makespan == cold.makespan
-    assert warm.task_intervals == alone.task_intervals == cold.task_intervals
-    assert warm.task_effective_wcet == cold.task_effective_wcet
 
 
 def test_certified_replay_through_shared_design(tmp_path):
