@@ -95,6 +95,7 @@ def _corners(xs, ys, op):
 
 def _eval_bounds(expr, env: dict) -> tuple[float, float]:
     from repro.ir.expressions import ArrayRef, BinOp, Call, Const, UnOp, Var
+    from repro.ir.types import ScalarKind
 
     if isinstance(expr, Const):
         v = float(expr.value)
@@ -121,7 +122,14 @@ def _eval_bounds(expr, env: dict) -> tuple[float, float]:
             return _UNBOUNDED
         if op == "%":
             if alo >= 0 and blo > 0 and bhi < _INF:
-                return (0.0, min(ahi, bhi - 1) if ahi < _INF else bhi - 1)
+                # the remainder stays below the divisor; it stays at or
+                # below divisor - 1 only when both operands are integers
+                integral = all(
+                    getattr(getattr(side, "type", None), "kind", None)
+                    in (ScalarKind.INT, ScalarKind.BOOL)
+                    for side in (expr.left, expr.right)
+                )
+                return (0.0, min(ahi, bhi - 1 if integral else bhi))
             return _UNBOUNDED
         if op == "min":
             return (min(alo, blo), min(ahi, bhi))
@@ -184,8 +192,9 @@ def _window(lo: float, hi: float) -> tuple[float, float]:
     """The truncated index window of an access with value bounds ``lo..hi``.
 
     An access that runs has at least one index, so bounds that truncate to
-    an empty window (the ``%`` rule's ``bhi - 1`` with a modulus below one)
-    are not trusted: the window becomes the whole array.
+    an empty window (the integer ``%`` rule's ``bhi - 1`` with an
+    integer-typed modulus below one) are not trusted: the window becomes
+    the whole array.
     """
     lo, hi = _itrunc(lo), _itrunc(hi)
     if lo > hi:

@@ -51,16 +51,15 @@ import hashlib
 import heapq
 import json
 import math
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 from repro.analysis.value_range import INF, TOP, Env, ValueRange, eval_range
 from repro.htg.task import Task
+from repro.ir.analysis import shared_names
 from repro.ir.expressions import ArrayRef, Expr, Var
-from repro.ir.printer import to_c
-from repro.ir.program import Function, Storage
+from repro.ir.program import Function
 from repro.ir.statements import (
     Assign,
     Block,
@@ -71,10 +70,7 @@ from repro.ir.statements import (
     Stmt,
     While,
 )
-
-#: Storage classes visible to every core (mirrors ``races.SHARED_STORAGE``;
-#: redeclared here because :mod:`repro.analysis.races` imports this module).
-SHARED_STORAGE = (Storage.SHARED, Storage.INPUT, Storage.OUTPUT)
+from repro.wcet.cache import WcetAnalysisCache
 
 
 @dataclass(frozen=True)
@@ -148,14 +144,8 @@ def iteration_value_range(stmt: For, env: Env) -> ValueRange | None:
 
 
 class _FootprintWalker:
-    def __init__(self, function: Function) -> None:
-        self.shared_arrays: set[str] = set()
-        self.shared_scalars: set[str] = set()
-        for decl in function.all_decls():
-            if decl.storage in SHARED_STORAGE:
-                (self.shared_arrays if decl.is_array else self.shared_scalars).add(
-                    decl.name
-                )
+    def __init__(self, shared: tuple[frozenset[str], frozenset[str]]) -> None:
+        self.shared_arrays, self.shared_scalars = shared
         self.array_reads: dict[str, ValueRange] = {}
         self.array_writes: dict[str, ValueRange] = {}
         self.scalar_reads: set[str] = set()
@@ -231,9 +221,17 @@ class _FootprintWalker:
         raise TypeError(f"unsupported statement {type(stmt).__name__}")
 
 
-def task_footprint(function: Function, task: Task) -> TaskFootprint:
-    """Sound shared-memory footprint of ``task`` (see the module docstring)."""
-    walker = _FootprintWalker(function)
+def task_footprint(
+    function: Function,
+    task: Task,
+    shared: tuple[frozenset[str], frozenset[str]] | None = None,
+) -> TaskFootprint:
+    """Sound shared-memory footprint of ``task`` (see the module docstring).
+
+    ``shared`` is :func:`~repro.ir.analysis.shared_names` of ``function``,
+    when the caller already has it.
+    """
+    walker = _FootprintWalker(shared if shared is not None else shared_names(function))
     walker.walk(task.statements, {})
     # merge declared-but-unseen shared names as whole footprints: hand-built
     # tasks may declare accesses their statements block does not contain
@@ -339,51 +337,41 @@ def _digest(text: str) -> str:
 
 
 class FootprintStore:
-    """Fingerprint-keyed LRU memo of task footprints.
+    """Content-keyed LRU memo of task footprints.
 
     A footprint is a pure function of the task's statements, its declared
-    read/write sets and the function's declaration table -- the same
-    context/region fingerprint scheme the code-level WCET cache uses, so
-    an incremental re-run recomputes footprints only for edited regions.
-    Pass the run's :class:`~repro.wcet.cache.WcetAnalysisCache` to share
-    its memoized fingerprints instead of re-rendering regions.
+    read/write sets and, through the function, the storage class and type
+    of the names those reference.  The key is exactly that: the
+    code-level cache's region context extended with the declared names,
+    the region fingerprint and a digest of the declared sets -- so an edit
+    re-keys only the tasks that reference a name it touches.  Keys are
+    derived through ``wcet_cache``'s memos (pass the run's
+    :class:`~repro.wcet.cache.WcetAnalysisCache`, or use its
+    :attr:`~repro.wcet.cache.WcetAnalysisCache.footprints` store, to share
+    the regions it already rendered; ``None`` keeps private memos).  The
+    identity memos follow that cache's invalidation contract.
     """
 
-    def __init__(self, wcet_cache=None, max_entries: int = 4096) -> None:
-        self._cache = wcet_cache
+    def __init__(
+        self, wcet_cache: WcetAnalysisCache | None = None, max_entries: int = 4096
+    ) -> None:
+        self._fingerprints = wcet_cache if wcet_cache is not None else WcetAnalysisCache()
         self._max_entries = max_entries
         self._entries: OrderedDict[str, TaskFootprint] = OrderedDict()
-        self._context_fps: dict[int, str] = {}
         self.hits = 0
         self.misses = 0
 
-    def _context_fingerprint(self, function: Function) -> str:
-        if self._cache is not None:
-            return self._cache.function_context_fingerprint(function)
-        cached = self._context_fps.get(id(function))
-        if cached is None:
-            decls = sorted(
-                (d.name, str(d.type), d.storage.name) for d in function.all_decls()
-            )
-            cached = _digest(json.dumps(decls, separators=(",", ":")))
-            self._context_fps[id(function)] = cached
-            try:
-                weakref.finalize(function, self._context_fps.pop, id(function), None)
-            except TypeError:  # pragma: no cover - Function is weakref-able
-                pass
-        return cached
-
     def key(self, function: Function, task: Task) -> str:
-        if self._cache is not None:
-            region_fp = self._cache.region_fingerprint(task.statements)
-        else:
-            region_fp = _digest(to_c(task.statements))
+        fingerprints = self._fingerprints
         declared = _digest(
             json.dumps(
                 [sorted(task.reads), sorted(task.writes)], separators=(",", ":")
             )
         )
-        return "|".join((self._context_fingerprint(function), region_fp, declared))
+        context = fingerprints.region_context(
+            task.statements, function, task.reads | task.writes
+        )
+        return "|".join((context, fingerprints.region_fingerprint(task.statements), declared))
 
     def footprint(self, function: Function, task: Task) -> TaskFootprint:
         key = self.key(function, task)
@@ -395,7 +383,7 @@ class FootprintStore:
                 cached, task_id=task.task_id
             )
         self.misses += 1
-        fp = task_footprint(function, task)
+        fp = task_footprint(function, task, self._fingerprints.shared_names(function))
         self._entries[key] = fp
         while len(self._entries) > self._max_entries:
             self._entries.popitem(last=False)

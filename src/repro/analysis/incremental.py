@@ -62,6 +62,8 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
+import numpy as np
+
 from repro.analysis.report import AnalysisReport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -69,8 +71,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.model.diagram import Diagram
     from repro.wcet.cache import WcetAnalysisCache
 
-#: Version stamp of the :func:`summarize_result` dict layout.
-SUMMARY_VERSION = 2
+#: Version stamp of the :func:`summarize_result` dict layout (and of the
+#: fingerprints it records).  v3: :func:`diagram_fingerprint` digests array
+#: values by dtype, shape and bytes.
+SUMMARY_VERSION = 3
 
 
 def _digest(payload: Any) -> str:
@@ -79,14 +83,27 @@ def _digest(payload: Any) -> str:
     ).hexdigest()
 
 
+def _value_digest(value: Any) -> Any:
+    """A JSON-able encoding of one block parameter or state value.
+
+    Arrays are encoded by dtype, shape and a digest of their bytes: their
+    ``str`` elides every element but the first and last three once an array
+    has more than 1,000 of them, so two different arrays could print alike.
+    """
+    if isinstance(value, np.ndarray):
+        data = hashlib.sha1(np.ascontiguousarray(value).tobytes()).hexdigest()
+        return ["array", value.dtype.str, list(value.shape), data]
+    return str(value)
+
+
 def diagram_fingerprint(diagram: "Diagram") -> str:
     """Content fingerprint of a model diagram.
 
     Covers everything :func:`repro.frontend.compile_diagram` reads: block
     names, kinds, port shapes, numeric parameters, behaviour scripts and
     initial state, plus the connection list and the external port marks.
-    Array-valued parameters and state are digested by value, so editing one
-    FIR tap changes the fingerprint.
+    Array-valued parameters and state are digested by value (see
+    :func:`_value_digest`), so editing one FIR tap changes the fingerprint.
     """
     blocks = []
     for name in sorted(diagram.blocks):
@@ -97,9 +114,9 @@ def diagram_fingerprint(diagram: "Diagram") -> str:
                 block.kind,
                 [[p.name, list(p.shape)] for p in block.inputs],
                 [[p.name, list(p.shape)] for p in block.outputs],
-                sorted((k, str(v)) for k, v in block.params.items()),
+                sorted((k, _value_digest(v)) for k, v in block.params.items()),
                 block.behavior,
-                sorted((k, str(v)) for k, v in block.state.items()),
+                sorted((k, _value_digest(v)) for k, v in block.state.items()),
             ]
         )
     payload = [

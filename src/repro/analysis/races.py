@@ -49,6 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.analysis.footprints import (
+    FootprintStore,
     TaskFootprint,
     default_footprint_store,
     footprints_conflict_free,
@@ -56,11 +57,9 @@ from repro.analysis.footprints import (
 from repro.analysis.report import AnalysisReport, Finding
 from repro.htg.graph import HierarchicalTaskGraph
 from repro.htg.task import Task, TaskKind
-from repro.ir.program import Function, Storage
+from repro.ir.analysis import SHARED_STORAGE
+from repro.ir.program import Function
 from repro.utils.graphs import Reachability
-
-#: Storage classes whose variables live in memory visible to every core.
-SHARED_STORAGE = (Storage.SHARED, Storage.INPUT, Storage.OUTPUT)
 
 
 def _chunk_siblings(a: Task, b: Task) -> bool:
@@ -168,6 +167,7 @@ def incremental_race_check(
     function: Function,
     prev_state: RaceCheckState | None = None,
     changed_tasks: set[str] | None = None,
+    store: FootprintStore | None = None,
 ) -> tuple[AnalysisReport, RaceCheckState]:
     """Race check with optional reuse of a previous run's state.
 
@@ -175,6 +175,8 @@ def incremental_race_check(
     the run that produced ``prev_state`` (new tasks included).  Pass
     ``None`` to force a full scan even when the reachability is reusable.
     Replayed findings keep the core numbers of the run they came from.
+    ``store`` memoizes the footprints of chunk pairs that need a proof
+    (the process-wide store by default).
 
     Pairs are handled as bitsets: per task, the partners it must be checked
     against are one mask, split into ordered, non-conflicting and
@@ -187,7 +189,7 @@ def incremental_race_check(
     shared_names = frozenset(
         d.name for d in function.all_decls() if d.storage in SHARED_STORAGE
     )
-    store = default_footprint_store()
+    store = store if store is not None else default_footprint_store()
     fp_cache: dict[str, TaskFootprint] = {}
 
     def footprint_of(task: Task) -> TaskFootprint:

@@ -136,7 +136,9 @@ def eval_range(expr: Expr, env: Env) -> ValueRange:
             return TOP
         if op == "%":
             if a.lo >= 0 and b.lo > 0 and b.hi < INF:
-                return ValueRange(0.0, min(a.hi, b.hi - 1) if a.hi < INF else b.hi - 1)
+                # x % b < b, and only integers stay at or below b - 1
+                integral = _is_int(expr.left) and _is_int(expr.right)
+                return ValueRange(0.0, min(a.hi, b.hi - 1 if integral else b.hi))
             return TOP
         if op == "min":
             return ValueRange(min(a.lo, b.lo), min(a.hi, b.hi))

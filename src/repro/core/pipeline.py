@@ -405,6 +405,7 @@ def _parallel_stage(context: PipelineContext) -> dict[str, Any]:
             model.entry,
             prev_state=prev_state,
             changed_tasks=changed,
+            store=context.wcet_cache.footprints,
         )
         context.info["race_pairs_checked"] = race_report.checked.get("pairs_checked", 0)
         if race_report.checked.get("pairs_reused"):

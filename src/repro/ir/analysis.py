@@ -15,10 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.ir.expressions import ArrayRef, Expr
+from repro.ir.expressions import ArrayRef, BinOp, Const, Expr, Var
 from repro.ir.program import Function, Storage
 from repro.ir.statements import Assign, Block, ExprStmt, For, If, Return, Stmt, While
 from repro.ir.loops import loop_trip_count
+
+#: Storage classes visible to every core.
+SHARED_STORAGE = (Storage.SHARED, Storage.INPUT, Storage.OUTPUT)
 
 
 @dataclass
@@ -142,6 +145,52 @@ def read_write_sets(stmt: Stmt) -> tuple[set[str], set[str]]:
     return reads, writes
 
 
+def referenced_names(stmt: Stmt) -> frozenset[str]:
+    """Every variable and array name the subtree at ``stmt`` reads or writes.
+
+    Loop indices and assignment targets included: these are all the names
+    through which an analysis of the subtree can consult the enclosing
+    function's declarations.
+    """
+    names: set[str] = set()
+    _collect_stmt_names(stmt, names)
+    return frozenset(names)
+
+
+def _collect_expr_names(expr: Expr, names: set[str]) -> None:
+    if isinstance(expr, Var):
+        names.add(expr.name)
+    elif isinstance(expr, BinOp):
+        _collect_expr_names(expr.left, names)
+        _collect_expr_names(expr.right, names)
+    elif not isinstance(expr, Const):
+        if isinstance(expr, ArrayRef):
+            names.add(expr.array)
+        for child in expr.children():
+            _collect_expr_names(child, names)
+
+
+def _collect_stmt_names(stmt: Stmt, names: set[str]) -> None:
+    if isinstance(stmt, Block):
+        for child in stmt.stmts:
+            _collect_stmt_names(child, names)
+    elif isinstance(stmt, Assign):
+        _collect_expr_names(stmt.target, names)
+        _collect_expr_names(stmt.value, names)
+    elif isinstance(stmt, For):
+        names.add(stmt.index.name)
+        _collect_expr_names(stmt.lower, names)
+        _collect_expr_names(stmt.upper, names)
+        _collect_stmt_names(stmt.body, names)
+    elif isinstance(stmt, (If, While, Return, ExprStmt)):
+        for expr in stmt.expressions():
+            _collect_expr_names(expr, names)
+        for child in stmt.children():
+            _collect_stmt_names(child, names)
+    else:
+        raise TypeError(f"unsupported statement {type(stmt).__name__}")
+
+
 def shared_array_names(function: Function) -> frozenset[str]:
     """Names of the arrays ``function`` declares in shared storage.
 
@@ -149,11 +198,17 @@ def shared_array_names(function: Function) -> frozenset[str]:
     quantity the system-level WCET analysis cares about: accesses to
     core-private scratchpads or locals can never interfere with other cores.
     """
-    return frozenset(
-        d.name
-        for d in function.all_decls()
-        if d.is_array and d.storage in (Storage.SHARED, Storage.INPUT, Storage.OUTPUT)
-    )
+    return shared_names(function)[0]
+
+
+def shared_names(function: Function) -> tuple[frozenset[str], frozenset[str]]:
+    """The (array, scalar) names ``function`` declares in shared storage."""
+    arrays: set[str] = set()
+    scalars: set[str] = set()
+    for decl in function.all_decls():
+        if decl.storage in SHARED_STORAGE:
+            (arrays if decl.is_array else scalars).add(decl.name)
+    return frozenset(arrays), frozenset(scalars)
 
 
 def storage_of(function: Function, name: str) -> Storage:

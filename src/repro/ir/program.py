@@ -61,15 +61,47 @@ class Function:
     body: Block = field(default_factory=Block)
     #: Free-form annotations carried through the flow (e.g. originating block).
     annotations: dict[str, object] = field(default_factory=dict)
+    #: name -> first declaration with that name (see :meth:`lookup`), plus
+    #: the ``params`` / ``decls`` lists and lengths it was built from.
+    _index: "tuple[list, int, list, int, dict[str, VarDecl]] | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def all_decls(self) -> list[VarDecl]:
         return list(self.params) + list(self.decls)
 
+    def _decl_index(self) -> dict[str, VarDecl]:
+        """The name -> declaration index, brought up to date.
+
+        The front end and :mod:`repro.ir.builder` append to ``params`` and
+        ``decls`` directly, so the index checks the two lists it was built
+        from: appended declarations are indexed on the next lookup, and a
+        replaced list or a changed parameter list rebuilds it.  Replacing an
+        element of either list in place is not seen.
+        """
+        params, decls = self.params, self.decls
+        state = self._index
+        if state is not None and state[0] is params and state[2] is decls:
+            _, n_params, _, n_decls, index = state
+            if n_params == len(params):
+                if n_decls == len(decls):
+                    return index
+                if n_decls < len(decls):
+                    for decl in decls[n_decls:]:
+                        index.setdefault(decl.name, decl)
+                    self._index = (params, n_params, decls, len(decls), index)
+                    return index
+        index = {}
+        for decl in params:
+            index.setdefault(decl.name, decl)
+        for decl in decls:
+            index.setdefault(decl.name, decl)
+        self._index = (params, len(params), decls, len(decls), index)
+        return index
+
     def lookup(self, name: str) -> VarDecl | None:
-        for decl in self.all_decls():
-            if decl.name == name:
-                return decl
-        return None
+        """The first declaration named ``name`` (parameters before locals)."""
+        return self._decl_index().get(name)
 
     def declare(self, decl: VarDecl) -> VarDecl:
         existing = self.lookup(decl.name)
@@ -80,7 +112,7 @@ class Function:
                     f"{existing.type} vs {decl.type}"
                 )
             return existing
-        self.decls.append(decl)
+        self.decls.append(decl)  # indexed by the next lookup
         return decl
 
     def arrays(self) -> list[VarDecl]:

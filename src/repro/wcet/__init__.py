@@ -18,8 +18,8 @@
 Cache-invalidation contract
 ---------------------------
 :class:`~repro.wcet.cache.WcetAnalysisCache` entries are **content
-addressed** (function + region fingerprints, hardware *cost signature*,
-average/worst flag), so a cache can safely be shared across schedulers,
+addressed** (region context + region fingerprint, hardware *cost
+signature*, average/worst flag), so a cache can safely be shared across schedulers,
 analyses, toolchain runs, feedback iterations and -- when disk-backed --
 across processes: changed IR or a different platform simply produces
 different keys, and unchanged IR hits the cache.  The cost signature is
@@ -30,12 +30,13 @@ cores share entries even on heterogeneous platforms and across platform
 rebuilds.  Only two situations require explicit action from callers:
 
 * **IR transforms that mutate a function in place** (e.g. running a
-  ``PassManager`` after code has already been analysed) must be followed by
+  ``PassManager`` after code has already been analysed, or a pass changing
+  a declaration's storage class) must be followed by
   ``cache.invalidate_function(function)``, which drops the memoized
-  object-identity fingerprints so they are recomputed from the new contents.
-  The toolchain runs all transforms *before* the first analysis and the
-  feedback loop recompiles the model per candidate (fresh objects), so
-  neither needs this.
+  object-identity fingerprints, referenced names and region contexts so
+  they are recomputed from the new contents.  The pipeline invalidates
+  after its transforms, before the first analysis, and the feedback loop
+  recompiles the model per candidate (fresh objects).
 * **Platform, processor or cost-model objects mutated in place** require
   ``cache.clear()`` -- their cost signatures are memoized per object.  The
   supported style is to build fresh objects instead, which needs no
@@ -52,14 +53,18 @@ behaviour.  The incremental re-analysis engine
 (:meth:`repro.core.pipeline.Pipeline.run_incremental`) and the edit-script
 generators in :mod:`repro.usecases.workloads` rely on this API.
 
-Since schema **v3**, code-level entry keys embed the function's
-*declaration-table* fingerprint (name, type, storage class of every
-param/decl) instead of the whole-function fingerprint: a region's WCET
-reads the enclosing function only through that table, so editing one
-region leaves every other region's entry addressable -- the property the
-incremental engine's ≥5x single-edit win rests on.  The
-:data:`~repro.wcet.cache.CACHE_SCHEMA_VERSION` bump (2 → 3) retires the
-old whole-function-keyed on-disk entries by the ordinary versioning rule.
+Since schema **v4**, code-level entry keys embed the region's *context*
+(:meth:`~repro.wcet.cache.WcetAnalysisCache.region_context`): the storage
+class and declared type of every name the region references, looked up in
+the function's declarations, instead of a digest of the whole declaration table
+(v3) or of the whole function (v2).  A region's WCET reads the enclosing
+function only through those names, so editing one region -- or inserting
+or deleting a block, which adds or removes declarations -- leaves every
+region that does not reference a touched name addressable.  Task
+footprints (:attr:`~repro.wcet.cache.WcetAnalysisCache.footprints`) are
+keyed the same way, with the task's declared read/write names added to the
+context.  The :data:`~repro.wcet.cache.CACHE_SCHEMA_VERSION` bump (3 → 4)
+retires the old on-disk entries by the ordinary versioning rule.
 
 System-level / result tiers
 ---------------------------

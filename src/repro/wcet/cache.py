@@ -22,10 +22,14 @@ directory.
 
 Code-level cache keys are **content addressed**: an entry is keyed by
 
-* the fingerprint of the enclosing function (declarations with their storage
-  classes plus the whole body, rendered through the C printer),
+* the region's *context*: a digest of the storage class and declared type
+  (hence array-ness) of every name the analysed region references, looked
+  up in the enclosing function's declarations (a name the function does
+  not declare keys as undeclared) -- everything the analysis reads through
+  the function, and nothing about the function's other regions or
+  declarations,
 * the fingerprint of the analysed statement region (a task's statements or
-  the function body),
+  the function body, rendered through the C printer),
 * the *cost signature* of the hardware model -- the processor's operation
   cost table, branch and loop overheads, the core's scratchpad latencies,
   the platform's uncontended shared-memory latencies and any storage
@@ -47,7 +51,7 @@ System-level result tier
 :class:`SystemResultCache` keys a full system-level analysis on
 
 * the fingerprints of the function and of every mapped task's statement
-  region (the same fingerprints the code-level tier uses),
+  region (the region fingerprints are the ones the code-level tier uses),
 * the mapping and the per-core ordering,
 * the platform's *contention signature*: the per-core cost signatures, each
   used core's shared-access penalty table for every possible contender
@@ -115,15 +119,20 @@ directory and flushed automatically at interpreter exit.
 Invalidation contract
 ---------------------
 The only mutable state is the set of *memos* mapping live ``Function`` /
-statement / model objects (by identity) to their fingerprints and cost
-signatures, which avoids re-rendering the IR and re-digesting cost tables on
-every query.  Situations requiring cooperation from the caller:
+statement / model objects (by identity) to their fingerprints, referenced
+names, region contexts and cost signatures, which avoids re-rendering the
+IR and re-digesting declarations and cost tables on every query.
+Situations requiring cooperation from the caller:
 
-1. **In-place IR mutation.**  If a function (or a task's statement block) is
-   mutated after it has been analysed -- e.g. by running an IR transform --
-   call :meth:`WcetAnalysisCache.invalidate_function` so the memoized
-   fingerprint is recomputed.  The toolchain runs all transforms *before*
-   the first analysis, so it never needs to do this.
+1. **In-place IR mutation.**  If a function -- its body, a task's statement
+   block, or its declarations (a storage class changed in place, a
+   declaration appended) -- is mutated after it has been analysed, e.g. by
+   running an IR transform, call
+   :meth:`WcetAnalysisCache.invalidate_function` (or
+   :meth:`~WcetAnalysisCache.invalidate_fingerprints` for a block outside
+   the body) so the memoized fingerprints and contexts are recomputed.
+   The toolchain invalidates after its transforms, before the first
+   analysis.
 2. **In-place platform / processor / cost-model mutation.**  Platform,
    processor and :class:`~repro.wcet.hardware_model.HardwareCostModel`
    objects are treated as immutable (their cost signature is memoized per
@@ -155,6 +164,7 @@ from typing import TYPE_CHECKING, Any, Collection, Iterator
 from repro import obs
 from repro.htg.graph import HierarchicalTaskGraph
 from repro.htg.task import Task
+from repro.ir.analysis import referenced_names, shared_names
 from repro.ir.printer import function_to_c, to_c
 from repro.ir.program import Function
 from repro.ir.statements import Block
@@ -164,6 +174,7 @@ from repro.wcet.hardware_model import HardwareCostModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.adl.architecture import Platform
+    from repro.analysis.footprints import FootprintStore
     from repro.wcet.system_level import SystemDesign, SystemWcetResult
 
 #: Version of the on-disk entry format *and* of the cost-model semantics the
@@ -173,7 +184,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: disk (each lives in its own ``v<N>`` subdirectory).
 #: v2: system-level task rows grew from 4 to 6 elements (isolated base WCET
 #: and shared-access count appended, needed by certificate checking).
-CACHE_SCHEMA_VERSION = 3
+#: v3: code-level keys embed the function's declaration-table fingerprint
+#: instead of the whole-function fingerprint.
+#: v4: code-level keys embed the region context (the declarations of the
+#: names the region references) instead of the whole declaration table.
+CACHE_SCHEMA_VERSION = 4
 
 #: Environment variable naming the cache directory of the process-wide
 #: shared cache (see :func:`shared_cache`).
@@ -215,6 +230,53 @@ class CacheStats:
 
 def _digest(text: str) -> str:
     return hashlib.sha1(text.encode("utf-8")).hexdigest()
+
+
+class _RegionMemo:
+    """One statement region's fingerprint and, once a key needs them, the
+    names it references."""
+
+    __slots__ = ("fingerprint", "names")
+
+    def __init__(self, fingerprint: str) -> None:
+        self.fingerprint = fingerprint
+        self.names: frozenset[str] | None = None
+
+
+class _DeclarationMemo:
+    """What region-scoped keys have read through one function."""
+
+    __slots__ = ("contexts", "rows", "shared")
+
+    def __init__(self) -> None:
+        #: region fingerprint (with any extra names) -> region context
+        self.contexts: dict[object, str] = {}
+        #: name -> its encoded row (see :meth:`context_of`)
+        self.rows: dict[str, str] = {}
+        #: see :meth:`WcetAnalysisCache.shared_names`
+        self.shared: tuple[frozenset[str], frozenset[str]] | None = None
+
+    def context_of(self, function: Function, names: Collection[str]) -> str:
+        """Digest of what an analysis can learn about ``names`` from ``function``.
+
+        One JSON row per name, in sorted order: its storage class and
+        declared type (which says whether it is an array), or just the name
+        when ``function`` does not declare it.  The type also covers the
+        integer typing of the IR nodes that use a declared name, which the
+        interval rule for ``%`` reads and the C rendering behind region
+        fingerprints does not show.
+        """
+        rows = self.rows
+        encoded = []
+        for name in sorted(names):
+            row = rows.get(name)
+            if row is None:
+                decl = function.lookup(name)
+                row = rows[name] = json.dumps(
+                    [name] if decl is None else [name, decl.storage.name, str(decl.type)]
+                )
+            encoded.append(row)
+        return _digest("[" + ",".join(encoded) + "]")
 
 
 @dataclass
@@ -323,10 +385,10 @@ class WcetAnalysisCache(_ShardBackedTier):
     _entries: dict[str, WcetBreakdown] = field(default_factory=dict, repr=False)
     #: id(Function) -> fingerprint (dropped via weakref.finalize on GC)
     _function_fps: dict[int, str] = field(default_factory=dict, repr=False)
-    #: id(Block) -> fingerprint
-    _region_fps: dict[int, str] = field(default_factory=dict, repr=False)
-    #: id(Function) -> declaration-table fingerprint (see ``entry_key``)
-    _context_fps: dict[int, str] = field(default_factory=dict, repr=False)
+    #: id(Block) -> the region's fingerprint and referenced names
+    _region_fps: dict[int, "_RegionMemo"] = field(default_factory=dict, repr=False)
+    #: id(Function) -> what region keys read through it (see ``region_context``)
+    _declarations: dict[int, "_DeclarationMemo"] = field(default_factory=dict, repr=False)
     #: id(HardwareCostModel) -> (signature tuple, digest)
     _model_sigs: dict[int, tuple[tuple, str]] = field(default_factory=dict, repr=False)
     #: objects that could not be weakref'd, pinned so their ids stay valid
@@ -340,6 +402,8 @@ class WcetAnalysisCache(_ShardBackedTier):
     _own_lines: dict[str, str] = field(default_factory=dict, repr=False)
     #: lazily created system-level result tier (see :attr:`system_results`)
     _system: "SystemResultCache | None" = field(default=None, repr=False)
+    #: lazily created task-footprint memo (see :attr:`footprints`)
+    _footprints: "FootprintStore | None" = field(default=None, repr=False)
     #: per-instance token making the shard file name unique even when two
     #: caches in one process share a directory
     _shard_token: str = field(default_factory=lambda: uuid.uuid4().hex[:8], repr=False)
@@ -372,35 +436,63 @@ class WcetAnalysisCache(_ShardBackedTier):
             )
         return cached
 
-    def _region_fingerprint(self, region: Block) -> str:
-        cached = self._region_fps.get(id(region))
-        if cached is None:
-            cached = self._remember(self._region_fps, region, _digest(to_c(region)))
-        return cached
+    def _region(self, region: Block) -> _RegionMemo:
+        memo = self._region_fps.get(id(region))
+        if memo is None:
+            memo = self._remember(self._region_fps, region, _RegionMemo(_digest(to_c(region))))
+        return memo
 
-    def _function_context_fingerprint(self, function: Function) -> str:
-        """Fingerprint of everything the code-level analysis reads *through*
-        the function: its declaration table (name -> type, storage class).
+    def _declaration_memo(self, function: Function) -> _DeclarationMemo:
+        memo = self._declarations.get(id(function))
+        if memo is None:
+            memo = self._remember(self._declarations, function, _DeclarationMemo())
+        return memo
 
-        A region's WCET is a pure function of the region's statements, the
-        cost model and this table (storage classification decides memory
-        latencies), NOT of the other regions' code -- keying entries by the
-        whole-function fingerprint would invalidate every region's memo on
-        any single-region edit, which is exactly what the incremental
-        re-analysis engine must avoid.
+    def region_context(
+        self, region: Block, function: Function, extra_names: Collection[str] = ()
+    ) -> str:
+        """Digest of everything an analysis of ``region`` reads *through*
+        ``function``: the storage class and declared type of every name the
+        region references, plus ``extra_names``.
+
+        The code-level analysis consults the function only for the storage
+        class of the arrays a region accesses, and the footprint walker
+        only for the shared-ness of the names it sees, so a region's result
+        is a pure function of its statements, this context and (for WCET)
+        the cost model -- not of the other regions' code or declarations.
+        Adding or removing a block therefore re-keys only the regions that
+        reference a name it declares.  Memoized per function and region
+        content; ``extra_names`` the region references anyway (a task's
+        declared read/write sets, as extracted) share the region's entry.
         """
-        cached = self._context_fps.get(id(function))
-        if cached is None:
-            decls = sorted(
-                (decl.name, str(decl.type), decl.storage.name)
-                for decl in (*function.params, *function.decls)
-            )
-            cached = self._remember(
-                self._context_fps,
-                function,
-                _digest(json.dumps(decls, separators=(",", ":"))),
-            )
-        return cached
+        return self._region_context(self._region(region), region, function, extra_names)
+
+    def _region_context(
+        self,
+        memo: _RegionMemo,
+        region: Block,
+        function: Function,
+        extra_names: Collection[str] = (),
+    ) -> str:
+        declarations = self._declaration_memo(function)
+        names = memo.names
+        if names is None:
+            names = memo.names = referenced_names(region)
+        key: object = memo.fingerprint
+        if extra_names and not names.issuperset(extra_names):
+            names = names.union(extra_names)
+            key = (memo.fingerprint, names)
+        context = declarations.contexts.get(key)
+        if context is None:
+            context = declarations.contexts[key] = declarations.context_of(function, names)
+        return context
+
+    def shared_names(self, function: Function) -> tuple[frozenset[str], frozenset[str]]:
+        """Memoized :func:`~repro.ir.analysis.shared_names` of a function."""
+        memo = self._declaration_memo(function)
+        if memo.shared is None:
+            memo.shared = shared_names(function)
+        return memo.shared
 
     def model_signature(self, model: HardwareCostModel) -> tuple:
         """Cost-relevant identity of a hardware model, by *content*.
@@ -419,18 +511,9 @@ class WcetAnalysisCache(_ShardBackedTier):
         """Memoized content fingerprint of a whole function (public API)."""
         return self._function_fingerprint(function)
 
-    def function_context_fingerprint(self, function: Function) -> str:
-        """Memoized decl-table fingerprint of a function (public API).
-
-        The key component region-scoped analyses (code-level WCET entries,
-        task footprints) combine with a region fingerprint so single-region
-        edits keep every other region's memo addressable.
-        """
-        return self._function_context_fingerprint(function)
-
     def region_fingerprint(self, region: Block) -> str:
         """Memoized content fingerprint of one statement region (public API)."""
-        return self._region_fingerprint(region)
+        return self._region(region).fingerprint
 
     def model_signature_digest(self, model: HardwareCostModel) -> str:
         """Digest of :meth:`model_signature` (what entry keys embed)."""
@@ -468,16 +551,18 @@ class WcetAnalysisCache(_ShardBackedTier):
     ) -> str:
         """The stable content key of one analysis (also the on-disk key).
 
-        Keyed by the *region* content plus the function's declaration-table
-        fingerprint (not the whole function body): the analysis only reads
-        the function through its decl table, so editing one region leaves
-        every other region's entry addressable -- the property the
-        incremental re-analysis engine relies on.
+        Keyed by the region's :meth:`region_context` (the declarations of
+        the names it references, not the whole function), the region's
+        content, the cost signature and the average/worst-case flag.
+        Editing, inserting or deleting a block therefore leaves every
+        region that does not reference one of its names addressable -- the
+        property the incremental re-analysis engine relies on.
         """
+        memo = self._region(region)
         return "|".join(
             (
-                self._function_context_fingerprint(function),
-                self._region_fingerprint(region),
+                self._region_context(memo, region, function),
+                memo.fingerprint,
                 self._model_signature(model)[1],
                 "avg" if average else "wc",
             )
@@ -683,6 +768,21 @@ class WcetAnalysisCache(_ShardBackedTier):
                 self._system.load(self._cache_dir)
         return self._system
 
+    @property
+    def footprints(self) -> "FootprintStore":
+        """The task-footprint memo keyed through this cache (created on first use).
+
+        Shares this instance's region memos, so a footprint lookup renders
+        nothing a WCET lookup of the same region already rendered, and
+        :meth:`invalidate_function` / :meth:`clear` cover its keys.
+        In-memory only.
+        """
+        if self._footprints is None:
+            from repro.analysis.footprints import FootprintStore
+
+            self._footprints = FootprintStore(wcet_cache=self)
+        return self._footprints
+
     # ------------------------------------------------------------------ #
     # eviction
     # ------------------------------------------------------------------ #
@@ -815,12 +915,15 @@ class WcetAnalysisCache(_ShardBackedTier):
     def invalidate_function(self, function: Function) -> None:
         """Forget memoized fingerprints after an in-place IR mutation.
 
-        Content-addressed entries themselves stay valid (the mutated IR will
-        simply produce new keys); only the identity -> fingerprint memos must
-        be dropped so they are recomputed from the new contents.
+        Drops the function's fingerprint, every region context and shared
+        name set derived from its declarations, and the fingerprints and
+        referenced names of the blocks of its body.  Content-addressed
+        entries themselves stay valid (the mutated IR will simply produce
+        new keys): after a storage class changes in place, exactly the
+        regions that reference that name get new keys.
         """
         self._function_fps.pop(id(function), None)
-        self._context_fps.pop(id(function), None)
+        self._declarations.pop(id(function), None)
         self._region_fps.pop(id(function.body), None)
         for stmt in function.body.walk():
             if isinstance(stmt, Block):
@@ -873,10 +976,11 @@ class WcetAnalysisCache(_ShardBackedTier):
         self._entries.clear()
         self._function_fps.clear()
         self._region_fps.clear()
-        self._context_fps.clear()
+        self._declarations.clear()
         self._model_sigs.clear()
         self._pins.clear()
         self._loaded.clear()
+        self._footprints = None
         if self._system is not None:
             self._system.clear()
 

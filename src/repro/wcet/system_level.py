@@ -786,7 +786,13 @@ def system_level_wcet(
         # analysis package depends on this module's types
         from repro.analysis.static_mhp import compute_static_mhp
 
-        relation = compute_static_mhp(htg, function, mapping, sharers=sharers)
+        relation = compute_static_mhp(
+            htg,
+            function,
+            mapping,
+            sharers=sharers,
+            store=cache.footprints if cache is not None else None,
+        )
         allowed = relation.allowed
         if obs.obs_enabled():
             registry = obs.metrics()

@@ -81,6 +81,23 @@ class TestIntervalDivision:
 
 
 # ---------------------------------------------------------------------- #
+# interval remainder (value_range.eval_range)
+# ---------------------------------------------------------------------- #
+class TestIntervalModulo:
+    def test_non_integer_dividend_reaches_the_divisor(self):
+        # ((i + 0.5) % 3) * 2 for i in [0, 3] is 5 at i = 2
+        i = Var("i", INT)
+        expr = BinOp("*", BinOp("%", BinOp("+", i, Const(0.5)), Const(3)), Const(2))
+        rng = eval_range(expr, {"i": ValueRange(0.0, 3.0)})
+        for k in range(4):
+            assert rng.lo <= ((k + 0.5) % 3) * 2 <= rng.hi
+
+    def test_integer_operands_keep_the_divisor_minus_one(self):
+        rng = eval_range(BinOp("%", Var("i", INT), Const(3)), {"i": ValueRange(0.0, 7.0)})
+        assert rng == ValueRange(0.0, 2.0)
+
+
+# ---------------------------------------------------------------------- #
 # footprint extraction
 # ---------------------------------------------------------------------- #
 def shared_buf_function(size=8):
@@ -262,6 +279,24 @@ class TestFootprintStore:
         fps = task_footprints(func, tasks)
         assert set(fps) == {"a", "b"}
         assert fps["a"].task_id == "a"
+
+    def test_hit_renders_nothing(self, monkeypatch):
+        import repro.wcet.cache as cache_module
+
+        func = shared_buf_function()
+        task = chunk_task("t", 0, 4)
+        store = WcetAnalysisCache().footprints
+        first = store.footprint(func, task)
+        rendered = []
+        render = cache_module.to_c
+        monkeypatch.setattr(
+            cache_module, "to_c", lambda region: rendered.append(region) or render(region)
+        )
+        # a copy sharing the statements, as incremental extraction hands over
+        again = Task("u", TaskKind.LOOP_CHUNK, task.statements, writes={"buf"}, parent="loop")
+        assert store.footprint(func, again).array_writes == first.array_writes
+        assert store.hits == 1
+        assert rendered == []
 
     def test_lru_bounds_memory(self):
         func = shared_buf_function()

@@ -6,6 +6,7 @@ cold :meth:`Pipeline.run` on the edited model -- every reuse is proved
 valid by a content fingerprint.
 """
 
+import numpy as np
 import pytest
 
 from repro.adl.platforms import generic_predictable_multicore
@@ -18,6 +19,8 @@ from repro.analysis.incremental import (
 from repro.analysis.report import AnalysisReport, Finding
 from repro.core.config import ToolchainConfig
 from repro.core.pipeline import Pipeline, Stage, default_stages, replay_key
+from repro.model import library
+from repro.model.diagram import Diagram
 from repro.scheduling.schedule import default_core_order
 from repro.usecases.workloads import (
     delete_block,
@@ -167,14 +170,75 @@ def test_random_edit_scripts_match_cold(seed):
     _assert_bit_identical(result, _pipeline().run(edited))
 
 
+def _reextracted(result, prev):
+    """Leaf tasks of ``result`` that do not share statements with ``prev``."""
+    return [
+        task
+        for task in result.htg.leaf_tasks()
+        if task.task_id not in prev.htg.tasks
+        or prev.htg.tasks[task.task_id].statements is not task.statements
+    ]
+
+
 @pytest.mark.parametrize("edit", [insert_gain_block, delete_block])
 def test_structural_edits_match_cold(edit):
     pipe = _pipeline()
     base = pipe.run(_diagram(seed=21))
     edited = _diagram(seed=21)
     edit(edited, seed=2)
+    footprint_misses = pipe.wcet_cache.footprints.misses
     result = pipe.run_incremental(base, edited)
     _assert_bit_identical(result, _pipeline().run(edited))
+    # an edit that adds or removes declarations re-keys only the regions
+    # that reference them: one worst-case and one average-case analysis per
+    # re-extracted task, plus the sequential bound of the edited body
+    fresh = _reextracted(result, base)
+    assert len(fresh) < len(result.htg.leaf_tasks())
+    assert result.cache_stats["misses"] <= 2 * len(fresh) + 1
+    assert pipe.wcet_cache.footprints.misses - footprint_misses <= len(fresh)
+
+
+@pytest.mark.parametrize("edit", [insert_gain_block, delete_block])
+def test_structural_edits_with_static_pruning_reuse_footprints(edit):
+    config = ToolchainConfig(static_pruning=True)
+    pipe = _pipeline(config=config)
+    base = pipe.run(_diagram(seed=21))
+    edited = _diagram(seed=21)
+    edit(edited, seed=2)
+    footprint_misses = pipe.wcet_cache.footprints.misses
+    result = pipe.run_incremental(base, edited)
+    _assert_bit_identical(result, _pipeline(config=config).run(edited))
+    assert pipe.wcet_cache.footprints.misses - footprint_misses <= len(
+        _reextracted(result, base)
+    )
+
+
+def test_long_array_param_edit_matches_cold():
+    # numpy prints only the ends of an array above 1,000 elements, so the
+    # diagram fingerprint must digest array values, not their str()
+    def fir_diagram(taps):
+        d = Diagram("fir")
+        d.add_block(library.gain("pre", 2.0, size=4))
+        d.add_block(library.fir_filter("smooth", taps, size=4))
+        d.connect("pre", "y", "smooth", "u")
+        d.mark_input("pre", "u")
+        d.mark_output("smooth", "y")
+        return d
+
+    taps = np.linspace(0.0, 1.0, 2000)
+    edited_taps = taps.copy()
+    edited_taps[1000] += 0.5
+    assert diagram_fingerprint(fir_diagram(taps)) != diagram_fingerprint(
+        fir_diagram(edited_taps)
+    )
+    pipe = _pipeline()
+    base = pipe.run(fir_diagram(taps))
+    result = pipe.run_incremental(base, fir_diagram(edited_taps))
+    cold = _pipeline().run(fir_diagram(edited_taps))
+    _assert_bit_identical(result, cold)
+    assert result.model.parameter_values.keys() == cold.model.parameter_values.keys()
+    for name, value in cold.model.parameter_values.items():
+        assert np.array_equal(result.model.parameter_values[name], value), name
 
 
 def test_platform_cost_tweak_matches_cold():

@@ -1,5 +1,7 @@
 """Tests for the IR node classes, builder, printer and type system."""
 
+import copy
+
 import pytest
 
 from repro.ir import (
@@ -23,6 +25,7 @@ from repro.ir import (
     to_c,
 )
 from repro.ir.expressions import ArrayRef, substitute, try_evaluate_constant
+from repro.ir.program import Function, Storage, VarDecl
 from repro.ir.statements import collect_loops, count_statements
 from repro.ir.types import is_array, is_scalar
 
@@ -205,3 +208,44 @@ class TestPrinter:
     def test_prints_expression_and_return(self):
         assert to_c(BinOp("+", Var("a"), Const(1))) == "(a + 1)"
         assert to_c(Return(Var("a"))) == "return a;"
+
+
+class TestDeclarationIndex:
+    def test_lookup_sees_declare_and_direct_appends(self):
+        func = Function("f")
+        assert func.lookup("a") is None
+        a = func.declare(VarDecl("a", FLOAT))
+        assert func.lookup("a") is a
+        # the front end and the builder append to the lists directly
+        p = VarDecl("p", FLOAT, Storage.INPUT)
+        func.params.append(p)
+        d = VarDecl("d", ArrayType(FLOAT, (4,)), Storage.SHARED)
+        func.decls.append(d)
+        assert func.lookup("p") is p
+        assert func.lookup("d") is d
+        assert func.declare(VarDecl("d", ArrayType(FLOAT, (4,)))) is d
+        # a replaced list is indexed afresh
+        e = VarDecl("e", FLOAT)
+        func.decls = [e]
+        assert func.lookup("e") is e
+        assert func.lookup("a") is None
+
+    def test_first_match_wins_params_before_decls(self):
+        local = VarDecl("x", FLOAT, Storage.LOCAL)
+        func = Function("f", decls=[local, VarDecl("x", FLOAT, Storage.SHARED)])
+        assert func.lookup("x") is local
+        param = VarDecl("x", FLOAT, Storage.INPUT)
+        func.params.append(param)
+        assert func.lookup("x") is param
+        func.params.append(VarDecl("x", FLOAT, Storage.OUTPUT))
+        assert func.lookup("x") is param
+
+    def test_deepcopy_indexes_its_own_declarations(self):
+        func = Function("f", params=[VarDecl("p", FLOAT, Storage.INPUT)])
+        assert func.lookup("p") is func.params[0]
+        clone = copy.deepcopy(func)
+        assert clone.lookup("p") is clone.params[0]
+        assert clone.lookup("p") is not func.params[0]
+        clone.decls.append(VarDecl("q", FLOAT))
+        assert clone.lookup("q") is clone.decls[0]
+        assert func.lookup("q") is None

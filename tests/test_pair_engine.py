@@ -700,12 +700,13 @@ class TestContentionDifferential:
         assert_same_report(report, contention_oracle(cert, htg, func))
 
     def test_empty_window_counts_as_whole_array(self):
-        # t1 writes buf[5] (i % 0.25 is 0), but the interval rule for a
-        # modulus below one gives the empty bounds [5, 3]; t2 writes
-        # buf[4..5], so excluding t1<->t2 must be refuted like t1<->t3
+        # t1 writes buf[5] (i % 0.25 is 0), but the integer interval rule
+        # for a modulus below one (an ill-typed integer constant 0.25) gives
+        # the empty bounds [5, 3]; t2 writes buf[4..5], so excluding
+        # t1<->t2 must be refuted like t1<->t3
         func, htg = contending_tasks(("t1", "t2", "t3"), spans={"t2": (4, 6)})
         i = Var("i", INT)
-        mod = BinOp("%", i, Const(0.25))
+        mod = BinOp("%", i, Const(0.25, INT))
         index = BinOp("+", BinOp("+", mod, mod), Const(5))
         htg.tasks["t1"].statements = Block(
             [For(index=i, lower=Const(0), upper=Const(4),
@@ -725,6 +726,22 @@ class TestContentionDifferential:
         assert {f.subject for f in report.findings} == {
             "t1<->t2", "t2<->t1", "t1<->t3", "t3<->t1", "t2<->t3", "t3<->t2",
         }
+
+
+def test_non_integer_modulus_window_covers_every_index():
+    # ((i + 0.5) % 3) * 2 for i in [0, 3] writes buf[5] at i = 2; the
+    # integer rule's [0, 2] remainder would end the window at buf[4]
+    func, htg = contending_tasks(("t1",))
+    i = Var("i", INT)
+    index = BinOp("*", BinOp("%", BinOp("+", i, Const(0.5)), Const(3)), Const(2))
+    htg.tasks["t1"].statements = Block(
+        [For(index=i, lower=Const(0), upper=Const(4),
+             body=Block([Assign(ArrayRef("buf", (index,)), Const(1.0))]))]
+    )
+    [(lo, hi)] = _task_access_bounds(func, htg.task("t1"), {"buf"})["buf"]
+    written = {int(((k + 0.5) % 3) * 2) for k in range(4)}
+    assert 5 in written
+    assert all(lo <= w <= hi for w in written)
 
 
 def contending_tasks(tids, spans=None):

@@ -11,7 +11,12 @@ from repro.adl.platforms import generic_predictable_multicore
 from repro.frontend import compile_diagram
 from repro.htg import extract_htg
 from repro.htg.extraction import ExtractionOptions
+from repro.htg.task import Task, TaskKind
 from repro.ir.builder import FunctionBuilder
+from repro.ir.expressions import ArrayRef, Const, Var
+from repro.ir.program import Function, Storage, VarDecl
+from repro.ir.statements import Assign, Block
+from repro.ir.types import FLOAT, ArrayType
 from repro.scheduling import WcetAwareListScheduler
 from repro.scheduling.schedule import default_core_order
 from repro.usecases import ALL_USECASES
@@ -24,6 +29,7 @@ from repro.wcet import (
     annotate_htg_wcets,
     system_level_wcet,
 )
+from repro.wcet.code_level import statement_wcet
 
 USECASES = ["egpws", "polka", "weaa", "workloads"]
 
@@ -159,6 +165,72 @@ class TestCacheBehaviour:
         after = analyze_function_wcet(func, model_cost, cache=cache).total
         assert after > before
         assert after == analyze_function_wcet(func, model_cost).total
+
+    @staticmethod
+    def _two_array_function(storage_of_a=Storage.SHARED, extra=()):
+        """A function whose two regions each read one of two arrays."""
+        region_a = Block([Assign(Var("x"), ArrayRef("a", (Const(0),)))])
+        region_b = Block([Assign(Var("x"), ArrayRef("b", (Const(1),)))])
+        func = Function(
+            "two",
+            decls=[
+                VarDecl("a", ArrayType(FLOAT, (4,)), storage_of_a),
+                VarDecl("b", ArrayType(FLOAT, (4,)), Storage.SHARED),
+                VarDecl("x", FLOAT),
+                *extra,
+            ],
+            body=Block([region_a, region_b]),
+        )
+        return func, (region_a, region_b)
+
+    def test_storage_change_in_place_rekeys_only_referencing_regions(self):
+        func, regions = self._two_array_function()
+        model_cost = HardwareCostModel(generic_predictable_multicore(cores=2), 0)
+        cache = WcetAnalysisCache()
+        before = [cache.entry_key(r, func, model_cost) for r in regions]
+        shared_a = cache.region_wcet(regions[0], func, model_cost)
+        func.lookup("a").storage = Storage.SCRATCHPAD
+        cache.invalidate_function(func)
+        after = [cache.entry_key(r, func, model_cost) for r in regions]
+        assert after[0] != before[0]
+        assert after[1] == before[1]
+        for region in regions:
+            assert cache.region_wcet(region, func, model_cost) == statement_wcet(
+                region, func, model_cost
+            )
+        assert cache.region_wcet(regions[0], func, model_cost).total < shared_a.total
+
+    def test_storage_change_in_fresh_function_rekeys_only_referencing_regions(self):
+        model_cost = HardwareCostModel(generic_predictable_multicore(cores=2), 0)
+        cache = WcetAnalysisCache()
+        func, regions = self._two_array_function()
+        # a declaration no region references (an inserted block's signal,
+        # say) must not re-key anything
+        moved, moved_regions = self._two_array_function(
+            Storage.SCRATCHPAD, extra=[VarDecl("unused", ArrayType(FLOAT, (8,)), Storage.SHARED)]
+        )
+        assert cache.entry_key(regions[0], func, model_cost) != cache.entry_key(
+            moved_regions[0], moved, model_cost
+        )
+        assert cache.entry_key(regions[1], func, model_cost) == cache.entry_key(
+            moved_regions[1], moved, model_cost
+        )
+        for f, rs in ((func, regions), (moved, moved_regions)):
+            for region in rs:
+                assert cache.region_wcet(region, f, model_cost) == statement_wcet(
+                    region, f, model_cost
+                )
+
+    def test_undeclared_and_local_names_key_differently(self):
+        model_cost = HardwareCostModel(generic_predictable_multicore(cores=2), 0)
+        region = Block([Assign(Var("x"), Const(1.0))])
+        declared = Function("f", decls=[VarDecl("x", FLOAT, Storage.LOCAL)], body=Block([region]))
+        undeclared = Function("f", body=Block([region]))
+        cache = WcetAnalysisCache()
+        assert cache.region_context(region, declared) != cache.region_context(region, undeclared)
+        assert cache.entry_key(region, declared, model_cost) != cache.entry_key(
+            region, undeclared, model_cost
+        )
 
     def test_cached_breakdowns_are_isolated_copies(self):
         func = self._small_function()
@@ -419,15 +491,20 @@ class TestDiskPersistence:
         platform = generic_predictable_multicore(cores=2)
         cache = WcetAnalysisCache()
         cache.function_wcet(func, HardwareCostModel(platform, 0))
+        task = Task("t", TaskKind.BLOCK, func.body, writes={"x"})
+        cache.footprints.footprint(func, task)
+        cache.function_fingerprint(func)
         ref = weakref.ref(func)
-        del func, fb, x
+        del func, fb, x, task
         gc.collect()
         # the analysed function must be collectable; its identity memos must
         # go with it so a process-lifetime shared cache cannot leak IR trees
         assert ref() is None
         assert not cache._function_fps
         assert not cache._region_fps
+        assert not cache._declarations
         assert len(cache) == 1  # the content-addressed entry itself stays
+        assert cache.footprints.misses == 1
 
     def test_shared_cache_honours_env_var(self, tmp_path, monkeypatch):
         from repro.wcet.cache import (
