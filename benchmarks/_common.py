@@ -14,7 +14,7 @@ if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 from repro.adl.platforms import generic_predictable_multicore  # noqa: E402
-from repro.core import ArgoToolchain, ToolchainConfig  # noqa: E402
+from repro.core import Pipeline, ToolchainConfig  # noqa: E402
 from repro.usecases import ALL_USECASES  # noqa: E402
 
 
@@ -23,8 +23,8 @@ def run_flow(usecase: str, cores: int = 4, **config_kwargs):
     builder, _ = ALL_USECASES[usecase]
     platform = generic_predictable_multicore(cores=cores)
     config = ToolchainConfig(**{"loop_chunks": min(4, cores), **config_kwargs})
-    toolchain = ArgoToolchain(platform, config)
-    return toolchain, toolchain.run(builder())
+    pipeline = Pipeline(platform, config)
+    return pipeline, pipeline.run(builder())
 
 
 def emit(table) -> None:

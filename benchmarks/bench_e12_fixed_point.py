@@ -1,23 +1,24 @@
-"""E12: system-level fixed-point iteration cost, per MHP backend.
+"""E12: system-level fixed-point iteration cost of the unpruned MHP kernel.
 
-PR 1 left the system-level analysis with an O(tasks x sharers) Python double
-loop deriving the contender counts on *every* fixed-point iteration.  The
-vectorised engine sorts each core's sharer window endpoints once per
-iteration and answers all overlap queries with two ``numpy.searchsorted``
-passes, the scalar backend became a per-core bisect over running maxima of
-the sharer window ends, and the timeline builder prices the constraint
-graph once instead of re-querying the per-edge latency per iteration.
+The fixed point derives every task's contender count on *every*
+iteration.  Naively that is an O(tasks x sharers) double loop; the
+unpruned kernel, :func:`repro.wcet.system_level.mhp_contenders`, is a
+per-core bisect over running maxima of the sharer window ends, and the
+timeline builder prices the constraint graph once instead of re-querying
+the per-edge latency per iteration.
 
-This experiment runs both MHP backends of :func:`system_level_wcet` on
-synthetic HTGs of ~200-1000 tasks and asserts they are *byte-identical* --
-same makespan, same task intervals, same effective WCETs, same contender
-counts, same iteration count.  It then times one contender pass of each
-backend and of the original double loop (kept here as the baseline) on the
-converged task windows: all three must give the same counts, and at 1000
-tasks both backends must be at least 5x faster than the double loop.
+This experiment runs :func:`system_level_wcet` on synthetic HTGs of
+~200-1000 tasks twice: with the kernel, and with the original double loop
+(kept here as the baseline) patched in.  Both fixed points must be
+*byte-identical* -- same makespan, same task intervals, same effective
+WCETs, same contender counts, same iteration count.  It then times one
+contender pass of the kernel and of the double loop on the converged task
+windows: both must give the same counts, and at 1000 tasks the kernel must
+be at least 5x faster than the double loop.
 """
 
 import time
+from unittest import mock
 
 try:
     from benchmarks._common import emit
@@ -35,7 +36,8 @@ from repro.usecases.workloads import synthetic_compiled_model
 from repro.utils.tables import Table
 from repro.wcet import HardwareCostModel, annotate_htg_wcets, system_level_wcet
 from repro.wcet.cache import shared_cache
-from repro.wcet.system_level import mhp_contenders_scalar, mhp_contenders_vectorised
+from repro.wcet import system_level
+from repro.wcet.system_level import mhp_contenders
 
 #: (num_kernels, loop_chunks, dependency_probability, cores) -> ~tasks
 CONFIGS = [
@@ -44,8 +46,8 @@ CONFIGS = [
     (500, 1, 0.006, 8),   # ~500 tasks
     (1000, 1, 0.004, 8),  # ~1000 tasks (the acceptance configuration)
 ]
-#: acceptance: both backends' passes must be >= 5x faster than the double
-#: loop at this task count
+#: acceptance: one kernel pass must be >= 5x faster than the double loop at
+#: this task count
 TARGET_TASKS = 1000
 TARGET_SPEEDUP = 5.0
 
@@ -93,7 +95,7 @@ def _double_loop(leaf_ids, sharers, mapping, intervals):
     return contenders
 
 
-def _time_backend(htg, function, platform, mapping, order, cache, backend, repeats=2):
+def _time_fixed_point(htg, function, platform, mapping, order, cache, repeats):
     best = float("inf")
     result = None
     for _ in range(repeats):
@@ -101,8 +103,7 @@ def _time_backend(htg, function, platform, mapping, order, cache, backend, repea
         # result_cache=False: this experiment times the fixed point itself,
         # so the system-level result memo must not short-circuit the repeats
         result = system_level_wcet(
-            htg, function, platform, mapping, order, cache=cache,
-            mhp_backend=backend, result_cache=False,
+            htg, function, platform, mapping, order, cache=cache, result_cache=False
         )
         best = min(best, time.perf_counter() - t0)
     return result, best
@@ -125,40 +126,39 @@ def _sweep():
     for num_kernels, chunks, dep_prob, cores in CONFIGS:
         model, htg, platform, mapping, order = _build_case(num_kernels, chunks, dep_prob, cores)
         num_tasks = len(mapping)
-        # warm the analysis cache so both backends time the fixed point, not
+        # warm the analysis cache so both runs time the fixed point, not
         # the (identical) code-level analyses
         system_level_wcet(htg, model.entry, platform, mapping, order, cache=cache)
 
-        scalar, scalar_seconds = _time_backend(
-            htg, model.entry, platform, mapping, order, cache, "scalar"
+        kernel, kernel_seconds = _time_fixed_point(
+            htg, model.entry, platform, mapping, order, cache, repeats=2
         )
-        vector, vector_seconds = _time_backend(
-            htg, model.entry, platform, mapping, order, cache, "numpy"
-        )
-        assert _result_fingerprint(scalar) == _result_fingerprint(vector), (
-            f"vectorised MHP diverges from the scalar pass at {num_tasks} tasks"
+        with mock.patch.object(system_level, "mhp_contenders", _double_loop):
+            baseline, baseline_seconds = _time_fixed_point(
+                htg, model.entry, platform, mapping, order, cache, repeats=1
+            )
+        assert _result_fingerprint(kernel) == _result_fingerprint(baseline), (
+            f"the MHP kernel's fixed point diverges from the double loop's at {num_tasks} tasks"
         )
 
         leaf_ids = [t.task_id for t in htg.leaf_tasks()]
-        sharers = [tid for tid in leaf_ids if scalar.task_shared_accesses[tid] > 0]
-        args = (leaf_ids, sharers, mapping, scalar.task_intervals)
+        sharers = [tid for tid in leaf_ids if kernel.task_shared_accesses[tid] > 0]
+        args = (leaf_ids, sharers, mapping, kernel.task_intervals)
         reference, loop_pass = _time_pass(_double_loop, args, repeats=3)
-        bisect_counts, bisect_pass = _time_pass(mhp_contenders_scalar, args, repeats=20)
-        vector_counts, vector_pass = _time_pass(mhp_contenders_vectorised, args, repeats=20)
-        assert bisect_counts == reference and vector_counts == reference, (
-            f"an MHP pass diverges from the double loop at {num_tasks} tasks"
+        counts, kernel_pass = _time_pass(mhp_contenders, args, repeats=20)
+        assert counts == reference, (
+            f"the MHP kernel diverges from the double loop at {num_tasks} tasks"
         )
         rows.append(
             (
                 num_tasks,
                 cores,
-                scalar.iterations,
-                scalar_seconds,
-                vector_seconds,
+                kernel.iterations,
+                kernel_seconds,
+                baseline_seconds,
                 loop_pass,
-                bisect_pass,
-                vector_pass,
-                scalar.makespan,
+                kernel_pass,
+                kernel.makespan,
             )
         )
     return rows
@@ -171,21 +171,18 @@ def test_e12_fixed_point_scaling(benchmark):
             "tasks",
             "cores",
             "iterations",
-            "scalar s",
-            "vectorised s",
+            "fixed point s",
+            "double-loop fixed point s",
             "double loop ms/pass",
-            "scalar ms/pass",
-            "vectorised ms/pass",
+            "kernel ms/pass",
             "speedup",
             "WCET bound",
         ],
-        title="E12 system-level fixed point (scalar vs vectorised MHP, double-loop baseline)",
+        title="E12 system-level fixed point (unpruned MHP kernel, double-loop baseline)",
     )
     target_speedup = None
-    for num_tasks, cores, iters, scalar_s, vector_s, loop_p, bisect_p, vector_p, bound in rows:
-        # the slower of the two backends against the double loop
-        slowest = max(bisect_p, vector_p)
-        speedup = loop_p / slowest if slowest > 0 else float("inf")
+    for num_tasks, cores, iters, kernel_s, loop_s, loop_p, kernel_p, bound in rows:
+        speedup = loop_p / kernel_p if kernel_p > 0 else float("inf")
         if num_tasks >= TARGET_TASKS * 0.9:
             target_speedup = speedup
         table.add_row(
@@ -193,11 +190,10 @@ def test_e12_fixed_point_scaling(benchmark):
                 num_tasks,
                 cores,
                 iters,
-                f"{scalar_s:.3f}",
-                f"{vector_s:.3f}",
+                f"{kernel_s:.3f}",
+                f"{loop_s:.3f}",
                 f"{1e3 * loop_p:.2f}",
-                f"{1e3 * bisect_p:.3f}",
-                f"{1e3 * vector_p:.3f}",
+                f"{1e3 * kernel_p:.3f}",
                 f"{speedup:.1f}x",
                 bound,
             ]

@@ -12,7 +12,7 @@ import pytest
 
 from benchmarks._common import emit
 from repro.adl.platforms import generic_predictable_multicore
-from repro.core import ArgoToolchain, SweepCase, ToolchainConfig, sweep
+from repro.core import Pipeline, SweepCase, ToolchainConfig, sweep
 from repro.usecases import ALL_USECASES
 from repro.utils.tables import Table
 
@@ -21,7 +21,7 @@ from repro.utils.tables import Table
 def test_e4_wcet_vs_average_case_scheduling(benchmark, usecase):
     builder, inputs_fn = ALL_USECASES[usecase]
     platform = generic_predictable_multicore(cores=4)
-    toolchain = ArgoToolchain(platform)  # used for simulation only
+    pipeline = Pipeline(platform)  # used for simulation only
 
     def compare():
         result = sweep(
@@ -37,8 +37,8 @@ def test_e4_wcet_vs_average_case_scheduling(benchmark, usecase):
         )
         assert result.ok, result.failures()
         wcet_result, acet_result = (outcome.result for outcome in result)
-        wcet_sim = toolchain.simulate(wcet_result, inputs_fn()).makespan
-        acet_sim = toolchain.simulate(acet_result, inputs_fn()).makespan
+        wcet_sim = pipeline.simulate(wcet_result, inputs_fn()).makespan
+        acet_sim = pipeline.simulate(acet_result, inputs_fn()).makespan
         return wcet_result, acet_result, wcet_sim, acet_sim
 
     wcet_result, acet_result, wcet_sim, acet_sim = benchmark.pedantic(compare, rounds=1, iterations=1)

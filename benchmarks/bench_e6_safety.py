@@ -19,12 +19,12 @@ RUNS = 8
 @pytest.mark.parametrize("usecase", ["egpws", "weaa", "polka"])
 def test_e6_bound_safety_and_tightness(benchmark, usecase):
     _, inputs_fn = ALL_USECASES[usecase]
-    toolchain, result = run_flow(usecase, cores=4)
+    pipeline, result = run_flow(usecase, cores=4)
 
     def measure():
         observed = []
         for seed in range(RUNS):
-            sim = toolchain.simulate(result, inputs_fn(seed=seed))
+            sim = pipeline.simulate(result, inputs_fn(seed=seed))
             observed.append(sim.makespan)
         return observed
 

@@ -10,7 +10,7 @@ import pytest
 
 from benchmarks._common import emit
 from repro.adl.platforms import generic_predictable_multicore
-from repro.core import ArgoToolchain, ToolchainConfig
+from repro.core import Pipeline, ToolchainConfig
 from repro.core.feedback import CrossLayerFeedback
 from repro.usecases import ALL_USECASES
 from repro.utils.tables import Table
@@ -22,9 +22,9 @@ def test_e9_feedback_iterations(benchmark, usecase):
     platform = generic_predictable_multicore(cores=4)
 
     def optimize():
-        one_shot = ArgoToolchain(platform, ToolchainConfig(loop_chunks=2)).run(builder())
-        chain = ArgoToolchain(platform, ToolchainConfig(loop_chunks=2, feedback_iterations=3))
-        feedback = CrossLayerFeedback(chain)
+        one_shot = Pipeline(platform, ToolchainConfig(loop_chunks=2)).run(builder())
+        pipeline = Pipeline(platform, ToolchainConfig(loop_chunks=2, feedback_iterations=3))
+        feedback = CrossLayerFeedback(pipeline)
         tuned = feedback.optimize(builder())
         return one_shot, tuned, feedback
 

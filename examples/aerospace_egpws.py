@@ -13,15 +13,15 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
 from repro.adl.platforms import generic_predictable_multicore
-from repro.core import ArgoToolchain, ToolchainConfig, bottleneck_report
+from repro.core import Pipeline, ToolchainConfig, bottleneck_report
 from repro.usecases import build_egpws_diagram, egpws_test_inputs
 
 
 def main() -> None:
     lookahead = 32
     platform = generic_predictable_multicore(cores=4)
-    toolchain = ArgoToolchain(platform, ToolchainConfig(loop_chunks=4, feedback_iterations=2))
-    result = toolchain.run(build_egpws_diagram(lookahead))
+    pipeline = Pipeline(platform, ToolchainConfig(loop_chunks=4, feedback_iterations=2))
+    result = pipeline.run(build_egpws_diagram(lookahead))
 
     print(f"EGPWS on {platform.name}")
     print(f"  sequential WCET bound : {result.sequential_wcet:.0f} cycles")
@@ -37,7 +37,7 @@ def main() -> None:
 
     for scenario, hazardous in (("hazardous ridge ahead", True), ("safe cruise altitude", False)):
         inputs = egpws_test_inputs(lookahead, seed=7, hazardous=hazardous)
-        sim = toolchain.simulate(result, inputs)
+        sim = pipeline.simulate(result, inputs)
         alert = sim.observed_value(result.model.output_key("alert", "y"))
         clearance = sim.observed_value(result.model.output_key("min_clearance", "y"))
         print(

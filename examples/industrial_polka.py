@@ -15,7 +15,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
 from repro.adl.platforms import kit_leon3_inoc, recore_xentium_like
-from repro.core import ArgoToolchain, SweepCase, ToolchainConfig, sweep
+from repro.core import Pipeline, SweepCase, ToolchainConfig, sweep
 from repro.usecases import build_polka_diagram, polka_test_inputs
 from repro.utils.tables import Table
 
@@ -64,9 +64,9 @@ def main() -> None:
 
     recore_outcome = next(o for o in comparison if o.label == "Recore Xentium-like")
     result = recore_outcome.result
-    toolchain = ArgoToolchain(platforms["Recore Xentium-like"], result.config)
+    pipeline = Pipeline(platforms["Recore Xentium-like"], result.config)
     for label, stressed in (("stressed container", True), ("good container", False)):
-        sim = toolchain.simulate(result, polka_test_inputs(pixels, seed=3, stressed=stressed))
+        sim = pipeline.simulate(result, polka_test_inputs(pixels, seed=3, stressed=stressed))
         reject = sim.observed_value(result.model.output_key("reject", "y"))
         count = sim.observed_value(result.model.output_key("defect_count", "y"))
         print(

@@ -16,7 +16,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
 from repro.adl.platforms import generic_predictable_multicore
-from repro.core import ArgoToolchain, SweepCase, ToolchainConfig, sweep
+from repro.core import Pipeline, SweepCase, ToolchainConfig, sweep
 from repro.usecases import build_weaa_diagram, weaa_test_inputs
 from repro.utils.tables import Table
 
@@ -58,9 +58,9 @@ def main() -> None:
 
     wcet_outcome = next(o for o in comparison if o.label == "WCET-aware list")
     result = wcet_outcome.result
-    toolchain = ArgoToolchain(platform, result.config)
+    pipeline = Pipeline(platform, result.config)
     for label, encounter in (("wake encounter ahead", True), ("clear air", False)):
-        sim = toolchain.simulate(result, weaa_test_inputs(horizon, seed=5, encounter=encounter))
+        sim = pipeline.simulate(result, weaa_test_inputs(horizon, seed=5, encounter=encounter))
         conflict = sim.observed_value(result.model.output_key("conflict", "y"))
         severity = sim.observed_value(result.model.output_key("severity", "y"))
         command = sim.observed_value(result.model.output_key("evasion_cmd", "y"))

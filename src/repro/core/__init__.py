@@ -1,12 +1,10 @@
 """End-to-end ARGO tool chain (paper Fig. 1) with cross-layer feedback.
 
-Two ways to drive the flow:
-
-* :class:`ArgoToolchain` -- the classic one-platform facade (a thin shim
-  over the pipeline API, kept for compatibility);
-* :class:`~repro.core.pipeline.Pipeline` / :func:`~repro.core.sweep.sweep`
-  -- the composable stage-graph API and the parallel design-space sweep
-  runner built on top of it.
+:class:`~repro.core.pipeline.Pipeline` is the flow for one platform: a
+composable stage graph whose ``run`` honours every
+:class:`~repro.core.config.ToolchainConfig` knob, cross-layer feedback
+iterations included.  :func:`~repro.core.sweep.sweep` is the parallel
+design-space sweep runner built on top of it.
 """
 
 from repro.core.config import ToolchainConfig
@@ -21,7 +19,6 @@ from repro.core.pipeline import (
     run_pipeline,
 )
 from repro.core.sweep import SweepCase, SweepOutcome, SweepResult, sweep, sweep_grid
-from repro.core.toolchain import ArgoToolchain
 from repro.core.feedback import CrossLayerFeedback, FeedbackHistoryEntry
 from repro.core.reporting import (
     bottleneck_report,
@@ -32,7 +29,6 @@ from repro.core.reporting import (
 __all__ = [
     "ToolchainConfig",
     "ToolchainError",
-    "ArgoToolchain",
     "Pipeline",
     "PipelineError",
     "PipelineResult",

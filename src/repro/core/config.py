@@ -28,11 +28,12 @@ class ToolchainConfig:
     scheduler: str = "wcet_list"
     max_cores: int | None = None
     #: Ordered names of the transformation passes to run (resolved through
-    #: the transforms registry).  ``None`` derives the pipeline from the
-    #: legacy boolean knobs below, which keeps old call sites working.
-    passes: tuple[str, ...] | None = None
-    run_cleanup_passes: bool = True
-    allocate_scratchpads: bool = True
+    #: the transforms registry); an empty tuple runs none.
+    passes: tuple[str, ...] = (
+        "constant_folding",
+        "dead_code_elimination",
+        "scratchpad_allocation",
+    )
     #: None = use the smallest core scratchpad of the platform.
     scratchpad_capacity_bytes: int | None = None
     feedback_iterations: int = 1
@@ -58,10 +59,6 @@ class ToolchainConfig:
     #: address-aware interconnect, so bounds can only tighten; off by
     #: default to keep the unpruned pass as the differential oracle.
     static_pruning: bool = False
-    #: Pair-count threshold above which the ``auto`` MHP backend switches
-    #: to the vectorised pass.  ``None`` = the built-in default (also
-    #: overridable per process via ``REPRO_MHP_VECTORISE_MIN_PAIRS``).
-    mhp_vectorise_min_pairs: int | None = None
     #: Enable observability (:mod:`repro.obs` spans + metrics) for runs of
     #: this config; the ambient state is restored when the run finishes.
     #: Purely diagnostic -- traced and untraced runs produce bit-identical
@@ -113,40 +110,15 @@ class ToolchainConfig:
             raise ValueError(
                 f"trace must be a bool, got {self.trace!r}"
             )
-        if self.mhp_vectorise_min_pairs is not None and (
-            not isinstance(self.mhp_vectorise_min_pairs, int)
-            or self.mhp_vectorise_min_pairs < 0
-        ):
-            raise ValueError(
-                "mhp_vectorise_min_pairs must be a non-negative int "
-                f"(or None = default), got {self.mhp_vectorise_min_pairs!r}"
-            )
         if self.scratchpad_capacity_bytes is not None and self.scratchpad_capacity_bytes < 1:
             raise ValueError(
                 "scratchpad_capacity_bytes must be at least 1 (or None = platform minimum), "
                 f"got {self.scratchpad_capacity_bytes}"
             )
-        if self.passes is not None:
-            self.passes = tuple(self.passes)
-            known = available_passes()
-            for name in self.passes:
-                if name not in known:
-                    raise ValueError(
-                        f"unknown transformation pass {name!r}; registered passes: {known}"
-                    )
-
-    def effective_passes(self) -> tuple[str, ...]:
-        """The ordered pass pipeline this config asks for.
-
-        ``passes`` wins when set; otherwise the pipeline is derived from the
-        legacy boolean knobs (``run_cleanup_passes``,
-        ``allocate_scratchpads``).
-        """
-        if self.passes is not None:
-            return self.passes
-        names: list[str] = []
-        if self.run_cleanup_passes:
-            names += ["constant_folding", "dead_code_elimination"]
-        if self.allocate_scratchpads:
-            names.append("scratchpad_allocation")
-        return tuple(names)
+        self.passes = tuple(self.passes)
+        known = available_passes()
+        for name in self.passes:
+            if name not in known:
+                raise ValueError(
+                    f"unknown transformation pass {name!r}; registered passes: {known}"
+                )

@@ -7,11 +7,12 @@ the flow and keeps the configuration with the lowest guaranteed WCET.  The
 history of attempted configurations is retained so the cross-layer interface
 can show end users *why* the final parallelization decisions were taken.
 
-Each round's neighbourhood is executed through the sweep API
-(:func:`repro.core.sweep.sweep`) in in-process mode, so every candidate
-shares the driver's live analysis cache: cache entries are content
-addressed, so candidates whose transforms leave (parts of) the IR unchanged
-reuse the code-level analyses of earlier iterations for free.
+:meth:`repro.core.pipeline.Pipeline.run` drives the loop when
+``config.feedback_iterations > 1``.  Every candidate is a one-pass run of
+the driving pipeline's stage list with the candidate config, sharing its
+live analysis cache: cache entries are content addressed, so candidates
+whose transforms leave (parts of) the IR unchanged reuse the code-level
+analyses of earlier iterations for free.
 """
 
 from __future__ import annotations
@@ -21,10 +22,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.config import ToolchainConfig
+from repro.core.pipeline import Pipeline, PipelineResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.pipeline import PipelineResult
-    from repro.core.toolchain import ArgoToolchain
     from repro.model.diagram import Diagram
 
 
@@ -41,9 +41,9 @@ class FeedbackHistoryEntry:
 
 @dataclass
 class CrossLayerFeedback:
-    """Drives the iterative optimisation around an :class:`ArgoToolchain`."""
+    """Drives the iterative optimisation around a :class:`~repro.core.pipeline.Pipeline`."""
 
-    toolchain: "ArgoToolchain"
+    pipeline: Pipeline
     history: list[FeedbackHistoryEntry] = field(default_factory=list)
 
     def _candidates(self, base: ToolchainConfig, iteration: int) -> list[ToolchainConfig]:
@@ -66,44 +66,20 @@ class CrossLayerFeedback:
             candidates.append(variant(granularity="block"))
         return candidates
 
-    def optimize(self, diagram: "Diagram") -> "PipelineResult":
+    def optimize(self, diagram: Diagram) -> PipelineResult:
         """Run up to ``config.feedback_iterations`` rounds and return the best."""
-        from repro.core.sweep import SweepCase, sweep
-
-        base_config = self.toolchain.config
+        pipeline = self.pipeline
+        base_config = pipeline.config
         iterations = base_config.feedback_iterations
-        best_result: "PipelineResult | None" = None
+        best_result: PipelineResult | None = None
         best_config = dataclasses.replace(base_config, feedback_iterations=1)
 
         for iteration in range(1, iterations + 1):
-            candidates = self._candidates(best_config, iteration)
-            # One in-process mini-sweep per neighbourhood, sharing the
-            # driver's analysis cache across all candidate chains.
-            round_result = sweep(
-                [
-                    SweepCase(
-                        diagram=diagram,
-                        platform=self.toolchain.platform,
-                        config=candidate,
-                        label=f"iter{iteration}",
-                    )
-                    for candidate in candidates
-                ],
-                cache=self.toolchain.wcet_cache,
-                keep_results=True,
-            )
             improved = False
-            for candidate, outcome in zip(candidates, round_result):
-                if not outcome.ok:
-                    # propagate the candidate's failure exactly as the flow
-                    # raised it (type and traceback intact)
-                    if outcome.exception is not None:
-                        raise outcome.exception
-                    raise RuntimeError(
-                        f"feedback candidate {candidate} failed: {outcome.error}"
-                    )
-                result = outcome.result
-                assert result is not None
+            for candidate in self._candidates(best_config, iteration):
+                result = Pipeline(
+                    pipeline.platform, candidate, pipeline.wcet_cache, stages=pipeline.stages
+                ).run(diagram)
                 accepted = best_result is None or result.system_wcet < best_result.system_wcet
                 self.history.append(
                     FeedbackHistoryEntry(

@@ -14,7 +14,7 @@ core changes:
 
 * the ``schedule`` stage resolves ``config.scheduler`` through
   :mod:`repro.scheduling.registry`;
-* the ``transforms`` stage resolves ``config.effective_passes()`` through
+* the ``transforms`` stage resolves ``config.passes`` through
   :mod:`repro.transforms.registry`.
 
 Custom stages slot in through :meth:`Pipeline.with_stage` /
@@ -30,10 +30,11 @@ its implementation) equals the previous run's is replayed by reference
 instead of re-run, so a repeated or lightly edited design point re-does
 only the work its edit reaches.
 
-:class:`~repro.core.toolchain.ArgoToolchain` is a thin compatibility facade
-over this module, and :func:`repro.core.sweep.sweep` runs whole grids of
-(diagram, platform, config) combinations through :func:`run_pipeline`
-concurrently.
+:meth:`Pipeline.run` is the one entry point of the flow: with
+``config.feedback_iterations > 1`` it runs the cross-layer feedback loop
+(:mod:`repro.core.feedback`), whose candidates are runs of the same stage
+list.  :func:`repro.core.sweep.sweep` runs whole grids of (diagram,
+platform, config) combinations through it concurrently.
 """
 
 from __future__ import annotations
@@ -169,10 +170,9 @@ class PipelineContext:
 class PipelineResult:
     """Everything one pipeline run produced for a diagram/platform pair.
 
-    This is the result type ``ArgoToolchain.run`` returns.  The sequential
-    single-core bound is a proper constructor field (``sequential_bound``);
-    ``sequential_wcet`` / ``wcet_speedup`` remain as compatibility
-    properties.
+    The sequential single-core bound is a constructor field
+    (``sequential_bound``); ``sequential_wcet`` / ``wcet_speedup`` are
+    properties derived from it.
     """
 
     diagram_name: str
@@ -284,7 +284,7 @@ def _frontend_stage(context: PipelineContext) -> dict[str, Any]:
 
 def _transforms_stage(context: PipelineContext) -> dict[str, Any]:
     model: CompiledModel = context.artifact("model")
-    names = context.config.effective_passes()
+    names = context.config.passes
     passes = build_pass_pipeline(
         names, PassContext(platform=context.platform, config=context.config, model=model)
     )
@@ -352,10 +352,7 @@ def _schedule_stage(context: PipelineContext) -> dict[str, Any]:
     # passed explicit values.
     from repro.wcet.system_level import mhp_options
 
-    with mhp_options(
-        static_pruning=context.config.static_pruning,
-        vectorise_min_pairs=context.config.mhp_vectorise_min_pairs,
-    ):
+    with mhp_options(static_pruning=context.config.static_pruning):
         schedule = entry.build(
             htg, model.entry, context.platform, context.config, context.wcet_cache
         )
@@ -804,11 +801,20 @@ class Pipeline:
     # execution
     # ------------------------------------------------------------------ #
     def run(self, diagram: Diagram) -> PipelineResult:
-        """One pass through the stage graph on ``diagram``.
+        """Run the flow on ``diagram``.
 
-        With ``config.trace`` set, observability (:mod:`repro.obs`) is
-        enabled for the duration of the run and restored afterwards.
+        With ``config.feedback_iterations > 1`` the cross-layer feedback
+        loop (:class:`~repro.core.feedback.CrossLayerFeedback`) explores
+        neighbouring configurations through this pipeline's stages and
+        returns the best result; otherwise this is one pass through the
+        stage graph.  With ``config.trace`` set, observability
+        (:mod:`repro.obs`) is enabled for the duration of each pass and
+        restored afterwards.
         """
+        if self.config.feedback_iterations > 1:
+            from repro.core.feedback import CrossLayerFeedback
+
+            return CrossLayerFeedback(self).optimize(diagram)
         return self._traced(diagram, None)
 
     def run_incremental(self, prev: PipelineResult, diagram: Diagram) -> PipelineResult:
@@ -831,7 +837,16 @@ class Pipeline:
         ``result.artifacts["incremental_report"]`` (an
         :class:`~repro.analysis.incremental.IncrementalReport`) and in
         ``cache_stats["stages_reused"] / ["stages_recomputed"]``.
+
+        A config with ``feedback_iterations > 1`` raises
+        :class:`PipelineError`: the feedback loop picks among several
+        candidate runs, which one pass cannot reproduce.
         """
+        if self.config.feedback_iterations > 1:
+            raise PipelineError(
+                "run_incremental re-runs one pass of the flow; a config with "
+                f"feedback_iterations={self.config.feedback_iterations} needs run()"
+            )
         return self._traced(diagram, prev)
 
     def _traced(self, diagram: Diagram, prev: PipelineResult | None) -> PipelineResult:
@@ -1019,7 +1034,12 @@ class Pipeline:
     def simulate(
         self, result: PipelineResult, inputs: Mapping[str, Any] | None = None
     ) -> SimulationResult:
-        """Execute the parallel program of ``result`` on the platform model."""
+        """Execute the parallel program of ``result`` on the platform model.
+
+        ``inputs`` maps external inputs (``block.port`` or parameter names)
+        to concrete values; constant parameters and state initial values
+        are filled in automatically.
+        """
         bindings = result.model.run_inputs(dict(inputs or {}))
         return simulate_parallel_program(
             result.parallel_program,
@@ -1030,27 +1050,11 @@ class Pipeline:
         )
 
 
-# ---------------------------------------------------------------------- #
-# convenience driver (used by the sweep runner and the toolchain facade)
-# ---------------------------------------------------------------------- #
 def run_pipeline(
     diagram: Diagram,
     platform: Platform,
     config: ToolchainConfig | None = None,
     wcet_cache: WcetAnalysisCache | None = None,
 ) -> PipelineResult:
-    """Run the complete flow, honouring ``config.feedback_iterations``.
-
-    Mirrors ``ArgoToolchain.run``: with ``feedback_iterations > 1`` the
-    cross-layer feedback loop explores neighbouring configurations (itself an
-    inline sweep) and returns the best result.
-    """
-    config = config or ToolchainConfig()
-    if config.feedback_iterations > 1:
-        from repro.core.feedback import CrossLayerFeedback
-        from repro.core.toolchain import ArgoToolchain
-
-        return CrossLayerFeedback(ArgoToolchain(platform, config, wcet_cache)).optimize(
-            diagram
-        )
+    """``Pipeline(platform, config, wcet_cache).run(diagram)``."""
     return Pipeline(platform, config, wcet_cache).run(diagram)

@@ -12,8 +12,7 @@ Execution modes
 * ``max_workers=1`` (default) -- cases run in-process, sequentially, all
   sharing one live :class:`~repro.wcet.cache.WcetAnalysisCache`; results can
   be retained (``keep_results=True``) for callers that need the full
-  :class:`~repro.core.pipeline.PipelineResult` objects (the cross-layer
-  feedback loop does).
+  :class:`~repro.core.pipeline.PipelineResult` objects.
 * ``max_workers>1`` -- cases run concurrently in a
   :class:`~concurrent.futures.ProcessPoolExecutor`.  Diagrams and platforms
   may be given as zero-argument *builders* (any picklable callable, e.g. a
@@ -89,8 +88,8 @@ class SweepOutcome:
     #: discipline as the cache-stat deltas.
     telemetry: dict[str, Any] | None = None
     #: The original exception object; only retained by in-process sweeps
-    #: (worker processes report the ``error`` string only), so callers like
-    #: the feedback loop can re-raise with type and traceback intact.
+    #: (worker processes report the ``error`` string only), so callers can
+    #: re-raise with type and traceback intact.
     exception: Exception | None = None
     #: Full PipelineResult; only retained by in-process sweeps that asked
     #: for it (``keep_results=True``).

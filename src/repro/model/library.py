@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.model.blocks import Block, Port
+from repro.model.blocks import Block, BlockError, Port
 
 
 def _vec(shape: int | tuple[int, ...]) -> tuple[int, ...]:
@@ -34,7 +34,7 @@ def vector_source(name: str, size: int, values: np.ndarray | None = None) -> Blo
     """A constant vector source (terrain rows, filter taps, test stimuli)."""
     data = np.zeros(size) if values is None else np.asarray(values, dtype=float)
     if data.shape != (size,):
-        raise ValueError(f"values must have shape ({size},)")
+        raise BlockError(f"values must have shape ({size},)")
     return Block(
         name=name,
         kind="vector_source",
@@ -245,6 +245,8 @@ def discrete_integrator(name: str, dt: float = 1.0) -> Block:
 def fir_filter(name: str, taps: np.ndarray, size: int) -> Block:
     """FIR filter applied along a signal vector (zero-padded at the left)."""
     taps = np.asarray(taps, dtype=float)
+    if taps.ndim != 1 or taps.size == 0:
+        raise BlockError(f"FIR {name!r} needs a non-empty 1-D tap vector, got shape {taps.shape}")
     ntaps = taps.shape[0]
     return Block(
         name=name,
@@ -269,6 +271,8 @@ def fir_filter(name: str, taps: np.ndarray, size: int) -> Block:
 
 def moving_average(name: str, window: int, size: int) -> Block:
     """Moving average over a window (a common smoothing stage)."""
+    if window < 1:
+        raise BlockError(f"moving average {name!r} needs a window of at least 1, got {window}")
     return fir_filter(name, np.full(window, 1.0 / window), size)
 
 
@@ -332,7 +336,7 @@ def elementwise(name: str, func: str, size: int = 1) -> Block:
     """Apply a unary math builtin (``sqrt``, ``sin``, ``abs`` ...) elementwise."""
     allowed = {"sqrt", "sin", "cos", "tan", "exp", "log", "abs", "floor", "ceil"}
     if func not in allowed:
-        raise ValueError(f"unsupported elementwise function {func!r}")
+        raise BlockError(f"unsupported elementwise function {func!r}")
     if size == 1:
         return Block(
             name=name,
@@ -358,6 +362,8 @@ def elementwise(name: str, func: str, size: int = 1) -> Block:
 def lookup_1d(name: str, table: np.ndarray, size: int = 1) -> Block:
     """Nearest-entry 1-D lookup table indexed by a bounded integer signal."""
     table = np.asarray(table, dtype=float)
+    if table.ndim != 1 or table.size == 0:
+        raise BlockError(f"lookup {name!r} needs a non-empty 1-D table, got shape {table.shape}")
     nt = table.shape[0]
     clamp_script = (
         "idx = floor(u) + 1\n"

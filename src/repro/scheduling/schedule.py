@@ -168,7 +168,6 @@ def evaluate_mapping(
     cache: WcetAnalysisCache | None = None,
     certify: bool = False,
     static_pruning: bool | None = None,
-    vectorise_min_pairs: int | None = None,
     design: SystemDesign | None = None,
 ) -> Schedule:
     """Run the system-level WCET analysis on a mapping and wrap it.
@@ -176,9 +175,8 @@ def evaluate_mapping(
     ``certify`` is forwarded to :func:`system_level_wcet`: a memoized
     result replayed from the result cache is then re-validated by the
     fixed-point certificate checker before being trusted.
-    ``static_pruning`` and ``vectorise_min_pairs`` are forwarded too
-    (``None`` = the ambient
-    :func:`repro.wcet.system_level.mhp_options`, then the defaults).
+    ``static_pruning`` is forwarded too (``None`` = the ambient
+    :func:`repro.wcet.system_level.mhp_options`, then off).
     ``design`` is forwarded as well: a search evaluating many mappings of
     one design point passes one
     :class:`~repro.wcet.system_level.SystemDesign` (built with the same
@@ -187,8 +185,7 @@ def evaluate_mapping(
     order = order or default_core_order(htg, mapping)
     result = system_level_wcet(
         htg, function, platform, mapping, order, cache=cache, certify=certify,
-        static_pruning=static_pruning, vectorise_min_pairs=vectorise_min_pairs,
-        design=design,
+        static_pruning=static_pruning, design=design,
     )
     return Schedule(
         htg_name=htg.name,

@@ -84,9 +84,10 @@ class LoopFissionPass(FunctionPass):
     """Split loops whose body is a sequence of independent statements.
 
     A loop ``for i { S1; S2 }`` is split into ``for i { S1 }; for i { S2 }``
-    when S2 does not read anything S1 writes (and vice versa for
-    scalar temporaries).  Fission creates more, smaller tasks for the HTG
-    extractor -- finer-grain parallelism at the price of extra loop overhead.
+    when neither statement writes a name the other reads or writes (see
+    :func:`_independent_groups`).  Fission creates more, smaller tasks for
+    the HTG extractor -- finer-grain parallelism at the price of extra loop
+    overhead.
     """
 
     name = "loop_fission"
@@ -99,7 +100,9 @@ class LoopFissionPass(FunctionPass):
                 nonlocal split
                 if len(stmt.body.stmts) < 2:
                     return stmt
-                groups = _independent_groups(stmt.body.stmts)
+                header = stmt.lower.variables_read() | stmt.upper.variables_read()
+                header.add(stmt.index.name)
+                groups = _independent_groups(stmt.body.stmts, header)
                 if len(groups) < 2:
                     return stmt
                 split += 1
@@ -122,27 +125,38 @@ class LoopFissionPass(FunctionPass):
         return PassReport(self.name, function.name, split > 0, {"fissioned_loops": split})
 
 
-def _independent_groups(stmts: list[Stmt]) -> list[list[Stmt]]:
-    """Greedily partition statements into groups with no def-use crossing."""
-    groups: list[list[Stmt]] = []
-    group_writes: list[set[str]] = []
-    for stmt in stmts:
-        reads, writes = stmt.variables_read(), stmt.variables_written()
+def _independent_groups(stmts: list[Stmt], header: set[str]) -> list[list[Stmt]]:
+    """Partition a loop body into pairwise independent groups, in program order.
+
+    Two statements conflict when one writes a name the other reads or
+    writes; at name level this covers loop-carried flow, anti and output
+    dependences alike.  Every statement also reads the loop ``header``
+    names (index and bounds), which each split loop re-evaluates.  The
+    groups are the connected components of the conflict relation, each
+    keeping its statements in program order and ordered by its first one,
+    so no two groups touch a name either writes and the split loops are
+    legal in any order.
+    """
+    # (statement positions, names read, names written) per component
+    groups: list[tuple[list[int], set[str], set[str]]] = []
+    for position, stmt in enumerate(stmts):
+        members, reads = [position], set(header)
+        writes: set[str] = set()
         for s in stmt.walk():
             reads |= s.variables_read()
             writes |= s.variables_written()
-        placed = False
-        for i in range(len(groups)):
-            # must go into the earliest group it depends on, or a new group
-            if reads & group_writes[i] or writes & group_writes[i]:
-                groups[i].append(stmt)
-                group_writes[i] |= writes
-                placed = True
-                break
-        if not placed:
-            groups.append([stmt])
-            group_writes.append(set(writes))
-    return groups
+        separate = []
+        for group in groups:
+            group_members, group_reads, group_writes = group
+            if writes & (group_reads | group_writes) or reads & group_writes:
+                members += group_members
+                reads |= group_reads
+                writes |= group_writes
+            else:
+                separate.append(group)
+        groups = separate + [(members, reads, writes)]
+    groups.sort(key=lambda group: min(group[0]))
+    return [[stmts[k] for k in sorted(members)] for members, _, _ in groups]
 
 
 @dataclass

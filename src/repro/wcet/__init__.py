@@ -7,9 +7,9 @@
   longest-path formulation of :mod:`repro.wcet.ipet`.
 * :mod:`repro.wcet.system_level` adds shared-resource interference based on a
   may-happen-in-parallel analysis of the scheduled parallel program and the
-  platform's interconnect cost model, iterated to a fixed point (vectorised
-  via ``numpy.searchsorted`` on large graphs, bit-for-bit identical to the
-  scalar bisect pass).
+  platform's interconnect cost model, iterated to a fixed point (one MHP
+  contender kernel per mode: a per-core bisect pass for unpruned runs, a
+  loop over the static-MHP skeleton for pruned ones).
 * :mod:`repro.wcet.cache` memoizes code-level results so the schedulers, the
   system-level fixed point and the cross-layer feedback loop analyse each
   distinct (code region, core cost signature) pair exactly once --
@@ -79,10 +79,8 @@ entries can never go stale and need no invalidation either.  The two
 caller-cooperation rules above apply unchanged (the fingerprints and cost
 signatures are the same memos); additionally:
 
-* ``mhp_backend`` is **not** part of a result key -- the scalar and
-  vectorised MHP passes are bit-for-bit identical, so their results are
-  interchangeable.  Code that must *re-run* the fixed point (differential
-  tests, backend timing) passes ``result_cache=False``.
+* Code that must *re-run* the fixed point (differential tests, kernel
+  timing) passes ``result_cache=False``.
 * Keys are derived through a
   :class:`~repro.wcet.system_level.SystemDesign`, the mapping-invariant
   context a scheduler search shares across its candidates

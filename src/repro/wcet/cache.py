@@ -60,12 +60,6 @@ System-level result tier
 * the knobs that steer the fixed point itself (``max_iterations``,
   the number of cores).
 
-``mhp_backend`` is deliberately **not** part of the key: the scalar and
-vectorised MHP passes are bit-for-bit identical, so their results are
-interchangeable.  Callers that specifically want to re-run the fixed point
-(differential tests, backend benchmarks) pass ``result_cache=False`` to
-:func:`~repro.wcet.system_level.system_level_wcet`.
-
 Disk persistence
 ----------------
 A cache becomes disk-backed through :meth:`WcetAnalysisCache.load` (or the

@@ -46,27 +46,39 @@ platform rebuilds between searches need no extra care.
 MHP implementation notes
 ------------------------
 The per-iteration contender derivation is the hot loop of the fixed point:
-naively it is a double loop over tasks x sharer tasks.  The scalar pass
-sorts each core's sharer windows by start and keeps a running maximum of
-their ends: a window ``[s, e)`` meets the core iff the sharers starting
-before ``e`` reach past ``s``, i.e. ``run[bisect_left(starts, e) - 1] > s``
--- the strict comparisons of :meth:`~repro.utils.intervals.Interval.overlaps`,
-so the counts equal the double loop's (kept in the tests as the oracle).
-The vectorised backend computes the same counts per core with two
-``numpy.searchsorted`` passes over the sorted sharer window endpoints: for
-a query window ``[s, e)``, the number of sharer windows on a core that
-overlap it is ``#(starts < e) - #(ends <= s)`` -- exact for half-open
-windows because sharer windows are never empty (a task with shared
-accesses has a positive WCET).  Both backends use the same strict float
-comparisons and the effective-WCET arithmetic stays in scalar Python, so
-the vectorised pass is bit-for-bit identical to the scalar one (the test
-suite asserts this).
+naively it is a double loop over tasks x sharer tasks.  There is exactly
+one kernel per mode, both with the strict comparisons of
+:meth:`~repro.utils.intervals.Interval.overlaps`, so their counts equal the
+double loop's (kept in the tests as the oracle):
+
+* unpruned runs use :func:`mhp_contenders`, a per-core bisect pass: each
+  core's sharer windows are sorted by start with a running maximum of
+  their ends, and a window ``[s, e)`` meets the core iff
+  ``run[bisect_left(starts, e) - 1] > s``.  It needs no precondition on
+  the windows (empty ones included);
+* pruned runs (``static_pruning``) use :func:`mhp_contenders_pruned`, a
+  loop over the static-MHP skeleton: the per-task list of sharers that
+  static pruning keeps.
+
+Why these two and no other.  Medians per pass, replayed from the
+perfbench workloads (seed 1) on a shared 2-vCPU x86 host:
+
+* on use-case design points (10-40 tasks, at most ~1,500 task x sharer
+  pairs) bisect takes 34 us and a numpy ``searchsorted`` pass 111 us;
+* on edit-incremental designs (~960 tasks, ~685k cross-core sharer pairs,
+  4.6 passes per edit round) bisect takes 1.19 ms and ``searchsorted``
+  0.87 ms: bisect costs about 1.5 ms per round, well under 1% of it;
+* routing unpruned runs through a skeleton of all cross-core sharer pairs
+  instead costs 92 ms to build, 187 ms to flatten into index arrays and
+  5.4 ms per numpy pass there, against a ~0.4 s edit round;
+* synthetic-1000 pruned skeletons hold ~740 pairs: the pair loop takes
+  462 us per pass, a numpy pass over the flattened skeleton 467 us plus
+  638 us of set-up.
 """
 
 from __future__ import annotations
 
 import operator
-import os
 import time
 from bisect import bisect_left
 from collections import Counter
@@ -82,39 +94,8 @@ from repro.utils.intervals import Interval
 from repro.wcet.code_level import analyze_task_wcet
 from repro.wcet.hardware_model import HardwareCostModel
 
-try:  # numpy is an optional accelerator; every result is identical without it
-    import numpy as _np
-except ModuleNotFoundError:  # pragma: no cover - the container ships numpy
-    _np = None
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.wcet.cache import SystemResultCache, WcetAnalysisCache
-
-#: Below this many (task, sharer) pairs the scalar pass beats the cost of
-#: building numpy arrays; both backends give identical results either way.
-#: Overridable per call (``vectorise_min_pairs``), ambiently
-#: (:func:`mhp_options`) or process-wide (``REPRO_MHP_VECTORISE_MIN_PAIRS``).
-_VECTORISE_MIN_PAIRS = 2048
-
-
-def _resolve_vectorise_min_pairs(value: "int | None") -> int:
-    if value is None:
-        value = _MHP_OPTIONS["vectorise_min_pairs"]
-    if value is None:
-        raw = os.environ.get("REPRO_MHP_VECTORISE_MIN_PAIRS")
-        if raw:
-            try:
-                value = int(raw)
-            except ValueError as exc:
-                raise SystemWcetError(
-                    f"REPRO_MHP_VECTORISE_MIN_PAIRS={raw!r} is not an integer"
-                ) from exc
-    if value is None:
-        return _VECTORISE_MIN_PAIRS
-    if value < 0:
-        raise SystemWcetError(f"vectorise_min_pairs must be >= 0, got {value}")
-    return value
-
 
 def _resolve_static_pruning(value: "bool | None") -> bool:
     if value is None:
@@ -370,7 +351,7 @@ class _TimelineBuilder:
 # ---------------------------------------------------------------------- #
 # MHP contender derivation (one pass per fixed-point iteration)
 # ---------------------------------------------------------------------- #
-def mhp_contenders_scalar(
+def mhp_contenders(
     leaf_ids: list[str],
     sharers: list[str],
     mapping: dict[str, int],
@@ -378,9 +359,10 @@ def mhp_contenders_scalar(
 ) -> dict[str, int]:
     """Per task, the number of other cores with a sharer window overlapping it.
 
-    Per core, the sharer windows sorted by start carry a running maximum of
-    their ends, so a window ``[s, e)`` meets the core iff
-    ``run[bisect_left(starts, e) - 1] > s`` (see the module docstring).
+    The kernel of unpruned runs.  Per core, the sharer windows sorted by
+    start carry a running maximum of their ends, so a window ``[s, e)``
+    meets the core iff ``run[bisect_left(starts, e) - 1] > s`` (see the
+    module docstring).
     """
     spans_of: dict[int, list[tuple[float, float]]] = {}
     for sid in sharers:
@@ -411,93 +393,19 @@ def mhp_contenders_scalar(
     return contenders
 
 
-def mhp_contenders_vectorised(
-    leaf_ids: list[str],
-    sharers: list[str],
-    mapping: dict[str, int],
-    intervals: dict[str, Interval],
-) -> dict[str, int]:
-    """Vectorised contender pass, bit-for-bit equal to the scalar pass.
-
-    For each core hosting sharers, sort the sharer window starts and ends
-    once, then answer "does any sharer window on this core overlap task t's
-    window ``[s, e)``?" for *all* tasks with two ``searchsorted`` calls:
-    the overlap count is ``#(starts < e) - #(ends <= s)``.  Summing the
-    resulting booleans over cores (minus the task's own core) yields the
-    number of distinct contending cores.  Only float *comparisons* are
-    involved, so the counts match the scalar pass exactly.
-    """
-    if _np is None:  # pragma: no cover - the container ships numpy
-        return mhp_contenders_scalar(leaf_ids, sharers, mapping, intervals)
-
-    query_starts = _np.fromiter(
-        (intervals[tid].start for tid in leaf_ids), dtype=_np.float64, count=len(leaf_ids)
-    )
-    query_ends = _np.fromiter(
-        (intervals[tid].end for tid in leaf_ids), dtype=_np.float64, count=len(leaf_ids)
-    )
-    own_core = _np.fromiter(
-        (mapping[tid] for tid in leaf_ids), dtype=_np.int64, count=len(leaf_ids)
-    )
-
-    per_core: dict[int, list[str]] = {}
-    for sid in sharers:
-        per_core.setdefault(mapping[sid], []).append(sid)
-
-    counts = _np.zeros(len(leaf_ids), dtype=_np.int64)
-    for core, sids in per_core.items():
-        starts = _np.sort(
-            _np.fromiter((intervals[s].start for s in sids), dtype=_np.float64, count=len(sids))
-        )
-        ends = _np.sort(
-            _np.fromiter((intervals[s].end for s in sids), dtype=_np.float64, count=len(sids))
-        )
-        overlapping = (
-            _np.searchsorted(starts, query_ends, side="left")
-            - _np.searchsorted(ends, query_starts, side="right")
-        ) > 0
-        # a task never contends with its own core (this also removes the
-        # task's own window from its count, exactly like the scalar pass)
-        counts += overlapping & (own_core != core)
-    return {tid: int(counts[i]) for i, tid in enumerate(leaf_ids)}
-
-
-def _validate_mhp_backend(mhp_backend: str) -> None:
-    """Single authority on backend validity (shared by the early check on
-    the cache-hit path and the actual dispatch)."""
-    if mhp_backend not in ("auto", "numpy", "scalar"):
-        raise SystemWcetError(f"unknown mhp_backend {mhp_backend!r}")
-    if mhp_backend == "numpy" and _np is None:
-        raise SystemWcetError("mhp_backend='numpy' requested but numpy is unavailable")
-
-
-def _pick_mhp_pass(
-    mhp_backend: str, num_tasks: int, num_sharers: int, min_pairs: "int | None" = None
-):
-    _validate_mhp_backend(mhp_backend)
-    if min_pairs is None:
-        min_pairs = _VECTORISE_MIN_PAIRS
-    if mhp_backend == "scalar":
-        return mhp_contenders_scalar
-    if mhp_backend == "numpy":
-        return mhp_contenders_vectorised
-    if _np is not None and num_tasks * num_sharers >= min_pairs:
-        return mhp_contenders_vectorised
-    return mhp_contenders_scalar
-
-
-def mhp_contenders_pruned_scalar(
+def mhp_contenders_pruned(
     leaf_ids: list[str],
     allowed: dict[str, tuple[str, ...]],
     mapping: dict[str, int],
     intervals: dict[str, Interval],
 ) -> dict[str, int]:
-    """Double loop over the statically pruned contender skeleton.
+    """Per task, the number of other cores with an overlapping skeleton sharer.
 
+    The kernel of pruned runs: a loop over the static-MHP skeleton.
     ``allowed[tid]`` already excludes the task itself, same-core sharers,
     dependence-ordered pairs and (optionally) footprint-disjoint pairs, so
     only window overlap remains to be tested -- with the same strict float
-    comparisons as the unpruned passes.
+    comparisons as :func:`mhp_contenders`.
     """
     contenders: dict[str, int] = {}
     for tid in leaf_ids:
@@ -508,69 +416,6 @@ def mhp_contenders_pruned_scalar(
                 other_cores.add(mapping[other])
         contenders[tid] = len(other_cores)
     return contenders
-
-
-def _make_pruned_mhp_pass(
-    leaf_ids: list[str],
-    allowed: dict[str, tuple[str, ...]],
-    mapping: dict[str, int],
-    mhp_backend: str,
-    min_pairs: int,
-):
-    """Build an MHP pass over the pruned pair skeleton.
-
-    Returns a callable with the ``mhp_contenders_*`` signature (the
-    ``sharers`` argument is ignored -- the skeleton replaces it).  The
-    vectorised variant flattens the skeleton into index arrays once and per
-    iteration answers every pair's overlap test with one vector comparison,
-    then counts distinct contending cores per task via a boolean
-    (task, core) incidence matrix -- identical strict comparisons, so it is
-    bit-for-bit equal to the pruned double loop.
-    """
-    total_pairs = sum(len(allowed.get(tid, ())) for tid in leaf_ids)
-    use_numpy = mhp_backend == "numpy" or (
-        mhp_backend == "auto" and _np is not None and total_pairs >= min_pairs
-    )
-    if not use_numpy or _np is None or total_pairs == 0:
-
-        def scalar_pass(ids, sharers, mapping_, intervals):
-            del sharers
-            return mhp_contenders_pruned_scalar(ids, allowed, mapping_, intervals)
-
-        return scalar_pass
-
-    index = {tid: i for i, tid in enumerate(leaf_ids)}
-    core_slots = max(mapping[tid] for tid in leaf_ids) + 1
-    pair_task: list[int] = []
-    pair_other: list[int] = []
-    pair_slot: list[int] = []
-    for tid in leaf_ids:
-        i = index[tid]
-        for other in allowed.get(tid, ()):
-            pair_task.append(i)
-            pair_other.append(index[other])
-            pair_slot.append(i * core_slots + mapping[other])
-    task_idx = _np.asarray(pair_task, dtype=_np.int64)
-    other_idx = _np.asarray(pair_other, dtype=_np.int64)
-    slot_idx = _np.asarray(pair_slot, dtype=_np.int64)
-
-    def vector_pass(ids, sharers, mapping_, intervals):
-        del sharers, mapping_
-        starts = _np.fromiter(
-            (intervals[tid].start for tid in ids), dtype=_np.float64, count=len(ids)
-        )
-        ends = _np.fromiter(
-            (intervals[tid].end for tid in ids), dtype=_np.float64, count=len(ids)
-        )
-        overlap = (starts[task_idx] < ends[other_idx]) & (
-            starts[other_idx] < ends[task_idx]
-        )
-        hit = _np.zeros(len(ids) * core_slots, dtype=bool)
-        hit[slot_idx[overlap]] = True
-        counts = hit.reshape(len(ids), core_slots).sum(axis=1)
-        return {tid: int(counts[i]) for i, tid in enumerate(ids)}
-
-    return vector_pass
 
 
 def _certify_replayed_result(
@@ -629,27 +474,21 @@ def _certify_replayed_result(
 #: scheduler implementations pick them up without a signature change on
 #: every scheduler plugin.  A plain module global: sweeps parallelise
 #: across *processes*, so per-thread state is not needed.
-_MHP_OPTIONS: dict = {"static_pruning": None, "vectorise_min_pairs": None}
+_MHP_OPTIONS: dict = {"static_pruning": None}
 
 
 @contextmanager
-def mhp_options(
-    static_pruning: "bool | None" = None,
-    vectorise_min_pairs: "int | None" = None,
-) -> Iterator[None]:
+def mhp_options(static_pruning: "bool | None" = None) -> Iterator[None]:
     """Ambiently set MHP defaults for nested :func:`system_level_wcet` calls.
 
     ``None`` leaves the enclosing value in place.  Explicit keyword
     arguments to :func:`system_level_wcet` always win over the ambient
-    values, which in turn win over the module defaults (``static_pruning``
-    off; ``vectorise_min_pairs`` from ``REPRO_MHP_VECTORISE_MIN_PAIRS`` or
-    the built-in threshold).
+    values, which in turn win over the module default (``static_pruning``
+    off).
     """
     previous = dict(_MHP_OPTIONS)
     if static_pruning is not None:
         _MHP_OPTIONS["static_pruning"] = static_pruning
-    if vectorise_min_pairs is not None:
-        _MHP_OPTIONS["vectorise_min_pairs"] = vectorise_min_pairs
     try:
         yield
     finally:
@@ -666,11 +505,9 @@ def system_level_wcet(
     storage_override: dict[str, Storage] | None = None,
     max_iterations: int = 25,
     cache: "WcetAnalysisCache | None" = None,
-    mhp_backend: str = "auto",
     result_cache: "SystemResultCache | None | bool" = None,
     certify: bool = False,
     static_pruning: "bool | None" = None,
-    vectorise_min_pairs: "int | None" = None,
     design: "SystemDesign | None" = None,
 ) -> SystemWcetResult:
     """Contention-aware multi-core WCET of a mapped and ordered HTG.
@@ -682,17 +519,11 @@ def system_level_wcet(
     other inputs raises :class:`SystemWcetError`.  Results are identical
     either way.
 
-    ``mhp_backend`` selects the per-iteration MHP contender pass: ``"auto"``
-    (vectorised when numpy is available and the graph is large enough),
-    ``"numpy"`` or ``"scalar"``.  The backends are bit-for-bit identical;
-    the knob exists for benchmarking and differential testing.
-    ``vectorise_min_pairs`` overrides the ``"auto"`` switch-over threshold
-    (default: ``REPRO_MHP_VECTORISE_MIN_PAIRS`` or the built-in 2048).
-
     ``static_pruning`` enables the static interference analysis
     (:mod:`repro.analysis.static_mhp`): dependence-ordered and
     footprint-disjoint pairs are excluded from the contender skeleton once,
-    before the iteration, so every MHP pass runs over fewer pairs and the
+    before the iteration, so every MHP pass (:func:`mhp_contenders_pruned`
+    instead of :func:`mhp_contenders`) runs over fewer pairs and the
     resulting bound is never looser than the unpruned one (ordered
     exclusions cannot change any count; footprint exclusions can only
     lower counts).  Off (the default) is the bit-identical differential
@@ -706,9 +537,7 @@ def system_level_wcet(
     previously analysed identical design point skips the fixed point (and
     the per-task code-level analyses) entirely; pass an explicit tier to
     override, or ``False`` to force a full re-analysis (differential tests
-    and MHP-backend benchmarks want the recomputation, not the memo).
-    ``mhp_backend`` is not part of the result key -- the backends are
-    interchangeable by construction.
+    and fixed-point benchmarks want the recomputation, not the memo).
 
     ``certify`` guards the cache-replay path: a memoized result served from
     the result tier is re-validated by the independent fixed-point
@@ -722,11 +551,7 @@ def system_level_wcet(
     every run lands on the same fixed point as any other run of the same
     design point, memoized or not.
     """
-    # validate the backend up front: a result-tier hit returns early,
-    # and error behaviour must not depend on the cache state
-    _validate_mhp_backend(mhp_backend)
     use_pruning = _resolve_static_pruning(static_pruning)
-    min_pairs = _resolve_vectorise_min_pairs(vectorise_min_pairs)
 
     if design is None:
         design = SystemDesign(htg, function, platform, storage_override, cache)
@@ -802,21 +627,16 @@ def system_level_wcet(
                 relation.candidate_pairs - relation.kept_pairs
             )
             pairs_per_pass = sum(len(v) for v in allowed.values())
-        mhp_pass = _make_pruned_mhp_pass(
-            leaf_ids, allowed, mapping, mhp_backend, min_pairs
+    elif obs.obs_enabled():
+        # O(tasks + sharers) pair count: for each task every sharer on a
+        # *different* core is a candidate (sid == tid shares its own core,
+        # so the per-core tally already excludes it)
+        sharers_per_core = Counter(mapping[sid] for sid in sharers)
+        pairs_per_pass = sum(
+            len(sharers) - sharers_per_core.get(mapping[tid], 0)
+            for tid in leaf_ids
         )
-    else:
-        if obs.obs_enabled():
-            # O(tasks + sharers) pair count: for each task every sharer on a
-            # *different* core is a candidate (sid == tid shares its own core,
-            # so the per-core tally already excludes it)
-            sharers_per_core = Counter(mapping[sid] for sid in sharers)
-            pairs_per_pass = sum(
-                len(sharers) - sharers_per_core.get(mapping[tid], 0)
-                for tid in leaf_ids
-            )
-            obs.metrics().counter("mhp.pairs_candidate").inc(pairs_per_pass)
-        mhp_pass = _pick_mhp_pass(mhp_backend, len(leaf_ids), len(sharers), min_pairs)
+        obs.metrics().counter("mhp.pairs_candidate").inc(pairs_per_pass)
     timeline = _TimelineBuilder(design, mapping, order)
 
     effective = dict(base_wcet)
@@ -835,7 +655,10 @@ def system_level_wcet(
         for iterations in range(1, max_iterations + 1):
             iter_start = time.perf_counter() if obs_on else 0.0
             intervals, makespan = timeline.build(effective)
-            new_contenders = mhp_pass(leaf_ids, sharers, mapping, intervals)
+            if allowed is None:
+                new_contenders = mhp_contenders(leaf_ids, sharers, mapping, intervals)
+            else:
+                new_contenders = mhp_contenders_pruned(leaf_ids, allowed, mapping, intervals)
             new_effective = {
                 tid: base_wcet[tid]
                 + shared_accesses[tid] * penalty_of[tid][new_contenders[tid]]

@@ -110,6 +110,33 @@ class TestBlockLibrary:
         with pytest.raises(BlockError):
             g.evaluate({})
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: library.moving_average("m", 0, 8),
+            lambda: library.moving_average("m", -3, 8),
+            lambda: library.fir_filter("f", np.array([]), 8),
+            lambda: library.fir_filter("f", np.ones((2, 2)), 8),
+            lambda: library.lookup_1d("l", np.array([])),
+            lambda: library.lookup_1d("l", [], size=4),
+            lambda: library.vector_source("v", 3, np.ones(2)),
+            lambda: library.elementwise("e", "nosuchfunc"),
+        ],
+        ids=[
+            "zero_window",
+            "negative_window",
+            "empty_taps",
+            "matrix_taps",
+            "empty_table",
+            "empty_vector_table",
+            "source_shape",
+            "unknown_function",
+        ],
+    )
+    def test_malformed_parameters_raise_block_error(self, build):
+        with pytest.raises(BlockError):
+            build()
+
 
 def build_alarm_diagram(size=8):
     """distance sensor -> gain -> threshold -> max-reduce alarm."""

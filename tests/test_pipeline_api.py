@@ -1,18 +1,18 @@
-"""Tests for the composable pipeline API: registries, stages, sweep, shim."""
+"""Tests for the composable pipeline API: registries, stages, feedback, sweep."""
 
+import dataclasses
 from functools import partial
 
 import pytest
 
 from repro.adl.platforms import generic_predictable_multicore, recore_xentium_like
 from repro.core import (
-    ArgoToolchain,
     Pipeline,
     PipelineError,
-    PipelineResult,
     Stage,
     SweepCase,
     ToolchainConfig,
+    run_pipeline,
     sweep,
     sweep_grid,
 )
@@ -38,6 +38,7 @@ from repro.transforms.registry import (
     unregister_pass,
 )
 from repro.usecases import build_egpws_diagram, build_polka_diagram
+from repro.wcet.cache import WcetAnalysisCache
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +101,7 @@ class TestSchedulerRegistry:
 
         try:
             config = ToolchainConfig(scheduler="rr_test", **SMALL)
-            result = ArgoToolchain(platform, config).run(build_polka_diagram(pixels=32))
+            result = Pipeline(platform, config).run(build_polka_diagram(pixels=32))
             assert result.schedule.scheduler == "rr_test"
             assert result.system_wcet > 0
         finally:
@@ -139,23 +140,13 @@ class TestPassRegistry:
 
         try:
             config = ToolchainConfig(passes=["constant_folding", "marker_test"], **SMALL)
-            result = ArgoToolchain(platform, config).run(build_polka_diagram(pixels=32))
+            result = Pipeline(platform, config).run(build_polka_diagram(pixels=32))
             assert [r.pass_name for r in result.pass_reports] == [
                 "constant_folding",
                 "marker_test",
             ]
         finally:
             unregister_pass("marker_test")
-
-    def test_legacy_boolean_knobs_derive_the_pipeline(self):
-        assert ToolchainConfig().effective_passes() == (
-            "constant_folding",
-            "dead_code_elimination",
-            "scratchpad_allocation",
-        )
-        assert ToolchainConfig(
-            run_cleanup_passes=False, allocate_scratchpads=False
-        ).effective_passes() == ()
 
 
 class TestConfigValidation:
@@ -256,16 +247,10 @@ class TestPipelineStages:
 
 
 class TestToolchainShim:
-    def test_shim_and_pipeline_agree(self, platform):
-        config = ToolchainConfig(**SMALL)
-        via_shim = ArgoToolchain(platform, config).run(build_polka_diagram(pixels=32))
-        via_pipeline = Pipeline(platform, config).run(build_polka_diagram(pixels=32))
-        assert isinstance(via_shim, PipelineResult)
-        assert via_shim.system_wcet == via_pipeline.system_wcet
-        assert via_shim.sequential_wcet == via_pipeline.sequential_wcet
+    """Result fields and scheduler dispatch of ``Pipeline.run``."""
 
     def test_sequential_bound_is_constructor_field_with_compat_alias(self, platform):
-        result = ArgoToolchain(platform, ToolchainConfig(**SMALL)).run(
+        result = Pipeline(platform, ToolchainConfig(**SMALL)).run(
             build_polka_diagram(pixels=32)
         )
         assert result.sequential_bound == result.sequential_wcet
@@ -274,12 +259,65 @@ class TestToolchainShim:
         """Deleting the registry entry must break dispatch (no if/elif left)."""
         import repro.scheduling.registry as registry_module
 
-        toolchain = ArgoToolchain(
-            platform, ToolchainConfig(scheduler="sequential", **SMALL)
-        )
+        pipeline = Pipeline(platform, ToolchainConfig(scheduler="sequential", **SMALL))
         monkeypatch.delitem(registry_module._REGISTRY._entries, "sequential")
         with pytest.raises(SchedulerRegistryError):
-            toolchain.run(build_polka_diagram(pixels=32))
+            pipeline.run(build_polka_diagram(pixels=32))
+
+
+class TestFeedbackThroughPipeline:
+    """``Pipeline.run`` is the one entry point, feedback iterations included."""
+
+    def test_run_honours_feedback_iterations(self, platform):
+        config = ToolchainConfig(loop_chunks=4, feedback_iterations=3)
+        cache = WcetAnalysisCache()
+        via_run = Pipeline(platform, config, cache).run(build_egpws_diagram(32))
+        via_helper = run_pipeline(build_egpws_diagram(32), platform, config, cache)
+        one_pass = Pipeline(
+            platform, dataclasses.replace(config, feedback_iterations=1), cache
+        ).run(build_egpws_diagram(32))
+        assert via_run.system_wcet == via_helper.system_wcet
+        assert via_run.schedule.mapping == via_helper.schedule.mapping
+        assert via_run.config == via_helper.config
+        # the feedback loop ran: it found a better candidate than one pass
+        assert via_run.system_wcet < one_pass.system_wcet
+
+    def test_feedback_candidates_run_the_custom_stages(self, platform):
+        seen = []
+
+        def audit(context):
+            seen.append(context.config)
+            return {"audited_bound": context.artifact("schedule").wcet_bound}
+
+        pipeline = Pipeline(
+            platform,
+            ToolchainConfig(loop_chunks=2, feedback_iterations=2),
+            WcetAnalysisCache(),
+        ).with_stage(
+            Stage(
+                name="audit",
+                run=audit,
+                consumes=("schedule",),
+                produces=("audited_bound",),
+            )
+        )
+        result = pipeline.run(build_polka_diagram(pixels=32))
+        # one candidate in the first round, four neighbours in the second
+        assert len(seen) == 5
+        assert len(set(map(repr, seen))) == 5
+        assert all(config.feedback_iterations == 1 for config in seen)
+        assert result.artifacts["audited_bound"] == result.system_wcet
+
+    def test_run_incremental_rejects_feedback_configs(self, platform):
+        config = ToolchainConfig(loop_chunks=2, feedback_iterations=2)
+        cache = WcetAnalysisCache()
+        prev = Pipeline(
+            platform, dataclasses.replace(config, feedback_iterations=1), cache
+        ).run(build_polka_diagram(pixels=32))
+        with pytest.raises(PipelineError, match="feedback_iterations"):
+            Pipeline(platform, config, cache).run_incremental(
+                prev, build_polka_diagram(pixels=32)
+            )
 
 
 class TestProtectedSignals:
@@ -320,19 +358,17 @@ class TestSweep:
         assert parallel.max_workers > 1
         assert parallel.ok
         assert len(parallel) == 8
-        # the equivalent hand-rolled sequential loop over ArgoToolchain.run
+        # the equivalent hand-rolled sequential loop over Pipeline.run
         cases = sweep_grid(diagrams, platforms, configs)
         for case, outcome in zip(cases, parallel):
             diagram, platform = case.materialize()
-            reference = ArgoToolchain(platform, case.config).run(diagram)
+            reference = Pipeline(platform, case.config).run(diagram)
             assert outcome.system_wcet == reference.system_wcet  # bit-identical
             assert outcome.sequential_wcet == reference.sequential_wcet
             assert outcome.diagram_name == diagram.name
             assert outcome.platform_name == platform.name
 
     def test_inline_sweep_keeps_results_and_shares_cache(self, platform):
-        from repro.wcet.cache import WcetAnalysisCache
-
         cache = WcetAnalysisCache()
         result = sweep(
             [

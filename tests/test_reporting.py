@@ -7,7 +7,7 @@ structure of the fixed-point convergence section.
 """
 
 from repro.adl.platforms import generic_predictable_multicore
-from repro.core import ArgoToolchain, ToolchainConfig
+from repro.core import Pipeline, ToolchainConfig
 from repro.core.reporting import bottleneck_report, fixed_point_report, toolchain_summary
 from repro.htg.graph import HierarchicalTaskGraph
 from repro.htg.task import Task, TaskKind
@@ -115,10 +115,10 @@ class TestFixedPointReport:
 
 class TestToolchainSummary:
     def test_summary_includes_fixed_point_section(self):
-        toolchain = ArgoToolchain(
+        pipeline = Pipeline(
             generic_predictable_multicore(cores=2), ToolchainConfig(loop_chunks=2)
         )
-        result = toolchain.run(build_egpws_diagram(lookahead=8))
+        result = pipeline.run(build_egpws_diagram(lookahead=8))
         text = toolchain_summary(result)
         assert "parallel WCET" in text
         assert "system fixed point" in text

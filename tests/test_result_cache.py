@@ -114,19 +114,6 @@ class TestSystemResultCache:
         )
         assert result_fingerprint(bare) == result_fingerprint(first)
 
-    def test_invalid_mhp_backend_rejected_even_on_warm_hits(self):
-        from repro.wcet.system_level import SystemWcetError
-
-        model, htg, platform, mapping, order = build_mapped_case()
-        cache = WcetAnalysisCache()
-        system_level_wcet(htg, model.entry, platform, mapping, order, cache=cache)
-        # the entry is warm now, but error behaviour must not depend on it
-        with pytest.raises(SystemWcetError, match="bogus"):
-            system_level_wcet(
-                htg, model.entry, platform, mapping, order, cache=cache,
-                mhp_backend="bogus",
-            )
-
     def test_result_cache_false_forces_reanalysis(self):
         model, htg, platform, mapping, order = build_mapped_case()
         cache = WcetAnalysisCache()

@@ -5,7 +5,6 @@ The load-bearing properties:
 * pruning never loosens a bound (differential over every use case and
   seeded random workloads);
 * ``static_pruning=False`` is bit-identical to the historical behaviour;
-* pruned scalar and vectorised passes agree bit-for-bit;
 * the contention certificate checker refutes fabricated disjointness and
   dropped happens-before edges.
 """
@@ -37,7 +36,7 @@ from repro.usecases import ALL_USECASES
 from repro.usecases.workloads import synthetic_compiled_model
 from repro.wcet import HardwareCostModel, annotate_htg_wcets, system_level_wcet
 from repro.wcet.cache import WcetAnalysisCache
-from repro.wcet.system_level import SystemWcetError, mhp_options
+from repro.wcet.system_level import mhp_options
 
 USECASES = ["egpws", "polka", "weaa"]
 
@@ -179,23 +178,6 @@ class TestSystemLevelDifferential:
         assert result_fingerprint(default) == result_fingerprint(explicit_off)
         assert default.mhp_allowed is None and explicit_off.mhp_allowed is None
 
-    def test_pruned_backends_agree_bit_for_bit(self, usecase):
-        model, htg, platform, mapping, order = build_case(usecase)
-        scalar = system_level_wcet(
-            htg, model.entry, platform, mapping, order,
-            static_pruning=True, mhp_backend="scalar",
-        )
-        vector = system_level_wcet(
-            htg, model.entry, platform, mapping, order,
-            static_pruning=True, mhp_backend="numpy",
-        )
-        forced_auto = system_level_wcet(
-            htg, model.entry, platform, mapping, order,
-            static_pruning=True, mhp_backend="auto", vectorise_min_pairs=0,
-        )
-        assert result_fingerprint(scalar) == result_fingerprint(vector)
-        assert result_fingerprint(scalar) == result_fingerprint(forced_auto)
-
 
 class TestSeededWorkloadsDifferential:
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
@@ -209,7 +191,7 @@ class TestSeededWorkloadsDifferential:
 
 
 # ---------------------------------------------------------------------- #
-# knob resolution: param > ambient > env > default
+# knob resolution: param > ambient > default
 # ---------------------------------------------------------------------- #
 class TestKnobResolution:
     def test_ambient_options_enable_pruning(self):
@@ -224,47 +206,17 @@ class TestKnobResolution:
             )
         assert off.mhp_allowed is None
 
-    def test_env_knob_controls_vectorise_threshold(self, monkeypatch):
-        model, htg, platform, mapping, order = build_case("weaa")
-        monkeypatch.setenv("REPRO_MHP_VECTORISE_MIN_PAIRS", "0")
-        forced = system_level_wcet(
-            htg, model.entry, platform, mapping, order, mhp_backend="auto"
-        )
-        monkeypatch.setenv("REPRO_MHP_VECTORISE_MIN_PAIRS", "1000000000")
-        scalar = system_level_wcet(
-            htg, model.entry, platform, mapping, order, mhp_backend="auto"
-        )
-        assert result_fingerprint(forced) == result_fingerprint(scalar)
-
-    def test_env_knob_rejects_garbage(self, monkeypatch):
-        model, htg, platform, mapping, order = build_case("weaa")
-        monkeypatch.setenv("REPRO_MHP_VECTORISE_MIN_PAIRS", "many")
-        with pytest.raises(SystemWcetError):
-            system_level_wcet(htg, model.entry, platform, mapping, order)
-
-    def test_negative_threshold_is_rejected(self):
-        model, htg, platform, mapping, order = build_case("weaa")
-        with pytest.raises(SystemWcetError):
-            system_level_wcet(
-                htg, model.entry, platform, mapping, order, vectorise_min_pairs=-1
-            )
-
     def test_config_knobs_are_validated(self):
         with pytest.raises(ValueError):
             ToolchainConfig(static_pruning="yes")
-        with pytest.raises(ValueError):
-            ToolchainConfig(mhp_vectorise_min_pairs=-5)
-        cfg = ToolchainConfig(static_pruning=True, mhp_vectorise_min_pairs=16)
-        assert cfg.static_pruning is True
-        assert cfg.mhp_vectorise_min_pairs == 16
+        assert ToolchainConfig(static_pruning=True).static_pruning is True
 
     def test_ambient_scope_restores_on_exit(self):
         from repro.wcet.system_level import _MHP_OPTIONS
 
         before = dict(_MHP_OPTIONS)
-        with mhp_options(static_pruning=True, vectorise_min_pairs=7):
+        with mhp_options(static_pruning=True):
             assert _MHP_OPTIONS["static_pruning"] is True
-            assert _MHP_OPTIONS["vectorise_min_pairs"] == 7
         assert _MHP_OPTIONS == before
 
 

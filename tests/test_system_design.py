@@ -8,8 +8,9 @@ invisible:
 * result-cache keys stay byte-identical to the derivation before the
   design existed (copied below as :func:`reference_result_key`), so old
   disk entries remain addressable;
-* the bisect-based scalar MHP pass equals the pairwise double loop it
-  replaced (copied below as :func:`double_loop_contenders`);
+* the bisect-based unpruned MHP kernel equals the pairwise double loop it
+  replaced (copied below as :func:`double_loop_contenders`), and so does
+  the pruned kernel given a skeleton that keeps every cross-core pair;
 * the annealer, the genetic algorithm and branch and bound return the same
   schedules whether their candidates share one design or each build a
   fresh one, and so do certified result-tier replays.
@@ -53,8 +54,8 @@ from repro.wcet.cache import SystemResultCache
 from repro.wcet.system_level import (
     SystemDesign,
     SystemWcetError,
-    mhp_contenders_scalar,
-    mhp_contenders_vectorised,
+    mhp_contenders,
+    mhp_contenders_pruned,
     mhp_options,
     system_level_wcet,
 )
@@ -252,7 +253,7 @@ def test_annealer_keys_match_reference(monkeypatch):
 
 
 # ---------------------------------------------------------------------- #
-# (b) the scalar MHP pass equals the double loop
+# (b) the MHP kernels equal the double loop
 # ---------------------------------------------------------------------- #
 def _windows(spec):
     """``{tid: (core, start, end, sharer)}`` -> the pass arguments."""
@@ -287,18 +288,18 @@ BOUNDARY_CASES = {
 @pytest.mark.parametrize("name", sorted(BOUNDARY_CASES))
 def test_scalar_pass_boundaries(name):
     args = _windows(BOUNDARY_CASES[name])
-    assert mhp_contenders_scalar(*args) == double_loop_contenders(*args)
+    assert mhp_contenders(*args) == double_loop_contenders(*args)
 
 
 def test_scalar_pass_boundary_expectations():
     """Spot values the strict half-open comparisons imply."""
-    touching = mhp_contenders_scalar(*_windows(BOUNDARY_CASES["shared_endpoints"]))
+    touching = mhp_contenders(*_windows(BOUNDARY_CASES["shared_endpoints"]))
     # windows that only share an endpoint never contend
     assert touching == {"a": 1, "b": 1, "c": 0, "d": 2, "e": 0}
-    own = mhp_contenders_scalar(*_windows(BOUNDARY_CASES["own_core_only_sharer"]))
+    own = mhp_contenders(*_windows(BOUNDARY_CASES["own_core_only_sharer"]))
     assert own == {"a": 0, "b": 1, "c": 1}
-    assert mhp_contenders_scalar(*_windows(BOUNDARY_CASES["no_sharers"])) == {"a": 0, "b": 0}
-    assert set(mhp_contenders_scalar(*_windows(BOUNDARY_CASES["one_core"])).values()) == {0}
+    assert mhp_contenders(*_windows(BOUNDARY_CASES["no_sharers"])) == {"a": 0, "b": 0}
+    assert set(mhp_contenders(*_windows(BOUNDARY_CASES["one_core"])).values()) == {0}
 
 
 @pytest.mark.parametrize("block", range(4))
@@ -314,11 +315,15 @@ def test_scalar_pass_random_windows(block):
             spec[f"t{i}"] = (rng.randrange(cores), start, end, rng.random() < 0.6)
         args = _windows(spec)
         want = double_loop_contenders(*args)
-        assert mhp_contenders_scalar(*args) == want, seed
+        assert mhp_contenders(*args) == want, seed
+        # the pruned kernel over a skeleton that prunes nothing: every
+        # cross-core sharer of every task
         leaf_ids, sharers, mapping, intervals = args
-        if all(intervals[s].length > 0 for s in sharers):
-            # the numpy pass assumes non-empty sharer windows (module docstring)
-            assert mhp_contenders_vectorised(*args) == want, seed
+        skeleton = {
+            tid: tuple(sid for sid in sharers if mapping[sid] != mapping[tid])
+            for tid in leaf_ids
+        }
+        assert mhp_contenders_pruned(leaf_ids, skeleton, mapping, intervals) == want, seed
 
 
 # ---------------------------------------------------------------------- #

@@ -1,13 +1,14 @@
-"""System-level fixed point: MHP backend equivalence and the safety fallback.
+"""System-level fixed point: MHP kernel equivalence and the safety fallback.
 
-Covers the PR 2 bugfixes and the vectorised interference engine:
+Covers the convergence flag, the safety fallback and the two MHP kernels:
 
 * ``SystemWcetResult.converged`` must be truthful (the seed reported
   ``converged or True``, hiding the safety fallback from every caller);
 * the fallback must report contender counts consistent with the worst-case
   effective WCETs it charges;
-* the vectorised MHP pass must match the scalar double loop bit-for-bit on
-  every use case, end to end.
+* the unpruned kernel (the per-core bisect pass) must match the pruned
+  kernel (the skeleton pair loop) bit-for-bit on every use case, end to
+  end, when the skeleton keeps every cross-core sharer pair.
 """
 
 import pytest
@@ -25,10 +26,11 @@ from repro.wcet import (
     annotate_htg_wcets,
     system_level_wcet,
 )
+from repro.wcet import system_level
 from repro.wcet.system_level import (
     contention_oblivious_bound,
-    mhp_contenders_scalar,
-    mhp_contenders_vectorised,
+    mhp_contenders,
+    mhp_contenders_pruned,
 )
 
 USECASES = ["egpws", "polka", "weaa", "workloads"]
@@ -52,6 +54,20 @@ def build_case(usecase, cores=4, chunks=2):
     return model, htg, platform, mapping, order
 
 
+def full_skeleton(leaf_ids, sharers, mapping):
+    """Every cross-core sharer of every task: a skeleton that prunes nothing."""
+    return {
+        tid: tuple(sid for sid in sharers if mapping[sid] != mapping[tid])
+        for tid in leaf_ids
+    }
+
+
+def pair_loop_on_full_skeleton(leaf_ids, sharers, mapping, intervals):
+    """The pruned kernel standing in for the unpruned one."""
+    skeleton = full_skeleton(leaf_ids, sharers, mapping)
+    return mhp_contenders_pruned(leaf_ids, skeleton, mapping, intervals)
+
+
 def result_fingerprint(result):
     return (
         result.makespan,
@@ -67,19 +83,14 @@ def result_fingerprint(result):
 
 @pytest.mark.parametrize("usecase", USECASES)
 class TestMhpBackendsIdentical:
-    def test_end_to_end_bit_for_bit(self, usecase):
+    """The bisect kernel and the pair loop over a full skeleton agree."""
+
+    def test_end_to_end_bit_for_bit(self, usecase, monkeypatch):
         model, htg, platform, mapping, order = build_case(usecase)
-        scalar = system_level_wcet(
-            htg, model.entry, platform, mapping, order, mhp_backend="scalar"
-        )
-        vector = system_level_wcet(
-            htg, model.entry, platform, mapping, order, mhp_backend="numpy"
-        )
-        auto = system_level_wcet(
-            htg, model.entry, platform, mapping, order, mhp_backend="auto"
-        )
-        assert result_fingerprint(scalar) == result_fingerprint(vector)
-        assert result_fingerprint(scalar) == result_fingerprint(auto)
+        bisect = system_level_wcet(htg, model.entry, platform, mapping, order)
+        monkeypatch.setattr(system_level, "mhp_contenders", pair_loop_on_full_skeleton)
+        pair_loop = system_level_wcet(htg, model.entry, platform, mapping, order)
+        assert result_fingerprint(bisect) == result_fingerprint(pair_loop)
 
     def test_contender_pass_bit_for_bit(self, usecase):
         """The raw MHP passes agree on the converged timeline too."""
@@ -89,9 +100,8 @@ class TestMhpBackendsIdentical:
         sharers = [
             t.task_id for t in htg.leaf_tasks() if t.total_shared_accesses > 0
         ]
-        scalar = mhp_contenders_scalar(leaf_ids, sharers, mapping, result.task_intervals)
-        vector = mhp_contenders_vectorised(leaf_ids, sharers, mapping, result.task_intervals)
-        assert scalar == vector
+        args = (leaf_ids, sharers, mapping, result.task_intervals)
+        assert mhp_contenders(*args) == pair_loop_on_full_skeleton(*args)
 
 
 class TestNonConvergenceFallback:
@@ -161,17 +171,16 @@ class TestNonConvergenceFallback:
         for tid in settled.task_effective_wcet:
             assert capped.task_effective_wcet[tid] >= settled.task_effective_wcet[tid]
 
-    def test_fallback_identical_across_backends(self, case):
+    def test_fallback_identical_across_backends(self, case, monkeypatch):
         model, htg, platform, mapping, order = case
-        scalar = system_level_wcet(
-            htg, model.entry, platform, mapping, order, max_iterations=2,
-            mhp_backend="scalar",
+        bisect = system_level_wcet(
+            htg, model.entry, platform, mapping, order, max_iterations=2
         )
-        vector = system_level_wcet(
-            htg, model.entry, platform, mapping, order, max_iterations=2,
-            mhp_backend="numpy",
+        monkeypatch.setattr(system_level, "mhp_contenders", pair_loop_on_full_skeleton)
+        pair_loop = system_level_wcet(
+            htg, model.entry, platform, mapping, order, max_iterations=2
         )
-        assert result_fingerprint(scalar) == result_fingerprint(vector)
+        assert result_fingerprint(bisect) == result_fingerprint(pair_loop)
 
     def test_fallback_equals_oblivious_bound(self, case):
         """The fallback assumes maximal contention -- exactly the

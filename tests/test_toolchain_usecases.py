@@ -7,7 +7,7 @@ from repro.adl.platforms import (
     kit_leon3_inoc,
     recore_xentium_like,
 )
-from repro.core import ArgoToolchain, ToolchainConfig, ToolchainError, toolchain_summary
+from repro.core import Pipeline, ToolchainConfig, ToolchainError, toolchain_summary
 from repro.core.feedback import CrossLayerFeedback
 from repro.core.reporting import bottleneck_report
 from repro.usecases import (
@@ -73,18 +73,19 @@ class TestToolchainEndToEnd:
     @pytest.mark.parametrize("usecase", ["egpws", "weaa", "polka"])
     def test_flow_produces_bound_and_speedup(self, platform, usecase):
         builder, inputs_fn = ALL_USECASES[usecase]
-        toolchain = ArgoToolchain(platform, ToolchainConfig(loop_chunks=2))
-        result = toolchain.run(builder())
+        pipeline = Pipeline(platform, ToolchainConfig(loop_chunks=2))
+        result = pipeline.run(builder())
         assert result.system_wcet > 0
         assert result.sequential_wcet > 0
         assert result.wcet_speedup >= 0.9  # parallel bound should not explode
         # simulated execution respects the bound and produces sane outputs
-        sim = toolchain.simulate(result, inputs_fn())
+        sim = pipeline.simulate(result, inputs_fn())
         assert sim.makespan <= result.system_wcet + 1e-6
 
     def test_summary_and_bottleneck_report(self, platform):
-        toolchain = ArgoToolchain(platform, ToolchainConfig(loop_chunks=2))
-        result = toolchain.run(build_polka_diagram(pixels=32))
+        result = Pipeline(platform, ToolchainConfig(loop_chunks=2)).run(
+            build_polka_diagram(pixels=32)
+        )
         text = toolchain_summary(result)
         assert "parallel WCET" in text
         assert "bottleneck" in bottleneck_report(result.htg, result.schedule)
@@ -92,15 +93,15 @@ class TestToolchainEndToEnd:
     def test_feedback_never_hurts(self, platform):
         diagram_a = build_egpws_diagram(lookahead=16)
         diagram_b = build_egpws_diagram(lookahead=16)
-        once = ArgoToolchain(platform, ToolchainConfig(loop_chunks=2)).run(diagram_a)
-        tuned = ArgoToolchain(
+        once = Pipeline(platform, ToolchainConfig(loop_chunks=2)).run(diagram_a)
+        tuned = Pipeline(
             platform, ToolchainConfig(loop_chunks=2, feedback_iterations=2)
         ).run(diagram_b)
         assert tuned.system_wcet <= once.system_wcet + 1e-6
 
     def test_feedback_history_recorded(self, platform):
-        toolchain = ArgoToolchain(platform, ToolchainConfig(loop_chunks=2, feedback_iterations=2))
-        feedback = CrossLayerFeedback(toolchain)
+        pipeline = Pipeline(platform, ToolchainConfig(loop_chunks=2, feedback_iterations=2))
+        feedback = CrossLayerFeedback(pipeline)
         result = feedback.optimize(build_polka_diagram(pixels=32))
         assert result.system_wcet > 0
         assert len(feedback.history) >= 2
@@ -115,7 +116,7 @@ class TestToolchainEndToEnd:
             "bad", [Core(0, bad_proc, scratchpad("s"))], shared_sram(), RoundRobinBus()
         )
         with pytest.raises(ToolchainError):
-            ArgoToolchain(bad)
+            Pipeline(bad)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -127,7 +128,7 @@ class TestToolchainEndToEnd:
 
     def test_alternative_schedulers_through_config(self, platform):
         for scheduler in ("sequential", "acet_list", "simulated_annealing"):
-            result = ArgoToolchain(
+            result = Pipeline(
                 platform, ToolchainConfig(loop_chunks=2, scheduler=scheduler)
             ).run(build_polka_diagram(pixels=32))
             assert result.system_wcet > 0
@@ -140,11 +141,11 @@ class TestToolchainEndToEnd:
             recore_xentium_like(dsp_cores=4, control_cores=0),
             kit_leon3_inoc(mesh_width=2, mesh_height=2, cores_per_tile=1),
         ):
-            result = ArgoToolchain(platform, ToolchainConfig(loop_chunks=2)).run(diagram_builder())
+            result = Pipeline(platform, ToolchainConfig(loop_chunks=2)).run(diagram_builder())
             assert result.system_wcet > 0
 
     def test_synthetic_pipeline_through_flow(self, platform):
         diagram = random_pipeline_diagram(stages=3, width=2, vector_size=16, seed=5)
-        result = ArgoToolchain(platform, ToolchainConfig(loop_chunks=2)).run(diagram)
+        result = Pipeline(platform, ToolchainConfig(loop_chunks=2)).run(diagram)
         assert result.system_wcet > 0
         assert len(result.htg.leaf_tasks()) >= 6

@@ -1,5 +1,7 @@
 """Tests for the predictability transformations."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.ir import BinOp, Const, FunctionBuilder
 from repro.ir.interpreter import run_function
 from repro.ir.program import Storage
 from repro.ir.statements import For
+from repro.ir.types import INT
 from repro.transforms import (
     ConstantFoldingPass,
     DeadCodeEliminationPass,
@@ -28,6 +31,40 @@ def saxpy_like(n=8):
     y = fb.output_array("y", (n,))
     with fb.loop("i", 0, n) as i:
         fb.assign(fb.at(y, i), fb.at(x, i) * 2.0 + 1.0)
+    return fb.build()
+
+
+def random_carried_loop(seed, n=6):
+    """A loop of 2-4 random statements over carried scalars and arrays.
+
+    Scalars ``a``, ``b``, ``c`` carry values across iterations; arrays are
+    written at ``i`` and read at ``i`` or ``n - 1 - i``, so the bodies hold
+    loop-carried flow, anti and output dependences.
+    """
+    rng = random.Random(seed)
+    fb = FunctionBuilder("f")
+    x = fb.input_array("x", (n,))
+    arrays = [fb.output_array(name, (n,)) for name in ("y", "z")]
+    scalars = [fb.local(name, initial=float(k)) for k, name in enumerate("abc")]
+    with fb.loop("i", 0, n) as i:
+
+        def operand():
+            kind = rng.randrange(4)
+            if kind == 0:
+                return Const(float(rng.randint(1, 3)))
+            if kind == 1:
+                return fb.at(x, i)
+            if kind == 2:
+                return rng.choice(scalars)
+            index = rng.choice([i, BinOp("-", Const(n - 1), i)])
+            return fb.at(rng.choice(arrays), index)
+
+        for _ in range(rng.randint(2, 4)):
+            if rng.random() < 0.5:
+                target = rng.choice(scalars)
+            else:
+                target = fb.at(rng.choice(arrays), i)
+            fb.assign(target, BinOp(rng.choice("+-"), operand(), operand()))
     return fb.build()
 
 
@@ -131,6 +168,50 @@ class TestLoopTransforms:
         func = fb.build()
         report = LoopFissionPass().run(func)
         assert not report.changed
+
+    def test_fission_keeps_a_carried_scalar_with_its_earlier_reader(self):
+        """``y[i] = acc; acc = acc + x[i]`` is a prefix sum: the later
+        statement writes what the earlier one reads next iteration."""
+        fb = FunctionBuilder("f")
+        x = fb.input_array("x", (6,))
+        y = fb.output_array("y", (6,))
+        acc = fb.local("acc", initial=0.0)
+        with fb.loop("i", 0, 6) as i:
+            fb.assign(fb.at(y, i), acc)
+            fb.assign(acc, acc + fb.at(x, i))
+        func = fb.build()
+        report = LoopFissionPass().run(func)
+        assert not report.changed
+        result = run_function(func, {"x": np.arange(6.0)})
+        assert result.array("y").tolist() == [0.0, 0.0, 1.0, 3.0, 6.0, 10.0]
+
+    def test_fission_keeps_a_write_to_the_loop_bound_with_every_statement(self):
+        """Each split loop re-evaluates its bounds, so a body statement
+        writing a bound name must not be split off."""
+        fb = FunctionBuilder("f")
+        y = fb.output_array("y", (6,))
+        n = fb.local("n", INT, initial=6)
+        with fb.loop("i", 0, n, max_trip_count=6) as i:
+            fb.assign(n, n - 1)
+            fb.assign(fb.at(y, i), 1.0)
+        func = fb.build()
+        assert not LoopFissionPass().run(func).changed
+        assert run_function(func).array("y").tolist() == [1.0] * 6
+
+    def test_fission_preserves_semantics_on_random_carried_loops(self):
+        splits = 0
+        for seed in range(300):
+            inputs = {"x": np.random.default_rng(seed).integers(-5, 6, 6).astype(float)}
+            reference = run_function(random_carried_loop(seed), dict(inputs)).env
+            func = random_carried_loop(seed)
+            splits += LoopFissionPass().run(func).changed
+            result = run_function(func, dict(inputs)).env
+            for name in ("y", "z", "a", "b", "c"):
+                np.testing.assert_array_equal(
+                    result[name], reference[name], err_msg=f"seed {seed}, {name}"
+                )
+        # the pass must actually split a fair share of the bodies
+        assert splits >= 100, splits
 
     def test_index_set_splitting_removes_branch(self):
         fb = FunctionBuilder("f")

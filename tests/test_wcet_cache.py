@@ -250,13 +250,13 @@ class TestCacheBehaviour:
         assert bool(cache)
 
     def test_feedback_shares_cache_across_iterations(self):
-        from repro.core import ArgoToolchain, ToolchainConfig
+        from repro.core import Pipeline, ToolchainConfig
         from repro.usecases import build_egpws_diagram
 
         platform = generic_predictable_multicore(cores=2)
-        chain = ArgoToolchain(platform, ToolchainConfig(loop_chunks=2, feedback_iterations=2))
-        chain.run(build_egpws_diagram())
-        assert chain.wcet_cache.stats.hits > 0
+        pipeline = Pipeline(platform, ToolchainConfig(loop_chunks=2, feedback_iterations=2))
+        pipeline.run(build_egpws_diagram())
+        assert pipeline.wcet_cache.stats.hits > 0
 
     def test_clear_resets_entries(self):
         func = self._small_function()
