@@ -47,9 +47,10 @@ stage             input frontier (a change to any entry dirties it)
                   sig, config digest
 ================  ====================================================
 
-``frontend`` and ``transforms`` share one key: the passes transform the
-compiled model in place, so the previous run has no untransformed model to
-replay on its own.  The frontiers deliberately over-approximate (the whole
+``frontend`` and ``transforms`` share one key: no fingerprint digests the
+untransformed ``model`` artifact that joins them, so nothing proves a
+re-run front end's model equal to the one the previous transforms read.
+The frontiers deliberately over-approximate (the whole
 config digest stands in for the knobs a stage actually reads), so a key
 match *proves* the stage's inputs unchanged while a mismatch merely re-runs
 work.

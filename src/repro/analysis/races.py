@@ -57,7 +57,7 @@ from repro.analysis.footprints import (
 from repro.analysis.report import AnalysisReport, Finding
 from repro.htg.graph import HierarchicalTaskGraph
 from repro.htg.task import Task, TaskKind
-from repro.ir.analysis import SHARED_STORAGE
+from repro.ir import analysis as ir_analysis
 from repro.ir.program import Function
 from repro.utils.graphs import Reachability
 
@@ -186,9 +186,8 @@ def incremental_race_check(
     in the order a pairwise scan of the mapped tasks would visit them.
     """
     report = AnalysisReport("race_checker")
-    shared_names = frozenset(
-        d.name for d in function.all_decls() if d.storage in SHARED_STORAGE
-    )
+    shared_arrays, shared_scalars = ir_analysis.shared_names(function)
+    shared_names = shared_arrays | shared_scalars
     store = store if store is not None else default_footprint_store()
     fp_cache: dict[str, TaskFootprint] = {}
 

@@ -56,6 +56,7 @@ from repro.frontend import CompiledModel, compile_diagram
 from repro.htg import HierarchicalTaskGraph, extract_htg
 from repro.htg.extraction import ExtractionOptions, extract_htg_incremental
 from repro.ir.loops import describe_unbounded_loops
+from repro.ir.program import Program
 from repro.model.diagram import Diagram
 from repro.parallel import ParallelProgram, build_parallel_program
 from repro.scheduling.registry import get_scheduler
@@ -291,15 +292,22 @@ def _transforms_stage(context: PipelineContext) -> dict[str, Any]:
     manager = PassManager()
     for pass_ in passes:
         manager.add(pass_)
-    reports = manager.run(model.entry)
-    # the passes mutate the IR in place: per the WcetAnalysisCache contract,
-    # drop any fingerprints memoized for it
-    context.wcet_cache.invalidate_fingerprints(model.entry)
+    # The passes rebind the working copy's body and declaration lists and
+    # rewrite copy-on-write, so the front end's model is never mutated and
+    # the regions no pass touched stay the very same objects.
+    entry = model.entry
+    working = dataclasses.replace(entry, params=list(entry.params), decls=list(entry.decls))
+    reports = manager.run(working)
+    program = Program(
+        model.program.name,
+        [working if function is entry else function for function in model.program.functions],
+    )
     context.info["passes"] = list(names)
     context.info["changed"] = sum(1 for r in reports if r.changed)
-    # the IR object is transformed in place; re-expose it under a new name so
-    # downstream stages depend on the *transformed* model by construction
-    return {"transformed_model": model, "pass_reports": reports}
+    return {
+        "transformed_model": dataclasses.replace(model, program=program),
+        "pass_reports": reports,
+    }
 
 
 def _htg_stage(context: PipelineContext) -> dict[str, Any]:
@@ -602,9 +610,8 @@ def _replay_groups(
     Stages joined by an artifact no fingerprint digests (the front end's
     untransformed ``model``) share one key, built from all their frontiers
     and implementations, so they replay together or not at all: nothing
-    proves such an artifact unchanged, and the transformation passes mutate
-    the model in place, so the previous run holds no untransformed model to
-    hand a re-run consumer.
+    proves such an artifact unchanged, so a re-run producer's artifact
+    cannot be handed to a replayed consumer, nor the reverse.
     """
     digested = {artifact for artifact, _ in FINGERPRINTS.values()}
     producer = {artifact: stage.name for stage in stages for artifact in stage.produces}

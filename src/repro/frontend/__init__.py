@@ -1,9 +1,8 @@
 """Model-to-IR front end (paper Section II-B).
 
 ``compile_diagram`` turns a validated dataflow diagram into a single IR entry
-function whose body is a sequence of per-block code regions; the mapping from
-regions back to blocks is preserved so the HTG extractor can name tasks after
-the originating blocks.
+function whose body is a sequence of per-block code regions, each labelled
+with its originating block so the HTG extractor can name tasks after it.
 """
 
 from repro.frontend.lowering import ScilabLoweringError, lower_script

@@ -2,13 +2,16 @@
 
 ``compile_diagram`` produces one IR entry function representing a single
 synchronous step of the diagram.  The function body is a sequence of
-per-block regions (one ``ir.Block`` per dataflow block, in execution order);
-inter-block signals become shared buffers, diagram inputs/outputs become
-function parameters, array-valued block parameters become constant input
-arrays, and block state becomes persistent shared storage.
+per-block regions (one ``ir.Block`` per dataflow block, in execution order,
+labelled with the block's name); inter-block signals become shared buffers,
+diagram inputs/outputs become function parameters, array-valued block
+parameters become constant input arrays, and block state becomes persistent
+shared storage.
 
-The per-block region mapping (:attr:`CompiledModel.block_regions`) is what
-the HTG extractor uses to name tasks after the originating blocks.
+The labelled regions (:attr:`CompiledModel.block_regions`) are what the HTG
+extractor uses to name tasks after the originating blocks.  They are read
+from the entry function's body, so a transformed model's regions are the
+transformed code.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import numpy as np
 
 from repro.ir.builder import FunctionBuilder
 from repro.ir.expressions import Const, Expr, Var
+from repro.ir.printer import to_c
 from repro.ir.program import Function, Program, Storage, VarDecl
 from repro.ir.statements import Block as IRBlock
 from repro.ir.types import FLOAT, ArrayType
@@ -71,6 +75,11 @@ def _state_name(block: str, state: str) -> str:
     return f"st_{block}_{state}"
 
 
+class ModelCompilationError(ValueError):
+    """Raised when a diagram cannot be compiled to IR, or when a model's
+    entry body holds a statement outside its labelled block regions."""
+
+
 @dataclass
 class CompiledModel:
     """Result of compiling a diagram: IR program plus binding metadata."""
@@ -86,12 +95,29 @@ class CompiledModel:
     parameter_values: dict[str, np.ndarray] = field(default_factory=dict)
     #: Initial values for persistent state variables.
     state_values: dict[str, Any] = field(default_factory=dict)
-    #: Ordered (block name, IR region) pairs composing the entry function body.
-    block_regions: list[tuple[str, IRBlock]] = field(default_factory=list)
 
     @property
     def entry(self) -> Function:
         return self.program.lookup(self.entry_name)
+
+    @property
+    def block_regions(self) -> tuple[tuple[str, IRBlock], ...]:
+        """Ordered (block name, IR region) pairs composing the entry function body.
+
+        A view of the labelled top-level blocks of ``entry.body``; any other
+        top-level statement raises :class:`ModelCompilationError`, since
+        no region (hence no task) would carry it.
+        """
+        regions = []
+        for position, stmt in enumerate(self.entry.body.stmts):
+            if not isinstance(stmt, IRBlock) or stmt.label is None:
+                first_line = to_c(stmt).split("\n", 1)[0]
+                raise ModelCompilationError(
+                    f"top-level statement {position} of {self.entry_name!r} is not a "
+                    f"labelled block region: {type(stmt).__name__} {first_line!r}"
+                )
+            regions.append((stmt.label, stmt))
+        return tuple(regions)
 
     def run_inputs(self, external: dict[str, Any] | None = None) -> dict[str, Any]:
         """Build a full input binding for the IR interpreter.
@@ -113,10 +139,6 @@ class CompiledModel:
 
     def output_key(self, block: str, port: str) -> str:
         return _output_name(block, port)
-
-
-class ModelCompilationError(ValueError):
-    """Raised when a diagram cannot be compiled to IR."""
 
 
 def _declare_port_var(
@@ -230,7 +252,7 @@ def compile_diagram(diagram: Diagram, entry_name: str | None = None) -> Compiled
         for sname in block.state:
             bindings[sname] = state_vars[(block_name, sname)]
 
-        region = IRBlock()
+        region = IRBlock(label=block_name)
         fb._blocks.append(region)
         try:
             lower_script(block.script, fb, bindings, temp_prefix=f"{block_name}__")
@@ -241,15 +263,13 @@ def compile_diagram(diagram: Diagram, entry_name: str | None = None) -> Compiled
         finally:
             fb._blocks.pop()
         fb.emit(region)
-        region.annotation = block_name  # type: ignore[attr-defined]
-        model.block_regions.append((block_name, region))
 
         # If an output port is both connected and externally observed, copy
         # the signal buffer into the external output after the block region.
         for port in block.outputs:
             key = (block_name, port.name)
             if key in signal_vars and key in output_vars:
-                copy_region = IRBlock()
+                copy_region = IRBlock(label=f"{block_name}__copyout")
                 fb._blocks.append(copy_region)
                 try:
                     src = signal_vars[key]
@@ -262,7 +282,6 @@ def compile_diagram(diagram: Diagram, entry_name: str | None = None) -> Compiled
                 finally:
                     fb._blocks.pop()
                 fb.emit(copy_region)
-                model.block_regions.append((f"{block_name}__copyout", copy_region))
 
     function = fb.build()
     function.annotations["diagram"] = diagram.name

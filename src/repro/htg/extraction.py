@@ -23,12 +23,14 @@ from typing import Any, Mapping, Sequence
 from repro.frontend.codegen import CompiledModel
 from repro.htg.graph import HierarchicalTaskGraph
 from repro.htg.task import Task, TaskKind
-from repro.ir.analysis import access_summary, read_write_sets, shared_array_names
+from repro.ir.analysis import access_summary, read_write_sets, shared_names
 from repro.ir.expressions import ArrayRef, Var
 from repro.ir.loops import loop_trip_count
-from repro.ir.program import Function, Storage
+from repro.ir.program import Function
 from repro.ir.statements import Assign, Block as IRBlock, For, Stmt
-from repro.ir.visitors import clone_block
+
+#: Smallest trip count at which loop granularity splits a parallel loop.
+MIN_TRIP_COUNT_TO_SPLIT = 4
 
 
 def _first_index_is(ref: ArrayRef, index_name: str) -> bool:
@@ -117,14 +119,6 @@ def _all_expressions(stmt: Stmt):
         yield from node.expressions()
 
 
-def _shared_names(function: Function) -> set[str]:
-    return {
-        d.name
-        for d in function.all_decls()
-        if d.storage in (Storage.SHARED, Storage.INPUT, Storage.OUTPUT)
-    }
-
-
 def _buffer_bytes(function: Function, names: set[str]) -> int:
     total = 0
     for name in names:
@@ -160,7 +154,11 @@ def _make_task(
 
 
 def _split_loop(loop: For, chunks: int) -> list[For]:
-    """Split a counted loop into ``chunks`` contiguous sub-loops."""
+    """Split a counted loop into ``chunks`` contiguous sub-loops.
+
+    The chunks share the loop's body: each is a fresh ``For`` over the same
+    (never mutated) statements, one chunk per task.
+    """
     from repro.ir.expressions import Const, try_evaluate_constant
 
     lower = try_evaluate_constant(loop.lower)
@@ -182,7 +180,7 @@ def _split_loop(loop: For, chunks: int) -> list[For]:
                 index=loop.index,
                 lower=Const(start),
                 upper=Const(end),
-                body=clone_block(loop.body),
+                body=loop.body,
                 step=loop.step,
                 max_trip_count=size,
                 parallelizable=loop.parallelizable,
@@ -198,7 +196,6 @@ class ExtractionOptions:
 
     granularity: str = "block"      # "block" | "loop"
     loop_chunks: int = 4            # chunk count for split parallel loops
-    min_trip_count_to_split: int = 4
 
 
 def _region_tasks(
@@ -209,8 +206,9 @@ def _region_tasks(
 ) -> list[Task]:
     """The task decomposition of one code region at the requested granularity.
 
-    ``shared_arrays`` is the function's :func:`shared_array_names`, computed
-    once per extraction rather than once per task.
+    ``shared_arrays`` is the function's shared array names (see
+    :func:`~repro.ir.analysis.shared_names`), computed once per extraction
+    rather than once per task.
     """
     if options.granularity == "loop":
         return _extract_region_fine(region_name, region, shared_arrays, options)
@@ -223,12 +221,12 @@ def extract_htg(model: CompiledModel, options: ExtractionOptions | None = None) 
     if options.granularity not in ("block", "loop"):
         raise ValueError(f"unknown granularity {options.granularity!r}")
     function = model.entry
-    shared_arrays = shared_array_names(function)
+    shared_arrays, shared_scalars = shared_names(function)
 
     tasks: list[Task] = []
     for region_name, region in model.block_regions:
         tasks.extend(_region_tasks(region_name, region, shared_arrays, options))
-    return _assemble_htg(model.diagram_name, tasks, function)
+    return _assemble_htg(model.diagram_name, tasks, function, shared_arrays | shared_scalars)
 
 
 def extract_htg_incremental(
@@ -260,7 +258,7 @@ def extract_htg_incremental(
     if options.granularity not in ("block", "loop"):
         raise ValueError(f"unknown granularity {options.granularity!r}")
     function = model.entry
-    shared_arrays = shared_array_names(function)
+    shared_arrays, shared_scalars = shared_names(function)
 
     tasks: list[Task] = []
     changed_task_ids: set[str] = set()
@@ -276,7 +274,7 @@ def extract_htg_incremental(
             changed_task_ids.update(t.task_id for t in fresh)
             tasks.extend(fresh)
             regions_recomputed += 1
-    htg = _assemble_htg(model.diagram_name, tasks, function)
+    htg = _assemble_htg(model.diagram_name, tasks, function, shared_arrays | shared_scalars)
     info = {
         "regions_reused": regions_reused,
         "regions_recomputed": regions_recomputed,
@@ -286,10 +284,12 @@ def extract_htg_incremental(
 
 
 def _assemble_htg(
-    name: str, tasks: list[Task], function: Function
+    name: str, tasks: list[Task], function: Function, shared: frozenset[str]
 ) -> HierarchicalTaskGraph:
-    """Build the task graph: dependence edges over an ordered task list."""
-    shared = _shared_names(function)
+    """Build the task graph: dependence edges over an ordered task list.
+
+    ``shared`` names every variable ``function`` declares in shared storage.
+    """
     htg = HierarchicalTaskGraph(name=name)
 
     for task in tasks:
@@ -372,7 +372,7 @@ def _extract_region_fine(
         if (
             isinstance(stmt, For)
             and is_parallelizable_loop(stmt)
-            and loop_trip_count(stmt) >= options.min_trip_count_to_split
+            and loop_trip_count(stmt) >= MIN_TRIP_COUNT_TO_SPLIT
         ):
             splittable_positions.append(pos)
 

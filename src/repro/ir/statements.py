@@ -56,7 +56,7 @@ class Assign(Stmt):
 
     target: Var | ArrayRef
     value: Expr
-    sid: int = field(default_factory=_next_stmt_id, compare=False)
+    sid: int = field(default_factory=_next_stmt_id, init=False, compare=False)
 
     def expressions(self) -> Sequence[Expr]:
         exprs: list[Expr] = [self.value]
@@ -75,10 +75,18 @@ class Assign(Stmt):
 
 @dataclass
 class Block(Stmt):
-    """A sequence of statements."""
+    """A sequence of statements.
+
+    ``label`` names a model-level region: the front end labels each
+    top-level block of an entry function with the dataflow block it was
+    compiled from (see :attr:`repro.frontend.CompiledModel.block_regions`).
+    It is metadata only -- the C printer does not render it, so it never
+    enters a fingerprint -- and transformations keep it on rebuilt blocks.
+    """
 
     stmts: list[Stmt] = field(default_factory=list)
-    sid: int = field(default_factory=_next_stmt_id, compare=False)
+    label: str | None = field(default=None, compare=False)
+    sid: int = field(default_factory=_next_stmt_id, init=False, compare=False)
 
     def children(self) -> Sequence[Stmt]:
         return tuple(self.stmts)
@@ -100,7 +108,7 @@ class If(Stmt):
     cond: Expr
     then_body: Block
     else_body: Block = field(default_factory=Block)
-    sid: int = field(default_factory=_next_stmt_id, compare=False)
+    sid: int = field(default_factory=_next_stmt_id, init=False, compare=False)
 
     def children(self) -> Sequence[Stmt]:
         return (self.then_body, self.else_body)
@@ -128,7 +136,7 @@ class For(Stmt):
     #: Set by transformations that want the HTG extractor to treat every
     #: iteration (or chunk of iterations) as a parallel task candidate.
     parallelizable: bool = False
-    sid: int = field(default_factory=_next_stmt_id, compare=False)
+    sid: int = field(default_factory=_next_stmt_id, init=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.step == 0:
@@ -155,7 +163,7 @@ class While(Stmt):
     cond: Expr
     body: Block
     max_trip_count: int = 1
-    sid: int = field(default_factory=_next_stmt_id, compare=False)
+    sid: int = field(default_factory=_next_stmt_id, init=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.max_trip_count < 0:
@@ -173,7 +181,7 @@ class Return(Stmt):
     """Return from the enclosing function, optionally with a value."""
 
     value: Expr | None = None
-    sid: int = field(default_factory=_next_stmt_id, compare=False)
+    sid: int = field(default_factory=_next_stmt_id, init=False, compare=False)
 
     def expressions(self) -> Sequence[Expr]:
         return (self.value,) if self.value is not None else ()
@@ -184,7 +192,7 @@ class ExprStmt(Stmt):
     """Evaluate an expression for effect (kept for completeness)."""
 
     expr: Expr
-    sid: int = field(default_factory=_next_stmt_id, compare=False)
+    sid: int = field(default_factory=_next_stmt_id, init=False, compare=False)
 
     def expressions(self) -> Sequence[Expr]:
         return (self.expr,)

@@ -2,13 +2,17 @@
 
 Transformation passes (:mod:`repro.transforms`) subclass
 :class:`StatementTransformer` and override the hooks for the node kinds they
-care about; everything else is rebuilt structurally.
+care about.  Rewriting is copy-on-write: a node is rebuilt only when one of
+its children changed, so an untouched subtree comes back as the very same
+object and IR built once is never mutated.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Callable
+import dataclasses
+import operator
+from typing import Any, Callable
 
 from repro.ir.expressions import ArrayRef, BinOp, Call, Const, Expr, UnOp, Var
 from repro.ir.statements import (
@@ -23,33 +27,56 @@ from repro.ir.statements import (
 )
 
 
+def _rebuild(node: Any, **children: Any) -> Any:
+    """``node`` itself when every child is the very object it holds (element
+    by element for sequences), else a copy holding the new children.
+
+    The copy keeps every other field (a block's ``label``, say); a rebuilt
+    statement gets a fresh ``sid``.
+    """
+    for name, child in children.items():
+        old = getattr(node, name)
+        if child is not old and not (
+            isinstance(child, (list, tuple))
+            and len(child) == len(old)
+            and all(map(operator.is_, child, old))
+        ):
+            return dataclasses.replace(node, **children)
+    return node
+
+
 def map_expression(expr: Expr, fn: Callable[[Expr], Expr]) -> Expr:
-    """Bottom-up rewrite of an expression tree: children first, then ``fn``."""
-    if isinstance(expr, (Const, Var)):
-        return fn(expr)
+    """Bottom-up rewrite of an expression tree: children first, then ``fn``.
+
+    Copy-on-write: ``fn`` receives ``expr`` itself unless a child changed,
+    so a tree ``fn`` leaves alone is returned as is.
+    """
     if isinstance(expr, BinOp):
-        return fn(BinOp(expr.op, map_expression(expr.left, fn), map_expression(expr.right, fn)))
-    if isinstance(expr, UnOp):
-        return fn(UnOp(expr.op, map_expression(expr.operand, fn)))
-    if isinstance(expr, ArrayRef):
-        return fn(
-            ArrayRef(
-                expr.array,
-                tuple(map_expression(i, fn) for i in expr.indices),
-                expr.element_type,
-            )
-        )
-    if isinstance(expr, Call):
-        return fn(Call(expr.func, tuple(map_expression(a, fn) for a in expr.args), expr.type))
-    raise TypeError(f"unknown expression {type(expr).__name__}")
+        left, right = map_expression(expr.left, fn), map_expression(expr.right, fn)
+        expr = _rebuild(expr, left=left, right=right)
+    elif isinstance(expr, UnOp):
+        expr = _rebuild(expr, operand=map_expression(expr.operand, fn))
+    elif isinstance(expr, ArrayRef):
+        expr = _rebuild(expr, indices=tuple(map_expression(i, fn) for i in expr.indices))
+    elif isinstance(expr, Call):
+        expr = _rebuild(expr, args=tuple(map_expression(a, fn) for a in expr.args))
+    elif not isinstance(expr, (Const, Var)):
+        raise TypeError(f"unknown expression {type(expr).__name__}")
+    return fn(expr)
 
 
 class StatementTransformer:
-    """Rebuilds a statement tree, letting subclasses rewrite selected nodes.
+    """Rewrites a statement tree copy-on-write, letting subclasses rewrite
+    selected nodes.
 
-    Each ``visit_*`` method receives a freshly rebuilt node (children already
-    transformed) and returns either a statement or a list of statements (to
-    splice multiple statements in place of one, e.g. loop fission).
+    Children are transformed first.  Each ``visit_*`` hook then receives the
+    original node when none of its children changed, or a rebuilt node
+    holding the new children otherwise; hooks must not mutate what they
+    receive (it may be shared with the IR being transformed).  A hook
+    returns either a statement or a list of statements (to splice multiple
+    statements in place of one, e.g. loop fission).  A block whose
+    statements all come back unchanged is returned as is; a rebuilt block
+    keeps its ``label``.
     """
 
     # expression hook ---------------------------------------------------- #
@@ -80,55 +107,40 @@ class StatementTransformer:
 
     # driver -------------------------------------------------------------- #
     def transform_block(self, block: Block) -> Block:
-        new_block = Block()
+        stmts: list[Stmt] = []
         for stmt in block.stmts:
             result = self.transform_statement(stmt)
             if isinstance(result, list):
-                new_block.stmts.extend(result)
+                stmts.extend(result)
             else:
-                new_block.stmts.append(result)
-        return new_block
+                stmts.append(result)
+        return _rebuild(block, stmts=stmts)
 
     def transform_statement(self, stmt: Stmt) -> Stmt | list[Stmt]:
+        rewrite, block = self._rewrite_expr, self.transform_block
         if isinstance(stmt, Assign):
             target = stmt.target
             if isinstance(target, ArrayRef):
-                target = self._rewrite_expr(target)  # type: ignore[assignment]
-            rebuilt = Assign(target, self._rewrite_expr(stmt.value))
-            return self.visit_assign(rebuilt)
+                target = rewrite(target)  # type: ignore[assignment]
+            return self.visit_assign(_rebuild(stmt, target=target, value=rewrite(stmt.value)))
         if isinstance(stmt, Block):
-            return self.transform_block(stmt)
+            return block(stmt)
         if isinstance(stmt, If):
-            rebuilt = If(
-                self._rewrite_expr(stmt.cond),
-                self.transform_block(stmt.then_body),
-                self.transform_block(stmt.else_body),
-            )
+            cond = rewrite(stmt.cond)
+            then_body, else_body = block(stmt.then_body), block(stmt.else_body)
+            rebuilt = _rebuild(stmt, cond=cond, then_body=then_body, else_body=else_body)
             return self.visit_if(rebuilt)
         if isinstance(stmt, For):
-            rebuilt = For(
-                index=stmt.index,
-                lower=self._rewrite_expr(stmt.lower),
-                upper=self._rewrite_expr(stmt.upper),
-                body=self.transform_block(stmt.body),
-                step=stmt.step,
-                max_trip_count=stmt.max_trip_count,
-                parallelizable=stmt.parallelizable,
-            )
-            return self.visit_for(rebuilt)
+            lower, upper = rewrite(stmt.lower), rewrite(stmt.upper)
+            return self.visit_for(_rebuild(stmt, lower=lower, upper=upper, body=block(stmt.body)))
         if isinstance(stmt, While):
-            rebuilt = While(
-                cond=self._rewrite_expr(stmt.cond),
-                body=self.transform_block(stmt.body),
-                max_trip_count=stmt.max_trip_count,
-            )
-            return self.visit_while(rebuilt)
+            cond = rewrite(stmt.cond)
+            return self.visit_while(_rebuild(stmt, cond=cond, body=block(stmt.body)))
         if isinstance(stmt, Return):
-            rebuilt = Return(self._rewrite_expr(stmt.value) if stmt.value is not None else None)
-            return self.visit_return(rebuilt)
+            value = None if stmt.value is None else rewrite(stmt.value)
+            return self.visit_return(_rebuild(stmt, value=value))
         if isinstance(stmt, ExprStmt):
-            rebuilt = ExprStmt(self._rewrite_expr(stmt.expr))
-            return self.visit_expr_stmt(rebuilt)
+            return self.visit_expr_stmt(_rebuild(stmt, expr=rewrite(stmt.expr)))
         raise TypeError(f"unknown statement {type(stmt).__name__}")
 
 

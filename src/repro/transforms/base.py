@@ -18,7 +18,16 @@ class PassReport:
 
 
 class FunctionPass:
-    """Base class: a transformation applied to one IR function in place."""
+    """Base class: a transformation applied to one IR function.
+
+    In the flow a pass runs on the ``transforms`` stage's working copy of
+    the entry function, which shares its statements and declarations with
+    the front end's.  A pass may rebind the copy's ``body`` and its
+    ``params`` / ``decls`` lists; it must not mutate statements or
+    declarations (rewrite with the copy-on-write
+    :class:`~repro.ir.visitors.StatementTransformer`, replace a
+    declaration instead of changing it).
+    """
 
     name = "pass"
 

@@ -9,7 +9,7 @@ system-level analysis has to inflate.  Selection is a greedy knapsack on
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.ir.analysis import access_summary
 from repro.ir.program import Function, Storage
@@ -40,9 +40,9 @@ def allocate_scratchpad(
 
     ``protect`` lists arrays that must remain shared (e.g. buffers written by
     one core and read by another -- the caller knows the task mapping).
-    Returns the allocation decision; the caller applies it either by mutating
-    the IR declarations (:class:`ScratchpadAllocationPass`) or through the
-    cost-model override used during design-space exploration.
+    Returns the allocation decision; the caller applies it either by
+    replacing the IR declarations (:class:`ScratchpadAllocationPass`) or
+    through the cost-model override used during design-space exploration.
     """
     if capacity_bytes < 0:
         raise ValueError("capacity must be non-negative")
@@ -84,10 +84,12 @@ def allocate_scratchpad(
 class ScratchpadAllocationPass(FunctionPass):
     """Apply :func:`allocate_scratchpad` by rewriting storage classes.
 
-    Only plain ``SHARED`` arrays are relocated in place; ``INPUT``/``OUTPUT``
-    parameters keep their storage class (they belong to the caller) -- callers
-    that want those staged into the SPM should use the cost-model override
-    returned in the report details.
+    Only plain ``SHARED`` arrays are relocated: each moved declaration is
+    replaced by a ``SCRATCHPAD`` copy in a new ``decls`` list, so the
+    declarations the pass was handed stay untouched.  ``INPUT``/``OUTPUT``
+    parameters keep their storage class (they belong to the caller) --
+    callers that want those staged into the SPM should use the cost-model
+    override returned in the report details.
     """
 
     capacity_bytes: int = 64 * 1024
@@ -105,10 +107,14 @@ class ScratchpadAllocationPass(FunctionPass):
             self.protect,
         )
         moved_in_place = []
+        decls = []
         for decl in function.decls:
             if decl.name in allocation.moved and decl.storage is Storage.SHARED:
-                decl.storage = Storage.SCRATCHPAD
+                decl = replace(decl, storage=Storage.SCRATCHPAD)
                 moved_in_place.append(decl.name)
+            decls.append(decl)
+        if moved_in_place:
+            function.decls = decls
         return PassReport(
             self.name,
             function.name,

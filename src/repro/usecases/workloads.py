@@ -106,9 +106,8 @@ def synthetic_compiled_model(
         inputs.append(fb.input_array(f"in_k{k}", (vector_size,)))
         outputs.append(fb.shared_array(f"buf_k{k}", (vector_size,)))
 
-    regions: list[tuple[str, IRBlock]] = []
     for k in range(num_kernels):
-        region = IRBlock()
+        region = IRBlock(label=f"kernel{k}")
         fb._blocks.append(region)
         try:
             sources = [inputs[k]]
@@ -127,15 +126,9 @@ def synthetic_compiled_model(
         finally:
             fb._blocks.pop()
         fb.emit(region)
-        regions.append((f"kernel{k}", region))
 
     function = fb.build()
-    model = CompiledModel(
-        diagram_name=name,
-        program=Program(name),
-        entry_name=function.name,
-        block_regions=regions,
-    )
+    model = CompiledModel(diagram_name=name, program=Program(name), entry_name=function.name)
     model.program.add(function)
     for k in range(num_kernels):
         model.inputs[f"in_k{k}"] = (f"kernel{k}", "u", (vector_size,))

@@ -27,31 +27,15 @@ derived from the numbers the code-level analysis can observe (operation cost
 table, branch/loop overheads, scratchpad and uncontended shared-memory
 latencies, storage overrides), never from object identities, so identical
 cores share entries even on heterogeneous platforms and across platform
-rebuilds.  Only two situations require explicit action from callers:
+rebuilds.  IR is never mutated once the front end has built it (the
+transformation passes work copy-on-write on a copy of the entry function),
+so its identity-keyed fingerprint memos cannot go stale.  Only one situation
+requires explicit action from callers:
 
-* **IR transforms that mutate a function in place** (e.g. running a
-  ``PassManager`` after code has already been analysed, or a pass changing
-  a declaration's storage class) must be followed by
-  ``cache.invalidate_function(function)``, which drops the memoized
-  object-identity fingerprints, referenced names and region contexts so
-  they are recomputed from the new contents.  The pipeline invalidates
-  after its transforms, before the first analysis, and the feedback loop
-  recompiles the model per candidate (fresh objects).
 * **Platform, processor or cost-model objects mutated in place** require
   ``cache.clear()`` -- their cost signatures are memoized per object.  The
   supported style is to build fresh objects instead, which needs no
   invalidation at all.
-
-:meth:`~repro.wcet.cache.WcetAnalysisCache.invalidate_fingerprints` is the
-single dispatching entry point for both rules: hand it whatever was mutated
-in place -- a ``Function``, a statement ``Block``, a ``Task``, a whole
-``HierarchicalTaskGraph`` or a ``HardwareCostModel`` -- and every memoized
-fingerprint/cost signature derived from that object is forgotten (content
-addressing keeps the *entries* valid; only the identity-keyed memos can go
-stale).  Mutating a fingerprinted object without calling it is undefined
-behaviour.  The incremental re-analysis engine
-(:meth:`repro.core.pipeline.Pipeline.run_incremental`) and the edit-script
-generators in :mod:`repro.usecases.workloads` rely on this API.
 
 Since schema **v4**, code-level entry keys embed the region's *context*
 (:meth:`~repro.wcet.cache.WcetAnalysisCache.region_context`): the storage
@@ -75,8 +59,8 @@ The same contract extends to the **system-level result tier**
 function/region fingerprints, the mapping and per-core order, the per-core
 cost signatures, the shared-access penalty tables, the priced worst-case
 edge delays and the fixed-point knobs (``max_iterations``, core count), so
-entries can never go stale and need no invalidation either.  The two
-caller-cooperation rules above apply unchanged (the fingerprints and cost
+entries can never go stale and need no invalidation either.  The
+caller-cooperation rule above applies unchanged (the fingerprints and cost
 signatures are the same memos); additionally:
 
 * Code that must *re-run* the fixed point (differential tests, kernel

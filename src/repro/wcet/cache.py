@@ -115,24 +115,18 @@ Invalidation contract
 The only mutable state is the set of *memos* mapping live ``Function`` /
 statement / model objects (by identity) to their fingerprints, referenced
 names, region contexts and cost signatures, which avoids re-rendering the
-IR and re-digesting declarations and cost tables on every query.
-Situations requiring cooperation from the caller:
+IR and re-digesting declarations and cost tables on every query.  The memos
+rely on those objects never changing once fingerprinted:
 
-1. **In-place IR mutation.**  If a function -- its body, a task's statement
-   block, or its declarations (a storage class changed in place, a
-   declaration appended) -- is mutated after it has been analysed, e.g. by
-   running an IR transform, call
-   :meth:`WcetAnalysisCache.invalidate_function` (or
-   :meth:`~WcetAnalysisCache.invalidate_fingerprints` for a block outside
-   the body) so the memoized fingerprints and contexts are recomputed.
-   The toolchain invalidates after its transforms, before the first
-   analysis.
-2. **In-place platform / processor / cost-model mutation.**  Platform,
-   processor and :class:`~repro.wcet.hardware_model.HardwareCostModel`
-   objects are treated as immutable (their cost signature is memoized per
-   object).  Mutating one in place requires
-   :meth:`WcetAnalysisCache.clear` (or simply building fresh objects, which
-   is the supported style and needs no invalidation at all).
+* **IR** is never mutated after the front end builds it: transformation
+  passes run on a working copy of the entry function and rewrite its
+  statements copy-on-write (:mod:`repro.transforms`), so a transformed
+  function is a new object and its unchanged regions are the very objects
+  the front end built, with still-valid memos.  Nothing needs invalidating.
+* **Platform, processor and cost-model objects** are treated as immutable
+  too (their cost signature is memoized per object).  Mutating one in place
+  requires :meth:`WcetAnalysisCache.clear`; building fresh objects is the
+  supported style and needs no invalidation at all.
 
 Everything else -- new functions, new platforms, new storage overrides,
 feedback iterations that recompile the model -- is handled transparently:
@@ -768,8 +762,7 @@ class WcetAnalysisCache(_ShardBackedTier):
 
         Shares this instance's region memos, so a footprint lookup renders
         nothing a WCET lookup of the same region already rendered, and
-        :meth:`invalidate_function` / :meth:`clear` cover its keys.
-        In-memory only.
+        :meth:`clear` drops it along with them.  In-memory only.
         """
         if self._footprints is None:
             from repro.analysis.footprints import FootprintStore
@@ -906,60 +899,6 @@ class WcetAnalysisCache(_ShardBackedTier):
         }
 
     # ------------------------------------------------------------------ #
-    def invalidate_function(self, function: Function) -> None:
-        """Forget memoized fingerprints after an in-place IR mutation.
-
-        Drops the function's fingerprint, every region context and shared
-        name set derived from its declarations, and the fingerprints and
-        referenced names of the blocks of its body.  Content-addressed
-        entries themselves stay valid (the mutated IR will simply produce
-        new keys): after a storage class changes in place, exactly the
-        regions that reference that name get new keys.
-        """
-        self._function_fps.pop(id(function), None)
-        self._declarations.pop(id(function), None)
-        self._region_fps.pop(id(function.body), None)
-        for stmt in function.body.walk():
-            if isinstance(stmt, Block):
-                self._region_fps.pop(id(stmt), None)
-
-    def invalidate_fingerprints(self, obj: object) -> None:
-        """Forget every memoized fingerprint/signature derived from ``obj``.
-
-        The fingerprint memos are keyed by ``id(obj)``: cheap, but blind to
-        in-place mutation.  **Mutating an object after this cache has
-        fingerprinted it, without calling this method, is undefined
-        behaviour** -- the stale memo would keep addressing the pre-mutation
-        analysis results.  Callers that mutate IR, tasks or cost models in
-        place (transform passes, the incremental re-analysis engine, edit
-        scripts) must invalidate first; content-addressed entries themselves
-        stay valid because the re-rendered object simply produces new keys.
-
-        Accepts a :class:`~repro.ir.program.Function`, a statement
-        :class:`~repro.ir.statements.Block`, a :class:`~repro.htg.task.Task`,
-        a whole :class:`~repro.htg.graph.HierarchicalTaskGraph` or a
-        :class:`~repro.wcet.hardware_model.HardwareCostModel`.
-        """
-        if isinstance(obj, Function):
-            self.invalidate_function(obj)
-        elif isinstance(obj, Block):
-            self._region_fps.pop(id(obj), None)
-            for stmt in obj.walk():
-                if isinstance(stmt, Block):
-                    self._region_fps.pop(id(stmt), None)
-        elif isinstance(obj, Task):
-            self.invalidate_fingerprints(obj.statements)
-        elif isinstance(obj, HierarchicalTaskGraph):
-            for task in obj.tasks.values():
-                self.invalidate_fingerprints(task.statements)
-        elif isinstance(obj, HardwareCostModel):
-            self._model_sigs.pop(id(obj), None)
-        else:
-            raise TypeError(
-                "invalidate_fingerprints expects a Function, Block, Task, "
-                f"HierarchicalTaskGraph or HardwareCostModel, got {type(obj).__name__}"
-            )
-
     def clear(self) -> None:
         """Drop every in-memory entry and memo (stats are kept).
 

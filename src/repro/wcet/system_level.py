@@ -40,8 +40,8 @@ and the mapping part of the result key.  :func:`system_level_wcet` always
 analyses through a design; callers that evaluate many mappings build one
 per search and pass it as ``design=``, every other call gets a one-shot
 design.  A design is never kept past its search (nor on a cache or in a
-module global), so in-place IR edits, fingerprint invalidation and
-platform rebuilds between searches need no extra care.
+module global), so recompiled IR and platform rebuilds between searches
+need no extra care.
 
 MHP implementation notes
 ------------------------

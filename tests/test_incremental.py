@@ -372,9 +372,10 @@ def _wrapped(pipe, name):
 
 @pytest.mark.parametrize("replaced", ["frontend", "transforms"])
 def test_replacing_one_of_the_front_stages_reruns_both(replaced):
-    """The passes transform the front end's model in place: replaying either
-    stage alone would hand a re-run partner the previous run's (already
-    transformed) model."""
+    """No fingerprint digests the front end's untransformed model, so
+    neither stage may replay while its partner re-runs."""
+    from repro.frontend import compile_diagram
+
     pipe = _pipeline()
     base = pipe.run(_diagram(seed=29))
     before = pipe.wcet_cache.function_fingerprint(base.model.entry)
@@ -382,8 +383,12 @@ def test_replacing_one_of_the_front_stages_reruns_both(replaced):
     report = result.artifacts["incremental_report"]
     assert report.stages["frontend"] == report.stages["transforms"] == "recomputed"
     assert result.model is not base.model
-    pipe.wcet_cache.invalidate_fingerprints(base.model.entry)
-    assert pipe.wcet_cache.function_fingerprint(base.model.entry) == before
+    # nothing mutated the previous run's IR: it fingerprints like a fresh
+    # compile, in a cache that never saw it
+    fresh = WcetAnalysisCache()
+    compiled = fresh.function_fingerprint(compile_diagram(_diagram(seed=29)).entry)
+    assert fresh.function_fingerprint(base.model.entry) == before == compiled
+    assert fresh.function_fingerprint(base.artifacts["model"].entry) == compiled
     # the new model is content-identical, so the rest still replays
     assert report.stages["schedule"] == "reused"
     _assert_bit_identical(result, _pipeline().run(_diagram(seed=29)))
@@ -445,45 +450,6 @@ def test_chained_incremental_runs():
         random_edit_script(edited, num_edits=step + 1, seed=step)
         previous = pipe.run_incremental(previous, edited)
         _assert_bit_identical(previous, _pipeline().run(edited))
-
-
-# ---------------------------------------------------------------------- #
-# cache invalidation (satellite)
-# ---------------------------------------------------------------------- #
-def test_invalidate_fingerprints_function():
-    from repro.frontend import compile_diagram
-    from repro.ir.expressions import Const, Var
-    from repro.ir.statements import Assign
-
-    cache = WcetAnalysisCache()
-    model = compile_diagram(_diagram(seed=31))
-    before = cache.function_fingerprint(model.entry)
-    model.entry.body.append(Assign(Var("extra"), Const(1.0)))
-    # without invalidation the memo is stale (documented UB)...
-    assert cache.function_fingerprint(model.entry) == before
-    # ...and invalidate_fingerprints drops it
-    cache.invalidate_fingerprints(model.entry)
-    assert cache.function_fingerprint(model.entry) != before
-
-
-def test_invalidate_fingerprints_htg_and_model():
-    from repro.frontend import compile_diagram
-    from repro.htg import extract_htg
-    from repro.wcet import HardwareCostModel
-
-    cache = WcetAnalysisCache()
-    model = compile_diagram(_diagram(seed=32))
-    htg = extract_htg(model)
-    task = next(t for t in htg.leaf_tasks() if t.statements is not None)
-    fp = cache.region_fingerprint(task.statements)
-    assert cache.region_fingerprint(task.statements) == fp
-    cache.invalidate_fingerprints(htg)
-    assert cache.region_fingerprint(task.statements) == fp  # recomputed, equal
-    cost = HardwareCostModel(generic_predictable_multicore(cores=2), 0)
-    cache.model_signature(cost)
-    cache.invalidate_fingerprints(cost)
-    with pytest.raises(TypeError):
-        cache.invalidate_fingerprints(42)
 
 
 # ---------------------------------------------------------------------- #

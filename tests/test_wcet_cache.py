@@ -24,7 +24,6 @@ from repro.usecases.workloads import synthetic_compiled_model
 from repro.wcet import (
     HardwareCostModel,
     WcetAnalysisCache,
-    analyze_function_wcet,
     analyze_task_wcet,
     annotate_htg_wcets,
     system_level_wcet,
@@ -153,19 +152,6 @@ class TestCacheBehaviour:
         # identical cores on a homogeneous platform share cost signatures
         assert cache.stats.misses == misses
 
-    def test_invalidate_function_after_mutation(self):
-        func = self._small_function()
-        platform = generic_predictable_multicore(cores=2)
-        model_cost = HardwareCostModel(platform, 0)
-        cache = WcetAnalysisCache()
-        before = analyze_function_wcet(func, model_cost, cache=cache).total
-        # mutate the IR in place: duplicate the loop statement
-        func.body.stmts.append(func.body.stmts[-1])
-        cache.invalidate_function(func)
-        after = analyze_function_wcet(func, model_cost, cache=cache).total
-        assert after > before
-        assert after == analyze_function_wcet(func, model_cost).total
-
     @staticmethod
     def _two_array_function(storage_of_a=Storage.SHARED, extra=()):
         """A function whose two regions each read one of two arrays."""
@@ -182,23 +168,6 @@ class TestCacheBehaviour:
             body=Block([region_a, region_b]),
         )
         return func, (region_a, region_b)
-
-    def test_storage_change_in_place_rekeys_only_referencing_regions(self):
-        func, regions = self._two_array_function()
-        model_cost = HardwareCostModel(generic_predictable_multicore(cores=2), 0)
-        cache = WcetAnalysisCache()
-        before = [cache.entry_key(r, func, model_cost) for r in regions]
-        shared_a = cache.region_wcet(regions[0], func, model_cost)
-        func.lookup("a").storage = Storage.SCRATCHPAD
-        cache.invalidate_function(func)
-        after = [cache.entry_key(r, func, model_cost) for r in regions]
-        assert after[0] != before[0]
-        assert after[1] == before[1]
-        for region in regions:
-            assert cache.region_wcet(region, func, model_cost) == statement_wcet(
-                region, func, model_cost
-            )
-        assert cache.region_wcet(regions[0], func, model_cost).total < shared_a.total
 
     def test_storage_change_in_fresh_function_rekeys_only_referencing_regions(self):
         model_cost = HardwareCostModel(generic_predictable_multicore(cores=2), 0)
