@@ -9,12 +9,14 @@ the per-edge latency per iteration.
 
 This experiment runs :func:`system_level_wcet` on synthetic HTGs of
 ~200-1000 tasks twice: with the kernel, and with the original double loop
-(kept here as the baseline) patched in.  Both fixed points must be
-*byte-identical* -- same makespan, same task intervals, same effective
-WCETs, same contender counts, same iteration count.  It then times one
-contender pass of the kernel and of the double loop on the converged task
-windows: both must give the same counts, and at 1000 tasks the kernel must
-be at least 5x faster than the double loop.
+(kept here as the baseline, on the kernel's index signature) patched into
+the name the solve calls -- the patched baseline must run once per
+iteration, so the comparison cannot pass vacuously.  Both fixed points
+must be *byte-identical* -- same makespan, same task intervals, same
+effective WCETs, same contender counts, same iteration count.  It then
+times one contender pass of the kernel and of the double loop on the
+converged task windows: both must give the same counts, and at 1000 tasks
+the kernel must be at least 5x faster than the double loop.
 """
 
 import time
@@ -81,17 +83,18 @@ def _result_fingerprint(result):
     )
 
 
-def _double_loop(leaf_ids, sharers, mapping, intervals):
-    """The original contender pass: distinct other cores with an overlapping sharer."""
-    contenders = {}
-    for tid in leaf_ids:
+def _double_loop(cores, sharers, starts, finishes):
+    """The original contender pass: distinct other cores with an overlapping
+    sharer, on the kernel's index signature."""
+    contenders = []
+    for tid, core in enumerate(cores):
         other_cores = set()
         for other in sharers:
-            if other == tid or mapping[other] == mapping[tid]:
+            if other == tid or cores[other] == core:
                 continue
-            if intervals[tid].overlaps(intervals[other]):
-                other_cores.add(mapping[other])
-        contenders[tid] = len(other_cores)
+            if starts[tid] < finishes[other] and starts[other] < finishes[tid]:
+                other_cores.add(cores[other])
+        contenders.append(len(other_cores))
     return contenders
 
 
@@ -133,17 +136,28 @@ def _sweep():
         kernel, kernel_seconds = _time_fixed_point(
             htg, model.entry, platform, mapping, order, cache, repeats=2
         )
-        with mock.patch.object(system_level, "mhp_contenders", _double_loop):
+        # patch the name the solve calls, and prove the baseline ran
+        with mock.patch.object(
+            system_level, "mhp_contenders", side_effect=_double_loop
+        ) as patched:
             baseline, baseline_seconds = _time_fixed_point(
                 htg, model.entry, platform, mapping, order, cache, repeats=1
             )
+        assert patched.call_count == baseline.iterations >= 1, (
+            "the fixed point never called the patched double loop"
+        )
         assert _result_fingerprint(kernel) == _result_fingerprint(baseline), (
             f"the MHP kernel's fixed point diverges from the double loop's at {num_tasks} tasks"
         )
 
         leaf_ids = [t.task_id for t in htg.leaf_tasks()]
-        sharers = [tid for tid in leaf_ids if kernel.task_shared_accesses[tid] > 0]
-        args = (leaf_ids, sharers, mapping, kernel.task_intervals)
+        windows = [kernel.task_intervals[tid] for tid in leaf_ids]
+        args = (
+            [mapping[tid] for tid in leaf_ids],
+            [i for i, tid in enumerate(leaf_ids) if kernel.task_shared_accesses[tid] > 0],
+            [window.start for window in windows],
+            [window.end for window in windows],
+        )
         reference, loop_pass = _time_pass(_double_loop, args, repeats=3)
         counts, kernel_pass = _time_pass(mhp_contenders, args, repeats=20)
         assert counts == reference, (

@@ -35,6 +35,7 @@ WCET bound needs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache, partial
 
 from repro.analysis.report import AnalysisReport, Finding
 
@@ -234,7 +235,8 @@ def check_fixed_point_certificate(
                     subject=f"core {core}",
                 )
         penalty = live_penalty
-        comm_contenders = max(0, num_cores - 1)
+        # each (payload, core pair) is asked of the platform once per check
+        price = cache(partial(platform.communication_latency, contenders=num_cores - 1))
         live_delays: dict[tuple[str, str], float] = {}
         for edge in htg.edges:
             src_core = cert.mapping.get(edge.src)
@@ -242,11 +244,7 @@ def check_fixed_point_certificate(
             if src_core is None or dst_core is None or src_core == dst_core:
                 continue
             live_delays[(edge.src, edge.dst)] = (
-                0.0
-                if edge.payload_bytes == 0
-                else platform.communication_latency(
-                    edge.payload_bytes, src_core, dst_core, comm_contenders
-                )
+                0.0 if edge.payload_bytes == 0 else price(edge.payload_bytes, src_core, dst_core)
             )
         for key in sorted(set(cert.edge_delays) | set(live_delays)):
             claimed = cert.edge_delays.get(key)

@@ -24,6 +24,7 @@ sound for an upper bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial
 
 from repro.analysis.report import AnalysisReport, Finding
 
@@ -195,7 +196,9 @@ def check_schedule_certificate(
             report.bump("core_pairs_checked")
 
     # -- precedence edges with independently re-priced latencies -------- #
-    comm_contenders = max(0, platform.num_cores - 1)
+    # (a latency depends only on the payload and the core pair, so each one
+    # is asked of the platform once per check -- never of the analysis)
+    price = cache(partial(platform.communication_latency, contenders=platform.num_cores - 1))
     for edge in htg.edges:
         src_core = cert.mapping.get(edge.src)
         dst_core = cert.mapping.get(edge.dst)
@@ -204,9 +207,7 @@ def check_schedule_certificate(
         if src_core == dst_core or edge.payload_bytes == 0:
             delay = 0.0
         else:
-            delay = platform.communication_latency(
-                edge.payload_bytes, src_core, dst_core, comm_contenders
-            )
+            delay = price(edge.payload_bytes, src_core, dst_core)
         if src_core != dst_core:
             claimed = cert.edge_delays.get((edge.src, edge.dst))
             if claimed is None or abs(claimed - delay) > _tol(claimed or 0.0, delay):

@@ -74,8 +74,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Version stamp of the :func:`summarize_result` dict layout (and of the
 #: fingerprints it records).  v3: :func:`diagram_fingerprint` digests array
-#: values by dtype, shape and bytes.
-SUMMARY_VERSION = 3
+#: values by dtype, shape and bytes.  v4: the ``function`` fingerprint
+#: digests the declarations plus each top-level region's fingerprint.
+SUMMARY_VERSION = 4
 
 
 def _digest(payload: Any) -> str:

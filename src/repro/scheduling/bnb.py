@@ -56,7 +56,7 @@ def branch_and_bound_schedule(
     # one design context for the whole search: the lower bound's WCETs and
     # every evaluated leaf price the design point through it
     design = SystemDesign(htg, function, platform, cache=cache)
-    wcets = {t.task_id: design.task_cost(t.task_id, core_ids[0])[0] for t in leaf_tasks}
+    wcets = {t.task_id: design.cost(design.index[t.task_id], core_ids[0])[0] for t in leaf_tasks}
     total_work = sum(wcets.values())
 
     stats = BnBStats()

@@ -18,14 +18,20 @@ analysis, so the reported bound is sound regardless of estimation error.
 
 Implementation notes (hot path):
 
-* task WCETs are memoized in a :class:`~repro.wcet.cache.WcetAnalysisCache`
-  shared with the final system-level analysis, so each distinct (task, core
-  cost signature) pair is analysed exactly once;
+* every cost comes from one :class:`~repro.wcet.system_level.SystemDesign`,
+  the pricing table the final system-level analysis (and, for the
+  annealer and the genetic algorithm, their whole search) reads too: task
+  WCETs and average-case costs per (task, core), filled once through the
+  shared :class:`~repro.wcet.cache.WcetAnalysisCache`, shared-access
+  penalty rows per core, and transfer delays per (payload, core pair);
+* tasks are design indexes, so predecessors, successors, finish times and
+  placements are lists, not task-id dicts;
+* placement prices transfers with ``len(core_ids) - 1`` contending cores,
+  so ``max_cores`` also bounds the contention it assumes (ranks and the
+  analysis assume every other core of the platform);
 * the ready pool is an in-degree-tracked heap keyed on ``(-rank, task_id)``
   instead of a repeated linear scan, preserving the exact selection order of
   the scan (highest rank first, task id as tie break);
-* predecessor/successor adjacency and per-edge communication latencies are
-  precomputed/memoized instead of re-scanning ``htg.edges`` per placement;
 * per-core busy intervals are naturally sorted (cores fill left to right),
   so the interference-window overlap test is a bisect, not a full scan.
 """
@@ -34,7 +40,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro import obs
 from repro.adl.architecture import Platform
@@ -43,8 +49,6 @@ from repro.ir.program import Function
 from repro.scheduling.registry import register_scheduler
 from repro.scheduling.schedule import Schedule, evaluate_mapping
 from repro.wcet.cache import WcetAnalysisCache, shared_cache
-from repro.wcet.code_level import analyze_task_wcet
-from repro.wcet.hardware_model import HardwareCostModel
 from repro.wcet.system_level import SystemDesign
 
 
@@ -65,8 +69,6 @@ class WcetAwareListScheduler:
     #: to use the process-wide (possibly disk-backed) shared cache.
     cache: WcetAnalysisCache | None = None
 
-    _models: dict[int, HardwareCostModel] = field(default_factory=dict, init=False)
-
     def __post_init__(self) -> None:
         if self.cache is None:
             self.cache = shared_cache()
@@ -77,48 +79,20 @@ class WcetAwareListScheduler:
             ids = ids[: self.max_cores]
         return ids
 
-    def _model(self, core_id: int) -> HardwareCostModel:
-        if core_id not in self._models:
-            self._models[core_id] = HardwareCostModel(self.platform, core_id)
-        return self._models[core_id]
-
-    # ------------------------------------------------------------------ #
-    def _task_cost(self, htg: HierarchicalTaskGraph, function: Function, tid: str, core_id: int) -> float:
-        task = htg.task(tid)
-        breakdown = analyze_task_wcet(
-            task, function, self._model(core_id), average=self.use_average_costs, cache=self.cache
-        )
-        return breakdown.total
-
-    def _upward_ranks(self, htg: HierarchicalTaskGraph, function: Function, core_ids: list[int]) -> dict[str, float]:
+    def _upward_ranks(
+        self, design: SystemDesign, succs: list[list[tuple[int, int]]], ref_core: int
+    ) -> list[float]:
         """Upward rank: longest path from the task to any sink."""
-        ref_core = core_ids[0]
-        cost = {
-            t.task_id: self._task_cost(htg, function, t.task_id, ref_core)
-            for t in htg.leaf_tasks()
-        }
-        num_cores = self.platform.num_cores
-        avg_comm = {}
-        if num_cores > 1:
-            for edge in htg.edges:
-                if edge.payload_bytes:
-                    # Worst-case cross-core transfer with every other core
-                    # contending; on a single-core platform there is no
-                    # cross-core communication at all (guard above).
-                    avg_comm[(edge.src, edge.dst)] = self.platform.communication_latency(
-                        edge.payload_bytes, 0, 1, num_cores - 1
-                    )
-        ranks: dict[str, float] = {}
-        for task in reversed(htg.topological_tasks()):
-            if task.is_synthetic:
-                continue
-            tid = task.task_id
+        # worst-case cross-core transfer with every other core contending; on
+        # a single-core platform there is no cross-core communication at all
+        comm = design.num_cores > 1
+        ranks = [0.0] * len(succs)
+        for i in reversed(design.topological):
             best_succ = 0.0
-            for succ in htg.successors(tid):
-                if succ not in cost:
-                    continue
-                best_succ = max(best_succ, ranks.get(succ, 0.0) + avg_comm.get((tid, succ), 0.0))
-            ranks[tid] = cost[tid] + best_succ
+            for j, payload in succs[i]:
+                delay = design.delay(payload, 0, 1) if comm and payload else 0.0
+                best_succ = max(best_succ, ranks[j] + delay)
+            ranks[i] = design.cost(i, ref_core, self.use_average_costs)[0] + best_succ
         return ranks
 
     # ------------------------------------------------------------------ #
@@ -130,49 +104,27 @@ class WcetAwareListScheduler:
     ) -> Schedule:
         """Map and order the HTG, returning an analysed schedule.
 
-        ``design`` is forwarded to the final analysis, so a search seeded
-        by this schedule (the annealer, the genetic algorithm) prices its
-        design point once.
+        ``design`` is the search's pricing table (built here when ``None``);
+        the final analysis reads it too, so a search seeded by this
+        schedule (the annealer, the genetic algorithm) prices its design
+        point once.
         """
+        if design is None:
+            design = SystemDesign(htg, function, self.platform, cache=self.cache)
         core_ids = self._core_ids()
-        ranks = self._upward_ranks(htg, function, core_ids)
-        leaf_tasks = {t.task_id: t for t in htg.leaf_tasks()}
+        leaf_ids = design.leaf_ids
+        num_tasks = len(leaf_ids)
+        succs: list[list[tuple[int, int]]] = [[] for _ in leaf_ids]
+        for src, dst, payload in design.leaf_edges:
+            succs[src].append((dst, payload))
+        ranks = self._upward_ranks(design, succs, core_ids[0])
+        average = self.use_average_costs
+        contenders = max(0, len(core_ids) - 1)
 
-        # Adjacency and payloads, precomputed once instead of scanning
-        # ``htg.edges`` inside the placement loop.
-        preds: dict[str, list[str]] = {tid: [] for tid in leaf_tasks}
-        succs: dict[str, list[str]] = {tid: [] for tid in leaf_tasks}
-        payload: dict[tuple[str, str], int] = {}
-        for edge in htg.edges:
-            if edge.src in leaf_tasks and edge.dst in leaf_tasks:
-                preds[edge.dst].append(edge.src)
-                succs[edge.src].append(edge.dst)
-                if edge.payload_bytes:
-                    payload[(edge.src, edge.dst)] = edge.payload_bytes
-
-        # Per-edge communication latency table, filled on first use (the
-        # latency depends only on the edge payload and the core pair).
-        comm_contenders = max(0, len(core_ids) - 1)
-        comm_table: dict[tuple[str, str, int, int], float] = {}
-
-        def comm_latency(pred: str, tid: str, src_core: int, dst_core: int) -> float:
-            if src_core == dst_core:
-                return 0.0
-            bytes_ = payload.get((pred, tid))
-            if not bytes_:
-                return 0.0
-            key = (pred, tid, src_core, dst_core)
-            delay = comm_table.get(key)
-            if delay is None:
-                delay = self.platform.communication_latency(
-                    bytes_, src_core, dst_core, comm_contenders
-                )
-                comm_table[key] = delay
-            return delay
-
-        mapping: dict[str, int] = {}
+        core_of: list[int] = [0] * num_tasks
+        finish: list[float | None] = [None] * num_tasks
+        placed: list[int] = []
         order: dict[int, list[str]] = {c: [] for c in core_ids}
-        finish: dict[str, float] = {}
         # Per-core busy windows as parallel (starts, ends) lists; cores fill
         # left to right, so both lists are sorted and the windows disjoint.
         busy_starts: dict[int, list[float]] = {c: [] for c in core_ids}
@@ -182,24 +134,30 @@ class WcetAwareListScheduler:
         # Ready set: in-degree tracking plus a heap keyed on (-rank, task_id),
         # which reproduces exactly the priority-ordered linear scan (highest
         # rank first, ties broken by task id).
-        indegree = {tid: len(preds[tid]) for tid in leaf_tasks}
-        ready = [(-ranks[tid], tid) for tid, deg in indegree.items() if deg == 0]
+        indegree = [len(row) for row in design.pred_rows]
+        ready = [(-ranks[i], leaf_ids[i], i) for i in range(num_tasks) if indegree[i] == 0]
         heapq.heapify(ready)
 
-        def place(tid: str) -> None:
-            task = leaf_tasks[tid]
+        def place(i: int) -> None:
+            shared_accesses = design.tasks[i].total_shared_accesses
             best_core = core_ids[0]
             best_finish = float("inf")
             best_start = 0.0
             for core_id in core_ids:
                 ready_deps = 0.0
-                for pred in preds[tid]:
-                    if pred not in finish:
+                for pred, payload in design.pred_rows[i]:
+                    pred_finish = finish[pred]
+                    if pred_finish is None:
                         continue
-                    delay = comm_latency(pred, tid, mapping[pred], core_id)
-                    ready_deps = max(ready_deps, finish[pred] + delay)
+                    src_core = core_of[pred]
+                    delay = (
+                        design.delay(payload, src_core, core_id, contenders)
+                        if src_core != core_id and payload
+                        else 0.0
+                    )
+                    ready_deps = max(ready_deps, pred_finish + delay)
                 start = max(core_ready[core_id], ready_deps)
-                duration = self._task_cost(htg, function, tid, core_id)
+                duration = design.cost(i, core_id, average)[0]
                 # interference estimate: cores already busy in the window
                 window_end = start + max(duration, 1e-9)
                 busy_cores = 0
@@ -213,11 +171,11 @@ class WcetAwareListScheduler:
                     if idx and busy_ends[other_core][idx - 1] > start:
                         busy_cores += 1
                 penalty = 0.0
-                if not self.use_average_costs and task.total_shared_accesses:
+                if not average and shared_accesses:
                     penalty = (
                         self.contention_weight
-                        * task.total_shared_accesses
-                        * self._model(core_id).shared_access_penalty(busy_cores)
+                        * shared_accesses
+                        * design.penalties(core_id)[busy_cores]
                     )
                 candidate_finish = start + duration + penalty
                 if candidate_finish < best_finish - 1e-9:
@@ -225,9 +183,10 @@ class WcetAwareListScheduler:
                     best_core = core_id
                     best_start = start
 
-            mapping[tid] = best_core
-            order[best_core].append(tid)
-            finish[tid] = best_finish
+            core_of[i] = best_core
+            finish[i] = best_finish
+            placed.append(i)
+            order[best_core].append(leaf_ids[i])
             core_ready[best_core] = best_finish
             busy_starts[best_core].append(best_start)
             busy_ends[best_core].append(best_finish)
@@ -236,36 +195,39 @@ class WcetAwareListScheduler:
         while ready:
             if len(ready) > max_ready:
                 max_ready = len(ready)
-            _, tid = heapq.heappop(ready)
-            place(tid)
-            for succ in succs[tid]:
+            _, _, i = heapq.heappop(ready)
+            place(i)
+            for succ, _ in succs[i]:
                 indegree[succ] -= 1
                 if indegree[succ] == 0:
-                    heapq.heappush(ready, (-ranks[succ], succ))
-        if len(mapping) < len(leaf_tasks):
+                    heapq.heappush(ready, (-ranks[succ], leaf_ids[succ], succ))
+        if len(placed) < num_tasks:
             # fall back to priority order (should not happen on a DAG)
-            for tid in sorted(leaf_tasks, key=lambda t: (-ranks[t], t)):
-                if tid not in mapping:
-                    place(tid)
+            for i in sorted(range(num_tasks), key=lambda i: (-ranks[i], leaf_ids[i])):
+                if finish[i] is None:
+                    place(i)
 
         if obs.obs_enabled():
             registry = obs.metrics()
             registry.counter("scheduler.list_runs").inc()
             registry.histogram("scheduler.ready_set_max").observe(max_ready)
+        mapping = {leaf_ids[i]: core_of[i] for i in placed}
         order = {c: tids for c, tids in order.items() if tids}
         with obs.span(
             "schedule.list",
-            tasks=len(leaf_tasks),
+            tasks=num_tasks,
             cores=len(core_ids),
-            average=self.use_average_costs,
+            average=average,
         ):
             schedule = evaluate_mapping(
                 htg, function, self.platform, mapping, order,
-                scheduler="wcet_list" if not self.use_average_costs else "acet_list",
+                scheduler="wcet_list" if not average else "acet_list",
                 cache=self.cache,
                 design=design,
             )
-        schedule.metadata["estimated_makespan"] = max(finish.values(), default=0.0)
+        schedule.metadata["estimated_makespan"] = max(
+            (finish[i] for i in placed), default=0.0
+        )
         return schedule
 
 

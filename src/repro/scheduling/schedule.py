@@ -71,6 +71,13 @@ class Schedule:
         ordered = [tid for tids in self.order.values() for tid in tids]
         if sorted(ordered) != sorted(self.mapping):
             raise ScheduleError("core orders do not cover exactly the mapped tasks")
+        for core, tids in self.order.items():
+            for tid in tids:
+                if self.mapping[tid] != core:
+                    raise ScheduleError(
+                        f"task {tid!r} is ordered on core {core} but mapped to "
+                        f"core {self.mapping[tid]}"
+                    )
         reachability = htg.reachability()
         for core, tids in self.order.items():
             violation = reachability.order_violation(tids)
@@ -180,7 +187,7 @@ def evaluate_mapping(
     ``design`` is forwarded as well: a search evaluating many mappings of
     one design point passes one
     :class:`~repro.wcet.system_level.SystemDesign` (built with the same
-    ``cache``) to every call.
+    ``cache``) to every call; ``None`` builds a one-shot design.
     """
     order = order or default_core_order(htg, mapping)
     result = system_level_wcet(

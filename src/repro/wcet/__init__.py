@@ -9,7 +9,10 @@
   may-happen-in-parallel analysis of the scheduled parallel program and the
   platform's interconnect cost model, iterated to a fixed point (one MHP
   contender kernel per mode: a per-core bisect pass for unpruned runs, a
-  loop over the static-MHP skeleton for pruned ones).
+  loop over the static-MHP skeleton for pruned ones).  Its
+  :class:`~repro.wcet.system_level.SystemDesign` is the one integer-indexed
+  pricing table of a design point, read by the list scheduler, the
+  per-mapping solve and the result key alike.
 * :mod:`repro.wcet.cache` memoizes code-level results so the schedulers, the
   system-level fixed point and the cross-layer feedback loop analyse each
   distinct (code region, core cost signature) pair exactly once --
@@ -56,25 +59,25 @@ The same contract extends to the **system-level result tier**
 (:class:`~repro.wcet.cache.SystemResultCache`, reached through
 ``cache.system_results`` and consulted by
 :func:`~repro.wcet.system_level.system_level_wcet`): result keys embed the
-function/region fingerprints, the mapping and per-core order, the per-core
-cost signatures, the shared-access penalty tables, the priced worst-case
-edge delays and the fixed-point knobs (``max_iterations``, core count), so
-entries can never go stale and need no invalidation either.  The
-caller-cooperation rule above applies unchanged (the fingerprints and cost
-signatures are the same memos); additionally:
+function/region fingerprints, the edge payloads, the mapping and per-core
+order, the per-core cost signatures, the shared-access penalty tables, the
+priced worst-case delay of every payload between every core pair and the
+fixed-point knobs (``max_iterations``, core count, pruning), so entries can
+never go stale and need no invalidation either.  The caller-cooperation
+rule above applies unchanged (the fingerprints and cost signatures are the
+same memos); additionally:
 
 * Code that must *re-run* the fixed point (differential tests, kernel
   timing) passes ``result_cache=False``.
 * Keys are derived through a
-  :class:`~repro.wcet.system_level.SystemDesign`, the mapping-invariant
-  context a scheduler search shares across its candidates
+  :class:`~repro.wcet.system_level.SystemDesign`, the pricing table a
+  scheduler search shares across its candidates
   (``result_key(..., design=...)``; ``None`` builds a one-shot design).
-  The design derives the payload's mapping-invariant parts once and
-  prices edges for it; the payload and its encoding are as before, so
-  key bytes are unchanged and
-  :data:`~repro.wcet.cache.CACHE_SCHEMA_VERSION` was not bumped.  The
-  former ``models=`` / ``comm_delay=`` hand-off arguments of
-  ``result_key`` are gone.
+  Since schema **v5** a key is the digest of a per-design prefix, derived
+  once per design, plus the mapping vector in sorted-task order, the core
+  orders, ``max_iterations`` and the pruning flag, instead of one JSON
+  payload of every priced edge per call (the 4 → 5 bump retires v4
+  result and code-level entries alike).
 * The pipeline's stage replay (:meth:`repro.core.pipeline.Pipeline.run_incremental`)
   follows the same rule: a stage is only replayed under a key that covers
   the *content* of every input (IR fingerprints, HTG structure,

@@ -50,15 +50,19 @@ System-level result tier
 ------------------------
 :class:`SystemResultCache` keys a full system-level analysis on
 
-* the fingerprints of the function and of every mapped task's statement
+* the fingerprints of the function and of every leaf task's statement
   region (the region fingerprints are the ones the code-level tier uses),
-* the mapping and the per-core ordering,
-* the platform's *contention signature*: the per-core cost signatures, each
-  used core's shared-access penalty table for every possible contender
-  count, and the worst-case priced delay of every edge between mapped
-  tasks (which captures the interconnect/NoC transfer model), and
+  and every edge between leaf tasks with its payload,
+* the platform's *contention signature*: every core's cost signature and
+  shared-access penalty row for every possible contender count, and the
+  worst-case priced delay of every payload between every ordered core pair
+  (which captures the interconnect/NoC transfer model),
+* the mapping and the per-core ordering, and
 * the knobs that steer the fixed point itself (``max_iterations``,
-  the number of cores).
+  the number of cores, static pruning).
+
+All but the mapping, the ordering and the knobs depend only on the design
+point, so they are digested once per design into a key prefix.
 
 Disk persistence
 ----------------
@@ -176,7 +180,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: instead of the whole-function fingerprint.
 #: v4: code-level keys embed the region context (the declarations of the
 #: names the region references) instead of the whole declaration table.
-CACHE_SCHEMA_VERSION = 4
+#: v5: system-level result keys digest a per-design prefix plus the mapping
+#: and order vectors instead of one JSON payload of every priced edge.
+CACHE_SCHEMA_VERSION = 5
 
 #: Environment variable naming the cache directory of the process-wide
 #: shared cache (see :func:`shared_cache`).
@@ -265,19 +271,6 @@ class _DeclarationMemo:
                 )
             encoded.append(row)
         return _digest("[" + ",".join(encoded) + "]")
-
-
-@dataclass
-class _KeyParts:
-    """One design point's mapping-invariant result-key parts (see ``result_key``)."""
-
-    function: str
-    #: (task, region fingerprint), sorted by task
-    regions: list[tuple[str, str]]
-    #: every HTG edge as (src, dst), sorted
-    edges: list[tuple[str, str]]
-    #: core -> (core, cost-signature digest, shared-access penalty table)
-    models: dict[int, tuple] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------- #
@@ -419,8 +412,12 @@ class WcetAnalysisCache(_ShardBackedTier):
     def _function_fingerprint(self, function: Function) -> str:
         cached = self._function_fps.get(id(function))
         if cached is None:
+            # the signature and declarations as C, then the region memo of
+            # each top-level statement: an edit re-renders only its regions
+            header = function_to_c(dataclasses.replace(function, body=Block()))
+            regions = (self._region(stmt).fingerprint for stmt in function.body.stmts)
             cached = self._remember(
-                self._function_fps, function, _digest(function_to_c(function))
+                self._function_fps, function, _digest("\n".join((header, *regions)))
             )
         return cached
 
@@ -934,12 +931,14 @@ class SystemResultCache(_ShardBackedTier):
     The second tier of the flow's result cache (see the module docstring):
     one entry is a complete :class:`~repro.wcet.system_level.SystemWcetResult`
     keyed by everything the fixed point can observe -- the function and
-    per-task region fingerprints, the mapping, the per-core ordering, the
-    per-core cost signatures and shared-access penalty tables, the priced
-    worst-case delay of every edge between mapped tasks, the core count and
-    ``max_iterations``.  Identical design points therefore share entries
-    across schedulers, processes and (when disk-backed) machines, and a warm
-    lookup skips the fixed point *and* the per-task code-level analyses.
+    per-task region fingerprints, the edge payloads, the mapping, the
+    per-core ordering, the per-core cost signatures and shared-access
+    penalty tables, the priced worst-case delay of every payload between
+    every core pair, the core count, ``max_iterations`` and the pruning
+    flag (see :meth:`result_key`).  Identical design points therefore
+    share entries across schedulers, processes and (when disk-backed)
+    machines, and a warm lookup skips the fixed point *and* the per-task
+    code-level analyses.
 
     The in-memory side is a bounded LRU (``max_memory_entries``): mapper
     metaheuristics evaluate thousands of distinct mappings, and keeping all
@@ -989,16 +988,28 @@ class SystemResultCache(_ShardBackedTier):
     ) -> str:
         """The stable content key of one system-level analysis.
 
-        The mapping-invariant parts -- the function fingerprint, each task's
-        region fingerprint, the sorted edge list and each core's cost
-        signature digest and shared-access penalty table -- are derived once
-        per design point and kept in ``design.key_parts``; a call adds what
-        its mapping picks, and edges are priced through the design.  Where
-        the parts come from never changes the payload, so keys stay
-        addressable across versions.  ``design`` is the
-        :class:`~repro.wcet.system_level.SystemDesign` of these inputs that
-        a scheduler search shares across its candidates; ``None`` builds a
-        one-shot design.
+        The digest of two parts.  The per-design prefix is derived once per
+        design point and kept in ``design.key_prefix``: the function
+        fingerprint, each leaf task's region fingerprint (sorted by task
+        id), every edge between leaf tasks with its payload, the priced
+        delay of every payload x ordered core pair, every core's
+        cost-signature digest and shared-access penalty row, and the core
+        count.  A call adds the mapping vector in sorted-task order, the
+        non-empty core orders sorted by core, ``max_iterations`` and the
+        pruning flag; dict insertion order never enters the key.
+
+        The prefix grows with the square of the core count: it prices
+        payloads x C x (C - 1) delays and C penalty rows of C entries, all
+        on a design's first key.  A search amortizes that over its
+        candidates; a one-shot key pays it whole: one cold key of a polka
+        design (40 tasks, 2 payloads) on ``recore_xentium_like`` took 2.3 ms
+        at 9 cores, 34 ms at 65 and 111 ms at 129 (medians of 7, shared
+        2-vCPU x86 host).
+
+        ``design`` is the :class:`~repro.wcet.system_level.SystemDesign` of
+        these inputs that a scheduler search shares across its candidates;
+        ``None`` builds a one-shot design.  A mapping the analysis would
+        refuse raises :class:`~repro.wcet.system_level.SystemWcetError`.
         """
         if design is None:
             from repro.wcet.system_level import SystemDesign
@@ -1006,49 +1017,39 @@ class SystemResultCache(_ShardBackedTier):
             design = SystemDesign(htg, function, platform, storage_override)
         else:
             design.check(htg, function, platform, storage_override)
-        fp = self._fingerprints
-        parts: _KeyParts | None = design.key_parts
-        if parts is None:
-            parts = design.key_parts = _KeyParts(
-                function=fp.function_fingerprint(function),
-                regions=[
-                    (tid, fp.region_fingerprint(htg.task(tid).statements))
-                    for tid in sorted(design.leaf_ids)
+        prefix = design.key_prefix
+        if prefix is None:
+            fp, ids = self._fingerprints, design.leaf_ids
+            cores = sorted(design.core_ids)
+            parts = {
+                "function": fp.function_fingerprint(function),
+                "tasks": [
+                    (ids[i], fp.region_fingerprint(design.tasks[i].statements))
+                    for i in design.by_name
                 ],
-                edges=sorted(design.edges),
-            )
-        models = parts.models
-        cores = sorted({mapping[tid] for tid in design.leaf_ids if tid in mapping})
-        for core in cores:
-            if core not in models:
-                digest = fp.model_signature_digest(design.model(core))
-                models[core] = (core, digest, design.penalties(core))
-        payload = {
-            "function": parts.function,
-            "tasks": [(tid, region, mapping.get(tid, -1)) for tid, region in parts.regions],
-            "order": sorted((core, list(tids)) for core, tids in order.items()),
-            "models": [models[core] for core in cores],
-            "edges": [
-                (
-                    src,
-                    dst,
-                    0.0
-                    if mapping[src] == mapping[dst]
-                    else design.edge_delay(src, dst, mapping[src], mapping[dst]),
-                )
-                for src, dst in parts.edges
-                if src in mapping and dst in mapping
-            ],
-            "num_cores": design.num_cores,
-            "max_iterations": max_iterations,
-        }
-        if static_pruning:
-            # added only when pruning is on: unpruned keys stay byte-identical
-            # to every earlier schema (old disk entries remain addressable and
-            # the opt-out path is bit-identical), while pruned results live
-            # under keys unpruned code never derives
-            payload["static_pruning"] = True
-        return _digest(json.dumps(payload, separators=(",", ":"), sort_keys=True))
+                "edges": sorted((ids[s], ids[d], payload) for s, d, payload in design.leaf_edges),
+                "delays": [
+                    (payload, s, d, design.delay(payload, s, d))
+                    for payload in sorted({payload for _, _, payload in design.leaf_edges} - {0})
+                    for s in cores
+                    for d in cores
+                    if s != d
+                ],
+                "cores": [
+                    (c, fp.model_signature_digest(design.model(c)), design.penalties(c))
+                    for c in cores
+                ],
+                "num_cores": design.num_cores,
+            }
+            prefix = design.key_prefix = _digest(json.dumps(parts, separators=(",", ":"), sort_keys=True))
+        cores_of = design.mapping_vector(mapping)
+        call = [
+            list(map(cores_of.__getitem__, design.by_name)),
+            sorted((core, list(tids)) for core, tids in order.items() if tids),
+            max_iterations,
+            bool(static_pruning),
+        ]
+        return _digest(prefix + json.dumps(call, separators=(",", ":")))
 
     # ------------------------------------------------------------------ #
     # lookups

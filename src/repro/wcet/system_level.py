@@ -24,24 +24,32 @@ program (paper Section II-D).
 Design context and per-mapping solve
 ------------------------------------
 A scheduler search (annealer, genetic algorithm, branch and bound)
-analyses thousands of candidate mappings of one design point.  Most of
-what the analysis needs does not depend on the mapping, so it is split in
-two.  A :class:`SystemDesign` holds what depends only on the HTG, the
-function, the platform, the code-level cache and the storage override:
-one cost model and one shared-access penalty table per core, the isolated
-WCET and shared-access count of each (task, core), the priced delay of
-each (edge, source core, destination core), and the mapping-invariant
-parts of the result-cache key.  Its tables fill lazily, on first use, and
-the first lookup of a (task, core) goes through the code-level cache, so
-cache entries and misses are the same as without a design.  The
-per-mapping solve then covers only what a candidate changes: the core
-order, the edge delays its core pairs pick, the timeline, the MHP passes
-and the mapping part of the result key.  :func:`system_level_wcet` always
-analyses through a design; callers that evaluate many mappings build one
-per search and pass it as ``design=``, every other call gets a one-shot
-design.  A design is never kept past its search (nor on a cache or in a
-module global), so recompiled IR and platform rebuilds between searches
-need no extra care.
+prices thousands of candidate mappings of one design point, and the list
+scheduler every (task, core) placement of it, so the analysis is split.
+
+*Per design* (:class:`SystemDesign`, the one pricing table of the point):
+the leaf tasks, edges and cores numbered once; per task its predecessor
+row of (index, payload); per core one cost model and one shared-access
+penalty row; the isolated WCET, average-case WCET and shared-access count
+of each (task, core), filled lazily through the code-level cache (so its
+entries and misses are the same as without a design); the worst-case
+delay of each (payload, source core, destination core, contender count);
+and the result key's per-design prefix.
+
+*Per mapping*: a mapping vector (the core of each task index) and the
+order rows, the timeline plan with each cross-core edge priced from the
+delay table, the fixed point over start/finish lists, and the mapping and
+order part of the result key.  The :class:`SystemWcetResult` dicts and
+:class:`~repro.utils.intervals.Interval` objects are built once, at the
+end.  Indexes instead of task-id dicts because the solve's inner loops
+run once per candidate and fixed-point iteration: list indexing replaces
+string hashing, and no ``Interval`` is built per task per iteration.
+
+:func:`system_level_wcet` always analyses through a design; callers that
+evaluate many mappings build one per search and pass it as ``design=``,
+every other call gets a one-shot design.  A design is never kept past its
+search (nor on a cache or in a module global), so recompiled IR and
+platform rebuilds between searches need no extra care.
 
 MHP implementation notes
 ------------------------
@@ -57,8 +65,10 @@ double loop's (kept in the tests as the oracle):
   ``run[bisect_left(starts, e) - 1] > s``.  It needs no precondition on
   the windows (empty ones included);
 * pruned runs (``static_pruning``) use :func:`mhp_contenders_pruned`, a
-  loop over the static-MHP skeleton: the per-task list of sharers that
-  static pruning keeps.
+  loop over the static-MHP skeleton: the per-task row of sharer indexes
+  that static pruning keeps.
+
+Both take task indexes, the mapping vector and the start/finish lists.
 
 Why these two and no other.  Medians per pass, replayed from the
 perfbench workloads (seed 1) on a shared 2-vCPU x86 host:
@@ -84,7 +94,8 @@ from bisect import bisect_left
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterator
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterator
 
 from repro import obs
 from repro.adl.architecture import Platform
@@ -144,25 +155,20 @@ class SystemWcetResult:
     #: serialized.
     iteration_deltas: "tuple[float, ...] | None" = None
 
-    def interval(self, task_id: str) -> Interval:
-        return self.task_intervals[task_id]
-
 
 class SystemWcetError(RuntimeError):
     """Raised when the schedule handed to the analysis is inconsistent."""
 
 
 class SystemDesign:
-    """Mapping-invariant context of one design point (see the module docstring).
+    """One design point's pricing table (see the module docstring).
 
-    Holds the inputs every candidate mapping of a scheduler search shares
-    -- HTG, function, platform, code-level cache and storage override --
-    and fills per-core, per-(task, core) and per-(edge, core pair) tables
-    from them on first use.  Build one per search and pass it as
-    ``design=`` to every :func:`system_level_wcet` (or
-    :func:`~repro.scheduling.schedule.evaluate_mapping`) call of that
-    search.  The tables assume none of the inputs is mutated while the
-    design is in use.
+    Numbers the leaf tasks (``leaf_ids[i]`` is task ``i``) of the inputs a
+    scheduler search shares -- HTG, function, platform, code-level cache
+    and storage override -- and fills its tables on first use.  Build one
+    per search and pass it as ``design=`` to every :func:`system_level_wcet`
+    (or :func:`~repro.scheduling.schedule.evaluate_mapping`) call of it.
+    The tables assume none of the inputs is mutated meanwhile.
     """
 
     def __init__(
@@ -178,19 +184,32 @@ class SystemDesign:
         self.platform = platform
         self.storage_override = dict(storage_override or {})
         self.cache = cache
-        self.leaf_ids = [t.task_id for t in htg.leaf_tasks()]
-        self.num_cores = platform.num_cores
+        self.tasks = htg.leaf_tasks()
+        self.leaf_ids = [t.task_id for t in self.tasks]
+        self.index = {tid: i for i, tid in enumerate(self.leaf_ids)}
+        self.core_ids = [c.core_id for c in platform.cores]
+        self.num_cores = len(self.core_ids)
         #: contending cores assumed for every cross-core transfer
         self.comm_contenders = max(0, self.num_cores - 1)
-        #: every HTG edge as ``(src, dst)``, in graph order
-        self.edges = htg.edge_pairs()
+        index = self.index
+        #: every edge between leaf tasks as (src, dst, payload), in graph order
+        self.leaf_edges = [
+            (index[e.src], index[e.dst], e.payload_bytes)
+            for e in htg.edges
+            if e.src in index and e.dst in index
+        ]
+        #: per task, its predecessors as (index, payload), in graph order
+        self.pred_rows: list[list[tuple[int, int]]] = [[] for _ in self.leaf_ids]
+        for src, dst, payload in self.leaf_edges:
+            self.pred_rows[dst].append((src, payload))
         self._models: dict[int, HardwareCostModel] = {}
         self._penalties: dict[int, list[float]] = {}
-        self._task_costs: dict[tuple[str, int], tuple[float, int]] = {}
-        self._edge_delays: dict[tuple[str, str, int, int], float] = {}
-        #: the result key's mapping-invariant parts, filled and read by
+        #: (core, average) -> per task (total, shared accesses), None = not yet
+        self._costs: dict[tuple[int, bool], list] = {}
+        self._delays: dict[tuple[int, int, int, int], float] = {}
+        #: the result key's per-design prefix, filled and read by
         #: :meth:`~repro.wcet.cache.SystemResultCache.result_key`
-        self.key_parts: Any = None
+        self.key_prefix: str | None = None
 
     def check(
         self,
@@ -207,6 +226,16 @@ class SystemDesign:
             or dict(storage_override or {}) != self.storage_override
         ):
             raise SystemWcetError("design context was built for a different design point")
+
+    @cached_property
+    def topological(self) -> list[int]:
+        """The task indexes in the HTG's topological order."""
+        return [self.index[t.task_id] for t in self.htg.topological_tasks() if not t.is_synthetic]
+
+    @cached_property
+    def by_name(self) -> list[int]:
+        """The task indexes sorted by task id (the result key's task order)."""
+        return sorted(range(len(self.leaf_ids)), key=self.leaf_ids.__getitem__)
 
     def model(self, core: int) -> HardwareCostModel:
         """The one cost model of ``core`` (so identity-keyed memos hit)."""
@@ -225,41 +254,92 @@ class SystemDesign:
             self._penalties[core] = table
         return table
 
-    def task_cost(self, tid: str, core: int) -> tuple[float, int]:
-        """(isolated WCET, worst-case shared accesses) of task ``tid`` on ``core``."""
-        key = (tid, core)
-        cost = self._task_costs.get(key)
+    def cost(self, i: int, core: int, average: bool = False) -> tuple[float, int]:
+        """(isolated WCET, worst-case shared accesses) of task ``i`` on
+        ``core``; with ``average``, its average-case cost instead."""
+        table = self._costs.get((core, average))
+        if table is None:
+            table = self._costs[(core, average)] = [None] * len(self.leaf_ids)
+        cost = table[i]
         if cost is None:
             breakdown = analyze_task_wcet(
-                self.htg.task(tid), self.function, self.model(core), cache=self.cache
+                self.tasks[i], self.function, self.model(core), average, self.cache
             )
-            cost = (breakdown.total, breakdown.shared_accesses)
-            self._task_costs[key] = cost
+            cost = table[i] = (breakdown.total, breakdown.shared_accesses)
         return cost
 
-    def edge_delay(self, src: str, dst: str, src_core: int, dst_core: int) -> float:
-        """Worst-case latency of edge ``src -> dst`` between the two cores.
+    def delay(self, payload: int, src: int, dst: int, contenders: "int | None" = None) -> float:
+        """Worst-case latency of ``payload`` bytes from core ``src`` to ``dst``
+        with ``contenders`` contending cores (default: every other core).
 
-        Single source of truth for edge pricing: a payload-free edge costs
-        nothing, every other edge costs the platform's worst-case transfer
-        latency with every other core contending.  The system-level
-        analysis, its result key and :func:`contention_oblivious_bound` all
-        price edges here, so they cannot drift on payload or contender
-        semantics.
+        The one edge pricing of the flow's analysis: the solve, its result
+        key, :func:`contention_oblivious_bound` and the list scheduler all
+        read it, so they cannot drift on payload or contender semantics.
         """
-        key = (src, dst, src_core, dst_core)
-        delay = self._edge_delays.get(key)
+        if contenders is None:
+            contenders = self.comm_contenders
+        key = (payload, src, dst, contenders)
+        delay = self._delays.get(key)
         if delay is None:
-            edge = self.htg.edge(src, dst)
-            payload = edge.payload_bytes if edge is not None else 0
-            if payload == 0:
-                delay = 0.0
-            else:
-                delay = self.platform.communication_latency(
-                    payload, src_core, dst_core, self.comm_contenders
-                )
-            self._edge_delays[key] = delay
+            delay = self._delays[key] = (
+                self.platform.communication_latency(payload, src, dst, contenders)
+                if payload
+                else 0.0
+            )
         return delay
+
+    def mapping_vector(self, mapping: dict[str, int]) -> list[int]:
+        """The core of each task index; raises :class:`SystemWcetError`
+        unless ``mapping`` maps exactly the leaf tasks to platform cores."""
+        try:
+            cores = list(map(mapping.__getitem__, self.leaf_ids))
+        except KeyError:
+            missing = [tid for tid in self.leaf_ids if tid not in mapping]
+            raise SystemWcetError(f"tasks without a mapping: {missing}") from None
+        if len(mapping) != len(cores):
+            extra = sorted(tid for tid in mapping if tid not in self.index)
+            raise SystemWcetError(f"mapped tasks that are not leaf tasks: {extra}")
+        unknown = set(cores).difference(self.core_ids)
+        if unknown:
+            raise SystemWcetError(
+                f"tasks mapped to core(s) {sorted(unknown)} that platform "
+                f"{self.platform.name!r} lacks"
+            )
+        return cores
+
+    def vectors(
+        self, mapping: dict[str, int], order: dict[int, list[str]]
+    ) -> tuple[list[int], list[tuple[int, list[int]]]]:
+        """The mapping vector and the non-empty core orders as index rows.
+
+        Raises :class:`SystemWcetError` unless ``mapping`` maps exactly the
+        leaf tasks to cores of the platform and ``order`` lists each of
+        them exactly once, on the core it is mapped to.
+        """
+        cores = self.mapping_vector(mapping)
+        index = self.index
+        seen = [False] * len(cores)
+        rows = []
+        for core, tids in order.items():
+            row = []
+            for tid in tids:
+                i = index.get(tid)
+                if i is None:
+                    raise SystemWcetError(f"core order lists {tid!r}, which is not a leaf task")
+                if cores[i] != core:
+                    raise SystemWcetError(
+                        f"task {tid!r} is ordered on core {core} but mapped to core {cores[i]}"
+                    )
+                if seen[i]:
+                    raise SystemWcetError(f"task {tid!r} is listed twice in the core order")
+                seen[i] = True
+                row.append(i)
+            if row:
+                rows.append((core, row))
+        if not all(seen):
+            tid = self.leaf_ids[seen.index(False)]
+            raise SystemWcetError(f"task {tid!r} is mapped but missing from the core order")
+        return cores, rows
 
 
 class _TimelineBuilder:
@@ -278,96 +358,75 @@ class _TimelineBuilder:
     """
 
     def __init__(
-        self,
-        design: SystemDesign,
-        mapping: dict[str, int],
-        order: dict[int, list[str]],
+        self, design: SystemDesign, cores: list[int], rows: list[tuple[int, list[int]]]
     ) -> None:
-        position = {
-            tid: (core, idx) for core, tids in order.items() for idx, tid in enumerate(tids)
-        }
-        for tid in mapping:
-            if tid not in position:
-                raise SystemWcetError(f"task {tid!r} is mapped but missing from the core order")
-
-        # tid -> [(pred, delay)]: dependence constraints with their priced
-        # cross-core delays (0.0 for same-core edges)
-        edge_delay = design.edge_delay
-        predecessors = design.htg.predecessors
-        pred_delays: dict[str, list[tuple[str, float]]] = {
-            tid: [
-                (
-                    p,
-                    edge_delay(p, tid, mapping[p], mapping[tid])
-                    if mapping[p] != core
-                    else 0.0,
-                )
-                for p in predecessors(tid)
-                if p in position
-            ]
-            for tid, (core, _) in position.items()
-        }
-        indegree = {tid: len(ps) for tid, ps in pred_delays.items()}
-        succs_of: dict[str, list[str]] = {tid: [] for tid in position}
-        for tid, ps in pred_delays.items():
-            for p, _ in ps:
-                succs_of[p].append(tid)
-        # core-order chaining: the previous task on the core is one more
-        # constraint (delay-free, same core by construction)
-        core_prev: dict[str, str] = {}
-        for tids in order.values():
+        # per task, its constraints as (pred, delay): the dependences with
+        # their priced cross-core delays, in graph-edge order, then the
+        # previous task on its core
+        preds: list[list[tuple[int, float]]] = [[] for _ in cores]
+        succs: list[list[int]] = [[] for _ in cores]
+        cross: list[float] = []
+        for src, dst, payload in design.leaf_edges:
+            src_core, dst_core = cores[src], cores[dst]
+            delay = 0.0
+            if src_core != dst_core:
+                delay = design.delay(payload, src_core, dst_core)
+                cross.append(delay)
+            preds[dst].append((src, delay))
+            succs[src].append(dst)
+        #: cycles spent on cross-core transfers, summed in graph-edge order
+        self.communication_cycles = sum(cross)
+        for _, tids in rows:
             for prev, nxt in zip(tids, tids[1:]):
-                succs_of[prev].append(nxt)
-                indegree[nxt] += 1
-                core_prev[nxt] = prev
-        #: (task, previous task on its core, [(pred, delay)]) in processing order
-        self._plan: list[tuple[str, str | None, list[tuple[str, float]]]] = []
-        worklist = [tid for tid in position if indegree[tid] == 0]
+                preds[nxt].append((prev, 0.0))
+                succs[prev].append(nxt)
+        indegree = [len(row) for row in preds]
+        #: (task, [(pred, delay)]) in processing order
+        self._plan: list[tuple[int, list[tuple[int, float]]]] = []
+        worklist = [i for i, degree in enumerate(indegree) if degree == 0]
         while worklist:
-            tid = worklist.pop()
-            self._plan.append((tid, core_prev.get(tid), pred_delays[tid]))
-            for nxt in succs_of[tid]:
+            i = worklist.pop()
+            self._plan.append((i, preds[i]))
+            for nxt in succs[i]:
                 indegree[nxt] -= 1
                 if indegree[nxt] == 0:
                     worklist.append(nxt)
-        if len(self._plan) < len(position):
+        if len(self._plan) < len(cores):
             raise SystemWcetError("cyclic wait between core order and dependences")
 
-    def build(self, effective_wcet: dict[str, float]) -> tuple[dict[str, Interval], float]:
-        finish: dict[str, float] = {}
-        intervals: dict[str, Interval] = {}
-        for tid, prev, preds in self._plan:
-            ready = finish[prev] if prev is not None else 0.0
+    def build(self, effective: list[float]) -> tuple[list[float], list[float], float]:
+        """(start times, finish times, makespan) for these task durations."""
+        starts = [0.0] * len(effective)
+        finish = [0.0] * len(effective)
+        for i, preds in self._plan:
+            ready = 0.0
             for p, delay in preds:
                 ready_p = finish[p] + delay
                 if ready_p > ready:
                     ready = ready_p
-            end = ready + effective_wcet[tid]
-            finish[tid] = end
-            intervals[tid] = Interval(ready, end)
-        return intervals, max(finish.values(), default=0.0)
+            starts[i] = ready
+            finish[i] = ready + effective[i]
+        return starts, finish, max(finish, default=0.0)
 
 
 # ---------------------------------------------------------------------- #
 # MHP contender derivation (one pass per fixed-point iteration)
 # ---------------------------------------------------------------------- #
 def mhp_contenders(
-    leaf_ids: list[str],
-    sharers: list[str],
-    mapping: dict[str, int],
-    intervals: dict[str, Interval],
-) -> dict[str, int]:
+    cores: list[int], sharers: list[int], starts: list[float], finishes: list[float]
+) -> list[int]:
     """Per task, the number of other cores with a sharer window overlapping it.
 
-    The kernel of unpruned runs.  Per core, the sharer windows sorted by
+    The kernel of unpruned runs.  Task ``i`` is mapped to ``cores[i]`` and
+    runs in ``[starts[i], finishes[i])``; ``sharers`` are the indexes of
+    the tasks with shared accesses.  Per core, the sharer windows sorted by
     start carry a running maximum of their ends, so a window ``[s, e)``
     meets the core iff ``run[bisect_left(starts, e) - 1] > s`` (see the
     module docstring).
     """
     spans_of: dict[int, list[tuple[float, float]]] = {}
     for sid in sharers:
-        window = intervals[sid]
-        spans_of.setdefault(mapping[sid], []).append((window.start, window.end))
+        spans_of.setdefault(cores[sid], []).append((starts[sid], finishes[sid]))
     per_core: list[tuple[int, list[float], list[float]]] = []
     for core, spans in spans_of.items():
         spans.sort()
@@ -378,43 +437,39 @@ def mhp_contenders(
                 reach = end
             run.append(reach)
         per_core.append((core, [start for start, _ in spans], run))
-    contenders: dict[str, int] = {}
-    for tid in leaf_ids:
-        window = intervals[tid]
-        start, end = window.start, window.end
-        own = mapping[tid]
+    contenders = []
+    for own, start, end in zip(cores, starts, finishes):
         count = 0
-        for core, starts, run in per_core:
+        for core, core_starts, run in per_core:
             if core != own:
-                k = bisect_left(starts, end)
+                k = bisect_left(core_starts, end)
                 if k and run[k - 1] > start:
                     count += 1
-        contenders[tid] = count
+        contenders.append(count)
     return contenders
 
 
 def mhp_contenders_pruned(
-    leaf_ids: list[str],
-    allowed: dict[str, tuple[str, ...]],
-    mapping: dict[str, int],
-    intervals: dict[str, Interval],
-) -> dict[str, int]:
+    cores: list[int],
+    allowed: list[tuple[int, ...]],
+    starts: list[float],
+    finishes: list[float],
+) -> list[int]:
     """Per task, the number of other cores with an overlapping skeleton sharer.
 
     The kernel of pruned runs: a loop over the static-MHP skeleton.
-    ``allowed[tid]`` already excludes the task itself, same-core sharers,
-    dependence-ordered pairs and (optionally) footprint-disjoint pairs, so
-    only window overlap remains to be tested -- with the same strict float
-    comparisons as :func:`mhp_contenders`.
+    ``allowed[i]`` (sharer indexes) already excludes task ``i`` itself,
+    same-core sharers, dependence-ordered pairs and (optionally)
+    footprint-disjoint pairs, so only window overlap remains to be tested
+    -- with the same strict float comparisons as :func:`mhp_contenders`.
     """
-    contenders: dict[str, int] = {}
-    for tid in leaf_ids:
-        window = intervals[tid]
+    contenders = []
+    for others, start, end in zip(allowed, starts, finishes):
         other_cores = set()
-        for other in allowed.get(tid, ()):
-            if window.overlaps(intervals[other]):
-                other_cores.add(mapping[other])
-        contenders[tid] = len(other_cores)
+        for other in others:
+            if start < finishes[other] and starts[other] < end:
+                other_cores.add(cores[other])
+        contenders.append(len(other_cores))
     return contenders
 
 
@@ -559,13 +614,8 @@ def system_level_wcet(
         design.check(htg, function, platform, storage_override)
         if design.cache is not cache:
             raise SystemWcetError("design context was built for a different cache")
-    leaf_ids = design.leaf_ids
-    missing = [tid for tid in leaf_ids if tid not in mapping]
-    if missing:
-        raise SystemWcetError(f"tasks without a mapping: {missing}")
-    # every used core's penalty table up front: an unknown core fails here,
-    # whatever the state of the result tier
-    penalty_of = {tid: design.penalties(mapping[tid]) for tid in leaf_ids}
+    # a malformed mapping or order fails here, whatever the result tier holds
+    cores, rows = design.vectors(mapping, order)
 
     result_tier: "SystemResultCache | None"
     if result_cache is True or result_cache is None:
@@ -578,15 +628,8 @@ def system_level_wcet(
     result_key: str | None = None
     if result_tier is not None:
         result_key = result_tier.result_key(
-            htg,
-            function,
-            platform,
-            mapping,
-            order,
-            storage_override=storage_override,
-            max_iterations=max_iterations,
-            static_pruning=use_pruning,
-            design=design,
+            htg, function, platform, mapping, order, storage_override=storage_override,
+            max_iterations=max_iterations, static_pruning=use_pruning, design=design,
         )
         memoized = result_tier.get(result_key)
         if obs.obs_enabled():
@@ -597,14 +640,16 @@ def system_level_wcet(
             if certify:
                 _certify_replayed_result(memoized, htg, platform, order, function)
             return memoized
-    base_wcet: dict[str, float] = {}
-    shared_accesses: dict[str, int] = {}
-    for tid in leaf_ids:
-        base_wcet[tid], shared_accesses[tid] = design.task_cost(tid, mapping[tid])
+    leaf_ids = design.leaf_ids
+    penalty_rows = list(map(design.penalties, cores))
+    costs = list(map(design.cost, range(len(cores)), cores))
+    base = [wcet for wcet, _ in costs]
+    shared = [accesses for _, accesses in costs]
 
     # only tasks that actually touch shared resources can contend
-    sharers = [tid for tid in leaf_ids if shared_accesses[tid] > 0]
+    sharers = [i for i, accesses in enumerate(shared) if accesses > 0]
     allowed: dict[str, tuple[str, ...]] | None = None
+    allowed_rows: list[tuple[int, ...]] = []
     pairs_per_pass = 0
     if use_pruning:
         # imported lazily for the same reason as the certify machinery: the
@@ -612,13 +657,11 @@ def system_level_wcet(
         from repro.analysis.static_mhp import compute_static_mhp
 
         relation = compute_static_mhp(
-            htg,
-            function,
-            mapping,
-            sharers=sharers,
+            htg, function, mapping, sharers=[leaf_ids[i] for i in sharers],
             store=cache.footprints if cache is not None else None,
         )
         allowed = relation.allowed
+        allowed_rows = [tuple(map(design.index.__getitem__, allowed.get(t, ()))) for t in leaf_ids]
         if obs.obs_enabled():
             registry = obs.metrics()
             registry.counter("mhp.pairs_candidate").inc(relation.candidate_pairs)
@@ -626,22 +669,20 @@ def system_level_wcet(
             registry.counter("mhp.pairs_pruned").inc(
                 relation.candidate_pairs - relation.kept_pairs
             )
-            pairs_per_pass = sum(len(v) for v in allowed.values())
+            pairs_per_pass = sum(map(len, allowed_rows))
     elif obs.obs_enabled():
         # O(tasks + sharers) pair count: for each task every sharer on a
-        # *different* core is a candidate (sid == tid shares its own core,
-        # so the per-core tally already excludes it)
-        sharers_per_core = Counter(mapping[sid] for sid in sharers)
-        pairs_per_pass = sum(
-            len(sharers) - sharers_per_core.get(mapping[tid], 0)
-            for tid in leaf_ids
-        )
+        # *different* core is a candidate (a task shares its own core, so
+        # the per-core tally already excludes it)
+        sharers_per_core = Counter(cores[i] for i in sharers)
+        pairs_per_pass = sum(len(sharers) - sharers_per_core.get(core, 0) for core in cores)
         obs.metrics().counter("mhp.pairs_candidate").inc(pairs_per_pass)
-    timeline = _TimelineBuilder(design, mapping, order)
+    timeline = _TimelineBuilder(design, cores, rows)
 
-    effective = dict(base_wcet)
-    contenders = {tid: 0 for tid in leaf_ids}
-    intervals: dict[str, Interval] = {}
+    effective = base
+    contenders = [0] * len(cores)
+    starts: list[float] = []
+    finishes: list[float] = []
     makespan = 0.0
     converged = False
     iterations = 0
@@ -649,36 +690,23 @@ def system_level_wcet(
     obs_on = obs.obs_enabled()
     deltas: list[float] = []
     fp_span = obs.span(
-        "fixed_point", tasks=len(leaf_ids), sharers=len(sharers), pruned=use_pruning
+        "fixed_point", tasks=len(cores), sharers=len(sharers), pruned=use_pruning
     )
     with fp_span:
         for iterations in range(1, max_iterations + 1):
             iter_start = time.perf_counter() if obs_on else 0.0
-            intervals, makespan = timeline.build(effective)
+            starts, finishes, makespan = timeline.build(effective)
             if allowed is None:
-                new_contenders = mhp_contenders(leaf_ids, sharers, mapping, intervals)
+                new_contenders = mhp_contenders(cores, sharers, starts, finishes)
             else:
-                new_contenders = mhp_contenders_pruned(leaf_ids, allowed, mapping, intervals)
-            new_effective = {
-                tid: base_wcet[tid]
-                + shared_accesses[tid] * penalty_of[tid][new_contenders[tid]]
-                for tid in leaf_ids
-            }
+                new_contenders = mhp_contenders_pruned(cores, allowed_rows, starts, finishes)
+            new_effective = [
+                b + s * row[k] for b, s, row, k in zip(base, shared, penalty_rows, new_contenders)
+            ]
             if obs_on or iterations == max_iterations:
                 # the max-delta is evidence for the converged flag; off the
                 # observed path it is only needed at the iteration cap
-                if not leaf_ids:
-                    final_delta = 0.0
-                else:
-                    # ``effective`` and ``new_effective`` are both keyed in
-                    # ``leaf_ids`` order, so the value views align (C-level
-                    # map, the per-iteration observed hot path)
-                    final_delta = max(
-                        map(
-                            abs,
-                            map(operator.sub, new_effective.values(), effective.values()),
-                        )
-                    )
+                final_delta = max(map(abs, map(operator.sub, new_effective, effective)), default=0.0)
             if obs_on:
                 deltas.append(final_delta)
                 obs.trace_complete(
@@ -717,35 +745,29 @@ def system_level_wcet(
         # proved upper bound on any derivable count, so the fall-back stays
         # sound and never looser than the unpruned all-cores one.
         if allowed is None:
-            contenders = {tid: design.comm_contenders for tid in leaf_ids}
+            contenders = [design.comm_contenders] * len(cores)
         else:
-            contenders = {
-                tid: len({mapping[s] for s in allowed.get(tid, ())})
-                for tid in leaf_ids
-            }
-        worst = {
-            tid: base_wcet[tid] + shared_accesses[tid] * penalty_of[tid][contenders[tid]]
-            for tid in leaf_ids
-        }
-        effective = {tid: max(effective[tid], worst[tid]) for tid in leaf_ids}
-        intervals, makespan = timeline.build(effective)
+            contenders = [len({cores[o] for o in others}) for others in allowed_rows]
+        effective = [
+            max(e, b + s * row[k])
+            for e, b, s, row, k in zip(effective, base, shared, penalty_rows, contenders)
+        ]
+        starts, finishes, makespan = timeline.build(effective)
 
     result = SystemWcetResult(
         makespan=makespan,
-        task_intervals=intervals,
+        task_intervals={
+            tid: Interval(start, end) for tid, start, end in zip(leaf_ids, starts, finishes)
+        },
         task_cores=dict(mapping),
-        task_effective_wcet=effective,
-        task_contenders=contenders,
-        interference_cycles=sum(effective[tid] - base_wcet[tid] for tid in leaf_ids),
-        communication_cycles=sum(
-            design.edge_delay(src, dst, mapping[src], mapping[dst])
-            for src, dst in design.edges
-            if src in mapping and dst in mapping and mapping[src] != mapping[dst]
-        ),
+        task_effective_wcet=dict(zip(leaf_ids, effective)),
+        task_contenders=dict(zip(leaf_ids, contenders)),
+        interference_cycles=sum(map(operator.sub, effective, base)),
+        communication_cycles=timeline.communication_cycles,
         iterations=iterations,
         converged=converged,
-        task_base_wcet=dict(base_wcet),
-        task_shared_accesses=dict(shared_accesses),
+        task_base_wcet=dict(zip(leaf_ids, base)),
+        task_shared_accesses=dict(zip(leaf_ids, shared)),
         mhp_allowed=allowed,
         final_delta=final_delta,
         iteration_deltas=tuple(deltas) if obs_on else None,
@@ -771,11 +793,9 @@ def contention_oblivious_bound(
     against the MHP-based system-level bound.
     """
     design = SystemDesign(htg, function, platform, cache=cache)
-    worst_contenders = design.comm_contenders
-    effective = {}
-    for tid in design.leaf_ids:
-        core = mapping[tid]
-        base, shared = design.task_cost(tid, core)
-        effective[tid] = base + shared * design.penalties(core)[worst_contenders]
-    _, makespan = _TimelineBuilder(design, mapping, order).build(effective)
-    return makespan
+    cores, rows = design.vectors(mapping, order)
+    effective = []
+    for i, core in enumerate(cores):
+        base, shared = design.cost(i, core)
+        effective.append(base + shared * design.penalties(core)[design.comm_contenders])
+    return _TimelineBuilder(design, cores, rows).build(effective)[2]

@@ -1,19 +1,24 @@
-"""The design context of the system-level analysis and its scalar MHP pass.
+"""The design context of the system-level analysis and its MHP kernels.
 
-A :class:`~repro.wcet.system_level.SystemDesign` holds what the analysis of
-one design point derives independently of the candidate mapping; scheduler
-searches build one and share it across their candidates.  Sharing must be
+A :class:`~repro.wcet.system_level.SystemDesign` is the pricing table of
+one design point: it numbers the leaf tasks, edges and cores once, and
+scheduler searches share it across their candidates.  Sharing must be
 invisible:
 
-* result-cache keys stay byte-identical to the derivation before the
-  design existed (copied below as :func:`reference_result_key`), so old
-  disk entries remain addressable;
-* the bisect-based unpruned MHP kernel equals the pairwise double loop it
-  replaced (copied below as :func:`double_loop_contenders`), and so does
-  the pruned kernel given a skeleton that keeps every cross-core pair;
+* result-cache keys equal a v5 derivation written without the design
+  (:func:`reference_result_key` below), every key an annealer derives
+  through its shared design equals the one-shot key of the same inputs,
+  and each input the fixed point can observe changes the key while dict
+  insertion order does not;
+* the bisect-based unpruned MHP kernel equals the pairwise double loop
+  (:func:`double_loop_contenders` below, on the kernels' index
+  signature), and so does the pruned kernel given a skeleton that keeps
+  every cross-core pair;
 * the annealer, the genetic algorithm and branch and bound return the same
   schedules whether their candidates share one design or each build a
-  fresh one, and so do certified result-tier replays.
+  fresh one, and so do certified result-tier replays;
+* a mapping or core order the analysis cannot honour raises
+  :class:`~repro.wcet.system_level.SystemWcetError` instead of a number.
 
 The memoized HTG topological order that ``default_core_order`` reads per
 candidate is covered here too.
@@ -31,6 +36,8 @@ from repro.adl.platforms import (
     recore_xentium_like,
 )
 from repro.analysis.certify import CertificationError
+from repro.core.config import ToolchainConfig
+from repro.core.pipeline import Pipeline
 from repro.frontend import compile_diagram
 from repro.htg import extract_htg
 from repro.htg.extraction import ExtractionOptions
@@ -44,9 +51,9 @@ from repro.scheduling import (
     simulated_annealing_schedule,
 )
 from repro.scheduling import bnb, list_scheduler, metaheuristics
-from repro.scheduling.schedule import default_core_order
+from repro.scheduling.schedule import Schedule, ScheduleError, default_core_order
 from repro.usecases import ALL_USECASES
-from repro.usecases.workloads import synthetic_compiled_model
+from repro.usecases.workloads import edit_block_param, synthetic_compiled_model
 from repro.utils.graphs import topological_order
 from repro.utils.intervals import Interval
 from repro.wcet import CACHE_SCHEMA_VERSION, HardwareCostModel, WcetAnalysisCache
@@ -69,8 +76,12 @@ PLATFORMS = {
 
 
 # ---------------------------------------------------------------------- #
-# oracles: the derivations the design context replaced
+# oracles: derivations written without the design context
 # ---------------------------------------------------------------------- #
+def _sha1(text):
+    return hashlib.sha1(text.encode("utf-8")).hexdigest()
+
+
 def reference_result_key(
     htg,
     function,
@@ -81,75 +92,69 @@ def reference_result_key(
     max_iterations=25,
     static_pruning=False,
 ):
-    """The result key as derived before the design context: fresh cost
-    models and a per-mapping edge-pricing table on every call."""
+    """The v5 result key from first principles: fresh cost models, every
+    (payload, core pair) priced by the platform, tasks sorted by id."""
     storage_override = dict(storage_override or {})
     fp = WcetAnalysisCache()
-    leaf_ids = [t.task_id for t in htg.leaf_tasks()]
-    used_cores = sorted({mapping[tid] for tid in leaf_ids if tid in mapping})
-    models = {c: HardwareCostModel(platform, c, storage_override) for c in used_cores}
-    num_cores = platform.num_cores
-    contenders = max(0, num_cores - 1)
-
-    def comm_delay(src, dst):
-        edge = htg.edge(src, dst)
-        payload = edge.payload_bytes if edge is not None else 0
-        if payload == 0:
-            return 0.0
-        return platform.communication_latency(
-            payload, mapping[src], mapping[dst], contenders
-        )
-
-    tasks = [
-        (tid, fp.region_fingerprint(htg.task(tid).statements), mapping.get(tid, -1))
-        for tid in sorted(leaf_ids)
-    ]
+    tids = sorted(t.task_id for t in htg.leaf_tasks())
     edges = sorted(
-        (e.src, e.dst, 0.0 if mapping[e.src] == mapping[e.dst] else comm_delay(e.src, e.dst))
-        for e in htg.edges
-        if e.src in mapping and e.dst in mapping
+        (e.src, e.dst, e.payload_bytes) for e in htg.edges if e.src in tids and e.dst in tids
     )
-    payload = {
+    cores = sorted(c.core_id for c in platform.cores)
+    models = {c: HardwareCostModel(platform, c, storage_override) for c in cores}
+    prefix = {
         "function": fp.function_fingerprint(function),
-        "tasks": tasks,
-        "order": sorted((core, list(tids)) for core, tids in order.items()),
-        "models": [
+        "tasks": [(tid, fp.region_fingerprint(htg.task(tid).statements)) for tid in tids],
+        "edges": edges,
+        "delays": [
+            (payload, src, dst, platform.communication_latency(payload, src, dst, len(cores) - 1))
+            for payload in sorted({p for _, _, p in edges if p})
+            for src in cores
+            for dst in cores
+            if src != dst
+        ],
+        "cores": [
             (
                 core,
                 fp.model_signature_digest(models[core]),
-                [models[core].shared_access_penalty(k) for k in range(num_cores)],
+                [models[core].shared_access_penalty(k) for k in range(len(cores))],
             )
-            for core in used_cores
+            for core in cores
         ],
-        "edges": edges,
-        "num_cores": num_cores,
-        "max_iterations": max_iterations,
+        "num_cores": len(cores),
     }
-    if static_pruning:
-        payload["static_pruning"] = True
-    text = json.dumps(payload, separators=(",", ":"), sort_keys=True)
-    return hashlib.sha1(text.encode("utf-8")).hexdigest()
+    body = [
+        [mapping[tid] for tid in tids],
+        sorted((core, list(ts)) for core, ts in order.items() if ts),
+        max_iterations,
+        static_pruning,
+    ]
+    return _sha1(
+        _sha1(json.dumps(prefix, separators=(",", ":"), sort_keys=True))
+        + json.dumps(body, separators=(",", ":"))
+    )
 
 
-def double_loop_contenders(leaf_ids, sharers, mapping, intervals):
+def double_loop_contenders(cores, sharers, starts, finishes):
     """Distinct other cores with an overlapping sharer, pair by pair."""
-    contenders = {}
-    for tid in leaf_ids:
+    contenders = []
+    for tid, core in enumerate(cores):
+        window = Interval(starts[tid], finishes[tid])
         other_cores = set()
         for other in sharers:
-            if other == tid or mapping[other] == mapping[tid]:
+            if other == tid or cores[other] == core:
                 continue
-            if intervals[tid].overlaps(intervals[other]):
-                other_cores.add(mapping[other])
-        contenders[tid] = len(other_cores)
+            if window.overlaps(Interval(starts[other], finishes[other])):
+                other_cores.add(cores[other])
+        contenders.append(len(other_cores))
     return contenders
 
 
 # ---------------------------------------------------------------------- #
 # fixtures
 # ---------------------------------------------------------------------- #
-def usecase_htg(name, chunks=2):
-    model = compile_diagram(ALL_USECASES[name][0]())
+def usecase_htg(name, chunks=2, diagram=None):
+    model = compile_diagram(diagram if diagram is not None else ALL_USECASES[name][0]())
     htg = extract_htg(model, ExtractionOptions(granularity="loop", loop_chunks=chunks))
     return model, htg
 
@@ -179,7 +184,7 @@ def schedule_fingerprint(schedule):
 
 
 # ---------------------------------------------------------------------- #
-# (a) result keys are byte-identical to the pre-design derivation
+# (a) result keys: the v5 reference, shared == one-shot, sensitivity
 # ---------------------------------------------------------------------- #
 @pytest.mark.parametrize("usecase", ["egpws", "polka", "weaa"])
 @pytest.mark.parametrize("platform_name", sorted(PLATFORMS))
@@ -231,7 +236,8 @@ def test_result_key_variants_match_reference(variant):
 
 
 def test_annealer_keys_match_reference(monkeypatch):
-    """Every key an annealer derives through its shared design."""
+    """Every key an annealer derives through its shared design equals the
+    one-shot key (a fresh design per call) and the reference."""
     model, htg = usecase_htg("egpws", chunks=3)
     platform = recore_xentium_like()
     seen = []
@@ -239,7 +245,7 @@ def test_annealer_keys_match_reference(monkeypatch):
 
     def recording(self, htg_, function, platform_, mapping, order, **kwargs):
         key = original(self, htg_, function, platform_, mapping, order, **kwargs)
-        kwargs.pop("design")
+        assert kwargs.pop("design") is not None
         seen.append((key, dict(mapping), {c: list(t) for c, t in order.items()}, kwargs))
         return key
 
@@ -248,20 +254,108 @@ def test_annealer_keys_match_reference(monkeypatch):
         htg, model.entry, platform, iterations=60, seed=3, cache=WcetAnalysisCache()
     )
     assert len(seen) > 30
+    tier = WcetAnalysisCache().system_results
     for key, mapping, order, kwargs in seen:
+        assert key == original(tier, htg, model.entry, platform, mapping, order, **kwargs)
         assert key == reference_result_key(htg, model.entry, platform, mapping, order, **kwargs)
+
+
+def _with_payload(htg, payload):
+    """A copy of ``htg`` whose first payload-carrying leaf edge carries ``payload``."""
+    leaf = {t.task_id for t in htg.leaf_tasks()}
+    target = next(e for e in htg.edges if e.payload_bytes and e.src in leaf and e.dst in leaf)
+    copy = HierarchicalTaskGraph(htg.name)
+    for task in htg.tasks.values():
+        copy.add_task(task)
+    for e in htg.edges:
+        copy.add_edge(e.src, e.dst, payload if e is target else e.payload_bytes, e.variables)
+    return copy
+
+
+def test_result_key_one_input_sensitivity():
+    """Each input the fixed point observes moves the key; nothing else does."""
+    model, htg = usecase_htg("polka")
+    platform = generic_predictable_multicore(cores=4)
+    tier = WcetAnalysisCache().system_results
+    tids = sorted(t.task_id for t in htg.leaf_tasks())
+    mapping = {tid: i % 4 for i, tid in enumerate(tids)}
+    order = default_core_order(htg, mapping)
+
+    def key(htg_=htg, function=model.entry, platform_=platform, mapping_=mapping,
+            order_=order, **kwargs):
+        return tier.result_key(htg_, function, platform_, mapping_, order_, **kwargs)
+
+    base = key()
+    moved = {**mapping, tids[0]: (mapping[tids[0]] + 1) % 4}
+    core, tasks = next((c, ts) for c, ts in order.items() if len(ts) > 1)
+    swapped = {**order, core: [tasks[1], tasks[0], *tasks[2:]]}
+    diagram = ALL_USECASES["polka"][0]()
+    edit_block_param(diagram, seed=1)
+    edited, edited_htg = usecase_htg("polka", diagram=diagram)
+    assert sorted(t.task_id for t in edited_htg.leaf_tasks()) == tids
+    shared = sorted(d.name for d in model.entry.decls if d.storage is Storage.SHARED)
+    payload = next(e.payload_bytes for e in htg.edges if e.payload_bytes)
+    changed = {
+        "one task's core": key(mapping_=moved, order_=default_core_order(htg, moved)),
+        "two tasks swapped in a core order": key(order_=swapped),
+        "one region edited": key(htg_=edited_htg, function=edited.entry),
+        "one edge payload": key(htg_=_with_payload(htg, payload + 8)),
+        "one platform latency": key(
+            platform_=generic_predictable_multicore(cores=4, shared_latency=9)
+        ),
+        "a storage override": key(storage_override={shared[0]: Storage.SCRATCHPAD}),
+        "max_iterations": key(max_iterations=24),
+        "pruning": key(static_pruning=True),
+    }
+    for what, other in changed.items():
+        assert other != base, what
+    assert len(set(changed.values())) == len(changed)
+    # insertion order of the mapping and of the order dicts is not an input
+    assert key(mapping_=dict(reversed(mapping.items())), order_=dict(reversed(order.items()))) == base
+
+
+def test_v4_cache_directory_is_ignored(tmp_path):
+    """A cache directory written under schema v4 holds nothing v5 reads,
+    even under the very key v5 derives."""
+    model, htg, platform, mapping, order = _mapped("weaa")
+    fresh = system_level_wcet(htg, model.entry, platform, mapping, order, result_cache=False)
+    assert CACHE_SCHEMA_VERSION == 5
+    writer = WcetAnalysisCache.open(tmp_path / "cache")
+    system_level_wcet(htg, model.entry, platform, mapping, order, cache=writer)
+    writer.flush()
+    v5 = tmp_path / "cache" / "v5"
+    v4 = tmp_path / "cache" / "v4"
+    v4.mkdir()
+    for shard in v5.glob("*entries*.jsonl"):
+        records = [json.loads(line) for line in shard.read_text().splitlines()]
+        for record in records:
+            if "makespan" in record:
+                record["makespan"] *= 0.5
+        (v4 / shard.name).write_text("".join(json.dumps(r) + "\n" for r in records))
+        shard.unlink()
+    cache = WcetAnalysisCache.open(tmp_path / "cache")
+    assert len(cache) == 0 and len(cache.system_results) == 0
+    replay = system_level_wcet(htg, model.entry, platform, mapping, order, cache=cache)
+    assert cache.system_results.stats.disk_hits == 0
+    assert cache.system_results.stats.misses == 1
+    assert replay.makespan == fresh.makespan
+    assert replay.task_intervals == fresh.task_intervals
 
 
 # ---------------------------------------------------------------------- #
 # (b) the MHP kernels equal the double loop
 # ---------------------------------------------------------------------- #
 def _windows(spec):
-    """``{tid: (core, start, end, sharer)}`` -> the pass arguments."""
-    leaf_ids = list(spec)
-    mapping = {tid: core for tid, (core, _, _, _) in spec.items()}
-    intervals = {tid: Interval(float(s), float(e)) for tid, (_, s, e, _) in spec.items()}
-    sharers = [tid for tid, (_, _, _, shares) in spec.items() if shares]
-    return leaf_ids, sharers, mapping, intervals
+    """``{tid: (core, start, end, sharer)}`` -> the kernels' index arguments."""
+    cores = [core for core, _, _, _ in spec.values()]
+    sharers = [i for i, (_, _, _, shares) in enumerate(spec.values()) if shares]
+    starts = [float(s) for _, s, _, _ in spec.values()]
+    finishes = [float(e) for _, _, e, _ in spec.values()]
+    return cores, sharers, starts, finishes
+
+
+def _named(spec, counts):
+    return dict(zip(spec, counts))
 
 
 BOUNDARY_CASES = {
@@ -293,13 +387,15 @@ def test_scalar_pass_boundaries(name):
 
 def test_scalar_pass_boundary_expectations():
     """Spot values the strict half-open comparisons imply."""
-    touching = mhp_contenders(*_windows(BOUNDARY_CASES["shared_endpoints"]))
+    def counts(name):
+        spec = BOUNDARY_CASES[name]
+        return _named(spec, mhp_contenders(*_windows(spec)))
+
     # windows that only share an endpoint never contend
-    assert touching == {"a": 1, "b": 1, "c": 0, "d": 2, "e": 0}
-    own = mhp_contenders(*_windows(BOUNDARY_CASES["own_core_only_sharer"]))
-    assert own == {"a": 0, "b": 1, "c": 1}
-    assert mhp_contenders(*_windows(BOUNDARY_CASES["no_sharers"])) == {"a": 0, "b": 0}
-    assert set(mhp_contenders(*_windows(BOUNDARY_CASES["one_core"])).values()) == {0}
+    assert counts("shared_endpoints") == {"a": 1, "b": 1, "c": 0, "d": 2, "e": 0}
+    assert counts("own_core_only_sharer") == {"a": 0, "b": 1, "c": 1}
+    assert counts("no_sharers") == {"a": 0, "b": 0}
+    assert set(counts("one_core").values()) == {0}
 
 
 @pytest.mark.parametrize("block", range(4))
@@ -318,12 +414,11 @@ def test_scalar_pass_random_windows(block):
         assert mhp_contenders(*args) == want, seed
         # the pruned kernel over a skeleton that prunes nothing: every
         # cross-core sharer of every task
-        leaf_ids, sharers, mapping, intervals = args
-        skeleton = {
-            tid: tuple(sid for sid in sharers if mapping[sid] != mapping[tid])
-            for tid in leaf_ids
-        }
-        assert mhp_contenders_pruned(leaf_ids, skeleton, mapping, intervals) == want, seed
+        core_of, sharers, starts, finishes = args
+        skeleton = [
+            tuple(s for s in sharers if core_of[s] != core) for core in core_of
+        ]
+        assert mhp_contenders_pruned(core_of, skeleton, starts, finishes) == want, seed
 
 
 # ---------------------------------------------------------------------- #
@@ -445,6 +540,51 @@ def test_design_for_other_inputs_is_rejected():
             system_level_wcet(
                 htg, model.entry, mapping=mapping, order=order, design=design, **kwargs
             )
+
+
+# ---------------------------------------------------------------------- #
+# (e) a schedule the analysis cannot honour raises instead of a number
+# ---------------------------------------------------------------------- #
+@pytest.mark.parametrize(
+    "usecase, tid, core", [("polka", "t_reject", 0), ("egpws", "t_caution", 1)]
+)
+def test_order_on_another_core_than_the_mapping_raises(usecase, tid, core):
+    """Such an order used to be analysed anyway: 21,303 cycles for polka
+    (the consistent schedule reads 21,304) and 11,600 for egpws (11,183)."""
+    platform = generic_predictable_multicore(cores=4)
+    result = Pipeline(platform, ToolchainConfig()).run(ALL_USECASES[usecase][0]())
+    mapping = dict(result.schedule.mapping)
+    assert mapping[tid] != core
+    order = {c: [t for t in ts if t != tid] for c, ts in result.schedule.order.items()}
+    order[core].append(tid)
+    with pytest.raises(SystemWcetError, match=f"{tid}' is ordered on core {core}"):
+        system_level_wcet(result.htg, result.model.entry, platform, mapping, order)
+    with pytest.raises(ScheduleError, match=f"{tid}' is ordered on core {core}"):
+        Schedule(result.htg.name, mapping, order).validate(result.htg, platform)
+
+
+def test_order_listing_a_non_leaf_task_raises():
+    model, htg, platform, mapping, order = _mapped("egpws")
+    htg.add_task(Task("t_source", TaskKind.SOURCE, Block()))
+    for stray in ("t_source", "t_nowhere"):
+        bad = {**order, 0: [*order[0], stray]}
+        with pytest.raises(SystemWcetError, match="not a leaf task"):
+            system_level_wcet(htg, model.entry, platform, mapping, bad)
+
+
+def test_mapping_to_a_missing_core_raises():
+    model, htg, platform, mapping, order = _mapped("egpws")
+    tid = order[0][-1]
+    bad_order = {**order, 0: order[0][:-1], 7: [tid]}
+    with pytest.raises(SystemWcetError, match=r"core\(s\) \[7\]"):
+        system_level_wcet(htg, model.entry, platform, {**mapping, tid: 7}, bad_order)
+
+
+def test_task_listed_twice_raises():
+    model, htg, platform, mapping, order = _mapped("egpws")
+    bad = {**order, 0: [*order[0], order[0][0]]}
+    with pytest.raises(SystemWcetError, match="listed twice"):
+        system_level_wcet(htg, model.entry, platform, mapping, bad)
 
 
 # ---------------------------------------------------------------------- #

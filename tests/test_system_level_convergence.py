@@ -8,7 +8,9 @@ Covers the convergence flag, the safety fallback and the two MHP kernels:
   effective WCETs it charges;
 * the unpruned kernel (the per-core bisect pass) must match the pruned
   kernel (the skeleton pair loop) bit-for-bit on every use case, end to
-  end, when the skeleton keeps every cross-core sharer pair.
+  end, when the skeleton keeps every cross-core sharer pair.  The end-to-end
+  differentials patch the name the solve calls and check that the
+  stand-in ran, so they cannot pass by comparing the solve with itself.
 """
 
 import pytest
@@ -54,18 +56,27 @@ def build_case(usecase, cores=4, chunks=2):
     return model, htg, platform, mapping, order
 
 
-def full_skeleton(leaf_ids, sharers, mapping):
+def full_skeleton(cores, sharers):
     """Every cross-core sharer of every task: a skeleton that prunes nothing."""
-    return {
-        tid: tuple(sid for sid in sharers if mapping[sid] != mapping[tid])
-        for tid in leaf_ids
-    }
+    return [tuple(sid for sid in sharers if cores[sid] != core) for core in cores]
 
 
-def pair_loop_on_full_skeleton(leaf_ids, sharers, mapping, intervals):
+def pair_loop_on_full_skeleton(cores, sharers, starts, finishes):
     """The pruned kernel standing in for the unpruned one."""
-    skeleton = full_skeleton(leaf_ids, sharers, mapping)
-    return mhp_contenders_pruned(leaf_ids, skeleton, mapping, intervals)
+    return mhp_contenders_pruned(cores, full_skeleton(cores, sharers), starts, finishes)
+
+
+def patch_unpruned_kernel(monkeypatch):
+    """Route the solve's unpruned kernel through the pair loop; the returned
+    list records every call, so a test can prove the stand-in ran."""
+    calls = []
+
+    def stand_in(*args):
+        calls.append(args)
+        return pair_loop_on_full_skeleton(*args)
+
+    monkeypatch.setattr(system_level, "mhp_contenders", stand_in)
+    return calls
 
 
 def result_fingerprint(result):
@@ -88,19 +99,23 @@ class TestMhpBackendsIdentical:
     def test_end_to_end_bit_for_bit(self, usecase, monkeypatch):
         model, htg, platform, mapping, order = build_case(usecase)
         bisect = system_level_wcet(htg, model.entry, platform, mapping, order)
-        monkeypatch.setattr(system_level, "mhp_contenders", pair_loop_on_full_skeleton)
+        calls = patch_unpruned_kernel(monkeypatch)
         pair_loop = system_level_wcet(htg, model.entry, platform, mapping, order)
+        assert len(calls) == pair_loop.iterations >= 1
         assert result_fingerprint(bisect) == result_fingerprint(pair_loop)
 
     def test_contender_pass_bit_for_bit(self, usecase):
         """The raw MHP passes agree on the converged timeline too."""
         model, htg, platform, mapping, order = build_case(usecase)
         result = system_level_wcet(htg, model.entry, platform, mapping, order)
-        leaf_ids = [t.task_id for t in htg.leaf_tasks()]
-        sharers = [
-            t.task_id for t in htg.leaf_tasks() if t.total_shared_accesses > 0
-        ]
-        args = (leaf_ids, sharers, mapping, result.task_intervals)
+        leaf = htg.leaf_tasks()
+        windows = [result.task_intervals[t.task_id] for t in leaf]
+        args = (
+            [mapping[t.task_id] for t in leaf],
+            [i for i, t in enumerate(leaf) if t.total_shared_accesses > 0],
+            [window.start for window in windows],
+            [window.end for window in windows],
+        )
         assert mhp_contenders(*args) == pair_loop_on_full_skeleton(*args)
 
 
@@ -176,10 +191,11 @@ class TestNonConvergenceFallback:
         bisect = system_level_wcet(
             htg, model.entry, platform, mapping, order, max_iterations=2
         )
-        monkeypatch.setattr(system_level, "mhp_contenders", pair_loop_on_full_skeleton)
+        calls = patch_unpruned_kernel(monkeypatch)
         pair_loop = system_level_wcet(
             htg, model.entry, platform, mapping, order, max_iterations=2
         )
+        assert len(calls) == 2 and pair_loop.converged is False
         assert result_fingerprint(bisect) == result_fingerprint(pair_loop)
 
     def test_fallback_equals_oblivious_bound(self, case):
