@@ -121,10 +121,11 @@ the per-region code fingerprints.  The rules:
   errs only towards recomputing.
 * **Code-level facts key on the function fingerprint.**  The dataflow /
   lint / flow-facts analyses are pure functions of one IR function's
-  content; :class:`~repro.analysis.incremental.IncrementalAnalysisStore`
-  replays their reports verbatim for unchanged fingerprints with every
-  finding's provenance set to ``reused`` (see
-  :data:`~repro.analysis.report.PROVENANCES`).
+  content, so ``python -m repro diff`` replays the old function's reports
+  through :func:`~repro.analysis.incremental.mark_reused` (every finding's
+  provenance set to ``reused``, see
+  :data:`~repro.analysis.report.PROVENANCES`) when the old and new entry
+  functions have the same fingerprint.
 * **Race pairs re-check only changed endpoints.**
   :func:`~repro.analysis.races.incremental_race_check` reuses the
   happens-before reachability when the happens-before relation and task
@@ -222,7 +223,6 @@ from repro.analysis.dataflow import (
 )
 from repro.analysis.incremental import (
     FingerprintDiff,
-    IncrementalAnalysisStore,
     IncrementalReport,
     diagram_fingerprint,
     diff_summaries,
@@ -274,7 +274,6 @@ __all__ = [
     "FixedPointCertificate",
     "FootprintStore",
     "IRVerifierPass",
-    "IncrementalAnalysisStore",
     "IncrementalReport",
     "IpetCertificate",
     "Liveness",

@@ -51,7 +51,6 @@ import hashlib
 import heapq
 import json
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
@@ -70,7 +69,7 @@ from repro.ir.statements import (
     Stmt,
     While,
 )
-from repro.wcet.cache import WcetAnalysisCache
+from repro.wcet.cache import CacheStats, MemoStore, WcetAnalysisCache, shared_cache
 
 
 @dataclass(frozen=True)
@@ -336,8 +335,14 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:32]
 
 
+#: In-memory bound of the footprint tier (least recently used drop first).
+MAX_FOOTPRINTS = 4096
+
+
 class FootprintStore:
-    """Content-keyed LRU memo of task footprints.
+    """Content-keyed LRU memo of task footprints: the footprint tier of a
+    :class:`~repro.wcet.cache.WcetAnalysisCache`, reached as its
+    :attr:`~repro.wcet.cache.WcetAnalysisCache.footprints`.
 
     A footprint is a pure function of the task's statements, its declared
     read/write sets and, through the function, the storage class and type
@@ -345,21 +350,20 @@ class FootprintStore:
     code-level cache's region context extended with the declared names,
     the region fingerprint and a digest of the declared sets -- so an edit
     re-keys only the tasks that reference a name it touches.  Keys are
-    derived through ``wcet_cache``'s memos (pass the run's
-    :class:`~repro.wcet.cache.WcetAnalysisCache`, or use its
-    :attr:`~repro.wcet.cache.WcetAnalysisCache.footprints` store, to share
-    the regions it already rendered; ``None`` keeps private memos).  The
-    identity memos follow that cache's invalidation contract.
+    derived through the owning cache's memos, so a footprint lookup renders
+    nothing a WCET lookup of the same region already rendered, and follow
+    that cache's invalidation contract.  :attr:`store` holds at most
+    :data:`MAX_FOOTPRINTS` footprints, in memory only.
     """
 
-    def __init__(
-        self, wcet_cache: WcetAnalysisCache | None = None, max_entries: int = 4096
-    ) -> None:
-        self._fingerprints = wcet_cache if wcet_cache is not None else WcetAnalysisCache()
-        self._max_entries = max_entries
-        self._entries: OrderedDict[str, TaskFootprint] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
+    def __init__(self, wcet_cache: WcetAnalysisCache) -> None:
+        self._fingerprints = wcet_cache
+        self.store: MemoStore[TaskFootprint] = MemoStore(MAX_FOOTPRINTS)
+
+    @property
+    def stats(self) -> CacheStats:
+        """Hit/miss counters of the footprint tier."""
+        return self.store.stats
 
     def key(self, function: Function, task: Task) -> str:
         fingerprints = self._fingerprints
@@ -375,30 +379,12 @@ class FootprintStore:
 
     def footprint(self, function: Function, task: Task) -> TaskFootprint:
         key = self.key(function, task)
-        cached = self._entries.get(key)
-        if cached is not None:
-            self.hits += 1
-            self._entries.move_to_end(key)
-            return cached if cached.task_id == task.task_id else replace(
-                cached, task_id=task.task_id
-            )
-        self.misses += 1
-        fp = task_footprint(function, task, self._fingerprints.shared_names(function))
-        self._entries[key] = fp
-        while len(self._entries) > self._max_entries:
-            self._entries.popitem(last=False)
-        return fp
-
-
-_DEFAULT_STORE: FootprintStore | None = None
-
-
-def default_footprint_store() -> FootprintStore:
-    """Process-wide footprint memo (same idiom as ``shared_cache()``)."""
-    global _DEFAULT_STORE
-    if _DEFAULT_STORE is None:
-        _DEFAULT_STORE = FootprintStore()
-    return _DEFAULT_STORE
+        cached = self.store.get(key)
+        if cached is None:
+            fp = task_footprint(function, task, self._fingerprints.shared_names(function))
+            self.store.put(key, fp)
+            return fp
+        return cached if cached.task_id == task.task_id else replace(cached, task_id=task.task_id)
 
 
 def task_footprints(
@@ -406,6 +392,7 @@ def task_footprints(
     tasks: "list[Task]",
     store: FootprintStore | None = None,
 ) -> dict[str, TaskFootprint]:
-    """Footprints of ``tasks`` keyed by task id (memoized via ``store``)."""
-    store = store if store is not None else default_footprint_store()
+    """Footprints of ``tasks`` keyed by task id (memoized via ``store``, by
+    default the footprint tier of :func:`~repro.wcet.cache.shared_cache`)."""
+    store = store if store is not None else shared_cache().footprints
     return {t.task_id: store.footprint(function, t) for t in tasks}

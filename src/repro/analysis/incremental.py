@@ -17,10 +17,11 @@ The consumers are layered:
   replay key is unchanged; of the stages that run, HTG extraction
   re-extracts only changed regions and the race check re-checks only pairs
   with a changed endpoint;
-* :class:`IncrementalAnalysisStore` replays code-level
-  :class:`~repro.analysis.report.AnalysisReport` findings for functions whose
-  fingerprints are unchanged, with provenance marked ``reused``;
-* ``python -m repro diff <old> <new>`` prints the invalidation frontier.
+* ``python -m repro diff <old> <new>`` prints the invalidation frontier
+  and, when the old and new entry functions have the same fingerprint,
+  replays the old code-level
+  :class:`~repro.analysis.report.AnalysisReport` findings through
+  :func:`mark_reused` (provenance ``reused``).
 
 What dirties what (the dependency contract)
 -------------------------------------------
@@ -292,41 +293,6 @@ def mark_reused(report: AnalysisReport) -> AnalysisReport:
         findings=[replace(f, provenance="reused") for f in report.findings],
         checked=checked,
     )
-
-
-class IncrementalAnalysisStore:
-    """Function-fingerprint-keyed store of code-level analysis reports.
-
-    The dataflow/lint/flow-facts analyses are pure functions of one IR
-    function's content, so their reports can be replayed verbatim for any
-    function whose fingerprint is unchanged.  ``reports_for`` returns the
-    stored reports with provenance marked ``reused``; a miss returns
-    ``None`` and the caller re-analyses (then calls :meth:`record`).
-    """
-
-    def __init__(self, max_entries: int = 512) -> None:
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be at least 1, got {max_entries}")
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self._entries: dict[str, list[AnalysisReport]] = {}
-
-    def record(self, fingerprint: str, reports: Iterable[AnalysisReport]) -> None:
-        self._entries[fingerprint] = list(reports)
-        while len(self._entries) > self.max_entries:
-            self._entries.pop(next(iter(self._entries)))
-
-    def reports_for(self, fingerprint: str) -> list[AnalysisReport] | None:
-        stored = self._entries.get(fingerprint)
-        if stored is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return [mark_reused(report) for report in stored]
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
 
 # ---------------------------------------------------------------------- #

@@ -51,7 +51,6 @@ from dataclasses import dataclass, replace
 from repro.analysis.footprints import (
     FootprintStore,
     TaskFootprint,
-    default_footprint_store,
     footprints_conflict_free,
 )
 from repro.analysis.report import AnalysisReport, Finding
@@ -60,6 +59,7 @@ from repro.htg.task import Task, TaskKind
 from repro.ir import analysis as ir_analysis
 from repro.ir.program import Function
 from repro.utils.graphs import Reachability
+from repro.wcet.cache import shared_cache
 
 
 def _chunk_siblings(a: Task, b: Task) -> bool:
@@ -176,7 +176,7 @@ def incremental_race_check(
     ``None`` to force a full scan even when the reachability is reusable.
     Replayed findings keep the core numbers of the run they came from.
     ``store`` memoizes the footprints of chunk pairs that need a proof
-    (the process-wide store by default).
+    (the shared cache's footprint tier by default).
 
     Pairs are handled as bitsets: per task, the partners it must be checked
     against are one mask, split into ordered, non-conflicting and
@@ -188,7 +188,7 @@ def incremental_race_check(
     report = AnalysisReport("race_checker")
     shared_arrays, shared_scalars = ir_analysis.shared_names(function)
     shared_names = shared_arrays | shared_scalars
-    store = store if store is not None else default_footprint_store()
+    store = store if store is not None else shared_cache().footprints
     fp_cache: dict[str, TaskFootprint] = {}
 
     def footprint_of(task: Task) -> TaskFootprint:

@@ -37,11 +37,11 @@ from repro.analysis.footprints import (
     FootprintStore,
     TaskFootprint,
     address_overlaps,
-    default_footprint_store,
 )
 from repro.htg.graph import HierarchicalTaskGraph
 from repro.ir.program import Function
 from repro.utils.graphs import Reachability
+from repro.wcet.cache import shared_cache
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ def compute_static_mhp(
     address overlaps of :func:`address_overlaps` -- and every counter is a
     popcount, so no code runs per candidate pair.
     """
-    store = store if store is not None else default_footprint_store()
+    store = store if store is not None else shared_cache().footprints
     leaf_ids = [t.task_id for t in htg.leaf_tasks() if t.task_id in mapping]
     if sharers is None:
         sharers = [

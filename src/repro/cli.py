@@ -338,7 +338,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------- #
 def _cmd_diff(args: argparse.Namespace) -> int:
     from repro.adl.platforms import generic_predictable_multicore
-    from repro.analysis.incremental import IncrementalAnalysisStore
+    from repro.analysis.incremental import mark_reused
     from repro.analysis.verifier import verify_function
     from repro.analysis.wcet_facts import derive_flow_facts
     from repro.core.config import ToolchainConfig
@@ -350,24 +350,23 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         return 2
     (old_name, old_build), (new_name, new_build) = plan
     pipeline = Pipeline(generic_predictable_multicore(), ToolchainConfig())
-    store = IncrementalAnalysisStore()
 
-    def code_level_reports(result):
-        """Lint-layer reports, replayed when the function is unchanged."""
-        fingerprint = pipeline.wcet_cache.function_fingerprint(result.model.entry)
-        cached = store.reports_for(fingerprint)
-        if cached is not None:
-            return cached, True
-        entry = result.model.entry
-        reports = [verify_function(entry), derive_flow_facts(entry)[1]]
-        store.record(fingerprint, reports)
-        return reports, False
+    def code_level_reports(entry):
+        """The lint-layer reports of one entry function."""
+        return [verify_function(entry), derive_flow_facts(entry)[1]]
 
     try:
         base = pipeline.run(old_build())
-        base_reports, _ = code_level_reports(base)
+        base_reports = code_level_reports(base.model.entry)
         result = pipeline.run_incremental(base, new_build())
-        new_reports, replayed = code_level_reports(result)
+        # the reports are pure functions of the function's content: replay
+        # them when the fingerprints of the old and new entry match
+        fingerprint = pipeline.wcet_cache.function_fingerprint
+        replayed = fingerprint(base.model.entry) == fingerprint(result.model.entry)
+        if replayed:
+            new_reports = [mark_reused(report) for report in base_reports]
+        else:
+            new_reports = code_level_reports(result.model.entry)
     except ToolchainError as exc:
         print(f"diff failed: {exc}", file=sys.stderr)
         return 1

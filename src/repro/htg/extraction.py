@@ -119,15 +119,6 @@ def _all_expressions(stmt: Stmt):
         yield from node.expressions()
 
 
-def _buffer_bytes(function: Function, names: set[str]) -> int:
-    total = 0
-    for name in names:
-        decl = function.lookup(name)
-        if decl is not None:
-            total += decl.size_bytes
-    return total
-
-
 def _make_task(
     task_id: str,
     kind: TaskKind,
@@ -217,16 +208,7 @@ def _region_tasks(
 
 def extract_htg(model: CompiledModel, options: ExtractionOptions | None = None) -> HierarchicalTaskGraph:
     """Extract the HTG of a compiled model."""
-    options = options or ExtractionOptions()
-    if options.granularity not in ("block", "loop"):
-        raise ValueError(f"unknown granularity {options.granularity!r}")
-    function = model.entry
-    shared_arrays, shared_scalars = shared_names(function)
-
-    tasks: list[Task] = []
-    for region_name, region in model.block_regions:
-        tasks.extend(_region_tasks(region_name, region, shared_arrays, options))
-    return _assemble_htg(model.diagram_name, tasks, function, shared_arrays | shared_scalars)
+    return _extract(model, options, {}, set())[0]
 
 
 def extract_htg_incremental(
@@ -253,6 +235,20 @@ def extract_htg_incremental(
     Returns the HTG plus an info dict with ``regions_reused`` /
     ``regions_recomputed`` counts and the ``changed_task_ids`` produced by
     recomputed regions.
+    """
+    return _extract(model, options, prev_tasks, unchanged_regions)
+
+
+def _extract(
+    model: CompiledModel,
+    options: ExtractionOptions | None,
+    prev_tasks: Mapping[str, Sequence[Task]],
+    unchanged_regions: set[str],
+) -> tuple[HierarchicalTaskGraph, dict[str, Any]]:
+    """The region loop of both extractions (see :func:`extract_htg_incremental`).
+
+    The public functions never call each other: a profiler wrapping both
+    would count a nested extraction twice.
     """
     options = options or ExtractionOptions()
     if options.granularity not in ("block", "loop"):

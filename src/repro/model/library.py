@@ -13,12 +13,6 @@ import numpy as np
 from repro.model.blocks import Block, BlockError, Port
 
 
-def _vec(shape: int | tuple[int, ...]) -> tuple[int, ...]:
-    if isinstance(shape, int):
-        return (shape,)
-    return tuple(shape)
-
-
 def constant(name: str, value: float) -> Block:
     """A scalar constant source."""
     return Block(

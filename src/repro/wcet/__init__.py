@@ -16,7 +16,8 @@
 * :mod:`repro.wcet.cache` memoizes code-level results so the schedulers, the
   system-level fixed point and the cross-layer feedback loop analyse each
   distinct (code region, core cost signature) pair exactly once --
-  per process, or across processes when the cache is disk-backed.
+  per process, or across processes when the cache is disk-backed -- and,
+  in the same cache, whole system-level results and task footprints.
 
 Cache-invalidation contract
 ---------------------------
@@ -55,10 +56,13 @@ retires the old on-disk entries by the ordinary versioning rule.
 
 System-level / result tiers
 ---------------------------
-The same contract extends to the **system-level result tier**
+The same contract extends to the other two tiers of a cache, which exist
+only inside one: the **system-level result tier**
 (:class:`~repro.wcet.cache.SystemResultCache`, reached through
 ``cache.system_results`` and consulted by
-:func:`~repro.wcet.system_level.system_level_wcet`): result keys embed the
+:func:`~repro.wcet.system_level.system_level_wcet`) and the **footprint
+tier** (:class:`~repro.analysis.footprints.FootprintStore`, reached through
+``cache.footprints``).  Result keys embed the
 function/region fingerprints, the edge payloads, the mapping and per-core
 order, the per-core cost signatures, the shared-access penalty tables, the
 priced worst-case delay of every payload between every core pair and the
@@ -67,6 +71,14 @@ never go stale and need no invalidation either.  The caller-cooperation
 rule above applies unchanged (the fingerprints and cost signatures are the
 same memos); additionally:
 
+* Every tier keeps its entries in one
+  :class:`~repro.wcet.cache.MemoStore`, which counts hits, first-use disk
+  hits and misses in the tier's ``stats``
+  (:class:`~repro.wcet.cache.CacheStats`) and bounds the entries by LRU:
+  the code-level tier is unbounded, the result tier holds
+  :data:`~repro.wcet.cache.MAX_SYSTEM_RESULTS` (2,048) results and the
+  footprint tier :data:`~repro.analysis.footprints.MAX_FOOTPRINTS` (4,096)
+  footprints.
 * Code that must *re-run* the fixed point (differential tests, kernel
   timing) passes ``result_cache=False``.
 * Keys are derived through a
@@ -99,9 +111,9 @@ subdirectory ``<dir>/v<CACHE_SCHEMA_VERSION>/``:
   (tempfile + ``os.replace``), so concurrent flushes -- e.g. the worker
   processes of ``repro.core.sweep.sweep`` -- can never corrupt the
   directory.  ``load`` merges every ``entries*.jsonl`` file (including a
-  legacy append-only ``entries.jsonl``); duplicate keys across shards are
-  harmless (the key fully determines the value) and malformed lines are
-  skipped.  Because keys are content addressed, on-disk entries can never
+  legacy append-only ``entries.jsonl``), oldest first; duplicate keys
+  across shards are harmless (the key fully determines the value) and
+  malformed lines are skipped.  Because keys are content addressed, on-disk entries can never
   go stale and need no invalidation, ever.
 * ``stats-<pid>-<token>.jsonl`` shards accumulate one hit/disk-hit/miss
   delta record per flush (single writer, append-only);
@@ -109,10 +121,15 @@ subdirectory ``<dir>/v<CACHE_SCHEMA_VERSION>/``:
   ``stats*.jsonl`` files across processes (``benchmarks/run_all.py
   --cache-dir`` reports them in its ``BENCH_*.json`` records).
 * the system-level tier persists ``sys-entries-*.jsonl`` /
-  ``sys-stats-*.jsonl`` shards to the *same* version directory under the
-  same atomicity rules; one entry is a whole serialized
-  :class:`~repro.wcet.cache.SystemResultCache` record (the fixed-point
-  outcome), and its stats ``misses`` count the fixed points actually run.
+  ``sys-stats-*.jsonl`` shards to the *same* version directory, written
+  and read by the same :class:`~repro.wcet.cache.MemoStore` code; one entry
+  is a whole serialized :class:`~repro.wcet.cache.SystemResultCache`
+  record (the fixed-point outcome), and its stats ``misses`` count the
+  fixed points actually run.  ``load`` reads every tier's shards oldest
+  first by modification time and applies the tier's bound as it goes, so
+  a directory written by many processes loads only the newest
+  :data:`~repro.wcet.cache.MAX_SYSTEM_RESULTS` results.  Footprints are
+  never persisted.
 
 **Eviction:** shared directories are bounded, not pruned by staleness
 (nothing ever goes stale): :meth:`~repro.wcet.cache.WcetAnalysisCache.evict`

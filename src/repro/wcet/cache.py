@@ -1,15 +1,29 @@
 """Content-addressed result caching shared across the whole flow.
 
-This module is the flow's **two-tier result cache**:
+This module is the flow's **result cache**, in three tiers:
 
 * the *code-level* tier (:class:`WcetAnalysisCache`) memoizes isolated task /
-  region WCET analyses, and
+  region WCET analyses,
 * the *system-level* tier (:class:`SystemResultCache`, reachable as
   ``cache.system_results``) memoizes entire
   :class:`~repro.wcet.system_level.SystemWcetResult` objects -- the outcome
   of the contention-aware fixed point -- for repeated identical
   (mapped tasks, mapping, platform, config) combinations, so a warm sweep
-  over a previously analysed design point skips the fixed point entirely.
+  over a previously analysed design point skips the fixed point entirely,
+  and
+* the *footprint* tier (:class:`~repro.analysis.footprints.FootprintStore`,
+  reachable as ``cache.footprints``) memoizes the per-task shared-memory
+  footprints the static MHP analysis and the race check read.
+
+Every tier keeps its entries in one :class:`MemoStore`, which counts hits,
+first-use disk hits and misses (:class:`CacheStats`), drops the least
+recently used entry past the tier's bound, and, for a tier that persists,
+reads and writes the tier's shard files.  The code-level tier is unbounded;
+the other bounds are module constants (:data:`MAX_SYSTEM_RESULTS` here,
+:data:`~repro.analysis.footprints.MAX_FOOTPRINTS` next to the footprint
+tier).  Tiers exist only inside a :class:`WcetAnalysisCache`, whose
+identity memos they share so their keys are cheap to derive.  The
+code-level and system-level tiers persist; footprints stay in memory.
 
 Every layer of the ARGO flow re-derives the same isolated task WCETs: the
 list scheduler analyses each (task, candidate core) pair during placement,
@@ -78,8 +92,9 @@ version-stamped subdirectory, ``<cache_dir>/v<CACHE_SCHEMA_VERSION>/``:
   the workers of a :func:`repro.core.sweep.sweep` -- can flush to the same
   directory concurrently without corrupting it.  :meth:`load` merges every
   ``entries*.jsonl`` file (including the legacy single ``entries.jsonl``
-  written by older versions); duplicate keys across shards are harmless (the
-  content key fully determines the value) and malformed lines are skipped.
+  written by older versions), oldest shard first by modification time;
+  duplicate keys across shards are harmless (the content key fully
+  determines the value) and malformed lines are skipped.
 * ``stats-<pid>-<token>.jsonl`` -- one JSON object per :meth:`flush`,
   recording the hit/disk-hit/miss deltas of the flushing instance
   (single-writer, append-only).  Aggregated together with any legacy
@@ -88,10 +103,11 @@ version-stamped subdirectory, ``<cache_dir>/v<CACHE_SCHEMA_VERSION>/``:
   subprocesses.
 
 The system-level tier persists to the same version directory through its own
-``sys-entries-*.jsonl`` / ``sys-stats-*.jsonl`` shards, following exactly the
-same atomic-rewrite and merge-on-load rules; :meth:`WcetAnalysisCache.load`,
+``sys-entries-*.jsonl`` / ``sys-stats-*.jsonl`` shards, written and read by
+the same :class:`MemoStore` code; :meth:`WcetAnalysisCache.load`,
 :meth:`~WcetAnalysisCache.flush` and :meth:`~WcetAnalysisCache.clear` always
-cover both tiers.
+cover both tiers.  Its bound holds on load too: a directory written by many
+processes loads only the :data:`MAX_SYSTEM_RESULTS` newest results.
 
 :meth:`flush` persists every entry not yet on disk and is cheap when there
 is nothing new.  Other schema versions in the same directory are ignored, so
@@ -149,9 +165,9 @@ import tempfile
 import time
 import uuid
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Collection, Iterator
+from typing import TYPE_CHECKING, Callable, Collection, Generic, Iterator, TypeVar
 
 from repro import obs
 from repro.htg.graph import HierarchicalTaskGraph
@@ -188,7 +204,19 @@ CACHE_SCHEMA_VERSION = 5
 #: shared cache (see :func:`shared_cache`).
 CACHE_DIR_ENV_VAR = "REPRO_WCET_CACHE_DIR"
 
+#: In-memory bound of the system-level result tier: mapper metaheuristics
+#: evaluate thousands of distinct mappings, and keeping all of their full
+#: results alive would trade one scaling problem for another.
+MAX_SYSTEM_RESULTS = 2048
+
+#: Shard-file prefix of each persisted tier: ``<prefix>entries*.jsonl``
+#: shards hold the tier's entries and ``<prefix>stats*.jsonl`` its
+#: per-flush counters.
+_SHARD_PREFIXES = {"system": "sys-", "code": ""}
+
 _ENTRY_FIELDS = ("total", "compute", "memory", "control", "shared_accesses")
+
+V = TypeVar("V")
 
 
 @dataclass
@@ -274,10 +302,26 @@ class _DeclarationMemo:
 
 
 # ---------------------------------------------------------------------- #
-# shard-file primitives shared by both cache tiers
+# the memo store behind every tier
 # ---------------------------------------------------------------------- #
+def _version_dir(cache_dir: Path) -> Path:
+    return cache_dir / f"v{CACHE_SCHEMA_VERSION}"
+
+
+def _shards_oldest_first(vdir: Path, kind: str) -> list[tuple[float, Path]]:
+    """``(mtime, path)`` of every ``<kind>*.jsonl`` shard, oldest first."""
+    shards = []
+    for path in vdir.glob(f"{kind}*.jsonl"):
+        try:
+            shards.append((path.stat().st_mtime, path))
+        except OSError:  # racing a concurrent evict/flush: skip
+            continue
+    return sorted(shards)
+
+
 def _iter_shard_lines(path: Path) -> Iterator[tuple[str, str, dict]]:
-    """Yield ``(key, raw line, parsed record)`` for every well-formed line.
+    """Yield ``(key, raw line, record without its key)`` for every
+    well-formed line.
 
     Torn lines and foreign content are skipped, never raised -- the shard
     files are a cache, not a database.
@@ -289,17 +333,16 @@ def _iter_shard_lines(path: Path) -> Iterator[tuple[str, str, dict]]:
     for line in text.splitlines():
         try:
             record = json.loads(line)
-            key = record["key"]
-        except (ValueError, KeyError, TypeError):
+        except ValueError:
             continue
-        if not isinstance(key, str):
+        if not isinstance(record, dict) or not isinstance(record.get("key"), str):
             continue
-        yield key, line, record
+        yield record.pop("key"), line, record
 
 
-def _replace_shard(vdir: Path, final_path: Path, lines: list[str]) -> None:
+def _replace_shard(final_path: Path, lines: list[str]) -> None:
     """Atomically rewrite one shard file (tempfile + ``os.replace``)."""
-    fd, tmp_name = tempfile.mkstemp(dir=vdir, prefix=".shard-", suffix=".tmp")
+    fd, tmp_name = tempfile.mkstemp(dir=final_path.parent, prefix=".shard-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -312,44 +355,205 @@ def _replace_shard(vdir: Path, final_path: Path, lines: list[str]) -> None:
         raise
 
 
-class _ShardBackedTier:
-    """Shared shard-file plumbing of the two cache tiers.
+class MemoStore(Generic[V]):
+    """The entries of one cache tier, with their counters, bound and shards.
 
-    Expects the concrete tier to provide ``_cache_dir`` (``Path | None``),
-    ``_shard_token`` (``str``), ``_entries`` / ``_loaded`` / ``_persisted``
-    and ``_own_lines`` attributes following the semantics documented on
-    :class:`WcetAnalysisCache`.
+    :meth:`get` counts every lookup in :attr:`stats`: a miss, the first use
+    of an entry loaded from disk (a disk hit), or an in-process hit.
+    ``max_entries`` bounds the entries: every insert, loads included, drops
+    the least recently used entry past it (``None`` keeps every entry).
+
+    A store given a shard ``prefix`` persists to a cache directory attached
+    by :meth:`load`: ``encode`` turns a value into the fields of its shard
+    line and ``decode`` turns those fields back into a value, or ``None``
+    for a record to skip.  The store writes only its own
+    ``<prefix>entries-<pid>-<token>.jsonl`` shard and appends one counter
+    record per :meth:`flush` to its own ``<prefix>stats-...`` shard (see
+    the module docstring).
     """
 
-    _cache_dir: Path | None
-    _shard_token: str
-    _entries: dict[str, Any]
-    _loaded: set[str]
-    _persisted: set[str]
-    _own_lines: dict[str, str]
+    def __init__(
+        self,
+        max_entries: int | None = None,
+        prefix: str | None = None,
+        encode: Callable[[V], dict] | None = None,
+        decode: Callable[[dict], V | None] | None = None,
+    ) -> None:
+        self.stats = CacheStats()
+        self.max_entries = max_entries
+        #: content key -> value; insertion order is LRU order when bounded
+        self.entries: dict[str, V] = {}
+        #: the attached directory, or ``None`` for a memory-only store
+        self.cache_dir: Path | None = None
+        self._prefix = prefix
+        self._encode = encode
+        self._decode = decode
+        #: keys loaded from disk and not looked up since (a disk hit awaits)
+        self._loaded: set[str] = set()
+        #: keys already present in any on-disk shard (loaded or flushed)
+        self._persisted: set[str] = set()
+        #: serialized content of this store's own shard (survives clear();
+        #: rewritten wholesale on every flush so the replace is atomic)
+        self._own_lines: dict[str, str] = {}
+        #: stats snapshot at the last flush, for per-flush delta records
+        self._flushed_stats = (0, 0, 0)
+        #: makes the shard file name unique even when two stores in one
+        #: process share a directory
+        self._token = uuid.uuid4().hex[:8]
 
-    def _version_dir(self) -> Path:
-        assert self._cache_dir is not None
-        return self._cache_dir / f"v{CACHE_SCHEMA_VERSION}"
+    def get(self, key: str) -> V | None:
+        """The entry under ``key``, or ``None`` (counted as a miss)."""
+        value = self.entries.get(key)
+        if value is None:
+            self.stats.misses += 1
+            return None
+        if key in self._loaded:
+            # only the *first* use of a loaded entry is a disk hit; repeat
+            # lookups are in-process hits (see the CacheStats docstring)
+            self._loaded.discard(key)
+            self.stats.disk_hits += 1
+        else:
+            self.stats.hits += 1
+        if self.max_entries is not None:
+            # LRU touch: re-insertion moves the key to the newest position
+            del self.entries[key]
+            self.entries[key] = value
+        return value
 
-    def _shard_path(self, vdir: Path, kind: str) -> Path:
+    def put(self, key: str, value: V) -> None:
+        """Memoize ``value`` as the newest entry (the oldest drops past the bound)."""
+        entries = self.entries
+        entries.pop(key, None)
+        entries[key] = value
+        if self.max_entries is not None and len(entries) > self.max_entries:
+            oldest = next(iter(entries))
+            del entries[oldest]
+            self._loaded.discard(oldest)
+
+    def clear(self) -> None:
+        """Drop every in-memory entry (stats and on-disk shards are kept)."""
+        self.entries.clear()
+        self._loaded.clear()
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    # ------------------------------------------------------------------ #
+    # shard files
+    # ------------------------------------------------------------------ #
+    def _shard_path(self, kind: str) -> Path:
+        assert self.cache_dir is not None
         # The pid is resolved at write time, not at construction: a cache
-        # instance inherited through fork() then gets its own shard file in
-        # the child process instead of racing the parent for one.
-        return vdir / f"{kind}-{os.getpid()}-{self._shard_token}.jsonl"
+        # inherited through fork() then gets its own shard file in the
+        # child process instead of racing the parent for one.
+        name = f"{self._prefix}{kind}-{os.getpid()}-{self._token}.jsonl"
+        return _version_dir(self.cache_dir) / name
 
-    def _hot_keys(self) -> set[str]:
+    def load(self, cache_dir: Path) -> int:
+        """Attach the store to ``cache_dir`` and merge its entry shards.
+
+        Reads shards oldest first by modification time, so past the bound
+        the newest entries survive, and returns the number of entries
+        added.  Re-attaching to a *different* directory forgets what was
+        persisted where: every in-memory entry becomes flushable to the new
+        directory (so switching directories cannot silently drop entries).
+        """
+        assert self._prefix is not None and self._decode is not None
+        if self.cache_dir is not None and cache_dir != self.cache_dir:
+            self._persisted.clear()
+            self._loaded.clear()
+            self._own_lines.clear()
+        self.cache_dir = cache_dir
+        vdir = _version_dir(cache_dir)
+        vdir.mkdir(parents=True, exist_ok=True)
+        added = 0
+        for _mtime, path in _shards_oldest_first(vdir, f"{self._prefix}entries"):
+            for key, _line, record in _iter_shard_lines(path):
+                value = self._decode(record)
+                if value is None:
+                    continue  # torn line or foreign content: skip, never fail
+                self._persisted.add(key)
+                if key not in self.entries:
+                    self._loaded.add(key)
+                    self.put(key, value)
+                    added += 1
+        return added
+
+    def flush(self) -> int:
+        """Persist every not-yet-persisted entry to this store's own shard.
+
+        Returns the number of new entries written (0 when no directory is
+        attached).  Also appends one hit/miss delta record to the store's
+        stats shard; a flush with nothing to record does not touch the
+        directory at all.
+        """
+        if self.cache_dir is None:
+            return 0
+        assert self._encode is not None
+        fresh = {key: value for key, value in self.entries.items() if key not in self._persisted}
+        snapshot = (self.stats.hits, self.stats.disk_hits, self.stats.misses)
+        own = self._shard_path("entries")
+        # self-heal: a concurrent evict() in another process deletes every
+        # shard it does not own, including this live store's -- restore our
+        # own flushed entries rather than silently losing them
+        clobbered = bool(self._own_lines) and not own.exists()
+        if not fresh and not clobbered and snapshot == self._flushed_stats:
+            return 0
+        own.parent.mkdir(parents=True, exist_ok=True)
+        if fresh or clobbered:
+            for key, value in fresh.items():
+                self._own_lines[key] = json.dumps(
+                    {"key": key, **self._encode(value)}, separators=(",", ":")
+                )
+            self._persisted.update(fresh)
+            # the own-shard buffer obeys the same bound as the entries:
+            # without this, every flush of a long-lived driver would accrete
+            # more lines forever
+            if self.max_entries is not None:
+                while len(self._own_lines) > self.max_entries:
+                    oldest = next(iter(self._own_lines))
+                    del self._own_lines[oldest]
+                    self._persisted.discard(oldest)
+            _replace_shard(own, list(self._own_lines.values()))
+        delta = tuple(now - then for now, then in zip(snapshot, self._flushed_stats))
+        if fresh or any(delta):
+            record = {
+                "pid": os.getpid(),
+                "hits": delta[0],
+                "disk_hits": delta[1],
+                "misses": delta[2],
+                "flushed": len(fresh),
+            }
+            # single writer per shard: a plain append is safe here
+            with self._shard_path("stats").open("a", encoding="utf-8") as fh:
+                fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+            self._flushed_stats = snapshot
+        return len(fresh)
+
+    def hot_keys(self) -> set[str]:
         """Keys used in this process (computed, or looked up at least once)."""
-        return set(self._entries) - self._loaded
+        return set(self.entries) - self._loaded
 
-    def _rewrite_disk_entries(self, vdir: Path, kind: str, kept: dict[str, str]) -> None:
-        """Compact this tier's on-disk shards down to ``kept`` (key -> line)."""
-        own = self._shard_path(vdir, kind)
-        for path in vdir.glob(f"{kind}*.jsonl"):
+    def disk_lines(self) -> dict[str, tuple[float, str]]:
+        """Every on-disk entry of the attached directory: key -> (shard
+        mtime, line), the newest shard winning duplicate keys."""
+        assert self.cache_dir is not None
+        per_key: dict[str, tuple[float, str]] = {}
+        vdir = _version_dir(self.cache_dir)
+        for mtime, path in _shards_oldest_first(vdir, f"{self._prefix}entries"):
+            for key, line, _record in _iter_shard_lines(path):
+                per_key[key] = (mtime, line)
+        return per_key
+
+    def compact(self, kept: dict[str, str]) -> None:
+        """Rewrite the on-disk entries as this store's own shard of ``kept``
+        (key -> line), deleting every other entry shard of the tier."""
+        own = self._shard_path("entries")
+        for path in own.parent.glob(f"{self._prefix}entries*.jsonl"):
             if path != own:
                 path.unlink(missing_ok=True)
         if kept:
-            _replace_shard(vdir, own, list(kept.values()))
+            _replace_shard(own, list(kept.values()))
         else:
             own.unlink(missing_ok=True)
         self._persisted = set(kept)
@@ -357,40 +561,52 @@ class _ShardBackedTier:
         self._own_lines = dict(kept)
 
 
-@dataclass
-class WcetAnalysisCache(_ShardBackedTier):
+def _breakdown_fields(entry: WcetBreakdown) -> dict:
+    return {name: getattr(entry, name) for name in _ENTRY_FIELDS}
+
+
+def _breakdown_of(record: dict) -> WcetBreakdown | None:
+    try:
+        return WcetBreakdown(
+            total=float(record["total"]),
+            compute=float(record["compute"]),
+            memory=float(record["memory"]),
+            control=float(record["control"]),
+            shared_accesses=int(record["shared_accesses"]),
+        )
+    except (ValueError, KeyError, TypeError):
+        return None
+
+
+class WcetAnalysisCache:
     """Shared memo of code-level WCET analyses (see module docstring)."""
 
-    stats: CacheStats = field(default_factory=CacheStats)
-    #: content-key -> analysed breakdown (never stale; see module docstring)
-    _entries: dict[str, WcetBreakdown] = field(default_factory=dict, repr=False)
-    #: id(Function) -> fingerprint (dropped via weakref.finalize on GC)
-    _function_fps: dict[int, str] = field(default_factory=dict, repr=False)
-    #: id(Block) -> the region's fingerprint and referenced names
-    _region_fps: dict[int, "_RegionMemo"] = field(default_factory=dict, repr=False)
-    #: id(Function) -> what region keys read through it (see ``region_context``)
-    _declarations: dict[int, "_DeclarationMemo"] = field(default_factory=dict, repr=False)
-    #: id(HardwareCostModel) -> (signature tuple, digest)
-    _model_sigs: dict[int, tuple[tuple, str]] = field(default_factory=dict, repr=False)
-    #: objects that could not be weakref'd, pinned so their ids stay valid
-    _pins: list = field(default_factory=list, repr=False)
-    #: keys of entries loaded from disk (they count as ``disk_hits``)
-    _loaded: set[str] = field(default_factory=set, repr=False)
-    #: keys already present in any on-disk shard (loaded or flushed)
-    _persisted: set[str] = field(default_factory=set, repr=False)
-    #: serialized content of this instance's own shard file (survives
-    #: clear(); rewritten wholesale on every flush so the replace is atomic)
-    _own_lines: dict[str, str] = field(default_factory=dict, repr=False)
-    #: lazily created system-level result tier (see :attr:`system_results`)
-    _system: "SystemResultCache | None" = field(default=None, repr=False)
-    #: lazily created task-footprint memo (see :attr:`footprints`)
-    _footprints: "FootprintStore | None" = field(default=None, repr=False)
-    #: per-instance token making the shard file name unique even when two
-    #: caches in one process share a directory
-    _shard_token: str = field(default_factory=lambda: uuid.uuid4().hex[:8], repr=False)
-    #: stats snapshot at the last flush, for per-flush delta records
-    _flushed_stats: tuple[int, int, int] = field(default=(0, 0, 0), repr=False)
-    _cache_dir: Path | None = field(default=None, repr=False)
+    def __init__(self) -> None:
+        #: content key -> analysed breakdown (never stale; see module docstring)
+        self.store: MemoStore[WcetBreakdown] = MemoStore(
+            prefix=_SHARD_PREFIXES["code"], encode=_breakdown_fields, decode=_breakdown_of
+        )
+        #: id(Function) -> fingerprint (dropped via weakref.finalize on GC)
+        self._function_fps: dict[int, str] = {}
+        #: id(Block) -> the region's fingerprint and referenced names
+        self._region_fps: dict[int, _RegionMemo] = {}
+        #: id(Function) -> what region keys read through it (see ``region_context``)
+        self._declarations: dict[int, _DeclarationMemo] = {}
+        #: id(HardwareCostModel) -> (signature tuple, digest)
+        self._model_sigs: dict[int, tuple[tuple, str]] = {}
+        #: objects that could not be weakref'd, pinned so their ids stay valid
+        self._pins: list = []
+        #: the system-level result tier: shares these memos (so keys are
+        #: cheap to derive) and this cache's directory, and :meth:`flush` /
+        #: :meth:`clear` / :meth:`evict` cover it
+        self.system_results = SystemResultCache(self)
+        #: lazily created task-footprint tier (see :attr:`footprints`)
+        self._footprints: "FootprintStore | None" = None
+
+    @property
+    def stats(self) -> CacheStats:
+        """Hit/miss counters of the code-level tier."""
+        return self.store.stats
 
     # ------------------------------------------------------------------ #
     # content addressing
@@ -565,18 +781,10 @@ class WcetAnalysisCache(_ShardBackedTier):
     ) -> WcetBreakdown:
         """Memoized :func:`~repro.wcet.code_level.statement_wcet` of a region."""
         key = self.entry_key(region, function, model, average)
-        entry = self._entries.get(key)
+        entry = self.store.get(key)
         if entry is None:
-            self.stats.misses += 1
             entry = statement_wcet(region, function, model, average)
-            self._entries[key] = entry
-        elif key in self._loaded:
-            # only the *first* use of a loaded entry is a disk hit; repeat
-            # lookups are in-process hits (see the CacheStats docstring)
-            self._loaded.discard(key)
-            self.stats.disk_hits += 1
-        else:
-            self.stats.hits += 1
+            self.store.put(key, entry)
         # hand out a copy so callers can never corrupt the cached entry
         return replace(entry)
 
@@ -636,135 +844,46 @@ class WcetAnalysisCache(_ShardBackedTier):
     @property
     def cache_dir(self) -> Path | None:
         """The backing directory, or ``None`` for a memory-only cache."""
-        return self._cache_dir
+        return self.store.cache_dir
 
     def load(self, cache_dir: str | Path) -> int:
-        """Attach the cache to ``cache_dir`` and pull in its entries.
+        """Attach both persisted tiers to ``cache_dir`` and pull in their entries.
 
         Creates the version-stamped subdirectory if needed, merges every
-        well-formed line of every ``entries*.jsonl`` shard (duplicates and
-        torn lines are skipped) and returns the number of entries added.
-        Entries from other schema versions are ignored.
-
-        Re-attaching to a *different* directory forgets what was persisted
-        where: every in-memory entry becomes flushable to the new directory
-        (so switching directories cannot silently drop entries).
+        well-formed line of every shard (duplicates and torn lines are
+        skipped; see :meth:`MemoStore.load`) and returns the number of
+        code-level entries added.  Entries from other schema versions are
+        ignored.
         """
         cache_dir = Path(cache_dir)
-        if self._cache_dir is not None and cache_dir != self._cache_dir:
-            self._persisted.clear()
-            self._loaded.clear()
-            self._own_lines.clear()
-        self._cache_dir = cache_dir
-        vdir = self._version_dir()
-        vdir.mkdir(parents=True, exist_ok=True)
-        loaded = 0
-        for entries_path in sorted(vdir.glob("entries*.jsonl")):
-            for key, _line, record in _iter_shard_lines(entries_path):
-                try:
-                    entry = WcetBreakdown(
-                        total=float(record["total"]),
-                        compute=float(record["compute"]),
-                        memory=float(record["memory"]),
-                        control=float(record["control"]),
-                        shared_accesses=int(record["shared_accesses"]),
-                    )
-                except (ValueError, KeyError, TypeError):
-                    continue  # torn line or foreign content: skip, never fail
-                self._persisted.add(key)
-                if key not in self._entries:
-                    self._entries[key] = entry
-                    self._loaded.add(key)
-                    loaded += 1
-        if self._system is not None:
-            self._system.load(cache_dir)
-        return loaded
+        self.system_results.store.load(cache_dir)
+        return self.store.load(cache_dir)
 
     def flush(self) -> int:
-        """Persist every not-yet-persisted entry to this instance's shard.
+        """Persist every not-yet-persisted entry of both persisted tiers.
 
-        Returns the number of new entries written (0 for a memory-only
-        cache, so it is always safe to call).  The shard file is rewritten
-        through a tempfile and ``os.replace``, so a concurrent reader never
-        sees a torn file and concurrent flushes from other processes (which
-        own different shards) cannot interleave.  Also appends one hit/miss
-        delta record to this instance's stats shard so cache effectiveness
-        can be aggregated across processes by :func:`read_cache_dir_stats`.
-
-        The system-level result tier (when it has been used) is flushed
-        along; the return value counts *code-level* entries only.
+        Each tier rewrites its own shard through a tempfile and
+        ``os.replace`` (see :meth:`MemoStore.flush`), so a concurrent reader
+        never sees a torn file and concurrent flushes from other processes
+        (which own different shards) cannot interleave.  Returns the number
+        of new *code-level* entries written (0 for a memory-only cache, so
+        it is always safe to call).
         """
-        if self._system is not None:
-            self._system.flush()
-        if self._cache_dir is None:
-            return 0
-        fresh = {
-            key: entry for key, entry in self._entries.items() if key not in self._persisted
-        }
-        snapshot = (self.stats.hits, self.stats.disk_hits, self.stats.misses)
-        # self-heal: a concurrent evict() in another process deletes every
-        # shard it does not own, including this live instance's -- restore
-        # our own flushed entries rather than silently losing them
-        clobbered = bool(self._own_lines) and not self._shard_path(
-            self._version_dir(), "entries"
-        ).exists()
-        if not fresh and not clobbered and snapshot == self._flushed_stats:
-            return 0  # nothing to record: do not even touch the directory
-        vdir = self._version_dir()
-        vdir.mkdir(parents=True, exist_ok=True)
-        if fresh or clobbered:
-            for key, entry in fresh.items():
-                self._own_lines[key] = json.dumps(
-                    {"key": key, **{f: getattr(entry, f) for f in _ENTRY_FIELDS}},
-                    separators=(",", ":"),
-                )
-            _replace_shard(vdir, self._shard_path(vdir, "entries"), list(self._own_lines.values()))
-            self._persisted.update(fresh)
-        delta = tuple(now - then for now, then in zip(snapshot, self._flushed_stats))
-        if fresh or any(delta):
-            record = {
-                "pid": os.getpid(),
-                "hits": delta[0],
-                "disk_hits": delta[1],
-                "misses": delta[2],
-                "flushed": len(fresh),
-            }
-            # single writer per shard: a plain append is safe here
-            with self._shard_path(vdir, "stats").open("a", encoding="utf-8") as fh:
-                fh.write(json.dumps(record, separators=(",", ":")) + "\n")
-            self._flushed_stats = snapshot
-        return len(fresh)
-
-    # ------------------------------------------------------------------ #
-    # the system-level result tier
-    # ------------------------------------------------------------------ #
-    @property
-    def system_results(self) -> "SystemResultCache":
-        """The system-level tier of this cache (created on first use).
-
-        Shares this instance's fingerprint memos (so keys are cheap to
-        derive) and its backing directory: when the cache is disk-backed the
-        tier is loaded from the same version directory, and
-        :meth:`flush` / :meth:`clear` / :meth:`evict` cover it.
-        """
-        if self._system is None:
-            self._system = SystemResultCache(fingerprints=self)
-            if self._cache_dir is not None:
-                self._system.load(self._cache_dir)
-        return self._system
+        self.system_results.store.flush()
+        return self.store.flush()
 
     @property
     def footprints(self) -> "FootprintStore":
-        """The task-footprint memo keyed through this cache (created on first use).
+        """The task-footprint tier of this cache (created on first use).
 
         Shares this instance's region memos, so a footprint lookup renders
-        nothing a WCET lookup of the same region already rendered, and
-        :meth:`clear` drops it along with them.  In-memory only.
+        nothing a WCET lookup of the same region already rendered.
+        In-memory only.
         """
         if self._footprints is None:
             from repro.analysis.footprints import FootprintStore
 
-            self._footprints = FootprintStore(wcet_cache=self)
+            self._footprints = FootprintStore(self)
         return self._footprints
 
     # ------------------------------------------------------------------ #
@@ -778,9 +897,9 @@ class WcetAnalysisCache(_ShardBackedTier):
     ) -> dict:
         """Bound the attached cache directory (current schema version only).
 
-        Ranks every on-disk entry of *both* tiers -- code-level analyses and
-        system-level results -- and drops the lowest-ranked ones until the
-        configured bounds hold:
+        Ranks every on-disk entry of *both* persisted tiers -- code-level
+        analyses and system-level results -- and drops the lowest-ranked
+        ones until the configured bounds hold:
 
         * entries used in this process since :meth:`load` rank highest and
           are exempt from ``max_age_seconds``, so eviction can never throw
@@ -805,11 +924,10 @@ class WcetAnalysisCache(_ShardBackedTier):
         the next eviction.  Returns a report dict with kept/evicted counts
         per tier.
         """
-        if self._cache_dir is None:
+        if self.cache_dir is None:
             raise ValueError("evict() requires a disk-backed cache; call load() first")
         self.flush()
-        system = self.system_results
-        vdir = self._version_dir()
+        vdir = _version_dir(self.cache_dir)
         if not vdir.is_dir():  # nothing was ever flushed
             return {"kept": 0, "evicted": 0, "kept_bytes": 0, "tiers": {}}
         now = time.time()
@@ -817,26 +935,12 @@ class WcetAnalysisCache(_ShardBackedTier):
         #: entire fixed point, so the system tier must never be starved by
         #: the (far more numerous, individually cheaper) code entries that
         #: the same flush wrote moments later
-        tiers: dict[str, tuple] = {
-            "system": (system, "sys-entries"),
-            "code": (self, "entries"),
-        }
-        tier_rank = {name: rank for rank, name in enumerate(tiers)}
+        stores: dict[str, MemoStore] = {"system": self.system_results.store, "code": self.store}
+        tier_rank = {name: rank for rank, name in enumerate(stores)}
         candidates: list[tuple[bool, float, str, str, str]] = []
-        for tier_name, (tier, kind) in tiers.items():
-            hot = tier._hot_keys()
-            per_key: dict[str, tuple[float, str]] = {}
-            shard_mtimes: dict[Path, float] = {}
-            for path in vdir.glob(f"{kind}*.jsonl"):
-                try:
-                    shard_mtimes[path] = path.stat().st_mtime
-                except OSError:  # racing a concurrent evict/flush: skip
-                    continue
-            # oldest first, so the newest shard wins duplicate keys
-            for path, mtime in sorted(shard_mtimes.items(), key=lambda kv: kv[1]):
-                for key, line, _record in _iter_shard_lines(path):
-                    per_key[key] = (mtime, line)
-            for key, (mtime, line) in per_key.items():
+        for tier_name, store in stores.items():
+            hot = store.hot_keys()
+            for key, (mtime, line) in store.disk_lines().items():
                 is_hot = key in hot
                 candidates.append((is_hot, now if is_hot else mtime, tier_name, key, line))
         # hot entries first, then newest at whole-second granularity (both
@@ -845,7 +949,7 @@ class WcetAnalysisCache(_ShardBackedTier):
         candidates.sort(
             key=lambda c: (not c[0], -int(c[1]), tier_rank[c[2]], c[3])
         )
-        kept: dict[str, dict[str, str]] = {name: {} for name in tiers}
+        kept: dict[str, dict[str, str]] = {name: {} for name in stores}
         kept_count = 0
         kept_bytes = 0
         evicted = 0
@@ -869,12 +973,12 @@ class WcetAnalysisCache(_ShardBackedTier):
             kept[tier_name][key] = line
             kept_count += 1
             kept_bytes += size
-        for tier_name, (tier, kind) in tiers.items():
-            tier._rewrite_disk_entries(vdir, kind, kept[tier_name])
+        for tier_name, store in stores.items():
+            store.compact(kept[tier_name])
         stats_shards_removed = 0
         if max_age_seconds is not None:
-            for kind in ("stats", "sys-stats"):
-                for path in vdir.glob(f"{kind}*.jsonl"):
+            for prefix in _SHARD_PREFIXES.values():
+                for path in vdir.glob(f"{prefix}stats*.jsonl"):
                     try:
                         aged = now - path.stat().st_mtime > max_age_seconds
                     except OSError:  # pragma: no cover - racing deletion
@@ -892,30 +996,29 @@ class WcetAnalysisCache(_ShardBackedTier):
             "evicted": evicted,
             "kept_bytes": kept_bytes,
             "stats_shards_removed": stats_shards_removed,
-            "tiers": {name: len(kept[name]) for name in tiers},
+            "tiers": {name: len(kept[name]) for name in stores},
         }
 
     # ------------------------------------------------------------------ #
     def clear(self) -> None:
-        """Drop every in-memory entry and memo (stats are kept).
+        """Drop every in-memory entry and memo of every tier (stats are kept).
 
         On-disk entries are *not* deleted: the backing directory stays
         attached and can be re-read with :meth:`load`, and already-persisted
         keys are remembered so a later :meth:`flush` does not duplicate them.
         """
-        self._entries.clear()
+        self.store.clear()
         self._function_fps.clear()
         self._region_fps.clear()
         self._declarations.clear()
         self._model_sigs.clear()
         self._pins.clear()
-        self._loaded.clear()
-        self._footprints = None
-        if self._system is not None:
-            self._system.clear()
+        self.system_results.store.clear()
+        if self._footprints is not None:
+            self._footprints.store.clear()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.store)
 
     def __bool__(self) -> bool:
         """An empty cache is still a cache (``len`` would make it falsy)."""
@@ -925,7 +1028,7 @@ class WcetAnalysisCache(_ShardBackedTier):
 # ---------------------------------------------------------------------- #
 # the system-level result tier
 # ---------------------------------------------------------------------- #
-class SystemResultCache(_ShardBackedTier):
+class SystemResultCache:
     """Content-addressed memo of whole system-level analysis results.
 
     The second tier of the flow's result cache (see the module docstring):
@@ -940,36 +1043,25 @@ class SystemResultCache(_ShardBackedTier):
     machines, and a warm lookup skips the fixed point *and* the per-task
     code-level analyses.
 
-    The in-memory side is a bounded LRU (``max_memory_entries``): mapper
-    metaheuristics evaluate thousands of distinct mappings, and keeping all
-    of their full results alive would trade one scaling problem for another.
-    Disk persistence follows the exact shard scheme of the code-level tier,
-    under ``sys-entries*.jsonl`` / ``sys-stats*.jsonl`` in the same
-    version-stamped directory.
-
-    Instances are usually reached through
-    :attr:`WcetAnalysisCache.system_results`, which shares the code-level
-    tier's fingerprint memos and backing directory.
+    The tier lives inside a cache, as :attr:`WcetAnalysisCache.system_results`:
+    it derives keys through that cache's fingerprint memos, and its
+    :attr:`store` holds at most :data:`MAX_SYSTEM_RESULTS` records in memory
+    and persists them to ``sys-entries*.jsonl`` / ``sys-stats*.jsonl``
+    shards of the cache's directory.
     """
 
-    def __init__(
-        self,
-        fingerprints: WcetAnalysisCache | None = None,
-        max_memory_entries: int | None = 2048,
-    ) -> None:
-        self.stats = CacheStats()
-        self.max_memory_entries = max_memory_entries
-        #: fingerprint/memo provider (identity memos shared with the owning
-        #: code-level tier so keys are cheap to derive)
-        self._fingerprints = fingerprints if fingerprints is not None else WcetAnalysisCache()
-        #: content key -> serializable record (insertion order = LRU order)
-        self._entries: dict[str, dict] = {}
-        self._loaded: set[str] = set()
-        self._persisted: set[str] = set()
-        self._own_lines: dict[str, str] = {}
-        self._shard_token = uuid.uuid4().hex[:8]
-        self._flushed_stats: tuple[int, int, int] = (0, 0, 0)
-        self._cache_dir: Path | None = None
+    def __init__(self, fingerprints: WcetAnalysisCache) -> None:
+        #: the owning cache, whose identity memos make keys cheap to derive
+        self._fingerprints = fingerprints
+        #: content key -> serializable record (see :meth:`_record_of`)
+        self.store: MemoStore[dict] = MemoStore(
+            MAX_SYSTEM_RESULTS, _SHARD_PREFIXES["system"], encode=dict, decode=_checked_record
+        )
+
+    @property
+    def stats(self) -> CacheStats:
+        """Hit/miss counters of the result tier (misses are fixed points run)."""
+        return self.store.stats
 
     # ------------------------------------------------------------------ #
     # content addressing
@@ -1100,7 +1192,7 @@ class SystemResultCache(_ShardBackedTier):
     def _result_of(record: dict) -> "SystemWcetResult":
         from repro.wcet.system_level import SystemWcetResult
 
-        # coerce explicitly: _valid_record only checks *convertibility*, so
+        # coerce explicitly: _checked_record only checks *convertibility*, so
         # a foreign shard carrying numeric strings must still rebuild into a
         # result with real numbers (float(float) is the identity, so records
         # this module wrote round-trip bit-exactly)
@@ -1130,165 +1222,57 @@ class SystemResultCache(_ShardBackedTier):
             final_delta=float(record.get("final_delta", 0.0)),
         )
 
-    @staticmethod
-    def _valid_record(record: dict) -> bool:
-        try:
-            tasks = record["tasks"]
-            cores = record["cores"]
-            if not isinstance(tasks, dict) or not isinstance(cores, dict):
-                return False
-            for row in tasks.values():
-                if len(row) != 6:
-                    return False
-                float(row[0]), float(row[1]), float(row[2]), int(row[3])
-                float(row[4]), int(row[5])
-            for core in cores.values():
-                int(core)
-            allowed = record.get("allowed")
-            if allowed is not None:
-                if not isinstance(allowed, dict):
-                    return False
-                for others in allowed.values():
-                    if not isinstance(others, list) or not all(
-                        isinstance(o, str) for o in others
-                    ):
-                        return False
-            float(record["makespan"])
-            float(record["interference"])
-            float(record["communication"])
-            float(record.get("final_delta", 0.0))
-            int(record["iterations"])
-            return isinstance(record["converged"], bool)
-        except (KeyError, TypeError, ValueError):
-            return False
-
     def get(self, key: str) -> "SystemWcetResult | None":
         """The cached result under ``key`` (a fresh object), or ``None``.
 
         A ``None`` return counts as a miss -- the caller is expected to run
         the analysis and :meth:`put` the outcome.
         """
-        record = self._entries.get(key)
-        if record is None:
-            self.stats.misses += 1
-            return None
-        if key in self._loaded:
-            self._loaded.discard(key)
-            self.stats.disk_hits += 1
-        else:
-            self.stats.hits += 1
-        # LRU touch: re-insertion moves the key to the newest position
-        del self._entries[key]
-        self._entries[key] = record
-        return self._result_of(record)
+        record = self.store.get(key)
+        return None if record is None else self._result_of(record)
 
     def put(self, key: str, result: "SystemWcetResult") -> None:
-        """Memoize ``result`` under ``key`` (oldest entries drop past the LRU bound)."""
-        self._entries.pop(key, None)
-        self._entries[key] = self._record_of(result)
-        if self.max_memory_entries is not None:
-            while len(self._entries) > self.max_memory_entries:
-                oldest = next(iter(self._entries))
-                del self._entries[oldest]
-                self._loaded.discard(oldest)
-
-    # ------------------------------------------------------------------ #
-    # disk persistence (same shard scheme as the code-level tier)
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def open(cls, cache_dir: str | Path) -> "SystemResultCache":
-        """A fresh standalone tier pre-loaded from (and flushing to) ``cache_dir``."""
-        cache = cls()
-        cache.load(cache_dir)
-        return cache
-
-    @property
-    def cache_dir(self) -> Path | None:
-        return self._cache_dir
-
-    def load(self, cache_dir: str | Path) -> int:
-        """Attach to ``cache_dir`` and merge its ``sys-entries*.jsonl`` shards."""
-        cache_dir = Path(cache_dir)
-        if self._cache_dir is not None and cache_dir != self._cache_dir:
-            self._persisted.clear()
-            self._loaded.clear()
-            self._own_lines.clear()
-        self._cache_dir = cache_dir
-        vdir = self._version_dir()
-        vdir.mkdir(parents=True, exist_ok=True)
-        loaded = 0
-        for entries_path in sorted(vdir.glob("sys-entries*.jsonl")):
-            for key, _line, record in _iter_shard_lines(entries_path):
-                record.pop("key", None)
-                if not self._valid_record(record):
-                    continue
-                self._persisted.add(key)
-                if key not in self._entries:
-                    self._entries[key] = record
-                    self._loaded.add(key)
-                    loaded += 1
-        return loaded
-
-    def flush(self) -> int:
-        """Persist every not-yet-persisted result to this instance's shard."""
-        if self._cache_dir is None:
-            return 0
-        fresh = {
-            key: record for key, record in self._entries.items() if key not in self._persisted
-        }
-        snapshot = (self.stats.hits, self.stats.disk_hits, self.stats.misses)
-        # self-heal after a concurrent evict() deleted this shard (see the
-        # code-level tier's flush for the rationale)
-        clobbered = bool(self._own_lines) and not self._shard_path(
-            self._version_dir(), "sys-entries"
-        ).exists()
-        if not fresh and not clobbered and snapshot == self._flushed_stats:
-            return 0
-        vdir = self._version_dir()
-        vdir.mkdir(parents=True, exist_ok=True)
-        if fresh or clobbered:
-            for key, record in fresh.items():
-                self._own_lines[key] = json.dumps(
-                    {"key": key, **record}, separators=(",", ":")
-                )
-            self._persisted.update(fresh)
-            # the own-shard buffer obeys the same bound as the LRU: without
-            # this, every flush of a long-lived driver would accrete more
-            # multi-KB result lines forever and the "bounded in-memory
-            # side" promise would only hold for _entries
-            if self.max_memory_entries is not None:
-                while len(self._own_lines) > self.max_memory_entries:
-                    oldest = next(iter(self._own_lines))
-                    del self._own_lines[oldest]
-                    self._persisted.discard(oldest)
-            _replace_shard(
-                vdir, self._shard_path(vdir, "sys-entries"), list(self._own_lines.values())
-            )
-        delta = tuple(now - then for now, then in zip(snapshot, self._flushed_stats))
-        if fresh or any(delta):
-            record = {
-                "pid": os.getpid(),
-                "hits": delta[0],
-                "disk_hits": delta[1],
-                "misses": delta[2],
-                "flushed": len(fresh),
-            }
-            with self._shard_path(vdir, "sys-stats").open("a", encoding="utf-8") as fh:
-                fh.write(json.dumps(record, separators=(",", ":")) + "\n")
-            self._flushed_stats = snapshot
-        return len(fresh)
-
-    # ------------------------------------------------------------------ #
-    def clear(self) -> None:
-        """Drop every in-memory result (stats and on-disk shards are kept)."""
-        self._entries.clear()
-        self._loaded.clear()
+        """Memoize ``result`` under ``key`` (oldest entries drop past the bound)."""
+        self.store.put(key, self._record_of(result))
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.store)
 
     def __bool__(self) -> bool:
         return True
+
+
+def _checked_record(record: dict) -> dict | None:
+    """``record`` when it can rebuild a result (see ``_result_of``), else ``None``."""
+    try:
+        tasks = record["tasks"]
+        cores = record["cores"]
+        if not isinstance(tasks, dict) or not isinstance(cores, dict):
+            return None
+        for row in tasks.values():
+            if len(row) != 6:
+                return None
+            float(row[0]), float(row[1]), float(row[2]), int(row[3])
+            float(row[4]), int(row[5])
+        for core in cores.values():
+            int(core)
+        allowed = record.get("allowed")
+        if allowed is not None:
+            if not isinstance(allowed, dict):
+                return None
+            for others in allowed.values():
+                if not isinstance(others, list) or not all(
+                    isinstance(o, str) for o in others
+                ):
+                    return None
+        float(record["makespan"])
+        float(record["interference"])
+        float(record["communication"])
+        float(record.get("final_delta", 0.0))
+        int(record["iterations"])
+        return record if isinstance(record["converged"], bool) else None
+    except (KeyError, TypeError, ValueError):
+        return None
 
 
 class _Unfingerprintable(Exception):
@@ -1354,32 +1338,26 @@ def read_cache_dir_stats(cache_dir: str | Path, count_entries: bool = True) -> d
     before/after snapshots without special cases.
     """
     counter_keys = ("hits", "disk_hits", "misses", "flushed")
-    totals = {key: 0 for key in counter_keys}
-    totals["entries"] = 0
-    totals["system"] = {key: 0 for key in counter_keys}
-    totals["system"]["entries"] = 0
-    vdir = Path(cache_dir) / f"v{CACHE_SCHEMA_VERSION}"
+    totals: dict = dict.fromkeys((*counter_keys, "entries"), 0)
+    totals["system"] = dict.fromkeys((*counter_keys, "entries"), 0)
+    vdir = _version_dir(Path(cache_dir))
     if not vdir.is_dir():
         return totals
-
-    def _aggregate(stats_pattern: str, entries_pattern: str, into: dict) -> None:
-        for stats_path in sorted(vdir.glob(stats_pattern)):
+    for tier, prefix in _SHARD_PREFIXES.items():
+        into = totals if tier == "code" else totals[tier]
+        for stats_path in sorted(vdir.glob(f"{prefix}stats*.jsonl")):
             for line in stats_path.read_text(encoding="utf-8").splitlines():
                 try:
                     record = json.loads(line)
                     for key in counter_keys:
                         into[key] += int(record.get(key, 0))
-                except (ValueError, TypeError):
+                except (ValueError, TypeError, AttributeError):
                     continue
         if count_entries:
-            keys = set()
-            for entries_path in sorted(vdir.glob(entries_pattern)):
-                for key, _line, _record in _iter_shard_lines(entries_path):
-                    keys.add(key)
+            keys: set[str] = set()
+            for entries_path in vdir.glob(f"{prefix}entries*.jsonl"):
+                keys.update(key for key, _line, _record in _iter_shard_lines(entries_path))
             into["entries"] = len(keys)
-
-    _aggregate("stats*.jsonl", "entries*.jsonl", totals)
-    _aggregate("sys-stats*.jsonl", "sys-entries*.jsonl", totals["system"])
     return totals
 
 

@@ -106,7 +106,7 @@ from repro.wcet.code_level import analyze_task_wcet
 from repro.wcet.hardware_model import HardwareCostModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.wcet.cache import SystemResultCache, WcetAnalysisCache
+    from repro.wcet.cache import WcetAnalysisCache
 
 def _resolve_static_pruning(value: "bool | None") -> bool:
     if value is None:
@@ -560,7 +560,7 @@ def system_level_wcet(
     storage_override: dict[str, Storage] | None = None,
     max_iterations: int = 25,
     cache: "WcetAnalysisCache | None" = None,
-    result_cache: "SystemResultCache | None | bool" = None,
+    result_cache: bool = True,
     certify: bool = False,
     static_pruning: "bool | None" = None,
     design: "SystemDesign | None" = None,
@@ -587,12 +587,12 @@ def system_level_wcet(
     under result keys distinct from unpruned ones.
 
     ``result_cache`` controls the system-level result tier
-    (:class:`~repro.wcet.cache.SystemResultCache`): the default ``None``
-    uses ``cache.system_results`` when a code-level cache is given, so a
-    previously analysed identical design point skips the fixed point (and
-    the per-task code-level analyses) entirely; pass an explicit tier to
-    override, or ``False`` to force a full re-analysis (differential tests
-    and fixed-point benchmarks want the recomputation, not the memo).
+    (:class:`~repro.wcet.cache.SystemResultCache`): by default
+    ``cache.system_results`` is consulted when a code-level cache is given,
+    so a previously analysed identical design point skips the fixed point
+    (and the per-task code-level analyses) entirely; ``False`` forces a full
+    re-analysis (differential tests and fixed-point benchmarks want the
+    recomputation, not the memo).
 
     ``certify`` guards the cache-replay path: a memoized result served from
     the result tier is re-validated by the independent fixed-point
@@ -617,14 +617,7 @@ def system_level_wcet(
     # a malformed mapping or order fails here, whatever the result tier holds
     cores, rows = design.vectors(mapping, order)
 
-    result_tier: "SystemResultCache | None"
-    if result_cache is True or result_cache is None:
-        # boolean opt-in == the default derivation from the code-level cache
-        result_tier = cache.system_results if cache is not None else None
-    elif result_cache is False:
-        result_tier = None
-    else:
-        result_tier = result_cache
+    result_tier = cache.system_results if cache is not None and result_cache else None
     result_key: str | None = None
     if result_tier is not None:
         result_key = result_tier.result_key(

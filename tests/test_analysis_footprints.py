@@ -9,8 +9,8 @@ must-stay-conservative fixtures.
 
 import math
 
+import repro.analysis.footprints as footprints_module
 from repro.analysis.footprints import (
-    FootprintStore,
     footprints_address_disjoint,
     footprints_conflict_free,
     iteration_value_range,
@@ -245,14 +245,16 @@ class TestIterationValueRange:
 # footprint store
 # ---------------------------------------------------------------------- #
 class TestFootprintStore:
+    """The footprint tier, reached as ``WcetAnalysisCache().footprints``."""
+
     def test_cache_hits_on_identical_regions(self):
         func = shared_buf_function()
         task = chunk_task("t", 0, 4)
-        store = FootprintStore()
+        store = WcetAnalysisCache().footprints
         first = store.footprint(func, task)
         second = store.footprint(func, task)
         assert first is second
-        assert store.hits == 1 and store.misses == 1
+        assert store.stats.hits == 1 and store.stats.misses == 1
 
     def test_declared_sets_key_the_entry(self):
         # same rendered statements, different declared write sets: the
@@ -260,7 +262,7 @@ class TestFootprintStore:
         func = shared_buf_function()
         bare = Task("a", TaskKind.BLOCK, Block())
         declared = Task("b", TaskKind.BLOCK, Block(), writes={"buf"})
-        store = FootprintStore()
+        store = WcetAnalysisCache().footprints
         fp_bare = store.footprint(func, bare)
         fp_declared = store.footprint(func, declared)
         assert "buf" not in fp_bare.array_writes
@@ -269,9 +271,13 @@ class TestFootprintStore:
     def test_shares_fingerprints_with_wcet_cache(self):
         func = shared_buf_function()
         task = chunk_task("t", 0, 4)
-        store = FootprintStore(wcet_cache=WcetAnalysisCache())
+        cache = WcetAnalysisCache()
+        store = cache.footprints
+        assert store is cache.footprints
         assert store.footprint(func, task).array_writes["buf"] == ValueRange(0.0, 3.0)
         assert store.footprint(func, task) is store.footprint(func, task)
+        # the key went through the cache's region memo
+        assert id(task.statements) in cache._region_fps
 
     def test_task_footprints_convenience(self):
         func = shared_buf_function()
@@ -295,16 +301,22 @@ class TestFootprintStore:
         # a copy sharing the statements, as incremental extraction hands over
         again = Task("u", TaskKind.LOOP_CHUNK, task.statements, writes={"buf"}, parent="loop")
         assert store.footprint(func, again).array_writes == first.array_writes
-        assert store.hits == 1
+        assert store.stats.hits == 1
         assert rendered == []
 
-    def test_lru_bounds_memory(self):
+    def test_lru_bounds_memory(self, monkeypatch):
+        monkeypatch.setattr(footprints_module, "MAX_FOOTPRINTS", 2)
         func = shared_buf_function()
-        store = FootprintStore(max_entries=2)
-        for k in range(4):
-            store.footprint(func, chunk_task(f"t{k}", k, k + 1))
-        assert store.misses == 4
-        assert len(store._entries) <= 2
+        store = WcetAnalysisCache().footprints
+        tasks = [chunk_task(f"t{k}", k, k + 1) for k in range(4)]
+        for task in tasks:
+            store.footprint(func, task)
+        assert store.stats.misses == 4
+        assert len(store.store) == 2
+        # the two most recently used survive: t3 hits, t0 was dropped
+        store.footprint(func, tasks[3])
+        store.footprint(func, tasks[0])
+        assert (store.stats.hits, store.stats.misses) == (1, 5)
 
 
 def test_trunc_is_infinity_preserving():

@@ -11,7 +11,6 @@ import pytest
 
 from repro.adl.platforms import generic_predictable_multicore
 from repro.analysis.incremental import (
-    IncrementalAnalysisStore,
     diagram_fingerprint,
     diff_summaries,
     mark_reused,
@@ -186,7 +185,7 @@ def test_structural_edits_match_cold(edit):
     base = pipe.run(_diagram(seed=21))
     edited = _diagram(seed=21)
     edit(edited, seed=2)
-    footprint_misses = pipe.wcet_cache.footprints.misses
+    footprint_misses = pipe.wcet_cache.footprints.stats.misses
     result = pipe.run_incremental(base, edited)
     _assert_bit_identical(result, _pipeline().run(edited))
     # an edit that adds or removes declarations re-keys only the regions
@@ -195,7 +194,7 @@ def test_structural_edits_match_cold(edit):
     fresh = _reextracted(result, base)
     assert len(fresh) < len(result.htg.leaf_tasks())
     assert result.cache_stats["misses"] <= 2 * len(fresh) + 1
-    assert pipe.wcet_cache.footprints.misses - footprint_misses <= len(fresh)
+    assert pipe.wcet_cache.footprints.stats.misses - footprint_misses <= len(fresh)
 
 
 @pytest.mark.parametrize("edit", [insert_gain_block, delete_block])
@@ -205,10 +204,10 @@ def test_structural_edits_with_static_pruning_reuse_footprints(edit):
     base = pipe.run(_diagram(seed=21))
     edited = _diagram(seed=21)
     edit(edited, seed=2)
-    footprint_misses = pipe.wcet_cache.footprints.misses
+    footprint_misses = pipe.wcet_cache.footprints.stats.misses
     result = pipe.run_incremental(base, edited)
     _assert_bit_identical(result, _pipeline(config=config).run(edited))
-    assert pipe.wcet_cache.footprints.misses - footprint_misses <= len(
+    assert pipe.wcet_cache.footprints.stats.misses - footprint_misses <= len(
         _reextracted(result, base)
     )
 
@@ -471,22 +470,6 @@ def test_mark_reused_sets_provenance():
     assert reused.checked["reused"] == 1
     # the original is untouched
     assert all(f.provenance == "computed" for f in report.findings)
-
-
-def test_incremental_analysis_store_roundtrip():
-    store = IncrementalAnalysisStore(max_entries=2)
-    report = AnalysisReport("demo")
-    report.add(Finding(code="a", message="m"))
-    assert store.reports_for("fp1") is None
-    store.record("fp1", [report])
-    replayed = store.reports_for("fp1")
-    assert replayed is not None
-    assert replayed[0].findings[0].provenance == "reused"
-    assert (store.hits, store.misses) == (1, 1)
-    store.record("fp2", [])
-    store.record("fp3", [])  # evicts fp1
-    assert len(store) == 2
-    assert store.reports_for("fp1") is None
 
 
 # ---------------------------------------------------------------------- #

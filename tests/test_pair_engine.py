@@ -25,7 +25,6 @@ from repro.analysis.certify.contention_cert import (
 )
 from repro.analysis.footprints import (
     address_overlaps,
-    default_footprint_store,
     footprints_address_disjoint,
     footprints_conflict_free,
     task_footprint,
@@ -52,7 +51,7 @@ from repro.usecases.workloads import (
     synthetic_compiled_model,
 )
 from repro.utils.graphs import Reachability, transitive_closure
-from repro.wcet import HardwareCostModel, annotate_htg_wcets, system_level_wcet
+from repro.wcet import HardwareCostModel, annotate_htg_wcets, shared_cache, system_level_wcet
 
 USECASES = ["egpws", "polka", "weaa"]
 CASES = USECASES + ["synthetic-1", "synthetic-2", "synthetic-3"]
@@ -63,7 +62,7 @@ CASES = USECASES + ["synthetic-1", "synthetic-2", "synthetic-3"]
 # ---------------------------------------------------------------------- #
 def static_mhp_oracle(htg, function, mapping, sharers=None, use_footprints=True):
     """``compute_static_mhp`` as a double loop over a networkx closure."""
-    store = default_footprint_store()
+    store = shared_cache().footprints
     leaf_ids = [t.task_id for t in htg.leaf_tasks() if t.task_id in mapping]
     if sharers is None:
         sharers = [
@@ -173,7 +172,7 @@ def race_oracle(htg, mapping, order, function, prev_state=None, changed_tasks=No
     shared_names = frozenset(
         d.name for d in function.all_decls() if d.storage in SHARED_STORAGE
     )
-    store = default_footprint_store()
+    store = shared_cache().footprints
 
     def footprint_of(task):
         return store.footprint(function, task)

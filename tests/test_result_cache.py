@@ -31,10 +31,10 @@ from repro.htg.extraction import ExtractionOptions
 from repro.scheduling.schedule import default_core_order
 from repro.usecases import build_egpws_diagram, build_polka_diagram
 from repro.usecases.workloads import synthetic_compiled_model
+import repro.wcet.cache as cache_module
 from repro.wcet import (
     CACHE_SCHEMA_VERSION,
     HardwareCostModel,
-    SystemResultCache,
     WcetAnalysisCache,
     annotate_htg_wcets,
     platform_signature,
@@ -180,8 +180,9 @@ class TestSystemResultCache:
             (o.system_wcet, o.sequential_wcet) for o in cold
         ]
 
-    def test_lru_bound_caps_memory(self):
-        tier = SystemResultCache(max_memory_entries=2)
+    def test_lru_bound_caps_memory(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "MAX_SYSTEM_RESULTS", 2)
+        tier = WcetAnalysisCache().system_results
         model, htg, platform, mapping, order = build_mapped_case(cores=2)
         result = system_level_wcet(htg, model.entry, platform, mapping, order)
         for i in range(5):
@@ -190,20 +191,45 @@ class TestSystemResultCache:
         assert tier.get("key4") is not None
         assert tier.get("key0") is None  # evicted from memory
 
-    def test_own_shard_buffer_is_bounded_too(self, tmp_path):
+    def test_own_shard_buffer_is_bounded_too(self, tmp_path, monkeypatch):
         """Repeated flushes of a long-lived instance must not accrete
         result lines without bound: the own shard obeys the LRU bound."""
+        monkeypatch.setattr(cache_module, "MAX_SYSTEM_RESULTS", 2)
         model, htg, platform, mapping, order = build_mapped_case(cores=2)
         result = system_level_wcet(htg, model.entry, platform, mapping, order)
-        tier = SystemResultCache(max_memory_entries=2)
-        tier.load(tmp_path / "cache")
+        cache = WcetAnalysisCache.open(tmp_path / "cache")
         for round_ in range(3):
-            tier.put(f"key{2 * round_}", result)
-            tier.put(f"key{2 * round_ + 1}", result)
-            tier.flush()
+            cache.system_results.put(f"key{2 * round_}", result)
+            cache.system_results.put(f"key{2 * round_ + 1}", result)
+            cache.flush()
         shards = list((tmp_path / "cache" / f"v{CACHE_SCHEMA_VERSION}").glob("sys-entries*.jsonl"))
         assert len(shards) == 1
         assert len(shards[0].read_text().splitlines()) == 2
+
+    def test_load_keeps_the_bound_and_the_newest_results(self, tmp_path, monkeypatch):
+        """Each writer bounds only its own shard, so a directory written by
+        several processes holds more results than one tier may keep: loading
+        it must apply the bound, keeping the newest shards' results."""
+        import os
+
+        monkeypatch.setattr(cache_module, "MAX_SYSTEM_RESULTS", 2)
+        model, htg, platform, mapping, order = build_mapped_case(cores=2)
+        result = system_level_wcet(htg, model.entry, platform, mapping, order)
+        vdir = tmp_path / "cache" / f"v{CACHE_SCHEMA_VERSION}"
+        for writer in range(3):
+            before = set(vdir.glob("sys-entries*.jsonl"))
+            cache = WcetAnalysisCache.open(tmp_path / "cache")
+            cache.system_results.put(f"w{writer}a", result)
+            cache.system_results.put(f"w{writer}b", result)
+            cache.flush()
+            # distinct mtimes, oldest writer first, whatever the clock grain
+            (shard,) = set(vdir.glob("sys-entries*.jsonl")) - before
+            os.utime(shard, (1000 * (writer + 1), 1000 * (writer + 1)))
+        assert read_cache_dir_stats(tmp_path / "cache")["system"]["entries"] == 6
+        tier = WcetAnalysisCache.open(tmp_path / "cache").system_results
+        assert len(tier) == 2
+        assert tier.get("w2a") is not None and tier.get("w2b") is not None
+        assert tier.stats.disk_hits == 2
 
     def test_malformed_disk_records_are_skipped(self, tmp_path):
         cache_dir = tmp_path / "cache"
@@ -225,7 +251,7 @@ class TestSystemResultCache:
             '{"key": "wrong", "makespan": "x", "tasks": {}, "cores": {}}',
         ]
         (vdir / "sys-entries-legacy.jsonl").write_text("\n".join(lines) + "\n")
-        tier = SystemResultCache.open(cache_dir)
+        tier = WcetAnalysisCache.open(cache_dir).system_results
         assert len(tier) == 1
         assert tier.get("good").makespan == 1.0
 

@@ -5,6 +5,9 @@ have to produce byte-identical schedules and WCET bounds on every use case,
 and repeated scheduling runs must be deterministic.
 """
 
+import json
+from typing import Callable, NamedTuple
+
 import pytest
 
 from repro.adl.platforms import generic_predictable_multicore
@@ -28,7 +31,8 @@ from repro.wcet import (
     annotate_htg_wcets,
     system_level_wcet,
 )
-from repro.wcet.code_level import statement_wcet
+from repro.wcet.cache import CACHE_SCHEMA_VERSION
+from repro.wcet.code_level import WcetBreakdown, statement_wcet
 
 USECASES = ["egpws", "polka", "weaa", "workloads"]
 
@@ -305,82 +309,219 @@ class TestHeterogeneousSharing:
                 assert (plain.total, plain.shared_accesses) == (cached.total, cached.shared_accesses)
 
 
-class TestDiskPersistence:
-    def _analyze_all(self, cache):
-        model, htg, platform = build_case("workloads")
-        totals = {}
-        for task in htg.leaf_tasks():
-            breakdown = analyze_task_wcet(
-                task, model.entry, HardwareCostModel(platform, 0), cache=cache
-            )
-            totals[task.task_id] = (
-                breakdown.total,
-                breakdown.compute,
-                breakdown.memory,
-                breakdown.control,
-                breakdown.shared_accesses,
-            )
-        return totals
+def _analyze_tasks(cache, platform=None):
+    """Code-level analyses of every leaf task of one model (one entry each)."""
+    model, htg, own_platform = build_case("workloads")
+    cost_model = HardwareCostModel(platform or own_platform, 0)
+    totals = {}
+    for task in htg.leaf_tasks():
+        breakdown = analyze_task_wcet(task, model.entry, cost_model, cache=cache)
+        totals[task.task_id] = (
+            breakdown.total,
+            breakdown.compute,
+            breakdown.memory,
+            breakdown.control,
+            breakdown.shared_accesses,
+        )
+    return totals
 
-    def test_roundtrip_across_cache_instances(self, tmp_path):
-        first = WcetAnalysisCache.open(tmp_path / "cache")
-        cold = self._analyze_all(first)
-        assert first.stats.misses > 0
-        assert first.flush() == first.stats.misses
-        assert first.flush() == 0  # nothing new: idempotent
 
-        # a fresh instance (fresh platform/IR objects too) must hit disk only
-        second = WcetAnalysisCache.open(tmp_path / "cache")
-        warm = self._analyze_all(second)
-        assert warm == cold
-        assert second.stats.misses == 0
-        assert second.stats.disk_hits == len(cold)
+def _analyze_systems(cache, platform=None):
+    """System-level analyses of three mappings of one model (one result each
+    on four cores)."""
+    model, htg, own_platform = build_case("workloads")
+    platform = platform or own_platform
+    leaves = [t.task_id for t in htg.topological_tasks() if not t.is_synthetic]
+    makespans = {}
+    for shift in range(3):
+        mapping = {tid: (i + shift) % platform.num_cores for i, tid in enumerate(leaves)}
+        order = default_core_order(htg, mapping)
+        result = system_level_wcet(htg, model.entry, platform, mapping, order, cache=cache)
+        makespans[tuple(sorted(mapping.items()))] = result.makespan
+    return makespans
+
+
+class Tier(NamedTuple):
+    """How the shared persistence contract reaches one persisted tier."""
+
+    prefix: str  # shard-file prefix
+    store: Callable  # cache -> the tier's MemoStore
+    populate: Callable  # (cache, platform=None) -> one outcome per entry
+
+
+CODE_TIER = Tier("", lambda cache: cache.store, _analyze_tasks)
+SYSTEM_TIER = Tier("sys-", lambda cache: cache.system_results.store, _analyze_systems)
+
+
+class _PersistenceContract:
+    """Disk behaviour every persisted tier shares (``tier`` picks one)."""
+
+    tier: Tier
 
     def test_repeat_lookups_of_loaded_entries_count_as_hits(self, tmp_path):
         """Pinned semantics: ``disk_hits`` counts the *first* use of each
         loaded entry only; every repeat lookup is an in-process ``hit``, so
         hot entries cannot inflate the disk-hit rate."""
         first = WcetAnalysisCache.open(tmp_path / "cache")
-        cold = self._analyze_all(first)
+        count = len(self.tier.populate(first))
         first.flush()
         second = WcetAnalysisCache.open(tmp_path / "cache")
-        self._analyze_all(second)
-        assert second.stats.disk_hits == len(cold)
-        assert second.stats.hits == 0
+        self.tier.populate(second)
+        stats = self.tier.store(second).stats
+        assert stats.disk_hits == count
+        assert stats.hits == 0
         # the same lookups again: served from memory, not "from disk"
-        self._analyze_all(second)
-        assert second.stats.disk_hits == len(cold)
-        assert second.stats.hits == len(cold)
-        assert second.stats.misses == 0
+        self.tier.populate(second)
+        assert stats.disk_hits == count
+        assert stats.hits == count
+        assert stats.misses == 0
 
-    def test_entries_live_under_version_dir(self, tmp_path):
-        from repro.wcet.cache import CACHE_SCHEMA_VERSION
+    def test_foreign_versions_and_torn_lines_are_ignored(self, tmp_path):
+        source = WcetAnalysisCache.open(tmp_path / "source")
+        self.tier.populate(source)
+        source.flush()
+        (shard,) = (tmp_path / "source" / f"v{CACHE_SCHEMA_VERSION}").glob(
+            f"{self.tier.prefix}entries-*.jsonl"
+        )
+        cache_dir = tmp_path / "cache"
+        # well-formed entries under another schema version: must not be read
+        (cache_dir / "v0").mkdir(parents=True)
+        (cache_dir / "v0" / f"{self.tier.prefix}entries.jsonl").write_text(shard.read_text())
+        cache = WcetAnalysisCache.open(cache_dir)
+        assert len(self.tier.store(cache)) == 0
+        self.tier.populate(cache)
+        cache.flush()
+        # a torn line in any shard must not break loading (the legacy
+        # append-only entries file is still read as a shard)
+        legacy = cache_dir / f"v{CACHE_SCHEMA_VERSION}" / f"{self.tier.prefix}entries.jsonl"
+        with legacy.open("a") as fh:
+            fh.write('{"key": "torn", "tot')
+        reloaded = WcetAnalysisCache.open(cache_dir)
+        assert len(self.tier.store(reloaded)) == len(self.tier.store(cache))
+
+    def test_two_instances_flush_to_disjoint_shards(self, tmp_path):
+        """Concurrent flushers own private shard files; load merges them."""
+        cache_dir = tmp_path / "cache"
+        first = WcetAnalysisCache.open(cache_dir)
+        second = WcetAnalysisCache.open(cache_dir)
+        self.tier.populate(first)
+        # second analyses a different platform -> different keys
+        self.tier.populate(second, generic_predictable_multicore(cores=2, shared_latency=16))
+        first.flush()
+        second.flush()
+        vdir = cache_dir / f"v{CACHE_SCHEMA_VERSION}"
+        pattern = f"{self.tier.prefix}entries-*.jsonl"
+        assert len(list(vdir.glob(pattern))) == 2  # one private shard per instance
+        # repeated flushes rewrite in place instead of growing new files
+        self.tier.populate(second)
+        second.flush()
+        assert len(list(vdir.glob(pattern))) == 2
+        assert not list(vdir.glob("*.tmp"))  # tempfiles are always replaced
+        merged = WcetAnalysisCache.open(cache_dir)
+        keys = set(self.tier.store(first).entries) | set(self.tier.store(second).entries)
+        assert set(self.tier.store(merged).entries) == keys
+
+    def test_reattach_flushes_everything_to_new_dir(self, tmp_path):
+        cache = WcetAnalysisCache.open(tmp_path / "a")
+        self.tier.populate(cache)
+        cache.flush()
+        store = self.tier.store(cache)
+        entry_count = len(store)
+        # switching directories must make every in-memory entry flushable
+        # again, so the new directory gets a complete copy
+        cache.load(tmp_path / "b")
+        assert store.flush() == entry_count
+        assert len(self.tier.store(WcetAnalysisCache.open(tmp_path / "b"))) == entry_count
+
+    def test_noop_flush_does_not_touch_disk(self, tmp_path):
+        import shutil
 
         cache = WcetAnalysisCache.open(tmp_path / "cache")
-        self._analyze_all(cache)
+        self.tier.populate(cache)
+        cache.flush()
+        vdir = tmp_path / "cache" / f"v{CACHE_SCHEMA_VERSION}"
+        before = {path.name: path.stat().st_mtime_ns for path in vdir.iterdir()}
+        assert self.tier.store(cache).flush() == 0  # nothing new, no counts
+        assert {path.name: path.stat().st_mtime_ns for path in vdir.iterdir()} == before
+        idle = WcetAnalysisCache()
+        idle.load(tmp_path / "idle")
+        shutil.rmtree(tmp_path / "idle")
+        assert self.tier.store(idle).flush() == 0  # directory not recreated
+        assert not (tmp_path / "idle").exists()
+
+
+class TestResultTierPersistence(_PersistenceContract):
+    tier = SYSTEM_TIER
+
+
+#: shard lines exactly as the writers of schema v5 produce them
+GOLDEN_LINES = {
+    "code": [
+        '{"key":"ctx0|fp0|sig0|wc","total":120.0,"compute":80.0,"memory":30.0,'
+        '"control":10.0,"shared_accesses":4}',
+        '{"key":"ctx1|fp1|sig0|avg","total":96.5,"compute":64.0,"memory":24.5,'
+        '"control":8.0,"shared_accesses":0}',
+    ],
+    "system": [
+        '{"key":"sys0","makespan":130.0,"iterations":2,"converged":true,'
+        '"final_delta":0.0,"interference":8.0,"communication":4.0,'
+        '"tasks":{"t_a":[0.0,60.0,60.0,1,56.0,3],"t_b":[64.0,130.0,66.0,1,62.0,2]},'
+        '"cores":{"t_a":0,"t_b":1},"allowed":{"t_a":["t_b"],"t_b":["t_a"]}}',
+        '{"key":"sys1","makespan":75.0,"iterations":1,"converged":true,'
+        '"final_delta":0.0,"interference":0.0,"communication":0.0,'
+        '"tasks":{"t_a":[0.0,75.0,75.0,0,75.0,0]},"cores":{"t_a":0}}',
+    ],
+}
+
+
+@pytest.mark.parametrize("name", ["code", "system"])
+def test_golden_shard_lines_round_trip(tmp_path, name):
+    """Today's on-disk lines load, and flushing the loaded entries into a
+    fresh directory writes the very same bytes."""
+    tier, lines = {"code": CODE_TIER, "system": SYSTEM_TIER}[name], GOLDEN_LINES[name]
+    text = "\n".join(lines) + "\n"
+    vdir = tmp_path / "a" / f"v{CACHE_SCHEMA_VERSION}"
+    vdir.mkdir(parents=True)
+    (vdir / f"{tier.prefix}entries-1-golden.jsonl").write_text(text)
+    cache = WcetAnalysisCache.open(tmp_path / "a")
+    assert list(tier.store(cache).entries) == [json.loads(line)["key"] for line in lines]
+    cache.load(tmp_path / "b")
+    cache.flush()
+    (shard,) = (tmp_path / "b" / f"v{CACHE_SCHEMA_VERSION}").glob(f"{tier.prefix}entries-*.jsonl")
+    assert shard.read_text() == text
+    if name == "code":
+        assert cache.store.entries["ctx1|fp1|sig0|avg"] == WcetBreakdown(96.5, 64.0, 24.5, 8.0, 0)
+    else:
+        result = cache.system_results.get("sys0")
+        assert (result.makespan, result.task_cores, result.mhp_allowed["t_a"]) == (
+            130.0, {"t_a": 0, "t_b": 1}, ("t_b",)
+        )
+
+
+class TestDiskPersistence(_PersistenceContract):
+    tier = CODE_TIER
+
+    def test_roundtrip_across_cache_instances(self, tmp_path):
+        first = WcetAnalysisCache.open(tmp_path / "cache")
+        cold = _analyze_tasks(first)
+        assert first.stats.misses > 0
+        assert first.flush() == first.stats.misses
+        assert first.flush() == 0  # nothing new: idempotent
+
+        # a fresh instance (fresh platform/IR objects too) must hit disk only
+        second = WcetAnalysisCache.open(tmp_path / "cache")
+        warm = _analyze_tasks(second)
+        assert warm == cold
+        assert second.stats.misses == 0
+        assert second.stats.disk_hits == len(cold)
+
+    def test_entries_live_under_version_dir(self, tmp_path):
+        cache = WcetAnalysisCache.open(tmp_path / "cache")
+        _analyze_tasks(cache)
         cache.flush()
         vdir = tmp_path / "cache" / f"v{CACHE_SCHEMA_VERSION}"
         assert list(vdir.glob("entries*.jsonl"))
         assert list(vdir.glob("stats*.jsonl"))
-
-    def test_foreign_versions_and_torn_lines_are_ignored(self, tmp_path):
-        from repro.wcet.cache import CACHE_SCHEMA_VERSION
-
-        cache_dir = tmp_path / "cache"
-        # stale schema version: must not be read
-        (cache_dir / "v0").mkdir(parents=True)
-        (cache_dir / "v0" / "entries.jsonl").write_text('{"key":"stale","total":1}\n')
-        cache = WcetAnalysisCache.open(cache_dir)
-        assert len(cache) == 0
-        self._analyze_all(cache)
-        cache.flush()
-        # a torn line in any shard must not break loading (the legacy
-        # append-only entries.jsonl is still read as a shard)
-        legacy = cache_dir / f"v{CACHE_SCHEMA_VERSION}" / "entries.jsonl"
-        with legacy.open("a") as fh:
-            fh.write('{"key": "torn", "tot')
-        reloaded = WcetAnalysisCache.open(cache_dir)
-        assert len(reloaded) == len(cache)
 
     def test_read_cache_dir_stats_aggregates(self, tmp_path):
         from repro.wcet.cache import read_cache_dir_stats
@@ -388,64 +529,16 @@ class TestDiskPersistence:
         cache_dir = tmp_path / "cache"
         assert read_cache_dir_stats(cache_dir)["entries"] == 0
         first = WcetAnalysisCache.open(cache_dir)
-        self._analyze_all(first)
+        _analyze_tasks(first)
         first.flush()
         second = WcetAnalysisCache.open(cache_dir)
-        self._analyze_all(second)
+        _analyze_tasks(second)
         second.flush()
         totals = read_cache_dir_stats(cache_dir)
         assert totals["entries"] == len(first)
         assert totals["misses"] == first.stats.misses
         assert totals["disk_hits"] == second.stats.disk_hits
         assert totals["flushed"] == len(first)
-
-    def test_two_instances_flush_to_disjoint_shards(self, tmp_path):
-        """Concurrent flushers own private shard files; load merges them."""
-        from repro.wcet.cache import CACHE_SCHEMA_VERSION
-
-        cache_dir = tmp_path / "cache"
-        first = WcetAnalysisCache.open(cache_dir)
-        second = WcetAnalysisCache.open(cache_dir)
-        self._analyze_all(first)
-        # second analyses a different platform -> different cost signature
-        model, htg, _ = build_case("workloads")
-        platform = generic_predictable_multicore(cores=2, shared_latency=16)
-        for task in htg.leaf_tasks():
-            analyze_task_wcet(task, model.entry, HardwareCostModel(platform, 0), cache=second)
-        first.flush()
-        second.flush()
-        vdir = cache_dir / f"v{CACHE_SCHEMA_VERSION}"
-        shards = list(vdir.glob("entries-*.jsonl"))
-        assert len(shards) == 2  # one private shard per flushing instance
-        # repeated flushes rewrite in place instead of growing new files
-        self._analyze_all(second)
-        second.flush()
-        assert len(list(vdir.glob("entries-*.jsonl"))) == 2
-        assert not list(vdir.glob("*.tmp"))  # tempfiles are always replaced
-        merged = WcetAnalysisCache.open(cache_dir)
-        assert len(merged) == len(first) + len(second) - len(
-            set(first._entries) & set(second._entries)
-        )
-
-    def test_reattach_flushes_everything_to_new_dir(self, tmp_path):
-        cache = WcetAnalysisCache.open(tmp_path / "a")
-        self._analyze_all(cache)
-        cache.flush()
-        entry_count = len(cache)
-        # switching directories must make every in-memory entry flushable
-        # again, so the new directory gets a complete copy
-        cache.load(tmp_path / "b")
-        assert cache.flush() == entry_count
-        assert len(WcetAnalysisCache.open(tmp_path / "b")) == entry_count
-
-    def test_noop_flush_does_not_touch_disk(self, tmp_path):
-        cache = WcetAnalysisCache()
-        cache.load(tmp_path / "cache")
-        import shutil
-
-        shutil.rmtree(tmp_path / "cache")
-        assert cache.flush() == 0  # nothing to write: directory not recreated
-        assert not (tmp_path / "cache").exists()
 
     def test_memos_do_not_pin_analysed_objects(self):
         import gc
@@ -473,7 +566,7 @@ class TestDiskPersistence:
         assert not cache._region_fps
         assert not cache._declarations
         assert len(cache) == 1  # the content-addressed entry itself stays
-        assert cache.footprints.misses == 1
+        assert cache.footprints.stats.misses == 1
 
     def test_shared_cache_honours_env_var(self, tmp_path, monkeypatch):
         from repro.wcet.cache import (
@@ -490,7 +583,7 @@ class TestDiskPersistence:
             cache = shared_cache()
             assert cache.cache_dir == cache_dir
             assert shared_cache() is cache
-            self._analyze_all(cache)
+            _analyze_tasks(cache)
         finally:
             reset_shared_cache()  # flushes, then detaches from the env var
         versioned = cache_dir / f"v{CACHE_SCHEMA_VERSION}"
