@@ -33,7 +33,7 @@ from repro.scheduling import WcetAwareListScheduler
 from repro.usecases.workloads import synthetic_compiled_model
 from repro.utils.intervals import Interval
 from repro.utils.tables import Table
-from repro.wcet import HardwareCostModel, annotate_htg_wcets
+from repro.wcet import HardwareCostModel, SystemDesign, WcetAnalysisCache
 from repro.wcet.code_level import analyze_task_wcet
 
 #: (num_kernels, loop_chunks, cores) -> roughly 4*num_kernels tasks
@@ -281,7 +281,7 @@ def _build_htg(num_kernels, chunks, cores):
     model = synthetic_compiled_model(num_kernels=num_kernels, vector_size=32, seed=1)
     htg = extract_htg(model, ExtractionOptions(granularity="loop", loop_chunks=chunks))
     platform = generic_predictable_multicore(cores=cores)
-    annotate_htg_wcets(htg, model.entry, HardwareCostModel(platform, 0))
+    WcetAnalysisCache().annotate_htg(htg, model.entry, HardwareCostModel(platform, 0))
     return model, htg, platform
 
 
@@ -292,7 +292,7 @@ def _sweep():
         num_tasks = len(htg.leaf_tasks())
 
         t0 = time.perf_counter()
-        new = WcetAwareListScheduler(platform=platform).schedule(htg, model.entry)
+        new = WcetAwareListScheduler().schedule(SystemDesign(htg, model.entry, platform))
         new_seconds = time.perf_counter() - t0
 
         if num_tasks <= SEED_TASK_LIMIT:

@@ -36,7 +36,7 @@ from repro.htg.extraction import ExtractionOptions
 from repro.scheduling.schedule import default_core_order
 from repro.usecases.workloads import synthetic_compiled_model
 from repro.utils.tables import Table
-from repro.wcet import HardwareCostModel, annotate_htg_wcets, system_level_wcet
+from repro.wcet import HardwareCostModel, SystemDesign, WcetAnalysisCache, system_level_wcet
 from repro.wcet.cache import shared_cache
 from repro.wcet import system_level
 from repro.wcet.system_level import mhp_contenders
@@ -60,7 +60,7 @@ def _build_case(num_kernels, chunks, dep_prob, cores):
     )
     htg = extract_htg(model, ExtractionOptions(granularity="loop", loop_chunks=chunks))
     platform = generic_predictable_multicore(cores=cores)
-    annotate_htg_wcets(htg, model.entry, HardwareCostModel(platform, 0))
+    WcetAnalysisCache().annotate_htg(htg, model.entry, HardwareCostModel(platform, 0))
     mapping = {
         t.task_id: i % cores
         for i, t in enumerate(htg.topological_tasks())
@@ -102,12 +102,11 @@ def _time_fixed_point(htg, function, platform, mapping, order, cache, repeats):
     best = float("inf")
     result = None
     for _ in range(repeats):
+        # this experiment times the fixed point itself, so the system-level
+        # result memo (emptied outside the timing) must not short-circuit it
+        cache.system_results.store.clear()
         t0 = time.perf_counter()
-        # result_cache=False: this experiment times the fixed point itself,
-        # so the system-level result memo must not short-circuit the repeats
-        result = system_level_wcet(
-            htg, function, platform, mapping, order, cache=cache, result_cache=False
-        )
+        result = system_level_wcet(SystemDesign(htg, function, platform, cache), mapping, order)
         best = min(best, time.perf_counter() - t0)
     return result, best
 
@@ -131,7 +130,7 @@ def _sweep():
         num_tasks = len(mapping)
         # warm the analysis cache so both runs time the fixed point, not
         # the (identical) code-level analyses
-        system_level_wcet(htg, model.entry, platform, mapping, order, cache=cache)
+        system_level_wcet(SystemDesign(htg, model.entry, platform, cache), mapping, order)
 
         kernel, kernel_seconds = _time_fixed_point(
             htg, model.entry, platform, mapping, order, cache, repeats=2

@@ -43,7 +43,7 @@ from repro.scheduling.schedule import default_core_order
 from repro.usecases import ALL_USECASES
 from repro.usecases.workloads import synthetic_compiled_model
 from repro.utils.tables import Table
-from repro.wcet import HardwareCostModel, annotate_htg_wcets, system_level_wcet
+from repro.wcet import HardwareCostModel, SystemDesign, WcetAnalysisCache, system_level_wcet
 from repro.wcet.cache import shared_cache
 
 #: name -> (num_kernels, loop_chunks, dependency_probability, cores);
@@ -73,7 +73,7 @@ def _build_case(name, params):
         )
     htg = extract_htg(model, ExtractionOptions(granularity="loop", loop_chunks=chunks))
     platform = generic_predictable_multicore(cores=cores)
-    annotate_htg_wcets(htg, model.entry, HardwareCostModel(platform, 0))
+    WcetAnalysisCache().annotate_htg(htg, model.entry, HardwareCostModel(platform, 0))
     mapping = {
         t.task_id: i % cores
         for i, t in enumerate(htg.topological_tasks())
@@ -87,11 +87,11 @@ def _time_variant(htg, function, platform, mapping, order, cache, pruned, repeat
     best = float("inf")
     result = None
     for _ in range(repeats):
+        # time the fixed point, not the memo (emptied outside the timing)
+        cache.system_results.store.clear()
         t0 = time.perf_counter()
-        # result_cache=False: time the fixed point, not the memo
         result = system_level_wcet(
-            htg, function, platform, mapping, order, cache=cache,
-            static_pruning=pruned, result_cache=False,
+            SystemDesign(htg, function, platform, cache, static_pruning=pruned), mapping, order
         )
         best = min(best, time.perf_counter() - t0)
     return result, best
@@ -104,7 +104,7 @@ def _sweep():
         model, htg, platform, mapping, order = _build_case(name, params)
         # warm the code-level analysis cache so both variants time the fixed
         # point itself
-        system_level_wcet(htg, model.entry, platform, mapping, order, cache=cache)
+        system_level_wcet(SystemDesign(htg, model.entry, platform, cache), mapping, order)
 
         base, base_seconds = _time_variant(
             htg, model.entry, platform, mapping, order, cache, pruned=False

@@ -39,7 +39,7 @@ from repro.htg.extraction import ExtractionOptions
 from repro.scheduling.schedule import default_core_order
 from repro.usecases.workloads import synthetic_compiled_model
 from repro.utils.tables import Table
-from repro.wcet import HardwareCostModel, annotate_htg_wcets, system_level_wcet
+from repro.wcet import HardwareCostModel, SystemDesign, WcetAnalysisCache, system_level_wcet
 from repro.wcet.cache import shared_cache
 
 #: acceptance thresholds (ISSUE: <1% disabled, <5% enabled)
@@ -60,7 +60,7 @@ def _build_case(num_kernels=1000, chunks=1, dep_prob=0.004, cores=8):
     )
     htg = extract_htg(model, ExtractionOptions(granularity="loop", loop_chunks=chunks))
     platform = generic_predictable_multicore(cores=cores)
-    annotate_htg_wcets(htg, model.entry, HardwareCostModel(platform, 0))
+    WcetAnalysisCache().annotate_htg(htg, model.entry, HardwareCostModel(platform, 0))
     mapping = {
         t.task_id: i % cores
         for i, t in enumerate(htg.topological_tasks())
@@ -138,11 +138,10 @@ def _time_run(htg, function, platform, mapping, order, cache, traced):
             # bound the event buffer across repeats; timing includes the
             # recording cost, which is the point
             obs.tracer().clear()
+        # the result memo would short-circuit the repeats: empty it untimed
+        cache.system_results.store.clear()
         t0 = time.perf_counter()
-        # result_cache=False: the memo would short-circuit the repeats
-        result = system_level_wcet(
-            htg, function, platform, mapping, order, cache=cache, result_cache=False
-        )
+        result = system_level_wcet(SystemDesign(htg, function, platform, cache), mapping, order)
         return result, time.perf_counter() - t0
     finally:
         obs.set_enabled(previous)
@@ -152,7 +151,7 @@ def _sweep():
     cache = shared_cache()
     model, htg, platform, mapping, order = _build_case()
     # warm the code-level cache so the repeats time the fixed point itself
-    system_level_wcet(htg, model.entry, platform, mapping, order, cache=cache)
+    system_level_wcet(SystemDesign(htg, model.entry, platform, cache), mapping, order)
 
     # one unmeasured warm-up per side (first-touch allocations, lazy imports)
     untraced_result, _ = _time_run(

@@ -10,7 +10,7 @@ import pytest
 
 from benchmarks._common import emit, run_flow
 from repro.utils.tables import Table
-from repro.wcet.system_level import contention_oblivious_bound
+from repro.wcet.system_level import SystemDesign, contention_oblivious_bound
 
 
 @pytest.mark.parametrize("usecase", ["egpws", "polka"])
@@ -18,9 +18,8 @@ def test_e3_tightness(benchmark, usecase):
     def analyse():
         _, result = run_flow(usecase, cores=4)
         schedule = result.schedule
-        naive = contention_oblivious_bound(
-            result.htg, result.model.entry, schedule_platform(result), schedule.mapping, schedule.order
-        )
+        design = SystemDesign(result.htg, result.model.entry, schedule_platform(result))
+        naive = contention_oblivious_bound(design, schedule.mapping, schedule.order)
         return result, naive
 
     def schedule_platform(result):

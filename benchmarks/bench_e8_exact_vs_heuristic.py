@@ -21,7 +21,7 @@ from repro.scheduling import (
 )
 from repro.usecases.workloads import synthetic_compiled_model
 from repro.utils.tables import Table
-from repro.wcet import HardwareCostModel, annotate_htg_wcets
+from repro.wcet import HardwareCostModel, SystemDesign, WcetAnalysisCache
 
 SIZES = [4, 6, 8]
 
@@ -34,14 +34,16 @@ def test_e8_exact_vs_heuristic(benchmark):
         for kernels in SIZES:
             model = synthetic_compiled_model(num_kernels=kernels, vector_size=32, seed=kernels)
             htg = extract_htg(model, ExtractionOptions(granularity="block"))
-            annotate_htg_wcets(htg, model.entry, HardwareCostModel(platform, 0))
+            WcetAnalysisCache().annotate_htg(htg, model.entry, HardwareCostModel(platform, 0))
             t0 = time.perf_counter()
-            heuristic = WcetAwareListScheduler(platform=platform).schedule(htg, model.entry)
+            heuristic = WcetAwareListScheduler().schedule(SystemDesign(htg, model.entry, platform))
             t_heuristic = time.perf_counter() - t0
             t0 = time.perf_counter()
-            exact, stats = branch_and_bound_schedule(htg, model.entry, platform)
+            exact, stats = branch_and_bound_schedule(SystemDesign(htg, model.entry, platform))
             t_exact = time.perf_counter() - t0
-            annealed = simulated_annealing_schedule(htg, model.entry, platform, iterations=40, seed=1)
+            annealed = simulated_annealing_schedule(
+                SystemDesign(htg, model.entry, platform), iterations=40, seed=1
+            )
             rows.append(
                 (
                     kernels,

@@ -194,8 +194,7 @@ is sound for upper bounds), and the soundness of declared loop bounds
 fault-*independence*: a producer bug must be matched by a compensating
 checker bug to go unnoticed.  ``python -m repro certify`` and the
 pipeline's ``certify`` stage (``ToolchainConfig.certify``) gate on these
-checkers; cache replays re-validate via
-``system_level_wcet(..., certify=True)``.
+checkers; the stage checks a result the cache replayed like a fresh one.
 """
 
 from repro.analysis.certify import (

@@ -12,9 +12,9 @@ fixed-point checker re-applies the interference equations once and rejects
 any state they can still increase.
 
 The trust argument: a bug in a producer must now be *matched* by a
-compensating bug in its checker to slip through, and cache-served results
-(:func:`repro.wcet.system_level.system_level_wcet` with ``certify=True``)
-are re-validated at replay, so corrupt, stale or hand-edited cache entries
+compensating bug in its checker to slip through, and the pipeline's
+``certify`` stage checks a result the cache's result tier replayed exactly
+like a freshly computed one, so corrupt, stale or hand-edited cache entries
 are detected instead of silently trusted.
 
 Entry points: :func:`certify_pipeline_result` for a finished

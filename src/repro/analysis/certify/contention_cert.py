@@ -1,6 +1,7 @@
 """Contention certificates: static-MHP pruning witness + checker.
 
-``system_level_wcet(static_pruning=True)`` excludes task pairs from the
+A design with ``static_pruning`` on (see
+:func:`repro.wcet.system_level.system_level_wcet`) excludes task pairs from the
 MHP contender derivation when the static interference analysis proves them
 dependence-ordered or shared-footprint-disjoint.  An unsound exclusion
 silently *lowers* the WCET bound, so the claim needs its own certificate:

@@ -34,17 +34,9 @@ class ToolchainConfig:
         "dead_code_elimination",
         "scratchpad_allocation",
     )
-    #: None = use the smallest core scratchpad of the platform.
-    scratchpad_capacity_bytes: int | None = None
     feedback_iterations: int = 1
     contention_weight: float = 1.0
     seed: int = 0
-    #: Gate the ``parallel`` stage on the static schedule race checker
-    #: (:mod:`repro.analysis.races`): a schedule with an unordered pair of
-    #: conflicting shared accesses aborts the run with a ``PipelineError``
-    #: before any code is generated.  On by default; the knob exists for
-    #: experiments that intentionally build unsound schedules.
-    race_check: bool = True
     #: Run the ``certify`` pipeline stage: after the flow finishes, the
     #: independent certificate checkers (:mod:`repro.analysis.certify`)
     #: re-validate the schedule, the IPET solution and the system-level
@@ -94,10 +86,6 @@ class ToolchainConfig:
                 f"contention_weight must be a finite non-negative number, "
                 f"got {self.contention_weight!r}"
             )
-        if not isinstance(self.race_check, bool):
-            raise ValueError(
-                f"race_check must be a bool, got {self.race_check!r}"
-            )
         if not isinstance(self.certify, bool):
             raise ValueError(
                 f"certify must be a bool, got {self.certify!r}"
@@ -109,11 +97,6 @@ class ToolchainConfig:
         if not isinstance(self.trace, bool):
             raise ValueError(
                 f"trace must be a bool, got {self.trace!r}"
-            )
-        if self.scratchpad_capacity_bytes is not None and self.scratchpad_capacity_bytes < 1:
-            raise ValueError(
-                "scratchpad_capacity_bytes must be at least 1 (or None = platform minimum), "
-                f"got {self.scratchpad_capacity_bytes}"
             )
         self.passes = tuple(self.passes)
         known = available_passes()

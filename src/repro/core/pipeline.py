@@ -68,6 +68,7 @@ from repro.transforms.registry import PassContext, build_pass_pipeline
 from repro.wcet import HardwareCostModel
 from repro.wcet.cache import WcetAnalysisCache, platform_signature, shared_cache
 from repro.wcet.code_level import analyze_function_wcet
+from repro.wcet.system_level import SystemDesign
 
 
 class PipelineError(ToolchainError):
@@ -353,17 +354,17 @@ def _htg_stage(context: PipelineContext) -> dict[str, Any]:
 
 def _schedule_stage(context: PipelineContext) -> dict[str, Any]:
     model: CompiledModel = context.artifact("transformed_model")
-    htg: HierarchicalTaskGraph = context.artifact("htg")
     entry = context.artifact("scheduler")
-    # Ambient MHP options: scheduler plugins keep their signature; every
-    # system_level_wcet call under build() resolves these unless a caller
-    # passed explicit values.
-    from repro.wcet.system_level import mhp_options
-
-    with mhp_options(static_pruning=context.config.static_pruning):
-        schedule = entry.build(
-            htg, model.entry, context.platform, context.config, context.wcet_cache
-        )
+    # the run's one design point: every analysis the scheduler runs reads
+    # the cache and the MHP mode from it
+    design = SystemDesign(
+        context.artifact("htg"),
+        model.entry,
+        context.platform,
+        context.wcet_cache,
+        static_pruning=context.config.static_pruning,
+    )
+    schedule = entry.build(design, context.config)
     context.info["scheduler"] = entry.name
     context.info["cores_used"] = schedule.num_cores_used
     return {"schedule": schedule}
@@ -394,44 +395,39 @@ def _parallel_stage(context: PipelineContext) -> dict[str, Any]:
     model: CompiledModel = context.artifact("transformed_model")
     htg: HierarchicalTaskGraph = context.artifact("htg")
     schedule: Schedule = context.artifact("schedule")
-    race_state = None
-    if context.config.race_check:
-        from repro.analysis.races import incremental_race_check
+    from repro.analysis.races import incremental_race_check
 
-        prev_state = changed = None
-        if context.prev is not None:
-            # re-check only the pairs with a changed endpoint
-            prev_state = context.prev.artifacts.get("race_state")
-            changed = _changed_tasks(htg, context.prev.htg)
-        race_report, race_state = incremental_race_check(
-            htg,
-            schedule.mapping,
-            schedule.order,
-            model.entry,
-            prev_state=prev_state,
-            changed_tasks=changed,
-            store=context.wcet_cache.footprints,
-        )
-        context.info["race_pairs_checked"] = race_report.checked.get("pairs_checked", 0)
-        if race_report.checked.get("pairs_reused"):
-            context.info["race_pairs_reused"] = race_report.checked["pairs_reused"]
-            context.info["incremental"] = "incremental"
-        if race_report.count("error"):
-            # warnings (e.g. race.chunk-overlap-unproven) survive the gate
-            raise PipelineError(
-                "the schedule leaves conflicting shared accesses unordered: "
-                + "; ".join(
-                    str(f) for f in race_report.findings if f.severity == "error"
-                )
+    prev_state = changed = None
+    if context.prev is not None:
+        # re-check only the pairs with a changed endpoint
+        prev_state = context.prev.artifacts.get("race_state")
+        changed = _changed_tasks(htg, context.prev.htg)
+    race_report, race_state = incremental_race_check(
+        htg,
+        schedule.mapping,
+        schedule.order,
+        model.entry,
+        prev_state=prev_state,
+        changed_tasks=changed,
+        store=context.wcet_cache.footprints,
+    )
+    context.info["race_pairs_checked"] = race_report.checked.get("pairs_checked", 0)
+    if race_report.checked.get("pairs_reused"):
+        context.info["race_pairs_reused"] = race_report.checked["pairs_reused"]
+        context.info["incremental"] = "incremental"
+    if race_report.count("error"):
+        # warnings (e.g. race.chunk-overlap-unproven) survive the gate
+        raise PipelineError(
+            "the schedule leaves conflicting shared accesses unordered: "
+            + "; ".join(
+                str(f) for f in race_report.findings if f.severity == "error"
             )
+        )
     program = build_parallel_program(htg, model.entry, context.platform, schedule)
     context.info["sync_ops"] = program.num_sync_ops
-    produced: dict[str, Any] = {"parallel_program": program}
-    if race_state is not None:
-        # extra (undeclared) artifact: the reusable race-check snapshot a
-        # later run_incremental re-checks from
-        produced["race_state"] = race_state
-    return produced
+    # extra (undeclared) artifact: the reusable race-check snapshot a later
+    # run_incremental re-checks from
+    return {"parallel_program": program, "race_state": race_state}
 
 
 def _certify_stage(context: PipelineContext) -> dict[str, Any]:
@@ -440,12 +436,16 @@ def _certify_stage(context: PipelineContext) -> dict[str, Any]:
     Gated by ``config.certify``: off, the stage is a no-op producing
     ``certificates = None`` (so the artifact always exists and downstream
     consumers need no existence checks).  On, a refuted certificate aborts
-    the run with a :class:`~repro.analysis.certify.CertificationError`.
+    the run with a :class:`~repro.analysis.certify.CertificationError`
+    carrying the chain's merged report.  The schedule's result is checked
+    the same whether the fixed point ran or the cache's result tier
+    replayed it, which is what catches a corrupt or hand-edited cache entry.
     """
     if not context.config.certify:
         context.info["certified"] = False
         return {"certificates": None}
     from repro.analysis.certify import CertificationError, build_certificates
+    from repro.analysis.report import AnalysisReport
 
     model: CompiledModel = context.artifact("transformed_model")
     chain = build_certificates(
@@ -457,11 +457,15 @@ def _certify_stage(context: PipelineContext) -> dict[str, Any]:
     context.info["certified"] = chain.ok
     context.info["certificate_findings"] = len(chain.findings())
     if not chain.ok:
+        report = AnalysisReport("certificate_chain")
+        for checker_report in chain.reports:
+            report.merge(checker_report)
         raise CertificationError(
             "certificate chain refuted the run's results: "
             + "; ".join(
                 str(f) for f in chain.findings() if f.severity == "error"
             ),
+            report=report,
         )
     return {"certificates": chain}
 

@@ -14,7 +14,11 @@ from repro.utils.tables import Table
 
 
 def bottleneck_report(htg: HierarchicalTaskGraph, schedule: Schedule, top: int = 5) -> str:
-    """The heaviest tasks, their interference share and mapping."""
+    """The heaviest tasks, their interference share and mapping.
+
+    "wcet" is a task's isolated WCET on the core it is mapped to, so
+    "interference" (effective minus isolated) is what contention added.
+    """
     if schedule.result is None:
         return "(schedule not analysed)"
     table = Table(
@@ -22,6 +26,7 @@ def bottleneck_report(htg: HierarchicalTaskGraph, schedule: Schedule, top: int =
         title="bottleneck tasks (by effective WCET)",
     )
     effective = schedule.result.task_effective_wcet
+    base = schedule.result.task_base_wcet
     ranked = sorted(effective.items(), key=lambda kv: -kv[1])[:top]
     for tid, eff in ranked:
         task = htg.task(tid)
@@ -30,9 +35,9 @@ def bottleneck_report(htg: HierarchicalTaskGraph, schedule: Schedule, top: int =
                 tid,
                 task.origin,
                 schedule.mapping[tid],
-                task.wcet,
+                base[tid],
                 eff,
-                eff - task.wcet if task.wcet else 0.0,
+                eff - base[tid],
                 task.total_shared_accesses,
             ]
         )

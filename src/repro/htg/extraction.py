@@ -226,8 +226,8 @@ def extract_htg_incremental(
     sets, shared-access summary) is a pure function of the region code, so an
     unchanged region's tasks can be reused verbatim.  Reused tasks are
     *shallow copies* sharing the previous statements block: the original
-    tasks keep their annotations (``annotate_htg`` mutates ``wcet``/``acet``
-    in place) and the shared ``id(statements)`` preserves the
+    tasks keep their annotations (``annotate_htg`` mutates ``wcet`` in
+    place) and the shared ``id(statements)`` preserves the
     :class:`~repro.wcet.cache.WcetAnalysisCache` fingerprint memo hits.
 
     Inter-task dependence edges are always re-derived globally: they depend

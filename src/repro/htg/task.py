@@ -42,12 +42,11 @@ class Task:
     shared_accesses: dict[str, int] = field(default_factory=dict)
     #: Hierarchy: id of the parent task when this is a loop chunk / pre / post.
     parent: str | None = None
-    #: Worst-case execution time in cycles, in isolation (filled by the
-    #: code-level WCET analysis; 0 until analysed).
+    #: Worst-case execution time in cycles, in isolation, on the cost model
+    #: it was annotated with (the pipeline's HTG stage uses the platform's
+    #: first core; a schedule's ``result.task_base_wcet`` holds the WCET on
+    #: the mapped core); 0 until analysed.
     wcet: float = 0.0
-    #: Observed average-case execution time in cycles (optional, used by the
-    #: average-case baseline scheduler).
-    acet: float = 0.0
 
     def __hash__(self) -> int:
         return hash(self.task_id)

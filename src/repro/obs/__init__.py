@@ -41,8 +41,7 @@ untraced runs produce bit-identical bounds.  Hot loops therefore guard on
 :func:`obs_enabled` *once* and batch their recording (e.g. the list
 scheduler tracks its max ready-set size locally and records one value).
 
-**Enabling.**  Three equivalent switches, mirroring the ambient
-``mhp_options()`` pattern in :mod:`repro.wcet.system_level`:
+**Enabling.**  Three equivalent switches:
 
 * ``ToolchainConfig(trace=True)`` -- per ``Pipeline.run`` (restored after);
 * :func:`set_enabled` / :func:`observed` -- ambient, process-wide;

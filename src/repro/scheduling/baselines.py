@@ -15,38 +15,20 @@
 
 from __future__ import annotations
 
-from repro.adl.architecture import Platform
-from repro.htg.graph import HierarchicalTaskGraph
-from repro.ir.program import Function
 from repro.scheduling.list_scheduler import WcetAwareListScheduler
 from repro.scheduling.registry import register_scheduler
 from repro.scheduling.schedule import Schedule, evaluate_mapping
-from repro.wcet.cache import WcetAnalysisCache, shared_cache
+from repro.wcet.system_level import SystemDesign
 
 
-def sequential_schedule(
-    htg: HierarchicalTaskGraph,
-    function: Function,
-    platform: Platform,
-    core_id: int | None = None,
-    cache: WcetAnalysisCache | None = None,
-) -> Schedule:
-    """All tasks on a single core, in topological order."""
-    core = core_id if core_id is not None else platform.cores[0].core_id
-    mapping = {t.task_id: core for t in htg.leaf_tasks()}
-    schedule = evaluate_mapping(
-        htg, function, platform, mapping, scheduler="sequential", cache=cache
-    )
-    return schedule
+def sequential_schedule(design: SystemDesign, core_id: int | None = None) -> Schedule:
+    """All tasks on a single core (the first by default), in topological order."""
+    core = core_id if core_id is not None else design.core_ids[0]
+    mapping = {tid: core for tid in design.leaf_ids}
+    return evaluate_mapping(design, mapping, scheduler="sequential")
 
 
-def acet_driven_schedule(
-    htg: HierarchicalTaskGraph,
-    function: Function,
-    platform: Platform,
-    max_cores: int | None = None,
-    cache: WcetAnalysisCache | None = None,
-) -> Schedule:
+def acet_driven_schedule(design: SystemDesign, max_cores: int | None = None) -> Schedule:
     """List scheduling driven by average-case costs, contention-oblivious.
 
     The placement decisions use optimistic average-case task costs and no
@@ -55,24 +37,14 @@ def acet_driven_schedule(
     than what the WCET-aware scheduler achieves -- that gap is experiment E4.
     """
     scheduler = WcetAwareListScheduler(
-        platform=platform,
-        contention_weight=0.0,
-        max_cores=max_cores,
-        use_average_costs=True,
-        cache=cache,
+        contention_weight=0.0, max_cores=max_cores, use_average_costs=True
     )
-    schedule = scheduler.schedule(htg, function)
+    schedule = scheduler.schedule(design)
     schedule.scheduler = "acet_list"
     return schedule
 
 
-def contention_free_schedule(
-    htg: HierarchicalTaskGraph,
-    function: Function,
-    platform: Platform,
-    max_cores: int | None = None,
-    cache: WcetAnalysisCache | None = None,
-) -> Schedule:
+def contention_free_schedule(design: SystemDesign, max_cores: int | None = None) -> Schedule:
     """Parallel schedule in which shared-memory tasks never overlap.
 
     Implemented by serialising every task that performs at least one shared
@@ -81,43 +53,34 @@ def contention_free_schedule(
     by the WCET-aware list scheduler.  The resulting system-level analysis
     sees zero contenders for every task.
     """
-    cache = cache if cache is not None else shared_cache()
-    base = WcetAwareListScheduler(
-        platform=platform, max_cores=max_cores, cache=cache
-    ).schedule(htg, function)
+    base = WcetAwareListScheduler(max_cores=max_cores).schedule(design)
     mapping = dict(base.mapping)
 
     # Re-derive a per-core order where all shared-access tasks follow one
     # global topological chain; this is achieved by keeping the mapping but
     # re-evaluating with an order in which shared tasks are serialised through
     # artificial single-core placement of their "critical section".
-    shared_tasks = [t.task_id for t in htg.topological_tasks() if not t.is_synthetic and t.total_shared_accesses > 0]
-    core_ids = sorted({c.core_id for c in platform.cores})
-    if max_cores is not None:
-        core_ids = core_ids[:max_cores]
-    # Place all shared tasks on one core (true mutual exclusion), remaining
-    # tasks keep their placement from the base schedule.
-    exclusive_core = core_ids[0]
+    shared_tasks = [
+        design.leaf_ids[i] for i in design.topological if design.tasks[i].total_shared_accesses > 0
+    ]
+    # Place all shared tasks on the first core (true mutual exclusion),
+    # remaining tasks keep their placement from the base schedule.
+    exclusive_core = design.core_ids[0]
     for tid in shared_tasks:
         mapping[tid] = exclusive_core
-    schedule = evaluate_mapping(
-        htg, function, platform, mapping, scheduler="contention_free", cache=cache
-    )
-    return schedule
+    return evaluate_mapping(design, mapping, scheduler="contention_free")
 
 
 # ---------------------------------------------------------------------- #
 # registry adapters (see repro.scheduling.registry)
 # ---------------------------------------------------------------------- #
 @register_scheduler("sequential", description="all tasks on one core, topological order")
-def _sequential_plugin(htg, function, platform, config, cache) -> Schedule:
-    return sequential_schedule(htg, function, platform, cache=cache)
+def _sequential_plugin(design: SystemDesign, config) -> Schedule:
+    return sequential_schedule(design)
 
 
 @register_scheduler(
     "acet_list", description="average-case-driven, contention-oblivious list scheduling"
 )
-def _acet_list_plugin(htg, function, platform, config, cache) -> Schedule:
-    return acet_driven_schedule(
-        htg, function, platform, max_cores=config.max_cores, cache=cache
-    )
+def _acet_list_plugin(design: SystemDesign, config) -> Schedule:
+    return acet_driven_schedule(design, max_cores=config.max_cores)

@@ -12,12 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro import obs
-from repro.adl.architecture import Platform
-from repro.htg.graph import HierarchicalTaskGraph
-from repro.ir.program import Function
 from repro.scheduling.registry import register_scheduler
 from repro.scheduling.schedule import Schedule, evaluate_mapping
-from repro.wcet.cache import WcetAnalysisCache, shared_cache
 from repro.wcet.system_level import SystemDesign
 
 
@@ -31,38 +27,31 @@ class BnBStats:
 
 
 def branch_and_bound_schedule(
-    htg: HierarchicalTaskGraph,
-    function: Function,
-    platform: Platform,
+    design: SystemDesign,
     max_cores: int | None = None,
     max_tasks: int = 14,
-    cache: WcetAnalysisCache | None = None,
 ) -> tuple[Schedule, BnBStats]:
-    """Find the mapping with the smallest system-level WCET bound.
+    """Find the mapping of ``design`` with the smallest system-level WCET bound.
 
     Raises ``ValueError`` when the HTG has more than ``max_tasks`` leaf tasks
     (the search is exponential in the task count).
     """
-    leaf_tasks = [t for t in htg.topological_tasks() if not t.is_synthetic]
-    if len(leaf_tasks) > max_tasks:
+    topological = design.topological
+    if len(topological) > max_tasks:
         raise ValueError(
-            f"branch and bound limited to {max_tasks} tasks, HTG has {len(leaf_tasks)}"
+            f"branch and bound limited to {max_tasks} tasks, HTG has {len(topological)}"
         )
-    core_ids = [c.core_id for c in platform.cores]
-    if max_cores is not None:
-        core_ids = core_ids[:max_cores]
+    core_ids = design.core_ids[:max_cores]
 
-    cache = cache if cache is not None else shared_cache()
-    # one design context for the whole search: the lower bound's WCETs and
-    # every evaluated leaf price the design point through it
-    design = SystemDesign(htg, function, platform, cache=cache)
-    wcets = {t.task_id: design.cost(design.index[t.task_id], core_ids[0])[0] for t in leaf_tasks}
+    # the lower bound's WCETs and every evaluated leaf price the design
+    # point through the one design
+    order = [design.leaf_ids[i] for i in topological]
+    wcets = {tid: design.cost(i, core_ids[0])[0] for tid, i in zip(order, topological)}
     total_work = sum(wcets.values())
 
     stats = BnBStats()
     best_schedule: Schedule | None = None
     best_bound = float("inf")
-    order = [t.task_id for t in leaf_tasks]
 
     def lower_bound(mapping: dict[str, int], next_index: int) -> float:
         """Simple admissible bound: balanced remaining work over all cores."""
@@ -79,10 +68,7 @@ def branch_and_bound_schedule(
         stats.nodes_explored += 1
         if index == len(order):
             stats.leaves_evaluated += 1
-            schedule = evaluate_mapping(
-                htg, function, platform, mapping, scheduler="bnb", cache=cache,
-                design=design,
-            )
+            schedule = evaluate_mapping(design, mapping, scheduler="bnb")
             if schedule.wcet_bound < best_bound:
                 best_bound = schedule.wcet_bound
                 best_schedule = schedule
@@ -104,7 +90,7 @@ def branch_and_bound_schedule(
             recurse(index + 1, mapping)
             del mapping[tid]
 
-    with obs.span("schedule.bnb", tasks=len(leaf_tasks), cores=len(core_ids)) as bnb_span:
+    with obs.span("schedule.bnb", tasks=len(order), cores=len(core_ids)) as bnb_span:
         recurse(0, {})
         bnb_span.set(nodes=stats.nodes_explored, pruned=stats.pruned)
     if obs.obs_enabled():
@@ -125,8 +111,6 @@ def branch_and_bound_schedule(
 @register_scheduler(
     "bnb", description="exact branch-and-bound mapping for small task graphs"
 )
-def _bnb_plugin(htg, function, platform, config, cache) -> Schedule:
-    schedule, _ = branch_and_bound_schedule(
-        htg, function, platform, max_cores=config.max_cores, cache=cache
-    )
+def _bnb_plugin(design: SystemDesign, config) -> Schedule:
+    schedule, _ = branch_and_bound_schedule(design, max_cores=config.max_cores)
     return schedule

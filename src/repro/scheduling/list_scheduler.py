@@ -43,12 +43,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from repro import obs
-from repro.adl.architecture import Platform
-from repro.htg.graph import HierarchicalTaskGraph
-from repro.ir.program import Function
 from repro.scheduling.registry import register_scheduler
 from repro.scheduling.schedule import Schedule, evaluate_mapping
-from repro.wcet.cache import WcetAnalysisCache, shared_cache
 from repro.wcet.system_level import SystemDesign
 
 
@@ -56,7 +52,6 @@ from repro.wcet.system_level import SystemDesign
 class WcetAwareListScheduler:
     """Configuration of the contention-aware list scheduler."""
 
-    platform: Platform
     #: Weight of the interference estimate during placement (1.0 = full
     #: worst-case penalty, 0.0 = contention-oblivious placement).
     contention_weight: float = 1.0
@@ -64,20 +59,6 @@ class WcetAwareListScheduler:
     max_cores: int | None = None
     #: Use average-case costs instead of WCETs (the E4 baseline flips this).
     use_average_costs: bool = False
-    #: Shared memo of code-level analyses; pass one cache to share results
-    #: with other schedulers / the system-level analysis, or leave ``None``
-    #: to use the process-wide (possibly disk-backed) shared cache.
-    cache: WcetAnalysisCache | None = None
-
-    def __post_init__(self) -> None:
-        if self.cache is None:
-            self.cache = shared_cache()
-
-    def _core_ids(self) -> list[int]:
-        ids = [c.core_id for c in self.platform.cores]
-        if self.max_cores is not None:
-            ids = ids[: self.max_cores]
-        return ids
 
     def _upward_ranks(
         self, design: SystemDesign, succs: list[list[tuple[int, int]]], ref_core: int
@@ -96,22 +77,14 @@ class WcetAwareListScheduler:
         return ranks
 
     # ------------------------------------------------------------------ #
-    def schedule(
-        self,
-        htg: HierarchicalTaskGraph,
-        function: Function,
-        design: SystemDesign | None = None,
-    ) -> Schedule:
-        """Map and order the HTG, returning an analysed schedule.
+    def schedule(self, design: SystemDesign) -> Schedule:
+        """Map and order ``design``'s HTG, returning an analysed schedule.
 
-        ``design`` is the search's pricing table (built here when ``None``);
-        the final analysis reads it too, so a search seeded by this
-        schedule (the annealer, the genetic algorithm) prices its design
-        point once.
+        The final analysis reads the same pricing table, so a search seeded
+        by this schedule (the annealer, the genetic algorithm) prices its
+        design point once.
         """
-        if design is None:
-            design = SystemDesign(htg, function, self.platform, cache=self.cache)
-        core_ids = self._core_ids()
+        core_ids = design.core_ids[: self.max_cores]
         leaf_ids = design.leaf_ids
         num_tasks = len(leaf_ids)
         succs: list[list[tuple[int, int]]] = [[] for _ in leaf_ids]
@@ -220,10 +193,7 @@ class WcetAwareListScheduler:
             average=average,
         ):
             schedule = evaluate_mapping(
-                htg, function, self.platform, mapping, order,
-                scheduler="wcet_list" if not average else "acet_list",
-                cache=self.cache,
-                design=design,
+                design, mapping, order, scheduler="wcet_list" if not average else "acet_list"
             )
         schedule.metadata["estimated_makespan"] = max(
             (finish[i] for i in placed), default=0.0
@@ -238,10 +208,7 @@ class WcetAwareListScheduler:
     "wcet_list",
     description="contention- and communication-aware WCET-driven list scheduling",
 )
-def _wcet_list_plugin(htg, function, platform, config, cache) -> Schedule:
+def _wcet_list_plugin(design: SystemDesign, config) -> Schedule:
     return WcetAwareListScheduler(
-        platform=platform,
-        contention_weight=config.contention_weight,
-        max_cores=config.max_cores,
-        cache=cache,
-    ).schedule(htg, function)
+        contention_weight=config.contention_weight, max_cores=config.max_cores
+    ).schedule(design)

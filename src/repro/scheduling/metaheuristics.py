@@ -9,53 +9,35 @@ from __future__ import annotations
 
 import math
 
-
-from repro.adl.architecture import Platform
-from repro.htg.graph import HierarchicalTaskGraph
-from repro.ir.program import Function
 from repro.scheduling.list_scheduler import WcetAwareListScheduler
 from repro.scheduling.registry import register_scheduler
 from repro.scheduling.schedule import Schedule, evaluate_mapping
 from repro.utils.rng import make_rng
-from repro.wcet.cache import WcetAnalysisCache, shared_cache
 from repro.wcet.system_level import SystemDesign
 
 
-def _core_ids(platform: Platform, max_cores: int | None) -> list[int]:
-    ids = [c.core_id for c in platform.cores]
-    return ids[:max_cores] if max_cores is not None else ids
-
-
 def simulated_annealing_schedule(
-    htg: HierarchicalTaskGraph,
-    function: Function,
-    platform: Platform,
+    design: SystemDesign,
     max_cores: int | None = None,
     iterations: int = 200,
     initial_temperature: float = 0.2,
     seed: int | None = None,
-    cache: WcetAnalysisCache | None = None,
 ) -> Schedule:
     """Simulated annealing over task-to-core mappings.
 
     Starts from the WCET-aware list schedule and explores single-task moves;
     the acceptance temperature is expressed as a fraction of the current
     bound so the schedule scale does not need tuning.  All candidate
-    evaluations share one :class:`~repro.wcet.system_level.SystemDesign`:
-    each task's isolated WCET on a core, each edge's price between two cores
-    and the cost models are looked up once per search, the first time a
-    candidate needs them, and only the mapping-dependent part of the
-    analysis runs per candidate.
+    evaluations share ``design``: each task's isolated WCET on a core, each
+    edge's price between two cores and the cost models are looked up once
+    per search, the first time a candidate needs them, and only the
+    mapping-dependent part of the analysis runs per candidate.
     """
     rng = make_rng(seed)
-    cache = cache if cache is not None else shared_cache()
-    design = SystemDesign(htg, function, platform, cache=cache)
-    core_ids = _core_ids(platform, max_cores)
-    current = WcetAwareListScheduler(
-        platform=platform, max_cores=max_cores, cache=cache
-    ).schedule(htg, function, design=design)
+    core_ids = design.core_ids[:max_cores]
+    current = WcetAwareListScheduler(max_cores=max_cores).schedule(design)
     best = current
-    task_ids = [t.task_id for t in htg.leaf_tasks()]
+    task_ids = design.leaf_ids
     if len(core_ids) == 1 or len(task_ids) <= 1:
         current.scheduler = "simulated_annealing"
         return current
@@ -71,10 +53,7 @@ def simulated_annealing_schedule(
             continue
         candidate_mapping = dict(current_mapping)
         candidate_mapping[tid] = new_core
-        candidate = evaluate_mapping(
-            htg, function, platform, candidate_mapping, scheduler="simulated_annealing",
-            cache=cache, design=design,
-        )
+        candidate = evaluate_mapping(design, candidate_mapping, scheduler="simulated_annealing")
         delta = candidate.wcet_bound - current_bound
         accept = delta <= 0
         if not accept and temperature > 0:
@@ -92,29 +71,21 @@ def simulated_annealing_schedule(
 
 
 def genetic_schedule(
-    htg: HierarchicalTaskGraph,
-    function: Function,
-    platform: Platform,
+    design: SystemDesign,
     max_cores: int | None = None,
     population_size: int = 12,
     generations: int = 15,
     mutation_rate: float = 0.15,
     seed: int | None = None,
-    cache: WcetAnalysisCache | None = None,
 ) -> Schedule:
     """A small genetic algorithm over mappings (tournament selection,
     single-point crossover, per-gene mutation).
 
-    Like the annealer, every fitness evaluation shares one
-    :class:`~repro.wcet.system_level.SystemDesign`."""
+    Like the annealer, every fitness evaluation shares ``design``."""
     rng = make_rng(seed)
-    cache = cache if cache is not None else shared_cache()
-    design = SystemDesign(htg, function, platform, cache=cache)
-    core_ids = _core_ids(platform, max_cores)
-    task_ids = [t.task_id for t in htg.leaf_tasks()]
-    seeded = WcetAwareListScheduler(
-        platform=platform, max_cores=max_cores, cache=cache
-    ).schedule(htg, function, design=design)
+    core_ids = design.core_ids[:max_cores]
+    task_ids = design.leaf_ids
+    seeded = WcetAwareListScheduler(max_cores=max_cores).schedule(design)
     if len(core_ids) == 1 or len(task_ids) <= 1:
         seeded.scheduler = "genetic"
         return seeded
@@ -129,10 +100,7 @@ def genetic_schedule(
         return {tid: core_ids[g] for tid, g in zip(task_ids, genome)}
 
     def fitness(genome: list[int]) -> tuple[float, Schedule]:
-        schedule = evaluate_mapping(
-            htg, function, platform, mapping_of(genome), scheduler="genetic", cache=cache,
-            design=design,
-        )
+        schedule = evaluate_mapping(design, mapping_of(genome), scheduler="genetic")
         return schedule.wcet_bound, schedule
 
     population = [genome_of(seeded.mapping)] + [random_genome() for _ in range(population_size - 1)]
@@ -171,14 +139,10 @@ def genetic_schedule(
 @register_scheduler(
     "simulated_annealing", description="simulated annealing over task-to-core mappings"
 )
-def _simulated_annealing_plugin(htg, function, platform, config, cache) -> Schedule:
-    return simulated_annealing_schedule(
-        htg, function, platform, max_cores=config.max_cores, seed=config.seed, cache=cache
-    )
+def _simulated_annealing_plugin(design: SystemDesign, config) -> Schedule:
+    return simulated_annealing_schedule(design, max_cores=config.max_cores, seed=config.seed)
 
 
 @register_scheduler("genetic", description="genetic algorithm over task-to-core mappings")
-def _genetic_plugin(htg, function, platform, config, cache) -> Schedule:
-    return genetic_schedule(
-        htg, function, platform, max_cores=config.max_cores, seed=config.seed, cache=cache
-    )
+def _genetic_plugin(design: SystemDesign, config) -> Schedule:
+    return genetic_schedule(design, max_cores=config.max_cores, seed=config.seed)

@@ -8,22 +8,25 @@ decorator -- no core module needs to change.
 
 A registered scheduler is a callable with the uniform signature
 
-    ``fn(htg, function, platform, config, cache) -> Schedule``
+    ``fn(design, config) -> Schedule``
 
-where ``config`` is the :class:`~repro.core.config.ToolchainConfig` of the
-running flow (schedulers pick the knobs they care about: ``max_cores``,
-``contention_weight``, ``seed``, ...) and ``cache`` the shared
-:class:`~repro.wcet.cache.WcetAnalysisCache`.
+where ``design`` is the :class:`~repro.wcet.system_level.SystemDesign` the
+``schedule`` stage built for the run -- the HTG, entry function, platform,
+cache and static-pruning flag, and the pricing table every candidate
+mapping is analysed through -- and ``config`` the
+:class:`~repro.core.config.ToolchainConfig` of the running flow
+(schedulers pick the knobs they care about: ``max_cores``,
+``contention_weight``, ``seed``, ...).
 
 Example::
 
     from repro.scheduling.registry import register_scheduler
 
     @register_scheduler("round_robin", description="naive round-robin mapping")
-    def round_robin(htg, function, platform, config, cache):
-        ...
-        return evaluate_mapping(htg, function, platform, mapping,
-                                scheduler="round_robin", cache=cache)
+    def round_robin(design, config):
+        cores = design.core_ids[: config.max_cores]
+        mapping = {tid: cores[i % len(cores)] for i, tid in enumerate(design.leaf_ids)}
+        return evaluate_mapping(design, mapping, scheduler="round_robin")
 
     ToolchainConfig(scheduler="round_robin")   # now a valid knob value
 """
@@ -37,16 +40,10 @@ from typing import TYPE_CHECKING, Callable
 from repro.utils.registry import Registry, first_doc_line
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.adl.architecture import Platform
-    from repro.htg.graph import HierarchicalTaskGraph
-    from repro.ir.program import Function
     from repro.scheduling.schedule import Schedule
-    from repro.wcet.cache import WcetAnalysisCache
+    from repro.wcet.system_level import SystemDesign
 
-    SchedulerFn = Callable[
-        ["HierarchicalTaskGraph", "Function", "Platform", object, "WcetAnalysisCache"],
-        "Schedule",
-    ]
+    SchedulerFn = Callable[["SystemDesign", object], "Schedule"]
 else:
     SchedulerFn = Callable
 

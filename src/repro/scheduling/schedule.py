@@ -8,7 +8,6 @@ from repro.adl.architecture import Platform
 from repro.htg.graph import HierarchicalTaskGraph
 from repro.ir.program import Function
 from repro.utils.intervals import Interval, total_busy_time
-from repro.wcet.cache import WcetAnalysisCache
 from repro.wcet.system_level import SystemDesign, SystemWcetResult, system_level_wcet
 
 
@@ -166,36 +165,22 @@ def default_core_order(htg: HierarchicalTaskGraph, mapping: dict[str, int]) -> d
 
 
 def evaluate_mapping(
-    htg: HierarchicalTaskGraph,
-    function: Function,
-    platform: Platform,
+    design: SystemDesign,
     mapping: dict[str, int],
     order: dict[int, list[str]] | None = None,
     scheduler: str = "",
-    cache: WcetAnalysisCache | None = None,
-    certify: bool = False,
-    static_pruning: bool | None = None,
-    design: SystemDesign | None = None,
 ) -> Schedule:
-    """Run the system-level WCET analysis on a mapping and wrap it.
+    """Run the system-level WCET analysis of ``design`` on a mapping and
+    wrap it (``order`` defaults to :func:`default_core_order`).
 
-    ``certify`` is forwarded to :func:`system_level_wcet`: a memoized
-    result replayed from the result cache is then re-validated by the
-    fixed-point certificate checker before being trusted.
-    ``static_pruning`` is forwarded too (``None`` = the ambient
-    :func:`repro.wcet.system_level.mhp_options`, then off).
-    ``design`` is forwarded as well: a search evaluating many mappings of
-    one design point passes one
-    :class:`~repro.wcet.system_level.SystemDesign` (built with the same
-    ``cache``) to every call; ``None`` builds a one-shot design.
+    A search evaluating many mappings passes its one
+    :class:`~repro.wcet.system_level.SystemDesign` to every call, so the
+    design point is priced once.
     """
-    order = order or default_core_order(htg, mapping)
-    result = system_level_wcet(
-        htg, function, platform, mapping, order, cache=cache, certify=certify,
-        static_pruning=static_pruning, design=design,
-    )
+    order = order or default_core_order(design.htg, mapping)
+    result = system_level_wcet(design, mapping, order)
     return Schedule(
-        htg_name=htg.name,
+        htg_name=design.htg.name,
         mapping=dict(mapping),
         order={c: list(t) for c, t in order.items()},
         result=result,

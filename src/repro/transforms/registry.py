@@ -134,14 +134,9 @@ def _ir_verifier(context: PassContext) -> FunctionPass:
     description="WCET-directed promotion of block-local state to scratchpads",
 )
 def _scratchpad_allocation(context: PassContext) -> FunctionPass:
-    platform, config = context.platform, context.config
-    capacity = (
-        config.scratchpad_capacity_bytes
-        if config.scratchpad_capacity_bytes is not None
-        else platform.min_scratchpad_bytes()
-    )
+    platform = context.platform
     return ScratchpadAllocationPass(
-        capacity_bytes=capacity,
+        capacity_bytes=platform.min_scratchpad_bytes(),
         shared_latency=platform.shared_memory.read_latency,
         spm_latency=platform.cores[0].scratchpad.read_latency,
         protect=protected_signal_names(context.model.entry),

@@ -10,9 +10,10 @@
   platform's interconnect cost model, iterated to a fixed point (one MHP
   contender kernel per mode: a per-core bisect pass for unpruned runs, a
   loop over the static-MHP skeleton for pruned ones).  Its
-  :class:`~repro.wcet.system_level.SystemDesign` is the one integer-indexed
-  pricing table of a design point, read by the list scheduler, the
-  per-mapping solve and the result key alike.
+  :class:`~repro.wcet.system_level.SystemDesign` is the one handle of a
+  design point: the inputs, cache and MHP mode every analysis of it reads,
+  and the integer-indexed pricing table the list scheduler, the
+  per-mapping solve and the result key share.
 * :mod:`repro.wcet.cache` memoizes code-level results so the schedulers, the
   system-level fixed point and the cross-layer feedback loop analyse each
   distinct (code region, core cost signature) pair exactly once --
@@ -65,9 +66,10 @@ tier** (:class:`~repro.analysis.footprints.FootprintStore`, reached through
 ``cache.footprints``).  Result keys embed the
 function/region fingerprints, the edge payloads, the mapping and per-core
 order, the per-core cost signatures, the shared-access penalty tables, the
-priced worst-case delay of every payload between every core pair and the
-fixed-point knobs (``max_iterations``, core count, pruning), so entries can
-never go stale and need no invalidation either.  The caller-cooperation
+priced worst-case delay of every payload between every core pair and what
+steers the fixed point (its iteration cap
+:data:`~repro.wcet.system_level.MAX_ITERATIONS`, core count, pruning), so
+entries can never go stale and need no invalidation either.  The caller-cooperation
 rule above applies unchanged (the fingerprints and cost signatures are the
 same memos); additionally:
 
@@ -79,17 +81,19 @@ same memos); additionally:
   :data:`~repro.wcet.cache.MAX_SYSTEM_RESULTS` (2,048) results and the
   footprint tier :data:`~repro.analysis.footprints.MAX_FOOTPRINTS` (4,096)
   footprints.
-* Code that must *re-run* the fixed point (differential tests, kernel
-  timing) passes ``result_cache=False``.
-* Keys are derived through a
-  :class:`~repro.wcet.system_level.SystemDesign`, the pricing table a
-  scheduler search shares across its candidates
-  (``result_key(..., design=...)``; ``None`` builds a one-shot design).
-  Since schema **v5** a key is the digest of a per-design prefix, derived
-  once per design, plus the mapping vector in sorted-task order, the core
-  orders, ``max_iterations`` and the pruning flag, instead of one JSON
-  payload of every priced edge per call (the 4 → 5 bump retires v4
-  result and code-level entries alike).
+* Every system-level analysis consults the result tier of its design's
+  cache; code that must *re-run* the fixed point (differential tests,
+  kernel timing) clears ``cache.system_results.store`` first or analyses
+  through a fresh cache.
+* Keys are derived from a :class:`~repro.wcet.system_level.SystemDesign`,
+  the one handle of a design point (``result_key(design, mapping,
+  order)``) that the pipeline's ``schedule`` stage builds and every
+  scheduler search shares across its candidates.  Since schema **v5** a
+  key is the digest of a per-design prefix, derived once per design, plus
+  the mapping vector in sorted-task order, the core orders, the iteration
+  cap and the pruning flag, instead of one JSON payload of every priced
+  edge per call (the 4 → 5 bump retires v4 result and code-level entries
+  alike).
 * The pipeline's stage replay (:meth:`repro.core.pipeline.Pipeline.run_incremental`)
   follows the same rule: a stage is only replayed under a key that covers
   the *content* of every input (IR fingerprints, HTG structure,
@@ -168,14 +172,13 @@ of :mod:`repro.analysis.certify`:
   themselves are the code-level analysis' contract, not re-proved.
 
 Content addressing makes cache entries immune to *staleness*, but not to
-*corruption* (bit rot, hand edits, a writer bug).  ``certify=True``
-closes that gap: a memoized system-level result served from the result
-tier is re-validated by the fixed-point checker before being returned and
-a refuted entry raises
+*corruption* (bit rot, hand edits, a writer bug).  The pipeline's
+``certify`` stage (``ToolchainConfig.certify``) closes that gap: it runs
+the schedule, fixed-point and (for pruned runs) contention checkers on
+the schedule's result whether the fixed point computed it or the result
+tier replayed it, and a refuted result raises
 :class:`~repro.analysis.certify.CertificationError` instead of being
-silently trusted.  Freshly computed results are not re-checked on this
-path -- the pipeline's ``certify`` stage (``ToolchainConfig.certify``)
-covers them.
+silently trusted.
 """
 
 from repro.wcet.hardware_model import HardwareCostModel
@@ -189,7 +192,7 @@ from repro.wcet.cache import (
     reset_shared_cache,
     shared_cache,
 )
-from repro.wcet.code_level import analyze_function_wcet, analyze_task_wcet, annotate_htg_wcets
+from repro.wcet.code_level import analyze_function_wcet, analyze_task_wcet
 from repro.wcet.ipet import ipet_wcet
 from repro.wcet.system_level import (
     SystemDesign,
@@ -210,7 +213,6 @@ __all__ = [
     "shared_cache",
     "analyze_function_wcet",
     "analyze_task_wcet",
-    "annotate_htg_wcets",
     "ipet_wcet",
     "SystemDesign",
     "SystemWcetResult",

@@ -72,11 +72,12 @@ System-level result tier
   worst-case priced delay of every payload between every ordered core pair
   (which captures the interconnect/NoC transfer model),
 * the mapping and the per-core ordering, and
-* the knobs that steer the fixed point itself (``max_iterations``,
-  the number of cores, static pruning).
+* what steers the fixed point itself (its iteration cap, the number of
+  cores, static pruning).
 
-All but the mapping, the ordering and the knobs depend only on the design
-point, so they are digested once per design into a key prefix.
+All but the mapping, the ordering, the cap and the pruning flag depend
+only on the design point, so they are digested once per design into a key
+prefix.
 
 Disk persistence
 ----------------
@@ -809,27 +810,23 @@ class WcetAnalysisCache:
         htg: HierarchicalTaskGraph,
         function: Function,
         model: HardwareCostModel,
-        acet_model: HardwareCostModel | None = None,
         only: "Collection[str] | None" = None,
     ) -> None:
-        """Cached counterpart of :func:`~repro.wcet.code_level.annotate_htg_wcets`.
+        """Fill in ``task.wcet`` on ``model`` for every task of the HTG.
 
         With ``only`` set, just the named tasks are (re)annotated; the
-        caller asserts every other task already carries a valid
-        ``wcet``/``acet`` for ``model`` (the incremental pipeline passes the
-        re-extracted task ids here -- reused tasks are copies of previously
-        annotated ones and the platform signature is proven unchanged).
+        caller asserts every other task already carries a valid ``wcet``
+        for ``model`` (the incremental pipeline passes the re-extracted task
+        ids here -- reused tasks are copies of previously annotated ones and
+        the platform signature is proven unchanged).
         """
         for task in htg.tasks.values():
             if only is not None and task.task_id not in only and not task.is_synthetic:
                 continue
             if task.is_synthetic:
                 task.wcet = 0.0
-                task.acet = 0.0
                 continue
             task.wcet = self.task_wcet(task, function, model).total
-            acet = self.task_wcet(task, function, acet_model or model, average=True).total
-            task.acet = min(acet, task.wcet)
 
     # ------------------------------------------------------------------ #
     # disk persistence
@@ -1037,7 +1034,7 @@ class SystemResultCache:
     per-task region fingerprints, the edge payloads, the mapping, the
     per-core ordering, the per-core cost signatures and shared-access
     penalty tables, the priced worst-case delay of every payload between
-    every core pair, the core count, ``max_iterations`` and the pruning
+    every core pair, the core count, the iteration cap and the pruning
     flag (see :meth:`result_key`).  Identical design points therefore
     share entries across schedulers, processes and (when disk-backed)
     machines, and a warm lookup skips the fixed point *and* the per-task
@@ -1068,17 +1065,11 @@ class SystemResultCache:
     # ------------------------------------------------------------------ #
     def result_key(
         self,
-        htg: HierarchicalTaskGraph,
-        function: Function,
-        platform: "Platform",
+        design: "SystemDesign",
         mapping: dict[str, int],
         order: dict[int, list[str]],
-        storage_override=None,
-        max_iterations: int = 25,
-        static_pruning: bool = False,
-        design: "SystemDesign | None" = None,
     ) -> str:
-        """The stable content key of one system-level analysis.
+        """The stable content key of one system-level analysis of ``design``.
 
         The digest of two parts.  The per-design prefix is derived once per
         design point and kept in ``design.key_prefix``: the function
@@ -1087,34 +1078,30 @@ class SystemResultCache:
         delay of every payload x ordered core pair, every core's
         cost-signature digest and shared-access penalty row, and the core
         count.  A call adds the mapping vector in sorted-task order, the
-        non-empty core orders sorted by core, ``max_iterations`` and the
-        pruning flag; dict insertion order never enters the key.
+        non-empty core orders sorted by core, the fixed point's iteration
+        cap (:data:`~repro.wcet.system_level.MAX_ITERATIONS`) and
+        ``design.static_pruning``; dict insertion order never enters the
+        key.
 
         The prefix grows with the square of the core count: it prices
         payloads x C x (C - 1) delays and C penalty rows of C entries, all
         on a design's first key.  A search amortizes that over its
-        candidates; a one-shot key pays it whole: one cold key of a polka
-        design (40 tasks, 2 payloads) on ``recore_xentium_like`` took 2.3 ms
-        at 9 cores, 34 ms at 65 and 111 ms at 129 (medians of 7, shared
-        2-vCPU x86 host).
+        candidates; a design keyed once (a list scheduler run) pays it
+        whole: one cold key of a polka design (40 tasks, 2 payloads) on
+        ``recore_xentium_like`` took 2.3 ms at 9 cores, 34 ms at 65 and
+        111 ms at 129 (medians of 7, shared 2-vCPU x86 host).
 
-        ``design`` is the :class:`~repro.wcet.system_level.SystemDesign` of
-        these inputs that a scheduler search shares across its candidates;
-        ``None`` builds a one-shot design.  A mapping the analysis would
-        refuse raises :class:`~repro.wcet.system_level.SystemWcetError`.
+        A mapping the analysis would refuse raises
+        :class:`~repro.wcet.system_level.SystemWcetError`.
         """
-        if design is None:
-            from repro.wcet.system_level import SystemDesign
+        from repro.wcet import system_level
 
-            design = SystemDesign(htg, function, platform, storage_override)
-        else:
-            design.check(htg, function, platform, storage_override)
         prefix = design.key_prefix
         if prefix is None:
             fp, ids = self._fingerprints, design.leaf_ids
             cores = sorted(design.core_ids)
             parts = {
-                "function": fp.function_fingerprint(function),
+                "function": fp.function_fingerprint(design.function),
                 "tasks": [
                     (ids[i], fp.region_fingerprint(design.tasks[i].statements))
                     for i in design.by_name
@@ -1138,8 +1125,8 @@ class SystemResultCache:
         call = [
             list(map(cores_of.__getitem__, design.by_name)),
             sorted((core, list(tids)) for core, tids in order.items() if tids),
-            max_iterations,
-            bool(static_pruning),
+            system_level.MAX_ITERATIONS,
+            design.static_pruning,
         ]
         return _digest(prefix + json.dumps(call, separators=(",", ":")))
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.htg.graph import HierarchicalTaskGraph
 from repro.htg.task import Task
 from repro.ir.expressions import ArrayRef, Expr
 from repro.ir.loops import loop_trip_count
@@ -179,30 +178,3 @@ def analyze_task_wcet(
     if cache is not None:
         return cache.task_wcet(task, function, model, average)
     return statement_wcet(task.statements, function, model, average)
-
-
-def annotate_htg_wcets(
-    htg: HierarchicalTaskGraph,
-    function: Function,
-    model: HardwareCostModel,
-    acet_model: HardwareCostModel | None = None,
-    cache: "WcetAnalysisCache | None" = None,
-) -> None:
-    """Fill in ``task.wcet`` (and ``task.acet``) for every task of the HTG.
-
-    On heterogeneous platforms callers should annotate per candidate core;
-    here the model's core is used for all tasks, which is exact for
-    homogeneous platforms and conservative when the chosen core is the
-    slowest one.
-    """
-    if cache is not None:
-        cache.annotate_htg(htg, function, model, acet_model)
-        return
-    for task in htg.tasks.values():
-        if task.is_synthetic:
-            task.wcet = 0.0
-            task.acet = 0.0
-            continue
-        task.wcet = analyze_task_wcet(task, function, model).total
-        acet = analyze_task_wcet(task, function, acet_model or model, average=True).total
-        task.acet = min(acet, task.wcet)

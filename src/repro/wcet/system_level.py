@@ -27,14 +27,16 @@ A scheduler search (annealer, genetic algorithm, branch and bound)
 prices thousands of candidate mappings of one design point, and the list
 scheduler every (task, core) placement of it, so the analysis is split.
 
-*Per design* (:class:`SystemDesign`, the one pricing table of the point):
-the leaf tasks, edges and cores numbered once; per task its predecessor
-row of (index, payload); per core one cost model and one shared-access
-penalty row; the isolated WCET, average-case WCET and shared-access count
-of each (task, core), filled lazily through the code-level cache (so its
-entries and misses are the same as without a design); the worst-case
-delay of each (payload, source core, destination core, contender count);
-and the result key's per-design prefix.
+*Per design* (:class:`SystemDesign`, the one pricing table of the point),
+every table filled on first use: the leaf tasks and edges numbered once;
+per task its predecessor row of (index, payload); per core one cost model
+and one shared-access penalty row; the isolated WCET, average-case WCET
+and shared-access count of each (task, core), filled through the
+code-level cache (so its entries and misses are the same as without a
+design); the worst-case delay of each (payload, source core, destination
+core, contender count); and the result key's per-design prefix.  Building
+a design costs nothing, so the numbering runs inside the scheduler that
+first reads it.
 
 *Per mapping*: a mapping vector (the core of each task index) and the
 order rows, the timeline plan with each cross-core edge priced from the
@@ -45,11 +47,15 @@ end.  Indexes instead of task-id dicts because the solve's inner loops
 run once per candidate and fixed-point iteration: list indexing replaces
 string hashing, and no ``Interval`` is built per task per iteration.
 
-:func:`system_level_wcet` always analyses through a design; callers that
-evaluate many mappings build one per search and pass it as ``design=``,
-every other call gets a one-shot design.  A design is never kept past its
-search (nor on a cache or in a module global), so recompiled IR and
-platform rebuilds between searches need no extra care.
+:func:`system_level_wcet`, :func:`contention_oblivious_bound` and the
+result key take the design and read everything else from it: the HTG,
+function and platform, the cache whose tiers memoize the analysis (a
+design built with ``cache=None`` uses :func:`~repro.wcet.cache.shared_cache`)
+and the static-pruning flag.  The pipeline's ``schedule`` stage builds
+one design per run and hands it to the scheduler plugin, so every
+candidate of a search shares it.  A design is never kept past its run
+(nor on a cache or in a module global), so recompiled IR and platform
+rebuilds between runs need no extra care.
 
 MHP implementation notes
 ------------------------
@@ -92,26 +98,22 @@ import operator
 import time
 from bisect import bisect_left
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterator
 
 from repro import obs
 from repro.adl.architecture import Platform
 from repro.htg.graph import HierarchicalTaskGraph
-from repro.ir.program import Function, Storage
+from repro.htg.task import Task
+from repro.ir.program import Function
 from repro.utils.intervals import Interval
+from repro.wcet.cache import WcetAnalysisCache, shared_cache
 from repro.wcet.code_level import analyze_task_wcet
 from repro.wcet.hardware_model import HardwareCostModel
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.wcet.cache import WcetAnalysisCache
-
-def _resolve_static_pruning(value: "bool | None") -> bool:
-    if value is None:
-        value = _MHP_OPTIONS["static_pruning"]
-    return bool(value) if value is not None else False
+#: Safety cap of the fixed point's iterations (see the module docstring).
+#: Written into every result key, so results of another cap never replay.
+MAX_ITERATIONS = 25
 
 
 @dataclass
@@ -161,14 +163,16 @@ class SystemWcetError(RuntimeError):
 
 
 class SystemDesign:
-    """One design point's pricing table (see the module docstring).
+    """One design point: the analysis's inputs and its pricing table.
 
-    Numbers the leaf tasks (``leaf_ids[i]`` is task ``i``) of the inputs a
-    scheduler search shares -- HTG, function, platform, code-level cache
-    and storage override -- and fills its tables on first use.  Build one
-    per search and pass it as ``design=`` to every :func:`system_level_wcet`
-    (or :func:`~repro.scheduling.schedule.evaluate_mapping`) call of it.
-    The tables assume none of the inputs is mutated meanwhile.
+    Holds what every analysis of the point reads -- HTG, function,
+    platform, the cache whose tiers memoize it (``None`` = the process-wide
+    :func:`~repro.wcet.cache.shared_cache`) and the static-pruning flag --
+    and fills its tables on first use, task numbering included
+    (``leaf_ids[i]`` is task ``i``).  Build one per scheduler run and pass
+    it to every :func:`system_level_wcet` (or
+    :func:`~repro.scheduling.schedule.evaluate_mapping`) call of it.  The
+    tables assume none of the inputs is mutated meanwhile.
     """
 
     def __init__(
@@ -176,32 +180,20 @@ class SystemDesign:
         htg: HierarchicalTaskGraph,
         function: Function,
         platform: Platform,
-        storage_override: "dict[str, Storage] | None" = None,
-        cache: "WcetAnalysisCache | None" = None,
+        cache: WcetAnalysisCache | None = None,
+        static_pruning: bool = False,
     ) -> None:
         self.htg = htg
         self.function = function
         self.platform = platform
-        self.storage_override = dict(storage_override or {})
-        self.cache = cache
-        self.tasks = htg.leaf_tasks()
-        self.leaf_ids = [t.task_id for t in self.tasks]
-        self.index = {tid: i for i, tid in enumerate(self.leaf_ids)}
+        self.cache = cache if cache is not None else shared_cache()
+        #: prune the MHP contender derivation with the static interference
+        #: relation (see :func:`system_level_wcet`)
+        self.static_pruning = bool(static_pruning)
         self.core_ids = [c.core_id for c in platform.cores]
         self.num_cores = len(self.core_ids)
         #: contending cores assumed for every cross-core transfer
         self.comm_contenders = max(0, self.num_cores - 1)
-        index = self.index
-        #: every edge between leaf tasks as (src, dst, payload), in graph order
-        self.leaf_edges = [
-            (index[e.src], index[e.dst], e.payload_bytes)
-            for e in htg.edges
-            if e.src in index and e.dst in index
-        ]
-        #: per task, its predecessors as (index, payload), in graph order
-        self.pred_rows: list[list[tuple[int, int]]] = [[] for _ in self.leaf_ids]
-        for src, dst, payload in self.leaf_edges:
-            self.pred_rows[dst].append((src, payload))
         self._models: dict[int, HardwareCostModel] = {}
         self._penalties: dict[int, list[float]] = {}
         #: (core, average) -> per task (total, shared accesses), None = not yet
@@ -211,21 +203,37 @@ class SystemDesign:
         #: :meth:`~repro.wcet.cache.SystemResultCache.result_key`
         self.key_prefix: str | None = None
 
-    def check(
-        self,
-        htg: HierarchicalTaskGraph,
-        function: Function,
-        platform: Platform,
-        storage_override: "dict[str, Storage] | None",
-    ) -> None:
-        """Raise :class:`SystemWcetError` unless built for exactly these inputs."""
-        if (
-            htg is not self.htg
-            or function is not self.function
-            or platform is not self.platform
-            or dict(storage_override or {}) != self.storage_override
-        ):
-            raise SystemWcetError("design context was built for a different design point")
+    @cached_property
+    def tasks(self) -> list[Task]:
+        """The leaf tasks; task index ``i`` is ``tasks[i]``."""
+        return self.htg.leaf_tasks()
+
+    @cached_property
+    def leaf_ids(self) -> list[str]:
+        return [t.task_id for t in self.tasks]
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        """Task id -> task index."""
+        return {tid: i for i, tid in enumerate(self.leaf_ids)}
+
+    @cached_property
+    def leaf_edges(self) -> list[tuple[int, int, int]]:
+        """Every edge between leaf tasks as (src, dst, payload), in graph order."""
+        index = self.index
+        return [
+            (index[e.src], index[e.dst], e.payload_bytes)
+            for e in self.htg.edges
+            if e.src in index and e.dst in index
+        ]
+
+    @cached_property
+    def pred_rows(self) -> list[list[tuple[int, int]]]:
+        """Per task, its predecessors as (index, payload), in graph order."""
+        rows: list[list[tuple[int, int]]] = [[] for _ in self.leaf_ids]
+        for src, dst, payload in self.leaf_edges:
+            rows[dst].append((src, payload))
+        return rows
 
     @cached_property
     def topological(self) -> list[int]:
@@ -241,7 +249,7 @@ class SystemDesign:
         """The one cost model of ``core`` (so identity-keyed memos hit)."""
         model = self._models.get(core)
         if model is None:
-            model = HardwareCostModel(self.platform, core, self.storage_override)
+            model = HardwareCostModel(self.platform, core)
             self._models[core] = model
         return model
 
@@ -473,166 +481,47 @@ def mhp_contenders_pruned(
     return contenders
 
 
-def _certify_replayed_result(
-    result: SystemWcetResult,
-    htg: HierarchicalTaskGraph,
-    platform: Platform,
-    order: dict[int, list[str]],
-    function: "Function | None" = None,
-) -> None:
-    """Reject a cache-served result the certificate checkers refute.
-
-    A result carrying a static-MHP skeleton is additionally checked by the
-    contention-certificate checker, which independently re-proves every
-    excluded pair ordered or footprint-disjoint (requires ``function``).
-
-    Imported lazily: the certify package depends on this module's result
-    type, and the common (non-certifying) path must not pay the import.
-    """
-    from repro.analysis.certify import (
-        CertificationError,
-        build_fixed_point_certificate,
-        check_fixed_point_certificate,
-    )
-
-    certificate = build_fixed_point_certificate(result, order, platform, htg)
-    report = check_fixed_point_certificate(certificate, htg, platform)
-    if report.count("error"):
-        raise CertificationError(
-            "memoized system-level result failed certification on replay: "
-            + "; ".join(str(f) for f in report.findings if f.severity == "error"),
-            report=report,
-        )
-    if result.mhp_allowed is not None and function is not None:
-        from repro.analysis.certify import (
-            build_contention_certificate,
-            check_contention_certificate,
-        )
-
-        contention = build_contention_certificate(result, htg, function)
-        contention_report = check_contention_certificate(contention, htg, function)
-        if contention_report.count("error"):
-            raise CertificationError(
-                "memoized system-level result failed contention certification "
-                "on replay: "
-                + "; ".join(
-                    str(f)
-                    for f in contention_report.findings
-                    if f.severity == "error"
-                ),
-                report=contention_report,
-            )
-
-
-#: Ambient MHP options: the pipeline's schedule stage sets them from
-#: ``ToolchainConfig`` so the ``system_level_wcet`` calls made deep inside
-#: scheduler implementations pick them up without a signature change on
-#: every scheduler plugin.  A plain module global: sweeps parallelise
-#: across *processes*, so per-thread state is not needed.
-_MHP_OPTIONS: dict = {"static_pruning": None}
-
-
-@contextmanager
-def mhp_options(static_pruning: "bool | None" = None) -> Iterator[None]:
-    """Ambiently set MHP defaults for nested :func:`system_level_wcet` calls.
-
-    ``None`` leaves the enclosing value in place.  Explicit keyword
-    arguments to :func:`system_level_wcet` always win over the ambient
-    values, which in turn win over the module default (``static_pruning``
-    off).
-    """
-    previous = dict(_MHP_OPTIONS)
-    if static_pruning is not None:
-        _MHP_OPTIONS["static_pruning"] = static_pruning
-    try:
-        yield
-    finally:
-        _MHP_OPTIONS.clear()
-        _MHP_OPTIONS.update(previous)
-
-
 def system_level_wcet(
-    htg: HierarchicalTaskGraph,
-    function: Function,
-    platform: Platform,
-    mapping: dict[str, int],
-    order: dict[int, list[str]],
-    storage_override: dict[str, Storage] | None = None,
-    max_iterations: int = 25,
-    cache: "WcetAnalysisCache | None" = None,
-    result_cache: bool = True,
-    certify: bool = False,
-    static_pruning: "bool | None" = None,
-    design: "SystemDesign | None" = None,
+    design: SystemDesign, mapping: dict[str, int], order: dict[int, list[str]]
 ) -> SystemWcetResult:
-    """Contention-aware multi-core WCET of a mapped and ordered HTG.
+    """Contention-aware multi-core WCET of one mapping and core order of
+    ``design``.
 
-    ``design`` is the :class:`SystemDesign` of (``htg``, ``function``,
-    ``platform``, ``storage_override``, ``cache``), shared by every
-    candidate mapping of one scheduler search so each design point is
-    priced once; ``None`` builds a one-shot design.  A design built for
-    other inputs raises :class:`SystemWcetError`.  Results are identical
-    either way.
-
-    ``static_pruning`` enables the static interference analysis
+    ``design.static_pruning`` enables the static interference analysis
     (:mod:`repro.analysis.static_mhp`): dependence-ordered and
     footprint-disjoint pairs are excluded from the contender skeleton once,
     before the iteration, so every MHP pass (:func:`mhp_contenders_pruned`
     instead of :func:`mhp_contenders`) runs over fewer pairs and the
     resulting bound is never looser than the unpruned one (ordered
     exclusions cannot change any count; footprint exclusions can only
-    lower counts).  Off (the default) is the bit-identical differential
-    oracle -- it leaves this function's behaviour exactly as before.
-    Pruned results carry the skeleton in ``mhp_allowed`` and are memoized
-    under result keys distinct from unpruned ones.
+    lower counts).  Off (the default) is the differential oracle.  Pruned
+    results carry the skeleton in ``mhp_allowed`` and are memoized under
+    result keys distinct from unpruned ones.
 
-    ``result_cache`` controls the system-level result tier
-    (:class:`~repro.wcet.cache.SystemResultCache`): by default
-    ``cache.system_results`` is consulted when a code-level cache is given,
-    so a previously analysed identical design point skips the fixed point
-    (and the per-task code-level analyses) entirely; ``False`` forces a full
-    re-analysis (differential tests and fixed-point benchmarks want the
-    recomputation, not the memo).
-
-    ``certify`` guards the cache-replay path: a memoized result served from
-    the result tier is re-validated by the independent fixed-point
-    certificate checker (:mod:`repro.analysis.certify`) before it is
-    returned, so a corrupt, stale or hand-edited cache entry raises
-    :class:`~repro.analysis.certify.CertificationError` instead of being
-    silently trusted.  Freshly computed results are returned as-is (the
-    pipeline's ``certify`` stage covers them).
+    Every call consults the result tier of ``design.cache``
+    (:class:`~repro.wcet.cache.SystemResultCache`), so a previously
+    analysed identical design point skips the fixed point (and the
+    per-task code-level analyses) entirely.  Code that must re-run the
+    fixed point clears ``design.cache.system_results.store`` first.  A
+    replayed result is re-checked by the pipeline's ``certify`` stage like
+    a fresh one.
 
     The fixed point always starts cold (isolated WCETs, no contenders), so
     every run lands on the same fixed point as any other run of the same
     design point, memoized or not.
     """
-    use_pruning = _resolve_static_pruning(static_pruning)
-
-    if design is None:
-        design = SystemDesign(htg, function, platform, storage_override, cache)
-    else:
-        design.check(htg, function, platform, storage_override)
-        if design.cache is not cache:
-            raise SystemWcetError("design context was built for a different cache")
     # a malformed mapping or order fails here, whatever the result tier holds
     cores, rows = design.vectors(mapping, order)
 
-    result_tier = cache.system_results if cache is not None and result_cache else None
-    result_key: str | None = None
-    if result_tier is not None:
-        result_key = result_tier.result_key(
-            htg, function, platform, mapping, order, storage_override=storage_override,
-            max_iterations=max_iterations, static_pruning=use_pruning, design=design,
-        )
-        memoized = result_tier.get(result_key)
-        if obs.obs_enabled():
-            obs.metrics().counter(
-                "system_cache.hits" if memoized is not None else "system_cache.misses"
-            ).inc()
-        if memoized is not None:
-            if certify:
-                _certify_replayed_result(memoized, htg, platform, order, function)
-            return memoized
+    result_tier = design.cache.system_results
+    result_key = result_tier.result_key(design, mapping, order)
+    memoized = result_tier.get(result_key)
+    if obs.obs_enabled():
+        obs.metrics().counter(
+            "system_cache.hits" if memoized is not None else "system_cache.misses"
+        ).inc()
+    if memoized is not None:
+        return memoized
     leaf_ids = design.leaf_ids
     penalty_rows = list(map(design.penalties, cores))
     costs = list(map(design.cost, range(len(cores)), cores))
@@ -644,14 +533,14 @@ def system_level_wcet(
     allowed: dict[str, tuple[str, ...]] | None = None
     allowed_rows: list[tuple[int, ...]] = []
     pairs_per_pass = 0
-    if use_pruning:
+    if design.static_pruning:
         # imported lazily for the same reason as the certify machinery: the
         # analysis package depends on this module's types
         from repro.analysis.static_mhp import compute_static_mhp
 
         relation = compute_static_mhp(
-            htg, function, mapping, sharers=[leaf_ids[i] for i in sharers],
-            store=cache.footprints if cache is not None else None,
+            design.htg, design.function, mapping, sharers=[leaf_ids[i] for i in sharers],
+            store=design.cache.footprints,
         )
         allowed = relation.allowed
         allowed_rows = [tuple(map(design.index.__getitem__, allowed.get(t, ()))) for t in leaf_ids]
@@ -683,10 +572,10 @@ def system_level_wcet(
     obs_on = obs.obs_enabled()
     deltas: list[float] = []
     fp_span = obs.span(
-        "fixed_point", tasks=len(cores), sharers=len(sharers), pruned=use_pruning
+        "fixed_point", tasks=len(cores), sharers=len(sharers), pruned=design.static_pruning
     )
     with fp_span:
-        for iterations in range(1, max_iterations + 1):
+        for iterations in range(1, MAX_ITERATIONS + 1):
             iter_start = time.perf_counter() if obs_on else 0.0
             starts, finishes, makespan = timeline.build(effective)
             if allowed is None:
@@ -696,7 +585,7 @@ def system_level_wcet(
             new_effective = [
                 b + s * row[k] for b, s, row, k in zip(base, shared, penalty_rows, new_contenders)
             ]
-            if obs_on or iterations == max_iterations:
+            if obs_on or iterations == MAX_ITERATIONS:
                 # the max-delta is evidence for the converged flag; off the
                 # observed path it is only needed at the iteration cap
                 final_delta = max(map(abs, map(operator.sub, new_effective, effective)), default=0.0)
@@ -765,18 +654,12 @@ def system_level_wcet(
         final_delta=final_delta,
         iteration_deltas=tuple(deltas) if obs_on else None,
     )
-    if result_tier is not None and result_key is not None:
-        result_tier.put(result_key, result)
+    result_tier.put(result_key, result)
     return result
 
 
 def contention_oblivious_bound(
-    htg: HierarchicalTaskGraph,
-    function: Function,
-    platform: Platform,
-    mapping: dict[str, int],
-    order: dict[int, list[str]],
-    cache: "WcetAnalysisCache | None" = None,
+    design: SystemDesign, mapping: dict[str, int], order: dict[int, list[str]]
 ) -> float:
     """Naive bound that assumes maximal contention on every shared access.
 
@@ -785,7 +668,6 @@ def contention_oblivious_bound(
     task is delayed by all other cores.  Experiment E3 compares this bound
     against the MHP-based system-level bound.
     """
-    design = SystemDesign(htg, function, platform, cache=cache)
     cores, rows = design.vectors(mapping, order)
     effective = []
     for i, core in enumerate(cores):

@@ -234,15 +234,9 @@ class TestUsecasesAreClean:
 
 
 # ---------------------------------------------------------------------- #
-# gates: pipeline config knob and codegen self-check
+# gates: codegen self-check
 # ---------------------------------------------------------------------- #
 class TestGates:
-    def test_race_check_knob_is_validated(self):
-        with pytest.raises(ValueError):
-            ToolchainConfig(race_check="yes")
-        assert ToolchainConfig().race_check is True
-        assert ToolchainConfig(race_check=False).race_check is False
-
     def test_codegen_refuses_racy_program(self):
         func, htg = two_tasks({"buf"}, (), (), {"buf"})
         program = ParallelProgram(

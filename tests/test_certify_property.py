@@ -16,8 +16,9 @@ from repro.core.pipeline import run_pipeline
 from repro.htg.extraction import ExtractionOptions, extract_htg
 from repro.scheduling.schedule import default_core_order, evaluate_mapping
 from repro.usecases.workloads import random_pipeline_diagram, synthetic_compiled_model
-from repro.wcet.code_level import annotate_htg_wcets
+from repro.wcet.cache import WcetAnalysisCache
 from repro.wcet.hardware_model import HardwareCostModel
+from repro.wcet.system_level import SystemDesign
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
@@ -49,14 +50,14 @@ def test_random_htg_chain_accepted(seed):
     htg = extract_htg(model, ExtractionOptions(granularity="loop", loop_chunks=2))
     cores = 2 + seed % 3
     platform = generic_predictable_multicore(cores=cores)
-    annotate_htg_wcets(htg, model.entry, HardwareCostModel(platform, 0))
+    WcetAnalysisCache().annotate_htg(htg, model.entry, HardwareCostModel(platform, 0))
     mapping = {
         t.task_id: i % cores
         for i, t in enumerate(htg.topological_tasks())
         if not t.is_synthetic
     }
     schedule = evaluate_mapping(
-        htg, model.entry, platform, mapping, default_core_order(htg, mapping)
+        SystemDesign(htg, model.entry, platform), mapping, default_core_order(htg, mapping)
     )
     chain = build_certificates(schedule, model.entry, htg, platform)
     assert chain.ok, [str(f) for f in chain.findings()]

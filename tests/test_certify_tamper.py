@@ -20,22 +20,23 @@ from repro.analysis.certify import (
     check_ipet_certificate,
     check_schedule_certificate,
 )
+from repro.core.config import ToolchainConfig
+from repro.core.pipeline import Pipeline
 from repro.htg.extraction import ExtractionOptions, extract_htg
 from repro.scheduling.schedule import default_core_order, evaluate_mapping
-from repro.usecases.workloads import synthetic_compiled_model
+from repro.usecases.workloads import random_pipeline_diagram, synthetic_compiled_model
 from repro.utils.intervals import Interval
 from repro.wcet.cache import CACHE_SCHEMA_VERSION, WcetAnalysisCache
-from repro.wcet.code_level import annotate_htg_wcets
 from repro.wcet.hardware_model import HardwareCostModel
 from repro.wcet.ipet import ipet_wcet
-from repro.wcet.system_level import system_level_wcet
+from repro.wcet.system_level import SystemDesign
 
 
 def mapped_case(cores=3, seed=7):
     model = synthetic_compiled_model(num_kernels=6, vector_size=32, seed=seed)
     htg = extract_htg(model, ExtractionOptions(granularity="loop", loop_chunks=2))
     platform = generic_predictable_multicore(cores=cores)
-    annotate_htg_wcets(htg, model.entry, HardwareCostModel(platform, 0))
+    WcetAnalysisCache().annotate_htg(htg, model.entry, HardwareCostModel(platform, 0))
     mapping = {
         t.task_id: i % cores
         for i, t in enumerate(htg.topological_tasks())
@@ -52,7 +53,7 @@ def case():
 @pytest.fixture(scope="module")
 def schedule(case):
     model, htg, platform, mapping, order = case
-    return evaluate_mapping(htg, model.entry, platform, mapping, order)
+    return evaluate_mapping(SystemDesign(htg, model.entry, platform), mapping, order)
 
 
 def codes(report):
@@ -234,32 +235,49 @@ class TestFixedPointTamper:
 # cache certification: hand-edited entries are caught at replay
 # ---------------------------------------------------------------------- #
 class TestCacheTamper:
-    def _prime(self, tmp_path):
-        model, htg, platform, mapping, order = mapped_case(seed=11)
-        cache = WcetAnalysisCache.open(tmp_path / "cache")
-        honest = system_level_wcet(
-            htg, model.entry, platform, mapping, order, cache=cache
+    """A result the cache's result tier replays meets the same certify
+    stage as a freshly computed one."""
+
+    @staticmethod
+    def _pipeline(tmp_path, certify):
+        return Pipeline(
+            generic_predictable_multicore(cores=3),
+            ToolchainConfig(certify=certify),
+            WcetAnalysisCache.open(tmp_path / "cache"),
         )
-        cache.flush()
-        return model, htg, platform, mapping, order, honest
+
+    @staticmethod
+    def _diagram():
+        return random_pipeline_diagram(stages=3, width=2, vector_size=16, seed=11)
+
+    def _run(self, tmp_path, certify):
+        pipeline = self._pipeline(tmp_path, certify)
+        result = pipeline.run(self._diagram())
+        assert pipeline.wcet_cache.system_results.stats.disk_hits == 1  # replayed
+        return result
+
+    def _prime(self, tmp_path):
+        pipeline = self._pipeline(tmp_path, certify=False)
+        honest = pipeline.run(self._diagram())
+        pipeline.wcet_cache.flush()
+        return honest.schedule.result
 
     def _tamper_shard(self, tmp_path, mutate):
         vdir = tmp_path / "cache" / f"v{CACHE_SCHEMA_VERSION}"
         shard = next(vdir.glob("sys-entries*.jsonl"))
         records = [json.loads(line) for line in shard.read_text().splitlines()]
+        assert len(records) == 1
         mutate(records[0])
         shard.write_text("\n".join(json.dumps(r) for r in records) + "\n")
 
     def test_untampered_replay_certifies_clean(self, tmp_path):
-        model, htg, platform, mapping, order, honest = self._prime(tmp_path)
-        replay = system_level_wcet(
-            htg, model.entry, platform, mapping, order,
-            cache=WcetAnalysisCache.open(tmp_path / "cache"), certify=True,
-        )
-        assert replay.makespan == honest.makespan
+        honest = self._prime(tmp_path)
+        replay = self._run(tmp_path, certify=True)
+        assert replay.certificates.ok
+        assert replay.schedule.result.makespan == honest.makespan
 
     def test_tampered_entry_raises_on_certified_replay(self, tmp_path):
-        model, htg, platform, mapping, order, _ = self._prime(tmp_path)
+        self._prime(tmp_path)
 
         def shave_response_time(record):
             tid = max(record["tasks"], key=lambda t: record["tasks"][t][1])
@@ -269,39 +287,32 @@ class TestCacheTamper:
 
         self._tamper_shard(tmp_path, shave_response_time)
         with pytest.raises(CertificationError) as excinfo:
-            system_level_wcet(
-                htg, model.entry, platform, mapping, order,
-                cache=WcetAnalysisCache.open(tmp_path / "cache"), certify=True,
-            )
+            self._run(tmp_path, certify=True)
         assert excinfo.value.report is not None
         assert "certify.fixed-point.interval-length" in codes(excinfo.value.report)
 
     def test_tampered_entry_is_silently_served_without_certify(self, tmp_path):
-        """The certify knob is the only line of defence: document that a
+        """The certify stage is the only line of defence: document that a
         plain replay trusts the cache (this is why CI runs with certify)."""
-        model, htg, platform, mapping, order, honest = self._prime(tmp_path)
+        honest = self._prime(tmp_path)
 
         def understate_makespan(record):
             record["makespan"] = record["makespan"] * 0.5
 
         self._tamper_shard(tmp_path, understate_makespan)
-        replay = system_level_wcet(
-            htg, model.entry, platform, mapping, order,
-            cache=WcetAnalysisCache.open(tmp_path / "cache"),
-        )
-        assert replay.makespan == honest.makespan * 0.5
+        replay = self._run(tmp_path, certify=False)
+        assert replay.schedule.result.makespan == honest.makespan * 0.5
 
     def test_understated_cached_makespan_caught(self, tmp_path):
-        model, htg, platform, mapping, order, _ = self._prime(tmp_path)
+        self._prime(tmp_path)
         self._tamper_shard(
             tmp_path, lambda record: record.update(makespan=record["makespan"] * 0.5)
         )
         with pytest.raises(CertificationError) as excinfo:
-            system_level_wcet(
-                htg, model.entry, platform, mapping, order,
-                cache=WcetAnalysisCache.open(tmp_path / "cache"), certify=True,
-            )
-        assert "certify.fixed-point.makespan-understated" in codes(excinfo.value.report)
+            self._run(tmp_path, certify=True)
+        found = codes(excinfo.value.report)
+        assert "certify.schedule.bound-mismatch" in found
+        assert "certify.fixed-point.makespan-understated" in found
 
 
 # ---------------------------------------------------------------------- #
@@ -310,7 +321,7 @@ class TestCacheTamper:
 class TestScheduleObjectTamper:
     def test_moved_interval_refutes_schedule_certify(self, case):
         model, htg, platform, mapping, order = case
-        schedule = evaluate_mapping(htg, model.entry, platform, mapping, order)
+        schedule = evaluate_mapping(SystemDesign(htg, model.entry, platform), mapping, order)
         victim = max(
             schedule.result.task_intervals,
             key=lambda t: schedule.result.task_intervals[t].start,

@@ -13,8 +13,9 @@ from repro.model import Diagram, library
 from repro.scheduling.schedule import default_core_order, evaluate_mapping
 from repro.wcet import (
     HardwareCostModel,
+    SystemDesign,
+    WcetAnalysisCache,
     analyze_function_wcet,
-    annotate_htg_wcets,
     ipet_wcet,
     system_level_wcet,
 )
@@ -121,7 +122,7 @@ class TestHtgExtraction:
     def test_critical_path_and_total(self, pipeline_model, platform4):
         htg = extract_htg(pipeline_model)
         model = HardwareCostModel(platform4, 0)
-        annotate_htg_wcets(htg, pipeline_model.entry, model)
+        WcetAnalysisCache().annotate_htg(htg, pipeline_model.entry, model)
         cp = htg.critical_path_length()
         assert 0 < cp <= htg.total_wcet() + 1e-9
 
@@ -218,14 +219,18 @@ class TestIpet:
 class TestSystemLevelWcet:
     def _htg(self, pipeline_model, platform):
         htg = extract_htg(pipeline_model, ExtractionOptions(granularity="loop", loop_chunks=2))
-        annotate_htg_wcets(htg, pipeline_model.entry, HardwareCostModel(platform, 0))
+        WcetAnalysisCache().annotate_htg(htg, pipeline_model.entry, HardwareCostModel(platform, 0))
         return htg
+
+    @staticmethod
+    def _design(htg, pipeline_model, platform):
+        return SystemDesign(htg, pipeline_model.entry, platform, WcetAnalysisCache())
 
     def test_parallel_bound_not_below_critical_path(self, pipeline_model, platform4):
         htg = self._htg(pipeline_model, platform4)
         mapping = {t.task_id: i % 4 for i, t in enumerate(htg.topological_tasks()) if not t.is_synthetic}
         result = system_level_wcet(
-            htg, pipeline_model.entry, platform4, mapping, default_core_order(htg, mapping)
+            self._design(htg, pipeline_model, platform4), mapping, default_core_order(htg, mapping)
         )
         assert result.makespan >= htg.critical_path_length() - 1e-6
 
@@ -233,7 +238,7 @@ class TestSystemLevelWcet:
         htg = self._htg(pipeline_model, platform4)
         mapping = {t.task_id: 0 for t in htg.leaf_tasks()}
         result = system_level_wcet(
-            htg, pipeline_model.entry, platform4, mapping, default_core_order(htg, mapping)
+            self._design(htg, pipeline_model, platform4), mapping, default_core_order(htg, mapping)
         )
         assert result.interference_cycles == 0.0
         assert result.communication_cycles == 0.0
@@ -243,32 +248,32 @@ class TestSystemLevelWcet:
         htg = self._htg(pipeline_model, platform4)
         mapping = {t.task_id: i % 4 for i, t in enumerate(htg.topological_tasks()) if not t.is_synthetic}
         order = default_core_order(htg, mapping)
-        precise = system_level_wcet(htg, pipeline_model.entry, platform4, mapping, order)
-        naive = contention_oblivious_bound(htg, pipeline_model.entry, platform4, mapping, order)
+        design = self._design(htg, pipeline_model, platform4)
+        precise = system_level_wcet(design, mapping, order)
+        naive = contention_oblivious_bound(design, mapping, order)
         assert naive >= precise.makespan - 1e-6
 
     def test_missing_mapping_rejected(self, pipeline_model, platform4):
         htg = self._htg(pipeline_model, platform4)
         with pytest.raises(SystemWcetError):
-            system_level_wcet(htg, pipeline_model.entry, platform4, {}, {})
+            system_level_wcet(self._design(htg, pipeline_model, platform4), {}, {})
 
     def test_interference_grows_with_sharing_cores(self, pipeline_model, platform4):
         htg = self._htg(pipeline_model, platform4)
         leaf = [t.task_id for t in htg.topological_tasks() if not t.is_synthetic]
         mapping_two = {tid: i % 2 for i, tid in enumerate(leaf)}
         mapping_four = {tid: i % 4 for i, tid in enumerate(leaf)}
-        r2 = system_level_wcet(
-            htg, pipeline_model.entry, platform4, mapping_two, default_core_order(htg, mapping_two)
-        )
-        r4 = system_level_wcet(
-            htg, pipeline_model.entry, platform4, mapping_four, default_core_order(htg, mapping_four)
-        )
+        design = self._design(htg, pipeline_model, platform4)
+        r2 = system_level_wcet(design, mapping_two, default_core_order(htg, mapping_two))
+        r4 = system_level_wcet(design, mapping_four, default_core_order(htg, mapping_four))
         assert max(r4.task_contenders.values()) >= max(r2.task_contenders.values())
 
     def test_evaluate_mapping_wraps_result(self, pipeline_model, platform4):
         htg = self._htg(pipeline_model, platform4)
         mapping = {t.task_id: 0 for t in htg.leaf_tasks()}
-        schedule = evaluate_mapping(htg, pipeline_model.entry, platform4, mapping, scheduler="test")
+        schedule = evaluate_mapping(
+            self._design(htg, pipeline_model, platform4), mapping, scheduler="test"
+        )
         assert schedule.wcet_bound > 0
         assert schedule.num_cores_used == 1
         util = schedule.utilization()

@@ -30,7 +30,7 @@ from repro.obs.tracer import (
 )
 from repro.usecases import build_egpws_diagram
 from repro.usecases.workloads import random_pipeline_diagram
-from repro.wcet import HardwareCostModel, annotate_htg_wcets, system_level_wcet
+from repro.wcet import HardwareCostModel, SystemDesign, system_level, system_level_wcet
 from repro.wcet.cache import WcetAnalysisCache
 from repro.htg import extract_htg
 from repro.htg.extraction import ExtractionOptions
@@ -283,7 +283,7 @@ def _analysed_case(cores=2):
     model = compile_diagram(build_egpws_diagram(lookahead=8))
     htg = extract_htg(model, ExtractionOptions(granularity="loop", loop_chunks=2))
     platform = generic_predictable_multicore(cores=cores)
-    annotate_htg_wcets(htg, model.entry, HardwareCostModel(platform, 0))
+    WcetAnalysisCache().annotate_htg(htg, model.entry, HardwareCostModel(platform, 0))
     mapping = {
         t.task_id: i % cores
         for i, t in enumerate(htg.topological_tasks())
@@ -292,29 +292,29 @@ def _analysed_case(cores=2):
     return htg, model.entry, platform, mapping, default_core_order(htg, mapping)
 
 
-def test_final_delta_and_iteration_deltas():
+def test_final_delta_and_iteration_deltas(monkeypatch):
     htg, function, platform, mapping, order = _analysed_case()
 
-    cold = system_level_wcet(
-        htg, function, platform, mapping, order, result_cache=False
-    )
+    def fixed_point():
+        # a fresh cache has no result to replay, so the fixed point runs
+        return system_level_wcet(
+            SystemDesign(htg, function, platform, WcetAnalysisCache()), mapping, order
+        )
+
+    cold = fixed_point()
     assert cold.converged
     assert cold.final_delta == 0.0
     assert cold.iteration_deltas is None, "deltas are an observed-run diagnostic"
 
     obs.set_enabled(True)
-    observed = system_level_wcet(
-        htg, function, platform, mapping, order, result_cache=False
-    )
+    observed = fixed_point()
     assert observed.makespan == cold.makespan
     assert observed.iteration_deltas is not None
     assert len(observed.iteration_deltas) == observed.iterations
     assert observed.iteration_deltas[-1] == 0.0
 
-    capped = system_level_wcet(
-        htg, function, platform, mapping, order,
-        max_iterations=1, result_cache=False,
-    )
+    monkeypatch.setattr(system_level, "MAX_ITERATIONS", 1)
+    capped = fixed_point()
     assert not capped.converged
     # at the iteration cap the final delta is real evidence, not a default
     assert capped.final_delta == observed.iteration_deltas[0]

@@ -51,7 +51,13 @@ from repro.usecases.workloads import (
     synthetic_compiled_model,
 )
 from repro.utils.graphs import Reachability, transitive_closure
-from repro.wcet import HardwareCostModel, annotate_htg_wcets, shared_cache, system_level_wcet
+from repro.wcet import (
+    HardwareCostModel,
+    SystemDesign,
+    WcetAnalysisCache,
+    shared_cache,
+    system_level_wcet,
+)
 
 USECASES = ["egpws", "polka", "weaa"]
 CASES = USECASES + ["synthetic-1", "synthetic-2", "synthetic-3"]
@@ -344,7 +350,7 @@ def build_case(case, cores=4, chunks=3):
         model = compile_diagram(builder())
     htg = extract_htg(model, ExtractionOptions(granularity="loop", loop_chunks=chunks))
     platform = generic_predictable_multicore(cores=cores)
-    annotate_htg_wcets(htg, model.entry, HardwareCostModel(platform, 0))
+    WcetAnalysisCache().annotate_htg(htg, model.entry, HardwareCostModel(platform, 0))
     mapping = round_robin(htg, platform.num_cores)
     return model, htg, platform, mapping
 
@@ -485,8 +491,9 @@ class TestStaticMhpDifferential:
     def test_system_level_skeleton_matches_oracle(self, case):
         model, htg, platform, mapping = build_case(case)
         result = system_level_wcet(
-            htg, model.entry, platform, mapping, default_core_order(htg, mapping),
-            static_pruning=True,
+            SystemDesign(htg, model.entry, platform, static_pruning=True),
+            mapping,
+            default_core_order(htg, mapping),
         )
         sharers = [t for t, n in result.task_shared_accesses.items() if n > 0]
         allowed, _ = static_mhp_oracle(htg, model.entry, mapping, sharers=sharers)
@@ -641,8 +648,9 @@ def contention_variants(case):
     """Honest and tampered certificates with the graph each is checked on."""
     model, htg, platform, mapping = build_case(case)
     result = system_level_wcet(
-        htg, model.entry, platform, mapping, default_core_order(htg, mapping),
-        static_pruning=True,
+        SystemDesign(htg, model.entry, platform, static_pruning=True),
+        mapping,
+        default_core_order(htg, mapping),
     )
     honest = build_contention_certificate(result, htg, model.entry)
     emptied = replace(honest, allowed={t: [] for t in honest.allowed})

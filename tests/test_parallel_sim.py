@@ -12,15 +12,15 @@ from repro.parallel import build_parallel_program, parallel_program_to_c
 from repro.scheduling import WcetAwareListScheduler, sequential_schedule
 from repro.sim import simulate_parallel_program
 from repro.usecases import build_polka_diagram, polka_test_inputs
-from repro.wcet import HardwareCostModel, annotate_htg_wcets
+from repro.wcet import HardwareCostModel, SystemDesign, WcetAnalysisCache
 
 
 def build_case(platform, chunks=2):
     diagram = build_polka_diagram(pixels=32)
     model = compile_diagram(diagram)
     htg = extract_htg(model, ExtractionOptions(granularity="loop", loop_chunks=chunks))
-    annotate_htg_wcets(htg, model.entry, HardwareCostModel(platform, 0))
-    schedule = WcetAwareListScheduler(platform=platform).schedule(htg, model.entry)
+    WcetAnalysisCache().annotate_htg(htg, model.entry, HardwareCostModel(platform, 0))
+    schedule = WcetAwareListScheduler().schedule(SystemDesign(htg, model.entry, platform))
     return model, htg, schedule
 
 
@@ -71,7 +71,7 @@ class TestParallelProgram:
 
     def test_sequential_program_has_no_sync(self, platform, case):
         model, htg, _ = case
-        schedule = sequential_schedule(htg, model.entry, platform)
+        schedule = sequential_schedule(SystemDesign(htg, model.entry, platform))
         program = build_parallel_program(htg, model.entry, platform, schedule)
         assert program.num_sync_ops == 0
         assert program.total_comm_bytes == 0

@@ -87,17 +87,13 @@ class TestSchedulerRegistry:
 
     def test_third_party_scheduler_runs_through_config(self, platform):
         @register_scheduler("rr_test", description="round robin for tests")
-        def round_robin(htg, function, platform, config, cache):
-            core_ids = [c.core_id for c in platform.cores]
-            if config.max_cores is not None:
-                core_ids = core_ids[: config.max_cores]
-            leaves = [t for t in htg.topological_tasks() if not t.is_synthetic]
+        def round_robin(design, config):
+            core_ids = design.core_ids[: config.max_cores]
+            leaves = [t for t in design.htg.topological_tasks() if not t.is_synthetic]
             mapping = {
                 t.task_id: core_ids[i % len(core_ids)] for i, t in enumerate(leaves)
             }
-            return evaluate_mapping(
-                htg, function, platform, mapping, scheduler="rr_test", cache=cache
-            )
+            return evaluate_mapping(design, mapping, scheduler="rr_test")
 
         try:
             config = ToolchainConfig(scheduler="rr_test", **SMALL)
@@ -161,7 +157,6 @@ class TestConfigValidation:
             {"max_cores": -2},
             {"contention_weight": -0.5},
             {"contention_weight": float("nan")},
-            {"scratchpad_capacity_bytes": 0},
             {"passes": ["nope"]},
         ],
     )
@@ -170,7 +165,7 @@ class TestConfigValidation:
             ToolchainConfig(**kwargs)
 
     def test_valid_edge_values_accepted(self):
-        ToolchainConfig(max_cores=1, contention_weight=0.0, scratchpad_capacity_bytes=1)
+        ToolchainConfig(max_cores=1, contention_weight=0.0)
 
 
 class TestPipelineStages:

@@ -6,14 +6,14 @@ use-case tests never hit -- unanalysed schedules, empty HTGs -- and the
 structure of the fixed-point convergence section.
 """
 
-from repro.adl.platforms import generic_predictable_multicore
+from repro.adl.platforms import generic_predictable_multicore, recore_xentium_like
 from repro.core import Pipeline, ToolchainConfig
 from repro.core.reporting import bottleneck_report, fixed_point_report, toolchain_summary
 from repro.htg.graph import HierarchicalTaskGraph
 from repro.htg.task import Task, TaskKind
 from repro.ir.statements import Block
 from repro.scheduling.schedule import Schedule
-from repro.usecases import build_egpws_diagram
+from repro.usecases import build_egpws_diagram, build_polka_diagram
 from repro.utils.intervals import Interval
 from repro.wcet.system_level import SystemWcetResult
 
@@ -60,6 +60,7 @@ class TestBottleneckReport:
             task_cores={"a": 0, "b": 1, "c": 0},
             task_effective_wcet={"a": 12.0, "b": 20.0, "c": 1.0},
             task_contenders={t: 0 for t in "abc"},
+            task_base_wcet={"a": 10.0, "b": 5.0, "c": 1.0},
         )
         schedule = Schedule(
             htg_name="g",
@@ -75,6 +76,25 @@ class TestBottleneckReport:
         a_line = next(line for line in lines if line.split("|")[0].strip() == "a")
         assert lines.index(b_line) < lines.index(a_line)
         assert "15" in b_line and "blk_b" in b_line
+
+    def test_interference_is_measured_on_the_mapped_core(self):
+        """polka on a platform whose ARM control core (id 8) is slower than
+        the Xentium core 0 the HTG is annotated on: the isolated WCET must be
+        the mapped core's, or tasks on core 8 show negative interference."""
+        result = Pipeline(
+            recore_xentium_like(), ToolchainConfig(granularity="block")
+        ).run(build_polka_diagram())
+        schedule = result.schedule
+        assert 8 in schedule.mapping.values()
+        text = bottleneck_report(result.htg, schedule, top=len(schedule.mapping))
+        rows = [line.split("|") for line in text.splitlines()[3:]]
+        assert len(rows) == len(schedule.mapping)
+        for row in rows:
+            tid = row[0].strip()
+            base, effective, interference = (float(cell) for cell in row[3:6])
+            assert base == schedule.result.task_base_wcet[tid]
+            assert interference >= 0.0
+            assert interference == effective - base
 
 
 class TestFixedPointReport:

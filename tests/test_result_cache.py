@@ -35,10 +35,12 @@ import repro.wcet.cache as cache_module
 from repro.wcet import (
     CACHE_SCHEMA_VERSION,
     HardwareCostModel,
+    SystemDesign,
     WcetAnalysisCache,
-    annotate_htg_wcets,
     platform_signature,
     read_cache_dir_stats,
+    shared_cache,
+    system_level,
     system_level_wcet,
 )
 
@@ -49,7 +51,7 @@ def build_mapped_case(cores=4, chunks=2, num_kernels=6, seed=1):
     model = synthetic_compiled_model(num_kernels=num_kernels, vector_size=32, seed=seed)
     htg = extract_htg(model, ExtractionOptions(granularity="loop", loop_chunks=chunks))
     platform = generic_predictable_multicore(cores=cores)
-    annotate_htg_wcets(htg, model.entry, HardwareCostModel(platform, 0))
+    WcetAnalysisCache().annotate_htg(htg, model.entry, HardwareCostModel(platform, 0))
     mapping = {
         t.task_id: i % cores
         for i, t in enumerate(htg.topological_tasks())
@@ -57,6 +59,12 @@ def build_mapped_case(cores=4, chunks=2, num_kernels=6, seed=1):
     }
     order = default_core_order(htg, mapping)
     return model, htg, platform, mapping, order
+
+
+def analyse(model, htg, platform, mapping, order, cache=None):
+    """The system-level analysis through ``cache`` (a fresh one by default)."""
+    cache = cache if cache is not None else WcetAnalysisCache()
+    return system_level_wcet(SystemDesign(htg, model.entry, platform, cache), mapping, order)
 
 
 def result_fingerprint(result):
@@ -79,10 +87,10 @@ def result_fingerprint(result):
 class TestSystemResultCache:
     def test_warm_lookup_skips_fixed_point_and_is_identical(self):
         model, htg, platform, mapping, order = build_mapped_case()
-        plain = system_level_wcet(htg, model.entry, platform, mapping, order)
+        plain = analyse(model, htg, platform, mapping, order)
         cache = WcetAnalysisCache()
-        cold = system_level_wcet(htg, model.entry, platform, mapping, order, cache=cache)
-        warm = system_level_wcet(htg, model.entry, platform, mapping, order, cache=cache)
+        cold = analyse(model, htg, platform, mapping, order, cache=cache)
+        warm = analyse(model, htg, platform, mapping, order, cache=cache)
         tier = cache.system_results
         assert tier.stats.misses == 1
         assert tier.stats.hits == 1
@@ -92,65 +100,69 @@ class TestSystemResultCache:
     def test_hit_returns_fresh_objects(self):
         model, htg, platform, mapping, order = build_mapped_case()
         cache = WcetAnalysisCache()
-        first = system_level_wcet(htg, model.entry, platform, mapping, order, cache=cache)
+        first = analyse(model, htg, platform, mapping, order, cache=cache)
         first.task_effective_wcet.clear()  # corrupting a result must not leak
-        second = system_level_wcet(htg, model.entry, platform, mapping, order, cache=cache)
+        second = analyse(model, htg, platform, mapping, order, cache=cache)
         assert second.task_effective_wcet
 
     def test_result_cache_true_means_default_derivation(self):
+        """The result tier is always consulted: a second analysis of the same
+        point replays the first, and a design without a cache uses the
+        process-wide shared cache's tier."""
         model, htg, platform, mapping, order = build_mapped_case()
         cache = WcetAnalysisCache()
-        first = system_level_wcet(
-            htg, model.entry, platform, mapping, order, cache=cache, result_cache=True
-        )
-        second = system_level_wcet(
-            htg, model.entry, platform, mapping, order, cache=cache, result_cache=True
-        )
+        first = analyse(model, htg, platform, mapping, order, cache=cache)
+        second = analyse(model, htg, platform, mapping, order, cache=cache)
         assert cache.system_results.stats.hits == 1
         assert result_fingerprint(first) == result_fingerprint(second)
-        # without a cache, True degrades to no tier instead of crashing
-        bare = system_level_wcet(
-            htg, model.entry, platform, mapping, order, result_cache=True
+        bare = SystemDesign(htg, model.entry, platform)
+        assert bare.cache is shared_cache()
+        before = shared_cache().system_results.stats.lookups
+        assert result_fingerprint(system_level_wcet(bare, mapping, order)) == (
+            result_fingerprint(first)
         )
-        assert result_fingerprint(bare) == result_fingerprint(first)
+        assert shared_cache().system_results.stats.lookups == before + 1
 
     def test_result_cache_false_forces_reanalysis(self):
+        """Clearing the result store (what the fixed-point benchmarks do
+        before each timed call) makes the next analysis run the fixed point
+        again instead of replaying."""
         model, htg, platform, mapping, order = build_mapped_case()
         cache = WcetAnalysisCache()
-        system_level_wcet(htg, model.entry, platform, mapping, order, cache=cache)
-        before = cache.system_results.stats.lookups
-        result = system_level_wcet(
-            htg, model.entry, platform, mapping, order, cache=cache, result_cache=False
-        )
-        assert cache.system_results.stats.lookups == before
-        assert result.makespan > 0
+        first = analyse(model, htg, platform, mapping, order, cache=cache)
+        cache.system_results.store.clear()
+        result = analyse(model, htg, platform, mapping, order, cache=cache)
+        assert cache.system_results.stats.misses == 2
+        assert cache.system_results.stats.hits == 0
+        assert result_fingerprint(result) == result_fingerprint(first)
 
-    def test_key_sensitivity(self):
+    def test_key_sensitivity(self, monkeypatch):
         model, htg, platform, mapping, order = build_mapped_case()
         tier = WcetAnalysisCache().system_results
-        key = tier.result_key(htg, model.entry, platform, mapping, order)
+        design = SystemDesign(htg, model.entry, platform)
+        key = tier.result_key(design, mapping, order)
         # a second derivation is stable
-        assert key == tier.result_key(htg, model.entry, platform, mapping, order)
-        # max_iterations steers the fixed point, so it must be in the key
-        assert key != tier.result_key(
-            htg, model.entry, platform, mapping, order, max_iterations=3
-        )
+        assert key == tier.result_key(design, mapping, order)
+        # the iteration cap steers the fixed point, so it must be in the key
+        with monkeypatch.context() as patch:
+            patch.setattr(system_level, "MAX_ITERATIONS", 3)
+            assert key != tier.result_key(design, mapping, order)
         # moving one task to another core must change the key
         moved = dict(mapping)
         tid = next(iter(moved))
         moved[tid] = (moved[tid] + 1) % platform.num_cores
         moved_order = default_core_order(htg, moved)
-        assert key != tier.result_key(htg, model.entry, platform, moved, moved_order)
+        assert key != tier.result_key(design, moved, moved_order)
 
     def test_roundtrip_across_instances(self, tmp_path):
         model, htg, platform, mapping, order = build_mapped_case()
         first = WcetAnalysisCache.open(tmp_path / "cache")
-        cold = system_level_wcet(htg, model.entry, platform, mapping, order, cache=first)
+        cold = analyse(model, htg, platform, mapping, order, cache=first)
         assert first.flush() > 0
 
         # a fresh instance (as a new process would build) must hit disk only
         second = WcetAnalysisCache.open(tmp_path / "cache")
-        warm = system_level_wcet(htg, model.entry, platform, mapping, order, cache=second)
+        warm = analyse(model, htg, platform, mapping, order, cache=second)
         tier = second.system_results
         assert tier.stats.misses == 0
         assert tier.stats.disk_hits == 1
@@ -184,7 +196,7 @@ class TestSystemResultCache:
         monkeypatch.setattr(cache_module, "MAX_SYSTEM_RESULTS", 2)
         tier = WcetAnalysisCache().system_results
         model, htg, platform, mapping, order = build_mapped_case(cores=2)
-        result = system_level_wcet(htg, model.entry, platform, mapping, order)
+        result = analyse(model, htg, platform, mapping, order)
         for i in range(5):
             tier.put(f"key{i}", result)
         assert len(tier) == 2
@@ -196,7 +208,7 @@ class TestSystemResultCache:
         result lines without bound: the own shard obeys the LRU bound."""
         monkeypatch.setattr(cache_module, "MAX_SYSTEM_RESULTS", 2)
         model, htg, platform, mapping, order = build_mapped_case(cores=2)
-        result = system_level_wcet(htg, model.entry, platform, mapping, order)
+        result = analyse(model, htg, platform, mapping, order)
         cache = WcetAnalysisCache.open(tmp_path / "cache")
         for round_ in range(3):
             cache.system_results.put(f"key{2 * round_}", result)
@@ -214,7 +226,7 @@ class TestSystemResultCache:
 
         monkeypatch.setattr(cache_module, "MAX_SYSTEM_RESULTS", 2)
         model, htg, platform, mapping, order = build_mapped_case(cores=2)
-        result = system_level_wcet(htg, model.entry, platform, mapping, order)
+        result = analyse(model, htg, platform, mapping, order)
         vdir = tmp_path / "cache" / f"v{CACHE_SCHEMA_VERSION}"
         for writer in range(3):
             before = set(vdir.glob("sys-entries*.jsonl"))
@@ -263,7 +275,7 @@ class TestEviction:
     def _populated(self, tmp_path, **case_kwargs):
         cache = WcetAnalysisCache.open(tmp_path / "cache")
         model, htg, platform, mapping, order = build_mapped_case(**case_kwargs)
-        system_level_wcet(htg, model.entry, platform, mapping, order, cache=cache)
+        analyse(model, htg, platform, mapping, order, cache=cache)
         cache.flush()
         return cache
 
@@ -370,7 +382,7 @@ class TestEviction:
 
         cache = WcetAnalysisCache.open(cache_dir)
         model, htg, platform, mapping, order = build_mapped_case(cores=2)
-        live = system_level_wcet(htg, model.entry, platform, mapping, order, cache=cache)
+        live = analyse(model, htg, platform, mapping, order, cache=cache)
         used = cache.stats.misses
         report = cache.evict(max_entries=used + 1)  # room for code tier + 1 result
         assert report["kept"] == used + 1
@@ -382,7 +394,7 @@ class TestEviction:
         assert not any(key.startswith("stale") for key in survivors)
         # ... and a fresh instance still serves the live result from disk
         fresh = WcetAnalysisCache.open(cache_dir)
-        warm = system_level_wcet(htg, model.entry, platform, mapping, order, cache=fresh)
+        warm = analyse(model, htg, platform, mapping, order, cache=fresh)
         assert fresh.system_results.stats.disk_hits == 1
         assert result_fingerprint(warm) == result_fingerprint(live)
 
@@ -523,8 +535,9 @@ class TestStageArtifactCache:
                 t.task_id: 0 for t in htg.leaf_tasks() if not t.is_synthetic
             }
             schedule = evaluate_mapping(
-                htg, model.entry, context.platform, mapping,
-                scheduler="all_on_core0", cache=context.wcet_cache,
+                SystemDesign(htg, model.entry, context.platform, context.wcet_cache),
+                mapping,
+                scheduler="all_on_core0",
             )
             return {"schedule": schedule}
 
@@ -550,13 +563,9 @@ class TestStageArtifactCache:
         from repro.scheduling.registry import register_scheduler, unregister_scheduler
 
         def fixed_core(core):
-            def build(htg, function, platform_, config, cache):
-                mapping = {
-                    t.task_id: core for t in htg.leaf_tasks() if not t.is_synthetic
-                }
-                return evaluate_mapping(
-                    htg, function, platform_, mapping, scheduler="swap_test", cache=cache
-                )
+            def build(design, config):
+                mapping = {tid: core for tid in design.leaf_ids}
+                return evaluate_mapping(design, mapping, scheduler="swap_test")
 
             return build
 
@@ -680,7 +689,7 @@ class TestCacheCli:
 
         cache = WcetAnalysisCache.open(tmp_path / "cache")
         model, htg, platform, mapping, order = build_mapped_case(cores=2)
-        system_level_wcet(htg, model.entry, platform, mapping, order, cache=cache)
+        analyse(model, htg, platform, mapping, order, cache=cache)
         cache.flush()
         assert main(["cache", "stats", str(tmp_path / "cache")]) == 0
         out = capsys.readouterr().out

@@ -16,14 +16,14 @@ from repro.scheduling import (
 )
 from repro.scheduling.schedule import ScheduleError
 from repro.usecases.workloads import synthetic_compiled_model
-from repro.wcet import HardwareCostModel, annotate_htg_wcets
+from repro.wcet import HardwareCostModel, SystemDesign, WcetAnalysisCache
 
 
 def make_case(num_kernels=6, chunks=2, seed=1):
     model = synthetic_compiled_model(num_kernels=num_kernels, vector_size=32, seed=seed)
     htg = extract_htg(model, ExtractionOptions(granularity="loop", loop_chunks=chunks))
     platform = generic_predictable_multicore(cores=4)
-    annotate_htg_wcets(htg, model.entry, HardwareCostModel(platform, 0))
+    WcetAnalysisCache().annotate_htg(htg, model.entry, HardwareCostModel(platform, 0))
     return model, htg, platform
 
 
@@ -35,31 +35,32 @@ def case():
 class TestListScheduler:
     def test_schedule_is_valid_and_analysed(self, case):
         model, htg, platform = case
-        schedule = WcetAwareListScheduler(platform=platform).schedule(htg, model.entry)
+        schedule = WcetAwareListScheduler().schedule(SystemDesign(htg, model.entry, platform))
         schedule.validate(htg, platform)
         assert schedule.wcet_bound > 0
         assert schedule.scheduler == "wcet_list"
 
     def test_parallel_beats_sequential(self, case):
         model, htg, platform = case
-        parallel = WcetAwareListScheduler(platform=platform).schedule(htg, model.entry)
-        sequential = sequential_schedule(htg, model.entry, platform)
+        parallel = WcetAwareListScheduler().schedule(SystemDesign(htg, model.entry, platform))
+        sequential = sequential_schedule(SystemDesign(htg, model.entry, platform))
         assert parallel.wcet_bound <= sequential.wcet_bound
 
     def test_more_cores_never_worse_with_max_cores(self, case):
         model, htg, platform = case
-        one = WcetAwareListScheduler(platform=platform, max_cores=1).schedule(htg, model.entry)
-        four = WcetAwareListScheduler(platform=platform, max_cores=4).schedule(htg, model.entry)
+        design = SystemDesign(htg, model.entry, platform)
+        one = WcetAwareListScheduler(max_cores=1).schedule(design)
+        four = WcetAwareListScheduler(max_cores=4).schedule(design)
         assert four.wcet_bound <= one.wcet_bound * 1.05
 
     def test_bound_not_below_critical_path(self, case):
         model, htg, platform = case
-        schedule = WcetAwareListScheduler(platform=platform).schedule(htg, model.entry)
+        schedule = WcetAwareListScheduler().schedule(SystemDesign(htg, model.entry, platform))
         assert schedule.wcet_bound >= htg.critical_path_length() - 1e-6
 
     def test_gantt_renders(self, case):
         model, htg, platform = case
-        schedule = WcetAwareListScheduler(platform=platform).schedule(htg, model.entry)
+        schedule = WcetAwareListScheduler().schedule(SystemDesign(htg, model.entry, platform))
         text = schedule.gantt()
         assert "WCET bound" in text
 
@@ -67,14 +68,14 @@ class TestListScheduler:
 class TestBaselines:
     def test_sequential_uses_one_core(self, case):
         model, htg, platform = case
-        schedule = sequential_schedule(htg, model.entry, platform)
+        schedule = sequential_schedule(SystemDesign(htg, model.entry, platform))
         assert schedule.num_cores_used == 1
         assert schedule.result.interference_cycles == 0.0
 
     def test_acet_schedule_valid_but_usually_looser(self, case):
         model, htg, platform = case
-        acet = acet_driven_schedule(htg, model.entry, platform)
-        wcet = WcetAwareListScheduler(platform=platform).schedule(htg, model.entry)
+        acet = acet_driven_schedule(SystemDesign(htg, model.entry, platform))
+        wcet = WcetAwareListScheduler().schedule(SystemDesign(htg, model.entry, platform))
         acet.validate(htg, platform)
         # the WCET-aware schedule can never be worse than the ACET-driven one
         # by more than numerical noise (it optimises the reported metric)
@@ -82,7 +83,7 @@ class TestBaselines:
 
     def test_contention_free_has_zero_interference(self, case):
         model, htg, platform = case
-        schedule = contention_free_schedule(htg, model.entry, platform)
+        schedule = contention_free_schedule(SystemDesign(htg, model.entry, platform))
         schedule.validate(htg, platform)
         assert schedule.result.interference_cycles == 0.0
 
@@ -90,21 +91,22 @@ class TestBaselines:
 class TestExactAndMetaheuristics:
     def test_bnb_optimal_not_worse_than_heuristic(self):
         model, htg, platform = make_case(num_kernels=4, chunks=1, seed=2)
-        heuristic = WcetAwareListScheduler(platform=platform, max_cores=2).schedule(htg, model.entry)
-        optimal, stats = branch_and_bound_schedule(htg, model.entry, platform, max_cores=2)
+        design = SystemDesign(htg, model.entry, platform)
+        heuristic = WcetAwareListScheduler(max_cores=2).schedule(design)
+        optimal, stats = branch_and_bound_schedule(design, max_cores=2)
         assert optimal.wcet_bound <= heuristic.wcet_bound + 1e-6
         assert stats.nodes_explored > 0
 
     def test_bnb_rejects_large_graphs(self, case):
         model, htg, platform = case
         with pytest.raises(ValueError):
-            branch_and_bound_schedule(htg, model.entry, platform, max_tasks=2)
+            branch_and_bound_schedule(SystemDesign(htg, model.entry, platform), max_tasks=2)
 
     def test_simulated_annealing_not_worse_than_start(self, case):
         model, htg, platform = case
-        start = WcetAwareListScheduler(platform=platform).schedule(htg, model.entry)
+        start = WcetAwareListScheduler().schedule(SystemDesign(htg, model.entry, platform))
         annealed = simulated_annealing_schedule(
-            htg, model.entry, platform, iterations=30, seed=5
+            SystemDesign(htg, model.entry, platform), iterations=30, seed=5
         )
         annealed.validate(htg, platform)
         assert annealed.wcet_bound <= start.wcet_bound + 1e-6
@@ -112,7 +114,7 @@ class TestExactAndMetaheuristics:
     def test_genetic_produces_valid_schedule(self):
         model, htg, platform = make_case(num_kernels=5, chunks=1, seed=3)
         schedule = genetic_schedule(
-            htg, model.entry, platform, population_size=6, generations=4, seed=7
+            SystemDesign(htg, model.entry, platform), population_size=6, generations=4, seed=7
         )
         schedule.validate(htg, platform)
         assert schedule.wcet_bound > 0
@@ -122,14 +124,18 @@ class TestExactAndMetaheuristics:
         # second run also replays the first one's result-tier entries) would
         # show up as a different order or a bound off in the last bit
         model, htg, platform = make_case(num_kernels=5, chunks=1, seed=4)
-        a = simulated_annealing_schedule(htg, model.entry, platform, iterations=20, seed=11)
-        b = simulated_annealing_schedule(htg, model.entry, platform, iterations=20, seed=11)
+        a = simulated_annealing_schedule(
+            SystemDesign(htg, model.entry, platform), iterations=20, seed=11
+        )
+        b = simulated_annealing_schedule(
+            SystemDesign(htg, model.entry, platform), iterations=20, seed=11
+        )
         assert (a.mapping, a.order, a.wcet_bound) == (b.mapping, b.order, b.wcet_bound)
         c = genetic_schedule(
-            htg, model.entry, platform, population_size=6, generations=4, seed=7
+            SystemDesign(htg, model.entry, platform), population_size=6, generations=4, seed=7
         )
         d = genetic_schedule(
-            htg, model.entry, platform, population_size=6, generations=4, seed=7
+            SystemDesign(htg, model.entry, platform), population_size=6, generations=4, seed=7
         )
         assert (c.mapping, c.order, c.wcet_bound) == (d.mapping, d.order, d.wcet_bound)
 
@@ -137,7 +143,7 @@ class TestExactAndMetaheuristics:
 class TestScheduleValidation:
     def test_incomplete_mapping_rejected(self, case):
         model, htg, platform = case
-        schedule = WcetAwareListScheduler(platform=platform).schedule(htg, model.entry)
+        schedule = WcetAwareListScheduler().schedule(SystemDesign(htg, model.entry, platform))
         broken = dict(schedule.mapping)
         broken.pop(next(iter(broken)))
         from repro.scheduling.schedule import Schedule
@@ -148,7 +154,7 @@ class TestScheduleValidation:
 
     def test_unknown_core_rejected(self, case):
         model, htg, platform = case
-        schedule = WcetAwareListScheduler(platform=platform).schedule(htg, model.entry)
+        schedule = WcetAwareListScheduler().schedule(SystemDesign(htg, model.entry, platform))
         from repro.scheduling.schedule import Schedule
 
         bad_mapping = {tid: 99 for tid in schedule.mapping}

@@ -34,11 +34,19 @@ from repro.ir.types import INT
 from repro.scheduling.schedule import default_core_order, evaluate_mapping
 from repro.usecases import ALL_USECASES
 from repro.usecases.workloads import synthetic_compiled_model
-from repro.wcet import HardwareCostModel, annotate_htg_wcets, system_level_wcet
+from repro.wcet import HardwareCostModel, SystemDesign, system_level_wcet
 from repro.wcet.cache import WcetAnalysisCache
-from repro.wcet.system_level import mhp_options
 
 USECASES = ["egpws", "polka", "weaa"]
+
+
+def solve(model, htg, platform, mapping, order, cache=None, **design):
+    """The system-level analysis of one design point (a fresh cache, so the
+    fixed point runs, unless ``cache`` is given)."""
+    cache = cache if cache is not None else WcetAnalysisCache()
+    return system_level_wcet(
+        SystemDesign(htg, model.entry, platform, cache, **design), mapping, order
+    )
 
 
 def build_case(usecase, cores=4, chunks=2, seed=1):
@@ -49,7 +57,7 @@ def build_case(usecase, cores=4, chunks=2, seed=1):
         model = compile_diagram(builder())
     htg = extract_htg(model, ExtractionOptions(granularity="loop", loop_chunks=chunks))
     platform = generic_predictable_multicore(cores=cores)
-    annotate_htg_wcets(htg, model.entry, HardwareCostModel(platform, 0))
+    WcetAnalysisCache().annotate_htg(htg, model.entry, HardwareCostModel(platform, 0))
     mapping = {
         t.task_id: i % platform.num_cores
         for i, t in enumerate(htg.topological_tasks())
@@ -160,10 +168,8 @@ class TestStaticMhpRelation:
 class TestSystemLevelDifferential:
     def test_pruned_bound_is_never_looser(self, usecase):
         model, htg, platform, mapping, order = build_case(usecase)
-        base = system_level_wcet(htg, model.entry, platform, mapping, order)
-        pruned = system_level_wcet(
-            htg, model.entry, platform, mapping, order, static_pruning=True
-        )
+        base = solve(model, htg, platform, mapping, order)
+        pruned = solve(model, htg, platform, mapping, order, static_pruning=True)
         assert pruned.makespan <= base.makespan
         assert pruned.mhp_allowed is not None
         for tid, n in pruned.task_contenders.items():
@@ -171,10 +177,8 @@ class TestSystemLevelDifferential:
 
     def test_pruning_off_is_bit_identical(self, usecase):
         model, htg, platform, mapping, order = build_case(usecase)
-        default = system_level_wcet(htg, model.entry, platform, mapping, order)
-        explicit_off = system_level_wcet(
-            htg, model.entry, platform, mapping, order, static_pruning=False
-        )
+        default = solve(model, htg, platform, mapping, order)
+        explicit_off = solve(model, htg, platform, mapping, order, static_pruning=False)
         assert result_fingerprint(default) == result_fingerprint(explicit_off)
         assert default.mhp_allowed is None and explicit_off.mhp_allowed is None
 
@@ -183,41 +187,19 @@ class TestSeededWorkloadsDifferential:
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_pruned_bound_is_never_looser(self, seed):
         model, htg, platform, mapping, order = build_case("workloads", seed=seed)
-        base = system_level_wcet(htg, model.entry, platform, mapping, order)
-        pruned = system_level_wcet(
-            htg, model.entry, platform, mapping, order, static_pruning=True
-        )
+        base = solve(model, htg, platform, mapping, order)
+        pruned = solve(model, htg, platform, mapping, order, static_pruning=True)
         assert pruned.makespan <= base.makespan
 
 
 # ---------------------------------------------------------------------- #
-# knob resolution: param > ambient > default
+# knob validation
 # ---------------------------------------------------------------------- #
 class TestKnobResolution:
-    def test_ambient_options_enable_pruning(self):
-        model, htg, platform, mapping, order = build_case("weaa")
-        with mhp_options(static_pruning=True):
-            ambient = system_level_wcet(htg, model.entry, platform, mapping, order)
-        assert ambient.mhp_allowed is not None
-        # explicit False wins over the ambient True
-        with mhp_options(static_pruning=True):
-            off = system_level_wcet(
-                htg, model.entry, platform, mapping, order, static_pruning=False
-            )
-        assert off.mhp_allowed is None
-
     def test_config_knobs_are_validated(self):
         with pytest.raises(ValueError):
             ToolchainConfig(static_pruning="yes")
         assert ToolchainConfig(static_pruning=True).static_pruning is True
-
-    def test_ambient_scope_restores_on_exit(self):
-        from repro.wcet.system_level import _MHP_OPTIONS
-
-        before = dict(_MHP_OPTIONS)
-        with mhp_options(static_pruning=True):
-            assert _MHP_OPTIONS["static_pruning"] is True
-        assert _MHP_OPTIONS == before
 
 
 # ---------------------------------------------------------------------- #
@@ -227,46 +209,32 @@ class TestResultCacheRoundTrip:
     def test_pruned_results_replay_with_skeleton(self):
         model, htg, platform, mapping, order = build_case("weaa")
         cache = WcetAnalysisCache()
-        first = system_level_wcet(
-            htg, model.entry, platform, mapping, order,
-            cache=cache, static_pruning=True,
-        )
-        replay = system_level_wcet(
-            htg, model.entry, platform, mapping, order,
-            cache=cache, static_pruning=True,
-        )
+        first = solve(model, htg, platform, mapping, order, cache=cache, static_pruning=True)
+        replay = solve(model, htg, platform, mapping, order, cache=cache, static_pruning=True)
         assert result_fingerprint(first) == result_fingerprint(replay)
         assert replay.mhp_allowed == first.mhp_allowed
 
     def test_pruned_and_unpruned_entries_do_not_collide(self):
         model, htg, platform, mapping, order = build_case("weaa")
         cache = WcetAnalysisCache()
-        base = system_level_wcet(
-            htg, model.entry, platform, mapping, order, cache=cache
-        )
-        pruned = system_level_wcet(
-            htg, model.entry, platform, mapping, order,
-            cache=cache, static_pruning=True,
-        )
-        base_again = system_level_wcet(
-            htg, model.entry, platform, mapping, order, cache=cache
-        )
+        base = solve(model, htg, platform, mapping, order, cache=cache)
+        pruned = solve(model, htg, platform, mapping, order, cache=cache, static_pruning=True)
+        base_again = solve(model, htg, platform, mapping, order, cache=cache)
         assert base_again.mhp_allowed is None
         assert result_fingerprint(base_again) == result_fingerprint(base)
         assert pruned.makespan <= base.makespan
 
     def test_certified_replay_checks_the_contention_certificate(self):
-        model, htg, platform, mapping, order = build_case("weaa")
+        builder, _ = ALL_USECASES["weaa"]
+        platform = generic_predictable_multicore()
+        config = ToolchainConfig(static_pruning=True, certify=True)
         cache = WcetAnalysisCache()
-        system_level_wcet(
-            htg, model.entry, platform, mapping, order,
-            cache=cache, static_pruning=True, certify=True,
-        )
-        replay = system_level_wcet(
-            htg, model.entry, platform, mapping, order,
-            cache=cache, static_pruning=True, certify=True,
-        )
-        assert replay.mhp_allowed is not None
+        run_pipeline(builder(), platform, config, wcet_cache=cache)
+        replay = run_pipeline(builder(), platform, config, wcet_cache=cache)
+        assert cache.system_results.stats.hits == 1
+        chain = replay.artifacts["certificates"]
+        assert replay.schedule.result.mhp_allowed is not None
+        assert chain.ok and chain.contention is not None
 
 
 # ---------------------------------------------------------------------- #
@@ -276,9 +244,7 @@ class TestContentionCertificate:
     def test_honest_skeleton_is_accepted(self):
         for usecase in USECASES:
             model, htg, platform, mapping, order = build_case(usecase)
-            result = system_level_wcet(
-                htg, model.entry, platform, mapping, order, static_pruning=True
-            )
+            result = solve(model, htg, platform, mapping, order, static_pruning=True)
             cert = build_contention_certificate(result, htg, model.entry)
             report = check_contention_certificate(cert, htg, model.entry)
             assert report.ok, report.summary()
@@ -286,7 +252,7 @@ class TestContentionCertificate:
 
     def test_unpruned_result_cannot_be_certified(self):
         model, htg, platform, mapping, order = build_case("weaa")
-        result = system_level_wcet(htg, model.entry, platform, mapping, order)
+        result = solve(model, htg, platform, mapping, order)
         with pytest.raises(ValueError):
             build_contention_certificate(result, htg, model.entry)
 
@@ -296,8 +262,8 @@ class TestContentionCertificate:
         func, htg = contending_pair()
         mapping = {"t1": 0, "t2": 1}
         result = evaluate_mapping(
-            htg, func, generic_predictable_multicore(cores=2), mapping,
-            static_pruning=True,
+            SystemDesign(htg, func, generic_predictable_multicore(cores=2), static_pruning=True),
+            mapping,
         ).result
         cert = build_contention_certificate(result, htg, func)
         assert cert.allowed["t1"] == ["t2"]
@@ -312,8 +278,8 @@ class TestContentionCertificate:
         htg.add_edge("t1", "t2")
         mapping = {"t1": 0, "t2": 1}
         result = evaluate_mapping(
-            htg, func, generic_predictable_multicore(cores=2), mapping,
-            static_pruning=True,
+            SystemDesign(htg, func, generic_predictable_multicore(cores=2), static_pruning=True),
+            mapping,
         ).result
         cert = build_contention_certificate(result, htg, func)
         honest = check_contention_certificate(cert, htg, func)
@@ -328,8 +294,8 @@ class TestContentionCertificate:
         func, htg = contending_pair()
         mapping = {"t1": 0, "t2": 1}
         result = evaluate_mapping(
-            htg, func, generic_predictable_multicore(cores=2), mapping,
-            static_pruning=True,
+            SystemDesign(htg, func, generic_predictable_multicore(cores=2), static_pruning=True),
+            mapping,
         ).result
         cert = build_contention_certificate(result, htg, func)
         cert.allowed["t1"] = ["ghost"]
@@ -342,8 +308,8 @@ class TestContentionCertificate:
         func, htg = contending_pair()
         mapping = {"t1": 0, "t2": 1}
         result = evaluate_mapping(
-            htg, func, generic_predictable_multicore(cores=2), mapping,
-            static_pruning=True,
+            SystemDesign(htg, func, generic_predictable_multicore(cores=2), static_pruning=True),
+            mapping,
         ).result
         cert = build_contention_certificate(result, htg, func)
         del cert.allowed["t1"]
@@ -355,8 +321,8 @@ class TestContentionCertificate:
         func, htg = contending_pair()
         mapping = {"t1": 0, "t2": 1}
         result = evaluate_mapping(
-            htg, func, generic_predictable_multicore(cores=2), mapping,
-            static_pruning=True,
+            SystemDesign(htg, func, generic_predictable_multicore(cores=2), static_pruning=True),
+            mapping,
         ).result
         cert = build_contention_certificate(result, htg, func)
         payload = cert.as_dict()
@@ -368,7 +334,7 @@ class TestFixedPointCertificateWithSkeleton:
     def test_pruned_fixed_point_is_accepted(self):
         model, htg, platform, mapping, order = build_case("weaa")
         schedule = evaluate_mapping(
-            htg, model.entry, platform, mapping, order, static_pruning=True
+            SystemDesign(htg, model.entry, platform, static_pruning=True), mapping, order
         )
         cert = build_fixed_point_certificate(
             schedule.result, schedule.order, platform, htg
@@ -379,7 +345,7 @@ class TestFixedPointCertificateWithSkeleton:
 
     def test_unpruned_cert_serialization_is_unchanged(self):
         model, htg, platform, mapping, order = build_case("weaa")
-        schedule = evaluate_mapping(htg, model.entry, platform, mapping, order)
+        schedule = evaluate_mapping(SystemDesign(htg, model.entry, platform), mapping, order)
         cert = build_fixed_point_certificate(
             schedule.result, schedule.order, platform, htg
         )
@@ -389,13 +355,13 @@ class TestFixedPointCertificateWithSkeleton:
     def test_chain_includes_contention_certificate_when_pruned(self):
         model, htg, platform, mapping, order = build_case("weaa")
         pruned = evaluate_mapping(
-            htg, model.entry, platform, mapping, order, static_pruning=True
+            SystemDesign(htg, model.entry, platform, static_pruning=True), mapping, order
         )
         chain = build_certificates(pruned, model.entry, htg, platform)
         assert chain.ok, [str(f) for f in chain.findings()]
         assert chain.contention is not None
         assert len(chain.reports) == 4
-        unpruned = evaluate_mapping(htg, model.entry, platform, mapping, order)
+        unpruned = evaluate_mapping(SystemDesign(htg, model.entry, platform), mapping, order)
         plain = build_certificates(unpruned, model.entry, htg, platform)
         assert plain.contention is None
         assert len(plain.reports) == 3

@@ -24,8 +24,9 @@ from repro.usecases import ALL_USECASES
 from repro.usecases.workloads import synthetic_compiled_model
 from repro.wcet import (
     HardwareCostModel,
+    SystemDesign,
+    WcetAnalysisCache,
     analyze_task_wcet,
-    annotate_htg_wcets,
     system_level_wcet,
 )
 from repro.wcet import system_level
@@ -46,7 +47,7 @@ def build_case(usecase, cores=4, chunks=2):
         model = compile_diagram(builder())
     htg = extract_htg(model, ExtractionOptions(granularity="loop", loop_chunks=chunks))
     platform = generic_predictable_multicore(cores=cores)
-    annotate_htg_wcets(htg, model.entry, HardwareCostModel(platform, 0))
+    WcetAnalysisCache().annotate_htg(htg, model.entry, HardwareCostModel(platform, 0))
     mapping = {
         t.task_id: i % platform.num_cores
         for i, t in enumerate(htg.topological_tasks())
@@ -54,6 +55,17 @@ def build_case(usecase, cores=4, chunks=2):
     }
     order = default_core_order(htg, mapping)
     return model, htg, platform, mapping, order
+
+
+def solve(model, htg, platform, mapping, order):
+    """The fixed point run afresh: a fresh cache has no result to replay."""
+    return system_level_wcet(
+        SystemDesign(htg, model.entry, platform, WcetAnalysisCache()), mapping, order
+    )
+
+
+def cap_iterations(monkeypatch, cap=2):
+    monkeypatch.setattr(system_level, "MAX_ITERATIONS", cap)
 
 
 def full_skeleton(cores, sharers):
@@ -98,16 +110,16 @@ class TestMhpBackendsIdentical:
 
     def test_end_to_end_bit_for_bit(self, usecase, monkeypatch):
         model, htg, platform, mapping, order = build_case(usecase)
-        bisect = system_level_wcet(htg, model.entry, platform, mapping, order)
+        bisect = solve(model, htg, platform, mapping, order)
         calls = patch_unpruned_kernel(monkeypatch)
-        pair_loop = system_level_wcet(htg, model.entry, platform, mapping, order)
+        pair_loop = solve(model, htg, platform, mapping, order)
         assert len(calls) == pair_loop.iterations >= 1
         assert result_fingerprint(bisect) == result_fingerprint(pair_loop)
 
     def test_contender_pass_bit_for_bit(self, usecase):
         """The raw MHP passes agree on the converged timeline too."""
         model, htg, platform, mapping, order = build_case(usecase)
-        result = system_level_wcet(htg, model.entry, platform, mapping, order)
+        result = solve(model, htg, platform, mapping, order)
         leaf = htg.leaf_tasks()
         windows = [result.task_intervals[t.task_id] for t in leaf]
         args = (
@@ -134,7 +146,7 @@ class TestNonConvergenceFallback:
         )
         htg = extract_htg(model, ExtractionOptions(granularity="loop", loop_chunks=1))
         platform = generic_predictable_multicore(cores=8)
-        annotate_htg_wcets(htg, model.entry, HardwareCostModel(platform, 0))
+        WcetAnalysisCache().annotate_htg(htg, model.entry, HardwareCostModel(platform, 0))
         mapping = {
             t.task_id: i % 8
             for i, t in enumerate(htg.topological_tasks())
@@ -145,25 +157,23 @@ class TestNonConvergenceFallback:
 
     def test_fixture_contention_keeps_changing(self, case):
         model, htg, platform, mapping, order = case
-        settled = system_level_wcet(htg, model.entry, platform, mapping, order)
+        settled = solve(model, htg, platform, mapping, order)
         assert settled.converged is True
         # every iteration before the fixed point saw a different contention
         # state, otherwise the loop would have stopped earlier
         assert settled.iterations >= 4
 
-    def test_converged_flag_is_truthful(self, case):
+    def test_converged_flag_is_truthful(self, case, monkeypatch):
         model, htg, platform, mapping, order = case
-        capped = system_level_wcet(
-            htg, model.entry, platform, mapping, order, max_iterations=2
-        )
+        cap_iterations(monkeypatch)
+        capped = solve(model, htg, platform, mapping, order)
         assert capped.converged is False
         assert capped.iterations == 2
 
-    def test_fallback_contenders_consistent_with_wcets(self, case):
+    def test_fallback_contenders_consistent_with_wcets(self, case, monkeypatch):
         model, htg, platform, mapping, order = case
-        capped = system_level_wcet(
-            htg, model.entry, platform, mapping, order, max_iterations=2
-        )
+        cap_iterations(monkeypatch)
+        capped = solve(model, htg, platform, mapping, order)
         worst_contenders = platform.num_cores - 1
         models = {
             core: HardwareCostModel(platform, core) for core in set(mapping.values())
@@ -176,35 +186,32 @@ class TestNonConvergenceFallback:
             ].shared_access_penalty(worst_contenders)
             assert capped.task_effective_wcet[tid] == expected
 
-    def test_fallback_bound_dominates_converged_bound(self, case):
+    def test_fallback_bound_dominates_converged_bound(self, case, monkeypatch):
         model, htg, platform, mapping, order = case
-        settled = system_level_wcet(htg, model.entry, platform, mapping, order)
-        capped = system_level_wcet(
-            htg, model.entry, platform, mapping, order, max_iterations=2
-        )
+        settled = solve(model, htg, platform, mapping, order)
+        cap_iterations(monkeypatch)
+        capped = solve(model, htg, platform, mapping, order)
         assert capped.makespan >= settled.makespan
         for tid in settled.task_effective_wcet:
             assert capped.task_effective_wcet[tid] >= settled.task_effective_wcet[tid]
 
     def test_fallback_identical_across_backends(self, case, monkeypatch):
         model, htg, platform, mapping, order = case
-        bisect = system_level_wcet(
-            htg, model.entry, platform, mapping, order, max_iterations=2
-        )
+        cap_iterations(monkeypatch)
+        bisect = solve(model, htg, platform, mapping, order)
         calls = patch_unpruned_kernel(monkeypatch)
-        pair_loop = system_level_wcet(
-            htg, model.entry, platform, mapping, order, max_iterations=2
-        )
+        pair_loop = solve(model, htg, platform, mapping, order)
         assert len(calls) == 2 and pair_loop.converged is False
         assert result_fingerprint(bisect) == result_fingerprint(pair_loop)
 
-    def test_fallback_equals_oblivious_bound(self, case):
+    def test_fallback_equals_oblivious_bound(self, case, monkeypatch):
         """The fallback assumes maximal contention -- exactly the
         contention-oblivious model.  Both bounds price edges through the
         shared helper, so their makespans must coincide byte-for-byte."""
         model, htg, platform, mapping, order = case
-        capped = system_level_wcet(
-            htg, model.entry, platform, mapping, order, max_iterations=2
+        cap_iterations(monkeypatch)
+        capped = solve(model, htg, platform, mapping, order)
+        oblivious = contention_oblivious_bound(
+            SystemDesign(htg, model.entry, platform, WcetAnalysisCache()), mapping, order
         )
-        oblivious = contention_oblivious_bound(htg, model.entry, platform, mapping, order)
         assert capped.makespan == oblivious

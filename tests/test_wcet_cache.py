@@ -26,9 +26,9 @@ from repro.usecases import ALL_USECASES
 from repro.usecases.workloads import synthetic_compiled_model
 from repro.wcet import (
     HardwareCostModel,
+    SystemDesign,
     WcetAnalysisCache,
     analyze_task_wcet,
-    annotate_htg_wcets,
     system_level_wcet,
 )
 from repro.wcet.cache import CACHE_SCHEMA_VERSION
@@ -45,7 +45,7 @@ def build_case(usecase, cores=4, chunks=2):
         model = compile_diagram(builder())
     htg = extract_htg(model, ExtractionOptions(granularity="loop", loop_chunks=chunks))
     platform = generic_predictable_multicore(cores=cores)
-    annotate_htg_wcets(htg, model.entry, HardwareCostModel(platform, 0))
+    WcetAnalysisCache().annotate_htg(htg, model.entry, HardwareCostModel(platform, 0))
     return model, htg, platform
 
 
@@ -91,10 +91,16 @@ class TestCachedEqualsUncached:
             if not t.is_synthetic
         }
         order = default_core_order(htg, mapping)
-        plain = system_level_wcet(htg, model.entry, platform, mapping, order)
-        cached = system_level_wcet(
-            htg, model.entry, platform, mapping, order, cache=WcetAnalysisCache()
-        )
+        # every code-level entry analysed afresh
+        cache = WcetAnalysisCache()
+        plain = system_level_wcet(SystemDesign(htg, model.entry, platform, cache), mapping, order)
+        misses = cache.stats.misses
+        # every code-level entry served by the cache: a second design
+        # re-prices the point and the fixed point runs again
+        cache.system_results.store.clear()
+        cached = system_level_wcet(SystemDesign(htg, model.entry, platform, cache), mapping, order)
+        assert cache.stats.misses == misses and cache.stats.hits > 0
+        assert cache.system_results.stats.misses == 2
         assert cached.makespan == plain.makespan
         assert cached.task_effective_wcet == plain.task_effective_wcet
         assert cached.task_intervals == plain.task_intervals
@@ -104,14 +110,16 @@ class TestCachedEqualsUncached:
 
     def test_schedules_identical_across_caches(self, usecase):
         model, htg, platform = build_case(usecase)
-        private = WcetAwareListScheduler(platform=platform).schedule(htg, model.entry)
+        private = WcetAwareListScheduler().schedule(
+            SystemDesign(htg, model.entry, platform, WcetAnalysisCache())
+        )
         shared_cache = WcetAnalysisCache()
-        shared = WcetAwareListScheduler(platform=platform, cache=shared_cache).schedule(
-            htg, model.entry
+        shared = WcetAwareListScheduler().schedule(
+            SystemDesign(htg, model.entry, platform, shared_cache)
         )
         # a third run reusing the now-warm shared cache
-        warm = WcetAwareListScheduler(platform=platform, cache=shared_cache).schedule(
-            htg, model.entry
+        warm = WcetAwareListScheduler().schedule(
+            SystemDesign(htg, model.entry, platform, shared_cache)
         )
         assert schedule_fingerprint(shared) == schedule_fingerprint(private)
         assert schedule_fingerprint(warm) == schedule_fingerprint(private)
@@ -119,11 +127,13 @@ class TestCachedEqualsUncached:
 
     def test_annotation_identical(self, usecase):
         model, htg, platform = build_case(usecase)
-        plain = {t.task_id: (t.wcet, t.acet) for t in htg.leaf_tasks()}
-        annotate_htg_wcets(
-            htg, model.entry, HardwareCostModel(platform, 0), cache=WcetAnalysisCache()
-        )
-        cached = {t.task_id: (t.wcet, t.acet) for t in htg.leaf_tasks()}
+        cost_model = HardwareCostModel(platform, 0)
+        plain = {
+            t.task_id: analyze_task_wcet(t, model.entry, cost_model).total
+            for t in htg.leaf_tasks()
+        }
+        WcetAnalysisCache().annotate_htg(htg, model.entry, cost_model)
+        cached = {t.task_id: t.wcet for t in htg.leaf_tasks()}
         assert cached == plain
 
 
@@ -131,8 +141,8 @@ class TestDeterminism:
     @pytest.mark.parametrize("usecase", USECASES)
     def test_two_schedule_runs_identical(self, usecase):
         model, htg, platform = build_case(usecase)
-        first = WcetAwareListScheduler(platform=platform).schedule(htg, model.entry)
-        second = WcetAwareListScheduler(platform=platform).schedule(htg, model.entry)
+        first = WcetAwareListScheduler().schedule(SystemDesign(htg, model.entry, platform))
+        second = WcetAwareListScheduler().schedule(SystemDesign(htg, model.entry, platform))
         assert schedule_fingerprint(first) == schedule_fingerprint(second)
 
 
@@ -336,7 +346,7 @@ def _analyze_systems(cache, platform=None):
     for shift in range(3):
         mapping = {tid: (i + shift) % platform.num_cores for i, tid in enumerate(leaves)}
         order = default_core_order(htg, mapping)
-        result = system_level_wcet(htg, model.entry, platform, mapping, order, cache=cache)
+        result = system_level_wcet(SystemDesign(htg, model.entry, platform, cache), mapping, order)
         makespans[tuple(sorted(mapping.items()))] = result.makespan
     return makespans
 
