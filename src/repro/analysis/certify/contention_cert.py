@@ -31,6 +31,10 @@ import math
 from dataclasses import dataclass, field
 
 from repro.analysis.report import AnalysisReport, Finding
+from repro.ir.expressions import ArrayRef, BinOp, Call, Const, UnOp, Var
+from repro.ir.program import Storage
+from repro.ir.statements import Assign, Block, ExprStmt, For, If, Return, While
+from repro.ir.types import ScalarKind
 
 _INF = float("inf")
 _UNBOUNDED = (-_INF, _INF)
@@ -95,9 +99,6 @@ def _corners(xs, ys, op):
 
 
 def _eval_bounds(expr, env: dict) -> tuple[float, float]:
-    from repro.ir.expressions import ArrayRef, BinOp, Call, Const, UnOp, Var
-    from repro.ir.types import ScalarKind
-
     if isinstance(expr, Const):
         v = float(expr.value)
         return (v, v)
@@ -207,8 +208,6 @@ def _window(lo: float, hi: float) -> tuple[float, float]:
 # independent footprint derivation (deliberately NOT footprints.py)
 # ---------------------------------------------------------------------- #
 def _shared_array_names(function) -> set[str]:
-    from repro.ir.program import Storage
-
     return {
         d.name
         for d in function.all_decls()
@@ -219,9 +218,6 @@ def _shared_array_names(function) -> set[str]:
 def _collect_accesses(
     stmt, env: dict, shared: set, acc: dict
 ) -> None:
-    from repro.ir.expressions import ArrayRef
-    from repro.ir.statements import Assign, Block, ExprStmt, For, If, Return, While
-
     def record_expr(expr):
         for node in expr.walk():
             if isinstance(node, ArrayRef) and node.array in shared:

@@ -99,12 +99,6 @@ class ControlFlowGraph:
     def edge_pairs(self) -> list[tuple[int, int]]:
         return [(e.src.bid, e.dst.bid) for e in self.edges]
 
-    def block_by_id(self, bid: int) -> BasicBlock:
-        for block in self.blocks:
-            if block.bid == bid:
-                return block
-        raise KeyError(f"no basic block with id {bid}")
-
     def reachable_blocks(self) -> set[int]:
         """Block ids reachable from the entry along CFG edges."""
         if self.entry is None:

@@ -243,8 +243,6 @@ def substitute(expr: Expr, mapping: dict[str, Expr]) -> Expr:
 
 def try_evaluate_constant(expr: Expr) -> float | int | bool | None:
     """Evaluate ``expr`` when it only involves constants, else return None."""
-    import math
-
     if isinstance(expr, Const):
         return expr.value
     if isinstance(expr, BinOp):
@@ -272,7 +270,6 @@ def try_evaluate_constant(expr: Expr) -> float | int | bool | None:
             return _apply_intrinsic(expr.func, args)  # type: ignore[arg-type]
         except (ValueError, OverflowError, ZeroDivisionError):
             return None
-    del math
     return None
 
 

@@ -243,7 +243,7 @@ class Interpreter:
             raise InterpreterError(f"assignment to unknown array {target.array!r}")
         indices = tuple(int(self._eval(i, env, stats)) for i in target.indices)
         try:
-            array[indices] = value
+            array[_checked(indices)] = value
         except IndexError as exc:
             raise InterpreterError(
                 f"out-of-bounds write {target.array}{list(indices)} "
@@ -282,7 +282,7 @@ class Interpreter:
                 raise InterpreterError(f"read from unknown array {expr.array!r}")
             indices = tuple(int(self._eval(i, env, stats)) for i in expr.indices)
             try:
-                value = array[indices]
+                value = array[_checked(indices)]
             except IndexError as exc:
                 raise InterpreterError(
                     f"out-of-bounds read {expr.array}{list(indices)} "
@@ -298,6 +298,14 @@ class Interpreter:
             except (ValueError, OverflowError) as exc:
                 raise InterpreterError(str(exc)) from exc
         raise InterpreterError(f"unsupported expression {type(expr).__name__}")
+
+
+def _checked(indices: tuple[int, ...]) -> tuple[int, ...]:
+    """``indices`` unchanged, or :class:`IndexError` on a negative one:
+    numpy would wrap it around to the end, the modelled memory does not."""
+    if min(indices) < 0:
+        raise IndexError(f"negative index in {list(indices)}")
+    return indices
 
 
 def run_function(function: Function, inputs: Mapping[str, Any] | None = None) -> ExecutionResult:

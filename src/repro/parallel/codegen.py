@@ -63,6 +63,8 @@ def parallel_program_to_c(
     lines.append(" */")
     lines.append("")
 
+    # a task's WCET on the core it is mapped to; an unanalysed schedule has none
+    result = program.schedule.result
     for core_id in sorted(program.core_programs):
         core_program = program.core_programs[core_id]
         lines.append(f"void core{core_id}_main(void)")
@@ -75,7 +77,8 @@ def parallel_program_to_c(
                     lines.append(f"    {item.flag} = 1;  /* to core {item.partner_core} */")
                 continue
             task = htg.task(item)
-            lines.append(f"    /* task {task.task_id} (origin: {task.origin}, wcet {task.wcet:.0f} cycles) */")
+            wcet = "" if result is None else f", wcet {result.task_base_wcet[item]:.0f} cycles"
+            lines.append(f"    /* task {task.task_id} (origin: {task.origin}{wcet}) */")
             body = to_c(task.statements)
             for body_line in body.splitlines():
                 lines.append(f"    {body_line}")

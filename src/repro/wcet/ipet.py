@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import coo_array
 
 from repro import obs
 from repro.ir.cfg import ControlFlowGraph, build_cfg
@@ -94,6 +95,13 @@ def _block_cost(block, function: Function, model: HardwareCostModel) -> float:
     return total
 
 
+def _coo_matrix(triplets: list[tuple[int, int, float]], shape: tuple[int, int]) -> coo_array:
+    if not triplets:
+        return coo_array(shape)
+    rows, cols, values = zip(*triplets)
+    return coo_array((values, (rows, cols)), shape=shape)
+
+
 def ipet_wcet(
     function: Function,
     model: HardwareCostModel,
@@ -112,6 +120,15 @@ def ipet_wcet(
       loop bounds are tightened to ``min(declared, derived)``.
 
     Objective: maximise ``sum(block_cost * block_count)``.
+
+    The constraint matrices are assembled sparse, in one pass over the CFG
+    edges: each edge (one column) emits its (row, column, value) entries
+    into the rows of the blocks it touches, and ``linprog`` receives them as
+    COO matrices.  The rows are numbered up front and never reordered: the
+    interior-block flow rows in ``cfg.blocks`` order, then the entry row,
+    then the exit row, and one loop-bound row per header in
+    ``effective_bounds`` order.  That order is the contract the duals are
+    read back by (they are then re-keyed by block, see :class:`IpetResult`).
     """
     # With flow facts a loop left unannotated by the front-end may still be
     # bounded by the facts, so defer the loop-bound check to the merge below.
@@ -129,43 +146,7 @@ def ipet_wcet(
     num_vars = len(edges)
 
     costs = {block.bid: _block_cost(block, function, model) for block in cfg.blocks}
-
-    # Objective: block count = sum of incoming edges (entry handled separately).
-    c = np.zeros(num_vars)
-    for edge in edges:
-        c[edge_index[edge.key]] -= costs[edge.dst.bid]
     entry_cost = costs[cfg.entry.bid] if cfg.entry is not None else 0.0
-
-    a_eq_rows: list[np.ndarray] = []
-    b_eq: list[float] = []
-
-    # Flow conservation for every block except entry and exit.
-    for block in cfg.blocks:
-        if block is cfg.entry or block is cfg.exit:
-            continue
-        row = np.zeros(num_vars)
-        for edge in edges:
-            if edge.dst is block:
-                row[edge_index[edge.key]] += 1.0
-            if edge.src is block:
-                row[edge_index[edge.key]] -= 1.0
-        a_eq_rows.append(row)
-        b_eq.append(0.0)
-
-    # Entry: out-flow is exactly one; exit: in-flow is exactly one.
-    row = np.zeros(num_vars)
-    for edge in edges:
-        if edge.src is cfg.entry:
-            row[edge_index[edge.key]] += 1.0
-    a_eq_rows.append(row)
-    b_eq.append(1.0)
-
-    row = np.zeros(num_vars)
-    for edge in edges:
-        if edge.dst is cfg.exit:
-            row[edge_index[edge.key]] += 1.0
-    a_eq_rows.append(row)
-    b_eq.append(1.0)
 
     # Effective loop bounds: declared, tightened/completed by flow facts.
     effective_bounds = dict(cfg.loop_bounds)
@@ -186,21 +167,41 @@ def ipet_wcet(
             "derived trip-count bound"
         )
 
-    # Loop bounds: back-edge count <= bound * entry-edge count of the header.
-    a_ub_rows: list[np.ndarray] = []
-    b_ub: list[float] = []
-    ub_headers: list[int] = []
-    for header_bid, bound in effective_bounds.items():
-        ub_headers.append(header_bid)
-        header = cfg.block_by_id(header_bid)
-        row = np.zeros(num_vars)
-        for edge in edges:
-            if edge.dst is header and edge.kind == "back":
-                row[edge_index[edge.key]] += 1.0
-            elif edge.dst is header:
-                row[edge_index[edge.key]] -= float(bound)
-        a_ub_rows.append(row)
-        b_ub.append(0.0)
+    # Equality rows: flow conservation for every block except entry and
+    # exit, then entry out-flow == 1, then exit in-flow == 1.
+    interior = [b.bid for b in cfg.blocks if b is not cfg.entry and b is not cfg.exit]
+    flow_row = {bid: r for r, bid in enumerate(interior)}
+    entry_row, exit_row = len(interior), len(interior) + 1
+    b_eq = np.zeros(len(interior) + 2)
+    b_eq[entry_row] = b_eq[exit_row] = 1.0
+    # Inequality rows: back-edge count <= bound * entry-edge count of the
+    # header, i.e. back edges +1 and the header's other in-edges -bound.
+    ub_headers = list(effective_bounds)
+    loop_row = {bid: r for r, bid in enumerate(ub_headers)}
+
+    # Objective: block count = sum of incoming edges (entry handled separately).
+    c = np.zeros(num_vars)
+    eq: list[tuple[int, int, float]] = []  # (row, column, value) triplets
+    ub: list[tuple[int, int, float]] = []
+    for j, edge in enumerate(edges):
+        src, dst = edge.src, edge.dst
+        c[j] -= costs[dst.bid]
+        if dst.bid in flow_row:
+            eq.append((flow_row[dst.bid], j, 1.0))
+        if src.bid in flow_row:
+            eq.append((flow_row[src.bid], j, -1.0))
+        if src is cfg.entry:
+            eq.append((entry_row, j, 1.0))
+        if dst is cfg.exit:
+            eq.append((exit_row, j, 1.0))
+        if dst.bid in loop_row:
+            bound = effective_bounds[dst.bid]
+            if edge.kind == "back":
+                ub.append((loop_row[dst.bid], j, 1.0))
+            elif bound:  # a zero bound is a zero coefficient, which a matrix omits
+                ub.append((loop_row[dst.bid], j, -float(bound)))
+    a_eq = _coo_matrix(eq, (len(b_eq), num_vars))
+    a_ub = _coo_matrix(ub, (len(ub_headers), num_vars))
 
     bounds: list[tuple[float, float | None]] = [(0, None)] * num_vars
     pinned: set[tuple[int, int, str]] = set()
@@ -215,14 +216,14 @@ def ipet_wcet(
         registry = obs.metrics()
         registry.counter("ipet.solves").inc()
         registry.histogram("ipet.vars").observe(num_vars)
-        registry.histogram("ipet.constraints").observe(len(a_eq_rows) + len(a_ub_rows))
+        registry.histogram("ipet.constraints").observe(len(b_eq) + len(ub_headers))
     with obs.span("ipet.solve", function=function.name, vars=num_vars):
         result = linprog(
             c,
-            A_eq=np.array(a_eq_rows),
-            b_eq=np.array(b_eq),
-            A_ub=np.array(a_ub_rows) if a_ub_rows else None,
-            b_ub=np.array(b_ub) if b_ub else None,
+            A_eq=a_eq,
+            b_eq=b_eq,
+            A_ub=a_ub,
+            b_ub=np.zeros(len(ub_headers)),
             bounds=bounds,
             method="highs",
         )
@@ -231,9 +232,9 @@ def ipet_wcet(
 
     # Every block defaults to 0.0 so consumers never KeyError on blocks the
     # worst-case path does not reach; counts are the sum of incoming edges.
+    counts = result.x.tolist()
     block_counts: dict[int, float] = {block.bid: 0.0 for block in cfg.blocks}
-    for edge in edges:
-        count = float(result.x[edge_index[edge.key]])
+    for edge, count in zip(edges, counts):
         block_counts[edge.dst.bid] += count
     # The entry block executes once on function entry.  Only seed that count
     # when no edge flows into the entry: a back edge targeting the entry has
@@ -245,20 +246,15 @@ def ipet_wcet(
     # Retain the full LP witness (primal counts; duals when HiGHS exposes
     # marginals) so an independent checker can re-verify the solution
     # without re-solving.  Duals are keyed by block semantics, never by the
-    # producer's matrix row order: the interior-flow rows were appended in
-    # ``cfg.blocks`` order, then the entry row, then the exit row, and the
-    # inequality rows follow ``ub_headers``.
-    edge_counts = {edge.key: float(result.x[edge_index[edge.key]]) for edge in edges}
+    # producer's matrix row order, which is read back here.
+    edge_counts = {edge.key: count for edge, count in zip(edges, counts)}
     duals = None
     eq_marginals = getattr(getattr(result, "eqlin", None), "marginals", None)
     if eq_marginals is not None and len(eq_marginals) == len(b_eq):
-        interior = [
-            b.bid for b in cfg.blocks if b is not cfg.entry and b is not cfg.exit
-        ]
         duals = {
             "flow": {bid: float(eq_marginals[i]) for i, bid in enumerate(interior)},
-            "entry": float(eq_marginals[len(interior)]),
-            "exit": float(eq_marginals[len(interior) + 1]),
+            "entry": float(eq_marginals[entry_row]),
+            "exit": float(eq_marginals[exit_row]),
             "loop": {},
         }
         ub_marginals = getattr(getattr(result, "ineqlin", None), "marginals", None)

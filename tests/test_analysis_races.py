@@ -256,7 +256,10 @@ class TestGates:
         assert "core0_main" in parallel_program_to_c(
             program, htg, func, check_races=False
         )
-        assert "core0_main" in parallel_program_to_c(program, htg)
+        text = parallel_program_to_c(program, htg)
+        assert "core0_main" in text
+        # an unanalysed schedule has no per-core WCET to print
+        assert "/* task t1 (origin: " in text and "wcet" not in text
 
     def test_codegen_accepts_ordered_program(self, usecase_result):
         text = parallel_program_to_c(

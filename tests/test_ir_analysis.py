@@ -217,6 +217,22 @@ class TestInterpreter:
         with pytest.raises(InterpreterError):
             run_function(fb.build())
 
+    def test_negative_index_read_rejected(self):
+        # numpy alone would wrap a[-1] around to the last element
+        fb = FunctionBuilder("f")
+        a = fb.input_array("a", (3,))
+        y = fb.local("y")
+        fb.assign(y, fb.at(a, -1))
+        with pytest.raises(InterpreterError, match=r"out-of-bounds read a\[-1\]"):
+            run_function(fb.build(), {"a": np.array([1.0, 2.0, 3.0])})
+
+    def test_negative_index_write_rejected(self):
+        fb = FunctionBuilder("f")
+        a = fb.input_array("a", (3,))
+        fb.assign(fb.at(a, -1), 9.0)
+        with pytest.raises(InterpreterError, match=r"out-of-bounds write a\[-1\]"):
+            run_function(fb.build(), {"a": np.array([1.0, 2.0, 3.0])})
+
     def test_loop_bound_violation_detected(self):
         fb = FunctionBuilder("f")
         n = fb.scalar_input("n", INT)

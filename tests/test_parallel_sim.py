@@ -1,9 +1,17 @@
 """Tests for the explicit parallel program model and the timing simulator."""
 
+import re
+
 import numpy as np
 import pytest
 
-from repro.adl.platforms import generic_predictable_multicore, kit_leon3_inoc
+from repro.adl.platforms import (
+    generic_predictable_multicore,
+    kit_leon3_inoc,
+    recore_xentium_like,
+)
+from repro.core.config import ToolchainConfig
+from repro.core.pipeline import run_pipeline
 from repro.frontend import compile_diagram
 from repro.htg import extract_htg
 from repro.htg.extraction import ExtractionOptions
@@ -115,3 +123,26 @@ class TestSimulator:
         inputs = model.run_inputs(polka_test_inputs(pixels=32, seed=3))
         sim = simulate_parallel_program(program, htg, model.entry, platform, inputs)
         assert sim.makespan <= schedule.wcet_bound + 1e-6
+
+
+class TestCodegenAnnotations:
+    def test_task_comments_carry_the_mapped_core_wcet(self):
+        # xentium's cores price differently, so the HTG's core-0 annotation
+        # (Task.wcet) is wrong for tasks mapped elsewhere
+        platform = recore_xentium_like()
+        result = run_pipeline(
+            build_polka_diagram(), platform,
+            ToolchainConfig(granularity="block", scheduler="wcet_list"),
+        )
+        analysed = result.schedule.result
+        text = parallel_program_to_c(result.parallel_program, result.htg)
+        printed = {
+            tid: int(cycles)
+            for tid, cycles in re.findall(r"/\* task (\S+) \(.*, wcet (\d+) cycles\) \*/", text)
+        }
+        assert printed.keys() == analysed.task_base_wcet.keys()
+        for tid, cycles in printed.items():
+            assert cycles == round(analysed.task_base_wcet[tid]), tid
+        assert any(
+            round(result.htg.task(tid).wcet) != cycles for tid, cycles in printed.items()
+        )
