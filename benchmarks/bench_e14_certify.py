@@ -1,14 +1,14 @@
 """E14: proof-carrying results -- checker overhead on the shipped use cases.
 
 PR 7 added certificate chains: every pipeline run can emit a schedule
-certificate, a fixed-point certificate and an IPET certificate, each
-re-validated by an independent checker
-(:mod:`repro.analysis.certify`).  The checkers are single cheap passes by
-design -- re-validation must be affordable on every CI run, not a
-once-a-release audit.
+certificate (the analysed timeline and the interference fixed point
+behind its bound) and an IPET certificate, each re-validated by an
+independent checker (:mod:`repro.analysis.certify`).  The checkers are
+single cheap passes by design -- re-validation must be affordable on
+every CI run, not a once-a-release audit.
 
 This experiment runs the full cold pipeline on each built-in use case,
-builds the certificate chain once, then times the **check pass** (the three
+builds the certificate chain once, then times the **check pass** (the two
 ``check_*`` functions, which is the work a consumer of untrusted results
 repeats) against the end-to-end analysis wall clock.  Witness construction
 is reported alongside for context; it includes an independent IPET LP
@@ -31,7 +31,6 @@ except ModuleNotFoundError:  # direct run: python benchmarks/bench_e14_certify.p
     from benchmarks._common import emit
 from repro.adl.platforms import generic_predictable_multicore
 from repro.analysis.certify import certify_pipeline_result
-from repro.analysis.certify.fixed_point_cert import check_fixed_point_certificate
 from repro.analysis.certify.ipet_cert import check_ipet_certificate
 from repro.analysis.certify.schedule_cert import check_schedule_certificate
 from repro.core import ToolchainConfig
@@ -73,14 +72,13 @@ def _measure_usecase(name: str):
         t0 = time.perf_counter()
         for _ in range(_CHECK_REPS):
             schedule_report = check_schedule_certificate(chain.schedule, htg, platform)
-            fp_report = check_fixed_point_certificate(chain.fixed_point, htg, platform)
             ipet_report = check_ipet_certificate(chain.ipet, function=function)
         check_seconds = min(
             check_seconds, (time.perf_counter() - t0) / _CHECK_REPS
         )
 
     accepted = not any(
-        r.count("error") for r in (schedule_report, fp_report, ipet_report)
+        r.count("error") for r in (schedule_report, ipet_report)
     )
     return {
         "usecase": name,

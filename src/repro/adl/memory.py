@@ -58,9 +58,6 @@ class MemoryRegion:
             return self.cache_locked
         return True
 
-    def worst_access_latency(self) -> int:
-        return max(self.read_latency, self.write_latency)
-
 
 def scratchpad(name: str, size_kib: int = 64, latency: int = 1) -> MemoryRegion:
     """A core-private scratchpad region."""

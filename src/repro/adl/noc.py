@@ -103,8 +103,6 @@ class MeshNoC(Interconnect):
     # ------------------------------------------------------------------ #
     # worst-case latency model (WRR guarantees)
     # ------------------------------------------------------------------ #
-    def weight_of(self, flow: str) -> int:
-        return self.flow_weights.get(flow, self.default_weight)
 
     def flits_for(self, num_bytes: int) -> int:
         return max(1, math.ceil(num_bytes / self.flit_bytes))

@@ -152,12 +152,21 @@ a serializable **certificate** and an **independent checker** that shares
 no code with the producer.  Certificate formats (all expose ``as_dict``
 for serialization):
 
-* :class:`~repro.analysis.certify.ScheduleCertificate` -- mapping,
-  per-core orders, per-task start/finish times, priced cross-core edge
-  delays, claimed WCET bound.  The checker re-validates structural
-  coverage, per-core exclusivity, precedence with independently re-priced
-  communication latencies, and ``wcet_bound == max finish``, directly
-  against the HTG and platform.
+* :class:`~repro.analysis.certify.ScheduleCertificate` -- the analysed
+  timeline and its interference fixed point: mapping (and the analysis's
+  own ``task_cores``), per-core orders, per-task windows, effective/base
+  WCETs, shared-access and contender counts, the penalty rows, priced
+  cross-core edge delays, the ``converged`` flag, the claimed WCET bound,
+  plus the pruned contender skeleton (``allowed``) when the run used
+  ``static_pruning``.  The checker works directly against the HTG and
+  platform in three passes: structure (coverage, ``task_cores ==
+  mapping``, window lengths, effective >= base, penalty rows,
+  ``wcet_bound == max finish``); core orders and HTG edges (per-core
+  exclusivity, precedence with independently re-priced communication
+  latencies); and one re-application of the interference equations over
+  contention re-derived from the claimed windows (restricted to the
+  skeleton when present), where any component they can still increase
+  refutes the claimed fixed point.
 * :class:`~repro.analysis.certify.IpetCertificate` -- the LP primal
   solution (per-edge counts), block costs, effective loop bounds, pinned
   infeasible edges and, when available, semantic dual values.  The checker
@@ -165,14 +174,6 @@ for serialization):
   flow, loop bounds, flow-fact pins and the recomputed objective; with
   duals it additionally proves *optimality* via reduced-cost feasibility
   and a zero duality gap.
-* :class:`~repro.analysis.certify.FixedPointCertificate` -- per-task
-  windows, effective/base WCETs, shared-access counts, contender counts,
-  the penalty table and edge delays, plus the pruned contender skeleton
-  (``allowed``) when the run used ``static_pruning``.  The checker
-  re-derives contention from the claimed windows (restricted to the
-  skeleton when present) and re-applies the interference equations
-  once: any component they can still increase refutes the claimed fixed
-  point.
 * :class:`~repro.analysis.certify.ContentionCertificate` -- the static-MHP
   skeleton itself.  The checker re-proves every excluded cross-core
   sharer pair ordered (its own reachability search over the HTG edges) or
@@ -201,7 +202,6 @@ from repro.analysis.certify import (
     CertificateChain,
     CertificationError,
     ContentionCertificate,
-    FixedPointCertificate,
     IpetCertificate,
     ScheduleCertificate,
     build_certificates,
@@ -270,7 +270,6 @@ __all__ = [
     "DEF_UNINIT",
     "Finding",
     "FingerprintDiff",
-    "FixedPointCertificate",
     "FootprintStore",
     "IRVerifierPass",
     "IncrementalReport",

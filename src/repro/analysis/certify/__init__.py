@@ -1,15 +1,17 @@
 """Proof-carrying results: certificates + independent checkers.
 
-Every expensive claim of the flow -- a schedule's WCET bound, an IPET LP
-optimum, a system-level interference fixed point -- is paired with a small
-serializable **certificate** holding enough witness data for a cheap
-**independent checker** to re-validate it in one pass.  Producer and
-checker deliberately share no code: the schedule checker works off the HTG
-and platform directly (not :meth:`Schedule.validate`), the IPET checker
-rebuilds the CFG and re-verifies feasibility *and* optimality from the LP
-witness (flow conservation, loop bounds, objective, duality), and the
-fixed-point checker re-applies the interference equations once and rejects
-any state they can still increase.
+Every expensive claim of the flow -- a schedule's WCET bound with the
+interference fixed point behind it, a static-MHP pruning, an IPET LP
+optimum -- is paired with a small serializable **certificate** holding
+enough witness data for a cheap **independent checker** to re-validate it.
+Producer and checker deliberately share no code: the schedule checker
+works off the HTG and platform directly (not :meth:`Schedule.validate` or
+the system-level analysis), re-prices every cross-core delay, and
+re-applies the interference equations once, rejecting any state they can
+still increase; the contention checker re-proves every pruned pair; the
+IPET checker rebuilds the CFG and re-verifies feasibility *and*
+optimality from the LP witness (flow conservation, loop bounds,
+objective, duality).
 
 The trust argument: a bug in a producer must now be *matched* by a
 compensating bug in its checker to slip through, and the pipeline's
@@ -37,11 +39,6 @@ from repro.analysis.certify.contention_cert import (
     build_contention_certificate,
     check_contention_certificate,
 )
-from repro.analysis.certify.fixed_point_cert import (
-    FixedPointCertificate,
-    build_fixed_point_certificate,
-    check_fixed_point_certificate,
-)
 from repro.analysis.certify.ipet_cert import (
     IpetCertificate,
     build_ipet_certificate,
@@ -57,17 +54,14 @@ __all__ = [
     "CertificateChain",
     "CertificationError",
     "ContentionCertificate",
-    "FixedPointCertificate",
     "IpetCertificate",
     "ScheduleCertificate",
     "build_certificates",
     "build_contention_certificate",
-    "build_fixed_point_certificate",
     "build_ipet_certificate",
     "build_schedule_certificate",
     "certify_pipeline_result",
     "check_contention_certificate",
-    "check_fixed_point_certificate",
     "check_ipet_certificate",
     "check_schedule_certificate",
 ]

@@ -2,9 +2,11 @@
 
 :func:`build_certificates` turns one analysed design point (schedule +
 entry function + HTG + platform) into a :class:`CertificateChain`: the
-schedule certificate, the fixed-point certificate and the IPET certificate,
-each already re-validated by its independent checker, with the three
-:class:`~repro.analysis.report.AnalysisReport` objects attached.
+schedule certificate (the analysed timeline and its interference fixed
+point), the contention certificate when the run pruned its contender
+derivation, and the IPET certificate, each already re-validated by its
+independent checker, with one
+:class:`~repro.analysis.report.AnalysisReport` per checker attached.
 :func:`certify_pipeline_result` is the pipeline-facing entry point working
 straight off a :class:`~repro.core.pipeline.PipelineResult`.
 
@@ -24,11 +26,6 @@ from repro.analysis.certify.contention_cert import (
     ContentionCertificate,
     build_contention_certificate,
     check_contention_certificate,
-)
-from repro.analysis.certify.fixed_point_cert import (
-    FixedPointCertificate,
-    build_fixed_point_certificate,
-    check_fixed_point_certificate,
 )
 from repro.analysis.certify.ipet_cert import (
     IpetCertificate,
@@ -62,7 +59,6 @@ class CertificateChain:
     """The certificates of one analysed design point, with their verdicts."""
 
     schedule: ScheduleCertificate
-    fixed_point: FixedPointCertificate
     ipet: IpetCertificate
     reports: list[AnalysisReport] = field(default_factory=list)
     #: Present only when the certified run pruned its contender derivation
@@ -83,7 +79,6 @@ class CertificateChain:
             "ok": self.ok,
             "certificates": [
                 self.schedule.as_dict(),
-                self.fixed_point.as_dict(),
                 self.ipet.as_dict(),
                 *([self.contention.as_dict()] if self.contention is not None else []),
             ],
@@ -124,17 +119,8 @@ def build_certificates(
     if obs_on:
         _record_checker("schedule", started, schedule_report)
 
-    started = time.perf_counter() if obs_on else 0.0
-    with obs.span("certify.fixed_point"):
-        fp_cert = build_fixed_point_certificate(
-            schedule.result, schedule.order, platform, htg
-        )
-        fp_report = check_fixed_point_certificate(fp_cert, htg, platform)
-    if obs_on:
-        _record_checker("fixed_point", started, fp_report)
-
     contention_cert = None
-    reports = [schedule_report, fp_report]
+    reports = [schedule_report]
     if getattr(schedule.result, "mhp_allowed", None) is not None:
         started = time.perf_counter() if obs_on else 0.0
         with obs.span("certify.contention"):
@@ -160,7 +146,6 @@ def build_certificates(
 
     return CertificateChain(
         schedule=schedule_cert,
-        fixed_point=fp_cert,
         ipet=ipet_cert,
         reports=reports,
         contention=contention_cert,

@@ -28,8 +28,8 @@ generic predictable platform::
 ``certify`` runs the proof-carrying-result layer
 (:mod:`repro.analysis.certify`): the full pipeline on the generic
 predictable platform, then the independent certificate checkers over the
-schedule, the system-level fixed point and the IPET solution (with flow
-facts re-derived)::
+schedule (its timeline and the system-level fixed point behind it) and
+the IPET solution (with flow facts re-derived)::
 
     python -m repro certify                   # all built-in use cases
     python -m repro certify egpws --json

@@ -801,13 +801,6 @@ class Pipeline:
         stages = tuple(stage if s.name == name else s for s in self.stages)
         return Pipeline(self.platform, self.config, self.wcet_cache, stages=stages)
 
-    def without_stage(self, name: str) -> "Pipeline":
-        """A new pipeline with the stage called ``name`` removed."""
-        if all(s.name != name for s in self.stages):
-            raise PipelineError(f"no stage named {name!r} to remove")
-        stages = tuple(s for s in self.stages if s.name != name)
-        return Pipeline(self.platform, self.config, self.wcet_cache, stages=stages)
-
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #

@@ -146,30 +146,17 @@ class HierarchicalTaskGraph:
         """Schedulable tasks (everything except synthetic source/sink)."""
         return [t for t in self.tasks.values() if not t.is_synthetic]
 
-    def children_of(self, parent_id: str) -> list[Task]:
-        return [t for t in self.tasks.values() if t.parent == parent_id]
-
     # ------------------------------------------------------------------ #
-    def critical_path_length(self, include_edges: bool = False, platform=None) -> float:
+    def critical_path_length(self) -> float:
         """Length of the heaviest dependence chain using task WCETs.
 
         This is the theoretical lower bound on any schedule's makespan with
-        unlimited cores (and zero communication when ``include_edges`` is
-        False).
+        unlimited cores and zero communication.
         """
-        def edge_weight(u, v):
-            if not include_edges or platform is None:
-                return 0.0
-            edge = self.edge(str(u), str(v))
-            if edge is None or edge.payload_bytes == 0:
-                return 0.0
-            return platform.communication_latency(edge.payload_bytes, 0, 1)
-
         return longest_path_length(
             self.tasks.keys(),
             self.edge_pairs(),
             {tid: t.wcet for tid, t in self.tasks.items()},
-            edge_weight if include_edges else None,
         )
 
     def total_wcet(self) -> float:

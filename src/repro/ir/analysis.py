@@ -68,9 +68,6 @@ class AccessSummary:
     def total(self) -> int:
         return self.total_reads + self.total_writes
 
-    def touched_arrays(self) -> set[str]:
-        return set(self.reads) | set(self.writes)
-
     def restricted(self, names: "set[str] | frozenset[str]") -> "AccessSummary":
         """The counts of the arrays in ``names`` only."""
         return AccessSummary(

@@ -13,7 +13,7 @@ from typing import Iterator
 
 from repro.ir.expressions import ArrayRef, BinOp, Call, Const, Expr, UnOp, Var
 from repro.ir.program import Function, Storage, VarDecl
-from repro.ir.statements import Assign, Block, For, If, Return, Stmt, While
+from repro.ir.statements import Assign, Block, For, If, Stmt
 from repro.ir.types import FLOAT, INT, ArrayType, ScalarType
 
 
@@ -120,11 +120,6 @@ class FunctionBuilder:
         self.emit(stmt)
         return stmt
 
-    def ret(self, value: Expr | float | None = None) -> Return:
-        stmt = Return(as_expr(value) if value is not None else None)
-        self.emit(stmt)
-        return stmt
-
     @contextlib.contextmanager
     def loop(
         self,
@@ -151,17 +146,6 @@ class FunctionBuilder:
         self._blocks.append(body)
         try:
             yield var
-        finally:
-            self._blocks.pop()
-
-    @contextlib.contextmanager
-    def while_loop(self, cond: Expr, max_trip_count: int) -> Iterator[None]:
-        body = Block()
-        stmt = While(cond=cond, body=body, max_trip_count=max_trip_count)
-        self.emit(stmt)
-        self._blocks.append(body)
-        try:
-            yield
         finally:
             self._blocks.pop()
 

@@ -71,10 +71,6 @@ class ExecutionStats:
     def total_operations(self) -> int:
         return sum(self.operations.values())
 
-    @property
-    def total_array_accesses(self) -> int:
-        return sum(self.array_reads.values()) + sum(self.array_writes.values())
-
 
 @dataclass
 class ExecutionResult:

@@ -173,12 +173,3 @@ class Program:
         if not self.functions:
             raise ValueError(f"program {self.name!r} has no functions")
         return self.functions[0]
-
-    def total_shared_bytes(self) -> int:
-        """Total footprint of shared arrays across all functions."""
-        total = 0
-        for function in self.functions:
-            for decl in function.all_decls():
-                if decl.storage in (Storage.SHARED, Storage.INPUT, Storage.OUTPUT):
-                    total += decl.size_bytes
-        return total

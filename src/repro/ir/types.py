@@ -24,10 +24,6 @@ class ScalarType:
     bytes: int = 4
 
     @property
-    def is_numeric(self) -> bool:
-        return self.kind in (ScalarKind.INT, ScalarKind.FLOAT)
-
-    @property
     def size_bytes(self) -> int:
         return self.bytes
 

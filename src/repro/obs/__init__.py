@@ -12,7 +12,8 @@ Observability contract
 * *spans* (Chrome ``X`` events): ``pipeline.run`` > ``stage.<name>`` >
   solver internals (``fixed_point`` with nested ``fixed_point.iteration``
   spans, ``ipet.solve``, ``schedule.list`` / ``schedule.bnb``,
-  ``certify.<checker>``, ``sweep.case``);
+  ``certify.<checker>`` for the ``schedule``, ``contention`` and ``ipet``
+  checkers, ``sweep.case``);
 * *counter tracks* (Chrome ``C`` events): ``fixed_point.max_delta`` per
   iteration -- the convergence curve;
 * *metrics* in the process-wide :class:`~repro.obs.metrics.MetricsRegistry`:
@@ -22,7 +23,8 @@ Observability contract
   ``.misses``, ``wcet_cache.hits`` / ``.disk_hits`` / ``.misses`` per
   pipeline run,
   ``cache.evicted_*``, ``ipet.solves`` / ``.vars`` / ``.constraints``,
-  ``certify.<checker>.seconds`` / ``.ok`` / ``.findings``,
+  ``certify.<checker>.seconds`` / ``.ok`` / ``.findings`` (same
+  checkers),
   ``scheduler.ready_set_max``, ``bnb.nodes`` / ``.leaves`` / ``.pruned``,
   ``incremental.stages_reused`` / ``.stages_recomputed`` /
   ``.regions_reused`` / ``.regions_recomputed`` / ``.race_pairs_reused``.

@@ -43,9 +43,6 @@ class Schedule:
     def core_of(self, task_id: str) -> int:
         return self.mapping[task_id]
 
-    def tasks_on(self, core: int) -> list[str]:
-        return list(self.order.get(core, []))
-
     def utilization(self) -> dict[int, float]:
         """Busy-time fraction per core (needs an analysed result)."""
         if self.result is None:
@@ -96,44 +93,25 @@ class Schedule:
 
         return check_schedule_races(htg, self, function)
 
-    def certificate(self, htg: HierarchicalTaskGraph, platform: Platform):
-        """This schedule's claims as a serializable certificate.
-
-        See :mod:`repro.analysis.certify`; requires an analysed schedule.
-        """
-        from repro.analysis.certify import build_schedule_certificate
-
-        return build_schedule_certificate(self, htg, platform)
-
     def certify(self, htg: HierarchicalTaskGraph, platform: Platform):
         """Independently re-validate this schedule's timing claims.
 
-        Runs both the schedule checker and the fixed-point checker over
-        this schedule's certificates and returns the merged
-        :class:`~repro.analysis.report.AnalysisReport` -- no error-severity
-        finding means the claimed WCET bound survived independent
-        re-validation.
+        Builds this schedule's certificate and returns the schedule
+        checker's :class:`~repro.analysis.report.AnalysisReport` (see
+        :mod:`repro.analysis.certify`) -- no error-severity finding means
+        the claimed WCET bound and the fixed point behind it survived
+        independent re-validation.
         """
         from repro.analysis.certify import (
-            build_fixed_point_certificate,
             build_schedule_certificate,
-            check_fixed_point_certificate,
             check_schedule_certificate,
         )
 
         if self.result is None:
             raise ScheduleError("schedule has not been analysed yet")
-        report = check_schedule_certificate(
+        return check_schedule_certificate(
             build_schedule_certificate(self, htg, platform), htg, platform
         )
-        report.merge(
-            check_fixed_point_certificate(
-                build_fixed_point_certificate(self.result, self.order, platform, htg),
-                htg,
-                platform,
-            )
-        )
-        return report
 
     def gantt(self) -> str:
         """Small text Gantt chart for reports."""

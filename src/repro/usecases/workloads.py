@@ -21,8 +21,6 @@ bit for bit.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.frontend.codegen import CompiledModel
 from repro.ir.builder import FunctionBuilder
 from repro.ir.program import Program
@@ -281,12 +279,3 @@ def tweak_platform_costs(platform, seed: int | None = None, delta: int = 2):
             replace(core, processor=replace(core.processor, op_cycles=op_cycles))
         )
     return replace(platform, cores=cores)
-
-
-def random_input_vectors(model: CompiledModel, seed: int | None = None) -> dict[str, np.ndarray]:
-    """Random external inputs for a synthetic compiled model."""
-    rng = make_rng(seed)
-    values: dict[str, np.ndarray] = {}
-    for name, (_, _, shape) in model.inputs.items():
-        values[name] = rng.uniform(-1.0, 1.0, size=shape if shape else ())
-    return values

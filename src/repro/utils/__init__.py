@@ -7,7 +7,6 @@ from repro.utils.graphs import (
     Reachability,
     topological_order,
     longest_path_length,
-    transitive_closure,
     is_acyclic,
 )
 
@@ -19,6 +18,5 @@ __all__ = [
     "Reachability",
     "topological_order",
     "longest_path_length",
-    "transitive_closure",
     "is_acyclic",
 ]

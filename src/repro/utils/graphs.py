@@ -1,52 +1,78 @@
 """Small directed-graph helpers shared by the HTG, scheduling and WCET layers.
 
-The acyclicity test, topological order and longest path wrap
-:mod:`networkx` behind the restricted interfaces the tool chain needs, so
-callers never depend on networkx types directly.  Reachability is the
-exception: :class:`Reachability` stores the transitive closure as one
-Python-int bitset per node, so "which of these tasks are ordered with
+The topological order is one heap-based Kahn pass over integer node
+numbers; the acyclicity test and the longest path build on it.
+Reachability stores the transitive closure as one Python-int bitset per
+node (:class:`Reachability`), so "which of these tasks are ordered with
 ``t``" is a single mask operation instead of a scan over a set of pairs.
 It is the one closure the HTG, the race checker, static MHP and the
-schedule validators share; :func:`transitive_closure` (networkx) remains
-only as the reference it is tested against.
+schedule validators share.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import Callable, Generic, Hashable, Iterable, Mapping, Sequence, TypeVar
-
-import networkx as nx
 
 N = TypeVar("N", bound=Hashable)
 
 
 def is_acyclic(edges: Iterable[tuple[Hashable, Hashable]], nodes: Iterable[Hashable] = ()) -> bool:
     """Return True when the directed graph defined by ``edges`` has no cycle."""
-    graph = nx.DiGraph()
-    graph.add_nodes_from(nodes)
-    graph.add_edges_from(edges)
-    return nx.is_directed_acyclic_graph(graph)
+    try:
+        topological_order(nodes, edges)
+    except ValueError:
+        return False
+    return True
 
 
 def topological_order(
     nodes: Iterable[Hashable], edges: Iterable[tuple[Hashable, Hashable]]
 ) -> list[Hashable]:
-    """Deterministic topological order (lexicographic tie-break on ``str``)."""
-    graph = nx.DiGraph()
-    graph.add_nodes_from(nodes)
-    graph.add_edges_from(edges)
-    if not nx.is_directed_acyclic_graph(graph):
+    """Deterministic topological order (lexicographic tie-break on ``str``).
+
+    Kahn's algorithm that always takes the ready node with the smallest
+    ``str(node)``, first-seen order breaking ties between equal strings:
+    the order of ``networkx.lexicographical_topological_sort(key=str)``.
+    Nodes are numbered in first-seen order (``nodes``, then edge endpoints
+    not listed there), and a pair listed twice is one edge.  Raises
+    ``ValueError`` on a cycle (a self-loop included).
+    """
+    index: dict[Hashable, int] = {}
+    for node in nodes:
+        index.setdefault(node, len(index))
+    arcs = {
+        (index.setdefault(u, len(index)), index.setdefault(v, len(index)))
+        for u, v in edges
+    }
+    listed = list(index)
+    keys = [str(node) for node in listed]
+    succ: list[list[int]] = [[] for _ in listed]
+    indegree = [0] * len(listed)
+    for u, v in arcs:
+        succ[u].append(v)
+        indegree[v] += 1
+    ready = [(keys[i], i) for i, d in enumerate(indegree) if d == 0]
+    heapq.heapify(ready)
+    order: list[Hashable] = []
+    while ready:
+        _, i = heapq.heappop(ready)
+        order.append(listed[i])
+        for j in succ[i]:
+            indegree[j] -= 1
+            if indegree[j] == 0:
+                heapq.heappush(ready, (keys[j], j))
+    if len(order) != len(listed):
         raise ValueError("graph contains a cycle; no topological order exists")
-    return list(nx.lexicographical_topological_sort(graph, key=str))
+    return order
 
 
 def longest_path_length(
     nodes: Iterable[Hashable],
     edges: Iterable[tuple[Hashable, Hashable]],
     node_weight: Callable[[Hashable], float] | Mapping[Hashable, float],
-    edge_weight: Callable[[Hashable, Hashable], float] | None = None,
 ) -> float:
-    """Length of the heaviest path in a DAG, counting node and edge weights.
+    """Length of the heaviest path in a DAG, counting node weights.
 
     This is the critical-path length used both as a scheduling lower bound and
     by the structural WCET computation over task graphs.
@@ -56,19 +82,19 @@ def longest_path_length(
         node_weight_fn = lambda n: float(weights.get(n, 0.0))  # noqa: E731
     else:
         node_weight_fn = node_weight
-    edge_weight_fn = edge_weight or (lambda u, v: 0.0)
 
+    edges = list(edges)
     order = topological_order(nodes, edges)
-    graph = nx.DiGraph()
-    graph.add_nodes_from(order)
-    graph.add_edges_from(edges)
+    preds: dict[Hashable, list[Hashable]] = {}
+    for u, v in edges:
+        preds.setdefault(v, []).append(u)
 
     finish: dict[Hashable, float] = {}
     best = 0.0
     for node in order:
         start = 0.0
-        for pred in graph.predecessors(node):
-            start = max(start, finish[pred] + edge_weight_fn(pred, node))
+        for pred in preds.get(node, ()):
+            start = max(start, finish[pred])
         finish[node] = start + float(node_weight_fn(node))
         best = max(best, finish[node])
     return best
@@ -81,8 +107,8 @@ class Reachability(Generic[N]):
     endpoint not listed there); node ``i`` owns bit ``1 << i``.
     ``descendants[i]`` has bit ``j`` set when node ``j`` is reachable from
     node ``i`` by one or more edges, ``ancestors[i]`` when ``i`` is
-    reachable from ``j`` -- the relation :func:`transitive_closure`
-    returns, cycles included (a node on a cycle reaches itself).
+    reachable from ``j`` -- the transitive closure, cycles included (a
+    node on a cycle reaches itself).
 
     Both directions are built once: one pass in topological order when the
     graph is acyclic, iterated to the least fixed point otherwise (the race
@@ -200,17 +226,3 @@ def _least_reach(order: list[int], adjacent: list[list[int]], acyclic: bool) -> 
                 changed = True
         if acyclic or not changed:
             return reach
-
-
-def transitive_closure(
-    nodes: Iterable[Hashable], edges: Iterable[tuple[Hashable, Hashable]]
-) -> set[tuple[Hashable, Hashable]]:
-    """Set of (u, v) pairs such that v is reachable from u by one or more edges.
-
-    The networkx reference :class:`Reachability` is tested against.
-    """
-    graph = nx.DiGraph()
-    graph.add_nodes_from(nodes)
-    graph.add_edges_from(edges)
-    closure = nx.transitive_closure_dag(graph) if nx.is_directed_acyclic_graph(graph) else nx.transitive_closure(graph)
-    return set(closure.edges())

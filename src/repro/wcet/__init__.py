@@ -166,15 +166,16 @@ of :mod:`repro.analysis.certify`:
   remain the hardware model's ground truth.
 * :func:`~repro.wcet.system_level.system_level_wcet` carries the
   per-task isolated WCETs and shared-access counts on the
-  :class:`~repro.wcet.system_level.SystemWcetResult` so the fixed-point
-  checker can re-apply the interference equations once to the reported
-  state: a valid post-fixed-point cannot increase.  The base WCETs
-  themselves are the code-level analysis' contract, not re-proved.
+  :class:`~repro.wcet.system_level.SystemWcetResult`, so the schedule
+  certificate -- one witness of the analysed timeline -- lets its checker
+  re-apply the interference equations once to the reported state: a valid
+  post-fixed-point cannot increase.  The base WCETs themselves are the
+  code-level analysis' contract, not re-proved.
 
 Content addressing makes cache entries immune to *staleness*, but not to
 *corruption* (bit rot, hand edits, a writer bug).  The pipeline's
 ``certify`` stage (``ToolchainConfig.certify``) closes that gap: it runs
-the schedule, fixed-point and (for pruned runs) contention checkers on
+the schedule and (for pruned runs) contention checkers on
 the schedule's result whether the fixed point computed it or the result
 tier replayed it, and a refuted result raises
 :class:`~repro.analysis.certify.CertificationError` instead of being

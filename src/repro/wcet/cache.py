@@ -1151,10 +1151,11 @@ class SystemResultCache:
                     interval.end,
                     result.task_effective_wcet[tid],
                     result.task_contenders[tid],
-                    # base WCET / shared accesses feed the fixed-point
-                    # certificate checker on replay; hand-built results
-                    # without them degrade to base == effective, shared == 0
-                    # (every certificate check stays sound, some lose teeth)
+                    # base WCET / shared accesses feed the schedule
+                    # certificate's equation check on replay; hand-built
+                    # results without them degrade to base == effective,
+                    # shared == 0 (every certificate check stays sound,
+                    # some lose teeth)
                     result.task_base_wcet.get(tid, result.task_effective_wcet[tid]),
                     result.task_shared_accesses.get(tid, 0),
                 ]

@@ -130,8 +130,8 @@ class SystemWcetResult:
     iterations: int
     converged: bool
     #: Per-task *isolated* WCET and worst-case shared-access count -- the
-    #: inputs of the interference equations.  Carried so the fixed-point
-    #: certificate checker (:mod:`repro.analysis.certify.fixed_point_cert`)
+    #: inputs of the interference equations.  Carried so the schedule
+    #: certificate checker (:mod:`repro.analysis.certify.schedule_cert`)
     #: can re-apply the equations once without re-running the code-level
     #: analysis.  Defaulted for results built by hand in tests.
     task_base_wcet: dict[str, float] = field(default_factory=dict)

@@ -4,8 +4,12 @@ Each test forges exactly one plausible-looking corruption of a genuine
 result -- a shifted start time, a bumped LP edge count, an understated
 effective WCET, a hand-edited cache entry -- and asserts the matching
 checker refutes it with the *named* finding, not a crash or a silent pass.
+The schedule certificate witnesses the timeline and its interference
+fixed point together, so both kinds of tamper meet the one schedule
+checker.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -13,10 +17,9 @@ import pytest
 from repro.adl.platforms import generic_predictable_multicore
 from repro.analysis.certify import (
     CertificationError,
-    build_fixed_point_certificate,
+    build_certificates,
     build_ipet_certificate,
     build_schedule_certificate,
-    check_fixed_point_certificate,
     check_ipet_certificate,
     check_schedule_certificate,
 )
@@ -107,6 +110,44 @@ class TestScheduleTamper:
         report = check_schedule_certificate(cert, htg, platform)
         assert "certify.schedule.mapping-coverage" in codes(report)
 
+    def test_delay_on_a_same_core_edge_rejected(self, case, schedule):
+        """A delay claimed where the platform prices no transfer."""
+        _, htg, platform, _, _ = case
+        cert = build_schedule_certificate(schedule, htg, platform)
+        edge = next(
+            e for e in htg.edges
+            if e.src in cert.mapping and cert.mapping.get(e.dst) == cert.mapping[e.src]
+        )
+        cert.edge_delays[(edge.src, edge.dst)] = 0.0
+        report = check_schedule_certificate(cert, htg, platform)
+        assert codes(report) == {"certify.schedule.comm-latency-mismatch"}
+
+    def test_analysis_on_other_cores_than_the_mapping_rejected(self, case):
+        """A result whose ``task_cores`` disagrees with the schedule's
+        mapping: the contention certificate reads ``task_cores``."""
+        model, htg, platform, mapping, order = case
+        pruned = evaluate_mapping(
+            SystemDesign(htg, model.entry, platform, static_pruning=True),
+            mapping,
+            order,
+        )
+        victim = next(iter(mapping))
+        forged = dataclasses.replace(
+            pruned,
+            result=dataclasses.replace(
+                pruned.result,
+                task_cores={
+                    **pruned.result.task_cores,
+                    victim: (mapping[victim] + 1) % platform.num_cores,
+                },
+            ),
+        )
+        chain = build_certificates(forged, model.entry, htg, platform)
+        assert not chain.ok
+        assert chain.contention is not None
+        assert "certify.schedule.mapping-mismatch" in codes(chain.reports[0])
+        assert build_certificates(pruned, model.entry, htg, platform).ok
+
 
 # ---------------------------------------------------------------------- #
 # IPET certificate
@@ -178,29 +219,30 @@ class TestIpetTamper:
 
 
 # ---------------------------------------------------------------------- #
-# fixed-point certificate
+# the fixed point behind the schedule certificate
 # ---------------------------------------------------------------------- #
 class TestFixedPointTamper:
     def test_genuine_fixed_point_accepted(self, case, schedule):
-        _, htg, platform, _, order = case
-        cert = build_fixed_point_certificate(schedule.result, order, platform, htg)
-        report = check_fixed_point_certificate(cert, htg, platform)
+        _, htg, platform, _, _ = case
+        cert = build_schedule_certificate(schedule, htg, platform)
+        report = check_schedule_certificate(cert, htg, platform)
         assert report.ok, [str(f) for f in report.findings]
+        assert report.checked["equations_checked"] == len(cert.mapping)
 
     def test_understated_response_time_rejected(self, case, schedule):
         """Shave one task's effective WCET (and keep its window consistent):
         the re-applied interference equations must refute it."""
-        _, htg, platform, _, order = case
-        cert = build_fixed_point_certificate(schedule.result, order, platform, htg)
+        _, htg, platform, _, _ = case
+        cert = build_schedule_certificate(schedule, htg, platform)
         victim = next(t for t in cert.base if cert.base[t] > 2)
         cert.effective[victim] = cert.base[victim] - 1.0
         cert.finishes[victim] = cert.starts[victim] + cert.effective[victim]
-        report = check_fixed_point_certificate(cert, htg, platform)
+        report = check_schedule_certificate(cert, htg, platform)
         assert "certify.fixed-point.effective-below-base" in codes(report)
 
     def test_shaved_interference_rejected(self, case, schedule):
-        _, htg, platform, _, order = case
-        cert = build_fixed_point_certificate(schedule.result, order, platform, htg)
+        _, htg, platform, _, _ = case
+        cert = build_schedule_certificate(schedule, htg, platform)
         victim = next(
             (t for t in cert.effective if cert.effective[t] > cert.base[t]),
             None,
@@ -209,26 +251,110 @@ class TestFixedPointTamper:
         shaved = (cert.base[victim] + cert.effective[victim]) / 2.0
         cert.effective[victim] = shaved
         cert.finishes[victim] = cert.starts[victim] + shaved
-        report = check_fixed_point_certificate(cert, htg, platform)
+        report = check_schedule_certificate(cert, htg, platform)
         assert "certify.fixed-point.not-post-fixed-point" in codes(report)
 
     def test_early_start_rejected(self, case, schedule):
-        _, htg, platform, _, order = case
-        cert = build_fixed_point_certificate(schedule.result, order, platform, htg)
+        _, htg, platform, _, _ = case
+        cert = build_schedule_certificate(schedule, htg, platform)
         victim = max(cert.starts, key=cert.starts.get)
         assert cert.starts[victim] > 0
         length = cert.finishes[victim] - cert.starts[victim]
         cert.starts[victim] = 0.0
         cert.finishes[victim] = length
-        report = check_fixed_point_certificate(cert, htg, platform)
-        assert "certify.fixed-point.start-inconsistent" in codes(report)
+        report = check_schedule_certificate(cert, htg, platform)
+        assert codes(report) & {
+            "certify.schedule.precedence-violated", "certify.schedule.core-overlap",
+        }
 
     def test_understated_makespan_rejected(self, case, schedule):
-        _, htg, platform, _, order = case
-        cert = build_fixed_point_certificate(schedule.result, order, platform, htg)
-        cert.makespan *= 0.5
-        report = check_fixed_point_certificate(cert, htg, platform)
-        assert "certify.fixed-point.makespan-understated" in codes(report)
+        _, htg, platform, _, _ = case
+        cert = build_schedule_certificate(schedule, htg, platform)
+        cert.wcet_bound *= 0.5
+        report = check_schedule_certificate(cert, htg, platform)
+        assert codes(report) == {"certify.schedule.bound-mismatch"}
+
+    def test_overstated_makespan_rejected(self, case, schedule):
+        """A loose bound is an error too: the bound is the maximum finish."""
+        _, htg, platform, _, _ = case
+        cert = build_schedule_certificate(schedule, htg, platform)
+        cert.wcet_bound *= 2.0
+        report = check_schedule_certificate(cert, htg, platform)
+        assert codes(report) == {"certify.schedule.bound-mismatch"}
+
+
+# ---------------------------------------------------------------------- #
+# every other finding code of the schedule checker
+# ---------------------------------------------------------------------- #
+def _first_task(cert):
+    return next(iter(cert.mapping))
+
+
+def _unknown_core(cert):
+    cert.mapping[_first_task(cert)] = 99
+
+
+def _short_core_order(cert):
+    next(tids for tids in cert.order.values() if tids).pop()
+
+
+def _task_ordered_on_another_core(cert):
+    core, tids = next((c, ts) for c, ts in cert.order.items() if ts)
+    other = next(c for c in cert.order if c != core)
+    cert.order[other].append(tids.pop())
+
+
+def _dropped_window(cert):
+    del cert.starts[_first_task(cert)]
+
+
+def _stray_window(cert):
+    cert.starts["ghost"] = cert.finishes["ghost"] = 0.0
+
+
+def _negative_window(cert):
+    tid = _first_task(cert)
+    cert.finishes[tid] = cert.starts[tid] - 5.0
+
+
+def _cheapened_penalty_row(cert):
+    next(iter(cert.penalty.values()))[1] -= 1.0
+
+
+def _skeleton_naming_a_non_sharer(cert):
+    cert.allowed = {tid: ["ghost"] for tid in cert.mapping}
+
+
+def _lowered_base(cert):
+    """Converged, so the re-applied equation must meet the claim exactly."""
+    assert cert.converged
+    cert.base[_first_task(cert)] -= 1.0
+
+
+REMAINING_CHECKS = [
+    ("certify.schedule.unknown-core", _unknown_core),
+    ("certify.schedule.order-coverage", _short_core_order),
+    ("certify.schedule.order-core-mismatch", _task_ordered_on_another_core),
+    ("certify.schedule.missing-interval", _dropped_window),
+    ("certify.schedule.stray-interval", _stray_window),
+    ("certify.schedule.negative-duration", _negative_window),
+    ("certify.fixed-point.penalty-mismatch", _cheapened_penalty_row),
+    ("certify.fixed-point.allowed-unknown", _skeleton_naming_a_non_sharer),
+    ("certify.fixed-point.penalty-coverage", _unknown_core),
+    ("certify.fixed-point.effective-mismatch", _lowered_base),
+]
+
+
+@pytest.mark.parametrize(
+    "code, tamper", [pytest.param(*check, id=check[0]) for check in REMAINING_CHECKS]
+)
+def test_each_remaining_check_refutes_its_tamper(case, schedule, code, tamper):
+    """The merged checker keeps every check either former checker made."""
+    _, htg, platform, _, _ = case
+    cert = build_schedule_certificate(schedule, htg, platform)
+    tamper(cert)
+    report = check_schedule_certificate(cert, htg, platform)
+    assert code in {f.code for f in report.findings}, report.summary()
 
 
 # ---------------------------------------------------------------------- #
@@ -311,8 +437,7 @@ class TestCacheTamper:
         with pytest.raises(CertificationError) as excinfo:
             self._run(tmp_path, certify=True)
         found = codes(excinfo.value.report)
-        assert "certify.schedule.bound-mismatch" in found
-        assert "certify.fixed-point.makespan-understated" in found
+        assert found == {"certify.schedule.bound-mismatch"}
 
 
 # ---------------------------------------------------------------------- #

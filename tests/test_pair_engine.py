@@ -50,7 +50,7 @@ from repro.usecases.workloads import (
     random_pipeline_diagram,
     synthetic_compiled_model,
 )
-from repro.utils.graphs import Reachability, transitive_closure
+from repro.utils.graphs import Reachability
 from repro.wcet import (
     HardwareCostModel,
     SystemDesign,
@@ -58,6 +58,8 @@ from repro.wcet import (
     shared_cache,
     system_level_wcet,
 )
+
+from graph_reference import transitive_closure
 
 USECASES = ["egpws", "polka", "weaa"]
 CASES = USECASES + ["synthetic-1", "synthetic-2", "synthetic-3"]

@@ -15,9 +15,9 @@ from repro.adl.platforms import generic_predictable_multicore
 from repro.analysis.certify import (
     build_certificates,
     build_contention_certificate,
-    build_fixed_point_certificate,
+    build_schedule_certificate,
     check_contention_certificate,
-    check_fixed_point_certificate,
+    check_schedule_certificate,
 )
 from repro.analysis.static_mhp import compute_static_mhp
 from repro.core.config import ToolchainConfig
@@ -331,24 +331,23 @@ class TestContentionCertificate:
 
 
 class TestFixedPointCertificateWithSkeleton:
+    """The fixed point a pruned run claims, as the schedule certificate
+    carries it with the skeleton."""
+
     def test_pruned_fixed_point_is_accepted(self):
         model, htg, platform, mapping, order = build_case("weaa")
         schedule = evaluate_mapping(
             SystemDesign(htg, model.entry, platform, static_pruning=True), mapping, order
         )
-        cert = build_fixed_point_certificate(
-            schedule.result, schedule.order, platform, htg
-        )
+        cert = build_schedule_certificate(schedule, htg, platform)
         assert cert.allowed is not None
-        report = check_fixed_point_certificate(cert, htg, platform)
+        report = check_schedule_certificate(cert, htg, platform)
         assert report.ok, report.summary()
 
     def test_unpruned_cert_serialization_is_unchanged(self):
         model, htg, platform, mapping, order = build_case("weaa")
         schedule = evaluate_mapping(SystemDesign(htg, model.entry, platform), mapping, order)
-        cert = build_fixed_point_certificate(
-            schedule.result, schedule.order, platform, htg
-        )
+        cert = build_schedule_certificate(schedule, htg, platform)
         assert cert.allowed is None
         assert "allowed" not in cert.as_dict()
 
@@ -360,11 +359,13 @@ class TestFixedPointCertificateWithSkeleton:
         chain = build_certificates(pruned, model.entry, htg, platform)
         assert chain.ok, [str(f) for f in chain.findings()]
         assert chain.contention is not None
-        assert len(chain.reports) == 4
+        assert [r.analysis for r in chain.reports] == [
+            "certify_schedule", "certify_contention", "certify_ipet",
+        ]
         unpruned = evaluate_mapping(SystemDesign(htg, model.entry, platform), mapping, order)
         plain = build_certificates(unpruned, model.entry, htg, platform)
         assert plain.contention is None
-        assert len(plain.reports) == 3
+        assert [r.analysis for r in plain.reports] == ["certify_schedule", "certify_ipet"]
 
 
 # ---------------------------------------------------------------------- #

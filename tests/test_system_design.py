@@ -569,7 +569,7 @@ def test_certified_replay_through_shared_design(tmp_path):
     with pytest.raises(CertificationError) as excinfo:
         run()
     found = {f.code for f in excinfo.value.report.findings}
-    assert "certify.fixed-point.makespan-understated" in found
+    assert "certify.schedule.bound-mismatch" in found
 
 
 # ---------------------------------------------------------------------- #

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.frontend import compile_diagram
+from repro.htg.extraction import ExtractionOptions, extract_htg
+from repro.usecases import ALL_USECASES
 from repro.utils import (
     Interval,
     Table,
@@ -12,10 +15,11 @@ from repro.utils import (
     longest_path_length,
     make_rng,
     topological_order,
-    transitive_closure,
 )
 from repro.utils.intervals import total_busy_time
 from repro.utils.rng import derive_rng
+
+from graph_reference import lexicographic_topological_order, transitive_closure
 
 
 class TestRng:
@@ -128,12 +132,6 @@ class TestGraphs:
         weights = {"a": 5.0, "b": 10.0, "c": 1.0}
         assert longest_path_length(nodes, edges, weights) == pytest.approx(16.0)
 
-    def test_longest_path_edge_weights(self):
-        nodes = ["a", "b"]
-        edges = [("a", "b")]
-        length = longest_path_length(nodes, edges, {"a": 1.0, "b": 1.0}, lambda u, v: 10.0)
-        assert length == pytest.approx(12.0)
-
     def test_transitive_closure(self):
         closure = transitive_closure(["a", "b", "c"], [("a", "b"), ("b", "c")])
         assert ("a", "c") in closure
@@ -146,3 +144,56 @@ class TestGraphs:
         edges = [(i, j) for i in nodes for j in nodes if i < j and rng.random() < 0.4]
         weights = {i: float(rng.integers(1, 10)) for i in nodes}
         assert longest_path_length(nodes, edges, weights) >= max(weights.values()) - 1e-9
+
+class TestTopologicalOrderMatchesNetworkx:
+    """The heap-based Kahn pass against ``networkx``'s lexicographic sort."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_dags(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 80))
+        # odd seeds mix ints and strings whose str() collide ("3" and 3), so
+        # first-seen order must break the tie as in networkx
+        pool = [f"t{i}" for i in range(n)] if seed % 2 == 0 else [
+            str(i) if i % 3 else i for i in range(n)
+        ]
+        names = [pool[int(i)] for i in rng.permutation(n)]
+        edges = [
+            (names[i], names[j])
+            for i in range(n)
+            for j in range(i + 1, n)
+            if rng.random() < 0.08
+        ]
+        edges += edges[: len(edges) // 3]  # a pair listed twice is one edge
+        listed = names[: n // 2]  # the rest join through their edges
+        assert topological_order(listed, edges) == lexicographic_topological_order(
+            listed, edges
+        )
+
+    def test_tied_strings_keep_first_seen_order(self):
+        nodes = ["10", 10, "2", 1, "1"]
+        assert topological_order(nodes, []) == lexicographic_topological_order(nodes, [])
+        assert topological_order(nodes, []) == [1, "1", "10", 10, "2"]
+
+    @pytest.mark.parametrize("usecase", sorted(ALL_USECASES))
+    def test_shipped_diagrams_and_htgs(self, usecase):
+        diagram = ALL_USECASES[usecase][0]()
+        edges = diagram.dataflow_edges()
+        assert topological_order(diagram.blocks, edges) == (
+            lexicographic_topological_order(diagram.blocks, edges)
+        )
+        model = compile_diagram(diagram)
+        for granularity, chunks in (("block", 1), ("loop", 2), ("loop", 3), ("loop", 4)):
+            htg = extract_htg(
+                model, ExtractionOptions(granularity=granularity, loop_chunks=chunks)
+            )
+            pairs = htg.edge_pairs()
+            assert topological_order(htg.tasks, pairs) == (
+                lexicographic_topological_order(htg.tasks, pairs)
+            ), (usecase, granularity, chunks)
+
+    def test_self_loop_is_a_cycle(self):
+        with pytest.raises(ValueError):
+            topological_order(["a"], [("a", "a")])
+        assert not is_acyclic([("a", "a")])
+
