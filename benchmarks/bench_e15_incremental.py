@@ -1,11 +1,11 @@
 """E15: incremental re-analysis wall clock for single-task edits.
 
 The incremental engine (:meth:`repro.core.pipeline.Pipeline.run_incremental`)
-replays every stage whose input frontier is unchanged from a previous run
-and re-does only the work whose input fingerprints changed: one edited
-block re-extracts one HTG region, and the race check re-scans only pairs
-with a changed endpoint.  The interference fixed point of the re-run
-schedule starts cold.
+runs every stage, each reusing the previous run through ``context.prev``
+where its inputs' fingerprints are unchanged: one edited block re-extracts
+one HTG region, and the race check re-scans only pairs with a changed
+endpoint.  The other stages re-run on warm caches; the interference fixed
+point of the re-run schedule starts cold.
 
 This experiment takes an E11-scale workload (a ~900-task random layered
 diagram at loop granularity), edits a single block parameter, and compares
@@ -20,7 +20,7 @@ cached), with the collector paused during the timed sections to keep GC
 pauses of the large heap out of the comparison.
 
 Acceptance: the incremental run is **>= 1.8x** faster, re-analyses exactly
-one region, replays race-check pairs, and its bounds / mapping / order /
+one region, reuses race-check pairs, and its bounds / mapping / order /
 per-task intervals are bit-identical to a cold run of the edited diagram.
 """
 
@@ -132,7 +132,7 @@ def test_e15_incremental_single_task_edit(benchmark):
         assert report.regions_recomputed == 1
         assert report.stages["htg"] == "incremental"
         assert tuple(report.diff.changed_regions) == (r["edited_block"],)
-        # the race check replayed the untouched pairs
+        # the race check reused the untouched pairs
         assert report.race_pairs_reused > 0
 
         table.add_row(
@@ -159,8 +159,7 @@ def test_e15_incremental_single_task_edit(benchmark):
         f"\nE15: cold {cold_best:.3f}s -> incremental {inc_best:.3f}s "
         f"({speedup:.1f}x) for a 1-block edit of "
         f"{len(rounds[-1]['base'].htg.leaf_tasks())} tasks; "
-        f"stages reused={last.cache_stats['stages_reused']}, "
-        f"recomputed={last.cache_stats['stages_recomputed']}, "
+        f"race pairs reused={last.artifacts['incremental_report'].race_pairs_reused}, "
         f"code-level hits={last.cache_stats['hits']}, "
         f"misses={last.cache_stats['misses']}"
     )

@@ -97,9 +97,6 @@ class MeshNoC(Interconnect):
         dx, dy = self.tile_coords(dst_tile)
         return abs(sx - dx) + abs(sy - dy)
 
-    def route(self, src_tile: int, dst_tile: int) -> list[NocLink]:
-        return xy_route(self.tile_coords(src_tile), self.tile_coords(dst_tile))
-
     # ------------------------------------------------------------------ #
     # worst-case latency model (WRR guarantees)
     # ------------------------------------------------------------------ #

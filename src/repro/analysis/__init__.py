@@ -106,19 +106,17 @@ and finding order.
 Incremental re-analysis contract
 ================================
 
-:mod:`repro.analysis.incremental` turns one finished run into a reusable
-**analysis dependency graph**: per-stage *input frontiers* (digests of
-everything a stage consumes -- diagram/function/region fingerprints, the
-HTG structure digest, the platform cost signature, the config digest) plus
-the per-region code fingerprints.  The rules:
+:mod:`repro.analysis.incremental` records, per finished run, a small
+**reuse summary** (the per-region code fingerprints and the platform
+signature).  There is one reuse mechanism: every stage of
+``Pipeline.run_incremental`` runs, and a stage reuses the previous run only
+through ``context.prev``.  The rules:
 
-* **A frontier match proves reuse.**  A stage may be replayed from the
-  previous run exactly when its replay key -- the fingerprints of the input
-  frontier its :class:`~repro.core.pipeline.Stage` declares, plus the
-  identity of its implementation -- is byte-identical; an
-  unfingerprintable input (``None`` key) can never prove reuse and forces
-  a re-run.  The frontiers deliberately over-approximate, so the engine
-  errs only towards recomputing.
+* **A region fingerprint match proves reuse.**  HTG extraction keeps the
+  previous run's tasks (WCET annotations included) for every region whose
+  code fingerprint equals the summary's, and only when the previous run
+  had the same platform signature, granularity and loop-chunk count; an
+  unfingerprintable platform never matches and extracts cold.
 * **Code-level facts key on the function fingerprint.**  The dataflow /
   lint / flow-facts analyses are pure functions of one IR function's
   content, so ``python -m repro diff`` replays the old function's reports
@@ -140,9 +138,8 @@ the per-region code fingerprints.  The rules:
   the property tests drive random edit scripts
   (:mod:`repro.usecases.workloads`) to enforce exactly that.
 
-``python -m repro diff <old> <new>`` prints the fingerprint diff and the
-minimal invalidation set between two models without running the dirty
-stages.
+``python -m repro diff <old> <new>`` runs the old model cold and the new
+one incrementally, and prints the region diff and what each stage reused.
 
 Certificate contract (proof-carrying results)
 =============================================
@@ -223,7 +220,6 @@ from repro.analysis.dataflow import (
 from repro.analysis.incremental import (
     FingerprintDiff,
     IncrementalReport,
-    diagram_fingerprint,
     diff_summaries,
     summarize_result,
 )
@@ -292,7 +288,6 @@ __all__ = [
     "dead_stores",
     "definitely_uninitialized_uses",
     "derive_flow_facts",
-    "diagram_fingerprint",
     "diff_summaries",
     "eval_range",
     "footprints_address_disjoint",

@@ -37,15 +37,17 @@ three passes:
    ``base + shared x penalty(contenders)`` must not exceed the claimed
    effective WCET; for a ``converged`` result it must equal it.  A state
    is a sound post-fixed-point iff one application raises no component,
-   so this is far cheaper than re-running the iteration.
+   so this is far cheaper than re-running the iteration.  The claimed
+   contender counts must equal the re-derived ones for a ``converged``
+   result, and be at least as large for the all-contend fall-back.
 
 What this checker does *not* prove: the base WCETs and shared-access
 counts themselves (the code-level analysis' ground truth, carried
-verbatim), the claimed contender counts (carried; the equations use the
-re-derived ones), that the fixed point is the *least* one (any sound
+verbatim), that the fixed point is the *least* one (any sound
 post-fixed-point upper-bounds it), that the claimed times are tight (a
-timeline padded with slack passes) and that the static-MHP skeleton is
-justified (the contention certificate's job).
+timeline padded with slack passes), that a fall-back's contender counts
+are tight (more is sound) and that the static-MHP skeleton is justified
+(the contention certificate's job).
 """
 
 from __future__ import annotations
@@ -427,6 +429,17 @@ def check_schedule_certificate(
             if core != own_core and own_start < finish and start < own_finish:
                 contending_cores.add(core)
         contenders = len(contending_cores)
+        # the all-contend fall-back may claim more contenders, never fewer
+        claimed = cert.contenders.get(tid)
+        if claimed is None or claimed < contenders or (
+            cert.converged and claimed != contenders
+        ):
+            fail(
+                "certify.fixed-point.contenders-mismatch",
+                f"claims {claimed} contending cores; the claimed windows give "
+                f"{contenders}",
+                subject=tid,
+            )
         row = penalty.get(own_core)
         if row is None or contenders >= len(row):
             fail(

@@ -88,14 +88,6 @@ class TaskFootprint:
     scalar_reads: frozenset[str] = frozenset()
     scalar_writes: frozenset[str] = frozenset()
 
-    def touched(self) -> frozenset[str]:
-        return frozenset(
-            set(self.array_reads)
-            | set(self.array_writes)
-            | self.scalar_reads
-            | self.scalar_writes
-        )
-
     def as_dict(self) -> dict:
         def ranges(acc: dict[str, ValueRange]) -> dict[str, list[float]]:
             return {name: [acc[name].lo, acc[name].hi] for name in sorted(acc)}

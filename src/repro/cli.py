@@ -37,9 +37,9 @@ the IPET solution (with flow facts re-derived)::
 ``diff`` runs the incremental re-analysis engine
 (:mod:`repro.analysis.incremental`): a cold pipeline run on the *old*
 model, then :meth:`~repro.core.pipeline.Pipeline.run_incremental` on the
-*new* one, and prints the fingerprint diff and the minimal invalidation
-frontier -- which functions changed, which stages were replayed vs re-run,
-how many race pairs and code-level reports were reused::
+*new* one, and prints what the edit round reused -- which functions
+changed, which stages reused part of the old run, how many regions, race
+pairs and code-level reports were reused::
 
     python -m repro diff examples/model_v1.py examples/model_v2.py
     python -m repro diff egpws examples/egpws_edited.py --json
@@ -534,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     diff = commands.add_parser(
         "diff",
-        help="fingerprint diff + minimal invalidation frontier between two models",
+        help="re-analyse an edited model incrementally and report what was reused",
     )
     diff.add_argument(
         "old",

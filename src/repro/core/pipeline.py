@@ -22,13 +22,13 @@ Custom stages slot in through :meth:`Pipeline.with_stage` /
 ``schedule`` -- the dependency graph, not the insertion order, decides when
 it runs.
 
-Every stage declares its input **frontier**: the run fingerprints
-(:data:`FINGERPRINTS`) its outputs depend on.  :meth:`Pipeline.run` and
-:meth:`Pipeline.run_incremental` are one stage loop; given a previous run,
-a stage whose replay key (its frontier's fingerprints plus the identity of
-its implementation) equals the previous run's is replayed by reference
-instead of re-run, so a repeated or lightly edited design point re-does
-only the work its edit reaches.
+:meth:`Pipeline.run` and :meth:`Pipeline.run_incremental` are one stage
+loop, and every stage runs in both.  Given a previous run, each stage sees
+it as ``context.prev`` and reuses what the previous run proves unchanged:
+HTG extraction keeps the tasks of every region whose code fingerprint is
+unchanged, and the race check re-checks only pairs with a changed endpoint;
+the other stages re-run on warm caches.  The reuse contract, stage by
+stage, is in :mod:`repro.analysis.incremental`.
 
 :meth:`Pipeline.run` is the one entry point of the flow: with
 ``config.feedback_iterations > 1`` it runs the cross-layer feedback loop
@@ -40,11 +40,7 @@ platform, config) combinations through it concurrently.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import itertools
-import json
 import time
-import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
@@ -88,13 +84,8 @@ class Stage:
     ``run`` receives the :class:`PipelineContext` and returns a mapping of
     the artifacts it produces (it must cover exactly ``produces``).  Extra
     diagnostic values can be recorded in ``context.info``; they end up in the
-    stage's :class:`StageRecord`.
-
-    ``frontier`` names the run fingerprints (keys of :data:`FINGERPRINTS`)
-    that cover everything the stage's outputs depend on.  Given a previous
-    run, the stage is replayed from it when its replay key -- those
-    fingerprints plus the identity of ``run`` -- is unchanged.  ``None``
-    (the default) means the stage is never replayed.
+    stage's :class:`StageRecord`.  ``run`` is called on every run,
+    incremental ones included; ``context.prev`` is the previous run there.
     """
 
     name: str
@@ -102,7 +93,6 @@ class Stage:
     consumes: tuple[str, ...] = ()
     produces: tuple[str, ...] = ()
     description: str = ""
-    frontier: tuple[str, ...] | None = None
 
 
 @dataclass
@@ -113,11 +103,6 @@ class StageRecord:
     seconds: float
     produced: tuple[str, ...] = ()
     info: dict[str, Any] = field(default_factory=dict)
-    #: What the stage's replay key covers (see :func:`replay_key`): run
-    #: fingerprint names and an implementation identity, ``None`` when the
-    #: stage is never replayed.
-    frontier: tuple[str, ...] | None = None
-    implementation: str | None = None
 
 
 @dataclass
@@ -133,39 +118,15 @@ class PipelineContext:
     #: an incremental run, a stage that reused part of ``prev`` sets
     #: ``info["incremental"] = "incremental"``.
     info: dict[str, Any] = field(default_factory=dict)
-    #: The previous run of an incremental run (``None`` on a cold run).  A
-    #: stage that must run may still reuse parts of it.
+    #: The previous run of an incremental run (``None`` on a cold run); a
+    #: stage may reuse the parts of it that are provably unchanged.
     prev: "PipelineResult | None" = None
-    _fingerprints: dict[str, str] = field(default_factory=dict, repr=False)
 
     def artifact(self, name: str) -> Any:
         try:
             return self.artifacts[name]
         except KeyError:
             raise PipelineError(f"artifact {name!r} has not been produced yet") from None
-
-    def fingerprint(self, name: str) -> str | None:
-        """This run's fingerprint ``name``, memoized once its artifact exists."""
-        value = self._fingerprints.get(name)
-        if value is None:
-            value = run_fingerprint(name, self.artifacts, self.wcet_cache)
-            if value is not None:
-                self._fingerprints[name] = value
-        return value
-
-    def unchanged(self, *names: str) -> bool:
-        """Whether each named fingerprint equals the previous run's.
-
-        Always ``False`` on a cold run; an unfingerprintable value never
-        equals anything.
-        """
-        if self.prev is None:
-            return False
-        before = self.prev.artifact_summary(self.wcet_cache)["fingerprints"]
-        return all(
-            (value := self.fingerprint(name)) is not None and value == before.get(name)
-            for name in names
-        )
 
 
 @dataclass
@@ -189,22 +150,20 @@ class PipelineResult:
     stage_records: list[StageRecord] = field(default_factory=list)
     #: Every artifact of the run, including those of custom stages.
     artifacts: dict[str, Any] = field(default_factory=dict)
-    #: Cache counter deltas of this run: code-level WCET lookups
-    #: (``hits`` / ``disk_hits`` / ``misses``), plus ``stages_reused`` /
-    #: ``stages_recomputed`` for incremental runs.
+    #: Code-level WCET cache counter deltas of this run (``hits`` /
+    #: ``disk_hits`` / ``misses``).
     cache_stats: dict[str, int] = field(default_factory=dict)
     #: Observability snapshot of the run (see :meth:`telemetry`); ``None``
     #: when :mod:`repro.obs` was disabled while the run executed.
     telemetry_data: dict[str, Any] | None = field(default=None, repr=False, compare=False)
-    #: Memoized analysis dependency graph (see :meth:`artifact_summary`).
+    #: Memoized reuse summary (see :meth:`artifact_summary`).
     _summary: Any = field(default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------------ #
     def artifact_summary(self, cache: WcetAnalysisCache | None = None) -> dict[str, Any]:
-        """The run's analysis dependency graph, as a JSON-able dict.
+        """What a later incremental run reuses this run by, as a JSON-able dict.
 
-        Records the content fingerprints of everything each stage consumed
-        and the per-stage replay keys (see
+        The per-region code fingerprints and the platform signature (see
         :func:`repro.analysis.incremental.summarize_result`).  Memoized:
         capture it soon after the run, while the fingerprinted objects are
         unmutated -- ``cache`` is only consulted on the first call.
@@ -319,11 +278,19 @@ def _htg_stage(context: PipelineContext) -> dict[str, Any]:
     )
     cost_model = HardwareCostModel(context.platform, context.platform.cores[0].core_id)
     prev = context.prev
-    if prev is not None and context.unchanged("platform", "extraction"):
+    summary = prev.artifact_summary(context.wcet_cache) if prev is not None else {}
+    if (
+        prev is not None
+        and summary["platform"] is not None
+        and prev.config.granularity == options.granularity
+        and prev.config.loop_chunks == options.loop_chunks
+        and summary["platform"] == platform_signature(context.platform)
+    ):
         # Regions whose code is unchanged keep the previous run's tasks,
         # WCET annotations included (same platform), so only the
-        # re-extracted tasks are annotated.
-        prev_regions = prev.artifact_summary(context.wcet_cache)["regions"]
+        # re-extracted tasks are annotated.  An unfingerprintable platform
+        # proves nothing and extracts cold.
+        prev_regions = summary["regions"]
         unchanged_regions = {
             name
             for name, block in model.block_regions
@@ -482,164 +449,6 @@ def _wcet_stage(context: PipelineContext) -> dict[str, Any]:
     return {"sequential_bound": sequential_bound}
 
 
-# ---------------------------------------------------------------------- #
-# run fingerprints and replay keys (see Stage.frontier)
-# ---------------------------------------------------------------------- #
-def _config_digest(config: ToolchainConfig) -> str:
-    knobs = dataclasses.asdict(config)
-    # observability never changes any artifact, so tracing a run must not
-    # split it off from the untraced cache entries
-    knobs.pop("trace", None)
-    return hashlib.sha1(
-        json.dumps(knobs, sort_keys=True, default=str).encode("utf-8")
-    ).hexdigest()
-
-
-def _htg_fingerprint_of(htg: HierarchicalTaskGraph, cache: WcetAnalysisCache) -> str:
-    """Structural fingerprint of an HTG: tasks by content, edges by payload."""
-    tasks = sorted(
-        (
-            task.task_id,
-            "synthetic" if task.is_synthetic or task.statements is None
-            else cache.region_fingerprint(task.statements),
-        )
-        for task in htg.tasks.values()
-    )
-    edges = sorted((e.src, e.dst, e.payload_bytes) for e in htg.edges)
-    return hashlib.sha1(
-        json.dumps([tasks, edges], separators=(",", ":")).encode("utf-8")
-    ).hexdigest()
-
-
-def _extraction_digest(config: ToolchainConfig) -> str:
-    return hashlib.sha1(
-        json.dumps([config.granularity, config.loop_chunks]).encode("utf-8")
-    ).hexdigest()
-
-
-def _schedule_digest(schedule: Schedule) -> str:
-    """Content digest of a schedule artifact (mapping, order, bound)."""
-    payload = [
-        sorted(schedule.mapping.items()),
-        sorted((core, list(tids)) for core, tids in schedule.order.items()),
-        schedule.wcet_bound,
-    ]
-    return hashlib.sha1(
-        json.dumps(payload, separators=(",", ":")).encode("utf-8")
-    ).hexdigest()
-
-
-#: callable -> monotonic token: identifies an *implementation* without the
-#: id()-reuse hazard (a freed callable's address can be handed to its
-#: replacement; a weak key dies with the callable and the counter never
-#: repeats, so a replacement always gets a fresh token)
-_implementation_tokens: "weakref.WeakKeyDictionary[Callable, int]" = weakref.WeakKeyDictionary()
-_implementation_token_counter = itertools.count()
-
-
-def _implementation_token(fn: Callable) -> str | None:
-    """Process-local identity of a callable, ``None`` when it cannot be
-    weakly referenced (whatever it keys is then never replayed)."""
-    try:
-        token = _implementation_tokens.get(fn)
-        if token is None:
-            token = next(_implementation_token_counter)
-            _implementation_tokens[fn] = token
-    except TypeError:
-        return None
-    return f"{getattr(fn, '__module__', '')}.{getattr(fn, '__qualname__', '')}#{token}"
-
-
-def _diagram_fingerprint(diagram: Diagram) -> str:
-    from repro.analysis.incremental import diagram_fingerprint
-
-    return diagram_fingerprint(diagram)
-
-
-#: The run fingerprints a stage frontier can name: the artifact each one
-#: digests, and how.  ``extraction`` digests the HTG extraction knobs of the
-#: config.  ``scheduler`` is the identity of the scheduler implementation
-#: the run resolved: the registry supports re-registration
-#: (``replace=True``), so the name alone does not pin what ran.
-FINGERPRINTS: dict[str, tuple[str, Callable[[Any, WcetAnalysisCache], str | None]]] = {
-    "diagram": ("diagram", lambda diagram, cache: _diagram_fingerprint(diagram)),
-    "platform": ("platform", lambda platform, cache: platform_signature(platform)),
-    "config": ("config", lambda config, cache: _config_digest(config)),
-    "extraction": ("config", lambda config, cache: _extraction_digest(config)),
-    "scheduler": ("scheduler", lambda entry, cache: _implementation_token(entry.build)),
-    "function": (
-        "transformed_model",
-        lambda model, cache: cache.function_fingerprint(model.entry),
-    ),
-    "htg": ("htg", _htg_fingerprint_of),
-    "schedule": ("schedule", lambda schedule, cache: _schedule_digest(schedule)),
-}
-
-
-def run_fingerprint(
-    name: str, artifacts: Mapping[str, Any], cache: WcetAnalysisCache
-) -> str | None:
-    """Fingerprint ``name`` of a run's artifacts; ``None`` while the artifact
-    is missing or when it cannot be fingerprinted."""
-    artifact_name, digest = FINGERPRINTS[name]
-    artifact = artifacts.get(artifact_name)
-    return None if artifact is None else digest(artifact, cache)
-
-
-def replay_key(
-    frontier: tuple[str, ...] | None,
-    implementation: str | None,
-    fingerprint: Callable[[str], str | None],
-) -> str | None:
-    """The key a stage replays under: its implementation identity plus its
-    frontier's fingerprints.  ``None`` -- equal to nothing -- when the stage
-    declares no frontier or any part is missing or unfingerprintable."""
-    if frontier is None or implementation is None:
-        return None
-    parts = [implementation]
-    for name in frontier:
-        value = fingerprint(name)
-        if value is None:
-            return None
-        parts.append(value)
-    return "|".join(parts)
-
-
-def _replay_groups(
-    stages: tuple[Stage, ...],
-) -> dict[str, tuple[tuple[str, ...] | None, str | None, tuple[str, ...]]]:
-    """Per stage: the frontier and implementation its replay key covers, and
-    the stages sharing that key.
-
-    Stages joined by an artifact no fingerprint digests (the front end's
-    untransformed ``model``) share one key, built from all their frontiers
-    and implementations, so they replay together or not at all: nothing
-    proves such an artifact unchanged, so a re-run producer's artifact
-    cannot be handed to a replayed consumer, nor the reverse.
-    """
-    digested = {artifact for artifact, _ in FINGERPRINTS.values()}
-    producer = {artifact: stage.name for stage in stages for artifact in stage.produces}
-    joined = {stage.name: {stage.name} for stage in stages}
-    for stage in stages:
-        for artifact in stage.consumes:
-            if artifact in producer and artifact not in digested:
-                merged = joined[producer[artifact]] | joined[stage.name]
-                for name in merged:
-                    joined[name] = merged
-    groups = {}
-    for stage in stages:
-        members = [s for s in stages if s.name in joined[stage.name]]
-        frontiers = [s.frontier for s in members]
-        tokens = [_implementation_token(s.run) for s in members]
-        groups[stage.name] = (
-            None if None in frontiers
-            else tuple(dict.fromkeys(name for f in frontiers if f for name in f)),
-            None if None in tokens else "+".join(t for t in tokens if t),
-            tuple(s.name for s in members),
-        )
-    return groups
-
-
 def default_stages() -> tuple[Stage, ...]:
     """The seven built-in stages: the Fig. 1 flow plus the certify gate."""
     return (
@@ -649,7 +458,6 @@ def default_stages() -> tuple[Stage, ...]:
             consumes=("diagram",),
             produces=("model",),
             description="model-based specification -> IR entry function",
-            frontier=("diagram", "platform", "config"),
         ),
         Stage(
             name="transforms",
@@ -657,8 +465,6 @@ def default_stages() -> tuple[Stage, ...]:
             consumes=("model",),
             produces=("transformed_model", "pass_reports"),
             description="predictability-enhancing transformation passes",
-            # scratchpad allocation reads the platform's scratchpads
-            frontier=("diagram", "platform", "config"),
         ),
         Stage(
             name="htg",
@@ -666,7 +472,6 @@ def default_stages() -> tuple[Stage, ...]:
             consumes=("transformed_model",),
             produces=("htg",),
             description="hierarchical task graph extraction + WCET annotation",
-            frontier=("function", "extraction", "platform"),
         ),
         Stage(
             name="schedule",
@@ -674,7 +479,6 @@ def default_stages() -> tuple[Stage, ...]:
             consumes=("transformed_model", "htg", "scheduler"),
             produces=("schedule",),
             description="WCET-aware mapping/scheduling (via the scheduler registry)",
-            frontier=("function", "htg", "platform", "config", "scheduler"),
         ),
         Stage(
             name="parallel",
@@ -682,7 +486,6 @@ def default_stages() -> tuple[Stage, ...]:
             consumes=("transformed_model", "htg", "schedule"),
             produces=("parallel_program",),
             description="explicit parallel program construction",
-            frontier=("function", "htg", "schedule", "platform", "config"),
         ),
         Stage(
             name="wcet",
@@ -690,7 +493,6 @@ def default_stages() -> tuple[Stage, ...]:
             consumes=("transformed_model", "schedule"),
             produces=("sequential_bound",),
             description="sequential reference bound (system bound lives on the schedule)",
-            frontier=("function", "platform", "config", "schedule"),
         ),
         Stage(
             name="certify",
@@ -698,7 +500,6 @@ def default_stages() -> tuple[Stage, ...]:
             consumes=("transformed_model", "htg", "schedule"),
             produces=("certificates",),
             description="independent certificate checkers (gated by config.certify)",
-            frontier=("function", "htg", "schedule", "platform", "config"),
         ),
     )
 
@@ -706,22 +507,14 @@ def default_stages() -> tuple[Stage, ...]:
 def _order_stages(stages: tuple[Stage, ...]) -> tuple[Stage, ...]:
     """Validate the artifact graph and return the stages in dependency order.
 
-    Checks: unique stage names, known frontier fingerprints, every artifact
-    produced exactly once, every consumed artifact available (initial or
-    produced), and acyclicity.  The topological order is stable with
+    Checks: unique stage names, every artifact produced exactly once, every
+    consumed artifact available (initial or produced), and acyclicity.  The topological order is stable with
     respect to the declaration order.
     """
     names = [stage.name for stage in stages]
     if len(set(names)) != len(names):
         dupes = sorted({n for n in names if names.count(n) > 1})
         raise PipelineError(f"duplicate stage names: {', '.join(dupes)}")
-    for stage in stages:
-        unknown = sorted(set(stage.frontier or ()) - set(FINGERPRINTS))
-        if unknown:
-            raise PipelineError(
-                f"stage {stage.name!r} names unknown fingerprint(s) {', '.join(unknown)} "
-                f"in its frontier (known: {', '.join(FINGERPRINTS)})"
-            )
     producer: dict[str, Stage] = {}
     for stage in stages:
         for artifact in stage.produces:
@@ -777,7 +570,6 @@ class Pipeline:
         #: is disk-backed when ``REPRO_WCET_CACHE_DIR`` is set.
         self.wcet_cache = wcet_cache if wcet_cache is not None else shared_cache()
         self.stages = _order_stages(tuple(stages) if stages is not None else default_stages())
-        self._replay = _replay_groups(self.stages)
         report = platform.check_predictability()
         if not report.passed:
             raise ToolchainError(
@@ -824,14 +616,13 @@ class Pipeline:
     def run_incremental(self, prev: PipelineResult, diagram: Diagram) -> PipelineResult:
         """Re-run the flow on an edited ``diagram``, reusing ``prev``.
 
-        The same stage loop as :meth:`run`: a stage whose replay key (see
-        :class:`Stage`) equals the one recorded in ``prev``'s
-        :meth:`PipelineResult.artifact_summary` is *replayed by reference*;
-        any other stage runs, seeing ``prev`` as ``context.prev``.  The
-        built-in stages that run reuse what is provably unchanged:
+        The same stage loop as :meth:`run`: every stage runs, seeing
+        ``prev`` as ``context.prev``, and the built-in stages reuse what is
+        provably unchanged:
 
         * HTG extraction rebuilds only regions whose code fingerprint
-          changed (tasks of clean regions are shallow-copied);
+          changed (tasks of clean regions are shallow-copied), given the
+          same platform signature and extraction knobs as ``prev``;
         * the race check reuses the previous happens-before closure and
           re-scans only pairs with a changed endpoint.
 
@@ -839,8 +630,7 @@ class Pipeline:
         diagram: every reuse is guarded by content fingerprints.  The
         per-run reuse accounting lands in
         ``result.artifacts["incremental_report"]`` (an
-        :class:`~repro.analysis.incremental.IncrementalReport`) and in
-        ``cache_stats["stages_reused"] / ["stages_recomputed"]``.
+        :class:`~repro.analysis.incremental.IncrementalReport`).
 
         A config with ``feedback_iterations > 1`` raises
         :class:`PipelineError`: the feedback loop picks among several
@@ -874,42 +664,21 @@ class Pipeline:
             },
             prev=prev,
         )
-        prev_keys = (
-            prev.artifact_summary(self.wcet_cache)["frontiers"] if prev is not None else {}
-        )
         stats = self.wcet_cache.stats
         counters_before = (stats.hits, stats.disk_hits, stats.misses)
         obs_on = obs.obs_enabled()
         run_started = time.perf_counter()
         metrics_before = obs.metrics_snapshot() if obs_on else None
         records: list[StageRecord] = []
-        decisions: dict[tuple[str, ...], bool] = {}
         for stage in self.stages:
-            frontier, implementation, members = self._replay[stage.name]
-            replay = decisions.get(members)
-            if replay is None:
-                # stages sharing a key replay together (see _replay_groups)
-                key = None
-                if prev is not None:
-                    key = replay_key(frontier, implementation, context.fingerprint)
-                replay = decisions[members] = key is not None and all(
-                    prev_keys.get(member) == key for member in members
-                )
-            if replay:
-                assert prev is not None
-                prev_record = prev.stage(stage.name)
-                produced = {name: prev.artifacts[name] for name in prev_record.produced}
-                info = dict(prev_record.info, incremental="reused")
-                seconds = 0.0
-            else:
-                context.info = {}
-                started = time.perf_counter()
-                with obs.span(f"stage.{stage.name}"):
-                    produced = dict(stage.run(context) or {})
-                seconds = time.perf_counter() - started
-                info = dict(context.info)
-                if prev is not None:
-                    info.setdefault("incremental", "recomputed")
+            context.info = {}
+            started = time.perf_counter()
+            with obs.span(f"stage.{stage.name}"):
+                produced = dict(stage.run(context) or {})
+            seconds = time.perf_counter() - started
+            info = dict(context.info)
+            if prev is not None:
+                info.setdefault("incremental", "recomputed")
             missing = [a for a in stage.produces if a not in produced]
             if missing:
                 raise PipelineError(
@@ -918,14 +687,7 @@ class Pipeline:
                 )
             context.artifacts.update(produced)
             records.append(
-                StageRecord(
-                    name=stage.name,
-                    seconds=seconds,
-                    produced=tuple(produced),
-                    info=info,
-                    frontier=frontier,
-                    implementation=implementation,
-                )
+                StageRecord(name=stage.name, seconds=seconds, produced=tuple(produced), info=info)
             )
         cache_stats = {
             key: after - before
@@ -945,12 +707,9 @@ class Pipeline:
                 result.artifact_summary(self.wcet_cache),
             )
             result.artifacts["incremental_report"] = report
-            cache_stats["stages_reused"] = report.stages_reused
-            cache_stats["stages_recomputed"] = report.stages_recomputed
             if obs_on:
                 registry = obs.metrics()
                 for name, value in (
-                    ("stages_reused", report.stages_reused),
                     ("stages_recomputed", report.stages_recomputed),
                     ("regions_reused", report.regions_reused),
                     ("regions_recomputed", report.regions_recomputed),

@@ -295,9 +295,13 @@ def _assemble_htg(
     # ``current_writers`` holds the tasks of the current "writing generation"
     # of each buffer: sibling loop chunks of the same parent write disjoint
     # slices of the same buffer and therefore form one generation with no
-    # edges among themselves.
+    # edges among themselves.  ``generation_sources`` holds what the
+    # generation must follow -- the readers since the previous generation
+    # (WAR) and its writers (WAW) -- so that every chunk, not only the
+    # first, is ordered after them.
     current_writers: dict[str, list[Task]] = {}
     readers_since_write: dict[str, list[str]] = {}
+    generation_sources: dict[str, list[str]] = {}
 
     def same_generation(a: Task, b: Task) -> bool:
         return (
@@ -323,17 +327,17 @@ def _assemble_htg(
             writers = current_writers.get(name, [])
             if writers and same_generation(writers[-1], task):
                 writers.append(task)
-                continue
-            # New writing generation: order after earlier readers (WAR) and
-            # after the previous writers (WAW).
-            for reader in readers_since_write.get(name, []):
-                if reader != task.task_id:
-                    htg.add_edge(reader, task.task_id, payload_bytes=0, variables=(name,))
-            for writer in writers:
-                if writer.task_id != task.task_id:
-                    htg.add_edge(writer.task_id, task.task_id, payload_bytes=0, variables=(name,))
-            current_writers[name] = [task]
-            readers_since_write[name] = []
+                sources = generation_sources[name]
+            else:
+                # New writing generation: order after earlier readers (WAR)
+                # and after the previous writers (WAW).
+                sources = [r for r in readers_since_write.get(name, []) if r != task.task_id]
+                sources += [w.task_id for w in writers if w.task_id != task.task_id]
+                generation_sources[name] = sources
+                current_writers[name] = [task]
+                readers_since_write[name] = []
+            for source in sources:
+                htg.add_edge(source, task.task_id, payload_bytes=0, variables=(name,))
 
     # chunk siblings: pre -> chunks -> post ordering is established by buffer
     # deps; ensure pre/post ordering even without buffers.

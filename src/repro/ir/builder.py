@@ -100,10 +100,6 @@ class FunctionBuilder:
     def call(func: str, *args: Expr | float) -> Call:
         return Call(func, tuple(as_expr(a) for a in args))
 
-    @staticmethod
-    def neg(value: Expr | float) -> UnOp:
-        return UnOp("-", as_expr(value))
-
     # ------------------------------------------------------------------ #
     # statements
     # ------------------------------------------------------------------ #

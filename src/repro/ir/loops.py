@@ -69,12 +69,6 @@ class LoopInfo:
             node = node.parent
         return total
 
-    @property
-    def index_name(self) -> str | None:
-        if isinstance(self.loop, For):
-            return self.loop.index.name
-        return None
-
 
 def loop_forest(stmt: Stmt) -> list[LoopInfo]:
     """Build the loop nesting forest of the subtree rooted at ``stmt``."""

@@ -94,12 +94,6 @@ class Diagram:
     # ------------------------------------------------------------------ #
     # structure queries
     # ------------------------------------------------------------------ #
-    def incoming(self, block: str) -> list[Connection]:
-        return [c for c in self.connections if c.dst_block == block]
-
-    def outgoing(self, block: str) -> list[Connection]:
-        return [c for c in self.connections if c.src_block == block]
-
     def dataflow_edges(self, cut_stateful: bool = True) -> list[tuple[str, str]]:
         """Block-level dependence edges.
 

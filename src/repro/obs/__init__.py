@@ -26,8 +26,8 @@ Observability contract
   ``certify.<checker>.seconds`` / ``.ok`` / ``.findings`` (same
   checkers),
   ``scheduler.ready_set_max``, ``bnb.nodes`` / ``.leaves`` / ``.pruned``,
-  ``incremental.stages_reused`` / ``.stages_recomputed`` /
-  ``.regions_reused`` / ``.regions_recomputed`` / ``.race_pairs_reused``.
+  ``incremental.stages_recomputed`` / ``.regions_reused`` /
+  ``.regions_recomputed`` / ``.race_pairs_reused``.
 
 **Name stability.**  Span and metric names above are a reporting API:
 renames are breaking changes (dashboards, ``run_all.py --trace`` records

@@ -40,9 +40,6 @@ class Schedule:
     def num_cores_used(self) -> int:
         return len({core for core in self.mapping.values()})
 
-    def core_of(self, task_id: str) -> int:
-        return self.mapping[task_id]
-
     def utilization(self) -> dict[int, float]:
         """Busy-time fraction per core (needs an analysed result)."""
         if self.result is None:

@@ -94,11 +94,11 @@ same memos); additionally:
   cap and the pruning flag, instead of one JSON payload of every priced
   edge per call (the 4 → 5 bump retires v4 result and code-level entries
   alike).
-* The pipeline's stage replay (:meth:`repro.core.pipeline.Pipeline.run_incremental`)
-  follows the same rule: a stage is only replayed under a key that covers
-  the *content* of every input (IR fingerprints, HTG structure,
-  :func:`~repro.wcet.cache.platform_signature`, the full config); a stage
-  whose inputs cannot be fingerprinted is never replayed.
+* An edit round (:meth:`repro.core.pipeline.Pipeline.run_incremental`)
+  follows the same rule: every stage runs, and the HTG stage hands over a
+  region's previous tasks and WCET annotations only under an equal region
+  fingerprint and an equal :func:`~repro.wcet.cache.platform_signature`;
+  a platform that cannot be fingerprinted is never reused.
 
 On-disk format and versioning
 -----------------------------

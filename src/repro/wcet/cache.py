@@ -593,8 +593,8 @@ class WcetAnalysisCache:
         self._region_fps: dict[int, _RegionMemo] = {}
         #: id(Function) -> what region keys read through it (see ``region_context``)
         self._declarations: dict[int, _DeclarationMemo] = {}
-        #: id(HardwareCostModel) -> (signature tuple, digest)
-        self._model_sigs: dict[int, tuple[tuple, str]] = {}
+        #: id(HardwareCostModel) -> its cost-signature digest
+        self._model_sigs: dict[int, str] = {}
         #: objects that could not be weakref'd, pinned so their ids stay valid
         self._pins: list = []
         #: the system-level result tier: shares these memos (so keys are
@@ -696,19 +696,6 @@ class WcetAnalysisCache:
             memo.shared = shared_names(function)
         return memo.shared
 
-    def model_signature(self, model: HardwareCostModel) -> tuple:
-        """Cost-relevant identity of a hardware model, by *content*.
-
-        Collects every number the code-level analysis can observe through the
-        model: the processor's operation cost table and control overheads,
-        the core's scratchpad latencies, the platform's uncontended
-        shared-memory latencies and the storage overrides.  Identical cores
-        therefore share entries regardless of object identity, platform
-        instance or process -- which is what makes heterogeneous platforms
-        with repeated core types, and disk-backed sharing, work.
-        """
-        return self._model_signature(model)[0]
-
     def function_fingerprint(self, function: Function) -> str:
         """Memoized content fingerprint of a whole function (public API)."""
         return self._function_fingerprint(function)
@@ -718,10 +705,17 @@ class WcetAnalysisCache:
         return self._region(region).fingerprint
 
     def model_signature_digest(self, model: HardwareCostModel) -> str:
-        """Digest of :meth:`model_signature` (what entry keys embed)."""
-        return self._model_signature(model)[1]
+        """Digest of a hardware model's cost-relevant identity, by *content*
+        (what entry keys embed).
 
-    def _model_signature(self, model: HardwareCostModel) -> tuple[tuple, str]:
+        Covers every number the code-level analysis can observe through the
+        model: the processor's operation cost table and control overheads,
+        the core's scratchpad latencies, the platform's uncontended
+        shared-memory latencies and the storage overrides.  Identical cores
+        therefore share entries regardless of object identity, platform
+        instance or process -- which is what makes heterogeneous platforms
+        with repeated core types, and disk-backed sharing, work.
+        """
         cached = self._model_sigs.get(id(model))
         if cached is None:
             platform = model.platform
@@ -740,8 +734,9 @@ class WcetAnalysisCache:
                 float(platform.shared_write_latency(0)),
                 override,
             )
-            digest = _digest(json.dumps(signature, separators=(",", ":")))
-            cached = self._remember(self._model_sigs, model, (signature, digest))
+            cached = self._remember(
+                self._model_sigs, model, _digest(json.dumps(signature, separators=(",", ":")))
+            )
         return cached
 
     def entry_key(
@@ -765,7 +760,7 @@ class WcetAnalysisCache:
             (
                 self._region_context(memo, region, function),
                 memo.fingerprint,
-                self._model_signature(model)[1],
+                self.model_signature_digest(model),
                 "avg" if average else "wc",
             )
         )
@@ -1296,14 +1291,15 @@ def _describe_component(obj):
 def platform_signature(platform: "Platform") -> str | None:
     """Content digest of everything a platform contributes to flow results.
 
-    Used as the pipeline's ``platform`` run fingerprint, so stage replay is
-    keyed by platform *content* rather than object identity.  The digest
-    covers the full ADL description -- cores (processor timing models,
+    The HTG stage of an incremental run compares it with the previous
+    run's (see :func:`repro.analysis.incremental.summarize_result`), so
+    reuse is keyed by platform *content* rather than object identity.  The
+    digest covers the full ADL description -- cores (processor timing models,
     scratchpads, tiles), the shared memory, the interconnect and the
     optional NoC -- including the concrete type of every nested component.
     Returns ``None`` when any component cannot be introspected (a custom
     non-dataclass model), in which case callers must treat the platform as
-    unfingerprintable rather than risk a stale replay.
+    unfingerprintable rather than risk a stale reuse.
     """
     try:
         payload = _describe_component(platform)

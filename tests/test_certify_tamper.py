@@ -274,6 +274,19 @@ class TestFixedPointTamper:
         report = check_schedule_certificate(cert, htg, platform)
         assert codes(report) == {"certify.schedule.bound-mismatch"}
 
+    def test_fall_back_may_overstate_contenders_only(self, case, schedule):
+        """The all-contend fall-back claims more contenders than its windows
+        give; it may never claim fewer."""
+        _, htg, platform, _, _ = case
+        cert = build_schedule_certificate(schedule, htg, platform)
+        contended = next(t for t, k in cert.contenders.items() if k > 0)
+        cert.converged = False
+        cert.contenders = {tid: platform.num_cores - 1 for tid in cert.contenders}
+        assert check_schedule_certificate(cert, htg, platform).ok
+        cert.contenders[contended] = 0
+        report = check_schedule_certificate(cert, htg, platform)
+        assert codes(report) == {"certify.fixed-point.contenders-mismatch"}
+
     def test_overstated_makespan_rejected(self, case, schedule):
         """A loose bound is an error too: the bound is the maximum finish."""
         _, htg, platform, _, _ = case
@@ -331,6 +344,12 @@ def _lowered_base(cert):
     cert.base[_first_task(cert)] -= 1.0
 
 
+def _understated_contenders(cert):
+    """Converged, so the claimed count must be the re-derived one."""
+    assert cert.converged
+    cert.contenders[next(t for t, k in cert.contenders.items() if k > 0)] = 0
+
+
 REMAINING_CHECKS = [
     ("certify.schedule.unknown-core", _unknown_core),
     ("certify.schedule.order-coverage", _short_core_order),
@@ -342,6 +361,7 @@ REMAINING_CHECKS = [
     ("certify.fixed-point.allowed-unknown", _skeleton_naming_a_non_sharer),
     ("certify.fixed-point.penalty-coverage", _unknown_core),
     ("certify.fixed-point.effective-mismatch", _lowered_base),
+    ("certify.fixed-point.contenders-mismatch", _understated_contenders),
 ]
 
 

@@ -126,6 +126,49 @@ class TestHtgExtraction:
         cp = htg.critical_path_length()
         assert 0 < cp <= htg.total_wcet() + 1e-9
 
+    @pytest.mark.parametrize("chunks", [2, 4])
+    def test_every_loop_chunk_follows_earlier_readers(self, chunks):
+        """A unit delay's consumer reads the delay's output buffer before
+        the delay overwrites it, so each chunk of the overwriting loop needs
+        the write-after-read edges, not only the first (which alone got them
+        once, and the race check refused the schedule)."""
+        from repro.core.config import ToolchainConfig
+        from repro.core.pipeline import Pipeline
+
+        def delayed():
+            d = Diagram("delayed")
+            d.add_block(library.gain("pre", 2.0, size=8))
+            d.add_block(library.unit_delay("dA", size=8))
+            d.add_block(library.gain("post", 3.0, size=8))
+            d.connect("pre", "y", "dA", "u")
+            d.connect("dA", "y", "post", "u")
+            d.mark_input("pre", "u")
+            d.mark_output("post", "y")
+            return d
+
+        platform = generic_predictable_multicore(cores=chunks)
+        pipeline = Pipeline(
+            platform,
+            ToolchainConfig(granularity="loop", loop_chunks=chunks),
+            WcetAnalysisCache(),
+        )
+        result = pipeline.run(delayed())
+        htg = result.htg
+        readers = [t.task_id for t in htg.leaf_tasks() if t.parent == "t_post"]
+        writers = [
+            t.task_id for t in htg.leaf_tasks()
+            if t.parent == "t_dA" and t.kind is TaskKind.LOOP_CHUNK
+        ]
+        assert len(readers) == len(writers) == chunks
+        for reader in readers:
+            for writer in writers:
+                assert htg.edge(reader, writer) is not None, (reader, writer)
+        u = np.linspace(-1.0, 1.0, 8)
+        sim = pipeline.simulate(result, {"pre.u": u})
+        want = delayed().simulate(steps=1, input_provider={"pre.u": u})[0]["post.y"]
+        assert np.array_equal(sim.env[result.model.output_key("post", "y")], want)
+        assert sim.makespan <= result.system_wcet
+
     def test_invalid_granularity(self, pipeline_model):
         with pytest.raises(ValueError):
             extract_htg(pipeline_model, ExtractionOptions(granularity="bogus"))

@@ -3,21 +3,18 @@
 The core property: for any seeded edit script,
 :meth:`Pipeline.run_incremental` must produce results bit-identical to a
 cold :meth:`Pipeline.run` on the edited model -- every reuse is proved
-valid by a content fingerprint.
+valid by a content fingerprint.  Every stage runs on every incremental
+run; a stage reuses the previous run only through ``context.prev``.
 """
 
 import numpy as np
 import pytest
 
 from repro.adl.platforms import generic_predictable_multicore
-from repro.analysis.incremental import (
-    diagram_fingerprint,
-    diff_summaries,
-    mark_reused,
-)
+from repro.analysis.incremental import diff_summaries, mark_reused
 from repro.analysis.report import AnalysisReport, Finding
 from repro.core.config import ToolchainConfig
-from repro.core.pipeline import Pipeline, Stage, default_stages, replay_key
+from repro.core.pipeline import Pipeline, Stage
 from repro.model import library
 from repro.model.diagram import Diagram
 from repro.scheduling.schedule import default_core_order
@@ -58,64 +55,42 @@ def _assert_bit_identical(incremental, cold):
 
 
 # ---------------------------------------------------------------------- #
-# fingerprints and frontiers
+# the reuse summary
 # ---------------------------------------------------------------------- #
-def test_diagram_fingerprint_is_content_addressed():
-    a = _diagram(seed=3)
-    b = _diagram(seed=3)
-    assert diagram_fingerprint(a) == diagram_fingerprint(b)
-    edit_block_param(b, seed=0)
-    assert diagram_fingerprint(a) != diagram_fingerprint(b)
-
-
-def test_stage_frontiers_are_none_when_unfingerprintable():
-    fingerprints = {"diagram": "d", "platform": "p", "config": "c"}
-    keys = {
-        stage.name: replay_key(stage.frontier, "impl", fingerprints.get)
-        for stage in default_stages()
-    }
-    assert keys["frontend"] is not None
-    assert keys["transforms"] is not None
-    assert keys["htg"] is None  # function/extraction missing
-    assert keys["schedule"] is None
-    # an unfingerprintable platform, an undeclared frontier or an
-    # implementation without an identity never yields a key
-    unfingerprintable = {**fingerprints, "platform": None}
-    assert replay_key(("diagram", "platform"), "impl", unfingerprintable.get) is None
-    assert replay_key(None, "impl", fingerprints.get) is None
-    assert replay_key(("diagram",), None, fingerprints.get) is None
-
-
 def test_artifact_summary_structure():
     pipe = _pipeline()
     result = pipe.run(_diagram(seed=5))
     summary = result.artifact_summary(pipe.wcet_cache)
-    assert set(summary["frontiers"]) == {s.name for s in default_stages()}
-    assert summary["regions"]
-    assert summary["fingerprints"]["function"]
+    assert set(summary) == {"version", "platform", "regions"}
+    assert set(summary["regions"]) == {name for name, _ in result.model.block_regions}
+    assert summary["platform"] is not None
     # memoized: second call returns the same object
     assert result.artifact_summary() is summary
     diff = diff_summaries(summary, summary)
-    assert diff.nothing_changed
-    assert not diff.dirty_stages
+    assert not (diff.changed_regions or diff.added_regions or diff.removed_regions)
+    assert len(diff.unchanged_regions) == len(summary["regions"])
 
 
 # ---------------------------------------------------------------------- #
 # run_incremental: reuse paths
 # ---------------------------------------------------------------------- #
-def test_nothing_changed_runs_zero_stages():
+def test_unchanged_model_runs_every_stage():
     pipe = _pipeline()
     base = pipe.run(_diagram(seed=11))
     result = pipe.run_incremental(base, _diagram(seed=11))
     report = result.artifacts["incremental_report"]
-    assert report.stages_recomputed == 0
-    assert report.stages_reused == len(default_stages())
-    assert all(r.seconds == 0.0 for r in result.stage_records)
-    assert result.cache_stats["stages_reused"] == len(default_stages())
+    assert [r.name for r in result.stage_records] == [s.name for s in pipe.stages]
+    assert report.stages_reused == 0
+    assert report.stages["htg"] == report.stages["parallel"] == "incremental"
+    # every region keeps its tasks, every race pair its verdict
+    assert report.regions_recomputed == 0
+    assert report.regions_reused == len(base.model.block_regions)
+    leaves = len(result.htg.leaf_tasks())
+    assert report.race_pairs_checked == 0
+    assert report.race_pairs_reused == leaves * (leaves - 1) // 2
+    # warm caches: no code-level analysis runs again
+    assert result.cache_stats["misses"] == 0
     _assert_bit_identical(result, base)
-    # replayed artifacts are the previous run's objects, not copies
-    assert result.htg is base.htg
-    assert result.parallel_program is base.parallel_program
 
 
 def test_single_param_edit_is_incremental_and_bit_identical():
@@ -213,8 +188,8 @@ def test_structural_edits_with_static_pruning_reuse_footprints(edit):
 
 
 def test_long_array_param_edit_matches_cold():
-    # numpy prints only the ends of an array above 1,000 elements, so the
-    # diagram fingerprint must digest array values, not their str()
+    # an edit of array-valued parameter data leaves the IR unchanged, yet
+    # the incremental run must carry the edited values, not the old ones
     def fir_diagram(taps):
         d = Diagram("fir")
         d.add_block(library.gain("pre", 2.0, size=4))
@@ -227,9 +202,6 @@ def test_long_array_param_edit_matches_cold():
     taps = np.linspace(0.0, 1.0, 2000)
     edited_taps = taps.copy()
     edited_taps[1000] += 0.5
-    assert diagram_fingerprint(fir_diagram(taps)) != diagram_fingerprint(
-        fir_diagram(edited_taps)
-    )
     pipe = _pipeline()
     base = pipe.run(fir_diagram(taps))
     result = pipe.run_incremental(base, fir_diagram(edited_taps))
@@ -263,8 +235,8 @@ def test_everything_changed_recomputes_every_stage():
     )
     result = other_pipe.run_incremental(base, _diagram(seed=24, stages=4))
     report = result.artifacts["incremental_report"]
-    assert report.stages_reused == 0
-    assert report.diff.everything_changed
+    assert report.stages["htg"] == "recomputed"
+    assert report.regions_reused == 0
     cold = Pipeline(
         generic_predictable_multicore(cores=3),
         ToolchainConfig(granularity="loop"),
@@ -273,39 +245,31 @@ def test_everything_changed_recomputes_every_stage():
     _assert_bit_identical(result, cold)
 
 
-def test_custom_stage_with_frontier_replays():
-    calls = []
+def test_custom_stage_runs_on_every_incremental_run():
+    seen = []
 
     def audit(context):
-        calls.append(context.prev is not None)
+        prev = context.prev
+        seen.append(None if prev is None else prev.artifacts["audit"])
+        if prev is not None:
+            context.info["incremental"] = "incremental"
         return {"audit": len(context.artifact("htg").tasks)}
 
     pipe = _pipeline().with_stage(
-        Stage(
-            name="audit",
-            run=audit,
-            consumes=("htg",),
-            produces=("audit",),
-            frontier=("htg",),
-        )
+        Stage(name="audit", run=audit, consumes=("htg",), produces=("audit",))
     )
     base = pipe.run(_diagram(seed=25))
-    # unchanged inputs: the custom stage replays like the built-in ones
+    # unchanged model: the custom stage runs and sees the previous run
     same = pipe.run_incremental(base, _diagram(seed=25))
     report = same.artifacts["incremental_report"]
-    assert report.stages["audit"] == "reused"
-    assert report.stages_recomputed == 0
+    assert report.stages["audit"] == "incremental"
+    assert "stage audit      incremental" in report.render()
     assert same.artifacts["audit"] == base.artifacts["audit"]
-    assert "audit" in report.diff.clean_stages
-    assert "stage audit      reused" in report.render()
-    assert calls == [False]
-    # a structural edit changes the HTG: the custom stage re-runs
+    # a structural edit: it runs again, on the run before
     edited = _diagram(seed=25)
     insert_gain_block(edited, seed=2)
     result = pipe.run_incremental(same, edited)
-    assert result.artifacts["incremental_report"].stages["audit"] == "recomputed"
-    assert "audit" in result.artifacts["incremental_report"].diff.dirty_stages
-    assert calls == [False, True]
+    assert seen == [None, base.artifacts["audit"], same.artifacts["audit"]]
     cold = _pipeline().with_stage(pipe.stages[-1]).run(edited)
     assert result.artifacts["audit"] == cold.artifacts["audit"]
     _assert_bit_identical(result, cold)
@@ -313,8 +277,9 @@ def test_custom_stage_with_frontier_replays():
 
 def test_platform_change_dirties_the_transforms():
     """Scratchpad allocation reads the platform's scratchpads and latencies,
-    so a platform-only change must re-run the transforms -- and the front
-    end, whose untransformed model the passes consume in place."""
+    so a platform-only change must show in the transforms, and HTG
+    extraction, whose WCET annotations are priced on the platform, must
+    start cold."""
     from repro.usecases import build_egpws_diagram
 
     cache = WcetAnalysisCache()
@@ -323,7 +288,10 @@ def test_platform_change_dirties_the_transforms():
     result = _pipeline(slower, cache=cache).run_incremental(base, build_egpws_diagram())
     report = result.artifacts["incremental_report"]
     assert report.stages["frontend"] == report.stages["transforms"] == "recomputed"
-    assert {"frontend", "transforms"} <= set(report.diff.dirty_stages)
+    # another platform signature: the HTG is extracted and annotated cold
+    assert report.stages["htg"] == "recomputed"
+    assert report.regions_reused == 0
+    assert report.regions_recomputed == len(base.model.block_regions)
     cold = _pipeline(generic_predictable_multicore(cores=4, shared_latency=16)).run(
         build_egpws_diagram()
     )
@@ -342,21 +310,12 @@ def test_cold_run_computes_no_fingerprints(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a cold run must not fingerprint anything")
 
-    monkeypatch.setattr(pipeline_module, "run_fingerprint", forbidden)
+    monkeypatch.setattr(pipeline_module, "platform_signature", forbidden)
     monkeypatch.setattr(incremental, "summarize_result", forbidden)
     monkeypatch.setattr(incremental, "diff_summaries", forbidden)
     result = _pipeline().run(_diagram(seed=27))
     assert "incremental_report" not in result.artifacts
-    assert "stages_reused" not in result.cache_stats
-
-
-def test_frontend_and_transforms_share_one_replay_key():
-    pipe = _pipeline()
-    summary = pipe.run(_diagram(seed=28)).artifact_summary(pipe.wcet_cache)
-    frontiers = summary["frontiers"]
-    assert frontiers["frontend"] is not None
-    assert frontiers["frontend"] == frontiers["transforms"]
-    assert len(set(frontiers.values())) == len(frontiers) - 1
+    assert set(result.cache_stats) == {"hits", "disk_hits", "misses"}
 
 
 def _wrapped(pipe, name):
@@ -371,8 +330,8 @@ def _wrapped(pipe, name):
 
 @pytest.mark.parametrize("replaced", ["frontend", "transforms"])
 def test_replacing_one_of_the_front_stages_reruns_both(replaced):
-    """No fingerprint digests the front end's untransformed model, so
-    neither stage may replay while its partner re-runs."""
+    """A replaced front stage and its partner both run, and neither
+    mutates the previous run's IR."""
     from repro.frontend import compile_diagram
 
     pipe = _pipeline()
@@ -388,21 +347,21 @@ def test_replacing_one_of_the_front_stages_reruns_both(replaced):
     compiled = fresh.function_fingerprint(compile_diagram(_diagram(seed=29)).entry)
     assert fresh.function_fingerprint(base.model.entry) == before == compiled
     assert fresh.function_fingerprint(base.artifacts["model"].entry) == compiled
-    # the new model is content-identical, so the rest still replays
-    assert report.stages["schedule"] == "reused"
+    # the new model is content-identical, so every region keeps its tasks
+    assert report.regions_recomputed == 0
     _assert_bit_identical(result, _pipeline().run(_diagram(seed=29)))
 
 
-def test_replayed_htg_counts_every_region_reused():
+def test_scheduler_only_change_reuses_every_region():
     pipe = _pipeline()
     base = pipe.run(_diagram(seed=31))
-    # another scheduler re-runs the front stages (the config changed), but
-    # the transformed code, hence the HTG, is unchanged
+    # another scheduler leaves the transformed code, the platform and the
+    # extraction knobs unchanged, so HTG extraction reuses every region
     other = _pipeline(config=ToolchainConfig(scheduler="acet_list"), cache=pipe.wcet_cache)
     result = other.run_incremental(base, _diagram(seed=31))
     report = result.artifacts["incremental_report"]
     assert report.stages["transforms"] == "recomputed"
-    assert report.stages["htg"] == "reused" and result.htg is base.htg
+    assert report.stages["htg"] == "incremental"
     assert report.stages["schedule"] == "recomputed"
     assert report.regions_reused == len(base.model.block_regions)
     assert report.regions_recomputed == 0
@@ -412,33 +371,26 @@ def test_replayed_htg_counts_every_region_reused():
 
 
 def test_stage_without_frontier_always_reruns():
+    """A custom stage that ignores ``context.prev`` runs afresh on every
+    incremental run and reports itself recomputed."""
+    calls = []
+
+    def audit(context):
+        calls.append(context.prev is not None)
+        return {"audit": len(context.artifact("htg").tasks)}
+
     pipe = _pipeline().with_stage(
-        Stage(
-            name="audit",
-            run=lambda context: {"audit": len(context.artifact("htg").tasks)},
-            consumes=("htg",),
-            produces=("audit",),
-        )
+        Stage(name="audit", run=audit, consumes=("htg",), produces=("audit",))
     )
     base = pipe.run(_diagram(seed=30))
     result = pipe.run_incremental(base, _diagram(seed=30))
     report = result.artifacts["incremental_report"]
     assert report.stages["audit"] == "recomputed"
-    assert report.stages_reused == len(default_stages())
-    assert "audit" in report.diff.dirty_stages
-
-
-def test_unknown_frontier_fingerprint_rejected():
-    from repro.core.pipeline import PipelineError
-
-    stage = Stage(
-        name="audit",
-        run=lambda context: {"audit": 0},
-        produces=("audit",),
-        frontier=("diagram", "colour"),
-    )
-    with pytest.raises(PipelineError, match="colour"):
-        _pipeline().with_stage(stage)
+    assert "stage audit      recomputed" in report.render()
+    assert report.stages["htg"] == "incremental"
+    assert calls == [False, True]
+    assert result.artifacts["audit"] == base.artifacts["audit"]
+    _assert_bit_identical(result, base)
 
 
 def test_chained_incremental_runs():
@@ -480,7 +432,8 @@ def test_diff_cli_same_target(capsys):
 
     assert main(["diff", "polka", "polka"]) == 0
     out = capsys.readouterr().out
-    assert "stage htg" in out and "reused" in out
+    assert "stage htg        incremental" in out
+    assert "changed functions: (none)" in out
     assert "replayed (provenance=reused)" in out
 
 
@@ -491,7 +444,8 @@ def test_diff_cli_json(capsys):
 
     assert main(["diff", "polka", "polka", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["report"]["stages_recomputed"] == 0
+    assert payload["report"]["regions_recomputed"] == 0
+    assert payload["report"]["diff"]["changed_regions"] == []
     assert payload["code_level_replayed"] is True
     assert payload["old_wcet_bound"] == payload["new_wcet_bound"]
 

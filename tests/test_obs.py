@@ -20,7 +20,7 @@ import pytest
 from repro import obs
 from repro.adl.platforms import generic_predictable_multicore
 from repro.core.config import ToolchainConfig
-from repro.core.pipeline import Pipeline, _config_digest, run_pipeline
+from repro.core.pipeline import Pipeline
 from repro.core.sweep import sweep
 from repro.obs.metrics import MetricsRegistry, merge_snapshots, snapshot_delta
 from repro.obs.tracer import (
@@ -235,10 +235,17 @@ def test_observed_restores_and_never_disables():
 def test_trace_knob_validated_and_cache_key_neutral():
     with pytest.raises(ValueError):
         ToolchainConfig(trace="yes")
-    plain = ToolchainConfig()
-    traced = ToolchainConfig(trace=True)
-    # observability must not split content-addressed cache keys
-    assert _config_digest(plain) == _config_digest(traced)
+    # observability must not split content-addressed cache keys: a traced
+    # run on a cache an untraced run warmed re-analyses nothing
+    platform = generic_predictable_multicore(cores=2)
+    cache = WcetAnalysisCache()
+    Pipeline(platform, ToolchainConfig(loop_chunks=2), cache).run(_small_diagram())
+    fixed_points = cache.system_results.stats.misses
+    traced = Pipeline(platform, ToolchainConfig(loop_chunks=2, trace=True), cache).run(
+        _small_diagram()
+    )
+    assert traced.cache_stats["misses"] == 0
+    assert cache.system_results.stats.misses == fixed_points
 
 
 # ---------------------------------------------------------------------- #

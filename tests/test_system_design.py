@@ -572,6 +572,32 @@ def test_certified_replay_through_shared_design(tmp_path):
     assert "certify.schedule.bound-mismatch" in found
 
 
+def test_zero_contender_shard_refuted_on_certified_replay(tmp_path):
+    """A result shard rewritten so every task claims no contender keeps
+    every window and effective WCET consistent; only the claimed counts
+    lie, and the certified replay must refute them."""
+    platform = generic_predictable_multicore(cores=4)
+
+    def run(config):
+        pipeline = Pipeline(platform, config, WcetAnalysisCache.open(tmp_path / "cache"))
+        return pipeline, pipeline.run(ALL_USECASES["polka"][0]())
+
+    primer, honest = run(ToolchainConfig())
+    primer.wcet_cache.flush()
+    assert sum(honest.schedule.result.task_contenders.values()) > 0
+    vdir = tmp_path / "cache" / f"v{CACHE_SCHEMA_VERSION}"
+    shard = next(vdir.glob("sys-entries*.jsonl"))
+    records = [json.loads(line) for line in shard.read_text().splitlines()]
+    for record in records:
+        for row in record["tasks"].values():
+            row[3] = 0  # start, end, effective, contenders, base, shared
+    shard.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+    with pytest.raises(CertificationError) as excinfo:
+        run(ToolchainConfig(certify=True))
+    errors = {f.code for f in excinfo.value.report.findings if f.severity == "error"}
+    assert errors == {"certify.fixed-point.contenders-mismatch"}
+
+
 # ---------------------------------------------------------------------- #
 # (e) a schedule the analysis cannot honour raises instead of a number
 # ---------------------------------------------------------------------- #
