@@ -180,12 +180,13 @@ def _seed_reference_schedule(htg, function, platform):
         return models[core_id]
 
     def task_cost(tid, core_id):
-        return analyze_task_wcet(htg.task(tid), function, model(core_id)).total
+        breakdown = analyze_task_wcet(htg.task(tid), function, model(core_id))
+        return breakdown.total, breakdown.shared_accesses
 
     core_ids = [c.core_id for c in platform.cores]
 
     # upward ranks (seed structure, fixed communication call)
-    cost = {t.task_id: task_cost(t.task_id, core_ids[0]) for t in htg.leaf_tasks()}
+    cost = {t.task_id: task_cost(t.task_id, core_ids[0])[0] for t in htg.leaf_tasks()}
     avg_comm = {}
     if platform.num_cores > 1:
         for edge in htg.edges:
@@ -245,7 +246,7 @@ def _seed_reference_schedule(htg, function, platform):
                         )
                 ready_deps = max(ready_deps, finish[pred] + delay)
             start = max(core_ready[core_id], ready_deps)
-            duration = task_cost(tid, core_id)
+            duration, shared_accesses = task_cost(tid, core_id)
             window = Interval(start, start + max(duration, 1e-9))
             busy_cores = sum(
                 1
@@ -253,11 +254,8 @@ def _seed_reference_schedule(htg, function, platform):
                 if other_core != core_id and any(iv.overlaps(window) for iv in intervals)
             )
             penalty = 0.0
-            if candidate.total_shared_accesses:
-                penalty = (
-                    candidate.total_shared_accesses
-                    * model(core_id).shared_access_penalty(busy_cores)
-                )
+            if shared_accesses:
+                penalty = shared_accesses * model(core_id).shared_access_penalty(busy_cores)
             candidate_finish = start + duration + penalty
             if candidate_finish < best_finish - 1e-9:
                 best_finish = candidate_finish

@@ -124,7 +124,12 @@ def _sweep():
         report = check_contention_certificate(cert, htg, model.entry)
         assert report.ok, f"{name}: pruned skeleton refuted:\n{report.summary()}"
 
-        relation = compute_static_mhp(htg, model.entry, mapping)
+        relation = compute_static_mhp(
+            htg,
+            model.entry,
+            mapping,
+            sharers=[t for t, n in base.task_shared_accesses.items() if n > 0],
+        )
         rows.append(
             (
                 name,

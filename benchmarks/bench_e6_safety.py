@@ -4,7 +4,12 @@ Claim (paper Section I): "to be safe, WCET estimates have to be higher than
 or equal to any possible execution time. In addition, to be useful they have
 to be as close as possible to the actual WCET (tightness)."  The benchmark
 simulates each use case on many random inputs and reports the worst observed
-makespan against the guaranteed bound.
+makespan against the guaranteed bound.  The simulator prices each executed
+trace by the analysis's own cost semantics (operations, memory accesses,
+scalar assignments, branches and loop overhead; see
+:mod:`repro.wcet.hardware_model`), so bound / worst observed is analysis
+pessimism plus the paths the inputs did not take, not cost components the
+simulator leaves out.
 """
 
 import pytest

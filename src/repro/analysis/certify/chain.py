@@ -4,7 +4,8 @@
 entry function + HTG + platform) into a :class:`CertificateChain`: the
 schedule certificate (the analysed timeline and its interference fixed
 point), the contention certificate when the run pruned its contender
-derivation, and the IPET certificate, each already re-validated by its
+derivation, and the IPET certificate of the entry function (which also
+checks the run's sequential bound), each already re-validated by its
 independent checker, with one
 :class:`~repro.analysis.report.AnalysisReport` per checker attached.
 :func:`certify_pipeline_result` is the pipeline-facing entry point working
@@ -98,7 +99,7 @@ def _record_checker(name: str, started: float, report: AnalysisReport) -> None:
 
 
 def build_certificates(
-    schedule, function, htg, platform, flow_facts=None
+    schedule, function, htg, platform, flow_facts=None, sequential_bound=None
 ) -> CertificateChain:
     """Build and check the full certificate chain of one design point.
 
@@ -106,6 +107,9 @@ def build_certificates(
     the producing run used, e.g. from
     :func:`repro.analysis.wcet_facts.derive_flow_facts`); by default the
     plain LP is certified, which keeps certification cheap.
+    ``sequential_bound`` is the sequential bound the run reports for
+    ``function`` on the platform's first core; given, the IPET checker
+    compares it with the LP optimum.
     """
     from repro.wcet.hardware_model import HardwareCostModel
     from repro.wcet.ipet import ipet_wcet
@@ -138,7 +142,7 @@ def build_certificates(
     with obs.span("certify.ipet", function=function.name):
         model = HardwareCostModel(platform, platform.cores[0].core_id)
         ipet_result = ipet_wcet(function, model, flow_facts)
-        ipet_cert = build_ipet_certificate(ipet_result, function.name)
+        ipet_cert = build_ipet_certificate(ipet_result, function.name, sequential_bound)
         ipet_report = check_ipet_certificate(ipet_cert, function=function)
     if obs_on:
         _record_checker("ipet", started, ipet_report)
@@ -160,7 +164,8 @@ def certify_pipeline_result(
     ``platform`` defaults to the run's own platform artifact.  With
     ``derive_facts`` the value-range analysis re-derives flow facts for the
     IPET certificate (stronger, costlier); the default certifies the plain
-    LP.
+    LP.  Either way the IPET checker also checks the run's reported
+    ``sequential_bound``.
     """
     if platform is None:
         platform = result.artifacts.get("platform")
@@ -175,5 +180,10 @@ def certify_pipeline_result(
 
         flow_facts, _ = derive_flow_facts(function)
     return build_certificates(
-        result.schedule, function, result.htg, platform, flow_facts=flow_facts
+        result.schedule,
+        function,
+        result.htg,
+        platform,
+        flow_facts=flow_facts,
+        sequential_bound=result.sequential_bound,
     )

@@ -18,12 +18,21 @@ CFG, sharing none of the producer's matrix-assembly code:
 * when the solver exposed dual values, weak/strong duality is re-checked
   arithmetically (dual feasibility via reduced costs, zero duality gap), so
   the witness also proves *optimality* -- the claimed bound is not just a
-  feasible path length but the maximal one.
+  feasible path length but the maximal one; and
+* when the certificate carries the sequential bound the run reports, that
+  bound meets the optimum: IPET prices blocks by the structural analysis's
+  rules, so without flow facts (no pinned edge, the CFG's declared loop
+  bounds) the two must be equal, and with flow facts that tightened the LP
+  the reported bound must not lie below the optimum
+  (``certify.ipet.sequential-bound-mismatch``).  That is what refutes a
+  corrupt or hand-edited code-level cache entry of the entry function.
 
 What this checker does *not* prove: the per-block cycle costs themselves
-(they are the hardware cost model's ground truth, carried verbatim) and
-the soundness of the loop bounds / flow facts fed into the LP (that is the
-front-end's and :mod:`repro.analysis.wcet_facts`' contract).
+(they are the hardware cost model's ground truth, carried verbatim), the
+per-task WCETs and shared-access counts the schedule certificate copies
+(no certificate re-derives them), and the soundness of the loop bounds /
+flow facts fed into the LP (that is the front-end's and
+:mod:`repro.analysis.wcet_facts`' contract).
 """
 
 from __future__ import annotations
@@ -64,6 +73,9 @@ class IpetCertificate:
     infeasible_edges: frozenset[tuple[int, int, str]]
     #: optimality witness (semantic dual values), or ``None``
     duals: dict | None = None
+    #: the sequential bound the run reports for the same function and core,
+    #: or ``None`` when there is none to check
+    sequential_bound: float | None = None
 
     def as_dict(self) -> dict:
         return {
@@ -81,11 +93,15 @@ class IpetCertificate:
                 f"{src}:{dst}:{kind}" for src, dst, kind in self.infeasible_edges
             ),
             "has_duals": self.duals is not None,
+            "sequential_bound": self.sequential_bound,
         }
 
 
-def build_ipet_certificate(result, function_name: str = "") -> IpetCertificate:
-    """Lift the LP witness of an :class:`~repro.wcet.ipet.IpetResult`."""
+def build_ipet_certificate(
+    result, function_name: str = "", sequential_bound: float | None = None
+) -> IpetCertificate:
+    """Lift the LP witness of an :class:`~repro.wcet.ipet.IpetResult`,
+    together with the ``sequential_bound`` the run reports for it."""
     if not result.edge_counts:
         raise ValueError(
             "IpetResult carries no LP witness (edge_counts is empty); "
@@ -100,6 +116,7 @@ def build_ipet_certificate(result, function_name: str = "") -> IpetCertificate:
         loop_bounds=dict(result.loop_bounds),
         infeasible_edges=frozenset(result.infeasible_edges),
         duals=result.duals,
+        sequential_bound=sequential_bound,
     )
 
 
@@ -250,6 +267,20 @@ def check_ipet_certificate(
             f"objective recomputed from the witness is {objective}, the "
             f"claimed WCET is {cert.wcet}",
         )
+
+    # -- the reported sequential bound is the optimum --------------------- #
+    if cert.sequential_bound is not None:
+        claimed = cert.sequential_bound
+        # flow facts can only tighten the LP below the structural bound
+        plain = not cert.infeasible_edges and cert.loop_bounds == cfg.loop_bounds
+        gap = claimed - cert.wcet
+        if (abs(gap) if plain else -gap) > _tol(claimed, cert.wcet):
+            relation = "differs from" if plain else "lies below"
+            fail(
+                "certify.ipet.sequential-bound-mismatch",
+                f"the reported sequential bound {claimed} {relation} the IPET "
+                f"optimum {cert.wcet}",
+            )
 
     # -- optimality witness (duality) ------------------------------------ #
     if cert.duals is not None:

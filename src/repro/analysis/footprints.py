@@ -20,8 +20,8 @@ Two consumers, two different questions:
   overlap (reads included) blocks pruning, because the interference model
   charges contention per access, not per conflict.  Shared scalars are
   ignored here: the system-level analysis only counts shared *array*
-  accesses as interference-prone (see
-  :func:`repro.ir.analysis.shared_array_names`).
+  accesses as interference-prone (the cost semantics of
+  :mod:`repro.wcet.hardware_model`).
   :func:`address_overlaps` answers the same question for every pair of a
   task set at once, with one interval sweep per array.
 

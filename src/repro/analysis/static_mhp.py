@@ -87,15 +87,16 @@ def compute_static_mhp(
     htg: HierarchicalTaskGraph,
     function: Function,
     mapping: dict[str, int],
-    sharers: "list[str] | None" = None,
+    sharers: list[str],
     store: FootprintStore | None = None,
     use_footprints: bool = True,
 ) -> StaticMhpRelation:
     """Compute the pruned contender skeleton for one design point.
 
-    ``sharers`` defaults to every mapped leaf task with a non-zero declared
-    shared-access count; the system-level analysis passes its code-level
-    derivation instead so the two agree exactly.  ``use_footprints=False``
+    ``sharers`` are the mapped leaf tasks that make shared accesses: those
+    with a non-zero code-level count on their core (the system-level
+    analysis passes its own; for an analysed schedule, the tasks with
+    ``result.task_shared_accesses > 0``).  ``use_footprints=False``
     restricts pruning to the (count-preserving) ordered pairs.
 
     Each task's kept sharers are one mask expression over the reachability
@@ -105,12 +106,6 @@ def compute_static_mhp(
     """
     store = store if store is not None else shared_cache().footprints
     leaf_ids = [t.task_id for t in htg.leaf_tasks() if t.task_id in mapping]
-    if sharers is None:
-        sharers = [
-            t.task_id
-            for t in htg.leaf_tasks()
-            if t.task_id in mapping and t.total_shared_accesses > 0
-        ]
     reach = _enforced_reachability(htg, mapping)
     footprints: dict[str, TaskFootprint] = {}
     overlaps: dict[str, set[str]] = {}

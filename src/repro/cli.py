@@ -254,7 +254,13 @@ def _lint_one(target: str, build_diagram) -> dict:
         _facts, facts_report = derive_flow_facts(entry)
         reports.append(facts_report)
         reports.append(result.schedule.race_findings(result.htg, entry))
-        relation = compute_static_mhp(result.htg, entry, result.schedule.mapping)
+        analysed = result.schedule.result
+        relation = compute_static_mhp(
+            result.htg,
+            entry,
+            result.schedule.mapping,
+            sharers=[t for t, n in analysed.task_shared_accesses.items() if n > 0],
+        )
         interference_report = AnalysisReport("static_interference")
         for key, value in relation.as_dict().items():
             interference_report.bump(key, value)

@@ -404,9 +404,10 @@ def _certify_stage(context: PipelineContext) -> dict[str, Any]:
     ``certificates = None`` (so the artifact always exists and downstream
     consumers need no existence checks).  On, a refuted certificate aborts
     the run with a :class:`~repro.analysis.certify.CertificationError`
-    carrying the chain's merged report.  The schedule's result is checked
-    the same whether the fixed point ran or the cache's result tier
-    replayed it, which is what catches a corrupt or hand-edited cache entry.
+    carrying the chain's merged report.  The schedule's result and the
+    sequential bound are checked the same whether they were computed or
+    replayed from the cache, which is what catches a corrupt or hand-edited
+    cache entry.
     """
     if not context.config.certify:
         context.info["certified"] = False
@@ -420,6 +421,7 @@ def _certify_stage(context: PipelineContext) -> dict[str, Any]:
         model.entry,
         context.artifact("htg"),
         context.platform,
+        sequential_bound=context.artifact("sequential_bound"),
     )
     context.info["certified"] = chain.ok
     context.info["certificate_findings"] = len(chain.findings())
@@ -497,7 +499,7 @@ def default_stages() -> tuple[Stage, ...]:
         Stage(
             name="certify",
             run=_certify_stage,
-            consumes=("transformed_model", "htg", "schedule"),
+            consumes=("transformed_model", "htg", "schedule", "sequential_bound"),
             produces=("certificates",),
             description="independent certificate checkers (gated by config.certify)",
         ),

@@ -17,7 +17,8 @@ def bottleneck_report(htg: HierarchicalTaskGraph, schedule: Schedule, top: int =
     """The heaviest tasks, their interference share and mapping.
 
     "wcet" is a task's isolated WCET on the core it is mapped to, so
-    "interference" (effective minus isolated) is what contention added.
+    "interference" (effective minus isolated) is what contention added;
+    "shared accesses" is the count the interference equation multiplied.
     """
     if schedule.result is None:
         return "(schedule not analysed)"
@@ -27,6 +28,7 @@ def bottleneck_report(htg: HierarchicalTaskGraph, schedule: Schedule, top: int =
     )
     effective = schedule.result.task_effective_wcet
     base = schedule.result.task_base_wcet
+    shared = schedule.result.task_shared_accesses
     ranked = sorted(effective.items(), key=lambda kv: -kv[1])[:top]
     for tid, eff in ranked:
         task = htg.task(tid)
@@ -38,7 +40,7 @@ def bottleneck_report(htg: HierarchicalTaskGraph, schedule: Schedule, top: int =
                 base[tid],
                 eff,
                 eff - base[tid],
-                task.total_shared_accesses,
+                shared[tid],
             ]
         )
     return table.render()

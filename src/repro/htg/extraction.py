@@ -23,7 +23,7 @@ from typing import Any, Mapping, Sequence
 from repro.frontend.codegen import CompiledModel
 from repro.htg.graph import HierarchicalTaskGraph
 from repro.htg.task import Task, TaskKind
-from repro.ir.analysis import access_summary, read_write_sets, shared_names
+from repro.ir.analysis import read_write_sets, shared_names
 from repro.ir.expressions import ArrayRef, Var
 from repro.ir.loops import loop_trip_count
 from repro.ir.program import Function
@@ -124,14 +124,9 @@ def _make_task(
     kind: TaskKind,
     stmts: IRBlock,
     origin: str,
-    shared_arrays: frozenset[str],
     parent: str | None = None,
 ) -> Task:
     reads, writes = read_write_sets(stmts)
-    shared = access_summary(stmts).restricted(shared_arrays)
-    shared_counts = dict(shared.reads)
-    for name, count in shared.writes.items():
-        shared_counts[name] = shared_counts.get(name, 0) + count
     return Task(
         task_id=task_id,
         kind=kind,
@@ -139,7 +134,6 @@ def _make_task(
         origin=origin,
         reads=reads,
         writes=writes,
-        shared_accesses=shared_counts,
         parent=parent,
     )
 
@@ -189,21 +183,11 @@ class ExtractionOptions:
     loop_chunks: int = 4            # chunk count for split parallel loops
 
 
-def _region_tasks(
-    region_name: str,
-    region: IRBlock,
-    shared_arrays: frozenset[str],
-    options: ExtractionOptions,
-) -> list[Task]:
-    """The task decomposition of one code region at the requested granularity.
-
-    ``shared_arrays`` is the function's shared array names (see
-    :func:`~repro.ir.analysis.shared_names`), computed once per extraction
-    rather than once per task.
-    """
+def _region_tasks(region_name: str, region: IRBlock, options: ExtractionOptions) -> list[Task]:
+    """The task decomposition of one code region at the requested granularity."""
     if options.granularity == "loop":
-        return _extract_region_fine(region_name, region, shared_arrays, options)
-    return [_make_task(f"t_{region_name}", TaskKind.BLOCK, region, region_name, shared_arrays)]
+        return _extract_region_fine(region_name, region, options)
+    return [_make_task(f"t_{region_name}", TaskKind.BLOCK, region, region_name)]
 
 
 def extract_htg(model: CompiledModel, options: ExtractionOptions | None = None) -> HierarchicalTaskGraph:
@@ -223,7 +207,7 @@ def extract_htg_incremental(
     (the region name); ``unchanged_regions`` names the regions whose
     rendered-code fingerprints match the previous run.  Task ids are a pure
     function of the region name, and a task's content (statements, read/write
-    sets, shared-access summary) is a pure function of the region code, so an
+    sets) is a pure function of the region code, so an
     unchanged region's tasks can be reused verbatim.  Reused tasks are
     *shallow copies* sharing the previous statements block: the original
     tasks keep their annotations (``annotate_htg`` mutates ``wcet`` in
@@ -266,7 +250,7 @@ def _extract(
             tasks.extend(replace(task) for task in previous)
             regions_reused += 1
         else:
-            fresh = _region_tasks(region_name, region, shared_arrays, options)
+            fresh = _region_tasks(region_name, region, options)
             changed_task_ids.update(t.task_id for t in fresh)
             tasks.extend(fresh)
             regions_recomputed += 1
@@ -361,10 +345,7 @@ def _assemble_htg(
 
 
 def _extract_region_fine(
-    region_name: str,
-    region: IRBlock,
-    shared_arrays: frozenset[str],
-    options: ExtractionOptions,
+    region_name: str, region: IRBlock, options: ExtractionOptions
 ) -> list[Task]:
     """Split a region into pre / loop-chunk / post tasks when profitable."""
     splittable_positions: list[int] = []
@@ -377,7 +358,7 @@ def _extract_region_fine(
             splittable_positions.append(pos)
 
     if not splittable_positions:
-        return [_make_task(f"t_{region_name}", TaskKind.BLOCK, region, region_name, shared_arrays)]
+        return [_make_task(f"t_{region_name}", TaskKind.BLOCK, region, region_name)]
 
     # Split around the first parallelizable top-level loop; statements before
     # and after it become pre/post tasks (themselves block tasks).
@@ -391,17 +372,17 @@ def _extract_region_fine(
     post_stmts = IRBlock(list(region.stmts[pos + 1:]))
     if pre_stmts.stmts:
         tasks.append(
-            _make_task(f"{parent_id}_pre", TaskKind.PRE, pre_stmts, region_name, shared_arrays, parent=parent_id)
+            _make_task(f"{parent_id}_pre", TaskKind.PRE, pre_stmts, region_name, parent=parent_id)
         )
     for idx, chunk_loop in enumerate(_split_loop(loop, options.loop_chunks)):
         chunk_block = IRBlock([chunk_loop])
         tasks.append(
             _make_task(
-                f"{parent_id}_c{idx}", TaskKind.LOOP_CHUNK, chunk_block, region_name, shared_arrays, parent=parent_id
+                f"{parent_id}_c{idx}", TaskKind.LOOP_CHUNK, chunk_block, region_name, parent=parent_id
             )
         )
     if post_stmts.stmts:
         tasks.append(
-            _make_task(f"{parent_id}_post", TaskKind.POST, post_stmts, region_name, shared_arrays, parent=parent_id)
+            _make_task(f"{parent_id}_post", TaskKind.POST, post_stmts, region_name, parent=parent_id)
         )
     return tasks

@@ -201,17 +201,3 @@ class HierarchicalTaskGraph:
             return False
         self._reachability = other._reachability
         return True
-
-    def summary(self) -> str:
-        lines = [
-            f"HTG {self.name}: {len(self.leaf_tasks())} tasks, {len(self.edges)} edges, "
-            f"critical path {self.critical_path_length():.0f} cycles"
-        ]
-        for task in self.topological_tasks():
-            if task.is_synthetic:
-                continue
-            lines.append(
-                f"  {task.task_id} [{task.kind.value}] wcet={task.wcet:.0f} "
-                f"shared_accesses={task.total_shared_accesses}"
-            )
-        return "\n".join(lines)

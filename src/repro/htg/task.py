@@ -26,7 +26,11 @@ class Task:
     The fields mirror what the paper says HTG task nodes must carry: the code
     itself, the data that must be communicated, and "additional information on
     possible shared resource accesses (list of shared resources, and worst
-    case number of accesses)".
+    case number of accesses)".  The shared resources are the shared names in
+    ``reads`` / ``writes``.  The worst-case number of accesses is not stored
+    here: it is the code-level analysis's, per core
+    (:meth:`repro.wcet.system_level.SystemDesign.cost`; a schedule's
+    ``result.task_shared_accesses`` holds it on the mapped core).
     """
 
     task_id: str
@@ -38,8 +42,6 @@ class Task:
     #: Variables read / written by the task (arrays and scalars).
     reads: set[str] = field(default_factory=set)
     writes: set[str] = field(default_factory=set)
-    #: Worst-case number of accesses per *shared* array.
-    shared_accesses: dict[str, int] = field(default_factory=dict)
     #: Hierarchy: id of the parent task when this is a loop chunk / pre / post.
     parent: str | None = None
     #: Worst-case execution time in cycles, in isolation, on the cost model
@@ -53,10 +55,6 @@ class Task:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Task) and other.task_id == self.task_id
-
-    @property
-    def total_shared_accesses(self) -> int:
-        return sum(self.shared_accesses.values())
 
     @property
     def is_synthetic(self) -> bool:

@@ -1,14 +1,14 @@
-"""Static analyses on the IR: reads/writes, memory access counting, footprints.
+"""Static analyses on the IR: read/write sets, shared names, access counts.
 
 These analyses feed three consumers:
 
-* the HTG extractor, which needs per-task read/write sets to build data
-  dependences and per-task worst-case shared-resource access counts
-  (paper Section II-B: task nodes "include additional information on possible
-  shared resource accesses (list of shared resources, and worst case number
-  of accesses)");
-* the WCET code-level analysis, which charges memory latencies per access;
-* the scratchpad allocator, which ranks arrays by access frequency.
+* the HTG extractor, which needs per-task read/write sets and the
+  function's shared names to build data dependences (a task's worst-case
+  shared-access count is the code-level WCET analysis's, see
+  :mod:`repro.wcet.code_level`);
+* the WCET cache, whose keys embed the names a region references;
+* the scratchpad allocator, which ranks every array, shared or not, by its
+  worst-case access count (:func:`access_summary`).
 """
 
 from __future__ import annotations
@@ -67,13 +67,6 @@ class AccessSummary:
     @property
     def total(self) -> int:
         return self.total_reads + self.total_writes
-
-    def restricted(self, names: "set[str] | frozenset[str]") -> "AccessSummary":
-        """The counts of the arrays in ``names`` only."""
-        return AccessSummary(
-            reads={k: v for k, v in self.reads.items() if k in names},
-            writes={k: v for k, v in self.writes.items() if k in names},
-        )
 
 
 def _expr_array_reads(expr: Expr) -> dict[str, int]:
@@ -188,16 +181,6 @@ def _collect_stmt_names(stmt: Stmt, names: set[str]) -> None:
         raise TypeError(f"unsupported statement {type(stmt).__name__}")
 
 
-def shared_array_names(function: Function) -> frozenset[str]:
-    """Names of the arrays ``function`` declares in shared storage.
-
-    ``access_summary(stmt).restricted(shared_array_names(function))`` is the
-    quantity the system-level WCET analysis cares about: accesses to
-    core-private scratchpads or locals can never interfere with other cores.
-    """
-    return shared_names(function)[0]
-
-
 def shared_names(function: Function) -> tuple[frozenset[str], frozenset[str]]:
     """The (array, scalar) names ``function`` declares in shared storage."""
     arrays: set[str] = set()
@@ -219,51 +202,3 @@ def storage_of(function: Function, name: str) -> Storage:
 def array_footprints(function: Function) -> dict[str, int]:
     """Map each declared array to its size in bytes."""
     return {d.name: d.size_bytes for d in function.arrays()}
-
-
-def operation_histogram(stmt: Stmt) -> dict[str, int]:
-    """Worst-case scalar operation histogram for the subtree at ``stmt``.
-
-    Like :func:`access_summary`, loops scale by trip count and conditionals
-    take the per-operator maximum across arms.
-    """
-    if isinstance(stmt, (Assign, Return, ExprStmt)):
-        counts: dict[str, int] = {}
-        for expr in stmt.expressions():
-            for op, n in expr.operation_count().items():
-                counts[op] = counts.get(op, 0) + n
-        return counts
-    if isinstance(stmt, Block):
-        counts = {}
-        for child in stmt.stmts:
-            for op, n in operation_histogram(child).items():
-                counts[op] = counts.get(op, 0) + n
-        return counts
-    if isinstance(stmt, If):
-        counts = dict(stmt.cond.operation_count())
-        then_c = operation_histogram(stmt.then_body)
-        else_c = operation_histogram(stmt.else_body)
-        merged: dict[str, int] = {}
-        for op in set(then_c) | set(else_c):
-            merged[op] = max(then_c.get(op, 0), else_c.get(op, 0))
-        for op, n in merged.items():
-            counts[op] = counts.get(op, 0) + n
-        return counts
-    if isinstance(stmt, For):
-        trip = loop_trip_count(stmt)
-        counts = {}
-        for expr in stmt.expressions():
-            for op, n in expr.operation_count().items():
-                counts[op] = counts.get(op, 0) + n
-        for op, n in operation_histogram(stmt.body).items():
-            counts[op] = counts.get(op, 0) + n * trip
-        return counts
-    if isinstance(stmt, While):
-        counts = {
-            op: n * (stmt.max_trip_count + 1)
-            for op, n in stmt.cond.operation_count().items()
-        }
-        for op, n in operation_histogram(stmt.body).items():
-            counts[op] = counts.get(op, 0) + n * stmt.max_trip_count
-        return counts
-    raise TypeError(f"unsupported statement {type(stmt).__name__}")

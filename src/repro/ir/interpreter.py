@@ -1,14 +1,14 @@
 """Reference interpreter for the IR.
 
-The interpreter serves three purposes in the reproduction:
+The interpreter serves two purposes in the reproduction:
 
 * functional validation -- the model-level simulation of a dataflow diagram
   and the execution of its generated IR must agree (tested);
-* average-case execution statistics -- it counts the scalar operations and
-  array accesses actually performed on a given input, which the baseline
-  (average-case-oriented) scheduler and the "gap between worst-case and
-  average-case" experiments use;
-* trace generation for the discrete-event simulator.
+* execution traces -- it counts what a run on a given input actually
+  executes (operations, array reads and writes, ``if`` branches, scalar
+  assignments, loop iterations), which the multi-core simulator
+  (:mod:`repro.sim.executor`) prices by the cost semantics of
+  :mod:`repro.wcet.hardware_model`.
 """
 
 from __future__ import annotations
@@ -55,6 +55,10 @@ class ExecutionStats:
     operations: dict[str, int] = field(default_factory=dict)
     array_reads: dict[str, int] = field(default_factory=dict)
     array_writes: dict[str, int] = field(default_factory=dict)
+    #: ``if`` statements executed (each takes one branch)
+    branches: int = 0
+    #: assignments to scalars (loop indices are loop overhead, not counted)
+    scalar_assigns: int = 0
     loop_iterations: int = 0
     statements_executed: int = 0
 
@@ -185,6 +189,7 @@ class Interpreter:
             return
         if isinstance(stmt, If):
             cond = self._eval(stmt.cond, env, stats)
+            stats.branches += 1
             if cond:
                 self._exec_block(stmt.then_body, env, stats)
             else:
@@ -233,6 +238,7 @@ class Interpreter:
     def _store(self, target: Var | ArrayRef, value: Any, env: dict[str, Any], stats: ExecutionStats) -> None:
         if isinstance(target, Var):
             env[target.name] = value
+            stats.scalar_assigns += 1
             return
         array = env.get(target.array)
         if not isinstance(array, np.ndarray):

@@ -61,7 +61,9 @@ def contention_free_schedule(design: SystemDesign, max_cores: int | None = None)
     # re-evaluating with an order in which shared tasks are serialised through
     # artificial single-core placement of their "critical section".
     shared_tasks = [
-        design.leaf_ids[i] for i in design.topological if design.tasks[i].total_shared_accesses > 0
+        design.leaf_ids[i]
+        for i in design.topological
+        if design.cost(i, mapping[design.leaf_ids[i]])[1] > 0
     ]
     # Place all shared tasks on the first core (true mutual exclusion),
     # remaining tasks keep their placement from the base schedule.

@@ -112,7 +112,6 @@ class WcetAwareListScheduler:
         heapq.heapify(ready)
 
         def place(i: int) -> None:
-            shared_accesses = design.tasks[i].total_shared_accesses
             best_core = core_ids[0]
             best_finish = float("inf")
             best_start = 0.0
@@ -130,7 +129,7 @@ class WcetAwareListScheduler:
                     )
                     ready_deps = max(ready_deps, pred_finish + delay)
                 start = max(core_ready[core_id], ready_deps)
-                duration = design.cost(i, core_id, average)[0]
+                duration, shared_accesses = design.cost(i, core_id, average)
                 # interference estimate: cores already busy in the window
                 window_end = start + max(duration, 1e-9)
                 busy_cores = 0

@@ -7,18 +7,23 @@ execution model the WCET analysis assumes:
 * a task starts when its same-core predecessor has finished and every
   cross-core dependence has been signalled (plus the worst-case communication
   latency for the transferred payload);
-* a task's duration is computed from its *actual* operation counts and memory
-  accesses (obtained by interpreting its IR with the concrete input data)
-  priced with the same hardware cost model as the analysis;
+* a task's duration is its executed trace (obtained by interpreting its IR
+  with the concrete input data) priced by the cost semantics of
+  :mod:`repro.wcet.hardware_model`, the rules the analysis applies to the
+  worst case: operations, array reads and writes, scalar assignments, one
+  ``branch_cycles`` per executed ``if`` and ``loop_overhead_cycles`` per
+  executed loop iteration;
 * shared-memory accesses are charged the arbitration penalty for the number
   of contending cores the system-level analysis budgeted for that task
   (``contention="static"``, the default, models a platform whose arbiter
   enforces the analysed reservation and guarantees measured <= bound), or the
   concurrency observed during simulation (``contention="dynamic"``).
 
-Because actual counts never exceed worst-case counts and the start rules are
-the analysis' rules, the measured makespan is a lower bound on the system
-WCET -- the tightness ratio measured by experiment E6.
+Because an executed trace never costs more than the analysed worst case
+under the same prices, and the start rules are the analysis' rules, the
+measured makespan is a lower bound on the system WCET -- the tightness ratio
+measured by experiment E6 -- and a code-level analysis that under-counts
+shows up as a task whose simulated duration exceeds its analysed one.
 """
 
 from __future__ import annotations
@@ -43,20 +48,26 @@ class SimulationResult:
     task_intervals: dict[str, Interval]
     task_durations: dict[str, float]
     env: dict[str, Any]
-    total_shared_accesses: int
+    #: shared accesses each task's executed trace made
+    task_shared_accesses: dict[str, int]
     per_core_busy: dict[int, float]
 
     def observed_value(self, name: str) -> Any:
         return self.env[name]
 
 
-def _stats_cost(
+def _trace_cost(
     stats: ExecutionStats,
     function: Function,
     model: HardwareCostModel,
 ) -> tuple[float, int]:
-    """Cycles implied by dynamic stats, plus the number of shared accesses."""
-    cycles = 0.0
+    """Cycles the cost semantics charges for an executed trace, plus the
+    number of shared accesses it made."""
+    cycles = (
+        stats.branches * model.branch_cycles
+        + stats.loop_iterations * model.loop_overhead_cycles
+        + stats.scalar_assigns * model.scalar_assign_cycles
+    )
     for op, count in stats.operations.items():
         cycles += model.op_cycles(op) * count
     shared_accesses = 0
@@ -100,11 +111,9 @@ def simulate_parallel_program(
     finish: dict[str, float] = {}
     start: dict[str, float] = {}
     durations: dict[str, float] = {}
-    stats_by_task: dict[str, ExecutionStats] = {}
     shared_by_task: dict[str, int] = {}
     pending = {t.task_id for t in htg.leaf_tasks()}
     comm_contenders = max(0, platform.num_cores - 1)
-    total_shared = 0
 
     analysed_contenders = schedule.result.task_contenders if schedule.result else {}
 
@@ -122,10 +131,8 @@ def simulate_parallel_program(
                 continue
             # functional execution with dynamic accounting
             stats = interpreter.run_statements(htg.task(tid).statements, env)
-            stats_by_task[tid] = stats
-            base_cycles, shared_accesses = _stats_cost(stats, function, models[core])
+            base_cycles, shared_accesses = _trace_cost(stats, function, models[core])
             shared_by_task[tid] = shared_accesses
-            total_shared += shared_accesses
 
             ready_core = finish[order[core][idx - 1]] if idx > 0 else 0.0
             ready_deps = 0.0
@@ -169,6 +176,6 @@ def simulate_parallel_program(
         task_intervals=intervals,
         task_durations=durations,
         env=env,
-        total_shared_accesses=total_shared,
+        task_shared_accesses=shared_by_task,
         per_core_busy=per_core_busy,
     )

@@ -1,10 +1,13 @@
 """Code-level and system-level WCET analysis (paper Section II-D).
 
 * :mod:`repro.wcet.hardware_model` turns the ADL description into per-access
-  and per-operation worst-case costs.
-* :mod:`repro.wcet.code_level` computes the isolated (contention-free) WCET of
-  IR fragments / HTG tasks, either structurally or through the IPET
-  longest-path formulation of :mod:`repro.wcet.ipet`.
+  and per-operation worst-case costs, and states the one cost semantics --
+  what each construct costs in cycles and shared accesses -- that the
+  analyses and the simulator read.
+* :mod:`repro.wcet.code_level` computes the isolated (contention-free) WCET
+  and worst-case shared-access count of IR fragments / HTG tasks
+  structurally; the IPET longest-path formulation of :mod:`repro.wcet.ipet`
+  equals it without flow facts and can be tighter with them.
 * :mod:`repro.wcet.system_level` adds shared-resource interference based on a
   may-happen-in-parallel analysis of the scheduled parallel program and the
   platform's interconnect cost model, iterated to a fixed point (one MHP
@@ -94,6 +97,10 @@ same memos); additionally:
   cap and the pruning flag, instead of one JSON payload of every priced
   edge per call (the 4 → 5 bump retires v4 result and code-level entries
   alike).
+* Schema **v6** changes no key: an ``if``'s shared-access count became the
+  larger of its arms' counts (v5 kept the count of the arm with more
+  cycles, which can be lower), so v5 code-level entries and the result
+  records built on them may carry an unsafe count and are retired.
 * An edit round (:meth:`repro.core.pipeline.Pipeline.run_incremental`)
   follows the same rule: every stage runs, and the HTG stage hands over a
   region's previous tasks and WCET annotations only under an equal region
@@ -163,7 +170,12 @@ of :mod:`repro.analysis.certify`:
   matrix row order).  The checker re-verifies feasibility against a
   freshly rebuilt CFG and, with duals, optimality (reduced costs + zero
   duality gap).  It does **not** re-derive the per-block cycle costs; those
-  remain the hardware model's ground truth.
+  remain the hardware model's ground truth.  Because the block costs follow
+  the structural analysis's rules, the optimum without flow facts *is* the
+  sequential bound the pipeline reports, and the checker compares the two:
+  the reported bound must equal the optimum (within the LP tolerance), or,
+  when flow facts tightened the LP, must not lie below it
+  (``certify.ipet.sequential-bound-mismatch``).
 * :func:`~repro.wcet.system_level.system_level_wcet` carries the
   per-task isolated WCETs and shared-access counts on the
   :class:`~repro.wcet.system_level.SystemWcetResult`, so the schedule
@@ -177,7 +189,9 @@ Content addressing makes cache entries immune to *staleness*, but not to
 ``certify`` stage (``ToolchainConfig.certify``) closes that gap: it runs
 the schedule and (for pruned runs) contention checkers on
 the schedule's result whether the fixed point computed it or the result
-tier replayed it, and a refuted result raises
+tier replayed it, and the IPET checker on the sequential bound whether the
+code-level analysis computed it or a code-level entry replayed it; a
+refuted result raises
 :class:`~repro.analysis.certify.CertificationError` instead of being
 silently trusted.
 """

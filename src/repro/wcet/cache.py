@@ -199,7 +199,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: names the region references) instead of the whole declaration table.
 #: v5: system-level result keys digest a per-design prefix plus the mapping
 #: and order vectors instead of one JSON payload of every priced edge.
-CACHE_SCHEMA_VERSION = 5
+#: v6: an ``if``'s shared-access count is the larger of its arms' counts
+#: (v5 kept the count of the arm with more cycles, which can be lower).
+CACHE_SCHEMA_VERSION = 6
 
 #: Environment variable naming the cache directory of the process-wide
 #: shared cache (see :func:`shared_cache`).

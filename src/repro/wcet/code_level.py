@@ -1,21 +1,23 @@
 """Code-level (isolated, contention-free) WCET analysis.
 
-The structural algorithm walks the statement tree:
+The structural algorithm walks the statement tree and applies the cost
+semantics stated in :mod:`repro.wcet.hardware_model` to the worst case:
 
 * expression cost = sum of operation costs + memory access costs;
-* ``if`` = condition + branch penalty + max(then, else);
-* counted loops multiply the body by the worst-case trip count and add the
-  per-iteration loop overhead;
+* ``if`` = condition + branch penalty + the costlier arm, with the larger
+  of the arms' shared-access counts;
+* counted loops multiply the body plus the per-iteration loop overhead by
+  the worst-case trip count;
 * bounded ``while`` loops use their annotated bound.
 
 Because the IR is structured, this bound is exact for the cost model (it is
-the longest syntactic path), and it agrees with the IPET formulation on
-loop-free code (a property the test suite cross-checks).
+the longest syntactic path), and it equals IPET without flow facts (an
+identity the test suite checks).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from repro.htg.task import Task
@@ -65,8 +67,10 @@ class WcetBreakdown:
         )
 
     def maxed(self, other: "WcetBreakdown") -> "WcetBreakdown":
-        """Worst branch of a conditional: the breakdown with the larger total."""
-        return self if self.total >= other.total else other
+        """Worst arm of a conditional: the cycles of the arm with the larger
+        total, and the larger of the two shared-access counts."""
+        worst = self if self.total >= other.total else other
+        return replace(worst, shared_accesses=max(self.shared_accesses, other.shared_accesses))
 
 
 def _expr_cost(expr: Expr, function: Function, model: HardwareCostModel, average: bool) -> WcetBreakdown:
@@ -96,16 +100,17 @@ def statement_wcet(
         if isinstance(stmt.target, ArrayRef):
             for idx in stmt.target.indices:
                 result.add(_expr_cost(idx, function, model, average))
-            write_cycles = model.write_cycles(function, stmt.target.array)
-            if average and model.is_shared(function, stmt.target.array):
-                write_cycles = max(1.0, write_cycles / 2.0)
+            if average:
+                write_cycles = model.average_write_cycles(function, stmt.target.array)
+            else:
+                write_cycles = model.write_cycles(function, stmt.target.array)
             result.memory += write_cycles
             result.total += write_cycles
             if model.is_shared(function, stmt.target.array):
                 result.shared_accesses += 1
         else:
-            result.compute += 1.0
-            result.total += 1.0
+            result.compute += model.scalar_assign_cycles
+            result.total += model.scalar_assign_cycles
         return result
     if isinstance(stmt, (Return, ExprStmt)):
         result = WcetBreakdown()

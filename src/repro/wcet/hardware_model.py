@@ -1,11 +1,45 @@
-"""Hardware cost model: from ADL description to per-operation/access cycles.
+"""Hardware cost model, and the one cost semantics every analysis reads.
 
 This is the reproduction's stand-in for a binary-level analyzer's pipeline
 and memory models (aiT in the real ARGO flow): every IR operation and every
 array access gets a worst-case cycle cost derived from the platform
 description.  Contention is *not* included here -- code-level WCET is defined
 as the isolated WCET (paper Section II-D); the system-level analysis adds
-interference separately.
+interference separately, as each task's shared-access count times
+:meth:`HardwareCostModel.shared_access_penalty`.
+
+Cost semantics
+--------------
+What the machine charges per construct.  The structural analysis
+(:func:`repro.wcet.code_level.statement_wcet`) applies these rules to the
+worst case, IPET (:func:`repro.wcet.ipet.block_costs`) spreads them over the
+CFG's blocks, and the simulator (:mod:`repro.sim.executor`) applies them to
+the executed trace.  Every price is a member of :class:`HardwareCostModel`.
+``[e]`` is what evaluating expression ``e`` costs: ``op_cycles`` of each of
+its operations plus ``read_cycles`` of each of its array reads (index
+expressions included), and one shared access per read of a shared array.
+
+=========================  =======================================  ===========================
+construct                  cycles                                   shared accesses
+=========================  =======================================  ===========================
+``a(i) = e``               ``[e] + [i] + write_cycles(a)``          ``[e] + [i]``, +1 if shared
+``x = e`` (scalar ``x``)   ``[e] + scalar_assign_cycles``           ``[e]``
+``return e``, ``e;``       ``[e]``                                  ``[e]``
+``S1; S2``                 ``S1 + S2``                              ``S1 + S2``
+``if c then A else B``     ``[c] + branch_cycles + max(A, B)``      ``[c] + max(A, B)``
+``for i = lo:hi``, trip n  ``[lo] + [hi]``                          ``[lo] + [hi]``
+                           ``+ n * (body + loop_overhead_cycles)``  ``+ n * body``
+``while c``, bound n       ``(n + 1) * [c]``                        ``(n + 1) * [c]``
+                           ``+ n * (body + loop_overhead_cycles)``  ``+ n * body``
+=========================  =======================================  ===========================
+
+An ``if`` is charged the cycles of its arm with more cycles, but the larger
+of its arms' shared-access counts whatever their cycles: the interference
+bound multiplies the count, so a cheaper arm with more shared accesses can
+be the worse one.  ``n`` is the loop's trip bound in the analyses and its
+executed iteration count in the simulator.  The average-case variant that
+``acet_list`` schedules by follows the same rules with the ``average_*``
+prices.
 """
 
 from __future__ import annotations
@@ -56,6 +90,11 @@ class HardwareCostModel:
     def loop_overhead_cycles(self) -> float:
         return float(self.processor.loop_overhead_cycles)
 
+    @property
+    def scalar_assign_cycles(self) -> float:
+        """One assignment to a scalar: a register write."""
+        return 1.0
+
     # ------------------------------------------------------------------ #
     def storage_of(self, function: Function, name: str) -> Storage:
         if name in self.storage_override:
@@ -105,6 +144,13 @@ class HardwareCostModel:
         which is how an average-case-oriented flow would budget memory.
         """
         worst = self.read_cycles(function, name, contenders=0)
+        if self.is_shared(function, name):
+            return max(1.0, worst / 2.0)
+        return worst
+
+    def average_write_cycles(self, function: Function, name: str) -> float:
+        """Optimistic write cost, budgeted like :meth:`average_read_cycles`."""
+        worst = self.write_cycles(function, name, contenders=0)
         if self.is_shared(function, name):
             return max(1.0, worst / 2.0)
         return worst

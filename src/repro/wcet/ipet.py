@@ -2,10 +2,26 @@
 
 The classical formulation used by binary-level analyzers: maximise the sum of
 basic-block costs weighted by execution counts, subject to CFG flow
-conservation and loop-bound constraints, solved as a linear program.  On our
-structured IR it serves as an independent cross-check of the structural
-analysis (they must agree on loop-free code and stay within the loop-header
-accounting difference otherwise).
+conservation and loop-bound constraints, solved as a linear program.
+
+:func:`block_costs` prices the blocks by the cost semantics of
+:mod:`repro.wcet.hardware_model`, spread over the CFG so that every rule is
+charged as often as the structural analysis charges it:
+
+* a block costs its statements, plus ``[c] + branch_cycles`` for the ``if``
+  condition it ends with;
+* a ``for`` header costs nothing: ``[lo] + [hi]`` are charged on the block
+  before it (the source of its one non-back in-edge, which runs once per
+  loop entry);
+* a ``while`` header costs its condition ``[c]``, charged on each header
+  visit (one per iteration, plus the exit test);
+* ``loop_overhead_cycles`` is charged on the loop's body-entry block (the
+  target of the header's ``taken`` edge, which runs once per iteration).
+
+Without flow facts the LP optimum therefore equals the structural bound of
+:func:`repro.wcet.code_level.statement_wcet` (an identity the test suite
+checks), so the IPET certificate certifies the sequential bound the
+pipeline reports.
 
 The optional :class:`FlowFacts` argument injects results of the value-range
 analysis (:mod:`repro.analysis.wcet_facts`): statically infeasible edges are
@@ -25,6 +41,7 @@ from scipy.sparse import coo_array
 from repro import obs
 from repro.ir.cfg import ControlFlowGraph, build_cfg
 from repro.ir.program import Function
+from repro.ir.statements import For, While
 from repro.wcet.code_level import statement_wcet, _expr_cost
 from repro.wcet.hardware_model import HardwareCostModel
 
@@ -86,13 +103,34 @@ class IpetResult:
     duals: dict | None = None
 
 
-def _block_cost(block, function: Function, model: HardwareCostModel) -> float:
-    total = 0.0
-    for stmt in block.statements:
-        total += statement_wcet(stmt, function, model).total
-    for cond in block.conditions:
-        total += _expr_cost(cond, function, model, average=False).total + model.branch_cycles
-    return total
+def block_costs(
+    cfg: ControlFlowGraph, function: Function, model: HardwareCostModel
+) -> dict[int, float]:
+    """The cycle cost of every block of ``cfg``, by block id (see the module
+    docstring for where each rule of the cost semantics is charged)."""
+
+    def cost(expr) -> float:
+        return _expr_cost(expr, function, model, average=False).total
+
+    costs: dict[int, float] = {}
+    for block in cfg.blocks:
+        total = 0.0
+        for stmt in block.statements:
+            total += statement_wcet(stmt, function, model).total
+        loop = cfg.loop_stmts.get(block.bid)
+        for cond in block.conditions:
+            if loop is None:  # an if condition
+                total += cost(cond) + model.branch_cycles
+            elif isinstance(loop, While):  # tested on every header visit
+                total += cost(cond)
+        costs[block.bid] = total
+    for edge in cfg.edges:
+        loop = cfg.loop_stmts.get(edge.dst.bid)
+        if isinstance(loop, For) and edge.kind != "back":  # once per loop entry
+            costs[edge.src.bid] += cost(loop.lower) + cost(loop.upper)
+        if edge.kind == "taken" and edge.src.bid in cfg.loop_stmts:  # per iteration
+            costs[edge.dst.bid] += model.loop_overhead_cycles
+    return costs
 
 
 def _coo_matrix(triplets: list[tuple[int, int, float]], shape: tuple[int, int]) -> coo_array:
@@ -145,7 +183,7 @@ def ipet_wcet(
         edge_index[edge.key] = i
     num_vars = len(edges)
 
-    costs = {block.bid: _block_cost(block, function, model) for block in cfg.blocks}
+    costs = block_costs(cfg, function, model)
     entry_cost = costs[cfg.entry.bid] if cfg.entry is not None else 0.0
 
     # Effective loop bounds: declared, tightened/completed by flow facts.

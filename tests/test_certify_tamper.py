@@ -23,13 +23,16 @@ from repro.analysis.certify import (
     check_ipet_certificate,
     check_schedule_certificate,
 )
+from repro.analysis.wcet_facts import derive_flow_facts
 from repro.core.config import ToolchainConfig
 from repro.core.pipeline import Pipeline
 from repro.htg.extraction import ExtractionOptions, extract_htg
+from repro.ir import FunctionBuilder
 from repro.scheduling.schedule import default_core_order, evaluate_mapping
 from repro.usecases.workloads import random_pipeline_diagram, synthetic_compiled_model
 from repro.utils.intervals import Interval
 from repro.wcet.cache import CACHE_SCHEMA_VERSION, WcetAnalysisCache
+from repro.wcet.code_level import statement_wcet
 from repro.wcet.hardware_model import HardwareCostModel
 from repro.wcet.ipet import ipet_wcet
 from repro.wcet.system_level import SystemDesign
@@ -209,6 +212,40 @@ class TestIpetTamper:
         del cert.loop_bounds[header]
         report = check_ipet_certificate(cert, function=function)
         assert "certify.ipet.unbounded-loop" in codes(report)
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_sequential_bound_off_the_optimum_rejected(self, ipet, factor):
+        """Without flow facts the reported sequential bound is the plain
+        LP's optimum: half or twice it is refuted."""
+        function, result = ipet
+        cert = build_ipet_certificate(result, function.name, sequential_bound=result.wcet)
+        assert check_ipet_certificate(cert, function=function).ok
+        cert.sequential_bound = result.wcet * factor
+        report = check_ipet_certificate(cert, function=function)
+        assert codes(report) == {"certify.ipet.sequential-bound-mismatch"}
+
+    def test_sequential_bound_under_flow_facts_may_only_lie_above(self):
+        """Facts that pin a dead branch tighten the LP below the structural
+        bound the run reports: accepted above the optimum, refuted below."""
+        fb = FunctionBuilder("dead_else")
+        x = fb.input_array("x", (16,))
+        y = fb.output_array("y", (16,))
+        with fb.loop("i", 0, 16) as i:
+            with fb.if_then(i < 32):
+                fb.assign(fb.at(y, i), fb.at(x, i) * 2.0)
+            with fb.orelse():
+                fb.assign(fb.at(y, i), fb.call("sqrt", fb.call("exp", fb.at(x, i))))
+        function = fb.build()
+        model = HardwareCostModel(generic_predictable_multicore(), 0)
+        facts, _ = derive_flow_facts(function)
+        tightened = ipet_wcet(function, model, facts)
+        structural = statement_wcet(function.body, function, model).total
+        assert tightened.infeasible_edges and tightened.wcet < structural
+        cert = build_ipet_certificate(tightened, function.name, sequential_bound=structural)
+        assert check_ipet_certificate(cert, function=function).ok
+        cert.sequential_bound = tightened.wcet - 1.0
+        report = check_ipet_certificate(cert, function=function)
+        assert codes(report) == {"certify.ipet.sequential-bound-mismatch"}
 
     def test_edge_set_mismatch_short_circuits(self, ipet):
         function, result = ipet
@@ -448,6 +485,36 @@ class TestCacheTamper:
         self._tamper_shard(tmp_path, understate_makespan)
         replay = self._run(tmp_path, certify=False)
         assert replay.schedule.result.makespan == honest.makespan * 0.5
+
+    def test_halved_entry_function_wcet_refuted_on_certified_replay(self, tmp_path):
+        """A code-level shard line of polka's entry function with its
+        ``total`` halved halves the reported sequential bound on a warm run;
+        the IPET checker refutes it."""
+        from repro.usecases import build_polka_diagram
+
+        platform = generic_predictable_multicore()
+
+        def run(certify):
+            cache = WcetAnalysisCache.open(tmp_path / "cache")
+            return cache, Pipeline(platform, ToolchainConfig(certify=certify), cache).run(
+                build_polka_diagram()
+            )
+
+        cache, honest = run(certify=False)
+        cache.flush()
+        entry = honest.model.entry
+        key = cache.entry_key(entry.body, entry, HardwareCostModel(platform, 0))
+        (shard,) = (tmp_path / "cache" / f"v{CACHE_SCHEMA_VERSION}").glob("entries-*.jsonl")
+        records = [json.loads(line) for line in shard.read_text().splitlines()]
+        (record,) = [r for r in records if r["key"] == key]
+        record["total"] /= 2
+        shard.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+
+        _, trusting = run(certify=False)
+        assert trusting.sequential_bound == honest.sequential_bound / 2
+        with pytest.raises(CertificationError) as excinfo:
+            run(certify=True)
+        assert codes(excinfo.value.report) == {"certify.ipet.sequential-bound-mismatch"}
 
     def test_understated_cached_makespan_caught(self, tmp_path):
         self._prime(tmp_path)

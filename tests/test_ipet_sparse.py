@@ -2,7 +2,9 @@
 
 :func:`dense_ipet_wcet` is the former row-by-row builder of
 :func:`repro.wcet.ipet.ipet_wcet`, kept verbatim as the oracle except that
-it finds a loop header by a scan of ``cfg.blocks`` and records no metrics.
+it finds a loop header by a scan of ``cfg.blocks``, records no metrics and
+takes its block costs from the product's :func:`~repro.wcet.ipet.block_costs`
+(this file checks the LP assembly; the costs are an input to both sides).
 It fills one dense row per interior block and per loop header by scanning
 every CFG edge.  The product assembles the same rows sparse in one pass;
 since rows, signs, right-hand sides and variable bounds are the same,
@@ -27,7 +29,7 @@ from repro.usecases import ALL_USECASES
 from repro.usecases.workloads import random_pipeline_diagram
 from repro.wcet.cache import WcetAnalysisCache
 from repro.wcet.hardware_model import HardwareCostModel
-from repro.wcet.ipet import IpetError, IpetResult, _block_cost, ipet_wcet
+from repro.wcet.ipet import IpetError, IpetResult, block_costs, ipet_wcet
 
 PLATFORMS = {
     "generic4": lambda: generic_predictable_multicore(cores=4),
@@ -56,7 +58,7 @@ def dense_ipet_wcet(function, model, flow_facts=None) -> IpetResult:
         edge_index[edge.key] = i
     num_vars = len(edges)
 
-    costs = {block.bid: _block_cost(block, function, model) for block in cfg.blocks}
+    costs = block_costs(cfg, function, model)
 
     # Objective: block count = sum of incoming edges (entry handled separately).
     c = np.zeros(num_vars)

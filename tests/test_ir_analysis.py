@@ -10,16 +10,17 @@ from repro.ir import (
     FunctionBuilder,
     build_cfg,
 )
+from repro.adl.platforms import generic_predictable_multicore
 from repro.ir.analysis import (
     access_summary,
     array_footprints,
-    operation_histogram,
     read_write_sets,
-    shared_array_names,
 )
 from repro.ir.interpreter import InterpreterError, run_function
 from repro.ir.loops import LoopBoundError, all_loops, max_loop_depth
 from repro.ir.types import INT
+from repro.wcet.code_level import statement_wcet
+from repro.wcet.hardware_model import HardwareCostModel
 
 
 def build_saxpy(n=16):
@@ -123,9 +124,10 @@ class TestAccessSummaries:
         with fb.loop("i", 0, 8) as i:
             fb.assign(fb.at(local, i), fb.at(shared, i))
         func = fb.build()
-        shared_only = access_summary(func.body).restricted(shared_array_names(func))
-        assert "s" in shared_only.reads
-        assert "l" not in shared_only.writes
+        # the one shared-access count: the code-level analysis's, which
+        # counts the 8 reads of ``s`` and none of the writes of ``l``
+        model = HardwareCostModel(generic_predictable_multicore(), 0)
+        assert statement_wcet(func.body, func, model).shared_accesses == 8
 
     def test_read_write_sets(self):
         func = build_saxpy()
@@ -133,11 +135,16 @@ class TestAccessSummaries:
         assert {"x", "y", "a"} <= reads
         assert "y" in writes
 
-    def test_operation_histogram_scales_with_loops(self):
+    def test_structural_compute_scales_with_loops(self):
         func = build_matmul(4)
-        hist = operation_histogram(func.body)
-        assert hist["*"] == 64
-        assert hist["+"] == 64
+        model = HardwareCostModel(generic_predictable_multicore(), 0)
+        compute = statement_wcet(func.body, func, model).compute
+        # 64 multiply-adds, and 16 + 64 assignments to ``acc``
+        assert compute == (
+            64 * model.op_cycles("*")
+            + 64 * model.op_cycles("+")
+            + 80 * model.scalar_assign_cycles
+        )
 
     def test_array_footprints(self):
         func = build_matmul(4)

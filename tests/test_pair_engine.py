@@ -68,16 +68,10 @@ CASES = USECASES + ["synthetic-1", "synthetic-2", "synthetic-3"]
 # ---------------------------------------------------------------------- #
 # the pairwise oracles
 # ---------------------------------------------------------------------- #
-def static_mhp_oracle(htg, function, mapping, sharers=None, use_footprints=True):
+def static_mhp_oracle(htg, function, mapping, sharers, use_footprints=True):
     """``compute_static_mhp`` as a double loop over a networkx closure."""
     store = shared_cache().footprints
     leaf_ids = [t.task_id for t in htg.leaf_tasks() if t.task_id in mapping]
-    if sharers is None:
-        sharers = [
-            t.task_id
-            for t in htg.leaf_tasks()
-            if t.task_id in mapping and t.total_shared_accesses > 0
-        ]
     if all(e.src in mapping and e.dst in mapping for e in htg.edges):
         ordered = transitive_closure(htg.tasks.keys(), htg.edge_pairs())
     else:
@@ -357,6 +351,17 @@ def build_case(case, cores=4, chunks=3):
     return model, htg, platform, mapping
 
 
+def code_level_sharers(htg, function, platform, mapping):
+    """The mapped tasks with shared accesses by the code-level count on
+    their core (what the system-level analysis passes)."""
+    design = SystemDesign(htg, function, platform, WcetAnalysisCache())
+    return [
+        tid
+        for i, tid in enumerate(design.leaf_ids)
+        if tid in mapping and design.cost(i, mapping[tid])[1] > 0
+    ]
+
+
 def round_robin(htg, cores):
     return {
         t.task_id: i % cores
@@ -478,13 +483,16 @@ class TestStaticMhpDifferential:
     @pytest.mark.parametrize("case", CASES)
     def test_relation_matches_oracle(self, case):
         model, htg, platform, mapping = build_case(case)
-        relation = compute_static_mhp(htg, model.entry, mapping)
-        allowed, counts = static_mhp_oracle(htg, model.entry, mapping)
+        sharers = code_level_sharers(htg, model.entry, platform, mapping)
+        relation = compute_static_mhp(htg, model.entry, mapping, sharers)
+        allowed, counts = static_mhp_oracle(htg, model.entry, mapping, sharers)
         assert relation.allowed == allowed
         assert relation.as_dict() == counts
-        blind = compute_static_mhp(htg, model.entry, mapping, use_footprints=False)
+        blind = compute_static_mhp(
+            htg, model.entry, mapping, sharers, use_footprints=False
+        )
         allowed, counts = static_mhp_oracle(
-            htg, model.entry, mapping, use_footprints=False
+            htg, model.entry, mapping, sharers, use_footprints=False
         )
         assert blind.allowed == allowed
         assert blind.as_dict() == counts
@@ -503,11 +511,12 @@ class TestStaticMhpDifferential:
 
     @pytest.mark.parametrize("case", ["weaa", "synthetic-2"])
     def test_partial_mapping_uses_mapped_only_closure(self, case):
-        model, htg, _, mapping = build_case(case)
+        model, htg, platform, mapping = build_case(case)
         dropped = {tid for i, tid in enumerate(mapping) if i % 5 == 2}
         partial = {tid: core for tid, core in mapping.items() if tid not in dropped}
-        relation = compute_static_mhp(htg, model.entry, partial)
-        allowed, counts = static_mhp_oracle(htg, model.entry, partial)
+        sharers = code_level_sharers(htg, model.entry, platform, partial)
+        relation = compute_static_mhp(htg, model.entry, partial, sharers)
+        allowed, counts = static_mhp_oracle(htg, model.entry, partial, sharers)
         assert relation.allowed == allowed
         assert relation.as_dict() == counts
 
@@ -534,10 +543,11 @@ class TestStaticMhpDifferential:
         htg.add_edge("t1", "t3")
         assert htg.reachability().reaches("t1", "t2")
         mapping = {"t1": 0, "t2": 1, "t3": 1}
-        relation = compute_static_mhp(htg, func, mapping)
+        sharers = ["t1", "t2", "t3"]
+        relation = compute_static_mhp(htg, func, mapping, sharers)
         assert relation.allowed == {"t1": ("t2",), "t2": ("t1",), "t3": ()}
         assert relation.pruned_ordered == 2
-        allowed, counts = static_mhp_oracle(htg, func, mapping)
+        allowed, counts = static_mhp_oracle(htg, func, mapping, sharers)
         assert relation.allowed == allowed
         assert relation.as_dict() == counts
 
@@ -686,7 +696,8 @@ class TestContentionDifferential:
     def test_touching_endpoint_exclusion_is_refuted(self):
         # windows [0, 3] and [3, 7] share only index 3: closed intervals touch
         func, htg = contending_tasks(("t1", "t2"), spans={"t1": (0, 4), "t2": (3, 8)})
-        assert compute_static_mhp(htg, func, {"t1": 0, "t2": 1}).kept_pairs == 2
+        relation = compute_static_mhp(htg, func, {"t1": 0, "t2": 1}, ["t1", "t2"])
+        assert relation.kept_pairs == 2
         cert = fabricated_exclusion(func, htg)
         report = check_contention_certificate(cert, htg, func)
         assert [f.subject for f in report.findings] == ["t1<->t2", "t2<->t1"]
@@ -773,7 +784,6 @@ def contending_tasks(tids, spans=None):
             body = Block([For(index=i, lower=Const(lo), upper=Const(hi),
                               body=Block([Assign(ArrayRef("buf", (i,)), Const(1.0))]))])
         task = htg.add_task(Task(tid, TaskKind.BLOCK, body, writes={"buf"}))
-        task.shared_accesses = {"buf": 8}
         task.wcet = 100.0
     return func, htg
 

@@ -61,6 +61,7 @@ class TestBottleneckReport:
             task_effective_wcet={"a": 12.0, "b": 20.0, "c": 1.0},
             task_contenders={t: 0 for t in "abc"},
             task_base_wcet={"a": 10.0, "b": 5.0, "c": 1.0},
+            task_shared_accesses={"a": 2, "b": 37, "c": 0},
         )
         schedule = Schedule(
             htg_name="g",
@@ -76,6 +77,8 @@ class TestBottleneckReport:
         a_line = next(line for line in lines if line.split("|")[0].strip() == "a")
         assert lines.index(b_line) < lines.index(a_line)
         assert "15" in b_line and "blk_b" in b_line
+        # the shared-access column is the count the equation multiplied
+        assert b_line.split("|")[-1].strip() == "37"
 
     def test_interference_is_measured_on_the_mapped_core(self):
         """polka on a platform whose ARM control core (id 8) is slower than

@@ -97,28 +97,31 @@ def contending_pair():
                  body=Block([Assign(ArrayRef("buf", (i,)), Const(1.0))]))]
         )
         task = htg.add_task(Task(tid, TaskKind.BLOCK, stmts, writes={"buf"}))
-        task.shared_accesses = {"buf": 8}
         task.wcet = 100.0
     return func, htg
+
+
+#: both tasks of :func:`contending_pair` write the shared ``buf``
+SHARERS = ["t1", "t2"]
 
 
 class TestStaticMhpRelation:
     def test_ordered_pairs_are_pruned(self):
         func, htg = contending_pair()
         htg.add_edge("t1", "t2")
-        relation = compute_static_mhp(htg, func, {"t1": 0, "t2": 1})
+        relation = compute_static_mhp(htg, func, {"t1": 0, "t2": 1}, SHARERS)
         assert relation.pruned_ordered == 2
         assert relation.allowed == {"t1": (), "t2": ()}
 
     def test_same_core_pairs_are_pruned(self):
         func, htg = contending_pair()
-        relation = compute_static_mhp(htg, func, {"t1": 0, "t2": 0})
+        relation = compute_static_mhp(htg, func, {"t1": 0, "t2": 0}, SHARERS)
         assert relation.pruned_same_core == 2
         assert relation.kept_pairs == 0
 
     def test_overlapping_unordered_pair_is_kept(self):
         func, htg = contending_pair()
-        relation = compute_static_mhp(htg, func, {"t1": 0, "t2": 1})
+        relation = compute_static_mhp(htg, func, {"t1": 0, "t2": 1}, SHARERS)
         assert relation.allowed == {"t1": ("t2",), "t2": ("t1",)}
         assert relation.kept_pairs == 2
 
@@ -135,9 +138,8 @@ class TestStaticMhpRelation:
                      body=Block([Assign(ArrayRef("buf", (i,)), Const(1.0))]))]
             )
             task = htg.add_task(Task(tid, TaskKind.BLOCK, stmts, writes={"buf"}))
-            task.shared_accesses = {"buf": 4}
             task.wcet = 100.0
-        relation = compute_static_mhp(htg, func, {"t1": 0, "t2": 1})
+        relation = compute_static_mhp(htg, func, {"t1": 0, "t2": 1}, SHARERS)
         assert relation.pruned_disjoint == 2
         assert relation.allowed == {"t1": (), "t2": ()}
 
@@ -148,14 +150,14 @@ class TestStaticMhpRelation:
         htg.add_task(Task("mid", TaskKind.BLOCK, Block()))
         htg.add_edge("t1", "mid")
         htg.add_edge("mid", "t2")
-        relation = compute_static_mhp(htg, func, {"t1": 0, "t2": 1})
+        relation = compute_static_mhp(htg, func, {"t1": 0, "t2": 1}, SHARERS)
         assert relation.pruned_ordered == 0
         assert relation.allowed == {"t1": ("t2",), "t2": ("t1",)}
 
     def test_footprints_can_be_disabled(self):
         func, htg = contending_pair()
         relation = compute_static_mhp(
-            htg, func, {"t1": 0, "t2": 1}, use_footprints=False
+            htg, func, {"t1": 0, "t2": 1}, SHARERS, use_footprints=False
         )
         assert relation.footprints == {}
         assert relation.pruned_disjoint == 0

@@ -5,7 +5,8 @@ one design point: it numbers the leaf tasks, edges and cores once, and
 scheduler searches share it across their candidates.  Sharing must be
 invisible:
 
-* result-cache keys equal a v5 derivation written without the design
+* result-cache keys equal the v5 key derivation (which v6 kept), written
+  without the design
   (:func:`reference_result_key` below), every key an annealer derives
   through its shared design equals the key of a fresh design of the same
   inputs, and each input the fixed point can observe changes the key while
@@ -91,8 +92,9 @@ def _sha1(text):
 def reference_result_key(
     htg, function, platform, mapping, order, max_iterations=25, static_pruning=False
 ):
-    """The v5 result key from first principles: fresh cost models, every
-    (payload, core pair) priced by the platform, tasks sorted by id."""
+    """The v5 result key (which v6 kept) from first principles: fresh cost
+    models, every (payload, core pair) priced by the platform, tasks sorted
+    by id."""
     fp = WcetAnalysisCache()
     tids = sorted(t.task_id for t in htg.leaf_tasks())
     edges = sorted(
@@ -310,34 +312,39 @@ def test_result_key_one_input_sensitivity(monkeypatch):
     assert key(mapping_=dict(reversed(mapping.items())), order_=dict(reversed(order.items()))) == base
 
 
-def test_v4_cache_directory_is_ignored(tmp_path):
-    """A cache directory written under schema v4 holds nothing v5 reads,
-    even under the very key v5 derives."""
+def test_v5_cache_directory_is_ignored(tmp_path):
+    """A cache directory written under schema v5 (whose ``if`` counts may be
+    the cheaper arm's, lower one) holds nothing v6 reads, even under the
+    very key v6 derives."""
     model, htg, platform, mapping, order = _mapped("weaa")
     fresh = system_level_wcet(
         SystemDesign(htg, model.entry, platform, WcetAnalysisCache()), mapping, order
     )
-    assert CACHE_SCHEMA_VERSION == 5
+    assert CACHE_SCHEMA_VERSION == 6
     writer = WcetAnalysisCache.open(tmp_path / "cache")
     system_level_wcet(SystemDesign(htg, model.entry, platform, writer), mapping, order)
     writer.flush()
+    v6 = tmp_path / "cache" / "v6"
     v5 = tmp_path / "cache" / "v5"
-    v4 = tmp_path / "cache" / "v4"
-    v4.mkdir()
-    for shard in v5.glob("*entries*.jsonl"):
+    v5.mkdir()
+    for shard in v6.glob("*entries*.jsonl"):
         records = [json.loads(line) for line in shard.read_text().splitlines()]
         for record in records:
             if "makespan" in record:
                 record["makespan"] *= 0.5
-        (v4 / shard.name).write_text("".join(json.dumps(r) + "\n" for r in records))
+            if "shared_accesses" in record:
+                record["shared_accesses"] = 0
+        (v5 / shard.name).write_text("".join(json.dumps(r) + "\n" for r in records))
         shard.unlink()
     cache = WcetAnalysisCache.open(tmp_path / "cache")
     assert len(cache) == 0 and len(cache.system_results) == 0
     replay = system_level_wcet(SystemDesign(htg, model.entry, platform, cache), mapping, order)
     assert cache.system_results.stats.disk_hits == 0
     assert cache.system_results.stats.misses == 1
+    assert cache.stats.disk_hits == 0
     assert replay.makespan == fresh.makespan
     assert replay.task_intervals == fresh.task_intervals
+    assert replay.task_shared_accesses == fresh.task_shared_accesses
 
 
 # ---------------------------------------------------------------------- #

@@ -124,7 +124,7 @@ class TestMhpBackendsIdentical:
         windows = [result.task_intervals[t.task_id] for t in leaf]
         args = (
             [mapping[t.task_id] for t in leaf],
-            [i for i, t in enumerate(leaf) if t.total_shared_accesses > 0],
+            [i for i, t in enumerate(leaf) if result.task_shared_accesses[t.task_id] > 0],
             [window.start for window in windows],
             [window.end for window in windows],
         )

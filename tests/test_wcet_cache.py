@@ -464,7 +464,8 @@ class TestResultTierPersistence(_PersistenceContract):
     tier = SYSTEM_TIER
 
 
-#: shard lines exactly as the writers of schema v5 produce them
+#: shard lines exactly as today's writers produce them (the line format is
+#: schema v5's; v6 changed the meaning of a count, not the format)
 GOLDEN_LINES = {
     "code": [
         '{"key":"ctx0|fp0|sig0|wc","total":120.0,"compute":80.0,"memory":30.0,'
