@@ -346,6 +346,7 @@ def main(argv: list[str] | None = None) -> int:
             "code_level_reanalyses": sweep["misses"],
             "entries_on_disk": end_stats["entries"],
             #: system-level result tier: its misses are the fixed points
+            #: (and metaheuristic searches, which this sweep has none of)
             #: actually run; zero on a fully warm result cache
             "system": {
                 **system,

@@ -108,8 +108,8 @@ def _cmd_cache_stats(args: argparse.Namespace) -> int:
     )
     print(
         "system level    : "
-        f"{system['entries']} results, {system['hits']}+{system['disk_hits']} hits / "
-        f"{system['misses']} fixed points run, {system['flushed']} flushed"
+        f"{system['entries']} records, {system['hits']}+{system['disk_hits']} hits / "
+        f"{system['misses']} searches or fixed points run, {system['flushed']} flushed"
     )
     return 0
 

@@ -56,18 +56,6 @@ class AccessSummary:
             result.writes[name] = max(result.writes.get(name, 0), count)
         return result
 
-    @property
-    def total_reads(self) -> int:
-        return sum(self.reads.values())
-
-    @property
-    def total_writes(self) -> int:
-        return sum(self.writes.values())
-
-    @property
-    def total(self) -> int:
-        return self.total_reads + self.total_writes
-
 
 def _expr_array_reads(expr: Expr) -> dict[str, int]:
     counts: dict[str, int] = {}
@@ -189,16 +177,3 @@ def shared_names(function: Function) -> tuple[frozenset[str], frozenset[str]]:
         if decl.storage in SHARED_STORAGE:
             (arrays if decl.is_array else scalars).add(decl.name)
     return frozenset(arrays), frozenset(scalars)
-
-
-def storage_of(function: Function, name: str) -> Storage:
-    """Storage class of variable ``name`` (LOCAL for loop indices/temps)."""
-    decl = function.lookup(name)
-    if decl is None:
-        return Storage.LOCAL
-    return decl.storage
-
-
-def array_footprints(function: Function) -> dict[str, int]:
-    """Map each declared array to its size in bytes."""
-    return {d.name: d.size_bytes for d in function.arrays()}

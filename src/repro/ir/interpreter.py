@@ -60,7 +60,6 @@ class ExecutionStats:
     #: assignments to scalars (loop indices are loop overhead, not counted)
     scalar_assigns: int = 0
     loop_iterations: int = 0
-    statements_executed: int = 0
 
     def record_op(self, op: str) -> None:
         self.operations[op] = self.operations.get(op, 0) + 1
@@ -70,10 +69,6 @@ class ExecutionStats:
 
     def record_write(self, array: str) -> None:
         self.array_writes[array] = self.array_writes.get(array, 0) + 1
-
-    @property
-    def total_operations(self) -> int:
-        return sum(self.operations.values())
 
 
 @dataclass
@@ -179,7 +174,6 @@ class Interpreter:
             self._exec_stmt(stmt, env, stats)
 
     def _exec_stmt(self, stmt: Stmt, env: dict[str, Any], stats: ExecutionStats) -> None:
-        stats.statements_executed += 1
         if isinstance(stmt, Assign):
             value = self._eval(stmt.value, env, stats)
             self._store(stmt.target, value, env, stats)

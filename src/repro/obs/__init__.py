@@ -19,9 +19,12 @@ Observability contract
 * *metrics* in the process-wide :class:`~repro.obs.metrics.MetricsRegistry`:
   ``fixed_point.runs`` / ``.iterations`` / ``.not_converged`` /
   ``.final_delta`` / ``mhp.pairs_candidate`` / ``.pairs_kept`` /
-  ``.pairs_pruned`` / ``.pairs_tested``, ``system_cache.hits`` /
-  ``.misses``, ``wcet_cache.hits`` / ``.disk_hits`` / ``.misses`` per
-  pipeline run,
+  ``.pairs_pruned`` / ``.pairs_tested`` (every solve of the fixed point,
+  the candidates the annealer and the genetic algorithm price outside the
+  result tier included), ``system_cache.hits`` / ``.misses`` (one per
+  ``system_level_wcet`` call: an analysed schedule, never a priced
+  candidate; search-record lookups count only in the tier's ``stats``),
+  ``wcet_cache.hits`` / ``.disk_hits`` / ``.misses`` per pipeline run,
   ``cache.evicted_*``, ``ipet.solves`` / ``.vars`` / ``.constraints``,
   ``certify.<checker>.seconds`` / ``.ok`` / ``.findings`` (same
   checkers),

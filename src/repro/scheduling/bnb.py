@@ -5,6 +5,13 @@ critical-path/workload lower bound, and evaluates complete assignments with
 the full system-level WCET analysis.  Only practical for small HTGs (the
 paper notes the problem is NP-hard and motivates the exact+heuristic mix of
 experiment E8).
+
+Unlike the metaheuristics, which price candidates with the bare fixed point
+(:meth:`~repro.wcet.system_level.SystemDesign.bound`) and keep one search
+record, every leaf here goes through
+:func:`~repro.scheduling.schedule.evaluate_mapping` and the result tier:
+the search reports :class:`BnBStats`, which a replayed search record could
+not.
 """
 
 from __future__ import annotations

@@ -3,17 +3,52 @@
 These cover the "advanced heuristics" half of the exact+heuristic combination
 the paper envisions for the NP-hard scheduling/mapping problem.  Both optimise
 the system-level WCET bound directly and are fully deterministic given a seed.
+
+Both search over task-index -> core vectors and price every candidate with
+:meth:`~repro.wcet.system_level.SystemDesign.bound`: the bare fixed point
+under the default core order, without a result key, a result object or the
+result tier.  Few candidates repeat a mapping, so none is memoized: over
+the 60 design points of the use-case sweep (three use cases, five
+platforms, four granularities), 2.0% of the annealer's candidates repeat
+one of the same search and 4.2% of the genetic algorithm's (default
+parameters, seed 1).  The schedule a search returns is analysed once, in
+full, through :func:`~repro.scheduling.schedule.evaluate_mapping`.  The
+outcome of each search is one search record in the result tier
+(:meth:`~repro.wcet.cache.SystemResultCache.memoized_search`), so a warm
+identical search runs no fixed point: it replays the winner, whose
+analysis is a result hit.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 from repro.scheduling.list_scheduler import WcetAwareListScheduler
 from repro.scheduling.registry import register_scheduler
 from repro.scheduling.schedule import Schedule, evaluate_mapping
 from repro.utils.rng import make_rng
 from repro.wcet.system_level import SystemDesign
+
+
+def _searched(
+    design: SystemDesign,
+    start: Schedule,
+    search: str,
+    params: dict,
+    run: Callable[[], "dict[str, int] | None"],
+) -> Schedule:
+    """The schedule a search from ``start`` returns: its winner (``run()``
+    gives the winning mapping, ``None`` when ``start`` won), replayed from
+    the search record when the result tier holds one that maps the
+    design's tasks to the cores the search may use, and analysed."""
+    tier = design.cache.system_results
+    key = tier.search_key(design, start.mapping, start.order, search, params)
+    cores = design.core_ids[: params["max_cores"]]
+    winner = tier.memoized_search(key, run, design.leaf_ids, cores)
+    schedule = start if winner is None else evaluate_mapping(design, winner, scheduler=search)
+    schedule.scheduler = search
+    return schedule
 
 
 def simulated_annealing_schedule(
@@ -27,47 +62,60 @@ def simulated_annealing_schedule(
 
     Starts from the WCET-aware list schedule and explores single-task moves;
     the acceptance temperature is expressed as a fraction of the current
-    bound so the schedule scale does not need tuning.  All candidate
-    evaluations share ``design``: each task's isolated WCET on a core, each
-    edge's price between two cores and the cost models are looked up once
-    per search, the first time a candidate needs them, and only the
-    mapping-dependent part of the analysis runs per candidate.
+    bound so the schedule scale does not need tuning.  Every candidate is
+    priced with ``design.bound``, so each task's isolated WCET on a core,
+    each edge's price between two cores and the cost models are looked up
+    once per search; only the strictly best candidate is analysed in full.
+    When no candidate beats the start schedule, that schedule is returned.
     """
-    rng = make_rng(seed)
     core_ids = design.core_ids[:max_cores]
-    current = WcetAwareListScheduler(max_cores=max_cores).schedule(design)
-    best = current
+    start = WcetAwareListScheduler(max_cores=max_cores).schedule(design)
     task_ids = design.leaf_ids
     if len(core_ids) == 1 or len(task_ids) <= 1:
-        current.scheduler = "simulated_annealing"
-        return current
+        start.scheduler = "simulated_annealing"
+        return start
 
-    current_mapping = dict(current.mapping)
-    current_bound = current.wcet_bound
-    best_bound = current_bound
-    for step in range(iterations):
-        temperature = initial_temperature * (1.0 - step / max(1, iterations))
-        tid = task_ids[int(rng.integers(0, len(task_ids)))]
-        new_core = core_ids[int(rng.integers(0, len(core_ids)))]
-        if current_mapping[tid] == new_core:
-            continue
-        candidate_mapping = dict(current_mapping)
-        candidate_mapping[tid] = new_core
-        candidate = evaluate_mapping(design, candidate_mapping, scheduler="simulated_annealing")
-        delta = candidate.wcet_bound - current_bound
-        accept = delta <= 0
-        if not accept and temperature > 0:
-            prob = math.exp(-delta / max(1e-9, temperature * current_bound))
-            accept = rng.random() < prob
-        if accept:
-            current_mapping = candidate_mapping
-            current_bound = candidate.wcet_bound
-            if current_bound < best_bound:
-                best_bound = current_bound
-                best = candidate
-    best.scheduler = "simulated_annealing"
-    best.metadata["iterations"] = float(iterations)
-    return best
+    def run() -> dict[str, int] | None:
+        rng = make_rng(seed)
+        current = design.mapping_vector(start.mapping)
+        current_bound = start.wcet_bound
+        best: list[int] | None = None
+        best_bound = current_bound
+        for step in range(iterations):
+            temperature = initial_temperature * (1.0 - step / max(1, iterations))
+            i = int(rng.integers(0, len(task_ids)))
+            new_core = core_ids[int(rng.integers(0, len(core_ids)))]
+            if current[i] == new_core:
+                continue
+            candidate = list(current)
+            candidate[i] = new_core
+            bound = design.bound(candidate)
+            delta = bound - current_bound
+            accept = delta <= 0
+            if not accept and temperature > 0:
+                prob = math.exp(-delta / max(1e-9, temperature * current_bound))
+                accept = rng.random() < prob
+            if accept:
+                current = candidate
+                current_bound = bound
+                if current_bound < best_bound:
+                    best_bound = current_bound
+                    best = candidate
+        if best is None:
+            return None
+        # in the start mapping's task order, which the winner's result record
+        # keeps for its cores
+        return {tid: best[design.index[tid]] for tid in start.mapping}
+
+    params = {
+        "max_cores": max_cores,
+        "iterations": iterations,
+        "initial_temperature": initial_temperature,
+        "seed": seed,
+    }
+    schedule = _searched(design, start, "simulated_annealing", params, run)
+    schedule.metadata["iterations"] = float(iterations)
+    return schedule
 
 
 def genetic_schedule(
@@ -81,8 +129,8 @@ def genetic_schedule(
     """A small genetic algorithm over mappings (tournament selection,
     single-point crossover, per-gene mutation).
 
-    Like the annealer, every fitness evaluation shares ``design``."""
-    rng = make_rng(seed)
+    Like the annealer, every fitness is ``design.bound`` of a genome, and
+    only the fittest genome is analysed in full."""
     core_ids = design.core_ids[:max_cores]
     task_ids = design.leaf_ids
     seeded = WcetAwareListScheduler(max_cores=max_cores).schedule(design)
@@ -90,47 +138,57 @@ def genetic_schedule(
         seeded.scheduler = "genetic"
         return seeded
 
-    def random_genome() -> list[int]:
-        return [int(rng.integers(0, len(core_ids))) for _ in task_ids]
+    def run() -> dict[str, int]:
+        rng = make_rng(seed)
 
-    def genome_of(mapping: dict[str, int]) -> list[int]:
-        return [core_ids.index(mapping[tid]) for tid in task_ids]
+        def random_genome() -> list[int]:
+            return [int(rng.integers(0, len(core_ids))) for _ in task_ids]
 
-    def mapping_of(genome: list[int]) -> dict[str, int]:
-        return {tid: core_ids[g] for tid, g in zip(task_ids, genome)}
+        def fitness(genome: list[int]) -> float:
+            return design.bound([core_ids[g] for g in genome])
 
-    def fitness(genome: list[int]) -> tuple[float, Schedule]:
-        schedule = evaluate_mapping(design, mapping_of(genome), scheduler="genetic")
-        return schedule.wcet_bound, schedule
+        def fittest() -> int:
+            return min(range(len(population)), key=evaluated.__getitem__)
 
-    population = [genome_of(seeded.mapping)] + [random_genome() for _ in range(population_size - 1)]
-    evaluated = [fitness(g) for g in population]
-    best_bound, best_schedule = min(evaluated, key=lambda e: e[0])
-
-    for _ in range(generations):
-        new_population: list[list[int]] = []
-        while len(new_population) < population_size:
-            # tournament selection of two parents
-            def pick() -> list[int]:
-                i, j = rng.integers(0, len(population), size=2)
-                return population[i] if evaluated[i][0] <= evaluated[j][0] else population[j]
-
-            mother, father = pick(), pick()
-            cut = int(rng.integers(1, len(task_ids))) if len(task_ids) > 1 else 1
-            child = mother[:cut] + father[cut:]
-            for g in range(len(child)):
-                if rng.random() < mutation_rate:
-                    child[g] = int(rng.integers(0, len(core_ids)))
-            new_population.append(child)
-        population = new_population
+        population = [[core_ids.index(seeded.mapping[tid]) for tid in task_ids]] + [
+            random_genome() for _ in range(population_size - 1)
+        ]
         evaluated = [fitness(g) for g in population]
-        generation_best_bound, generation_best = min(evaluated, key=lambda e: e[0])
-        if generation_best_bound < best_bound:
-            best_bound, best_schedule = generation_best_bound, generation_best
+        first = fittest()
+        best_bound, best = evaluated[first], population[first]
 
-    best_schedule.scheduler = "genetic"
-    best_schedule.metadata["generations"] = float(generations)
-    return best_schedule
+        for _ in range(generations):
+            new_population: list[list[int]] = []
+            while len(new_population) < population_size:
+                # tournament selection of two parents
+                def pick() -> list[int]:
+                    i, j = rng.integers(0, len(population), size=2)
+                    return population[i] if evaluated[i] <= evaluated[j] else population[j]
+
+                mother, father = pick(), pick()
+                cut = int(rng.integers(1, len(task_ids))) if len(task_ids) > 1 else 1
+                child = mother[:cut] + father[cut:]
+                for g in range(len(child)):
+                    if rng.random() < mutation_rate:
+                        child[g] = int(rng.integers(0, len(core_ids)))
+                new_population.append(child)
+            population = new_population
+            evaluated = [fitness(g) for g in population]
+            generation_best = fittest()
+            if evaluated[generation_best] < best_bound:
+                best_bound, best = evaluated[generation_best], population[generation_best]
+        return {tid: core_ids[g] for tid, g in zip(task_ids, best)}
+
+    params = {
+        "max_cores": max_cores,
+        "population_size": population_size,
+        "generations": generations,
+        "mutation_rate": mutation_rate,
+        "seed": seed,
+    }
+    schedule = _searched(design, seeded, "genetic", params, run)
+    schedule.metadata["generations"] = float(generations)
+    return schedule
 
 
 # ---------------------------------------------------------------------- #

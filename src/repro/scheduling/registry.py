@@ -13,7 +13,7 @@ A registered scheduler is a callable with the uniform signature
 where ``design`` is the :class:`~repro.wcet.system_level.SystemDesign` the
 ``schedule`` stage built for the run -- the HTG, entry function, platform,
 cache and static-pruning flag, and the pricing table every candidate
-mapping is analysed through -- and ``config`` the
+mapping is priced or analysed through -- and ``config`` the
 :class:`~repro.core.config.ToolchainConfig` of the running flow
 (schedulers pick the knobs they care about: ``max_cores``,
 ``contention_weight``, ``seed``, ...).

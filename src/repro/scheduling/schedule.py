@@ -8,7 +8,12 @@ from repro.adl.architecture import Platform
 from repro.htg.graph import HierarchicalTaskGraph
 from repro.ir.program import Function
 from repro.utils.intervals import Interval, total_busy_time
-from repro.wcet.system_level import SystemDesign, SystemWcetResult, system_level_wcet
+from repro.wcet.system_level import (
+    SystemDesign,
+    SystemWcetResult,
+    default_rows,
+    system_level_wcet,
+)
 
 
 class ScheduleError(ValueError):
@@ -129,14 +134,15 @@ def default_core_order(htg: HierarchicalTaskGraph, mapping: dict[str, int]) -> d
     """Per-core ordering derived from the HTG topological order.
 
     Tasks on each core execute in global topological order, which is always
-    dependence-consistent.
+    dependence-consistent (:func:`~repro.wcet.system_level.default_rows`,
+    which the metaheuristics' candidate pricing applies too).
     """
-    order: dict[int, list[str]] = {}
-    for task in htg.topological_tasks():
-        if task.is_synthetic or task.task_id not in mapping:
-            continue
-        order.setdefault(mapping[task.task_id], []).append(task.task_id)
-    return order
+    tasks = (
+        task.task_id
+        for task in htg.topological_tasks()
+        if not task.is_synthetic and task.task_id in mapping
+    )
+    return default_rows(tasks, mapping.__getitem__)
 
 
 def evaluate_mapping(
@@ -148,9 +154,12 @@ def evaluate_mapping(
     """Run the system-level WCET analysis of ``design`` on a mapping and
     wrap it (``order`` defaults to :func:`default_core_order`).
 
-    A search evaluating many mappings passes its one
-    :class:`~repro.wcet.system_level.SystemDesign` to every call, so the
-    design point is priced once.
+    Every schedule a scheduler returns is analysed here: the list
+    scheduler's, each leaf of branch and bound, and the winner of the
+    annealer or the genetic algorithm, which price their other candidates
+    with :meth:`~repro.wcet.system_level.SystemDesign.bound` instead.  A
+    scheduler passes its one design to every call, so the design point is
+    priced once.
     """
     order = order or default_core_order(design.htg, mapping)
     result = system_level_wcet(design, mapping, order)

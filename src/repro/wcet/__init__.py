@@ -15,8 +15,8 @@
   loop over the static-MHP skeleton for pruned ones).  Its
   :class:`~repro.wcet.system_level.SystemDesign` is the one handle of a
   design point: the inputs, cache and MHP mode every analysis of it reads,
-  and the integer-indexed pricing table the list scheduler, the
-  per-mapping solve and the result key share.
+  and the integer-indexed pricing table the list scheduler, the solve
+  and the result key share.
 * :mod:`repro.wcet.cache` memoizes code-level results so the schedulers, the
   system-level fixed point and the cross-layer feedback loop analyse each
   distinct (code region, core cost signature) pair exactly once --
@@ -101,6 +101,20 @@ same memos); additionally:
   larger of its arms' counts (v5 kept the count of the arm with more
   cycles, which can be lower), so v5 code-level entries and the result
   records built on them may carry an unsafe count and are retired.
+* The annealer and the genetic algorithm price their candidates with
+  :meth:`~repro.wcet.system_level.SystemDesign.bound`, outside the tier,
+  and keep one **search record** per search in the result tier's store
+  (:meth:`~repro.wcet.cache.SystemResultCache.memoized_search`): the
+  winning mapping, or a mark that the start schedule won, under a key
+  digesting the start schedule's result key, the design's task,
+  topological and core orders, and the search's name and parameters.  A
+  warm identical search replays its winner, a result hit, and solves no
+  fixed point.  Search records share the results' bound, shards and
+  eviction; a malformed one is dropped on load, one whose winner does not
+  map the design's tasks to the cores the search may use is searched again
+  and overwritten, and :meth:`~repro.wcet.cache.SystemResultCache.get`
+  never returns one.  Search records came with no bump: a v6 directory
+  without them replays as before.
 * An edit round (:meth:`repro.core.pipeline.Pipeline.run_incremental`)
   follows the same rule: every stage runs, and the HTG stage hands over a
   region's previous tasks and WCET annotations only under an equal region
@@ -135,8 +149,9 @@ subdirectory ``<dir>/v<CACHE_SCHEMA_VERSION>/``:
   ``sys-stats-*.jsonl`` shards to the *same* version directory, written
   and read by the same :class:`~repro.wcet.cache.MemoStore` code; one entry
   is a whole serialized :class:`~repro.wcet.cache.SystemResultCache`
-  record (the fixed-point outcome), and its stats ``misses`` count the
-  fixed points actually run.  ``load`` reads every tier's shards oldest
+  record (the fixed-point outcome) or a search record, and its stats
+  ``misses`` count the analysed schedules whose fixed point ran and the
+  searches that ran.  ``load`` reads every tier's shards oldest
   first by modification time and applies the tier's bound as it goes, so
   a directory written by many processes loads only the newest
   :data:`~repro.wcet.cache.MAX_SYSTEM_RESULTS` results.  Footprints are
@@ -154,9 +169,10 @@ touched.
 :data:`~repro.wcet.cache.CACHE_SCHEMA_VERSION` whenever the *meaning* of a
 cached number can change -- the code-level cost semantics, the C-printer
 rendering behind the fingerprints, the cost-signature composition, the
-``WcetBreakdown`` fields, or the system-level result record.  Old versions
-are simply ignored (each lives in its own ``v<N>`` directory); never
-reinterpret them in place.
+``WcetBreakdown`` fields, the system-level result record, or the algorithm
+of a search that keeps a search record (its record names a winner only
+that algorithm would pick).  Old versions are simply ignored (each lives in
+its own ``v<N>`` directory); never reinterpret them in place.
 
 Certification contract (proof-carrying results)
 -----------------------------------------------

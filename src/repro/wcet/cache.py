@@ -79,6 +79,12 @@ All but the mapping, the ordering, the cap and the pruning flag depend
 only on the design point, so they are digested once per design into a key
 prefix.
 
+The same store also holds one *search record* per metaheuristic search
+(the annealer, the genetic algorithm): the winning mapping, or a mark that
+the start schedule won, under :meth:`SystemResultCache.search_key`.  The
+searches price their candidates without the tier, so a warm replay reads
+the record and analyses the winner only, which is itself a result hit.
+
 Disk persistence
 ----------------
 A cache becomes disk-backed through :meth:`WcetAnalysisCache.load` (or the
@@ -207,9 +213,9 @@ CACHE_SCHEMA_VERSION = 6
 #: shared cache (see :func:`shared_cache`).
 CACHE_DIR_ENV_VAR = "REPRO_WCET_CACHE_DIR"
 
-#: In-memory bound of the system-level result tier: mapper metaheuristics
-#: evaluate thousands of distinct mappings, and keeping all of their full
-#: results alive would trade one scaling problem for another.
+#: In-memory bound of the system-level result tier (results and search
+#: records together): a long sweep analyses many design points, and keeping
+#: every full result alive would trade one scaling problem for another.
 MAX_SYSTEM_RESULTS = 2048
 
 #: Shard-file prefix of each persisted tier: ``<prefix>entries*.jsonl``
@@ -1041,7 +1047,9 @@ class SystemResultCache:
     it derives keys through that cache's fingerprint memos, and its
     :attr:`store` holds at most :data:`MAX_SYSTEM_RESULTS` records in memory
     and persists them to ``sys-entries*.jsonl`` / ``sys-stats*.jsonl``
-    shards of the cache's directory.
+    shards of the cache's directory.  The records include one search
+    record per metaheuristic search (:meth:`memoized_search`), which
+    :meth:`get` never returns as a result.
     """
 
     def __init__(self, fingerprints: WcetAnalysisCache) -> None:
@@ -1054,7 +1062,8 @@ class SystemResultCache:
 
     @property
     def stats(self) -> CacheStats:
-        """Hit/miss counters of the result tier (misses are fixed points run)."""
+        """Hit/miss counters of the result tier: a miss is an analysed schedule
+        whose fixed point ran, or a metaheuristic search that ran."""
         return self.store.stats
 
     # ------------------------------------------------------------------ #
@@ -1082,9 +1091,11 @@ class SystemResultCache:
 
         The prefix grows with the square of the core count: it prices
         payloads x C x (C - 1) delays and C penalty rows of C entries, all
-        on a design's first key.  A search amortizes that over its
-        candidates; a design keyed once (a list scheduler run) pays it
-        whole: one cold key of a polka design (40 tasks, 2 payloads) on
+        on a design's first key.  Every design pays it whole, since a
+        search keys only its start schedule, its search record and its
+        winner (its candidates are priced with
+        :meth:`~repro.wcet.system_level.SystemDesign.bound`, which derives
+        no key): one cold key of a polka design (40 tasks, 2 payloads) on
         ``recore_xentium_like`` took 2.3 ms at 9 cores, 34 ms at 65 and
         111 ms at 129 (medians of 7, shared 2-vCPU x86 host).
 
@@ -1126,6 +1137,61 @@ class SystemResultCache:
             design.static_pruning,
         ]
         return _digest(prefix + json.dumps(call, separators=(",", ":")))
+
+    def search_key(
+        self,
+        design: "SystemDesign",
+        mapping: dict[str, int],
+        order: dict[int, list[str]],
+        search: str,
+        params: dict,
+    ) -> str:
+        """The content key of one metaheuristic search of ``design`` that
+        starts from the schedule ``(mapping, order)``.
+
+        The digest of the start schedule's :meth:`result_key` (which pins
+        every input of the fixed point), the task, topological and core
+        orders of the design (the search's random draws index tasks and
+        cores in those orders, and every candidate runs in topological
+        order), the search's name and its ``params``.  A change to a
+        search's algorithm must bump
+        :data:`CACHE_SCHEMA_VERSION`, as a change to the analysis does.
+        """
+        start_key = self.result_key(design, mapping, order)
+        parts = [start_key, design.leaf_ids, design.topological, design.core_ids, search, params]
+        return _digest(json.dumps(parts, separators=(",", ":"), sort_keys=True))
+
+    def memoized_search(
+        self,
+        key: str,
+        run: Callable[[], "dict[str, int] | None"],
+        tasks: Collection[str],
+        cores: Collection[int],
+    ) -> "dict[str, int] | None":
+        """The winning mapping of the search under ``key`` (``None``: its
+        start schedule won), replayed from the search record or found by
+        ``run()`` and recorded.
+
+        The record lives in :attr:`store` next to the results, so it shares
+        their counters, bound, shards and eviction: the lookup counts as a
+        hit or a miss like a result lookup.  It holds the winner only; the
+        caller analyses it (a result-tier hit on a warm cache).  A replayed
+        winner must map exactly ``tasks``, each to one of ``cores``; one
+        that does not (a record from a foreign or damaged cache directory)
+        is searched again and overwritten, though its lookup counted as a
+        hit.
+        """
+        record = self.store.get(key)
+        if record is not None and "search" in record:
+            winner = record["winner"]
+            if winner is None:
+                return None
+            winner = {tid: int(core) for tid, core in winner.items()}
+            if winner.keys() == set(tasks) and set(cores).issuperset(winner.values()):
+                return winner
+        winner = run()
+        self.store.put(key, {"search": True, "winner": winner})
+        return winner
 
     # ------------------------------------------------------------------ #
     # lookups
@@ -1214,7 +1280,7 @@ class SystemResultCache:
         the analysis and :meth:`put` the outcome.
         """
         record = self.store.get(key)
-        return None if record is None else self._result_of(record)
+        return None if record is None or "search" in record else self._result_of(record)
 
     def put(self, key: str, result: "SystemWcetResult") -> None:
         """Memoize ``result`` under ``key`` (oldest entries drop past the bound)."""
@@ -1228,7 +1294,10 @@ class SystemResultCache:
 
 
 def _checked_record(record: dict) -> dict | None:
-    """``record`` when it can rebuild a result (see ``_result_of``), else ``None``."""
+    """``record`` when it can rebuild a result (see ``_result_of``) or is a
+    well-formed search record (see ``memoized_search``), else ``None``."""
+    if "search" in record:
+        return _checked_search_record(record)
     try:
         tasks = record["tasks"]
         cores = record["cores"]
@@ -1258,6 +1327,22 @@ def _checked_record(record: dict) -> dict | None:
         return record if isinstance(record["converged"], bool) else None
     except (KeyError, TypeError, ValueError):
         return None
+
+
+def _checked_search_record(record: dict) -> dict | None:
+    """``record`` when its winner is a mapping of task ids to cores or
+    ``None`` (the start schedule won), else ``None``."""
+    winner = record.get("winner", False)
+    if winner is None:
+        return record
+    if not isinstance(winner, dict):
+        return None
+    try:
+        for core in winner.values():
+            int(core)
+    except (TypeError, ValueError):
+        return None
+    return record
 
 
 class _Unfingerprintable(Exception):
@@ -1319,7 +1404,8 @@ def read_cache_dir_stats(cache_dir: str | Path, count_entries: bool = True) -> d
     shard -- pass ``False`` when diffing snapshots in a loop).  The
     system-level result tier is aggregated the same way from its
     ``sys-stats*.jsonl`` / ``sys-entries*.jsonl`` shards into the nested
-    ``"system"`` dict; its ``misses`` count the fixed points actually run.
+    ``"system"`` dict; its ``misses`` count the analysed schedules whose
+    fixed point ran and the metaheuristic searches that ran.
     Returns zeros for a missing or empty directory, so callers can diff
     before/after snapshots without special cases.
     """

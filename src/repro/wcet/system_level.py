@@ -21,8 +21,8 @@ Given a mapping and per-core ordering of HTG tasks, this analysis
 The result's makespan is the guaranteed end-to-end WCET of the parallel
 program (paper Section II-D).
 
-Design context and per-mapping solve
-------------------------------------
+Design context, the solve and its two callers
+---------------------------------------------
 A scheduler search (annealer, genetic algorithm, branch and bound)
 prices thousands of candidate mappings of one design point, and the list
 scheduler every (task, core) placement of it, so the analysis is split.
@@ -38,14 +38,24 @@ core, contender count); and the result key's per-design prefix.  Building
 a design costs nothing, so the numbering runs inside the scheduler that
 first reads it.
 
-*Per mapping*: a mapping vector (the core of each task index) and the
-order rows, the timeline plan with each cross-core edge priced from the
-delay table, the fixed point over start/finish lists, and the mapping and
-order part of the result key.  The :class:`SystemWcetResult` dicts and
-:class:`~repro.utils.intervals.Interval` objects are built once, at the
-end.  Indexes instead of task-id dicts because the solve's inner loops
-run once per candidate and fixed-point iteration: list indexing replaces
-string hashing, and no ``Interval`` is built per task per iteration.
+*Per solve* (:func:`_solve`, the one fixed point): a mapping vector (the
+core of each task index) and the order rows, the timeline plan with each
+cross-core edge priced from the delay table, and the fixed point over
+start/finish lists.  Indexes instead of task-id dicts because the solve's
+inner loops run once per candidate and fixed-point iteration: list
+indexing replaces string hashing, and no ``Interval`` is built per task
+per iteration.
+
+The solve has two callers.  :func:`system_level_wcet` analyses a
+schedule: it derives the mapping and order part of the result key,
+consults the result tier and, on a miss, solves and builds the
+:class:`SystemWcetResult` dicts and
+:class:`~repro.utils.intervals.Interval` objects once, at the end.
+:meth:`SystemDesign.bound` prices a candidate of the annealer or the
+genetic algorithm: the bare makespan under the default core order, with
+no key, no result and no tier access.  Those searches analyse only the
+schedule they return through :func:`system_level_wcet`, and memoize their
+outcome as one search record (see :mod:`repro.scheduling.metaheuristics`).
 
 :func:`system_level_wcet`, :func:`contention_oblivious_bound` and the
 result key take the design and read everything else from it: the HTG,
@@ -100,6 +110,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable, Iterable, NamedTuple, TypeVar
 
 from repro import obs
 from repro.adl.architecture import Platform
@@ -162,6 +173,25 @@ class SystemWcetError(RuntimeError):
     """Raised when the schedule handed to the analysis is inconsistent."""
 
 
+T = TypeVar("T")
+
+
+def default_rows(topological: Iterable[T], core_of: Callable[[T], int]) -> dict[int, list[T]]:
+    """The default core order of a mapping: each core runs its tasks in the
+    order of ``topological``, the HTG's topological order, so the order is
+    always dependence-consistent.
+
+    The one definition of that order:
+    :func:`~repro.scheduling.schedule.default_core_order` applies it to
+    task ids, and :meth:`SystemDesign.bound` to task indexes, so a search
+    prices every candidate under the order its winner is analysed under.
+    """
+    rows: dict[int, list[T]] = {}
+    for task in topological:
+        rows.setdefault(core_of(task), []).append(task)
+    return rows
+
+
 class SystemDesign:
     """One design point: the analysis's inputs and its pricing table.
 
@@ -171,8 +201,9 @@ class SystemDesign:
     and fills its tables on first use, task numbering included
     (``leaf_ids[i]`` is task ``i``).  Build one per scheduler run and pass
     it to every :func:`system_level_wcet` (or
-    :func:`~repro.scheduling.schedule.evaluate_mapping`) call of it.  The
-    tables assume none of the inputs is mutated meanwhile.
+    :func:`~repro.scheduling.schedule.evaluate_mapping`) call of it; a
+    search prices its candidates with :meth:`bound`, which reads the same
+    tables.  The tables assume none of the inputs is mutated meanwhile.
     """
 
     def __init__(
@@ -307,13 +338,16 @@ class SystemDesign:
         if len(mapping) != len(cores):
             extra = sorted(tid for tid in mapping if tid not in self.index)
             raise SystemWcetError(f"mapped tasks that are not leaf tasks: {extra}")
+        self._check_cores(cores)
+        return cores
+
+    def _check_cores(self, cores: list[int]) -> None:
         unknown = set(cores).difference(self.core_ids)
         if unknown:
             raise SystemWcetError(
                 f"tasks mapped to core(s) {sorted(unknown)} that platform "
                 f"{self.platform.name!r} lacks"
             )
-        return cores
 
     def vectors(
         self, mapping: dict[str, int], order: dict[int, list[str]]
@@ -348,6 +382,27 @@ class SystemDesign:
             tid = self.leaf_ids[seen.index(False)]
             raise SystemWcetError(f"task {tid!r} is mapped but missing from the core order")
         return cores, rows
+
+    def bound(self, cores: list[int]) -> float:
+        """The WCET bound of mapping vector ``cores`` (the core of each task
+        index) under the default core order (:func:`default_rows` of
+        :attr:`topological`).
+
+        The bare fixed point (:func:`_solve`): equal to the makespan
+        :func:`system_level_wcet` reports for the same mapping and order,
+        but with no result key, result object or result-tier access, and
+        no memo (search candidates rarely repeat a mapping).  The
+        annealer and the genetic algorithm price every candidate with it.
+        Raises :class:`SystemWcetError` unless ``cores`` has one platform
+        core per task.
+        """
+        if len(cores) != len(self.leaf_ids):
+            raise SystemWcetError(
+                f"mapping vector has {len(cores)} entries for {len(self.leaf_ids)} tasks"
+            )
+        self._check_cores(cores)
+        rows = default_rows(self.topological, cores.__getitem__)
+        return _solve(self, cores, list(rows.items())).makespan
 
 
 class _TimelineBuilder:
@@ -481,47 +536,38 @@ def mhp_contenders_pruned(
     return contenders
 
 
-def system_level_wcet(
-    design: SystemDesign, mapping: dict[str, int], order: dict[int, list[str]]
-) -> SystemWcetResult:
-    """Contention-aware multi-core WCET of one mapping and core order of
-    ``design``.
+class _FixedPoint(NamedTuple):
+    """The outcome of one solve, over task indexes (see :func:`_solve`)."""
 
-    ``design.static_pruning`` enables the static interference analysis
-    (:mod:`repro.analysis.static_mhp`): dependence-ordered and
-    footprint-disjoint pairs are excluded from the contender skeleton once,
-    before the iteration, so every MHP pass (:func:`mhp_contenders_pruned`
-    instead of :func:`mhp_contenders`) runs over fewer pairs and the
-    resulting bound is never looser than the unpruned one (ordered
-    exclusions cannot change any count; footprint exclusions can only
-    lower counts).  Off (the default) is the differential oracle.  Pruned
-    results carry the skeleton in ``mhp_allowed`` and are memoized under
-    result keys distinct from unpruned ones.
+    starts: list[float]
+    finishes: list[float]
+    makespan: float
+    effective: list[float]
+    base: list[float]
+    shared: list[int]
+    contenders: list[int]
+    #: the static-MHP skeleton by task id; ``None`` when unpruned
+    allowed: "dict[str, tuple[str, ...]] | None"
+    communication_cycles: float
+    iterations: int
+    converged: bool
+    final_delta: float
+    #: the per-iteration max-delta curve; ``None`` while observability is off
+    deltas: "tuple[float, ...] | None"
 
-    Every call consults the result tier of ``design.cache``
-    (:class:`~repro.wcet.cache.SystemResultCache`), so a previously
-    analysed identical design point skips the fixed point (and the
-    per-task code-level analyses) entirely.  Code that must re-run the
-    fixed point clears ``design.cache.system_results.store`` first.  A
-    replayed result is re-checked by the pipeline's ``certify`` stage like
-    a fresh one.
 
-    The fixed point always starts cold (isolated WCETs, no contenders), so
-    every run lands on the same fixed point as any other run of the same
-    design point, memoized or not.
+def _solve(
+    design: SystemDesign, cores: list[int], rows: list[tuple[int, list[int]]]
+) -> _FixedPoint:
+    """The fixed point of mapping vector ``cores`` under the core ``rows``.
+
+    The one solve behind :func:`system_level_wcet` and
+    :meth:`SystemDesign.bound`.  It reads the design's tables only: it
+    derives no key, never touches the result tier and builds no result
+    dict.  Its ``fixed_point`` span and its ``fixed_point.*`` and ``mhp.*``
+    metrics therefore count every solve, search candidates included.  The
+    callers validate ``cores`` and ``rows``.
     """
-    # a malformed mapping or order fails here, whatever the result tier holds
-    cores, rows = design.vectors(mapping, order)
-
-    result_tier = design.cache.system_results
-    result_key = result_tier.result_key(design, mapping, order)
-    memoized = result_tier.get(result_key)
-    if obs.obs_enabled():
-        obs.metrics().counter(
-            "system_cache.hits" if memoized is not None else "system_cache.misses"
-        ).inc()
-    if memoized is not None:
-        return memoized
     leaf_ids = design.leaf_ids
     penalty_rows = list(map(design.penalties, cores))
     costs = list(map(design.cost, range(len(cores)), cores))
@@ -539,8 +585,8 @@ def system_level_wcet(
         from repro.analysis.static_mhp import compute_static_mhp
 
         relation = compute_static_mhp(
-            design.htg, design.function, mapping, sharers=[leaf_ids[i] for i in sharers],
-            store=design.cache.footprints,
+            design.htg, design.function, dict(zip(leaf_ids, cores)),
+            sharers=[leaf_ids[i] for i in sharers], store=design.cache.footprints,
         )
         allowed = relation.allowed
         allowed_rows = [tuple(map(design.index.__getitem__, allowed.get(t, ()))) for t in leaf_ids]
@@ -635,24 +681,84 @@ def system_level_wcet(
             for e, b, s, row, k in zip(effective, base, shared, penalty_rows, contenders)
         ]
         starts, finishes, makespan = timeline.build(effective)
+    return _FixedPoint(
+        starts,
+        finishes,
+        makespan,
+        effective,
+        base,
+        shared,
+        contenders,
+        allowed,
+        timeline.communication_cycles,
+        iterations,
+        converged,
+        final_delta,
+        tuple(deltas) if obs_on else None,
+    )
 
+
+def system_level_wcet(
+    design: SystemDesign, mapping: dict[str, int], order: dict[int, list[str]]
+) -> SystemWcetResult:
+    """Contention-aware multi-core WCET of one mapping and core order of
+    ``design``.
+
+    ``design.static_pruning`` enables the static interference analysis
+    (:mod:`repro.analysis.static_mhp`): dependence-ordered and
+    footprint-disjoint pairs are excluded from the contender skeleton once,
+    before the iteration, so every MHP pass (:func:`mhp_contenders_pruned`
+    instead of :func:`mhp_contenders`) runs over fewer pairs and the
+    resulting bound is never looser than the unpruned one (ordered
+    exclusions cannot change any count; footprint exclusions can only
+    lower counts).  Off (the default) is the differential oracle.  Pruned
+    results carry the skeleton in ``mhp_allowed`` and are memoized under
+    result keys distinct from unpruned ones.
+
+    Every call consults the result tier of ``design.cache``
+    (:class:`~repro.wcet.cache.SystemResultCache`), so a previously
+    analysed identical design point skips the fixed point (and the
+    per-task code-level analyses) entirely; a miss runs :func:`_solve` and
+    memoizes the result.  Code that must re-run the fixed point clears
+    ``design.cache.system_results.store`` first.  A replayed result is
+    re-checked by the pipeline's ``certify`` stage like a fresh one.
+
+    The fixed point always starts cold (isolated WCETs, no contenders), so
+    every run lands on the same fixed point as any other run of the same
+    design point, memoized or not.
+    """
+    # a malformed mapping or order fails here, whatever the result tier holds
+    cores, rows = design.vectors(mapping, order)
+
+    result_tier = design.cache.system_results
+    result_key = result_tier.result_key(design, mapping, order)
+    memoized = result_tier.get(result_key)
+    if obs.obs_enabled():
+        obs.metrics().counter(
+            "system_cache.hits" if memoized is not None else "system_cache.misses"
+        ).inc()
+    if memoized is not None:
+        return memoized
+    solved = _solve(design, cores, rows)
+    leaf_ids = design.leaf_ids
     result = SystemWcetResult(
-        makespan=makespan,
+        makespan=solved.makespan,
         task_intervals={
-            tid: Interval(start, end) for tid, start, end in zip(leaf_ids, starts, finishes)
+            tid: Interval(start, end)
+            for tid, start, end in zip(leaf_ids, solved.starts, solved.finishes)
         },
         task_cores=dict(mapping),
-        task_effective_wcet=dict(zip(leaf_ids, effective)),
-        task_contenders=dict(zip(leaf_ids, contenders)),
-        interference_cycles=sum(map(operator.sub, effective, base)),
-        communication_cycles=timeline.communication_cycles,
-        iterations=iterations,
-        converged=converged,
-        task_base_wcet=dict(zip(leaf_ids, base)),
-        task_shared_accesses=dict(zip(leaf_ids, shared)),
-        mhp_allowed=allowed,
-        final_delta=final_delta,
-        iteration_deltas=tuple(deltas) if obs_on else None,
+        task_effective_wcet=dict(zip(leaf_ids, solved.effective)),
+        task_contenders=dict(zip(leaf_ids, solved.contenders)),
+        interference_cycles=sum(map(operator.sub, solved.effective, solved.base)),
+        communication_cycles=solved.communication_cycles,
+        iterations=solved.iterations,
+        converged=solved.converged,
+        task_base_wcet=dict(zip(leaf_ids, solved.base)),
+        task_shared_accesses=dict(zip(leaf_ids, solved.shared)),
+        mhp_allowed=solved.allowed,
+        final_delta=solved.final_delta,
+        iteration_deltas=solved.deltas,
     )
     result_tier.put(result_key, result)
     return result

@@ -7,26 +7,26 @@ invisible:
 
 * result-cache keys equal the v5 key derivation (which v6 kept), written
   without the design
-  (:func:`reference_result_key` below), every key an annealer derives
-  through its shared design equals the key of a fresh design of the same
-  inputs, and each input the fixed point can observe changes the key while
-  dict insertion order does not;
+  (:func:`reference_result_key` below), the key of every candidate an
+  annealer prices through its shared design equals the key of a fresh
+  design of the same inputs, and each input the fixed point can observe
+  changes the key while dict insertion order does not;
 * the bisect-based unpruned MHP kernel equals the pairwise double loop
   (:func:`double_loop_contenders` below, on the kernels' index
   signature), and so does the pruned kernel given a skeleton that keeps
   every cross-core pair;
 * the annealer, the genetic algorithm and branch and bound return the same
   schedules whether their candidates share one design or each build a
-  fresh one, every candidate of a pipeline run is analysed through the one
-  design the ``schedule`` stage built, and every registered scheduler
-  honours that design's MHP mode;
+  fresh one, every candidate of a pipeline run is priced or analysed
+  through the one design the ``schedule`` stage built, and every
+  registered scheduler honours that design's MHP mode;
 * a result replayed from a tampered cache directory is refuted by the
   pipeline's certify stage;
 * a mapping or core order the analysis cannot honour raises
   :class:`~repro.wcet.system_level.SystemWcetError` instead of a number.
 
-The memoized HTG topological order that ``default_core_order`` reads per
-candidate is covered here too.
+The memoized HTG topological order that ``default_core_order`` and
+``SystemDesign.topological`` read is covered here too.
 """
 
 import hashlib
@@ -65,7 +65,6 @@ from repro.utils.graphs import topological_order
 from repro.utils.intervals import Interval
 from repro.wcet import CACHE_SCHEMA_VERSION, HardwareCostModel, WcetAnalysisCache
 from repro.wcet import system_level
-from repro.wcet.cache import SystemResultCache
 from repro.wcet.system_level import (
     SystemDesign,
     SystemWcetError,
@@ -234,26 +233,29 @@ def test_result_key_variants_match_reference(variant, monkeypatch):
 
 
 def test_annealer_keys_match_reference(monkeypatch):
-    """Every key an annealer derives through its shared design equals the
-    key of a fresh design of the same inputs and the reference."""
+    """The key of every candidate an annealer prices, derived through its
+    shared design under the default order in the order they were priced,
+    equals the key of a fresh design of the same inputs and the reference."""
     model, htg = usecase_htg("egpws", chunks=3)
     platform = recore_xentium_like()
-    seen = []
-    original = SystemResultCache.result_key
+    priced = []
+    original = SystemDesign.bound
 
-    def recording(self, design, mapping, order):
-        key = original(self, design, mapping, order)
-        seen.append((key, design, dict(mapping), {c: list(t) for c, t in order.items()}))
-        return key
+    def recording(self, cores):
+        priced.append((self, list(cores)))
+        return original(self, cores)
 
-    monkeypatch.setattr(SystemResultCache, "result_key", recording)
+    monkeypatch.setattr(SystemDesign, "bound", recording)
     shared = SystemDesign(htg, model.entry, platform, WcetAnalysisCache())
     simulated_annealing_schedule(shared, iterations=60, seed=3)
-    assert len(seen) > 30
+    assert len(priced) > 30
     tier = WcetAnalysisCache().system_results
-    for key, design, mapping, order in seen:
+    for design, cores in priced:
         assert design is shared
-        assert key == original(tier, SystemDesign(htg, model.entry, platform), mapping, order)
+        mapping = dict(zip(shared.leaf_ids, cores))
+        order = default_core_order(htg, mapping)
+        key = tier.result_key(shared, mapping, order)
+        assert key == tier.result_key(SystemDesign(htg, model.entry, platform), mapping, order)
         assert key == reference_result_key(htg, model.entry, platform, mapping, order)
 
 
@@ -444,22 +446,37 @@ def _run_search(scheduler, design):
     return schedule
 
 
-def _patch_evaluate_mapping(monkeypatch, fresh_design, designs):
-    """Record the design of every candidate; with ``fresh_design`` each
-    candidate is analysed through a fresh design of the same inputs."""
+def _patch_candidate_pricing(monkeypatch, fresh_design, designs):
+    """Record the design of every candidate, whether a search analyses it
+    (``evaluate_mapping``) or only prices it (``SystemDesign.bound``); with
+    ``fresh_design`` each candidate goes through a fresh design of the
+    same inputs."""
+
+    def fresh(design):
+        if not fresh_design:
+            return design
+        return SystemDesign(
+            design.htg, design.function, design.platform, design.cache,
+            static_pruning=design.static_pruning,
+        )
+
     for module in (metaheuristics, list_scheduler, bnb):
         original = module.evaluate_mapping
 
         def wrapper(design, *args, _original=original, **kwargs):
-            if fresh_design:
-                design = SystemDesign(
-                    design.htg, design.function, design.platform, design.cache,
-                    static_pruning=design.static_pruning,
-                )
+            design = fresh(design)
             designs.append(design)
             return _original(design, *args, **kwargs)
 
         monkeypatch.setattr(module, "evaluate_mapping", wrapper)
+    original_bound = SystemDesign.bound
+
+    def bound(self, cores):
+        design = fresh(self)
+        designs.append(design)
+        return original_bound(design, cores)
+
+    monkeypatch.setattr(SystemDesign, "bound", bound)
 
 
 def _search_case(scheduler, platform_name):
@@ -480,14 +497,15 @@ def test_shared_design_equals_fresh_designs(monkeypatch, scheduler, platform_nam
 
     with monkeypatch.context() as patch:
         shared_designs: list = []
-        _patch_evaluate_mapping(patch, fresh_design=False, designs=shared_designs)
+        _patch_candidate_pricing(patch, fresh_design=False, designs=shared_designs)
         searched = design()
         shared = _run_search(scheduler, searched)
     with monkeypatch.context() as patch:
         fresh_designs: list = []
-        _patch_evaluate_mapping(patch, fresh_design=True, designs=fresh_designs)
+        _patch_candidate_pricing(patch, fresh_design=True, designs=fresh_designs)
         fresh = _run_search(scheduler, design())
-    # every candidate of the shared run went through the one design searched
+    # every candidate of the shared run, priced or analysed, went through
+    # the one design searched
     assert len(shared_designs) > 3
     assert all(d is searched for d in shared_designs)
     assert len({id(d) for d in fresh_designs}) == len(fresh_designs) == len(shared_designs)
@@ -498,7 +516,7 @@ def test_shared_design_equals_fresh_designs(monkeypatch, scheduler, platform_nam
 @pytest.mark.parametrize("scheduler", ["simulated_annealing", "genetic", "bnb"])
 def test_every_candidate_gets_the_stage_design(monkeypatch, scheduler):
     """The ``schedule`` stage builds one design per run and every candidate
-    mapping the search evaluates is analysed through it."""
+    mapping the search prices or analyses goes through it."""
     built: list = []
 
     def recording_design(*args, **kwargs):
@@ -508,7 +526,7 @@ def test_every_candidate_gets_the_stage_design(monkeypatch, scheduler):
 
     monkeypatch.setattr(pipeline_module, "SystemDesign", recording_design)
     seen: list = []
-    _patch_evaluate_mapping(monkeypatch, fresh_design=False, designs=seen)
+    _patch_candidate_pricing(monkeypatch, fresh_design=False, designs=seen)
     cache = WcetAnalysisCache()
     config = ToolchainConfig(
         granularity="block", scheduler=scheduler, max_cores=2, static_pruning=True
@@ -547,8 +565,9 @@ def _mapped(usecase="polka", cores=4):
 
 
 def test_certified_replay_through_shared_design(tmp_path):
-    """An annealer's candidates replayed from disk through the stage's one
-    design certify clean; halved makespans on disk are refuted."""
+    """An annealer replayed from disk (its start schedule, its search record
+    and its winner) through the stage's one design certifies clean; halved
+    makespans on disk are refuted."""
     platform = generic_predictable_multicore(cores=4)
     config = ToolchainConfig(scheduler="simulated_annealing", certify=True)
 
@@ -565,12 +584,15 @@ def test_certified_replay_through_shared_design(tmp_path):
     assert replay.schedule.result.task_intervals == honest.schedule.result.task_intervals
     assert replay.system_wcet == honest.system_wcet
 
-    # tamper every result on disk alike, so the search still picks the same
-    # mapping and the certify stage sees the forged bound
+    # tamper every result on disk alike; the search record (which holds no
+    # bound) still replays the same winner, and the certify stage sees the
+    # forged bound
     vdir = tmp_path / "cache" / f"v{CACHE_SCHEMA_VERSION}"
     shard = next(vdir.glob("sys-entries*.jsonl"))
     records = [json.loads(line) for line in shard.read_text().splitlines()]
-    for record in records:
+    results = [record for record in records if "search" not in record]
+    assert len(records) - len(results) == 1
+    for record in results:
         record["makespan"] *= 0.5
     shard.write_text("\n".join(json.dumps(r) for r in records) + "\n")
     with pytest.raises(CertificationError) as excinfo:
