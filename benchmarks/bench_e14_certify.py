@@ -11,9 +11,9 @@ This experiment runs the full cold pipeline on each built-in use case,
 builds the certificate chain once, then times the **check pass** (the two
 ``check_*`` functions, which is the work a consumer of untrusted results
 repeats) against the end-to-end analysis wall clock.  Witness construction
-is reported alongside for context; it includes an independent IPET LP
-solve, which is producer-side work a certifying toolchain amortizes into
-its normal WCET analysis.
+is reported alongside for context; it includes an independent
+structured solve of the IPET LP, which is producer-side work a certifying
+toolchain amortizes into its normal WCET analysis.
 
 Acceptance: every chain is accepted, and checker overhead stays under 5%
 of the end-to-end analysis time on every use case.

@@ -291,7 +291,7 @@ def main(argv: list[str] | None = None) -> int:
             status += (
                 f"  [trace: {record['telemetry']['trace_files']} file(s), "
                 f"{counters.get('fixed_point.runs', 0)} fixed points, "
-                f"{counters.get('ipet.solves', 0)} LP solves]"
+                f"{counters.get('ipet.solves', 0)} IPET solves]"
             )
         if cache_dir is not None:
             after = read_cache_dir_stats(cache_dir, count_entries=False)

@@ -166,11 +166,12 @@ for serialization):
   refutes the claimed fixed point.
 * :class:`~repro.analysis.certify.IpetCertificate` -- the LP primal
   solution (per-edge counts), block costs, effective loop bounds, pinned
-  infeasible edges and, when available, semantic dual values.  The checker
-  rebuilds the CFG and re-verifies flow conservation, unit entry/exit
-  flow, loop bounds, flow-fact pins and the recomputed objective; with
-  duals it additionally proves *optimality* via reduced-cost feasibility
-  and a zero duality gap.
+  infeasible edges and semantic dual values, all from the structured solve
+  of the IPET LP.  The checker rebuilds the CFG and re-verifies flow
+  conservation, unit entry/exit flow, loop bounds, flow-fact pins and the
+  recomputed objective; from the duals it also proves *optimality*
+  (non-positive loop duals, reduced-cost feasibility, a zero duality gap),
+  and a witness without them is an error.
 * :class:`~repro.analysis.certify.ContentionCertificate` -- the static-MHP
   skeleton itself.  The checker re-proves every excluded cross-core
   sharer pair ordered (its own reachability search over the HTG edges) or

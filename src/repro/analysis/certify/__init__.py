@@ -10,8 +10,8 @@ the system-level analysis), re-prices every cross-core delay, and
 re-applies the interference equations once, rejecting any state they can
 still increase; the contention checker re-proves every pruned pair; the
 IPET checker rebuilds the CFG and re-verifies feasibility *and*
-optimality from the LP witness (flow conservation, loop bounds,
-objective, duality).
+optimality from the LP witness of the structured solve (flow
+conservation, loop bounds, objective, duality).
 
 The trust argument: a bug in a producer must now be *matched* by a
 compensating bug in its checker to slip through, and the pipeline's

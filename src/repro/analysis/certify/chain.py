@@ -106,7 +106,8 @@ def build_certificates(
     ``flow_facts`` optionally feeds the IPET re-computation (pass the facts
     the producing run used, e.g. from
     :func:`repro.analysis.wcet_facts.derive_flow_facts`); by default the
-    plain LP is certified, which keeps certification cheap.
+    plain IPET LP is certified, by one structured solve of the IPET LP and
+    its checker, both linear in the CFG.
     ``sequential_bound`` is the sequential bound the run reports for
     ``function`` on the platform's first core; given, the IPET checker
     compares it with the LP optimum.

@@ -1,10 +1,11 @@
 """IPET certificates: LP witness + independent checker.
 
-:func:`repro.wcet.ipet.ipet_wcet` retains its full LP solution on the
+:func:`repro.wcet.ipet.ipet_wcet` (a structured solve of the IPET LP)
+retains its primal and dual solution on the
 :class:`~repro.wcet.ipet.IpetResult`; :func:`build_ipet_certificate` lifts
 it into a serializable :class:`IpetCertificate` and
 :func:`check_ipet_certificate` re-verifies it against a **freshly rebuilt**
-CFG, sharing none of the producer's matrix-assembly code:
+CFG, sharing none of the producer's longest-path code:
 
 * the witness covers exactly the CFG's edges and every count is
   non-negative;
@@ -15,10 +16,12 @@ CFG, sharing none of the producer's matrix-assembly code:
 * every flow-fact-pinned edge really carries zero flow;
 * the objective recomputed from the claimed counts and block costs equals
   the reported WCET; and
-* when the solver exposed dual values, weak/strong duality is re-checked
-  arithmetically (dual feasibility via reduced costs, zero duality gap), so
-  the witness also proves *optimality* -- the claimed bound is not just a
-  feasible path length but the maximal one; and
+* weak/strong duality is re-checked arithmetically from the dual values
+  (loop duals non-positive, dual feasibility via reduced costs, zero
+  duality gap), so the witness also proves *optimality* -- the claimed
+  bound is not just a feasible path length but the maximal one.  A witness
+  without duals, or with duals that are malformed or do not cover every
+  row, proves nothing and is an error; and
 * when the certificate carries the sequential bound the run reports, that
   bound meets the optimum: IPET prices blocks by the structural analysis's
   rules, so without flow facts (no pinned edge, the CFG's declared loop
@@ -42,8 +45,8 @@ from dataclasses import dataclass
 from repro.analysis.report import AnalysisReport, Finding
 from repro.ir.cfg import build_cfg
 
-#: Looser than the schedule tolerance: LP solvers satisfy constraints to
-#: solver precision (~1e-9 relative), and the objective sums many terms.
+#: Looser than the schedule tolerance: the objective and the dual sums add
+#: many float terms, one per CFG edge.
 REL_EPS = 1e-6
 
 
@@ -71,7 +74,7 @@ class IpetCertificate:
     loop_bounds: dict[int, int]
     #: edge keys pinned to zero by flow facts
     infeasible_edges: frozenset[tuple[int, int, str]]
-    #: optimality witness (semantic dual values), or ``None``
+    #: optimality witness (semantic dual values); ``None`` is refuted
     duals: dict | None = None
     #: the sequential bound the run reports for the same function and core,
     #: or ``None`` when there is none to check
@@ -283,7 +286,13 @@ def check_ipet_certificate(
             )
 
     # -- optimality witness (duality) ------------------------------------ #
-    if cert.duals is not None:
+    if cert.duals is None:
+        fail(
+            "certify.ipet.dual-missing",
+            "witness carries no dual values: the claimed WCET is not proven "
+            "maximal",
+        )
+    else:
         _check_duals(cert, cfg, report, fail)
     return report
 
@@ -297,7 +306,9 @@ def _check_duals(cert: IpetCertificate, cfg, report: AnalysisReport, fail) -> No
     bounded loop header), LP duality for ``x >= 0`` requires reduced costs
     ``c - A_eq^T y_eq - A_ub^T y_ub >= 0`` and the dual objective
     ``b.y = y_entry + y_exit`` (every other right-hand side is 0) to equal
-    the primal optimum.
+    the primal optimum.  The loop rows are ``<=`` rows of a minimisation,
+    so their duals must be non-positive: a positive one turns a pinned back
+    edge's unchecked reduced cost into slack on the loop's entry edge.
     """
     duals = cert.duals
     try:
@@ -310,7 +321,6 @@ def _check_duals(cert: IpetCertificate, cfg, report: AnalysisReport, fail) -> No
             "certify.ipet.dual-malformed",
             "dual witness is not in the semantic {flow, entry, exit, loop} "
             "format",
-            severity="warning",
         )
         return
     interior = {
@@ -321,9 +331,16 @@ def _check_duals(cert: IpetCertificate, cfg, report: AnalysisReport, fail) -> No
             "certify.ipet.dual-coverage",
             "dual witness does not cover exactly the interior blocks and "
             "bounded loop headers",
-            severity="warning",
         )
         return
+    for bid, y in sorted(y_loop.items()):
+        if y > _tol(y):
+            fail(
+                "certify.ipet.dual-sign",
+                f"loop dual {y} is positive: the dual of a <= row of the "
+                "minimisation must be <= 0",
+                subject=f"BB{bid}",
+            )
     primal = cert.entry_cost - cert.wcet  # the min-problem optimum
     dual_objective = y_entry + y_exit
     if abs(primal - dual_objective) > _tol(primal, dual_objective):

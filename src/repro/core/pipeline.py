@@ -232,7 +232,7 @@ class PipelineResult:
 def _frontend_stage(context: PipelineContext) -> dict[str, Any]:
     model = compile_diagram(context.diagram)
     # Catch unbounded loops here with a diagnostic naming function and loop,
-    # instead of failing much later inside IPET with an opaque LP error.
+    # instead of failing much later inside IPET with an opaque error.
     problems = describe_unbounded_loops(model.entry)
     if problems:
         raise PipelineError(

@@ -3,7 +3,9 @@
 The CFG is consumed by the IPET-based WCET engine (:mod:`repro.wcet.ipet`),
 which formulates the worst-case path search as a linear program over basic
 block execution counts, exactly like binary-level analyzers do.  Because the
-IR is structured the CFG is reducible by construction.
+IR is structured the CFG is reducible by construction: if-diamonds and
+properly nested loops, which is what lets the engine solve that LP on the
+loop structure instead of calling an LP solver.
 """
 
 from __future__ import annotations

@@ -132,7 +132,7 @@ def describe_unbounded_loops(function) -> list[str]:
 
     Unlike :func:`check_all_loops_bounded` this never raises and names the
     function and the loop in each message, so front-end gates can report all
-    problems at once instead of failing later inside IPET with an opaque LP
+    problems at once instead of failing later inside IPET with an opaque
     error.  Uses :func:`repro.ir.statements.collect_loops` (not the loop
     forest, whose construction itself raises on the first unbounded loop).
     """

@@ -1,6 +1,6 @@
 """``repro.obs`` -- process-wide observability: span tracing + metrics.
 
-The toolchain's internals (fixed-point convergence, MHP pruning, LP solves,
+The toolchain's internals (fixed-point convergence, MHP pruning, IPET solves,
 cache tiers, certificate checkers, scheduler search) compute rich telemetry
 and used to discard it.  This package collects it behind one ambient switch.
 
@@ -25,7 +25,9 @@ Observability contract
   ``system_level_wcet`` call: an analysed schedule, never a priced
   candidate; search-record lookups count only in the tier's ``stats``),
   ``wcet_cache.hits`` / ``.disk_hits`` / ``.misses`` per pipeline run,
-  ``cache.evicted_*``, ``ipet.solves`` / ``.vars`` / ``.constraints``,
+  ``cache.evicted_*``, ``ipet.solves`` / ``.vars`` / ``.constraints``
+  (one per structured solve of the IPET LP; the size of the LP it solves:
+  edge count variables, and flow plus loop-bound rows),
   ``certify.<checker>.seconds`` / ``.ok`` / ``.findings`` (same
   checkers),
   ``scheduler.ready_set_max``, ``bnb.nodes`` / ``.leaves`` / ``.pruned``,

@@ -6,8 +6,10 @@
   analyses and the simulator read.
 * :mod:`repro.wcet.code_level` computes the isolated (contention-free) WCET
   and worst-case shared-access count of IR fragments / HTG tasks
-  structurally; the IPET longest-path formulation of :mod:`repro.wcet.ipet`
-  equals it without flow facts and can be tighter with them.
+  structurally; the structured solve of the IPET LP in
+  :mod:`repro.wcet.ipet` (a longest-path pass over the CFG's loop
+  structure, no LP solver) equals it without flow facts and can be tighter
+  with them.
 * :mod:`repro.wcet.system_level` adds shared-resource interference based on a
   may-happen-in-parallel analysis of the scheduled parallel program and the
   platform's interconnect cost model, iterated to a fixed point (one MHP
@@ -179,17 +181,17 @@ Certification contract (proof-carrying results)
 Two producers in this package emit witnesses for the independent checkers
 of :mod:`repro.analysis.certify`:
 
-* :func:`~repro.wcet.ipet.ipet_wcet` keeps its full LP solution on the
-  :class:`~repro.wcet.ipet.IpetResult` -- primal edge counts, block costs,
-  effective loop bounds, pinned infeasible edges and, when the solver
-  exposes marginals, *semantic* dual values (keyed by block id, never by
-  matrix row order).  The checker re-verifies feasibility against a
-  freshly rebuilt CFG and, with duals, optimality (reduced costs + zero
-  duality gap).  It does **not** re-derive the per-block cycle costs; those
+* :func:`~repro.wcet.ipet.ipet_wcet`, a structured solve of the IPET LP,
+  keeps its full LP solution on the :class:`~repro.wcet.ipet.IpetResult`
+  -- primal edge counts, block costs, effective loop bounds, pinned
+  infeasible edges and *semantic* dual values (keyed by block id, never by
+  a row order).  The checker re-verifies feasibility against a freshly
+  rebuilt CFG and, from the duals, optimality (non-positive loop duals,
+  reduced costs, zero duality gap); a witness without duals is refuted.  It does **not** re-derive the per-block cycle costs; those
   remain the hardware model's ground truth.  Because the block costs follow
   the structural analysis's rules, the optimum without flow facts *is* the
   sequential bound the pipeline reports, and the checker compares the two:
-  the reported bound must equal the optimum (within the LP tolerance), or,
+  the reported bound must equal the optimum (within the checker's tolerance), or,
   when flow facts tightened the LP, must not lie below it
   (``certify.ipet.sequential-bound-mismatch``).
 * :func:`~repro.wcet.system_level.system_level_wcet` carries the

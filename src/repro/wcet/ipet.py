@@ -2,7 +2,14 @@
 
 The classical formulation used by binary-level analyzers: maximise the sum of
 basic-block costs weighted by execution counts, subject to CFG flow
-conservation and loop-bound constraints, solved as a linear program.
+conservation and loop-bound constraints -- a linear program.  A
+binary-level analyzer hands that LP to a solver.  Here every CFG is lowered
+from structured IR (if-diamonds and properly nested loops), so
+:func:`ipet_wcet` does a structured solve of the IPET LP instead: one
+longest-path pass over the loop structure yields the optimum, an optimal
+vertex (edge counts) and an optimal dual solution, and the independent
+checker (:mod:`repro.analysis.certify.ipet_cert`) proves the pair optimal
+by LP duality without trusting the pass.
 
 :func:`block_costs` prices the blocks by the cost semantics of
 :mod:`repro.wcet.hardware_model`, spread over the CFG so that every rule is
@@ -32,14 +39,11 @@ so the bound with facts is provably no looser than the plain bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
-import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import coo_array
-
 from repro import obs
-from repro.ir.cfg import ControlFlowGraph, build_cfg
+from repro.ir.cfg import CFGEdge, ControlFlowGraph, build_cfg
 from repro.ir.program import Function
 from repro.ir.statements import For, While
 from repro.wcet.code_level import statement_wcet, _expr_cost
@@ -47,7 +51,9 @@ from repro.wcet.hardware_model import HardwareCostModel
 
 
 class IpetError(RuntimeError):
-    """Raised when the IPET linear program cannot be solved."""
+    """Raised when the structured solve of the IPET LP finds no optimum: a
+    loop without a (non-negative) trip-count bound, or flow facts that leave
+    no path from entry to exit."""
 
 
 @dataclass
@@ -73,7 +79,7 @@ class FlowFacts:
 
 @dataclass
 class IpetResult:
-    """Outcome of the IPET longest-path computation.
+    """Outcome of the structured solve of the IPET LP.
 
     Beyond the bound itself the result carries the **LP witness** consumed
     by the independent certificate checker
@@ -86,10 +92,11 @@ class IpetResult:
     * ``loop_bounds`` -- the *effective* per-header trip bounds actually
       constrained (declared bounds merged with flow facts);
     * ``infeasible_edges`` -- the edge keys pinned to ``x_e = 0``;
-    * ``duals`` -- the solver's dual values as an optimality witness, keyed
-      semantically (``flow`` per interior block id, ``entry``, ``exit``,
-      ``loop`` per header id) so a checker never depends on producer row
-      order.  ``None`` when the solver does not expose marginals.
+    * ``duals`` -- an optimal dual solution as the optimality witness,
+      keyed semantically (``flow`` per interior block id, ``entry``,
+      ``exit``, ``loop`` per loop-bound row) so a checker never depends on
+      a row order.  :func:`ipet_wcet` always fills it; the checker rejects
+      a witness without it.
     """
 
     wcet: float
@@ -133,11 +140,84 @@ def block_costs(
     return costs
 
 
-def _coo_matrix(triplets: list[tuple[int, int, float]], shape: tuple[int, int]) -> coo_array:
-    if not triplets:
-        return coo_array(shape)
-    rows, cols, values = zip(*triplets)
-    return coo_array((values, (rows, cols)), shape=shape)
+def _loop_structure(
+    cfg: ControlFlowGraph,
+) -> tuple[dict[int, list[CFGEdge]], dict[int, tuple[CFGEdge, CFGEdge]], list[int]]:
+    """The out-edges of every block, the ``(taken, exit)`` edges of every
+    loop header, and a post-order of the blocks over every edge but the back
+    edges (an explicit stack: synthetic models have thousands of blocks)."""
+    out: dict[int, list[CFGEdge]] = {block.bid: [] for block in cfg.blocks}
+    for edge in cfg.edges:
+        out[edge.src.bid].append(edge)
+    loops: dict[int, tuple[CFGEdge, CFGEdge]] = {}
+    for header in cfg.back_edges:
+        kinds = {edge.kind: edge for edge in out[header]}
+        loops[header] = (kinds["taken"], kinds["exit"])
+    order: list[int] = []
+    seen = {cfg.entry.bid}
+    stack = [(cfg.entry.bid, iter(out[cfg.entry.bid]))]
+    while stack:
+        bid, successors = stack[-1]
+        for edge in successors:
+            nxt = edge.dst.bid
+            if edge.kind != "back" and nxt not in seen:
+                seen.add(nxt)
+                stack.append((nxt, iter(out[nxt])))
+                break
+        else:
+            stack.pop()
+            order.append(bid)
+    return out, loops, order
+
+
+def _longest_paths(
+    out: dict[int, list[CFGEdge]],
+    loops: dict[int, tuple[CFGEdge, CFGEdge]],
+    order: list[int],
+    exit_bid: int,
+    costs: dict[int, float],
+    bounds: dict[int, int],
+    pinned: frozenset[tuple[int, int, str]],
+    dead: float,
+) -> tuple[dict[int, float], dict[int, CFGEdge], dict[int, float], dict[int, float]]:
+    """One longest-path pass over the unpinned edges, successors first.
+
+    ``value[v]`` (``V``) is the most the blocks entered on the way from
+    ``v`` to the end of its region can cost -- the exit at top level, the
+    header (through the back edge) inside a loop body -- or ``dead`` when
+    no unpinned path gets there.  Past itself a header ``h`` is worth
+    ``n * max(0, W) + E``: ``iteration[h]`` (``W``) is one iteration,
+    ``cost(b) + V(b)`` over its taken edge ``h -> b``, and ``leaving[h]``
+    (``E``) is ``cost(a) + V(a)`` over its exit edge ``h -> a``.  ``best``
+    holds the argmax out-edge of every other block.
+    """
+    value: dict[int, float] = {}
+    best: dict[int, CFGEdge] = {}
+    iteration: dict[int, float] = {}
+    leaving: dict[int, float] = {}
+    for bid in order:
+        loop = loops.get(bid)
+        if loop is not None:
+            taken, leave = loop
+            w = dead if taken.key in pinned else costs[taken.dst.bid] + value[taken.dst.bid]
+            e = dead if leave.key in pinned else costs[leave.dst.bid] + value[leave.dst.bid]
+            iteration[bid], leaving[bid] = w, e
+            value[bid] = bounds[bid] * max(0.0, w) + e
+            continue
+        top = 0.0 if bid == exit_bid else dead
+        choice = None
+        for edge in out[bid]:
+            if edge.key in pinned:
+                continue
+            head = edge.dst.bid
+            # a back edge ends its body's region: it enters only the header
+            gain = costs[head] if edge.kind == "back" else costs[head] + value[head]
+            if choice is None or gain > top:
+                top, choice = gain, edge
+        value[bid] = top
+        if choice is not None:
+            best[bid] = choice
+    return value, best, iteration, leaving
 
 
 def ipet_wcet(
@@ -145,10 +225,11 @@ def ipet_wcet(
     model: HardwareCostModel,
     flow_facts: FlowFacts | None = None,
 ) -> IpetResult:
-    """Compute the WCET of ``function`` through the IPET linear program.
+    """Compute the WCET of ``function`` by a structured solve of the IPET LP.
 
-    Variables: execution count ``x_e`` of every CFG edge.  Block counts are
-    derived as the sum of incoming edge counts.  Constraints:
+    The LP: variables are the execution counts ``x_e`` of the CFG edges
+    (block counts are the sums of incoming edge counts); it maximises
+    ``sum(block_cost * block_count)`` subject to
 
     * flow conservation at every block (in-flow == out-flow);
     * the entry block executes exactly once;
@@ -157,37 +238,34 @@ def ipet_wcet(
     * with ``flow_facts``: ``x_e = 0`` for statically infeasible edges, and
       loop bounds are tightened to ``min(declared, derived)``.
 
-    Objective: maximise ``sum(block_cost * block_count)``.
+    Its optimum is a longest path in which each loop header ``h`` entered
+    from outside is one node worth ``cost(h) + n * max(0, W(h)) + cost(a) +
+    V(a)`` (see :func:`_longest_paths`; ``n`` is the effective bound):
+    a loop runs its bound whenever an iteration is worth anything.  Blocks
+    that pinned edges cut from their region's end are worth a finite ``-M``,
+    ``M = 2 * (unpinned optimum + 1)``, so a negative value at the entry
+    means the facts leave no feasible path.
 
-    The constraint matrices are assembled sparse, in one pass over the CFG
-    edges: each edge (one column) emits its (row, column, value) entries
-    into the rows of the blocks it touches, and ``linprog`` receives them as
-    COO matrices.  The rows are numbered up front and never reordered: the
-    interior-block flow rows in ``cfg.blocks`` order, then the entry row,
-    then the exit row, and one loop-bound row per header in
-    ``effective_bounds`` order.  That order is the contract the duals are
-    read back by (they are then re-keyed by block, see :class:`IpetResult`).
+    The witness: the primal follows the argmax edges from the entry with
+    multiplicity ``m`` (``m * n`` through a loop body that runs); the duals
+    (the LP's, in its minimisation form with ``c_e = -cost(dst(e))``) are
+    ``entry = -V(entry)``, ``exit = 0``, ``loop[h] = -max(0, W(h))``,
+    ``flow[v] = V(v)`` at top level, ``flow[v] = flow[h] - max(0, W(h)) +
+    V(v)`` inside ``h``'s body, and ``flow[h] = cost(a) + flow[a]`` at a
+    header.  Every reduced cost is then non-negative and the duality gap
+    zero, which is what the certificate checker verifies.
     """
     # With flow facts a loop left unannotated by the front-end may still be
     # bounded by the facts, so defer the loop-bound check to the merge below.
     cfg = build_cfg(function, allow_unbounded=flow_facts is not None)
     edges = cfg.edges
-    if not edges:
-        raise IpetError(f"function {function.name!r} has an empty CFG")
-    edge_index: dict[tuple[int, int, str], int] = {}
-    for i, edge in enumerate(edges):
-        if edge.key in edge_index:
-            raise IpetError(
-                f"function {function.name!r} has duplicate CFG edge {edge.key}"
-            )
-        edge_index[edge.key] = i
-    num_vars = len(edges)
-
     costs = block_costs(cfg, function, model)
-    entry_cost = costs[cfg.entry.bid] if cfg.entry is not None else 0.0
+    entry, exit_bid = cfg.entry.bid, cfg.exit.bid
+    entry_cost = costs[entry]
 
     # Effective loop bounds: declared, tightened/completed by flow facts.
     effective_bounds = dict(cfg.loop_bounds)
+    pinned: frozenset[tuple[int, int, str]] = frozenset()
     if flow_facts is not None:
         known = {block.bid for block in cfg.blocks}
         for header_bid, bound in flow_facts.loop_bounds.items():
@@ -197,6 +275,7 @@ def ipet_wcet(
             effective_bounds[header_bid] = (
                 int(bound) if declared is None else min(declared, int(bound))
             )
+        pinned = flow_facts.infeasible_edges & {edge.key for edge in edges}
     unbounded = sorted(set(cfg.back_edges) - set(effective_bounds))
     if unbounded:
         raise IpetError(
@@ -204,115 +283,106 @@ def ipet_wcet(
             f"{', '.join(f'BB{b}' for b in unbounded)} have no declared or "
             "derived trip-count bound"
         )
+    negative = sorted(bid for bid, bound in effective_bounds.items() if bound < 0)
+    if negative:
+        raise IpetError(
+            f"function {function.name!r}: block(s) "
+            f"{', '.join(f'BB{b}' for b in negative)} have a negative "
+            "trip-count bound"
+        )
 
-    # Equality rows: flow conservation for every block except entry and
-    # exit, then entry out-flow == 1, then exit in-flow == 1.
-    interior = [b.bid for b in cfg.blocks if b is not cfg.entry and b is not cfg.exit]
-    flow_row = {bid: r for r, bid in enumerate(interior)}
-    entry_row, exit_row = len(interior), len(interior) + 1
-    b_eq = np.zeros(len(interior) + 2)
-    b_eq[entry_row] = b_eq[exit_row] = 1.0
-    # Inequality rows: back-edge count <= bound * entry-edge count of the
-    # header, i.e. back edges +1 and the header's other in-edges -bound.
-    ub_headers = list(effective_bounds)
-    loop_row = {bid: r for r, bid in enumerate(ub_headers)}
-
-    # Objective: block count = sum of incoming edges (entry handled separately).
-    c = np.zeros(num_vars)
-    eq: list[tuple[int, int, float]] = []  # (row, column, value) triplets
-    ub: list[tuple[int, int, float]] = []
-    for j, edge in enumerate(edges):
-        src, dst = edge.src, edge.dst
-        c[j] -= costs[dst.bid]
-        if dst.bid in flow_row:
-            eq.append((flow_row[dst.bid], j, 1.0))
-        if src.bid in flow_row:
-            eq.append((flow_row[src.bid], j, -1.0))
-        if src is cfg.entry:
-            eq.append((entry_row, j, 1.0))
-        if dst is cfg.exit:
-            eq.append((exit_row, j, 1.0))
-        if dst.bid in loop_row:
-            bound = effective_bounds[dst.bid]
-            if edge.kind == "back":
-                ub.append((loop_row[dst.bid], j, 1.0))
-            elif bound:  # a zero bound is a zero coefficient, which a matrix omits
-                ub.append((loop_row[dst.bid], j, -float(bound)))
-    a_eq = _coo_matrix(eq, (len(b_eq), num_vars))
-    a_ub = _coo_matrix(ub, (len(ub_headers), num_vars))
-
-    bounds: list[tuple[float, float | None]] = [(0, None)] * num_vars
-    pinned: set[tuple[int, int, str]] = set()
-    if flow_facts is not None:
-        for key in flow_facts.infeasible_edges:
-            i = edge_index.get(key)
-            if i is not None:
-                bounds[i] = (0, 0)
-                pinned.add(key)
-
+    interior = [b.bid for b in cfg.blocks if b.bid != entry and b.bid != exit_bid]
     if obs.obs_enabled():
         registry = obs.metrics()
         registry.counter("ipet.solves").inc()
-        registry.histogram("ipet.vars").observe(num_vars)
-        registry.histogram("ipet.constraints").observe(len(b_eq) + len(ub_headers))
-    with obs.span("ipet.solve", function=function.name, vars=num_vars):
-        result = linprog(
-            c,
-            A_eq=a_eq,
-            b_eq=b_eq,
-            A_ub=a_ub,
-            b_ub=np.zeros(len(ub_headers)),
-            bounds=bounds,
-            method="highs",
+        registry.histogram("ipet.vars").observe(len(edges))
+        registry.histogram("ipet.constraints").observe(
+            len(interior) + 2 + len(effective_bounds)
         )
-    if not result.success:
-        raise IpetError(f"IPET LP failed for {function.name!r}: {result.message}")
+    with obs.span("ipet.solve", function=function.name, vars=len(edges)):
+        out, loops, order = _loop_structure(cfg)
+        # Without pins every block reaches its region's end; with pins, the
+        # unpinned optimum sizes the finite value of a cut-off block.
+        solve = (out, loops, order, exit_bid, costs, effective_bounds)
+        value, best, iteration, leaving = _longest_paths(*solve, frozenset(), -math.inf)
+        if pinned:
+            dead = -2.0 * (entry_cost + value[entry] + 1.0)
+            value, best, iteration, leaving = _longest_paths(*solve, pinned, dead)
+        if value[entry] < 0.0:
+            raise IpetError(
+                f"IPET LP of {function.name!r} is infeasible: the flow facts "
+                "leave no path from entry to exit"
+            )
+
+        # Primal: the argmax edges from the entry, with multiplicities.
+        edge_counts = {edge.key: 0.0 for edge in edges}
+        stack = [(entry, 1.0)]
+        while stack:
+            bid, runs = stack.pop()
+            loop = loops.get(bid)
+            if loop is not None:
+                taken, leave = loop
+                edge_counts[leave.key] += runs
+                stack.append((leave.dst.bid, runs))
+                trips = runs * effective_bounds[bid]
+                if trips and iteration[bid] >= 0.0:
+                    edge_counts[taken.key] += trips
+                    stack.append((taken.dst.bid, trips))
+                continue
+            edge = best.get(bid)
+            if edge is not None:
+                edge_counts[edge.key] += runs
+                if edge.kind != "back":
+                    stack.append((edge.dst.bid, runs))
+
+        # Duals: a loop body's flow duals sit below its header's by one
+        # iteration's worth, so an offset per region, in topological order.
+        flow: dict[int, float] = {}
+        offset = {entry: 0.0}
+        for bid in reversed(order):
+            base = offset[bid]
+            loop = loops.get(bid)
+            if loop is not None:
+                taken, leave = loop
+                flow[bid] = base + leaving[bid]
+                offset[leave.dst.bid] = base
+                offset[taken.dst.bid] = flow[bid] - max(0.0, iteration[bid])
+                continue
+            flow[bid] = base + value[bid]
+            for edge in out[bid]:
+                if edge.kind != "back":
+                    offset[edge.dst.bid] = base
+        duals = {
+            "flow": {bid: flow[bid] for bid in interior},
+            "entry": -value[entry],
+            "exit": 0.0,
+            # a flow-fact bound on a block that heads no loop is a slack row
+            "loop": {
+                bid: -max(0.0, iteration[bid]) if bid in loops else 0.0
+                for bid in effective_bounds
+            },
+        }
 
     # Every block defaults to 0.0 so consumers never KeyError on blocks the
     # worst-case path does not reach; counts are the sum of incoming edges.
-    counts = result.x.tolist()
     block_counts: dict[int, float] = {block.bid: 0.0 for block in cfg.blocks}
-    for edge, count in zip(edges, counts):
-        block_counts[edge.dst.bid] += count
+    for edge in edges:
+        block_counts[edge.dst.bid] += edge_counts[edge.key]
     # The entry block executes once on function entry.  Only seed that count
     # when no edge flows into the entry: a back edge targeting the entry has
     # already been accumulated above, and seeding on top of it would double
     # count the entry block.
-    if block_counts[cfg.entry.bid] == 0.0:
-        block_counts[cfg.entry.bid] = 1.0
+    if block_counts[entry] == 0.0:
+        block_counts[entry] = 1.0
 
-    # Retain the full LP witness (primal counts; duals when HiGHS exposes
-    # marginals) so an independent checker can re-verify the solution
-    # without re-solving.  Duals are keyed by block semantics, never by the
-    # producer's matrix row order, which is read back here.
-    edge_counts = {edge.key: count for edge, count in zip(edges, counts)}
-    duals = None
-    eq_marginals = getattr(getattr(result, "eqlin", None), "marginals", None)
-    if eq_marginals is not None and len(eq_marginals) == len(b_eq):
-        duals = {
-            "flow": {bid: float(eq_marginals[i]) for i, bid in enumerate(interior)},
-            "entry": float(eq_marginals[entry_row]),
-            "exit": float(eq_marginals[exit_row]),
-            "loop": {},
-        }
-        ub_marginals = getattr(getattr(result, "ineqlin", None), "marginals", None)
-        if ub_marginals is not None and len(ub_marginals) == len(ub_headers):
-            duals["loop"] = {
-                bid: float(ub_marginals[i]) for i, bid in enumerate(ub_headers)
-            }
-        elif ub_headers:
-            # partial witness would make the checker's duality math wrong
-            duals = None
-
-    wcet = -float(result.fun) + entry_cost
     return IpetResult(
-        wcet=wcet,
+        wcet=entry_cost + value[entry],
         block_counts=block_counts,
         cfg=cfg,
         edge_counts=edge_counts,
         block_costs=costs,
         entry_cost=entry_cost,
-        loop_bounds=dict(effective_bounds),
-        infeasible_edges=frozenset(pinned),
+        loop_bounds=effective_bounds,
+        infeasible_edges=pinned,
         duals=duals,
     )

@@ -34,7 +34,7 @@ from repro.utils.intervals import Interval
 from repro.wcet.cache import CACHE_SCHEMA_VERSION, WcetAnalysisCache
 from repro.wcet.code_level import statement_wcet
 from repro.wcet.hardware_model import HardwareCostModel
-from repro.wcet.ipet import ipet_wcet
+from repro.wcet.ipet import FlowFacts, ipet_wcet
 from repro.wcet.system_level import SystemDesign
 
 
@@ -253,6 +253,84 @@ class TestIpetTamper:
         cert.edge_counts[(9999, 9998, "jump")] = 1.0
         report = check_ipet_certificate(cert, function=function)
         assert codes(report) == {"certify.ipet.edge-set-mismatch"}
+
+    @pytest.fixture(scope="class")
+    def cheap_arm(self):
+        """An ``if`` with a cheap and a dear arm, then a 4-trip loop (104
+        cycles on generic4 core 0), and a witness of the cheap arm with no
+        loop iteration (21 cycles): the LP's optimum once facts pin the dear
+        arm and the back edge."""
+        fb = FunctionBuilder("cheap_or_dear")
+        x = fb.input_array("x", (4,))
+        y = fb.output_array("y", (4,))
+        with fb.if_then(fb.at(x, 0) < 1.0):
+            fb.assign(fb.at(y, 0), 1.0)
+        with fb.orelse():
+            fb.assign(fb.at(y, 0), fb.call("sqrt", fb.at(x, 0)))
+        with fb.loop("i", 0, 4):
+            fb.assign(fb.at(y, 0), 2.0)
+        function = fb.build()
+        model = HardwareCostModel(generic_predictable_multicore(), 0)
+        honest = ipet_wcet(function, model)
+        cfg = honest.cfg
+        (header, tail), = cfg.back_edges.items()
+        dear = max(
+            (e for e in cfg.edges if e.src is cfg.entry),
+            key=lambda e: honest.block_costs[e.dst.bid],
+        )
+        back = (tail, header, "back")
+        cheap = ipet_wcet(
+            function, model, FlowFacts(infeasible_edges=frozenset({dear.key, back}))
+        )
+        assert cheap.wcet < honest.wcet
+        return function, cheap, header, back
+
+    def test_witness_without_duals_rejected(self, cheap_arm):
+        """A feasible cheap-arm flow, claimed without flow facts and with the
+        run's sequential bound lowered to it, checks out on every primal
+        count: only the missing optimality witness refutes it."""
+        function, cheap, _, _ = cheap_arm
+        cert = build_ipet_certificate(cheap, function.name, sequential_bound=cheap.wcet)
+        cert.infeasible_edges = frozenset()
+        cert.duals = None
+        report = check_ipet_certificate(cert, function=function)
+        assert codes(report) == {"certify.ipet.dual-missing"}
+
+    def test_positive_loop_dual_rejected(self, cheap_arm):
+        """Claim only the back edge pinned: a positive loop dual adds
+        ``bound x dual`` slack to the loop's entry edge (the pinned back edge,
+        whose reduced cost it would break, is never priced), so shifting the
+        flow duals before the loop down by that much keeps every reduced
+        cost non-negative and the gap zero.  Only the dual's sign refutes
+        the cheap claim."""
+        function, cheap, header, back = cheap_arm
+        cert = build_ipet_certificate(cheap, function.name, sequential_bound=cheap.wcet)
+        cert.infeasible_edges = frozenset({back})
+        cfg = cheap.cfg
+        before = {e.dst.bid for e in cfg.edges if e.src is cfg.entry} | {
+            e.src.bid for e in cfg.edges if e.dst.bid == header and e.kind != "back"
+        }
+        shift = cert.loop_bounds[header] * cheap.wcet
+        duals = dict(cert.duals, loop={header: cheap.wcet})
+        duals["flow"] = {
+            bid: y - shift if bid in before else y for bid, y in duals["flow"].items()
+        }
+        cert.duals = duals
+        report = check_ipet_certificate(cert, function=function)
+        assert codes(report) == {"certify.ipet.dual-sign"}
+
+    @pytest.mark.parametrize("damage", ["malformed", "uncovered"])
+    def test_incomplete_duals_rejected(self, ipet, damage):
+        function, result = ipet
+        cert = build_ipet_certificate(result, function.name)
+        cert.duals = dict(cert.duals)
+        if damage == "malformed":
+            del cert.duals["entry"]
+        else:
+            cert.duals["flow"] = dict(list(cert.duals["flow"].items())[1:])
+        report = check_ipet_certificate(cert, function=function)
+        code = "certify.ipet.dual-" + ("malformed" if damage == "malformed" else "coverage")
+        assert codes(report) == {code}
 
 
 # ---------------------------------------------------------------------- #

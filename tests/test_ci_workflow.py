@@ -1,7 +1,10 @@
-"""The CI tests job installs every third-party module the code imports."""
+"""The CI tests job installs every third-party module the code imports,
+and the product imports none of the test-only ones."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from importlib.metadata import packages_distributions
 from pathlib import Path
@@ -66,3 +69,20 @@ def test_ci_installs_every_third_party_import():
         and not {_normalise(d) for d in distributions.get(module, [module])} & installed
     }
     assert not missing, f"imported but not installed by the CI tests job: {missing}"
+
+
+def test_product_does_not_import_test_only_dependencies():
+    """scipy and networkx serve the tests' oracles only: importing the
+    package, the pipeline, the CLI and the certificate checkers in a fresh
+    interpreter loads neither."""
+    script = (
+        "import sys\n"
+        "import repro, repro.core.pipeline, repro.cli, repro.analysis.certify\n"
+        "print(sorted({'scipy', 'networkx'} & {m.split('.')[0] for m in sys.modules}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]", done.stdout + done.stderr

@@ -1,17 +1,28 @@
-"""The sparse IPET assembly against the dense reference it replaced, bit for bit.
+"""The structured IPET solve against the LP solver it replaced.
 
-:func:`dense_ipet_wcet` is the former row-by-row builder of
-:func:`repro.wcet.ipet.ipet_wcet`, kept verbatim as the oracle except that
-it finds a loop header by a scan of ``cfg.blocks``, records no metrics and
-takes its block costs from the product's :func:`~repro.wcet.ipet.block_costs`
-(this file checks the LP assembly; the costs are an input to both sides).
-It fills one dense row per interior block and per loop header by scanning
-every CFG edge.  The product assembles the same rows sparse in one pass;
-since rows, signs, right-hand sides and variable bounds are the same,
-HiGHS solves the same problem, so every witness field must match exactly
-(``==`` on floats, not approximately).
+:func:`dense_ipet_wcet` is the former row-by-row builder of the IPET LP,
+kept verbatim as the oracle except that it finds a loop header by a scan of
+``cfg.blocks``, records no metrics and takes its block costs from the
+product's :func:`~repro.wcet.ipet.block_costs` (the costs are an input to
+both sides).  It hands the LP to HiGHS through scipy, a test-only
+dependency.  The product, :func:`~repro.wcet.ipet.ipet_wcet`, solves the
+same LP on the CFG's loop structure without a solver.  Per case:
+
+* the objective's inputs (block costs, entry cost, effective loop bounds,
+  pinned edges) are equal exactly;
+* the optimum is the LP's within 1e-9 relative, and both sides raise
+  :class:`~repro.wcet.ipet.IpetError` together;
+* the product's witness carries duals and the independent checker accepts
+  it, which proves it optimal by LP duality;
+* its block counts are the in-flow sums of its own edge counts.
+
+Edge counts and duals are not compared: at ties the LP has several optimal
+vertices, and its dual solutions are not unique either.
 """
 
+import contextlib
+import random
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -29,16 +40,15 @@ from repro.usecases import ALL_USECASES
 from repro.usecases.workloads import random_pipeline_diagram
 from repro.wcet.cache import WcetAnalysisCache
 from repro.wcet.hardware_model import HardwareCostModel
-from repro.wcet.ipet import IpetError, IpetResult, block_costs, ipet_wcet
+from repro.wcet.code_level import statement_wcet
+from repro.wcet.ipet import FlowFacts, IpetError, IpetResult, block_costs, ipet_wcet
 
 PLATFORMS = {
     "generic4": lambda: generic_predictable_multicore(cores=4),
     "xentium": recore_xentium_like,
 }
 EXTRACTION = {"block": ("block", 1), "loop4": ("loop", 4), "loop6": ("loop", 6)}
-WITNESS = (
-    "wcet", "edge_counts", "block_counts", "duals", "loop_bounds", "infeasible_edges",
-)
+EXACT = ("block_costs", "entry_cost", "loop_bounds", "infeasible_edges")
 
 
 def dense_ipet_wcet(function, model, flow_facts=None) -> IpetResult:
@@ -259,20 +269,50 @@ def straight_line():
     return fb.build()
 
 
+def assert_accepted(result, function):
+    """The checker accepts the product's witness, duals included, and the
+    block counts are the in-flow sums of its edge counts (entry seeded 1)."""
+    assert result.duals is not None
+    report = check_ipet_certificate(
+        build_ipet_certificate(result, function.name), function=function
+    )
+    assert report.ok, [str(f) for f in report.findings]
+    assert report.checked["edges_checked"] == len(result.edge_counts)
+    assert report.checked["duals_checked"] == len(result.edge_counts)
+    in_flow = dict.fromkeys(result.block_counts, 0.0)
+    for (_, dst, _), count in result.edge_counts.items():
+        in_flow[dst] += count
+    entry = result.cfg.entry.bid
+    in_flow[entry] = in_flow[entry] or 1.0
+    assert result.block_counts == in_flow
+
+
+def assert_matches_lp(function, model, facts):
+    """The product against the LP oracle; ``None`` when both are infeasible."""
+    try:
+        oracle = dense_ipet_wcet(function, model, facts)
+    except IpetError:
+        oracle = None
+    try:
+        result = ipet_wcet(function, model, facts)
+    except IpetError:
+        result = None
+    assert (result is None) == (oracle is None), (result, oracle)
+    if result is None:
+        return None
+    for name in EXACT:
+        assert getattr(result, name) == getattr(oracle, name), name
+    assert result.wcet == pytest.approx(oracle.wcet, rel=1e-9, abs=0.0)
+    assert_accepted(result, function)
+    return result
+
+
 def assert_same_witness(function, platform, with_facts):
     model = HardwareCostModel(platform, platform.cores[0].core_id)
     facts = derive_flow_facts(function)[0] if with_facts else None
-    sparse = ipet_wcet(function, model, facts)
-    dense = dense_ipet_wcet(function, model, facts)
-    for name in WITNESS:
-        assert getattr(sparse, name) == getattr(dense, name), name
-    assert sparse.duals is not None
-    report = check_ipet_certificate(
-        build_ipet_certificate(sparse, function.name), function=function
-    )
-    assert report.ok, [str(f) for f in report.findings]
-    assert report.checked["edges_checked"] == len(sparse.edge_counts)
-    return sparse
+    result = assert_matches_lp(function, model, facts)
+    assert result is not None
+    return result
 
 
 @pytest.mark.parametrize("with_facts", [False, True], ids=["plain", "facts"])
@@ -303,6 +343,97 @@ def test_zero_loop_bound_matches_dense(with_facts):
     assert sorted(result.loop_bounds.values()) == [0, 8]
 
 
+def test_negative_loop_bound_raises_like_the_lp():
+    """A negative trip bound makes its loop unenterable in the LP; both
+    sides refuse the function when every path runs that loop."""
+    function = zero_trip()
+    header = min(build_cfg(function).back_edges)
+    facts = FlowFacts(loop_bounds={header: -1})
+    model = HardwareCostModel(_platform("generic4"), 0)
+    assert assert_matches_lp(function, model, facts) is None
+    with pytest.raises(IpetError, match="negative trip-count bound"):
+        ipet_wcet(function, model, facts)
+
+
 def test_loop_free_function_matches_dense():
     result = assert_same_witness(straight_line(), _platform("generic4"), False)
     assert result.loop_bounds == {}
+
+
+FUZZ_FUNCTIONS = [
+    (usecase, extraction, platform_name)
+    for usecase in sorted(ALL_USECASES)
+    for extraction in sorted(EXTRACTION)
+    for platform_name in sorted(PLATFORMS)
+]
+
+
+@lru_cache(maxsize=None)
+def _derived_facts(case):
+    return derive_flow_facts(_entry(*case))[0]
+
+
+def random_facts(case, rng, derived):
+    """0-6 pinned edges and some loop bounds tightened (0 included); on top
+    of the value-range analysis's facts when ``derived``."""
+    cfg = build_cfg(_entry(*case))
+    keys = [edge.key for edge in cfg.edges]
+    pinned = set(rng.sample(keys, rng.randint(0, min(6, len(keys)))))
+    bounds = {
+        header: rng.randint(0, declared)
+        for header, declared in cfg.loop_bounds.items()
+        if rng.random() < 0.3
+    }
+    if derived:
+        facts = _derived_facts(case)
+        pinned |= facts.infeasible_edges
+        for header, bound in facts.loop_bounds.items():
+            bounds[header] = min(bound, bounds.get(header, bound))
+    return FlowFacts(infeasible_edges=frozenset(pinned), loop_bounds=bounds)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_random_flow_facts_match_lp(seed):
+    """50 seeded draws per seed over the use-case entry functions: random
+    pins and tightened bounds, derived facts on every 5th draw; infeasible
+    draws must be infeasible on both sides."""
+    rng = random.Random(seed)
+    feasible = 0
+    for draw in range(50):
+        case = rng.choice(FUZZ_FUNCTIONS)
+        platform = _platform(case[2])
+        model = HardwareCostModel(platform, platform.cores[0].core_id)
+        facts = random_facts(case, rng, derived=draw % 5 == 4)
+        if assert_matches_lp(_entry(*case), model, facts) is not None:
+            feasible += 1
+    assert 0 < feasible < 50, feasible
+
+
+def deep_structure():
+    """3,000 sequential ifs, then a 40-deep loop nest."""
+    fb = FunctionBuilder("deep")
+    x = fb.input_array("x", (4,))
+    y = fb.output_array("y", (4,))
+    for k in range(3000):
+        with fb.if_then(fb.at(x, k % 4) < float(k)):
+            fb.assign(fb.at(y, k % 4), fb.at(x, (k + 1) % 4) * 2.0)
+        with fb.orelse():
+            fb.assign(fb.at(y, k % 4), fb.call("sqrt", fb.at(x, (k + 2) % 4)))
+    with contextlib.ExitStack() as nest:
+        for depth in range(40):
+            nest.enter_context(fb.loop(f"i{depth}", 0, 1 + depth % 2))
+        fb.assign(fb.at(y, 0), fb.at(x, 1) + 1.0)
+    return fb.build()
+
+
+def test_deep_structure_solves_without_recursion():
+    limit = sys.getrecursionlimit()
+    function = deep_structure()
+    platform = _platform("generic4")
+    model = HardwareCostModel(platform, platform.cores[0].core_id)
+    result = ipet_wcet(function, model)
+    assert sys.getrecursionlimit() == limit
+    assert len(result.edge_counts) > 12_000
+    structural = statement_wcet(function.body, function, model).total
+    assert result.wcet == pytest.approx(structural, rel=1e-9, abs=0.0)
+    assert_accepted(result, function)
