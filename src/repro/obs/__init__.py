@@ -20,7 +20,7 @@ Observability contract
   ``fixed_point.runs`` / ``.iterations`` / ``.not_converged`` /
   ``.final_delta`` / ``mhp.pairs_candidate`` / ``.pairs_kept`` /
   ``.pairs_pruned`` / ``.pairs_tested`` (every solve of the fixed point,
-  the candidates the annealer and the genetic algorithm price outside the
+  the candidates the annealer and branch and bound price outside the
   result tier included), ``system_cache.hits`` / ``.misses`` (one per
   ``system_level_wcet`` call: an analysed schedule, never a priced
   candidate; search-record lookups count only in the tier's ``stats``),

@@ -9,14 +9,19 @@ heuristics"; this package provides:
   driven by upward ranks computed from WCETs;
 * :func:`~repro.scheduling.bnb.branch_and_bound_schedule` -- an exact
   branch-and-bound mapper for small task graphs;
-* :mod:`~repro.scheduling.metaheuristics` -- simulated annealing and a genetic
-  algorithm for larger graphs;
+* :func:`~repro.scheduling.metaheuristics.simulated_annealing_schedule` --
+  simulated annealing for larger graphs;
 * :mod:`~repro.scheduling.baselines` -- the comparison points used by the
-  experiments (sequential, average-case-driven, contention-free);
+  experiments (sequential, average-case-driven);
 * :mod:`~repro.scheduling.registry` -- the plugin registry the pipeline's
-  ``schedule`` stage resolves ``ToolchainConfig.scheduler`` through.  The six
+  ``schedule`` stage resolves ``ToolchainConfig.scheduler`` through.  The five
   built-in schedulers self-register on import of this package; third parties
   add strategies with :func:`~repro.scheduling.registry.register_scheduler`.
+
+Branch and bound and the annealer price their candidate mappings one way,
+with :meth:`~repro.wcet.system_level.SystemDesign.bound`, and analyse only
+the schedule they return, through
+:func:`~repro.scheduling.schedule.evaluate_mapping`.
 """
 
 from repro.scheduling.registry import (
@@ -30,12 +35,8 @@ from repro.scheduling.registry import (
 from repro.scheduling.schedule import Schedule, ScheduleError, default_core_order, evaluate_mapping
 from repro.scheduling.list_scheduler import WcetAwareListScheduler
 from repro.scheduling.bnb import branch_and_bound_schedule
-from repro.scheduling.metaheuristics import simulated_annealing_schedule, genetic_schedule
-from repro.scheduling.baselines import (
-    sequential_schedule,
-    acet_driven_schedule,
-    contention_free_schedule,
-)
+from repro.scheduling.metaheuristics import simulated_annealing_schedule
+from repro.scheduling.baselines import sequential_schedule, acet_driven_schedule
 
 __all__ = [
     "RegisteredScheduler",
@@ -51,8 +52,6 @@ __all__ = [
     "WcetAwareListScheduler",
     "branch_and_bound_schedule",
     "simulated_annealing_schedule",
-    "genetic_schedule",
     "sequential_schedule",
     "acet_driven_schedule",
-    "contention_free_schedule",
 ]

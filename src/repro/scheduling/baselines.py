@@ -6,11 +6,7 @@
   execution times and ignores contention, the way an HPC-oriented
   parallelization would (paper Section III-C: parallel programs "written by
   HPC experts, who aim at improving average performance, and often ignore
-  predictability issues");
-* :func:`contention_free_schedule` -- a schedule that forbids any overlap
-  between tasks touching shared memory, trading hardware utilisation for zero
-  interference (the "constrain the execution to enforce the absence of
-  conflicts" alternative mentioned in Section III-C).
+  predictability issues").
 """
 
 from __future__ import annotations
@@ -42,35 +38,6 @@ def acet_driven_schedule(design: SystemDesign, max_cores: int | None = None) -> 
     schedule = scheduler.schedule(design)
     schedule.scheduler = "acet_list"
     return schedule
-
-
-def contention_free_schedule(design: SystemDesign, max_cores: int | None = None) -> Schedule:
-    """Parallel schedule in which shared-memory tasks never overlap.
-
-    Implemented by serialising every task that performs at least one shared
-    access into one global order (they are spread over the cores but execute
-    in mutual exclusion); tasks without shared accesses are scheduled freely
-    by the WCET-aware list scheduler.  The resulting system-level analysis
-    sees zero contenders for every task.
-    """
-    base = WcetAwareListScheduler(max_cores=max_cores).schedule(design)
-    mapping = dict(base.mapping)
-
-    # Re-derive a per-core order where all shared-access tasks follow one
-    # global topological chain; this is achieved by keeping the mapping but
-    # re-evaluating with an order in which shared tasks are serialised through
-    # artificial single-core placement of their "critical section".
-    shared_tasks = [
-        design.leaf_ids[i]
-        for i in design.topological
-        if design.cost(i, mapping[design.leaf_ids[i]])[1] > 0
-    ]
-    # Place all shared tasks on the first core (true mutual exclusion),
-    # remaining tasks keep their placement from the base schedule.
-    exclusive_core = design.core_ids[0]
-    for tid in shared_tasks:
-        mapping[tid] = exclusive_core
-    return evaluate_mapping(design, mapping, scheduler="contention_free")
 
 
 # ---------------------------------------------------------------------- #

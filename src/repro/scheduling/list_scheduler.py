@@ -20,7 +20,7 @@ Implementation notes (hot path):
 
 * every cost comes from one :class:`~repro.wcet.system_level.SystemDesign`,
   the pricing table the final system-level analysis (and, for the
-  annealer and the genetic algorithm, their whole search) reads too: task
+  annealer and branch and bound, their whole search) reads too: task
   WCETs and average-case costs per (task, core), filled once through the
   shared :class:`~repro.wcet.cache.WcetAnalysisCache`, shared-access
   penalty rows per core, and transfer delays per (payload, core pair);
@@ -81,8 +81,7 @@ class WcetAwareListScheduler:
         """Map and order ``design``'s HTG, returning an analysed schedule.
 
         The final analysis reads the same pricing table, so a search seeded
-        by this schedule (the annealer, the genetic algorithm) prices its
-        design point once.
+        by this schedule (the annealer) prices its design point once.
         """
         core_ids = design.core_ids[: self.max_cores]
         leaf_ids = design.leaf_ids

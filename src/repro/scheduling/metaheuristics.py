@@ -1,19 +1,21 @@
-"""Metaheuristic mappers: simulated annealing and a genetic algorithm.
+"""Metaheuristic mapping: simulated annealing.
 
-These cover the "advanced heuristics" half of the exact+heuristic combination
-the paper envisions for the NP-hard scheduling/mapping problem.  Both optimise
-the system-level WCET bound directly and are fully deterministic given a seed.
+This covers the "advanced heuristics" half of the exact+heuristic
+combination the paper envisions for the NP-hard scheduling/mapping problem
+(branch and bound, :mod:`~repro.scheduling.bnb`, is the exact half).  The
+annealer optimises the system-level WCET bound directly and is fully
+deterministic given a seed.
 
-Both search over task-index -> core vectors and price every candidate with
+It searches over task-index -> core vectors and prices every candidate with
 :meth:`~repro.wcet.system_level.SystemDesign.bound`: the bare fixed point
 under the default core order, without a result key, a result object or the
 result tier.  Few candidates repeat a mapping, so none is memoized: over
 the 60 design points of the use-case sweep (three use cases, five
 platforms, four granularities), 2.0% of the annealer's candidates repeat
-one of the same search and 4.2% of the genetic algorithm's (default
-parameters, seed 1).  The schedule a search returns is analysed once, in
-full, through :func:`~repro.scheduling.schedule.evaluate_mapping`.  The
-outcome of each search is one search record in the result tier
+one of the same search (default parameters, seed 1).  The schedule a
+search returns is analysed once, in full, through
+:func:`~repro.scheduling.schedule.evaluate_mapping`.  The outcome of each
+search is one search record in the result tier
 (:meth:`~repro.wcet.cache.SystemResultCache.memoized_search`), so a warm
 identical search runs no fixed point: it replays the winner, whose
 analysis is a result hit.
@@ -22,33 +24,12 @@ analysis is a result hit.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 from repro.scheduling.list_scheduler import WcetAwareListScheduler
 from repro.scheduling.registry import register_scheduler
 from repro.scheduling.schedule import Schedule, evaluate_mapping
 from repro.utils.rng import make_rng
 from repro.wcet.system_level import SystemDesign
-
-
-def _searched(
-    design: SystemDesign,
-    start: Schedule,
-    search: str,
-    params: dict,
-    run: Callable[[], "dict[str, int] | None"],
-) -> Schedule:
-    """The schedule a search from ``start`` returns: its winner (``run()``
-    gives the winning mapping, ``None`` when ``start`` won), replayed from
-    the search record when the result tier holds one that maps the
-    design's tasks to the cores the search may use, and analysed."""
-    tier = design.cache.system_results
-    key = tier.search_key(design, start.mapping, start.order, search, params)
-    cores = design.core_ids[: params["max_cores"]]
-    winner = tier.memoized_search(key, run, design.leaf_ids, cores)
-    schedule = start if winner is None else evaluate_mapping(design, winner, scheduler=search)
-    schedule.scheduler = search
-    return schedule
 
 
 def simulated_annealing_schedule(
@@ -113,86 +94,19 @@ def simulated_annealing_schedule(
         "initial_temperature": initial_temperature,
         "seed": seed,
     }
-    schedule = _searched(design, start, "simulated_annealing", params, run)
+    # the winner is replayed from the search record when the result tier
+    # holds one that maps the design's tasks to the cores the search may use
+    tier = design.cache.system_results
+    key = tier.search_key(design, start.mapping, start.order, "simulated_annealing", params)
+    winner = tier.memoized_search(key, run, task_ids, core_ids)
+    schedule = start if winner is None else evaluate_mapping(design, winner)
+    schedule.scheduler = "simulated_annealing"
     schedule.metadata["iterations"] = float(iterations)
     return schedule
 
 
-def genetic_schedule(
-    design: SystemDesign,
-    max_cores: int | None = None,
-    population_size: int = 12,
-    generations: int = 15,
-    mutation_rate: float = 0.15,
-    seed: int | None = None,
-) -> Schedule:
-    """A small genetic algorithm over mappings (tournament selection,
-    single-point crossover, per-gene mutation).
-
-    Like the annealer, every fitness is ``design.bound`` of a genome, and
-    only the fittest genome is analysed in full."""
-    core_ids = design.core_ids[:max_cores]
-    task_ids = design.leaf_ids
-    seeded = WcetAwareListScheduler(max_cores=max_cores).schedule(design)
-    if len(core_ids) == 1 or len(task_ids) <= 1:
-        seeded.scheduler = "genetic"
-        return seeded
-
-    def run() -> dict[str, int]:
-        rng = make_rng(seed)
-
-        def random_genome() -> list[int]:
-            return [int(rng.integers(0, len(core_ids))) for _ in task_ids]
-
-        def fitness(genome: list[int]) -> float:
-            return design.bound([core_ids[g] for g in genome])
-
-        def fittest() -> int:
-            return min(range(len(population)), key=evaluated.__getitem__)
-
-        population = [[core_ids.index(seeded.mapping[tid]) for tid in task_ids]] + [
-            random_genome() for _ in range(population_size - 1)
-        ]
-        evaluated = [fitness(g) for g in population]
-        first = fittest()
-        best_bound, best = evaluated[first], population[first]
-
-        for _ in range(generations):
-            new_population: list[list[int]] = []
-            while len(new_population) < population_size:
-                # tournament selection of two parents
-                def pick() -> list[int]:
-                    i, j = rng.integers(0, len(population), size=2)
-                    return population[i] if evaluated[i] <= evaluated[j] else population[j]
-
-                mother, father = pick(), pick()
-                cut = int(rng.integers(1, len(task_ids))) if len(task_ids) > 1 else 1
-                child = mother[:cut] + father[cut:]
-                for g in range(len(child)):
-                    if rng.random() < mutation_rate:
-                        child[g] = int(rng.integers(0, len(core_ids)))
-                new_population.append(child)
-            population = new_population
-            evaluated = [fitness(g) for g in population]
-            generation_best = fittest()
-            if evaluated[generation_best] < best_bound:
-                best_bound, best = evaluated[generation_best], population[generation_best]
-        return {tid: core_ids[g] for tid, g in zip(task_ids, best)}
-
-    params = {
-        "max_cores": max_cores,
-        "population_size": population_size,
-        "generations": generations,
-        "mutation_rate": mutation_rate,
-        "seed": seed,
-    }
-    schedule = _searched(design, seeded, "genetic", params, run)
-    schedule.metadata["generations"] = float(generations)
-    return schedule
-
-
 # ---------------------------------------------------------------------- #
-# registry adapters (see repro.scheduling.registry)
+# registry adapter (see repro.scheduling.registry)
 # ---------------------------------------------------------------------- #
 @register_scheduler(
     "simulated_annealing", description="simulated annealing over task-to-core mappings"
@@ -200,7 +114,3 @@ def genetic_schedule(
 def _simulated_annealing_plugin(design: SystemDesign, config) -> Schedule:
     return simulated_annealing_schedule(design, max_cores=config.max_cores, seed=config.seed)
 
-
-@register_scheduler("genetic", description="genetic algorithm over task-to-core mappings")
-def _genetic_plugin(design: SystemDesign, config) -> Schedule:
-    return genetic_schedule(design, max_cores=config.max_cores, seed=config.seed)

@@ -2,7 +2,7 @@
 
 The pipeline's ``schedule`` stage resolves ``ToolchainConfig.scheduler`` by
 *name* through this registry instead of a hard-coded ``if/elif`` chain: the
-six built-in schedulers self-register on import of :mod:`repro.scheduling`,
+five built-in schedulers self-register on import of :mod:`repro.scheduling`,
 and third parties plug in new strategies with the :func:`register_scheduler`
 decorator -- no core module needs to change.
 

@@ -135,7 +135,7 @@ def default_core_order(htg: HierarchicalTaskGraph, mapping: dict[str, int]) -> d
 
     Tasks on each core execute in global topological order, which is always
     dependence-consistent (:func:`~repro.wcet.system_level.default_rows`,
-    which the metaheuristics' candidate pricing applies too).
+    which the searches' candidate pricing applies too).
     """
     tasks = (
         task.task_id
@@ -154,10 +154,10 @@ def evaluate_mapping(
     """Run the system-level WCET analysis of ``design`` on a mapping and
     wrap it (``order`` defaults to :func:`default_core_order`).
 
-    Every schedule a scheduler returns is analysed here: the list
-    scheduler's, each leaf of branch and bound, and the winner of the
-    annealer or the genetic algorithm, which price their other candidates
-    with :meth:`~repro.wcet.system_level.SystemDesign.bound` instead.  A
+    Every schedule a scheduler returns is analysed here, once: the list
+    scheduler's, and the winner of branch and bound or the annealer, which
+    price their candidates with
+    :meth:`~repro.wcet.system_level.SystemDesign.bound` instead.  A
     scheduler passes its one design to every call, so the design point is
     priced once.
     """

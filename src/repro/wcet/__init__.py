@@ -103,10 +103,10 @@ same memos); additionally:
   larger of its arms' counts (v5 kept the count of the arm with more
   cycles, which can be lower), so v5 code-level entries and the result
   records built on them may carry an unsafe count and are retired.
-* The annealer and the genetic algorithm price their candidates with
-  :meth:`~repro.wcet.system_level.SystemDesign.bound`, outside the tier,
-  and keep one **search record** per search in the result tier's store
-  (:meth:`~repro.wcet.cache.SystemResultCache.memoized_search`): the
+* The annealer and branch and bound price their candidates with
+  :meth:`~repro.wcet.system_level.SystemDesign.bound`, outside the tier.
+  The annealer keeps one **search record** per search in the result tier's
+  store (:meth:`~repro.wcet.cache.SystemResultCache.memoized_search`): the
   winning mapping, or a mark that the start schedule won, under a key
   digesting the start schedule's result key, the design's task,
   topological and core orders, and the search's name and parameters.  A

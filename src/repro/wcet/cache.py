@@ -79,11 +79,14 @@ All but the mapping, the ordering, the cap and the pruning flag depend
 only on the design point, so they are digested once per design into a key
 prefix.
 
-The same store also holds one *search record* per metaheuristic search
-(the annealer, the genetic algorithm): the winning mapping, or a mark that
-the start schedule won, under :meth:`SystemResultCache.search_key`.  The
-searches price their candidates without the tier, so a warm replay reads
-the record and analyses the winner only, which is itself a result hit.
+The same store also holds one *search record* per annealer search: the
+winning mapping, or a mark that the start schedule won, under
+:meth:`SystemResultCache.search_key`.  The annealer prices its candidates
+without the tier, so a warm replay reads the record and analyses the
+winner only, which is itself a result hit.  Branch and bound prices its
+leaves without the tier too, but keeps no search record: its statistics
+could not be replayed from one, so each search leaves one result, its
+winner's.
 
 Disk persistence
 ----------------

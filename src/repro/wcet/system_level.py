@@ -23,9 +23,9 @@ program (paper Section II-D).
 
 Design context, the solve and its two callers
 ---------------------------------------------
-A scheduler search (annealer, genetic algorithm, branch and bound)
-prices thousands of candidate mappings of one design point, and the list
-scheduler every (task, core) placement of it, so the analysis is split.
+A scheduler search (the annealer, branch and bound) prices thousands of
+candidate mappings of one design point, and the list scheduler every
+(task, core) placement of it, so the analysis is split.
 
 *Per design* (:class:`SystemDesign`, the one pricing table of the point),
 every table filled on first use: the leaf tasks and edges numbered once;
@@ -51,11 +51,12 @@ schedule: it derives the mapping and order part of the result key,
 consults the result tier and, on a miss, solves and builds the
 :class:`SystemWcetResult` dicts and
 :class:`~repro.utils.intervals.Interval` objects once, at the end.
-:meth:`SystemDesign.bound` prices a candidate of the annealer or the
-genetic algorithm: the bare makespan under the default core order, with
-no key, no result and no tier access.  Those searches analyse only the
-schedule they return through :func:`system_level_wcet`, and memoize their
-outcome as one search record (see :mod:`repro.scheduling.metaheuristics`).
+:meth:`SystemDesign.bound` prices a candidate of a search, an annealer
+move or a branch-and-bound leaf: the bare makespan under the default core
+order, with no key, no result and no tier access.  Both searches analyse
+only the schedule they return through :func:`system_level_wcet`; the
+annealer also memoizes its outcome as one search record (see
+:mod:`repro.scheduling.metaheuristics`).
 
 :func:`system_level_wcet`, :func:`contention_oblivious_bound` and the
 result key take the design and read everything else from it: the HTG,
@@ -392,7 +393,7 @@ class SystemDesign:
         :func:`system_level_wcet` reports for the same mapping and order,
         but with no result key, result object or result-tier access, and
         no memo (search candidates rarely repeat a mapping).  The
-        annealer and the genetic algorithm price every candidate with it.
+        annealer and branch and bound price every candidate with it.
         Raises :class:`SystemWcetError` unless ``cores`` has one platform
         core per task.
         """

@@ -9,8 +9,6 @@ from repro.scheduling import (
     WcetAwareListScheduler,
     acet_driven_schedule,
     branch_and_bound_schedule,
-    contention_free_schedule,
-    genetic_schedule,
     sequential_schedule,
     simulated_annealing_schedule,
 )
@@ -81,12 +79,6 @@ class TestBaselines:
         # by more than numerical noise (it optimises the reported metric)
         assert wcet.wcet_bound <= acet.wcet_bound * 1.01
 
-    def test_contention_free_has_zero_interference(self, case):
-        model, htg, platform = case
-        schedule = contention_free_schedule(SystemDesign(htg, model.entry, platform))
-        schedule.validate(htg, platform)
-        assert schedule.result.interference_cycles == 0.0
-
 
 class TestExactAndMetaheuristics:
     def test_bnb_optimal_not_worse_than_heuristic(self):
@@ -111,14 +103,6 @@ class TestExactAndMetaheuristics:
         annealed.validate(htg, platform)
         assert annealed.wcet_bound <= start.wcet_bound + 1e-6
 
-    def test_genetic_produces_valid_schedule(self):
-        model, htg, platform = make_case(num_kernels=5, chunks=1, seed=3)
-        schedule = genetic_schedule(
-            SystemDesign(htg, model.entry, platform), population_size=6, generations=4, seed=7
-        )
-        schedule.validate(htg, platform)
-        assert schedule.wcet_bound > 0
-
     def test_metaheuristics_deterministic_given_seed(self):
         # exact equality: a memo leaking from one search into the next (the
         # second run also replays the first one's result-tier entries) would
@@ -131,13 +115,11 @@ class TestExactAndMetaheuristics:
             SystemDesign(htg, model.entry, platform), iterations=20, seed=11
         )
         assert (a.mapping, a.order, a.wcet_bound) == (b.mapping, b.order, b.wcet_bound)
-        c = genetic_schedule(
-            SystemDesign(htg, model.entry, platform), population_size=6, generations=4, seed=7
+        c, c_stats = branch_and_bound_schedule(SystemDesign(htg, model.entry, platform), max_cores=2)
+        d, d_stats = branch_and_bound_schedule(SystemDesign(htg, model.entry, platform), max_cores=2)
+        assert (c.mapping, c.order, c.wcet_bound, c.metadata, c_stats) == (
+            d.mapping, d.order, d.wcet_bound, d.metadata, d_stats
         )
-        d = genetic_schedule(
-            SystemDesign(htg, model.entry, platform), population_size=6, generations=4, seed=7
-        )
-        assert (c.mapping, c.order, c.wcet_bound) == (d.mapping, d.order, d.wcet_bound)
 
 
 class TestScheduleValidation:

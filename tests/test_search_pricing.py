@@ -1,15 +1,19 @@
-"""The metaheuristics price candidates with the bare fixed point, bit for bit.
+"""The searches price candidates with the bare fixed point, bit for bit.
 
-:func:`reference_simulated_annealing` and :func:`reference_genetic` are the
-former annealer and genetic-algorithm loops, kept verbatim as the oracle:
-they price every candidate with ``evaluate_mapping`` (result key, result
-tier, full ``SystemWcetResult``).  The product prices candidates with
+:func:`reference_simulated_annealing` and
+:func:`reference_branch_and_bound` are the former annealer and
+branch-and-bound loops, kept verbatim as the oracles: they price every
+candidate with ``evaluate_mapping`` (result key, result tier, full
+``SystemWcetResult``).  The product prices candidates with
 :meth:`~repro.wcet.system_level.SystemDesign.bound` over index vectors and
-analyses only the winner, so it must draw the same random numbers, accept
-the same moves and return the same schedule: equal
+analyses only the winner.  So the annealer must draw the same random
+numbers, accept the same moves and return the same schedule: equal
 :func:`schedule_fingerprint`, scheduler name and metadata, on the three
 use cases, two platform families, two granularities, three seeds, pruned
-and unpruned.  Also here:
+and unpruned.  Branch and bound must return the same schedule and
+:class:`~repro.scheduling.bnb.BnBStats`, pruned and unpruned, wherever
+every core is of one class (there its symmetry rule and lower bound are
+the former ones).  Also here:
 
 * ``design.bound(v)`` equals ``evaluate_mapping(design, mapping_of(v))
   .wcet_bound`` exactly on random vectors, and a malformed vector raises
@@ -20,9 +24,15 @@ and unpruned.  Also here:
 * every input of a search moves its search key, and search records share
   the result tier's store without ever being read as results; malformed
   ones are dropped on load, and a replayed winner that does not map the
-  design's tasks to the cores the search may use is searched again.
+  design's tasks to the cores the search may use is searched again;
+* a branch-and-bound search with more leaves than the result tier holds
+  leaves one result in it, its winner's;
+* branch and bound finds the optimum that an exhaustive pass of
+  ``design.bound`` over every core vector finds, on heterogeneous bus
+  platforms, a homogeneous one and a two-tile NoC.
 """
 
+import itertools
 import json
 import math
 from functools import lru_cache
@@ -31,16 +41,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import obs
-from repro.adl.platforms import generic_predictable_multicore, recore_xentium_like
+from repro.adl.platforms import (
+    generic_predictable_multicore,
+    kit_leon3_inoc,
+    recore_xentium_like,
+)
 from repro.frontend import compile_diagram
 from repro.htg import extract_htg
 from repro.htg.extraction import ExtractionOptions
-from repro.scheduling import genetic_schedule, simulated_annealing_schedule
+from repro.scheduling import branch_and_bound_schedule, simulated_annealing_schedule
+from repro.scheduling.bnb import BnBStats
 from repro.scheduling.list_scheduler import WcetAwareListScheduler
 from repro.scheduling.schedule import Schedule, evaluate_mapping
 from repro.usecases import ALL_USECASES
+from repro.usecases.workloads import synthetic_compiled_model
 from repro.utils.rng import make_rng
 from repro.wcet import CACHE_SCHEMA_VERSION, WcetAnalysisCache
+from repro.wcet.cache import MAX_SYSTEM_RESULTS
 from repro.wcet.system_level import SystemDesign, SystemWcetError
 
 PLATFORMS = {
@@ -98,70 +115,70 @@ def reference_simulated_annealing(
     return best
 
 
-def reference_genetic(
+def reference_branch_and_bound(
     design: SystemDesign,
     max_cores: int | None = None,
-    population_size: int = 12,
-    generations: int = 15,
-    mutation_rate: float = 0.15,
-    seed: int | None = None,
-) -> Schedule:
-    rng = make_rng(seed)
+    max_tasks: int = 14,
+) -> tuple[Schedule, BnBStats]:
+    topological = design.topological
+    if len(topological) > max_tasks:
+        raise ValueError(
+            f"branch and bound limited to {max_tasks} tasks, HTG has {len(topological)}"
+        )
     core_ids = design.core_ids[:max_cores]
-    task_ids = design.leaf_ids
-    seeded = WcetAwareListScheduler(max_cores=max_cores).schedule(design)
-    if len(core_ids) == 1 or len(task_ids) <= 1:
-        seeded.scheduler = "genetic"
-        return seeded
 
-    def random_genome() -> list[int]:
-        return [int(rng.integers(0, len(core_ids))) for _ in task_ids]
+    order = [design.leaf_ids[i] for i in topological]
+    wcets = {tid: design.cost(i, core_ids[0])[0] for tid, i in zip(order, topological)}
+    total_work = sum(wcets.values())
 
-    def genome_of(mapping: dict[str, int]) -> list[int]:
-        return [core_ids.index(mapping[tid]) for tid in task_ids]
+    stats = BnBStats()
+    best_schedule: Schedule | None = None
+    best_bound = float("inf")
 
-    def mapping_of(genome: list[int]) -> dict[str, int]:
-        return {tid: core_ids[g] for tid, g in zip(task_ids, genome)}
+    def lower_bound(mapping: dict[str, int], next_index: int) -> float:
+        per_core: dict[int, float] = {c: 0.0 for c in core_ids}
+        for tid, core in mapping.items():
+            per_core[core] += wcets[tid]
+        assigned = sum(per_core.values())
+        remaining = total_work - assigned
+        return max(max(per_core.values(), default=0.0), (assigned + remaining) / len(core_ids))
 
-    def fitness(genome: list[int]) -> tuple[float, Schedule]:
-        schedule = evaluate_mapping(design, mapping_of(genome), scheduler="genetic")
-        return schedule.wcet_bound, schedule
+    def recurse(index: int, mapping: dict[str, int]) -> None:
+        nonlocal best_schedule, best_bound
+        stats.nodes_explored += 1
+        if index == len(order):
+            stats.leaves_evaluated += 1
+            schedule = evaluate_mapping(design, mapping, scheduler="bnb")
+            if schedule.wcet_bound < best_bound:
+                best_bound = schedule.wcet_bound
+                best_schedule = schedule
+            return
+        if lower_bound(mapping, index) >= best_bound:
+            stats.pruned += 1
+            return
+        tid = order[index]
+        used = sorted(set(mapping.values()))
+        candidates: list[int] = list(used)
+        for core in core_ids:
+            if core not in used:
+                candidates.append(core)
+                break
+        for core in candidates:
+            mapping[tid] = core
+            recurse(index + 1, mapping)
+            del mapping[tid]
 
-    population = [genome_of(seeded.mapping)] + [random_genome() for _ in range(population_size - 1)]
-    evaluated = [fitness(g) for g in population]
-    best_bound, best_schedule = min(evaluated, key=lambda e: e[0])
-
-    for _ in range(generations):
-        new_population: list[list[int]] = []
-        while len(new_population) < population_size:
-            # tournament selection of two parents
-            def pick() -> list[int]:
-                i, j = rng.integers(0, len(population), size=2)
-                return population[i] if evaluated[i][0] <= evaluated[j][0] else population[j]
-
-            mother, father = pick(), pick()
-            cut = int(rng.integers(1, len(task_ids))) if len(task_ids) > 1 else 1
-            child = mother[:cut] + father[cut:]
-            for g in range(len(child)):
-                if rng.random() < mutation_rate:
-                    child[g] = int(rng.integers(0, len(core_ids)))
-            new_population.append(child)
-        population = new_population
-        evaluated = [fitness(g) for g in population]
-        generation_best_bound, generation_best = min(evaluated, key=lambda e: e[0])
-        if generation_best_bound < best_bound:
-            best_bound, best_schedule = generation_best_bound, generation_best
-
-    best_schedule.scheduler = "genetic"
-    best_schedule.metadata["generations"] = float(generations)
-    return best_schedule
+    recurse(0, {})
+    assert best_schedule is not None
+    best_schedule.metadata["nodes_explored"] = float(stats.nodes_explored)
+    best_schedule.metadata["pruned"] = float(stats.pruned)
+    return best_schedule, stats
 
 
 SEARCHES = {
-    # (product, oracle, keyword arguments): shorter searches than the
-    # defaults, so the 144 oracle runs stay cheap
+    # (product, oracle, keyword arguments): a shorter search than the
+    # default, so the 72 oracle runs stay cheap
     "annealer": (simulated_annealing_schedule, reference_simulated_annealing, {"iterations": 100}),
-    "genetic": (genetic_schedule, reference_genetic, {"population_size": 8, "generations": 4}),
 }
 
 
@@ -260,7 +277,7 @@ def test_malformed_vector_raises(vector, message):
 @pytest.mark.parametrize("search", sorted(SEARCHES))
 def test_warm_search_replays_without_solving(tmp_path, search):
     product, _, kwargs = SEARCHES[search]
-    # a point where both searches beat their start schedule
+    # a point where the search beats its start schedule
     point = ("egpws", "loop3", "generic4", False)
     cold_cache = WcetAnalysisCache.open(tmp_path / "cache")
     cold = product(fresh_design(*point, cold_cache), seed=7, **kwargs)
@@ -294,7 +311,7 @@ def test_search_key_moves_with_every_search_input():
     keys = [
         key(),
         key(mapping=other.mapping, order=other.order),
-        key(search="genetic"),
+        key(search="tabu_search"),
         key(max_cores=2),
         key(iterations=100),
         key(initial_temperature=0.3),
@@ -360,7 +377,7 @@ def test_foreign_search_winner_is_searched_again(tmp_path, search, tamper):
     replayed: the search runs again, returns its own winner and overwrites
     the record."""
     product, _, kwargs = SEARCHES[search]
-    # a point where both searches beat their start schedule on two cores
+    # a point where the search beats its start schedule on two cores
     point = ("weaa", "loop3", "generic4", False)
     cold_cache = WcetAnalysisCache.open(tmp_path / "cache")
     cold = product(fresh_design(*point, cold_cache), max_cores=2, seed=7, **kwargs)
@@ -388,3 +405,97 @@ def test_foreign_search_winner_is_searched_again(tmp_path, search, tamper):
     assert set(warm.mapping.values()) <= {0, 1}
     assert counters.get("fixed_point.runs", 0) > 1
     assert warm_cache.system_results.store.entries[record["key"]] == {"search": True, "winner": won}
+
+
+# ---------------------------------------------------------------------- #
+# branch and bound: one pricing path, and the exhaustive optimum
+# ---------------------------------------------------------------------- #
+BNB_PLATFORMS = {
+    "generic2": lambda: generic_predictable_multicore(cores=2),
+    "generic3": lambda: generic_predictable_multicore(cores=3),
+    "generic4": lambda: generic_predictable_multicore(cores=4),
+    "kit_leon3_inoc": kit_leon3_inoc,
+    "leon3_2tiles": lambda: kit_leon3_inoc(mesh_width=2, mesh_height=1, cores_per_tile=1),
+    "xentium_2dsp_1ctl": lambda: recore_xentium_like(dsp_cores=2, control_cores=1),
+    "xentium_1dsp_2ctl": lambda: recore_xentium_like(dsp_cores=1, control_cores=2),
+}
+
+
+@lru_cache(maxsize=None)
+def synthetic(kernels, seed):
+    model = synthetic_compiled_model(num_kernels=kernels, vector_size=32, seed=seed)
+    return model, extract_htg(model, ExtractionOptions(granularity="block"))
+
+
+def bnb_design(model_name, platform_name, pruning=False):
+    """``e8-k<k>`` is E8's synthetic model of k kernels, any other name a use
+    case; both at block granularity."""
+    if model_name.startswith("e8-k"):
+        kernels = int(model_name[len("e8-k"):])
+        model, htg = synthetic(kernels, kernels)
+    else:
+        model, htg = compiled(model_name, "block")
+    return SystemDesign(
+        htg, model.entry, BNB_PLATFORMS[platform_name](), WcetAnalysisCache(), pruning
+    )
+
+
+#: designs whose cores are all of one class: E8's three models on two
+#: generic platforms, two use cases, and a 2x2 mesh of two-core tiles
+ONE_CLASS_POINTS = [
+    *((f"e8-k{k}", platform) for platform in ("generic2", "generic4") for k in (4, 6, 8)),
+    ("polka", "generic2"),
+    ("weaa", "generic2"),
+    ("e8-k4", "kit_leon3_inoc"),
+    ("e8-k6", "kit_leon3_inoc"),
+]
+
+
+@pytest.mark.parametrize("pruning", [False, True], ids=["unpruned", "pruned"])
+@pytest.mark.parametrize("model_name, platform_name", ONE_CLASS_POINTS)
+def test_bnb_equals_per_leaf_reference(model_name, platform_name, pruning):
+    want, want_stats = reference_branch_and_bound(bnb_design(model_name, platform_name, pruning))
+    got, got_stats = branch_and_bound_schedule(bnb_design(model_name, platform_name, pruning))
+    assert schedule_fingerprint(got) == schedule_fingerprint(want)
+    assert got_stats == want_stats
+    assert (got.result.mhp_allowed is not None) == pruning
+
+
+def test_bnb_search_keeps_one_result():
+    """The leaves are priced outside the result tier and the winner is
+    analysed once, so a search with more leaves than the tier holds leaves
+    one result in it instead of evicting every other one."""
+    design = bnb_design("e8-k8", "generic4")
+    with obs.observed():
+        before = obs.metrics_snapshot()
+        _, stats = branch_and_bound_schedule(design)
+        counters = obs.snapshot_delta(before, obs.metrics_snapshot())["counters"]
+    assert stats.leaves_evaluated > MAX_SYSTEM_RESULTS
+    assert len(design.cache.system_results) == 1
+    assert counters["system_cache.misses"] == 1
+    assert counters.get("system_cache.hits", 0) == 0
+    assert counters["fixed_point.runs"] == stats.leaves_evaluated + 1
+    assert counters["bnb.leaves"] == stats.leaves_evaluated
+
+
+@pytest.mark.parametrize("kernels", [3, 4, 5, 6])
+@pytest.mark.parametrize(
+    "platform_name", ["xentium_2dsp_1ctl", "xentium_1dsp_2ctl", "generic3", "leon3_2tiles"]
+)
+def test_bnb_finds_the_exhaustive_optimum(platform_name, kernels):
+    """Branch and bound returns the least ``design.bound`` of every core
+    vector.  The xentium platforms have two core classes with different
+    cost tables, so a search that treats every core as interchangeable, or
+    prices every task on the first core, misses the optimum there."""
+    missed = []
+    for seed in (kernels, kernels + 10, kernels + 20):
+        model, htg = synthetic(kernels, seed)
+        design = SystemDesign(htg, model.entry, BNB_PLATFORMS[platform_name](), WcetAnalysisCache())
+        optimum = min(
+            design.bound(list(cores))
+            for cores in itertools.product(design.core_ids, repeat=len(design.leaf_ids))
+        )
+        schedule, _ = branch_and_bound_schedule(design)
+        if schedule.wcet_bound != optimum:
+            missed.append((seed, schedule.wcet_bound, optimum))
+    assert not missed

@@ -15,11 +15,11 @@ invisible:
   (:func:`double_loop_contenders` below, on the kernels' index
   signature), and so does the pruned kernel given a skeleton that keeps
   every cross-core pair;
-* the annealer, the genetic algorithm and branch and bound return the same
-  schedules whether their candidates share one design or each build a
-  fresh one, every candidate of a pipeline run is priced or analysed
-  through the one design the ``schedule`` stage built, and every
-  registered scheduler honours that design's MHP mode;
+* the annealer and branch and bound return the same schedules whether
+  their candidates share one design or each build a fresh one (both price
+  candidates with ``SystemDesign.bound``), every candidate of a pipeline
+  run is priced or analysed through the one design the ``schedule`` stage
+  built, and every registered scheduler honours that design's MHP mode;
 * a result replayed from a tampered cache directory is refuted by the
   pipeline's certify stage;
 * a mapping or core order the analysis cannot honour raises
@@ -53,7 +53,6 @@ from repro.ir.statements import Block
 from repro.scheduling import (
     available_schedulers,
     branch_and_bound_schedule,
-    genetic_schedule,
     get_scheduler,
     simulated_annealing_schedule,
 )
@@ -440,8 +439,6 @@ SEARCH_PLATFORMS = {
 def _run_search(scheduler, design):
     if scheduler == "annealer":
         return simulated_annealing_schedule(design, iterations=40, seed=9)
-    if scheduler == "genetic":
-        return genetic_schedule(design, population_size=6, generations=3, seed=4)
     schedule, _ = branch_and_bound_schedule(design, max_cores=2)
     return schedule
 
@@ -488,7 +485,7 @@ def _search_case(scheduler, platform_name):
 
 @pytest.mark.parametrize("pruning", [False, True], ids=["unpruned", "pruned"])
 @pytest.mark.parametrize("platform_name", sorted(SEARCH_PLATFORMS))
-@pytest.mark.parametrize("scheduler", ["annealer", "genetic", "bnb"])
+@pytest.mark.parametrize("scheduler", ["annealer", "bnb"])
 def test_shared_design_equals_fresh_designs(monkeypatch, scheduler, platform_name, pruning):
     model, htg, platform = _search_case(scheduler, platform_name)
 
@@ -513,7 +510,7 @@ def test_shared_design_equals_fresh_designs(monkeypatch, scheduler, platform_nam
     assert (shared.result.mhp_allowed is not None) == pruning
 
 
-@pytest.mark.parametrize("scheduler", ["simulated_annealing", "genetic", "bnb"])
+@pytest.mark.parametrize("scheduler", ["simulated_annealing", "bnb"])
 def test_every_candidate_gets_the_stage_design(monkeypatch, scheduler):
     """The ``schedule`` stage builds one design per run and every candidate
     mapping the search prices or analyses goes through it."""
