@@ -6,8 +6,9 @@ fixed point and the scheduler's placement work from scratch.  The
 system-level result tier (:class:`repro.wcet.cache.SystemResultCache`,
 reached through ``WcetAnalysisCache.system_results``) memoizes the whole
 fixed-point outcome on disk, keyed by the mapped-task fingerprints, the
-mapping/order, the platform's contention signature and the fixed-point
-knobs.
+mapping/order, the platform's content digest and the fixed-point knobs.
+The platform digest is the same for a fresh process's rebuilt platform, so
+the warm pass finds every cold key.
 
 This experiment runs one design-space sweep twice against the same fresh
 cache directory, using *fresh cache instances* for the warm pass exactly as

@@ -33,13 +33,16 @@ stage             what it reuses from ``context.prev``
 ``transforms``    nothing: the passes run again on the new IR
 ``htg``           the tasks and WCET annotations of every region whose
                   code fingerprint equals the summary's, when the
-                  previous run had the same platform signature (an
-                  unfingerprintable platform never matches),
+                  previous run had the same platform digest (the
+                  cache's per-platform memo, which result keys read
+                  too; an unfingerprintable platform never matches),
                   granularity and loop-chunk count; else it extracts
                   cold
 ``schedule``      nothing: the fixed point starts cold; the code-level
                   and system-result cache tiers answer what the edit
-                  left unchanged
+                  left unchanged (the result tier never answers on an
+                  unfingerprintable platform: such a design has no
+                  result key)
 ``parallel``      the race check's state (happens-before reachability,
                   per-pair findings): only pairs with a changed
                   endpoint are re-checked
@@ -77,17 +80,20 @@ def summarize_result(
     """The reuse summary of a finished run, as a JSON-able dict.
 
     Records the code fingerprint of every top-level region and the
-    platform's signature (``None`` when it cannot be fingerprinted):
-    everything :func:`diff_summaries` and the HTG stage of a later
-    :meth:`~repro.core.pipeline.Pipeline.run_incremental` compare.
+    platform's signature (``None`` when it cannot be fingerprinted), read
+    from the cache's per-platform memo
+    (:meth:`~repro.wcet.cache.WcetAnalysisCache.platform_digest`) that
+    result keys read too: everything :func:`diff_summaries` and the HTG
+    stage of a later :meth:`~repro.core.pipeline.Pipeline.run_incremental`
+    compare.
     """
-    from repro.wcet.cache import platform_signature, shared_cache
+    from repro.wcet.cache import shared_cache
 
     cache = cache if cache is not None else shared_cache()
     platform = result.artifacts.get("platform")
     return {
         "version": SUMMARY_VERSION,
-        "platform": platform_signature(platform) if platform is not None else None,
+        "platform": cache.platform_digest(platform) if platform is not None else None,
         "regions": {
             name: cache.region_fingerprint(block)
             for name, block in result.model.block_regions

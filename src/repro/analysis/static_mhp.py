@@ -89,15 +89,13 @@ def compute_static_mhp(
     mapping: dict[str, int],
     sharers: list[str],
     store: FootprintStore | None = None,
-    use_footprints: bool = True,
 ) -> StaticMhpRelation:
     """Compute the pruned contender skeleton for one design point.
 
     ``sharers`` are the mapped leaf tasks that make shared accesses: those
     with a non-zero code-level count on their core (the system-level
     analysis passes its own; for an analysed schedule, the tasks with
-    ``result.task_shared_accesses > 0``).  ``use_footprints=False``
-    restricts pruning to the (count-preserving) ordered pairs.
+    ``result.task_shared_accesses > 0``).
 
     Each task's kept sharers are one mask expression over the reachability
     bitsets -- cross-core sharers, minus ordered ones, intersected with the
@@ -107,12 +105,8 @@ def compute_static_mhp(
     store = store if store is not None else shared_cache().footprints
     leaf_ids = [t.task_id for t in htg.leaf_tasks() if t.task_id in mapping]
     reach = _enforced_reachability(htg, mapping)
-    footprints: dict[str, TaskFootprint] = {}
-    overlaps: dict[str, set[str]] = {}
-    if use_footprints:
-        for tid in leaf_ids:
-            footprints[tid] = store.footprint(function, htg.task(tid))
-        overlaps = address_overlaps(footprints)
+    footprints = {tid: store.footprint(function, htg.task(tid)) for tid in leaf_ids}
+    overlaps = address_overlaps(footprints)
 
     sharer_mask = 0
     sharers_on: dict[int, int] = {}
@@ -129,7 +123,7 @@ def compute_static_mhp(
         same = sharers_on.get(mapping[tid], 0) & ~(1 << i)
         cross = others & ~same
         unordered = cross & ~(reach.descendants[i] | reach.ancestors[i])
-        keep = unordered & reach.mask(overlaps[tid]) if use_footprints else unordered
+        keep = unordered & reach.mask(overlaps[tid])
         candidate += others.bit_count()
         same_core += same.bit_count()
         pruned_ordered += cross.bit_count() - unordered.bit_count()

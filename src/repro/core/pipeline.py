@@ -62,7 +62,7 @@ from repro.transforms import PassManager
 from repro.transforms.base import PassReport
 from repro.transforms.registry import PassContext, build_pass_pipeline
 from repro.wcet import HardwareCostModel
-from repro.wcet.cache import WcetAnalysisCache, platform_signature, shared_cache
+from repro.wcet.cache import WcetAnalysisCache, shared_cache
 from repro.wcet.code_level import analyze_function_wcet
 from repro.wcet.system_level import SystemDesign
 
@@ -284,7 +284,7 @@ def _htg_stage(context: PipelineContext) -> dict[str, Any]:
         and summary["platform"] is not None
         and prev.config.granularity == options.granularity
         and prev.config.loop_chunks == options.loop_chunks
-        and summary["platform"] == platform_signature(context.platform)
+        and summary["platform"] == context.wcet_cache.platform_digest(context.platform)
     ):
         # Regions whose code is unchanged keep the previous run's tasks,
         # WCET annotations included (same platform), so only the

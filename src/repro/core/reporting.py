@@ -82,7 +82,6 @@ def toolchain_summary(result: PipelineResult) -> str:
         f"parallel WCET    : {result.system_wcet:.0f} cycles",
         f"WCET speed-up    : {result.wcet_speedup:.2f}x",
         f"sync operations  : {result.parallel_program.num_sync_ops}",
-        f"comm volume      : {result.parallel_program.total_comm_bytes} bytes",
         f"shared footprint : {result.parallel_program.shared_footprint_bytes()} bytes",
     ]
     if schedule.result is not None:

@@ -2,12 +2,12 @@
 
 The scheduling result is turned into an explicitly parallel program: one task
 sequence per core, explicit signal/wait synchronisation on dependence edges
-that cross cores, communication buffers with a concrete shared-memory address
-map, and a C-like rendering of the per-core programs.
+that cross cores, a concrete shared-memory address map (consumers read their
+producers' shared signals in place), and a C-like rendering of the per-core
+programs.
 """
 
 from repro.parallel.model import (
-    CommBuffer,
     CoreProgram,
     ParallelProgram,
     SyncOp,
@@ -16,7 +16,6 @@ from repro.parallel.model import (
 from repro.parallel.codegen import parallel_program_to_c
 
 __all__ = [
-    "CommBuffer",
     "CoreProgram",
     "ParallelProgram",
     "SyncOp",

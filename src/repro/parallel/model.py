@@ -1,13 +1,20 @@
 """Construction of the explicit parallel program model.
 
-The parallel program makes three things explicit that the scheduling result
+The parallel program makes two things explicit that the scheduling result
 only implies (paper Section II-C):
 
 * synchronisation: every dependence edge whose endpoints live on different
   cores becomes a signal/wait pair over a dedicated flag;
-* communication: every such edge with a payload gets a communication buffer;
-* memory mapping: all shared objects (signal buffers, state, communication
-  flags) receive concrete addresses in the platform's shared memory.
+* memory mapping: all shared objects (the function's shared, input and
+  output declarations, and one flag per cross-core edge) receive concrete
+  addresses in the platform's shared memory.
+
+The program communicates in place: a consumer reads its producer's SHARED
+signal where the producer wrote it (the scratchpad pass keeps those signals
+shared), so no edge gets a buffer of its own.  The system-level analysis
+still charges each cross-core edge a transfer delay
+(:meth:`~repro.wcet.system_level.SystemDesign.delay`) until one
+communication model replaces it.
 """
 
 from __future__ import annotations
@@ -34,17 +41,6 @@ class SyncOp:
         return f"{self.kind}({self.flag}) [core {self.partner_core}]"
 
 
-@dataclass(frozen=True)
-class CommBuffer:
-    """A shared communication buffer backing a cross-core dependence edge."""
-
-    name: str
-    src_task: str
-    dst_task: str
-    size_bytes: int
-    address: int
-
-
 @dataclass
 class CoreProgram:
     """The ordered program of one core: tasks interleaved with sync ops."""
@@ -66,7 +62,6 @@ class ParallelProgram:
 
     name: str
     core_programs: dict[int, CoreProgram]
-    buffers: list[CommBuffer]
     #: Shared-object name -> (address, size) in the platform shared memory.
     memory_map: dict[str, tuple[int, int]]
     schedule: Schedule
@@ -75,10 +70,6 @@ class ParallelProgram:
     @property
     def num_sync_ops(self) -> int:
         return sum(len(cp.sync_ops()) for cp in self.core_programs.values())
-
-    @property
-    def total_comm_bytes(self) -> int:
-        return sum(b.size_bytes for b in self.buffers)
 
     def shared_footprint_bytes(self) -> int:
         return sum(size for _, size in self.memory_map.values())
@@ -117,9 +108,8 @@ def build_parallel_program(
     core_programs: dict[int, CoreProgram] = {
         core: CoreProgram(core_id=core, items=[]) for core in schedule.order
     }
-    buffers: list[CommBuffer] = []
 
-    # Cross-core edges become signal/wait pairs (and buffers when data flows).
+    # Cross-core edges become signal/wait pairs.
     cross_edges = [
         e
         for e in htg.edges
@@ -152,8 +142,8 @@ def build_parallel_program(
                     SyncOp("signal", flag_of_edge[(edge.src, edge.dst)], schedule.mapping[edge.dst], tid)
                 )
 
-    # Memory map: shared declarations of the function, then communication
-    # buffers, then synchronisation flags (one word each), all aligned.
+    # Memory map: shared declarations of the function, then synchronisation
+    # flags (one word each), all aligned.
     memory_map: dict[str, tuple[int, int]] = {}
     address = 0
 
@@ -164,22 +154,6 @@ def build_parallel_program(
         if decl.storage in (Storage.SHARED, Storage.INPUT, Storage.OUTPUT):
             memory_map[decl.name] = (address, decl.size_bytes)
             address = align(address + decl.size_bytes)
-
-    for i, edge in enumerate(cross_edges):
-        if edge.payload_bytes <= 0:
-            continue
-        name = f"comm_{i}_{edge.src}__{edge.dst}"
-        buffers.append(
-            CommBuffer(
-                name=name,
-                src_task=edge.src,
-                dst_task=edge.dst,
-                size_bytes=edge.payload_bytes,
-                address=address,
-            )
-        )
-        memory_map[name] = (address, edge.payload_bytes)
-        address = align(address + edge.payload_bytes)
 
     for flag in flag_of_edge.values():
         memory_map[flag] = (address, 4)
@@ -194,7 +168,6 @@ def build_parallel_program(
     program = ParallelProgram(
         name=f"{htg.name}_parallel",
         core_programs=core_programs,
-        buffers=buffers,
         memory_map=memory_map,
         schedule=schedule,
         platform_name=platform.name,

@@ -95,7 +95,9 @@ def simulated_annealing_schedule(
         "seed": seed,
     }
     # the winner is replayed from the search record when the result tier
-    # holds one that maps the design's tasks to the cores the search may use
+    # holds one that maps the design's tasks to the cores the search may
+    # use; a design without a result key (an unfingerprintable platform)
+    # searches and keeps no record
     tier = design.cache.system_results
     key = tier.search_key(design, start.mapping, start.order, "simulated_annealing", params)
     winner = tier.memoized_search(key, run, task_ids, core_ids)

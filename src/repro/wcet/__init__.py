@@ -17,8 +17,8 @@
   loop over the static-MHP skeleton for pruned ones).  Its
   :class:`~repro.wcet.system_level.SystemDesign` is the one handle of a
   design point: the inputs, cache and MHP mode every analysis of it reads,
-  and the integer-indexed pricing table the list scheduler, the solve
-  and the result key share.
+  and the integer-indexed pricing table the list scheduler and the solve
+  share.
 * :mod:`repro.wcet.cache` memoizes code-level results so the schedulers, the
   system-level fixed point and the cross-layer feedback loop analyse each
   distinct (code region, core cost signature) pair exactly once --
@@ -69,15 +69,34 @@ only inside one: the **system-level result tier**
 :func:`~repro.wcet.system_level.system_level_wcet`) and the **footprint
 tier** (:class:`~repro.analysis.footprints.FootprintStore`, reached through
 ``cache.footprints``).  Result keys embed the
-function/region fingerprints, the edge payloads, the mapping and per-core
-order, the per-core cost signatures, the shared-access penalty tables, the
-priced worst-case delay of every payload between every core pair and what
-steers the fixed point (its iteration cap
-:data:`~repro.wcet.system_level.MAX_ITERATIONS`, core count, pruning), so
-entries can never go stale and need no invalidation either.  The caller-cooperation
-rule above applies unchanged (the fingerprints and cost signatures are the
-same memos); additionally:
+function/region fingerprints, the edge payloads, the platform's content
+digest, the mapping and per-core order and what steers the fixed point
+(its iteration cap :data:`~repro.wcet.system_level.MAX_ITERATIONS`,
+pruning), so entries can never go stale and need no invalidation either.
+The caller-cooperation rule above applies unchanged (the fingerprints,
+cost signatures and platform digests are the same memos); additionally:
 
+* **One name per platform.**  A result key names the hardware by
+  :func:`~repro.wcet.cache.platform_signature`, the content digest of the
+  whole ADL description, computed once per platform object and memoized
+  on the cache (:meth:`~repro.wcet.cache.WcetAnalysisCache.platform_digest`);
+  the HTG stage's reuse check reads the same memo.  The digest pins every
+  price the fixed point reads, so a key prices nothing and its cost does
+  not grow with the core count.  It names every component class by
+  ``module.qualname``: same-named classes of different scopes never
+  collide, but two classes made by one factory function share a qualified
+  name, so platforms built from them must not share a cache.  A platform
+  with a component the digest cannot describe (a non-dataclass model)
+  gets no result key: its results and searches are never memoized, as
+  its regions are never reused.  Platforms that differ only in name,
+  description or clock rate share no results, which costs sharing, never
+  soundness.  Code-level keys keep their per-core cost signature
+  (identical cores of different platforms share entries), which also
+  names the processor's and the cost model's classes by ``module.qualname``.
+* These key changes came with **no schema bump**: a key derived the new
+  way cannot equal one derived the old way, so older v6 records are never
+  looked up and :meth:`~repro.wcet.cache.WcetAnalysisCache.evict` ages
+  them out; :data:`~repro.wcet.cache.CACHE_SCHEMA_VERSION` stays 6.
 * Every tier keeps its entries in one
   :class:`~repro.wcet.cache.MemoStore`, which counts hits, first-use disk
   hits and misses in the tier's ``stats``
@@ -108,8 +127,9 @@ same memos); additionally:
   The annealer keeps one **search record** per search in the result tier's
   store (:meth:`~repro.wcet.cache.SystemResultCache.memoized_search`): the
   winning mapping, or a mark that the start schedule won, under a key
-  digesting the start schedule's result key, the design's task,
-  topological and core orders, and the search's name and parameters.  A
+  digesting the start schedule's result key, the design's task and
+  topological orders, and the search's name and parameters (the platform
+  digest inside the start key pins the core order).  A
   warm identical search replays its winner, a result hit, and solves no
   fixed point.  Search records share the results' bound, shards and
   eviction; a malformed one is dropped on load, one whose winner does not
@@ -120,7 +140,7 @@ same memos); additionally:
 * An edit round (:meth:`repro.core.pipeline.Pipeline.run_incremental`)
   follows the same rule: every stage runs, and the HTG stage hands over a
   region's previous tasks and WCET annotations only under an equal region
-  fingerprint and an equal :func:`~repro.wcet.cache.platform_signature`;
+  fingerprint and an equal platform digest (the memo result keys read);
   a platform that cannot be fingerprinted is never reused.
 
 On-disk format and versioning

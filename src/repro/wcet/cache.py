@@ -67,17 +67,17 @@ System-level result tier
 * the fingerprints of the function and of every leaf task's statement
   region (the region fingerprints are the ones the code-level tier uses),
   and every edge between leaf tasks with its payload,
-* the platform's *contention signature*: every core's cost signature and
-  shared-access penalty row for every possible contender count, and the
-  worst-case priced delay of every payload between every ordered core pair
-  (which captures the interconnect/NoC transfer model),
+* the platform's content digest (:func:`platform_signature`), computed once
+  per platform object (:meth:`WcetAnalysisCache.platform_digest`): it pins
+  every price the fixed point reads -- cost signatures, shared-access
+  penalties, transfer delays -- without pricing anything,
 * the mapping and the per-core ordering, and
-* what steers the fixed point itself (its iteration cap, the number of
-  cores, static pruning).
+* what steers the fixed point itself (its iteration cap, static pruning).
 
 All but the mapping, the ordering, the cap and the pruning flag depend
 only on the design point, so they are digested once per design into a key
-prefix.
+prefix.  A platform that cannot be fingerprinted gives no key, so its
+results are never memoized.
 
 The same store also holds one *search record* per annealer search: the
 winning mapping, or a mark that the start schedule won, under
@@ -154,9 +154,10 @@ rely on those objects never changing once fingerprinted:
   function is a new object and its unchanged regions are the very objects
   the front end built, with still-valid memos.  Nothing needs invalidating.
 * **Platform, processor and cost-model objects** are treated as immutable
-  too (their cost signature is memoized per object).  Mutating one in place
-  requires :meth:`WcetAnalysisCache.clear`; building fresh objects is the
-  supported style and needs no invalidation at all.
+  too (their cost signatures and platform digests are memoized per
+  object).  Mutating one in place requires
+  :meth:`WcetAnalysisCache.clear`; building fresh objects is the supported
+  style and needs no invalidation at all.
 
 Everything else -- new functions, new platforms, new storage overrides,
 feedback iterations that recompile the model -- is handled transparently:
@@ -413,9 +414,10 @@ class MemoStore(Generic[V]):
         #: process share a directory
         self._token = uuid.uuid4().hex[:8]
 
-    def get(self, key: str) -> V | None:
-        """The entry under ``key``, or ``None`` (counted as a miss)."""
-        value = self.entries.get(key)
+    def get(self, key: str | None) -> V | None:
+        """The entry under ``key``, or ``None`` (counted as a miss; ``None``
+        is never a key, so a lookup without one misses)."""
+        value = self.entries.get(key) if key is not None else None
         if value is None:
             self.stats.misses += 1
             return None
@@ -606,6 +608,8 @@ class WcetAnalysisCache:
         self._declarations: dict[int, _DeclarationMemo] = {}
         #: id(HardwareCostModel) -> its cost-signature digest
         self._model_sigs: dict[int, str] = {}
+        #: id(Platform) -> its :func:`platform_signature` (``None`` included)
+        self._platform_digests: dict[int, str | None] = {}
         #: objects that could not be weakref'd, pinned so their ids stay valid
         self._pins: list = []
         #: the system-level result tier: shares these memos (so keys are
@@ -722,10 +726,15 @@ class WcetAnalysisCache:
         Covers every number the code-level analysis can observe through the
         model: the processor's operation cost table and control overheads,
         the core's scratchpad latencies, the platform's uncontended
-        shared-memory latencies and the storage overrides.  Identical cores
-        therefore share entries regardless of object identity, platform
-        instance or process -- which is what makes heterogeneous platforms
-        with repeated core types, and disk-backed sharing, work.
+        shared-memory latencies and the storage overrides.  It also names
+        the processor's class and the cost model's class (by
+        ``module.qualname``, as :func:`platform_signature` names every
+        component), whose methods turn that table into prices: a subclass
+        overriding ``cycles_for_op`` never shares the base class's entries.
+        Identical cores therefore share entries regardless of object
+        identity, platform instance or process -- which is what makes
+        heterogeneous platforms with repeated core types, and disk-backed
+        sharing, work.
         """
         cached = self._model_sigs.get(id(model))
         if cached is None:
@@ -736,6 +745,8 @@ class WcetAnalysisCache:
                 sorted((name, storage.name) for name, storage in model.storage_override.items())
             )
             signature = (
+                _qualified_name(type(proc)),
+                _qualified_name(type(model)),
                 tuple(sorted((op, float(c)) for op, c in proc.op_cycles.items())),
                 float(proc.branch_cycles),
                 float(proc.loop_overhead_cycles),
@@ -749,6 +760,15 @@ class WcetAnalysisCache:
                 self._model_sigs, model, _digest(json.dumps(signature, separators=(",", ":")))
             )
         return cached
+
+    def platform_digest(self, platform: "Platform") -> str | None:
+        """Memoized :func:`platform_signature` of ``platform`` (``None`` when
+        it cannot be fingerprinted): the one name of a platform's content
+        that result keys and the HTG stage's reuse check read."""
+        memo = self._platform_digests
+        if id(platform) in memo:
+            return memo[id(platform)]
+        return self._remember(memo, platform, platform_signature(platform))
 
     def entry_key(
         self,
@@ -1015,6 +1035,7 @@ class WcetAnalysisCache:
         self._region_fps.clear()
         self._declarations.clear()
         self._model_sigs.clear()
+        self._platform_digests.clear()
         self._pins.clear()
         self.system_results.store.clear()
         if self._footprints is not None:
@@ -1037,14 +1058,13 @@ class SystemResultCache:
     The second tier of the flow's result cache (see the module docstring):
     one entry is a complete :class:`~repro.wcet.system_level.SystemWcetResult`
     keyed by everything the fixed point can observe -- the function and
-    per-task region fingerprints, the edge payloads, the mapping, the
-    per-core ordering, the per-core cost signatures and shared-access
-    penalty tables, the priced worst-case delay of every payload between
-    every core pair, the core count, the iteration cap and the pruning
-    flag (see :meth:`result_key`).  Identical design points therefore
-    share entries across schedulers, processes and (when disk-backed)
-    machines, and a warm lookup skips the fixed point *and* the per-task
-    code-level analyses.
+    per-task region fingerprints, the edge payloads, the platform's content
+    digest, the mapping, the per-core ordering, the iteration cap and the
+    pruning flag (see :meth:`result_key`).  Identical design points
+    therefore share entries across schedulers, processes and (when
+    disk-backed) machines, and a warm lookup skips the fixed point *and*
+    the per-task code-level analyses.  A design on a platform that cannot
+    be fingerprinted has no key and is never memoized.
 
     The tier lives inside a cache, as :attr:`WcetAnalysisCache.system_results`:
     it derives keys through that cache's fingerprint memos, and its
@@ -1077,40 +1097,55 @@ class SystemResultCache:
         design: "SystemDesign",
         mapping: dict[str, int],
         order: dict[int, list[str]],
-    ) -> str:
-        """The stable content key of one system-level analysis of ``design``.
+    ) -> str | None:
+        """The stable content key of one system-level analysis of ``design``,
+        or ``None`` when its platform cannot be fingerprinted.
 
         The digest of two parts.  The per-design prefix is derived once per
         design point and kept in ``design.key_prefix``: the function
         fingerprint, each leaf task's region fingerprint (sorted by task
-        id), every edge between leaf tasks with its payload, the priced
-        delay of every payload x ordered core pair, every core's
-        cost-signature digest and shared-access penalty row, and the core
-        count.  A call adds the mapping vector in sorted-task order, the
-        non-empty core orders sorted by core, the fixed point's iteration
-        cap (:data:`~repro.wcet.system_level.MAX_ITERATIONS`) and
+        id), every edge between leaf tasks with its payload, and the
+        platform's content digest (:meth:`WcetAnalysisCache.platform_digest`,
+        one per platform object), which pins every price the fixed point
+        reads -- cost signatures, penalty rows, transfer delays -- and the
+        core ids and their order.  A call adds the mapping vector in
+        sorted-task order, the non-empty core orders sorted by core, the
+        fixed point's iteration cap
+        (:data:`~repro.wcet.system_level.MAX_ITERATIONS`) and
         ``design.static_pruning``; dict insertion order never enters the
         key.
 
-        The prefix grows with the square of the core count: it prices
-        payloads x C x (C - 1) delays and C penalty rows of C entries, all
-        on a design's first key.  Every design pays it whole, since a
-        search keys only its start schedule, its search record and its
-        winner (its candidates are priced with
-        :meth:`~repro.wcet.system_level.SystemDesign.bound`, which derives
-        no key): one cold key of a polka design (40 tasks, 2 payloads) on
-        ``recore_xentium_like`` took 2.3 ms at 9 cores, 34 ms at 65 and
-        111 ms at 129 (medians of 7, shared 2-vCPU x86 host).
+        A key prices nothing, so its cost does not grow with the core
+        count.  On the 60 use-case design points (three use cases on
+        generic2/4/8, ``recore_xentium_like`` and ``kit_leon3_inoc``, block
+        and loop x 2/3/4, their ``wcet_list`` schedules, one shared cache)
+        a fresh design's first key takes a median of 155-190 us, against
+        890-950 us while the prefix priced every payload on every ordered
+        core pair and every core's penalty row; the design's first solve,
+        which fills the pricing tables it reads, takes 420-530 us (5
+        passes).  A new polka loop x 4 design's first key on
+        ``recore_xentium_like``, with the platform digest memoized, takes
+        0.35, 0.38 and 0.41 ms at 9, 65 and 129 cores, against 1.3, 32 and
+        110 ms priced (medians of 7, shared 2-vCPU x86 host).
+
+        An unfingerprintable platform (see :func:`platform_signature`) gets
+        no key: a ``None`` digest in the prefix would let every such
+        platform share keys.  :meth:`get` treats ``None`` as a miss and
+        :meth:`put` stores nothing under it, so such a design's results
+        are never memoized, as its regions are never reused.
 
         A mapping the analysis would refuse raises
         :class:`~repro.wcet.system_level.SystemWcetError`.
         """
         from repro.wcet import system_level
 
+        cores_of = design.mapping_vector(mapping)
         prefix = design.key_prefix
         if prefix is None:
             fp, ids = self._fingerprints, design.leaf_ids
-            cores = sorted(design.core_ids)
+            platform = fp.platform_digest(design.platform)
+            if platform is None:
+                return None
             parts = {
                 "function": fp.function_fingerprint(design.function),
                 "tasks": [
@@ -1118,21 +1153,9 @@ class SystemResultCache:
                     for i in design.by_name
                 ],
                 "edges": sorted((ids[s], ids[d], payload) for s, d, payload in design.leaf_edges),
-                "delays": [
-                    (payload, s, d, design.delay(payload, s, d))
-                    for payload in sorted({payload for _, _, payload in design.leaf_edges} - {0})
-                    for s in cores
-                    for d in cores
-                    if s != d
-                ],
-                "cores": [
-                    (c, fp.model_signature_digest(design.model(c)), design.penalties(c))
-                    for c in cores
-                ],
-                "num_cores": design.num_cores,
+                "platform": platform,
             }
             prefix = design.key_prefix = _digest(json.dumps(parts, separators=(",", ":"), sort_keys=True))
-        cores_of = design.mapping_vector(mapping)
         call = [
             list(map(cores_of.__getitem__, design.by_name)),
             sorted((core, list(tids)) for core, tids in order.items() if tids),
@@ -1148,25 +1171,28 @@ class SystemResultCache:
         order: dict[int, list[str]],
         search: str,
         params: dict,
-    ) -> str:
+    ) -> str | None:
         """The content key of one metaheuristic search of ``design`` that
-        starts from the schedule ``(mapping, order)``.
+        starts from the schedule ``(mapping, order)``, or ``None`` when the
+        start schedule has no :meth:`result_key`.
 
         The digest of the start schedule's :meth:`result_key` (which pins
-        every input of the fixed point), the task, topological and core
-        orders of the design (the search's random draws index tasks and
-        cores in those orders, and every candidate runs in topological
-        order), the search's name and its ``params``.  A change to a
-        search's algorithm must bump
+        every input of the fixed point, the core ids and their order
+        included, through the platform digest), the task and topological
+        orders of the design (the search's random draws index tasks in the
+        first, and every candidate runs in the second), the search's name
+        and its ``params``.  A change to a search's algorithm must bump
         :data:`CACHE_SCHEMA_VERSION`, as a change to the analysis does.
         """
         start_key = self.result_key(design, mapping, order)
-        parts = [start_key, design.leaf_ids, design.topological, design.core_ids, search, params]
+        if start_key is None:
+            return None
+        parts = [start_key, design.leaf_ids, design.topological, search, params]
         return _digest(json.dumps(parts, separators=(",", ":"), sort_keys=True))
 
     def memoized_search(
         self,
-        key: str,
+        key: str | None,
         run: Callable[[], "dict[str, int] | None"],
         tasks: Collection[str],
         cores: Collection[int],
@@ -1182,7 +1208,8 @@ class SystemResultCache:
         winner must map exactly ``tasks``, each to one of ``cores``; one
         that does not (a record from a foreign or damaged cache directory)
         is searched again and overwritten, though its lookup counted as a
-        hit.
+        hit.  A search without a key (``None``) is a miss: it runs and
+        leaves no record.
         """
         record = self.store.get(key)
         if record is not None and "search" in record:
@@ -1193,7 +1220,8 @@ class SystemResultCache:
             if winner.keys() == set(tasks) and set(cores).issuperset(winner.values()):
                 return winner
         winner = run()
-        self.store.put(key, {"search": True, "winner": winner})
+        if key is not None:
+            self.store.put(key, {"search": True, "winner": winner})
         return winner
 
     # ------------------------------------------------------------------ #
@@ -1276,18 +1304,21 @@ class SystemResultCache:
             final_delta=float(record.get("final_delta", 0.0)),
         )
 
-    def get(self, key: str) -> "SystemWcetResult | None":
+    def get(self, key: str | None) -> "SystemWcetResult | None":
         """The cached result under ``key`` (a fresh object), or ``None``.
 
         A ``None`` return counts as a miss -- the caller is expected to run
-        the analysis and :meth:`put` the outcome.
+        the analysis and :meth:`put` the outcome.  A design without a key
+        (``key`` ``None``, see :meth:`result_key`) always misses.
         """
         record = self.store.get(key)
         return None if record is None or "search" in record else self._result_of(record)
 
-    def put(self, key: str, result: "SystemWcetResult") -> None:
-        """Memoize ``result`` under ``key`` (oldest entries drop past the bound)."""
-        self.store.put(key, self._record_of(result))
+    def put(self, key: str | None, result: "SystemWcetResult") -> None:
+        """Memoize ``result`` under ``key`` (oldest entries drop past the
+        bound); a ``None`` key stores nothing."""
+        if key is not None:
+            self.store.put(key, self._record_of(result))
 
     def __len__(self) -> int:
         return len(self.store)
@@ -1352,18 +1383,26 @@ class _Unfingerprintable(Exception):
     """A platform component content addressing cannot describe."""
 
 
+def _qualified_name(cls: type) -> str:
+    """``module.qualname`` of a class: how content digests name a type."""
+    return f"{cls.__module__}.{cls.__qualname__}"
+
+
 def _describe_component(obj):
     """JSON-able content description of one platform component.
 
-    Every dataclass level records its concrete type name, so a subclass
-    that overrides behaviour while keeping the base fields (a custom
-    processor model, say) can never digest identically to the base.
-    Anything that is neither a dataclass, a plain container nor a scalar is
-    refused -- a ``str()`` fallback would happily bake an address-bearing
-    ``repr`` into the digest and defeat content addressing.
+    Every dataclass level records its concrete type by ``module.qualname``,
+    so a subclass that overrides behaviour while keeping the base fields (a
+    custom processor model, say) can never digest identically to the base,
+    nor to a same-named class defined at module level or in another scope.
+    The rule names a class, not its code: two classes made by one factory
+    function share a qualified name, so platforms built from them must not
+    share a cache.  Anything that is neither a dataclass, a plain container
+    nor a scalar is refused -- a ``str()`` fallback would happily bake an
+    address-bearing ``repr`` into the digest and defeat content addressing.
     """
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        described = {"__type__": type(obj).__name__}
+        described = {"__type__": _qualified_name(type(obj))}
         for field_ in dataclasses.fields(obj):
             described[field_.name] = _describe_component(getattr(obj, field_.name))
         return described
@@ -1374,20 +1413,26 @@ def _describe_component(obj):
     if obj is None or isinstance(obj, (str, int, float, bool)):
         return obj
     if isinstance(obj, enum.Enum):
-        return f"{type(obj).__name__}.{obj.name}"
+        return f"{_qualified_name(type(obj))}.{obj.name}"
     raise _Unfingerprintable(type(obj).__name__)
 
 
 def platform_signature(platform: "Platform") -> str | None:
     """Content digest of everything a platform contributes to flow results.
 
-    The HTG stage of an incremental run compares it with the previous
-    run's (see :func:`repro.analysis.incremental.summarize_result`), so
-    reuse is keyed by platform *content* rather than object identity.  The
-    digest covers the full ADL description -- cores (processor timing models,
-    scratchpads, tiles), the shared memory, the interconnect and the
-    optional NoC -- including the concrete type of every nested component.
-    Returns ``None`` when any component cannot be introspected (a custom
+    The one name of a platform in the flow's keys: system-level result
+    keys embed it, and the HTG stage of an incremental run compares it with
+    the previous run's (see
+    :func:`repro.analysis.incremental.summarize_result`), both through the
+    per-object memo :meth:`WcetAnalysisCache.platform_digest`, so results
+    and reuse are keyed by platform *content* rather than object identity.
+    The digest covers the full ADL description -- cores (processor timing
+    models, scratchpads, tiles), the shared memory, the interconnect and
+    the optional NoC -- including the qualified type of every nested
+    component (see :func:`_describe_component`), and also names, descriptions
+    and clock rates that no analysis reads: platforms differing only in
+    those share nothing, which costs sharing, never soundness.  Returns
+    ``None`` when any component cannot be introspected (a custom
     non-dataclass model), in which case callers must treat the platform as
     unfingerprintable rather than risk a stale reuse.
     """

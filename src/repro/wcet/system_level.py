@@ -312,9 +312,10 @@ class SystemDesign:
         """Worst-case latency of ``payload`` bytes from core ``src`` to ``dst``
         with ``contenders`` contending cores (default: every other core).
 
-        The one edge pricing of the flow's analysis: the solve, its result
-        key, :func:`contention_oblivious_bound` and the list scheduler all
-        read it, so they cannot drift on payload or contender semantics.
+        The one edge pricing of the flow's analysis: the solve,
+        :func:`contention_oblivious_bound` and the list scheduler all read
+        it, so they cannot drift on payload or contender semantics.  The
+        result key does not: the platform digest in it pins every price.
         """
         if contenders is None:
             contenders = self.comm_contenders
@@ -720,7 +721,9 @@ def system_level_wcet(
     (:class:`~repro.wcet.cache.SystemResultCache`), so a previously
     analysed identical design point skips the fixed point (and the
     per-task code-level analyses) entirely; a miss runs :func:`_solve` and
-    memoizes the result.  Code that must re-run the fixed point clears
+    memoizes the result.  A design whose platform cannot be fingerprinted
+    has no result key, so it always solves and memoizes nothing.  Code
+    that must re-run the fixed point clears
     ``design.cache.system_results.store`` first.  A replayed result is
     re-checked by the pipeline's ``certify`` stage like a fresh one.
 

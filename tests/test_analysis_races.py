@@ -245,7 +245,6 @@ class TestGates:
                 0: CoreProgram(0, ["t1"]),
                 1: CoreProgram(1, ["t2"]),
             },
-            buffers=[],
             memory_map={},
             schedule=Schedule("h", dict([("t1", 0), ("t2", 1)]), {0: ["t1"], 1: ["t2"]}),
             platform_name="p",

@@ -304,16 +304,24 @@ def test_platform_change_dirties_the_transforms():
 
 
 def test_cold_run_computes_no_fingerprints(monkeypatch):
+    """A cold run builds no reuse summary, and digests its platform once:
+    its result keys read the digest through the cache's memo."""
     import repro.analysis.incremental as incremental
-    import repro.core.pipeline as pipeline_module
+    import repro.wcet.cache as cache_module
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("a cold run must not fingerprint anything")
+        raise AssertionError("a cold run must not build a reuse summary")
 
-    monkeypatch.setattr(pipeline_module, "platform_signature", forbidden)
+    digested = []
+    signature = cache_module.platform_signature
+    monkeypatch.setattr(
+        cache_module, "platform_signature", lambda p: digested.append(p) or signature(p)
+    )
     monkeypatch.setattr(incremental, "summarize_result", forbidden)
     monkeypatch.setattr(incremental, "diff_summaries", forbidden)
-    result = _pipeline().run(_diagram(seed=27))
+    pipe = _pipeline()
+    result = pipe.run(_diagram(seed=27))
+    assert digested == [pipe.platform]
     assert "incremental_report" not in result.artifacts
     assert set(result.cache_stats) == {"hits", "disk_hits", "misses"}
 

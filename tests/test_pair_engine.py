@@ -68,7 +68,7 @@ CASES = USECASES + ["synthetic-1", "synthetic-2", "synthetic-3"]
 # ---------------------------------------------------------------------- #
 # the pairwise oracles
 # ---------------------------------------------------------------------- #
-def static_mhp_oracle(htg, function, mapping, sharers, use_footprints=True):
+def static_mhp_oracle(htg, function, mapping, sharers):
     """``compute_static_mhp`` as a double loop over a networkx closure."""
     store = shared_cache().footprints
     leaf_ids = [t.task_id for t in htg.leaf_tasks() if t.task_id in mapping]
@@ -79,9 +79,7 @@ def static_mhp_oracle(htg, function, mapping, sharers, use_footprints=True):
             set(mapping),
             [(e.src, e.dst) for e in htg.edges if e.src in mapping and e.dst in mapping],
         )
-    footprints = {}
-    if use_footprints:
-        footprints = {tid: store.footprint(function, htg.task(tid)) for tid in leaf_ids}
+    footprints = {tid: store.footprint(function, htg.task(tid)) for tid in leaf_ids}
     allowed = {}
     counts = dict.fromkeys(
         ("candidate_pairs", "pruned_same_core", "pruned_ordered", "pruned_disjoint",
@@ -99,9 +97,7 @@ def static_mhp_oracle(htg, function, mapping, sharers, use_footprints=True):
             if (tid, other) in ordered or (other, tid) in ordered:
                 counts["pruned_ordered"] += 1
                 continue
-            if use_footprints and footprints_address_disjoint(
-                footprints[tid], footprints[other]
-            ):
+            if footprints_address_disjoint(footprints[tid], footprints[other]):
                 counts["pruned_disjoint"] += 1
                 continue
             keep.append(other)
@@ -488,14 +484,6 @@ class TestStaticMhpDifferential:
         allowed, counts = static_mhp_oracle(htg, model.entry, mapping, sharers)
         assert relation.allowed == allowed
         assert relation.as_dict() == counts
-        blind = compute_static_mhp(
-            htg, model.entry, mapping, sharers, use_footprints=False
-        )
-        allowed, counts = static_mhp_oracle(
-            htg, model.entry, mapping, sharers, use_footprints=False
-        )
-        assert blind.allowed == allowed
-        assert blind.as_dict() == counts
 
     @pytest.mark.parametrize("case", USECASES)
     def test_system_level_skeleton_matches_oracle(self, case):

@@ -11,7 +11,7 @@ from repro.adl.platforms import (
     recore_xentium_like,
 )
 from repro.core.config import ToolchainConfig
-from repro.core.pipeline import run_pipeline
+from repro.core.pipeline import Pipeline, run_pipeline
 from repro.frontend import compile_diagram
 from repro.htg import extract_htg
 from repro.htg.extraction import ExtractionOptions
@@ -19,7 +19,7 @@ from repro.ir.interpreter import run_function
 from repro.parallel import build_parallel_program, parallel_program_to_c
 from repro.scheduling import WcetAwareListScheduler, sequential_schedule
 from repro.sim import simulate_parallel_program
-from repro.usecases import build_polka_diagram, polka_test_inputs
+from repro.usecases import ALL_USECASES, build_polka_diagram, polka_test_inputs
 from repro.wcet import HardwareCostModel, SystemDesign, WcetAnalysisCache
 
 
@@ -82,7 +82,25 @@ class TestParallelProgram:
         schedule = sequential_schedule(SystemDesign(htg, model.entry, platform))
         program = build_parallel_program(htg, model.entry, platform, schedule)
         assert program.num_sync_ops == 0
-        assert program.total_comm_bytes == 0
+
+
+@pytest.mark.parametrize(
+    "usecase, bound", [("egpws", 11183.0), ("polka", 21304.0), ("weaa", 8735.0)]
+)
+def test_use_cases_fit_a_small_shared_memory(usecase, bound):
+    """The program communicates in place, so its memory map holds the
+    shared declarations and one flag per cross-core edge: each use case
+    builds, certifies and simulates within its bound on 8 KiB of shared
+    SRAM, with the bound of the 1 MiB platform."""
+    build, inputs_fn = ALL_USECASES[usecase]
+    platform = generic_predictable_multicore(cores=4, shared_kib=8)
+    pipeline = Pipeline(platform, ToolchainConfig(certify=True), WcetAnalysisCache())
+    result = pipeline.run(build())
+    assert result.system_wcet == bound
+    program = result.parallel_program
+    assert program.shared_footprint_bytes() <= platform.shared_memory.size_bytes
+    for seed in range(2):
+        assert pipeline.simulate(result, inputs_fn(seed=seed)).makespan <= bound
 
 
 class TestSimulator:

@@ -19,6 +19,7 @@ from functools import partial
 
 import pytest
 
+from repro.adl.interconnect import RoundRobinBus
 from repro.adl.platforms import generic_predictable_multicore
 from repro.core import (
     Pipeline,
@@ -45,6 +46,14 @@ from repro.wcet import (
 )
 
 SMALL = dict(loop_chunks=2)
+
+
+class Bus(RoundRobinBus):
+    """A round-robin bus 50 cycles slower per access, under a bare name that
+    a class of another scope may share."""
+
+    def worst_case_access_delay(self, contenders: int) -> float:
+        return super().worst_case_access_delay(contenders) + 50
 
 
 def build_mapped_case(cores=4, chunks=2, num_kernels=6, seed=1):
@@ -537,6 +546,22 @@ class TestStageArtifactCache:
         # identical content still digests identically across rebuilds
         assert platform_signature(stock) == platform_signature(
             generic_predictable_multicore(cores=2)
+        )
+
+        # two dataclass subclasses named Bus, of different scopes, 50 cycles
+        # apart per access: their equal fields must not digest alike
+        def local_bus():
+            class Bus(RoundRobinBus):
+                """The module-level Bus's bare name, the base's delays."""
+
+            return Bus()
+
+        on_module_bus = dc.replace(stock, interconnect=Bus())
+        on_local_bus = dc.replace(stock, interconnect=local_bus())
+        assert type(on_local_bus.interconnect).__name__ == "Bus"
+        assert platform_signature(on_local_bus) != platform_signature(on_module_bus)
+        assert platform_signature(stock) not in (
+            platform_signature(on_local_bus), platform_signature(on_module_bus)
         )
 
     def test_wcet_stage_key_pins_the_consumed_schedule(self, platform):

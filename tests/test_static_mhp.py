@@ -154,14 +154,6 @@ class TestStaticMhpRelation:
         assert relation.pruned_ordered == 0
         assert relation.allowed == {"t1": ("t2",), "t2": ("t1",)}
 
-    def test_footprints_can_be_disabled(self):
-        func, htg = contending_pair()
-        relation = compute_static_mhp(
-            htg, func, {"t1": 0, "t2": 1}, SHARERS, use_footprints=False
-        )
-        assert relation.footprints == {}
-        assert relation.pruned_disjoint == 0
-
 
 # ---------------------------------------------------------------------- #
 # system-level differential: pruned is never looser, off is bit-identical

@@ -5,12 +5,14 @@ one design point: it numbers the leaf tasks, edges and cores once, and
 scheduler searches share it across their candidates.  Sharing must be
 invisible:
 
-* result-cache keys equal the v5 key derivation (which v6 kept), written
-  without the design
-  (:func:`reference_result_key` below), the key of every candidate an
+* result-cache keys equal a derivation written without the design
+  (:func:`reference_result_key` below), which names the platform by its
+  content digest and prices nothing, the key of every candidate an
   annealer prices through its shared design equals the key of a fresh
-  design of the same inputs, and each input the fixed point can observe
-  changes the key while dict insertion order does not;
+  design of the same inputs, each input the fixed point can observe
+  changes the key while dict insertion order and a rebuilt platform of
+  equal content do not, and a platform that cannot be fingerprinted gets
+  no key, so its results and searches are never memoized;
 * the bisect-based unpruned MHP kernel equals the pairwise double loop
   (:func:`double_loop_contenders` below, on the kernels' index
   signature), and so does the pruned kernel given a skeleton that keeps
@@ -29,17 +31,21 @@ The memoized HTG topological order that ``default_core_order`` and
 ``SystemDesign.topological`` read is covered here too.
 """
 
+import dataclasses
 import hashlib
 import json
 import random
 
 import pytest
 
+from repro.adl.architecture import Platform
+from repro.adl.interconnect import Interconnect
 from repro.adl.platforms import (
     generic_predictable_multicore,
     kit_leon3_inoc,
     recore_xentium_like,
 )
+from repro.adl.processor import ProcessorModel
 from repro.analysis.certify import CertificationError
 from repro.core import pipeline as pipeline_module
 from repro.core.config import ToolchainConfig
@@ -58,11 +64,16 @@ from repro.scheduling import (
 )
 from repro.scheduling import bnb, list_scheduler, metaheuristics
 from repro.scheduling.schedule import Schedule, ScheduleError, default_core_order
-from repro.usecases import ALL_USECASES
+from repro.usecases import ALL_USECASES, build_polka_diagram
 from repro.usecases.workloads import edit_block_param, synthetic_compiled_model
 from repro.utils.graphs import topological_order
 from repro.utils.intervals import Interval
-from repro.wcet import CACHE_SCHEMA_VERSION, HardwareCostModel, WcetAnalysisCache
+from repro.wcet import (
+    CACHE_SCHEMA_VERSION,
+    HardwareCostModel,
+    WcetAnalysisCache,
+    platform_signature,
+)
 from repro.wcet import system_level
 from repro.wcet.system_level import (
     SystemDesign,
@@ -90,36 +101,21 @@ def _sha1(text):
 def reference_result_key(
     htg, function, platform, mapping, order, max_iterations=25, static_pruning=False
 ):
-    """The v5 result key (which v6 kept) from first principles: fresh cost
-    models, every (payload, core pair) priced by the platform, tasks sorted
-    by id."""
+    """The result key from first principles: fresh fingerprints, tasks and
+    edges sorted by id, and the platform's content digest (which pins every
+    price, so nothing is priced here)."""
     fp = WcetAnalysisCache()
     tids = sorted(t.task_id for t in htg.leaf_tasks())
     edges = sorted(
         (e.src, e.dst, e.payload_bytes) for e in htg.edges if e.src in tids and e.dst in tids
     )
-    cores = sorted(c.core_id for c in platform.cores)
-    models = {c: HardwareCostModel(platform, c) for c in cores}
+    digest = platform_signature(platform)
+    assert digest is not None, "the reference keys fingerprintable platforms only"
     prefix = {
         "function": fp.function_fingerprint(function),
         "tasks": [(tid, fp.region_fingerprint(htg.task(tid).statements)) for tid in tids],
         "edges": edges,
-        "delays": [
-            (payload, src, dst, platform.communication_latency(payload, src, dst, len(cores) - 1))
-            for payload in sorted({p for _, _, p in edges if p})
-            for src in cores
-            for dst in cores
-            if src != dst
-        ],
-        "cores": [
-            (
-                core,
-                fp.model_signature_digest(models[core]),
-                [models[core].shared_access_penalty(k) for k in range(len(cores))],
-            )
-            for core in cores
-        ],
-        "num_cores": len(cores),
+        "platform": digest,
     }
     body = [
         [mapping[tid] for tid in tids],
@@ -182,7 +178,7 @@ def schedule_fingerprint(schedule):
 
 
 # ---------------------------------------------------------------------- #
-# (a) result keys: the v5 reference, shared == one-shot, sensitivity
+# (a) result keys: the reference, shared == one-shot, sensitivity
 # ---------------------------------------------------------------------- #
 @pytest.mark.parametrize("usecase", ["egpws", "polka", "weaa"])
 @pytest.mark.parametrize("platform_name", sorted(PLATFORMS))
@@ -270,6 +266,19 @@ def _with_payload(htg, payload):
     return copy
 
 
+class RenamedProcessor(ProcessorModel):
+    """The base processor's fields and behaviour under another class."""
+
+
+def _with_processor(platform, core, processor):
+    """A copy of ``platform`` whose core ``core`` runs ``processor``."""
+    cores = [
+        dataclasses.replace(c, processor=processor) if c.core_id == core else c
+        for c in platform.cores
+    ]
+    return dataclasses.replace(platform, cores=cores)
+
+
 def test_result_key_one_input_sensitivity(monkeypatch):
     """Each input the fixed point observes moves the key; nothing else does."""
     model, htg = usecase_htg("polka")
@@ -293,6 +302,7 @@ def test_result_key_one_input_sensitivity(monkeypatch):
     edited, edited_htg = usecase_htg("polka", diagram=diagram)
     assert sorted(t.task_id for t in edited_htg.leaf_tasks()) == tids
     payload = next(e.payload_bytes for e in htg.edges if e.payload_bytes)
+    proc = platform.cores[1].processor
     changed = {
         "one task's core": key(mapping_=moved, order_=default_core_order(htg, moved)),
         "two tasks swapped in a core order": key(order_=swapped),
@@ -302,6 +312,14 @@ def test_result_key_one_input_sensitivity(monkeypatch):
             platform_=generic_predictable_multicore(cores=4, shared_latency=9)
         ),
         "pruning": key(static_pruning=True),
+        "one processor's op cost": key(platform_=_with_processor(
+            platform, 1, dataclasses.replace(proc, op_cycles={**proc.op_cycles, "+": 2})
+        )),
+        "a module-level processor subclass": key(platform_=_with_processor(
+            platform, 1, RenamedProcessor(**{
+                f.name: getattr(proc, f.name) for f in dataclasses.fields(proc)
+            })
+        )),
     }
     with monkeypatch.context() as patch:
         patch.setattr(system_level, "MAX_ITERATIONS", 24)
@@ -309,8 +327,94 @@ def test_result_key_one_input_sensitivity(monkeypatch):
     for what, other in changed.items():
         assert other != base, what
     assert len(set(changed.values())) == len(changed)
-    # insertion order of the mapping and of the order dicts is not an input
+    # a TDM bus instead of the crossbar, and another mesh shape of as many
+    # cores, each against its stock preset
+    assert key(platform_=recore_xentium_like(use_tdm_bus=True)) != key(
+        platform_=recore_xentium_like()
+    )
+    assert key(platform_=kit_leon3_inoc(mesh_width=4, mesh_height=1)) != key(
+        platform_=kit_leon3_inoc()
+    )
+    # insertion order of the mapping and of the order dicts is not an input,
+    # and neither is the identity of a platform of equal content
     assert key(mapping_=dict(reversed(mapping.items())), order_=dict(reversed(order.items()))) == base
+    assert key(platform_=generic_predictable_multicore(cores=4)) == base
+
+
+@pytest.mark.parametrize("usecase", ["egpws", "polka", "weaa"])
+def test_result_key_prices_nothing(usecase, monkeypatch):
+    """A key reads the platform's content digest and asks the platform for
+    no transfer delay and no shared-access penalty, on every platform
+    family."""
+    def priced(*args, **kwargs):
+        raise AssertionError("a result key must price nothing")
+
+    monkeypatch.setattr(Platform, "communication_latency", priced)
+    monkeypatch.setattr(HardwareCostModel, "shared_access_penalty", priced)
+    model, htg = usecase_htg(usecase)
+    for name, build in sorted(PLATFORMS.items()):
+        platform = build()
+        cache = WcetAnalysisCache()
+        for mapping in random_mappings(htg, platform, count=2, seed=len(name)):
+            design = SystemDesign(htg, model.entry, platform, cache)
+            key = cache.system_results.result_key(
+                design, mapping, default_core_order(htg, mapping)
+            )
+            assert key is not None, name
+
+
+class _MildBus(Interconnect):
+    """Not a dataclass, so no platform built with it can be fingerprinted."""
+
+    def worst_case_access_delay(self, contenders: int) -> float:
+        return 1.0 + contenders
+
+
+class _HarshBus(Interconnect):
+    """:class:`_MildBus` at the same uncontended delay, 40x per contender."""
+
+    def worst_case_access_delay(self, contenders: int) -> float:
+        return 1.0 + 40 * contenders
+
+
+def _on_bus(bus):
+    return dataclasses.replace(generic_predictable_multicore(cores=4), interconnect=bus)
+
+
+def test_unfingerprintable_platforms_never_share():
+    """Two platforms that cannot be fingerprinted and differ only in their
+    contended bus delay: a key holding a ``None`` digest would replay the
+    first one's result for the second.  They get no key, so one cache
+    analyses each as a fresh cache does and keeps no result or search
+    record of either."""
+    model, htg = usecase_htg("polka", diagram=build_polka_diagram(pixels=32))
+    tids = sorted(t.task_id for t in htg.leaf_tasks())
+    mapping = {tid: i % 4 for i, tid in enumerate(tids)}
+    order = default_core_order(htg, mapping)
+    cache = WcetAnalysisCache()
+    mild, harsh = _on_bus(_MildBus()), _on_bus(_HarshBus())
+    assert platform_signature(mild) is None and platform_signature(harsh) is None
+    first = system_level_wcet(SystemDesign(htg, model.entry, mild, cache), mapping, order)
+    second = system_level_wcet(SystemDesign(htg, model.entry, harsh, cache), mapping, order)
+    fresh = system_level_wcet(
+        SystemDesign(htg, model.entry, _on_bus(_HarshBus()), WcetAnalysisCache()), mapping, order
+    )
+    assert second.makespan == fresh.makespan != first.makespan
+    assert second.task_intervals == fresh.task_intervals
+    assert len(cache.system_results) == 0
+    assert cache.system_results.stats.misses == 2
+    # an annealer search on such a platform leaves no search record and
+    # returns what it returns on a fresh cache
+    searched = simulated_annealing_schedule(
+        SystemDesign(htg, model.entry, harsh, cache), iterations=30, seed=1
+    )
+    assert len(cache.system_results) == 0
+    alone = simulated_annealing_schedule(
+        SystemDesign(htg, model.entry, _on_bus(_HarshBus()), WcetAnalysisCache()),
+        iterations=30,
+        seed=1,
+    )
+    assert schedule_fingerprint(searched) == schedule_fingerprint(alone)
 
 
 def test_v5_cache_directory_is_ignored(tmp_path):

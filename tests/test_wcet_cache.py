@@ -5,12 +5,15 @@ have to produce byte-identical schedules and WCET bounds on every use case,
 and repeated scheduling runs must be deterministic.
 """
 
+import dataclasses
 import json
 from typing import Callable, NamedTuple
 
 import pytest
 
 from repro.adl.platforms import generic_predictable_multicore
+from repro.adl.processor import ProcessorModel
+from repro.core import Pipeline, ToolchainConfig
 from repro.frontend import compile_diagram
 from repro.htg import extract_htg
 from repro.htg.extraction import ExtractionOptions
@@ -271,6 +274,39 @@ def _heterogeneous_platform():
         shared_memory=shared_sram(size_kib=512, latency=8),
         interconnect=RoundRobinBus(),
     )
+
+
+class SlowProcessor(ProcessorModel):
+    """The base processor's cost table, ten times slower per operation
+    through ``cycles_for_op`` (a subclass the cost table cannot show)."""
+
+    def cycles_for_op(self, op: str) -> int:
+        return 10 * super().cycles_for_op(op)
+
+
+def _slow(platform):
+    """A copy of ``platform`` whose every core runs a :class:`SlowProcessor`."""
+    cores = [
+        dataclasses.replace(core, processor=SlowProcessor(**{
+            f.name: getattr(core.processor, f.name) for f in dataclasses.fields(core.processor)
+        }))
+        for core in platform.cores
+    ]
+    return dataclasses.replace(platform, cores=cores)
+
+
+def test_processor_subclass_does_not_share_base_entries():
+    """Code-level keys name the processor's class: a subclass whose
+    ``cycles_for_op`` prices more never replays the base processor's
+    entries (egpws, default config, generic2)."""
+    build, _ = ALL_USECASES["egpws"]
+    cache = WcetAnalysisCache()
+    stock = Pipeline(generic_predictable_multicore(cores=2), ToolchainConfig(), cache).run(build())
+    assert (stock.system_wcet, stock.sequential_bound) == (11087.0, 14866.0)
+    slow = Pipeline(_slow(generic_predictable_multicore(cores=2)), ToolchainConfig(), cache).run(
+        build()
+    )
+    assert (slow.system_wcet, slow.sequential_bound) == (28708.0, 41092.0)
 
 
 class TestHeterogeneousSharing:
@@ -567,15 +603,19 @@ class TestDiskPersistence(_PersistenceContract):
         task = Task("t", TaskKind.BLOCK, func.body, writes={"x"})
         cache.footprints.footprint(func, task)
         cache.function_fingerprint(func)
+        assert cache.platform_digest(platform) is not None
         ref = weakref.ref(func)
-        del func, fb, x, task
+        platform_ref = weakref.ref(platform)
+        del func, fb, x, task, platform
         gc.collect()
         # the analysed function must be collectable; its identity memos must
         # go with it so a process-lifetime shared cache cannot leak IR trees
-        assert ref() is None
+        # (nor platforms)
+        assert ref() is None and platform_ref() is None
         assert not cache._function_fps
         assert not cache._region_fps
         assert not cache._declarations
+        assert not cache._platform_digests
         assert len(cache) == 1  # the content-addressed entry itself stays
         assert cache.footprints.stats.misses == 1
 
