@@ -1,7 +1,7 @@
 """Quickstart: run the complete ARGO flow on a small dataflow model.
 
 Builds a tiny sensor-processing diagram from the standard block library,
-runs it through the composable pipeline API (``repro.core.pipeline``) for a
+runs it through the pipeline API (``repro.core.pipeline``) for a
 4-core predictable platform, prints the guaranteed multi-core WCET with
 per-stage timings, validates the bound against a simulated execution, and
 finishes with a mini design-space sweep over schedulers.

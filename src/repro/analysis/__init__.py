@@ -152,18 +152,18 @@ for serialization):
 * :class:`~repro.analysis.certify.ScheduleCertificate` -- the analysed
   timeline and its interference fixed point: mapping (and the analysis's
   own ``task_cores``), per-core orders, per-task windows, effective/base
-  WCETs, shared-access and contender counts, the penalty rows, priced
-  cross-core edge delays, the ``converged`` flag, the claimed WCET bound,
-  plus the pruned contender skeleton (``allowed``) when the run used
-  ``static_pruning``.  The checker works directly against the HTG and
+  WCETs, shared-access and contender counts, the ``converged`` flag, the
+  claimed WCET bound, plus the pruned contender skeleton (``allowed``)
+  when the run used ``static_pruning``: the analysis's claims, not the
+  platform's prices.  The checker works directly against the HTG and
   platform in three passes: structure (coverage, ``task_cores ==
-  mapping``, window lengths, effective >= base, penalty rows,
-  ``wcet_bound == max finish``); core orders and HTG edges (per-core
-  exclusivity, precedence with independently re-priced communication
-  latencies); and one re-application of the interference equations over
-  contention re-derived from the claimed windows (restricted to the
-  skeleton when present), where any component they can still increase
-  refutes the claimed fixed point.
+  mapping``, window lengths, effective >= base, ``wcet_bound == max
+  finish``); core orders and HTG edges (per-core exclusivity, precedence
+  with communication latencies it asks the platform for); and one
+  re-application of the interference equations, with the platform's
+  penalty rows, over contention re-derived from the claimed windows
+  (restricted to the skeleton when present), where any component they can
+  still increase refutes the claimed fixed point.
 * :class:`~repro.analysis.certify.IpetCertificate` -- the LP primal
   solution (per-edge counts), block costs, effective loop bounds, pinned
   infeasible edges and semantic dual values, all from the structured solve

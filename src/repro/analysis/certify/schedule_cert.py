@@ -10,9 +10,11 @@ The producer side (:func:`build_schedule_certificate`) snapshots an
 analysed :class:`~repro.scheduling.schedule.Schedule`: the mapping and the
 analysis's own task -> core map, the per-core orders, every task's window,
 effective WCET and contender count, the isolated (base) WCETs and
-shared-access counts the equations start from, the per-core penalty rows,
-the priced cross-core edge delays, the static-MHP skeleton of a pruned
-run, the ``converged`` flag and the bound.
+shared-access counts the equations start from, the static-MHP skeleton of
+a pruned run, the ``converged`` flag and the bound.  It holds the
+analysis's claims only: the prices those claims rest on (the penalty rows
+and the cross-core transfer delays) are the platform's, and the checker
+asks the platform for them itself.
 
 The checker side (:func:`check_schedule_certificate`) re-validates those
 claims **against the HTG and platform directly**, sharing no code with the
@@ -23,23 +25,23 @@ three passes:
 1. structure: the mapping, orders and per-task state cover exactly the
    HTG's leaf tasks; the analysis placed every task where the mapping
    says; every window is as long as its effective WCET, which never dips
-   below its base (interference only adds); the penalty rows are the
-   platform's; the bound is exactly the maximum finish time;
-2. the HTG edges and core orders: every cross-core delay is re-priced
-   from ``platform.communication_latency`` (each distinct payload and
-   core pair once), no delay is claimed on an edge the platform does not
-   price, and no task starts before its core predecessor finishes or a
-   dependence delivers (slack is sound for an upper bound, starting early
-   is not);
+   below its base (interference only adds); the bound is exactly the
+   maximum finish time;
+2. the HTG edges and core orders: no task starts before its core
+   predecessor finishes or a dependence delivers, each cross-core
+   dependence after the delay ``platform.communication_latency`` prices
+   for it (each distinct payload and core pair asked once); slack is
+   sound for an upper bound, starting early is not;
 3. the interference equations, applied once: contenders are re-derived
    from the claimed windows (strict half-open overlap, distinct other
    cores, restricted to the skeleton when there is one) and
-   ``base + shared x penalty(contenders)`` must not exceed the claimed
-   effective WCET; for a ``converged`` result it must equal it.  A state
-   is a sound post-fixed-point iff one application raises no component,
-   so this is far cheaper than re-running the iteration.  The claimed
-   contender counts must equal the re-derived ones for a ``converged``
-   result, and be at least as large for the all-contend fall-back.
+   ``base + shared x penalty(contenders)``, with the platform's penalty
+   row, must not exceed the claimed effective WCET; for a ``converged``
+   result it must equal it.  A state is a sound post-fixed-point iff one
+   application raises no component, so this is far cheaper than
+   re-running the iteration.  The claimed contender counts must equal the
+   re-derived ones for a ``converged`` result, and be at least as large
+   for the all-contend fall-back.
 
 What this checker does *not* prove: the base WCETs and shared-access
 counts themselves (the code-level analysis' ground truth, carried
@@ -119,11 +121,6 @@ class ScheduleCertificate:
     contenders: dict[str, int]
     base: dict[str, float]
     shared: dict[str, int]
-    #: per-core interference penalty row, indexed by contender count
-    penalty: dict[int, list[float]]
-    #: priced worst-case delay of every *cross-core* HTG edge, keyed
-    #: ``(src task, dst task)``; same-core edges are delay-free by contract
-    edge_delays: dict[tuple[str, str], float]
     #: static-MHP contender skeleton of the claimed result (``None`` for
     #: unpruned results).  The checker restricts its fresh MHP derivation to
     #: the listed sharers per task; a task *missing* from the skeleton is
@@ -153,11 +150,6 @@ class ScheduleCertificate:
             "contenders": dict(self.contenders),
             "base": dict(self.base),
             "shared": dict(self.shared),
-            "penalty": {str(core): list(row) for core, row in self.penalty.items()},
-            "edge_delays": {
-                f"{src}->{dst}": delay
-                for (src, dst), delay in sorted(self.edge_delays.items())
-            },
             **extra,
         }
 
@@ -173,16 +165,6 @@ def build_schedule_certificate(schedule, htg, platform) -> ScheduleCertificate:
     if result is None:
         raise ValueError("cannot certify an unanalysed schedule (no timing result)")
     mapping = dict(schedule.mapping)
-    price = _pricer(platform)
-    delays: dict[tuple[str, str], float] = {}
-    for edge in htg.edges:
-        src_core = mapping.get(edge.src)
-        dst_core = mapping.get(edge.dst)
-        if src_core is None or dst_core is None or src_core == dst_core:
-            continue
-        delays[(edge.src, edge.dst)] = (
-            price(edge.payload_bytes, src_core, dst_core) if edge.payload_bytes else 0.0
-        )
     effective = dict(result.task_effective_wcet)
     return ScheduleCertificate(
         htg_name=schedule.htg_name,
@@ -198,8 +180,6 @@ def build_schedule_certificate(schedule, htg, platform) -> ScheduleCertificate:
         contenders=dict(result.task_contenders),
         base={tid: result.task_base_wcet.get(tid, eff) for tid, eff in effective.items()},
         shared={tid: result.task_shared_accesses.get(tid, 0) for tid in effective},
-        penalty=_penalty_rows(platform),
-        edge_delays=delays,
         allowed=(
             {tid: list(others) for tid, others in result.mhp_allowed.items()}
             if result.mhp_allowed is not None
@@ -306,18 +286,6 @@ def check_schedule_certificate(
                 subject=tid,
             )
     report.bump("tasks_checked", len(mapping))
-    penalty = _penalty_rows(platform)
-    for core in sorted(cert.penalty):
-        claimed_row = cert.penalty[core]
-        live_row = penalty.get(core)
-        if live_row is None or len(claimed_row) != len(live_row) or any(
-            a != b and abs(a - b) > _tol(a, b) for a, b in zip(claimed_row, live_row)
-        ):
-            fail(
-                "certify.fixed-point.penalty-mismatch",
-                "claimed interference penalty table differs from the platform's",
-                subject=f"core {core}",
-            )
     max_finish = max(finishes.values(), default=0.0)
     bound = cert.wcet_bound
     if bound != max_finish and abs(bound - max_finish) > _tol(bound, max_finish):
@@ -327,7 +295,7 @@ def check_schedule_certificate(
             f"finish time {max_finish}",
         )
 
-    # -- 2. core orders and HTG edges, latencies re-priced ---------------- #
+    # -- 2. core orders and HTG edges, latencies priced ------------------ #
     pairs = 0
     for core, tids in sorted(cert.order.items()):
         for prev, nxt in zip(tids, tids[1:]):
@@ -345,8 +313,6 @@ def check_schedule_certificate(
     report.bump("core_pairs_checked", pairs)
 
     price = _pricer(platform)
-    claimed_delays = cert.edge_delays
-    priced = 0  # cross-core edges with a claimed delay
     edges = 0
     for edge in htg.edges:
         src, dst = edge.src, edge.dst
@@ -355,21 +321,8 @@ def check_schedule_certificate(
         if src_core is None or dst_core is None:
             continue
         delay = 0.0
-        if src_core != dst_core:
-            if edge.payload_bytes:
-                delay = price(edge.payload_bytes, src_core, dst_core)
-            claimed = claimed_delays.get((src, dst))
-            if claimed is not None:
-                priced += 1
-            if claimed is None or (
-                claimed != delay and abs(claimed - delay) > _tol(claimed, delay)
-            ):
-                fail(
-                    "certify.schedule.comm-latency-mismatch",
-                    f"claimed cross-core delay {claimed} differs from the "
-                    f"platform's worst-case latency {delay}",
-                    subject=f"{src}->{dst}",
-                )
+        if src_core != dst_core and edge.payload_bytes:
+            delay = price(edge.payload_bytes, src_core, dst_core)
         ready = finishes[src] + delay
         if starts[dst] < ready and starts[dst] < ready - _tol(ready):
             fail(
@@ -380,20 +333,6 @@ def check_schedule_certificate(
             )
         edges += 1
     report.bump("edges_checked", edges)
-    if priced != len(claimed_delays):
-        cross_core = {
-            (e.src, e.dst) for e in htg.edges
-            if e.src in mapping and e.dst in mapping
-            and mapping[e.src] != mapping[e.dst]
-        }
-        for src, dst in sorted(claimed_delays.keys() - cross_core):
-            fail(
-                "certify.schedule.comm-latency-mismatch",
-                f"claimed delay {claimed_delays[(src, dst)]} on {src}->{dst}, "
-                "which is not a cross-core edge of the HTG: the platform "
-                "prices no transfer there",
-                subject=f"{src}->{dst}",
-            )
 
     # -- 3. one fresh application of the interference equations ---------- #
     # per-sharer windows keyed by id so a claimed static-MHP skeleton can
@@ -415,6 +354,7 @@ def check_schedule_certificate(
                 severity="warning",
             )
     all_windows = list(sharer_windows.values())
+    penalty = _penalty_rows(platform)
     equations = 0
     for tid, own_core in mapping.items():
         own_start, own_finish = starts[tid], finishes[tid]

@@ -52,9 +52,7 @@ stage             what it reuses from ``context.prev``
 ================  ====================================================
 
 Every reuse is guarded by content fingerprints, so an incremental run is
-bit-identical to a cold run of the edited model; custom stages added
-through :meth:`~repro.core.pipeline.Pipeline.with_stage` run on every
-incremental run and may read ``context.prev`` the same way.
+bit-identical to a cold run of the edited model.
 """
 
 from __future__ import annotations

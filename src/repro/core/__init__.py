@@ -1,9 +1,10 @@
 """End-to-end ARGO tool chain (paper Fig. 1) with cross-layer feedback.
 
-:class:`~repro.core.pipeline.Pipeline` is the flow for one platform: a
-composable stage graph whose ``run`` honours every
+:class:`~repro.core.pipeline.Pipeline` is the flow for one platform: one
+fixed sequence of seven stages whose ``run`` honours every
 :class:`~repro.core.config.ToolchainConfig` knob, cross-layer feedback
-iterations included.  :func:`~repro.core.sweep.sweep` is the parallel
+iterations included; the scheduler and pass registries are its variation
+points.  :func:`~repro.core.sweep.sweep` is the parallel
 design-space sweep runner built on top of it.
 """
 
@@ -13,9 +14,7 @@ from repro.core.pipeline import (
     Pipeline,
     PipelineError,
     PipelineResult,
-    Stage,
     StageRecord,
-    default_stages,
     run_pipeline,
 )
 from repro.core.sweep import SweepCase, SweepOutcome, SweepResult, sweep, sweep_grid
@@ -32,9 +31,7 @@ __all__ = [
     "Pipeline",
     "PipelineError",
     "PipelineResult",
-    "Stage",
     "StageRecord",
-    "default_stages",
     "run_pipeline",
     "SweepCase",
     "SweepOutcome",

@@ -9,10 +9,10 @@ can show end users *why* the final parallelization decisions were taken.
 
 :meth:`repro.core.pipeline.Pipeline.run` drives the loop when
 ``config.feedback_iterations > 1``.  Every candidate is a one-pass run of
-the driving pipeline's stage list with the candidate config, sharing its
-live analysis cache: cache entries are content addressed, so candidates
-whose transforms leave (parts of) the IR unchanged reuse the code-level
-analyses of earlier iterations for free.
+the flow on the driving pipeline's platform with the candidate config,
+sharing its live analysis cache: cache entries are content addressed, so
+candidates whose transforms leave (parts of) the IR unchanged reuse the
+code-level analyses of earlier iterations for free.
 """
 
 from __future__ import annotations
@@ -77,9 +77,7 @@ class CrossLayerFeedback:
         for iteration in range(1, iterations + 1):
             improved = False
             for candidate in self._candidates(best_config, iteration):
-                result = Pipeline(
-                    pipeline.platform, candidate, pipeline.wcet_cache, stages=pipeline.stages
-                ).run(diagram)
+                result = Pipeline(pipeline.platform, candidate, pipeline.wcet_cache).run(diagram)
                 accepted = best_result is None or result.system_wcet < best_result.system_wcet
                 self.history.append(
                     FeedbackHistoryEntry(

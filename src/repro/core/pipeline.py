@@ -1,26 +1,22 @@
-"""The composable pipeline behind the ARGO flow (paper Fig. 1).
+"""The ARGO flow (paper Fig. 1) for one platform.
 
 The flow -- model -> IR -> transformations -> HTG -> schedule -> parallel
-program -> WCET -- is expressed as a :class:`Pipeline` of named
-:class:`Stage` objects forming a small dataflow graph: every stage declares
-the typed artifacts it ``consumes`` and ``produces``, the pipeline checks
-the graph (each artifact produced exactly once, no missing inputs, no
-cycles) and runs the stages in dependency order.  Each run yields a
+program -> WCET -- is one fixed sequence of seven stages, :data:`STAGES`
+(the six steps of Fig. 1 plus the ``certify`` gate), and every run of a
+:class:`Pipeline` walks it in that order.  Each stage reads the artifacts
+of the stages before it and adds its own; a run yields a
 :class:`PipelineResult` carrying the artifacts plus per-stage wall-clock
 timings, the transformation pass reports and the WCET-cache hit/miss deltas.
 
-The two variation points are plugin registries, so new behaviour needs no
-core changes:
+What an end user varies (paper Section II-E) are
+:class:`~repro.core.config.ToolchainConfig` knobs, and the two variation
+points behind them are plugin registries, so new behaviour needs no core
+changes:
 
 * the ``schedule`` stage resolves ``config.scheduler`` through
   :mod:`repro.scheduling.registry`;
 * the ``transforms`` stage resolves ``config.passes`` through
   :mod:`repro.transforms.registry`.
-
-Custom stages slot in through :meth:`Pipeline.with_stage` /
-:meth:`Pipeline.replace_stage`, e.g. an extra analysis stage consuming
-``schedule`` -- the dependency graph, not the insertion order, decides when
-it runs.
 
 :meth:`Pipeline.run` and :meth:`Pipeline.run_incremental` are one stage
 loop, and every stage runs in both.  Given a previous run, each stage sees
@@ -32,8 +28,8 @@ stage, is in :mod:`repro.analysis.incremental`.
 
 :meth:`Pipeline.run` is the one entry point of the flow: with
 ``config.feedback_iterations > 1`` it runs the cross-layer feedback loop
-(:mod:`repro.core.feedback`), whose candidates are runs of the same stage
-list.  :func:`repro.core.sweep.sweep` runs whole grids of (diagram,
+(:mod:`repro.core.feedback`), whose candidates are one-pass runs of the
+same flow.  :func:`repro.core.sweep.sweep` runs whole grids of (diagram,
 platform, config) combinations through it concurrently.
 """
 
@@ -42,7 +38,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 from repro import obs
 from repro.adl.architecture import Platform
@@ -68,31 +64,9 @@ from repro.wcet.system_level import SystemDesign
 
 
 class PipelineError(ToolchainError):
-    """A malformed stage graph or a stage contract violation."""
-
-
-#: Artifacts available before any stage runs.  ``scheduler`` is the
-#: scheduler registry entry ``config.scheduler`` names, resolved once when
-#: the run starts.
-INITIAL_ARTIFACTS = ("diagram", "platform", "config", "scheduler")
-
-
-@dataclass(frozen=True)
-class Stage:
-    """One named step of the flow.
-
-    ``run`` receives the :class:`PipelineContext` and returns a mapping of
-    the artifacts it produces (it must cover exactly ``produces``).  Extra
-    diagnostic values can be recorded in ``context.info``; they end up in the
-    stage's :class:`StageRecord`.  ``run`` is called on every run,
-    incremental ones included; ``context.prev`` is the previous run there.
-    """
-
-    name: str
-    run: Callable[["PipelineContext"], Mapping[str, Any]]
-    consumes: tuple[str, ...] = ()
-    produces: tuple[str, ...] = ()
-    description: str = ""
+    """A run the flow refuses: a loop without a worst-case trip count, a
+    schedule that leaves conflicting shared accesses unordered, or an
+    incremental re-run of a feedback config."""
 
 
 @dataclass
@@ -101,7 +75,6 @@ class StageRecord:
 
     name: str
     seconds: float
-    produced: tuple[str, ...] = ()
     info: dict[str, Any] = field(default_factory=dict)
 
 
@@ -113,6 +86,7 @@ class PipelineContext:
     platform: Platform
     config: ToolchainConfig
     wcet_cache: WcetAnalysisCache
+    #: The platform plus the artifacts of every stage that has run so far.
     artifacts: dict[str, Any] = field(default_factory=dict)
     #: Per-stage scratch: diagnostic values for the current StageRecord.  In
     #: an incremental run, a stage that reused part of ``prev`` sets
@@ -121,12 +95,6 @@ class PipelineContext:
     #: The previous run of an incremental run (``None`` on a cold run); a
     #: stage may reuse the parts of it that are provably unchanged.
     prev: "PipelineResult | None" = None
-
-    def artifact(self, name: str) -> Any:
-        try:
-            return self.artifacts[name]
-        except KeyError:
-            raise PipelineError(f"artifact {name!r} has not been produced yet") from None
 
 
 @dataclass
@@ -148,7 +116,8 @@ class PipelineResult:
     sequential_bound: float = 0.0
     pass_reports: list[PassReport] = field(default_factory=list)
     stage_records: list[StageRecord] = field(default_factory=list)
-    #: Every artifact of the run, including those of custom stages.
+    #: Every stage's artifacts plus the ``platform``; an incremental run
+    #: adds its ``incremental_report``.
     artifacts: dict[str, Any] = field(default_factory=dict)
     #: Code-level WCET cache counter deltas of this run (``hits`` /
     #: ``disk_hits`` / ``misses``).
@@ -179,8 +148,7 @@ class PipelineResult:
     def certificates(self):
         """The run's :class:`~repro.analysis.certify.CertificateChain`.
 
-        ``None`` unless the run was configured with ``certify=True`` (or a
-        custom stage produced a ``certificates`` artifact).
+        ``None`` unless the run was configured with ``certify=True``.
         """
         return self.artifacts.get("certificates")
 
@@ -227,7 +195,7 @@ class PipelineResult:
 
 
 # ---------------------------------------------------------------------- #
-# built-in stages
+# the stages
 # ---------------------------------------------------------------------- #
 def _frontend_stage(context: PipelineContext) -> dict[str, Any]:
     model = compile_diagram(context.diagram)
@@ -244,7 +212,7 @@ def _frontend_stage(context: PipelineContext) -> dict[str, Any]:
 
 
 def _transforms_stage(context: PipelineContext) -> dict[str, Any]:
-    model: CompiledModel = context.artifact("model")
+    model: CompiledModel = context.artifacts["model"]
     names = context.config.passes
     passes = build_pass_pipeline(
         names, PassContext(platform=context.platform, config=context.config, model=model)
@@ -271,7 +239,7 @@ def _transforms_stage(context: PipelineContext) -> dict[str, Any]:
 
 
 def _htg_stage(context: PipelineContext) -> dict[str, Any]:
-    model: CompiledModel = context.artifact("transformed_model")
+    model: CompiledModel = context.artifacts["transformed_model"]
     options = ExtractionOptions(
         granularity=context.config.granularity,
         loop_chunks=context.config.loop_chunks,
@@ -320,12 +288,12 @@ def _htg_stage(context: PipelineContext) -> dict[str, Any]:
 
 
 def _schedule_stage(context: PipelineContext) -> dict[str, Any]:
-    model: CompiledModel = context.artifact("transformed_model")
-    entry = context.artifact("scheduler")
+    model: CompiledModel = context.artifacts["transformed_model"]
+    entry = get_scheduler(context.config.scheduler)
     # the run's one design point: every analysis the scheduler runs reads
     # the cache and the MHP mode from it
     design = SystemDesign(
-        context.artifact("htg"),
+        context.artifacts["htg"],
         model.entry,
         context.platform,
         context.wcet_cache,
@@ -359,9 +327,9 @@ def _changed_tasks(htg: HierarchicalTaskGraph, prev_htg: HierarchicalTaskGraph) 
 
 
 def _parallel_stage(context: PipelineContext) -> dict[str, Any]:
-    model: CompiledModel = context.artifact("transformed_model")
-    htg: HierarchicalTaskGraph = context.artifact("htg")
-    schedule: Schedule = context.artifact("schedule")
+    model: CompiledModel = context.artifacts["transformed_model"]
+    htg: HierarchicalTaskGraph = context.artifacts["htg"]
+    schedule: Schedule = context.artifacts["schedule"]
     from repro.analysis.races import incremental_race_check
 
     prev_state = changed = None
@@ -392,9 +360,21 @@ def _parallel_stage(context: PipelineContext) -> dict[str, Any]:
         )
     program = build_parallel_program(htg, model.entry, context.platform, schedule)
     context.info["sync_ops"] = program.num_sync_ops
-    # extra (undeclared) artifact: the reusable race-check snapshot a later
-    # run_incremental re-checks from
+    # race_state: the reusable race-check snapshot a later run_incremental
+    # re-checks from
     return {"parallel_program": program, "race_state": race_state}
+
+
+def _wcet_stage(context: PipelineContext) -> dict[str, Any]:
+    model: CompiledModel = context.artifacts["transformed_model"]
+    sequential_bound = analyze_function_wcet(
+        model.entry,
+        HardwareCostModel(context.platform, context.platform.cores[0].core_id),
+        cache=context.wcet_cache,
+    ).total
+    context.info["system_wcet"] = context.artifacts["schedule"].wcet_bound
+    context.info["sequential_wcet"] = sequential_bound
+    return {"sequential_bound": sequential_bound}
 
 
 def _certify_stage(context: PipelineContext) -> dict[str, Any]:
@@ -415,13 +395,13 @@ def _certify_stage(context: PipelineContext) -> dict[str, Any]:
     from repro.analysis.certify import CertificationError, build_certificates
     from repro.analysis.report import AnalysisReport
 
-    model: CompiledModel = context.artifact("transformed_model")
+    model: CompiledModel = context.artifacts["transformed_model"]
     chain = build_certificates(
-        context.artifact("schedule"),
+        context.artifacts["schedule"],
         model.entry,
-        context.artifact("htg"),
+        context.artifacts["htg"],
         context.platform,
-        sequential_bound=context.artifact("sequential_bound"),
+        sequential_bound=context.artifacts["sequential_bound"],
     )
     context.info["certified"] = chain.ok
     context.info["certificate_findings"] = len(chain.findings())
@@ -439,130 +419,29 @@ def _certify_stage(context: PipelineContext) -> dict[str, Any]:
     return {"certificates": chain}
 
 
-def _wcet_stage(context: PipelineContext) -> dict[str, Any]:
-    model: CompiledModel = context.artifact("transformed_model")
-    sequential_bound = analyze_function_wcet(
-        model.entry,
-        HardwareCostModel(context.platform, context.platform.cores[0].core_id),
-        cache=context.wcet_cache,
-    ).total
-    context.info["system_wcet"] = context.artifact("schedule").wcet_bound
-    context.info["sequential_wcet"] = sequential_bound
-    return {"sequential_bound": sequential_bound}
-
-
-def default_stages() -> tuple[Stage, ...]:
-    """The seven built-in stages: the Fig. 1 flow plus the certify gate."""
-    return (
-        Stage(
-            name="frontend",
-            run=_frontend_stage,
-            consumes=("diagram",),
-            produces=("model",),
-            description="model-based specification -> IR entry function",
-        ),
-        Stage(
-            name="transforms",
-            run=_transforms_stage,
-            consumes=("model",),
-            produces=("transformed_model", "pass_reports"),
-            description="predictability-enhancing transformation passes",
-        ),
-        Stage(
-            name="htg",
-            run=_htg_stage,
-            consumes=("transformed_model",),
-            produces=("htg",),
-            description="hierarchical task graph extraction + WCET annotation",
-        ),
-        Stage(
-            name="schedule",
-            run=_schedule_stage,
-            consumes=("transformed_model", "htg", "scheduler"),
-            produces=("schedule",),
-            description="WCET-aware mapping/scheduling (via the scheduler registry)",
-        ),
-        Stage(
-            name="parallel",
-            run=_parallel_stage,
-            consumes=("transformed_model", "htg", "schedule"),
-            produces=("parallel_program",),
-            description="explicit parallel program construction",
-        ),
-        Stage(
-            name="wcet",
-            run=_wcet_stage,
-            consumes=("transformed_model", "schedule"),
-            produces=("sequential_bound",),
-            description="sequential reference bound (system bound lives on the schedule)",
-        ),
-        Stage(
-            name="certify",
-            run=_certify_stage,
-            consumes=("transformed_model", "htg", "schedule", "sequential_bound"),
-            produces=("certificates",),
-            description="independent certificate checkers (gated by config.certify)",
-        ),
-    )
-
-
-def _order_stages(stages: tuple[Stage, ...]) -> tuple[Stage, ...]:
-    """Validate the artifact graph and return the stages in dependency order.
-
-    Checks: unique stage names, every artifact produced exactly once, every
-    consumed artifact available (initial or produced), and acyclicity.  The topological order is stable with
-    respect to the declaration order.
-    """
-    names = [stage.name for stage in stages]
-    if len(set(names)) != len(names):
-        dupes = sorted({n for n in names if names.count(n) > 1})
-        raise PipelineError(f"duplicate stage names: {', '.join(dupes)}")
-    producer: dict[str, Stage] = {}
-    for stage in stages:
-        for artifact in stage.produces:
-            if artifact in INITIAL_ARTIFACTS:
-                raise PipelineError(
-                    f"stage {stage.name!r} produces reserved artifact {artifact!r}"
-                )
-            if artifact in producer:
-                raise PipelineError(
-                    f"artifact {artifact!r} produced by both "
-                    f"{producer[artifact].name!r} and {stage.name!r}"
-                )
-            producer[artifact] = stage
-    for stage in stages:
-        for artifact in stage.consumes:
-            if artifact not in producer and artifact not in INITIAL_ARTIFACTS:
-                raise PipelineError(
-                    f"stage {stage.name!r} consumes {artifact!r}, which no stage "
-                    f"produces (known artifacts: "
-                    f"{', '.join(sorted(set(producer) | set(INITIAL_ARTIFACTS)))})"
-                )
-    # Kahn's algorithm, preferring declaration order among ready stages.
-    pending = list(stages)
-    available = set(INITIAL_ARTIFACTS)
-    ordered: list[Stage] = []
-    while pending:
-        ready = [s for s in pending if all(a in available for a in s.consumes)]
-        if not ready:
-            cycle = ", ".join(s.name for s in pending)
-            raise PipelineError(f"stage graph has a dependency cycle through: {cycle}")
-        stage = ready[0]
-        pending.remove(stage)
-        ordered.append(stage)
-        available.update(stage.produces)
-    return tuple(ordered)
+#: The flow of paper Fig. 1 plus the certify gate, in the order every run
+#: walks it: ``(name, stage function)`` pairs.  A stage function reads the
+#: artifacts of the stages before it from ``context.artifacts``, records its
+#: diagnostics in ``context.info`` and returns the artifacts it adds.
+STAGES = (
+    ("frontend", _frontend_stage),
+    ("transforms", _transforms_stage),
+    ("htg", _htg_stage),
+    ("schedule", _schedule_stage),
+    ("parallel", _parallel_stage),
+    ("wcet", _wcet_stage),
+    ("certify", _certify_stage),
+)
 
 
 class Pipeline:
-    """A validated, composable instance of the flow for one platform."""
+    """The flow for one platform: :data:`STAGES` under one config and cache."""
 
     def __init__(
         self,
         platform: Platform,
         config: ToolchainConfig | None = None,
         wcet_cache: WcetAnalysisCache | None = None,
-        stages: tuple[Stage, ...] | None = None,
     ) -> None:
         self.platform = platform
         self.config = config or ToolchainConfig()
@@ -571,29 +450,12 @@ class Pipeline:
         #: explorations).  Defaults to the process-wide shared cache, which
         #: is disk-backed when ``REPRO_WCET_CACHE_DIR`` is set.
         self.wcet_cache = wcet_cache if wcet_cache is not None else shared_cache()
-        self.stages = _order_stages(tuple(stages) if stages is not None else default_stages())
         report = platform.check_predictability()
         if not report.passed:
             raise ToolchainError(
                 "platform fails the predictability guidelines: "
                 + "; ".join(report.violations)
             )
-
-    # ------------------------------------------------------------------ #
-    # composition
-    # ------------------------------------------------------------------ #
-    def with_stage(self, stage: Stage) -> "Pipeline":
-        """A new pipeline with ``stage`` added (position decided by the graph)."""
-        return Pipeline(
-            self.platform, self.config, self.wcet_cache, stages=self.stages + (stage,)
-        )
-
-    def replace_stage(self, name: str, stage: Stage) -> "Pipeline":
-        """A new pipeline with the stage called ``name`` swapped for ``stage``."""
-        if all(s.name != name for s in self.stages):
-            raise PipelineError(f"no stage named {name!r} to replace")
-        stages = tuple(stage if s.name == name else s for s in self.stages)
-        return Pipeline(self.platform, self.config, self.wcet_cache, stages=stages)
 
     # ------------------------------------------------------------------ #
     # execution
@@ -603,9 +465,9 @@ class Pipeline:
 
         With ``config.feedback_iterations > 1`` the cross-layer feedback
         loop (:class:`~repro.core.feedback.CrossLayerFeedback`) explores
-        neighbouring configurations through this pipeline's stages and
-        returns the best result; otherwise this is one pass through the
-        stage graph.  With ``config.trace`` set, observability
+        neighbouring configurations, each a one-pass run of the flow, and
+        returns the best result; otherwise this is one pass through
+        :data:`STAGES`.  With ``config.trace`` set, observability
         (:mod:`repro.obs`) is enabled for the duration of each pass and
         restored afterwards.
         """
@@ -619,8 +481,8 @@ class Pipeline:
         """Re-run the flow on an edited ``diagram``, reusing ``prev``.
 
         The same stage loop as :meth:`run`: every stage runs, seeing
-        ``prev`` as ``context.prev``, and the built-in stages reuse what is
-        provably unchanged:
+        ``prev`` as ``context.prev``, and two of them reuse what is provably
+        unchanged:
 
         * HTG extraction rebuilds only regions whose code fingerprint
           changed (tasks of clean regions are shallow-copied), given the
@@ -658,12 +520,7 @@ class Pipeline:
             platform=self.platform,
             config=self.config,
             wcet_cache=self.wcet_cache,
-            artifacts={
-                "diagram": diagram,
-                "platform": self.platform,
-                "config": self.config,
-                "scheduler": get_scheduler(self.config.scheduler),
-            },
+            artifacts={"platform": self.platform},
             prev=prev,
         )
         stats = self.wcet_cache.stats
@@ -672,25 +529,16 @@ class Pipeline:
         run_started = time.perf_counter()
         metrics_before = obs.metrics_snapshot() if obs_on else None
         records: list[StageRecord] = []
-        for stage in self.stages:
+        for name, stage in STAGES:
             context.info = {}
             started = time.perf_counter()
-            with obs.span(f"stage.{stage.name}"):
-                produced = dict(stage.run(context) or {})
+            with obs.span(f"stage.{name}"):
+                context.artifacts.update(stage(context))
             seconds = time.perf_counter() - started
             info = dict(context.info)
             if prev is not None:
                 info.setdefault("incremental", "recomputed")
-            missing = [a for a in stage.produces if a not in produced]
-            if missing:
-                raise PipelineError(
-                    f"stage {stage.name!r} did not produce declared artifact(s): "
-                    f"{', '.join(missing)}"
-                )
-            context.artifacts.update(produced)
-            records.append(
-                StageRecord(name=stage.name, seconds=seconds, produced=tuple(produced), info=info)
-            )
+            records.append(StageRecord(name=name, seconds=seconds, info=info))
         cache_stats = {
             key: after - before
             for key, before, after in zip(
@@ -771,25 +619,16 @@ class Pipeline:
         cache_stats: dict[str, int],
     ) -> PipelineResult:
         artifacts = context.artifacts
-
-        def require(name: str) -> Any:
-            if name not in artifacts:
-                raise PipelineError(
-                    f"pipeline finished without producing required artifact {name!r} "
-                    f"(is the {name!r}-producing stage missing?)"
-                )
-            return artifacts[name]
-
         return PipelineResult(
             diagram_name=diagram.name,
             platform_name=self.platform.name,
             config=self.config,
-            model=require("transformed_model"),
-            htg=require("htg"),
-            schedule=require("schedule"),
-            parallel_program=require("parallel_program"),
-            sequential_bound=float(artifacts.get("sequential_bound", 0.0)),
-            pass_reports=list(artifacts.get("pass_reports", [])),
+            model=artifacts["transformed_model"],
+            htg=artifacts["htg"],
+            schedule=artifacts["schedule"],
+            parallel_program=artifacts["parallel_program"],
+            sequential_bound=float(artifacts["sequential_bound"]),
+            pass_reports=list(artifacts["pass_reports"]),
             stage_records=records,
             artifacts=dict(artifacts),
             cache_stats=cache_stats,

@@ -74,23 +74,6 @@ class ParallelProgram:
     def shared_footprint_bytes(self) -> int:
         return sum(size for _, size in self.memory_map.values())
 
-    def validate(self, htg: HierarchicalTaskGraph) -> None:
-        """Check signal/wait pairing and per-core dependence ordering."""
-        signals = {op.flag for cp in self.core_programs.values() for op in cp.sync_ops() if op.kind == "signal"}
-        waits = {op.flag for cp in self.core_programs.values() for op in cp.sync_ops() if op.kind == "wait"}
-        if signals != waits:
-            raise ValueError(
-                f"unpaired synchronisation flags: {sorted(signals ^ waits)}"
-            )
-        reachability = htg.reachability()
-        for cp in self.core_programs.values():
-            violation = reachability.order_violation(cp.task_ids())
-            if violation is not None:
-                a, b = violation
-                raise ValueError(
-                    f"core {cp.core_id}: task {a!r} ordered before its dependence {b!r}"
-                )
-
 
 class MemoryMapError(ValueError):
     """Raised when shared objects do not fit in the platform shared memory."""
@@ -102,7 +85,14 @@ def build_parallel_program(
     platform: Platform,
     schedule: Schedule,
 ) -> ParallelProgram:
-    """Turn an analysed schedule into the explicit parallel program model."""
+    """Turn an analysed schedule into the explicit parallel program model.
+
+    The program is valid by construction once ``schedule.validate`` accepts
+    the schedule: each core runs its tasks in ``schedule.order``, which that
+    check orders by the HTG's dependences, and every cross-core edge gets
+    one flag, waited on before its consumer and signalled after its
+    producer.
+    """
     schedule.validate(htg, platform)
 
     core_programs: dict[int, CoreProgram] = {
@@ -165,12 +155,10 @@ def build_parallel_program(
             f"memory only has {platform.shared_memory.size_bytes}"
         )
 
-    program = ParallelProgram(
+    return ParallelProgram(
         name=f"{htg.name}_parallel",
         core_programs=core_programs,
         memory_map=memory_map,
         schedule=schedule,
         platform_name=platform.name,
     )
-    program.validate(htg)
-    return program

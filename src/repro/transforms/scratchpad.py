@@ -40,9 +40,8 @@ def allocate_scratchpad(
 
     ``protect`` lists arrays that must remain shared (e.g. buffers written by
     one core and read by another -- the caller knows the task mapping).
-    Returns the allocation decision; the caller applies it either by
-    replacing the IR declarations (:class:`ScratchpadAllocationPass`) or
-    through the cost-model override used during design-space exploration.
+    Returns the allocation decision; :class:`ScratchpadAllocationPass`
+    applies it by replacing the IR declarations.
     """
     if capacity_bytes < 0:
         raise ValueError("capacity must be non-negative")
@@ -87,9 +86,9 @@ class ScratchpadAllocationPass(FunctionPass):
     Only plain ``SHARED`` arrays are relocated: each moved declaration is
     replaced by a ``SCRATCHPAD`` copy in a new ``decls`` list, so the
     declarations the pass was handed stay untouched.  ``INPUT``/``OUTPUT``
-    parameters keep their storage class (they belong to the caller) --
-    callers that want those staged into the SPM should use the cost-model
-    override returned in the report details.
+    parameters keep their storage class (they belong to the caller), so the
+    ``moved`` list in the report details may name arrays that stayed where
+    they were; ``moved_in_place`` counts the ones relocated.
     """
 
     capacity_bytes: int = 64 * 1024

@@ -35,11 +35,11 @@ across processes: changed IR or a different platform simply produces
 different keys, and unchanged IR hits the cache.  The cost signature is
 derived from the numbers the code-level analysis can observe (operation cost
 table, branch/loop overheads, scratchpad and uncontended shared-memory
-latencies, storage overrides), never from object identities, so identical
-cores share entries even on heterogeneous platforms and across platform
-rebuilds.  IR is never mutated once the front end has built it (the
-transformation passes work copy-on-write on a copy of the entry function),
-so its identity-keyed fingerprint memos cannot go stale.  Only one situation
+latencies), never from object identities, so identical cores share entries
+even on heterogeneous platforms and across platform rebuilds.  IR is never
+mutated once the front end has built it (the transformation passes work
+copy-on-write on a copy of the entry function), so its identity-keyed
+fingerprint memos cannot go stale.  Only one situation
 requires explicit action from callers:
 
 * **Platform, processor or cost-model objects mutated in place** require
@@ -59,6 +59,13 @@ footprints (:attr:`~repro.wcet.cache.WcetAnalysisCache.footprints`) are
 keyed the same way, with the task's declared read/write names added to the
 context.  The :data:`~repro.wcet.cache.CACHE_SCHEMA_VERSION` bump (3 → 4)
 retires the old on-disk entries by the ordinary versioning rule.
+
+The cost signature once also digested the cost model's storage overrides,
+which nothing set; dropping that element changed every code-level key with
+**no schema bump**: a key derived the new way cannot equal one derived the
+old way, so older v6 entries are never looked up again and
+:meth:`~repro.wcet.cache.WcetAnalysisCache.evict` ages them out;
+:data:`~repro.wcet.cache.CACHE_SCHEMA_VERSION` stays 6.
 
 System-level / result tiers
 ---------------------------

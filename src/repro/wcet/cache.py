@@ -45,9 +45,8 @@ Code-level cache keys are **content addressed**: an entry is keyed by
 * the fingerprint of the analysed statement region (a task's statements or
   the function body, rendered through the C printer),
 * the *cost signature* of the hardware model -- the processor's operation
-  cost table, branch and loop overheads, the core's scratchpad latencies,
-  the platform's uncontended shared-memory latencies and any storage
-  overrides, and
+  cost table, branch and loop overheads, the core's scratchpad latencies
+  and the platform's uncontended shared-memory latencies, and
 * the average/worst-case flag.
 
 The cost signature is derived purely from the numbers that determine
@@ -159,9 +158,9 @@ rely on those objects never changing once fingerprinted:
   :meth:`WcetAnalysisCache.clear`; building fresh objects is the supported
   style and needs no invalidation at all.
 
-Everything else -- new functions, new platforms, new storage overrides,
-feedback iterations that recompile the model -- is handled transparently:
-unchanged IR hits the cache, changed IR misses it.
+Everything else -- new functions, new platforms, feedback iterations that
+recompile the model -- is handled transparently: unchanged IR hits the
+cache, changed IR misses it.
 """
 
 from __future__ import annotations
@@ -725,12 +724,12 @@ class WcetAnalysisCache:
 
         Covers every number the code-level analysis can observe through the
         model: the processor's operation cost table and control overheads,
-        the core's scratchpad latencies, the platform's uncontended
-        shared-memory latencies and the storage overrides.  It also names
-        the processor's class and the cost model's class (by
-        ``module.qualname``, as :func:`platform_signature` names every
-        component), whose methods turn that table into prices: a subclass
-        overriding ``cycles_for_op`` never shares the base class's entries.
+        the core's scratchpad latencies and the platform's uncontended
+        shared-memory latencies.  It also names the processor's class and
+        the cost model's class (by ``module.qualname``, as
+        :func:`platform_signature` names every component), whose methods
+        turn that table into prices: a subclass overriding
+        ``cycles_for_op`` never shares the base class's entries.
         Identical cores therefore share entries regardless of object
         identity, platform instance or process -- which is what makes
         heterogeneous platforms with repeated core types, and disk-backed
@@ -741,9 +740,6 @@ class WcetAnalysisCache:
             platform = model.platform
             core = platform.core(model.core_id)
             proc = core.processor
-            override = tuple(
-                sorted((name, storage.name) for name, storage in model.storage_override.items())
-            )
             signature = (
                 _qualified_name(type(proc)),
                 _qualified_name(type(model)),
@@ -754,7 +750,6 @@ class WcetAnalysisCache:
                 float(core.scratchpad.write_latency),
                 float(platform.shared_read_latency(0)),
                 float(platform.shared_write_latency(0)),
-                override,
             )
             cached = self._remember(
                 self._model_sigs, model, _digest(json.dumps(signature, separators=(",", ":")))

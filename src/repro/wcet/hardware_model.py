@@ -44,7 +44,7 @@ prices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.adl.architecture import Platform
 from repro.ir.program import Function, Storage
@@ -61,15 +61,14 @@ class HardwareCostModel:
     core_id:
         The core the analysed code runs on (cores may differ in processor
         model on heterogeneous platforms).
-    storage_override:
-        Optional map ``array name -> Storage`` overriding the declared storage
-        class, used by the scratchpad-allocation transformation to evaluate
-        placements without mutating the IR.
+
+    An array's price follows its declared storage class; the
+    scratchpad-allocation pass moves an array by rewriting its declaration
+    (:class:`~repro.transforms.scratchpad.ScratchpadAllocationPass`).
     """
 
     platform: Platform
     core_id: int = 0
-    storage_override: dict[str, Storage] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self._core = self.platform.core(self.core_id)
@@ -97,8 +96,6 @@ class HardwareCostModel:
 
     # ------------------------------------------------------------------ #
     def storage_of(self, function: Function, name: str) -> Storage:
-        if name in self.storage_override:
-            return self.storage_override[name]
         decl = function.lookup(name)
         if decl is None:
             return Storage.LOCAL
@@ -107,23 +104,25 @@ class HardwareCostModel:
     def is_shared(self, function: Function, name: str) -> bool:
         return self.storage_of(function, name) in (Storage.SHARED, Storage.INPUT, Storage.OUTPUT)
 
-    def read_cycles(self, function: Function, name: str, contenders: int = 0) -> float:
-        """Worst-case cycles for one element read of array ``name``."""
+    def read_cycles(self, function: Function, name: str) -> float:
+        """Worst-case cycles for one element read of array ``name``
+        (uncontended: the system-level analysis adds interference)."""
         storage = self.storage_of(function, name)
         if storage is Storage.LOCAL:
             return 1.0
         if storage is Storage.SCRATCHPAD:
             return float(self._core.scratchpad.read_latency)
-        return self.platform.shared_read_latency(contenders)
+        return self.platform.shared_read_latency(0)
 
-    def write_cycles(self, function: Function, name: str, contenders: int = 0) -> float:
-        """Worst-case cycles for one element write of array ``name``."""
+    def write_cycles(self, function: Function, name: str) -> float:
+        """Worst-case cycles for one element write of array ``name``
+        (uncontended, like :meth:`read_cycles`)."""
         storage = self.storage_of(function, name)
         if storage is Storage.LOCAL:
             return 1.0
         if storage is Storage.SCRATCHPAD:
             return float(self._core.scratchpad.write_latency)
-        return self.platform.shared_write_latency(contenders)
+        return self.platform.shared_write_latency(0)
 
     def shared_access_penalty(self, contenders: int) -> float:
         """Extra cycles per shared access caused by ``contenders`` competitors.
@@ -143,14 +142,14 @@ class HardwareCostModel:
         Assumes no contention and charges half the worst-case shared latency,
         which is how an average-case-oriented flow would budget memory.
         """
-        worst = self.read_cycles(function, name, contenders=0)
+        worst = self.read_cycles(function, name)
         if self.is_shared(function, name):
             return max(1.0, worst / 2.0)
         return worst
 
     def average_write_cycles(self, function: Function, name: str) -> float:
         """Optimistic write cost, budgeted like :meth:`average_read_cycles`."""
-        worst = self.write_cycles(function, name, contenders=0)
+        worst = self.write_cycles(function, name)
         if self.is_shared(function, name):
             return max(1.0, worst / 2.0)
         return worst

@@ -99,9 +99,10 @@ class TestCertificateChain:
 
     def test_each_transfer_is_priced_once_per_side(self, monkeypatch):
         """Building and checking the chain asks the platform for each
-        distinct (payload, source core, destination core) at most twice:
-        once for the witness, once for the checker (polka at loop x 4 on
-        eight cores: 132 cross-core edges, 56 distinct transfers)."""
+        distinct (payload, source core, destination core) exactly once: the
+        witness carries no delays, and the checker prices each transfer
+        once (polka at loop x 4 on eight cores: 132 cross-core edges, 56
+        distinct transfers)."""
         platform = generic_predictable_multicore(cores=8)
         build, _ = ALL_USECASES["polka"]
         result = run_pipeline(
@@ -120,7 +121,8 @@ class TestCertificateChain:
         )
         assert chain.ok
         assert calls, "the case must have priced cross-core transfers"
-        assert max(calls.values()) <= 2, calls.most_common(3)
+        assert len(calls) == 56
+        assert set(calls.values()) == {1}, calls.most_common(3)
 
 
 class TestConstructionErrors:

@@ -207,15 +207,22 @@ class TestCodeLevelWcet:
         assert average <= worst
 
     def test_scratchpad_override_reduces_wcet(self, pipeline_model, platform4):
+        """Re-declaring two signals SCRATCHPAD, as the scratchpad pass does,
+        lowers the WCET."""
+        import dataclasses
+
         from repro.ir.program import Storage
 
-        base = analyze_function_wcet(
-            pipeline_model.entry, HardwareCostModel(platform4, 0)
-        ).total
-        override = {"sig_a_y": Storage.SCRATCHPAD, "sig_b_y": Storage.SCRATCHPAD}
-        improved = analyze_function_wcet(
-            pipeline_model.entry, HardwareCostModel(platform4, 0, override)
-        ).total
+        entry = pipeline_model.entry
+        moved = {"sig_a_y", "sig_b_y"}
+        decls = [
+            dataclasses.replace(d, storage=Storage.SCRATCHPAD) if d.name in moved else d
+            for d in entry.decls
+        ]
+        assert {d.name for d in decls if d.storage is Storage.SCRATCHPAD} == moved
+        model = HardwareCostModel(platform4, 0)
+        base = analyze_function_wcet(entry, model).total
+        improved = analyze_function_wcet(dataclasses.replace(entry, decls=decls), model).total
         assert improved < base
 
     def test_breakdown_components_sum(self, pipeline_model, platform4):

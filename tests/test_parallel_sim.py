@@ -46,8 +46,15 @@ class TestParallelProgram:
     def test_build_and_validate(self, platform, case):
         model, htg, schedule = case
         program = build_parallel_program(htg, model.entry, platform, schedule)
-        program.validate(htg)
         assert set(program.core_programs) == set(schedule.order)
+        # every flag is both signalled and waited on
+        ops = [op for cp in program.core_programs.values() for op in cp.sync_ops()]
+        signals = {op.flag for op in ops if op.kind == "signal"}
+        assert signals
+        assert signals == {op.flag for op in ops if op.kind == "wait"}
+        # each core runs its tasks in the schedule's (validated) order
+        for core, cp in program.core_programs.items():
+            assert cp.task_ids() == schedule.order[core]
 
     def test_cross_core_edges_have_sync(self, platform, case):
         model, htg, schedule = case

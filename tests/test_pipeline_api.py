@@ -1,4 +1,4 @@
-"""Tests for the composable pipeline API: registries, stages, feedback, sweep."""
+"""Tests for the pipeline API: registries, stages, feedback, sweep."""
 
 import dataclasses
 import re
@@ -8,9 +8,9 @@ import pytest
 
 from repro.adl.platforms import generic_predictable_multicore, recore_xentium_like
 from repro.core import (
+    CrossLayerFeedback,
     Pipeline,
     PipelineError,
-    Stage,
     SweepCase,
     ToolchainConfig,
     run_pipeline,
@@ -190,58 +190,18 @@ class TestPipelineStages:
             "frontend", "transforms", "htg", "schedule", "parallel", "wcet",
             "certify",
         }
-        # typed artifacts of the run are all retained
-        for name in ("model", "transformed_model", "htg", "schedule",
-                     "parallel_program", "sequential_bound", "pass_reports"):
-            assert name in result.artifacts
+        # every stage's artifacts are retained, plus the platform
+        assert set(result.artifacts) == {
+            "platform", "model", "transformed_model", "pass_reports", "htg",
+            "schedule", "parallel_program", "race_state", "sequential_bound",
+            "certificates",
+        }
         assert result.stage("schedule").info["scheduler"] == "wcet_list"
         assert result.stage("htg").info["tasks"] == len(result.htg.leaf_tasks())
         assert result.stage("transforms").info["passes"] == [
             "constant_folding", "dead_code_elimination", "scratchpad_allocation",
         ]
         assert result.cache_stats["misses"] >= 0
-
-    def test_custom_stage_slots_into_the_graph(self, platform):
-        def critical_path(context):
-            schedule = context.artifact("schedule")
-            context.info["bound"] = schedule.wcet_bound
-            return {"bound_copy": schedule.wcet_bound}
-
-        pipeline = Pipeline(platform, ToolchainConfig(**SMALL)).with_stage(
-            Stage(
-                name="bound_copy",
-                run=critical_path,
-                consumes=("schedule",),
-                produces=("bound_copy",),
-            )
-        )
-        result = pipeline.run(build_polka_diagram(pixels=32))
-        assert result.artifacts["bound_copy"] == result.system_wcet
-        assert result.stage("bound_copy").info["bound"] == result.system_wcet
-
-    def test_unknown_consumed_artifact_rejected(self, platform):
-        stage = Stage(name="bad", run=lambda ctx: {}, consumes=("nonexistent",))
-        with pytest.raises(PipelineError, match="nonexistent"):
-            Pipeline(platform, stages=(stage,))
-
-    def test_duplicate_producer_rejected(self, platform):
-        from repro.core.pipeline import default_stages
-
-        clone = Stage(name="clone", run=lambda ctx: {}, produces=("htg",))
-        with pytest.raises(PipelineError, match="produced by both"):
-            Pipeline(platform, stages=default_stages() + (clone,))
-
-    def test_dependency_cycle_rejected(self, platform):
-        a = Stage(name="a", run=lambda ctx: {}, consumes=("b_out",), produces=("a_out",))
-        b = Stage(name="b", run=lambda ctx: {}, consumes=("a_out",), produces=("b_out",))
-        with pytest.raises(PipelineError, match="cycle"):
-            Pipeline(platform, stages=(a, b))
-
-    def test_stage_must_produce_declared_artifacts(self, platform):
-        liar = Stage(name="liar", run=lambda ctx: {}, produces=("promised",))
-        pipeline = Pipeline(platform, stages=(liar,))
-        with pytest.raises(PipelineError, match="promised"):
-            pipeline.run(build_polka_diagram(pixels=32))
 
 
 class TestToolchainShim:
@@ -280,31 +240,20 @@ class TestFeedbackThroughPipeline:
         # the feedback loop ran: it found a better candidate than one pass
         assert via_run.system_wcet < one_pass.system_wcet
 
-    def test_feedback_candidates_run_the_custom_stages(self, platform):
-        seen = []
-
-        def audit(context):
-            seen.append(context.config)
-            return {"audited_bound": context.artifact("schedule").wcet_bound}
-
+    def test_feedback_candidates_are_one_pass_runs(self, platform):
         pipeline = Pipeline(
             platform,
             ToolchainConfig(loop_chunks=2, feedback_iterations=2),
             WcetAnalysisCache(),
-        ).with_stage(
-            Stage(
-                name="audit",
-                run=audit,
-                consumes=("schedule",),
-                produces=("audited_bound",),
-            )
         )
-        result = pipeline.run(build_polka_diagram(pixels=32))
+        feedback = CrossLayerFeedback(pipeline)
+        result = feedback.optimize(build_polka_diagram(pixels=32))
+        configs = [entry.config for entry in feedback.history]
         # one candidate in the first round, four neighbours in the second
-        assert len(seen) == 5
-        assert len(set(map(repr, seen))) == 5
-        assert all(config.feedback_iterations == 1 for config in seen)
-        assert result.artifacts["audited_bound"] == result.system_wcet
+        assert len(configs) == 5
+        assert len(set(map(repr, configs))) == 5
+        assert all(config.feedback_iterations == 1 for config in configs)
+        assert result.system_wcet == min(entry.system_wcet for entry in feedback.history)
 
     def test_run_incremental_rejects_feedback_configs(self, platform):
         config = ToolchainConfig(loop_chunks=2, feedback_iterations=2)

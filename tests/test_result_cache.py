@@ -1,4 +1,4 @@
-"""Tests for the system-level result tier, eviction and stage replay.
+"""Tests for the system-level result tier, eviction and incremental runs.
 
 Three reuse mechanisms land here:
 
@@ -6,9 +6,9 @@ Three reuse mechanisms land here:
   fixed-point results (in-memory, cross-instance and cross-process);
 * :meth:`repro.wcet.cache.WcetAnalysisCache.evict` -- the size/age-bounded
   eviction policy for shared cache directories;
-* stage replay -- :meth:`repro.core.pipeline.Pipeline.run_incremental`
-  replays a stage's artifacts from a previous run when its replay key
-  proves the inputs unchanged.
+* incremental runs -- :meth:`repro.core.pipeline.Pipeline.run_incremental`
+  runs every stage again; the caches answer what its inputs left
+  unchanged.
 
 Everything here shares one correctness bar with the code-level tier: caches
 must be observationally invisible (bit-identical results, warm or cold).
@@ -471,7 +471,9 @@ class TestStageArtifactCache:
         first = pipeline.run(build_polka_diagram(pixels=32))
         fixed_points = pipeline.wcet_cache.system_results.stats.misses
         second = pipeline.run_incremental(first, build_polka_diagram(pixels=32))
-        assert [r.name for r in second.stage_records] == [s.name for s in pipeline.stages]
+        assert [r.name for r in second.stage_records] == [
+            "frontend", "transforms", "htg", "schedule", "parallel", "wcet", "certify",
+        ]
         # every code-level analysis and the fixed point are cache hits
         assert second.cache_stats["misses"] == 0
         assert pipeline.wcet_cache.system_results.stats.misses == fixed_points
@@ -565,33 +567,26 @@ class TestStageArtifactCache:
         )
 
     def test_wcet_stage_key_pins_the_consumed_schedule(self, platform):
-        """A replaced schedule stage runs on an incremental run of the
-        default pipeline's result, and the wcet stage describes the
-        schedule it produced, not the previous one."""
-        import dataclasses as dc
-
+        """Another scheduler runs on an incremental run of the default
+        pipeline's result, and the wcet stage describes the schedule it
+        produced, not the previous one."""
         from repro.scheduling import evaluate_mapping
+        from repro.scheduling.registry import register_scheduler, unregister_scheduler
 
-        def all_on_core0(context):
-            htg = context.artifact("htg")
-            model = context.artifact("transformed_model")
-            mapping = {
-                t.task_id: 0 for t in htg.leaf_tasks() if not t.is_synthetic
-            }
-            schedule = evaluate_mapping(
-                SystemDesign(htg, model.entry, context.platform, context.wcet_cache),
-                mapping,
-                scheduler="all_on_core0",
+        @register_scheduler("all_on_core0")
+        def all_on_core0(design, config):
+            mapping = {tid: 0 for tid in design.leaf_ids}
+            return evaluate_mapping(design, mapping, scheduler="all_on_core0")
+
+        try:
+            first = Pipeline(platform, ToolchainConfig(**SMALL)).run(
+                build_polka_diagram(pixels=32)
             )
-            return {"schedule": schedule}
-
-        default = Pipeline(platform, ToolchainConfig(**SMALL))
-        first = default.run(build_polka_diagram(pixels=32))
-        builtin = next(s for s in default.stages if s.name == "schedule")
-        # same name and artifacts: only the implementation differs
-        custom = default.replace_stage("schedule", dc.replace(builtin, run=all_on_core0))
-        second = custom.run_incremental(first, build_polka_diagram(pixels=32))
-        cold = custom.run(build_polka_diagram(pixels=32))
+            custom = Pipeline(platform, ToolchainConfig(scheduler="all_on_core0", **SMALL))
+            second = custom.run_incremental(first, build_polka_diagram(pixels=32))
+            cold = custom.run(build_polka_diagram(pixels=32))
+        finally:
+            unregister_scheduler("all_on_core0")
         assert set(second.schedule.mapping.values()) == {0}
         assert second.system_wcet == cold.system_wcet != first.system_wcet
         # the wcet stage's diagnostics describe the *new* schedule
