@@ -2,10 +2,10 @@
 
 The incremental engine (:meth:`repro.core.pipeline.Pipeline.run_incremental`)
 runs every stage, each reusing the previous run through ``context.prev``
-where its inputs' fingerprints are unchanged: one edited block re-extracts
-one HTG region, and the race check re-scans only pairs with a changed
-endpoint.  The other stages re-run on warm caches; the interference fixed
-point of the re-run schedule starts cold.
+where its inputs are unchanged: one edited block is lowered again, its
+region alone is transformed and re-extracted, and the race check re-scans
+only pairs with a changed endpoint.  The other stages re-run on warm
+caches; the interference fixed point of the re-run schedule starts cold.
 
 This experiment takes an E11-scale workload (a ~900-task random layered
 diagram at loop granularity), edits a single block parameter, and compares
@@ -19,9 +19,11 @@ round (so the incremental side never re-times work its own previous round
 cached), with the collector paused during the timed sections to keep GC
 pauses of the large heap out of the comparison.
 
-Acceptance: the incremental run is **>= 1.8x** faster, re-analyses exactly
-one region, reuses race-check pairs, and its bounds / mapping / order /
-per-task intervals are bit-identical to a cold run of the edited diagram.
+Acceptance: the incremental run is **>= 1.8x** faster, lowers exactly one
+block and transforms and re-analyses exactly one region (the measure of
+the incremental work itself), reuses race-check pairs, and its bounds /
+mapping / order / per-task intervals are bit-identical to a cold run of
+the edited diagram.
 """
 
 import gc
@@ -128,7 +130,10 @@ def test_e15_incremental_single_task_edit(benchmark):
         assert inc.schedule.result.task_intervals == ref.schedule.result.task_intervals
 
         report = inc.artifacts["incremental_report"]
-        # exactly the edited region was re-extracted and re-analysed
+        # the incremental work itself: exactly the edited block was lowered,
+        # its region alone transformed, re-extracted and re-analysed
+        assert report.blocks_lowered == 1, report.as_dict()
+        assert report.regions_transformed == 1, report.as_dict()
         assert report.regions_recomputed == 1
         assert report.stages["htg"] == "incremental"
         assert tuple(report.diff.changed_regions) == (r["edited_block"],)

@@ -12,10 +12,11 @@ The consumers are layered:
 * :meth:`repro.core.pipeline.PipelineResult.artifact_summary` records the
   summary of a finished run (via :func:`summarize_result`);
 * :meth:`repro.core.pipeline.Pipeline.run_incremental` runs every stage,
-  each seeing the previous run as ``context.prev``: HTG extraction
-  re-extracts only changed regions and the race check re-checks only pairs
-  with a changed endpoint; :func:`diff_summaries` names the changed,
-  added and removed regions for the run's :class:`IncrementalReport`;
+  each seeing the previous run as ``context.prev``: the front end lowers
+  only changed blocks, HTG extraction re-extracts only changed regions and
+  the race check re-checks only pairs with a changed endpoint;
+  :func:`diff_summaries` names the changed, added and removed regions for
+  the run's :class:`IncrementalReport`;
 * ``python -m repro diff <old> <new>`` prints that report and, when the
   old and new entry functions have the same fingerprint, replays the old
   code-level :class:`~repro.analysis.report.AnalysisReport` findings
@@ -25,12 +26,25 @@ What each stage reuses (the reuse contract)
 -------------------------------------------
 
 There is one reuse mechanism: a stage that runs reads ``context.prev``.
+What the front end hands over carries the rest: a region object it reuses
+keeps every memo keyed by it, its fingerprint and its per-region facts
+(:mod:`repro.ir.facts`, in the cache's region memo) included, so the
+stages after it recompute only the facts of the regions the edit changed.
 
 ================  ====================================================
 stage             what it reuses from ``context.prev``
 ================  ====================================================
-``frontend``      nothing: the diagram is compiled again
-``transforms``    nothing: the passes run again on the new IR
+``frontend``      the region objects and declared temporaries of every
+                  block whose lowering inputs (name, script, bindings,
+                  copy-outs) are unchanged
+                  (:class:`~repro.frontend.codegen.BlockLowering`);
+                  only the other blocks are lowered, and the entry
+                  function is validated from per-region facts
+``transforms``    through the handed-over regions: each built-in pass
+                  folds per-region facts and rewrites memoized on them,
+                  so the passes re-run only on new regions (a pass
+                  the run configures anew, for another platform say,
+                  folds the same facts into its decision)
 ``htg``           the tasks and WCET annotations of every region whose
                   code fingerprint equals the summary's, when the
                   previous run had the same platform digest (the
@@ -46,8 +60,9 @@ stage             what it reuses from ``context.prev``
 ``parallel``      the race check's state (happens-before reachability,
                   per-pair findings): only pairs with a changed
                   endpoint are re-checked
-``wcet``          nothing: the code-level cache answers an unchanged
-                  entry function
+``wcet``          the code-level entries of the unchanged regions: the
+                  sequential bound is the sum of the body's region
+                  entries, so only changed regions are analysed
 ``certify``       nothing: the checkers always run
 ================  ====================================================
 
@@ -162,6 +177,11 @@ class IncrementalReport:
     #: ``"recomputed"``.
     stages: dict[str, str] = field(default_factory=dict)
     diff: FingerprintDiff | None = None
+    #: Blocks the front end lowered (the others kept their regions).
+    blocks_lowered: int = 0
+    #: Regions a built-in transformation pass computed on (the others
+    #: kept the results memoized on them).
+    regions_transformed: int = 0
     #: Regions whose task decomposition / code-level facts were reused.
     regions_reused: int = 0
     regions_recomputed: int = 0
@@ -174,14 +194,17 @@ class IncrementalReport:
         """The reuse accounting of one incremental run's stage records.
 
         ``info["incremental"]`` is each stage's status.  The counts come
-        from the info keys the built-in stages record: ``regions_reused`` /
-        ``regions_recomputed`` (HTG extraction) and ``race_pairs_reused`` /
-        ``race_pairs_checked`` (the race check).
+        from the info keys the built-in stages record: ``blocks_lowered``
+        (the front end), ``regions_transformed`` (the transforms),
+        ``regions_reused`` / ``regions_recomputed`` (HTG extraction) and
+        ``race_pairs_reused`` / ``race_pairs_checked`` (the race check).
         """
         report = cls()
         for record in records:
             info = record.info
             report.stages[record.name] = info["incremental"]
+            report.blocks_lowered += info.get("blocks_lowered", 0)
+            report.regions_transformed += info.get("regions_transformed", 0)
             report.regions_reused += info.get("regions_reused", 0)
             report.regions_recomputed += info.get("regions_recomputed", 0)
             report.race_pairs_reused += info.get("race_pairs_reused", 0)
@@ -203,6 +226,8 @@ class IncrementalReport:
             "stages": dict(self.stages),
             "stages_recomputed": self.stages_recomputed,
             "diff": self.diff.as_dict() if self.diff is not None else None,
+            "blocks_lowered": self.blocks_lowered,
+            "regions_transformed": self.regions_transformed,
             "regions_reused": self.regions_reused,
             "regions_recomputed": self.regions_recomputed,
             "race_pairs_reused": self.race_pairs_reused,
@@ -225,6 +250,10 @@ class IncrementalReport:
             lines.append(f"unchanged functions: {len(d.unchanged_regions)}")
         for stage, status in self.stages.items():
             lines.append(f"stage {stage:<10} {status}")
+        lines.append(
+            f"front end: {self.blocks_lowered} block(s) lowered; "
+            f"passes re-ran on {self.regions_transformed} region(s)"
+        )
         lines.append(
             f"facts: {self.regions_reused} region(s) reused, "
             f"{self.regions_recomputed} recomputed; "

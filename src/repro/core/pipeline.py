@@ -21,10 +21,13 @@ changes:
 :meth:`Pipeline.run` and :meth:`Pipeline.run_incremental` are one stage
 loop, and every stage runs in both.  Given a previous run, each stage sees
 it as ``context.prev`` and reuses what the previous run proves unchanged:
-HTG extraction keeps the tasks of every region whose code fingerprint is
-unchanged, and the race check re-checks only pairs with a changed endpoint;
-the other stages re-run on warm caches.  The reuse contract, stage by
-stage, is in :mod:`repro.analysis.incremental`.
+the front end keeps the regions of every block whose lowering inputs are
+unchanged, HTG extraction keeps the tasks of every region whose code
+fingerprint is unchanged, and the race check re-checks only pairs with a
+changed endpoint; the other stages re-run on warm caches, where the
+handed-over regions' per-region facts and code-level entries answer for
+them.  The reuse contract, stage by stage, is in
+:mod:`repro.analysis.incremental`.
 
 :meth:`Pipeline.run` is the one entry point of the flow: with
 ``config.feedback_iterations > 1`` it runs the cross-layer feedback loop
@@ -47,6 +50,7 @@ from repro.core.exceptions import ToolchainError
 from repro.frontend import CompiledModel, compile_diagram
 from repro.htg import HierarchicalTaskGraph, extract_htg
 from repro.htg.extraction import ExtractionOptions, extract_htg_incremental
+from repro.ir.facts import RegionFacts
 from repro.ir.loops import describe_unbounded_loops
 from repro.ir.program import Program
 from repro.model.diagram import Diagram
@@ -198,24 +202,33 @@ class PipelineResult:
 # the stages
 # ---------------------------------------------------------------------- #
 def _frontend_stage(context: PipelineContext) -> dict[str, Any]:
-    model = compile_diagram(context.diagram)
+    # blocks whose lowering inputs are unchanged keep the previous run's
+    # regions, and with them every fact memoized on them
+    prev = context.prev.artifacts.get("model") if context.prev is not None else None
+    facts = RegionFacts(context.wcet_cache.region_facts)
+    model = compile_diagram(context.diagram, prev=prev, facts=facts)
     # Catch unbounded loops here with a diagnostic naming function and loop,
     # instead of failing much later inside IPET with an opaque error.
-    problems = describe_unbounded_loops(model.entry)
+    problems = describe_unbounded_loops(model.entry, facts)
     if problems:
         raise PipelineError(
             "the compiled model contains loops without a derivable worst-case "
             "trip count: " + "; ".join(problems)
         )
     context.info["blocks"] = len(model.block_regions)
+    context.info["blocks_lowered"] = model.blocks_lowered
+    if prev is not None and model.blocks_lowered < len(context.diagram.blocks):
+        context.info["incremental"] = "incremental"
     return {"model": model}
 
 
 def _transforms_stage(context: PipelineContext) -> dict[str, Any]:
     model: CompiledModel = context.artifacts["model"]
     names = context.config.passes
+    facts = RegionFacts(context.wcet_cache.region_facts)
     passes = build_pass_pipeline(
-        names, PassContext(platform=context.platform, config=context.config, model=model)
+        names,
+        PassContext(platform=context.platform, config=context.config, model=model, facts=facts),
     )
     manager = PassManager()
     for pass_ in passes:
@@ -232,6 +245,9 @@ def _transforms_stage(context: PipelineContext) -> dict[str, Any]:
     )
     context.info["passes"] = list(names)
     context.info["changed"] = sum(1 for r in reports if r.changed)
+    # the regions a built-in pass computed on: the others' results were
+    # memoized on them by an earlier run
+    context.info["regions_transformed"] = len(facts.computed)
     return {
         "transformed_model": dataclasses.replace(model, program=program),
         "pass_reports": reports,
@@ -481,9 +497,13 @@ class Pipeline:
         """Re-run the flow on an edited ``diagram``, reusing ``prev``.
 
         The same stage loop as :meth:`run`: every stage runs, seeing
-        ``prev`` as ``context.prev``, and two of them reuse what is provably
-        unchanged:
+        ``prev`` as ``context.prev``, and three of them reuse what is
+        provably unchanged:
 
+        * the front end lowers only blocks whose lowering inputs changed
+          and hands over ``prev``'s regions for the others, so the passes
+          and the sequential bound recompute only the changed regions'
+          per-region facts and entries;
         * HTG extraction rebuilds only regions whose code fingerprint
           changed (tasks of clean regions are shallow-copied), given the
           same platform signature and extraction knobs as ``prev``;

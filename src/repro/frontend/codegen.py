@@ -12,6 +12,10 @@ The labelled regions (:attr:`CompiledModel.block_regions`) are what the HTG
 extractor uses to name tasks after the originating blocks.  They are read
 from the entry function's body, so a transformed model's regions are the
 transformed code.
+
+A compile records what each block emitted (:class:`BlockLowering`), and a
+later compile given it (an edit round's, say) reuses the regions of the
+blocks whose lowering inputs are unchanged instead of lowering them again.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import numpy as np
 
 from repro.ir.builder import FunctionBuilder
 from repro.ir.expressions import Const, Expr, Var
+from repro.ir.facts import RegionFacts
 from repro.ir.printer import to_c
 from repro.ir.program import Function, Program, Storage, VarDecl
 from repro.ir.statements import Block as IRBlock
@@ -95,6 +100,11 @@ class CompiledModel:
     parameter_values: dict[str, np.ndarray] = field(default_factory=dict)
     #: Initial values for persistent state variables.
     state_values: dict[str, Any] = field(default_factory=dict)
+    #: Block name -> what compiling the block emitted; a later
+    #: :func:`compile_diagram` given this model reuses the unchanged ones.
+    lowerings: dict[str, BlockLowering] = field(default_factory=dict, repr=False)
+    #: How many blocks this compile lowered (the others it reused).
+    blocks_lowered: int = 0
 
     @property
     def entry(self) -> Function:
@@ -157,8 +167,74 @@ def _declare_port_var(
     return Var(name, ty)
 
 
-def compile_diagram(diagram: Diagram, entry_name: str | None = None) -> CompiledModel:
-    """Compile ``diagram`` to an IR program (one synchronous step)."""
+@dataclass(frozen=True)
+class BlockLowering:
+    """What compiling one block emitted, for a later compile to reuse.
+
+    ``inputs`` is everything the emitted code depends on besides the
+    block's name: its script, its bindings (frozen IR expressions) and the
+    (port, shape, signal, output) quadruples of its copy-out regions.
+    ``regions`` are the block's region and its copy-out regions, in
+    emission order, and ``decls`` the temporaries its lowering declared, in
+    declaration order.  ``reusable`` is false when the lowering resolved a
+    temporary to a declaration it did not make (a clash of mangled names
+    with another block), which makes its output depend on that block too.
+    """
+
+    inputs: tuple
+    regions: tuple[IRBlock, ...]
+    decls: tuple[VarDecl, ...]
+    reusable: bool
+
+
+def _lower_block(fb: FunctionBuilder, block, inputs: tuple) -> BlockLowering:
+    """Lower ``block`` (its script with the bindings in ``inputs``) and its
+    copy-out regions, declaring its temporaries in ``fb``'s function."""
+    script, bindings, copies = inputs
+    decls = fb._function.decls
+    first_decl = len(decls)
+    region = IRBlock(label=block.name)
+    fb._blocks.append(region)
+    try:
+        reusable = lower_script(script, fb, dict(bindings), temp_prefix=f"{block.name}__")
+    except ScilabLoweringError as exc:
+        raise ModelCompilationError(f"block {block.name!r} ({block.kind}): {exc}") from exc
+    finally:
+        fb._blocks.pop()
+    regions = [region]
+    for port_name, shape, src, dst in copies:
+        copy_region = IRBlock(label=f"{block.name}__copyout")
+        fb._blocks.append(copy_region)
+        try:
+            if not shape:
+                fb.assign(dst, src)
+            else:
+                with fb.loop(f"cp_{block.name}_{port_name}", 0, shape[0]) as i:
+                    fb.assign(fb.at(dst, i), fb.at(src, i))
+        finally:
+            fb._blocks.pop()
+        regions.append(copy_region)
+    return BlockLowering(inputs, tuple(regions), tuple(decls[first_decl:]), reusable)
+
+
+def compile_diagram(
+    diagram: Diagram,
+    entry_name: str | None = None,
+    prev: CompiledModel | None = None,
+    facts: RegionFacts | None = None,
+) -> CompiledModel:
+    """Compile ``diagram`` to an IR program (one synchronous step).
+
+    Given ``prev``, an earlier compile (of an earlier version of the
+    diagram, say), every block whose lowering inputs are unchanged -- its
+    name, its script, its bindings and what its copy-out regions copy --
+    gets ``prev``'s region objects and the temporaries its lowering
+    declared, instead of being lowered again (see :class:`BlockLowering`);
+    the regions keep every memo keyed by them.  The result is the same IR
+    a compile without ``prev`` builds.  The entry function is validated
+    through ``facts`` (see :meth:`~repro.ir.program.Function.validate`;
+    ``None`` computes every fact afresh).
+    """
     diagram.validate()
     entry_name = entry_name or f"{diagram.name}_step"
     fb = FunctionBuilder(entry_name)
@@ -221,6 +297,8 @@ def compile_diagram(diagram: Diagram, entry_name: str | None = None) -> Compiled
     driver_of: dict[tuple[str, str], Connection] = {
         (c.dst_block, c.dst_port): c for c in diagram.connections
     }
+    previous = prev.lowerings if prev is not None else {}
+    function = fb._function
     for block_name in diagram.execution_order():
         block = diagram.blocks[block_name]
         bindings: dict[str, Expr] = {}
@@ -251,39 +329,34 @@ def compile_diagram(diagram: Diagram, entry_name: str | None = None) -> Compiled
             bindings[pname] = param_vars[(block_name, pname)]
         for sname in block.state:
             bindings[sname] = state_vars[(block_name, sname)]
+        # an output port both connected and externally observed is copied
+        # from the signal buffer into the external output after the block
+        copies = tuple(
+            (port.name, port.shape, signal_vars[key], output_vars[key])
+            for port in block.outputs
+            if (key := (block_name, port.name)) in signal_vars and key in output_vars
+        )
 
-        region = IRBlock(label=block_name)
-        fb._blocks.append(region)
-        try:
-            lower_script(block.script, fb, bindings, temp_prefix=f"{block_name}__")
-        except ScilabLoweringError as exc:
-            raise ModelCompilationError(
-                f"block {block_name!r} ({block.kind}): {exc}"
-            ) from exc
-        finally:
-            fb._blocks.pop()
-        fb.emit(region)
+        inputs = (block.script, tuple(bindings.items()), copies)
+        lowering = previous.get(block_name)
+        if (
+            lowering is None
+            or lowering.inputs != inputs
+            # a temporary's name now declared elsewhere would resolve to
+            # that declaration, as it did not when the block was lowered
+            or any(function.lookup(decl.name) is not None for decl in lowering.decls)
+        ):
+            lowering = _lower_block(fb, block, inputs)
+            model.blocks_lowered += 1
+        else:
+            function.decls.extend(lowering.decls)
+        for region in lowering.regions:
+            fb.emit(region)
+        if lowering.reusable:
+            model.lowerings[block_name] = lowering
 
-        # If an output port is both connected and externally observed, copy
-        # the signal buffer into the external output after the block region.
-        for port in block.outputs:
-            key = (block_name, port.name)
-            if key in signal_vars and key in output_vars:
-                copy_region = IRBlock(label=f"{block_name}__copyout")
-                fb._blocks.append(copy_region)
-                try:
-                    src = signal_vars[key]
-                    dst = output_vars[key]
-                    if port.is_scalar:
-                        fb.assign(dst, src)
-                    else:
-                        with fb.loop(f"cp_{block_name}_{port.name}", 0, port.shape[0]) as i:
-                            fb.assign(fb.at(dst, i), fb.at(src, i))
-                finally:
-                    fb._blocks.pop()
-                fb.emit(copy_region)
-
-    function = fb.build()
+    function = fb.build(validate=False)
+    function.validate(facts)
     function.annotations["diagram"] = diagram.name
     model.program.add(function)
     return model

@@ -25,6 +25,7 @@ from repro.ir.expressions import (
     Var,
     try_evaluate_constant,
 )
+from repro.ir.program import VarDecl
 from repro.ir.types import INT, ArrayType
 from repro.model.scilab import ast
 
@@ -63,6 +64,11 @@ class LoweringContext:
     temp_prefix: str = ""
     #: Names of loop index variables currently in scope.
     _loop_vars: set[str] = field(default_factory=set)
+    #: Temporaries this context declared.
+    created: set[str] = field(default_factory=set)
+    #: Whether a temporary resolved to a declaration this context did not
+    #: create (a name another region declared, by a clash of mangled names).
+    foreign: bool = False
 
     def lookup(self, name: str) -> Expr | None:
         if name in self._loop_vars:
@@ -72,11 +78,19 @@ class LoweringContext:
     def _temp_name(self, name: str) -> str:
         return f"{self.temp_prefix}{name}" if self.temp_prefix else name
 
+    def declared_temp(self, mangled: str) -> VarDecl | None:
+        """The function's declaration of temporary ``mangled``, if any."""
+        decl = self.builder._function.lookup(mangled)
+        if decl is not None and mangled not in self.created:
+            self.foreign = True
+        return decl
+
     def get_or_create_local(self, name: str) -> Var:
         """Local temporary for an unbound assigned name."""
         mangled = self._temp_name(name)
-        existing = self.builder._function.lookup(mangled)
+        existing = self.declared_temp(mangled)
         if existing is None:
+            self.created.add(mangled)
             return self.builder.local(mangled)
         return Var(mangled, existing.type)
 
@@ -105,7 +119,7 @@ def lower_expression(expr: ast.Expression, ctx: LoweringContext) -> Expr:
         if bound is not None:
             return bound
         mangled = ctx._temp_name(expr.name)
-        decl = ctx.builder._function.lookup(mangled)
+        decl = ctx.declared_temp(mangled)
         if decl is not None:
             return Var(mangled, decl.type)
         raise ScilabLoweringError(f"read of unbound variable {expr.name!r}")
@@ -221,13 +235,17 @@ def lower_script(
     builder: FunctionBuilder,
     bindings: dict[str, Expr],
     temp_prefix: str = "",
-) -> None:
+) -> bool:
     """Lower ``script`` into the builder's current block.
 
     ``bindings`` maps Scilab names (ports, parameters, state variables) to IR
     expressions; names assigned but not bound become function-local
-    temporaries prefixed with ``temp_prefix``.
+    temporaries prefixed with ``temp_prefix``.  Returns whether the
+    lowering read nothing from the function but the temporaries it
+    declared itself: only then is its output a function of ``script``,
+    ``bindings`` and ``temp_prefix`` alone.
     """
     ctx = LoweringContext(builder=builder, bindings=dict(bindings), temp_prefix=temp_prefix)
     for stmt in script.statements:
         _lower_statement(stmt, ctx)
+    return not ctx.foreign

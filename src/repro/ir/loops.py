@@ -11,9 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.ir.expressions import try_evaluate_constant
 from repro.ir.statements import Block, For, Stmt, While
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.ir.facts import RegionFacts
 
 
 class LoopBoundError(ValueError):
@@ -127,24 +131,42 @@ def check_all_loops_bounded(stmt: Stmt) -> None:
         loop_trip_count(info.loop)
 
 
-def describe_unbounded_loops(function) -> list[str]:
-    """Human-readable diagnostics for every unbounded loop of ``function``.
+def unbounded_loops(stmt: Stmt) -> tuple[str, ...]:
+    """``"<loop>: <reason>"`` for every loop of the subtree at ``stmt``
+    without a derivable worst-case trip count, in pre-order.
 
-    Unlike :func:`check_all_loops_bounded` this never raises and names the
-    function and the loop in each message, so front-end gates can report all
-    problems at once instead of failing later inside IPET with an opaque
-    error.  Uses :func:`repro.ir.statements.collect_loops` (not the loop
-    forest, whose construction itself raises on the first unbounded loop).
+    Uses :func:`repro.ir.statements.collect_loops` (not the loop forest,
+    whose construction itself raises on the first unbounded loop).
     """
-    from repro.ir.statements import For, collect_loops
+    from repro.ir.statements import collect_loops
 
-    problems: list[str] = []
-    for loop in collect_loops(function.body):
+    problems = []
+    for loop in collect_loops(stmt):
         try:
             loop_trip_count(loop)
         except LoopBoundError as exc:
             where = (
                 f"loop over {loop.index.name!r}" if isinstance(loop, For) else "while loop"
             )
-            problems.append(f"function {function.name!r}, {where}: {exc}")
-    return problems
+            problems.append(f"{where}: {exc}")
+    return tuple(problems)
+
+
+def describe_unbounded_loops(function, facts: "RegionFacts | None" = None) -> list[str]:
+    """Human-readable diagnostics for every unbounded loop of ``function``.
+
+    Unlike :func:`check_all_loops_bounded` this never raises and names the
+    function and the loop in each message, so front-end gates can report all
+    problems at once instead of failing later inside IPET with an opaque
+    error.  A fold over :func:`unbounded_loops` of each top-level
+    statement, read through ``facts`` (see :mod:`repro.ir.facts`; ``None``
+    computes them afresh).
+    """
+    from repro.ir.facts import RegionFacts
+
+    facts = facts or RegionFacts()
+    return [
+        f"function {function.name!r}, {problem}"
+        for stmt in function.body.stmts
+        for problem in facts(stmt, unbounded_loops)
+    ]

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.ir.statements import Block
 from repro.ir.types import IRType, is_array
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.ir.facts import RegionFacts
 
 
 class Storage(enum.Enum):
@@ -122,22 +126,25 @@ class Function:
         """Iterate over every statement in the body (pre-order)."""
         return self.body.walk()
 
-    def validate(self) -> None:
+    def validate(self, facts: "RegionFacts | None" = None) -> None:
         """Check that every referenced variable is declared.
 
         Raises ``ValueError`` listing the undeclared names otherwise.  The
         loop index variables of ``for`` statements are declared implicitly.
+        A fold over two facts of each top-level statement, the names it
+        references and its loop indices, read through ``facts`` (see
+        :mod:`repro.ir.facts`; ``None`` computes them afresh).
         """
-        declared = {d.name for d in self.all_decls()}
-        from repro.ir.statements import For
+        from repro.ir.analysis import referenced_names
+        from repro.ir.facts import RegionFacts, loop_indices
 
-        for stmt in self.body.walk():
-            if isinstance(stmt, For):
-                declared.add(stmt.index.name)
-        missing: set[str] = set()
-        for stmt in self.body.walk():
-            missing |= stmt.variables_read() - declared
-            missing |= stmt.variables_written() - declared
+        facts = facts or RegionFacts()
+        declared = {d.name for d in self.all_decls()}
+        referenced: set[str] = set()
+        for stmt in self.body.stmts:
+            declared.update(facts(stmt, loop_indices))
+            referenced.update(facts(stmt, referenced_names))
+        missing = referenced - declared
         if missing:
             raise ValueError(
                 f"function {self.name!r} references undeclared variables: "

@@ -144,6 +144,26 @@ class StatementTransformer:
         raise TypeError(f"unknown statement {type(stmt).__name__}")
 
 
+def splice_block(block: Block, replacements: list) -> Block:
+    """``block`` with each statement replaced by its entry of ``replacements``.
+
+    ``None`` keeps the statement, a list splices in its statements and a
+    statement takes its place -- what
+    :meth:`StatementTransformer.transform_block` does with the results of
+    ``transform_statement``.  Copy-on-write: when every entry is ``None``,
+    ``block`` itself comes back.
+    """
+    stmts: list[Stmt] = []
+    for stmt, replacement in zip(block.stmts, replacements, strict=True):
+        if replacement is None:
+            stmts.append(stmt)
+        elif isinstance(replacement, list):
+            stmts.extend(replacement)
+        else:
+            stmts.append(replacement)
+    return _rebuild(block, stmts=stmts)
+
+
 def clone_block(block: Block) -> Block:
     """Deep copy of a statement block (fresh statement identities)."""
     return copy.deepcopy(block)

@@ -27,6 +27,14 @@ class FunctionPass:
     declarations (rewrite with the copy-on-write
     :class:`~repro.ir.visitors.StatementTransformer`, replace a
     declaration instead of changing it).
+
+    A pass that reads whole-function facts, or rewrites one top-level
+    statement at a time, can take them from the per-region memo: its
+    factory receives the run's :class:`~repro.ir.facts.RegionFacts` as
+    :attr:`PassContext.facts <repro.transforms.registry.PassContext.facts>`,
+    and a fold over per-region facts read through it computes only those
+    of the regions an edit round changed.  The built-in clean-up and
+    scratchpad passes work this way; the others walk the whole function.
     """
 
     name = "pass"

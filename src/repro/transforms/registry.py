@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.frontend import protected_signal_names
+from repro.ir.facts import RegionFacts
 from repro.transforms.base import FunctionPass
 from repro.transforms.simple import ConstantFoldingPass, DeadCodeEliminationPass
 from repro.transforms.scratchpad import ScratchpadAllocationPass
@@ -46,12 +47,15 @@ class PassContext:
     ``config`` the flow's :class:`~repro.core.config.ToolchainConfig` and
     ``model`` the :class:`~repro.frontend.CompiledModel` the pass pipeline is
     about to transform (factories must not mutate it -- that is the job of
-    the passes themselves).
+    the passes themselves).  ``facts`` is the run's
+    :class:`~repro.ir.facts.RegionFacts`, memoized in the run's cache
+    (``None`` computes every fact afresh).
     """
 
     platform: Any
     config: Any
     model: Any
+    facts: RegionFacts | None = None
 
 
 PassFactory = Callable[[PassContext], FunctionPass]
@@ -111,12 +115,12 @@ def build_pass_pipeline(names, context: PassContext) -> list[FunctionPass]:
 # ---------------------------------------------------------------------- #
 @register_pass("constant_folding", description="fold constant expressions")
 def _constant_folding(context: PassContext) -> FunctionPass:
-    return ConstantFoldingPass()
+    return ConstantFoldingPass(context.facts)
 
 
 @register_pass("dead_code_elimination", description="remove unused assignments")
 def _dead_code_elimination(context: PassContext) -> FunctionPass:
-    return DeadCodeEliminationPass()
+    return DeadCodeEliminationPass(context.facts)
 
 
 @register_pass(
@@ -140,4 +144,5 @@ def _scratchpad_allocation(context: PassContext) -> FunctionPass:
         shared_latency=platform.shared_memory.read_latency,
         spm_latency=platform.cores[0].scratchpad.read_latency,
         protect=protected_signal_names(context.model.entry),
+        facts=context.facts,
     )

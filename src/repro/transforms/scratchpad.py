@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.ir.analysis import access_summary
+from repro.ir.facts import RegionFacts
 from repro.ir.program import Function, Storage
 from repro.transforms.base import FunctionPass, PassReport
 
@@ -20,8 +21,14 @@ from repro.transforms.base import FunctionPass, PassReport
 class SpmAllocation:
     """Result of a scratchpad allocation decision."""
 
+    #: Selected ``SHARED`` declarations: the arrays that move to the
+    #: scratchpad.
     moved: list[str] = field(default_factory=list)
+    #: Selected parameters (``INPUT``/``OUTPUT`` arrays), which stay where
+    #: they are: they belong to the caller.  They still take capacity.
+    pinned: list[str] = field(default_factory=list)
     kept_shared: list[str] = field(default_factory=list)
+    #: Bytes of every selected array, pinned ones included.
     used_bytes: int = 0
     capacity_bytes: int = 0
     #: Estimated saved worst-case cycles (shared latency minus SPM latency,
@@ -35,23 +42,29 @@ def allocate_scratchpad(
     shared_latency: float = 8.0,
     spm_latency: float = 1.0,
     protect: set[str] | None = None,
+    facts: RegionFacts | None = None,
 ) -> SpmAllocation:
     """Choose shared arrays to relocate into the scratchpad.
 
     ``protect`` lists arrays that must remain shared (e.g. buffers written by
     one core and read by another -- the caller knows the task mapping).
-    Returns the allocation decision; :class:`ScratchpadAllocationPass`
-    applies it by replacing the IR declarations.
+    The access counts, reads plus writes, are a fold over the
+    :func:`~repro.ir.analysis.access_summary` of each top-level statement,
+    read through ``facts`` (see :mod:`repro.ir.facts`; ``None`` computes
+    them afresh).  Returns the allocation decision;
+    :class:`ScratchpadAllocationPass` applies it by replacing the IR
+    declarations.
     """
     if capacity_bytes < 0:
         raise ValueError("capacity must be non-negative")
     protect = protect or set()
-    summary = access_summary(function.body)
+    facts = facts or RegionFacts()
     access_count: dict[str, int] = {}
-    for name, count in summary.reads.items():
-        access_count[name] = access_count.get(name, 0) + count
-    for name, count in summary.writes.items():
-        access_count[name] = access_count.get(name, 0) + count
+    for stmt in function.body.stmts:
+        summary = facts(stmt, access_summary)
+        for counts in (summary.reads, summary.writes):
+            for name, count in counts.items():
+                access_count[name] = access_count.get(name, 0) + count
 
     candidates = []
     for decl in function.arrays():
@@ -65,15 +78,20 @@ def allocate_scratchpad(
         candidates.append((accesses / decl.size_bytes, accesses, decl))
     candidates.sort(key=lambda item: (-item[0], item[2].name))
 
+    # what the pass can relocate: the function's own shared declarations
+    movable = {id(decl) for decl in function.decls if decl.storage is Storage.SHARED}
     allocation = SpmAllocation(capacity_bytes=capacity_bytes)
     remaining = capacity_bytes
     per_access_gain = max(0.0, shared_latency - spm_latency)
     for _, accesses, decl in candidates:
         if decl.size_bytes <= remaining:
-            allocation.moved.append(decl.name)
             allocation.used_bytes += decl.size_bytes
-            allocation.estimated_saving_cycles += accesses * per_access_gain
             remaining -= decl.size_bytes
+            if id(decl) in movable:
+                allocation.moved.append(decl.name)
+                allocation.estimated_saving_cycles += accesses * per_access_gain
+            else:
+                allocation.pinned.append(decl.name)
         else:
             allocation.kept_shared.append(decl.name)
     return allocation
@@ -86,15 +104,16 @@ class ScratchpadAllocationPass(FunctionPass):
     Only plain ``SHARED`` arrays are relocated: each moved declaration is
     replaced by a ``SCRATCHPAD`` copy in a new ``decls`` list, so the
     declarations the pass was handed stay untouched.  ``INPUT``/``OUTPUT``
-    parameters keep their storage class (they belong to the caller), so the
-    ``moved`` list in the report details may name arrays that stayed where
-    they were; ``moved_in_place`` counts the ones relocated.
+    parameters keep their storage class (they belong to the caller); the
+    report lists the ones the allocation selected under ``pinned``, and
+    prices the saving of the moved arrays only.
     """
 
     capacity_bytes: int = 64 * 1024
     shared_latency: float = 8.0
     spm_latency: float = 1.0
     protect: set[str] = field(default_factory=set)
+    facts: RegionFacts | None = field(default=None, compare=False, repr=False)
     name = "scratchpad_allocation"
 
     def run(self, function: Function) -> PassReport:
@@ -104,23 +123,25 @@ class ScratchpadAllocationPass(FunctionPass):
             self.shared_latency,
             self.spm_latency,
             self.protect,
+            self.facts,
         )
-        moved_in_place = []
+        moved = set(allocation.moved)
+        relocated = False
         decls = []
         for decl in function.decls:
-            if decl.name in allocation.moved and decl.storage is Storage.SHARED:
+            if decl.name in moved and decl.storage is Storage.SHARED:
                 decl = replace(decl, storage=Storage.SCRATCHPAD)
-                moved_in_place.append(decl.name)
+                relocated = True
             decls.append(decl)
-        if moved_in_place:
+        if relocated:
             function.decls = decls
         return PassReport(
             self.name,
             function.name,
-            bool(moved_in_place),
+            relocated,
             {
                 "moved": ",".join(allocation.moved),
-                "moved_in_place": len(moved_in_place),
+                "pinned": ",".join(allocation.pinned),
                 "used_bytes": allocation.used_bytes,
                 "estimated_saving_cycles": allocation.estimated_saving_cycles,
             },

@@ -67,6 +67,19 @@ old way, so older v6 entries are never looked up again and
 :meth:`~repro.wcet.cache.WcetAnalysisCache.evict` ages them out;
 :data:`~repro.wcet.cache.CACHE_SCHEMA_VERSION` stays 6.
 
+A function's sequential bound
+(:meth:`~repro.wcet.cache.WcetAnalysisCache.function_wcet`, what
+:func:`~repro.wcet.code_level.analyze_function_wcet` reads through a
+cache) is the sum of the *region entries* of its body's top-level
+statements, added in body order: the same float additions the
+whole-body analysis performs, so the bound is bit-identical, and an edit
+round analyses only the regions it changed.  A region entry is an
+ordinary code-level entry under the existing key (a block-granularity
+task of the same region shares it), so this came with **no schema
+bump**: the whole-body entries older runs wrote are never looked up
+again, and :meth:`~repro.wcet.cache.WcetAnalysisCache.evict` ages them
+out.
+
 System-level / result tiers
 ---------------------------
 The same contract extends to the other two tiers of a cache, which exist

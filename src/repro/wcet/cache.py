@@ -142,16 +142,20 @@ directory and flushed automatically at interpreter exit.
 Invalidation contract
 ---------------------
 The only mutable state is the set of *memos* mapping live ``Function`` /
-statement / model objects (by identity) to their fingerprints, referenced
-names, region contexts and cost signatures, which avoids re-rendering the
-IR and re-digesting declarations and cost tables on every query.  The memos
-rely on those objects never changing once fingerprinted:
+statement / model objects (by identity) to their fingerprints, per-region
+facts (:mod:`repro.ir.facts`: referenced names, what the built-in passes
+read and rewrite), region contexts and cost signatures, which avoids
+re-rendering and re-walking the IR and re-digesting declarations and cost
+tables on every query.  The memos rely on those objects never changing
+once fingerprinted:
 
 * **IR** is never mutated after the front end builds it: transformation
   passes run on a working copy of the entry function and rewrite its
   statements copy-on-write (:mod:`repro.transforms`), so a transformed
   function is a new object and its unchanged regions are the very objects
-  the front end built, with still-valid memos.  Nothing needs invalidating.
+  the front end built, with still-valid memos.  An edit round's front end
+  hands over the previous run's region objects for unchanged blocks, so
+  they keep their memos too.  Nothing needs invalidating.
 * **Platform, processor and cost-model objects** are treated as immutable
   too (their cost signatures and platform digests are memoized per
   object).  Mutating one in place requires
@@ -185,7 +189,7 @@ from repro.htg.task import Task
 from repro.ir.analysis import referenced_names, shared_names
 from repro.ir.printer import function_to_c, to_c
 from repro.ir.program import Function
-from repro.ir.statements import Block
+from repro.ir.statements import Block, Stmt
 from repro.utils.intervals import Interval
 from repro.wcet.code_level import WcetBreakdown, statement_wcet
 from repro.wcet.hardware_model import HardwareCostModel
@@ -267,14 +271,21 @@ def _digest(text: str) -> str:
 
 
 class _RegionMemo:
-    """One statement region's fingerprint and, once a key needs them, the
-    names it references."""
+    """What the flow derived from one statement region: its fingerprint,
+    rendered on first use, and its per-region facts (the memo of
+    :class:`~repro.ir.facts.RegionFacts`; key contexts read the names the
+    region references from it too)."""
 
-    __slots__ = ("fingerprint", "names")
+    __slots__ = ("fingerprint", "facts")
 
-    def __init__(self, fingerprint: str) -> None:
-        self.fingerprint = fingerprint
-        self.names: frozenset[str] | None = None
+    def __init__(self) -> None:
+        self.fingerprint: str | None = None
+        self.facts: dict = {}
+
+    def fingerprint_of(self, region: Stmt) -> str:
+        if self.fingerprint is None:
+            self.fingerprint = _digest(to_c(region))
+        return self.fingerprint
 
 
 class _DeclarationMemo:
@@ -646,17 +657,26 @@ class WcetAnalysisCache:
             # the signature and declarations as C, then the region memo of
             # each top-level statement: an edit re-renders only its regions
             header = function_to_c(dataclasses.replace(function, body=Block()))
-            regions = (self._region(stmt).fingerprint for stmt in function.body.stmts)
+            regions = (self._region(stmt).fingerprint_of(stmt) for stmt in function.body.stmts)
             cached = self._remember(
                 self._function_fps, function, _digest("\n".join((header, *regions)))
             )
         return cached
 
-    def _region(self, region: Block) -> _RegionMemo:
+    def _region(self, region: Stmt) -> _RegionMemo:
         memo = self._region_fps.get(id(region))
         if memo is None:
-            memo = self._remember(self._region_fps, region, _RegionMemo(_digest(to_c(region))))
+            memo = self._remember(self._region_fps, region, _RegionMemo())
         return memo
+
+    def region_facts(self, region: Stmt) -> dict:
+        """The per-region fact memo of ``region``: what a
+        :class:`~repro.ir.facts.RegionFacts` built on this method memoizes.
+
+        It lives as long as the region object and goes with its other
+        memos, so a region an edit round hands over keeps its facts.
+        """
+        return self._region(region).facts
 
     def _declaration_memo(self, function: Function) -> _DeclarationMemo:
         memo = self._declarations.get(id(function))
@@ -691,13 +711,13 @@ class WcetAnalysisCache:
         extra_names: Collection[str] = (),
     ) -> str:
         declarations = self._declaration_memo(function)
-        names = memo.names
+        names = memo.facts.get(referenced_names)
         if names is None:
-            names = memo.names = referenced_names(region)
-        key: object = memo.fingerprint
+            names = memo.facts[referenced_names] = referenced_names(region)
+        key: object = memo.fingerprint_of(region)
         if extra_names and not names.issuperset(extra_names):
             names = names.union(extra_names)
-            key = (memo.fingerprint, names)
+            key = (key, names)
         context = declarations.contexts.get(key)
         if context is None:
             context = declarations.contexts[key] = declarations.context_of(function, names)
@@ -716,7 +736,7 @@ class WcetAnalysisCache:
 
     def region_fingerprint(self, region: Block) -> str:
         """Memoized content fingerprint of one statement region (public API)."""
-        return self._region(region).fingerprint
+        return self._region(region).fingerprint_of(region)
 
     def model_signature_digest(self, model: HardwareCostModel) -> str:
         """Digest of a hardware model's cost-relevant identity, by *content*
@@ -785,7 +805,7 @@ class WcetAnalysisCache:
         return "|".join(
             (
                 self._region_context(memo, region, function),
-                memo.fingerprint,
+                memo.fingerprint_of(region),
                 self.model_signature_digest(model),
                 "avg" if average else "wc",
             )
@@ -802,13 +822,18 @@ class WcetAnalysisCache:
         average: bool = False,
     ) -> WcetBreakdown:
         """Memoized :func:`~repro.wcet.code_level.statement_wcet` of a region."""
+        # hand out a copy so callers can never corrupt the cached entry
+        return replace(self._entry(region, function, model, average))
+
+    def _entry(
+        self, region: Stmt, function: Function, model: HardwareCostModel, average: bool
+    ) -> WcetBreakdown:
         key = self.entry_key(region, function, model, average)
         entry = self.store.get(key)
         if entry is None:
             entry = statement_wcet(region, function, model, average)
             self.store.put(key, entry)
-        # hand out a copy so callers can never corrupt the cached entry
-        return replace(entry)
+        return entry
 
     def task_wcet(
         self,
@@ -823,8 +848,18 @@ class WcetAnalysisCache:
     def function_wcet(
         self, function: Function, model: HardwareCostModel, average: bool = False
     ) -> WcetBreakdown:
-        """Memoized isolated WCET of a whole function body."""
-        return self.region_wcet(function.body, function, model, average)
+        """Isolated WCET of a whole function body, from region entries.
+
+        The entries of the body's top-level statements (one per block
+        region in a compiled model) summed in body order: the very float
+        additions :func:`~repro.wcet.code_level.statement_wcet` of the body
+        performs, so the sum equals the whole-body analysis bit for bit,
+        and an edit round analyses only the regions it changed.
+        """
+        total = WcetBreakdown()
+        for stmt in function.body.stmts:
+            total.add(self._entry(stmt, function, model, average))
+        return total
 
     def annotate_htg(
         self,

@@ -228,7 +228,9 @@ class SystemDesign:
         self.comm_contenders = max(0, self.num_cores - 1)
         self._models: dict[int, HardwareCostModel] = {}
         self._penalties: dict[int, list[float]] = {}
-        #: (core, average) -> per task (total, shared accesses), None = not yet
+        #: (cost signature, average) -> per task (total, shared accesses),
+        #: None = not yet; ``_costs`` maps (core, average) to its table
+        self._tables: dict[tuple[str, bool], list] = {}
         self._costs: dict[tuple[int, bool], list] = {}
         self._delays: dict[tuple[int, int, int, int], float] = {}
         #: the result key's per-design prefix, filled and read by
@@ -296,10 +298,17 @@ class SystemDesign:
 
     def cost(self, i: int, core: int, average: bool = False) -> tuple[float, int]:
         """(isolated WCET, worst-case shared accesses) of task ``i`` on
-        ``core``; with ``average``, its average-case cost instead."""
+        ``core``; with ``average``, its average-case cost instead.
+
+        Priced once per core class: cores of one cost signature
+        (:meth:`~repro.wcet.cache.WcetAnalysisCache.model_signature_digest`)
+        share one table, as they share the code-level cache's entries.
+        """
         table = self._costs.get((core, average))
         if table is None:
-            table = self._costs[(core, average)] = [None] * len(self.leaf_ids)
+            signature = self.cache.model_signature_digest(self.model(core))
+            table = self._tables.setdefault((signature, average), [None] * len(self.leaf_ids))
+            self._costs[(core, average)] = table
         cost = table[i]
         if cost is None:
             breakdown = analyze_task_wcet(

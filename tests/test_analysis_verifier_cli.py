@@ -152,7 +152,9 @@ class TestFrontendGate:
         import repro.core.pipeline as pipeline_mod
 
         fake_model = types.SimpleNamespace(entry=unbounded_function())
-        monkeypatch.setattr(pipeline_mod, "compile_diagram", lambda d: fake_model)
+        monkeypatch.setattr(
+            pipeline_mod, "compile_diagram", lambda d, prev=None, facts=None: fake_model
+        )
         with pytest.raises(PipelineError) as exc:
             run_pipeline(
                 Diagram("d"), generic_predictable_multicore(), ToolchainConfig()

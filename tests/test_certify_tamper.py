@@ -583,9 +583,10 @@ class TestCacheTamper:
         assert replay.schedule.result.makespan == honest.makespan * 0.5
 
     def test_halved_entry_function_wcet_refuted_on_certified_replay(self, tmp_path):
-        """A code-level shard line of polka's entry function with its
-        ``total`` halved halves the reported sequential bound on a warm run;
-        the IPET checker refutes it."""
+        """A code-level shard line of one region of polka's entry function
+        with its ``total`` halved lowers the reported sequential bound (the
+        sum of the region entries) on a warm run; the IPET checker refutes
+        it.  The region is one no task shares an entry with."""
         from repro.usecases import build_polka_diagram
 
         platform = generic_predictable_multicore()
@@ -599,15 +600,30 @@ class TestCacheTamper:
         cache, honest = run(certify=False)
         cache.flush()
         entry = honest.model.entry
-        key = cache.entry_key(entry.body, entry, HardwareCostModel(platform, 0))
+        model = HardwareCostModel(platform, 0)
+        task_keys = {
+            cache.entry_key(task.statements, entry, model)
+            for task in honest.htg.leaf_tasks()
+        }
+        region = max(
+            (block for _, block in honest.model.block_regions
+             if cache.entry_key(block, entry, model) not in task_keys),
+            key=lambda block: cache.region_wcet(block, entry, model).total,
+        )
+        key = cache.entry_key(region, entry, model)
         (shard,) = (tmp_path / "cache" / f"v{CACHE_SCHEMA_VERSION}").glob("entries-*.jsonl")
         records = [json.loads(line) for line in shard.read_text().splitlines()]
         (record,) = [r for r in records if r["key"] == key]
-        record["total"] /= 2
+        halved = record["total"] / 2
+        record["total"] = halved
         shard.write_text("\n".join(json.dumps(r) for r in records) + "\n")
 
         _, trusting = run(certify=False)
-        assert trusting.sequential_bound == honest.sequential_bound / 2
+        assert trusting.sequential_bound < honest.sequential_bound
+        assert trusting.sequential_bound == sum(
+            halved if block is region else cache.region_wcet(block, entry, model).total
+            for _, block in honest.model.block_regions
+        )
         with pytest.raises(CertificationError) as excinfo:
             run(certify=True)
         assert codes(excinfo.value.report) == {"certify.ipet.sequential-bound-mismatch"}

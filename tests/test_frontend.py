@@ -191,3 +191,90 @@ class TestCompileDiagram:
         d.mark_output("g", "y")
         with pytest.raises(Exception):
             compile_diagram(d)
+
+
+# ---------------------------------------------------------------------- #
+# reusing an earlier compile
+# ---------------------------------------------------------------------- #
+def _ir(model):
+    entry = model.entry
+    return (
+        to_c(entry.body),
+        [(d.name, d.type, d.storage, d.initial) for d in entry.params],
+        [(d.name, d.type, d.storage, d.initial) for d in entry.decls],
+    )
+
+
+class TestCompileReuse:
+    """``compile_diagram(..., prev=...)`` lowers only the blocks whose
+    lowering inputs changed and builds the IR a compile without ``prev``
+    builds."""
+
+    def _diagram(self, k=2.0):
+        from repro.usecases.workloads import random_pipeline_diagram
+
+        d = random_pipeline_diagram(stages=3, width=2, vector_size=8, seed=4)
+        # an output both connected and observed gets a copy-out region
+        d.add_block(library.gain("tap", k, size=8))
+        source = sorted(d.blocks)[0]
+        d.connect(source, d.blocks[source].outputs[0].name, "tap", "u")
+        d.mark_output("tap", "y")
+        d.mark_output(source, d.blocks[source].outputs[0].name)
+        return d
+
+    def test_unchanged_diagram_lowers_nothing_and_shares_every_region(self):
+        first = compile_diagram(self._diagram())
+        again = compile_diagram(self._diagram(), prev=first)
+        assert first.blocks_lowered == len(self._diagram().blocks)
+        assert again.blocks_lowered == 0
+        assert _ir(again) == _ir(first)
+        assert all(
+            new is old for new, old in zip(again.entry.body.stmts, first.entry.body.stmts)
+        )
+        assert any(label.endswith("__copyout") for label, _ in again.block_regions)
+
+    def test_param_edit_lowers_the_edited_block_only(self):
+        first = compile_diagram(self._diagram())
+        edited = compile_diagram(self._diagram(k=3.0), prev=first)
+        assert edited.blocks_lowered == 1
+        assert _ir(edited) == _ir(compile_diagram(self._diagram(k=3.0)))
+        changed = [
+            label
+            for (label, new), (_, old) in zip(edited.block_regions, first.block_regions)
+            if new is not old
+        ]
+        assert changed == ["tap"]
+
+    def test_clashing_temporaries_are_lowered_again(self):
+        """Block ``a``'s temporary ``b__t`` and block ``a__b``'s temporary
+        ``t`` mangle to the same name, so ``a__b`` reads ``a``'s
+        declaration: its lowering depends on ``a`` and is never reused."""
+        from repro.model.blocks import Block, Port
+
+        def diagram(first_temp):
+            d = Diagram("clash")
+            d.add_block(
+                Block("a", "custom", inputs=[Port("u")], outputs=[Port("y")],
+                      behavior=f"{first_temp} = u * 2\ny = {first_temp}")
+            )
+            d.add_block(
+                Block("a__b", "custom", inputs=[Port("u")], outputs=[Port("y")],
+                      behavior="t = u + 1\ny = t")
+            )
+            d.connect("a", "y", "a__b", "u")
+            d.mark_input("a", "u")
+            d.mark_output("a__b", "y")
+            return d
+
+        first = compile_diagram(diagram("b__t"))
+        assert set(first.lowerings) == {"a"}
+        # ``a`` no longer declares the clashing name; ``a__b`` must declare it
+        renamed = compile_diagram(diagram("v"), prev=first)
+        assert renamed.blocks_lowered == 2
+        assert _ir(renamed) == _ir(compile_diagram(diagram("v")))
+        assert "a__b__t" in {d.name for d in renamed.entry.decls}
+        # and back: ``a__b``'s temporary is declared before it is reached,
+        # so its stored lowering (which declares it) no longer applies
+        clashing = compile_diagram(diagram("b__t"), prev=renamed)
+        assert clashing.blocks_lowered == 2
+        assert _ir(clashing) == _ir(first)

@@ -7,6 +7,8 @@ valid by a content fingerprint.  Every stage runs on every incremental
 run; a stage reuses the previous run only through ``context.prev``.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from repro.analysis.incremental import diff_summaries, mark_reused
 from repro.analysis.report import AnalysisReport, Finding
 from repro.core.config import ToolchainConfig
 from repro.core.pipeline import Pipeline
+from repro.ir.printer import function_to_c
 from repro.model import library
 from repro.model.diagram import Diagram
 from repro.scheduling.schedule import default_core_order
@@ -84,6 +87,15 @@ def test_unchanged_model_runs_every_stage():
     ]
     assert report.stages_reused == 0
     assert report.stages["htg"] == report.stages["parallel"] == "incremental"
+    # the front end lowers no block, and the passes re-run on no region
+    assert report.stages["frontend"] == "incremental"
+    assert report.blocks_lowered == report.regions_transformed == 0
+    assert all(
+        new is old
+        for new, old in zip(
+            result.model.entry.body.stmts, base.model.entry.body.stmts, strict=True
+        )
+    )
     # every region keeps its tasks, every race pair its verdict
     assert report.regions_recomputed == 0
     assert report.regions_reused == len(base.model.block_regions)
@@ -107,6 +119,8 @@ def test_single_param_edit_is_incremental_and_bit_identical():
     assert report.regions_recomputed == 1
     assert report.regions_reused == len(base.model.block_regions) - 1
     assert list(report.diff.changed_regions) == [edited_block]
+    # only the edited block is lowered, and only its region transformed
+    assert report.blocks_lowered == report.regions_transformed == 1
     assert report.stages["parallel"] == "incremental"
     assert report.race_pairs_reused > 0
     cold = _pipeline().run(edited)
@@ -247,30 +261,46 @@ def test_everything_changed_recomputes_every_stage():
     _assert_bit_identical(result, cold)
 
 
+def _delayed_diagram():
+    """A gain feeding a vector unit delay: the delay's state array is the
+    one shared array scratchpad allocation relocates."""
+    d = Diagram("delayed")
+    d.add_block(library.gain("g", 2.0, size=8))
+    d.add_block(library.unit_delay("z", size=8))
+    d.connect("g", "y", "z", "u")
+    d.mark_input("g", "u")
+    d.mark_output("z", "y")
+    return d
+
+
 def test_platform_change_dirties_the_transforms():
     """Scratchpad allocation reads the platform's scratchpads and latencies,
-    so a platform-only change must show in the transforms, and HTG
-    extraction, whose WCET annotations are priced on the platform, must
-    start cold."""
-    from repro.usecases import build_egpws_diagram
-
+    so a platform-only change must show in the transforms (in the saving
+    of the state array it relocates), and HTG extraction, whose WCET
+    annotations are priced on the platform, must start cold.  Lowering
+    reads no platform, so the front end keeps every region, and the passes
+    fold their memoized per-region facts into the new platform's decision
+    without re-running on any region."""
     cache = WcetAnalysisCache()
-    base = _pipeline(cache=cache).run(build_egpws_diagram())
+    base = _pipeline(cache=cache).run(_delayed_diagram())
     slower = generic_predictable_multicore(cores=4, shared_latency=16)
-    result = _pipeline(slower, cache=cache).run_incremental(base, build_egpws_diagram())
+    result = _pipeline(slower, cache=cache).run_incremental(base, _delayed_diagram())
     report = result.artifacts["incremental_report"]
-    assert report.stages["frontend"] == report.stages["transforms"] == "recomputed"
+    assert report.stages["frontend"] == "incremental"
+    assert report.stages["transforms"] == "recomputed"
+    assert report.blocks_lowered == report.regions_transformed == 0
     # another platform signature: the HTG is extracted and annotated cold
     assert report.stages["htg"] == "recomputed"
     assert report.regions_reused == 0
     assert report.regions_recomputed == len(base.model.block_regions)
     cold = _pipeline(generic_predictable_multicore(cores=4, shared_latency=16)).run(
-        build_egpws_diagram()
+        _delayed_diagram()
     )
 
     def allocation(run):
         return [r.details for r in run.pass_reports if r.pass_name == "scratchpad_allocation"]
 
+    assert allocation(base)[0]["moved"] == "st_z_z"
     assert allocation(result) == allocation(cold) != allocation(base)
     _assert_bit_identical(result, cold)
 
@@ -330,7 +360,11 @@ def test_replacing_one_of_the_front_stages_reruns_both(replaced, monkeypatch):
     assert calls == [True]
     assert [r.name for r in result.stage_records][:2] == ["frontend", "transforms"]
     report = result.artifacts["incremental_report"]
-    assert report.stages["frontend"] == report.stages["transforms"] == "recomputed"
+    # both ran; the content-identical diagram lowers no block and re-runs
+    # no pass on any region
+    assert report.stages["frontend"] == "incremental"
+    assert report.stages["transforms"] == "recomputed"
+    assert report.blocks_lowered == report.regions_transformed == 0
     assert result.model is not base.model
     # nothing mutated the previous run's IR: it fingerprints like a fresh
     # compile, in a cache that never saw it
@@ -359,6 +393,49 @@ def test_scheduler_only_change_reuses_every_region():
     _assert_bit_identical(
         result, _pipeline(config=ToolchainConfig(scheduler="acet_list")).run(_diagram(seed=31))
     )
+
+
+def _assert_same_round(incremental, cold):
+    """Everything an edit round produces equals a cold run's."""
+    inc_entry, cold_entry = incremental.model.entry, cold.model.entry
+    assert function_to_c(inc_entry) == function_to_c(cold_entry)
+    for inc_decls, cold_decls in (
+        (inc_entry.params, cold_entry.params),
+        (inc_entry.decls, cold_entry.decls),
+    ):
+        assert [(d.name, d.type, d.storage, d.initial) for d in inc_decls] == [
+            (d.name, d.type, d.storage, d.initial) for d in cold_decls
+        ]
+    assert [
+        (r.pass_name, r.function_name, r.changed, r.details) for r in incremental.pass_reports
+    ] == [(r.pass_name, r.function_name, r.changed, r.details) for r in cold.pass_reports]
+    _assert_bit_identical(incremental, cold)
+    assert [r.ok for r in incremental.certificates.reports] == [
+        r.ok for r in cold.certificates.reports
+    ]
+    assert incremental.certificates.ok
+
+
+@pytest.mark.parametrize("granularity", ["block", "loop"])
+@pytest.mark.parametrize("seed", [3, 17, 40])
+def test_edit_chains_match_cold_runs(seed, granularity):
+    """Each round of a chain of eight seeded edits (parameter edits, block
+    insertions and deletions), run incrementally on the previous round,
+    equals a cold run of the edited model in a fresh cache: the transformed
+    entry function (C text and declaration lists, in order), the pass
+    reports and every result field, certificate verdicts included."""
+    config = ToolchainConfig(granularity=granularity, certify=True)
+    pipe = _pipeline(config=config)
+    diagram = _diagram(seed=seed, stages=4, width=3)
+    previous = pipe.run(copy.deepcopy(diagram))
+    for step in range(8):
+        random_edit_script(diagram, num_edits=1, seed=seed * 100 + step)
+        result = pipe.run_incremental(previous, copy.deepcopy(diagram))
+        cold = _pipeline(config=config).run(copy.deepcopy(diagram))
+        _assert_same_round(result, cold)
+        report = result.artifacts["incremental_report"]
+        assert report.blocks_lowered < len(diagram.blocks)
+        previous = result
 
 
 def test_chained_incremental_runs():

@@ -75,6 +75,7 @@ from repro.wcet import (
     platform_signature,
 )
 from repro.wcet import system_level
+from repro.wcet.code_level import analyze_task_wcet
 from repro.wcet.system_level import (
     SystemDesign,
     SystemWcetError,
@@ -612,6 +613,30 @@ def test_shared_design_equals_fresh_designs(monkeypatch, scheduler, platform_nam
     assert len({id(d) for d in fresh_designs}) == len(fresh_designs) == len(shared_designs)
     assert schedule_fingerprint(shared) == schedule_fingerprint(fresh)
     assert (shared.result.mhp_allowed is not None) == pruning
+
+
+@pytest.mark.parametrize("platform_name", ["generic8", "recore_xentium"])
+def test_each_core_class_is_priced_once(platform_name):
+    """Cores of one cost signature share one price table: pricing every
+    task on every core looks each task up once per signature, and every
+    core reads the code-level analysis of its own cost model."""
+    model = synthetic_compiled_model(num_kernels=4, vector_size=16, seed=3)
+    htg = extract_htg(model, ExtractionOptions(granularity="loop", loop_chunks=2))
+    platform = PLATFORMS[platform_name]()
+    cache = WcetAnalysisCache()
+    design = SystemDesign(htg, model.entry, platform, cache)
+    signatures = {cache.model_signature_digest(design.model(c)) for c in design.core_ids}
+    tasks = range(len(design.leaf_ids))
+    for average in (False, True):
+        before = cache.stats.lookups
+        costs = {core: [design.cost(i, core, average) for i in tasks] for core in design.core_ids}
+        assert cache.stats.lookups - before == len(tasks) * len(signatures)
+        for core, row in costs.items():
+            fresh = HardwareCostModel(platform, core)
+            for i, (total, shared) in zip(tasks, row):
+                breakdown = analyze_task_wcet(design.tasks[i], model.entry, fresh, average)
+                assert (total, shared) == (breakdown.total, breakdown.shared_accesses)
+    assert len(signatures) == (1 if platform_name == "generic8" else 2)
 
 
 @pytest.mark.parametrize("scheduler", ["simulated_annealing", "bnb"])

@@ -182,7 +182,7 @@ def test_passes_never_mutate_the_front_end_model(registered_pass):
     result = pipe.run(_stateful_diagram())
     reports = {r.pass_name: r for r in result.pass_reports}
     assert reports["loop_unroll"].changed
-    assert reports["scratchpad_allocation"].details["moved_in_place"] > 0
+    assert reports["scratchpad_allocation"].details["moved"] == "st_delay_z"
     transformed = result.model.entry
     assert any(d.storage is Storage.SCRATCHPAD for d in transformed.decls)
 
