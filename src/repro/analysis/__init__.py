@@ -108,9 +108,10 @@ Incremental re-analysis contract
 
 :mod:`repro.analysis.incremental` records, per finished run, a small
 **reuse summary** (the per-region code fingerprints and the platform
-signature).  There is one reuse mechanism: every stage of
-``Pipeline.run_incremental`` runs, and a stage reuses the previous run only
-through ``context.prev``.  The rules:
+signature).  Every stage of ``Pipeline.run_incremental`` runs; the front
+end reuses the regions of the blocks its cache has lowered before (the
+cache's lowering memo, which every run reads), and every other stage reuses
+the previous run only through ``context.prev``.  The rules:
 
 * **A region fingerprint match proves reuse.**  HTG extraction keeps the
   previous run's tasks (WCET annotations included) for every region whose

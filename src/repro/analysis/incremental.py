@@ -13,8 +13,9 @@ The consumers are layered:
   summary of a finished run (via :func:`summarize_result`);
 * :meth:`repro.core.pipeline.Pipeline.run_incremental` runs every stage,
   each seeing the previous run as ``context.prev``: the front end lowers
-  only changed blocks, HTG extraction re-extracts only changed regions and
-  the race check re-checks only pairs with a changed endpoint;
+  only changed blocks (through the cache's lowering memo), HTG extraction
+  re-extracts only changed regions and the race check re-checks only pairs
+  with a changed endpoint;
   :func:`diff_summaries` names the changed, added and removed regions for
   the run's :class:`IncrementalReport`;
 * ``python -m repro diff <old> <new>`` prints that report and, when the
@@ -25,18 +26,22 @@ The consumers are layered:
 What each stage reuses (the reuse contract)
 -------------------------------------------
 
-There is one reuse mechanism: a stage that runs reads ``context.prev``.
-What the front end hands over carries the rest: a region object it reuses
-keeps every memo keyed by it, its fingerprint and its per-region facts
-(:mod:`repro.ir.facts`, in the cache's region memo) included, so the
-stages after it recompute only the facts of the regions the edit changed.
+Every stage runs.  The front end reuses through the cache's lowering
+memo (:attr:`~repro.wcet.cache.WcetAnalysisCache.lowerings`), which every
+run of the cache reads and updates, cold runs included; every other stage
+reuses only through ``context.prev``.  The regions the front end reuses
+carry the rest: a reused region object keeps every memo keyed by it, its
+fingerprint and its per-region facts (:mod:`repro.ir.facts`, in the
+cache's region memo) included, so the stages after it recompute only the
+facts of the regions the edit changed.
 
 ================  ====================================================
-stage             what it reuses from ``context.prev``
+stage             what it reuses
 ================  ====================================================
-``frontend``      the region objects and declared temporaries of every
-                  block whose lowering inputs (name, script, bindings,
-                  copy-outs) are unchanged
+``frontend``      from the cache's lowering memo: the region objects
+                  and declared temporaries of every block whose
+                  lowering inputs (name, behaviour text, bindings,
+                  copy-outs) equal the memo's entry
                   (:class:`~repro.frontend.codegen.BlockLowering`);
                   only the other blocks are lowered, and the entry
                   function is validated from per-region facts

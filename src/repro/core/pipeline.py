@@ -19,13 +19,15 @@ changes:
   :mod:`repro.transforms.registry`.
 
 :meth:`Pipeline.run` and :meth:`Pipeline.run_incremental` are one stage
-loop, and every stage runs in both.  Given a previous run, each stage sees
-it as ``context.prev`` and reuses what the previous run proves unchanged:
-the front end keeps the regions of every block whose lowering inputs are
-unchanged, HTG extraction keeps the tasks of every region whose code
-fingerprint is unchanged, and the race check re-checks only pairs with a
-changed endpoint; the other stages re-run on warm caches, where the
-handed-over regions' per-region facts and code-level entries answer for
+loop, and every stage runs in both.  The front end of either keeps the
+regions of every block the run's cache has lowered before with the same
+lowering inputs (the cache's lowering memo), so a sweep's design points
+and an edit's rounds lower only blocks the cache has not seen.  Given a
+previous run, the other stages see it as ``context.prev`` and reuse what
+it proves unchanged: HTG extraction keeps the tasks of every region whose
+code fingerprint is unchanged, and the race check re-checks only pairs
+with a changed endpoint; the other stages re-run on warm caches, where
+the reused regions' per-region facts and code-level entries answer for
 them.  The reuse contract, stage by stage, is in
 :mod:`repro.analysis.incremental`.
 
@@ -202,11 +204,12 @@ class PipelineResult:
 # the stages
 # ---------------------------------------------------------------------- #
 def _frontend_stage(context: PipelineContext) -> dict[str, Any]:
-    # blocks whose lowering inputs are unchanged keep the previous run's
-    # regions, and with them every fact memoized on them
-    prev = context.prev.artifacts.get("model") if context.prev is not None else None
+    # blocks the cache has lowered before, with the same inputs, keep
+    # those regions, and with them every fact memoized on them
     facts = RegionFacts(context.wcet_cache.region_facts)
-    model = compile_diagram(context.diagram, prev=prev, facts=facts)
+    model = compile_diagram(
+        context.diagram, lowerings=context.wcet_cache.lowerings, facts=facts
+    )
     # Catch unbounded loops here with a diagnostic naming function and loop,
     # instead of failing much later inside IPET with an opaque error.
     problems = describe_unbounded_loops(model.entry, facts)
@@ -217,7 +220,7 @@ def _frontend_stage(context: PipelineContext) -> dict[str, Any]:
         )
     context.info["blocks"] = len(model.block_regions)
     context.info["blocks_lowered"] = model.blocks_lowered
-    if prev is not None and model.blocks_lowered < len(context.diagram.blocks):
+    if context.prev is not None and model.blocks_lowered < len(context.diagram.blocks):
         context.info["incremental"] = "incremental"
     return {"model": model}
 
@@ -501,9 +504,10 @@ class Pipeline:
         provably unchanged:
 
         * the front end lowers only blocks whose lowering inputs changed
-          and hands over ``prev``'s regions for the others, so the passes
-          and the sequential bound recompute only the changed regions'
-          per-region facts and entries;
+          and reuses the cache's regions for the others (through its
+          lowering memo, as every run does), so the passes and the
+          sequential bound recompute only the changed regions' per-region
+          facts and entries;
         * HTG extraction rebuilds only regions whose code fingerprint
           changed (tasks of clean regions are shallow-copied), given the
           same platform signature and extraction knobs as ``prev``;

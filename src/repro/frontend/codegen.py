@@ -13,9 +13,15 @@ extractor uses to name tasks after the originating blocks.  They are read
 from the entry function's body, so a transformed model's regions are the
 transformed code.
 
-A compile records what each block emitted (:class:`BlockLowering`), and a
-later compile given it (an edit round's, say) reuses the regions of the
-blocks whose lowering inputs are unchanged instead of lowering them again.
+A compile given a lowering memo (``lowerings``, a dict the caller keeps)
+records there what each block emitted (:class:`BlockLowering`), one entry
+per block name, and reuses the regions of every block whose lowering
+inputs equal its entry's instead of lowering it again.  The pipeline's
+front end passes the memo of its
+:class:`~repro.wcet.cache.WcetAnalysisCache`
+(:attr:`~repro.wcet.cache.WcetAnalysisCache.lowerings`), so every design
+point of a sweep after the first, and every edit round, lowers only the
+blocks it has not seen.
 """
 
 from __future__ import annotations
@@ -100,9 +106,6 @@ class CompiledModel:
     parameter_values: dict[str, np.ndarray] = field(default_factory=dict)
     #: Initial values for persistent state variables.
     state_values: dict[str, Any] = field(default_factory=dict)
-    #: Block name -> what compiling the block emitted; a later
-    #: :func:`compile_diagram` given this model reuses the unchanged ones.
-    lowerings: dict[str, BlockLowering] = field(default_factory=dict, repr=False)
     #: How many blocks this compile lowered (the others it reused).
     blocks_lowered: int = 0
 
@@ -172,7 +175,8 @@ class BlockLowering:
     """What compiling one block emitted, for a later compile to reuse.
 
     ``inputs`` is everything the emitted code depends on besides the
-    block's name: its script, its bindings (frozen IR expressions) and the
+    block's name: its behaviour text (so matching a stored lowering needs
+    no parse of the script), its bindings (frozen IR expressions) and the
     (port, shape, signal, output) quadruples of its copy-out regions.
     ``regions`` are the block's region and its copy-out regions, in
     emission order, and ``decls`` the temporaries its lowering declared, in
@@ -190,13 +194,15 @@ class BlockLowering:
 def _lower_block(fb: FunctionBuilder, block, inputs: tuple) -> BlockLowering:
     """Lower ``block`` (its script with the bindings in ``inputs``) and its
     copy-out regions, declaring its temporaries in ``fb``'s function."""
-    script, bindings, copies = inputs
+    _, bindings, copies = inputs
     decls = fb._function.decls
     first_decl = len(decls)
     region = IRBlock(label=block.name)
     fb._blocks.append(region)
     try:
-        reusable = lower_script(script, fb, dict(bindings), temp_prefix=f"{block.name}__")
+        reusable = lower_script(
+            block.script, fb, dict(bindings), temp_prefix=f"{block.name}__"
+        )
     except ScilabLoweringError as exc:
         raise ModelCompilationError(f"block {block.name!r} ({block.kind}): {exc}") from exc
     finally:
@@ -220,20 +226,22 @@ def _lower_block(fb: FunctionBuilder, block, inputs: tuple) -> BlockLowering:
 def compile_diagram(
     diagram: Diagram,
     entry_name: str | None = None,
-    prev: CompiledModel | None = None,
+    lowerings: dict[str, BlockLowering] | None = None,
     facts: RegionFacts | None = None,
 ) -> CompiledModel:
     """Compile ``diagram`` to an IR program (one synchronous step).
 
-    Given ``prev``, an earlier compile (of an earlier version of the
-    diagram, say), every block whose lowering inputs are unchanged -- its
-    name, its script, its bindings and what its copy-out regions copy --
-    gets ``prev``'s region objects and the temporaries its lowering
-    declared, instead of being lowered again (see :class:`BlockLowering`);
-    the regions keep every memo keyed by them.  The result is the same IR
-    a compile without ``prev`` builds.  The entry function is validated
-    through ``facts`` (see :meth:`~repro.ir.program.Function.validate`;
-    ``None`` computes every fact afresh).
+    ``lowerings`` is a lowering memo, block name -> the latest reusable
+    :class:`BlockLowering` of a block of that name, which the compile reads
+    and updates.  Every block whose lowering inputs equal its entry's --
+    same name, behaviour text, bindings and copy-outs -- gets the entry's
+    region objects and the temporaries its lowering declared instead of
+    being lowered again, and keeps every memo keyed by those regions; every
+    block lowered afresh replaces its entry (when its lowering is
+    reusable).  The result is the same IR a compile without a memo builds.
+    The entry function is validated through ``facts`` (see
+    :meth:`~repro.ir.program.Function.validate`; ``None`` computes every
+    fact afresh).
     """
     diagram.validate()
     entry_name = entry_name or f"{diagram.name}_step"
@@ -297,7 +305,7 @@ def compile_diagram(
     driver_of: dict[tuple[str, str], Connection] = {
         (c.dst_block, c.dst_port): c for c in diagram.connections
     }
-    previous = prev.lowerings if prev is not None else {}
+    memo = lowerings if lowerings is not None else {}
     function = fb._function
     for block_name in diagram.execution_order():
         block = diagram.blocks[block_name]
@@ -337,8 +345,8 @@ def compile_diagram(
             if (key := (block_name, port.name)) in signal_vars and key in output_vars
         )
 
-        inputs = (block.script, tuple(bindings.items()), copies)
-        lowering = previous.get(block_name)
+        inputs = (block.behavior, tuple(bindings.items()), copies)
+        lowering = memo.get(block_name)
         if (
             lowering is None
             or lowering.inputs != inputs
@@ -353,7 +361,7 @@ def compile_diagram(
         for region in lowering.regions:
             fb.emit(region)
         if lowering.reusable:
-            model.lowerings[block_name] = lowering
+            memo[block_name] = lowering
 
     function = fb.build(validate=False)
     function.validate(facts)

@@ -75,7 +75,9 @@ class Block:
     #: Estimated worst-case iterations hint for data-dependent loops (rare).
     annotations: dict[str, Any] = field(default_factory=dict)
 
+    #: the parse of ``_parsed_text``, the behaviour text it was parsed from
     _parsed: Script | None = field(default=None, repr=False, compare=False)
+    _parsed_text: str | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -90,10 +92,12 @@ class Block:
     # ------------------------------------------------------------------ #
     @property
     def script(self) -> Script:
-        """The parsed behaviour (cached)."""
-        if self._parsed is None:
-            object.__setattr__(self, "_parsed", parse_script(self.behavior))
-        return self._parsed  # type: ignore[return-value]
+        """The parsed behaviour, cached until ``behavior`` is assigned
+        another text."""
+        if self._parsed is None or self._parsed_text != self.behavior:
+            self._parsed = parse_script(self.behavior)
+            self._parsed_text = self.behavior
+        return self._parsed
 
     def input_port(self, name: str) -> Port:
         for port in self.inputs:

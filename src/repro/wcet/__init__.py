@@ -47,6 +47,18 @@ requires explicit action from callers:
   supported style is to build fresh objects instead, which needs no
   invalidation at all.
 
+The cache also holds the front end's **lowering memo**
+(:attr:`~repro.wcet.cache.WcetAnalysisCache.lowerings`): per block name,
+the latest reusable lowering a compile on this cache made -- region
+objects, declared temporaries, and the inputs it was made from (name,
+behaviour text, bindings, copy-outs).  A compile reuses an entry only
+under equal inputs, so it cannot go stale; every design point of a sweep
+and every edit round on one cache therefore lowers only the blocks the
+cache has not seen, and the reused regions keep their memos.  The memo
+lives in memory as long as the cache and is never flushed or loaded;
+``cache.clear()`` empties it with the other memos, so the next compile
+lowers every block.
+
 Since schema **v4**, code-level entry keys embed the region's *context*
 (:meth:`~repro.wcet.cache.WcetAnalysisCache.region_context`): the storage
 class and declared type of every name the region references, looked up in

@@ -146,16 +146,25 @@ statement / model objects (by identity) to their fingerprints, per-region
 facts (:mod:`repro.ir.facts`: referenced names, what the built-in passes
 read and rewrite), region contexts and cost signatures, which avoids
 re-rendering and re-walking the IR and re-digesting declarations and cost
-tables on every query.  The memos rely on those objects never changing
-once fingerprinted:
+tables on every query, plus the front end's *lowering memo*
+(:attr:`WcetAnalysisCache.lowerings`).  The memos rely on those objects
+never changing once fingerprinted:
 
 * **IR** is never mutated after the front end builds it: transformation
   passes run on a working copy of the entry function and rewrite its
   statements copy-on-write (:mod:`repro.transforms`), so a transformed
   function is a new object and its unchanged regions are the very objects
-  the front end built, with still-valid memos.  An edit round's front end
-  hands over the previous run's region objects for unchanged blocks, so
-  they keep their memos too.  Nothing needs invalidating.
+  the front end built, with still-valid memos.  Nothing needs
+  invalidating.
+* **The lowering memo** keeps, per block name, the latest reusable
+  lowering a compile on this cache made (its region objects, declared
+  temporaries and lowering inputs; see
+  :class:`~repro.frontend.codegen.BlockLowering`).  A later compile of a
+  block with equal inputs -- any later design point of a sweep, any edit
+  round -- reuses those region objects, so they keep their memos too.  It
+  lives in memory as long as the cache, holds its regions alive (their
+  identity memos with them), is never flushed, and :meth:`clear` empties
+  it, after which the next compile lowers every block.
 * **Platform, processor and cost-model objects** are treated as immutable
   too (their cost signatures and platform digests are memoized per
   object).  Mutating one in place requires
@@ -172,8 +181,10 @@ from __future__ import annotations
 import atexit
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
+import math
 import os
 import tempfile
 import time
@@ -181,6 +192,7 @@ import uuid
 import weakref
 from dataclasses import dataclass, replace
 from pathlib import Path
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import TYPE_CHECKING, Callable, Collection, Generic, Iterator, TypeVar
 
 from repro import obs
@@ -197,6 +209,7 @@ from repro.wcet.hardware_model import HardwareCostModel
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.adl.architecture import Platform
     from repro.analysis.footprints import FootprintStore
+    from repro.frontend.codegen import BlockLowering
     from repro.wcet.system_level import SystemDesign, SystemWcetResult
 
 #: Version of the on-disk entry format *and* of the cost-model semantics the
@@ -628,6 +641,12 @@ class WcetAnalysisCache:
         self.system_results = SystemResultCache(self)
         #: lazily created task-footprint tier (see :attr:`footprints`)
         self._footprints: "FootprintStore | None" = None
+        #: the front end's lowering memo: block name -> the latest reusable
+        #: :class:`~repro.frontend.codegen.BlockLowering` of a block of that
+        #: name, read and updated by every
+        #: :func:`~repro.frontend.codegen.compile_diagram` the pipeline runs
+        #: on this cache; in memory only (see the invalidation contract)
+        self.lowerings: dict[str, "BlockLowering"] = {}
 
     @property
     def stats(self) -> CacheStats:
@@ -1054,7 +1073,8 @@ class WcetAnalysisCache:
 
     # ------------------------------------------------------------------ #
     def clear(self) -> None:
-        """Drop every in-memory entry and memo of every tier (stats are kept).
+        """Drop every in-memory entry and memo of every tier, and the lowering
+    memo (stats are kept), so the next compile lowers every block.
 
         On-disk entries are *not* deleted: the backing directory stays
         attached and can be re-read with :meth:`load`, and already-persisted
@@ -1070,6 +1090,7 @@ class WcetAnalysisCache:
         self.system_results.store.clear()
         if self._footprints is not None:
             self._footprints.store.clear()
+        self.lowerings.clear()
 
     def __len__(self) -> int:
         return len(self.store)
@@ -1418,33 +1439,76 @@ def _qualified_name(cls: type) -> str:
     return f"{cls.__module__}.{cls.__qualname__}"
 
 
-def _describe_component(obj):
-    """JSON-able content description of one platform component.
+def _component_json(obj, memo: dict[int, str]) -> str:
+    """The JSON text of one platform component's content description.
 
-    Every dataclass level records its concrete type by ``module.qualname``,
-    so a subclass that overrides behaviour while keeping the base fields (a
-    custom processor model, say) can never digest identically to the base,
-    nor to a same-named class defined at module level or in another scope.
-    The rule names a class, not its code: two classes made by one factory
-    function share a qualified name, so platforms built from them must not
-    share a cache.  Anything that is neither a dataclass, a plain container
-    nor a scalar is refused -- a ``str()`` fallback would happily bake an
-    address-bearing ``repr`` into the digest and defeat content addressing.
+    Every dataclass level records its concrete type by ``module.qualname``
+    under ``"__type__"``, so a subclass that overrides behaviour while
+    keeping the base fields (a custom processor model, say) can never
+    digest identically to the base, nor to a same-named class defined at
+    module level or in another scope.  The rule names a class, not its
+    code: two classes made by one factory function share a qualified name,
+    so platforms built from them must not share a cache.  Anything that is
+    neither a dataclass, a plain container nor a scalar is refused -- a
+    ``str()`` fallback would happily bake an address-bearing ``repr`` into
+    the digest and defeat content addressing.
+
+    The text is what ``json.dumps(description, sort_keys=True)`` prints
+    for the description (members sorted by key, ``", "`` and ``": "``
+    separators, the encoder's spelling of each scalar), composed piecewise
+    so that each distinct dataclass object -- the one processor model all
+    cores of a type share, say -- is described once per digest (``memo``,
+    by object id, lives for one :func:`platform_signature` call).
     """
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        described = {"__type__": _qualified_name(type(obj))}
-        for field_ in dataclasses.fields(obj):
-            described[field_.name] = _describe_component(getattr(obj, field_.name))
-        return described
+    field_names = _dataclass_field_names(type(obj))
+    if field_names is not None:
+        text = memo.get(id(obj))
+        if text is None:
+            members = {"__type__": _json_str(_qualified_name(type(obj)))}
+            for name in field_names:
+                members[name] = _component_json(getattr(obj, name), memo)
+            text = memo[id(obj)] = _json_object(members)
+        return text
+    # the scalar branches follow the JSON encoder: str and int subclasses
+    # (enums among them) are spelled as their base type
+    if isinstance(obj, str):
+        return _json_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return float.__repr__(obj) if math.isfinite(obj) else json.dumps(obj)
     if isinstance(obj, dict):
-        return {str(key): _describe_component(value) for key, value in obj.items()}
+        return _json_object({str(key): _component_json(value, memo) for key, value in obj.items()})
     if isinstance(obj, (list, tuple)):
-        return [_describe_component(item) for item in obj]
-    if obj is None or isinstance(obj, (str, int, float, bool)):
-        return obj
+        return "[" + ", ".join([_component_json(item, memo) for item in obj]) + "]"
     if isinstance(obj, enum.Enum):
-        return f"{_qualified_name(type(obj))}.{obj.name}"
+        return _json_str(f"{_qualified_name(type(obj))}.{obj.name}")
     raise _Unfingerprintable(type(obj).__name__)
+
+
+@functools.lru_cache(maxsize=256)
+def _dataclass_field_names(cls: type) -> tuple[str, ...] | None:
+    """The field names of dataclass ``cls``, ``None`` for any other type
+    (a dataclass *class* itself, whose type is ``type``, included)."""
+    if not dataclasses.is_dataclass(cls):
+        return None
+    return tuple(field_.name for field_ in dataclasses.fields(cls))
+
+
+def _json_object(members: dict[str, str]) -> str:
+    """JSON text of an object whose member values are already JSON text,
+    members sorted by key as ``json.dumps(..., sort_keys=True)`` sorts them."""
+    return (
+        "{"
+        + ", ".join([f"{_json_str(key)}: {members[key]}" for key in sorted(members)])
+        + "}"
+    )
 
 
 def platform_signature(platform: "Platform") -> str | None:
@@ -1459,18 +1523,20 @@ def platform_signature(platform: "Platform") -> str | None:
     The digest covers the full ADL description -- cores (processor timing
     models, scratchpads, tiles), the shared memory, the interconnect and
     the optional NoC -- including the qualified type of every nested
-    component (see :func:`_describe_component`), and also names, descriptions
+    component (see :func:`_component_json`), and also names, descriptions
     and clock rates that no analysis reads: platforms differing only in
-    those share nothing, which costs sharing, never soundness.  Returns
+    those share nothing, which costs sharing, never soundness.  Each
+    distinct component object is described once, so the cost grows with
+    the distinct components, not with how many cores share one.  Returns
     ``None`` when any component cannot be introspected (a custom
     non-dataclass model), in which case callers must treat the platform as
     unfingerprintable rather than risk a stale reuse.
     """
     try:
-        payload = _describe_component(platform)
+        text = _component_json(platform, {})
     except _Unfingerprintable:
         return None
-    return _digest(json.dumps(payload, sort_keys=True))
+    return _digest(text)
 
 
 def read_cache_dir_stats(cache_dir: str | Path, count_entries: bool = True) -> dict:

@@ -34,17 +34,30 @@ and one shared-access penalty row; the isolated WCET, average-case WCET
 and shared-access count of each (task, core), filled through the
 code-level cache (so its entries and misses are the same as without a
 design); the worst-case delay of each (payload, source core, destination
-core, contender count); and the result key's per-design prefix.  Building
-a design costs nothing, so the numbering runs inside the scheduler that
-first reads it.
+core, contender count), and per payload one delay table over core pairs
+read by the solve; in a statically pruned design, the static-MHP
+relation's mapping-independent part (reachability, footprints, address
+overlaps); and the result key's per-design prefix.  Building a design
+costs nothing, so the numbering runs inside the scheduler that first reads
+it.
 
 *Per solve* (:func:`_solve`, the one fixed point): a mapping vector (the
-core of each task index) and the order rows, the timeline plan with each
-cross-core edge priced from the delay table, and the fixed point over
-start/finish lists.  Indexes instead of task-id dicts because the solve's
-inner loops run once per candidate and fixed-point iteration: list
-indexing replaces string hashing, and no ``Interval`` is built per task
-per iteration.
+core of each task index) and a processing order, the timeline plan -- per
+task in that order, its core and its dependence predecessors, each
+cross-core edge priced from its payload's delay table -- and the fixed
+point over start/finish lists.  The plan holds no core-order edges: a
+task's core is free at the last finish on that core, which is its
+predecessor in the core order because the processing order visits each
+core's tasks in that order.  :meth:`SystemDesign.bound` passes the
+design's topological order, a processing order of the default core order
+by construction, so a candidate builds no Kahn pass and no row dict;
+:func:`system_level_wcet` and :func:`contention_oblivious_bound` derive one
+from their core order by a Kahn pass (:func:`_processing_order`).  A
+max-plus pass does not depend on its processing order, so every order
+gives the same floats.  Indexes instead of task-id dicts because the
+solve's inner loops run once per candidate and fixed-point iteration:
+list indexing replaces string hashing, and no ``Interval`` is built per
+task per iteration.
 
 The solve has two callers.  :func:`system_level_wcet` analyses a
 schedule: it derives the mapping and order part of the result key,
@@ -107,11 +120,12 @@ from __future__ import annotations
 
 import operator
 import time
+import weakref
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, NamedTuple, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, TypeVar
 
 from repro import obs
 from repro.adl.architecture import Platform
@@ -122,6 +136,9 @@ from repro.utils.intervals import Interval
 from repro.wcet.cache import WcetAnalysisCache, shared_cache
 from repro.wcet.code_level import analyze_task_wcet
 from repro.wcet.hardware_model import HardwareCostModel
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.analysis.static_mhp import StaticMhpBase
 
 #: Safety cap of the fixed point's iterations (see the module docstring).
 #: Written into every result key, so results of another cap never replay.
@@ -184,8 +201,9 @@ def default_rows(topological: Iterable[T], core_of: Callable[[T], int]) -> dict[
 
     The one definition of that order:
     :func:`~repro.scheduling.schedule.default_core_order` applies it to
-    task ids, and :meth:`SystemDesign.bound` to task indexes, so a search
-    prices every candidate under the order its winner is analysed under.
+    task ids, and :meth:`SystemDesign.bound` prices under it by processing
+    the tasks in ``topological`` order itself, so a search prices every
+    candidate under the order its winner is analysed under.
     """
     rows: dict[int, list[T]] = {}
     for task in topological:
@@ -233,6 +251,8 @@ class SystemDesign:
         self._tables: dict[tuple[str, bool], list] = {}
         self._costs: dict[tuple[int, bool], list] = {}
         self._delays: dict[tuple[int, int, int, int], float] = {}
+        #: payload -> its delay table over core pairs (see :meth:`delay_table`)
+        self._delay_tables: dict[int, _DelayTable] = {}
         #: the result key's per-design prefix, filled and read by
         #: :meth:`~repro.wcet.cache.SystemResultCache.result_key`
         self.key_prefix: str | None = None
@@ -338,6 +358,26 @@ class SystemDesign:
             )
         return delay
 
+    def delay_table(self, payload: int) -> "_DelayTable":
+        """The delays of ``payload`` bytes over core pairs, every other core
+        contending: ``table[src][dst]``, priced through :meth:`delay` on
+        first read.  The solve reads its cross-core edges from these."""
+        table = self._delay_tables.get(payload)
+        if table is None:
+            table = self._delay_tables[payload] = _DelayTable(self, payload)
+        return table
+
+    @cached_property
+    def mhp_base(self) -> "StaticMhpBase":
+        """The static-MHP relation's mapping-independent part over the leaf
+        tasks (:class:`~repro.analysis.static_mhp.StaticMhpBase`): built
+        once, so a pruned candidate applies only its sharer and same-core
+        masks."""
+        # imported lazily: the analysis package depends on this module's types
+        from repro.analysis.static_mhp import static_mhp_base
+
+        return static_mhp_base(self.htg, self.function, self.leaf_ids, self.cache.footprints)
+
     def mapping_vector(self, mapping: dict[str, int]) -> list[int]:
         """The core of each task index; raises :class:`SystemWcetError`
         unless ``mapping`` maps exactly the leaf tasks to platform cores."""
@@ -402,84 +442,139 @@ class SystemDesign:
         The bare fixed point (:func:`_solve`): equal to the makespan
         :func:`system_level_wcet` reports for the same mapping and order,
         but with no result key, result object or result-tier access, and
-        no memo (search candidates rarely repeat a mapping).  The
-        annealer and branch and bound price every candidate with it.
-        Raises :class:`SystemWcetError` unless ``cores`` has one platform
-        core per task.
+        no memo (search candidates rarely repeat a mapping).  It processes
+        the tasks in :attr:`topological` order, which is a processing order
+        of the default core order's timeline by construction (each core's
+        tasks appear in their row's order, after their predecessors), so
+        no Kahn pass runs per candidate.  The annealer and branch and bound
+        price every candidate with it.  Raises :class:`SystemWcetError`
+        unless ``cores`` has one platform core per task.
         """
         if len(cores) != len(self.leaf_ids):
             raise SystemWcetError(
                 f"mapping vector has {len(cores)} entries for {len(self.leaf_ids)} tasks"
             )
         self._check_cores(cores)
-        rows = default_rows(self.topological, cores.__getitem__)
-        return _solve(self, cores, list(rows.items())).makespan
+        return _solve(self, cores, self.topological).makespan
 
 
-class _TimelineBuilder:
-    """Static timeline respecting dependences and per-core ordering.
+class _DelayTable(dict):
+    """Worst-case delays of one payload over core pairs, ``table[src][dst]``
+    (nested, which indexes faster than pair keys), each priced through
+    :meth:`SystemDesign.delay` on first read.  It refers to its design
+    weakly, so the design it belongs to is freed by reference counting."""
 
-    A Kahn-style event pass over the constraint graph (dependence edges plus
-    the per-core predecessor chain): each task is finalized exactly once when
-    all its constraints are resolved, so the pass is linear in tasks + edges.
-    The computed start/finish times are a function of the predecessors alone,
-    so they are independent of the processing order.
+    __slots__ = ("design", "payload")
 
-    The constraint graph, the worst-case edge delays and therefore the
-    processing order do not change across fixed-point iterations (only the
-    task durations do), so they are resolved once at construction;
-    :meth:`build` is then a pure max-plus pass over the fixed order.
+    def __init__(self, design: SystemDesign, payload: int) -> None:
+        super().__init__()
+        self.design = weakref.proxy(design)
+        self.payload = payload
+
+    def __missing__(self, src: int) -> "_DelayRow":
+        row = self[src] = _DelayRow(self, src)
+        return row
+
+
+class _DelayRow(dict):
+    """The delays of one payload from one source core, by destination core."""
+
+    __slots__ = ("table", "src")
+
+    def __init__(self, table: _DelayTable, src: int) -> None:
+        super().__init__()
+        self.table = table
+        self.src = src
+
+    def __missing__(self, dst: int) -> float:
+        delay = self[dst] = self.table.design.delay(self.table.payload, self.src, dst)
+        return delay
+
+
+def _processing_order(
+    design: SystemDesign, cores: list[int], rows: list[tuple[int, list[int]]]
+) -> list[int]:
+    """A processing order of the timeline of ``cores`` under the core order
+    ``rows``: a Kahn pass over the dependences plus each core's chain, so
+    every task follows its predecessors and the task before it on its core.
+
+    Raises :class:`SystemWcetError` when the core order contradicts the
+    dependences.
+    """
+    indegree = [0] * len(cores)
+    succs: list[list[int]] = [[] for _ in cores]
+    for src, dst, _ in design.leaf_edges:
+        indegree[dst] += 1
+        succs[src].append(dst)
+    for _, tids in rows:
+        for prev, nxt in zip(tids, tids[1:]):
+            indegree[nxt] += 1
+            succs[prev].append(nxt)
+    order: list[int] = []
+    worklist = [i for i, degree in enumerate(indegree) if degree == 0]
+    while worklist:
+        i = worklist.pop()
+        order.append(i)
+        for nxt in succs[i]:
+            indegree[nxt] -= 1
+            if indegree[nxt] == 0:
+                worklist.append(nxt)
+    if len(order) < len(cores):
+        raise SystemWcetError("cyclic wait between core order and dependences")
+    return order
+
+
+class _Timeline:
+    """Static timeline of one mapping, respecting dependences and the core
+    order its processing order implies.
+
+    The plan lists, in processing order, each task with its core and its
+    dependence predecessors with their priced cross-core delays (from the
+    design's delay tables).  A task starts when its last predecessor's
+    transfer has arrived and its core is free: the core's chain is read as
+    the last finish on that core, which is the finish of the task before it
+    in the core order, since the processing order visits each core's tasks
+    in that order.  Start and finish times are a max-plus function of the
+    predecessors alone, so any valid processing order gives the same
+    floats.
+
+    The plan does not change across fixed-point iterations (only the task
+    durations do), so it is built once per solve; :meth:`build` is a pure
+    pass over it.
     """
 
-    def __init__(
-        self, design: SystemDesign, cores: list[int], rows: list[tuple[int, list[int]]]
-    ) -> None:
-        # per task, its constraints as (pred, delay): the dependences with
-        # their priced cross-core delays, in graph-edge order, then the
-        # previous task on its core
+    __slots__ = ("plan", "core_ids", "communication_cycles")
+
+    def __init__(self, design: SystemDesign, cores: list[int], order: list[int]) -> None:
+        # per task, its dependences as (pred, delay), in graph-edge order
         preds: list[list[tuple[int, float]]] = [[] for _ in cores]
-        succs: list[list[int]] = [[] for _ in cores]
         cross: list[float] = []
+        delay_table = design.delay_table
         for src, dst, payload in design.leaf_edges:
             src_core, dst_core = cores[src], cores[dst]
             delay = 0.0
             if src_core != dst_core:
-                delay = design.delay(payload, src_core, dst_core)
+                delay = delay_table(payload)[src_core][dst_core]
                 cross.append(delay)
             preds[dst].append((src, delay))
-            succs[src].append(dst)
         #: cycles spent on cross-core transfers, summed in graph-edge order
         self.communication_cycles = sum(cross)
-        for _, tids in rows:
-            for prev, nxt in zip(tids, tids[1:]):
-                preds[nxt].append((prev, 0.0))
-                succs[prev].append(nxt)
-        indegree = [len(row) for row in preds]
-        #: (task, [(pred, delay)]) in processing order
-        self._plan: list[tuple[int, list[tuple[int, float]]]] = []
-        worklist = [i for i, degree in enumerate(indegree) if degree == 0]
-        while worklist:
-            i = worklist.pop()
-            self._plan.append((i, preds[i]))
-            for nxt in succs[i]:
-                indegree[nxt] -= 1
-                if indegree[nxt] == 0:
-                    worklist.append(nxt)
-        if len(self._plan) < len(cores):
-            raise SystemWcetError("cyclic wait between core order and dependences")
+        self.plan = [(i, cores[i], preds[i]) for i in order]
+        self.core_ids = design.core_ids
 
     def build(self, effective: list[float]) -> tuple[list[float], list[float], float]:
         """(start times, finish times, makespan) for these task durations."""
         starts = [0.0] * len(effective)
         finish = [0.0] * len(effective)
-        for i, preds in self._plan:
-            ready = 0.0
+        last = dict.fromkeys(self.core_ids, 0.0)
+        for i, core, preds in self.plan:
+            ready = last[core]
             for p, delay in preds:
                 ready_p = finish[p] + delay
                 if ready_p > ready:
                     ready = ready_p
             starts[i] = ready
-            finish[i] = ready + effective[i]
+            finish[i] = last[core] = ready + effective[i]
         return starts, finish, max(finish, default=0.0)
 
 
@@ -567,17 +662,16 @@ class _FixedPoint(NamedTuple):
     deltas: "tuple[float, ...] | None"
 
 
-def _solve(
-    design: SystemDesign, cores: list[int], rows: list[tuple[int, list[int]]]
-) -> _FixedPoint:
-    """The fixed point of mapping vector ``cores`` under the core ``rows``.
+def _solve(design: SystemDesign, cores: list[int], order: list[int]) -> _FixedPoint:
+    """The fixed point of mapping vector ``cores`` under the core order that
+    the processing ``order`` implies (see :class:`_Timeline`).
 
     The one solve behind :func:`system_level_wcet` and
     :meth:`SystemDesign.bound`.  It reads the design's tables only: it
     derives no key, never touches the result tier and builds no result
     dict.  Its ``fixed_point`` span and its ``fixed_point.*`` and ``mhp.*``
     metrics therefore count every solve, search candidates included.  The
-    callers validate ``cores`` and ``rows``.
+    callers validate ``cores`` and derive ``order``.
     """
     leaf_ids = design.leaf_ids
     penalty_rows = list(map(design.penalties, cores))
@@ -598,6 +692,7 @@ def _solve(
         relation = compute_static_mhp(
             design.htg, design.function, dict(zip(leaf_ids, cores)),
             sharers=[leaf_ids[i] for i in sharers], store=design.cache.footprints,
+            base=design.mhp_base,
         )
         allowed = relation.allowed
         allowed_rows = [tuple(map(design.index.__getitem__, allowed.get(t, ()))) for t in leaf_ids]
@@ -616,7 +711,7 @@ def _solve(
         sharers_per_core = Counter(cores[i] for i in sharers)
         pairs_per_pass = sum(len(sharers) - sharers_per_core.get(core, 0) for core in cores)
         obs.metrics().counter("mhp.pairs_candidate").inc(pairs_per_pass)
-    timeline = _TimelineBuilder(design, cores, rows)
+    timeline = _Timeline(design, cores, order)
 
     effective = base
     contenders = [0] * len(cores)
@@ -752,7 +847,7 @@ def system_level_wcet(
         ).inc()
     if memoized is not None:
         return memoized
-    solved = _solve(design, cores, rows)
+    solved = _solve(design, cores, _processing_order(design, cores, rows))
     leaf_ids = design.leaf_ids
     result = SystemWcetResult(
         makespan=solved.makespan,
@@ -792,4 +887,4 @@ def contention_oblivious_bound(
     for i, core in enumerate(cores):
         base, shared = design.cost(i, core)
         effective.append(base + shared * design.penalties(core)[design.comm_contenders])
-    return _TimelineBuilder(design, cores, rows).build(effective)[2]
+    return _Timeline(design, cores, _processing_order(design, cores, rows)).build(effective)[2]

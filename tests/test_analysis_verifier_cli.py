@@ -153,7 +153,7 @@ class TestFrontendGate:
 
         fake_model = types.SimpleNamespace(entry=unbounded_function())
         monkeypatch.setattr(
-            pipeline_mod, "compile_diagram", lambda d, prev=None, facts=None: fake_model
+            pipeline_mod, "compile_diagram", lambda d, lowerings=None, facts=None: fake_model
         )
         with pytest.raises(PipelineError) as exc:
             run_pipeline(

@@ -206,9 +206,9 @@ def _ir(model):
 
 
 class TestCompileReuse:
-    """``compile_diagram(..., prev=...)`` lowers only the blocks whose
-    lowering inputs changed and builds the IR a compile without ``prev``
-    builds."""
+    """``compile_diagram(..., lowerings=memo)`` lowers only the blocks
+    whose lowering inputs differ from the memo's and builds the IR a
+    compile without a memo builds."""
 
     def _diagram(self, k=2.0):
         from repro.usecases.workloads import random_pipeline_diagram
@@ -223,8 +223,9 @@ class TestCompileReuse:
         return d
 
     def test_unchanged_diagram_lowers_nothing_and_shares_every_region(self):
-        first = compile_diagram(self._diagram())
-        again = compile_diagram(self._diagram(), prev=first)
+        memo = {}
+        first = compile_diagram(self._diagram(), lowerings=memo)
+        again = compile_diagram(self._diagram(), lowerings=memo)
         assert first.blocks_lowered == len(self._diagram().blocks)
         assert again.blocks_lowered == 0
         assert _ir(again) == _ir(first)
@@ -234,8 +235,9 @@ class TestCompileReuse:
         assert any(label.endswith("__copyout") for label, _ in again.block_regions)
 
     def test_param_edit_lowers_the_edited_block_only(self):
-        first = compile_diagram(self._diagram())
-        edited = compile_diagram(self._diagram(k=3.0), prev=first)
+        memo = {}
+        first = compile_diagram(self._diagram(), lowerings=memo)
+        edited = compile_diagram(self._diagram(k=3.0), lowerings=memo)
         assert edited.blocks_lowered == 1
         assert _ir(edited) == _ir(compile_diagram(self._diagram(k=3.0)))
         changed = [
@@ -266,15 +268,41 @@ class TestCompileReuse:
             d.mark_output("a__b", "y")
             return d
 
-        first = compile_diagram(diagram("b__t"))
-        assert set(first.lowerings) == {"a"}
+        memo = {}
+        first = compile_diagram(diagram("b__t"), lowerings=memo)
+        assert set(memo) == {"a"}
         # ``a`` no longer declares the clashing name; ``a__b`` must declare it
-        renamed = compile_diagram(diagram("v"), prev=first)
+        renamed = compile_diagram(diagram("v"), lowerings=memo)
         assert renamed.blocks_lowered == 2
         assert _ir(renamed) == _ir(compile_diagram(diagram("v")))
         assert "a__b__t" in {d.name for d in renamed.entry.decls}
         # and back: ``a__b``'s temporary is declared before it is reached,
         # so its stored lowering (which declares it) no longer applies
-        clashing = compile_diagram(diagram("b__t"), prev=renamed)
+        clashing = compile_diagram(diagram("b__t"), lowerings=memo)
         assert clashing.blocks_lowered == 2
         assert _ir(clashing) == _ir(first)
+
+    def test_assigned_behaviour_is_compiled_and_simulated(self):
+        """A gain whose behaviour text is replaced after its script was
+        read and lowered, in a cache whose lowering memo holds the old
+        behaviour: the memo is keyed by the text and the script re-parsed,
+        so the compiled step and the model both compute ``u * 5``."""
+        from repro.wcet import WcetAnalysisCache
+
+        cache = WcetAnalysisCache()
+        d = Diagram("retuned")
+        block = library.gain("g", 2.0)
+        d.add_block(block)
+        d.mark_input("g", "u")
+        d.mark_output("g", "y")
+        old = compile_diagram(d, lowerings=cache.lowerings)
+        run = run_function(old.entry, old.run_inputs({"g.u": 1.0}))
+        assert run.scalar(old.output_key("g", "y")) == 2.0
+        assert "g" in cache.lowerings
+
+        block.behavior = "y = u * 5"
+        new = compile_diagram(d, lowerings=cache.lowerings)
+        assert new.blocks_lowered == 1
+        run = run_function(new.entry, new.run_inputs({"g.u": 1.0}))
+        assert run.scalar(new.output_key("g", "y")) == 5.0
+        assert d.simulate(steps=1, input_provider={"g.u": 1.0})[0]["g.y"] == 5.0

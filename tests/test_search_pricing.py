@@ -16,7 +16,8 @@ every core is of one class (there its symmetry rule and lower bound are
 the former ones).  Also here:
 
 * ``design.bound(v)`` equals ``evaluate_mapping(design, mapping_of(v))
-  .wcet_bound`` exactly on random vectors, and a malformed vector raises
+  .wcet_bound`` exactly on random vectors of the three use cases, and a
+  malformed vector raises
   :class:`~repro.wcet.system_level.SystemWcetError`;
 * a warm identical search, through a cache loaded from the cold run's
   directory, returns the same schedule with no fixed point and no
@@ -243,16 +244,17 @@ def test_search_equals_per_candidate_reference(
 @pytest.mark.parametrize("pruning", [False, True], ids=["unpruned", "pruned"])
 @pytest.mark.parametrize("platform_name", sorted(PLATFORMS))
 def test_bound_equals_evaluated_bound(platform_name, pruning):
-    design = fresh_design("polka", "loop3", platform_name, pruning)
-    n = len(design.leaf_ids)
+    for usecase in ("egpws", "polka", "weaa"):
+        design = fresh_design(usecase, "loop3", platform_name, pruning)
+        n = len(design.leaf_ids)
 
-    @given(st.lists(st.sampled_from(design.core_ids), min_size=n, max_size=n))
-    @settings(max_examples=30, deadline=None)
-    def check(cores):
-        mapping = dict(zip(design.leaf_ids, cores))
-        assert design.bound(cores) == evaluate_mapping(design, mapping).wcet_bound
+        @given(st.lists(st.sampled_from(design.core_ids), min_size=n, max_size=n))
+        @settings(max_examples=30, deadline=None)
+        def check(cores):
+            mapping = dict(zip(design.leaf_ids, cores))
+            assert design.bound(cores) == evaluate_mapping(design, mapping).wcet_bound
 
-    check()
+        check()
 
 
 @pytest.mark.parametrize(

@@ -186,6 +186,28 @@ class TestSeededWorkloadsDifferential:
         assert pruned.makespan <= base.makespan
 
 
+@pytest.mark.parametrize("usecase", USECASES)
+def test_design_base_equals_a_fresh_relation(usecase):
+    """The static-MHP base a design builds once serves every mapping: the
+    relation it gives equals the one computed from a base built for that
+    mapping in a fresh cache (same skeleton, counters and footprints).
+    ``tests/test_pair_engine.py`` checks that relation against the double
+    loop."""
+    import random
+
+    model, htg, platform, _, _ = build_case(usecase, cores=9, chunks=3)
+    design = SystemDesign(htg, model.entry, platform, WcetAnalysisCache(), static_pruning=True)
+    rng = random.Random(7)
+    for _ in range(40):
+        mapping = {tid: rng.choice(design.core_ids) for tid in design.leaf_ids}
+        sharers = [tid for tid in design.leaf_ids if rng.random() < 0.7]
+        kept = compute_static_mhp(htg, model.entry, mapping, sharers, base=design.mhp_base)
+        fresh = compute_static_mhp(
+            htg, model.entry, mapping, sharers, store=WcetAnalysisCache().footprints
+        )
+        assert kept == fresh
+
+
 # ---------------------------------------------------------------------- #
 # knob validation
 # ---------------------------------------------------------------------- #

@@ -643,3 +643,101 @@ class TestDiskPersistence(_PersistenceContract):
         monkeypatch.delenv(CACHE_DIR_ENV_VAR)
         reset_shared_cache()
         assert shared_cache().cache_dir is None
+
+
+# ---------------------------------------------------------------------- #
+# platform digests: golden values, and the former describe-then-dump oracle
+# ---------------------------------------------------------------------- #
+#: preset -> its platform_signature, computed by the former whole-payload
+#: ``json.dumps(description, sort_keys=True)`` implementation
+GOLDEN_PLATFORM_DIGESTS = {
+    "generic_predictable_multicore()": "cc40ee8ad29859172e71aeaba3be17c5abc16f6a",
+    "generic_predictable_multicore(cores=1)": "0bdabe4fcb7cd92335d08f756dc272c26e5cda4b",
+    "generic_predictable_multicore(cores=2)": "5e628fbf15b637c7e30d0c74369dd579a4df9276",
+    "generic_predictable_multicore(cores=8)": "17b8ec147ded87752905b276d7b5731e732543b5",
+    "generic_predictable_multicore(cores=2, spm_kib=1)": "bcac3b9cf2e6d74d95309ab25c6a938988504725",
+    "generic_predictable_multicore(cores=4, shared_kib=8)": "118b408d7a95b41a77497a25c30a0b0bc7c174fe",
+    "recore_xentium_like()": "7d890a43ac1589ade1efed2de2ab37ddcad584f7",
+    "recore_xentium_like(use_tdm_bus=True)": "3f2fbe0be16ad48b266bfe9b9eba13b6d9cee686",
+    "recore_xentium_like(dsp_cores=64)": "f34e89419829bf79b8e2b7630fc8b6f302092ae8",
+    "recore_xentium_like(dsp_cores=128)": "fdea4fbf866c88ffbb11601d3383d74a9428a87c",
+    "kit_leon3_inoc()": "e4f72d06f3fc6dc05b3a2dcdeaa0b8626463b074",
+    "kit_leon3_inoc(mesh_width=3, mesh_height=3, cores_per_tile=1)": (
+        "c759d306bd47ffef385df27841bdbac632e73128"
+    ),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(GOLDEN_PLATFORM_DIGESTS))
+def test_platform_digests_are_golden(preset):
+    from repro.adl import platforms
+    from repro.wcet.cache import platform_signature
+
+    platform = eval(preset, vars(platforms))
+    assert platform_signature(platform) == GOLDEN_PLATFORM_DIGESTS[preset]
+
+
+def _reference_description(obj):
+    """The former ``_describe_component``: the whole payload, re-described
+    at every reference, for ``json.dumps(..., sort_keys=True)``."""
+    import enum
+
+    from repro.wcet.cache import _qualified_name
+
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        described = {"__type__": _qualified_name(type(obj))}
+        for field_ in dataclasses.fields(obj):
+            described[field_.name] = _reference_description(getattr(obj, field_.name))
+        return described
+    if isinstance(obj, dict):
+        return {str(key): _reference_description(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_reference_description(item) for item in obj]
+    if obj is None or isinstance(obj, (str, int, float, bool)):
+        return obj
+    if isinstance(obj, enum.Enum):
+        return f"{_qualified_name(type(obj))}.{obj.name}"
+    raise TypeError(type(obj).__name__)
+
+
+def test_platform_digest_equals_whole_payload_dump():
+    """Components with every scalar spelling the JSON encoder knows
+    (non-finite floats, bools, ``None``, non-ASCII text, int and plain
+    enums), int dict keys, nested tuples and one object referenced twice
+    digest as the former whole-payload dump did."""
+    import enum
+    import hashlib
+
+    from repro.adl.interconnect import RoundRobinBus
+    from repro.wcet.cache import platform_signature
+
+    class Level(enum.IntEnum):
+        HIGH = 3
+
+    class Mode(enum.Enum):
+        FAST = "fast"
+
+    @dataclasses.dataclass
+    class Knobs:
+        ratio: float = float("inf")
+        floor: float = float("-inf")
+        unknown: float = float("nan")
+        tiny: float = 1e-300
+        flag: bool = True
+        off: bool = False
+        nothing: None = None
+        label: str = "bus é→\"x\"\n"
+        level: Level = Level.HIGH
+        mode: Mode = Mode.FAST
+        table: dict = dataclasses.field(default_factory=lambda: {2: 1.5, 10: (1, [2.0])})
+
+    @dataclasses.dataclass
+    class KnobbedBus(RoundRobinBus):
+        knobs: Knobs = dataclasses.field(default_factory=Knobs)
+        again: Knobs | None = None
+
+    platform = generic_predictable_multicore(cores=3)
+    knobs = Knobs()
+    platform = dataclasses.replace(platform, interconnect=KnobbedBus(knobs=knobs, again=knobs))
+    text = json.dumps(_reference_description(platform), sort_keys=True)
+    assert platform_signature(platform) == hashlib.sha1(text.encode()).hexdigest()
