@@ -111,13 +111,14 @@ Incremental re-analysis contract
 signature).  Every stage of ``Pipeline.run_incremental`` runs; the front
 end reuses the regions of the blocks its cache has lowered before (the
 cache's lowering memo, which every run reads), and every other stage reuses
-the previous run only through ``context.prev``.  The rules:
+the previous run only through ``context.prev`` and the memos on those
+regions.  The rules:
 
-* **A region fingerprint match proves reuse.**  HTG extraction keeps the
-  previous run's tasks (WCET annotations included) for every region whose
-  code fingerprint equals the summary's, and only when the previous run
-  had the same platform signature, granularity and loop-chunk count; an
-  unfingerprintable platform never matches and extracts cold.
+* **A handed-over region keeps its decomposition.**  HTG extraction reads
+  each region's task decomposition from the cache's region memo, keyed by
+  granularity and loop-chunk count, so it decomposes only the regions the
+  cache has not decomposed at the run's knobs.  Extraction reads no
+  platform, so a platform change, fingerprintable or not, reuses them.
 * **Code-level facts key on the function fingerprint.**  The dataflow /
   lint / flow-facts analyses are pure functions of one IR function's
   content, so ``python -m repro diff`` replays the old function's reports

@@ -99,7 +99,7 @@ def _record_checker(name: str, started: float, report: AnalysisReport) -> None:
 
 
 def build_certificates(
-    schedule, function, htg, platform, flow_facts=None, sequential_bound=None
+    schedule, function, htg, platform, flow_facts=None, sequential_bound=None, cache=None
 ) -> CertificateChain:
     """Build and check the full certificate chain of one design point.
 
@@ -107,7 +107,13 @@ def build_certificates(
     the producing run used, e.g. from
     :func:`repro.analysis.wcet_facts.derive_flow_facts`); by default the
     plain IPET LP is certified, by one structured solve of the IPET LP and
-    its checker, both linear in the CFG.
+    its checker, both linear in the CFG.  Without flow facts and with a
+    ``cache`` (a :class:`~repro.wcet.cache.WcetAnalysisCache`), the witness
+    comes from the cache's IPET witness memo
+    (:meth:`~repro.wcet.cache.WcetAnalysisCache.ipet_witness`), so a sweep
+    solves each (function, cost signature) once; the checker still checks
+    it on every call, against a CFG it rebuilds from ``function``, and the
+    certificate holds copies of the witness's containers.
     ``sequential_bound`` is the sequential bound the run reports for
     ``function`` on the platform's first core; given, the IPET checker
     compares it with the LP optimum.
@@ -142,7 +148,10 @@ def build_certificates(
     started = time.perf_counter() if obs_on else 0.0
     with obs.span("certify.ipet", function=function.name):
         model = HardwareCostModel(platform, platform.cores[0].core_id)
-        ipet_result = ipet_wcet(function, model, flow_facts)
+        if flow_facts is None and cache is not None:
+            ipet_result = cache.ipet_witness(function, model)
+        else:
+            ipet_result = ipet_wcet(function, model, flow_facts)
         ipet_cert = build_ipet_certificate(ipet_result, function.name, sequential_bound)
         ipet_report = check_ipet_certificate(ipet_cert, function=function)
     if obs_on:

@@ -104,7 +104,13 @@ def build_ipet_certificate(
     result, function_name: str = "", sequential_bound: float | None = None
 ) -> IpetCertificate:
     """Lift the LP witness of an :class:`~repro.wcet.ipet.IpetResult`,
-    together with the ``sequential_bound`` the run reports for it."""
+    together with the ``sequential_bound`` the run reports for it.
+
+    The certificate copies every container of the witness, the duals'
+    included: a memoized witness serves many certificates (see
+    :meth:`~repro.wcet.cache.WcetAnalysisCache.ipet_witness`), and editing
+    one certificate must not edit the next.
+    """
     if not result.edge_counts:
         raise ValueError(
             "IpetResult carries no LP witness (edge_counts is empty); "
@@ -118,9 +124,19 @@ def build_ipet_certificate(
         block_costs=dict(result.block_costs),
         loop_bounds=dict(result.loop_bounds),
         infeasible_edges=frozenset(result.infeasible_edges),
-        duals=result.duals,
+        duals=_copied_duals(result.duals),
         sequential_bound=sequential_bound,
     )
+
+
+def _copied_duals(duals: dict | None) -> dict | None:
+    """``duals`` with every nested dict copied (``flow`` and ``loop``)."""
+    if duals is None:
+        return None
+    return {
+        name: dict(value) if isinstance(value, dict) else value
+        for name, value in duals.items()
+    }
 
 
 def check_ipet_certificate(

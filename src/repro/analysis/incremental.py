@@ -14,8 +14,8 @@ The consumers are layered:
 * :meth:`repro.core.pipeline.Pipeline.run_incremental` runs every stage,
   each seeing the previous run as ``context.prev``: the front end lowers
   only changed blocks (through the cache's lowering memo), HTG extraction
-  re-extracts only changed regions and the race check re-checks only pairs
-  with a changed endpoint;
+  decomposes only changed regions (through the cache's region memo) and
+  the race check re-checks only pairs with a changed endpoint;
   :func:`diff_summaries` names the changed, added and removed regions for
   the run's :class:`IncrementalReport`;
 * ``python -m repro diff <old> <new>`` prints that report and, when the
@@ -29,11 +29,12 @@ What each stage reuses (the reuse contract)
 Every stage runs.  The front end reuses through the cache's lowering
 memo (:attr:`~repro.wcet.cache.WcetAnalysisCache.lowerings`), which every
 run of the cache reads and updates, cold runs included; every other stage
-reuses only through ``context.prev``.  The regions the front end reuses
-carry the rest: a reused region object keeps every memo keyed by it, its
-fingerprint and its per-region facts (:mod:`repro.ir.facts`, in the
-cache's region memo) included, so the stages after it recompute only the
-facts of the regions the edit changed.
+reuses only through ``context.prev`` and the cache.  The regions the front
+end reuses carry the rest: a reused region object keeps every memo keyed
+by it, its fingerprint and its per-region facts (:mod:`repro.ir.facts`, in
+the cache's region memo; its task decompositions among them) included, so
+the stages after it recompute only the facts of the regions the edit
+changed.
 
 ================  ====================================================
 stage             what it reuses
@@ -50,13 +51,15 @@ stage             what it reuses
                   so the passes re-run only on new regions (a pass
                   the run configures anew, for another platform say,
                   folds the same facts into its decision)
-``htg``           the tasks and WCET annotations of every region whose
-                  code fingerprint equals the summary's, when the
-                  previous run had the same platform digest (the
-                  cache's per-platform memo, which result keys read
-                  too; an unfingerprintable platform never matches),
-                  granularity and loop-chunk count; else it extracts
-                  cold
+``htg``           through the handed-over regions: each region's task
+                  decomposition (its tasks' statement blocks,
+                  read/write sets and the parallel-loop test) is a
+                  per-region fact keyed by granularity and loop-chunk
+                  count, so only regions without one at the run's
+                  knobs are decomposed, on any platform (extraction
+                  reads none); the tasks are fresh objects and the
+                  edges are re-derived; ``prev``'s reachability memo
+                  is adopted when the task and edge sets are equal
 ``schedule``      nothing: the fixed point starts cold; the code-level
                   and system-result cache tiers answer what the edit
                   left unchanged (the result tier never answers on an
@@ -101,9 +104,7 @@ def summarize_result(
     platform's signature (``None`` when it cannot be fingerprinted), read
     from the cache's per-platform memo
     (:meth:`~repro.wcet.cache.WcetAnalysisCache.platform_digest`) that
-    result keys read too: everything :func:`diff_summaries` and the HTG
-    stage of a later :meth:`~repro.core.pipeline.Pipeline.run_incremental`
-    compare.
+    result keys read too.  :func:`diff_summaries` compares the regions.
     """
     from repro.wcet.cache import shared_cache
 
@@ -187,7 +188,8 @@ class IncrementalReport:
     #: Regions a built-in transformation pass computed on (the others
     #: kept the results memoized on them).
     regions_transformed: int = 0
-    #: Regions whose task decomposition / code-level facts were reused.
+    #: Regions whose task decomposition HTG extraction read from the
+    #: region memo, and regions it decomposed.
     regions_reused: int = 0
     regions_recomputed: int = 0
     #: Race-check pair accounting (when the parallel stage ran).

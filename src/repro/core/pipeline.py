@@ -23,13 +23,13 @@ loop, and every stage runs in both.  The front end of either keeps the
 regions of every block the run's cache has lowered before with the same
 lowering inputs (the cache's lowering memo), so a sweep's design points
 and an edit's rounds lower only blocks the cache has not seen.  Given a
-previous run, the other stages see it as ``context.prev`` and reuse what
-it proves unchanged: HTG extraction keeps the tasks of every region whose
-code fingerprint is unchanged, and the race check re-checks only pairs
-with a changed endpoint; the other stages re-run on warm caches, where
-the reused regions' per-region facts and code-level entries answer for
-them.  The reuse contract, stage by stage, is in
-:mod:`repro.analysis.incremental`.
+previous run, the other stages see it as ``context.prev``: the race
+check re-checks only pairs with a changed endpoint.  The other stages
+re-run on warm caches, where the reused regions' per-region facts (their
+task decompositions included, so HTG extraction decomposes only regions
+the cache has not decomposed at the run's granularity and chunk count)
+and code-level entries answer for them.  The reuse contract, stage by
+stage, is in :mod:`repro.analysis.incremental`.
 
 :meth:`Pipeline.run` is the one entry point of the flow: with
 ``config.feedback_iterations > 1`` it runs the cross-layer feedback loop
@@ -263,46 +263,25 @@ def _htg_stage(context: PipelineContext) -> dict[str, Any]:
         granularity=context.config.granularity,
         loop_chunks=context.config.loop_chunks,
     )
-    cost_model = HardwareCostModel(context.platform, context.platform.cores[0].core_id)
-    prev = context.prev
-    summary = prev.artifact_summary(context.wcet_cache) if prev is not None else {}
-    if (
-        prev is not None
-        and summary["platform"] is not None
-        and prev.config.granularity == options.granularity
-        and prev.config.loop_chunks == options.loop_chunks
-        and summary["platform"] == context.wcet_cache.platform_digest(context.platform)
-    ):
-        # Regions whose code is unchanged keep the previous run's tasks,
-        # WCET annotations included (same platform), so only the
-        # re-extracted tasks are annotated.  An unfingerprintable platform
-        # proves nothing and extracts cold.
-        prev_regions = summary["regions"]
-        unchanged_regions = {
-            name
-            for name, block in model.block_regions
-            if prev_regions.get(name) == context.wcet_cache.region_fingerprint(block)
-        }
-        prev_tasks: dict[str, list] = {}
-        for task in prev.htg.tasks.values():
-            if task.origin:
-                prev_tasks.setdefault(task.origin, []).append(task)
-        htg, inc = extract_htg_incremental(model, options, prev_tasks, unchanged_regions)
+    # each region's decomposition is memoized on it (the cache's region
+    # memo, keyed by the two knobs), so only the regions this cache has not
+    # decomposed at these knobs are decomposed, whatever the platform
+    facts = RegionFacts(context.wcet_cache.region_facts)
+    if context.prev is None:
+        htg = extract_htg(model, options, facts)
+    else:
+        htg, inc = extract_htg_incremental(model, options, facts)
         # when the edit kept the task/edge structure, the previous run's
         # reachability memo applies verbatim
-        htg.adopt_reachability(prev.htg)
-        context.wcet_cache.annotate_htg(
-            htg, model.entry, cost_model, only=inc["changed_task_ids"]
-        )
-        regions_reused = inc["regions_reused"]
-        context.info["incremental"] = "incremental"
-    else:
-        htg = extract_htg(model, options)
-        context.wcet_cache.annotate_htg(htg, model.entry, cost_model)
-        regions_reused = 0
+        htg.adopt_reachability(context.prev.htg)
+        if inc["regions_reused"]:
+            context.info["incremental"] = "incremental"
+    # the regions decomposed by this run: the others' decompositions were
+    # memoized by an earlier run on this cache
+    recomputed = len(facts.computed)
     context.info["tasks"] = len(htg.leaf_tasks())
-    context.info["regions_reused"] = regions_reused
-    context.info["regions_recomputed"] = len(model.block_regions) - regions_reused
+    context.info["regions_reused"] = len(model.block_regions) - recomputed
+    context.info["regions_recomputed"] = recomputed
     return {"htg": htg}
 
 
@@ -327,9 +306,10 @@ def _schedule_stage(context: PipelineContext) -> dict[str, Any]:
 def _changed_tasks(htg: HierarchicalTaskGraph, prev_htg: HierarchicalTaskGraph) -> set[str]:
     """Ids of tasks whose content may differ from ``prev_htg``'s.
 
-    Extraction hands an unchanged region's tasks over as copies sharing the
-    previous statements, so sharing them (with the same access sets) proves
-    a task unchanged; new tasks count as changed.
+    Extraction builds an unchanged region's tasks from the decomposition
+    memoized on the region, so they share the previous run's statement
+    blocks; sharing them (with the same access sets) proves a task
+    unchanged, and new tasks count as changed.
     """
     before = prev_htg.tasks
     changed = set()
@@ -421,6 +401,7 @@ def _certify_stage(context: PipelineContext) -> dict[str, Any]:
         context.artifacts["htg"],
         context.platform,
         sequential_bound=context.artifacts["sequential_bound"],
+        cache=context.wcet_cache,
     )
     context.info["certified"] = chain.ok
     context.info["certificate_findings"] = len(chain.findings())
@@ -508,14 +489,17 @@ class Pipeline:
           lowering memo, as every run does), so the passes and the
           sequential bound recompute only the changed regions' per-region
           facts and entries;
-        * HTG extraction rebuilds only regions whose code fingerprint
-          changed (tasks of clean regions are shallow-copied), given the
-          same platform signature and extraction knobs as ``prev``;
+        * HTG extraction decomposes only the regions without a
+          decomposition memoized at the run's granularity and chunk count
+          (the front end hands the unchanged regions over, and their
+          decompositions with them), and adopts ``prev``'s reachability
+          when the task and edge sets are unchanged;
         * the race check reuses the previous happens-before closure and
           re-scans only pairs with a changed endpoint.
 
         The result is bit-identical to a cold :meth:`run` on the same
-        diagram: every reuse is guarded by content fingerprints.  The
+        diagram: every reuse is guarded by content fingerprints or by the
+        identity of IR that is never mutated.  The
         per-run reuse accounting lands in
         ``result.artifacts["incremental_report"]`` (an
         :class:`~repro.analysis.incremental.IncrementalReport`).

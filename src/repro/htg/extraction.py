@@ -13,18 +13,29 @@ end introduced: a task writing buffer ``b`` precedes every later task reading
 ``b``.  Edge payloads are the buffer footprints in bytes, which is what the
 mapping stage charges as communication cost when the two endpoints land on
 different cores.
+
+A region's task decomposition -- the statement blocks of its tasks, their
+read/write sets and the parallel-loop test behind them -- is a per-region
+fact (:func:`region_decomposition`, read through
+:class:`~repro.ir.facts.RegionFacts`).  The pipeline memoizes it in its
+cache's region memo, keyed by granularity and chunk count, so a sweep or
+an edit round decomposes each region once per pair of knobs.  Extraction
+reads no platform.  The tasks are fresh objects on every extraction, and
+the dependence edges are always derived from the whole task list: they
+depend on the program order of every region.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Any, NamedTuple
 
 from repro.frontend.codegen import CompiledModel
 from repro.htg.graph import HierarchicalTaskGraph
 from repro.htg.task import Task, TaskKind
 from repro.ir.analysis import read_write_sets, shared_names
 from repro.ir.expressions import ArrayRef, Var
+from repro.ir.facts import RegionFacts
 from repro.ir.loops import loop_trip_count
 from repro.ir.program import Function
 from repro.ir.statements import Assign, Block as IRBlock, For, Stmt
@@ -119,25 +130,6 @@ def _all_expressions(stmt: Stmt):
         yield from node.expressions()
 
 
-def _make_task(
-    task_id: str,
-    kind: TaskKind,
-    stmts: IRBlock,
-    origin: str,
-    parent: str | None = None,
-) -> Task:
-    reads, writes = read_write_sets(stmts)
-    return Task(
-        task_id=task_id,
-        kind=kind,
-        statements=stmts,
-        origin=origin,
-        reads=reads,
-        writes=writes,
-        parent=parent,
-    )
-
-
 def _split_loop(loop: For, chunks: int) -> list[For]:
     """Split a counted loop into ``chunks`` contiguous sub-loops.
 
@@ -183,53 +175,117 @@ class ExtractionOptions:
     loop_chunks: int = 4            # chunk count for split parallel loops
 
 
-def _region_tasks(region_name: str, region: IRBlock, options: ExtractionOptions) -> list[Task]:
-    """The task decomposition of one code region at the requested granularity."""
-    if options.granularity == "loop":
-        return _extract_region_fine(region_name, region, options)
-    return [_make_task(f"t_{region_name}", TaskKind.BLOCK, region, region_name)]
+class TaskPart(NamedTuple):
+    """One task of a region's decomposition, without the region's name.
+
+    The task's id is ``t_<region>`` plus ``suffix`` (empty for a region
+    that is one task, which then has no parent).  ``statements`` is ``None``
+    for a task that executes the whole region: a per-region fact must not
+    hold its region.
+    """
+
+    suffix: str
+    kind: TaskKind
+    statements: IRBlock | None
+    reads: frozenset[str]
+    writes: frozenset[str]
 
 
-def extract_htg(model: CompiledModel, options: ExtractionOptions | None = None) -> HierarchicalTaskGraph:
-    """Extract the HTG of a compiled model."""
-    return _extract(model, options, {}, set())[0]
+def region_decomposition(
+    region: IRBlock, granularity: str, loop_chunks: int
+) -> tuple[TaskPart, ...]:
+    """The task decomposition of one code region: a per-region fact.
+
+    At ``"block"`` granularity, or when the region has no top-level
+    parallelizable loop of at least :data:`MIN_TRIP_COUNT_TO_SPLIT`
+    iterations, the region is one task.  Otherwise the first such loop is
+    split into ``loop_chunks`` chunk tasks, and the statements before and
+    after it become a pre and a post task.  A pure function of the region's
+    statements and the two knobs, so extraction reads it through
+    :class:`~repro.ir.facts.RegionFacts`: the chunk, pre and post blocks
+    it builds are then the same objects on every extraction of the region
+    at the same knobs, and their fingerprints stay memoized too.
+    """
+    if granularity == "loop":
+        for pos, stmt in enumerate(region.stmts):
+            if (
+                isinstance(stmt, For)
+                and is_parallelizable_loop(stmt)
+                and loop_trip_count(stmt) >= MIN_TRIP_COUNT_TO_SPLIT
+            ):
+                return _split_region(region, pos, stmt, loop_chunks)
+    reads, writes = read_write_sets(region)
+    return (TaskPart("", TaskKind.BLOCK, None, frozenset(reads), frozenset(writes)),)
+
+
+def _part(suffix: str, kind: TaskKind, stmts: IRBlock) -> TaskPart:
+    reads, writes = read_write_sets(stmts)
+    return TaskPart(suffix, kind, stmts, frozenset(reads), frozenset(writes))
+
+
+def _split_region(
+    region: IRBlock, pos: int, loop: For, loop_chunks: int
+) -> tuple[TaskPart, ...]:
+    """Split a region around its parallel loop at ``pos`` into pre /
+    loop-chunk / post tasks."""
+    parts: list[TaskPart] = []
+    pre_stmts = IRBlock(list(region.stmts[:pos]))
+    post_stmts = IRBlock(list(region.stmts[pos + 1:]))
+    if pre_stmts.stmts:
+        parts.append(_part("_pre", TaskKind.PRE, pre_stmts))
+    for idx, chunk_loop in enumerate(_split_loop(loop, loop_chunks)):
+        parts.append(_part(f"_c{idx}", TaskKind.LOOP_CHUNK, IRBlock([chunk_loop])))
+    if post_stmts.stmts:
+        parts.append(_part("_post", TaskKind.POST, post_stmts))
+    return tuple(parts)
+
+
+def extract_htg(
+    model: CompiledModel,
+    options: ExtractionOptions | None = None,
+    facts: RegionFacts | None = None,
+) -> HierarchicalTaskGraph:
+    """Extract the HTG of a compiled model.
+
+    Each region's task decomposition is read through ``facts``
+    (:func:`region_decomposition`); with a memo behind it (the pipeline
+    passes the cache's region memo), only regions without a decomposition
+    at these options are decomposed.  The tasks are fresh objects on every
+    call; the dependence edges are always derived from the whole task list.
+    """
+    return _extract(model, options, facts)
 
 
 def extract_htg_incremental(
     model: CompiledModel,
     options: ExtractionOptions | None,
-    prev_tasks: Mapping[str, Sequence[Task]],
-    unchanged_regions: set[str],
+    facts: RegionFacts,
 ) -> tuple[HierarchicalTaskGraph, dict[str, Any]]:
-    """Re-extract the HTG of an edited model, reusing per-region task lists.
+    """:func:`extract_htg` with the reuse accounting of an edit round.
 
-    ``prev_tasks`` groups the previous run's leaf tasks by ``Task.origin``
-    (the region name); ``unchanged_regions`` names the regions whose
-    rendered-code fingerprints match the previous run.  Task ids are a pure
-    function of the region name, and a task's content (statements, read/write
-    sets) is a pure function of the region code, so an
-    unchanged region's tasks can be reused verbatim.  Reused tasks are
-    *shallow copies* sharing the previous statements block: the original
-    tasks keep their annotations (``annotate_htg`` mutates ``wcet`` in
-    place) and the shared ``id(statements)`` preserves the
-    :class:`~repro.wcet.cache.WcetAnalysisCache` fingerprint memo hits.
-
-    Inter-task dependence edges are always re-derived globally: they depend
-    on the program order of *all* regions, which an edit anywhere can shift.
-    Returns the HTG plus an info dict with ``regions_reused`` /
-    ``regions_recomputed`` counts and the ``changed_task_ids`` produced by
-    recomputed regions.
+    Returns the HTG plus an info dict: ``regions_recomputed`` counts the
+    regions this call decomposed (``facts`` held no decomposition of them
+    at these options; counted from ``facts.computed``, so pass an instance
+    that has computed nothing on them yet) and ``regions_reused`` the
+    others.  An edit round hands over the unchanged regions themselves, so
+    only the regions the edit changed are decomposed.
     """
-    return _extract(model, options, prev_tasks, unchanged_regions)
+    before = len(facts.computed)
+    htg = _extract(model, options, facts)
+    recomputed = len(facts.computed) - before
+    info = {
+        "regions_reused": len(model.block_regions) - recomputed,
+        "regions_recomputed": recomputed,
+    }
+    return htg, info
 
 
 def _extract(
     model: CompiledModel,
     options: ExtractionOptions | None,
-    prev_tasks: Mapping[str, Sequence[Task]],
-    unchanged_regions: set[str],
-) -> tuple[HierarchicalTaskGraph, dict[str, Any]]:
-    """The region loop of both extractions (see :func:`extract_htg_incremental`).
+    facts: RegionFacts | None,
+) -> HierarchicalTaskGraph:
+    """The region loop of both extractions.
 
     The public functions never call each other: a profiler wrapping both
     would count a nested extraction twice.
@@ -237,30 +293,27 @@ def _extract(
     options = options or ExtractionOptions()
     if options.granularity not in ("block", "loop"):
         raise ValueError(f"unknown granularity {options.granularity!r}")
+    facts = facts if facts is not None else RegionFacts()
     function = model.entry
     shared_arrays, shared_scalars = shared_names(function)
 
     tasks: list[Task] = []
-    changed_task_ids: set[str] = set()
-    regions_reused = 0
-    regions_recomputed = 0
     for region_name, region in model.block_regions:
-        previous = prev_tasks.get(region_name)
-        if previous and region_name in unchanged_regions:
-            tasks.extend(replace(task) for task in previous)
-            regions_reused += 1
-        else:
-            fresh = _region_tasks(region_name, region, options)
-            changed_task_ids.update(t.task_id for t in fresh)
-            tasks.extend(fresh)
-            regions_recomputed += 1
-    htg = _assemble_htg(model.diagram_name, tasks, function, shared_arrays | shared_scalars)
-    info = {
-        "regions_reused": regions_reused,
-        "regions_recomputed": regions_recomputed,
-        "changed_task_ids": changed_task_ids,
-    }
-    return htg, info
+        parent = f"t_{region_name}"
+        parts = facts(region, region_decomposition, options.granularity, options.loop_chunks)
+        for part in parts:
+            tasks.append(
+                Task(
+                    task_id=parent + part.suffix,
+                    kind=part.kind,
+                    statements=region if part.statements is None else part.statements,
+                    origin=region_name,
+                    reads=set(part.reads),
+                    writes=set(part.writes),
+                    parent=parent if part.suffix else None,
+                )
+            )
+    return _assemble_htg(model.diagram_name, tasks, function, shared_arrays | shared_scalars)
 
 
 def _assemble_htg(
@@ -342,47 +395,3 @@ def _assemble_htg(
 
     htg.validate()
     return htg
-
-
-def _extract_region_fine(
-    region_name: str, region: IRBlock, options: ExtractionOptions
-) -> list[Task]:
-    """Split a region into pre / loop-chunk / post tasks when profitable."""
-    splittable_positions: list[int] = []
-    for pos, stmt in enumerate(region.stmts):
-        if (
-            isinstance(stmt, For)
-            and is_parallelizable_loop(stmt)
-            and loop_trip_count(stmt) >= MIN_TRIP_COUNT_TO_SPLIT
-        ):
-            splittable_positions.append(pos)
-
-    if not splittable_positions:
-        return [_make_task(f"t_{region_name}", TaskKind.BLOCK, region, region_name)]
-
-    # Split around the first parallelizable top-level loop; statements before
-    # and after it become pre/post tasks (themselves block tasks).
-    pos = splittable_positions[0]
-    loop = region.stmts[pos]
-    assert isinstance(loop, For)
-    parent_id = f"t_{region_name}"
-    tasks: list[Task] = []
-
-    pre_stmts = IRBlock(list(region.stmts[:pos]))
-    post_stmts = IRBlock(list(region.stmts[pos + 1:]))
-    if pre_stmts.stmts:
-        tasks.append(
-            _make_task(f"{parent_id}_pre", TaskKind.PRE, pre_stmts, region_name, parent=parent_id)
-        )
-    for idx, chunk_loop in enumerate(_split_loop(loop, options.loop_chunks)):
-        chunk_block = IRBlock([chunk_loop])
-        tasks.append(
-            _make_task(
-                f"{parent_id}_c{idx}", TaskKind.LOOP_CHUNK, chunk_block, region_name, parent=parent_id
-            )
-        )
-    if post_stmts.stmts:
-        tasks.append(
-            _make_task(f"{parent_id}_post", TaskKind.POST, post_stmts, region_name, parent=parent_id)
-        )
-    return tasks

@@ -45,9 +45,11 @@ class Task:
     #: Hierarchy: id of the parent task when this is a loop chunk / pre / post.
     parent: str | None = None
     #: Worst-case execution time in cycles, in isolation, on the cost model
-    #: it was annotated with (the pipeline's HTG stage uses the platform's
-    #: first core; a schedule's ``result.task_base_wcet`` holds the WCET on
-    #: the mapped core); 0 until analysed.
+    #: :meth:`~repro.wcet.cache.WcetAnalysisCache.annotate_htg` annotated it
+    #: with; 0 until annotated.  The pipeline never annotates, so it reads 0
+    #: on pipeline results: a schedule's ``result.task_base_wcet`` holds the
+    #: WCET on the mapped core, and the schedulers price tasks through
+    #: :meth:`~repro.wcet.system_level.SystemDesign.cost`.
     wcet: float = 0.0
 
     def __hash__(self) -> int:

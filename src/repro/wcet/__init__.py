@@ -57,7 +57,13 @@ and every edit round on one cache therefore lowers only the blocks the
 cache has not seen, and the reused regions keep their memos.  The memo
 lives in memory as long as the cache and is never flushed or loaded;
 ``cache.clear()`` empties it with the other memos, so the next compile
-lowers every block.
+lowers every block.  The region memo also holds each region's task
+decompositions (one per granularity and chunk count; they never hold the
+region, so they die with it), and the cache's **IPET witness memo**
+(:meth:`~repro.wcet.cache.WcetAnalysisCache.ipet_witness`) keeps the
+latest witness per (function name, cost signature), tagged with the
+function's fingerprint: in memory only, never flushed, emptied by
+``cache.clear()``.
 
 Since schema **v4**, code-level entry keys embed the region's *context*
 (:meth:`~repro.wcet.cache.WcetAnalysisCache.region_context`): the storage
@@ -111,16 +117,16 @@ cost signatures and platform digests are the same memos); additionally:
 * **One name per platform.**  A result key names the hardware by
   :func:`~repro.wcet.cache.platform_signature`, the content digest of the
   whole ADL description, computed once per platform object and memoized
-  on the cache (:meth:`~repro.wcet.cache.WcetAnalysisCache.platform_digest`);
-  the HTG stage's reuse check reads the same memo.  The digest pins every
+  on the cache (:meth:`~repro.wcet.cache.WcetAnalysisCache.platform_digest`).
+  The digest pins every
   price the fixed point reads, so a key prices nothing and its cost does
   not grow with the core count.  It names every component class by
   ``module.qualname``: same-named classes of different scopes never
   collide, but two classes made by one factory function share a qualified
   name, so platforms built from them must not share a cache.  A platform
   with a component the digest cannot describe (a non-dataclass model)
-  gets no result key: its results and searches are never memoized, as
-  its regions are never reused.  Platforms that differ only in name,
+  gets no result key: its results and searches are never memoized.
+  Platforms that differ only in name,
   description or clock rate share no results, which costs sharing, never
   soundness.  Code-level keys keep their per-core cost signature
   (identical cores of different platforms share entries), which also
@@ -170,10 +176,10 @@ cost signatures and platform digests are the same memos); additionally:
   never returns one.  Search records came with no bump: a v6 directory
   without them replays as before.
 * An edit round (:meth:`repro.core.pipeline.Pipeline.run_incremental`)
-  follows the same rule: every stage runs, and the HTG stage hands over a
-  region's previous tasks and WCET annotations only under an equal region
-  fingerprint and an equal platform digest (the memo result keys read);
-  a platform that cannot be fingerprinted is never reused.
+  follows the same rule: every stage runs.  HTG extraction reads no
+  platform: it decomposes only the regions without a memoized
+  decomposition at the run's granularity and chunk count, whatever the
+  platform, fingerprintable or not.
 
 On-disk format and versioning
 -----------------------------
@@ -260,7 +266,8 @@ Content addressing makes cache entries immune to *staleness*, but not to
 the schedule and (for pruned runs) contention checkers on
 the schedule's result whether the fixed point computed it or the result
 tier replayed it, and the IPET checker on the sequential bound whether the
-code-level analysis computed it or a code-level entry replayed it; a
+code-level analysis computed it or a code-level entry replayed it, and on
+the IPET witness whether it was solved or the witness memo replayed it; a
 refuted result raises
 :class:`~repro.analysis.certify.CertificationError` instead of being
 silently trusted.

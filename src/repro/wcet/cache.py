@@ -144,11 +144,12 @@ Invalidation contract
 The only mutable state is the set of *memos* mapping live ``Function`` /
 statement / model objects (by identity) to their fingerprints, per-region
 facts (:mod:`repro.ir.facts`: referenced names, what the built-in passes
-read and rewrite), region contexts and cost signatures, which avoids
-re-rendering and re-walking the IR and re-digesting declarations and cost
-tables on every query, plus the front end's *lowering memo*
-(:attr:`WcetAnalysisCache.lowerings`).  The memos rely on those objects
-never changing once fingerprinted:
+read and rewrite, and each region's task decompositions), region contexts
+and cost signatures, which avoids re-rendering and re-walking the IR and
+re-digesting declarations and cost tables on every query, plus the front
+end's *lowering memo* (:attr:`WcetAnalysisCache.lowerings`) and the *IPET
+witness memo* (:meth:`WcetAnalysisCache.ipet_witness`).  The memos rely on
+those objects never changing once fingerprinted:
 
 * **IR** is never mutated after the front end builds it: transformation
   passes run on a working copy of the entry function and rewrite its
@@ -165,6 +166,24 @@ never changing once fingerprinted:
   lives in memory as long as the cache, holds its regions alive (their
   identity memos with them), is never flushed, and :meth:`clear` empties
   it, after which the next compile lowers every block.
+* **Task decompositions** are per-region facts
+  (:func:`~repro.htg.extraction.region_decomposition`), keyed by
+  granularity and loop-chunk count in the region's fact memo: the
+  statement blocks of the region's tasks (pre, loop chunks, post), their
+  read/write sets and the outcome of the parallel-loop test.  A
+  decomposition never holds its region (a one-task region is marked as
+  "the region"), so it lives exactly as long as the region and dies with
+  it; a region handed over to a later design point or edit round is not
+  decomposed again at the same knobs, and its chunk blocks keep their
+  fingerprints.  No platform enters a decomposition.
+* **The IPET witness memo** keeps, per (function name, cost signature),
+  the latest IPET witness solved without flow facts, tagged with the
+  function's fingerprint; a lookup under another fingerprint solves again
+  and replaces the entry, so it cannot go stale, and it holds one witness
+  per function name and cost signature.  It lives in memory as long as
+  the cache, is never flushed or loaded, and :meth:`clear` empties it.
+  The certify stage checks every witness the memo hands out, so a wrong
+  entry is refuted, not trusted.
 * **Platform, processor and cost-model objects** are treated as immutable
   too (their cost signatures and platform digests are memoized per
   object).  Mutating one in place requires
@@ -205,6 +224,7 @@ from repro.ir.statements import Block, Stmt
 from repro.utils.intervals import Interval
 from repro.wcet.code_level import WcetBreakdown, statement_wcet
 from repro.wcet.hardware_model import HardwareCostModel
+from repro.wcet.ipet import IpetResult, ipet_wcet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.adl.architecture import Platform
@@ -647,6 +667,10 @@ class WcetAnalysisCache:
         #: :func:`~repro.frontend.codegen.compile_diagram` the pipeline runs
         #: on this cache; in memory only (see the invalidation contract)
         self.lowerings: dict[str, "BlockLowering"] = {}
+        #: the IPET witness memo: (function name, cost signature) -> the
+        #: function fingerprint and the latest witness solved for it (see
+        #: :meth:`ipet_witness`); in memory only
+        self._ipet_witnesses: dict[tuple[str, str], tuple[str, IpetResult]] = {}
 
     @property
     def stats(self) -> CacheStats:
@@ -798,7 +822,7 @@ class WcetAnalysisCache:
     def platform_digest(self, platform: "Platform") -> str | None:
         """Memoized :func:`platform_signature` of ``platform`` (``None`` when
         it cannot be fingerprinted): the one name of a platform's content
-        that result keys and the HTG stage's reuse check read."""
+        that result keys and reuse summaries read."""
         memo = self._platform_digests
         if id(platform) in memo:
             return memo[id(platform)]
@@ -880,24 +904,40 @@ class WcetAnalysisCache:
             total.add(self._entry(stmt, function, model, average))
         return total
 
+    def ipet_witness(self, function: Function, model: HardwareCostModel) -> IpetResult:
+        """The IPET witness of ``function`` on ``model``, without flow facts.
+
+        Keeps the latest witness per (function name, cost signature),
+        tagged with the function's fingerprint, and solves
+        (:func:`~repro.wcet.ipet.ipet_wcet`) only when the memo holds none
+        under this fingerprint.  A sweep over one cache therefore solves
+        each distinct (function, cost signature) pair once, unless two
+        functions of one name alternate on one cost signature; an edit
+        round, whose function changed, replaces the entry.  The witness is
+        shared: callers must not mutate it (the certificate copies its
+        containers), and the certificate checker checks every use against
+        the function.
+        """
+        key = (function.name, self.model_signature_digest(model))
+        fingerprint = self._function_fingerprint(function)
+        memo = self._ipet_witnesses.get(key)
+        if memo is not None and memo[0] == fingerprint:
+            return memo[1]
+        witness = ipet_wcet(function, model)
+        self._ipet_witnesses[key] = (fingerprint, witness)
+        return witness
+
     def annotate_htg(
-        self,
-        htg: HierarchicalTaskGraph,
-        function: Function,
-        model: HardwareCostModel,
-        only: "Collection[str] | None" = None,
+        self, htg: HierarchicalTaskGraph, function: Function, model: HardwareCostModel
     ) -> None:
         """Fill in ``task.wcet`` on ``model`` for every task of the HTG.
 
-        With ``only`` set, just the named tasks are (re)annotated; the
-        caller asserts every other task already carries a valid ``wcet``
-        for ``model`` (the incremental pipeline passes the re-extracted task
-        ids here -- reused tasks are copies of previously annotated ones and
-        the platform signature is proven unchanged).
+        No product path calls this: the pipeline leaves ``Task.wcet`` at 0,
+        and every scheduler prices tasks through
+        :meth:`~repro.wcet.system_level.SystemDesign.cost`.  Tests and
+        benchmarks that schedule a hand-extracted HTG annotate it here.
         """
         for task in htg.tasks.values():
-            if only is not None and task.task_id not in only and not task.is_synthetic:
-                continue
             if task.is_synthetic:
                 task.wcet = 0.0
                 continue
@@ -1073,8 +1113,9 @@ class WcetAnalysisCache:
 
     # ------------------------------------------------------------------ #
     def clear(self) -> None:
-        """Drop every in-memory entry and memo of every tier, and the lowering
-    memo (stats are kept), so the next compile lowers every block.
+        """Drop every in-memory entry and memo of every tier, the lowering
+        memo and the IPET witness memo (stats are kept), so the next compile
+        lowers every block and the next certificate solves its witness.
 
         On-disk entries are *not* deleted: the backing directory stays
         attached and can be re-read with :meth:`load`, and already-persisted
@@ -1091,6 +1132,7 @@ class WcetAnalysisCache:
         if self._footprints is not None:
             self._footprints.store.clear()
         self.lowerings.clear()
+        self._ipet_witnesses.clear()
 
     def __len__(self) -> int:
         return len(self.store)

@@ -276,11 +276,10 @@ def _delayed_diagram():
 def test_platform_change_dirties_the_transforms():
     """Scratchpad allocation reads the platform's scratchpads and latencies,
     so a platform-only change must show in the transforms (in the saving
-    of the state array it relocates), and HTG extraction, whose WCET
-    annotations are priced on the platform, must start cold.  Lowering
-    reads no platform, so the front end keeps every region, and the passes
-    fold their memoized per-region facts into the new platform's decision
-    without re-running on any region."""
+    of the state array it relocates).  Lowering and HTG extraction read no
+    platform, so the front end keeps every region, the passes fold their
+    memoized per-region facts into the new platform's decision without
+    re-running on any region, and extraction decomposes no region."""
     cache = WcetAnalysisCache()
     base = _pipeline(cache=cache).run(_delayed_diagram())
     slower = generic_predictable_multicore(cores=4, shared_latency=16)
@@ -289,10 +288,10 @@ def test_platform_change_dirties_the_transforms():
     assert report.stages["frontend"] == "incremental"
     assert report.stages["transforms"] == "recomputed"
     assert report.blocks_lowered == report.regions_transformed == 0
-    # another platform signature: the HTG is extracted and annotated cold
-    assert report.stages["htg"] == "recomputed"
-    assert report.regions_reused == 0
-    assert report.regions_recomputed == len(base.model.block_regions)
+    # extraction reads no platform: every region keeps its decomposition
+    assert report.stages["htg"] == "incremental"
+    assert report.regions_reused == len(base.model.block_regions)
+    assert report.regions_recomputed == 0
     cold = _pipeline(generic_predictable_multicore(cores=4, shared_latency=16)).run(
         _delayed_diagram()
     )
