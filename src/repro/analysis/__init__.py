@@ -107,12 +107,11 @@ Incremental re-analysis contract
 ================================
 
 :mod:`repro.analysis.incremental` records, per finished run, a small
-**reuse summary** (the per-region code fingerprints and the platform
-signature).  Every stage of ``Pipeline.run_incremental`` runs; the front
-end reuses the regions of the blocks its cache has lowered before (the
-cache's lowering memo, which every run reads), and every other stage reuses
-the previous run only through ``context.prev`` and the memos on those
-regions.  The rules:
+**reuse summary** (the per-region code fingerprints).  Every stage of
+``Pipeline.run_incremental`` runs; the front end reuses the regions of the
+blocks its cache has lowered before (the cache's lowering memo, which every
+run reads), and every other stage reuses the previous run only through
+``context.prev`` and the memos on those regions.  The rules:
 
 * **A handed-over region keeps its decomposition.**  HTG extraction reads
   each region's task decomposition from the cache's region memo, keyed by

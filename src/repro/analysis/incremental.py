@@ -4,8 +4,7 @@ The paper's flow is re-run each time the engineer edits the model and
 reads the WCET feedback (Section II-E).  The content-addressed caches make
 *identical* analyses free; this module makes a *lightly edited* model
 cheap.  It records, per pipeline run, a small **reuse summary** -- the code
-fingerprint of every top-level region plus the platform signature -- and
-diffs two of them.
+fingerprint of every top-level region -- and diffs two of them.
 
 The consumers are layered:
 
@@ -91,8 +90,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Version stamp of the :func:`summarize_result` dict layout (and of the
 #: fingerprints it records).  v5: the region fingerprints and the platform
-#: signature, and nothing else.
-SUMMARY_VERSION = 5
+#: signature, and nothing else.  v6: the region fingerprints only (no
+#: stage read the platform signature).
+SUMMARY_VERSION = 6
 
 
 def summarize_result(
@@ -100,19 +100,14 @@ def summarize_result(
 ) -> dict[str, Any]:
     """The reuse summary of a finished run, as a JSON-able dict.
 
-    Records the code fingerprint of every top-level region and the
-    platform's signature (``None`` when it cannot be fingerprinted), read
-    from the cache's per-platform memo
-    (:meth:`~repro.wcet.cache.WcetAnalysisCache.platform_digest`) that
-    result keys read too.  :func:`diff_summaries` compares the regions.
+    Records the code fingerprint of every top-level region, read from the
+    cache's region memos.  :func:`diff_summaries` compares them.
     """
     from repro.wcet.cache import shared_cache
 
     cache = cache if cache is not None else shared_cache()
-    platform = result.artifacts.get("platform")
     return {
         "version": SUMMARY_VERSION,
-        "platform": cache.platform_digest(platform) if platform is not None else None,
         "regions": {
             name: cache.region_fingerprint(block)
             for name, block in result.model.block_regions

@@ -138,7 +138,7 @@ class PipelineResult:
     def artifact_summary(self, cache: WcetAnalysisCache | None = None) -> dict[str, Any]:
         """What a later incremental run reuses this run by, as a JSON-able dict.
 
-        The per-region code fingerprints and the platform signature (see
+        The per-region code fingerprints (see
         :func:`repro.analysis.incremental.summarize_result`).  Memoized:
         capture it soon after the run, while the fingerprinted objects are
         unmutated -- ``cache`` is only consulted on the first call.

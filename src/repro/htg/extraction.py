@@ -19,10 +19,18 @@ read/write sets and the parallel-loop test behind them -- is a per-region
 fact (:func:`region_decomposition`, read through
 :class:`~repro.ir.facts.RegionFacts`).  The pipeline memoizes it in its
 cache's region memo, keyed by granularity and chunk count, so a sweep or
-an edit round decomposes each region once per pair of knobs.  Extraction
-reads no platform.  The tasks are fresh objects on every extraction, and
-the dependence edges are always derived from the whole task list: they
-depend on the program order of every region.
+an edit round decomposes each region once per pair of knobs.  A loop chunk
+is ``Block([For(i, Const(lo), Const(hi), body)])`` over the split loop's
+one ``body`` object: the chunks differ only in their constant bounds, so
+they share one pair of read/write sets, walked once per loop, and the
+code-level cache prices, renders and walks the body once for all of them
+(see :mod:`repro.wcet.cache`).  Extraction reads no platform.  The tasks
+are fresh objects on every extraction, and the dependence edges are always
+derived from the whole task list, as they depend on the program order of
+every region: one pass collects them into a dict that keeps the first edge
+of each (src, dst) pair, looking up each shared name's payload size once,
+and :meth:`~repro.htg.graph.HierarchicalTaskGraph.from_edges` builds the
+graph from it in bulk.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from dataclasses import dataclass
 from typing import Any, NamedTuple
 
 from repro.frontend.codegen import CompiledModel
-from repro.htg.graph import HierarchicalTaskGraph
+from repro.htg.graph import HierarchicalTaskGraph, TaskEdge
 from repro.htg.task import Task, TaskKind
 from repro.ir.analysis import read_write_sets, shared_names
 from repro.ir.expressions import ArrayRef, Var
@@ -227,14 +235,21 @@ def _split_region(
     region: IRBlock, pos: int, loop: For, loop_chunks: int
 ) -> tuple[TaskPart, ...]:
     """Split a region around its parallel loop at ``pos`` into pre /
-    loop-chunk / post tasks."""
+    loop-chunk / post tasks.
+
+    The chunks differ only in their constant bounds, which read no
+    variable, so they share one pair of read/write sets, walked once.
+    """
     parts: list[TaskPart] = []
     pre_stmts = IRBlock(list(region.stmts[:pos]))
     post_stmts = IRBlock(list(region.stmts[pos + 1:]))
     if pre_stmts.stmts:
         parts.append(_part("_pre", TaskKind.PRE, pre_stmts))
-    for idx, chunk_loop in enumerate(_split_loop(loop, loop_chunks)):
-        parts.append(_part(f"_c{idx}", TaskKind.LOOP_CHUNK, IRBlock([chunk_loop])))
+    chunks = [IRBlock([chunk_loop]) for chunk_loop in _split_loop(loop, loop_chunks)]
+    reads, writes = read_write_sets(chunks[0])
+    chunk_reads, chunk_writes = frozenset(reads), frozenset(writes)
+    for idx, chunk in enumerate(chunks):
+        parts.append(TaskPart(f"_c{idx}", TaskKind.LOOP_CHUNK, chunk, chunk_reads, chunk_writes))
     if post_stmts.stmts:
         parts.append(_part("_post", TaskKind.POST, post_stmts))
     return tuple(parts)
@@ -322,11 +337,14 @@ def _assemble_htg(
     """Build the task graph: dependence edges over an ordered task list.
 
     ``shared`` names every variable ``function`` declares in shared storage.
+    The edges are collected in one pass into a dict that keeps the first
+    edge of each (src, dst) pair, as
+    :meth:`~repro.htg.graph.HierarchicalTaskGraph.add_edge` does, and the
+    graph is built from it in bulk; a shared name's payload size is looked
+    up once.
     """
-    htg = HierarchicalTaskGraph(name=name)
-
-    for task in tasks:
-        htg.add_task(task)
+    edges: dict[tuple[str, str], TaskEdge] = {}
+    payloads: dict[str, int] = {}
 
     # Data dependences through shared buffers, honouring program order.
     # ``current_writers`` holds the tasks of the current "writing generation"
@@ -349,32 +367,36 @@ def _assemble_htg(
         )
 
     for task in tasks:
-        for name in sorted(task.reads & shared):
-            decl = function.lookup(name)
-            for writer in current_writers.get(name, []):
-                if writer.task_id != task.task_id and not same_generation(writer, task):
-                    htg.add_edge(
-                        writer.task_id,
-                        task.task_id,
-                        payload_bytes=decl.size_bytes if decl else 0,
-                        variables=(name,),
-                    )
-            readers_since_write.setdefault(name, []).append(task.task_id)
-        for name in sorted(task.writes & shared):
-            writers = current_writers.get(name, [])
+        tid = task.task_id
+        for var in sorted(task.reads & shared):
+            writers = current_writers.get(var)
+            if writers:
+                payload = payloads.get(var)
+                if payload is None:
+                    decl = function.lookup(var)
+                    payload = payloads[var] = decl.size_bytes if decl else 0
+                for writer in writers:
+                    src = writer.task_id
+                    if src != tid and (src, tid) not in edges and not same_generation(writer, task):
+                        edges[src, tid] = TaskEdge(src, tid, payload, (var,))
+            readers_since_write.setdefault(var, []).append(tid)
+        for var in sorted(task.writes & shared):
+            writers = current_writers.get(var, [])
             if writers and same_generation(writers[-1], task):
                 writers.append(task)
-                sources = generation_sources[name]
+                sources = generation_sources[var]
             else:
                 # New writing generation: order after earlier readers (WAR)
                 # and after the previous writers (WAW).
-                sources = [r for r in readers_since_write.get(name, []) if r != task.task_id]
-                sources += [w.task_id for w in writers if w.task_id != task.task_id]
-                generation_sources[name] = sources
-                current_writers[name] = [task]
-                readers_since_write[name] = []
+                sources = [r for r in readers_since_write.get(var, []) if r != tid]
+                sources += [w.task_id for w in writers if w.task_id != tid]
+                generation_sources[var] = sources
+                current_writers[var] = [task]
+                readers_since_write[var] = []
             for source in sources:
-                htg.add_edge(source, task.task_id, payload_bytes=0, variables=(name,))
+                pair = (source, tid)
+                if pair not in edges:
+                    edges[pair] = TaskEdge(source, tid, 0, (var,))
 
     # chunk siblings: pre -> chunks -> post ordering is established by buffer
     # deps; ensure pre/post ordering even without buffers.
@@ -382,16 +404,15 @@ def _assemble_htg(
     for task in tasks:
         if task.parent:
             by_parent.setdefault(task.parent, []).append(task)
-    for parent_id, children in by_parent.items():
-        pre = [t for t in children if t.kind is TaskKind.PRE]
-        post = [t for t in children if t.kind is TaskKind.POST]
-        chunk = [t for t in children if t.kind is TaskKind.LOOP_CHUNK]
-        for p in pre:
-            for c in chunk:
-                htg.add_edge(p.task_id, c.task_id)
-        for c in chunk:
-            for q in post:
-                htg.add_edge(c.task_id, q.task_id)
+    for children in by_parent.values():
+        pre = [t.task_id for t in children if t.kind is TaskKind.PRE]
+        post = [t.task_id for t in children if t.kind is TaskKind.POST]
+        chunk = [t.task_id for t in children if t.kind is TaskKind.LOOP_CHUNK]
+        pairs = [(p, c) for p in pre for c in chunk] + [(c, q) for c in chunk for q in post]
+        for pair in pairs:
+            if pair not in edges:
+                edges[pair] = TaskEdge(*pair)
 
+    htg = HierarchicalTaskGraph.from_edges(name, tasks, edges)
     htg.validate()
     return htg

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.htg.task import Task
 from repro.utils.graphs import Reachability, longest_path_length, topological_order
@@ -34,7 +35,8 @@ class HierarchicalTaskGraph:
     are maintained incrementally by :meth:`add_task` / :meth:`add_edge`,
     which are therefore the *only* supported way to grow the graph: mutating
     the public ``tasks`` / ``edges`` containers directly would leave the
-    indexes stale.
+    indexes stale.  :meth:`from_edges` builds a whole graph in bulk, as
+    those calls would build it, and leaves every index to its first query.
     """
 
     name: str
@@ -57,17 +59,46 @@ class HierarchicalTaskGraph:
     )
 
     # ------------------------------------------------------------------ #
+    @classmethod
+    def from_edges(
+        cls, name: str, tasks: Iterable[Task], edges: dict[tuple[str, str], TaskEdge]
+    ) -> "HierarchicalTaskGraph":
+        """The graph that :meth:`add_task` of each task and then
+        :meth:`add_edge` of each edge, in order, build -- in one pass.
+
+        ``edges`` maps each (src, dst) pair to its one edge, in edge order
+        (a caller collecting edges keeps the first edge of a pair, as
+        :meth:`add_edge` does); the graph adopts it as its edge index.
+        Those calls' checks apply -- a duplicate task id, an edge naming an
+        unknown task and a self-dependence raise -- but no index is
+        maintained per edge: the adjacency lists, the topological order and
+        the reachability are built on first query.
+        """
+        graph = cls(name)
+        table = graph.tasks
+        for task in tasks:
+            if task.task_id in table:
+                raise ValueError(f"duplicate task id {task.task_id!r}")
+            table[task.task_id] = task
+        for src, dst in edges:
+            if src not in table or dst not in table:
+                raise KeyError(f"edge {src}->{dst} references unknown tasks")
+            if src == dst:
+                raise ValueError("self-dependences are not allowed")
+        graph.edges = list(edges.values())
+        graph._edge_index = edges
+        return graph
+
     def _ensure_indexes(self) -> None:
-        if self._edge_index is not None:
+        if self._pred_index is not None:
             return
-        edge_index: dict[tuple[str, str], TaskEdge] = {}
+        if self._edge_index is None:
+            self._edge_index = {(e.src, e.dst): e for e in self.edges}
         pred_index: dict[str, list[str]] = {tid: [] for tid in self.tasks}
         succ_index: dict[str, list[str]] = {tid: [] for tid in self.tasks}
         for e in self.edges:
-            edge_index[(e.src, e.dst)] = e
             pred_index.setdefault(e.dst, []).append(e.src)
             succ_index.setdefault(e.src, []).append(e.dst)
-        self._edge_index = edge_index
         self._pred_index = pred_index
         self._succ_index = succ_index
 

@@ -14,6 +14,7 @@ These analyses feed three consumers:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.ir.expressions import ArrayRef, BinOp, Const, Expr, Var
 from repro.ir.program import Function, Storage
@@ -123,15 +124,21 @@ def read_write_sets(stmt: Stmt) -> tuple[set[str], set[str]]:
     return reads, writes
 
 
-def referenced_names(stmt: Stmt) -> frozenset[str]:
+def referenced_names(
+    stmt: Stmt, body_names: Callable[[Block], frozenset[str]] | None = None
+) -> frozenset[str]:
     """Every variable and array name the subtree at ``stmt`` reads or writes.
 
     Loop indices and assignment targets included: these are all the names
     through which an analysis of the subtree can consult the enclosing
-    function's declarations.
+    function's declarations.  ``body_names``, when given, supplies the
+    names of the body of each top-level ``for`` (``stmt`` itself, or one
+    reached through blocks only) and must return ``referenced_names`` of
+    it: the code-level cache passes its memo, so the loop chunks that share
+    one body walk it once.
     """
     names: set[str] = set()
-    _collect_stmt_names(stmt, names)
+    _collect_stmt_names(stmt, names, body_names)
     return frozenset(names)
 
 
@@ -148,10 +155,12 @@ def _collect_expr_names(expr: Expr, names: set[str]) -> None:
             _collect_expr_names(child, names)
 
 
-def _collect_stmt_names(stmt: Stmt, names: set[str]) -> None:
+def _collect_stmt_names(
+    stmt: Stmt, names: set[str], body_names: Callable[[Block], frozenset[str]] | None = None
+) -> None:
     if isinstance(stmt, Block):
         for child in stmt.stmts:
-            _collect_stmt_names(child, names)
+            _collect_stmt_names(child, names, body_names)
     elif isinstance(stmt, Assign):
         _collect_expr_names(stmt.target, names)
         _collect_expr_names(stmt.value, names)
@@ -159,7 +168,10 @@ def _collect_stmt_names(stmt: Stmt, names: set[str]) -> None:
         names.add(stmt.index.name)
         _collect_expr_names(stmt.lower, names)
         _collect_expr_names(stmt.upper, names)
-        _collect_stmt_names(stmt.body, names)
+        if body_names is None:
+            _collect_stmt_names(stmt.body, names)
+        else:
+            names.update(body_names(stmt.body))
     elif isinstance(stmt, (If, While, Return, ExprStmt)):
         for expr in stmt.expressions():
             _collect_expr_names(expr, names)

@@ -60,15 +60,14 @@ class CFGEdge:
     src: BasicBlock
     dst: BasicBlock
     kind: str = "fallthrough"  # one of EDGE_KINDS
+    #: Stable identity of the edge: ``(src bid, dst bid, kind)``.  Unlike
+    #: ``id(edge)`` it survives CFG copying/caching, so it is what the IPET
+    #: LP and the flow-fact format key edges by.  Set once at construction:
+    #: an edge's endpoints and kind never change.
+    key: tuple[int, int, str] = field(init=False, repr=False, compare=False)
 
-    @property
-    def key(self) -> tuple[int, int, str]:
-        """Stable identity of the edge: ``(src bid, dst bid, kind)``.
-
-        Unlike ``id(edge)`` this survives CFG copying/caching, so it is what
-        the IPET LP and the flow-fact format key edges by.
-        """
-        return (self.src.bid, self.dst.bid, self.kind)
+    def __post_init__(self) -> None:
+        self.key = (self.src.bid, self.dst.bid, self.kind)
 
 
 @dataclass

@@ -7,6 +7,8 @@ model").  It is also invaluable for debugging and for golden tests.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.ir.expressions import ArrayRef, BinOp, Call, Const, Expr, UnOp, Var
 from repro.ir.program import Function, Program, Storage, VarDecl
 from repro.ir.statements import (
@@ -65,7 +67,12 @@ def _decl_to_c(decl: VarDecl) -> str:
     return f"{qualifier}{decl.type} {decl.name}{init}"
 
 
-def _stmt_to_c(stmt: Stmt, indent: int) -> list[str]:
+def _stmt_to_c(
+    stmt: Stmt, indent: int, body_text: Callable[[Block], str] | None = None
+) -> list[str]:
+    """The lines of ``stmt`` at ``indent``.  ``body_text`` (see
+    :func:`region_to_c`) renders the body of each ``for`` reached through
+    blocks only, which is then at indent 0."""
     pad = _INDENT * indent
     if isinstance(stmt, Assign):
         return [f"{pad}{expr_to_c(stmt.target)} = {expr_to_c(stmt.value)};"]
@@ -78,7 +85,7 @@ def _stmt_to_c(stmt: Stmt, indent: int) -> list[str]:
     if isinstance(stmt, Block):
         lines: list[str] = []
         for child in stmt.stmts:
-            lines.extend(_stmt_to_c(child, indent))
+            lines.extend(_stmt_to_c(child, indent, body_text))
         return lines
     if isinstance(stmt, If):
         lines = [f"{pad}if ({expr_to_c(stmt.cond)}) {{"]
@@ -101,7 +108,12 @@ def _stmt_to_c(stmt: Stmt, indent: int) -> list[str]:
         if stmt.parallelizable:
             lines.append(f"{pad}/* parallelizable */")
         lines.append(header)
-        lines.extend(_stmt_to_c(stmt.body, indent + 1))
+        if body_text is None:
+            lines.extend(_stmt_to_c(stmt.body, indent + 1))
+        else:
+            text = body_text(stmt.body)
+            if text:
+                lines.append(text)
         lines.append(f"{pad}}}")
         return lines
     if isinstance(stmt, While):
@@ -113,6 +125,21 @@ def _stmt_to_c(stmt: Stmt, indent: int) -> list[str]:
         lines.append(f"{pad}}}")
         return lines
     raise TypeError(f"cannot print statement {type(stmt).__name__}")
+
+
+def loop_body_to_c(body: Block) -> str:
+    """The text of a loop body as :func:`to_c` renders it inside a ``for``
+    at indent 0: one level deep."""
+    return "\n".join(_stmt_to_c(body, 1))
+
+
+def region_to_c(region: Stmt, body_text: Callable[[Block], str]) -> str:
+    """``to_c(region)``, character for character, with the body of each
+    top-level ``for`` -- ``region`` itself or one reached through blocks
+    only -- rendered by ``body_text``, which must return
+    :func:`loop_body_to_c` of it.  The code-level cache passes its memo of
+    that text, so the loop chunks that share one body render it once."""
+    return "\n".join(_stmt_to_c(region, 0, body_text))
 
 
 def function_to_c(function: Function) -> str:

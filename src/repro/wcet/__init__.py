@@ -85,6 +85,24 @@ old way, so older v6 entries are never looked up again and
 :meth:`~repro.wcet.cache.WcetAnalysisCache.evict` ages them out;
 :data:`~repro.wcet.cache.CACHE_SCHEMA_VERSION` stays 6.
 
+Loop chunks share their loop's body object, and so does the cold
+analysis: the body of each top-level loop of a region (the region itself,
+or a ``for`` reached through blocks only) carries a **body memo** in the
+cache's region memo, read by the region and by every chunk over it.  It
+holds the names the body references, its text as rendered inside its loop
+(the regions' fingerprints compose their own lines around it, byte for
+byte ``to_c``), and its prices: ``statement_wcet`` of the body keyed by the
+body's region context, the cost signature and the average flag, which the
+``for`` rule of :func:`~repro.wcet.code_level.statement_wcet` reads on the
+cached path only (the uncached analysis walks every body).  The context
+names the declarations the body reads, so one body reached from two
+functions that declare its names differently is priced once for each.
+The memo dies with its body and ``cache.clear()`` empties it.  A design
+thus prices, renders and walks each body once, whatever ``loop_chunks``
+is, with every entry, key and fingerprint byte-identical, so this came
+with **no schema bump**.  Region contexts are memoized per referenced
+name set, so the chunks of one loop share one.
+
 A function's sequential bound
 (:meth:`~repro.wcet.cache.WcetAnalysisCache.function_wcet`, what
 :func:`~repro.wcet.code_level.analyze_function_wcet` reads through a

@@ -144,12 +144,13 @@ Invalidation contract
 The only mutable state is the set of *memos* mapping live ``Function`` /
 statement / model objects (by identity) to their fingerprints, per-region
 facts (:mod:`repro.ir.facts`: referenced names, what the built-in passes
-read and rewrite, and each region's task decompositions), region contexts
-and cost signatures, which avoids re-rendering and re-walking the IR and
-re-digesting declarations and cost tables on every query, plus the front
-end's *lowering memo* (:attr:`WcetAnalysisCache.lowerings`) and the *IPET
-witness memo* (:meth:`WcetAnalysisCache.ipet_witness`).  The memos rely on
-those objects never changing once fingerprinted:
+read and rewrite, and each region's task decompositions), the *body memo*
+of each top-level loop body, region contexts (per function and referenced
+name set) and cost signatures, which avoids re-rendering and re-walking the
+IR and re-digesting declarations and cost tables on every query, plus the
+front end's *lowering memo* (:attr:`WcetAnalysisCache.lowerings`) and the
+*IPET witness memo* (:meth:`WcetAnalysisCache.ipet_witness`).  The memos
+rely on those objects never changing once fingerprinted:
 
 * **IR** is never mutated after the front end builds it: transformation
   passes run on a working copy of the entry function and rewrite its
@@ -176,6 +177,24 @@ those objects never changing once fingerprinted:
   it; a region handed over to a later design point or edit round is not
   decomposed again at the same knobs, and its chunk blocks keep their
   fingerprints.  No platform enters a decomposition.
+* **Loop bodies** are shared: a loop chunk task is
+  ``Block([For(i, Const(lo), Const(hi), body)])`` over its loop's one
+  ``body`` object.  The body of each *top-level* loop of a region (the
+  region itself, or a ``for`` reached through blocks only) has a region
+  memo of its own, which every region around it reads -- the region and
+  each of its chunks: the names it references (a fact), its text as
+  rendered inside its loop (so a region's fingerprint is the digest of its
+  own lines around that text, byte for byte ``to_c(region)``), and its
+  prices, :func:`~repro.wcet.code_level.statement_wcet` of the body keyed
+  by (the body's :meth:`~WcetAnalysisCache.region_context`, the cost
+  signature, the average flag).  The key names the declarations the body
+  reads, not the function object, so one body reached from two functions
+  that declare its names differently is priced once for each.  The body
+  memo lives exactly as long as the body object (it dies with it, as every
+  region memo does), is never flushed, and :meth:`clear` empties it.  A
+  design therefore prices, renders and walks each body once however many
+  chunks share it; the code-level entries, their keys and every
+  fingerprint are unchanged.
 * **The IPET witness memo** keeps, per (function name, cost signature),
   the latest IPET witness solved without flow facts, tagged with the
   function's fingerprint; a lookup under another fingerprint solves again
@@ -218,7 +237,7 @@ from repro import obs
 from repro.htg.graph import HierarchicalTaskGraph
 from repro.htg.task import Task
 from repro.ir.analysis import referenced_names, shared_names
-from repro.ir.printer import function_to_c, to_c
+from repro.ir.printer import function_to_c, loop_body_to_c, region_to_c
 from repro.ir.program import Function
 from repro.ir.statements import Block, Stmt
 from repro.utils.intervals import Interval
@@ -307,18 +326,23 @@ class _RegionMemo:
     """What the flow derived from one statement region: its fingerprint,
     rendered on first use, and its per-region facts (the memo of
     :class:`~repro.ir.facts.RegionFacts`; key contexts read the names the
-    region references from it too)."""
+    region references from it too).
 
-    __slots__ = ("fingerprint", "facts")
+    The body of a region's top-level loop has a memo of its own, shared by
+    every region around it (the region itself and each of its loop
+    chunks): the names it references (a fact), its text as rendered inside
+    its loop (``body_text``) and its prices (``body_prices``: (body
+    context, cost signature, average flag) -> its
+    :func:`~repro.wcet.code_level.statement_wcet`).
+    """
+
+    __slots__ = ("fingerprint", "facts", "body_text", "body_prices")
 
     def __init__(self) -> None:
         self.fingerprint: str | None = None
         self.facts: dict = {}
-
-    def fingerprint_of(self, region: Stmt) -> str:
-        if self.fingerprint is None:
-            self.fingerprint = _digest(to_c(region))
-        return self.fingerprint
+        self.body_text: str | None = None
+        self.body_prices: dict[tuple[str, str, bool], WcetBreakdown] | None = None
 
 
 class _DeclarationMemo:
@@ -327,8 +351,8 @@ class _DeclarationMemo:
     __slots__ = ("contexts", "rows", "shared")
 
     def __init__(self) -> None:
-        #: region fingerprint (with any extra names) -> region context
-        self.contexts: dict[object, str] = {}
+        #: referenced name set -> its context (see :meth:`context_of`)
+        self.contexts: dict[frozenset[str], str] = {}
         #: name -> its encoded row (see :meth:`context_of`)
         self.rows: dict[str, str] = {}
         #: see :meth:`WcetAnalysisCache.shared_names`
@@ -645,7 +669,8 @@ class WcetAnalysisCache:
         )
         #: id(Function) -> fingerprint (dropped via weakref.finalize on GC)
         self._function_fps: dict[int, str] = {}
-        #: id(Block) -> the region's fingerprint and referenced names
+        #: id(Block) -> the region's memo: its fingerprint, its facts and,
+        #: for a top-level loop body, its text and prices (the body memo)
         self._region_fps: dict[int, _RegionMemo] = {}
         #: id(Function) -> what region keys read through it (see ``region_context``)
         self._declarations: dict[int, _DeclarationMemo] = {}
@@ -700,7 +725,7 @@ class WcetAnalysisCache:
             # the signature and declarations as C, then the region memo of
             # each top-level statement: an edit re-renders only its regions
             header = function_to_c(dataclasses.replace(function, body=Block()))
-            regions = (self._region(stmt).fingerprint_of(stmt) for stmt in function.body.stmts)
+            regions = (self._fingerprint(self._region(stmt), stmt) for stmt in function.body.stmts)
             cached = self._remember(
                 self._function_fps, function, _digest("\n".join((header, *regions)))
             )
@@ -711,6 +736,59 @@ class WcetAnalysisCache:
         if memo is None:
             memo = self._remember(self._region_fps, region, _RegionMemo())
         return memo
+
+    def _fingerprint(self, memo: _RegionMemo, region: Stmt) -> str:
+        """The digest of ``to_c(region)``, each top-level loop body's text
+        read from the body's memo (see :func:`~repro.ir.printer.region_to_c`)."""
+        if memo.fingerprint is None:
+            memo.fingerprint = _digest(region_to_c(region, self._body_text))
+        return memo.fingerprint
+
+    def _body_text(self, body: Block) -> str:
+        memo = self._region(body)
+        if memo.body_text is None:
+            memo.body_text = loop_body_to_c(body)
+        return memo.body_text
+
+    def _names(self, memo: _RegionMemo, region: Stmt) -> frozenset[str]:
+        """The names ``region`` references (a per-region fact), each
+        top-level loop body's names read from the body's memo."""
+        names = memo.facts.get(referenced_names)
+        if names is None:
+            names = memo.facts[referenced_names] = referenced_names(region, self._body_names)
+        return names
+
+    def _body_names(self, body: Block) -> frozenset[str]:
+        facts = self._region(body).facts
+        names = facts.get(referenced_names)
+        if names is None:
+            names = facts[referenced_names] = referenced_names(body)
+        return names
+
+    def _body_wcet(
+        self, body: Block, function: Function, model: HardwareCostModel, average: bool
+    ) -> WcetBreakdown:
+        """``statement_wcet`` of a top-level loop body, once per (body
+        context, cost signature, average flag) in the body's memo.
+
+        The context digests the declarations of the names the body
+        references, looked up in ``function``, so one body reached from two
+        functions that declare its names differently is priced once for
+        each.  The entry is shared: callers must not mutate it.
+        """
+        key = (
+            self._context(function, self._body_names(body)),
+            self.model_signature_digest(model),
+            average,
+        )
+        memo = self._region(body)
+        prices = memo.body_prices
+        if prices is None:
+            prices = memo.body_prices = {}
+        price = prices.get(key)
+        if price is None:
+            price = prices[key] = statement_wcet(body, function, model, average)
+        return price
 
     def region_facts(self, region: Stmt) -> dict:
         """The per-region fact memo of ``region``: what a
@@ -740,9 +818,11 @@ class WcetAnalysisCache:
         is a pure function of its statements, this context and (for WCET)
         the cost model -- not of the other regions' code or declarations.
         Adding or removing a block therefore re-keys only the regions that
-        reference a name it declares.  Memoized per function and region
-        content; ``extra_names`` the region references anyway (a task's
-        declared read/write sets, as extracted) share the region's entry.
+        reference a name it declares.  Memoized per function and referenced
+        name set, so regions that reference the same names share a digest
+        (every chunk of one loop does); ``extra_names`` the region references
+        anyway (a task's declared read/write sets, as extracted) add
+        nothing.
         """
         return self._region_context(self._region(region), region, function, extra_names)
 
@@ -753,17 +833,18 @@ class WcetAnalysisCache:
         function: Function,
         extra_names: Collection[str] = (),
     ) -> str:
-        declarations = self._declaration_memo(function)
-        names = memo.facts.get(referenced_names)
-        if names is None:
-            names = memo.facts[referenced_names] = referenced_names(region)
-        key: object = memo.fingerprint_of(region)
+        names = self._names(memo, region)
         if extra_names and not names.issuperset(extra_names):
             names = names.union(extra_names)
-            key = (key, names)
-        context = declarations.contexts.get(key)
+        return self._context(function, names)
+
+    def _context(self, function: Function, names: frozenset[str]) -> str:
+        """:meth:`_DeclarationMemo.context_of`, memoized per function and
+        name set."""
+        declarations = self._declaration_memo(function)
+        context = declarations.contexts.get(names)
         if context is None:
-            context = declarations.contexts[key] = declarations.context_of(function, names)
+            context = declarations.contexts[names] = declarations.context_of(function, names)
         return context
 
     def shared_names(self, function: Function) -> tuple[frozenset[str], frozenset[str]]:
@@ -779,7 +860,7 @@ class WcetAnalysisCache:
 
     def region_fingerprint(self, region: Block) -> str:
         """Memoized content fingerprint of one statement region (public API)."""
-        return self._region(region).fingerprint_of(region)
+        return self._fingerprint(self._region(region), region)
 
     def model_signature_digest(self, model: HardwareCostModel) -> str:
         """Digest of a hardware model's cost-relevant identity, by *content*
@@ -822,7 +903,7 @@ class WcetAnalysisCache:
     def platform_digest(self, platform: "Platform") -> str | None:
         """Memoized :func:`platform_signature` of ``platform`` (``None`` when
         it cannot be fingerprinted): the one name of a platform's content
-        that result keys and reuse summaries read."""
+        that result keys read."""
         memo = self._platform_digests
         if id(platform) in memo:
             return memo[id(platform)]
@@ -848,7 +929,7 @@ class WcetAnalysisCache:
         return "|".join(
             (
                 self._region_context(memo, region, function),
-                memo.fingerprint_of(region),
+                self._fingerprint(memo, region),
                 self.model_signature_digest(model),
                 "avg" if average else "wc",
             )
@@ -874,7 +955,13 @@ class WcetAnalysisCache:
         key = self.entry_key(region, function, model, average)
         entry = self.store.get(key)
         if entry is None:
-            entry = statement_wcet(region, function, model, average)
+            entry = statement_wcet(
+                region,
+                function,
+                model,
+                average,
+                lambda body: self._body_wcet(body, function, model, average),
+            )
             self.store.put(key, entry)
         return entry
 
@@ -1113,9 +1200,11 @@ class WcetAnalysisCache:
 
     # ------------------------------------------------------------------ #
     def clear(self) -> None:
-        """Drop every in-memory entry and memo of every tier, the lowering
-        memo and the IPET witness memo (stats are kept), so the next compile
-        lowers every block and the next certificate solves its witness.
+        """Drop every in-memory entry and memo of every tier -- the region
+        memos with the loop-body memos among them -- the lowering memo and
+        the IPET witness memo (stats are kept), so the next compile lowers
+        every block, the next analysis prices every loop body and the next
+        certificate solves its witness.
 
         On-disk entries are *not* deleted: the backing directory stays
         attached and can be re-read with :meth:`load`, and already-persisted
@@ -1557,11 +1646,9 @@ def platform_signature(platform: "Platform") -> str | None:
     """Content digest of everything a platform contributes to flow results.
 
     The one name of a platform in the flow's keys: system-level result
-    keys embed it, and the HTG stage of an incremental run compares it with
-    the previous run's (see
-    :func:`repro.analysis.incremental.summarize_result`), both through the
-    per-object memo :meth:`WcetAnalysisCache.platform_digest`, so results
-    and reuse are keyed by platform *content* rather than object identity.
+    keys embed it, through the per-object memo
+    :meth:`WcetAnalysisCache.platform_digest`, so results are keyed by
+    platform *content* rather than object identity.
     The digest covers the full ADL description -- cores (processor timing
     models, scratchpads, tiles), the shared memory, the interconnect and
     the optional NoC -- including the qualified type of every nested

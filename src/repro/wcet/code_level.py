@@ -18,7 +18,7 @@ identity the test suite checks).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.htg.task import Task
 from repro.ir.expressions import ArrayRef, Expr
@@ -91,9 +91,20 @@ def _expr_cost(expr: Expr, function: Function, model: HardwareCostModel, average
 
 
 def statement_wcet(
-    stmt: Stmt, function: Function, model: HardwareCostModel, average: bool = False
+    stmt: Stmt,
+    function: Function,
+    model: HardwareCostModel,
+    average: bool = False,
+    body_wcet: Callable[[Block], WcetBreakdown] | None = None,
 ) -> WcetBreakdown:
-    """Worst-case cost of one statement subtree on the given core."""
+    """Worst-case cost of one statement subtree on the given core.
+
+    ``body_wcet``, when given, prices the body of each top-level ``for``
+    (``stmt`` itself, or one reached through blocks only) and must return
+    ``statement_wcet`` of it: the code-level cache passes its memo of those
+    prices, so the loop chunks that share one body price it once.  Without
+    it (the uncached analysis) every body is walked.
+    """
     if isinstance(stmt, Assign):
         result = WcetBreakdown()
         result.add(_expr_cost(stmt.value, function, model, average))
@@ -120,7 +131,7 @@ def statement_wcet(
     if isinstance(stmt, Block):
         result = WcetBreakdown()
         for child in stmt.stmts:
-            result.add(statement_wcet(child, function, model, average))
+            result.add(statement_wcet(child, function, model, average, body_wcet))
         return result
     if isinstance(stmt, If):
         result = _expr_cost(stmt.cond, function, model, average)
@@ -135,7 +146,10 @@ def statement_wcet(
         result = WcetBreakdown()
         result.add(_expr_cost(stmt.lower, function, model, average))
         result.add(_expr_cost(stmt.upper, function, model, average))
-        body = statement_wcet(stmt.body, function, model, average)
+        if body_wcet is None:
+            body = statement_wcet(stmt.body, function, model, average)
+        else:
+            body = body_wcet(stmt.body)
         overhead = WcetBreakdown(
             total=model.loop_overhead_cycles, control=model.loop_overhead_cycles
         )

@@ -294,9 +294,11 @@ class TestFootprintStore:
         store = WcetAnalysisCache().footprints
         first = store.footprint(func, task)
         rendered = []
-        render = cache_module.to_c
+        render = cache_module.region_to_c
         monkeypatch.setattr(
-            cache_module, "to_c", lambda region: rendered.append(region) or render(region)
+            cache_module,
+            "region_to_c",
+            lambda region, body_text: rendered.append(region) or render(region, body_text),
         )
         # a copy sharing the statements, as incremental extraction hands over
         again = Task("u", TaskKind.LOOP_CHUNK, task.statements, writes={"buf"}, parent="loop")

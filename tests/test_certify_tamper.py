@@ -29,6 +29,7 @@ from repro.core.config import ToolchainConfig
 from repro.core.pipeline import Pipeline
 from repro.htg.extraction import ExtractionOptions, extract_htg
 from repro.ir import FunctionBuilder
+from repro.ir.cfg import build_cfg
 from repro.scheduling.schedule import default_core_order, evaluate_mapping
 from repro.usecases.workloads import random_pipeline_diagram, synthetic_compiled_model
 from repro.utils.intervals import Interval
@@ -216,6 +217,50 @@ class TestIpetTamper:
         cert.duals = dict(cert.duals)
         report = check_ipet_certificate(cert, function=function)
         assert "certify.ipet.duality-gap" in codes(report)
+
+    def test_negative_edge_count_rejected(self, ipet):
+        function, result = ipet
+        cert = build_ipet_certificate(result, function.name)
+        key = min(cert.edge_counts, key=cert.edge_counts.get)
+        cert.edge_counts[key] = -1.0
+        assert "certify.ipet.negative-count" in codes(
+            check_ipet_certificate(cert, function=function)
+        )
+        # a count a rounding error below zero is within the slack
+        cert = build_ipet_certificate(result, function.name)
+        cert.edge_counts[key] = -1e-12
+        assert "certify.ipet.negative-count" not in codes(
+            check_ipet_certificate(cert, function=function)
+        )
+
+    def test_back_edge_flow_over_the_bound_rejected(self, ipet):
+        """One more trip on every back edge than its loop bound allows."""
+        function, result = ipet
+        cert = build_ipet_certificate(result, function.name)
+        cfg = build_cfg(function, allow_unbounded=True)
+        back = [e.key for e in cfg.edges if e.kind == "back"]
+        assert back, "case must contain loops"
+        for key in back:
+            header = key[1]
+            entry = sum(
+                cert.edge_counts[e.key] for e in cfg.edges
+                if e.dst.bid == header and e.kind != "back"
+            )
+            cert.edge_counts[key] = cert.loop_bounds[header] * entry + 1.0
+        assert "certify.ipet.loop-bound-violated" in codes(
+            check_ipet_certificate(cert, function=function)
+        )
+
+    def test_dual_with_a_negative_reduced_cost_rejected(self, ipet):
+        """Raising one interior block's flow dual makes the reduced cost of
+        an edge into that block negative, however the objective reads."""
+        function, result = ipet
+        cert = build_ipet_certificate(result, function.name)
+        bid = next(iter(cert.duals["flow"]))
+        cert.duals["flow"][bid] += 1000.0
+        assert "certify.ipet.dual-infeasible" in codes(
+            check_ipet_certificate(cert, function=function)
+        )
 
     def test_forgotten_loop_bound_rejected(self, ipet):
         function, result = ipet

@@ -7,10 +7,14 @@ from repro.adl.platforms import generic_predictable_multicore
 from repro.frontend import compile_diagram
 from repro.htg import extract_htg, is_parallelizable_loop
 from repro.htg.extraction import ExtractionOptions
+from repro.htg.graph import HierarchicalTaskGraph, TaskEdge
 from repro.htg.task import TaskKind
 from repro.ir import FunctionBuilder, BinOp, Const
+from repro.ir.analysis import shared_names
 from repro.model import Diagram, library
 from repro.scheduling.schedule import default_core_order, evaluate_mapping
+from repro.usecases import ALL_USECASES
+from repro.usecases.workloads import random_pipeline_diagram
 from repro.wcet import (
     HardwareCostModel,
     SystemDesign,
@@ -175,6 +179,161 @@ class TestHtgExtraction:
     def test_invalid_granularity(self, pipeline_model):
         with pytest.raises(ValueError):
             extract_htg(pipeline_model, ExtractionOptions(granularity="bogus"))
+
+    @pytest.mark.parametrize(
+        "build, granularity, chunks",
+        [
+            *((lambda seed=seed: random_pipeline_diagram(4, 3, 12, seed=seed), "loop", chunks)
+              for seed in (2, 7) for chunks in (1, 3, 6)),
+            *((ALL_USECASES[name][0], kind, chunks)
+              for name in ("egpws", "polka", "weaa")
+              for kind, chunks in (("block", 1), ("loop", 4))),
+        ],
+    )
+    def test_bulk_assembly_equals_add_edge_assembly(self, build, granularity, chunks):
+        """Extraction collects the edges into a first-wins dict and builds
+        the graph in bulk; the former assembly, one ``add_edge`` per
+        dependence on an incrementally grown graph, is the oracle: the same
+        edges in the same order with the same payloads and variables, and
+        the same topological order."""
+        model = compile_diagram(build())
+        htg = extract_htg(model, ExtractionOptions(granularity, chunks))
+        oracle = _add_edge_assembly(list(htg.tasks.values()), model.entry)
+        assert _edge_view(htg) == _edge_view(oracle)
+        assert [t.task_id for t in htg.topological_tasks()] == [
+            t.task_id for t in oracle.topological_tasks()
+        ]
+        for tid in htg.tasks:
+            assert htg.predecessors(tid) == oracle.predecessors(tid)
+            assert htg.successors(tid) == oracle.successors(tid)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_task_lists_assemble_like_add_edge(self, seed):
+        """Random access sets over a few shared names of distinct sizes, so
+        one writer often feeds one reader through several names: the first
+        edge of a pair must keep its payload and variables."""
+        from repro.htg.extraction import _assemble_htg
+        from repro.htg.task import Task
+        from repro.ir.program import Function, Storage, VarDecl
+        from repro.ir.statements import Block
+        from repro.ir.types import FLOAT, ArrayType
+
+        rng = np.random.default_rng(seed)
+        names = ["a", "b", "c", "d", "e"]
+        function = Function(
+            "f",
+            decls=[
+                VarDecl(name, ArrayType(FLOAT, (size,)), Storage.SHARED)
+                for name, size in zip(names[:-1], (2, 3, 5, 7))
+            ] + [VarDecl("e", FLOAT, Storage.LOCAL)],
+        )
+
+        def pick():
+            return {n for n in names if rng.random() < 0.4}
+
+        tasks = []
+        for region in range(int(rng.integers(3, 9))):
+            parent = f"t_r{region}"
+            if rng.random() < 0.4:
+                tasks.append(Task(parent, TaskKind.BLOCK, Block(), reads=pick(), writes=pick()))
+                continue
+            if rng.random() < 0.5:
+                tasks.append(Task(parent + "_pre", TaskKind.PRE, Block(), reads=pick(),
+                                  writes=pick(), parent=parent))
+            reads, writes = pick(), pick()
+            for chunk in range(int(rng.integers(1, 4))):
+                tasks.append(Task(f"{parent}_c{chunk}", TaskKind.LOOP_CHUNK, Block(),
+                                  reads=set(reads), writes=set(writes), parent=parent))
+            if rng.random() < 0.5:
+                tasks.append(Task(parent + "_post", TaskKind.POST, Block(), reads=pick(),
+                                  writes=pick(), parent=parent))
+        arrays, scalars = shared_names(function)
+        htg = _assemble_htg("g", tasks, function, arrays | scalars)
+        oracle = _add_edge_assembly(tasks, function)
+        assert _edge_view(htg) == _edge_view(oracle)
+        assert [t.task_id for t in htg.topological_tasks()] == [
+            t.task_id for t in oracle.topological_tasks()
+        ]
+
+    def test_bulk_constructor_checks_like_add_edge(self, pipeline_model):
+        tasks = list(extract_htg(pipeline_model).tasks.values())
+        a, b = tasks[0].task_id, tasks[1].task_id
+        with pytest.raises(ValueError):
+            HierarchicalTaskGraph.from_edges("g", tasks + tasks[:1], {})
+        with pytest.raises(KeyError):
+            HierarchicalTaskGraph.from_edges("g", tasks, {(a, "nowhere"): TaskEdge(a, "nowhere")})
+        with pytest.raises(ValueError):
+            HierarchicalTaskGraph.from_edges("g", tasks, {(a, a): TaskEdge(a, a)})
+        graph = HierarchicalTaskGraph.from_edges("g", tasks, {(a, b): TaskEdge(a, b, 8, ("x",))})
+        # the incremental API keeps working on a bulk-built graph
+        assert graph.add_edge(a, b) is graph.edge(a, b)
+        assert graph.edge(a, b).payload_bytes == 8
+        graph.add_edge(b, tasks[2].task_id)
+        assert graph.successors(b) == [tasks[2].task_id]
+        assert graph.predecessors(b) == [a]
+
+
+def _edge_view(htg):
+    return [(e.src, e.dst, e.payload_bytes, e.variables) for e in htg.edges]
+
+
+def _add_edge_assembly(tasks, function):
+    """The former HTG assembly: one ``add_edge`` call per dependence."""
+    arrays, scalars = shared_names(function)
+    shared = arrays | scalars
+    htg = HierarchicalTaskGraph(name="oracle")
+    for task in tasks:
+        htg.add_task(task)
+    current_writers, readers_since_write, generation_sources = {}, {}, {}
+
+    def same_generation(a, b):
+        return (
+            a.kind is TaskKind.LOOP_CHUNK
+            and b.kind is TaskKind.LOOP_CHUNK
+            and a.parent is not None
+            and a.parent == b.parent
+        )
+
+    for task in tasks:
+        for name in sorted(task.reads & shared):
+            decl = function.lookup(name)
+            for writer in current_writers.get(name, []):
+                if writer.task_id != task.task_id and not same_generation(writer, task):
+                    htg.add_edge(
+                        writer.task_id,
+                        task.task_id,
+                        payload_bytes=decl.size_bytes if decl else 0,
+                        variables=(name,),
+                    )
+            readers_since_write.setdefault(name, []).append(task.task_id)
+        for name in sorted(task.writes & shared):
+            writers = current_writers.get(name, [])
+            if writers and same_generation(writers[-1], task):
+                writers.append(task)
+                sources = generation_sources[name]
+            else:
+                sources = [r for r in readers_since_write.get(name, []) if r != task.task_id]
+                sources += [w.task_id for w in writers if w.task_id != task.task_id]
+                generation_sources[name] = sources
+                current_writers[name] = [task]
+                readers_since_write[name] = []
+            for source in sources:
+                htg.add_edge(source, task.task_id, payload_bytes=0, variables=(name,))
+    by_parent = {}
+    for task in tasks:
+        if task.parent:
+            by_parent.setdefault(task.parent, []).append(task)
+    for children in by_parent.values():
+        pre = [t for t in children if t.kind is TaskKind.PRE]
+        post = [t for t in children if t.kind is TaskKind.POST]
+        chunk = [t for t in children if t.kind is TaskKind.LOOP_CHUNK]
+        for p in pre:
+            for c in chunk:
+                htg.add_edge(p.task_id, c.task_id)
+        for c in chunk:
+            for q in post:
+                htg.add_edge(c.task_id, q.task_id)
+    return htg
 
 
 class TestCodeLevelWcet:
