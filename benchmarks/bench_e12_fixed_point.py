@@ -3,20 +3,23 @@
 The fixed point derives every task's contender count on *every*
 iteration.  Naively that is an O(tasks x sharers) double loop; the
 unpruned kernel, :func:`repro.wcet.system_level.mhp_contenders`, is a
-per-core bisect over running maxima of the sharer window ends, and the
-timeline builder prices the constraint graph once instead of re-querying
-the per-edge latency per iteration.
+per-core bisect over the sharer windows the timeline build collects (a
+core runs its tasks back to back, so each core's windows come sorted by
+start and by end), and the build reads each cross-core delay from the
+design's per-payload tables.
 
 This experiment runs :func:`system_level_wcet` on synthetic HTGs of
 ~200-1000 tasks twice: with the kernel, and with the original double loop
-(kept here as the baseline, on the kernel's index signature) patched into
-the name the solve calls -- the patched baseline must run once per
-iteration, so the comparison cannot pass vacuously.  Both fixed points
-must be *byte-identical* -- same makespan, same task intervals, same
-effective WCETs, same contender counts, same iteration count.  It then
-times one contender pass of the kernel and of the double loop on the
-converged task windows: both must give the same counts, and at 1000 tasks
-the kernel must be at least 5x faster than the double loop.
+(kept here as the baseline, over the sharers of the kernel's result,
+ignoring the collected windows) patched into the name the solve calls --
+the patched baseline must run once per iteration, so the comparison cannot
+pass vacuously.  Both fixed points must be *byte-identical* -- same
+makespan, same task intervals, same effective WCETs, same contender
+counts, same iteration count.  It then times one contender pass of the
+kernel, on the converged timeline's windows per core in core order, and of
+the double loop on the converged task windows: both must give the same
+counts, and at 1000 tasks the kernel must be at least 5x faster than the
+double loop.
 """
 
 import time
@@ -85,7 +88,7 @@ def _result_fingerprint(result):
 
 def _double_loop(cores, sharers, starts, finishes):
     """The original contender pass: distinct other cores with an overlapping
-    sharer, on the kernel's index signature."""
+    sharer, over index lists of windows."""
     contenders = []
     for tid, core in enumerate(cores):
         other_cores = set()
@@ -135,9 +138,15 @@ def _sweep():
         kernel, kernel_seconds = _time_fixed_point(
             htg, model.entry, platform, mapping, order, cache, repeats=2
         )
+        leaf_ids = [t.task_id for t in htg.leaf_tasks()]
+        sharers = [i for i, tid in enumerate(leaf_ids) if kernel.task_shared_accesses[tid] > 0]
+
+        def baseline_pass(cores, windows, starts, finishes):
+            return _double_loop(cores, sharers, starts, finishes)
+
         # patch the name the solve calls, and prove the baseline ran
         with mock.patch.object(
-            system_level, "mhp_contenders", side_effect=_double_loop
+            system_level, "mhp_contenders", side_effect=baseline_pass
         ) as patched:
             baseline, baseline_seconds = _time_fixed_point(
                 htg, model.entry, platform, mapping, order, cache, repeats=1
@@ -149,16 +158,27 @@ def _sweep():
             f"the MHP kernel's fixed point diverges from the double loop's at {num_tasks} tasks"
         )
 
-        leaf_ids = [t.task_id for t in htg.leaf_tasks()]
-        windows = [kernel.task_intervals[tid] for tid in leaf_ids]
-        args = (
-            [mapping[tid] for tid in leaf_ids],
-            [i for i, tid in enumerate(leaf_ids) if kernel.task_shared_accesses[tid] > 0],
-            [window.start for window in windows],
-            [window.end for window in windows],
+        intervals = [kernel.task_intervals[tid] for tid in leaf_ids]
+        cores_of = [mapping[tid] for tid in leaf_ids]
+        starts = [window.start for window in intervals]
+        finishes = [window.end for window in intervals]
+        # the kernel's windows: per core, its sharers' windows in core order
+        shares = {tid for tid in leaf_ids if kernel.task_shared_accesses[tid] > 0}
+        core_windows = [
+            (
+                core,
+                [kernel.task_intervals[tid].start for tid in tids if tid in shares],
+                [kernel.task_intervals[tid].end for tid in tids if tid in shares],
+            )
+            for core, tids in order.items()
+            if shares.intersection(tids)
+        ]
+        reference, loop_pass = _time_pass(
+            _double_loop, (cores_of, sharers, starts, finishes), repeats=3
         )
-        reference, loop_pass = _time_pass(_double_loop, args, repeats=3)
-        counts, kernel_pass = _time_pass(mhp_contenders, args, repeats=20)
+        counts, kernel_pass = _time_pass(
+            mhp_contenders, (cores_of, core_windows, starts, finishes), repeats=20
+        )
         assert counts == reference, (
             f"the MHP kernel diverges from the double loop at {num_tasks} tasks"
         )

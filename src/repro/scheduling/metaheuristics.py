@@ -8,11 +8,16 @@ deterministic given a seed.
 
 It searches over task-index -> core vectors and prices every candidate with
 :meth:`~repro.wcet.system_level.SystemDesign.bound`: the bare fixed point
-under the default core order, without a result key, a result object or the
-result tier.  Few candidates repeat a mapping, so none is memoized: over
-the 60 design points of the use-case sweep (three use cases, five
-platforms, four granularities), 2.0% of the annealer's candidates repeat
-one of the same search (default parameters, seed 1).  The schedule a
+under the default core order, on the timeline plan the design builds once,
+without a result key, a result object or the result tier.  Few candidates
+repeat a mapping, so none is memoized: over the 60 design points of the
+use-case sweep (three use cases, five platforms, four granularities), 2.0%
+of the annealer's candidates repeat one of the same search (default
+parameters, seed 1).  Nor is any rejected early: over those 60 searches
+the annealer accepts 63% of its 9,479 candidates as no worse and 26% as
+worse, and only 364 could be rejected from their contention-free lower
+bound (the timeline of their isolated WCETs) with the random draw kept,
+so every candidate needs its exact bound.  The schedule a
 search returns is analysed once, in full, through
 :func:`~repro.scheduling.schedule.evaluate_mapping`.  The outcome of each
 search is one search record in the result tier

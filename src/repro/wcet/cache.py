@@ -322,6 +322,35 @@ def _digest(text: str) -> str:
     return hashlib.sha1(text.encode("utf-8")).hexdigest()
 
 
+class _EntryRef(weakref.ref):
+    """A weak reference to one memoized object, owned by its cache
+    (:meth:`WcetAnalysisCache._remember`): when the object dies it drops
+    the object's entry (``key``, the object's id) from ``memo`` and itself
+    from the cache's ``refs``.
+
+    One GC-tracked object per entry, and nothing global: a cache dropped
+    with its memos takes its references along, so they never fire and
+    nothing outside the cache keeps its memos alive.
+    """
+
+    __slots__ = ("memo", "key", "refs")
+
+    def __new__(cls, obj, memo: dict, refs: dict) -> "_EntryRef":
+        return super().__new__(cls, obj, _drop_entry)
+
+    def __init__(self, obj, memo: dict, refs: dict) -> None:
+        super().__init__(obj, _drop_entry)
+        self.memo = memo
+        self.key = id(obj)
+        self.refs = refs
+
+
+def _drop_entry(ref: _EntryRef) -> None:
+    # the object is being collected, so its id is not reused yet
+    ref.memo.pop(ref.key, None)
+    ref.refs.pop(id(ref), None)
+
+
 class _RegionMemo:
     """What the flow derived from one statement region: its fingerprint,
     rendered on first use, and its per-region facts (the memo of
@@ -667,7 +696,8 @@ class WcetAnalysisCache:
         self.store: MemoStore[WcetBreakdown] = MemoStore(
             prefix=_SHARD_PREFIXES["code"], encode=_breakdown_fields, decode=_breakdown_of
         )
-        #: id(Function) -> fingerprint (dropped via weakref.finalize on GC)
+        #: id(Function) -> fingerprint (each entry of these identity memos
+        #: is dropped by its :class:`_EntryRef` when its object is collected)
         self._function_fps: dict[int, str] = {}
         #: id(Block) -> the region's memo: its fingerprint, its facts and,
         #: for a top-level loop body, its text and prices (the body memo)
@@ -678,6 +708,8 @@ class WcetAnalysisCache:
         self._model_sigs: dict[int, str] = {}
         #: id(Platform) -> its :func:`platform_signature` (``None`` included)
         self._platform_digests: dict[int, str | None] = {}
+        #: id(ref) -> the :class:`_EntryRef` watching one identity-memo entry
+        self._refs: dict[int, _EntryRef] = {}
         #: objects that could not be weakref'd, pinned so their ids stay valid
         self._pins: list = []
         #: the system-level result tier: shares these memos (so keys are
@@ -708,15 +740,18 @@ class WcetAnalysisCache:
     def _remember(self, memo: dict, obj, value):
         """Memoize ``value`` under ``id(obj)`` without leaking the object.
 
-        A finalizer drops the memo entry when the object is collected (at
-        which point its id may be reused); objects that do not support weak
-        references are pinned instead so their ids stay valid.
+        A weak reference the cache owns (:class:`_EntryRef`) drops the memo
+        entry when the object is collected (at which point its id may be
+        reused); objects that do not support weak references are pinned
+        instead so their ids stay valid.
         """
         memo[id(obj)] = value
         try:
-            weakref.finalize(obj, memo.pop, id(obj), None)
+            ref = _EntryRef(obj, memo, self._refs)
         except TypeError:  # pragma: no cover - all memoized types are weakref-able
             self._pins.append(obj)
+        else:
+            self._refs[id(ref)] = ref
         return value
 
     def _function_fingerprint(self, function: Function) -> str:
@@ -1216,6 +1251,7 @@ class WcetAnalysisCache:
         self._declarations.clear()
         self._model_sigs.clear()
         self._platform_digests.clear()
+        self._refs.clear()
         self._pins.clear()
         self.system_results.store.clear()
         if self._footprints is not None:

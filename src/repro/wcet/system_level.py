@@ -33,31 +33,41 @@ per task its predecessor row of (index, payload); per core one cost model
 and one shared-access penalty row; the isolated WCET, average-case WCET
 and shared-access count of each (task, core), filled through the
 code-level cache (so its entries and misses are the same as without a
-design); the worst-case delay of each (payload, source core, destination
-core, contender count), and per payload one delay table over core pairs
-read by the solve; in a statically pruned design, the static-MHP
-relation's mapping-independent part (reachability, footprints, address
-overlaps); and the result key's per-design prefix.  Building a design
-costs nothing, so the numbering runs inside the scheduler that first reads
-it.
+design), kept per core class (:meth:`SystemDesign.cost_table`); the
+worst-case delay of each (payload, source core, destination core,
+contender count), and per payload one delay table over core pairs; the
+timeline plan -- per task, in topological order, its dependence
+predecessors with their payload's delay table (:attr:`SystemDesign.plan`;
+:attr:`SystemDesign.timeline_rows` holds the same rows by task index); in
+a statically pruned design, the static-MHP relation's mapping-independent
+part (reachability, footprints, address overlaps); and the result key's
+per-design prefix.  Building a design costs nothing, so the numbering runs
+inside the scheduler that first reads it.
 
 *Per solve* (:func:`_solve`, the one fixed point): a mapping vector (the
-core of each task index) and a processing order, the timeline plan -- per
-task in that order, its core and its dependence predecessors, each
-cross-core edge priced from its payload's delay table -- and the fixed
-point over start/finish lists.  The plan holds no core-order edges: a
-task's core is free at the last finish on that core, which is its
-predecessor in the core order because the processing order visits each
-core's tasks in that order.  :meth:`SystemDesign.bound` passes the
-design's topological order, a processing order of the default core order
-by construction, so a candidate builds no Kahn pass and no row dict;
-:func:`system_level_wcet` and :func:`contention_oblivious_bound` derive one
-from their core order by a Kahn pass (:func:`_processing_order`).  A
-max-plus pass does not depend on its processing order, so every order
+core of each task index), the plan in a processing order, each task's
+cost and penalty row gathered through one lookup per core, and the fixed
+point over start/finish lists.  Nothing of the plan depends on the
+mapping: the timeline build (:func:`_build`) reads each cross-core delay
+inline from the edge's delay table, under the two cores the vector names
+(a plain dict, so a read costs two dict lookups; the first read of a pair
+in a design prices it through :meth:`SystemDesign.delay`).
+The plan holds no core-order edges: a task's core is free at the last
+finish on that core, which is its predecessor in the core order because
+the processing order visits each core's tasks in that order.  So the build
+also collects, per core, its sharers' windows in the order they run,
+already sorted by start and by end: the rows the unpruned MHP kernel
+reads.  :meth:`SystemDesign.bound` passes the plan as is (the design's
+topological order is a processing order of the default core order by
+construction), so a candidate builds no plan, no Kahn pass and no row
+dict; :func:`system_level_wcet` and :func:`contention_oblivious_bound`
+reorder it by a Kahn pass over their core order (:func:`_ordered_plan`).
+A max-plus pass does not depend on its processing order, so every order
 gives the same floats.  Indexes instead of task-id dicts because the
-solve's inner loops run once per candidate and fixed-point iteration:
-list indexing replaces string hashing, and no ``Interval`` is built per
-task per iteration.
+solve's inner loops run once per candidate and fixed-point iteration: list
+indexing replaces string hashing, and no ``Interval`` is built per task
+per iteration.  Only :func:`system_level_wcet`, which builds a result,
+sums the communication cycles, in graph-edge order.
 
 The solve has two callers.  :func:`system_level_wcet` analyses a
 schedule: it derives the mapping and order part of the result key,
@@ -89,11 +99,11 @@ one kernel per mode, both with the strict comparisons of
 :meth:`~repro.utils.intervals.Interval.overlaps`, so their counts equal the
 double loop's (kept in the tests as the oracle):
 
-* unpruned runs use :func:`mhp_contenders`, a per-core bisect pass: each
-  core's sharer windows are sorted by start with a running maximum of
-  their ends, and a window ``[s, e)`` meets the core iff
-  ``run[bisect_left(starts, e) - 1] > s``.  It needs no precondition on
-  the windows (empty ones included);
+* unpruned runs use :func:`mhp_contenders`, a per-core bisect pass over
+  the windows the build collected: a core's sharer windows come sorted by
+  start and by end (its tasks run back to back), so a window ``[s, e)``
+  meets the core iff ``ends[bisect_left(starts, e) - 1] > s``.  The pass
+  groups, builds and sorts nothing; empty windows need no special case;
 * pruned runs (``static_pruning``) use :func:`mhp_contenders_pruned`, a
   loop over the static-MHP skeleton: the per-task row of sharer indexes
   that static pruning keeps.
@@ -103,24 +113,25 @@ Both take task indexes, the mapping vector and the start/finish lists.
 Why these two and no other.  Medians per pass, replayed from the
 perfbench workloads (seed 1) on a shared 2-vCPU x86 host:
 
-* on use-case design points (10-40 tasks, at most ~1,500 task x sharer
-  pairs) bisect takes 34 us and a numpy ``searchsorted`` pass 111 us;
+* on use-case design points (10-40 tasks, at most ~1,340 task x sharer
+  pairs; the annealer's candidates are most of the passes) bisect takes
+  11 us and a numpy ``searchsorted`` pass over the same windows 51 us;
 * on edit-incremental designs (~960 tasks, ~685k cross-core sharer pairs,
-  4.6 passes per edit round) bisect takes 1.19 ms and ``searchsorted``
-  0.87 ms: bisect costs about 1.5 ms per round, well under 1% of it;
+  5 passes per edit round) bisect takes 0.69 ms and ``searchsorted``
+  0.31-0.37 ms: bisect costs about 2 ms more per round, well under 1% of
+  it;
 * routing unpruned runs through a skeleton of all cross-core sharer pairs
-  instead costs 92 ms to build, 187 ms to flatten into index arrays and
-  5.4 ms per numpy pass there, against a ~0.4 s edit round;
+  instead costs 38 ms to build, 36 ms to flatten into index arrays and
+  10 ms per numpy pass there, against a ~0.4 s edit round;
 * synthetic-1000 pruned skeletons hold ~740 pairs: the pair loop takes
-  462 us per pass, a numpy pass over the flattened skeleton 467 us plus
-  638 us of set-up.
+  128 us per pass, a numpy pass over the flattened skeleton 70 us plus
+  164 us of set-up per solve (about 3 passes).
 """
 
 from __future__ import annotations
 
 import operator
 import time
-import weakref
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
@@ -193,6 +204,15 @@ class SystemWcetError(RuntimeError):
 
 T = TypeVar("T")
 
+#: The delays of one payload over core pairs, ``table[src][dst]``: plain
+#: dicts that the timeline build fills on first read
+#: (:meth:`SystemDesign.delay_table`).
+_DelayTable = dict[int, dict[int, float]]
+#: One task's row of the timeline plan: its index and its dependence
+#: predecessors as (index, the delay table of the edge's payload, the
+#: payload).
+_PlanRow = tuple[int, list[tuple[int, _DelayTable, int]]]
+
 
 def default_rows(topological: Iterable[T], core_of: Callable[[T], int]) -> dict[int, list[T]]:
     """The default core order of a mapping: each core runs its tasks in the
@@ -217,9 +237,9 @@ class SystemDesign:
     Holds what every analysis of the point reads -- HTG, function,
     platform, the cache whose tiers memoize it (``None`` = the process-wide
     :func:`~repro.wcet.cache.shared_cache`) and the static-pruning flag --
-    and fills its tables on first use, task numbering included
-    (``leaf_ids[i]`` is task ``i``).  Build one per scheduler run and pass
-    it to every :func:`system_level_wcet` (or
+    and fills its tables on first use, task numbering and the timeline
+    plan included (``leaf_ids[i]`` is task ``i``).  Build one per scheduler
+    run and pass it to every :func:`system_level_wcet` (or
     :func:`~repro.scheduling.schedule.evaluate_mapping`) call of it; a
     search prices its candidates with :meth:`bound`, which reads the same
     tables.  The tables assume none of the inputs is mutated meanwhile.
@@ -290,6 +310,23 @@ class SystemDesign:
         return rows
 
     @cached_property
+    def timeline_rows(self) -> list[_PlanRow]:
+        """Per task index ``i``, its row of the timeline plan: ``(i, preds)``,
+        its dependence predecessors as (index, the delay table of the edge's
+        payload, the payload), in graph-edge order."""
+        delay_table = self.delay_table
+        preds: list[list[tuple[int, _DelayTable, int]]] = [[] for _ in self.leaf_ids]
+        for src, dst, payload in self.leaf_edges:
+            preds[dst].append((src, delay_table(payload), payload))
+        return list(enumerate(preds))
+
+    @cached_property
+    def plan(self) -> list[_PlanRow]:
+        """The timeline plan: :attr:`timeline_rows` in :attr:`topological`
+        order, the processing order :meth:`bound` solves in."""
+        return list(map(self.timeline_rows.__getitem__, self.topological))
+
+    @cached_property
     def topological(self) -> list[int]:
         """The task indexes in the HTG's topological order."""
         return [self.index[t.task_id] for t in self.htg.topological_tasks() if not t.is_synthetic]
@@ -324,11 +361,7 @@ class SystemDesign:
         (:meth:`~repro.wcet.cache.WcetAnalysisCache.model_signature_digest`)
         share one table, as they share the code-level cache's entries.
         """
-        table = self._costs.get((core, average))
-        if table is None:
-            signature = self.cache.model_signature_digest(self.model(core))
-            table = self._tables.setdefault((signature, average), [None] * len(self.leaf_ids))
-            self._costs[(core, average)] = table
+        table = self._costs.get((core, average)) or self.cost_table(core, average)
         cost = table[i]
         if cost is None:
             breakdown = analyze_task_wcet(
@@ -336,6 +369,16 @@ class SystemDesign:
             )
             cost = table[i] = (breakdown.total, breakdown.shared_accesses)
         return cost
+
+    def cost_table(self, core: int, average: bool = False) -> list:
+        """Per task index, its :meth:`cost` on ``core`` (or its average-case
+        cost), ``None`` while not yet priced; one table per core class."""
+        table = self._costs.get((core, average))
+        if table is None:
+            signature = self.cache.model_signature_digest(self.model(core))
+            table = self._tables.setdefault((signature, average), [None] * len(self.leaf_ids))
+            self._costs[(core, average)] = table
+        return table
 
     def delay(self, payload: int, src: int, dst: int, contenders: "int | None" = None) -> float:
         """Worst-case latency of ``payload`` bytes from core ``src`` to ``dst``
@@ -358,13 +401,15 @@ class SystemDesign:
             )
         return delay
 
-    def delay_table(self, payload: int) -> "_DelayTable":
+    def delay_table(self, payload: int) -> _DelayTable:
         """The delays of ``payload`` bytes over core pairs, every other core
-        contending: ``table[src][dst]``, priced through :meth:`delay` on
-        first read.  The solve reads its cross-core edges from these."""
+        contending: ``table[src][dst]``.  The timeline plan holds one per
+        edge, and the timeline build reads its cross-core edges from them,
+        pricing a missing pair through :meth:`delay` on first read (plain
+        dicts, which index faster than a ``__missing__`` hook)."""
         table = self._delay_tables.get(payload)
         if table is None:
-            table = self._delay_tables[payload] = _DelayTable(self, payload)
+            table = self._delay_tables[payload] = {}
         return table
 
     @cached_property
@@ -442,61 +487,32 @@ class SystemDesign:
         The bare fixed point (:func:`_solve`): equal to the makespan
         :func:`system_level_wcet` reports for the same mapping and order,
         but with no result key, result object or result-tier access, and
-        no memo (search candidates rarely repeat a mapping).  It processes
-        the tasks in :attr:`topological` order, which is a processing order
-        of the default core order's timeline by construction (each core's
-        tasks appear in their row's order, after their predecessors), so
-        no Kahn pass runs per candidate.  The annealer and branch and bound
-        price every candidate with it.  Raises :class:`SystemWcetError`
-        unless ``cores`` has one platform core per task.
+        no memo (search candidates rarely repeat a mapping).  It solves on
+        the design's timeline :attr:`plan` as is: the plan lists the tasks
+        in :attr:`topological` order, which is a processing order of the
+        default core order's timeline by construction (each core's tasks
+        appear in their row's order, after their predecessors), and reads
+        its cross-core delays under ``cores`` while it builds the
+        timeline, so a candidate builds no plan and runs no Kahn pass.
+        The annealer and branch and bound price every candidate with it.
+        Raises :class:`SystemWcetError` unless ``cores`` has one platform
+        core per task.
         """
         if len(cores) != len(self.leaf_ids):
             raise SystemWcetError(
                 f"mapping vector has {len(cores)} entries for {len(self.leaf_ids)} tasks"
             )
         self._check_cores(cores)
-        return _solve(self, cores, self.topological).makespan
+        return _solve(self, cores, self.plan).makespan
 
 
-class _DelayTable(dict):
-    """Worst-case delays of one payload over core pairs, ``table[src][dst]``
-    (nested, which indexes faster than pair keys), each priced through
-    :meth:`SystemDesign.delay` on first read.  It refers to its design
-    weakly, so the design it belongs to is freed by reference counting."""
-
-    __slots__ = ("design", "payload")
-
-    def __init__(self, design: SystemDesign, payload: int) -> None:
-        super().__init__()
-        self.design = weakref.proxy(design)
-        self.payload = payload
-
-    def __missing__(self, src: int) -> "_DelayRow":
-        row = self[src] = _DelayRow(self, src)
-        return row
-
-
-class _DelayRow(dict):
-    """The delays of one payload from one source core, by destination core."""
-
-    __slots__ = ("table", "src")
-
-    def __init__(self, table: _DelayTable, src: int) -> None:
-        super().__init__()
-        self.table = table
-        self.src = src
-
-    def __missing__(self, dst: int) -> float:
-        delay = self[dst] = self.table.design.delay(self.table.payload, self.src, dst)
-        return delay
-
-
-def _processing_order(
+def _ordered_plan(
     design: SystemDesign, cores: list[int], rows: list[tuple[int, list[int]]]
-) -> list[int]:
-    """A processing order of the timeline of ``cores`` under the core order
-    ``rows``: a Kahn pass over the dependences plus each core's chain, so
-    every task follows its predecessors and the task before it on its core.
+) -> list[_PlanRow]:
+    """The design's timeline plan in a processing order of the timeline of
+    ``cores`` under the core order ``rows``: a Kahn pass over the
+    dependences plus each core's chain, so every task follows its
+    predecessors and the task before it on its core.
 
     Raises :class:`SystemWcetError` when the core order contradicts the
     dependences.
@@ -510,109 +526,105 @@ def _processing_order(
         for prev, nxt in zip(tids, tids[1:]):
             indegree[nxt] += 1
             succs[prev].append(nxt)
-    order: list[int] = []
+    timeline_rows = design.timeline_rows
+    plan = []
     worklist = [i for i, degree in enumerate(indegree) if degree == 0]
     while worklist:
         i = worklist.pop()
-        order.append(i)
+        plan.append(timeline_rows[i])
         for nxt in succs[i]:
             indegree[nxt] -= 1
             if indegree[nxt] == 0:
                 worklist.append(nxt)
-    if len(order) < len(cores):
+    if len(plan) < len(cores):
         raise SystemWcetError("cyclic wait between core order and dependences")
-    return order
+    return plan
 
 
-class _Timeline:
-    """Static timeline of one mapping, respecting dependences and the core
-    order its processing order implies.
+def _build(
+    plan: list[_PlanRow],
+    cores: list[int],
+    effective: list[float],
+    design: SystemDesign,
+    slots: list[int],
+    window_cores: list[int],
+) -> tuple[list[float], list[float], float, list[tuple[int, list[float], list[float]]]]:
+    """(start times, finish times, makespan, windows) of mapping vector
+    ``cores`` with task durations ``effective``, processing the tasks in
+    ``plan``'s order.
 
-    The plan lists, in processing order, each task with its core and its
-    dependence predecessors with their priced cross-core delays (from the
-    design's delay tables).  A task starts when its last predecessor's
-    transfer has arrived and its core is free: the core's chain is read as
-    the last finish on that core, which is the finish of the task before it
-    in the core order, since the processing order visits each core's tasks
-    in that order.  Start and finish times are a max-plus function of the
-    predecessors alone, so any valid processing order gives the same
-    floats.
+    A task starts when its last predecessor's transfer has arrived (a
+    cross-core edge's delay read from its payload's table, and priced
+    through :meth:`SystemDesign.delay` on its first read) and its core is
+    free: the core's chain is read as the last finish on that core, which
+    is the finish of the task before it in the core order, since the
+    processing order visits each core's tasks in that order.  Start and
+    finish times are a max-plus function of the predecessors alone, so any
+    valid processing order gives the same floats.
 
-    The plan does not change across fixed-point iterations (only the task
-    durations do), so it is built once per solve; :meth:`build` is a pure
-    pass over it.
+    The windows are those of the tasks ``slots`` names, per core:
+    ``slots[i]`` is the position in ``window_cores`` of task ``i``'s core
+    when its window is collected, else -1.  A core runs its tasks back to
+    back, so each core's windows come out sorted by start and by end: the
+    rows :func:`mhp_contenders` reads, as (core, starts, ends).
     """
-
-    __slots__ = ("plan", "core_ids", "communication_cycles")
-
-    def __init__(self, design: SystemDesign, cores: list[int], order: list[int]) -> None:
-        # per task, its dependences as (pred, delay), in graph-edge order
-        preds: list[list[tuple[int, float]]] = [[] for _ in cores]
-        cross: list[float] = []
-        delay_table = design.delay_table
-        for src, dst, payload in design.leaf_edges:
-            src_core, dst_core = cores[src], cores[dst]
-            delay = 0.0
-            if src_core != dst_core:
-                delay = delay_table(payload)[src_core][dst_core]
-                cross.append(delay)
-            preds[dst].append((src, delay))
-        #: cycles spent on cross-core transfers, summed in graph-edge order
-        self.communication_cycles = sum(cross)
-        self.plan = [(i, cores[i], preds[i]) for i in order]
-        self.core_ids = design.core_ids
-
-    def build(self, effective: list[float]) -> tuple[list[float], list[float], float]:
-        """(start times, finish times, makespan) for these task durations."""
-        starts = [0.0] * len(effective)
-        finish = [0.0] * len(effective)
-        last = dict.fromkeys(self.core_ids, 0.0)
-        for i, core, preds in self.plan:
-            ready = last[core]
-            for p, delay in preds:
-                ready_p = finish[p] + delay
-                if ready_p > ready:
-                    ready = ready_p
-            starts[i] = ready
-            finish[i] = last[core] = ready + effective[i]
-        return starts, finish, max(finish, default=0.0)
+    starts = [0.0] * len(effective)
+    finish = [0.0] * len(effective)
+    last = dict.fromkeys(design.core_ids, 0.0)
+    price = design.delay
+    window_starts: list[list[float]] = [[] for _ in window_cores]
+    window_ends: list[list[float]] = [[] for _ in window_cores]
+    for i, preds in plan:
+        core = cores[i]
+        ready = last[core]
+        for p, delays, payload in preds:
+            src = cores[p]
+            if src == core:
+                ready_p = finish[p]
+            else:
+                try:
+                    ready_p = finish[p] + delays[src][core]
+                except KeyError:  # the pair's first read in this design
+                    delay = delays.setdefault(src, {})[core] = price(payload, src, core)
+                    ready_p = finish[p] + delay
+            if ready_p > ready:
+                ready = ready_p
+        starts[i] = ready
+        finish[i] = last[core] = end = ready + effective[i]
+        k = slots[i]
+        if k >= 0:
+            window_starts[k].append(ready)
+            window_ends[k].append(end)
+    windows = list(zip(window_cores, window_starts, window_ends))
+    return starts, finish, max(finish, default=0.0), windows
 
 
 # ---------------------------------------------------------------------- #
 # MHP contender derivation (one pass per fixed-point iteration)
 # ---------------------------------------------------------------------- #
 def mhp_contenders(
-    cores: list[int], sharers: list[int], starts: list[float], finishes: list[float]
+    cores: list[int],
+    windows: list[tuple[int, list[float], list[float]]],
+    starts: list[float],
+    finishes: list[float],
 ) -> list[int]:
     """Per task, the number of other cores with a sharer window overlapping it.
 
     The kernel of unpruned runs.  Task ``i`` is mapped to ``cores[i]`` and
-    runs in ``[starts[i], finishes[i])``; ``sharers`` are the indexes of
-    the tasks with shared accesses.  Per core, the sharer windows sorted by
-    start carry a running maximum of their ends, so a window ``[s, e)``
-    meets the core iff ``run[bisect_left(starts, e) - 1] > s`` (see the
-    module docstring).
+    runs in ``[starts[i], finishes[i])``; ``windows`` holds, per core with
+    a task with shared accesses (a sharer), ``(core, starts, ends)`` of its
+    sharers' windows in the order they run, as :func:`_build` collects
+    them.  A core runs its tasks back to back, so both lists are sorted and
+    a window ``[s, e)`` meets the core iff
+    ``ends[bisect_left(starts, e) - 1] > s`` (see the module docstring).
     """
-    spans_of: dict[int, list[tuple[float, float]]] = {}
-    for sid in sharers:
-        spans_of.setdefault(cores[sid], []).append((starts[sid], finishes[sid]))
-    per_core: list[tuple[int, list[float], list[float]]] = []
-    for core, spans in spans_of.items():
-        spans.sort()
-        run: list[float] = []
-        reach = float("-inf")
-        for _, end in spans:
-            if end > reach:
-                reach = end
-            run.append(reach)
-        per_core.append((core, [start for start, _ in spans], run))
     contenders = []
     for own, start, end in zip(cores, starts, finishes):
         count = 0
-        for core, core_starts, run in per_core:
+        for core, core_starts, core_ends in windows:
             if core != own:
                 k = bisect_left(core_starts, end)
-                if k and run[k - 1] > start:
+                if k and core_ends[k - 1] > start:
                     count += 1
         contenders.append(count)
     return contenders
@@ -654,7 +666,6 @@ class _FixedPoint(NamedTuple):
     contenders: list[int]
     #: the static-MHP skeleton by task id; ``None`` when unpruned
     allowed: "dict[str, tuple[str, ...]] | None"
-    communication_cycles: float
     iterations: int
     converged: bool
     final_delta: float
@@ -662,20 +673,25 @@ class _FixedPoint(NamedTuple):
     deltas: "tuple[float, ...] | None"
 
 
-def _solve(design: SystemDesign, cores: list[int], order: list[int]) -> _FixedPoint:
+def _solve(design: SystemDesign, cores: list[int], plan: list[_PlanRow]) -> _FixedPoint:
     """The fixed point of mapping vector ``cores`` under the core order that
-    the processing ``order`` implies (see :class:`_Timeline`).
+    the processing order of ``plan`` implies (see :func:`_build`).
 
     The one solve behind :func:`system_level_wcet` and
     :meth:`SystemDesign.bound`.  It reads the design's tables only: it
     derives no key, never touches the result tier and builds no result
     dict.  Its ``fixed_point`` span and its ``fixed_point.*`` and ``mhp.*``
     metrics therefore count every solve, search candidates included.  The
-    callers validate ``cores`` and derive ``order``.
+    callers validate ``cores`` and order the design's plan.
     """
     leaf_ids = design.leaf_ids
-    penalty_rows = list(map(design.penalties, cores))
-    costs = list(map(design.cost, range(len(cores)), cores))
+    # each core's penalty row and cost table looked up once, not per task
+    used = set(cores)
+    penalty_rows = list(map({core: design.penalties(core) for core in used}.__getitem__, cores))
+    tables = {core: design.cost_table(core) for core in used}
+    costs = list(map(operator.getitem, map(tables.__getitem__, cores), range(len(cores))))
+    if None in costs:  # a task not yet priced on its core's class
+        costs = list(map(design.cost, range(len(cores)), cores))
     base = [wcet for wcet, _ in costs]
     shared = [accesses for _, accesses in costs]
 
@@ -711,7 +727,15 @@ def _solve(design: SystemDesign, cores: list[int], order: list[int]) -> _FixedPo
         sharers_per_core = Counter(cores[i] for i in sharers)
         pairs_per_pass = sum(len(sharers) - sharers_per_core.get(core, 0) for core in cores)
         obs.metrics().counter("mhp.pairs_candidate").inc(pairs_per_pass)
-    timeline = _Timeline(design, cores, order)
+    # the windows the unpruned kernel reads: each sharer's, by core
+    slots = [-1] * len(cores)
+    window_cores: list[int] = []
+    if allowed is None:
+        position: dict[int, int] = {}
+        for i in sharers:
+            slots[i] = position.setdefault(cores[i], len(position))
+        window_cores = list(position)
+    core_ids = design.core_ids
 
     effective = base
     contenders = [0] * len(cores)
@@ -729,9 +753,9 @@ def _solve(design: SystemDesign, cores: list[int], order: list[int]) -> _FixedPo
     with fp_span:
         for iterations in range(1, MAX_ITERATIONS + 1):
             iter_start = time.perf_counter() if obs_on else 0.0
-            starts, finishes, makespan = timeline.build(effective)
+            starts, finishes, makespan, windows = _build(plan, cores, effective, design, slots, window_cores)
             if allowed is None:
-                new_contenders = mhp_contenders(cores, sharers, starts, finishes)
+                new_contenders = mhp_contenders(cores, windows, starts, finishes)
             else:
                 new_contenders = mhp_contenders_pruned(cores, allowed_rows, starts, finishes)
             new_effective = [
@@ -786,7 +810,7 @@ def _solve(design: SystemDesign, cores: list[int], order: list[int]) -> _FixedPo
             max(e, b + s * row[k])
             for e, b, s, row, k in zip(effective, base, shared, penalty_rows, contenders)
         ]
-        starts, finishes, makespan = timeline.build(effective)
+        starts, finishes, makespan, _ = _build(plan, cores, effective, design, slots, window_cores)
     return _FixedPoint(
         starts,
         finishes,
@@ -796,7 +820,6 @@ def _solve(design: SystemDesign, cores: list[int], order: list[int]) -> _FixedPo
         shared,
         contenders,
         allowed,
-        timeline.communication_cycles,
         iterations,
         converged,
         final_delta,
@@ -847,7 +870,7 @@ def system_level_wcet(
         ).inc()
     if memoized is not None:
         return memoized
-    solved = _solve(design, cores, _processing_order(design, cores, rows))
+    solved = _solve(design, cores, _ordered_plan(design, cores, rows))
     leaf_ids = design.leaf_ids
     result = SystemWcetResult(
         makespan=solved.makespan,
@@ -859,7 +882,12 @@ def system_level_wcet(
         task_effective_wcet=dict(zip(leaf_ids, solved.effective)),
         task_contenders=dict(zip(leaf_ids, solved.contenders)),
         interference_cycles=sum(map(operator.sub, solved.effective, solved.base)),
-        communication_cycles=solved.communication_cycles,
+        # cycles spent on cross-core transfers, summed in graph-edge order
+        communication_cycles=sum(
+            design.delay(payload, cores[src], cores[dst])
+            for src, dst, payload in design.leaf_edges
+            if cores[src] != cores[dst]
+        ),
         iterations=solved.iterations,
         converged=solved.converged,
         task_base_wcet=dict(zip(leaf_ids, solved.base)),
@@ -887,4 +915,5 @@ def contention_oblivious_bound(
     for i, core in enumerate(cores):
         base, shared = design.cost(i, core)
         effective.append(base + shared * design.penalties(core)[design.comm_contenders])
-    return _Timeline(design, cores, _processing_order(design, cores, rows)).build(effective)[2]
+    plan = _ordered_plan(design, cores, rows)
+    return _build(plan, cores, effective, design, [-1] * len(cores), [])[2]

@@ -14,9 +14,10 @@ invisible:
   equal content do not, and a platform that cannot be fingerprinted gets
   no key, so its results and searches are never memoized;
 * the bisect-based unpruned MHP kernel equals the pairwise double loop
-  (:func:`double_loop_contenders` below, on the kernels' index
-  signature), and so does the pruned kernel given a skeleton that keeps
-  every cross-core pair;
+  (:func:`double_loop_contenders` below, on index lists of windows), and
+  so does the pruned kernel given a skeleton that keeps every cross-core
+  pair; windows that overlap on one core, which a timeline never has,
+  reach the kernel through :func:`bisect_kernel`;
 * the annealer and branch and bound return the same schedules whether
   their candidates share one design or each build a fresh one (both price
   candidates with ``SystemDesign.bound``), every candidate of a pipeline
@@ -465,6 +466,29 @@ def _windows(spec):
     return cores, sharers, starts, finishes
 
 
+def bisect_kernel(cores, sharers, starts, finishes):
+    """The unpruned kernel on arbitrary windows.
+
+    The kernel reads per core its sharers' windows sorted by start and by
+    end, as a timeline's back-to-back windows come.  Arbitrary windows
+    (overlapping on one core too) become such rows by sorting by start and
+    carrying the running maximum of the ends: the first ``k`` windows of a
+    row meet ``[s, e)`` iff the largest of their ends exceeds ``s``.
+    """
+    spans_of = {}
+    for i in sharers:
+        spans_of.setdefault(cores[i], []).append((starts[i], finishes[i]))
+    windows = []
+    for core, spans in spans_of.items():
+        spans.sort()
+        run, reach = [], float("-inf")
+        for _, end in spans:
+            reach = max(reach, end)
+            run.append(reach)
+        windows.append((core, [start for start, _ in spans], run))
+    return mhp_contenders(cores, windows, starts, finishes)
+
+
 def _named(spec, counts):
     return dict(zip(spec, counts))
 
@@ -493,14 +517,14 @@ BOUNDARY_CASES = {
 @pytest.mark.parametrize("name", sorted(BOUNDARY_CASES))
 def test_scalar_pass_boundaries(name):
     args = _windows(BOUNDARY_CASES[name])
-    assert mhp_contenders(*args) == double_loop_contenders(*args)
+    assert bisect_kernel(*args) == double_loop_contenders(*args)
 
 
 def test_scalar_pass_boundary_expectations():
     """Spot values the strict half-open comparisons imply."""
     def counts(name):
         spec = BOUNDARY_CASES[name]
-        return _named(spec, mhp_contenders(*_windows(spec)))
+        return _named(spec, bisect_kernel(*_windows(spec)))
 
     # windows that only share an endpoint never contend
     assert counts("shared_endpoints") == {"a": 1, "b": 1, "c": 0, "d": 2, "e": 0}
@@ -522,7 +546,7 @@ def test_scalar_pass_random_windows(block):
             spec[f"t{i}"] = (rng.randrange(cores), start, end, rng.random() < 0.6)
         args = _windows(spec)
         want = double_loop_contenders(*args)
-        assert mhp_contenders(*args) == want, seed
+        assert bisect_kernel(*args) == want, seed
         # the pruned kernel over a skeleton that prunes nothing: every
         # cross-core sharer of every task
         core_of, sharers, starts, finishes = args

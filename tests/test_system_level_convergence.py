@@ -6,11 +6,14 @@ Covers the convergence flag, the safety fallback and the two MHP kernels:
   ``converged or True``, hiding the safety fallback from every caller);
 * the fallback must report contender counts consistent with the worst-case
   effective WCETs it charges;
-* the unpruned kernel (the per-core bisect pass) must match the pruned
-  kernel (the skeleton pair loop) bit-for-bit on every use case, end to
-  end, when the skeleton keeps every cross-core sharer pair.  The end-to-end
-  differentials patch the name the solve calls and check that the
-  stand-in ran, so they cannot pass by comparing the solve with itself.
+* the unpruned kernel (the per-core bisect pass over the windows the
+  timeline build collects) must match the pruned kernel (the skeleton pair
+  loop) bit-for-bit on every use case, end to end, when the skeleton keeps
+  every cross-core sharer pair.  The end-to-end differentials patch the
+  name the solve calls, ``mhp_contenders``, with a stand-in that ignores
+  the collected windows and loops over the sharers the test derives from
+  the design's costs, and check that the stand-in ran, so they cannot pass
+  by comparing the solve with itself.
 """
 
 import pytest
@@ -78,14 +81,36 @@ def pair_loop_on_full_skeleton(cores, sharers, starts, finishes):
     return mhp_contenders_pruned(cores, full_skeleton(cores, sharers), starts, finishes)
 
 
-def patch_unpruned_kernel(monkeypatch):
-    """Route the solve's unpruned kernel through the pair loop; the returned
+def result_sharers(htg, result):
+    """The indexes of the leaf tasks with shared accesses on their core."""
+    return [
+        i
+        for i, t in enumerate(htg.leaf_tasks())
+        if result.task_shared_accesses[t.task_id] > 0
+    ]
+
+
+def core_windows(cores, sharers, starts, finishes, order):
+    """The kernel's windows: per core, its sharers' windows in ``order``."""
+    rows = {}
+    for i in order:
+        if i in sharers:
+            rows.setdefault(cores[i], []).append(i)
+    return [
+        (core, [starts[i] for i in row], [finishes[i] for i in row])
+        for core, row in rows.items()
+    ]
+
+
+def patch_unpruned_kernel(monkeypatch, sharers):
+    """Route the solve's unpruned kernel through the pair loop over
+    ``sharers``, ignoring the windows the build collected; the returned
     list records every call, so a test can prove the stand-in ran."""
     calls = []
 
-    def stand_in(*args):
-        calls.append(args)
-        return pair_loop_on_full_skeleton(*args)
+    def stand_in(cores, windows, starts, finishes):
+        calls.append(windows)
+        return pair_loop_on_full_skeleton(cores, sharers, starts, finishes)
 
     monkeypatch.setattr(system_level, "mhp_contenders", stand_in)
     return calls
@@ -111,7 +136,7 @@ class TestMhpBackendsIdentical:
     def test_end_to_end_bit_for_bit(self, usecase, monkeypatch):
         model, htg, platform, mapping, order = build_case(usecase)
         bisect = solve(model, htg, platform, mapping, order)
-        calls = patch_unpruned_kernel(monkeypatch)
+        calls = patch_unpruned_kernel(monkeypatch, result_sharers(htg, bisect))
         pair_loop = solve(model, htg, platform, mapping, order)
         assert len(calls) == pair_loop.iterations >= 1
         assert result_fingerprint(bisect) == result_fingerprint(pair_loop)
@@ -124,11 +149,17 @@ class TestMhpBackendsIdentical:
         windows = [result.task_intervals[t.task_id] for t in leaf]
         args = (
             [mapping[t.task_id] for t in leaf],
-            [i for i, t in enumerate(leaf) if result.task_shared_accesses[t.task_id] > 0],
+            result_sharers(htg, result),
             [window.start for window in windows],
             [window.end for window in windows],
         )
-        assert mhp_contenders(*args) == pair_loop_on_full_skeleton(*args)
+        index = {t.task_id: i for i, t in enumerate(leaf)}
+        run_order = [index[tid] for row in order.values() for tid in row]
+        cores, _, starts, finishes = args
+        kernel_windows = core_windows(*args, run_order)
+        assert mhp_contenders(cores, kernel_windows, starts, finishes) == (
+            pair_loop_on_full_skeleton(*args)
+        )
 
 
 class TestNonConvergenceFallback:
@@ -199,7 +230,7 @@ class TestNonConvergenceFallback:
         model, htg, platform, mapping, order = case
         cap_iterations(monkeypatch)
         bisect = solve(model, htg, platform, mapping, order)
-        calls = patch_unpruned_kernel(monkeypatch)
+        calls = patch_unpruned_kernel(monkeypatch, result_sharers(htg, bisect))
         pair_loop = solve(model, htg, platform, mapping, order)
         assert len(calls) == 2 and pair_loop.converged is False
         assert result_fingerprint(bisect) == result_fingerprint(pair_loop)

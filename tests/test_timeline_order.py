@@ -4,16 +4,17 @@
 kept as the oracle: a Kahn pass over the constraint graph of the
 dependences (each priced through ``SystemDesign.delay``) plus one chain
 edge per pair of consecutive tasks in a core's order.  The product's
-:class:`~repro.wcet.system_level._Timeline` holds only the dependence
-predecessors, priced from the design's per-payload delay tables, and reads
-each core's chain as the last finish on that core, in a processing order
-that :meth:`~repro.wcet.system_level.SystemDesign.bound` takes from the
-design's topological order and :func:`system_level_wcet` from a Kahn pass
-over its core order.  On Hypothesis draws of mapping vectors, task
-durations and random dependence-consistent core orders (not only the
-default one), starts, finishes, makespan and communication cycles must be
-equal bit for bit, on the three use cases, block and loop x3 extraction,
-one homogeneous and one heterogeneous platform.
+:func:`~repro.wcet.system_level._build` walks the design's timeline plan
+(each task's dependence predecessors with their payload's delay table,
+read inline) and reads each core's chain as the last finish on that core,
+in a processing order: :meth:`~repro.wcet.system_level.SystemDesign.bound`
+reads the plan in the design's topological order as is, and
+:func:`system_level_wcet` reorders it by a Kahn pass over its core order.
+On Hypothesis draws of mapping vectors, task durations and random
+dependence-consistent core orders (not only the default one), starts,
+finishes and makespan must be equal bit for bit, and so must the
+communication cycles a result reports, on the three use cases, block and
+loop x3 extraction, one homogeneous and one heterogeneous platform.
 """
 
 from functools import lru_cache
@@ -30,9 +31,10 @@ from repro.wcet import WcetAnalysisCache
 from repro.wcet.system_level import (
     SystemDesign,
     SystemWcetError,
-    _processing_order,
-    _Timeline,
+    _build,
+    _ordered_plan,
     default_rows,
+    system_level_wcet,
 )
 
 PLATFORMS = {
@@ -129,11 +131,36 @@ def _topological_order(draw, design):
     return order
 
 
-def _assert_same_timeline(design, cores, rows, order, effective):
+def _assert_same_timeline(design, cores, rows, plan, effective):
+    """The build equals the oracle, and the windows it collects for every
+    task are each core's row in run order, sorted by start and by end."""
     want = _TimelineBuilder(design, cores, rows)
-    got = _Timeline(design, cores, order)
-    assert got.build(effective) == want.build(effective)
-    assert got.communication_cycles == want.communication_cycles
+    window_cores = [core for core, _ in rows]
+    position = {core: k for k, core in enumerate(window_cores)}
+    slots = [position[core] for core in cores]
+    starts, finishes, makespan, windows = _build(
+        plan, cores, effective, design, slots, window_cores
+    )
+    assert (starts, finishes, makespan) == want.build(effective)
+    assert windows == [
+        (core, [starts[i] for i in row], [finishes[i] for i in row]) for core, row in rows
+    ]
+    for _, core_starts, core_ends in windows:
+        assert core_starts == sorted(core_starts) and core_ends == sorted(core_ends)
+    # collecting no window leaves the timeline as it is
+    assert _build(plan, cores, effective, design, [-1] * len(cores), []) == (
+        starts, finishes, makespan, []
+    )
+    return want
+
+
+def _assert_same_communication(design, cores, rows, want):
+    """The communication cycles of a result, summed in graph-edge order."""
+    leaf_ids = design.leaf_ids
+    mapping = dict(zip(leaf_ids, cores))
+    order = {core: [leaf_ids[i] for i in row] for core, row in rows}
+    result = system_level_wcet(design, mapping, order)
+    assert result.communication_cycles == want.communication_cycles
 
 
 @pytest.mark.parametrize("platform_name", sorted(PLATFORMS))
@@ -156,15 +183,17 @@ def test_timeline_equals_kahn_oracle(usecase, granularity, platform_name):
         # the default core order, processed in the design's topological order
         # (as SystemDesign.bound does)
         default = list(default_rows(design.topological, cores.__getitem__).items())
-        _assert_same_timeline(design, cores, default, design.topological, effective)
+        _assert_same_timeline(design, cores, default, design.plan, effective)
         # a random dependence-consistent core order, processed in the order a
         # Kahn pass over it gives (as system_level_wcet does)
         rows = list(default_rows(topological, cores.__getitem__).items())
-        _assert_same_timeline(
-            design, cores, rows, _processing_order(design, cores, rows), effective
+        want = _assert_same_timeline(
+            design, cores, rows, _ordered_plan(design, cores, rows), effective
         )
+        _assert_same_communication(design, cores, rows, want)
         # its own generating order is a valid processing order too
-        _assert_same_timeline(design, cores, rows, topological, effective)
+        own = [design.timeline_rows[i] for i in topological]
+        _assert_same_timeline(design, cores, rows, own, effective)
 
     check()
 
@@ -181,5 +210,5 @@ def test_cyclic_core_order_raises_like_the_oracle():
     with pytest.raises(SystemWcetError, match="cyclic wait") as want:
         _TimelineBuilder(design, cores, rows)
     with pytest.raises(SystemWcetError, match="cyclic wait") as got:
-        _processing_order(design, cores, rows)
+        _ordered_plan(design, cores, rows)
     assert str(got.value) == str(want.value)

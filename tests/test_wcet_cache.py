@@ -6,7 +6,9 @@ and repeated scheduling runs must be deterministic.
 """
 
 import dataclasses
+import gc
 import json
+import weakref
 from typing import Callable, NamedTuple
 
 import pytest
@@ -34,7 +36,7 @@ from repro.wcet import (
     analyze_task_wcet,
     system_level_wcet,
 )
-from repro.wcet.cache import CACHE_SCHEMA_VERSION
+from repro.wcet.cache import CACHE_SCHEMA_VERSION, _RegionMemo
 from repro.wcet.code_level import WcetBreakdown, statement_wcet
 
 USECASES = ["egpws", "polka", "weaa", "workloads"]
@@ -275,6 +277,79 @@ def _heterogeneous_platform():
         shared_memory=shared_sram(size_kib=512, latency=8),
         interconnect=RoundRobinBus(),
     )
+
+
+class TestIdentityMemoLifetime:
+    """Each identity-memo entry is watched by one weak reference its cache
+    owns: memoizing registers no ``weakref.finalize``, and a dropped cache
+    frees its memos even while the IR it saw lives on."""
+
+    @staticmethod
+    def _memoize_everything(cache, model, htg, platform):
+        """Fill every identity memo; returns the cost models, which the
+        memos outlive only while the caller holds them."""
+        models = [HardwareCostModel(platform, core.core_id) for core in platform.cores]
+        for hw in models:
+            for task in htg.leaf_tasks():
+                analyze_task_wcet(task, model.entry, hw, cache=cache)
+        cache.function_fingerprint(model.entry)
+        cache.platform_digest(platform)
+        return models
+
+    @staticmethod
+    def _region_memos():
+        gc.collect()
+        return sum(1 for obj in gc.get_objects() if type(obj) is _RegionMemo)
+
+    @staticmethod
+    def _entries(cache):
+        memos = (
+            cache._function_fps, cache._region_fps, cache._declarations,
+            cache._model_sigs, cache._platform_digests,
+        )
+        return sum(map(len, memos))
+
+    def test_memoizing_registers_no_finalizer(self):
+        model, htg, platform = build_case("polka")
+        cache = WcetAnalysisCache()
+        registered = len(weakref.finalize._registry)
+        models = self._memoize_everything(cache, model, htg, platform)
+        assert cache._region_fps and cache._function_fps and cache._declarations
+        assert len(cache._model_sigs) == len(models) and cache._platform_digests
+        assert len(weakref.finalize._registry) == registered
+        # one reference per entry, and no object pinned
+        assert len(cache._refs) == self._entries(cache)
+        assert cache._pins == []
+
+    def test_a_dropped_cache_keeps_no_memo_alive(self):
+        model, htg, platform = build_case("weaa")
+        baseline = self._region_memos()
+        cache = WcetAnalysisCache()
+        self._memoize_everything(cache, model, htg, platform)
+        assert self._region_memos() > baseline
+        del cache
+        # the IR lives on, and none of the dropped cache's memos with it
+        assert self._region_memos() == baseline
+        assert model.entry.body.stmts
+
+    def test_dropping_the_ir_drops_its_entries_and_references(self):
+        model, htg, platform = build_case("egpws")
+        cache = WcetAnalysisCache()
+        models = self._memoize_everything(cache, model, htg, platform)
+        del model, htg
+        gc.collect()
+        assert not cache._region_fps and not cache._function_fps and not cache._declarations
+        assert len(cache._model_sigs) == len(models)
+        assert len(cache._refs) == self._entries(cache)
+        del models
+        gc.collect()
+        # the platform lives on
+        assert not cache._model_sigs and len(cache._platform_digests) == 1
+        assert len(cache._refs) == self._entries(cache) == 1
+        # the entries stay
+        assert len(cache) > 0
+        cache.clear()
+        assert cache._refs == {}
 
 
 class SlowProcessor(ProcessorModel):
