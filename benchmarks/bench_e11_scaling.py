@@ -145,7 +145,7 @@ def _seed_system_level_bound(htg, function, platform, mapping, order, max_iterat
             new_contenders[tid] = len(other_cores)
         new_effective = {
             tid: base_wcet[tid]
-            + shared_accesses[tid] * models[mapping[tid]].shared_access_penalty(new_contenders[tid])
+            + shared_accesses[tid] * platform.shared_access_penalty(new_contenders[tid])
             for tid in leaf_ids
         }
         if new_effective == effective and new_contenders == contenders:
@@ -155,7 +155,7 @@ def _seed_system_level_bound(htg, function, platform, mapping, order, max_iterat
     if not converged:
         worst = {
             tid: base_wcet[tid]
-            + shared_accesses[tid] * models[mapping[tid]].shared_access_penalty(comm_contenders)
+            + shared_accesses[tid] * platform.shared_access_penalty(comm_contenders)
             for tid in leaf_ids
         }
         effective = {tid: max(effective[tid], worst[tid]) for tid in leaf_ids}
@@ -212,7 +212,7 @@ def _seed_reference_schedule(htg, function, platform):
     finish = {}
     core_busy = {c: [] for c in core_ids}
     core_ready = {c: 0.0 for c in core_ids}
-    dependent = htg.dependent_pairs()  # the seed's dead O(n^2) computation
+    dependent = htg.reachability().pairs()  # the seed's dead O(n^2) computation
 
     placed = set()
     ready_pool = list(tasks)
@@ -255,7 +255,7 @@ def _seed_reference_schedule(htg, function, platform):
             )
             penalty = 0.0
             if shared_accesses:
-                penalty = shared_accesses * model(core_id).shared_access_penalty(busy_cores)
+                penalty = shared_accesses * platform.shared_access_penalty(busy_cores)
             candidate_finish = start + duration + penalty
             if candidate_finish < best_finish - 1e-9:
                 best_finish = candidate_finish

@@ -124,6 +124,21 @@ class Platform:
             + self.interconnect.worst_case_access_delay(contenders)
         )
 
+    def shared_access_penalty(self, contenders: int) -> float:
+        """Extra cycles per shared access caused by ``contenders`` competitors.
+
+        The interconnect's worst-case delay of gaining access with that many
+        contending cores, above its uncontended delay: the price the
+        system-level analysis multiplies by each task's worst-case shared
+        access count.  It reads the interconnect only, so it is the same
+        for every core.
+        """
+        if contenders <= 0:
+            return 0.0
+        base = self.interconnect.worst_case_access_delay(0)
+        contended = self.interconnect.worst_case_access_delay(contenders)
+        return max(0.0, contended - base)
+
     def communication_latency(
         self, num_bytes: int, src_core: int, dst_core: int, contenders: int = 0
     ) -> float:

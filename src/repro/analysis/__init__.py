@@ -161,10 +161,10 @@ for serialization):
   mapping``, window lengths, effective >= base, ``wcet_bound == max
   finish``); core orders and HTG edges (per-core exclusivity, precedence
   with communication latencies it asks the platform for); and one
-  re-application of the interference equations, with the platform's
-  penalty rows, over contention re-derived from the claimed windows
-  (restricted to the skeleton when present), where any component they can
-  still increase refutes the claimed fixed point.
+  re-application of the interference equations, with the shared-access
+  penalty it asks the platform for, over contention re-derived from the
+  claimed windows (restricted to the skeleton when present), where any
+  component they can still increase refutes the claimed fixed point.
 * :class:`~repro.analysis.certify.IpetCertificate` -- the LP primal
   solution (per-edge counts), block costs, effective loop bounds, pinned
   infeasible edges and semantic dual values, all from the structured solve

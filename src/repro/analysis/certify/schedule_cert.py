@@ -12,9 +12,9 @@ analysis's own task -> core map, the per-core orders, every task's window,
 effective WCET and contender count, the isolated (base) WCETs and
 shared-access counts the equations start from, the static-MHP skeleton of
 a pruned run, the ``converged`` flag and the bound.  It holds the
-analysis's claims only: the prices those claims rest on (the penalty rows
-and the cross-core transfer delays) are the platform's, and the checker
-asks the platform for them itself.
+analysis's claims only: the prices those claims rest on (the shared-access
+penalty and the cross-core transfer delays) are the platform's, and the
+checker asks the platform for them itself.
 
 The checker side (:func:`check_schedule_certificate`) re-validates those
 claims **against the HTG and platform directly**, sharing no code with the
@@ -30,13 +30,15 @@ three passes:
 2. the HTG edges and core orders: no task starts before its core
    predecessor finishes or a dependence delivers, each cross-core
    dependence after the delay ``platform.communication_latency`` prices
-   for it (each distinct payload and core pair asked once); slack is
-   sound for an upper bound, starting early is not;
+   for it (each distinct payload and core pair asked once; a dependence
+   from or to a core the platform lacks, already refuted by pass 1, is
+   not priced); slack is sound for an upper bound, starting early is not;
 3. the interference equations, applied once: contenders are re-derived
    from the claimed windows (strict half-open overlap, distinct other
    cores, restricted to the skeleton when there is one) and
-   ``base + shared x penalty(contenders)``, with the platform's penalty
-   row, must not exceed the claimed effective WCET; for a ``converged``
+   ``base + shared x penalty(contenders)``, with
+   ``platform.shared_access_penalty`` asked once per distinct contender
+   count, must not exceed the claimed effective WCET; for a ``converged``
    result it must equal it.  A state is a sound post-fixed-point iff one
    application raises no component, so this is far cheaper than
    re-running the iteration.  The claimed contender counts must equal the
@@ -79,19 +81,6 @@ def _tol(*values: float) -> float:
         if v > bound:
             bound = v
     return REL_EPS * bound
-
-
-def _penalty_rows(platform) -> dict[int, list[float]]:
-    """The platform's shared-access penalty per core and contender count."""
-    from repro.wcet.hardware_model import HardwareCostModel
-
-    return {
-        core.core_id: [
-            HardwareCostModel(platform, core.core_id).shared_access_penalty(k)
-            for k in range(platform.num_cores)
-        ]
-        for core in platform.cores
-    }
 
 
 def _pricer(platform):
@@ -318,8 +307,8 @@ def check_schedule_certificate(
         src, dst = edge.src, edge.dst
         src_core = mapping.get(src)
         dst_core = mapping.get(dst)
-        if src_core is None or dst_core is None:
-            continue
+        if src_core not in valid_cores or dst_core not in valid_cores:
+            continue  # unmapped, or on a core reported as unknown (a mesh cannot price it)
         delay = 0.0
         if src_core != dst_core and edge.payload_bytes:
             delay = price(edge.payload_bytes, src_core, dst_core)
@@ -354,7 +343,7 @@ def check_schedule_certificate(
                 severity="warning",
             )
     all_windows = list(sharer_windows.values())
-    penalty = _penalty_rows(platform)
+    penalty = cache(platform.shared_access_penalty)
     equations = 0
     for tid, own_core in mapping.items():
         own_start, own_finish = starts[tid], finishes[tid]
@@ -380,16 +369,8 @@ def check_schedule_certificate(
                 f"{contenders}",
                 subject=tid,
             )
-        row = penalty.get(own_core)
-        if row is None or contenders >= len(row):
-            fail(
-                "certify.fixed-point.penalty-coverage",
-                f"no penalty entry for {contenders} contenders on core {own_core}",
-                subject=tid,
-            )
-            continue
         eff = effective[tid]
-        reapplied = base[tid] + shared.get(tid, 0) * row[contenders]
+        reapplied = base[tid] + shared.get(tid, 0) * penalty(contenders)
         if reapplied > eff and reapplied > eff + _tol(reapplied, eff):
             fail(
                 "certify.fixed-point.not-post-fixed-point",

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.htg.task import Task
-from repro.utils.graphs import Reachability, longest_path_length, topological_order
+from repro.utils.graphs import Reachability, topological_order
 
 
 @dataclass(frozen=True)
@@ -178,22 +178,6 @@ class HierarchicalTaskGraph:
         return [t for t in self.tasks.values() if not t.is_synthetic]
 
     # ------------------------------------------------------------------ #
-    def critical_path_length(self) -> float:
-        """Length of the heaviest dependence chain using task WCETs.
-
-        This is the theoretical lower bound on any schedule's makespan with
-        unlimited cores and zero communication.
-        """
-        return longest_path_length(
-            self.tasks.keys(),
-            self.edge_pairs(),
-            {tid: t.wcet for tid, t in self.tasks.items()},
-        )
-
-    def total_wcet(self) -> float:
-        """Sum of all task WCETs (sequential execution upper bound)."""
-        return sum(t.wcet for t in self.tasks.values())
-
     def reachability(self) -> Reachability[str]:
         """The dependence closure as per-task bitsets (memoized).
 
@@ -206,14 +190,6 @@ class HierarchicalTaskGraph:
         if self._reachability is None:
             self._reachability = Reachability(self.tasks.keys(), self.edge_pairs())
         return self._reachability
-
-    def dependent_pairs(self) -> set[tuple[str, str]]:
-        """All ordered pairs (u, v) where v transitively depends on u.
-
-        A materialised view of :meth:`reachability`, built on each call;
-        pair-at-a-time callers should query the bitsets instead.
-        """
-        return self.reachability().pairs()
 
     def adopt_reachability(self, other: "HierarchicalTaskGraph") -> bool:
         """Share ``other``'s memoized reachability when it provably applies.

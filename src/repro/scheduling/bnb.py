@@ -13,8 +13,9 @@ Two rules keep the search small without losing the optimum:
 
 * symmetry breaking: a task may go to any core already used, or to the
   first unused core of each *core class* -- the cores with an equal cost
-  signature (:meth:`~repro.wcet.cache.WcetAnalysisCache.model_signature_digest`)
-  and an equal shared-access penalty row (:meth:`SystemDesign.penalties`);
+  signature (:meth:`~repro.wcet.cache.WcetAnalysisCache.model_signature_digest`);
+  the shared-access penalty is the platform's, the same for every core
+  (:attr:`SystemDesign.penalty`), so it splits no class;
 * the lower bound prices each assigned task on its own core and each
   unassigned one on its cheapest allowed core.
 
@@ -48,12 +49,12 @@ class BnBStats:
 
 
 def _core_classes(design: SystemDesign, core_ids: list[int]) -> list[list[int]]:
-    """``core_ids`` grouped into classes of equal cost signature and penalty
-    row, each class in ``core_ids`` order, the classes by first member."""
-    classes: dict[tuple, list[int]] = {}
+    """``core_ids`` grouped into classes of equal cost signature, each class
+    in ``core_ids`` order, the classes by first member."""
+    classes: dict[str, list[int]] = {}
     for core in core_ids:
         signature = design.cache.model_signature_digest(design.model(core))
-        classes.setdefault((signature, tuple(design.penalties(core))), []).append(core)
+        classes.setdefault(signature, []).append(core)
     return list(classes.values())
 
 

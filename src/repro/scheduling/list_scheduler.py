@@ -22,8 +22,9 @@ Implementation notes (hot path):
   the pricing table the final system-level analysis (and, for the
   annealer and branch and bound, their whole search) reads too: task
   WCETs and average-case costs per (task, core), filled once through the
-  shared :class:`~repro.wcet.cache.WcetAnalysisCache`, shared-access
-  penalty rows per core, and transfer delays per (payload, core pair);
+  shared :class:`~repro.wcet.cache.WcetAnalysisCache`, the platform's
+  shared-access penalty per contender count (one row, the same for every
+  core), and transfer delays per (payload, core pair);
 * tasks are design indexes, so predecessors, successors, finish times and
   placements are lists, not task-id dicts;
 * placement prices transfers with ``len(core_ids) - 1`` contending cores,
@@ -64,14 +65,16 @@ class WcetAwareListScheduler:
         self, design: SystemDesign, succs: list[list[tuple[int, int]]], ref_core: int
     ) -> list[float]:
         """Upward rank: longest path from the task to any sink."""
-        # worst-case cross-core transfer with every other core contending; on
-        # a single-core platform there is no cross-core communication at all
+        # worst-case cross-core transfer with every other core contending,
+        # priced between the platform's first two cores; on a single-core
+        # platform there is no cross-core communication at all
         comm = design.num_cores > 1
+        pair = design.core_ids[:2]
         ranks = [0.0] * len(succs)
         for i in reversed(design.topological):
             best_succ = 0.0
             for j, payload in succs[i]:
-                delay = design.delay(payload, 0, 1) if comm and payload else 0.0
+                delay = design.delay(payload, *pair) if comm and payload else 0.0
                 best_succ = max(best_succ, ranks[j] + delay)
             ranks[i] = design.cost(i, ref_core, self.use_average_costs)[0] + best_succ
         return ranks
@@ -144,9 +147,7 @@ class WcetAwareListScheduler:
                 penalty = 0.0
                 if not average and shared_accesses:
                     penalty = (
-                        self.contention_weight
-                        * shared_accesses
-                        * design.penalties(core_id)[busy_cores]
+                        self.contention_weight * shared_accesses * design.penalty[busy_cores]
                     )
                 candidate_finish = start + duration + penalty
                 if candidate_finish < best_finish - 1e-9:

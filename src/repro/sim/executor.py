@@ -157,7 +157,7 @@ def simulate_parallel_program(
                         if mapping[other] != core and iv.overlaps(window) and shared_by_task.get(other, 0) > 0
                     }
                 )
-            duration = base_cycles + shared_accesses * models[core].shared_access_penalty(contenders)
+            duration = base_cycles + shared_accesses * platform.shared_access_penalty(contenders)
             start[tid] = task_start
             finish[tid] = task_start + duration
             durations[tid] = duration

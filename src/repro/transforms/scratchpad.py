@@ -24,11 +24,8 @@ class SpmAllocation:
     #: Selected ``SHARED`` declarations: the arrays that move to the
     #: scratchpad.
     moved: list[str] = field(default_factory=list)
-    #: Selected parameters (``INPUT``/``OUTPUT`` arrays), which stay where
-    #: they are: they belong to the caller.  They still take capacity.
-    pinned: list[str] = field(default_factory=list)
     kept_shared: list[str] = field(default_factory=list)
-    #: Bytes of every selected array, pinned ones included.
+    #: Bytes of the moved arrays.
     used_bytes: int = 0
     capacity_bytes: int = 0
     #: Estimated saved worst-case cycles (shared latency minus SPM latency,
@@ -46,8 +43,12 @@ def allocate_scratchpad(
 ) -> SpmAllocation:
     """Choose shared arrays to relocate into the scratchpad.
 
-    ``protect`` lists arrays that must remain shared (e.g. buffers written by
-    one core and read by another -- the caller knows the task mapping).
+    The candidates are the function's own ``SHARED`` array declarations,
+    the arrays the pass can relocate: ``INPUT``/``OUTPUT`` parameters
+    belong to the caller and stay where they are, so they take no
+    capacity.  ``protect`` lists arrays that must remain shared (e.g.
+    buffers written by one core and read by another -- the caller knows
+    the task mapping).
     The access counts, reads plus writes, are a fold over the
     :func:`~repro.ir.analysis.access_summary` of each top-level statement,
     read through ``facts`` (see :mod:`repro.ir.facts`; ``None`` computes
@@ -67,10 +68,8 @@ def allocate_scratchpad(
                 access_count[name] = access_count.get(name, 0) + count
 
     candidates = []
-    for decl in function.arrays():
-        if decl.storage not in (Storage.SHARED, Storage.INPUT, Storage.OUTPUT):
-            continue
-        if decl.name in protect:
+    for decl in function.decls:
+        if not decl.is_array or decl.storage is not Storage.SHARED or decl.name in protect:
             continue
         accesses = access_count.get(decl.name, 0)
         if accesses == 0:
@@ -78,8 +77,6 @@ def allocate_scratchpad(
         candidates.append((accesses / decl.size_bytes, accesses, decl))
     candidates.sort(key=lambda item: (-item[0], item[2].name))
 
-    # what the pass can relocate: the function's own shared declarations
-    movable = {id(decl) for decl in function.decls if decl.storage is Storage.SHARED}
     allocation = SpmAllocation(capacity_bytes=capacity_bytes)
     remaining = capacity_bytes
     per_access_gain = max(0.0, shared_latency - spm_latency)
@@ -87,11 +84,8 @@ def allocate_scratchpad(
         if decl.size_bytes <= remaining:
             allocation.used_bytes += decl.size_bytes
             remaining -= decl.size_bytes
-            if id(decl) in movable:
-                allocation.moved.append(decl.name)
-                allocation.estimated_saving_cycles += accesses * per_access_gain
-            else:
-                allocation.pinned.append(decl.name)
+            allocation.moved.append(decl.name)
+            allocation.estimated_saving_cycles += accesses * per_access_gain
         else:
             allocation.kept_shared.append(decl.name)
     return allocation
@@ -101,12 +95,10 @@ def allocate_scratchpad(
 class ScratchpadAllocationPass(FunctionPass):
     """Apply :func:`allocate_scratchpad` by rewriting storage classes.
 
-    Only plain ``SHARED`` arrays are relocated: each moved declaration is
-    replaced by a ``SCRATCHPAD`` copy in a new ``decls`` list, so the
-    declarations the pass was handed stay untouched.  ``INPUT``/``OUTPUT``
-    parameters keep their storage class (they belong to the caller); the
-    report lists the ones the allocation selected under ``pinned``, and
-    prices the saving of the moved arrays only.
+    Each moved ``SHARED`` declaration is replaced by a ``SCRATCHPAD`` copy
+    in a new ``decls`` list, so the declarations the pass was handed stay
+    untouched.  ``INPUT``/``OUTPUT`` parameters keep their storage class
+    (they belong to the caller) and are never selected.
     """
 
     capacity_bytes: int = 64 * 1024
@@ -141,7 +133,6 @@ class ScratchpadAllocationPass(FunctionPass):
             relocated,
             {
                 "moved": ",".join(allocation.moved),
-                "pinned": ",".join(allocation.pinned),
                 "used_bytes": allocation.used_bytes,
                 "estimated_saving_cycles": allocation.estimated_saving_cycles,
             },

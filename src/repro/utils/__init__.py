@@ -6,7 +6,6 @@ from repro.utils.intervals import Interval, intervals_overlap
 from repro.utils.graphs import (
     Reachability,
     topological_order,
-    longest_path_length,
     is_acyclic,
 )
 
@@ -17,6 +16,5 @@ __all__ = [
     "intervals_overlap",
     "Reachability",
     "topological_order",
-    "longest_path_length",
     "is_acyclic",
 ]

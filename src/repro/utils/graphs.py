@@ -1,7 +1,7 @@
 """Small directed-graph helpers shared by the HTG, scheduling and WCET layers.
 
 The topological order is one heap-based Kahn pass over integer node
-numbers; the acyclicity test and the longest path build on it.
+numbers; the acyclicity test builds on it.
 Reachability stores the transitive closure as one Python-int bitset per
 node (:class:`Reachability`), so "which of these tasks are ordered with
 ``t``" is a single mask operation instead of a scan over a set of pairs.
@@ -12,7 +12,7 @@ schedule validators share.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Generic, Hashable, Iterable, Mapping, Sequence, TypeVar
+from typing import Generic, Hashable, Iterable, Sequence, TypeVar
 
 N = TypeVar("N", bound=Hashable)
 
@@ -65,39 +65,6 @@ def topological_order(
     if len(order) != len(listed):
         raise ValueError("graph contains a cycle; no topological order exists")
     return order
-
-
-def longest_path_length(
-    nodes: Iterable[Hashable],
-    edges: Iterable[tuple[Hashable, Hashable]],
-    node_weight: Callable[[Hashable], float] | Mapping[Hashable, float],
-) -> float:
-    """Length of the heaviest path in a DAG, counting node weights.
-
-    This is the critical-path length used both as a scheduling lower bound and
-    by the structural WCET computation over task graphs.
-    """
-    if isinstance(node_weight, Mapping):
-        weights = node_weight
-        node_weight_fn = lambda n: float(weights.get(n, 0.0))  # noqa: E731
-    else:
-        node_weight_fn = node_weight
-
-    edges = list(edges)
-    order = topological_order(nodes, edges)
-    preds: dict[Hashable, list[Hashable]] = {}
-    for u, v in edges:
-        preds.setdefault(v, []).append(u)
-
-    finish: dict[Hashable, float] = {}
-    best = 0.0
-    for node in order:
-        start = 0.0
-        for pred in preds.get(node, ()):
-            start = max(start, finish[pred])
-        finish[node] = start + float(node_weight_fn(node))
-        best = max(best, finish[node])
-    return best
 
 
 class Reachability(Generic[N]):

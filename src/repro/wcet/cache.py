@@ -68,8 +68,8 @@ System-level result tier
   and every edge between leaf tasks with its payload,
 * the platform's content digest (:func:`platform_signature`), computed once
   per platform object (:meth:`WcetAnalysisCache.platform_digest`): it pins
-  every price the fixed point reads -- cost signatures, shared-access
-  penalties, transfer delays -- without pricing anything,
+  every price the fixed point reads -- cost signatures, the shared-access
+  penalty row, transfer delays -- without pricing anything,
 * the mapping and the per-core ordering, and
 * what steers the fixed point itself (its iteration cap, static pruning).
 
@@ -1325,8 +1325,8 @@ class SystemResultCache:
         id), every edge between leaf tasks with its payload, and the
         platform's content digest (:meth:`WcetAnalysisCache.platform_digest`,
         one per platform object), which pins every price the fixed point
-        reads -- cost signatures, penalty rows, transfer delays -- and the
-        core ids and their order.  A call adds the mapping vector in
+        reads -- cost signatures, the shared-access penalty row, transfer
+        delays -- and the core ids and their order.  A call adds the mapping vector in
         sorted-task order, the non-empty core orders sorted by core, the
         fixed point's iteration cap
         (:data:`~repro.wcet.system_level.MAX_ITERATIONS`) and
@@ -1339,7 +1339,7 @@ class SystemResultCache:
         and loop x 2/3/4, their ``wcet_list`` schedules, one shared cache)
         a fresh design's first key takes a median of 155-190 us, against
         890-950 us while the prefix priced every payload on every ordered
-        core pair and every core's penalty row; the design's first solve,
+        core pair and a penalty row per core; the design's first solve,
         which fills the pricing tables it reads, takes 420-530 us (5
         passes).  A new polka loop x 4 design's first key on
         ``recore_xentium_like``, with the platform digest memoized, takes

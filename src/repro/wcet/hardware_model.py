@@ -6,7 +6,8 @@ array access gets a worst-case cycle cost derived from the platform
 description.  Contention is *not* included here -- code-level WCET is defined
 as the isolated WCET (paper Section II-D); the system-level analysis adds
 interference separately, as each task's shared-access count times
-:meth:`HardwareCostModel.shared_access_penalty`.
+:meth:`~repro.adl.architecture.Platform.shared_access_penalty`, a price of
+the platform's interconnect that no core changes.
 
 Cost semantics
 --------------
@@ -123,18 +124,6 @@ class HardwareCostModel:
         if storage is Storage.SCRATCHPAD:
             return float(self._core.scratchpad.write_latency)
         return self.platform.shared_write_latency(0)
-
-    def shared_access_penalty(self, contenders: int) -> float:
-        """Extra cycles per shared access caused by ``contenders`` competitors.
-
-        This is the quantity the system-level analysis multiplies by each
-        task's worst-case shared access count.
-        """
-        if contenders <= 0:
-            return 0.0
-        base = self.platform.interconnect.worst_case_access_delay(0)
-        contended = self.platform.interconnect.worst_case_access_delay(contenders)
-        return max(0.0, contended - base)
 
     def average_read_cycles(self, function: Function, name: str) -> float:
         """Optimistic (average-case) read cost used by the baseline scheduler.

@@ -29,29 +29,33 @@ candidate mappings of one design point, and the list scheduler every
 
 *Per design* (:class:`SystemDesign`, the one pricing table of the point),
 every table filled on first use: the leaf tasks and edges numbered once;
-per task its predecessor row of (index, payload); per core one cost model
-and one shared-access penalty row; the isolated WCET, average-case WCET
-and shared-access count of each (task, core), filled through the
-code-level cache (so its entries and misses are the same as without a
-design), kept per core class (:meth:`SystemDesign.cost_table`); the
-worst-case delay of each (payload, source core, destination core,
-contender count), and per payload one delay table over core pairs; the
-timeline plan -- per task, in topological order, its dependence
-predecessors with their payload's delay table (:attr:`SystemDesign.plan`;
-:attr:`SystemDesign.timeline_rows` holds the same rows by task index); in
-a statically pruned design, the static-MHP relation's mapping-independent
-part (reachability, footprints, address overlaps); and the result key's
-per-design prefix.  Building a design costs nothing, so the numbering runs
-inside the scheduler that first reads it.
+per task its predecessor row of (index, payload); per core one cost model;
+one shared-access penalty row, the platform's price per access for each
+contender count (:attr:`SystemDesign.penalty`: the interconnect bounds the
+delay of gaining access, paper Section III-B, so no core changes it); the
+isolated WCET, average-case WCET and shared-access count of each (task,
+core), filled through the code-level cache (so its entries and misses are
+the same as without a design), kept per core class
+(:meth:`SystemDesign.cost_table`); the worst-case delay of each (payload,
+source core, destination core, contender count), and per payload one
+delay table over core pairs; the timeline plan -- per task, in
+topological order, its dependence predecessors with their payload's delay
+table (:attr:`SystemDesign.plan`; :attr:`SystemDesign.timeline_rows`
+holds the same rows by task index); in a statically pruned design, the
+static-MHP relation's mapping-independent part (reachability, footprints,
+address overlaps); and the result key's per-design prefix.  Building a
+design costs nothing, so the numbering runs inside the scheduler that
+first reads it.
 
 *Per solve* (:func:`_solve`, the one fixed point): a mapping vector (the
 core of each task index), the plan in a processing order, each task's
-cost and penalty row gathered through one lookup per core, and the fixed
-point over start/finish lists.  Nothing of the plan depends on the
-mapping: the timeline build (:func:`_build`) reads each cross-core delay
-inline from the edge's delay table, under the two cores the vector names
-(a plain dict, so a read costs two dict lookups; the first read of a pair
-in a design prices it through :meth:`SystemDesign.delay`).
+cost gathered through one lookup per core, and the fixed point over
+start/finish lists, which reads the penalty row by contender count.
+Nothing of the plan depends on the mapping: the timeline build
+(:func:`_build`) reads each cross-core delay inline from the edge's delay
+table, under the two cores the vector names (a plain dict, so a read
+costs two dict lookups; the first read of a pair in a design prices it
+through :meth:`SystemDesign.delay`).
 The plan holds no core-order edges: a task's core is free at the last
 finish on that core, which is its predecessor in the core order because
 the processing order visits each core's tasks in that order.  So the build
@@ -237,9 +241,10 @@ class SystemDesign:
     Holds what every analysis of the point reads -- HTG, function,
     platform, the cache whose tiers memoize it (``None`` = the process-wide
     :func:`~repro.wcet.cache.shared_cache`) and the static-pruning flag --
-    and fills its tables on first use, task numbering and the timeline
-    plan included (``leaf_ids[i]`` is task ``i``).  Build one per scheduler
-    run and pass it to every :func:`system_level_wcet` (or
+    and fills its tables on first use, task numbering, the one
+    shared-access penalty row and the timeline plan included
+    (``leaf_ids[i]`` is task ``i``).  Build one per scheduler run and
+    pass it to every :func:`system_level_wcet` (or
     :func:`~repro.scheduling.schedule.evaluate_mapping`) call of it; a
     search prices its candidates with :meth:`bound`, which reads the same
     tables.  The tables assume none of the inputs is mutated meanwhile.
@@ -265,7 +270,6 @@ class SystemDesign:
         #: contending cores assumed for every cross-core transfer
         self.comm_contenders = max(0, self.num_cores - 1)
         self._models: dict[int, HardwareCostModel] = {}
-        self._penalties: dict[int, list[float]] = {}
         #: (cost signature, average) -> per task (total, shared accesses),
         #: None = not yet; ``_costs`` maps (core, average) to its table
         self._tables: dict[tuple[str, bool], list] = {}
@@ -344,14 +348,13 @@ class SystemDesign:
             self._models[core] = model
         return model
 
-    def penalties(self, core: int) -> list[float]:
-        """``shared_access_penalty(k)`` of ``core`` for every contender count k."""
-        table = self._penalties.get(core)
-        if table is None:
-            model = self.model(core)
-            table = [model.shared_access_penalty(k) for k in range(self.num_cores)]
-            self._penalties[core] = table
-        return table
+    @cached_property
+    def penalty(self) -> list[float]:
+        """The shared-access penalty for every contender count k = 0..C-1
+        (:meth:`~repro.adl.architecture.Platform.shared_access_penalty`,
+        C the core count): one row for the design, since the interconnect
+        prices an access alike whichever core makes it."""
+        return list(map(self.platform.shared_access_penalty, range(self.num_cores)))
 
     def cost(self, i: int, core: int, average: bool = False) -> tuple[float, int]:
         """(isolated WCET, worst-case shared accesses) of task ``i`` on
@@ -685,10 +688,9 @@ def _solve(design: SystemDesign, cores: list[int], plan: list[_PlanRow]) -> _Fix
     callers validate ``cores`` and order the design's plan.
     """
     leaf_ids = design.leaf_ids
-    # each core's penalty row and cost table looked up once, not per task
-    used = set(cores)
-    penalty_rows = list(map({core: design.penalties(core) for core in used}.__getitem__, cores))
-    tables = {core: design.cost_table(core) for core in used}
+    penalty = design.penalty
+    # each core's cost table looked up once, not per task
+    tables = {core: design.cost_table(core) for core in set(cores)}
     costs = list(map(operator.getitem, map(tables.__getitem__, cores), range(len(cores))))
     if None in costs:  # a task not yet priced on its core's class
         costs = list(map(design.cost, range(len(cores)), cores))
@@ -758,9 +760,7 @@ def _solve(design: SystemDesign, cores: list[int], plan: list[_PlanRow]) -> _Fix
                 new_contenders = mhp_contenders(cores, windows, starts, finishes)
             else:
                 new_contenders = mhp_contenders_pruned(cores, allowed_rows, starts, finishes)
-            new_effective = [
-                b + s * row[k] for b, s, row, k in zip(base, shared, penalty_rows, new_contenders)
-            ]
+            new_effective = [b + s * penalty[k] for b, s, k in zip(base, shared, new_contenders)]
             if obs_on or iterations == MAX_ITERATIONS:
                 # the max-delta is evidence for the converged flag; off the
                 # observed path it is only needed at the iteration cap
@@ -807,8 +807,7 @@ def _solve(design: SystemDesign, cores: list[int], plan: list[_PlanRow]) -> _Fix
         else:
             contenders = [len({cores[o] for o in others}) for others in allowed_rows]
         effective = [
-            max(e, b + s * row[k])
-            for e, b, s, row, k in zip(effective, base, shared, penalty_rows, contenders)
+            max(e, b + s * penalty[k]) for e, b, s, k in zip(effective, base, shared, contenders)
         ]
         starts, finishes, makespan, _ = _build(plan, cores, effective, design, slots, window_cores)
     return _FixedPoint(
@@ -911,9 +910,10 @@ def contention_oblivious_bound(
     against the MHP-based system-level bound.
     """
     cores, rows = design.vectors(mapping, order)
+    penalty = design.penalty[design.comm_contenders]
     effective = []
     for i, core in enumerate(cores):
         base, shared = design.cost(i, core)
-        effective.append(base + shared * design.penalties(core)[design.comm_contenders])
+        effective.append(base + shared * penalty)
     plan = _ordered_plan(design, cores, rows)
     return _build(plan, cores, effective, design, [-1] * len(cores), [])[2]

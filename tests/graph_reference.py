@@ -2,7 +2,8 @@
 
 The product code does not import networkx; the tests compare its
 topological order and :class:`~repro.utils.graphs.Reachability` against
-these.
+these.  :func:`critical_path` is the longest-path lower bound that the
+makespan tests hold analysed bounds to.
 """
 
 from __future__ import annotations
@@ -37,3 +38,16 @@ def lexicographic_topological_order(
 ) -> list[Hashable]:
     """networkx's topological order with the ``str`` tie-break."""
     return list(nx.lexicographical_topological_sort(_digraph(nodes, edges), key=str))
+
+
+def critical_path(design) -> float:
+    """The heaviest dependence chain of ``design``'s leaf tasks, each at its
+    cheapest isolated WCET over the platform's cores
+    (:meth:`~repro.wcet.system_level.SystemDesign.cost`): a lower bound on
+    the makespan of any schedule of the design, with no transfer delay and
+    no interference."""
+    finish = [0.0] * len(design.leaf_ids)
+    for i in design.topological:
+        start = max((finish[p] for p, _ in design.pred_rows[i]), default=0.0)
+        finish[i] = start + min(design.cost(i, core)[0] for core in design.core_ids)
+    return max(finish, default=0.0)

@@ -14,6 +14,9 @@ unpruned MHP kernel.  The former solve is kept here as the oracle:
 * :func:`sorting_kernel` is the former unpruned kernel: it grouped the
   sharer windows by core, sorted them by start and carried a running
   maximum of their ends on every pass;
+* :func:`interconnect_penalty_rows` is the former per-core penalty rows,
+  each read off the platform's interconnect, not from the design's one
+  row;
 * :func:`oracle_solve` is the former fixed point around them, the
   static-MHP pruning, the pruned kernel and the fallback included.
 
@@ -145,11 +148,19 @@ def sorting_kernel(cores, sharers, starts, finishes):
     return contenders
 
 
+def interconnect_penalty_rows(platform):
+    """Per core, its shared-access penalty for every contender count, read
+    off the platform's interconnect (never from the design)."""
+    delay = platform.interconnect.worst_case_access_delay
+    row = [0.0] + [max(0.0, delay(k) - delay(0)) for k in range(1, platform.num_cores)]
+    return {core.core_id: row for core in platform.cores}
+
+
 def oracle_solve(design, cores, order):
     """The former fixed point of mapping vector ``cores`` processed in
     ``order``, as a dict of every field the new solve must equal."""
     leaf_ids = design.leaf_ids
-    penalty_rows = list(map(design.penalties, cores))
+    penalty_rows = list(map(interconnect_penalty_rows(design.platform).__getitem__, cores))
     costs = list(map(design.cost, range(len(cores)), cores))
     base = [wcet for wcet, _ in costs]
     shared = [accesses for _, accesses in costs]

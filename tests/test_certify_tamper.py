@@ -15,7 +15,7 @@ import json
 
 import pytest
 
-from repro.adl.platforms import generic_predictable_multicore
+from repro.adl.platforms import generic_predictable_multicore, kit_leon3_inoc
 from repro.analysis.certify import (
     CertificationError,
     build_certificates,
@@ -470,10 +470,10 @@ class TestFixedPointTamper:
 
     def test_halved_penalties_rejected(self, monkeypatch, polka_bound):
         """An analysis that charges half the platform's interference."""
-        penalties = SystemDesign.penalties
+        penalty = SystemDesign.penalty.func
         bound, found = priced_polka(
             monkeypatch,
-            penalties=lambda self, core: [p / 2.0 for p in penalties(self, core)],
+            penalty=property(lambda self: [p / 2.0 for p in penalty(self)]),
         )
         assert bound < polka_bound
         assert found == {"certify.fixed-point.not-post-fixed-point"}
@@ -537,7 +537,6 @@ REMAINING_CHECKS = [
     ("certify.schedule.stray-interval", _stray_window),
     ("certify.schedule.negative-duration", _negative_window),
     ("certify.fixed-point.allowed-unknown", _skeleton_naming_a_non_sharer),
-    ("certify.fixed-point.penalty-coverage", _unknown_core),
     ("certify.fixed-point.effective-mismatch", _lowered_base),
     ("certify.fixed-point.contenders-mismatch", _understated_contenders),
 ]
@@ -553,6 +552,29 @@ def test_each_remaining_check_refutes_its_tamper(case, schedule, code, tamper):
     tamper(cert)
     report = check_schedule_certificate(cert, htg, platform)
     assert code in {f.code for f in report.findings}, report.summary()
+
+
+def test_unknown_core_refuted_on_a_mesh():
+    """A mesh prices a transfer by its cores' tiles, so it cannot price one
+    from a core it lacks: the checker reports the core instead of raising."""
+    model, htg, _, _, _ = mapped_case()
+    platform = kit_leon3_inoc()
+    mapping = {
+        t.task_id: i % platform.num_cores
+        for i, t in enumerate(htg.topological_tasks())
+        if not t.is_synthetic
+    }
+    schedule = evaluate_mapping(
+        SystemDesign(htg, model.entry, platform), mapping, default_core_order(htg, mapping)
+    )
+    cert = build_schedule_certificate(schedule, htg, platform)
+    assert check_schedule_certificate(cert, htg, platform).ok
+    sender = next(
+        e.src for e in htg.edges if e.payload_bytes and e.src in mapping and e.dst in mapping
+    )
+    cert.mapping[sender] = 99
+    report = check_schedule_certificate(cert, htg, platform)
+    assert "certify.schedule.unknown-core" in codes(report)
 
 
 # ---------------------------------------------------------------------- #

@@ -25,6 +25,8 @@ from repro.wcet import (
 )
 from repro.wcet.system_level import SystemWcetError, contention_oblivious_bound
 
+from graph_reference import critical_path
+
 
 def small_pipeline(size=16):
     d = Diagram("pipe")
@@ -95,7 +97,7 @@ class TestHtgExtraction:
         names = {t.origin for t in htg.leaf_tasks()}
         assert {"a", "b", "c"} <= names
         # pipeline: a -> b -> c dependences exist
-        pairs = htg.dependent_pairs()
+        pairs = htg.reachability().pairs()
         a_task = next(t.task_id for t in htg.leaf_tasks() if t.origin == "a")
         c_task = next(t.task_id for t in htg.leaf_tasks() if t.origin == "c")
         assert (a_task, c_task) in pairs
@@ -106,7 +108,7 @@ class TestHtgExtraction:
         chunks = [t for t in htg.leaf_tasks() if t.kind is TaskKind.LOOP_CHUNK]
         assert len(chunks) >= 4
         # chunks of the same parent must not depend on each other
-        pairs = htg.dependent_pairs()
+        pairs = htg.reachability().pairs()
         for x in chunks:
             for y in chunks:
                 if x.parent == y.parent and x.task_id != y.task_id:
@@ -128,10 +130,9 @@ class TestHtgExtraction:
 
     def test_critical_path_and_total(self, pipeline_model, platform4):
         htg = extract_htg(pipeline_model)
-        model = HardwareCostModel(platform4, 0)
-        WcetAnalysisCache().annotate_htg(htg, pipeline_model.entry, model)
-        cp = htg.critical_path_length()
-        assert 0 < cp <= htg.total_wcet() + 1e-9
+        design = SystemDesign(htg, pipeline_model.entry, platform4, WcetAnalysisCache())
+        total = sum(design.cost(i, 0)[0] for i in range(len(design.tasks)))
+        assert 0 < critical_path(design) <= total + 1e-9
 
     @pytest.mark.parametrize("chunks", [2, 4])
     def test_every_loop_chunk_follows_earlier_readers(self, chunks):
@@ -429,25 +430,22 @@ class TestIpet:
 
 
 class TestSystemLevelWcet:
-    def _htg(self, pipeline_model, platform):
-        htg = extract_htg(pipeline_model, ExtractionOptions(granularity="loop", loop_chunks=2))
-        WcetAnalysisCache().annotate_htg(htg, pipeline_model.entry, HardwareCostModel(platform, 0))
-        return htg
+    def _htg(self, pipeline_model):
+        return extract_htg(pipeline_model, ExtractionOptions(granularity="loop", loop_chunks=2))
 
     @staticmethod
     def _design(htg, pipeline_model, platform):
         return SystemDesign(htg, pipeline_model.entry, platform, WcetAnalysisCache())
 
     def test_parallel_bound_not_below_critical_path(self, pipeline_model, platform4):
-        htg = self._htg(pipeline_model, platform4)
+        htg = self._htg(pipeline_model)
         mapping = {t.task_id: i % 4 for i, t in enumerate(htg.topological_tasks()) if not t.is_synthetic}
-        result = system_level_wcet(
-            self._design(htg, pipeline_model, platform4), mapping, default_core_order(htg, mapping)
-        )
-        assert result.makespan >= htg.critical_path_length() - 1e-6
+        design = self._design(htg, pipeline_model, platform4)
+        result = system_level_wcet(design, mapping, default_core_order(htg, mapping))
+        assert result.makespan >= critical_path(design) - 1e-6
 
     def test_single_core_has_no_interference(self, pipeline_model, platform4):
-        htg = self._htg(pipeline_model, platform4)
+        htg = self._htg(pipeline_model)
         mapping = {t.task_id: 0 for t in htg.leaf_tasks()}
         result = system_level_wcet(
             self._design(htg, pipeline_model, platform4), mapping, default_core_order(htg, mapping)
@@ -457,7 +455,7 @@ class TestSystemLevelWcet:
         assert result.makespan == pytest.approx(sum(result.task_effective_wcet.values()))
 
     def test_contention_oblivious_is_looser(self, pipeline_model, platform4):
-        htg = self._htg(pipeline_model, platform4)
+        htg = self._htg(pipeline_model)
         mapping = {t.task_id: i % 4 for i, t in enumerate(htg.topological_tasks()) if not t.is_synthetic}
         order = default_core_order(htg, mapping)
         design = self._design(htg, pipeline_model, platform4)
@@ -466,12 +464,12 @@ class TestSystemLevelWcet:
         assert naive >= precise.makespan - 1e-6
 
     def test_missing_mapping_rejected(self, pipeline_model, platform4):
-        htg = self._htg(pipeline_model, platform4)
+        htg = self._htg(pipeline_model)
         with pytest.raises(SystemWcetError):
             system_level_wcet(self._design(htg, pipeline_model, platform4), {}, {})
 
     def test_interference_grows_with_sharing_cores(self, pipeline_model, platform4):
-        htg = self._htg(pipeline_model, platform4)
+        htg = self._htg(pipeline_model)
         leaf = [t.task_id for t in htg.topological_tasks() if not t.is_synthetic]
         mapping_two = {tid: i % 2 for i, tid in enumerate(leaf)}
         mapping_four = {tid: i % 4 for i, tid in enumerate(leaf)}
@@ -481,7 +479,7 @@ class TestSystemLevelWcet:
         assert max(r4.task_contenders.values()) >= max(r2.task_contenders.values())
 
     def test_evaluate_mapping_wraps_result(self, pipeline_model, platform4):
-        htg = self._htg(pipeline_model, platform4)
+        htg = self._htg(pipeline_model)
         mapping = {t.task_id: 0 for t in htg.leaf_tasks()}
         schedule = evaluate_mapping(
             self._design(htg, pipeline_model, platform4), mapping, scheduler="test"

@@ -443,7 +443,7 @@ class TestReachability:
     @pytest.mark.parametrize("case", CASES)
     def test_htg_closure_matches_networkx(self, case):
         _, htg, _, _ = build_case(case)
-        assert htg.dependent_pairs() == transitive_closure(
+        assert htg.reachability().pairs() == transitive_closure(
             htg.tasks.keys(), htg.edge_pairs()
         )
 

@@ -1,5 +1,6 @@
 """Tests for the explicit parallel program model and the timing simulator."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -140,6 +141,35 @@ class TestSimulator:
         assert sim.makespan > 0
         with pytest.raises(ValueError):
             simulate_parallel_program(program, htg, model.entry, platform, inputs, contention="nope")
+
+    def test_static_contention_charges_the_platform_penalty(self, platform, case):
+        """Each task pays its executed shared accesses times the platform's
+        penalty for its analysed contender count: on a bus as fast alone
+        but ten times as steep per contender, a task's duration grows by
+        exactly its accesses times the penalty's growth."""
+        model, htg, schedule = case
+        steep = dataclasses.replace(
+            platform, interconnect=dataclasses.replace(platform.interconnect, beat_latency=20)
+        )
+        inputs = model.run_inputs(polka_test_inputs(pixels=32, seed=1))
+        stock_run, steep_run = (
+            simulate_parallel_program(
+                build_parallel_program(htg, model.entry, target, schedule),
+                htg, model.entry, target, inputs,
+            )
+            for target in (platform, steep)
+        )
+        charged = 0
+        for tid, contenders in schedule.result.task_contenders.items():
+            growth = steep.shared_access_penalty(contenders) - platform.shared_access_penalty(
+                contenders
+            )
+            extra = stock_run.task_shared_accesses[tid] * growth
+            assert steep_run.task_durations[tid] - stock_run.task_durations[tid] == pytest.approx(
+                extra
+            )
+            charged += extra > 0
+        assert charged
 
     def test_noc_platform_end_to_end(self):
         platform = kit_leon3_inoc(mesh_width=2, mesh_height=2, cores_per_tile=1)

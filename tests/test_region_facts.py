@@ -117,15 +117,17 @@ def selection_whole(
     function: Function, capacity: int, protect: set[str]
 ) -> tuple[list[VarDecl], dict[str, int]]:
     """The scratchpad selection, in selection order, and the whole-body
-    access counts it ranked by."""
+    access counts it ranked by: the function's own accessed ``SHARED``
+    arrays, parameters never."""
     summary = access_summary(function.body)
     count: dict[str, int] = {}
     for name, n in list(summary.reads.items()) + list(summary.writes.items()):
         count[name] = count.get(name, 0) + n
     candidates = [
         (count[d.name] / d.size_bytes, d)
-        for d in function.arrays()
-        if d.storage in (Storage.SHARED, Storage.INPUT, Storage.OUTPUT)
+        for d in function.decls
+        if d.is_array
+        and d.storage is Storage.SHARED
         and d.name not in protect
         and count.get(d.name, 0)
     ]
@@ -305,8 +307,7 @@ def test_scratchpad_allocation_equals_whole_body(function, capacity):
         with pytest.raises(LoopBoundError):
             allocate_scratchpad(function, capacity, protect=protect)
         return
-    movable = [d.name for d in selected if d.storage is Storage.SHARED]
-    pinned = [d.name for d in selected if d.storage is not Storage.SHARED]
+    movable = [d.name for d in selected]
     saving = 0.0
     for name in movable:
         saving += count[name] * (8.0 - 1.0)
@@ -314,7 +315,6 @@ def test_scratchpad_allocation_equals_whole_body(function, capacity):
     for facts in (None, memo, memo):
         allocation = allocate_scratchpad(function, capacity, 8.0, 1.0, protect, facts)
         assert allocation.moved == movable
-        assert allocation.pinned == pinned
         assert allocation.used_bytes == sum(d.size_bytes for d in selected)
         working = _copy(function)
         report = ScratchpadAllocationPass(capacity, 8.0, 1.0, protect, facts).run(working)
@@ -322,6 +322,5 @@ def test_scratchpad_allocation_equals_whole_body(function, capacity):
         # the report names exactly what the pass relocated, and prices only it
         assert sorted(relocated) == sorted(movable)
         assert report.details["moved"] == ",".join(movable)
-        assert report.details["pinned"] == ",".join(pinned)
         assert report.details["estimated_saving_cycles"] == saving
         assert report.changed == bool(relocated)

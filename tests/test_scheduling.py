@@ -1,8 +1,12 @@
 """Tests for the schedulers (list, exact, metaheuristics, baselines)."""
 
+import dataclasses
+
 import pytest
 
-from repro.adl.platforms import generic_predictable_multicore
+from repro.adl.platforms import generic_predictable_multicore, kit_leon3_inoc, recore_xentium_like
+from repro.core.config import ToolchainConfig
+from repro.core.pipeline import Pipeline
 from repro.htg import extract_htg
 from repro.htg.extraction import ExtractionOptions
 from repro.scheduling import (
@@ -13,15 +17,17 @@ from repro.scheduling import (
     simulated_annealing_schedule,
 )
 from repro.scheduling.schedule import ScheduleError
+from repro.usecases import ALL_USECASES
 from repro.usecases.workloads import synthetic_compiled_model
-from repro.wcet import HardwareCostModel, SystemDesign, WcetAnalysisCache
+from repro.wcet import SystemDesign, WcetAnalysisCache
+
+from graph_reference import critical_path
 
 
 def make_case(num_kernels=6, chunks=2, seed=1):
     model = synthetic_compiled_model(num_kernels=num_kernels, vector_size=32, seed=seed)
     htg = extract_htg(model, ExtractionOptions(granularity="loop", loop_chunks=chunks))
     platform = generic_predictable_multicore(cores=4)
-    WcetAnalysisCache().annotate_htg(htg, model.entry, HardwareCostModel(platform, 0))
     return model, htg, platform
 
 
@@ -53,14 +59,38 @@ class TestListScheduler:
 
     def test_bound_not_below_critical_path(self, case):
         model, htg, platform = case
-        schedule = WcetAwareListScheduler().schedule(SystemDesign(htg, model.entry, platform))
-        assert schedule.wcet_bound >= htg.critical_path_length() - 1e-6
+        design = SystemDesign(htg, model.entry, platform)
+        schedule = WcetAwareListScheduler().schedule(design)
+        assert schedule.wcet_bound >= critical_path(design) - 1e-6
 
     def test_gantt_renders(self, case):
         model, htg, platform = case
         schedule = WcetAwareListScheduler().schedule(SystemDesign(htg, model.entry, platform))
         text = schedule.gantt()
         assert "WCET bound" in text
+
+
+def _offset_core_ids(platform, by=10):
+    """``platform`` with every core id shifted by ``by``: no core 0 or 1."""
+    return dataclasses.replace(
+        platform, cores=[dataclasses.replace(c, core_id=c.core_id + by) for c in platform.cores]
+    )
+
+
+@pytest.mark.parametrize("usecase", ["egpws", "polka", "weaa"])
+@pytest.mark.parametrize("build", [kit_leon3_inoc, recore_xentium_like], ids=lambda b: b.__name__)
+def test_offset_core_ids_keep_the_stock_bounds(build, usecase):
+    """Core ids are names: on a preset whose ids start at 10 every scheduler
+    still runs, certifies and finds the stock preset's bound (the list
+    scheduler's upward ranks once priced transfers between cores 0 and 1,
+    which raised ``KeyError`` on the mesh)."""
+    diagram = ALL_USECASES[usecase][0]
+    for scheduler in ("wcet_list", "acet_list", "simulated_annealing"):
+        config = ToolchainConfig(scheduler=scheduler, certify=True)
+        stock = Pipeline(build(), config, WcetAnalysisCache()).run(diagram())
+        offset = Pipeline(_offset_core_ids(build()), config, WcetAnalysisCache()).run(diagram())
+        assert offset.certificates.ok, scheduler
+        assert offset.system_wcet == stock.system_wcet, scheduler
 
 
 class TestBaselines:

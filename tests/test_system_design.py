@@ -23,6 +23,9 @@ invisible:
   candidates with ``SystemDesign.bound``), every candidate of a pipeline
   run is priced or analysed through the one design the ``schedule`` stage
   built, and every registered scheduler honours that design's MHP mode;
+* the design's one shared-access penalty row is the platform's
+  ``shared_access_penalty`` for each contender count, and a steeper
+  interconnect raises a certified bound;
 * a result replayed from a tampered cache directory is refuted by the
   pipeline's certify stage;
 * a mapping or core order the analysis cannot honour raises
@@ -352,7 +355,7 @@ def test_result_key_prices_nothing(usecase, monkeypatch):
         raise AssertionError("a result key must price nothing")
 
     monkeypatch.setattr(Platform, "communication_latency", priced)
-    monkeypatch.setattr(HardwareCostModel, "shared_access_penalty", priced)
+    monkeypatch.setattr(Platform, "shared_access_penalty", priced)
     model, htg = usecase_htg(usecase)
     for name, build in sorted(PLATFORMS.items()):
         platform = build()
@@ -661,6 +664,52 @@ def test_each_core_class_is_priced_once(platform_name):
                 breakdown = analyze_task_wcet(design.tasks[i], model.entry, fresh, average)
                 assert (total, shared) == (breakdown.total, breakdown.shared_accesses)
     assert len(signatures) == (1 if platform_name == "generic8" else 2)
+
+
+PENALTY_PLATFORMS = {
+    **PLATFORMS,
+    "generic4": lambda: generic_predictable_multicore(cores=4),
+    "recore_xentium_tdm": lambda: recore_xentium_like(use_tdm_bus=True),
+}
+
+
+@pytest.mark.parametrize("platform_name", sorted(PENALTY_PLATFORMS))
+def test_one_penalty_row_per_design(platform_name):
+    """A design prices a shared access once per contender count, asking the
+    platform, whichever core makes it; the TDM bus's frame ignores the
+    contenders, so its row is all zeros."""
+    platform = PENALTY_PLATFORMS[platform_name]()
+    model, htg = usecase_htg("egpws")
+    design = SystemDesign(htg, model.entry, platform, WcetAnalysisCache())
+    cores = range(platform.num_cores)
+    assert design.penalty == [platform.shared_access_penalty(k) for k in cores]
+    assert design.penalty[0] == 0.0 and design.penalty == sorted(design.penalty)
+    assert any(design.penalty) == (platform_name != "recore_xentium_tdm")
+
+
+def test_steeper_interconnect_gives_a_larger_bound():
+    """The mesh preset with a shared-memory bus ten times as steep per
+    contender (its uncontended delay, hence every code-level cost, and the
+    NoC transfers unchanged): every contended access costs more, so the
+    bound grows, and the certify stage, which asks the platform for the
+    penalty itself, accepts it."""
+    stock = kit_leon3_inoc()
+    steep = dataclasses.replace(
+        stock, interconnect=dataclasses.replace(stock.interconnect, beat_latency=30)
+    )
+    penalties = [
+        [platform.shared_access_penalty(k) for k in range(1, stock.num_cores)]
+        for platform in (stock, steep)
+    ]
+    assert all(s < t for s, t in zip(*penalties))
+    config = ToolchainConfig(granularity="loop", loop_chunks=4, certify=True)
+    stock_run, steep_run = (
+        Pipeline(platform, config, WcetAnalysisCache()).run(build_polka_diagram(pixels=32))
+        for platform in (stock, steep)
+    )
+    assert steep_run.certificates.ok
+    assert steep_run.sequential_wcet == stock_run.sequential_wcet
+    assert steep_run.system_wcet > stock_run.system_wcet
 
 
 @pytest.mark.parametrize("scheduler", ["simulated_annealing", "bnb"])

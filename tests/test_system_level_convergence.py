@@ -212,9 +212,9 @@ class TestNonConvergenceFallback:
         for tid, reported in capped.task_contenders.items():
             assert reported == worst_contenders
             breakdown = analyze_task_wcet(htg.task(tid), model.entry, models[mapping[tid]])
-            expected = breakdown.total + breakdown.shared_accesses * models[
-                mapping[tid]
-            ].shared_access_penalty(worst_contenders)
+            expected = breakdown.total + breakdown.shared_accesses * (
+                platform.shared_access_penalty(worst_contenders)
+            )
             assert capped.task_effective_wcet[tid] == expected
 
     def test_fallback_bound_dominates_converged_bound(self, case, monkeypatch):

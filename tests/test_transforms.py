@@ -22,7 +22,10 @@ from repro.transforms import (
     StripMinePass,
     allocate_scratchpad,
 )
-from repro.wcet import HardwareCostModel, analyze_function_wcet
+from repro.core.config import ToolchainConfig
+from repro.core.pipeline import Pipeline
+from repro.model import Diagram, library
+from repro.wcet import HardwareCostModel, WcetAnalysisCache, analyze_function_wcet
 
 
 def saxpy_like(n=8):
@@ -281,6 +284,36 @@ class TestScratchpadAllocation:
         func = self._kernel_with_shared()
         allocation = allocate_scratchpad(func, capacity_bytes=4096, protect={"a", "b"})
         assert "a" not in allocation.moved and "b" not in allocation.moved
+
+    def test_parameters_take_no_capacity(self):
+        """A gain feeding a 200-element unit delay and a 64-tap FIR filter on
+        1 KiB scratchpads.  The FIR's tap array is a parameter, which the
+        pass cannot relocate; ranked first, it used to take 256 bytes and
+        crowd out the delay's 800-byte state, so nothing moved."""
+        diagram = Diagram("spm_params")
+        diagram.add_block(library.gain("g", 2.0, 200))
+        diagram.add_block(library.unit_delay("dA", 200))
+        diagram.add_block(library.fir_filter("f", np.linspace(0.1, 1.0, 64), 200))
+        diagram.connect("g", "y", "dA", "u")
+        diagram.connect("g", "y", "f", "u")
+        diagram.mark_input("g", "u")
+        diagram.mark_output("dA", "y")
+        diagram.mark_output("f", "y")
+        result = Pipeline(
+            generic_predictable_multicore(cores=2, spm_kib=1),
+            ToolchainConfig(certify=True),
+            WcetAnalysisCache(),
+        ).run(diagram)
+        (report,) = [r for r in result.pass_reports if r.pass_name == "scratchpad_allocation"]
+        assert report.changed
+        # 400 accesses of the state, 7 cycles saved on each
+        assert report.details == {
+            "moved": "st_dA_z",
+            "used_bytes": 800,
+            "estimated_saving_cycles": 2800.0,
+        }
+        assert result.sequential_wcet == 435_600  # 438,800 with nothing moved
+        assert result.certificates.ok
 
     def test_pass_manager_runs_in_order(self):
         func = saxpy_like(4)

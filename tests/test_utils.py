@@ -12,7 +12,6 @@ from repro.utils import (
     Table,
     intervals_overlap,
     is_acyclic,
-    longest_path_length,
     make_rng,
     topological_order,
 )
@@ -126,24 +125,11 @@ class TestGraphs:
         assert is_acyclic([("a", "b"), ("b", "c")])
         assert not is_acyclic([("a", "b"), ("b", "a")])
 
-    def test_longest_path_node_weights(self):
-        nodes = ["a", "b", "c"]
-        edges = [("a", "b"), ("b", "c"), ("a", "c")]
-        weights = {"a": 5.0, "b": 10.0, "c": 1.0}
-        assert longest_path_length(nodes, edges, weights) == pytest.approx(16.0)
-
     def test_transitive_closure(self):
         closure = transitive_closure(["a", "b", "c"], [("a", "b"), ("b", "c")])
         assert ("a", "c") in closure
         assert ("c", "a") not in closure
 
-    @given(st.integers(2, 8), st.integers(0, 42))
-    def test_longest_path_at_least_max_node_weight(self, n, seed):
-        rng = np.random.default_rng(seed)
-        nodes = list(range(n))
-        edges = [(i, j) for i in nodes for j in nodes if i < j and rng.random() < 0.4]
-        weights = {i: float(rng.integers(1, 10)) for i in nodes}
-        assert longest_path_length(nodes, edges, weights) >= max(weights.values()) - 1e-9
 
 class TestTopologicalOrderMatchesNetworkx:
     """The heap-based Kahn pass against ``networkx``'s lexicographic sort."""
