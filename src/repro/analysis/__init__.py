@@ -89,8 +89,9 @@ every cross-task conflict (write-write or read-write on a declaration in
 ``SHARED`` / ``INPUT`` / ``OUTPUT`` storage) must be ordered, else a
 ``race.*`` finding is produced before codegen.
 
-**Pair sets as bitsets.**  Static MHP, the race check and the schedule
-validators never enumerate task pairs.  Reachability is one
+**Pair sets as bitsets.**  Static MHP and the race check never enumerate
+task pairs (the schedule check needs no pairs at all: the dependences
+plus the core orders must admit a topological order).  Reachability is one
 :class:`~repro.utils.graphs.Reachability` (a Python-int bitset of
 descendants and of ancestors per task, exact on cyclic graphs too), the
 HTG memoizes its own, and a per-task pair set is a mask expression over
@@ -107,11 +108,12 @@ Incremental re-analysis contract
 ================================
 
 :mod:`repro.analysis.incremental` records, per finished run, a small
-**reuse summary** (the per-region code fingerprints).  Every stage of
-``Pipeline.run_incremental`` runs; the front end reuses the regions of the
+**reuse summary** (the per-region code fingerprints).
+``Pipeline.run_incremental`` runs the stage code of a cold run, and no
+stage reads the previous run: the front end reuses the regions of the
 blocks its cache has lowered before (the cache's lowering memo, which every
-run reads), and every other stage reuses the previous run only through
-``context.prev`` and the memos on those regions.  The rules:
+run reads), and every other stage reuses only the memos on those regions.
+The rules:
 
 * **A handed-over region keeps its decomposition.**  HTG extraction reads
   each region's task decomposition from the cache's region memo, keyed by
@@ -125,12 +127,12 @@ run reads), and every other stage reuses the previous run only through
   provenance set to ``reused``, see
   :data:`~repro.analysis.report.PROVENANCES`) when the old and new entry
   functions have the same fingerprint.
-* **Race pairs re-check only changed endpoints.**
-  :func:`~repro.analysis.races.incremental_race_check` reuses the
-  happens-before reachability when the happens-before relation and task
-  universe are equal, and re-scans only pairs with a changed endpoint; clean-pair
-  findings are replayed as ``reused``.  Any guard mismatch falls back to
-  the full scan.
+* **A handed-over task block keeps its footprints.**  The race check
+  scans every pair, but a task footprint is a per-region fact of the
+  task's statements block, keyed by the declarations of the names it
+  references and by its declared read/write sets
+  (:class:`~repro.analysis.footprints.FootprintStore`), so only the
+  blocks of changed regions are walked again.
 * **The fixed point never starts warm.**  A schedule stage that runs
   iterates the system-level fixed point from the cold state, so an
   incremental run lands on exactly the fixed point a cold run finds.
@@ -227,7 +229,6 @@ from repro.analysis.incremental import (
 )
 from repro.analysis.liveness import Liveness, dead_stores, liveness
 from repro.analysis.races import (
-    RaceCheckState,
     check_races,
     check_schedule_races,
     incremental_race_check,
@@ -273,7 +274,6 @@ __all__ = [
     "IncrementalReport",
     "IpetCertificate",
     "Liveness",
-    "RaceCheckState",
     "ReachingDefinitions",
     "SEVERITIES",
     "ScheduleCertificate",

@@ -47,9 +47,7 @@ Soundness notes:
 
 from __future__ import annotations
 
-import hashlib
 import heapq
-import json
 import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping
@@ -69,7 +67,7 @@ from repro.ir.statements import (
     Stmt,
     While,
 )
-from repro.wcet.cache import CacheStats, MemoStore, WcetAnalysisCache, shared_cache
+from repro.wcet.cache import WcetAnalysisCache, shared_cache
 
 
 @dataclass(frozen=True)
@@ -323,60 +321,38 @@ def address_overlaps(footprints: Mapping[str, TaskFootprint]) -> dict[str, set[s
     return overlaps
 
 
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:32]
-
-
-#: In-memory bound of the footprint tier (least recently used drop first).
-MAX_FOOTPRINTS = 4096
-
-
 class FootprintStore:
-    """Content-keyed LRU memo of task footprints: the footprint tier of a
-    :class:`~repro.wcet.cache.WcetAnalysisCache`, reached as its
-    :attr:`~repro.wcet.cache.WcetAnalysisCache.footprints`.
+    """The footprint memo of a :class:`~repro.wcet.cache.WcetAnalysisCache`,
+    reached as its :attr:`~repro.wcet.cache.WcetAnalysisCache.footprints`.
 
     A footprint is a pure function of the task's statements, its declared
     read/write sets and, through the function, the storage class and type
-    of the names those reference.  The key is exactly that: the
-    code-level cache's region context extended with the declared names,
-    the region fingerprint and a digest of the declared sets -- so an edit
-    re-keys only the tasks that reference a name it touches.  Keys are
-    derived through the owning cache's memos, so a footprint lookup renders
-    nothing a WCET lookup of the same region already rendered, and follow
-    that cache's invalidation contract.  :attr:`store` holds at most
-    :data:`MAX_FOOTPRINTS` footprints, in memory only.
+    of the names those reference.  So it is a per-region fact of the
+    statements block (:meth:`~repro.wcet.cache.WcetAnalysisCache.region_facts`),
+    as a task decomposition is, keyed by the
+    :meth:`~repro.wcet.cache.WcetAnalysisCache.region_context` of the
+    referenced and declared names plus the two declared sets: an edit
+    round or design point that hands a block over walks it again only under
+    other declarations, and the memo lives exactly as long as the block.
     """
 
     def __init__(self, wcet_cache: WcetAnalysisCache) -> None:
-        self._fingerprints = wcet_cache
-        self.store: MemoStore[TaskFootprint] = MemoStore(MAX_FOOTPRINTS)
-
-    @property
-    def stats(self) -> CacheStats:
-        """Hit/miss counters of the footprint tier."""
-        return self.store.stats
-
-    def key(self, function: Function, task: Task) -> str:
-        fingerprints = self._fingerprints
-        declared = _digest(
-            json.dumps(
-                [sorted(task.reads), sorted(task.writes)], separators=(",", ":")
-            )
-        )
-        context = fingerprints.region_context(
-            task.statements, function, task.reads | task.writes
-        )
-        return "|".join((context, fingerprints.region_fingerprint(task.statements), declared))
+        self._cache = wcet_cache
 
     def footprint(self, function: Function, task: Task) -> TaskFootprint:
-        key = self.key(function, task)
-        cached = self.store.get(key)
-        if cached is None:
-            fp = task_footprint(function, task, self._fingerprints.shared_names(function))
-            self.store.put(key, fp)
-            return fp
-        return cached if cached.task_id == task.task_id else replace(cached, task_id=task.task_id)
+        cache = self._cache
+        reads, writes = frozenset(task.reads), frozenset(task.writes)
+        key = (
+            "footprint",
+            cache.region_context(task.statements, function, reads | writes),
+            reads,
+            writes,
+        )
+        facts = cache.region_facts(task.statements)
+        fp = facts.get(key)
+        if fp is None:
+            fp = facts[key] = task_footprint(function, task, cache.shared_names(function))
+        return fp if fp.task_id == task.task_id else replace(fp, task_id=task.task_id)
 
 
 def task_footprints(
@@ -385,6 +361,6 @@ def task_footprints(
     store: FootprintStore | None = None,
 ) -> dict[str, TaskFootprint]:
     """Footprints of ``tasks`` keyed by task id (memoized via ``store``, by
-    default the footprint tier of :func:`~repro.wcet.cache.shared_cache`)."""
+    default the footprint memo of :func:`~repro.wcet.cache.shared_cache`)."""
     store = store if store is not None else shared_cache().footprints
     return {t.task_id: store.footprint(function, t) for t in tasks}

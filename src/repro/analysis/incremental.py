@@ -10,13 +10,13 @@ The consumers are layered:
 
 * :meth:`repro.core.pipeline.PipelineResult.artifact_summary` records the
   summary of a finished run (via :func:`summarize_result`);
-* :meth:`repro.core.pipeline.Pipeline.run_incremental` runs every stage,
-  each seeing the previous run as ``context.prev``: the front end lowers
-  only changed blocks (through the cache's lowering memo), HTG extraction
-  decomposes only changed regions (through the cache's region memo) and
-  the race check re-checks only pairs with a changed endpoint;
-  :func:`diff_summaries` names the changed, added and removed regions for
-  the run's :class:`IncrementalReport`;
+* :meth:`repro.core.pipeline.Pipeline.run_incremental` runs the stage code
+  of a cold run on warm caches: the front end lowers only changed blocks
+  (through the cache's lowering memo), and HTG extraction decomposes only
+  changed regions and the race check walks only their tasks' footprints
+  (through the cache's region memo); the previous run feeds only
+  :func:`diff_summaries`, which names the changed, added and removed
+  regions for the run's :class:`IncrementalReport`;
 * ``python -m repro diff <old> <new>`` prints that report and, when the
   old and new entry functions have the same fingerprint, replays the old
   code-level :class:`~repro.analysis.report.AnalysisReport` findings
@@ -25,15 +25,16 @@ The consumers are layered:
 What each stage reuses (the reuse contract)
 -------------------------------------------
 
-Every stage runs.  The front end reuses through the cache's lowering
-memo (:attr:`~repro.wcet.cache.WcetAnalysisCache.lowerings`), which every
-run of the cache reads and updates, cold runs included; every other stage
-reuses only through ``context.prev`` and the cache.  The regions the front
-end reuses carry the rest: a reused region object keeps every memo keyed
-by it, its fingerprint and its per-region facts (:mod:`repro.ir.facts`, in
-the cache's region memo; its task decompositions among them) included, so
-the stages after it recompute only the facts of the regions the edit
-changed.
+Every stage runs, and no stage reads the previous run: every stage
+reuses only through the cache.  The front end reuses through the cache's
+lowering memo (:attr:`~repro.wcet.cache.WcetAnalysisCache.lowerings`),
+which every run of the cache reads and updates, cold runs included.  The
+regions the front end reuses carry the rest: a reused region object keeps
+every memo keyed by it, its fingerprint and its per-region facts
+(:mod:`repro.ir.facts`, in the cache's region memo; its task
+decompositions, and the footprints of its tasks' blocks, among them)
+included, so the stages after it recompute only the facts of the regions
+the edit changed.
 
 ================  ====================================================
 stage             what it reuses
@@ -57,24 +58,25 @@ stage             what it reuses
                   count, so only regions without one at the run's
                   knobs are decomposed, on any platform (extraction
                   reads none); the tasks are fresh objects and the
-                  edges are re-derived; ``prev``'s reachability memo
-                  is adopted when the task and edge sets are equal
+                  edges are re-derived
 ``schedule``      nothing: the fixed point starts cold; the code-level
                   and system-result cache tiers answer what the edit
                   left unchanged (the result tier never answers on an
                   unfingerprintable platform: such a design has no
                   result key)
-``parallel``      the race check's state (happens-before reachability,
-                  per-pair findings): only pairs with a changed
-                  endpoint are re-checked
+``parallel``      nothing: the race check scans every pair; the
+                  footprints of the handed-over regions' task blocks
+                  answer from the region memo, so it walks only the
+                  blocks of changed regions
 ``wcet``          the code-level entries of the unchanged regions: the
                   sequential bound is the sum of the body's region
                   entries, so only changed regions are analysed
 ``certify``       nothing: the checkers always run
 ================  ====================================================
 
-Every reuse is guarded by content fingerprints, so an incremental run is
-bit-identical to a cold run of the edited model.
+Every reuse is guarded by content fingerprints or by the identity of IR
+that is never mutated, so an incremental run is bit-identical to a cold
+run of the edited model.
 """
 
 from __future__ import annotations
@@ -174,7 +176,8 @@ def mark_reused(report: AnalysisReport) -> AnalysisReport:
 class IncrementalReport:
     """What one :meth:`Pipeline.run_incremental` call reused vs recomputed."""
 
-    #: stage name -> ``"incremental"`` (reused part of the previous run) or
+    #: stage name -> ``"incremental"`` (part of its work answered from the
+    #: cache's region memos, where an earlier run left it) or
     #: ``"recomputed"``.
     stages: dict[str, str] = field(default_factory=dict)
     diff: FingerprintDiff | None = None
@@ -187,9 +190,6 @@ class IncrementalReport:
     #: region memo, and regions it decomposed.
     regions_reused: int = 0
     regions_recomputed: int = 0
-    #: Race-check pair accounting (when the parallel stage ran).
-    race_pairs_reused: int = 0
-    race_pairs_checked: int = 0
 
     @classmethod
     def from_records(cls, records: "Iterable[StageRecord]") -> "IncrementalReport":
@@ -197,9 +197,8 @@ class IncrementalReport:
 
         ``info["incremental"]`` is each stage's status.  The counts come
         from the info keys the built-in stages record: ``blocks_lowered``
-        (the front end), ``regions_transformed`` (the transforms),
-        ``regions_reused`` / ``regions_recomputed`` (HTG extraction) and
-        ``race_pairs_reused`` / ``race_pairs_checked`` (the race check).
+        (the front end), ``regions_transformed`` (the transforms) and
+        ``regions_reused`` / ``regions_recomputed`` (HTG extraction).
         """
         report = cls()
         for record in records:
@@ -209,8 +208,6 @@ class IncrementalReport:
             report.regions_transformed += info.get("regions_transformed", 0)
             report.regions_reused += info.get("regions_reused", 0)
             report.regions_recomputed += info.get("regions_recomputed", 0)
-            report.race_pairs_reused += info.get("race_pairs_reused", 0)
-            report.race_pairs_checked += info.get("race_pairs_checked", 0)
         return report
 
     @property
@@ -232,8 +229,6 @@ class IncrementalReport:
             "regions_transformed": self.regions_transformed,
             "regions_reused": self.regions_reused,
             "regions_recomputed": self.regions_recomputed,
-            "race_pairs_reused": self.race_pairs_reused,
-            "race_pairs_checked": self.race_pairs_checked,
         }
 
     def render(self) -> str:
@@ -258,8 +253,6 @@ class IncrementalReport:
         )
         lines.append(
             f"facts: {self.regions_reused} region(s) reused, "
-            f"{self.regions_recomputed} recomputed; "
-            f"race pairs {self.race_pairs_reused} reused, "
-            f"{self.race_pairs_checked} rechecked"
+            f"{self.regions_recomputed} recomputed"
         )
         return "\n".join(lines)

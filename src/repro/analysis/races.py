@@ -22,31 +22,12 @@ disjointness cannot be discharged is reported as a
 ``race.chunk-overlap-unproven`` **warning** -- soundness-relevant but
 survivable, and never a silent pass.
 
-Incremental re-checking
------------------------
-
-:func:`incremental_race_check` additionally returns a
-:class:`RaceCheckState` snapshot (happens-before relation, its
-:class:`~repro.utils.graphs.Reachability`, the shared-name universe, and
-the findings).  On a later run over an *edited* model it accepts the
-previous state plus the set of tasks whose content fingerprints changed,
-and re-derives only what the edit can affect:
-
-* the reachability is reused verbatim when the happens-before relation and
-  task universe are unchanged (it is a pure function of those inputs);
-* with the reachability reused and an identical shared-name universe, the
-  verdict of a pair of *unchanged* tasks is a pure function of unchanged
-  inputs (their read/write sets, kinds and parents, and the reachability),
-  so only pairs with at least one changed endpoint are re-scanned; previous
-  findings for clean pairs are replayed with provenance ``reused``.
-
-Any mismatch in the guard inputs falls back to the full scan, so the
-incremental path can never be *less* sound than the cold one.
+Every check is a full scan: an edit round re-checks every pair, and
+reuses only the footprints memoized on the statement blocks it shares
+with earlier runs (:class:`~repro.analysis.footprints.FootprintStore`).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, replace
 
 from repro.analysis.footprints import (
     FootprintStore,
@@ -72,38 +53,13 @@ def _chunk_siblings(a: Task, b: Task) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class RaceCheckState:
-    """Reusable snapshot of one race-check run.
-
-    The happens-before reachability depends only on ``happens_before`` and
-    the task universe, both recorded here so a later run can prove reuse
-    valid by equality; with it reused, a pair of unchanged tasks keeps its
-    verdict, which is what lets the changed-endpoint path replay findings.
-    """
-
-    #: HTG dependence edges plus per-core program-order pairs.
-    happens_before: frozenset[tuple[str, str]]
-    #: Reachability of ``happens_before`` over ``graph_task_ids``.
-    reachability: Reachability[str]
-    #: Every task in the HTG the reachability was computed over.
-    graph_task_ids: frozenset[str]
-    #: The mapped tasks that were pair-scanned.
-    scanned_task_ids: frozenset[str]
-    #: Shared-variable universe the conflict test used.
-    shared_names: frozenset[str]
-    #: Findings of the scan (keyed by their ``a<->b`` subject on replay).
-    findings: tuple[Finding, ...]
-
-
 def _happens_before_pairs(
     htg: HierarchicalTaskGraph, order: dict[int, list[str]]
-) -> frozenset[tuple[str, str]]:
+) -> set[tuple[str, str]]:
     pairs: set[tuple[str, str]] = set(htg.edge_pairs())
     for core_tasks in order.values():
-        for earlier, later in zip(core_tasks, core_tasks[1:]):
-            pairs.add((earlier, later))
-    return frozenset(pairs)
+        pairs.update(zip(core_tasks, core_tasks[1:]))
+    return pairs
 
 
 def _bump_nonzero(report: AnalysisReport, counter: str, amount: int) -> None:
@@ -165,18 +121,15 @@ def incremental_race_check(
     mapping: dict[str, int],
     order: dict[int, list[str]],
     function: Function,
-    prev_state: RaceCheckState | None = None,
-    changed_tasks: set[str] | None = None,
     store: FootprintStore | None = None,
-) -> tuple[AnalysisReport, RaceCheckState]:
-    """Race check with optional reuse of a previous run's state.
+) -> tuple[AnalysisReport, Reachability[str]]:
+    """Race check of every pair of mapped tasks: the report and the
+    happens-before reachability it checked against.
 
-    ``changed_tasks`` is the set of task ids whose *content* differs from
-    the run that produced ``prev_state`` (new tasks included).  Pass
-    ``None`` to force a full scan even when the reachability is reusable.
-    Replayed findings keep the core numbers of the run they came from.
-    ``store`` memoizes the footprints of chunk pairs that need a proof
-    (the shared cache's footprint tier by default).
+    The name and the tuple are kept because perfbench's layer timer binds
+    this function and reads the report as its ``[0]``; :func:`check_races`
+    is the plain form.  ``store`` memoizes the footprints of chunk pairs
+    that need a proof (the shared cache's footprint tier by default).
 
     Pairs are handled as bitsets: per task, the partners it must be checked
     against are one mask, split into ordered, non-conflicting and
@@ -197,23 +150,9 @@ def incremental_race_check(
         return fp_cache[task.task_id]
 
     tasks = [t for t in htg.leaf_tasks() if t.task_id in mapping]
-    task_ids = frozenset(t.task_id for t in tasks)
     report.bump("tasks", len(tasks))
     report.bump("shared_variables", len(shared_names))
-
-    graph_task_ids = frozenset(htg.tasks.keys())
-    happens_before = _happens_before_pairs(htg, order)
-    reuse_reachability = (
-        prev_state is not None
-        and happens_before == prev_state.happens_before
-        and graph_task_ids == prev_state.graph_task_ids
-    )
-    if reuse_reachability:
-        assert prev_state is not None
-        reach = prev_state.reachability
-        report.bump("closure_reused")
-    else:
-        reach = Reachability(htg.tasks.keys(), happens_before)
+    reach = Reachability(htg.tasks.keys(), _happens_before_pairs(htg, order))
 
     position = {t.task_id: i for i, t in enumerate(tasks)}
     by_id = {t.task_id: t for t in tasks}
@@ -226,10 +165,15 @@ def incremental_race_check(
         for name in t.writes & shared_names:
             writers[name] = writers.get(name, 0) | bit
 
-    def scan(a: Task, partners: int) -> None:
-        """Check ``a`` against every task in the ``partners`` mask."""
+    # each task against the tasks after it, in scan order
+    later = 0
+    partners = [0] * len(tasks)
+    for i in range(len(tasks) - 1, -1, -1):
+        partners[i] = later
+        later |= 1 << reach.index[tasks[i].task_id]
+    for a, mask in zip(tasks, partners):
         i = reach.index[a.task_id]
-        unordered = partners & ~(reach.descendants[i] | reach.ancestors[i])
+        unordered = mask & ~(reach.descendants[i] | reach.ancestors[i])
         conflicting = 0
         for name in a.writes & shared_names:
             conflicting |= writers.get(name, 0) | readers.get(name, 0)
@@ -237,60 +181,14 @@ def incremental_race_check(
             conflicting |= writers.get(name, 0)
         conflicting &= unordered
         n_unordered = unordered.bit_count()
-        _bump_nonzero(report, "pairs_checked", partners.bit_count())
-        _bump_nonzero(report, "pairs_ordered", partners.bit_count() - n_unordered)
+        _bump_nonzero(report, "pairs_checked", mask.bit_count())
+        _bump_nonzero(report, "pairs_ordered", mask.bit_count() - n_unordered)
         _bump_nonzero(report, "pairs_disjoint", n_unordered - conflicting.bit_count())
         for b_id in sorted(reach.members(conflicting), key=position.__getitem__):
-            b = by_id[b_id]
-            first, second = (a, b) if position[a.task_id] < position[b_id] else (b, a)
             _report_conflict(
-                first, second, shared_names, mapping, function, report, footprint_of
+                a, by_id[b_id], shared_names, mapping, function, report, footprint_of
             )
-
-    skip_clean_pairs = (
-        reuse_reachability
-        and changed_tasks is not None
-        and prev_state is not None
-        and shared_names == prev_state.shared_names
-        and task_ids == prev_state.scanned_task_ids
-    )
-    if skip_clean_pairs:
-        assert prev_state is not None and changed_tasks is not None
-        changed = {tid for tid in changed_tasks if tid in task_ids}
-        # Scan only pairs with >=1 changed endpoint; replay the rest.  A
-        # pair of two changed tasks is scanned from its earlier endpoint.
-        everyone = reach.mask(task_ids)
-        changed_before = 0
-        for a in tasks:
-            if a.task_id not in changed:
-                continue
-            bit = 1 << reach.index[a.task_id]
-            scan(a, everyone & ~bit & ~changed_before)
-            changed_before |= bit
-        total_pairs = len(tasks) * (len(tasks) - 1) // 2
-        report.bump("pairs_reused", total_pairs - report.checked.get("pairs_checked", 0))
-        for finding in prev_state.findings:
-            a_id, _, b_id = finding.subject.partition("<->")
-            if a_id not in changed and b_id not in changed:
-                report.add(replace(finding, provenance="reused"))
-    else:
-        later = 0
-        partners = [0] * len(tasks)
-        for i in range(len(tasks) - 1, -1, -1):
-            partners[i] = later
-            later |= 1 << reach.index[tasks[i].task_id]
-        for a, mask in zip(tasks, partners):
-            scan(a, mask)
-
-    state = RaceCheckState(
-        happens_before=happens_before,
-        reachability=reach,
-        graph_task_ids=graph_task_ids,
-        scanned_task_ids=task_ids,
-        shared_names=shared_names,
-        findings=tuple(report.findings),
-    )
-    return report, state
+    return report, reach
 
 
 def check_races(

@@ -38,8 +38,8 @@ the IPET solution (with flow facts re-derived)::
 (:mod:`repro.analysis.incremental`): a cold pipeline run on the *old*
 model, then :meth:`~repro.core.pipeline.Pipeline.run_incremental` on the
 *new* one, and prints what the edit round reused -- which functions
-changed, which stages reused part of the old run, how many regions, race
-pairs and code-level reports were reused::
+changed, which stages found part of their work in the cache, how many
+regions and code-level reports were reused::
 
     python -m repro diff examples/model_v1.py examples/model_v2.py
     python -m repro diff egpws examples/egpws_edited.py --json

@@ -18,18 +18,19 @@ changes:
 * the ``transforms`` stage resolves ``config.passes`` through
   :mod:`repro.transforms.registry`.
 
-:meth:`Pipeline.run` and :meth:`Pipeline.run_incremental` are one stage
-loop, and every stage runs in both.  The front end of either keeps the
-regions of every block the run's cache has lowered before with the same
-lowering inputs (the cache's lowering memo), so a sweep's design points
-and an edit's rounds lower only blocks the cache has not seen.  Given a
-previous run, the other stages see it as ``context.prev``: the race
-check re-checks only pairs with a changed endpoint.  The other stages
-re-run on warm caches, where the reused regions' per-region facts (their
-task decompositions included, so HTG extraction decomposes only regions
-the cache has not decomposed at the run's granularity and chunk count)
-and code-level entries answer for them.  The reuse contract, stage by
-stage, is in :mod:`repro.analysis.incremental`.
+:meth:`Pipeline.run` and :meth:`Pipeline.run_incremental` run the same
+stage code; no stage reads the previous run, which feeds only the edit
+round's :class:`~repro.analysis.incremental.IncrementalReport`.  An edit
+round is a cold pass over warm caches.  The front end keeps the regions
+of every block the run's cache has lowered before with the same lowering
+inputs (the cache's lowering memo), so a sweep's design points and an
+edit's rounds lower only blocks the cache has not seen, and the other
+stages find the reused regions' per-region facts (their task
+decompositions and their tasks' footprints included, so HTG extraction
+decomposes only regions the cache has not decomposed at the run's
+granularity and chunk count) and code-level entries answering for them.
+The reuse contract, stage by stage, is in
+:mod:`repro.analysis.incremental`.
 
 :meth:`Pipeline.run` is the one entry point of the flow: with
 ``config.feedback_iterations > 1`` it runs the cross-layer feedback loop
@@ -51,7 +52,7 @@ from repro.core.config import ToolchainConfig
 from repro.core.exceptions import ToolchainError
 from repro.frontend import CompiledModel, compile_diagram
 from repro.htg import HierarchicalTaskGraph, extract_htg
-from repro.htg.extraction import ExtractionOptions, extract_htg_incremental
+from repro.htg.extraction import ExtractionOptions
 from repro.ir.facts import RegionFacts
 from repro.ir.loops import describe_unbounded_loops
 from repro.ir.program import Program
@@ -94,13 +95,11 @@ class PipelineContext:
     wcet_cache: WcetAnalysisCache
     #: The platform plus the artifacts of every stage that has run so far.
     artifacts: dict[str, Any] = field(default_factory=dict)
-    #: Per-stage scratch: diagnostic values for the current StageRecord.  In
-    #: an incremental run, a stage that reused part of ``prev`` sets
+    #: Per-stage scratch: diagnostic values for the current StageRecord.  A
+    #: stage that found part of its work in the cache's region memos (an
+    #: earlier run on the cache did it) sets
     #: ``info["incremental"] = "incremental"``.
     info: dict[str, Any] = field(default_factory=dict)
-    #: The previous run of an incremental run (``None`` on a cold run); a
-    #: stage may reuse the parts of it that are provably unchanged.
-    prev: "PipelineResult | None" = None
 
 
 @dataclass
@@ -220,7 +219,7 @@ def _frontend_stage(context: PipelineContext) -> dict[str, Any]:
         )
     context.info["blocks"] = len(model.block_regions)
     context.info["blocks_lowered"] = model.blocks_lowered
-    if context.prev is not None and model.blocks_lowered < len(context.diagram.blocks):
+    if model.blocks_lowered < len(context.diagram.blocks):
         context.info["incremental"] = "incremental"
     return {"model": model}
 
@@ -267,20 +266,15 @@ def _htg_stage(context: PipelineContext) -> dict[str, Any]:
     # memo, keyed by the two knobs), so only the regions this cache has not
     # decomposed at these knobs are decomposed, whatever the platform
     facts = RegionFacts(context.wcet_cache.region_facts)
-    if context.prev is None:
-        htg = extract_htg(model, options, facts)
-    else:
-        htg, inc = extract_htg_incremental(model, options, facts)
-        # when the edit kept the task/edge structure, the previous run's
-        # reachability memo applies verbatim
-        htg.adopt_reachability(context.prev.htg)
-        if inc["regions_reused"]:
-            context.info["incremental"] = "incremental"
+    htg = extract_htg(model, options, facts)
     # the regions decomposed by this run: the others' decompositions were
     # memoized by an earlier run on this cache
     recomputed = len(facts.computed)
+    reused = len(model.block_regions) - recomputed
+    if reused:
+        context.info["incremental"] = "incremental"
     context.info["tasks"] = len(htg.leaf_tasks())
-    context.info["regions_reused"] = len(model.block_regions) - recomputed
+    context.info["regions_reused"] = reused
     context.info["regions_recomputed"] = recomputed
     return {"htg": htg}
 
@@ -303,52 +297,20 @@ def _schedule_stage(context: PipelineContext) -> dict[str, Any]:
     return {"schedule": schedule}
 
 
-def _changed_tasks(htg: HierarchicalTaskGraph, prev_htg: HierarchicalTaskGraph) -> set[str]:
-    """Ids of tasks whose content may differ from ``prev_htg``'s.
-
-    Extraction builds an unchanged region's tasks from the decomposition
-    memoized on the region, so they share the previous run's statement
-    blocks; sharing them (with the same access sets) proves a task
-    unchanged, and new tasks count as changed.
-    """
-    before = prev_htg.tasks
-    changed = set()
-    for tid, task in htg.tasks.items():
-        old = before.get(tid)
-        if (
-            old is None
-            or old.statements is not task.statements
-            or old.reads != task.reads
-            or old.writes != task.writes
-        ):
-            changed.add(tid)
-    return changed
-
-
 def _parallel_stage(context: PipelineContext) -> dict[str, Any]:
     model: CompiledModel = context.artifacts["transformed_model"]
     htg: HierarchicalTaskGraph = context.artifacts["htg"]
     schedule: Schedule = context.artifacts["schedule"]
     from repro.analysis.races import incremental_race_check
 
-    prev_state = changed = None
-    if context.prev is not None:
-        # re-check only the pairs with a changed endpoint
-        prev_state = context.prev.artifacts.get("race_state")
-        changed = _changed_tasks(htg, context.prev.htg)
-    race_report, race_state = incremental_race_check(
+    race_report, _ = incremental_race_check(
         htg,
         schedule.mapping,
         schedule.order,
         model.entry,
-        prev_state=prev_state,
-        changed_tasks=changed,
         store=context.wcet_cache.footprints,
     )
     context.info["race_pairs_checked"] = race_report.checked.get("pairs_checked", 0)
-    if race_report.checked.get("pairs_reused"):
-        context.info["race_pairs_reused"] = race_report.checked["pairs_reused"]
-        context.info["incremental"] = "incremental"
     if race_report.count("error"):
         # warnings (e.g. race.chunk-overlap-unproven) survive the gate
         raise PipelineError(
@@ -359,9 +321,7 @@ def _parallel_stage(context: PipelineContext) -> dict[str, Any]:
         )
     program = build_parallel_program(htg, model.entry, context.platform, schedule)
     context.info["sync_ops"] = program.num_sync_ops
-    # race_state: the reusable race-check snapshot a later run_incremental
-    # re-checks from
-    return {"parallel_program": program, "race_state": race_state}
+    return {"parallel_program": program}
 
 
 def _wcet_stage(context: PipelineContext) -> dict[str, Any]:
@@ -478,31 +438,27 @@ class Pipeline:
         return self._traced(diagram, None)
 
     def run_incremental(self, prev: PipelineResult, diagram: Diagram) -> PipelineResult:
-        """Re-run the flow on an edited ``diagram``, reusing ``prev``.
+        """Re-run the flow on an edited ``diagram`` and report what changed
+        since ``prev``.
 
-        The same stage loop as :meth:`run`: every stage runs, seeing
-        ``prev`` as ``context.prev``, and three of them reuse what is
-        provably unchanged:
+        Exactly the stage code of :meth:`run`: an edit round is a cold pass
+        over warm caches, and no stage reads ``prev``.  The reuse is the
+        cache's, and it comes from the front end handing over the region
+        objects of every block whose lowering inputs did not change
+        (through the cache's lowering memo, as every run does):
 
-        * the front end lowers only blocks whose lowering inputs changed
-          and reuses the cache's regions for the others (through its
-          lowering memo, as every run does), so the passes and the
-          sequential bound recompute only the changed regions' per-region
-          facts and entries;
+        * the passes and the sequential bound recompute only the changed
+          regions' per-region facts and code-level entries;
         * HTG extraction decomposes only the regions without a
-          decomposition memoized at the run's granularity and chunk count
-          (the front end hands the unchanged regions over, and their
-          decompositions with them), and adopts ``prev``'s reachability
-          when the task and edge sets are unchanged;
-        * the race check reuses the previous happens-before closure and
-          re-scans only pairs with a changed endpoint.
+          decomposition memoized at the run's granularity and chunk count;
+        * the race check walks only the footprints of task blocks the
+          cache has not walked under the same declarations.
 
-        The result is bit-identical to a cold :meth:`run` on the same
-        diagram: every reuse is guarded by content fingerprints or by the
-        identity of IR that is never mutated.  The
-        per-run reuse accounting lands in
+        So the result is the cold :meth:`run`'s on the same diagram.
+        ``prev`` feeds only the reuse accounting, which lands in
         ``result.artifacts["incremental_report"]`` (an
-        :class:`~repro.analysis.incremental.IncrementalReport`).
+        :class:`~repro.analysis.incremental.IncrementalReport`, whose
+        ``diff`` compares the two runs' region fingerprints).
 
         A config with ``feedback_iterations > 1`` raises
         :class:`PipelineError`: the feedback loop picks among several
@@ -529,7 +485,6 @@ class Pipeline:
             config=self.config,
             wcet_cache=self.wcet_cache,
             artifacts={"platform": self.platform},
-            prev=prev,
         )
         stats = self.wcet_cache.stats
         counters_before = (stats.hits, stats.disk_hits, stats.misses)
@@ -571,7 +526,6 @@ class Pipeline:
                     ("stages_recomputed", report.stages_recomputed),
                     ("regions_reused", report.regions_reused),
                     ("regions_recomputed", report.regions_recomputed),
-                    ("race_pairs_reused", report.race_pairs_reused),
                 ):
                     registry.counter(f"incremental.{name}").inc(value)
         result.telemetry_data = self._capture_telemetry(

@@ -283,7 +283,9 @@ def extract_htg_incremental(
     at these options; counted from ``facts.computed``, so pass an instance
     that has computed nothing on them yet) and ``regions_reused`` the
     others.  An edit round hands over the unchanged regions themselves, so
-    only the regions the edit changed are decomposed.
+    only the regions the edit changed are decomposed.  The pipeline's HTG
+    stage calls :func:`extract_htg` and counts the same from its own
+    ``facts``; this form stays while perfbench's layer timer binds it.
     """
     before = len(facts.computed)
     htg = _extract(model, options, facts)

@@ -183,28 +183,10 @@ class HierarchicalTaskGraph:
 
         Built once per graph (see :class:`~repro.utils.graphs.Reachability`);
         invalidated by :meth:`add_task` / :meth:`add_edge` like the
-        adjacency indexes.  The schedule and parallel-program validators,
-        static MHP and the race checker's happens-before test all start
-        from it.
+        adjacency indexes.  Only static MHP reads it: the schedule check
+        needs no closure, only an acyclic order, and the race checker
+        closes the dependences together with the core orders.
         """
         if self._reachability is None:
             self._reachability = Reachability(self.tasks.keys(), self.edge_pairs())
         return self._reachability
-
-    def adopt_reachability(self, other: "HierarchicalTaskGraph") -> bool:
-        """Share ``other``'s memoized reachability when it provably applies.
-
-        Two graphs with the same task-id set and the same edge set have the
-        same closure, so an incrementally re-extracted HTG can inherit the
-        previous run's memo instead of recomputing it.  Returns ``True``
-        when adopted; a no-op when the graphs differ or ``other`` has no
-        memo yet.
-        """
-        if other._reachability is None:
-            return False
-        if self.tasks.keys() != other.tasks.keys():
-            return False
-        if set(self.edge_pairs()) != set(other.edge_pairs()):
-            return False
-        self._reachability = other._reachability
-        return True

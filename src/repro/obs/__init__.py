@@ -32,7 +32,7 @@ Observability contract
   checkers),
   ``scheduler.ready_set_max``, ``bnb.nodes`` / ``.leaves`` / ``.pruned``,
   ``incremental.stages_recomputed`` / ``.regions_reused`` /
-  ``.regions_recomputed`` / ``.race_pairs_reused``.
+  ``.regions_recomputed``.
 
 **Name stability.**  Span and metric names above are a reporting API:
 renames are breaking changes (dashboards, ``run_all.py --trace`` records

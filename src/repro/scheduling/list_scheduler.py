@@ -108,7 +108,9 @@ class WcetAwareListScheduler:
 
         # Ready set: in-degree tracking plus a heap keyed on (-rank, task_id),
         # which reproduces exactly the priority-ordered linear scan (highest
-        # rank first, ties broken by task id).
+        # rank first, ties broken by task id).  The ranks walked
+        # ``design.topological``, which raises on a cyclic HTG, so the heap
+        # places every task.
         indegree = [len(row) for row in design.pred_rows]
         ready = [(-ranks[i], leaf_ids[i], i) for i in range(num_tasks) if indegree[i] == 0]
         heapq.heapify(ready)
@@ -173,11 +175,6 @@ class WcetAwareListScheduler:
                 indegree[succ] -= 1
                 if indegree[succ] == 0:
                     heapq.heappush(ready, (-ranks[succ], leaf_ids[succ], succ))
-        if len(placed) < num_tasks:
-            # fall back to priority order (should not happen on a DAG)
-            for i in sorted(range(num_tasks), key=lambda i: (-ranks[i], leaf_ids[i])):
-                if finish[i] is None:
-                    place(i)
 
         if obs.obs_enabled():
             registry = obs.metrics()

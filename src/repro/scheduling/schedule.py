@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from repro.adl.architecture import Platform
 from repro.htg.graph import HierarchicalTaskGraph
 from repro.ir.program import Function
+from repro.utils.graphs import is_acyclic
 from repro.utils.intervals import Interval, total_busy_time
 from repro.wcet.system_level import (
     SystemDesign,
@@ -76,14 +77,21 @@ class Schedule:
                         f"task {tid!r} is ordered on core {core} but mapped to "
                         f"core {self.mapping[tid]}"
                     )
-        reachability = htg.reachability()
-        for core, tids in self.order.items():
-            violation = reachability.order_violation(tids)
-            if violation is not None:
-                a, b = violation
-                raise ScheduleError(
-                    f"core {core}: order places {a!r} before its dependency {b!r}"
-                )
+        self.check_order(htg)
+
+    def check_order(self, htg: HierarchicalTaskGraph) -> None:
+        """Raise :class:`ScheduleError` unless the HTG's dependences plus
+        each core's chain of tasks are acyclic.
+
+        Each core runs its tasks in ``order`` and a task waits for its
+        producers, so a cycle through both kinds of edge is a wait that
+        never ends, even when every core's order respects the dependences
+        on its own: core 0 running ``[a1, b1]`` and core 1 ``[a2, b2]``
+        with ``b1 -> a2`` and ``b2 -> a1`` deadlocks.
+        """
+        chains = [pair for tids in self.order.values() for pair in zip(tids, tids[1:])]
+        if not is_acyclic([*htg.edge_pairs(), *chains], htg.tasks.keys()):
+            raise ScheduleError("cyclic wait between core order and dependences")
 
     def race_findings(self, htg: HierarchicalTaskGraph, function: Function):
         """Static race check of this schedule (see :mod:`repro.analysis.races`).

@@ -90,10 +90,18 @@ def simulate_parallel_program(
     inputs: Mapping[str, Any] | None = None,
     contention: str = "static",
 ) -> SimulationResult:
-    """Simulate one synchronous step of the parallel program."""
+    """Simulate one synchronous step of the parallel program.
+
+    Raises :class:`~repro.scheduling.schedule.ScheduleError` on a schedule
+    that :meth:`~repro.scheduling.schedule.Schedule.validate` refuses: one
+    that does not map and order exactly the HTG's tasks on the platform's
+    cores, or whose core orders and dependences wait on each other in a
+    cycle, so its program would deadlock.
+    """
     if contention not in ("static", "dynamic"):
         raise ValueError("contention must be 'static' or 'dynamic'")
     schedule = program.schedule
+    schedule.validate(htg, platform)
     mapping = schedule.mapping
     interpreter = Interpreter()
     env = interpreter.initial_environment(function, inputs)
@@ -117,11 +125,8 @@ def simulate_parallel_program(
 
     analysed_contenders = schedule.result.task_contenders if schedule.result else {}
 
-    guard = 0
+    # the orders are acyclic, so some pending task is always ready
     while pending:
-        guard += 1
-        if guard > len(position) ** 2 + 10:
-            raise RuntimeError("simulation could not make progress; inconsistent schedule")
         for tid in sorted(pending, key=lambda t: (position[t][0], position[t][1])):
             core, idx = position[tid]
             preds = htg.predecessors(tid)
@@ -163,8 +168,6 @@ def simulate_parallel_program(
             durations[tid] = duration
             pending.discard(tid)
             break
-        else:
-            continue
 
     intervals = {tid: Interval(start[tid], finish[tid]) for tid in start}
     makespan = max((iv.end for iv in intervals.values()), default=0.0)

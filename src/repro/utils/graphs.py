@@ -5,14 +5,13 @@ numbers; the acyclicity test builds on it.
 Reachability stores the transitive closure as one Python-int bitset per
 node (:class:`Reachability`), so "which of these tasks are ordered with
 ``t``" is a single mask operation instead of a scan over a set of pairs.
-It is the one closure the HTG, the race checker, static MHP and the
-schedule validators share.
+It is the one closure the HTG, the race checker and static MHP share.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Generic, Hashable, Iterable, Sequence, TypeVar
+from typing import Generic, Hashable, Iterable, TypeVar
 
 N = TypeVar("N", bound=Hashable)
 
@@ -149,28 +148,6 @@ class Reachability(Generic[N]):
             for u, mask in zip(self.nodes, self.descendants)
             for v in self.members(mask)
         }
-
-    def order_violation(self, sequence: Sequence[N]) -> tuple[N, N] | None:
-        """First ``(a, b)`` with ``a`` placed before ``b`` although ``b`` reaches ``a``.
-
-        Scans ``a`` in sequence order and returns, for the first offending
-        ``a``, the earliest such ``b`` after it; ``None`` when ``sequence``
-        respects every dependence.  Nodes outside the graph order nothing.
-        """
-        positions = [self.index.get(node) for node in sequence]
-        placed_after = [0] * len(sequence)
-        later = 0
-        for k in range(len(sequence) - 1, -1, -1):
-            placed_after[k] = later
-            pos = positions[k]
-            if pos is not None:
-                later |= 1 << pos
-        for k, pos in enumerate(positions):
-            if pos is not None and self.ancestors[pos] & placed_after[k]:
-                a = sequence[k]
-                b = next(b for b in sequence[k + 1:] if self.reaches(b, a))
-                return a, b
-        return None
 
 
 def _least_reach(order: list[int], adjacent: list[list[int]], acyclic: bool) -> list[int]:

@@ -74,8 +74,9 @@ function only through those names, so editing one region -- or inserting
 or deleting a block, which adds or removes declarations -- leaves every
 region that does not reference a touched name addressable.  Task
 footprints (:attr:`~repro.wcet.cache.WcetAnalysisCache.footprints`) are
-keyed the same way, with the task's declared read/write names added to the
-context.  The :data:`~repro.wcet.cache.CACHE_SCHEMA_VERSION` bump (3 → 4)
+per-region facts of the task's statements block, keyed by the same
+context with the task's declared read/write names added, plus the two
+declared sets.  The :data:`~repro.wcet.cache.CACHE_SCHEMA_VERSION` bump (3 → 4)
 retires the old on-disk entries by the ordinary versioning rule.
 
 The cost signature once also digested the cost model's storage overrides,
@@ -116,15 +117,13 @@ bump**: the whole-body entries older runs wrote are never looked up
 again, and :meth:`~repro.wcet.cache.WcetAnalysisCache.evict` ages them
 out.
 
-System-level / result tiers
----------------------------
-The same contract extends to the other two tiers of a cache, which exist
+System-level result tier
+------------------------
+The same contract extends to the other tier of a cache, which exists
 only inside one: the **system-level result tier**
 (:class:`~repro.wcet.cache.SystemResultCache`, reached through
 ``cache.system_results`` and consulted by
-:func:`~repro.wcet.system_level.system_level_wcet`) and the **footprint
-tier** (:class:`~repro.analysis.footprints.FootprintStore`, reached through
-``cache.footprints``).  Result keys embed the
+:func:`~repro.wcet.system_level.system_level_wcet`).  Result keys embed the
 function/region fingerprints, the edge payloads, the platform's content
 digest, the mapping and per-core order and what steers the fixed point
 (its iteration cap :data:`~repro.wcet.system_level.MAX_ITERATIONS`,
@@ -153,14 +152,14 @@ cost signatures and platform digests are the same memos); additionally:
   way cannot equal one derived the old way, so older v6 records are never
   looked up and :meth:`~repro.wcet.cache.WcetAnalysisCache.evict` ages
   them out; :data:`~repro.wcet.cache.CACHE_SCHEMA_VERSION` stays 6.
-* Every tier keeps its entries in one
+* Both tiers keep their entries in one
   :class:`~repro.wcet.cache.MemoStore`, which counts hits, first-use disk
   hits and misses in the tier's ``stats``
   (:class:`~repro.wcet.cache.CacheStats`) and bounds the entries by LRU:
-  the code-level tier is unbounded, the result tier holds
-  :data:`~repro.wcet.cache.MAX_SYSTEM_RESULTS` (2,048) results and the
-  footprint tier :data:`~repro.analysis.footprints.MAX_FOOTPRINTS` (4,096)
-  footprints.
+  the code-level tier is unbounded and the result tier holds
+  :data:`~repro.wcet.cache.MAX_SYSTEM_RESULTS` (2,048) results.  Task
+  footprints are no tier: they live in the region memos, as long as
+  their statement blocks.
 * Every system-level analysis consults the result tier of its design's
   cache; code that must *re-run* the fixed point (differential tests,
   kernel timing) clears ``cache.system_results.store`` first or analyses

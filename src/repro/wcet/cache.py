@@ -1,29 +1,27 @@
 """Content-addressed result caching shared across the whole flow.
 
-This module is the flow's **result cache**, in three tiers:
+This module is the flow's **result cache**, in two tiers:
 
 * the *code-level* tier (:class:`WcetAnalysisCache`) memoizes isolated task /
-  region WCET analyses,
+  region WCET analyses, and
 * the *system-level* tier (:class:`SystemResultCache`, reachable as
   ``cache.system_results``) memoizes entire
   :class:`~repro.wcet.system_level.SystemWcetResult` objects -- the outcome
   of the contention-aware fixed point -- for repeated identical
   (mapped tasks, mapping, platform, config) combinations, so a warm sweep
-  over a previously analysed design point skips the fixed point entirely,
-  and
-* the *footprint* tier (:class:`~repro.analysis.footprints.FootprintStore`,
-  reachable as ``cache.footprints``) memoizes the per-task shared-memory
-  footprints the static MHP analysis and the race check read.
+  over a previously analysed design point skips the fixed point entirely.
 
-Every tier keeps its entries in one :class:`MemoStore`, which counts hits,
+Each tier keeps its entries in one :class:`MemoStore`, which counts hits,
 first-use disk hits and misses (:class:`CacheStats`), drops the least
-recently used entry past the tier's bound, and, for a tier that persists,
-reads and writes the tier's shard files.  The code-level tier is unbounded;
-the other bounds are module constants (:data:`MAX_SYSTEM_RESULTS` here,
-:data:`~repro.analysis.footprints.MAX_FOOTPRINTS` next to the footprint
-tier).  Tiers exist only inside a :class:`WcetAnalysisCache`, whose
-identity memos they share so their keys are cheap to derive.  The
-code-level and system-level tiers persist; footprints stay in memory.
+recently used entry past the tier's bound, and reads and writes the tier's
+shard files.  The code-level tier is unbounded; the result tier's bound is
+:data:`MAX_SYSTEM_RESULTS`.  Tiers exist only inside a
+:class:`WcetAnalysisCache`, whose identity memos they share so their keys
+are cheap to derive.  The per-task shared-memory footprints the static MHP
+analysis and the race check read are no tier: ``cache.footprints``
+(:class:`~repro.analysis.footprints.FootprintStore`) memoizes each one in
+the region memo of the task's statements block (see the invalidation
+contract below).
 
 Every layer of the ARGO flow re-derives the same isolated task WCETs: the
 list scheduler analyses each (task, candidate core) pair during placement,
@@ -144,7 +142,8 @@ Invalidation contract
 The only mutable state is the set of *memos* mapping live ``Function`` /
 statement / model objects (by identity) to their fingerprints, per-region
 facts (:mod:`repro.ir.facts`: referenced names, what the built-in passes
-read and rewrite, and each region's task decompositions), the *body memo*
+read and rewrite, each region's task decompositions and each task block's
+footprints), the *body memo*
 of each top-level loop body, region contexts (per function and referenced
 name set) and cost signatures, which avoids re-rendering and re-walking the
 IR and re-digesting declarations and cost tables on every query, plus the
@@ -177,6 +176,13 @@ rely on those objects never changing once fingerprinted:
   it; a region handed over to a later design point or edit round is not
   decomposed again at the same knobs, and its chunk blocks keep their
   fingerprints.  No platform enters a decomposition.
+* **Task footprints** are per-region facts of a task's statements block
+  (:meth:`~repro.analysis.footprints.FootprintStore.footprint`), keyed by
+  the :meth:`WcetAnalysisCache.region_context` of the names the block
+  references plus the task's declared read/write names, and by those two
+  sets: the block's content is its identity, and the context and the
+  sets are everything else the walk reads.  A footprint holds no
+  statement, so it dies with its block.
 * **Loop bodies** are shared: a loop chunk task is
   ``Block([For(i, Const(lo), Const(hi), body)])`` over its loop's one
   ``body`` object.  The body of each *top-level* loop of a region (the
@@ -472,10 +478,10 @@ class MemoStore(Generic[V]):
     ``max_entries`` bounds the entries: every insert, loads included, drops
     the least recently used entry past it (``None`` keeps every entry).
 
-    A store given a shard ``prefix`` persists to a cache directory attached
-    by :meth:`load`: ``encode`` turns a value into the fields of its shard
-    line and ``decode`` turns those fields back into a value, or ``None``
-    for a record to skip.  The store writes only its own
+    The store persists to a cache directory attached by :meth:`load`,
+    under its shard ``prefix``: ``encode`` turns a value into the fields of
+    its shard line and ``decode`` turns those fields back into a value, or
+    ``None`` for a record to skip.  The store writes only its own
     ``<prefix>entries-<pid>-<token>.jsonl`` shard and appends one counter
     record per :meth:`flush` to its own ``<prefix>stats-...`` shard (see
     the module docstring).
@@ -483,10 +489,10 @@ class MemoStore(Generic[V]):
 
     def __init__(
         self,
+        prefix: str,
+        encode: Callable[[V], dict],
+        decode: Callable[[dict], V | None],
         max_entries: int | None = None,
-        prefix: str | None = None,
-        encode: Callable[[V], dict] | None = None,
-        decode: Callable[[dict], V | None] | None = None,
     ) -> None:
         self.stats = CacheStats()
         self.max_entries = max_entries
@@ -568,7 +574,6 @@ class MemoStore(Generic[V]):
         persisted where: every in-memory entry becomes flushable to the new
         directory (so switching directories cannot silently drop entries).
         """
-        assert self._prefix is not None and self._decode is not None
         if self.cache_dir is not None and cache_dir != self.cache_dir:
             self._persisted.clear()
             self._loaded.clear()
@@ -599,7 +604,6 @@ class MemoStore(Generic[V]):
         """
         if self.cache_dir is None:
             return 0
-        assert self._encode is not None
         fresh = {key: value for key, value in self.entries.items() if key not in self._persisted}
         snapshot = (self.stats.hits, self.stats.disk_hits, self.stats.misses)
         own = self._shard_path("entries")
@@ -716,7 +720,7 @@ class WcetAnalysisCache:
         #: cheap to derive) and this cache's directory, and :meth:`flush` /
         #: :meth:`clear` / :meth:`evict` cover it
         self.system_results = SystemResultCache(self)
-        #: lazily created task-footprint tier (see :attr:`footprints`)
+        #: lazily created task-footprint memo (see :attr:`footprints`)
         self._footprints: "FootprintStore | None" = None
         #: the front end's lowering memo: block name -> the latest reusable
         #: :class:`~repro.frontend.codegen.BlockLowering` of a block of that
@@ -1108,10 +1112,10 @@ class WcetAnalysisCache:
 
     @property
     def footprints(self) -> "FootprintStore":
-        """The task-footprint tier of this cache (created on first use).
+        """The task-footprint memo of this cache (created on first use).
 
-        Shares this instance's region memos, so a footprint lookup renders
-        nothing a WCET lookup of the same region already rendered.
+        It keeps each footprint in the region memo of the task's
+        statements block, so it lives and is cleared with the region memos.
         In-memory only.
         """
         if self._footprints is None:
@@ -1254,8 +1258,6 @@ class WcetAnalysisCache:
         self._refs.clear()
         self._pins.clear()
         self.system_results.store.clear()
-        if self._footprints is not None:
-            self._footprints.store.clear()
         self.lowerings.clear()
         self._ipet_witnesses.clear()
 
@@ -1298,7 +1300,7 @@ class SystemResultCache:
         self._fingerprints = fingerprints
         #: content key -> serializable record (see :meth:`_record_of`)
         self.store: MemoStore[dict] = MemoStore(
-            MAX_SYSTEM_RESULTS, _SHARD_PREFIXES["system"], encode=dict, decode=_checked_record
+            _SHARD_PREFIXES["system"], dict, _checked_record, max_entries=MAX_SYSTEM_RESULTS
         )
 
     @property

@@ -244,29 +244,54 @@ class TestIterationValueRange:
 # ---------------------------------------------------------------------- #
 # footprint store
 # ---------------------------------------------------------------------- #
-class TestFootprintStore:
-    """The footprint tier, reached as ``WcetAnalysisCache().footprints``."""
+def counting_walks(monkeypatch) -> list[str]:
+    """Patch the footprint walk to record the id of every task it walks."""
+    walked: list[str] = []
+    walk = footprints_module.task_footprint
 
-    def test_cache_hits_on_identical_regions(self):
+    def counted(function, task, shared=None):
+        walked.append(task.task_id)
+        return walk(function, task, shared)
+
+    monkeypatch.setattr(footprints_module, "task_footprint", counted)
+    return walked
+
+
+class TestFootprintStore:
+    """The footprint memo, reached as ``WcetAnalysisCache().footprints``:
+    a per-region fact of each task's statements block."""
+
+    def test_cache_hits_on_identical_regions(self, monkeypatch):
+        walked = counting_walks(monkeypatch)
         func = shared_buf_function()
         task = chunk_task("t", 0, 4)
         store = WcetAnalysisCache().footprints
         first = store.footprint(func, task)
         second = store.footprint(func, task)
         assert first is second
-        assert store.stats.hits == 1 and store.stats.misses == 1
+        assert walked == ["t"]
 
-    def test_declared_sets_key_the_entry(self):
-        # same rendered statements, different declared write sets: the
-        # whole-footprint merge differs, so the entries must not collide
+    def test_declared_sets_key_the_entry(self, monkeypatch):
+        # one statements block, different declared sets: the whole-footprint
+        # merge differs, so the entries must not collide
+        walked = counting_walks(monkeypatch)
         func = shared_buf_function()
-        bare = Task("a", TaskKind.BLOCK, Block())
-        declared = Task("b", TaskKind.BLOCK, Block(), writes={"buf"})
+        block = Block()
+        bare = Task("a", TaskKind.BLOCK, block)
+        declared = Task("b", TaskKind.BLOCK, block, writes={"buf"})
+        reader = Task("c", TaskKind.BLOCK, block, reads={"buf"})
         store = WcetAnalysisCache().footprints
         fp_bare = store.footprint(func, bare)
         fp_declared = store.footprint(func, declared)
-        assert "buf" not in fp_bare.array_writes
-        assert fp_declared.array_writes["buf"].is_top
+        fp_reader = store.footprint(func, reader)
+        assert "buf" not in fp_bare.array_writes and not fp_bare.array_reads
+        assert fp_declared.array_writes["buf"].is_top and not fp_declared.array_reads
+        assert fp_reader.array_reads["buf"].is_top and not fp_reader.array_writes
+        assert walked == ["a", "b", "c"]
+        # each declared pair is walked once, whatever the task id
+        again = Task("d", TaskKind.BLOCK, block, writes={"buf"})
+        assert store.footprint(func, again) == task_footprint(func, again)
+        assert walked == ["a", "b", "c"]
 
     def test_shares_fingerprints_with_wcet_cache(self):
         func = shared_buf_function()
@@ -276,7 +301,7 @@ class TestFootprintStore:
         assert store is cache.footprints
         assert store.footprint(func, task).array_writes["buf"] == ValueRange(0.0, 3.0)
         assert store.footprint(func, task) is store.footprint(func, task)
-        # the key went through the cache's region memo
+        # the footprint went into the cache's region memo of the block
         assert id(task.statements) in cache._region_fps
 
     def test_task_footprints_convenience(self):
@@ -293,6 +318,7 @@ class TestFootprintStore:
         task = chunk_task("t", 0, 4)
         store = WcetAnalysisCache().footprints
         first = store.footprint(func, task)
+        walked = counting_walks(monkeypatch)
         rendered = []
         render = cache_module.region_to_c
         monkeypatch.setattr(
@@ -300,25 +326,27 @@ class TestFootprintStore:
             "region_to_c",
             lambda region, body_text: rendered.append(region) or render(region, body_text),
         )
-        # a copy sharing the statements, as incremental extraction hands over
+        # a copy sharing the statements, as extraction hands a block over
         again = Task("u", TaskKind.LOOP_CHUNK, task.statements, writes={"buf"}, parent="loop")
-        assert store.footprint(func, again).array_writes == first.array_writes
-        assert store.stats.hits == 1
+        fp = store.footprint(func, again)
+        assert fp.array_writes == first.array_writes and fp.task_id == "u"
+        assert walked == []
         assert rendered == []
 
-    def test_lru_bounds_memory(self, monkeypatch):
-        monkeypatch.setattr(footprints_module, "MAX_FOOTPRINTS", 2)
+    def test_memo_dies_with_its_block(self):
+        # the memo holds no block, so dropping the tasks drops their
+        # footprints with the blocks' region memos: no bound is needed
+        import gc
+
         func = shared_buf_function()
-        store = WcetAnalysisCache().footprints
+        cache = WcetAnalysisCache()
         tasks = [chunk_task(f"t{k}", k, k + 1) for k in range(4)]
         for task in tasks:
-            store.footprint(func, task)
-        assert store.stats.misses == 4
-        assert len(store.store) == 2
-        # the two most recently used survive: t3 hits, t0 was dropped
-        store.footprint(func, tasks[3])
-        store.footprint(func, tasks[0])
-        assert (store.stats.hits, store.stats.misses) == (1, 5)
+            cache.footprints.footprint(func, task)
+        assert all(id(task.statements) in cache._region_fps for task in tasks)
+        del task, tasks
+        gc.collect()
+        assert not cache._region_fps
 
 
 def test_trunc_is_infinity_preserving():

@@ -3,8 +3,9 @@
 The core property: for any seeded edit script,
 :meth:`Pipeline.run_incremental` must produce results bit-identical to a
 cold :meth:`Pipeline.run` on the edited model -- every reuse is proved
-valid by a content fingerprint.  Every stage runs on every incremental
-run; a stage reuses the previous run only through ``context.prev``.
+valid by a content fingerprint.  An incremental run is the stage code of a
+cold run on warm caches: no stage reads the previous run, which feeds only
+the reuse report.
 """
 
 import copy
@@ -20,7 +21,6 @@ from repro.core.pipeline import Pipeline
 from repro.ir.printer import function_to_c
 from repro.model import library
 from repro.model.diagram import Diagram
-from repro.scheduling.schedule import default_core_order
 from repro.usecases.workloads import (
     delete_block,
     edit_block_param,
@@ -45,6 +45,21 @@ def _pipeline(platform=None, config=None, cache=None):
         config or ToolchainConfig(),
         cache or WcetAnalysisCache(),
     )
+
+
+def _counting_walks(monkeypatch):
+    """Record the id of every task whose footprint is walked from now on."""
+    import repro.analysis.footprints as footprints
+
+    walked = []
+    walk = footprints.task_footprint
+
+    def counted(function, task, shared=None):
+        walked.append(task.task_id)
+        return walk(function, task, shared)
+
+    monkeypatch.setattr(footprints, "task_footprint", counted)
+    return walked
 
 
 def _assert_bit_identical(incremental, cold):
@@ -85,7 +100,8 @@ def test_unchanged_model_runs_every_stage():
         "frontend", "transforms", "htg", "schedule", "parallel", "wcet", "certify",
     ]
     assert report.stages_reused == 0
-    assert report.stages["htg"] == report.stages["parallel"] == "incremental"
+    assert report.stages["htg"] == "incremental"
+    assert report.stages["parallel"] == "recomputed"
     # the front end lowers no block, and the passes re-run on no region
     assert report.stages["frontend"] == "incremental"
     assert report.blocks_lowered == report.regions_transformed == 0
@@ -95,12 +111,13 @@ def test_unchanged_model_runs_every_stage():
             result.model.entry.body.stmts, base.model.entry.body.stmts, strict=True
         )
     )
-    # every region keeps its tasks, every race pair its verdict
+    # every region keeps its tasks; the race check scans every pair again
     assert report.regions_recomputed == 0
     assert report.regions_reused == len(base.model.block_regions)
     leaves = len(result.htg.leaf_tasks())
-    assert report.race_pairs_checked == 0
-    assert report.race_pairs_reused == leaves * (leaves - 1) // 2
+    checked = result.stage("parallel").info["race_pairs_checked"]
+    assert checked == base.stage("parallel").info["race_pairs_checked"]
+    assert checked == leaves * (leaves - 1) // 2
     # warm caches: no code-level analysis runs again
     assert result.cache_stats["misses"] == 0
     _assert_bit_identical(result, base)
@@ -120,33 +137,31 @@ def test_single_param_edit_is_incremental_and_bit_identical():
     assert list(report.diff.changed_regions) == [edited_block]
     # only the edited block is lowered, and only its region transformed
     assert report.blocks_lowered == report.regions_transformed == 1
-    assert report.stages["parallel"] == "incremental"
-    assert report.race_pairs_reused > 0
     cold = _pipeline().run(edited)
     _assert_bit_identical(result, cold)
-
-
-def test_reused_race_findings_carry_provenance():
-    # a schedule with races: everything on separate cores, no sync -> the
-    # race checker reports findings; an incremental re-check of an
-    # unchanged model must replay them with provenance "reused"
-    from repro.analysis.races import incremental_race_check
-    from repro.frontend import compile_diagram
-    from repro.htg import extract_htg
-
-    model = compile_diagram(_diagram(seed=13))
-    htg = extract_htg(model)
-    leaf_ids = [t.task_id for t in htg.leaf_tasks()]
-    mapping = {tid: i % 4 for i, tid in enumerate(leaf_ids)}
-    order = default_core_order(htg, mapping)
-    first, state = incremental_race_check(htg, mapping, order, model.entry)
-    assert all(f.provenance == "computed" for f in first.findings)
-    second, _ = incremental_race_check(
-        htg, mapping, order, model.entry, prev_state=state, changed_tasks=set()
+    # the race check scans every pair, as the cold run does
+    assert (
+        result.stage("parallel").info["race_pairs_checked"]
+        == cold.stage("parallel").info["race_pairs_checked"]
     )
-    assert second.count("error") == first.count("error")
-    assert second.checked.get("pairs_reused", 0) > 0
-    assert all(f.provenance == "reused" for f in second.findings)
+
+
+def test_edit_rounds_walk_only_the_edited_blocks_footprints(monkeypatch):
+    """The race check scans every pair on every run, but a footprint is a
+    fact of its task's block: sibling loop chunks need footprint proofs,
+    and an edit round walks only the blocks the edit changed."""
+    pipe = _pipeline(config=ToolchainConfig(granularity="loop", loop_chunks=2))
+    walked = _counting_walks(monkeypatch)
+    base = pipe.run(_diagram(seed=12))
+    assert walked  # the cold run proved chunk pairs disjoint
+    walked.clear()
+    again = pipe.run_incremental(base, _diagram(seed=12))
+    assert walked == []
+    edited = _diagram(seed=12)
+    edited_block = edit_block_param(edited, seed=1)
+    result = pipe.run_incremental(again, edited)
+    assert walked
+    assert {result.htg.tasks[tid].origin for tid in walked} == {edited_block}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 6, 7])
@@ -170,13 +185,14 @@ def _reextracted(result, prev):
 
 
 @pytest.mark.parametrize("edit", [insert_gain_block, delete_block])
-def test_structural_edits_match_cold(edit):
+def test_structural_edits_match_cold(edit, monkeypatch):
     pipe = _pipeline()
     base = pipe.run(_diagram(seed=21))
     edited = _diagram(seed=21)
     edit(edited, seed=2)
-    footprint_misses = pipe.wcet_cache.footprints.stats.misses
+    walked = _counting_walks(monkeypatch)
     result = pipe.run_incremental(base, edited)
+    walked = list(walked)  # the cold run below walks every block again
     _assert_bit_identical(result, _pipeline().run(edited))
     # an edit that adds or removes declarations re-keys only the regions
     # that reference them: one worst-case and one average-case analysis per
@@ -184,22 +200,24 @@ def test_structural_edits_match_cold(edit):
     fresh = _reextracted(result, base)
     assert len(fresh) < len(result.htg.leaf_tasks())
     assert result.cache_stats["misses"] <= 2 * len(fresh) + 1
-    assert pipe.wcet_cache.footprints.stats.misses - footprint_misses <= len(fresh)
+    assert set(walked) <= {task.task_id for task in fresh}
 
 
 @pytest.mark.parametrize("edit", [insert_gain_block, delete_block])
-def test_structural_edits_with_static_pruning_reuse_footprints(edit):
+def test_structural_edits_with_static_pruning_reuse_footprints(edit, monkeypatch):
     config = ToolchainConfig(static_pruning=True)
     pipe = _pipeline(config=config)
     base = pipe.run(_diagram(seed=21))
     edited = _diagram(seed=21)
     edit(edited, seed=2)
-    footprint_misses = pipe.wcet_cache.footprints.stats.misses
+    walked = _counting_walks(monkeypatch)
     result = pipe.run_incremental(base, edited)
+    walked = list(walked)  # the cold run below walks every block again
     _assert_bit_identical(result, _pipeline(config=config).run(edited))
-    assert pipe.wcet_cache.footprints.stats.misses - footprint_misses <= len(
-        _reextracted(result, base)
-    )
+    # static MHP and the race check walk only re-extracted tasks' blocks,
+    # each once
+    assert set(walked) <= {task.task_id for task in _reextracted(result, base)}
+    assert len(walked) == len(set(walked))
 
 
 def test_long_array_param_edit_matches_cold():
@@ -344,7 +362,7 @@ def test_replacing_one_of_the_front_stages_reruns_both(replaced, monkeypatch):
             return stage
 
         def wrapped(context):
-            calls.append(context.prev is not None)
+            calls.append(name)
             return stage(context)
 
         return wrapped
@@ -355,7 +373,7 @@ def test_replacing_one_of_the_front_stages_reruns_both(replaced, monkeypatch):
         tuple((name, wrap(name, stage)) for name, stage in pipeline_module.STAGES),
     )
     result = pipe.run_incremental(base, _diagram(seed=29))
-    assert calls == [True]
+    assert calls == [replaced]
     assert [r.name for r in result.stage_records][:2] == ["frontend", "transforms"]
     report = result.artifacts["incremental_report"]
     # both ran; the content-identical diagram lowers no block and re-runs

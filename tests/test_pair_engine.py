@@ -35,15 +35,15 @@ from repro.analysis.static_mhp import compute_static_mhp
 from repro.frontend import compile_diagram
 from repro.htg import extract_htg
 from repro.htg.extraction import ExtractionOptions
-from repro.htg.graph import HierarchicalTaskGraph
+from repro.htg.graph import HierarchicalTaskGraph, TaskEdge
 from repro.htg.task import Task, TaskKind
 from repro.ir import FunctionBuilder
+from repro.ir.facts import RegionFacts
 from repro.ir.expressions import ArrayRef, BinOp, Const, Var
-from repro.ir.printer import to_c
 from repro.ir.program import Storage
 from repro.ir.statements import Assign, Block, For
 from repro.ir.types import INT
-from repro.scheduling.schedule import default_core_order
+from repro.scheduling.schedule import Schedule, ScheduleError, default_core_order
 from repro.usecases import ALL_USECASES
 from repro.usecases.workloads import (
     random_edit_script,
@@ -55,7 +55,6 @@ from repro.wcet import (
     HardwareCostModel,
     SystemDesign,
     WcetAnalysisCache,
-    shared_cache,
     system_level_wcet,
 )
 
@@ -69,8 +68,8 @@ CASES = USECASES + ["synthetic-1", "synthetic-2", "synthetic-3"]
 # the pairwise oracles
 # ---------------------------------------------------------------------- #
 def static_mhp_oracle(htg, function, mapping, sharers):
-    """``compute_static_mhp`` as a double loop over a networkx closure."""
-    store = shared_cache().footprints
+    """``compute_static_mhp`` as a double loop over a networkx closure, with
+    every footprint walked afresh."""
     leaf_ids = [t.task_id for t in htg.leaf_tasks() if t.task_id in mapping]
     if all(e.src in mapping and e.dst in mapping for e in htg.edges):
         ordered = transitive_closure(htg.tasks.keys(), htg.edge_pairs())
@@ -79,7 +78,7 @@ def static_mhp_oracle(htg, function, mapping, sharers):
             set(mapping),
             [(e.src, e.dst) for e in htg.edges if e.src in mapping and e.dst in mapping],
         )
-    footprints = {tid: store.footprint(function, htg.task(tid)) for tid in leaf_ids}
+    footprints = {tid: task_footprint(function, htg.task(tid)) for tid in leaf_ids}
     allowed = {}
     counts = dict.fromkeys(
         ("candidate_pairs", "pruned_same_core", "pruned_ordered", "pruned_disjoint",
@@ -161,79 +160,29 @@ def _scan_pair(a, b, ordered, shared_names, mapping, function, report, footprint
     )
 
 
-def race_oracle(htg, mapping, order, function, prev_state=None, changed_tasks=None):
-    """``incremental_race_check`` as a pair scan over a networkx closure.
-
-    Its state is a plain dict holding the materialised closure.
-    """
+def race_oracle(htg, mapping, order, function):
+    """``incremental_race_check``'s report as a pair scan over a networkx
+    closure, with every footprint walked afresh."""
     report = AnalysisReport("race_checker")
     shared_names = frozenset(
         d.name for d in function.all_decls() if d.storage in SHARED_STORAGE
     )
-    store = shared_cache().footprints
 
     def footprint_of(task):
-        return store.footprint(function, task)
+        return task_footprint(function, task)
 
     tasks = [t for t in htg.leaf_tasks() if t.task_id in mapping]
-    task_ids = frozenset(t.task_id for t in tasks)
     report.bump("tasks", len(tasks))
     report.bump("shared_variables", len(shared_names))
-    graph_task_ids = frozenset(htg.tasks)
     happens_before = set(htg.edge_pairs())
     for core_tasks in order.values():
         happens_before.update(zip(core_tasks, core_tasks[1:]))
-    happens_before = frozenset(happens_before)
-    reuse = (
-        prev_state is not None
-        and happens_before == prev_state["happens_before"]
-        and graph_task_ids == prev_state["graph_task_ids"]
-    )
-    if reuse:
-        ordered = prev_state["ordered"]
-        report.bump("closure_reused")
-    else:
-        ordered = frozenset(transitive_closure(htg.tasks.keys(), happens_before))
+    ordered = frozenset(transitive_closure(htg.tasks.keys(), happens_before))
     args = (ordered, shared_names, mapping, function, report, footprint_of)
-    if (
-        reuse
-        and changed_tasks is not None
-        and shared_names == prev_state["shared_names"]
-        and task_ids == prev_state["scanned_task_ids"]
-    ):
-        changed = {tid for tid in changed_tasks if tid in task_ids}
-        index = {t.task_id: i for i, t in enumerate(tasks)}
-        for a in tasks:
-            if a.task_id not in changed:
-                continue
-            ia = index[a.task_id]
-            for b in tasks:
-                if b.task_id == a.task_id:
-                    continue
-                ib = index[b.task_id]
-                if b.task_id in changed and ib < ia:
-                    continue
-                first, second = (b, a) if ib < ia else (a, b)
-                _scan_pair(first, second, *args)
-        total_pairs = len(tasks) * (len(tasks) - 1) // 2
-        report.bump("pairs_reused", total_pairs - report.checked.get("pairs_checked", 0))
-        for finding in prev_state["findings"]:
-            a_id, _, b_id = finding.subject.partition("<->")
-            if a_id not in changed and b_id not in changed:
-                report.add(replace(finding, provenance="reused"))
-    else:
-        for i, a in enumerate(tasks):
-            for b in tasks[i + 1:]:
-                _scan_pair(a, b, *args)
-    state = {
-        "happens_before": happens_before,
-        "ordered": ordered,
-        "graph_task_ids": graph_task_ids,
-        "scanned_task_ids": task_ids,
-        "shared_names": shared_names,
-        "findings": tuple(report.findings),
-    }
-    return report, state
+    for i, a in enumerate(tasks):
+        for b in tasks[i + 1:]:
+            _scan_pair(a, b, *args)
+    return report
 
 
 def contention_oracle(cert, htg, function):
@@ -459,17 +408,34 @@ class TestReachability:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_order_violation_matches_pairwise_scan(self, seed):
+        # the schedule check needs no closure: one acyclicity pass over the
+        # dependences plus the core chain refuses a one-core order exactly
+        # when a pairwise scan over the closure finds a task placed before
+        # one it depends on
         rng = np.random.default_rng(300 + seed)
         n = 15
-        edges = random_graph(rng, n, 0.2, acyclic=seed % 2 == 0)
-        reach = Reachability(range(n), edges)
-        dependent = transitive_closure(range(n), edges)
+        edges = [(str(u), str(v)) for u, v in random_graph(rng, n, 0.2, acyclic=True)]
+        nodes = [str(i) for i in range(n)]
+        dependent = transitive_closure(nodes, edges)
+        htg = HierarchicalTaskGraph.from_edges(
+            "g",
+            [Task(tid, TaskKind.BLOCK, Block()) for tid in nodes],
+            {pair: TaskEdge(*pair) for pair in edges},
+        )
+        verdicts = set()
         for _ in range(20):
-            sequence = [int(x) for x in rng.permutation(n)[: int(rng.integers(0, n))]]
-            sequence.append(99)  # a node outside the graph orders nothing
-            assert reach.order_violation(sequence) == order_violation_oracle(
-                dependent, sequence
-            )
+            sequence = [str(x) for x in rng.permutation(n)[: int(rng.integers(0, n))]]
+            sequence.append("99")  # a task outside the graph orders nothing
+            schedule = Schedule("g", {tid: 0 for tid in sequence}, {0: sequence})
+            try:
+                schedule.check_order(htg)
+                refused = False
+            except ScheduleError:
+                refused = True
+            violated = order_violation_oracle(dependent, sequence) is not None
+            assert refused == violated
+            verdicts.add(refused)
+        assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------- #
@@ -563,53 +529,27 @@ class TestRaceDifferential:
         model, scenarios = race_scenarios(case)
         for htg, mapping, order in scenarios:
             report, _ = incremental_race_check(htg, mapping, order, model.entry)
-            oracle, _ = race_oracle(htg, mapping, order, model.entry)
-            assert_same_report(report, oracle)
-
-    @pytest.mark.parametrize("case", ["egpws", "synthetic-3"])
-    def test_replay_with_changed_endpoints_matches_oracle(self, case):
-        model, scenarios = race_scenarios(case)
-        for htg, mapping, order in scenarios:
-            _, state = incremental_race_check(htg, mapping, order, model.entry)
-            _, oracle_state = race_oracle(htg, mapping, order, model.entry)
-            ids = [t.task_id for t in htg.leaf_tasks()]
-            # the same graph with its tasks inserted in reverse: the reused
-            # reachability numbers tasks differently from the scan order
-            permuted = HierarchicalTaskGraph(
-                htg.name, dict(reversed(list(htg.tasks.items()))), list(htg.edges)
-            )
-            for graph in (htg, permuted):
-                for changed in (set(), set(ids[::4]), set(ids)):
-                    report, _ = incremental_race_check(
-                        graph, mapping, order, model.entry, state, changed
-                    )
-                    oracle, _ = race_oracle(
-                        graph, mapping, order, model.entry, oracle_state, changed
-                    )
-                    assert_same_report(report, oracle)
+            assert_same_report(report, race_oracle(htg, mapping, order, model.entry))
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_random_edit_rounds_match_oracle(self, seed):
+        # every edit round is checked cold, on one cache whose footprint
+        # memo the edit hands blocks over through
         options = ExtractionOptions(granularity="loop", loop_chunks=3)
         diagram = random_pipeline_diagram(stages=4, width=3, vector_size=16, seed=seed)
-        state = oracle_state = prev = None
+        cache = WcetAnalysisCache()
         for round_ in range(4):
             if round_:
                 random_edit_script(diagram, num_edits=1, seed=seed * 10 + round_)
-            model = compile_diagram(diagram)
-            full = extract_htg(model, options)
+            model = compile_diagram(diagram, lowerings=cache.lowerings)
+            full = extract_htg(model, options, RegionFacts(cache.region_facts))
             htg = thinned(full)
             mapping = round_robin(full, 3)
             order = default_core_order(full, mapping)
-            changed = None if prev is None else changed_tasks(prev, htg)
-            report, state = incremental_race_check(
-                htg, mapping, order, model.entry, state, changed
+            report, _ = incremental_race_check(
+                htg, mapping, order, model.entry, store=cache.footprints
             )
-            oracle, oracle_state = race_oracle(
-                htg, mapping, order, model.entry, oracle_state, changed
-            )
-            assert_same_report(report, oracle)
-            prev = htg
+            assert_same_report(report, race_oracle(htg, mapping, order, model.entry))
 
     def test_contradicting_core_order_matches_networkx_closure(self):
         # t1 -> t2 is an HTG edge, but core 0 runs t2 before t1: the
@@ -622,23 +562,10 @@ class TestRaceDifferential:
         mapping = {"t1": 0, "t2": 0, "t3": 1, "t4": 2}
         order = {0: ["t2", "t1"], 1: ["t3"], 2: ["t4"]}
         report, _ = incremental_race_check(htg, mapping, order, func)
-        oracle, _ = race_oracle(htg, mapping, order, func)
-        assert_same_report(report, oracle)
+        assert_same_report(report, race_oracle(htg, mapping, order, func))
         subjects = {f.subject for f in report.findings}
         assert "t1<->t3" not in subjects
         assert {"t1<->t4", "t2<->t4", "t3<->t4"} <= subjects
-
-
-def changed_tasks(prev, htg):
-    """Task ids whose content differs from ``prev`` (new tasks included)."""
-    def content(task):
-        return (to_c(task.statements), sorted(task.reads), sorted(task.writes),
-                task.kind, task.parent)
-
-    return {
-        tid for tid, task in htg.tasks.items()
-        if tid not in prev.tasks or content(prev.tasks[tid]) != content(task)
-    }
 
 
 # ---------------------------------------------------------------------- #

@@ -193,8 +193,7 @@ class TestPipelineStages:
         # every stage's artifacts are retained, plus the platform
         assert set(result.artifacts) == {
             "platform", "model", "transformed_model", "pass_reports", "htg",
-            "schedule", "parallel_program", "race_state", "sequential_bound",
-            "certificates",
+            "schedule", "parallel_program", "sequential_bound", "certificates",
         }
         assert result.stage("schedule").info["scheduler"] == "wcet_list"
         assert result.stage("htg").info["tasks"] == len(result.htg.leaf_tasks())

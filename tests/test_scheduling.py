@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.adl.platforms import generic_predictable_multicore, kit_leon3_inoc, recore_xentium_like
@@ -9,6 +10,12 @@ from repro.core.config import ToolchainConfig
 from repro.core.pipeline import Pipeline
 from repro.htg import extract_htg
 from repro.htg.extraction import ExtractionOptions
+from repro.htg.graph import HierarchicalTaskGraph, TaskEdge
+from repro.htg.task import Task, TaskKind
+from repro.ir import FunctionBuilder
+from repro.ir.statements import Block
+from repro.parallel import ParallelProgram, build_parallel_program
+from repro.parallel.model import CoreProgram
 from repro.scheduling import (
     WcetAwareListScheduler,
     acet_driven_schedule,
@@ -16,10 +23,12 @@ from repro.scheduling import (
     sequential_schedule,
     simulated_annealing_schedule,
 )
-from repro.scheduling.schedule import ScheduleError
+from repro.scheduling.schedule import Schedule, ScheduleError
+from repro.sim import simulate_parallel_program
 from repro.usecases import ALL_USECASES
 from repro.usecases.workloads import synthetic_compiled_model
 from repro.wcet import SystemDesign, WcetAnalysisCache
+from repro.wcet.system_level import SystemWcetError, system_level_wcet
 
 from graph_reference import critical_path
 
@@ -173,6 +182,95 @@ class TestScheduleValidation:
         bad = Schedule(htg_name=htg.name, mapping=bad_mapping, order={99: list(bad_mapping)})
         with pytest.raises(ScheduleError):
             bad.validate(htg, platform)
+
+    def test_cross_core_cyclic_wait_is_refused(self):
+        # each core's order respects the dependences on its own, yet core 0
+        # waits for b2 before running a1 while core 1 waits for b1 before
+        # running a2: the generated program would deadlock
+        func = FunctionBuilder("cyclic").build()
+        htg = HierarchicalTaskGraph.from_edges(
+            "cyclic",
+            [Task(tid, TaskKind.BLOCK, Block()) for tid in ("a1", "b1", "a2", "b2")],
+            {("b1", "a2"): TaskEdge("b1", "a2"), ("b2", "a1"): TaskEdge("b2", "a1")},
+        )
+        platform = generic_predictable_multicore(cores=2)
+        order = {0: ["a1", "b1"], 1: ["a2", "b2"]}
+        mapping = {tid: core for core, tids in order.items() for tid in tids}
+        schedule = Schedule("cyclic", mapping, order)
+        with pytest.raises(ScheduleError, match="cyclic wait"):
+            schedule.validate(htg, platform)
+        with pytest.raises(ScheduleError, match="cyclic wait"):
+            build_parallel_program(htg, func, platform, schedule)
+        # a hand-built program of the schedule cannot be simulated either
+        program = ParallelProgram(
+            "cyclic_parallel",
+            {core: CoreProgram(core, list(tids)) for core, tids in order.items()},
+            {},
+            schedule,
+            platform.name,
+        )
+        with pytest.raises(ScheduleError, match="cyclic wait"):
+            simulate_parallel_program(program, htg, func, platform)
+        # as the system-level analysis refuses it
+        design = SystemDesign(htg, func, platform, WcetAnalysisCache())
+        with pytest.raises(SystemWcetError, match="cyclic wait"):
+            system_level_wcet(design, mapping, order)
+
+    def test_simulator_refuses_a_schedule_missing_a_task(self):
+        # a typed error, not a KeyError from inside the simulation loop
+        func = FunctionBuilder("partial").build()
+        htg = HierarchicalTaskGraph.from_edges(
+            "partial",
+            [Task(tid, TaskKind.BLOCK, Block()) for tid in ("a", "b")],
+            {("a", "b"): TaskEdge("a", "b")},
+        )
+        platform = generic_predictable_multicore(cores=2)
+        schedule = Schedule("partial", {"a": 0}, {0: ["a"]})
+        program = ParallelProgram("partial_parallel", {}, {}, schedule, platform.name)
+        with pytest.raises(ScheduleError, match="mapping covers 1 tasks"):
+            simulate_parallel_program(program, htg, func, platform)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_order_check_matches_a_cycle_search(self, seed):
+        # the check refuses exactly the schedules whose dependences plus
+        # core chains networkx finds a cycle in
+        import networkx as nx
+
+        rng = np.random.default_rng(500 + seed)
+        n, cores = 12, 3
+        tids = [f"t{i}" for i in range(n)]
+        edges = [
+            (tids[u], tids[v])
+            for u in range(n)
+            for v in range(u + 1, n)
+            if rng.random() < 0.2
+        ]
+        htg = HierarchicalTaskGraph.from_edges(
+            "g",
+            [Task(tid, TaskKind.BLOCK, Block()) for tid in tids],
+            {pair: TaskEdge(*pair) for pair in edges},
+        )
+        verdicts = set()
+        for _ in range(30):
+            mapping = {tid: int(rng.integers(0, cores)) for tid in tids}
+            order = {core: [t for t in tids if mapping[t] == core] for core in range(cores)}
+            # disturb the topological order of one core: often a cycle
+            core = int(rng.integers(0, cores))
+            if len(order[core]) > 1 and rng.random() < 0.7:
+                i, j = rng.choice(len(order[core]), size=2, replace=False)
+                order[core][i], order[core][j] = order[core][j], order[core][i]
+            graph = nx.DiGraph(edges)
+            graph.add_nodes_from(tids)
+            for chain in order.values():
+                graph.add_edges_from(zip(chain, chain[1:]))
+            try:
+                Schedule("g", mapping, order).check_order(htg)
+                refused = False
+            except ScheduleError:
+                refused = True
+            assert refused == (not nx.is_directed_acyclic_graph(graph))
+            verdicts.add(refused)
+        assert verdicts == {True, False}
 
     def test_unanalysed_schedule_has_no_bound(self, case):
         model, htg, platform = case
