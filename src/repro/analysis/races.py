@@ -1,17 +1,24 @@
 """Static data-race check for a scheduled HTG.
 
 Given the HTG, a core mapping and per-core task orders, the checker builds
-the happens-before relation the generated parallel program enforces:
+the schedule's happens-before closure (:func:`happens_before`):
 
-* every HTG dependence edge (codegen inserts a signal/wait pair or keeps
-  the tasks on one core in order);
+* every HTG dependence edge (the tasks run in order on one core, or the
+  dependence is ordered across cores by the program's syncs);
 * consecutive tasks on the same core (program order).
 
-The reachability of that relation must order every pair of tasks
-that conflict on a *shared* variable (write-write or read-write on a
-``SHARED`` / ``INPUT`` / ``OUTPUT`` declaration); an unordered conflicting
-pair mapped to different cores is reported as a race -- before any C code
-is emitted.
+That closure must order every pair of tasks that conflict on a *shared*
+variable (write-write or read-write on a ``SHARED`` / ``INPUT`` /
+``OUTPUT`` declaration); an unordered conflicting pair mapped to
+different cores is reported as a race -- before any C code is emitted.
+The closure is built once per schedule, here: :func:`incremental_race_check`
+returns it, and the parallel stage hands it to
+:func:`~repro.parallel.model.build_parallel_program`, whose schedule check
+(:meth:`~repro.scheduling.schedule.Schedule.check_order`: a cyclic wait is
+a task that reaches itself) and sync placement (a sync only on the
+cross-core dependences the rest of the closure does not already order)
+read the same bitsets.  The C emitter re-checks with :func:`scan_races`
+against the closure the printed program itself enforces.
 
 Sibling loop chunks of the same split loop conflict at name granularity
 by construction (they touch the same buffers), so their disjointness is
@@ -53,13 +60,20 @@ def _chunk_siblings(a: Task, b: Task) -> bool:
     )
 
 
-def _happens_before_pairs(
+def happens_before(
     htg: HierarchicalTaskGraph, order: dict[int, list[str]]
-) -> set[tuple[str, str]]:
-    pairs: set[tuple[str, str]] = set(htg.edge_pairs())
+) -> Reachability[str]:
+    """The happens-before closure of a schedule: the HTG's dependences plus
+    each core's chain of tasks in ``order``, as per-task bitsets (a task
+    listed in ``order`` but absent from the HTG is a node too).
+
+    On a cyclic wait the closure is the least fixed point, and each task
+    on the cycle reaches itself.
+    """
+    pairs = htg.edge_pairs()
     for core_tasks in order.values():
-        pairs.update(zip(core_tasks, core_tasks[1:]))
-    return pairs
+        pairs.extend(zip(core_tasks, core_tasks[1:]))
+    return Reachability(htg.tasks.keys(), pairs)
 
 
 def _bump_nonzero(report: AnalysisReport, counter: str, amount: int) -> None:
@@ -124,19 +138,39 @@ def incremental_race_check(
     store: FootprintStore | None = None,
 ) -> tuple[AnalysisReport, Reachability[str]]:
     """Race check of every pair of mapped tasks: the report and the
-    happens-before reachability it checked against.
+    schedule's happens-before closure (:func:`happens_before`) it checked
+    against.
 
-    The name and the tuple are kept because perfbench's layer timer binds
-    this function and reads the report as its ``[0]``; :func:`check_races`
-    is the plain form.  ``store`` memoizes the footprints of chunk pairs
-    that need a proof (the shared cache's footprint tier by default).
+    The closure is the one the schedule needs: the parallel stage hands it
+    to :func:`~repro.parallel.model.build_parallel_program`, which checks
+    the order and places the syncs on it.  The name and the tuple are kept
+    because perfbench's layer timer binds this function and reads the
+    report as its ``[0]``; :func:`check_races` is the plain form.
+    ``store`` memoizes the footprints of chunk pairs that need a proof
+    (the shared cache's ``footprints`` store by default).
+    """
+    closure = happens_before(htg, order)
+    return scan_races(htg, mapping, function, closure, store), closure
+
+
+def scan_races(
+    htg: HierarchicalTaskGraph,
+    mapping: dict[str, int],
+    function: Function,
+    closure: Reachability[str],
+    store: FootprintStore | None = None,
+) -> AnalysisReport:
+    """Race check of every pair of mapped tasks against a happens-before
+    ``closure`` over the HTG's task ids: the schedule's
+    (:func:`incremental_race_check`) or the one a printed program enforces
+    (:func:`~repro.parallel.codegen.parallel_program_to_c`).
 
     Pairs are handled as bitsets: per task, the partners it must be checked
     against are one mask, split into ordered, non-conflicting and
-    conflicting partners by the happens-before reachability and per-name
-    reader/writer masks.  Only the unordered conflicting pairs -- the ones
-    that yield a finding or need a footprint proof -- run per-pair code,
-    in the order a pairwise scan of the mapped tasks would visit them.
+    conflicting partners by the closure and per-name reader/writer masks.
+    Only the unordered conflicting pairs -- the ones that yield a finding
+    or need a footprint proof -- run per-pair code, in the order a pairwise
+    scan of the mapped tasks would visit them.
     """
     report = AnalysisReport("race_checker")
     shared_arrays, shared_scalars = ir_analysis.shared_names(function)
@@ -152,14 +186,13 @@ def incremental_race_check(
     tasks = [t for t in htg.leaf_tasks() if t.task_id in mapping]
     report.bump("tasks", len(tasks))
     report.bump("shared_variables", len(shared_names))
-    reach = Reachability(htg.tasks.keys(), _happens_before_pairs(htg, order))
 
     position = {t.task_id: i for i, t in enumerate(tasks)}
     by_id = {t.task_id: t for t in tasks}
     readers: dict[str, int] = {}
     writers: dict[str, int] = {}
     for t in tasks:
-        bit = 1 << reach.index[t.task_id]
+        bit = 1 << closure.index[t.task_id]
         for name in t.reads & shared_names:
             readers[name] = readers.get(name, 0) | bit
         for name in t.writes & shared_names:
@@ -170,10 +203,10 @@ def incremental_race_check(
     partners = [0] * len(tasks)
     for i in range(len(tasks) - 1, -1, -1):
         partners[i] = later
-        later |= 1 << reach.index[tasks[i].task_id]
+        later |= 1 << closure.index[tasks[i].task_id]
     for a, mask in zip(tasks, partners):
-        i = reach.index[a.task_id]
-        unordered = mask & ~(reach.descendants[i] | reach.ancestors[i])
+        i = closure.index[a.task_id]
+        unordered = mask & ~(closure.descendants[i] | closure.ancestors[i])
         conflicting = 0
         for name in a.writes & shared_names:
             conflicting |= writers.get(name, 0) | readers.get(name, 0)
@@ -184,11 +217,11 @@ def incremental_race_check(
         _bump_nonzero(report, "pairs_checked", mask.bit_count())
         _bump_nonzero(report, "pairs_ordered", mask.bit_count() - n_unordered)
         _bump_nonzero(report, "pairs_disjoint", n_unordered - conflicting.bit_count())
-        for b_id in sorted(reach.members(conflicting), key=position.__getitem__):
+        for b_id in sorted(closure.members(conflicting), key=position.__getitem__):
             _report_conflict(
                 a, by_id[b_id], shared_names, mapping, function, report, footprint_of
             )
-    return report, reach
+    return report
 
 
 def check_races(

@@ -303,7 +303,9 @@ def _parallel_stage(context: PipelineContext) -> dict[str, Any]:
     schedule: Schedule = context.artifacts["schedule"]
     from repro.analysis.races import incremental_race_check
 
-    race_report, _ = incremental_race_check(
+    # the schedule's one happens-before closure: the race check builds it,
+    # and build_parallel_program checks the order and places syncs on it
+    race_report, closure = incremental_race_check(
         htg,
         schedule.mapping,
         schedule.order,
@@ -319,7 +321,7 @@ def _parallel_stage(context: PipelineContext) -> dict[str, Any]:
                 str(f) for f in race_report.findings if f.severity == "error"
             )
         )
-    program = build_parallel_program(htg, model.entry, context.platform, schedule)
+    program = build_parallel_program(htg, model.entry, context.platform, schedule, closure)
     context.info["sync_ops"] = program.num_sync_ops
     return {"parallel_program": program}
 

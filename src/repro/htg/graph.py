@@ -183,9 +183,10 @@ class HierarchicalTaskGraph:
 
         Built once per graph (see :class:`~repro.utils.graphs.Reachability`);
         invalidated by :meth:`add_task` / :meth:`add_edge` like the
-        adjacency indexes.  Only static MHP reads it: the schedule check
-        needs no closure, only an acyclic order, and the race checker
-        closes the dependences together with the core orders.
+        adjacency indexes.  Only static MHP reads it: a schedule's race
+        check, order check and sync placement read the schedule's own
+        closure, which joins the dependences with the core orders
+        (:func:`repro.analysis.races.happens_before`).
         """
         if self._reachability is None:
             self._reachability = Reachability(self.tasks.keys(), self.edge_pairs())

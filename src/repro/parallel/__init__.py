@@ -1,10 +1,12 @@
 """Explicit parallel program model (paper Section II-C).
 
 The scheduling result is turned into an explicitly parallel program: one task
-sequence per core, explicit signal/wait synchronisation on dependence edges
-that cross cores, a concrete shared-memory address map (consumers read their
-producers' shared signals in place), and a C-like rendering of the per-core
-programs.
+sequence per core, explicit signal/wait synchronisation on the dependence
+edges that cross cores and that no other path of the schedule's
+happens-before order (dependences plus each core's chain) already orders, a
+concrete shared-memory address map (consumers read their producers' shared
+signals in place), and a C-like rendering of the per-core programs, which
+re-checks races against the order the printed syncs enforce.
 """
 
 from repro.parallel.model import (

@@ -11,22 +11,52 @@ from repro.htg.graph import HierarchicalTaskGraph
 from repro.ir.printer import to_c
 from repro.ir.program import Function
 from repro.parallel.model import ParallelProgram, SyncOp
+from repro.utils.graphs import Reachability
 
 
 class CodegenRaceError(RuntimeError):
-    """The program to be rendered contains an unordered shared-access pair."""
+    """The program to be rendered can deadlock, or leaves a dependence or a
+    conflicting shared-access pair unordered."""
 
 
-def _program_schedule(program: ParallelProgram) -> tuple[dict[str, int], dict[int, list[str]]]:
-    """Mapping and per-core order as actually laid out in the program."""
+def _program_order(
+    program: ParallelProgram,
+) -> tuple[dict[str, int], list[tuple[str, str]], list[str]]:
+    """The mapping and the happens-before edges the program itself
+    enforces -- each core's tasks in item order, and one edge per flag from
+    the task before its signal to each task after a wait on it -- plus the
+    flags waited on but never signalled.
+
+    A signal before any task of its core orders nothing, and neither does
+    a flag signalled more than once (a wait may return after either).
+    """
     mapping: dict[str, int] = {}
-    order: dict[int, list[str]] = {}
+    pairs: list[tuple[str, str]] = []
+    signallers: dict[str, list[str | None]] = {}
+    waiters: dict[str, list[str]] = {}
+    unsignalled: list[str] = []
     for core_id, core_program in program.core_programs.items():
-        tasks = [item for item in core_program.items if not isinstance(item, SyncOp)]
-        order[core_id] = tasks
-        for task_id in tasks:
-            mapping[task_id] = core_id
-    return mapping, order
+        last: str | None = None
+        waits: list[str] = []
+        for item in core_program.items:
+            if isinstance(item, SyncOp):
+                if item.kind == "signal":
+                    signallers.setdefault(item.flag, []).append(last)
+                else:
+                    waits.append(item.flag)
+                    unsignalled.append(item.flag)
+                continue
+            mapping[item] = core_id
+            if last is not None:
+                pairs.append((last, item))
+            for flag in waits:
+                waiters.setdefault(flag, []).append(item)
+            waits = []
+            last = item
+    for flag, sources in signallers.items():
+        if len(sources) == 1 and sources[0] is not None:
+            pairs.extend((sources[0], waiter) for waiter in waiters.get(flag, ()))
+    return mapping, pairs, [flag for flag in unsignalled if flag not in signallers]
 
 
 def parallel_program_to_c(
@@ -39,21 +69,34 @@ def parallel_program_to_c(
 
     When ``function`` is supplied (it carries the storage classes of the
     shared declarations) and ``check_races`` is on, the emitted layout is
-    first re-checked by the static race checker -- using the mapping/order
-    reconstructed from the *program itself*, so the check covers what is
-    actually printed, not what the schedule intended.  A detected race
-    raises :class:`CodegenRaceError` instead of emitting unsound C.
+    first re-checked against the happens-before order the *program itself*
+    enforces -- each core's item order plus one signal -> wait edge per
+    flag, not the schedule's dependences -- so the check covers the syncs
+    actually printed, elided ones included.  A wait on a flag nobody
+    signals, a cyclic wait, a dependence between two of its tasks left
+    unordered, or a race the static race checker finds raises
+    :class:`CodegenRaceError` instead of emitting unsound C.
     """
     if function is not None and check_races:
-        from repro.analysis.races import check_races as _check
+        from repro.analysis.races import scan_races
 
-        mapping, order = _program_schedule(program)
-        report = _check(htg, mapping, order, function)
-        if report.count("error"):
-            # warnings (e.g. race.chunk-overlap-unproven) do not block
+        mapping, pairs, unsignalled = _program_order(program)
+        closure = Reachability(htg.tasks.keys(), pairs)
+        problems = [f"flag {flag} is waited on but never signalled" for flag in unsignalled]
+        problems += [
+            f"task {tid!r} waits on itself" for tid in mapping if closure.reaches(tid, tid)
+        ]
+        problems += [
+            f"dependence {e.src} -> {e.dst} is not ordered"
+            for e in htg.edges
+            if e.src in mapping and e.dst in mapping and not closure.reaches(e.src, e.dst)
+        ]
+        report = scan_races(htg, mapping, function, closure)
+        # warnings (e.g. race.chunk-overlap-unproven) do not block
+        problems += [str(f) for f in report.findings if f.severity == "error"]
+        if problems:
             raise CodegenRaceError(
-                f"refusing to emit C for {program.name!r}: "
-                + "; ".join(str(f) for f in report.findings if f.severity == "error")
+                f"refusing to emit C for {program.name!r}: " + "; ".join(problems)
             )
     lines: list[str] = []
     lines.append(f"/* parallel program {program.name} for platform {program.platform_name} */")

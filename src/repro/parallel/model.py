@@ -3,18 +3,21 @@
 The parallel program makes two things explicit that the scheduling result
 only implies (paper Section II-C):
 
-* synchronisation: every dependence edge whose endpoints live on different
-  cores becomes a signal/wait pair over a dedicated flag;
+* synchronisation: a dependence edge whose endpoints live on different
+  cores becomes a signal/wait pair over a dedicated flag, unless the rest
+  of the schedule's happens-before closure (the dependences plus each
+  core's chain) already orders the pair -- only the cross-core edges of
+  the closure's transitive reduction get a sync;
 * memory mapping: all shared objects (the function's shared, input and
-  output declarations, and one flag per cross-core edge) receive concrete
-  addresses in the platform's shared memory.
+  output declarations, and one flag per synchronised edge) receive
+  concrete addresses in the platform's shared memory.
 
 The program communicates in place: a consumer reads its producer's SHARED
 signal where the producer wrote it (the scratchpad pass keeps those signals
 shared), so no edge gets a buffer of its own.  The system-level analysis
 still charges each cross-core edge a transfer delay
-(:meth:`~repro.wcet.system_level.SystemDesign.delay`) until one
-communication model replaces it.
+(:meth:`~repro.wcet.system_level.SystemDesign.delay`) and prices no sync
+op, until one communication model replaces it.
 """
 
 from __future__ import annotations
@@ -23,9 +26,10 @@ from dataclasses import dataclass, field
 from typing import Literal
 
 from repro.adl.architecture import Platform
-from repro.htg.graph import HierarchicalTaskGraph
+from repro.htg.graph import HierarchicalTaskGraph, TaskEdge
 from repro.ir.program import Function, Storage
 from repro.scheduling.schedule import Schedule
+from repro.utils.graphs import Reachability
 
 
 @dataclass(frozen=True)
@@ -84,53 +88,78 @@ def build_parallel_program(
     function: Function,
     platform: Platform,
     schedule: Schedule,
+    closure: Reachability[str] | None = None,
 ) -> ParallelProgram:
     """Turn an analysed schedule into the explicit parallel program model.
 
-    The program is valid by construction once ``schedule.validate`` accepts
-    the schedule: each core runs its tasks in ``schedule.order``, which that
-    check orders by the HTG's dependences, and every cross-core edge gets
-    one flag, waited on before its consumer and signalled after its
-    producer.
+    ``closure`` is the schedule's happens-before closure
+    (:func:`repro.analysis.races.happens_before`: the HTG's dependences
+    plus each core's chain), built here when not given; the parallel stage
+    hands on the one its race check built.  ``schedule.validate`` checks
+    the order on it, so each core runs its tasks in ``schedule.order`` and
+    no wait is cyclic.  A cross-core edge ``u -> v`` gets a flag, waited on
+    before ``v`` and signalled after ``u``, only when no other
+    happens-before successor of ``u`` reaches ``v``: those kept edges and
+    the core chains have the closure of all dependences plus chains, so
+    the program orders every dependence and every pair the race check
+    proved ordered.
     """
-    schedule.validate(htg, platform)
+    if closure is None:
+        from repro.analysis.races import happens_before
 
-    core_programs: dict[int, CoreProgram] = {
-        core: CoreProgram(core_id=core, items=[]) for core in schedule.order
+        closure = happens_before(htg, schedule.order)
+    schedule.validate(htg, platform, closure)
+    mapping = schedule.mapping
+    index, descendants = closure.index, closure.descendants
+    next_on_core = {
+        tid: nxt for tids in schedule.order.values() for tid, nxt in zip(tids, tids[1:])
     }
 
-    # Cross-core edges become signal/wait pairs.
-    cross_edges = [
-        e
-        for e in htg.edges
-        if e.src in schedule.mapping
-        and e.dst in schedule.mapping
-        and schedule.mapping[e.src] != schedule.mapping[e.dst]
-    ]
+    # A cross-core edge is kept unless a happens-before successor of its
+    # source reaches its destination: the OR of the successors' closures
+    # holds every task two or more edges away (the graph is acyclic, so
+    # the edge's own destination does not reach itself).
+    kept: list[TaskEdge] = []
+    beyond: dict[str, int] = {}
+    for edge in htg.edges:
+        src_core, dst_core = mapping.get(edge.src), mapping.get(edge.dst)
+        if src_core is None or dst_core is None or src_core == dst_core:
+            continue
+        far = beyond.get(edge.src)
+        if far is None:
+            far = 0
+            for succ in htg.successors(edge.src):
+                far |= descendants[index[succ]]
+            nxt = next_on_core.get(edge.src)
+            if nxt is not None:
+                far |= descendants[index[nxt]]
+            beyond[edge.src] = far
+        if not far >> index[edge.dst] & 1:
+            kept.append(edge)
     flag_of_edge = {
-        (e.src, e.dst): f"flag_{i}_{e.src}__{e.dst}" for i, e in enumerate(cross_edges)
+        (e.src, e.dst): f"flag_{i}_{e.src}__{e.dst}" for i, e in enumerate(kept)
     }
 
-    # Build per-core item lists in schedule order, inserting waits before a
-    # task and signals after it.
-    incoming: dict[str, list] = {}
-    outgoing: dict[str, list] = {}
-    for edge in cross_edges:
+    # Per-core item lists in schedule order: waits before a task, signals
+    # after it.
+    incoming: dict[str, list[TaskEdge]] = {}
+    outgoing: dict[str, list[TaskEdge]] = {}
+    for edge in kept:
         incoming.setdefault(edge.dst, []).append(edge)
         outgoing.setdefault(edge.src, []).append(edge)
 
+    core_programs: dict[int, CoreProgram] = {}
     for core, task_ids in schedule.order.items():
-        program = core_programs[core]
+        items: list[str | SyncOp] = []
         for tid in task_ids:
-            for edge in sorted(incoming.get(tid, []), key=lambda e: e.src):
-                program.items.append(
-                    SyncOp("wait", flag_of_edge[(edge.src, edge.dst)], schedule.mapping[edge.src], tid)
-                )
-            program.items.append(tid)
-            for edge in sorted(outgoing.get(tid, []), key=lambda e: e.dst):
-                program.items.append(
-                    SyncOp("signal", flag_of_edge[(edge.src, edge.dst)], schedule.mapping[edge.dst], tid)
-                )
+            if tid in incoming:
+                for edge in sorted(incoming[tid], key=lambda e: e.src):
+                    items.append(SyncOp("wait", flag_of_edge[(edge.src, edge.dst)], mapping[edge.src], tid))
+            items.append(tid)
+            if tid in outgoing:
+                for edge in sorted(outgoing[tid], key=lambda e: e.dst):
+                    items.append(SyncOp("signal", flag_of_edge[(edge.src, edge.dst)], mapping[edge.dst], tid))
+        core_programs[core] = CoreProgram(core_id=core, items=items)
 
     # Memory map: shared declarations of the function, then synchronisation
     # flags (one word each), all aligned.

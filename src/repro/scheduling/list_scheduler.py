@@ -27,6 +27,13 @@ Implementation notes (hot path):
   core), and transfer delays per (payload, core pair);
 * tasks are design indexes, so predecessors, successors, finish times and
   placements are lists, not task-id dicts;
+* costs are read through each core's
+  :meth:`~repro.wcet.system_level.SystemDesign.cost_table`, and transfers
+  from plain-dict tables filled on first read through
+  :meth:`~repro.wcet.system_level.SystemDesign.delay`: the ranks keep one
+  delay per payload, placement one table per payload over core pairs,
+  and a placement reads each predecessor's finish time, core and delay
+  row once for all candidate cores;
 * placement prices transfers with ``len(core_ids) - 1`` contending cores,
   so ``max_cores`` also bounds the contention it assumes (ranks and the
   analysis assume every other core of the platform);
@@ -66,17 +73,26 @@ class WcetAwareListScheduler:
     ) -> list[float]:
         """Upward rank: longest path from the task to any sink."""
         # worst-case cross-core transfer with every other core contending,
-        # priced between the platform's first two cores; on a single-core
-        # platform there is no cross-core communication at all
+        # priced between the platform's first two cores, once per payload;
+        # on a single-core platform there is no cross-core communication
         comm = design.num_cores > 1
         pair = design.core_ids[:2]
+        delays: dict[int, float] = {}
+        average = self.use_average_costs
+        costs = design.cost_table(ref_core, average)
         ranks = [0.0] * len(succs)
         for i in reversed(design.topological):
             best_succ = 0.0
             for j, payload in succs[i]:
-                delay = design.delay(payload, *pair) if comm and payload else 0.0
-                best_succ = max(best_succ, ranks[j] + delay)
-            ranks[i] = design.cost(i, ref_core, self.use_average_costs)[0] + best_succ
+                path = ranks[j]
+                if comm and payload:
+                    delay = delays.get(payload)
+                    if delay is None:
+                        delay = delays[payload] = design.delay(payload, *pair)
+                    path += delay
+                if path > best_succ:
+                    best_succ = path
+            ranks[i] = (costs[i] or design.cost(i, ref_core, average))[0] + best_succ
         return ranks
 
     # ------------------------------------------------------------------ #
@@ -95,56 +111,74 @@ class WcetAwareListScheduler:
         ranks = self._upward_ranks(design, succs, core_ids[0])
         average = self.use_average_costs
         contenders = max(0, len(core_ids) - 1)
+        pred_rows = design.pred_rows
+        # each candidate core's cost table, and its rivals' busy windows
+        cost_tables = [design.cost_table(core_id, average) for core_id in core_ids]
+        # per payload, its delays over core pairs with this scheduler's
+        # contender count: ``delays[payload][src][dst]``, filled on first read
+        delays: dict[int, dict[int, dict[int, float]]] = {}
 
         core_of: list[int] = [0] * num_tasks
-        finish: list[float | None] = [None] * num_tasks
+        finish: list[float] = [0.0] * num_tasks
         placed: list[int] = []
         order: dict[int, list[str]] = {c: [] for c in core_ids}
         # Per-core busy windows as parallel (starts, ends) lists; cores fill
         # left to right, so both lists are sorted and the windows disjoint.
         busy_starts: dict[int, list[float]] = {c: [] for c in core_ids}
         busy_ends: dict[int, list[float]] = {c: [] for c in core_ids}
+        rivals = [
+            [(busy_starts[o], busy_ends[o]) for o in core_ids if o != core_id]
+            for core_id in core_ids
+        ]
         core_ready: dict[int, float] = {c: 0.0 for c in core_ids}
 
         # Ready set: in-degree tracking plus a heap keyed on (-rank, task_id),
         # which reproduces exactly the priority-ordered linear scan (highest
         # rank first, ties broken by task id).  The ranks walked
         # ``design.topological``, which raises on a cyclic HTG, so the heap
-        # places every task.
-        indegree = [len(row) for row in design.pred_rows]
+        # places every task, each after all its predecessors.
+        indegree = [len(row) for row in pred_rows]
         ready = [(-ranks[i], leaf_ids[i], i) for i in range(num_tasks) if indegree[i] == 0]
         heapq.heapify(ready)
 
         def place(i: int) -> None:
+            # each predecessor's finish, core and delay row, read once
+            preds = [
+                (
+                    finish[pred],
+                    core_of[pred],
+                    delays.setdefault(payload, {}).setdefault(core_of[pred], {})
+                    if payload
+                    else None,
+                    payload,
+                )
+                for pred, payload in pred_rows[i]
+            ]
             best_core = core_ids[0]
             best_finish = float("inf")
             best_start = 0.0
-            for core_id in core_ids:
+            for core_id, costs, others in zip(core_ids, cost_tables, rivals):
                 ready_deps = 0.0
-                for pred, payload in design.pred_rows[i]:
-                    pred_finish = finish[pred]
-                    if pred_finish is None:
-                        continue
-                    src_core = core_of[pred]
-                    delay = (
-                        design.delay(payload, src_core, core_id, contenders)
-                        if src_core != core_id and payload
-                        else 0.0
-                    )
-                    ready_deps = max(ready_deps, pred_finish + delay)
+                for pred_finish, src_core, row, payload in preds:
+                    if src_core != core_id and row is not None:
+                        delay = row.get(core_id)
+                        if delay is None:
+                            delay = row[core_id] = design.delay(
+                                payload, src_core, core_id, contenders
+                            )
+                        pred_finish += delay
+                    if pred_finish > ready_deps:
+                        ready_deps = pred_finish
                 start = max(core_ready[core_id], ready_deps)
-                duration, shared_accesses = design.cost(i, core_id, average)
+                duration, shared_accesses = costs[i] or design.cost(i, core_id, average)
                 # interference estimate: cores already busy in the window
                 window_end = start + max(duration, 1e-9)
                 busy_cores = 0
-                for other_core in core_ids:
-                    if other_core == core_id:
-                        continue
-                    starts = busy_starts[other_core]
+                for starts, ends in others:
                     # rightmost window starting before this one ends; overlap
                     # iff it is still running when this window starts
                     idx = bisect_left(starts, window_end)
-                    if idx and busy_ends[other_core][idx - 1] > start:
+                    if idx and ends[idx - 1] > start:
                         busy_cores += 1
                 penalty = 0.0
                 if not average and shared_accesses:

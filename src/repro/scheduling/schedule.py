@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from repro.adl.architecture import Platform
 from repro.htg.graph import HierarchicalTaskGraph
 from repro.ir.program import Function
-from repro.utils.graphs import is_acyclic
+from repro.utils.graphs import Reachability
 from repro.utils.intervals import Interval, total_busy_time
 from repro.wcet.system_level import (
     SystemDesign,
@@ -56,7 +56,15 @@ class Schedule:
             busy.setdefault(self.mapping[tid], []).append(interval)
         return {core: total_busy_time(ivs) / makespan for core, ivs in busy.items()}
 
-    def validate(self, htg: HierarchicalTaskGraph, platform: Platform) -> None:
+    def validate(
+        self,
+        htg: HierarchicalTaskGraph,
+        platform: Platform,
+        closure: Reachability[str] | None = None,
+    ) -> None:
+        """Raise :class:`ScheduleError` unless the schedule maps and orders
+        exactly the HTG's leaf tasks on the platform's cores, and its order
+        waits in no cycle (:meth:`check_order`, on ``closure`` when given)."""
         leaf_ids = {t.task_id for t in htg.leaf_tasks()}
         mapped = set(self.mapping)
         if mapped != leaf_ids:
@@ -68,7 +76,7 @@ class Schedule:
             if core not in valid_cores:
                 raise ScheduleError(f"task {tid!r} mapped to unknown core {core}")
         ordered = [tid for tids in self.order.values() for tid in tids]
-        if sorted(ordered) != sorted(self.mapping):
+        if len(ordered) != len(mapped) or set(ordered) != mapped:
             raise ScheduleError("core orders do not cover exactly the mapped tasks")
         for core, tids in self.order.items():
             for tid in tids:
@@ -77,20 +85,29 @@ class Schedule:
                         f"task {tid!r} is ordered on core {core} but mapped to "
                         f"core {self.mapping[tid]}"
                     )
-        self.check_order(htg)
+        self.check_order(htg, closure)
 
-    def check_order(self, htg: HierarchicalTaskGraph) -> None:
-        """Raise :class:`ScheduleError` unless the HTG's dependences plus
-        each core's chain of tasks are acyclic.
+    def check_order(
+        self, htg: HierarchicalTaskGraph, closure: Reachability[str] | None = None
+    ) -> None:
+        """Raise :class:`ScheduleError` when a task reaches itself in the
+        schedule's happens-before closure: the HTG's dependences plus each
+        core's chain of tasks (:func:`repro.analysis.races.happens_before`).
 
         Each core runs its tasks in ``order`` and a task waits for its
         producers, so a cycle through both kinds of edge is a wait that
         never ends, even when every core's order respects the dependences
         on its own: core 0 running ``[a1, b1]`` and core 1 ``[a2, b2]``
-        with ``b1 -> a2`` and ``b2 -> a1`` deadlocks.
+        with ``b1 -> a2`` and ``b2 -> a1`` deadlocks.  ``closure`` is that
+        closure when the caller has it (the parallel stage hands on the race
+        check's, so one closure decides deadlock, races and sync
+        placement); otherwise it is built here.
         """
-        chains = [pair for tids in self.order.values() for pair in zip(tids, tids[1:])]
-        if not is_acyclic([*htg.edge_pairs(), *chains], htg.tasks.keys()):
+        if closure is None:
+            from repro.analysis.races import happens_before
+
+            closure = happens_before(htg, self.order)
+        if any(mask >> i & 1 for i, mask in enumerate(closure.descendants)):
             raise ScheduleError("cyclic wait between core order and dependences")
 
     def race_findings(self, htg: HierarchicalTaskGraph, function: Function):

@@ -28,6 +28,8 @@ shows up as a task whose simulated duration exceeds its analysed one.
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -113,61 +115,81 @@ def simulate_parallel_program(
 
     # Execute tasks in dependence-consistent order while computing the
     # timeline; data must be produced before consumers run, so functional
-    # execution follows the same order as the timing computation.
+    # execution follows the same order as the timing computation.  The
+    # ready tasks wait on a heap keyed by (core, position): the next task
+    # is the first ready one in core order, then position order.
     order = schedule.order
     position = {tid: (core, idx) for core, tids in order.items() for idx, tid in enumerate(tids)}
     finish: dict[str, float] = {}
     start: dict[str, float] = {}
     durations: dict[str, float] = {}
     shared_by_task: dict[str, int] = {}
-    pending = {t.task_id for t in htg.leaf_tasks()}
     comm_contenders = max(0, platform.num_cores - 1)
+    # per task, the tasks still to run before it: its producers, and the
+    # task before it on its core
+    waiting = {
+        tid: sum(p in mapping for p in htg.predecessors(tid)) + (idx > 0)
+        for tid, (_, idx) in position.items()
+    }
+    ready = [position[tid] for tid, count in waiting.items() if count == 0]
+    heapq.heapify(ready)
+    # per core, the windows of its simulated tasks that made shared
+    # accesses, in run order: sorted by start and by end
+    sharer_starts: dict[int, list[float]] = {core: [] for core in order}
+    sharer_ends: dict[int, list[float]] = {core: [] for core in order}
 
     analysed_contenders = schedule.result.task_contenders if schedule.result else {}
 
-    # the orders are acyclic, so some pending task is always ready
-    while pending:
-        for tid in sorted(pending, key=lambda t: (position[t][0], position[t][1])):
-            core, idx = position[tid]
-            preds = htg.predecessors(tid)
-            if any(p in pending for p in preds):
-                continue
-            if idx > 0 and order[core][idx - 1] in pending:
-                continue
-            # functional execution with dynamic accounting
-            stats = interpreter.run_statements(htg.task(tid).statements, env)
-            base_cycles, shared_accesses = _trace_cost(stats, function, models[core])
-            shared_by_task[tid] = shared_accesses
+    def release(tid: str) -> None:
+        waiting[tid] -= 1
+        if not waiting[tid]:
+            heapq.heappush(ready, position[tid])
 
-            ready_core = finish[order[core][idx - 1]] if idx > 0 else 0.0
-            ready_deps = 0.0
-            for p in preds:
-                delay = 0.0
-                if mapping[p] != core:
-                    edge = htg.edge(p, tid)
-                    payload = edge.payload_bytes if edge else 0
-                    if payload:
-                        delay = platform.communication_latency(payload, mapping[p], core, comm_contenders)
-                ready_deps = max(ready_deps, finish[p] + delay)
-            task_start = max(ready_core, ready_deps)
+    # the orders are acyclic, so the heap holds a task until all have run
+    while ready:
+        core, idx = heapq.heappop(ready)
+        tid = order[core][idx]
+        # functional execution with dynamic accounting
+        stats = interpreter.run_statements(htg.task(tid).statements, env)
+        base_cycles, shared_accesses = _trace_cost(stats, function, models[core])
+        shared_by_task[tid] = shared_accesses
 
-            if contention == "static":
-                contenders = analysed_contenders.get(tid, 0)
-            else:
-                window = Interval(task_start, task_start + max(base_cycles, 1e-9))
-                contenders = len(
-                    {
-                        mapping[other]
-                        for other, iv in zip(start.keys(), (Interval(start[o], finish[o]) for o in start))
-                        if mapping[other] != core and iv.overlaps(window) and shared_by_task.get(other, 0) > 0
-                    }
-                )
-            duration = base_cycles + shared_accesses * platform.shared_access_penalty(contenders)
-            start[tid] = task_start
-            finish[tid] = task_start + duration
-            durations[tid] = duration
-            pending.discard(tid)
-            break
+        ready_core = finish[order[core][idx - 1]] if idx > 0 else 0.0
+        ready_deps = 0.0
+        for p in htg.predecessors(tid):
+            delay = 0.0
+            if mapping[p] != core:
+                edge = htg.edge(p, tid)
+                payload = edge.payload_bytes if edge else 0
+                if payload:
+                    delay = platform.communication_latency(payload, mapping[p], core, comm_contenders)
+            ready_deps = max(ready_deps, finish[p] + delay)
+        task_start = max(ready_core, ready_deps)
+
+        if contention == "static":
+            contenders = analysed_contenders.get(tid, 0)
+        else:
+            # the other cores with a simulated sharer window overlapping
+            # this task's window (half-open, as Interval.overlaps)
+            window_end = task_start + max(base_cycles, 1e-9)
+            contenders = 0
+            for other, starts in sharer_starts.items():
+                if other != core:
+                    k = bisect_left(starts, window_end)
+                    if k and sharer_ends[other][k - 1] > task_start:
+                        contenders += 1
+        duration = base_cycles + shared_accesses * platform.shared_access_penalty(contenders)
+        start[tid] = task_start
+        finish[tid] = task_start + duration
+        durations[tid] = duration
+        if shared_accesses > 0:
+            sharer_starts[core].append(task_start)
+            sharer_ends[core].append(task_start + duration)
+        for succ in htg.successors(tid):
+            if succ in waiting:
+                release(succ)
+        if idx + 1 < len(order[core]):
+            release(order[core][idx + 1])
 
     intervals = {tid: Interval(start[tid], finish[tid]) for tid in start}
     makespan = max((iv.end for iv in intervals.values()), default=0.0)

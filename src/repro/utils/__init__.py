@@ -6,7 +6,6 @@ from repro.utils.intervals import Interval, intervals_overlap
 from repro.utils.graphs import (
     Reachability,
     topological_order,
-    is_acyclic,
 )
 
 __all__ = [
@@ -16,5 +15,4 @@ __all__ = [
     "intervals_overlap",
     "Reachability",
     "topological_order",
-    "is_acyclic",
 ]

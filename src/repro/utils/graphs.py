@@ -1,11 +1,13 @@
 """Small directed-graph helpers shared by the HTG, scheduling and WCET layers.
 
 The topological order is one heap-based Kahn pass over integer node
-numbers; the acyclicity test builds on it.
+numbers.
 Reachability stores the transitive closure as one Python-int bitset per
 node (:class:`Reachability`), so "which of these tasks are ordered with
 ``t``" is a single mask operation instead of a scan over a set of pairs.
-It is the one closure the HTG, the race checker and static MHP share.
+It is the one closure the HTG, the race checker and static MHP share; a
+schedule's closure also decides its deadlock check (a node on a cycle
+reaches itself) and its sync placement.
 """
 
 from __future__ import annotations
@@ -14,15 +16,6 @@ import heapq
 from typing import Generic, Hashable, Iterable, TypeVar
 
 N = TypeVar("N", bound=Hashable)
-
-
-def is_acyclic(edges: Iterable[tuple[Hashable, Hashable]], nodes: Iterable[Hashable] = ()) -> bool:
-    """Return True when the directed graph defined by ``edges`` has no cycle."""
-    try:
-        topological_order(nodes, edges)
-    except ValueError:
-        return False
-    return True
 
 
 def topological_order(
